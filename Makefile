@@ -20,7 +20,7 @@ RACE_PKGS = ./internal/server/... ./internal/obs/... ./internal/faults/... ./int
 # one target per invocation).
 FUZZTIME ?= 10s
 
-.PHONY: all verify build test check vet lint lint-race lint-fix-check perf-gate perf-facts fmt-check precommit race race-subset fuzz-smoke bench bench-shard load-smoke
+.PHONY: all verify build test check vet lint lint-race lint-fix-check perf-gate perf-facts fmt-check precommit race race-subset fuzz-smoke bench bench-shard repo-bench load-smoke
 
 all: check
 
@@ -113,6 +113,7 @@ fuzz-smoke:
 	$(GO) test ./internal/data -run='^$$' -fuzz=FuzzReadMatrixBinary -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/data -run='^$$' -fuzz=FuzzReadMatrixCSV -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/engine -run='^$$' -fuzz=FuzzPartitionRoundTrip -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/vec -run='^$$' -fuzz=FuzzPackedDot -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/snap -run='^$$' -fuzz=FuzzSnapshotLoad -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/snap -run='^$$' -fuzz=FuzzWALReplay -fuzztime=$(FUZZTIME)
 
@@ -131,6 +132,13 @@ load-smoke:
 
 bench:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ ./...
+
+## repo-bench: the repository benchmark declared in BENCHMARK.json —
+## four workloads end to end, answers checked against a naive oracle
+## (≈ 2 min; `go run ./benchmark -workload W -trace 1` for one workload's
+## per-layer numbers, see benchmark/README.md).
+repo-bench:
+	$(GO) run ./benchmark
 
 ## bench-shard: the sharded execution engine benchmark (sequential
 ## retriever vs engine at several shard counts), then a sharded

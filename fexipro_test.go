@@ -113,6 +113,11 @@ func TestVariantOptions(t *testing.T) {
 	if _, err := fexipro.New(items, fexipro.Options{Variant: "bogus"}); err == nil {
 		t.Fatal("expected error for bad variant")
 	}
+	for _, e := range []float64{math.NaN(), math.Inf(1), 1e300} {
+		if _, err := fexipro.New(items, fexipro.Options{E: e}); err == nil {
+			t.Fatalf("expected error for E = %v", e)
+		}
+	}
 }
 
 func TestStatsExposed(t *testing.T) {

@@ -54,7 +54,7 @@ func (r *Retriever) SearchAboveContext(ctx context.Context, q []float64, t float
 		r.stats.Scanned++
 		// The cascade prunes only when a bound drops BELOW t (strictly,
 		// minus the safety margin), so items with qᵀp == t survive.
-		v, ok := idx.coordinateScan(i, qs, t, slack, &r.stats)
+		v, ok := idx.candidate(i, qs, t, slack, &r.stats)
 		if ok && v >= t {
 			out = append(out, topk.Result{ID: idx.perm[i], Score: v})
 		}

@@ -31,16 +31,26 @@ type Index struct {
 }
 
 // intData holds the scaled integer approximation of Section 4.2 with the
-// separate head/tail scaling of Equation 7. Exactly one of floors
-// (int32) or floors16 (compact int16, Options.CompactInts) is populated.
+// separate head/tail scaling of Equation 7. Every floor lies in
+// [−o, o−1] with o = ⌈e⌉+1 (e·v/max at v = −max can round to just below
+// −e). The w head floors of a row exist only packed (vec.PackedLayout,
+// DESIGN.md §3) so the head bound of Eq. 6 is one short multiply-add
+// chain; the d−w tail floors stay plain, in exactly one of floors
+// (int32) or floors16 (compact int16, Options.CompactInts).
 type intData struct {
 	e                    float64
 	maxHead, maxTail     float64 // max |p̄_s| over s<w resp. s≥w, across all items
-	floors               []int32 // n×d floors of the scaled vectors, row-major
-	floors16             []int16 // compact alternative to floors
-	sumAbsHead           []int64 // Σ_{s<w} |⌊p̂_s⌋| per row
-	sumAbsTail           []int64 // Σ_{s≥w} |⌊p̂_s⌋| per row
 	headScale, tailScale float64 // maxHead/e, maxTail/e — converts IU to a q̄-space factor
+
+	lay       vec.PackedLayout
+	nw        int      // words per row: lay.Words(w)
+	head      []uint64 // n×nw packed head floors, item field order
+	headConst []int64  // Σ_{s<w} |⌊p̂_s⌋| − o·Σ_{s<w} ⌊p̂_s⌋ + w per row
+
+	compact    bool
+	floors     []int32 // n×(d−w) tail floors, row-major
+	floors16   []int16 // compact alternative to floors
+	sumAbsTail []int64 // Σ_{s≥w} |⌊p̂_s⌋| per row
 }
 
 // redData holds the monotonicity-reduction preprocessing of Section 5.2.
@@ -69,6 +79,9 @@ type redData struct {
 // Algorithm 3. The input matrix is copied; the caller's data is never
 // modified.
 func NewIndex(items *vec.Matrix, opts Options) (*Index, error) {
+	if math.IsNaN(opts.E) || math.IsInf(opts.E, 0) {
+		return nil, fmt.Errorf("core: Options.E = %v is not finite", opts.E)
+	}
 	opts = opts.withDefaults()
 	if items.Rows == 0 || items.Cols == 0 {
 		return nil, fmt.Errorf("core: empty item matrix %d×%d", items.Rows, items.Cols)
@@ -119,7 +132,11 @@ func NewIndex(items *vec.Matrix, opts Options) (*Index, error) {
 	// 5. Integer approximation (line 8).
 	if opts.Int {
 		compact := opts.CompactInts && opts.E <= 16000
-		idx.ints = buildIntData(idx.bar, idx.w, opts.E, opts.GlobalIntScaling, compact)
+		ints, err := buildIntData(idx.bar, idx.w, opts.E, opts.GlobalIntScaling, compact)
+		if err != nil {
+			return nil, err
+		}
+		idx.ints = ints
 	}
 
 	// 6. Monotonicity reduction (line 9).
@@ -172,21 +189,95 @@ func (idx *Index) chooseW() int {
 	return w
 }
 
+// newIntData validates e for the integer bound at this shape, picks the
+// packed head layout and allocates the per-row tables for setRow.
+func newIntData(n, d, w int, e float64, compact bool) (*intData, error) {
+	// With every floor in [−o, o−1], d·(2o)² < 2⁶² keeps the tail floors
+	// inside int32 and every IU sum (dot + Σ|·| terms, head constants)
+	// inside int64; it also implies the 1×64 head layout exists.
+	o := math.Ceil(e) + 1
+	if !(o >= 2 && float64(d)*4*o*o < 1<<62) {
+		return nil, fmt.Errorf("core: Options.E = %v overflows the integer bound at d = %d", e, d)
+	}
+	lay, ok := vec.NewPackedLayout(int64(o), w)
+	if !ok {
+		return nil, fmt.Errorf("core: Options.E = %v has no packed head layout at w = %d", e, w)
+	}
+	id := &intData{
+		e:          e,
+		lay:        lay,
+		nw:         lay.Words(w),
+		headConst:  make([]int64, n),
+		compact:    compact,
+		sumAbsTail: make([]int64, n),
+	}
+	id.head = make([]uint64, n*id.nw)
+	if compact {
+		id.floors16 = make([]int16, n*(d-w))
+	} else {
+		id.floors = make([]int32, n*(d-w))
+	}
+	return id, nil
+}
+
+// setRow stores row i's d floors — head packed, tail as is — with their
+// Σ|·| terms, and returns Σ_{s<w}|f_s|. ok is false when a head floor
+// lies outside the layout's range, which only a corrupt snapshot can
+// cause.
+func (id *intData) setRow(i, w int, f []int32) (sumAbsHead int64, ok bool) {
+	var sumHead, sumAbsTail int64
+	for _, x := range f[:w] {
+		sumHead += int64(x)
+		sumAbsHead += abs64(int64(x))
+	}
+	ok = id.lay.PackItem(id.head[i*id.nw:(i+1)*id.nw], f[:w])
+	id.headConst[i] = sumAbsHead - id.lay.Offset()*sumHead + int64(w)
+	dt := len(f) - w
+	for s, x := range f[w:] {
+		sumAbsTail += abs64(int64(x))
+		if id.compact {
+			id.floors16[i*dt+s] = int16(x)
+		} else {
+			id.floors[i*dt+s] = x
+		}
+	}
+	id.sumAbsTail[i] = sumAbsTail
+	return sumAbsHead, ok
+}
+
+// row inverts setRow: f receives row i's d floors; it returns Σ_{s<w}|f_s|.
+func (id *intData) row(i, w int, f []int32) (sumAbsHead int64) {
+	id.lay.UnpackItem(f[:w], id.head[i*id.nw:(i+1)*id.nw])
+	for _, x := range f[:w] {
+		sumAbsHead += abs64(int64(x))
+	}
+	dt := len(f) - w
+	for s := range f[w:] {
+		if id.compact {
+			f[w+s] = int32(id.floors16[i*dt+s])
+		} else {
+			f[w+s] = id.floors[i*dt+s]
+		}
+	}
+	return sumAbsHead
+}
+
+func abs64(a int64) int64 {
+	if a < 0 {
+		return -a
+	}
+	return a
+}
+
 // buildIntData scales the working vectors per Equation 7 (separate
 // head/tail maxima) — or Equation 4 (one global maximum) under the
 // GlobalIntScaling ablation — and stores their floors plus the per-row
 // Σ|⌊·⌋| terms of the integer bound (Theorem 2).
-func buildIntData(bar *vec.Matrix, w int, e float64, globalScaling, compact bool) *intData {
+func buildIntData(bar *vec.Matrix, w int, e float64, globalScaling, compact bool) (*intData, error) {
 	n, d := bar.Rows, bar.Cols
-	id := &intData{
-		e:          e,
-		sumAbsHead: make([]int64, n),
-		sumAbsTail: make([]int64, n),
-	}
-	if compact {
-		id.floors16 = make([]int16, n*d)
-	} else {
-		id.floors = make([]int32, n*d)
+	id, err := newIntData(n, d, w, e, compact)
+	if err != nil {
+		return nil, err
 	}
 	for i := 0; i < n; i++ {
 		row := bar.Row(i)
@@ -203,10 +294,9 @@ func buildIntData(bar *vec.Matrix, w int, e float64, globalScaling, compact bool
 	}
 	id.headScale = id.maxHead / e
 	id.tailScale = id.maxTail / e
+	f := make([]int32, d)
 	for i := 0; i < n; i++ {
-		row := bar.Row(i)
-		var sh, st int64
-		for s, v := range row {
+		for s, v := range bar.Row(i) {
 			var scaled float64
 			if s < w {
 				if id.maxHead > 0 {
@@ -217,26 +307,13 @@ func buildIntData(bar *vec.Matrix, w int, e float64, globalScaling, compact bool
 					scaled = e * v / id.maxTail
 				}
 			}
-			f := int32(math.Floor(scaled))
-			if compact {
-				id.floors16[i*d+s] = int16(f)
-			} else {
-				id.floors[i*d+s] = f
-			}
-			a := int64(f)
-			if a < 0 {
-				a = -a
-			}
-			if s < w {
-				sh += a
-			} else {
-				st += a
-			}
+			f[s] = int32(math.Floor(scaled))
 		}
-		id.sumAbsHead[i] = sh
-		id.sumAbsTail[i] = st
+		if _, ok := id.setRow(i, w, f); !ok {
+			return nil, fmt.Errorf("core: head floor of row %d outside ±(⌈E⌉+1)", i)
+		}
 	}
-	return id
+	return id, nil
 }
 
 // buildRedData computes the Section 5.2 reduction constants over the

@@ -54,10 +54,12 @@ type Options struct {
 	// individually). Quantifies the value of the norm sort.
 	Unsorted bool
 
-	// CompactInts stores the integer approximations as int16 instead of
-	// int32 — the "small integer types" direction of the paper's
-	// future-work discussion: with e = 100 the floors fit comfortably,
-	// halving the integer data footprint and improving cache residency.
+	// CompactInts stores the d−w tail columns of the integer
+	// approximation as int16 instead of int32 — the "small integer
+	// types" direction of the paper's future-work discussion: with
+	// e = 100 the floors fit comfortably, halving that table. The w head
+	// columns are not affected: they are always packed into 64-bit
+	// words (three 21-bit fields at e = 100), sized from E and w alone.
 	// Ignored (with int32 fallback) when E > 16000 would overflow int16.
 	CompactInts bool
 }

@@ -49,19 +49,41 @@ func (idx *Index) Save(w io.Writer) error {
 		})
 	}
 	if id := idx.ints; id != nil {
+		// fexsnap/v1 stores the full n×d floors and Σ|head floors|; the
+		// packed head is unpacked here and re-packed by ReadIndex.
+		n, d := idx.n, idx.d
+		var floors []int32
+		var floors16 []int16
+		if id.compact {
+			floors16 = make([]int16, n*d)
+		} else {
+			floors = make([]int32, n*d)
+		}
+		sumAbsHead := make([]int64, n)
+		f := make([]int32, d)
+		for i := 0; i < n; i++ {
+			sumAbsHead[i] = id.row(i, idx.w, f)
+			if !id.compact {
+				copy(floors[i*d:], f)
+				continue
+			}
+			for s, x := range f {
+				floors16[i*d+s] = int16(x)
+			}
+		}
 		b.Section(secIdxInts, func(e *snap.Encoder) {
 			e.F64(id.e)
 			e.F64(id.maxHead)
 			e.F64(id.maxTail)
 			e.F64(id.headScale)
 			e.F64(id.tailScale)
-			e.Bool(id.floors16 != nil)
-			if id.floors16 != nil {
-				e.Int16s(id.floors16)
+			e.Bool(id.compact)
+			if id.compact {
+				e.Int16s(floors16)
 			} else {
-				e.Int32s(id.floors)
+				e.Int32s(floors)
 			}
-			e.Int64s(id.sumAbsHead)
+			e.Int64s(sumAbsHead)
 			e.Int64s(id.sumAbsTail)
 		})
 	}
@@ -188,22 +210,9 @@ func indexFromSnap(f *snap.File) (*Index, error) {
 	}
 
 	if payload, ok := f.Section(secIdxInts); ok {
-		d := snap.NewDecoder(payload)
-		id := &intData{}
-		id.e = d.F64()
-		id.maxHead = d.F64()
-		id.maxTail = d.F64()
-		id.headScale = d.F64()
-		id.tailScale = d.F64()
-		if d.Bool() {
-			id.floors16 = d.Int16s()
-		} else {
-			id.floors = d.Int32s()
-		}
-		id.sumAbsHead = d.Int64s()
-		id.sumAbsTail = d.Int64s()
-		if err := d.Finish(); err != nil {
-			return nil, fmt.Errorf("core: index integer section: %w", err)
+		id, err := decodeIntData(snap.NewDecoder(payload), idx.n, idx.d, idx.w)
+		if err != nil {
+			return nil, err
 		}
 		idx.ints = id
 	}
@@ -228,6 +237,55 @@ func indexFromSnap(f *snap.File) (*Index, error) {
 	return idx, nil
 }
 
+// decodeIntData reads the idx.ints section (full n×d floors plus both
+// Σ|·| arrays) and rebuilds the in-memory form: head floors packed, tail
+// floors in their own stripe. n, d, w come from the meta section; the
+// shape is checked before anything is indexed, and the stored Σ|·|
+// arrays must match the floors they summarize.
+func decodeIntData(dec *snap.Decoder, n, d, w int) (*intData, error) {
+	e := dec.F64()
+	maxHead, maxTail := dec.F64(), dec.F64()
+	headScale, tailScale := dec.F64(), dec.F64()
+	compact := dec.Bool()
+	var floors []int32
+	var floors16 []int16
+	if compact {
+		floors16 = dec.Int16s()
+	} else {
+		floors = dec.Int32s()
+	}
+	sumAbsHead := dec.Int64s()
+	sumAbsTail := dec.Int64s()
+	if err := dec.Finish(); err != nil {
+		return nil, fmt.Errorf("core: index integer section: %w", err)
+	}
+	if n <= 0 || d <= 0 || w < 1 || w > d || len(floors)+len(floors16) != n*d ||
+		len(sumAbsHead) != n || len(sumAbsTail) != n {
+		return nil, fmt.Errorf("%w: loaded index integer data does not match shape n=%d d=%d w=%d", snap.ErrChecksum, n, d, w)
+	}
+	id, err := newIntData(n, d, w, e, compact)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", snap.ErrChecksum, err)
+	}
+	id.maxHead, id.maxTail = maxHead, maxTail
+	id.headScale, id.tailScale = headScale, tailScale
+	f := make([]int32, d)
+	for i := 0; i < n; i++ {
+		if compact {
+			for s, x := range floors16[i*d : (i+1)*d] {
+				f[s] = int32(x)
+			}
+		} else {
+			copy(f, floors[i*d:(i+1)*d])
+		}
+		sh, ok := id.setRow(i, w, f)
+		if !ok || sh != sumAbsHead[i] || id.sumAbsTail[i] != sumAbsTail[i] {
+			return nil, fmt.Errorf("%w: loaded index integer data inconsistent at row %d", snap.ErrChecksum, i)
+		}
+	}
+	return id, nil
+}
+
 // validateLoaded sanity-checks structural consistency of a deserialized
 // index so a truncated or corrupted file cannot cause panics later. The
 // error wraps snap.ErrChecksum: the container parsed, the content lies.
@@ -245,9 +303,7 @@ func (idx *Index) validateLoaded() error {
 		return fmt.Errorf("%w: loaded index missing SVD data", snap.ErrChecksum)
 	}
 	if idx.opts.Int {
-		id := idx.ints
-		if id == nil || (len(id.floors) != idx.n*idx.d && len(id.floors16) != idx.n*idx.d) ||
-			len(id.sumAbsHead) != idx.n || len(id.sumAbsTail) != idx.n {
+		if idx.ints == nil {
 			return fmt.Errorf("%w: loaded index missing integer data", snap.ErrChecksum)
 		}
 	}

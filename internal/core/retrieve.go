@@ -50,8 +50,9 @@ type queryState struct {
 	// Scratch owned by this state (sized for the index it was created
 	// for via Index.newQueryState).
 	qbar      []float64
-	qFloors   []int32
-	qFloors16 []int16
+	qFloors   []int32  // all d floors of ⌊q̂⌋; the tail half feeds the int32 tail bound
+	qFloors16 []int16  // the d−w tail floors again, for the compact tail bound
+	qHead     []uint64 // the w head floors packed in query field order
 
 	qNorm   float64 // ‖q‖ in the original space (used with the original ‖p‖ for Cauchy–Schwarz)
 	barNorm float64 // ‖q̄‖ in the working space
@@ -59,7 +60,8 @@ type queryState struct {
 
 	// Integer part.
 	intOK       bool
-	qSumAbsHead int64
+	headFirst   bool  // intOK in the paper's SIR order: the cascade opens with the integer head test
+	qHeadConst  int64 // Σ_{s<w} |⌊q̂_s⌋| − o·Σ_{s<w} ⌊q̂_s⌋ − w·o²: the query's share of unpacking IU^ℓ
 	qSumAbsTail int64
 	headFactor  float64 // maxq^ℓ·maxP^ℓ/e², converts head IU to a bound on q̄^ℓᵀp̄^ℓ
 	tailFactor  float64
@@ -76,10 +78,10 @@ type queryState struct {
 func (idx *Index) newQueryState() *queryState {
 	qs := &queryState{qbar: make([]float64, idx.d)}
 	if id := idx.ints; id != nil {
-		if id.floors16 != nil {
-			qs.qFloors16 = make([]int16, idx.d)
-		} else {
-			qs.qFloors = make([]int32, idx.d)
+		qs.qFloors = make([]int32, idx.d)
+		qs.qHead = make([]uint64, id.nw)
+		if id.compact {
+			qs.qFloors16 = make([]int16, idx.d-idx.w)
 		}
 	}
 	return qs
@@ -156,6 +158,18 @@ func (r *Retriever) SearchContext(ctx context.Context, q []float64, k int) ([]to
 // best-so-far results whose scores are true (working-space) inner
 // products.
 func (idx *Index) scanRange(ctx context.Context, hook *faults.Hook, qs *queryState, lo, hi int, c *topk.Collector, shared *search.SharedThreshold, stats *search.Stats) error {
+	if qs.headFirst && hook == nil {
+		return idx.scanBlocked(ctx, qs, lo, hi, c, shared, stats)
+	}
+	return idx.scanPerItem(ctx, hook, qs, lo, hi, c, shared, stats)
+}
+
+// scanPerItem is scanRange one candidate at a time: the only loop of the
+// variants whose cascade does not open with the integer head test (F,
+// F-S, F-SR, the SRI ablation), the loop of every variant while a fault
+// hook needs per-item CancelAtItem/PanicAtItem semantics, and the
+// reference scanBlocked is tested against.
+func (idx *Index) scanPerItem(ctx context.Context, hook *faults.Hook, qs *queryState, lo, hi int, c *topk.Collector, shared *search.SharedThreshold, stats *search.Stats) error {
 	slack := idx.opts.PruneSlack
 	done := ctx.Done()
 	//fex:hot
@@ -179,7 +193,7 @@ func (idx *Index) scanRange(ctx context.Context, hook *faults.Hook, qs *querySta
 			continue
 		}
 		stats.Scanned++
-		v, ok := idx.coordinateScan(i, qs, t, slack, stats)
+		v, ok := idx.candidate(i, qs, t, slack, stats)
 		if ok {
 			// The collector applies the canonical threshold test itself
 			// (strictly-better-than-root in (score desc, ID asc) order);
@@ -193,11 +207,98 @@ func (idx *Index) scanRange(ctx context.Context, hook *faults.Hook, qs *querySta
 	return nil
 }
 
+// blockRows is the number of sorted rows whose head bounds scanBlocked
+// evaluates at once. It divides search.CheckStride, so with blocks
+// starting at shard-local multiples of it the context poll lands on
+// block starts.
+const blockRows = 16
+
+// headBound is what phase 1 of the blocked scan knows about a row
+// before any threshold is consulted.
+type headBound struct {
+	norm  float64 // ‖p‖, for the length test
+	bHead float64 // integer upper bound on the head product q̄^ℓᵀp̄^ℓ (Eq. 6)
+	ub1   float64 // incremental residual bound ‖q̄^h‖·‖p̄^h‖ (Eq. 1)
+}
+
+// scanBlocked is scanRange for the indexes whose cascade opens with the
+// integer head test (qs.headFirst), where most scanned rows die: it runs
+// that test evaluate-then-filter. Phase 1 (headBounds) computes, for a
+// block of rows, the two terms of the test that do not depend on the
+// threshold, branch-free from sequential streams. Phase 2 walks the
+// block exactly as scanPerItem would — the LIVE threshold for the
+// length test, the strict compare, and for survivors only the rest of
+// Algorithm 5 — with the same float expressions in the same order, so
+// every pruning decision, counter and result is bit-identical to the
+// per-item loop; phase 1 merely wastes the rows past a length break.
+func (idx *Index) scanBlocked(ctx context.Context, qs *queryState, lo, hi int, c *topk.Collector, shared *search.SharedThreshold, stats *search.Stats) error {
+	slack := idx.opts.PruneSlack
+	unsorted := idx.opts.Unsorted
+	done := ctx.Done()
+	var block [blockRows]headBound
+	//fex:hot
+	for b := lo; b < hi; b += blockRows {
+		if done != nil && (b-lo)&search.StrideMask == 0 {
+			if err := search.Poll(ctx, nil, b-lo); err != nil {
+				return err
+			}
+		}
+		bounds := block[:min(blockRows, hi-b)]
+		idx.headBounds(qs, b, bounds)
+		for j, hb := range bounds {
+			t := shared.Floor(c.Threshold())
+			lenBound := qs.qNorm * hb.norm //fex:bound
+			if lenBound < t {
+				if !unsorted {
+					stats.PrunedByLength += hi - (b + j)
+					return nil
+				}
+				stats.PrunedByLength++
+				continue
+			}
+			stats.Scanned++
+			margin := slack * (math.Abs(t) + 1)
+			if hb.bHead+hb.ub1 < t-margin {
+				stats.PrunedByIntHead++
+				continue
+			}
+			i := b + j
+			if v, ok := idx.afterHead(i, qs, t, margin, hb, stats); ok {
+				if c.Push(idx.perm[i], v) && c.Len() == c.K() {
+					shared.Publish(c.Threshold())
+				}
+			}
+		}
+	}
+	return nil
+}
+
+// headBounds is phase 1 of scanBlocked: the threshold-independent
+// terms of rows [i, i+len(out)), at most blockRows of them, from the
+// packed head floors and three per-row arrays.
+func (idx *Index) headBounds(qs *queryState, i int, out []headBound) {
+	id := idx.ints
+	var buf [blockRows]int64
+	dots := buf[:len(out)]
+	id.lay.DotRows(dots, id.head[i*id.nw:], qs.qHead)
+	consts := id.headConst[i : i+len(out)]
+	tails := idx.barTail[i : i+len(out)]
+	norms := idx.norms[i : i+len(out)]
+	//fex:hot
+	for j := range out {
+		hb := &out[j]
+		iuHead := dots[j] + consts[j] + qs.qHeadConst
+		hb.bHead = float64(iuHead) * qs.headFactor //fex:bound
+		hb.ub1 = qs.barTail * tails[j]             //fex:bound
+		hb.norm = norms[j]
+	}
+}
+
 // prepareQuery transforms q into the working space and precomputes every
 // per-query constant used by the staged pruning tests, writing into qs.
 func (idx *Index) prepareQuery(q []float64, qs *queryState) {
 	scratch := *qs
-	*qs = queryState{qbar: scratch.qbar, qFloors: scratch.qFloors, qFloors16: scratch.qFloors16}
+	*qs = queryState{qbar: scratch.qbar, qFloors: scratch.qFloors, qFloors16: scratch.qFloors16, qHead: scratch.qHead}
 	qs.qNorm = vec.Norm(q)
 
 	if idx.thin != nil {
@@ -212,11 +313,14 @@ func (idx *Index) prepareQuery(q []float64, qs *queryState) {
 
 	if id := idx.ints; id != nil {
 		qs.intOK = true
-		maxQHead := vec.AbsMaxRange(qbar, 0, idx.w)
-		maxQTail := vec.AbsMaxRange(qbar, idx.w, idx.d)
+		qs.headFirst = !idx.opts.ReductionFirst
+		w := idx.w
+		maxQHead := vec.AbsMaxRange(qbar, 0, w)
+		maxQTail := vec.AbsMaxRange(qbar, w, idx.d)
+		var sumHead, sumAbsHead int64
 		for s, v := range qbar {
 			var scaled float64
-			if s < idx.w {
+			if s < w {
 				if maxQHead > 0 {
 					scaled = id.e * v / maxQHead
 				}
@@ -226,21 +330,23 @@ func (idx *Index) prepareQuery(q []float64, qs *queryState) {
 				}
 			}
 			f := int32(math.Floor(scaled))
-			if qs.qFloors16 != nil {
-				qs.qFloors16[s] = int16(f)
-			} else {
-				qs.qFloors[s] = f
+			qs.qFloors[s] = f
+			if s < w {
+				sumHead += int64(f)
+				sumAbsHead += abs64(int64(f))
+				continue
 			}
-			a := int64(f)
-			if a < 0 {
-				a = -a
-			}
-			if s < idx.w {
-				qs.qSumAbsHead += a
-			} else {
-				qs.qSumAbsTail += a
+			qs.qSumAbsTail += abs64(int64(f))
+			if id.compact {
+				qs.qFloors16[s-w] = int16(f)
 			}
 		}
+		// A finite query's head floors lie in the layout's range for the
+		// same reason the items' do; a non-finite one has no meaningful
+		// bound either way, so the range report is not acted on.
+		_ = id.lay.PackQuery(qs.qHead, qs.qFloors[:w])
+		o := id.lay.Offset()
+		qs.qHeadConst = sumAbsHead - o*sumHead - int64(w)*o*o
 		qs.headFactor = maxQHead * id.headScale / id.e
 		qs.tailFactor = maxQTail * id.tailScale / id.e
 	}
@@ -264,39 +370,47 @@ func (idx *Index) prepareQuery(q []float64, qs *queryState) {
 	}
 }
 
-// coordinateScan is Algorithm 5: the staged pruning cascade for one
-// candidate. It returns the exact working-space product and true, or
+// candidate runs the whole cascade (Algorithm 5) for one row: a block of
+// one for the indexes scanBlocked serves, coordinateScan alone for the
+// rest. It returns the exact working-space product and true, or
 // (0, false) when the candidate was pruned. Every prune test is STRICT
 // (`< t − margin`), matching scanRange's invariant that pruned items
 // have score strictly below the threshold.
-func (idx *Index) coordinateScan(i int, qs *queryState, t, slack float64, stats *search.Stats) (float64, bool) {
+func (idx *Index) candidate(i int, qs *queryState, t, slack float64, stats *search.Stats) (float64, bool) {
+	margin := slack * (math.Abs(t) + 1)
+	if !qs.headFirst {
+		ub1 := qs.barTail * idx.barTail[i] //fex:bound
+		return idx.coordinateScan(i, qs, t, margin, ub1, stats)
+	}
+	var hb [1]headBound
+	idx.headBounds(qs, i, hb[:])
+	if hb[0].bHead+hb[0].ub1 < t-margin {
+		stats.PrunedByIntHead++
+		return 0, false
+	}
+	return idx.afterHead(i, qs, t, margin, hb[0], stats)
+}
+
+// afterHead continues Algorithm 5 for a row that survived the integer
+// head test (lines 2–4): the full integer bound (Eq. 3, lines 5–8), then
+// the float cascade.
+func (idx *Index) afterHead(i int, qs *queryState, t, margin float64, hb headBound, stats *search.Stats) (float64, bool) {
+	if idx.w < idx.d {
+		if hb.bHead+idx.tailBound(qs, i) < t-margin {
+			stats.PrunedByIntFull++
+			return 0, false
+		}
+	}
+	return idx.coordinateScan(i, qs, t, margin, hb.ub1, stats)
+}
+
+// coordinateScan is Algorithm 5 from line 9 on: the exact partial
+// product with incremental pruning, the monotonicity reduction, and the
+// full product. ub1 is the residual bound ‖q̄^h‖·‖p̄^h‖ of row i.
+func (idx *Index) coordinateScan(i int, qs *queryState, t, margin, ub1 float64, stats *search.Stats) (float64, bool) {
 	w, d := idx.w, idx.d
 	qbar := qs.qbar
 	row := idx.bar.Row(i)
-	margin := slack * (math.Abs(t) + 1)
-	ub1 := qs.barTail * idx.barTail[i] //fex:bound
-
-	// Lines 2–8: integer upper bounds, partial (Eq. 6) then full (Eq. 3).
-	// Under the ReductionFirst (SRI-order) ablation these move after the
-	// reduction bound, where only the tail part remains useful.
-	var bHead float64
-	if qs.intOK && !idx.opts.ReductionFirst {
-		id := idx.ints
-		iuHead := idx.intDot(qs, i, 0, w) + qs.qSumAbsHead + id.sumAbsHead[i] + int64(w)
-		bHead = float64(iuHead) * qs.headFactor //fex:bound
-		if bHead+ub1 < t-margin {
-			stats.PrunedByIntHead++
-			return 0, false
-		}
-		if w < d {
-			iuTail := idx.intDot(qs, i, w, d) + qs.qSumAbsTail + id.sumAbsTail[i] + int64(d-w)
-			bTail := float64(iuTail) * qs.tailFactor //fex:bound
-			if bHead+bTail < t-margin {
-				stats.PrunedByIntFull++
-				return 0, false
-			}
-		}
-	}
 
 	// Lines 9–13: exact partial product + Eq. 1 incremental pruning.
 	if w >= d {
@@ -316,7 +430,7 @@ func (idx *Index) coordinateScan(i int, qs *queryState, t, slack float64, stats 
 		ub2 := qs.hhTailQ * rd.hhTail[i] //fex:bound
 		if !math.IsInf(t, -1) {
 			tPrime := 2*t*qs.invBarNorm + qs.kq
-			hhMargin := slack * (math.Abs(tPrime) + 1)
+			hhMargin := idx.opts.PruneSlack * (math.Abs(tPrime) + 1)
 			if hhPartial+ub2 < tPrime-hhMargin {
 				stats.PrunedByMonotone++
 				return 0, false
@@ -324,13 +438,11 @@ func (idx *Index) coordinateScan(i int, qs *queryState, t, slack float64, stats 
 		}
 	}
 
-	// SRI-order ablation: with the exact head v in hand, only the tail
-	// integer bound can still avoid the remaining d−w multiplications.
-	if qs.intOK && idx.opts.ReductionFirst {
-		id := idx.ints
-		iuTail := idx.intDot(qs, i, w, d) + qs.qSumAbsTail + id.sumAbsTail[i] + int64(d-w)
-		bTail := float64(iuTail) * qs.tailFactor //fex:bound
-		if v+bTail < t-margin {
+	// SRI-order ablation: the integer bounds move behind the reduction,
+	// where with the exact head v in hand only the tail one can still
+	// avoid the remaining d−w multiplications.
+	if qs.intOK && !qs.headFirst {
+		if v+idx.tailBound(qs, i) < t-margin {
 			stats.PrunedByIntFull++
 			return 0, false
 		}
@@ -341,16 +453,22 @@ func (idx *Index) coordinateScan(i int, qs *queryState, t, slack float64, stats 
 	return v + vec.DotRange(qbar, row, w, d), true
 }
 
-// intDot computes ⌊q̂⌋·⌊p̂ᵢ⌋ over coordinates [lo,hi) against either the
-// int32 or the compact int16 floor storage.
-func (idx *Index) intDot(qs *queryState, i, lo, hi int) int64 {
-	d := idx.d
+// tailBound is the integer upper bound on the tail product q̄^hᵀp̄^h of
+// row i (the tail half of Eq. 7), against either the int32 or the
+// compact int16 floor storage.
+//
+//fex:bound
+func (idx *Index) tailBound(qs *queryState, i int) float64 {
 	id := idx.ints
-	base := i * d
-	if id.floors16 != nil {
-		return vec.DotInt16(qs.qFloors16[lo:hi], id.floors16[base+lo:base+hi])
+	dt := idx.d - idx.w
+	var dot int64
+	if id.compact {
+		dot = vec.DotInt16(qs.qFloors16, id.floors16[i*dt:(i+1)*dt])
+	} else {
+		dot = vec.DotInt64(qs.qFloors[idx.w:], id.floors[i*dt:(i+1)*dt])
 	}
-	return vec.DotInt64(qs.qFloors[lo:hi], id.floors[base+lo:base+hi])
+	iuTail := dot + qs.qSumAbsTail + id.sumAbsTail[i] + int64(dt)
+	return float64(iuTail) * qs.tailFactor
 }
 
 var _ search.ContextSearcher = (*Retriever)(nil)

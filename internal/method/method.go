@@ -33,7 +33,8 @@ type BuildOptions struct {
 	// override for the ρ-derived w (0 = derive).
 	W int
 	// Rho, E, CompactInts are the FEXIPRO family's preprocessing
-	// parameters (zero values = paper defaults ρ=0.7, e=100, int32).
+	// parameters (zero values = paper defaults ρ=0.7, e=100, int32 tail
+	// floors).
 	Rho, E      float64
 	CompactInts bool
 	// LeafSize bounds tree leaves for BallTree/FastMKS/PCATree (0 = 20).

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"time"
 
 	"fexipro/internal/faults"
 	"fexipro/internal/topk"
@@ -83,10 +84,17 @@ func Poll(ctx context.Context, hook *faults.Hook, i int) error {
 	// stride boundaries: injected per-item latency simulates a
 	// pathologically slow scan, and a deadline must cut that scan short
 	// even when pruning ends it before the next stride boundary.
+	//
+	// The deadline itself is compared with the clock as well: after an
+	// injected stall the runtime may not yet have run the timer that
+	// closes ctx.Done(), and the scan could otherwise finish "in time".
 	checkCtx := i&StrideMask == 0
 	if hook != nil {
 		if err := hook.OnItem(i); err != nil {
 			return Canceled(err)
+		}
+		if dl, ok := ctx.Deadline(); ok && !time.Now().Before(dl) {
+			return Canceled(context.DeadlineExceeded)
 		}
 		checkCtx = true
 	}

@@ -46,11 +46,11 @@ type statser interface{ Stats() search.Stats }
 // §15): for a grid of instances it saves the built index, loads it
 // back, and requires the loaded index to be indistinguishable from the
 // original — byte-identical on re-save, and bit-identical through the
-// sharded searcher (same IDs, same scores bitwise, same tie order, and
-// the same stage counters) for every shard count in
-// SnapshotShardCounts. It then runs the full cancellation property
-// suite against a loaded searcher, so persistence cannot change
-// partial-result semantics either.
+// sharded searcher (same IDs, same scores bitwise, same tie order) for
+// every shard count in SnapshotShardCounts, with the same stage
+// counters at S = 1, where they are deterministic. It then runs the
+// full cancellation property suite against a loaded searcher, so
+// persistence cannot change partial-result semantics either.
 func CheckSnapshotRoundTrip[T any](t *testing.T, c SnapshotCodec[T], label string) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(20260808))
@@ -160,9 +160,12 @@ func checkSnapshotInstance[T any](t *testing.T, c SnapshotCodec[T], items *vec.M
 			// The loaded index must also walk the same pruning path, not
 			// just reach the same answer: stage counters are part of the
 			// persisted contract (they feed /metrics and the perf gates).
+			// They are a function of the index only at S = 1: with more
+			// shards, which sibling's threshold a shard sees published
+			// depends on how the workers were scheduled.
 			fs, okF := fresh.(statser)
 			ls, okL := warm.(statser)
-			if okF && okL {
+			if shards == 1 && okF && okL {
 				if a, b := fs.Stats(), ls.Stats(); a != b {
 					t.Fatalf("%s: S=%d query %d: stage counters diverged after load:\noriginal %+v\n  loaded %+v",
 						label, shards, trial, a, b)

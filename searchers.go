@@ -25,9 +25,9 @@ type Options struct {
 	E float64
 	// W overrides the checking dimension (0 = derive from Rho).
 	W int
-	// CompactInts stores integer approximations as int16 (halving their
-	// footprint); automatically falls back to int32 when E would
-	// overflow.
+	// CompactInts stores the tail columns of the integer approximations
+	// as int16 (halving that table; the head columns are always packed
+	// words); automatically falls back to int32 when E would overflow.
 	CompactInts bool
 	// Shards splits the index into that many contiguous partitions of
 	// the norm-sorted items, answered in parallel per query by the
