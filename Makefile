@@ -114,6 +114,7 @@ fuzz-smoke:
 	$(GO) test ./internal/data -run='^$$' -fuzz=FuzzReadMatrixCSV -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/engine -run='^$$' -fuzz=FuzzPartitionRoundTrip -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/vec -run='^$$' -fuzz=FuzzPackedDot -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/core -run='^$$' -fuzz=FuzzDynamicOps -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/snap -run='^$$' -fuzz=FuzzSnapshotLoad -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/snap -run='^$$' -fuzz=FuzzWALReplay -fuzztime=$(FUZZTIME)
 

@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/bits"
+	"slices"
 
 	"fexipro/internal/engine"
 	"fexipro/internal/faults"
@@ -38,9 +40,9 @@ type DynamicIndex struct {
 	d       int
 	rebuild float64
 
-	items     *vec.Matrix // full catalog in insertion order (live + dead)
-	dead      map[int]bool
-	deadCount int // total live→dead transitions ever
+	items     *vec.Matrix // full catalog in insertion order (live + dead); Add appends in place
+	dead      tombstones  // every ID ever deleted, including those already compacted out of a main index
+	deadCount int         // total live→dead transitions ever
 
 	shards []*dynShard
 	eng    *engine.Engine
@@ -55,10 +57,45 @@ type dynShard struct {
 	main       *Index
 	ret        *Retriever // for SearchAbove; shares main
 	mainIDs    []int      // catalog IDs covered by main (ascending; positions = index rows)
-	delta      []int      // catalog IDs not yet in main
-	deltaItems [][]float64
-	deadInMain int
-	rebuilds   int // number of times this shard's main index has been built
+	delta      []int      // catalog IDs not yet in main; their vectors are the catalog rows
+	deadInMain int        // tombstones among mainIDs: counts toward the rebuild trigger, nothing else
+	rebuilds   int        // number of times this shard's main index has been built
+}
+
+// tombstones is the set of deleted catalog IDs, one bit per ID, grown
+// when a bit is set: an ID past the last deletion tests false.
+type tombstones struct{ words []uint64 }
+
+func (t *tombstones) has(id int) bool {
+	w := id >> 6
+	return w < len(t.words) && t.words[w]&(1<<(id&63)) != 0
+}
+
+func (t *tombstones) set(id int) {
+	w := id >> 6
+	if w >= len(t.words) {
+		t.words = append(t.words, make([]uint64, w+1-len(t.words))...)
+	}
+	t.words[w] |= 1 << (id & 63)
+}
+
+// appendIDs appends the deleted IDs to dst in ascending order.
+func (t *tombstones) appendIDs(dst []int) []int {
+	for w, word := range t.words {
+		for ; word != 0; word &= word - 1 {
+			dst = append(dst, w<<6+bits.TrailingZeros64(word))
+		}
+	}
+	return dst
+}
+
+// liveView lets a shard's static main index answer for a catalog that
+// has moved on since its build: ids maps the index's original rows to
+// stable catalog IDs (the shard's mainIDs), dead is the catalog's
+// tombstone set. Only Index.offer consults it.
+type liveView struct {
+	ids  []int
+	dead *tombstones
 }
 
 // DefaultRebuildFraction triggers a rebuild when a shard's pending
@@ -92,7 +129,6 @@ func NewDynamicIndexSharded(initial *vec.Matrix, opts Options, rebuildFraction f
 		d:       initial.Cols,
 		rebuild: rebuildFraction,
 		items:   initial.Clone(),
-		dead:    make(map[int]bool),
 		shards:  make([]*dynShard, shards),
 	}
 	for s := range di.shards {
@@ -137,10 +173,11 @@ func (di *DynamicIndex) Add(item []float64) (int, error) {
 	return di.AddContext(context.Background(), item)
 }
 
-// AddContext behaves like Add; when ctx carries an obs span the
-// mutation's hidden cost — the owning shard's rebuild, if this update
-// triggers one — is timed as a "rebuild" child span, so a slow-query
-// log can tell a 50µs delta append from a 50ms one-shard rebuild.
+// AddContext behaves like Add: one row appended to the catalog's backing
+// array and one ID to the owning shard's delta buffer, O(d) amortized
+// (about a microsecond at d = 50 whatever the catalog holds). When ctx
+// carries an obs span the owning shard's rebuild, if this update
+// triggers one (0.5 s at n = 10⁵), is timed as a "rebuild" child span.
 func (di *DynamicIndex) AddContext(ctx context.Context, item []float64) (int, error) {
 	if len(item) != di.d {
 		return 0, fmt.Errorf("core: item dim %d != %d", len(item), di.d)
@@ -151,13 +188,10 @@ func (di *DynamicIndex) AddContext(ctx context.Context, item []float64) (int, er
 		}
 	}
 	id := di.items.Rows
-	grown := vec.NewMatrix(id+1, di.d)
-	copy(grown.Data, di.items.Data)
-	copy(grown.Row(id), item)
-	di.items = grown
+	di.items.Data = append(di.items.Data, item...)
+	di.items.Rows++
 	sh := di.shardOf(id)
 	sh.delta = append(sh.delta, id)
-	sh.deltaItems = append(sh.deltaItems, vec.Clone(item))
 	return id, di.maybeRebuild(ctx, id%len(di.shards))
 }
 
@@ -172,34 +206,16 @@ func (di *DynamicIndex) DeleteContext(ctx context.Context, id int) error {
 	if id < 0 || id >= di.items.Rows {
 		return fmt.Errorf("core: delete of unknown item %d", id)
 	}
-	if di.dead[id] {
+	if di.dead.has(id) {
 		return fmt.Errorf("core: item %d already deleted", id)
 	}
-	di.dead[id] = true
+	di.dead.set(id)
 	di.deadCount++
 	sh := di.shardOf(id)
-	if sh.inMain(id) {
+	if _, inMain := slices.BinarySearch(sh.mainIDs, id); inMain {
 		sh.deadInMain++
 	}
 	return di.maybeRebuild(ctx, id%len(di.shards))
-}
-
-// inMain reports whether a catalog ID is covered by the shard's current
-// main index (mainIDs is ascending by construction).
-func (sh *dynShard) inMain(id int) bool {
-	lo, hi := 0, len(sh.mainIDs)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		switch {
-		case sh.mainIDs[mid] == id:
-			return true
-		case sh.mainIDs[mid] < id:
-			lo = mid + 1
-		default:
-			hi = mid
-		}
-	}
-	return false
 }
 
 // maybeRebuild rebuilds shard s when its pending changes exceed the
@@ -230,13 +246,12 @@ func (di *DynamicIndex) rebuildShard(ctx context.Context, s int) error {
 	S := len(di.shards)
 	live := make([]int, 0, (di.items.Rows+S-1)/S)
 	for id := s; id < di.items.Rows; id += S {
-		if !di.dead[id] {
+		if !di.dead.has(id) {
 			live = append(live, id)
 		}
 	}
 	rsp.AttrInt("items", int64(len(live)))
 	sh.delta = nil
-	sh.deltaItems = nil
 	sh.deadInMain = 0
 	if len(live) == 0 {
 		sh.main, sh.ret, sh.mainIDs = nil, nil, nil
@@ -255,8 +270,6 @@ func (di *DynamicIndex) rebuildShard(ctx context.Context, s int) error {
 	sh.ret.SetFaultHook(di.hook)
 	sh.mainIDs = live
 	sh.rebuilds++
-	// Tombstones for pre-rebuild IDs are now compacted away, but keep
-	// the dead set for ID-validity checks.
 	return nil
 }
 
@@ -281,8 +294,8 @@ func (di *DynamicIndex) SetShardObserver(o engine.Observer) { di.eng.SetObserver
 
 // dynKernel routes DynamicIndex queries through the sharded execution
 // engine: each shard scan covers one catalog shard's delta buffer and
-// its main index, filtering tombstones and remapping index rows to
-// stable catalog IDs before offering candidates.
+// its main index, both offering only live items under stable catalog
+// IDs.
 type dynKernel struct {
 	di *DynamicIndex
 }
@@ -308,6 +321,7 @@ func (k *dynKernel) Prepare(q []float64) any {
 		if sh.main != nil {
 			qs := sh.main.newQueryState()
 			sh.main.prepareQuery(q, qs)
+			qs.live = liveView{ids: sh.mainIDs, dead: &k.di.dead}
 			dq.states[s] = qs
 		}
 	}
@@ -315,53 +329,44 @@ func (k *dynKernel) Prepare(q []float64) any {
 }
 
 // Scan implements engine.Kernel: shard s's delta buffer exhaustively,
-// then its main index with a (k + deadInMain) over-fetch so tombstoned
-// rows inside main cannot starve the live result set. Poll/fault
-// indices are shard-local.
+// then its main index through the shard's live view, both into the same
+// collector of k. Every item c retains is live, so c.Threshold() is a
+// lower bound on the global k-th score however many tombstones the shard
+// holds, and the main scan publishes to and prunes against the engine's
+// shared threshold. Poll/fault indices are shard-local.
 func (k *dynKernel) Scan(ctx context.Context, pq any, shard int, c *topk.Collector, shared *search.SharedThreshold, hook *faults.Hook) (search.Stats, error) {
-	di := k.di
-	sh := di.shards[shard]
+	sh := k.di.shards[shard]
 	dq := pq.(*dynQuery)
 	var st search.Stats
+	err := k.di.scanDelta(ctx, hook, sh, dq.q, &st, func(id int, v float64) {
+		if c.Push(id, v) && c.Len() == c.K() {
+			shared.Publish(c.Threshold())
+		}
+	})
+	if err == nil && sh.main != nil {
+		err = sh.main.scanRange(ctx, hook, dq.states[shard], 0, sh.main.n, c, shared, &st)
+	}
+	return st, err
+}
+
+// scanDelta hands emit the exact product of q with every live item of
+// sh's delta buffer; the vectors are the catalog's rows.
+func (di *DynamicIndex) scanDelta(ctx context.Context, hook *faults.Hook, sh *dynShard, q []float64, st *search.Stats, emit func(id int, v float64)) error {
 	done := ctx.Done()
 	for pos, id := range sh.delta {
 		if hook != nil || (done != nil && pos&search.StrideMask == 0) {
 			if err := search.Poll(ctx, hook, pos); err != nil {
-				return st, err
+				return err
 			}
 		}
-		if di.dead[id] {
+		if di.dead.has(id) {
 			continue
 		}
 		st.Scanned++
 		st.FullProducts++
-		if c.Push(id, vec.Dot(dq.q, sh.deltaItems[pos])) && c.Len() == c.K() {
-			shared.Publish(c.Threshold())
-		}
+		emit(id, vec.Dot(q, di.items.Row(id)))
 	}
-	if sh.main == nil {
-		return st, nil
-	}
-	// The inner collector's (k + deadInMain)-th threshold is still a
-	// valid global lower bound — at most deadInMain of its retained
-	// items are dead, so at least k live items score at or above it —
-	// which lets the main scan both publish to and prune against the
-	// engine's shared threshold.
-	inner := topk.New(c.K() + sh.deadInMain)
-	err := sh.main.scanRange(ctx, hook, dq.states[shard], 0, sh.main.n, inner, shared, &st)
-	// The merge below is bounded by the k+deadInMain results the inner
-	// collector retained; the cancellable work happened in scanRange.
-	//lint:ignore ctxpoll bounded merge of ≤ k+deadInMain retained results
-	for _, r := range inner.Results() {
-		id := sh.mainIDs[r.ID]
-		if di.dead[id] {
-			continue
-		}
-		if c.Push(id, r.Score) && c.Len() == c.K() {
-			shared.Publish(c.Threshold())
-		}
-	}
-	return st, err
+	return nil
 }
 
 var _ engine.Kernel = (*dynKernel)(nil)
@@ -405,38 +410,24 @@ func (di *DynamicIndex) SearchAboveContext(ctx context.Context, q []float64, t f
 		panic(fmt.Sprintf("core: query dim %d != %d", len(q), di.d))
 	}
 	di.stats = search.Stats{}
-	done := ctx.Done()
-	hook := di.hook
 	var out []topk.Result
 	for _, sh := range di.shards {
-		for pos, id := range sh.delta {
-			if hook != nil || (done != nil && pos&search.StrideMask == 0) {
-				if err := search.Poll(ctx, hook, pos); err != nil {
-					topk.SortResults(out)
-					return out, err
-				}
-			}
-			if di.dead[id] {
-				continue
-			}
-			di.stats.Scanned++
-			di.stats.FullProducts++
-			if v := vec.Dot(q, sh.deltaItems[pos]); v >= t {
+		err := di.scanDelta(ctx, di.hook, sh, q, &di.stats, func(id int, v float64) {
+			if v >= t {
 				out = append(out, topk.Result{ID: id, Score: v})
 			}
-		}
-		if sh.ret == nil {
-			continue
-		}
-		res, err := sh.ret.SearchAboveContext(ctx, q, t)
-		for _, r := range res {
-			id := sh.mainIDs[r.ID]
-			if di.dead[id] {
-				continue
+		})
+		if err == nil && sh.ret != nil {
+			var res []topk.Result
+			res, err = sh.ret.SearchAboveContext(ctx, q, t)
+			//lint:ignore ctxpoll remap of the results the cancellable scan above retained
+			for _, r := range res {
+				if id := sh.mainIDs[r.ID]; !di.dead.has(id) {
+					out = append(out, topk.Result{ID: id, Score: r.Score})
+				}
 			}
-			out = append(out, topk.Result{ID: id, Score: r.Score})
+			di.stats.Add(sh.ret.Stats())
 		}
-		di.stats.Add(sh.ret.Stats())
 		if err != nil {
 			topk.SortResults(out)
 			return out, err

@@ -27,10 +27,7 @@ func TestDynamicShardedMatchesReference(t *testing.T) {
 	if di.Shards() != 4 {
 		t.Fatalf("Shards() = %d, want 4", di.Shards())
 	}
-	ref := &liveReference{dead: map[int]bool{}}
-	for i := 0; i < 80; i++ {
-		ref.items = append(ref.items, vec.Clone(initial.Row(i)))
-	}
+	ref := newLiveReference(initial)
 
 	for step := 0; step < 250; step++ {
 		switch op := rng.Intn(10); {

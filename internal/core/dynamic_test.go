@@ -1,40 +1,58 @@
 package core_test
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"fexipro/internal/core"
-	"fexipro/internal/scan"
+	"fexipro/internal/data"
 	"fexipro/internal/searchtest"
 	"fexipro/internal/topk"
 	"fexipro/internal/vec"
 )
 
-// liveReference mirrors the dynamic index with a plain slice + naive scan.
+// liveReference mirrors the dynamic index with a plain slice and a naive
+// scan of the live rows into a collector of k: the canonical
+// (score desc, ID asc) top-k of the live catalog under original scores.
 type liveReference struct {
 	items [][]float64
 	dead  map[int]bool
 }
 
+func newLiveReference(initial *vec.Matrix) *liveReference {
+	lr := &liveReference{dead: map[int]bool{}}
+	for i := 0; i < initial.Rows; i++ {
+		lr.items = append(lr.items, initial.Row(i))
+	}
+	return lr
+}
+
 func (lr *liveReference) topK(q []float64, k int) []topk.Result {
-	rows := [][]float64{}
-	ids := []int{}
+	c := topk.New(k)
 	for id, it := range lr.items {
 		if !lr.dead[id] {
-			rows = append(rows, it)
-			ids = append(ids, id)
+			c.Push(id, vec.Dot(q, it))
 		}
 	}
-	if len(rows) == 0 {
-		return nil
+	return c.Results()
+}
+
+// sameResults reports how got departs from want: same IDs in the same
+// order, scores within tol (each shard scores in its own transformed
+// space).
+func sameResults(got, want []topk.Result, tol float64) error {
+	if len(got) != len(want) {
+		return fmt.Errorf("%d results, want %d", len(got), len(want))
 	}
-	res := scan.NewNaive(vec.FromRows(rows)).Search(q, k)
-	out := make([]topk.Result, len(res))
-	for i, r := range res {
-		out[i] = topk.Result{ID: ids[r.ID], Score: r.Score}
+	for i := range want {
+		if got[i].ID != want[i].ID || math.Abs(got[i].Score-want[i].Score) > tol {
+			return fmt.Errorf("rank %d: %+v, want %+v", i, got[i], want[i])
+		}
 	}
-	return out
+	return nil
 }
 
 func TestDynamicIndexRandomizedOperations(t *testing.T) {
@@ -48,10 +66,7 @@ func TestDynamicIndexRandomizedOperations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref := &liveReference{dead: map[int]bool{}}
-	for i := 0; i < 100; i++ {
-		ref.items = append(ref.items, vec.Clone(initial.Row(i)))
-	}
+	ref := newLiveReference(initial)
 
 	liveIDs := func() []int {
 		var out []int
@@ -172,5 +187,161 @@ func TestDynamicIndexDeleteEverything(t *testing.T) {
 	}
 	if got := di.Search(q, 5); len(got) != 0 {
 		t.Fatalf("search over empty catalog returned %v", got)
+	}
+}
+
+// passedOver returns the largest number of tombstones any one shard's
+// main index ranks above its k-th best live row for q, over the rows
+// [0, mainRows) split id mod shards — how far the deletions push that
+// shard's final threshold down its own ranking.
+func (lr *liveReference) passedOver(q []float64, k, mainRows, shards int) int {
+	worst := 0
+	for s := 0; s < shards; s++ {
+		live := topk.New(k)
+		for id := s; id < mainRows; id += shards {
+			if !lr.dead[id] {
+				live.Push(id, vec.Dot(q, lr.items[id]))
+			}
+		}
+		best := live.Results()
+		over := 0
+		for id := s; id < mainRows; id += shards {
+			if !lr.dead[id] {
+				continue
+			}
+			// Canonical order decides between the dead row and the k-th
+			// live one; with fewer than k live rows every dead one counts.
+			pair := []topk.Result{{ID: id, Score: vec.Dot(q, lr.items[id])}}
+			if len(best) == k {
+				pair = append(pair, best[k-1])
+				topk.SortResults(pair)
+			}
+			if pair[0].ID == id {
+				over++
+			}
+		}
+		worst = max(worst, over)
+	}
+	return worst
+}
+
+// TestDynamicTombstonesKeepThreshold pins, by counters alone, that a
+// tombstone costs a search nothing but its own row: on a MovieLens-shape
+// catalog of 2·10⁴ at S ∈ {1,2,3,7} (one worker, so the shards and their
+// shared threshold run in a fixed order), after deleting 200 and then
+// 2 000 random rows, then a query's whole top-k, then adding items and
+// deleting some of those again, every query scans at most what the
+// untouched twin index scans for k + j — j the tombstones a shard passes
+// over to reach its k-th live row, 0 for a query whose top rows all
+// survive — plus the delta buffer, and returns the naive live top-k in
+// canonical order. (A collector widened by the tombstone count would scan
+// what the twin scans for k + 2 000.)
+func TestDynamicTombstonesKeepThreshold(t *testing.T) {
+	const n, k = 20000, 10
+	ds := data.Generate(data.MovieLens(), n, 6, 50)
+	opts := core.Options{SVD: true, Int: true, Reduction: true}
+	for _, shards := range []int{1, 2, 3, 7} {
+		twin, err := core.NewDynamicIndexSharded(ds.Items, opts, 0, shards, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		di, err := core.NewDynamicIndexSharded(ds.Items, opts, 0, shards, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref := newLiveReference(ds.Items)
+		rng := rand.New(rand.NewSource(180))
+		kill := func(id int) {
+			t.Helper()
+			if err := di.Delete(id); err != nil {
+				t.Fatal(err)
+			}
+			ref.dead[id] = true
+		}
+		killRandom := func(count int) {
+			for count > 0 {
+				if id := rng.Intn(n); !ref.dead[id] {
+					kill(id)
+					count--
+				}
+			}
+		}
+		check := func(phase string) {
+			t.Helper()
+			for qi := 0; qi < ds.Queries.Rows; qi++ {
+				q := ds.Queries.Row(qi)
+				want := ref.topK(q, k+1) // one past k, to place above-t's t
+				got := di.Search(q, k)
+				scanned := di.Stats().Scanned
+				if err := sameResults(got, want[:k], searchtest.Tolerance); err != nil {
+					t.Fatalf("S=%d %s query %d: %v", shards, phase, qi, err)
+				}
+				j := ref.passedOver(q, k, n, shards)
+				twin.Search(q, k+j)
+				if bound := twin.Stats().Scanned + len(ref.items) - n; scanned > bound {
+					t.Fatalf("S=%d %s query %d: scanned %d rows, the twin scans %d for k+%d plus the delta",
+						shards, phase, qi, scanned, bound, j)
+				}
+				above := di.SearchAbove(q, (want[k-1].Score+want[k].Score)/2)
+				if err := sameResults(above, want[:k], searchtest.Tolerance); err != nil {
+					t.Fatalf("S=%d %s query %d above-t: %v", shards, phase, qi, err)
+				}
+			}
+		}
+
+		killRandom(200)
+		check("200 tombstones")
+		killRandom(1800)
+		check("2000 tombstones")
+		for _, r := range ref.topK(ds.Queries.Row(0), k) {
+			kill(r.ID)
+		}
+		check("query 0's top-k tombstoned")
+		// Delta items that outrank the whole catalog for query 1, then a
+		// delete-then-search on half of them.
+		q1 := ds.Queries.Row(1)
+		for a := 0; a < 2*k; a++ {
+			item := vec.Scaled(q1, float64(2+a))
+			id, err := di.Add(item)
+			if err != nil || id != len(ref.items) {
+				t.Fatalf("S=%d: add returned %d, %v", shards, id, err)
+			}
+			ref.items = append(ref.items, item)
+		}
+		check("delta on top")
+		for id := n; id < n+2*k; id += 2 {
+			kill(id)
+		}
+		check("delta half tombstoned")
+		for s, r := range di.Rebuilds() {
+			if r != 1 {
+				t.Fatalf("S=%d: shard %d rebuilt %d times; the twin comparison needs the initial main indexes", shards, s, r)
+			}
+		}
+	}
+}
+
+// TestDynamicAddAllocatesPerItem: 64 Adds on a 2·10⁴ × 50 catalog may
+// regrow the catalog's backing array once (1.25 catalogs) but must not
+// copy it per insert (64 catalogs).
+func TestDynamicAddAllocatesPerItem(t *testing.T) {
+	const n, d = 20000, 50
+	ds := data.Generate(data.MovieLens(), n, 1, d)
+	di, err := core.NewDynamicIndex(ds.Items, core.Options{SVD: true, Int: true, Reduction: true}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	item := vec.Clone(ds.Items.Row(0))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for a := 0; a < 64; a++ {
+		if _, err := di.Add(item); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	catalog := uint64(n * d * 8)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 2*catalog {
+		t.Fatalf("64 adds allocated %d bytes, catalog is %d", got, catalog)
 	}
 }

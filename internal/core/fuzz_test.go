@@ -1,12 +1,14 @@
 package core_test
 
 import (
+	"bytes"
 	"encoding/binary"
 	"math"
 	"testing"
 
 	"fexipro/internal/core"
 	"fexipro/internal/scan"
+	"fexipro/internal/topk"
 	"fexipro/internal/vec"
 )
 
@@ -99,6 +101,135 @@ func FuzzIntegerBound(f *testing.F) {
 		}
 		if dot > iu+1e-6*(1+math.Abs(iu)) {
 			t.Fatalf("integer bound violated: dot %v > IU %v", dot, iu)
+		}
+	})
+}
+
+// FuzzDynamicOps turns bytes into a sequence of add / delete / search /
+// checkpoint-reload steps on a small DynamicIndex (d = 3, S ∈ {1,3},
+// rebuilds firing often) and checks a search after every step against
+// liveReference. Coordinates are small integers, so exact score ties,
+// zero vectors and duplicate rows are the common case, and one opcode
+// deletes everything the last search returned — the sequence that
+// tombstones a whole top-k.
+func FuzzDynamicOps(f *testing.F) {
+	// S=3; search at k=4, tombstone that whole top-k, search again,
+	// reload, search; add the same top-scoring item twice, search at k=2,
+	// tombstone both in the delta, reload.
+	f.Add([]byte{1,
+		2, 9, 4, 7, 3, 4, 2, 9, 4, 7, 3, 3, 2, 9, 4, 7, 3,
+		0, 0, 4, 8, 0, 0, 4, 8, 2, 9, 4, 7, 1, 4, 3})
+	// S=1; delete IDs 0..3 one by one, add into the delta, delete from it.
+	f.Add([]byte{0, 1, 0, 1, 1, 1, 2, 1, 3, 0, 5, 5, 5, 1, 12, 2, 1, 1, 1, 4, 3})
+	f.Add(make([]byte, 40))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		const d, n0, maxOps = 3, 12, 48
+		if len(data) == 0 {
+			return
+		}
+		shards := 1 + 2*int(data[0]&1)
+		data = data[1:]
+		next := func() byte {
+			if len(data) == 0 {
+				return 0
+			}
+			b := data[0]
+			data = data[1:]
+			return b
+		}
+		vector := func() []float64 {
+			v := make([]float64, d)
+			for s := range v {
+				v[s] = float64(int(next()%9) - 4)
+			}
+			return v
+		}
+
+		initial := vec.NewMatrix(n0, d)
+		for i := range initial.Data {
+			initial.Data[i] = float64((i*7+i/d)%9 - 4)
+		}
+		di, err := core.NewDynamicIndexSharded(initial, core.Options{SVD: true, Int: true, Reduction: true}, 0.3, shards, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref := newLiveReference(initial)
+		var last []topk.Result
+		probe := []float64{1, -2, 3}
+
+		// search checks q at k against the reference: ranks agree in score
+		// (ties may order differently: each shard scores in its own
+		// rotated space), every result is a distinct live item and carries
+		// its own true score.
+		search := func(step int, q []float64, k int) []topk.Result {
+			got := di.Search(q, k)
+			want := ref.topK(q, k)
+			if len(got) != len(want) {
+				t.Fatalf("step %d: %d results, want %d", step, len(got), len(want))
+			}
+			seen := map[int]bool{}
+			for i, r := range got {
+				if r.ID < 0 || r.ID >= len(ref.items) || ref.dead[r.ID] || seen[r.ID] {
+					t.Fatalf("step %d rank %d: item %d is dead, repeated or unknown", step, i, r.ID)
+				}
+				seen[r.ID] = true
+				if math.Abs(r.Score-want[i].Score) > 1e-9 || math.Abs(r.Score-vec.Dot(q, ref.items[r.ID])) > 1e-9 {
+					t.Fatalf("step %d rank %d: %+v, want score %v", step, i, r, want[i].Score)
+				}
+			}
+			return got
+		}
+
+		for step := 0; step < maxOps && len(data) > 0; step++ {
+			switch next() % 5 {
+			case 0: // add
+				item := vector()
+				id, err := di.Add(item)
+				if err != nil || id != len(ref.items) {
+					t.Fatalf("step %d: add returned %d, %v; want %d", step, id, err, len(ref.items))
+				}
+				ref.items = append(ref.items, item)
+			case 1: // delete by ID; unknown and repeated deletes must fail
+				id := int(next()) % (len(ref.items) + 1)
+				err := di.Delete(id)
+				if wantErr := id == len(ref.items) || ref.dead[id]; (err != nil) != wantErr {
+					t.Fatalf("step %d: delete %d returned %v", step, id, err)
+				}
+				if err == nil {
+					ref.dead[id] = true
+				}
+			case 2: // search
+				q := vector()
+				last = search(step, q, 1+int(next()%6))
+			case 3: // checkpoint, reload, and the reload re-saves the same bytes
+				var a, b bytes.Buffer
+				if err := di.SaveSnapshot(&a, uint64(step)); err != nil {
+					t.Fatal(err)
+				}
+				loaded, seq, err := core.LoadSnapshot(bytes.NewReader(a.Bytes()), 1)
+				if err != nil || seq != uint64(step) {
+					t.Fatalf("step %d: reload: seq %d, %v", step, seq, err)
+				}
+				if err := loaded.SaveSnapshot(&b, seq); err != nil || !bytes.Equal(a.Bytes(), b.Bytes()) {
+					t.Fatalf("step %d: reloaded index saves different bytes (%v)", step, err)
+				}
+				di = loaded
+			case 4: // tombstone everything the last search returned
+				for _, r := range last {
+					if ref.dead[r.ID] {
+						continue
+					}
+					if err := di.Delete(r.ID); err != nil {
+						t.Fatalf("step %d: delete %d: %v", step, r.ID, err)
+					}
+					ref.dead[r.ID] = true
+				}
+			}
+			search(step, probe, 4)
+			if live := len(ref.items) - len(ref.dead); di.Len() != live {
+				t.Fatalf("step %d: Len %d, want %d", step, di.Len(), live)
+			}
 		}
 	})
 }

@@ -58,7 +58,7 @@ func (l *LiveScan) SearchContext(ctx context.Context, q []float64, k int) ([]top
 				return c.Results(), err
 			}
 		}
-		if di.dead[id] {
+		if di.dead.has(id) {
 			continue
 		}
 		l.stats.Scanned++

@@ -3,6 +3,7 @@ package core_test
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"math/rand"
 	"os"
@@ -314,6 +315,64 @@ func TestRecoverSnapshotBitFlipPerSection(t *testing.T) {
 			}
 		}
 		off = payloadOff + len(s.Payload) + (8-len(s.Payload)%8)%8
+	}
+}
+
+// TestLoadSnapshotRejectsLyingTombstoneCount re-encodes a valid
+// snapshot with one shard's stored deadInMain off by one in either
+// direction — every CRC correct, so only the cross-check against the
+// tombstone set ∩ main IDs can notice. A count the loader believed would
+// move the shard's rebuild trigger; it must be refused as ErrChecksum.
+func TestLoadSnapshotRejectsLyingTombstoneCount(t *testing.T) {
+	fx := newRecoverFixture(t)
+	di, err := core.NewDynamicIndexSharded(fx.initial, fx.opts, 0.5, 2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []int{0, 1} { // one tombstone in each shard's main index
+		if err := di.Delete(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var buf bytes.Buffer
+	if err := di.SaveSnapshot(&buf, 4); err != nil {
+		t.Fatal(err)
+	}
+	f, err := snap.Read(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	reencode := func(shardTag string, delta int64) []byte {
+		secs := append([]snap.Section(nil), f.Sections...)
+		for i, sec := range secs {
+			if sec.Tag != shardTag {
+				continue
+			}
+			// The shard payload ends …, deadInMain i64, rebuilds i64.
+			p := append([]byte(nil), sec.Payload...)
+			at := p[len(p)-16 : len(p)-8]
+			if got := int64(binary.LittleEndian.Uint64(at)); got != 1 {
+				t.Fatalf("%s stores deadInMain=%d, want 1", shardTag, got)
+			}
+			binary.LittleEndian.PutUint64(at, uint64(1+delta))
+			secs[i].Payload = p
+		}
+		var out bytes.Buffer
+		if err := snap.Write(&out, secs); err != nil {
+			t.Fatal(err)
+		}
+		return out.Bytes()
+	}
+	if same := reencode("none", 0); !bytes.Equal(same, buf.Bytes()) {
+		t.Fatal("re-encoding the untouched sections changed the file")
+	}
+	for _, tag := range []string{"dsh0000", "dsh0001"} {
+		for _, delta := range []int64{-1, 1} {
+			_, _, err := core.LoadSnapshot(bytes.NewReader(reencode(tag, delta)), 1)
+			if !errors.Is(err, snap.ErrChecksum) {
+				t.Fatalf("%s deadInMain%+d: load returned %v, want ErrChecksum", tag, delta, err)
+			}
+		}
 	}
 }
 

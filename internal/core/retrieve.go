@@ -72,6 +72,9 @@ type queryState struct {
 	headConstQ float64 // (2/‖q̄‖)·Σ_{s<w} c_s·q̄_s
 	hhTailQ    float64 // ‖q̂̂^h‖ = 2·sqrt(Σ_{s≥w}(q̄_s/‖q̄‖+c_s)²)
 	kq         float64 // affine offset of the threshold map t → t′
+
+	// live is set after prepareQuery, by the dynamic index only; see offer.
+	live liveView
 }
 
 // newQueryState allocates per-query scratch sized for this index.
@@ -128,10 +131,7 @@ func (r *Retriever) SearchContext(ctx context.Context, q []float64, k int) ([]to
 		ssp.AttrInt("fullProducts", int64(r.stats.FullProducts))
 		ssp.End()
 	}
-	if err != nil {
-		return c.Results(), err
-	}
-	return c.Results(), nil
+	return c.Results(), err
 }
 
 // scanRange runs Algorithm 4's scan loop over the sorted rows [lo, hi),
@@ -193,18 +193,32 @@ func (idx *Index) scanPerItem(ctx context.Context, hook *faults.Hook, qs *queryS
 			continue
 		}
 		stats.Scanned++
-		v, ok := idx.candidate(i, qs, t, slack, stats)
-		if ok {
-			// The collector applies the canonical threshold test itself
-			// (strictly-better-than-root in (score desc, ID asc) order);
-			// publish the tightened threshold for sibling shards once
-			// the heap is full.
-			if c.Push(idx.perm[i], v) && c.Len() == c.K() {
-				shared.Publish(c.Threshold())
-			}
+		if v, ok := idx.candidate(i, qs, t, slack, stats); ok {
+			idx.offer(i, v, qs, c, shared)
 		}
 	}
 	return nil
+}
+
+// offer hands sorted row i, a survivor of the whole cascade with exact
+// product v, to the collector under its original row number — or, through
+// a live view, under its catalog ID unless that is tombstoned, so the
+// threshold every bound prunes against stays the k-th best LIVE score
+// (DESIGN.md §11.4). The test sits here, outside the scan loops and a
+// few dozen times per query; live.ids ascends, so the remap keeps the
+// collector's canonical (score desc, ID asc) tie order. The tightened
+// threshold is published for sibling shards once the heap is full.
+func (idx *Index) offer(i int, v float64, qs *queryState, c *topk.Collector, shared *search.SharedThreshold) {
+	id := idx.perm[i]
+	if live := qs.live; live.dead != nil {
+		id = live.ids[id]
+		if live.dead.has(id) {
+			return
+		}
+	}
+	if c.Push(id, v) && c.Len() == c.K() {
+		shared.Publish(c.Threshold())
+	}
 }
 
 // blockRows is the number of sorted rows whose head bounds scanBlocked
@@ -264,9 +278,7 @@ func (idx *Index) scanBlocked(ctx context.Context, qs *queryState, lo, hi int, c
 			}
 			i := b + j
 			if v, ok := idx.afterHead(i, qs, t, margin, hb, stats); ok {
-				if c.Push(idx.perm[i], v) && c.Len() == c.K() {
-					shared.Publish(c.Threshold())
-				}
+				idx.offer(i, v, qs, c, shared)
 			}
 		}
 	}

@@ -8,12 +8,10 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
 
 	"fexipro/internal/engine"
 	"fexipro/internal/obs"
 	"fexipro/internal/snap"
-	"fexipro/internal/vec"
 )
 
 // DynamicIndex persistence (fexsnap/v1 + WAL, DESIGN.md §15). A data
@@ -71,7 +69,7 @@ func (di *DynamicIndex) NextID() int { return di.items.Rows }
 // Alive reports whether id names a live (inserted and not deleted)
 // catalog item.
 func (di *DynamicIndex) Alive(id int) bool {
-	return id >= 0 && id < di.items.Rows && !di.dead[id]
+	return id >= 0 && id < di.items.Rows && !di.dead.has(id)
 }
 
 // SaveSnapshot writes the full index state as a fexsnap/v1 container.
@@ -89,14 +87,8 @@ func (di *DynamicIndex) SaveSnapshot(w io.Writer, lastSeq uint64) error {
 		e.I64(int64(di.deadCount))
 	})
 	b.Section(secDynItems, func(e *snap.Encoder) { e.Matrix(di.items) })
-	b.Section(secDynDead, func(e *snap.Encoder) {
-		dead := make([]int, 0, len(di.dead))
-		for id := range di.dead {
-			dead = append(dead, id)
-		}
-		sort.Ints(dead) // map order would break byte-identical saves
-		e.Ints(dead)
-	})
+	// Ascending, so two saves of one state are byte-identical.
+	b.Section(secDynDead, func(e *snap.Encoder) { e.Ints(di.dead.appendIDs(make([]int, 0, di.deadCount))) })
 	for s, sh := range di.shards {
 		var mainBytes []byte
 		if sh.main != nil {
@@ -134,7 +126,7 @@ func LoadSnapshot(r io.Reader, workers int) (*DynamicIndex, uint64, error) {
 		return nil, 0, err
 	}
 	lastSeq := d.U64()
-	di := &DynamicIndex{opts: decodeOptions(d), dead: make(map[int]bool)}
+	di := &DynamicIndex{opts: decodeOptions(d)}
 	di.d = int(d.I64())
 	di.rebuild = d.F64()
 	nShards := int(d.I64())
@@ -171,10 +163,10 @@ func LoadSnapshot(r io.Reader, workers int) (*DynamicIndex, uint64, error) {
 		return nil, 0, fmt.Errorf("%w: %d tombstones, meta says %d", snap.ErrChecksum, len(deadIDs), di.deadCount)
 	}
 	for _, id := range deadIDs {
-		if id < 0 || id >= di.items.Rows || di.dead[id] {
+		if id < 0 || id >= di.items.Rows || di.dead.has(id) {
 			return nil, 0, fmt.Errorf("%w: tombstone %d invalid for %d items", snap.ErrChecksum, id, di.items.Rows)
 		}
-		di.dead[id] = true
+		di.dead.set(id)
 	}
 
 	di.shards = make([]*dynShard, nShards)
@@ -210,7 +202,7 @@ func loadDynShard(f *snap.File, s, nShards int, di *DynamicIndex) (*dynShard, er
 		sh.mainIDs = d.Ints()
 	}
 	sh.delta = d.Ints()
-	sh.deadInMain = int(d.I64())
+	deadInMain := int(d.I64())
 	sh.rebuilds = int(d.I64())
 	if err := d.Finish(); err != nil {
 		return nil, fmt.Errorf("core: shard %d: %w", s, err)
@@ -224,27 +216,32 @@ func loadDynShard(f *snap.File, s, nShards int, di *DynamicIndex) (*dynShard, er
 			return nil, fmt.Errorf("%w: shard %d main index has d=%d, want %d", snap.ErrChecksum, s, sh.main.d, di.d)
 		}
 	}
-	if sh.deadInMain < 0 || sh.deadInMain > len(sh.mainIDs) || sh.rebuilds < 0 {
-		return nil, fmt.Errorf("%w: shard %d deadInMain=%d rebuilds=%d", snap.ErrChecksum, s, sh.deadInMain, sh.rebuilds)
+	if sh.rebuilds < 0 {
+		return nil, fmt.Errorf("%w: shard %d rebuilds=%d", snap.ErrChecksum, s, sh.rebuilds)
 	}
 	// Ownership and ordering: every ID must belong to this shard, be a
-	// real catalog row, and mainIDs must ascend (inMain binary-searches).
+	// real catalog row, and mainIDs must ascend (Delete binary-searches).
+	// deadInMain is recounted from the tombstone set; the stored copy is
+	// only cross-checked.
 	prev := -1
 	for _, id := range sh.mainIDs {
 		if id <= prev || id >= di.items.Rows || id%nShards != s {
 			return nil, fmt.Errorf("%w: shard %d main ID %d out of place", snap.ErrChecksum, s, id)
 		}
 		prev = id
+		if di.dead.has(id) {
+			sh.deadInMain++
+		}
 	}
-	// The delta buffer's vectors equal their catalog rows by
-	// construction (AddContext clones the inserted item into both), so
-	// the snapshot stores only the IDs and rebuilds the views here.
-	sh.deltaItems = make([][]float64, len(sh.delta))
-	for i, id := range sh.delta {
+	if deadInMain != sh.deadInMain {
+		return nil, fmt.Errorf("%w: shard %d says deadInMain=%d, its main IDs hold %d tombstones",
+			snap.ErrChecksum, s, deadInMain, sh.deadInMain)
+	}
+	// Delta vectors are their IDs' catalog rows: only the IDs are stored.
+	for _, id := range sh.delta {
 		if id < 0 || id >= di.items.Rows || id%nShards != s {
 			return nil, fmt.Errorf("%w: shard %d delta ID %d out of place", snap.ErrChecksum, s, id)
 		}
-		sh.deltaItems[i] = vec.Clone(di.items.Row(id))
 	}
 	return sh, nil
 }

@@ -13,9 +13,12 @@ package fexipro_test
 
 import (
 	"fmt"
+	"math/rand"
 	"runtime"
 	"testing"
 
+	"fexipro/internal/core"
+	"fexipro/internal/data"
 	"fexipro/internal/experiments"
 )
 
@@ -50,5 +53,72 @@ func BenchmarkShardedSearch(b *testing.B) {
 			b.ReportMetric(float64(full)/float64(ds.Queries.Rows), "fullIP/query")
 			b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*ds.Queries.Rows), "µs/query")
 		})
+	}
+}
+
+// BenchmarkDynamicSearchTombstones is the core.DynamicIndex search layer
+// at the repository benchmark's serve-mixed shape (MovieLens, n = 10⁵,
+// k = 10, one shard) with 0, 100, 1 000 and 10 000 random tombstones in
+// the main index, all below the rebuild trigger. A tombstone is tested
+// where a survivor is offered, so µs/query and scanned/query should stay
+// flat across the four.
+func BenchmarkDynamicSearchTombstones(b *testing.B) {
+	const n, k = 100000, 10
+	ds := data.Generate(data.MovieLens(), n, benchQueries, 0)
+	opts, err := core.OptionsForVariant("F-SIR")
+	if err != nil {
+		b.Fatal(err)
+	}
+	di, err := core.NewDynamicIndex(ds.Items, opts, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(18))
+	dead := 0
+	for _, tombstones := range []int{0, 100, 1000, 10000} {
+		for dead < tombstones {
+			if di.Delete(rng.Intn(n)) == nil { // an already deleted ID is an error: draw again
+				dead++
+			}
+		}
+		b.Run(fmt.Sprintf("tombstones=%d", tombstones), func(b *testing.B) {
+			var scanned int
+			for i := 0; i < b.N; i++ {
+				scanned = 0
+				for qi := 0; qi < ds.Queries.Rows; qi++ {
+					di.Search(ds.Queries.Row(qi), k)
+					scanned += di.Stats().Scanned
+				}
+			}
+			b.ReportMetric(float64(scanned)/float64(ds.Queries.Rows), "scanned/query")
+			b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*ds.Queries.Rows), "µs/query")
+		})
+	}
+	if r := di.Rebuilds()[0]; r != 1 {
+		b.Fatalf("main index rebuilt %d times: the tombstones were compacted away", r)
+	}
+}
+
+// BenchmarkDynamicAdd is one core.DynamicIndex insert with no rebuild in
+// it (the trigger is set out of reach): the catalog append plus the delta
+// buffer append, which must not depend on the 2·10⁴ rows already there.
+func BenchmarkDynamicAdd(b *testing.B) {
+	ds := benchDataset(b, "movielens")
+	const perIndex = 50000 // adds before starting over, to bound memory
+	item := ds.Items.Row(0)
+	var di *core.DynamicIndex
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if i%perIndex == 0 {
+			b.StopTimer()
+			var err error
+			if di, err = core.NewDynamicIndex(ds.Items, core.Options{}, 1e9); err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+		}
+		if _, err := di.Add(item); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
