@@ -118,6 +118,11 @@ func TestVariantOptions(t *testing.T) {
 			t.Fatalf("expected error for E = %v", e)
 		}
 	}
+	for _, rho := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := fexipro.New(items, fexipro.Options{Rho: rho}); err == nil {
+			t.Fatalf("expected error for Rho = %v", rho)
+		}
+	}
 }
 
 func TestStatsExposed(t *testing.T) {

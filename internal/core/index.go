@@ -79,8 +79,16 @@ type redData struct {
 // Algorithm 3. The input matrix is copied; the caller's data is never
 // modified.
 func NewIndex(items *vec.Matrix, opts Options) (*Index, error) {
-	if math.IsNaN(opts.E) || math.IsInf(opts.E, 0) {
-		return nil, fmt.Errorf("core: Options.E = %v is not finite", opts.E)
+	// withDefaults tests ranges with <, which NaN passes: a NaN Rho would
+	// silently select w = d−1 and a NaN PruneSlack would switch every
+	// prune off.
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{{"E", opts.E}, {"Rho", opts.Rho}, {"PruneSlack", opts.PruneSlack}, {"RankTol", opts.RankTol}} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return nil, fmt.Errorf("core: Options.%s = %v is not finite", f.name, f.v)
+		}
 	}
 	opts = opts.withDefaults()
 	if items.Rows == 0 || items.Cols == 0 {

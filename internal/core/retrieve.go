@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/bits"
 
 	"fexipro/internal/faults"
 	"fexipro/internal/obs"
@@ -157,18 +158,26 @@ func (r *Retriever) SearchContext(ctx context.Context, q []float64, k int) ([]to
 // cancellation the error wraps search.ErrDeadline and c holds
 // best-so-far results whose scores are true (working-space) inner
 // products.
+//
+// The loop is chosen here, once per range, from the built index and the
+// call: scanBlocked when the cascade opens with the integer head test,
+// scanPerItem for everything that loop does not carry — variants without
+// that test, an installed fault hook (per-item CancelAtItem/PanicAtItem),
+// and the Unsorted ablation, whose length test skips single rows instead
+// of ending the scan.
 func (idx *Index) scanRange(ctx context.Context, hook *faults.Hook, qs *queryState, lo, hi int, c *topk.Collector, shared *search.SharedThreshold, stats *search.Stats) error {
-	if qs.headFirst && hook == nil {
+	if qs.headFirst && hook == nil && !idx.opts.Unsorted {
 		return idx.scanBlocked(ctx, qs, lo, hi, c, shared, stats)
 	}
 	return idx.scanPerItem(ctx, hook, qs, lo, hi, c, shared, stats)
 }
 
-// scanPerItem is scanRange one candidate at a time: the only loop of the
-// variants whose cascade does not open with the integer head test (F,
-// F-S, F-SR, the SRI ablation), the loop of every variant while a fault
-// hook needs per-item CancelAtItem/PanicAtItem semantics, and the
-// reference scanBlocked is tested against.
+// scanPerItem is scanRange one candidate at a time, reading the live
+// threshold for every row: the only loop of the variants whose cascade
+// does not open with the integer head test (F, F-S, F-SR, the SRI
+// ablation) and of Unsorted indexes, the loop of every variant while a
+// fault hook is installed, and the reference scanBlocked is tested
+// against, result for result and counter for counter.
 func (idx *Index) scanPerItem(ctx context.Context, hook *faults.Hook, qs *queryState, lo, hi int, c *topk.Collector, shared *search.SharedThreshold, stats *search.Stats) error {
 	slack := idx.opts.PruneSlack
 	done := ctx.Done()
@@ -206,50 +215,61 @@ func (idx *Index) scanPerItem(ctx context.Context, hook *faults.Hook, qs *queryS
 // threshold every bound prunes against stays the k-th best LIVE score
 // (DESIGN.md §11.4). The test sits here, outside the scan loops and a
 // few dozen times per query; live.ids ascends, so the remap keeps the
-// collector's canonical (score desc, ID asc) tie order. The tightened
-// threshold is published for sibling shards once the heap is full.
-func (idx *Index) offer(i int, v float64, qs *queryState, c *topk.Collector, shared *search.SharedThreshold) {
+// collector's canonical (score desc, ID asc) tie order. Once the heap is
+// full an accepted row tightens the threshold: it is published for
+// sibling shards and offer reports true — the only way a scan's
+// threshold moves by its own doing.
+func (idx *Index) offer(i int, v float64, qs *queryState, c *topk.Collector, shared *search.SharedThreshold) bool {
 	id := idx.perm[i]
 	if live := qs.live; live.dead != nil {
 		id = live.ids[id]
 		if live.dead.has(id) {
-			return
+			return false
 		}
 	}
 	if c.Push(id, v) && c.Len() == c.K() {
 		shared.Publish(c.Threshold())
+		return true
 	}
+	return false
 }
 
-// blockRows is the number of sorted rows whose head bounds scanBlocked
-// evaluates at once. It divides search.CheckStride, so with blocks
-// starting at shard-local multiples of it the context poll lands on
-// block starts.
+// blockRows is the number of sorted rows scanBlocked decides with one
+// headMask pass. It divides search.CheckStride, so with blocks starting
+// at shard-local multiples of it the context poll lands on block starts.
 const blockRows = 16
 
-// headBound is what phase 1 of the blocked scan knows about a row
-// before any threshold is consulted.
-type headBound struct {
-	norm  float64 // ‖p‖, for the length test
-	bHead float64 // integer upper bound on the head product q̄^ℓᵀp̄^ℓ (Eq. 6)
-	ub1   float64 // incremental residual bound ‖q̄^h‖·‖p̄^h‖ (Eq. 1)
+// pruneMargin is the float-rounding allowance every prune test against
+// threshold t subtracts. The conversion rounds the product, so no
+// architecture may fuse it into the subtraction that follows and the
+// two scan loops see one value.
+func pruneMargin(slack, t float64) float64 {
+	return float64(slack * (math.Abs(t) + 1))
 }
 
-// scanBlocked is scanRange for the indexes whose cascade opens with the
-// integer head test (qs.headFirst), where most scanned rows die: it runs
-// that test evaluate-then-filter. Phase 1 (headBounds) computes, for a
-// block of rows, the two terms of the test that do not depend on the
-// threshold, branch-free from sequential streams. Phase 2 walks the
-// block exactly as scanPerItem would — the LIVE threshold for the
-// length test, the strict compare, and for survivors only the rest of
-// Algorithm 5 — with the same float expressions in the same order, so
-// every pruning decision, counter and result is bit-identical to the
-// per-item loop; phase 1 merely wastes the rows past a length break.
+// scanBlocked is scanRange for the sorted indexes whose cascade opens
+// with the integer head test (qs.headFirst), where nearly every scanned
+// row dies. It reads the live threshold once per block of blockRows
+// rows, applies the length test to the block's last — shortest — row
+// only, and has headMask decide the head test for the whole block in one
+// pass. Rows between survivors are counted in bulk — they are the rows
+// scanPerItem would have scanned and pruned at the head test one by one
+// — and a survivor continues with afterHead and offer exactly as there.
+// Only an offer can move the threshold, so after one that reports it
+// did, the length test and the mask of the block's remaining rows are
+// redone: every row is decided against the threshold scanPerItem would
+// have read for it, which makes results and every counter identical to
+// that loop by construction. (Trusting the rows the old mask pruned
+// would still be exact, but t − margin(t) is not monotone in t to the
+// last ulp, so counters could differ.) Once a block's last row fails the
+// length test the scan ends somewhere inside it, and scanPerItem itself
+// finishes those rows. A threshold published by a sibling shard is picked
+// up at the next block or raising offer rather than the next row; any
+// published value is a global lower bound, so that is exact too, and
+// with one worker nothing is published mid-range.
 func (idx *Index) scanBlocked(ctx context.Context, qs *queryState, lo, hi int, c *topk.Collector, shared *search.SharedThreshold, stats *search.Stats) error {
 	slack := idx.opts.PruneSlack
-	unsorted := idx.opts.Unsorted
 	done := ctx.Done()
-	var block [blockRows]headBound
 	//fex:hot
 	for b := lo; b < hi; b += blockRows {
 		if done != nil && (b-lo)&search.StrideMask == 0 {
@@ -257,53 +277,37 @@ func (idx *Index) scanBlocked(ctx context.Context, qs *queryState, lo, hi int, c
 				return err
 			}
 		}
-		bounds := block[:min(blockRows, hi-b)]
-		idx.headBounds(qs, b, bounds)
-		for j, hb := range bounds {
+		end := min(b+blockRows, hi)
+	rows:
+		for i := b; i < end; {
 			t := shared.Floor(c.Threshold())
-			lenBound := qs.qNorm * hb.norm //fex:bound
+			lenBound := qs.qNorm * idx.norms[end-1] //fex:bound
 			if lenBound < t {
-				if !unsorted {
-					stats.PrunedByLength += hi - (b + j)
-					return nil
+				// The block's shortest row fails the length test, so the
+				// sorted scan ends within it: the reference loop finds
+				// where, from row i on.
+				return idx.scanPerItem(ctx, nil, qs, i, hi, c, shared, stats)
+			}
+			margin := pruneMargin(slack, t)
+			base, mask := i, idx.headMask(qs, i, end, t-margin)
+			for mask != 0 {
+				row := base + bits.TrailingZeros32(mask)
+				mask &= mask - 1
+				stats.Scanned += row + 1 - i
+				stats.PrunedByIntHead += row - i
+				i = row + 1
+				if v, ok := idx.afterHead(row, qs, t, margin, idx.headBound(qs, row), stats); ok {
+					if idx.offer(row, v, qs, c, shared) {
+						continue rows
+					}
 				}
-				stats.PrunedByLength++
-				continue
 			}
-			stats.Scanned++
-			margin := slack * (math.Abs(t) + 1)
-			if hb.bHead+hb.ub1 < t-margin {
-				stats.PrunedByIntHead++
-				continue
-			}
-			i := b + j
-			if v, ok := idx.afterHead(i, qs, t, margin, hb, stats); ok {
-				idx.offer(i, v, qs, c, shared)
-			}
+			stats.Scanned += end - i
+			stats.PrunedByIntHead += end - i
+			i = end
 		}
 	}
 	return nil
-}
-
-// headBounds is phase 1 of scanBlocked: the threshold-independent
-// terms of rows [i, i+len(out)), at most blockRows of them, from the
-// packed head floors and three per-row arrays.
-func (idx *Index) headBounds(qs *queryState, i int, out []headBound) {
-	id := idx.ints
-	var buf [blockRows]int64
-	dots := buf[:len(out)]
-	id.lay.DotRows(dots, id.head[i*id.nw:], qs.qHead)
-	consts := id.headConst[i : i+len(out)]
-	tails := idx.barTail[i : i+len(out)]
-	norms := idx.norms[i : i+len(out)]
-	//fex:hot
-	for j := range out {
-		hb := &out[j]
-		iuHead := dots[j] + consts[j] + qs.qHeadConst
-		hb.bHead = float64(iuHead) * qs.headFactor //fex:bound
-		hb.ub1 = qs.barTail * tails[j]             //fex:bound
-		hb.norm = norms[j]
-	}
 }
 
 // prepareQuery transforms q into the working space and precomputes every
@@ -382,25 +386,24 @@ func (idx *Index) prepareQuery(q []float64, qs *queryState) {
 	}
 }
 
-// candidate runs the whole cascade (Algorithm 5) for one row: a block of
-// one for the indexes scanBlocked serves, coordinateScan alone for the
-// rest. It returns the exact working-space product and true, or
-// (0, false) when the candidate was pruned. Every prune test is STRICT
-// (`< t − margin`), matching scanRange's invariant that pruned items
-// have score strictly below the threshold.
+// candidate runs the whole cascade (Algorithm 5) for one row: first the
+// head test that scanBlocked applies through headMask, or coordinateScan
+// alone for the indexes without one. It returns the exact working-space
+// product and true, or (0, false) when the candidate was pruned. Every
+// prune test is STRICT (`< t − margin`), matching scanRange's invariant
+// that pruned items have score strictly below the threshold.
 func (idx *Index) candidate(i int, qs *queryState, t, slack float64, stats *search.Stats) (float64, bool) {
-	margin := slack * (math.Abs(t) + 1)
+	margin := pruneMargin(slack, t)
 	if !qs.headFirst {
 		ub1 := qs.barTail * idx.barTail[i] //fex:bound
 		return idx.coordinateScan(i, qs, t, margin, ub1, stats)
 	}
-	var hb [1]headBound
-	idx.headBounds(qs, i, hb[:])
-	if hb[0].bHead+hb[0].ub1 < t-margin {
+	hb := idx.headBound(qs, i)
+	if hb.bHead+hb.ub1 < t-margin {
 		stats.PrunedByIntHead++
 		return 0, false
 	}
-	return idx.afterHead(i, qs, t, margin, hb[0], stats)
+	return idx.afterHead(i, qs, t, margin, hb, stats)
 }
 
 // afterHead continues Algorithm 5 for a row that survived the integer

@@ -27,7 +27,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"log/slog"
 	"math"
 	"net/http"
@@ -252,7 +251,7 @@ func NewWithConfig(initial *vec.Matrix, opts core.Options, cfg Config) (*Server,
 		cfg.Metrics = obs.NewRegistry()
 	}
 	if cfg.Logger == nil {
-		cfg.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
+		cfg.Logger = slog.New(discardHandler{})
 	}
 	if cfg.MaxK <= 0 {
 		cfg.MaxK = 1000
@@ -442,8 +441,19 @@ func (w *statusWriter) Write(b []byte) (int, error) {
 	return w.ResponseWriter.Write(b)
 }
 
+// discardHandler is the nil-Config.Logger default: it reports every
+// level disabled, so observe builds no attributes and slog renders
+// nothing. (slog.DiscardHandler is newer than go.mod's go line.)
+type discardHandler struct{}
+
+func (discardHandler) Enabled(context.Context, slog.Level) bool  { return false }
+func (discardHandler) Handle(context.Context, slog.Record) error { return nil }
+func (h discardHandler) WithAttrs([]slog.Attr) slog.Handler      { return h }
+func (h discardHandler) WithGroup(string) slog.Handler           { return h }
+
 // observe is the middleware: trace-ID assignment/propagation, request
-// metrics, and one structured log line per request.
+// metrics, and one structured log line per request when the logger takes
+// Info lines.
 func (s *Server) observe(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		traceID := r.Header.Get(obs.TraceHeader)
@@ -468,6 +478,9 @@ func (s *Server) observe(next http.Handler) http.Handler {
 		s.reqTotal(r.Method, route, statusClass(sw.status)).Inc()
 		s.reqDur(route).Observe(took.Seconds())
 
+		if !s.log.Enabled(r.Context(), slog.LevelInfo) {
+			return
+		}
 		attrs := []slog.Attr{
 			slog.String("traceId", traceID),
 			slog.String("method", r.Method),

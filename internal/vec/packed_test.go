@@ -7,7 +7,7 @@ import (
 )
 
 // packedDot evaluates a·b through the packed kernel: pack both sides,
-// DotRows, then undo the offset.
+// DotPacked, then undo the offset.
 func packedDot(t testing.TB, l *PackedLayout, a, b []int32) int64 {
 	t.Helper()
 	w := len(a)
@@ -28,10 +28,8 @@ func packedDot(t testing.TB, l *PackedLayout, a, b []int32) int64 {
 		sumA += int64(a[s])
 		sumB += int64(b[s])
 	}
-	var dot [1]int64
-	l.DotRows(dot[:], item, query)
 	o := l.Offset()
-	return dot[0] - o*sumA - o*sumB - int64(w)*o*o
+	return l.Field(DotPacked(item, query)) - o*sumA - o*sumB - int64(w)*o*o
 }
 
 // TestPackedDotMatchesDotInt64 is the differential test of the packed
