@@ -34,6 +34,7 @@ package fexipro
 import (
 	"context"
 
+	"fexipro/internal/core"
 	"fexipro/internal/search"
 	"fexipro/internal/topk"
 	"fexipro/internal/vec"
@@ -47,6 +48,19 @@ import (
 // (results, nil) return is guaranteed to be the exact top-k. Match with
 // errors.Is.
 var ErrDeadline = search.ErrDeadline
+
+// ErrNotFinite is wrapped by the error New and the dynamic index's Add
+// return for an item vector that cannot be indexed: a NaN or infinite
+// coordinate, or finite coordinates so large (≳ 1e154) that the squared
+// norm — or its sum over the catalog — overflows float64. Match with
+// errors.Is.
+var ErrNotFinite = core.ErrNotFinite
+
+// ErrRebuild is wrapped by the error of a dynamic Add or Delete that was
+// valid in itself but whose index rebuild failed (stored items, each
+// finite, whose squared norms sum past float64). The update is undone;
+// nothing is wrong with the vector or ID passed in. Match with errors.Is.
+var ErrRebuild = core.ErrRebuild
 
 // Matrix is a dense row-major matrix of factor vectors: row i is the
 // d-dimensional vector of item (or user) i.

@@ -2,6 +2,7 @@ package fexipro_test
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -336,5 +337,53 @@ func TestEvaluateRanking(t *testing.T) {
 	// random ordering would (expected NDCG of random ≈ k/n ≈ 0.1-ish).
 	if m.NDCGAtK < 0.05 {
 		t.Fatalf("NDCG@10 = %v — model appears uninformative", m.NDCGAtK)
+	}
+}
+
+// TestNewRejectsOverflowingNorms: finite coordinates whose squared norm
+// overflows float64 get ErrNotFinite from New and from Dynamic.Add —
+// never an index that answers every query [{0 0} {1 0} …] with a nil
+// error — while 1e150, whose square is still finite, ranks exactly.
+func TestNewRejectsOverflowingNorms(t *testing.T) {
+	ds, err := fexipro.GenerateDataset("movielens", 50, 3, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dyn, err := fexipro.NewDynamic(ds.Items, fexipro.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		mag    float64
+		builds bool
+	}{{1e150, true}, {1e155, false}, {1e200, false}, {math.MaxFloat64, false}} {
+		items := fexipro.NewMatrix(ds.Items.Rows(), ds.Items.Cols())
+		for i := 0; i < items.Rows(); i++ {
+			copy(items.Row(i), ds.Items.Row(i))
+		}
+		for j := range items.Row(7) {
+			items.Set(7, j, c.mag)
+		}
+		f, err := fexipro.New(items, fexipro.Options{})
+		_, addErr := dyn.Add(items.Row(7))
+		if !c.builds {
+			if !errors.Is(err, fexipro.ErrNotFinite) || !errors.Is(addErr, fexipro.ErrNotFinite) {
+				t.Errorf("at %g: New returned %v and Add %v, want ErrNotFinite", c.mag, err, addErr)
+			}
+			if dyn.Len() != 50 {
+				t.Fatalf("at %g: the rejected item is counted: Len %d", c.mag, dyn.Len())
+			}
+			continue
+		}
+		if err != nil || addErr != nil {
+			t.Fatalf("at %g: New returned %v, Add %v", c.mag, err, addErr)
+		}
+		if err := dyn.Delete(50); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < ds.Queries.Rows(); i++ {
+			q := ds.Queries.Row(i)
+			checkMatch(t, f.Search(q, 3), naiveTopK(items, q, 3), "F-SIR at 1e150")
+		}
 	}
 }

@@ -2,8 +2,8 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
-	"math"
 	"math/bits"
 	"slices"
 
@@ -78,6 +78,9 @@ func (t *tombstones) set(id int) {
 	}
 	t.words[w] |= 1 << (id & 63)
 }
+
+// clear takes back a set(id).
+func (t *tombstones) clear(id int) { t.words[id>>6] &^= 1 << (id & 63) }
 
 // appendIDs appends the deleted IDs to dst in ascending order.
 func (t *tombstones) appendIDs(dst []int) []int {
@@ -177,22 +180,31 @@ func (di *DynamicIndex) Add(item []float64) (int, error) {
 // array and one ID to the owning shard's delta buffer, O(d) amortized
 // (about a microsecond at d = 50 whatever the catalog holds). When ctx
 // carries an obs span the owning shard's rebuild, if this update
-// triggers one (0.5 s at n = 10⁵), is timed as a "rebuild" child span.
+// triggers one (0.15–0.2 s at n = 10⁵, d = 50; EXPERIMENTS.md), is
+// timed as a "rebuild" child span. An item with a non-finite coordinate
+// or squared norm is refused with an ErrNotFinite-wrapping error, a
+// good item whose triggered rebuild fails with an ErrRebuild-wrapping
+// one; after any error the index is exactly as it was before the call.
 func (di *DynamicIndex) AddContext(ctx context.Context, item []float64) (int, error) {
 	if len(item) != di.d {
 		return 0, fmt.Errorf("core: item dim %d != %d", len(item), di.d)
 	}
-	for s, v := range item {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return 0, fmt.Errorf("core: item coordinate %d is not finite", s)
-		}
+	if err := checkItem(item, "item"); err != nil {
+		return 0, err
 	}
 	id := di.items.Rows
 	di.items.Data = append(di.items.Data, item...)
 	di.items.Rows++
 	sh := di.shardOf(id)
 	sh.delta = append(sh.delta, id)
-	return id, di.maybeRebuild(ctx, id%len(di.shards))
+	if err := di.maybeRebuild(ctx, id%len(di.shards)); err != nil {
+		// rebuildShard changed nothing; take the row back out.
+		sh.delta = sh.delta[:len(sh.delta)-1]
+		di.items.Rows--
+		di.items.Data = di.items.Data[:id*di.d]
+		return 0, err
+	}
+	return id, nil
 }
 
 // Delete retires an item by catalog ID. Deleting an unknown or already
@@ -201,7 +213,8 @@ func (di *DynamicIndex) Delete(id int) error {
 	return di.DeleteContext(context.Background(), id)
 }
 
-// DeleteContext behaves like Delete with AddContext's span semantics.
+// DeleteContext behaves like Delete with AddContext's span and error
+// semantics.
 func (di *DynamicIndex) DeleteContext(ctx context.Context, id int) error {
 	if id < 0 || id >= di.items.Rows {
 		return fmt.Errorf("core: delete of unknown item %d", id)
@@ -212,11 +225,31 @@ func (di *DynamicIndex) DeleteContext(ctx context.Context, id int) error {
 	di.dead.set(id)
 	di.deadCount++
 	sh := di.shardOf(id)
-	if _, inMain := slices.BinarySearch(sh.mainIDs, id); inMain {
+	_, inMain := slices.BinarySearch(sh.mainIDs, id)
+	if inMain {
 		sh.deadInMain++
 	}
-	return di.maybeRebuild(ctx, id%len(di.shards))
+	if err := di.maybeRebuild(ctx, id%len(di.shards)); err != nil {
+		// As in AddContext: the failed rebuild changed nothing, and the
+		// item stays live.
+		di.dead.clear(id)
+		di.deadCount--
+		if inMain {
+			sh.deadInMain--
+		}
+		return err
+	}
+	return nil
 }
+
+// ErrRebuild is wrapped by the error of an Add or Delete whose vector or
+// ID was fine but whose shard rebuild failed — in practice a shard of
+// individually finite items whose Σ‖p‖² overflows float64 (each ‖p‖² near
+// 1e308). The update is rolled back, and every later update that would
+// rebuild that shard fails the same way until the offending items are
+// deleted (from the delta buffer, which triggers no rebuild); the
+// message carries NewIndex's own error.
+var ErrRebuild = errors.New("shard rebuild failed")
 
 // maybeRebuild rebuilds shard s when its pending changes exceed the
 // rebuild fraction of its own indexed size.
@@ -251,25 +284,25 @@ func (di *DynamicIndex) rebuildShard(ctx context.Context, s int) error {
 		}
 	}
 	rsp.AttrInt("items", int64(len(live)))
-	sh.delta = nil
-	sh.deadInMain = 0
 	if len(live) == 0 {
-		sh.main, sh.ret, sh.mainIDs = nil, nil, nil
+		*sh = dynShard{rebuilds: sh.rebuilds}
 		return nil
 	}
 	compact := vec.NewMatrix(len(live), di.d)
 	for row, id := range live {
 		copy(compact.Row(row), di.items.Row(id))
 	}
+	// The shard changes only once the build has succeeded: a failed one
+	// leaves delta and tombstone counts — and so every search — as they were.
 	idx, err := NewIndex(compact, di.opts)
 	if err != nil {
-		return err
+		// %v, not %w: whatever NewIndex objects to is the stored catalog's
+		// doing, not the vector of the update that happened to trigger this.
+		return fmt.Errorf("core: shard %d (%d live items) cannot be rebuilt: %v: %w", s, len(live), err, ErrRebuild)
 	}
-	sh.main = idx
-	sh.ret = NewRetriever(idx)
-	sh.ret.SetFaultHook(di.hook)
-	sh.mainIDs = live
-	sh.rebuilds++
+	ret := NewRetriever(idx)
+	ret.SetFaultHook(di.hook)
+	*sh = dynShard{main: idx, ret: ret, mainIDs: live, rebuilds: sh.rebuilds + 1}
 	return nil
 }
 

@@ -3,7 +3,9 @@ package core_test
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"math"
+	"slices"
 	"testing"
 
 	"fexipro/internal/core"
@@ -122,6 +124,11 @@ func FuzzDynamicOps(f *testing.F) {
 	// S=1; delete IDs 0..3 one by one, add into the delta, delete from it.
 	f.Add([]byte{0, 1, 0, 1, 1, 1, 2, 1, 3, 0, 5, 5, 5, 1, 12, 2, 1, 1, 1, 4, 3})
 	f.Add(make([]byte, 40))
+	// S=1; three adds, an add with a 1e200 coordinate (byte 255) that must
+	// be refused and leave no trace, then adds until a rebuild folds the
+	// delta, a checkpoint and a reload.
+	f.Add([]byte{0, 0, 1, 2, 3, 0, 4, 5, 6, 0, 7, 8, 0, 0, 1, 255, 3,
+		0, 2, 2, 2, 0, 3, 3, 3, 0, 5, 5, 5, 3, 2, 1, 1, 1, 4})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		const d, n0, maxOps = 3, 12, 48
@@ -138,10 +145,16 @@ func FuzzDynamicOps(f *testing.F) {
 			data = data[1:]
 			return b
 		}
-		vector := func() []float64 {
+		// Coordinates in −4…4; for an item, byte 255 is a 1e200 whose
+		// square overflows.
+		vector := func(item bool) []float64 {
 			v := make([]float64, d)
 			for s := range v {
-				v[s] = float64(int(next()%9) - 4)
+				if b := next(); item && b == 255 {
+					v[s] = 1e200
+				} else {
+					v[s] = float64(int(b%9) - 4)
+				}
 			}
 			return v
 		}
@@ -184,8 +197,16 @@ func FuzzDynamicOps(f *testing.F) {
 		for step := 0; step < maxOps && len(data) > 0; step++ {
 			switch next() % 5 {
 			case 0: // add
-				item := vector()
+				item := vector(true)
 				id, err := di.Add(item)
+				if slices.Contains(item, 1e200) {
+					// Refused, and the checks after the switch see the
+					// index the reference never added to.
+					if !errors.Is(err, core.ErrNotFinite) {
+						t.Fatalf("step %d: add of %v returned %d, %v; want ErrNotFinite", step, item, id, err)
+					}
+					break
+				}
 				if err != nil || id != len(ref.items) {
 					t.Fatalf("step %d: add returned %d, %v; want %d", step, id, err, len(ref.items))
 				}
@@ -200,7 +221,7 @@ func FuzzDynamicOps(f *testing.F) {
 					ref.dead[id] = true
 				}
 			case 2: // search
-				q := vector()
+				q := vector(false)
 				last = search(step, q, 1+int(next()%6))
 			case 3: // checkpoint, reload, and the reload re-saves the same bytes
 				var a, b bytes.Buffer

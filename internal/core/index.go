@@ -1,8 +1,10 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math"
+	"sync"
 
 	"fexipro/internal/svd"
 	"fexipro/internal/vec"
@@ -77,7 +79,11 @@ type redData struct {
 
 // NewIndex preprocesses the item matrix (rows are item vectors) per
 // Algorithm 3. The input matrix is copied; the caller's data is never
-// modified.
+// modified. Catalogs of a few thousand rows and more are built on
+// GOMAXPROCS goroutines (vec.ForRows); the index is the same bytes
+// whatever that number is (DESIGN.md "Parallel preprocessing"). A
+// catalog with a NaN or infinite coordinate, or whose squared norms
+// overflow float64, is refused with an ErrNotFinite-wrapping error.
 func NewIndex(items *vec.Matrix, opts Options) (*Index, error) {
 	// withDefaults tests ranges with <, which NaN passes: a NaN Rho would
 	// silently select w = d−1 and a NaN PruneSlack would switch every
@@ -94,26 +100,25 @@ func NewIndex(items *vec.Matrix, opts Options) (*Index, error) {
 	if items.Rows == 0 || items.Cols == 0 {
 		return nil, fmt.Errorf("core: empty item matrix %d×%d", items.Rows, items.Cols)
 	}
-	for i, v := range items.Data {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return nil, fmt.Errorf("core: item matrix contains non-finite value at row %d col %d",
-				i/items.Cols, i%items.Cols)
-		}
+	norms, err := checkedNorms(items)
+	if err != nil {
+		return nil, err
 	}
 	idx := &Index{opts: opts, n: items.Rows, d: items.Cols}
 
 	// 1. Sort by decreasing original length (Algorithm 3 line 2) —
 	// unless the Unsorted ablation keeps the original order.
-	sorted := items.Clone()
+	var sorted *vec.Matrix
 	if opts.Unsorted {
+		sorted = items.Clone()
 		idx.perm = make([]int, sorted.Rows)
 		for i := range idx.perm {
 			idx.perm[i] = i
 		}
+		idx.norms = norms
 	} else {
-		idx.perm = sorted.SortRowsByNormDesc()
+		sorted, idx.perm, idx.norms = items.SortRowsByKeyDesc(norms)
 	}
-	idx.norms = sorted.RowNorms()
 
 	// 2. Thin SVD (line 3) and the working representation.
 	if opts.SVD {
@@ -133,9 +138,11 @@ func NewIndex(items *vec.Matrix, opts Options) (*Index, error) {
 
 	// 4. Residual norms for incremental pruning (line 11).
 	idx.barTail = make([]float64, idx.n)
-	for i := 0; i < idx.n; i++ {
-		idx.barTail[i] = vec.NormRange(idx.bar.Row(i), idx.w, idx.d)
-	}
+	vec.ForRows(idx.n, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			idx.barTail[i] = vec.NormRange(idx.bar.Row(i), idx.w, idx.d)
+		}
+	})
 
 	// 5. Integer approximation (line 8).
 	if opts.Int {
@@ -152,6 +159,58 @@ func NewIndex(items *vec.Matrix, opts Options) (*Index, error) {
 		idx.red = buildRedData(idx.bar, idx.w, idx.sigma)
 	}
 	return idx, nil
+}
+
+// ErrNotFinite is wrapped by every error that rejects an item vector
+// because a coordinate is NaN or infinite, or because its squared norm
+// (or the catalog's Σ‖p‖²) overflows float64. The Gram matrix of such a
+// catalog is not finite and no decomposition of it means anything.
+var ErrNotFinite = errors.New("item vector is not finite")
+
+// checkedNorms returns ‖p‖ for every row of items, or the error of the
+// first row that has no finite norm.
+func checkedNorms(items *vec.Matrix) ([]float64, error) {
+	norms := make([]float64, items.Rows)
+	var mu sync.Mutex
+	bad := items.Rows
+	vec.ForRows(items.Rows, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			// A NaN or ±Inf coordinate makes the norm NaN or +Inf too.
+			norms[i] = vec.Norm(items.Row(i))
+			if math.IsNaN(norms[i]) || math.IsInf(norms[i], 0) {
+				mu.Lock()
+				bad = min(bad, i)
+				mu.Unlock()
+				return
+			}
+		}
+	})
+	if bad < items.Rows {
+		return nil, checkItem(items.Row(bad), fmt.Sprintf("item matrix row %d", bad))
+	}
+	var total float64
+	for _, nrm := range norms {
+		total += nrm * nrm
+	}
+	if math.IsInf(total, 0) {
+		return nil, fmt.Errorf("core: item matrix Σ‖p‖² overflows float64: %w", ErrNotFinite)
+	}
+	return norms, nil
+}
+
+// checkItem returns an ErrNotFinite-wrapping error naming what is wrong
+// with item, or nil when every coordinate and the squared norm are
+// finite. what names the vector in the message.
+func checkItem(item []float64, what string) error {
+	for s, v := range item {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("core: %s contains non-finite value at col %d: %w", what, s, ErrNotFinite)
+		}
+	}
+	if math.IsInf(vec.NormSquared(item), 0) {
+		return fmt.Errorf("core: %s has a squared norm that overflows float64: %w", what, ErrNotFinite)
+	}
+	return nil
 }
 
 // chooseW picks the checking dimension: the explicit override, else the
@@ -287,39 +346,55 @@ func buildIntData(bar *vec.Matrix, w int, e float64, globalScaling, compact bool
 	if err != nil {
 		return nil, err
 	}
-	for i := 0; i < n; i++ {
-		row := bar.Row(i)
-		if h := vec.AbsMaxRange(row, 0, w); h > id.maxHead {
-			id.maxHead = h
+	// Maxima are exact, so folding per-range maxima in whatever order the
+	// workers finish gives the bits of one pass over all rows (likewise
+	// the lowest failing row below, and the min and max in buildRedData).
+	var mu sync.Mutex
+	vec.ForRows(n, func(lo, hi int) {
+		var maxHead, maxTail float64
+		for i := lo; i < hi; i++ {
+			row := bar.Row(i)
+			maxHead = max(maxHead, vec.AbsMaxRange(row, 0, w))
+			maxTail = max(maxTail, vec.AbsMaxRange(row, w, d))
 		}
-		if t := vec.AbsMaxRange(row, w, d); t > id.maxTail {
-			id.maxTail = t
-		}
-	}
+		mu.Lock()
+		id.maxHead = max(id.maxHead, maxHead)
+		id.maxTail = max(id.maxTail, maxTail)
+		mu.Unlock()
+	})
 	if globalScaling {
 		m := math.Max(id.maxHead, id.maxTail)
 		id.maxHead, id.maxTail = m, m
 	}
 	id.headScale = id.maxHead / e
 	id.tailScale = id.maxTail / e
-	f := make([]int32, d)
-	for i := 0; i < n; i++ {
-		for s, v := range bar.Row(i) {
-			var scaled float64
-			if s < w {
-				if id.maxHead > 0 {
-					scaled = e * v / id.maxHead
+	bad := n
+	vec.ForRows(n, func(lo, hi int) {
+		f := make([]int32, d)
+		for i := lo; i < hi; i++ {
+			for s, v := range bar.Row(i) {
+				var scaled float64
+				if s < w {
+					if id.maxHead > 0 {
+						scaled = e * v / id.maxHead
+					}
+				} else {
+					if id.maxTail > 0 {
+						scaled = e * v / id.maxTail
+					}
 				}
-			} else {
-				if id.maxTail > 0 {
-					scaled = e * v / id.maxTail
-				}
+				f[s] = int32(math.Floor(scaled))
 			}
-			f[s] = int32(math.Floor(scaled))
+			if _, ok := id.setRow(i, w, f); !ok {
+				mu.Lock()
+				bad = min(bad, i)
+				mu.Unlock()
+				return
+			}
 		}
-		if _, ok := id.setRow(i, w, f); !ok {
-			return nil, fmt.Errorf("core: head floor of row %d outside ±(⌈E⌉+1)", i)
-		}
+	})
+	if bad < n {
+		return nil, fmt.Errorf("core: head floor of row %d outside ±(⌈E⌉+1)", bad)
 	}
 	return id, nil
 }
@@ -335,7 +410,23 @@ func buildRedData(bar *vec.Matrix, w int, sigma []float64) *redData {
 		hhTail:     make([]float64, n),
 	}
 
-	pmin := vec.Min(bar.Data)
+	// p̄min and b = max ‖p̄‖ (the rows are sorted by ORIGINAL norm, which
+	// differs from the working norm under SVD, so take the true maximum).
+	// Only |p̄min| is used, so which zero a tie of ±0 picks is immaterial.
+	pmin := math.Inf(1)
+	var mu sync.Mutex
+	vec.ForRows(n, func(lo, hi int) {
+		lmin, lb := math.Inf(1), 0.0
+		for i := lo; i < hi; i++ {
+			row := bar.Row(i)
+			lmin = min(lmin, vec.Min(row))
+			lb = max(lb, vec.Norm(row))
+		}
+		mu.Lock()
+		pmin = min(pmin, lmin)
+		rd.b = max(rd.b, lb)
+		mu.Unlock()
+	})
 	base := math.Max(1, math.Abs(pmin))
 	// c_s = max(1,|p̄min|) + σ_s/σ_d — skewed like the singular values.
 	sigmaLast := 0.0
@@ -356,32 +447,30 @@ func buildRedData(bar *vec.Matrix, w int, sigma []float64) *redData {
 		rd.sumC2 += rd.c[s] * rd.c[s]
 	}
 
-	// b = max ‖p̄‖ (the rows are sorted by ORIGINAL norm, which differs
-	// from the working norm under SVD, so take the true maximum).
-	for i := 0; i < n; i++ {
-		if nb := vec.Norm(bar.Row(i)); nb > rd.b {
-			rd.b = nb
-		}
+	var headC2 float64 // Σ_{s<w} c_s²
+	for _, c := range rd.c[:w] {
+		headC2 += c * c
 	}
-
-	for i := 0; i < n; i++ {
-		row := bar.Row(i)
-		// ‖ṕ‖² = (b²−‖p̄‖²) + Σ(p̄_s+c_s)² = b² + 2Σc_s·p̄_s + Σc_s².
-		var sumCP, headCP, headC2, tailSq float64
-		for s, v := range row {
-			sumCP += rd.c[s] * v
-			if s < w {
+	vec.ForRows(n, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			// ‖ṕ‖² = (b²−‖p̄‖²) + Σ(p̄_s+c_s)² = b² + 2Σc_s·p̄_s + Σc_s².
+			row := bar.Row(i)
+			var headCP, tailSq float64
+			for s, v := range row[:w] {
 				headCP += rd.c[s] * v
-				headC2 += rd.c[s] * rd.c[s]
-			} else {
-				t := v + rd.c[s]
+			}
+			sumCP := headCP // Σ_s c_s·p̄_s is the head sum carried on
+			for s, v := range row[w:] {
+				c := rd.c[w+s]
+				sumCP += c * v
+				t := v + c
 				tailSq += t * t
 			}
+			pAcuteSq := rd.b*rd.b + 2*sumCP + rd.sumC2
+			rd.headConstP[i] = -pAcuteSq + 2*(headCP+headC2)
+			rd.hhTail[i] = math.Sqrt(tailSq)
 		}
-		pAcuteSq := rd.b*rd.b + 2*sumCP + rd.sumC2
-		rd.headConstP[i] = -pAcuteSq + 2*(headCP+headC2)
-		rd.hhTail[i] = math.Sqrt(tailSq)
-	}
+	})
 	return rd
 }
 

@@ -70,9 +70,7 @@ func New(items *vec.Matrix, opts Options) *Index {
 	if opts.BucketSize <= 0 {
 		opts.BucketSize = DefaultBucketSize
 	}
-	sorted := items.Clone()
-	perm := sorted.SortRowsByNormDesc()
-	norms := sorted.RowNorms()
+	sorted, perm, norms := items.SortRowsByNormDesc()
 	d := sorted.Cols
 
 	idx := &Index{d: d, strategy: opts.Strategy}
@@ -375,8 +373,7 @@ func (idx *Index) TopKJoinContext(ctx context.Context, queries *vec.Matrix, k, w
 		panic(fmt.Sprintf("lemp: query dim %d != item dim %d", queries.Cols, idx.d))
 	}
 	out := make([][]topk.Result, queries.Rows)
-	ordered := queries.Clone()
-	perm := ordered.SortRowsByNormDesc()
+	ordered, perm, _ := queries.SortRowsByNormDesc()
 	if workers <= 1 || queries.Rows <= 1 {
 		var acc search.Stats
 		var firstErr error

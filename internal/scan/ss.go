@@ -28,8 +28,7 @@ type SS struct {
 // incremental pruning; w ≤ 0 selects the default d/5 (clamped to [1,d-1]),
 // and w ≥ d disables incremental pruning.
 func NewSS(items *vec.Matrix, w int) *SS {
-	m := items.Clone()
-	perm := m.SortRowsByNormDesc()
+	m, perm, norms := items.SortRowsByNormDesc()
 	d := m.Cols
 	if w <= 0 {
 		w = clampW(d/5, d)
@@ -37,7 +36,7 @@ func NewSS(items *vec.Matrix, w int) *SS {
 	if w > d {
 		w = d
 	}
-	s := &SS{items: m, perm: perm, w: w, norms: m.RowNorms()}
+	s := &SS{items: m, perm: perm, w: w, norms: norms}
 	s.tailNorms = make([]float64, m.Rows)
 	for i := range s.tailNorms {
 		s.tailNorms[i] = vec.NormRange(m.Row(i), w, d)

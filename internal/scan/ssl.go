@@ -42,10 +42,8 @@ type SSLOptions struct {
 // NewSSL indexes items (rows are item vectors; copied, caller data kept
 // intact).
 func NewSSL(items *vec.Matrix, opts SSLOptions) *SSL {
-	m := items.Clone()
-	perm := m.SortRowsByNormDesc()
+	m, perm, norms := items.SortRowsByNormDesc()
 	d := m.Cols
-	norms := m.RowNorms()
 	unit := m
 	for i := 0; i < unit.Rows; i++ {
 		if norms[i] > 0 {

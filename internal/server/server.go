@@ -26,6 +26,7 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"log/slog"
 	"math"
@@ -777,7 +778,13 @@ func (s *Server) handleAddItem(w http.ResponseWriter, r *http.Request) {
 	}
 	s.traceFinish(r, root, "add", 0, time.Since(start), err == nil, nil)
 	if err != nil {
-		httpError(w, http.StatusInternalServerError, "add failed: %v", err)
+		// A failed rebuild (core.ErrRebuild) is the stored catalog's
+		// fault, not this vector's, and stays a 500.
+		status := http.StatusInternalServerError
+		if errors.Is(err, core.ErrNotFinite) {
+			status = http.StatusBadRequest // finite coordinates, overflowing norm
+		}
+		httpError(w, status, "add failed: %v", err)
 		return
 	}
 	s.adds.Inc()
@@ -814,6 +821,10 @@ func (s *Server) handleDeleteItem(w http.ResponseWriter, r *http.Request) {
 		s.log.Error("periodic checkpoint failed", "err", ckptErr)
 	}
 	s.traceFinish(r, root, "delete", 0, time.Since(start), err == nil && walErr == nil, nil)
+	if errors.Is(err, core.ErrRebuild) {
+		httpError(w, http.StatusInternalServerError, "delete failed: %v", err)
+		return
+	}
 	if err != nil {
 		httpError(w, http.StatusNotFound, "%v", err)
 		return

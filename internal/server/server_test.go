@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -237,5 +238,72 @@ func TestConcurrentRequests(t *testing.T) {
 		if err := <-done; err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// TestAddItemRejectsOverflowingNorm: finite coordinates whose squared
+// norm overflows float64 are the client's mistake (400), and the catalog
+// — its size and its answers — is what it was before the request.
+func TestAddItemRejectsOverflowingNorm(t *testing.T) {
+	ts, _ := newTestServer(t, 30, 4)
+	q := map[string]any{"vector": []float64{1, -1, 0.5, 2}, "k": 5}
+	before := decode[searchResp](t, postJSON(t, ts.URL+"/v1/search", q))
+	for _, mag := range []float64{1e155, 1e200, math.MaxFloat64} {
+		resp := postJSON(t, ts.URL+"/v1/items", map[string]any{"vector": []float64{0.5, mag, 0.25, 1}})
+		_ = resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("add at %g: status %d, want 400", mag, resp.StatusCode)
+		}
+	}
+	resp, err := http.Get(ts.URL + "/v1/info")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info := decode[map[string]any](t, resp); info["items"] != float64(30) {
+		t.Fatalf("catalog holds %v items after the rejected adds, want 30", info["items"])
+	}
+	after := decode[searchResp](t, postJSON(t, ts.URL+"/v1/search", q))
+	if fmt.Sprint(after.Results) != fmt.Sprint(before.Results) {
+		t.Fatalf("answers changed: %v, before %v", after.Results, before.Results)
+	}
+	// The largest magnitude that squares is an ordinary item.
+	resp = postJSON(t, ts.URL+"/v1/items", map[string]any{"vector": []float64{0.5, 1e150, 0.25, 1}})
+	_ = resp.Body.Close()
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("add at 1e150: status %d, want 201", resp.StatusCode)
+	}
+}
+
+// TestFailedRebuildIsNotTheClientsFault: items that each square (‖p‖² =
+// 1e308) but cannot share a shard are accepted until the rebuild that
+// would fold them in fails; that add, and a delete forcing the same
+// rebuild, answer 500 — not 400 or 404 — and leave the catalog alone.
+func TestFailedRebuildIsNotTheClientsFault(t *testing.T) {
+	ts, _ := newTestServer(t, 30, 4)
+	h := math.Sqrt(1e308 / 4)
+	huge := map[string]any{"vector": []float64{h, h, h, h}}
+	accepted, status := 0, http.StatusCreated
+	for ; accepted < 40 && status == http.StatusCreated; accepted++ {
+		resp := postJSON(t, ts.URL+"/v1/items", huge)
+		_ = resp.Body.Close()
+		status = resp.StatusCode
+	}
+	if accepted--; status != http.StatusInternalServerError {
+		t.Fatalf("after %d accepted adds: status %d, want 500", accepted, status)
+	}
+	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/items/0", nil)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_ = resp.Body.Close()
+	if resp.StatusCode != http.StatusInternalServerError {
+		t.Fatalf("delete forcing the same rebuild: status %d, want 500", resp.StatusCode)
+	}
+	if resp, err = http.Get(ts.URL + "/v1/info"); err != nil {
+		t.Fatal(err)
+	}
+	if info := decode[map[string]any](t, resp); info["items"] != float64(30+accepted) {
+		t.Fatalf("catalog holds %v items, want %d", info["items"], 30+accepted)
 	}
 }

@@ -28,7 +28,8 @@ const jacobiMaxSweeps = 60
 
 // SymEigen diagonalizes the symmetric matrix g, returning eigenvalues in
 // descending order and a matrix whose COLUMNS are the matching
-// orthonormal eigenvectors. g is not modified.
+// orthonormal eigenvectors. g is not modified. A NaN or infinite entry
+// in g is an error, never a decomposition.
 //
 // The implementation is the classical cyclic Jacobi rotation method:
 // repeatedly zero the largest-magnitude off-diagonal entries with Givens
@@ -37,6 +38,11 @@ func SymEigen(g *vec.Matrix) (eigenvalues []float64, eigenvectors *vec.Matrix, e
 	n := g.Rows
 	if g.Cols != n {
 		return nil, nil, fmt.Errorf("svd: SymEigen requires a square matrix, got %d×%d", n, g.Cols)
+	}
+	for i, x := range g.Data {
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			return nil, nil, fmt.Errorf("svd: SymEigen input is not finite at row %d col %d", i/n, i%n)
+		}
 	}
 	a := g.Clone()
 	v := identity(n)
@@ -77,8 +83,10 @@ func SymEigen(g *vec.Matrix) (eigenvalues []float64, eigenvectors *vec.Matrix, e
 		}
 	}
 
+	// Negated so that a NaN norm (entries that overflowed mid-rotation)
+	// fails here instead of passing as converged.
 	off := offDiagNorm(a)
-	if off > 1e-8*(1+diagNorm(a)) {
+	if !(off <= 1e-8*(1+diagNorm(a))) {
 		return nil, nil, fmt.Errorf("svd: Jacobi failed to converge (off-diagonal norm %g)", off)
 	}
 

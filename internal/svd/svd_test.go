@@ -102,6 +102,26 @@ func TestSymEigenRejectsNonSquare(t *testing.T) {
 	}
 }
 
+// TestSymEigenRejectsNonFinite: a NaN or infinite entry — what the Gram
+// matrix of an overflowing catalog holds — is an error at every size, not
+// a "converged" decomposition with NaN eigenvalues.
+func TestSymEigenRejectsNonFinite(t *testing.T) {
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for _, n := range []int{1, 2, 5} {
+			g := identity(n)
+			g.Set(n-1, 0, bad)
+			g.Set(0, n-1, bad)
+			if vals, _, err := SymEigen(g); err == nil {
+				t.Errorf("n = %d with %v: eigenvalues %v and no error", n, bad, vals)
+			}
+		}
+	}
+	items := vec.FromRows([][]float64{{1, 2}, {1e200, 1}, {3, 4}})
+	if thin, err := Decompose(items, 0); err == nil {
+		t.Errorf("Decompose of an overflowing Gram: σ = %v and no error", thin.Sigma)
+	}
+}
+
 func TestDecomposeReconstructs(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	for _, shape := range []struct{ n, d int }{{1, 1}, {5, 3}, {40, 10}, {200, 25}, {3, 8}} {

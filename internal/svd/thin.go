@@ -71,7 +71,7 @@ func Decompose(items *vec.Matrix, rankTol float64) (*Thin, error) {
 	if rankTol <= 0 {
 		rankTol = 1e-12
 	}
-	n, d := items.Rows, items.Cols
+	d := items.Cols
 	if d == 0 {
 		return nil, fmt.Errorf("svd: Decompose on zero-dimensional items")
 	}
@@ -92,7 +92,6 @@ func Decompose(items *vec.Matrix, rankTol float64) (*Thin, error) {
 	}
 
 	// V1 = Pᵀ·U·Σ⁻¹ = Items·U·Σ⁻¹ (n×d); zero columns for null σ.
-	v1 := vec.NewMatrix(n, d)
 	inv := make([]float64, d)
 	for j := 0; j < d; j++ {
 		if sigma[0] > 0 && sigma[j] > rankTol*sigma[0] {
@@ -102,25 +101,7 @@ func Decompose(items *vec.Matrix, rankTol float64) (*Thin, error) {
 			inv[j] = 0
 		}
 	}
-	for i := 0; i < n; i++ {
-		src := items.Row(i)
-		dst := v1.Row(i)
-		for kk := 0; kk < d; kk++ {
-			v := src[kk]
-			if v == 0 {
-				continue
-			}
-			urow := u.Row(kk)
-			for j := 0; j < d; j++ {
-				dst[j] += v * urow[j]
-			}
-		}
-		for j := 0; j < d; j++ {
-			dst[j] *= inv[j]
-		}
-	}
-
-	return &Thin{U: u, Sigma: sigma, V1: v1}, nil
+	return &Thin{U: u, Sigma: sigma, V1: items.MulScaled(u, inv)}, nil
 }
 
 // Reconstruct rebuilds the n×d item matrix V₁·Σ·Uᵀ; used by tests to

@@ -3,7 +3,7 @@ package vec
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 )
 
 // Matrix is a dense row-major matrix. In this repository rows are vectors:
@@ -98,46 +98,96 @@ func (m *Matrix) MulVec(x []float64) []float64 {
 
 // Mul returns m · other. It panics if m.Cols != other.Rows.
 func (m *Matrix) Mul(other *Matrix) *Matrix {
+	return m.MulScaled(other, nil)
+}
+
+// MulScaled returns m · other with column j of the product multiplied by
+// scale[j] (nil: unscaled) — the V₁ = Pᵀ·U·Σ⁻¹ step of the thin SVD in
+// one pass over m. Entry (i, j) is Σ_k m[i][k]·other[k][j] accumulated
+// from zero in increasing k and rounded after every product and every
+// sum, then scaled, whatever the row count and GOMAXPROCS: the rows are
+// shared out by ForRows and each one is computed independently. It
+// panics if m.Cols != other.Rows or len(scale) != other.Cols.
+func (m *Matrix) MulScaled(other *Matrix, scale []float64) *Matrix {
 	if m.Cols != other.Rows {
 		panic(fmt.Sprintf("vec: Mul dim mismatch: %d×%d by %d×%d", m.Rows, m.Cols, other.Rows, other.Cols))
 	}
+	if scale != nil && len(scale) != other.Cols {
+		panic(fmt.Sprintf("vec: MulScaled has %d scales for %d columns", len(scale), other.Cols))
+	}
 	out := NewMatrix(m.Rows, other.Cols)
-	for i := 0; i < m.Rows; i++ {
-		mrow := m.Row(i)
-		orow := out.Row(i)
-		for kk := 0; kk < m.Cols; kk++ {
-			v := mrow[kk]
-			if v == 0 {
-				continue
-			}
-			krow := other.Row(kk)
-			for j := range orow {
-				orow[j] += v * krow[j]
-			}
-		}
+	if m.Cols > 0 && other.Cols > 0 {
+		ot := other.T() // row j = column j of other, so every operand streams
+		ForRows(m.Rows, func(lo, hi int) { mulRows(out, m, ot, scale, lo, hi) })
 	}
 	return out
+}
+
+// mulRows fills rows [lo, hi) of out = m·otᵀ·diag(scale) two rows and
+// three columns per pass: six accumulators live in registers and share
+// the loads of two m rows and three ot rows, and six independent sums are
+// what it takes to keep the adder busy (one sum waits four cycles on its
+// own previous addition). Each accumulator still sums its own products in
+// increasing k, so the block shape leaves no trace in the result; a last
+// block short of rows or columns names its final row or column again.
+func mulRows(out, m, ot *Matrix, scale []float64, lo, hi int) {
+	cols := ot.Rows
+	for i := lo; i < hi; i += 2 {
+		i1 := min(i+1, hi-1)
+		a0, a1 := m.Row(i), m.Row(i1)
+		a1 = a1[:len(a0)]
+		d0, d1 := out.Row(i), out.Row(i1)
+		for j := 0; j < cols; j += 3 {
+			j1, j2 := min(j+1, cols-1), min(j+2, cols-1)
+			b0, b1, b2 := ot.Row(j), ot.Row(j1), ot.Row(j2)
+			b0, b1, b2 = b0[:len(a0)], b1[:len(a0)], b2[:len(a0)]
+			var s00, s01, s02, s10, s11, s12 float64
+			//fex:hot
+			for k, x0 := range a0 {
+				x1, y0, y1, y2 := a1[k], b0[k], b1[k], b2[k]
+				s00 += x0 * y0
+				s01 += x0 * y1
+				s02 += x0 * y2
+				s10 += x1 * y0
+				s11 += x1 * y1
+				s12 += x1 * y2
+			}
+			if scale != nil {
+				c0, c1, c2 := scale[j], scale[j1], scale[j2]
+				s00, s01, s02 = s00*c0, s01*c1, s02*c2
+				s10, s11, s12 = s10*c0, s11*c1, s12*c2
+			}
+			d0[j], d0[j1], d0[j2] = s00, s01, s02
+			d1[j], d1[j1], d1[j2] = s10, s11, s12
+		}
+	}
 }
 
 // GramLower returns the Cols×Cols Gram matrix mᵀ·m (the matrix of column
 // inner products). Used by the thin SVD: if the rows of m are the item
 // vectors (m is Pᵀ in paper terms), mᵀ·m is P·Pᵀ, the small d×d Gram.
+//
+// Entry (a, b) is Σ_i m[i][a]·m[i][b] accumulated from zero in increasing
+// i, whatever GOMAXPROCS: the work is split by OUTPUT row a — balanced by
+// the area of the upper triangle each worker owns — never by input row,
+// so no entry is ever the sum of two partial sums.
 func (m *Matrix) GramLower() *Matrix {
 	d := m.Cols
 	g := NewMatrix(d, d)
-	for i := 0; i < m.Rows; i++ {
-		row := m.Row(i)
-		for a := 0; a < d; a++ {
-			va := row[a]
-			if va == 0 {
-				continue
-			}
-			grow := g.Row(a)
-			for b := a; b < d; b++ {
-				grow[b] += va * row[b]
-			}
+	// Output row a holds d−a entries; cuts[k] is the first row at which
+	// the rows before it cover k/p of the triangle's d(d+1)/2.
+	p := max(1, min(rowWorkers(m.Rows), d))
+	cuts := make([]int, p+1)
+	area, k := 0, 1
+	for a := 0; a < d && k < p; a++ {
+		area += d - a
+		for k < p && area*2*p >= k*d*(d+1) {
+			cuts[k] = a + 1
+			k++
 		}
 	}
+	cuts[p] = d
+	forRanges(cuts, func(lo, hi int) { gramRows(g, m, lo, hi) })
 	// mirror the upper triangle into the lower one
 	for a := 0; a < d; a++ {
 		for b := a + 1; b < d; b++ {
@@ -147,12 +197,51 @@ func (m *Matrix) GramLower() *Matrix {
 	return g
 }
 
+// gramRows accumulates rows [alo, ahi) of the upper triangle of g = mᵀ·m,
+// four rows of m per pass: g[a][b] is loaded once, takes the four
+// products in row order, and is stored once.
+func gramRows(g, m *Matrix, alo, ahi int) {
+	d := m.Cols
+	i := 0
+	for ; i+4 <= m.Rows; i += 4 {
+		r0, r1, r2, r3 := m.Row(i), m.Row(i+1), m.Row(i+2), m.Row(i+3)
+		for a := alo; a < ahi; a++ {
+			ga := g.Data[a*d+a : (a+1)*d]
+			t0, t1, t2, t3 := r0[a:], r1[a:], r2[a:], r3[a:]
+			t0, t1, t2, t3 = t0[:len(ga)], t1[:len(ga)], t2[:len(ga)], t3[:len(ga)]
+			v0, v1, v2, v3 := t0[0], t1[0], t2[0], t3[0]
+			//fex:hot
+			for b, x := range ga {
+				x += v0 * t0[b]
+				x += v1 * t1[b]
+				x += v2 * t2[b]
+				x += v3 * t3[b]
+				ga[b] = x
+			}
+		}
+	}
+	for ; i < m.Rows; i++ {
+		row := m.Row(i)
+		for a := alo; a < ahi; a++ {
+			ga := g.Data[a*d+a : (a+1)*d]
+			t := row[a:]
+			t = t[:len(ga)]
+			v := t[0]
+			for b := range ga {
+				ga[b] += v * t[b]
+			}
+		}
+	}
+}
+
 // RowNorms returns the Euclidean norm of every row.
 func (m *Matrix) RowNorms() []float64 {
 	out := make([]float64, m.Rows)
-	for i := range out {
-		out[i] = Norm(m.Row(i))
-	}
+	ForRows(m.Rows, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			out[i] = Norm(m.Row(i))
+		}
+	})
 	return out
 }
 
@@ -177,21 +266,52 @@ func (m *Matrix) Equal(other *Matrix, tol float64) bool {
 	return true
 }
 
-// SortRowsByNormDesc reorders rows in place by decreasing Euclidean norm
-// and returns perm where perm[newIndex] = originalIndex. The ordering is
-// stable for equal norms so results are deterministic.
-func (m *Matrix) SortRowsByNormDesc() []int {
-	norms := m.RowNorms()
-	perm := make([]int, m.Rows)
-	for i := range perm {
-		perm[i] = i
+// SortRowsByNormDesc returns a copy of m with its rows in order of
+// decreasing Euclidean norm, perm where perm[newIndex] = originalIndex,
+// and the norms of the sorted rows. Rows of equal norm keep their
+// original order, so the result is deterministic. m is not modified.
+func (m *Matrix) SortRowsByNormDesc() (sorted *Matrix, perm []int, norms []float64) {
+	return m.SortRowsByKeyDesc(m.RowNorms())
+}
+
+// SortRowsByKeyDesc is SortRowsByNormDesc for a caller that already
+// holds one sort key per row (keys[i] for row i, typically the norms from
+// its own validating pass); the third result is the keys in sorted order.
+// The sort moves (key, row index) pairs only, and every row is then
+// copied once.
+func (m *Matrix) SortRowsByKeyDesc(keys []float64) (sorted *Matrix, perm []int, sortedKeys []float64) {
+	if len(keys) != m.Rows {
+		panic(fmt.Sprintf("vec: SortRowsByKeyDesc has %d keys for %d rows", len(keys), m.Rows))
 	}
-	sort.SliceStable(perm, func(a, b int) bool {
-		return norms[perm[a]] > norms[perm[b]]
+	// Decreasing key, then increasing row: a total order, so any correct
+	// sort returns the one permutation a stable sort by key would, and
+	// pdqsort over (key, row) pairs does it in half the time of
+	// SortStableFunc over row indices that look their keys up.
+	type keyed struct {
+		key float64
+		row int
+	}
+	order := make([]keyed, m.Rows)
+	for i, k := range keys {
+		order[i] = keyed{k, i}
+	}
+	slices.SortFunc(order, func(a, b keyed) int {
+		switch {
+		case a.key > b.key:
+			return -1
+		case a.key < b.key:
+			return 1
+		}
+		return a.row - b.row
 	})
-	old := m.Clone()
-	for newIdx, origIdx := range perm {
-		copy(m.Row(newIdx), old.Row(origIdx))
-	}
-	return perm
+	perm = make([]int, m.Rows)
+	sorted = NewMatrix(m.Rows, m.Cols)
+	sortedKeys = make([]float64, m.Rows)
+	ForRows(m.Rows, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			perm[i], sortedKeys[i] = order[i].row, order[i].key
+			copy(sorted.Row(i), m.Row(perm[i]))
+		}
+	})
+	return sorted, perm, sortedKeys
 }

@@ -108,13 +108,16 @@ func TestRowNormsAndAbsMax(t *testing.T) {
 }
 
 func TestSortRowsByNormDesc(t *testing.T) {
-	m := FromRows([][]float64{{1, 0}, {5, 0}, {3, 0}})
-	perm := m.SortRowsByNormDesc()
+	in := FromRows([][]float64{{1, 0}, {5, 0}, {3, 0}})
+	m, perm, norms := in.SortRowsByNormDesc()
 	wantOrder := []float64{5, 3, 1}
 	for i, w := range wantOrder {
-		if m.At(i, 0) != w {
-			t.Fatalf("row %d = %v, want %v", i, m.At(i, 0), w)
+		if m.At(i, 0) != w || norms[i] != w {
+			t.Fatalf("row %d = %v (norm %v), want %v", i, m.At(i, 0), norms[i], w)
 		}
+	}
+	if in.At(0, 0) != 1 || in.At(1, 0) != 5 {
+		t.Fatalf("input reordered: %v", in.Data)
 	}
 	// perm maps new index -> original index.
 	wantPerm := []int{1, 2, 0}
@@ -126,8 +129,7 @@ func TestSortRowsByNormDesc(t *testing.T) {
 }
 
 func TestSortRowsByNormDescStableOnTies(t *testing.T) {
-	m := FromRows([][]float64{{1, 0}, {0, 1}, {2, 0}})
-	perm := m.SortRowsByNormDesc()
+	_, perm, _ := FromRows([][]float64{{1, 0}, {0, 1}, {2, 0}}).SortRowsByNormDesc()
 	// Rows 0 and 1 tie; stability keeps original relative order.
 	if perm[1] != 0 || perm[2] != 1 {
 		t.Fatalf("unstable tie handling: perm = %v", perm)
@@ -136,13 +138,11 @@ func TestSortRowsByNormDescStableOnTies(t *testing.T) {
 
 func TestSortRowsRandomized(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	m := NewMatrix(50, 4)
-	for i := range m.Data {
-		m.Data[i] = rng.NormFloat64()
+	orig := NewMatrix(50, 4)
+	for i := range orig.Data {
+		orig.Data[i] = rng.NormFloat64()
 	}
-	orig := m.Clone()
-	perm := m.SortRowsByNormDesc()
-	norms := m.RowNorms()
+	m, perm, norms := orig.SortRowsByNormDesc()
 	for i := 1; i < m.Rows; i++ {
 		if norms[i] > norms[i-1]+1e-12 {
 			t.Fatalf("norms not descending at %d: %v > %v", i, norms[i], norms[i-1])

@@ -125,10 +125,9 @@ func NormRange(a []float64, lo, hi int) float64 {
 func AbsMax(a []float64) float64 {
 	var m float64
 	for _, v := range a {
-		if v < 0 {
-			v = -v
-		}
-		if v > m {
+		// math.Abs, not a sign test: on factor vectors the sign is a coin
+		// flip and the branch mispredicts every other element.
+		if v = math.Abs(v); v > m {
 			m = v
 		}
 	}
@@ -138,17 +137,7 @@ func AbsMax(a []float64) float64 {
 // AbsMaxRange returns the maximum absolute value in a[lo:hi], or 0 if the
 // range is empty.
 func AbsMaxRange(a []float64, lo, hi int) float64 {
-	var m float64
-	for i := lo; i < hi; i++ {
-		v := a[i]
-		if v < 0 {
-			v = -v
-		}
-		if v > m {
-			m = v
-		}
-	}
-	return m
+	return AbsMax(a[lo:hi])
 }
 
 // Min returns the minimum value in a. It panics on an empty slice.
