@@ -119,6 +119,7 @@ fuzz-smoke:
 	$(GO) test ./internal/core -run='^$$' -fuzz=FuzzSearchMatchesNaive -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/core -run='^$$' -fuzz=FuzzIntegerBound -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/core -run='^$$' -fuzz=FuzzBlockedScan -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/core -run='^$$' -fuzz=FuzzLoadSnapshot -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/snap -run='^$$' -fuzz=FuzzSnapshotLoad -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/snap -run='^$$' -fuzz=FuzzWALReplay -fuzztime=$(FUZZTIME)
 

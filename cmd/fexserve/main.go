@@ -52,16 +52,18 @@
 // as fexipro_shard_scan_seconds, labeled by shard index.
 //
 // Persistence: -data-dir enables the fexsnap/v1 snapshot + WAL pipeline
-// (DESIGN.md §15). Boot loads <dir>/current.snap and replays
-// <dir>/dyn.wal — fexipro_snapshot_load_seconds on /metrics shows the
-// load replacing the O(n·d²) build — and every acknowledged mutation is
-// appended to the WAL before the HTTP response is sent.
+// (DESIGN.md §15). Boot reads the catalog and shard layout from
+// <dir>/current.snap, rebuilds the indexes from them and replays
+// <dir>/dyn.wal — fexipro_snapshot_load_seconds on /metrics is the three
+// together, fexipro_snapshot_bytes the file — and every acknowledged
+// mutation is appended to the WAL before the HTTP response is sent.
 // -checkpoint-every N snapshots and truncates the WAL every N
 // mutations; SIGTERM always checkpoints after draining, so a restart
 // replays nothing and loses nothing. -wal-sync-every batches fsyncs.
-// SIGHUP reloads the -items factor file with zero read downtime: the
-// replacement index builds in the background and swaps atomically
-// (mutations are answered 503 "reloading" during the build).
+// SIGHUP reloads the -items factor file: the replacement index builds
+// in the background while searches keep answering, then swaps in and is
+// checkpointed — readers wait for that write, ≈ 0.1 s at 10⁵ items and
+// d = 50 (mutations are answered 503 "reloading" during the build).
 //
 // Every request is logged as one structured line (text or JSON via
 // -log-format) with a trace ID, latency, and search stage counters.
@@ -113,7 +115,7 @@ func main() {
 		partial       = flag.Bool("partial", false, "answer deadline expiry with 200 + best-so-far results flagged exact:false instead of 504")
 		maxK          = flag.Int("max-k", 0, "cap on per-request k to bound response sizes (0 = server default, 1000)")
 
-		dataDir         = flag.String("data-dir", "", "persistence directory (DESIGN.md §15): boot loads current.snap + dyn.wal instead of rebuilding, every acknowledged mutation is write-ahead logged, SIGTERM checkpoints before exit")
+		dataDir         = flag.String("data-dir", "", "persistence directory (DESIGN.md §15): boot recovers the acknowledged catalog from current.snap + dyn.wal and rebuilds the index from it (-items only seeds an empty directory), every acknowledged mutation is write-ahead logged, SIGTERM checkpoints before exit")
 		checkpointEvery = flag.Int("checkpoint-every", 0, "with -data-dir, write a fresh snapshot and truncate the WAL after this many acknowledged mutations (0 = only on shutdown/reload)")
 		walSyncEvery    = flag.Int("wal-sync-every", 1, "with -data-dir, fsync the WAL every Nth append; >1 trades a bounded crash-loss window for mutation throughput")
 

@@ -56,9 +56,16 @@ var ErrDeadline = search.ErrDeadline
 // errors.Is.
 var ErrNotFinite = core.ErrNotFinite
 
+// ErrIllConditioned is wrapped by the error New returns for a catalog in
+// which one item is ≳ 10¹³ times larger than the rest: the SVD transform
+// cannot keep both scales, and an index built anyway would rank wrongly.
+// Match with errors.Is.
+var ErrIllConditioned = core.ErrIllConditioned
+
 // ErrRebuild is wrapped by the error of a dynamic Add or Delete that was
 // valid in itself but whose index rebuild failed (stored items, each
-// finite, whose squared norms sum past float64). The update is undone;
+// finite, whose squared norms sum past float64, or one of which dwarfs
+// the rest as under ErrIllConditioned). The update is undone;
 // nothing is wrong with the vector or ID passed in. Match with errors.Is.
 var ErrRebuild = core.ErrRebuild
 

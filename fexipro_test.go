@@ -387,3 +387,41 @@ func TestNewRejectsOverflowingNorms(t *testing.T) {
 		}
 	}
 }
+
+// TestNewRefusesLossyTransform: a catalog with one coordinate of one item
+// at 1e13 and beyond used to build an index that ranked wrongly (top-1 at
+// 5e-13 where naive finds 3.66) with a nil error; New now returns
+// ErrIllConditioned for it, and up to 1e12 still ranks like naive.
+func TestNewRefusesLossyTransform(t *testing.T) {
+	for _, c := range []struct {
+		big    float64
+		builds bool
+	}{{1e6, true}, {1e9, true}, {1e12, true}, {1e13, false}, {1e16, false}, {1e20, false}} {
+		rng := rand.New(rand.NewSource(1))
+		items := fexipro.NewMatrix(50, 8)
+		for i := 0; i < 50; i++ {
+			for j := 0; j < 8; j++ {
+				items.Set(i, j, rng.NormFloat64())
+			}
+		}
+		items.Set(7, 3, c.big)
+		f, err := fexipro.New(items, fexipro.Options{})
+		if !c.builds {
+			if !errors.Is(err, fexipro.ErrIllConditioned) {
+				t.Errorf("at %g: New returned %v, want ErrIllConditioned", c.big, err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("at %g: %v", c.big, err)
+		}
+		for trial := 0; trial < 5; trial++ {
+			q := make([]float64, 8)
+			for j := range q {
+				q[j] = rng.NormFloat64()
+			}
+			q[3] = 0 // or the huge item simply wins
+			checkMatch(t, f.Search(q, 3), naiveTopK(items, q, 3), "F-SIR beside a huge item")
+		}
+	}
+}

@@ -62,6 +62,9 @@ func FuzzSearchMatchesNaive(f *testing.F) {
 		copy(q, vals[n*d:])
 
 		idx, err := core.NewIndex(items, core.Options{SVD: true, Int: true, Reduction: true})
+		if errors.Is(err, core.ErrIllConditioned) {
+			return // 1e6 beside 1e-300: refused, where it used to be indexed lossily
+		}
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -83,7 +83,9 @@ type redData struct {
 // GOMAXPROCS goroutines (vec.ForRows); the index is the same bytes
 // whatever that number is (DESIGN.md "Parallel preprocessing"). A
 // catalog with a NaN or infinite coordinate, or whose squared norms
-// overflow float64, is refused with an ErrNotFinite-wrapping error.
+// overflow float64, is refused with an ErrNotFinite-wrapping error, one
+// the SVD cannot transform losslessly with an ErrIllConditioned-wrapping
+// one.
 func NewIndex(items *vec.Matrix, opts Options) (*Index, error) {
 	// withDefaults tests ranges with <, which NaN passes: a NaN Rho would
 	// silently select w = d−1 and a NaN PruneSlack would switch every
@@ -166,6 +168,12 @@ func NewIndex(items *vec.Matrix, opts Options) (*Index, error) {
 // (or the catalog's Σ‖p‖²) overflows float64. The Gram matrix of such a
 // catalog is not finite and no decomposition of it means anything.
 var ErrNotFinite = errors.New("item vector is not finite")
+
+// ErrIllConditioned is wrapped by NewIndex's error when Options.SVD is set
+// and one item is so much larger than the rest (≳ 10¹³ ×) that the rank
+// tolerance would drop directions other items live in: the transform
+// would no longer preserve inner products, so there is no index to build.
+var ErrIllConditioned = svd.ErrIllConditioned
 
 // checkedNorms returns ‖p‖ for every row of items, or the error of the
 // first row that has no finite norm.

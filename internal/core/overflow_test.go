@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math"
+	"math/rand"
 	"slices"
 	"testing"
 
@@ -201,4 +202,110 @@ func TestDynamicIndexUnchangedByRejectedAdd(t *testing.T) {
 
 func sameFloats(a, b []float64) bool {
 	return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
+}
+
+// hugeItemCatalog is the catalog that used to rank wrongly with a nil
+// error: 50×8 standard normal rows, ONE coordinate of row 7 set to big,
+// and queries that ignore that coordinate (so the huge item does not
+// simply win). From 1e13 on, every direction but the huge item's falls
+// under RankTol·σ₁ and was zeroed — with the other 49 items in it.
+func hugeItemCatalog(big float64) (items, queries *vec.Matrix) {
+	rng := rand.New(rand.NewSource(1))
+	items, queries = vec.NewMatrix(50, 8), vec.NewMatrix(5, 8)
+	for i := range items.Data {
+		items.Data[i] = rng.NormFloat64()
+	}
+	for i := range queries.Data {
+		queries.Data[i] = rng.NormFloat64()
+	}
+	items.Row(7)[3] = big
+	for i := 0; i < queries.Rows; i++ {
+		queries.Row(i)[3] = 0
+	}
+	return items, queries
+}
+
+// hugeItemMagnitudes: up to 1e12 the SVD keeps every direction and the
+// ranking is exact; beyond, NewIndex must refuse rather than drop them.
+var hugeItemMagnitudes = []struct {
+	big    float64
+	builds bool
+}{{1e6, true}, {1e9, true}, {1e12, true}, {1e13, false}, {1e16, false}, {1e20, false}}
+
+// TestNewIndexRefusesLossyTransform: every SVD variant either ranks the
+// one-huge-item catalog like naive or returns ErrIllConditioned; the
+// variants without the SVD have nothing to lose and always build.
+func TestNewIndexRefusesLossyTransform(t *testing.T) {
+	for _, variant := range allVariants {
+		opts, err := core.OptionsForVariant(variant)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range hugeItemMagnitudes {
+			items, queries := hugeItemCatalog(c.big)
+			idx, err := core.NewIndex(items, opts)
+			if opts.SVD && !c.builds {
+				if !errors.Is(err, core.ErrIllConditioned) {
+					t.Errorf("%s at %g: error %v, want ErrIllConditioned", variant, c.big, err)
+				}
+				continue
+			}
+			if err != nil {
+				t.Fatalf("%s at %g: %v", variant, c.big, err)
+			}
+			r := core.NewRetriever(idx)
+			for i := 0; i < queries.Rows; i++ {
+				searchtest.CheckTopK(t, items, queries.Row(i), 3, r.Search(queries.Row(i), 3), variant)
+			}
+		}
+	}
+}
+
+// TestDynamicIndexRefusesLossyRebuild: Add accepts the huge item (it is a
+// finite vector), the rebuild that would fold it into a main index fails
+// with ErrRebuild and leaves the index — size, snapshot bytes, answers —
+// as it was; at magnitudes the SVD can hold, the rebuild goes through and
+// the index keeps answering like naive.
+func TestDynamicIndexRefusesLossyRebuild(t *testing.T) {
+	opts := core.Options{SVD: true, Int: true, Reduction: true}
+	for _, c := range hugeItemMagnitudes {
+		items, queries := hugeItemCatalog(c.big)
+		rest := vec.NewMatrix(0, 8)
+		for i := 0; i < items.Rows; i++ {
+			if i != 7 {
+				rest.Data = append(rest.Data, items.Row(i)...)
+				rest.Rows++
+			}
+		}
+		// 0.03 × 49 rows = 1.47 pending: the first add is tolerated, the
+		// second rebuilds.
+		di, err := core.NewDynamicIndexSharded(rest, opts, 0.03, 1, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := di.Add(items.Row(7)); err != nil {
+			t.Fatalf("at %g: add of the huge item: %v", c.big, err)
+		}
+		len0, snap0, answers0 := dynState(t, di, queries)
+		_, err = di.Add(items.Row(0))
+		if c.builds {
+			if err != nil || di.Rebuilds()[0] != 2 {
+				t.Fatalf("at %g: add returned %v after %d builds", c.big, err, di.Rebuilds()[0])
+			}
+			all := vec.NewMatrix(0, 8)
+			all.Data = append(append(append(all.Data, rest.Data...), items.Row(7)...), items.Row(0)...)
+			all.Rows = 51
+			for i := 0; i < queries.Rows; i++ {
+				searchtest.CheckTopK(t, all, queries.Row(i), 3, di.Search(queries.Row(i), 3), "dynamic")
+			}
+			continue
+		}
+		if !errors.Is(err, core.ErrRebuild) {
+			t.Fatalf("at %g: add forcing the rebuild: %v, want ErrRebuild", c.big, err)
+		}
+		len1, snap1, answers1 := dynState(t, di, queries)
+		if len0 != len1 || !bytes.Equal(snap0, snap1) || !slices.EqualFunc(answers0, answers1, sameFloats) {
+			t.Fatalf("at %g: the failed rebuild changed the index", c.big)
+		}
+	}
 }

@@ -13,6 +13,7 @@ import (
 
 	"fexipro/internal/core"
 	"fexipro/internal/faults"
+	"fexipro/internal/obs"
 	"fexipro/internal/snap"
 	"fexipro/internal/topk"
 	"fexipro/internal/vec"
@@ -472,5 +473,43 @@ func TestSaveSnapshotDeterministic(t *testing.T) {
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
 		t.Fatal("two saves of the same state differ")
+	}
+}
+
+// TestRecoverSpans: a traced recovery says where boot time went —
+// "snapshot.load" with one "snapshot.read" and one "index.rebuild" per
+// shard (shard, rows) under it, then "wal.replay" with its record count.
+func TestRecoverSpans(t *testing.T) {
+	fx := newRecoverFixture(t)
+	const checkpointAt = 6
+	dir := writeDataDir(t, fx.build(t, checkpointAt), 0, buildWAL(t, fx, checkpointAt, 0))
+	root := obs.NewRoot("boot")
+	rec, err := core.OpenRecovered(obs.ContextWithSpan(context.Background(), root), dir, 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_ = rec.WAL.Close()
+	root.End()
+	tree := root.Snapshot()
+	if len(tree.Children) != 2 || tree.Children[0].Name != "snapshot.load" || tree.Children[1].Name != "wal.replay" {
+		t.Fatalf("boot spans: %+v", tree.Children)
+	}
+	if got := tree.Children[1].Attrs["records"]; got != int64(len(fx.muts)-checkpointAt) {
+		t.Fatalf("wal.replay records = %v, want %d", got, len(fx.muts)-checkpointAt)
+	}
+	load := tree.Children[0].Children
+	if len(load) != 3 || load[0].Name != "snapshot.read" {
+		t.Fatalf("snapshot.load children: %+v", load)
+	}
+	shards := map[any]bool{}
+	for _, sp := range load[1:] {
+		// Ten initial rows per shard, give or take the six mutations.
+		if rows, _ := sp.Attrs["rows"].(int64); sp.Name != "index.rebuild" || rows < 8 || rows > 14 {
+			t.Fatalf("snapshot.load child %q over %v rows, want index.rebuild over about ten", sp.Name, sp.Attrs["rows"])
+		}
+		shards[sp.Attrs["shard"]] = true
+	}
+	if !shards[int64(0)] || !shards[int64(1)] {
+		t.Fatalf("index.rebuild spans cover shards %v, want 0 and 1", shards)
 	}
 }

@@ -17,10 +17,11 @@ import (
 // DynamicIndex persistence (fexsnap/v1 + WAL, DESIGN.md §15). A data
 // directory holds exactly two files:
 //
-//	current.snap — the last checkpoint: the full DynamicIndex state
-//	               (catalog, tombstones, every shard's preprocessed main
-//	               index and delta buffer) plus the WAL sequence number
-//	               the checkpoint covers.
+//	current.snap — the last checkpoint: the DynamicIndex state (catalog,
+//	               tombstones, and per shard the IDs under its main index
+//	               and in its delta buffer — not the preprocessed indexes,
+//	               which recovery rebuilds from those rows) plus the WAL
+//	               sequence number the checkpoint covers.
 //	dyn.wal      — the append-only mutation log since that checkpoint.
 //
 // The recovery invariant: a mutation is acknowledged only after its WAL
@@ -72,10 +73,25 @@ func (di *DynamicIndex) Alive(id int) bool {
 	return id >= 0 && id < di.items.Rows && !di.dead.has(id)
 }
 
-// SaveSnapshot writes the full index state as a fexsnap/v1 container.
-// lastSeq is the WAL sequence number this state covers: replaying
-// records with larger sequence numbers on top of the loaded snapshot
-// reproduces the live index.
+// Shard-section layouts, the first payload byte. SaveSnapshot writes
+// shardStateOnly and nothing else; the other two are what the previous
+// version wrote and are read for one more version: the bool "has a main
+// index", followed when true by that index as a nested fexsnap container,
+// which LoadSnapshot verifies and then ignores.
+const (
+	shardLegacyNoMain   = 0 // delta, deadInMain, rebuilds
+	shardLegacyEmbedded = 1 // index bytes, mainIDs, delta, deadInMain, rebuilds
+	shardStateOnly      = 2 // mainIDs, delta, deadInMain, rebuilds
+)
+
+// SaveSnapshot writes the index's state as a fexsnap/v1 container: the
+// catalog, the tombstones, and per shard which catalog rows its main
+// index was built over and which wait in its delta buffer. The main
+// indexes themselves are not stored — LoadSnapshot re-derives each from
+// its rows, and gets the same bytes (DESIGN.md §15). lastSeq is the WAL
+// sequence number this state covers: replaying records with larger
+// sequence numbers on top of the loaded snapshot reproduces the live
+// index.
 func (di *DynamicIndex) SaveSnapshot(w io.Writer, lastSeq uint64) error {
 	var b snap.Builder
 	b.Section(secDynMeta, func(e *snap.Encoder) {
@@ -90,20 +106,9 @@ func (di *DynamicIndex) SaveSnapshot(w io.Writer, lastSeq uint64) error {
 	// Ascending, so two saves of one state are byte-identical.
 	b.Section(secDynDead, func(e *snap.Encoder) { e.Ints(di.dead.appendIDs(make([]int, 0, di.deadCount))) })
 	for s, sh := range di.shards {
-		var mainBytes []byte
-		if sh.main != nil {
-			var buf bytes.Buffer
-			if err := sh.main.Save(&buf); err != nil {
-				return err
-			}
-			mainBytes = buf.Bytes()
-		}
 		b.Section(dynShardTag(s), func(e *snap.Encoder) {
-			e.Bool(sh.main != nil)
-			if sh.main != nil {
-				e.Bytes8(mainBytes) // nested fexsnap container
-				e.Ints(sh.mainIDs)
-			}
+			e.U8(shardStateOnly)
+			e.Ints(sh.mainIDs)
 			e.Ints(sh.delta)
 			e.I64(int64(sh.deadInMain))
 			e.I64(int64(sh.rebuilds))
@@ -112,11 +117,38 @@ func (di *DynamicIndex) SaveSnapshot(w io.Writer, lastSeq uint64) error {
 	return b.Flush(w)
 }
 
-// LoadSnapshot reads a snapshot written by SaveSnapshot and returns the
-// reconstructed index plus the WAL sequence number it covers. workers
-// sizes the query engine exactly as in NewDynamicIndexSharded. Every
-// error wraps a snap sentinel.
+// LoadSnapshot reads a snapshot written by SaveSnapshot, rebuilds every
+// shard's main index from the catalog rows it names, and returns the
+// index plus the WAL sequence number it covers. workers sizes the query
+// engine exactly as in NewDynamicIndexSharded. A file that cannot be a
+// SaveSnapshot of any index fails with an error wrapping a snap sentinel;
+// one whose bytes are in order but whose catalog NewIndex refuses, with
+// one wrapping ErrRebuild.
 func LoadSnapshot(r io.Reader, workers int) (*DynamicIndex, uint64, error) {
+	return loadSnapshot(context.Background(), r, workers)
+}
+
+// loadSnapshot is LoadSnapshot under a span: "snapshot.read" covers
+// reading, verifying and decoding the state, one "index.rebuild" per
+// shard the derivation.
+func loadSnapshot(ctx context.Context, r io.Reader, workers int) (*DynamicIndex, uint64, error) {
+	_, rsp := obs.StartSpan(ctx, "snapshot.read")
+	di, lastSeq, err := readDynState(r)
+	rsp.End()
+	if err != nil {
+		return nil, 0, err
+	}
+	if err := di.deriveMains(ctx); err != nil {
+		return nil, 0, err
+	}
+	di.eng = engine.New(&dynKernel{di: di}, workers)
+	return di, lastSeq, nil
+}
+
+// readDynState decodes and cross-checks everything a snapshot stores: a
+// DynamicIndex complete but for its engine and the main indexes that go
+// with each shard's mainIDs.
+func readDynState(r io.Reader) (*DynamicIndex, uint64, error) {
 	f, err := snap.Read(r)
 	if err != nil {
 		return nil, 0, fmt.Errorf("core: reading dynamic snapshot: %w", err)
@@ -134,7 +166,7 @@ func LoadSnapshot(r io.Reader, workers int) (*DynamicIndex, uint64, error) {
 	if err := d.Finish(); err != nil {
 		return nil, 0, fmt.Errorf("core: dynamic meta: %w", err)
 	}
-	if di.d < 1 || di.rebuild <= 0 || nShards < 1 || nShards > 1<<20 || di.deadCount < 0 {
+	if di.d < 1 || !(di.rebuild > 0) || nShards < 1 || nShards > 1<<20 || di.deadCount < 0 {
 		return nil, 0, fmt.Errorf("%w: dynamic meta d=%d rebuild=%g shards=%d dead=%d",
 			snap.ErrChecksum, di.d, di.rebuild, nShards, di.deadCount)
 	}
@@ -149,6 +181,13 @@ func LoadSnapshot(r io.Reader, workers int) (*DynamicIndex, uint64, error) {
 	}
 	if di.items == nil || di.items.Cols != di.d {
 		return nil, 0, fmt.Errorf("%w: dynamic catalog matrix disagrees with d=%d", snap.ErrChecksum, di.d)
+	}
+	// NewIndex and Add let no other kind of row into a catalog, and the
+	// delta rows below reach a scan without passing either again.
+	for id := 0; id < di.items.Rows; id++ {
+		if err := checkItem(di.items.Row(id), "catalog row"); err != nil {
+			return nil, 0, fmt.Errorf("%w: item %d: %v", snap.ErrChecksum, id, err)
+		}
 	}
 
 	d, err = sectionDecoder(f, secDynDead)
@@ -170,36 +209,45 @@ func LoadSnapshot(r io.Reader, workers int) (*DynamicIndex, uint64, error) {
 	}
 
 	di.shards = make([]*dynShard, nShards)
+	var placed tombstones // IDs some shard lists, in mainIDs or delta
 	for s := range di.shards {
-		sh, err := loadDynShard(f, s, nShards, di)
-		if err != nil {
+		if di.shards[s], err = readDynShard(f, s, di, &placed); err != nil {
 			return nil, 0, err
 		}
-		di.shards[s] = sh
 	}
-	di.eng = engine.New(&dynKernel{di: di}, workers)
+	// Every live item must be in reach of a scan. (A dead one may be in
+	// neither list: a rebuild compacted it away.)
+	for id := 0; id < di.items.Rows; id++ {
+		if !di.dead.has(id) && !placed.has(id) {
+			return nil, 0, fmt.Errorf("%w: live item %d is in no shard's main index or delta buffer", snap.ErrChecksum, id)
+		}
+	}
 	return di, lastSeq, nil
 }
 
-func loadDynShard(f *snap.File, s, nShards int, di *DynamicIndex) (*dynShard, error) {
-	payload, ok := f.Section(dynShardTag(s))
-	if !ok {
-		return nil, fmt.Errorf("%w: dynamic snapshot missing shard section %q", snap.ErrChecksum, dynShardTag(s))
+// readDynShard decodes shard s's section into the shard's state, marking
+// each ID it lists in placed.
+func readDynShard(f *snap.File, s int, di *DynamicIndex, placed *tombstones) (*dynShard, error) {
+	d, err := sectionDecoder(f, dynShardTag(s))
+	if err != nil {
+		return nil, err
 	}
-	d := snap.NewDecoder(payload)
 	sh := &dynShard{}
-	if d.Bool() {
-		mainBytes := d.Bytes8()
+	switch layout := d.U8(); layout {
+	case shardStateOnly:
+		sh.mainIDs = d.Ints()
+	case shardLegacyEmbedded:
+		embedded := d.Bytes8()
 		if err := d.Err(); err != nil {
 			return nil, fmt.Errorf("core: shard %d: %w", s, err)
 		}
-		main, err := ReadIndex(bytes.NewReader(mainBytes))
-		if err != nil {
-			return nil, fmt.Errorf("core: shard %d main index: %w", s, err)
+		if _, err := snap.Read(bytes.NewReader(embedded)); err != nil {
+			return nil, fmt.Errorf("core: shard %d embedded index: %w", s, err)
 		}
-		sh.main = main
-		sh.ret = NewRetriever(main)
 		sh.mainIDs = d.Ints()
+	case shardLegacyNoMain:
+	default:
+		return nil, fmt.Errorf("%w: shard %d has unknown section layout %d", snap.ErrChecksum, s, layout)
 	}
 	sh.delta = d.Ints()
 	deadInMain := int(d.I64())
@@ -207,28 +255,22 @@ func loadDynShard(f *snap.File, s, nShards int, di *DynamicIndex) (*dynShard, er
 	if err := d.Finish(); err != nil {
 		return nil, fmt.Errorf("core: shard %d: %w", s, err)
 	}
-	if sh.main != nil {
-		if len(sh.mainIDs) != sh.main.n {
-			return nil, fmt.Errorf("%w: shard %d has %d main IDs for %d indexed rows",
-				snap.ErrChecksum, s, len(sh.mainIDs), sh.main.n)
-		}
-		if sh.main.d != di.d {
-			return nil, fmt.Errorf("%w: shard %d main index has d=%d, want %d", snap.ErrChecksum, s, sh.main.d, di.d)
-		}
-	}
 	if sh.rebuilds < 0 {
 		return nil, fmt.Errorf("%w: shard %d rebuilds=%d", snap.ErrChecksum, s, sh.rebuilds)
 	}
-	// Ownership and ordering: every ID must belong to this shard, be a
-	// real catalog row, and mainIDs must ascend (Delete binary-searches).
+	// Ownership, ordering and coverage: every ID must belong to this shard
+	// and be a real catalog row, mainIDs must ascend (Delete binary-searches)
+	// and no ID may be listed twice, or a scan would offer it twice.
 	// deadInMain is recounted from the tombstone set; the stored copy is
 	// only cross-checked.
+	S := len(di.shards)
 	prev := -1
 	for _, id := range sh.mainIDs {
-		if id <= prev || id >= di.items.Rows || id%nShards != s {
+		if id <= prev || id >= di.items.Rows || id%S != s {
 			return nil, fmt.Errorf("%w: shard %d main ID %d out of place", snap.ErrChecksum, s, id)
 		}
 		prev = id
+		placed.set(id)
 		if di.dead.has(id) {
 			sh.deadInMain++
 		}
@@ -239,9 +281,10 @@ func loadDynShard(f *snap.File, s, nShards int, di *DynamicIndex) (*dynShard, er
 	}
 	// Delta vectors are their IDs' catalog rows: only the IDs are stored.
 	for _, id := range sh.delta {
-		if id < 0 || id >= di.items.Rows || id%nShards != s {
-			return nil, fmt.Errorf("%w: shard %d delta ID %d out of place", snap.ErrChecksum, s, id)
+		if id < 0 || id >= di.items.Rows || id%S != s || placed.has(id) {
+			return nil, fmt.Errorf("%w: shard %d delta ID %d out of place or listed twice", snap.ErrChecksum, s, id)
 		}
+		placed.set(id)
 	}
 	return sh, nil
 }
@@ -323,8 +366,8 @@ func OpenRecovered(ctx context.Context, dir string, workers, syncEvery int) (*Re
 	if err != nil {
 		return nil, err
 	}
-	_, lsp := obs.StartSpan(ctx, "snapshot.load")
-	di, lastSeq, err := LoadSnapshot(f, workers)
+	lctx, lsp := obs.StartSpan(ctx, "snapshot.load")
+	di, lastSeq, err := loadSnapshot(lctx, f, workers)
 	_ = f.Close()
 	if lsp != nil {
 		lsp.AttrStr("file", snapPath)

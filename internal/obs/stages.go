@@ -65,14 +65,16 @@ const (
 	// execution engine, labeled by shard index (DESIGN.md §11). Skew
 	// between shard labels reveals partition imbalance.
 	MetricShardScan = "fexipro_shard_scan_seconds"
-	// Persistence metrics (DESIGN.md §15): snapshot load/save wall time
-	// and cumulative WAL record counts. Load is set once at boot; save is
+	// Persistence metrics (DESIGN.md §15): snapshot load/save wall time,
+	// checkpoint file size and cumulative WAL record counts. Load (read +
+	// index rebuild + replay) is set once at boot; save and bytes are
 	// refreshed at every checkpoint; records counts acknowledged mutation
 	// appends; replays counts records re-applied during recovery.
-	MetricSnapshotLoad = "fexipro_snapshot_load_seconds"
-	MetricSnapshotSave = "fexipro_snapshot_save_seconds"
-	MetricWALRecords   = "fexipro_wal_records_total"
-	MetricWALReplays   = "fexipro_wal_replays_total"
+	MetricSnapshotLoad  = "fexipro_snapshot_load_seconds"
+	MetricSnapshotSave  = "fexipro_snapshot_save_seconds"
+	MetricSnapshotBytes = "fexipro_snapshot_bytes"
+	MetricWALRecords    = "fexipro_wal_records_total"
+	MetricWALReplays    = "fexipro_wal_replays_total"
 	// Query-planner metrics (DESIGN.md §16): decision counts labeled by
 	// the chosen method and the reason it was picked (warmup / probe /
 	// cost), plus the planner's calibration state — predicted and

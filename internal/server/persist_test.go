@@ -362,3 +362,45 @@ func TestReloadZeroReadDowntime(t *testing.T) {
 		t.Fatal("reload accepted a matrix with the wrong dimensionality")
 	}
 }
+
+// TestPersistSnapshotBytesGauge: fexipro_snapshot_bytes is the size of
+// current.snap — after the first boot's checkpoint, after a periodic
+// one (two more items: larger), and after a restart that only read it —
+// and a snapshot holds the catalog plus lists, never an index: a few
+// hundred bytes over 8·d per item.
+func TestPersistSnapshotBytesGauge(t *testing.T) {
+	dir := t.TempDir()
+	const n, d = 200, 6
+	initial := persistItems(n, d, rand.New(rand.NewSource(13)))
+	cfg := server.Config{DataDir: dir, CheckpointEvery: 2}
+	fileSize := func() float64 {
+		st, err := os.Stat(filepath.Join(dir, core.SnapshotFile))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return float64(st.Size())
+	}
+
+	srv1, ts1 := newPersistServer(t, initial, cfg)
+	first := fileSize()
+	if v, ok := persistMetric(t, ts1, "fexipro_snapshot_bytes"); !ok || v != first {
+		t.Fatalf("fexipro_snapshot_bytes = %v (present=%v) after the first boot, file has %v", v, ok, first)
+	}
+	if perItem := first / n; perItem < 8*d || perItem > 8*d+16 {
+		t.Fatalf("snapshot has %.1f B/item; the catalog alone is %d", perItem, 8*d)
+	}
+	addItem(t, ts1, make([]float64, d))
+	addItem(t, ts1, make([]float64, d))
+	if v, _ := persistMetric(t, ts1, "fexipro_snapshot_bytes"); v != fileSize() || v <= first {
+		t.Fatalf("fexipro_snapshot_bytes = %v after a checkpoint of two more items, file has %v (was %v)", v, fileSize(), first)
+	}
+	ts1.Close()
+	if err := srv1.ClosePersistence(); err != nil {
+		t.Fatal(err)
+	}
+
+	_, ts2 := newPersistServer(t, initial, cfg)
+	if v, _ := persistMetric(t, ts2, "fexipro_snapshot_bytes"); v != fileSize() {
+		t.Fatalf("fexipro_snapshot_bytes = %v after a restart, file has %v", v, fileSize())
+	}
+}

@@ -203,6 +203,7 @@ type Server struct {
 	reloading       atomic.Bool
 	snapLoad        *obs.Gauge
 	snapSave        *obs.Gauge
+	snapBytes       *obs.Gauge
 	walRecords      *obs.Counter
 	walReplays      *obs.Counter
 
@@ -326,15 +327,21 @@ func NewWithConfig(initial *vec.Matrix, opts core.Options, cfg Config) (*Server,
 		s.dataDir = cfg.DataDir
 		s.checkpointEvery = cfg.CheckpointEvery
 		s.snapLoad = reg.Gauge(obs.MetricSnapshotLoad,
-			"Wall time of the boot snapshot load + WAL replay (0 when the index was built, not loaded).")
+			"Wall time of boot recovery: snapshot read, shard index rebuild and WAL replay (0 when the index was built from the item matrix).")
 		s.snapSave = reg.Gauge(obs.MetricSnapshotSave,
 			"Wall time of the most recent snapshot checkpoint.")
+		s.snapBytes = reg.Gauge(obs.MetricSnapshotBytes,
+			"Size of the checkpoint file: the one recovered from at boot, then the most recent one written.")
+		s.snapBytes.Set(snapshotBytes(cfg.DataDir))
 		s.walRecords = reg.Counter(obs.MetricWALRecords,
 			"Acknowledged mutations appended to the write-ahead log.")
 		s.walReplays = reg.Counter(obs.MetricWALReplays,
 			"WAL records replayed into the index during boot recovery.")
 		if boot.loaded {
 			s.snapLoad.Set(boot.loadDur.Seconds())
+			s.log.Info("recovered from data dir", "dir", cfg.DataDir,
+				"snapshotReadMs", boot.readDur.Milliseconds(), "indexRebuildMs", boot.buildDur.Milliseconds(),
+				"walReplayMs", boot.walDur.Milliseconds(), "walRecords", boot.replayed)
 		} else {
 			s.snapSave.Set(boot.saveDur.Seconds())
 		}

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 
 	"fexipro/internal/vec"
 )
@@ -55,6 +56,7 @@ func (e *Encoder) Floats(v []float64) {
 
 // Ints appends a length-prefixed []int as int64s.
 func (e *Encoder) Ints(v []int) {
+	e.buf = slices.Grow(e.buf, 8+8*len(v))
 	e.U64(uint64(len(v)))
 	for _, x := range v {
 		e.I64(int64(x))
@@ -98,6 +100,10 @@ func (e *Encoder) Matrix(m *vec.Matrix) {
 		e.U64(math.MaxUint64)
 		return
 	}
+	// One growth, not log₂(size) of them each copying what came before: a
+	// 10⁵×50 catalog is 40 MB, and a checkpoint encodes it under the
+	// server's lock.
+	e.buf = slices.Grow(e.buf, 16+8*len(m.Data))
 	e.U64(uint64(m.Rows))
 	e.U64(uint64(m.Cols))
 	for _, x := range m.Data {
@@ -327,8 +333,9 @@ func (d *Decoder) Matrix() *vec.Matrix {
 		return nil
 	}
 	m := vec.NewMatrix(int(rows), int(cols))
+	raw := d.take(8 * len(m.Data)) // present: checked against Remaining above
 	for i := range m.Data {
-		m.Data[i] = d.F64()
+		m.Data[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
 	}
 	return m
 }

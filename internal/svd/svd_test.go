@@ -1,6 +1,7 @@
 package svd
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -284,4 +285,40 @@ func TestTransformQueryPanicsOnDimMismatch(t *testing.T) {
 		}
 	}()
 	thin.TransformQuery([]float64{1, 2})
+}
+
+// TestDecomposeRefusesToDropLiveDirections: zeroing σⱼ ≤ 1e-12·σ₁ is
+// lossless only when nothing lives along uⱼ. With one coordinate of one
+// item at 1e13, seven of eight directions fall under the tolerance while
+// the other 49 items have most of their length in them; that is an
+// ErrIllConditioned, and at 1e12 — every direction kept — still an exact
+// decomposition. Rank-deficient input proper (TestRankDeficient, n < d in
+// TestDecomposeReconstructs) has nothing along the zeroed directions and
+// decomposes as before.
+func TestDecomposeRefusesToDropLiveDirections(t *testing.T) {
+	for _, c := range []struct {
+		big float64
+		ok  bool
+	}{{1e6, true}, {1e12, true}, {1e13, false}, {1e20, false}, {1e100, false}} {
+		items := randomMatrix(rand.New(rand.NewSource(1)), 50, 8)
+		items.Row(7)[3] = c.big
+		thin, err := Decompose(items, 0)
+		if !c.ok {
+			if !errors.Is(err, ErrIllConditioned) {
+				t.Errorf("at %g: error %v (σ = %v), want ErrIllConditioned", c.big, err, thin)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("at %g: %v", c.big, err)
+		}
+		q := []float64{1, -1, 2, 0, 0.5, -3, 1, 1}
+		qbar := thin.TransformQuery(q)
+		for i := 0; i < items.Rows; i++ {
+			want, got := vec.Dot(q, items.Row(i)), vec.Dot(qbar, thin.V1.Row(i))
+			if math.Abs(want-got) > 1e-15*c.big*vec.Norm(q) {
+				t.Fatalf("at %g item %d: qᵀp = %v, q̄ᵀp̄ = %v", c.big, i, want, got)
+			}
+		}
+	}
 }

@@ -1,6 +1,7 @@
 package svd
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
@@ -66,7 +67,11 @@ func (t *Thin) TransformQuery(q []float64) []float64 {
 // Singular values smaller than rankTol·σ₁ are treated as zero and their
 // V₁ columns zeroed: those directions carry none of P, so inner products
 // are preserved exactly (Theorem 1) while avoiding division blow-ups on
-// rank-deficient inputs. Pass rankTol ≤ 0 for the default 1e-12.
+// rank-deficient inputs. Pass rankTol ≤ 0 for the default 1e-12. When a
+// zeroed direction does carry part of some item — one item ≳ 10¹³ × the
+// rest pushes every other direction under the tolerance — the transform
+// would be lossy and Decompose returns an ErrIllConditioned-wrapping
+// error instead.
 func Decompose(items *vec.Matrix, rankTol float64) (*Thin, error) {
 	if rankTol <= 0 {
 		rankTol = 1e-12
@@ -93,15 +98,63 @@ func Decompose(items *vec.Matrix, rankTol float64) (*Thin, error) {
 
 	// V1 = Pᵀ·U·Σ⁻¹ = Items·U·Σ⁻¹ (n×d); zero columns for null σ.
 	inv := make([]float64, d)
+	var zeroed []int
 	for j := 0; j < d; j++ {
 		if sigma[0] > 0 && sigma[j] > rankTol*sigma[0] {
 			inv[j] = 1 / sigma[j]
 		} else {
 			sigma[j] = 0
 			inv[j] = 0
+			zeroed = append(zeroed, j)
 		}
 	}
+	if err := checkNullDirections(items, u, zeroed); err != nil {
+		return nil, err
+	}
 	return &Thin{U: u, Sigma: sigma, V1: items.MulScaled(u, inv)}, nil
+}
+
+// ErrIllConditioned is wrapped by Decompose's error when the item matrix
+// spans more orders of magnitude than the decomposition resolves, so that
+// dropping its "null" directions would change inner products.
+var ErrIllConditioned = errors.New("item matrix is too ill-conditioned for a lossless SVD transform")
+
+// nullMassTol is how much of an item, relative to its length, may lie
+// along a zeroed direction. Only zeroed directions can lose anything (for
+// a kept one σⱼ cancels between p̄ⱼ and q̄ⱼ whatever its accuracy).
+// Measured max over rows of |pᵀuⱼ|/‖p‖: ≤ 4e-15 on genuinely
+// rank-deficient input (low-rank products, duplicate, combined and zero
+// columns, n < d, up to 5000×50 and column scales to 1e9), ≥ 0.86 on the
+// one-huge-item catalogs that used to rank wrongly (50×8 standard normal
+// with one coordinate 1e13 … 1e100). 1e-9 sits five orders above the
+// first and is the relative slack every pruning test already allows.
+const nullMassTol = 1e-9
+
+// checkNullDirections returns an ErrIllConditioned-wrapping error naming
+// the first item with more than nullMassTol of its length along one of
+// the zeroed columns of u. O(n·d) per zeroed column, nothing on a
+// full-rank matrix.
+func checkNullDirections(items, u *vec.Matrix, zeroed []int) error {
+	if len(zeroed) == 0 {
+		return nil
+	}
+	limits := make([]float64, items.Rows)
+	for i := range limits {
+		limits[i] = nullMassTol * vec.Norm(items.Row(i))
+	}
+	col := make([]float64, u.Rows)
+	for _, j := range zeroed {
+		for k := range col {
+			col[k] = u.At(k, j)
+		}
+		for i, limit := range limits {
+			if mass := math.Abs(vec.Dot(items.Row(i), col)); mass > limit {
+				return fmt.Errorf("svd: row %d has %.3g of its length %.3g along singular direction %d, which the rank tolerance drops: %w",
+					i, mass, limit/nullMassTol, j, ErrIllConditioned)
+			}
+		}
+	}
+	return nil
 }
 
 // Reconstruct rebuilds the n×d item matrix V₁·Σ·Uᵀ; used by tests to

@@ -176,7 +176,7 @@ func (m *Matrix) GramLower() *Matrix {
 	g := NewMatrix(d, d)
 	// Output row a holds d−a entries; cuts[k] is the first row at which
 	// the rows before it cover k/p of the triangle's d(d+1)/2.
-	p := max(1, min(rowWorkers(m.Rows), d))
+	p := max(1, min(RowWorkers(m.Rows), d))
 	cuts := make([]int, p+1)
 	area, k := 0, 1
 	for a := 0; a < d && k < p; a++ {

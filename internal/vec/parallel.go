@@ -14,9 +14,9 @@ import (
 // core's BenchmarkNewIndexThreshold).
 const parallelMinRows = 4096
 
-// rowWorkers returns how many goroutines share a pass over n rows:
-// GOMAXPROCS of them, or one for a small input.
-func rowWorkers(n int) int {
+// RowWorkers returns how many goroutines ForRows splits a pass over n
+// rows among: GOMAXPROCS of them, or one for a small input.
+func RowWorkers(n int) int {
 	if n < parallelMinRows {
 		return 1
 	}
@@ -31,7 +31,7 @@ func rowWorkers(n int) int {
 // Inputs under parallelMinRows rows run as the single call fn(0, n) on
 // the caller's goroutine.
 func ForRows(n int, fn func(lo, hi int)) {
-	p := rowWorkers(n)
+	p := RowWorkers(n)
 	if p == 1 {
 		fn(0, n)
 		return
