@@ -21,7 +21,7 @@ RACE_PKGS = ./internal/server/... ./internal/obs/... ./internal/faults/... ./int
 # one target per invocation).
 FUZZTIME ?= 10s
 
-.PHONY: all verify build test check vet lint lint-race lint-fix-check perf-gate perf-facts fmt-check precommit race race-subset fuzz-smoke bench bench-shard repo-bench load-smoke
+.PHONY: all verify build test check vet lint lint-race lint-fix-check perf-gate perf-facts fmt-check precommit race race-subset fuzz-smoke bench bench-shard repo-bench load-smoke loc
 
 all: check
 
@@ -93,6 +93,13 @@ fmt-check:
 	if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; \
 	fi
+
+## loc: non-test Go lines outside benchmark/ and testdata — the whole
+## tree and internal/lint's share. ROADMAP counts net-negative LoC as a
+## success, so CI prints this where a PR's before and after can be read.
+LOC_FILES = -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path '*/testdata/*'
+loc:
+	@echo "non-test Go lines: total $$(find . $(LOC_FILES) | xargs cat | wc -l), internal/lint $$(find ./internal/lint $(LOC_FILES) | xargs cat | wc -l)"
 
 ## precommit: the fast pre-push gate — formatting, vet, and fexlint,
 ## failing at the first broken step. Run this before every commit.

@@ -9,10 +9,10 @@ import (
 	"fexipro/internal/core"
 )
 
-func runAblation(b *testing.B, profile string, opts core.Options) {
+func runAblation(b *testing.B, profile string, opts core.Options, ab core.Ablation) {
 	b.Helper()
 	ds := benchDataset(b, profile)
-	idx, err := core.NewIndex(ds.Items, opts)
+	idx, err := core.NewAblationIndex(ds.Items, opts, ab)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -31,25 +31,12 @@ func runAblation(b *testing.B, profile string, opts core.Options) {
 
 var fullOpts = core.Options{SVD: true, Int: true, Reduction: true}
 
-// BenchmarkAblationSort — the norm sort + early termination of
-// Algorithm 1 versus a per-candidate length test only.
-func BenchmarkAblationSort(b *testing.B) {
-	for _, p := range []string{"movielens", "netflix"} {
-		b.Run(p+"/sorted", func(b *testing.B) { runAblation(b, p, fullOpts) })
-		o := fullOpts
-		o.Unsorted = true
-		b.Run(p+"/unsorted", func(b *testing.B) { runAblation(b, p, o) })
-	}
-}
-
 // BenchmarkAblationIntScaling — Equation 7 per-part scaling versus the
 // Equation 4 single global maximum.
 func BenchmarkAblationIntScaling(b *testing.B) {
 	for _, p := range []string{"movielens", "netflix"} {
-		b.Run(p+"/per-part", func(b *testing.B) { runAblation(b, p, fullOpts) })
-		o := fullOpts
-		o.GlobalIntScaling = true
-		b.Run(p+"/global", func(b *testing.B) { runAblation(b, p, o) })
+		b.Run(p+"/per-part", func(b *testing.B) { runAblation(b, p, fullOpts, core.Ablation{}) })
+		b.Run(p+"/global", func(b *testing.B) { runAblation(b, p, fullOpts, core.Ablation{GlobalIntScaling: true}) })
 	}
 }
 
@@ -57,10 +44,8 @@ func BenchmarkAblationIntScaling(b *testing.B) {
 // (reduction before the integer bounds).
 func BenchmarkAblationOrder(b *testing.B) {
 	for _, p := range []string{"movielens", "netflix"} {
-		b.Run(p+"/SIR", func(b *testing.B) { runAblation(b, p, fullOpts) })
-		o := fullOpts
-		o.ReductionFirst = true
-		b.Run(p+"/SRI", func(b *testing.B) { runAblation(b, p, o) })
+		b.Run(p+"/SIR", func(b *testing.B) { runAblation(b, p, fullOpts, core.Ablation{}) })
+		b.Run(p+"/SRI", func(b *testing.B) { runAblation(b, p, fullOpts, core.Ablation{ReductionFirst: true}) })
 	}
 }
 
@@ -68,10 +53,10 @@ func BenchmarkAblationOrder(b *testing.B) {
 // strict comparisons (PruneSlack = 0).
 func BenchmarkAblationSlack(b *testing.B) {
 	for _, p := range []string{"movielens"} {
-		b.Run(p+"/slack-1e-9", func(b *testing.B) { runAblation(b, p, fullOpts) })
+		b.Run(p+"/slack-1e-9", func(b *testing.B) { runAblation(b, p, fullOpts, core.Ablation{}) })
 		o := fullOpts
 		o.PruneSlack = -1 // normalized to 0 = strict paper comparisons
-		b.Run(p+"/strict", func(b *testing.B) { runAblation(b, p, o) })
+		b.Run(p+"/strict", func(b *testing.B) { runAblation(b, p, o, core.Ablation{}) })
 	}
 }
 
@@ -81,9 +66,9 @@ func BenchmarkAblationW(b *testing.B) {
 	for _, w := range []int{2, 8, 25, 49} {
 		o := fullOpts
 		o.W = w
-		b.Run("movielens/w="+itoa(w), func(b *testing.B) { runAblation(b, "movielens", o) })
+		b.Run("movielens/w="+itoa(w), func(b *testing.B) { runAblation(b, "movielens", o, core.Ablation{}) })
 	}
-	b.Run("movielens/w=rho0.7", func(b *testing.B) { runAblation(b, "movielens", fullOpts) })
+	b.Run("movielens/w=rho0.7", func(b *testing.B) { runAblation(b, "movielens", fullOpts, core.Ablation{}) })
 }
 
 func itoa(v int) string {
@@ -98,15 +83,4 @@ func itoa(v int) string {
 		v /= 10
 	}
 	return string(buf[i:])
-}
-
-// BenchmarkAblationIntWidth — int32 floors versus the compact int16
-// representation (the paper's "small integer types" future-work item).
-func BenchmarkAblationIntWidth(b *testing.B) {
-	for _, p := range []string{"movielens", "netflix"} {
-		b.Run(p+"/int32", func(b *testing.B) { runAblation(b, p, fullOpts) })
-		o := fullOpts
-		o.CompactInts = true
-		b.Run(p+"/int16", func(b *testing.B) { runAblation(b, p, o) })
-	}
 }

@@ -24,8 +24,8 @@
 // -slojson writes the run report in the fexload/v1 schema ("-" for
 // stdout): sent/completed/shed counts, status classes, exact latency
 // quantiles in milliseconds, and per-objective SLO burn — field-style
-// compatible with the fexbench -statsjson dumps (BENCH_seed.json), so
-// the same tooling can diff offline benchmark and load-test runs.
+// compatible with the fexbench -statsjson dumps, so the same tooling
+// can diff offline benchmark and load-test runs.
 // When the target runs `-method auto`, the report also carries a
 // "plan" block (the server's /v1/plan summary) attributing the run's
 // queries to the methods the cost-based planner chose.
@@ -58,7 +58,7 @@ func main() {
 		target   = flag.String("target", "", "base URL of a running fexserve (empty = start an in-process synthetic server)")
 		items    = flag.Int("items", 2000, "synthetic catalog size for the in-process server (ignored with -target)")
 		dim      = flag.Int("dim", 16, "query dimensionality; must match the target index")
-		variant  = flag.String("variant", "F-SIR", "FEXIPRO variant for the in-process server (ignored with -target)")
+		variant  = flag.String("variant", "F-SIR", "FEXIPRO variant for the in-process server, one of "+core.VariantNames+" (ignored with -target)")
 		shards   = flag.Int("shards", 1, "catalog shards for the in-process server (ignored with -target)")
 		rate     = flag.Float64("rate", 100, "offered arrivals per second (open loop)")
 		duration = flag.Duration("duration", 5*time.Second, "how long to generate arrivals")

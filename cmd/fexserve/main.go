@@ -101,7 +101,7 @@ func main() {
 		itemsPath   = flag.String("items", "", "FXP1 item factor file (optional if -dim given)")
 		dim         = flag.Int("dim", 0, "dimension for an empty starting catalog")
 		addr        = flag.String("addr", ":8080", "listen address")
-		variant     = flag.String("variant", "F-SIR", "FEXIPRO variant")
+		variant     = flag.String("variant", "F-SIR", "FEXIPRO variant: "+core.VariantNames)
 		methodMode  = flag.String("method", "fexipro", "search strategy: fexipro (always the index) or auto (cost-based planner routing each query to the index or a live-catalog scan, DESIGN.md §16)")
 		logFormat   = flag.String("log-format", "text", "structured log format: text|json")
 		enablePprof = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")

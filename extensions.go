@@ -103,16 +103,10 @@ type Dynamic struct {
 // FEXIPRO variant used for the indexed tier plus the shard/worker
 // configuration.
 func NewDynamic(initial *Matrix, opts Options) (*Dynamic, error) {
-	variant := opts.Variant
-	if variant == "" {
-		variant = "F-SIR"
-	}
-	copts, err := core.OptionsForVariant(variant)
+	copts, err := opts.internal()
 	if err != nil {
 		return nil, err
 	}
-	copts.Rho, copts.E, copts.W = opts.Rho, opts.E, opts.W
-	copts.CompactInts = opts.CompactInts
 	shards, workers := opts.Shards, opts.Workers
 	if shards < 1 {
 		shards = 1

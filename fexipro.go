@@ -178,7 +178,7 @@ func (w wrap) Search(q []float64, k int) []Result {
 }
 
 func (w wrap) SearchContext(ctx context.Context, q []float64, k int) ([]Result, error) {
-	res, err := search.WithContext(w.s).SearchContext(ctx, q, k)
+	res, err := w.s.SearchContext(ctx, q, k)
 	return convertResults(res), err
 }
 

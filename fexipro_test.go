@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"fexipro"
@@ -114,9 +115,13 @@ func TestVariantOptions(t *testing.T) {
 	if _, err := fexipro.New(items, fexipro.Options{Variant: "bogus"}); err == nil {
 		t.Fatal("expected error for bad variant")
 	}
-	for _, e := range []float64{math.NaN(), math.Inf(1), 1e300} {
-		if _, err := fexipro.New(items, fexipro.Options{E: e}); err == nil {
-			t.Fatalf("expected error for E = %v", e)
+	// E = 32766 is the last whose floors fit the int16 tail.
+	if _, err := fexipro.New(items, fexipro.Options{E: 32766}); err != nil {
+		t.Fatalf("E = 32766: %v", err)
+	}
+	for _, e := range []float64{math.NaN(), math.Inf(1), 1e300, 32767, 1e6, 1e9} {
+		if _, err := fexipro.New(items, fexipro.Options{E: e}); err == nil || !strings.Contains(err.Error(), "Options.E") {
+			t.Fatalf("E = %v: err = %v, want one naming Options.E", e, err)
 		}
 	}
 	for _, rho := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"io"
 	"math/rand"
 	"testing"
 
@@ -9,23 +10,18 @@ import (
 )
 
 // Every ablation combination must remain EXACT — the switches trade
-// speed, never correctness.
+// speed, never correctness — and must not be persistable: a snapshot has
+// no field that could tell a reader how the index was built.
 func TestAblationsExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(130))
 	items, _ := searchtest.RandomInstance(rng, 500, 16)
 	base := core.Options{SVD: true, Int: true, Reduction: true}
-	variants := map[string]core.Options{
-		"global-int-scaling": func() core.Options { o := base; o.GlobalIntScaling = true; return o }(),
-		"reduction-first":    func() core.Options { o := base; o.ReductionFirst = true; return o }(),
-		"unsorted":           func() core.Options { o := base; o.Unsorted = true; return o }(),
-		"all-ablations": func() core.Options {
-			o := base
-			o.GlobalIntScaling, o.ReductionFirst, o.Unsorted = true, true, true
-			return o
-		}(),
-	}
-	for name, opts := range variants {
-		idx, err := core.NewIndex(items, opts)
+	for name, ab := range map[string]core.Ablation{
+		"global-int-scaling": {GlobalIntScaling: true},
+		"reduction-first":    {ReductionFirst: true},
+		"both":               {GlobalIntScaling: true, ReductionFirst: true},
+	} {
+		idx, err := core.NewAblationIndex(items, base, ab)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -37,34 +33,9 @@ func TestAblationsExact(t *testing.T) {
 			}
 			searchtest.CheckTopK(t, items, q, 5, r.Search(q, 5), name)
 		}
-	}
-}
-
-// Sorting must dominate the unsorted scan in length-pruning efficiency:
-// the unsorted variant cannot early-terminate, so it scans at least as
-// many candidates.
-func TestUnsortedScansMore(t *testing.T) {
-	rng := rand.New(rand.NewSource(131))
-	items, q := searchtest.RandomInstance(rng, 3000, 12)
-	base := core.Options{SVD: true, Int: true, Reduction: true}
-
-	sorted, err := core.NewIndex(items, base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	o := base
-	o.Unsorted = true
-	unsorted, err := core.NewIndex(items, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	rs := core.NewRetriever(sorted)
-	ru := core.NewRetriever(unsorted)
-	rs.Search(q, 1)
-	ru.Search(q, 1)
-	if ru.Stats().Scanned < rs.Stats().Scanned {
-		t.Fatalf("unsorted scanned %d < sorted %d", ru.Stats().Scanned, rs.Stats().Scanned)
+		if err := idx.Save(io.Discard); err == nil {
+			t.Fatalf("%s: Save wrote an ablation index", name)
+		}
 	}
 }
 
@@ -78,9 +49,7 @@ func TestPerPartScalingPrunesAtLeastAsWell(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	o := base
-	o.GlobalIntScaling = true
-	global, err := core.NewIndex(items, o)
+	global, err := core.NewAblationIndex(items, base, core.Ablation{GlobalIntScaling: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,48 +68,4 @@ func TestPerPartScalingPrunesAtLeastAsWell(t *testing.T) {
 	if fullPer > fullGlob {
 		t.Fatalf("per-part scaling computed MORE full products (%d) than global (%d)", fullPer, fullGlob)
 	}
-}
-
-// CompactInts (int16 floors) must be exact and produce identical pruning
-// decisions to the int32 representation.
-func TestCompactIntsExact(t *testing.T) {
-	rng := rand.New(rand.NewSource(133))
-	items, _ := searchtest.RandomInstance(rng, 800, 20)
-	wide, err := core.NewIndex(items, core.Options{SVD: true, Int: true, Reduction: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	compact, err := core.NewIndex(items, core.Options{SVD: true, Int: true, Reduction: true, CompactInts: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rw, rc := core.NewRetriever(wide), core.NewRetriever(compact)
-	for trial := 0; trial < 10; trial++ {
-		q := make([]float64, 20)
-		for j := range q {
-			q[j] = rng.NormFloat64()
-		}
-		got := rc.Search(q, 5)
-		searchtest.CheckTopK(t, items, q, 5, got, "compact-ints")
-		rw.Search(q, 5)
-		if rw.Stats() != rc.Stats() {
-			t.Fatalf("pruning decisions diverged: %+v vs %+v", rw.Stats(), rc.Stats())
-		}
-	}
-}
-
-// E too large for int16 must silently fall back to int32 and stay exact.
-func TestCompactIntsOverflowFallback(t *testing.T) {
-	rng := rand.New(rand.NewSource(134))
-	items, _ := searchtest.RandomInstance(rng, 200, 10)
-	idx, err := core.NewIndex(items, core.Options{SVD: true, Int: true, CompactInts: true, E: 1e6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := core.NewRetriever(idx)
-	q := make([]float64, 10)
-	for j := range q {
-		q[j] = rng.NormFloat64()
-	}
-	searchtest.CheckTopK(t, items, q, 3, r.Search(q, 3), "compact-fallback")
 }

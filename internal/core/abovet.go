@@ -44,12 +44,8 @@ func (r *Retriever) SearchAboveContext(ctx context.Context, q []float64, t float
 			}
 		}
 		if qs.qNorm*idx.norms[i] < t {
-			if !idx.opts.Unsorted {
-				r.stats.PrunedByLength += idx.n - i
-				break
-			}
-			r.stats.PrunedByLength++
-			continue
+			r.stats.PrunedByLength += idx.n - i
+			break
 		}
 		r.stats.Scanned++
 		// The cascade prunes only when a bound drops BELOW t (strictly,

@@ -1,11 +1,15 @@
 package core
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -65,53 +69,49 @@ func sameScan(t testing.TB, idx *Index, qs *queryState, lo, hi, k int, seed seed
 // row survives every block), collectors that start full so the first
 // offers raise the threshold in the middle of a block, S ∈ {1,2,3,7}
 // shards scanned in order against one shared threshold (what a
-// one-worker engine does), and the CompactInts option.
+// one-worker engine does).
 func TestBlockedScanMatchesPerItem(t *testing.T) {
 	const n = 20000
 	for _, p := range []data.Profile{data.MovieLens(), data.Netflix()} {
 		ds := data.Generate(p, n, 12, 50)
-		for _, opts := range []Options{
-			{SVD: true, Int: true, Reduction: true},
-			{SVD: true, Int: true, Reduction: true, CompactInts: true},
-		} {
-			idx, err := NewIndex(ds.Items, opts)
-			if err != nil {
+		opts := Options{SVD: true, Int: true, Reduction: true}
+		idx, err := NewIndex(ds.Items, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		qs := idx.newQueryState()
+		for qi := 0; qi < ds.Queries.Rows; qi++ {
+			what := fmt.Sprintf("%s %+v query %d", p.Name, opts, qi)
+			idx.prepareQuery(ds.Queries.Row(qi), qs)
+			if !qs.headFirst {
+				t.Fatal("F-SIR query state does not select the blocked scan")
+			}
+			for _, k := range []int{1, 10, 50} {
+				for _, r := range [][2]int{{0, n}, {3, n - 5}, {17, 10007}, {4999, 5001}, {31, 48}} {
+					sameScan(t, idx, qs, r[0], r[1], k, nil, nil, nil, what)
+				}
+			}
+			if qi < 2 {
+				sameScan(t, idx, qs, 0, n, n+3, nil, nil, nil, what)
+				sameScan(t, idx, qs, 5, 1000, n+3, nil, nil, nil, what)
+			}
+			// A heap that is full from the start, at the score of the
+			// 40th-best row: the rows that beat it are offered, and
+			// raise the threshold, wherever in a block they sit.
+			top := topk.New(40)
+			var st search.Stats
+			if err := idx.scanPerItem(context.Background(), nil, qs, 0, n, top, nil, &st); err != nil {
 				t.Fatal(err)
 			}
-			qs := idx.newQueryState()
-			for qi := 0; qi < ds.Queries.Rows; qi++ {
-				what := fmt.Sprintf("%s %+v query %d", p.Name, opts, qi)
-				idx.prepareQuery(ds.Queries.Row(qi), qs)
-				if !qs.headFirst {
-					t.Fatal("F-SIR query state does not select the blocked scan")
-				}
-				for _, k := range []int{1, 10, 50} {
-					for _, r := range [][2]int{{0, n}, {3, n - 5}, {17, 10007}, {4999, 5001}, {31, 48}} {
-						sameScan(t, idx, qs, r[0], r[1], k, nil, nil, nil, what)
-					}
-				}
-				if qi < 2 {
-					sameScan(t, idx, qs, 0, n, n+3, nil, nil, nil, what)
-					sameScan(t, idx, qs, 5, 1000, n+3, nil, nil, nil, what)
-				}
-				// A heap that is full from the start, at the score of the
-				// 40th-best row: the rows that beat it are offered, and
-				// raise the threshold, wherever in a block they sit.
-				top := topk.New(40)
-				var st search.Stats
-				if err := idx.scanPerItem(context.Background(), nil, qs, 0, n, top, nil, &st); err != nil {
-					t.Fatal(err)
-				}
-				for _, lo := range []int{0, 1, 7, 15} {
-					sameScan(t, idx, qs, lo, n, 10, seedAt(10, top.Threshold()), nil, nil, what+" seeded")
-				}
-				for _, shards := range []int{1, 2, 3, 7} {
-					part := engine.NewPartition(n, shards)
-					var shB, shP search.SharedThreshold
-					for s := 0; s < shards; s++ {
-						lo, hi := part.Range(s)
-						sameScan(t, idx, qs, lo, hi, 10, nil, &shB, &shP, fmt.Sprintf("%s S=%d shard %d", what, shards, s))
-					}
+			for _, lo := range []int{0, 1, 7, 15} {
+				sameScan(t, idx, qs, lo, n, 10, seedAt(10, top.Threshold()), nil, nil, what+" seeded")
+			}
+			for _, shards := range []int{1, 2, 3, 7} {
+				part := engine.NewPartition(n, shards)
+				var shB, shP search.SharedThreshold
+				for s := 0; s < shards; s++ {
+					lo, hi := part.Range(s)
+					sameScan(t, idx, qs, lo, hi, 10, nil, &shB, &shP, fmt.Sprintf("%s S=%d shard %d", what, shards, s))
 				}
 			}
 		}
@@ -222,7 +222,7 @@ func TestBlockedScanWordCounts(t *testing.T) {
 		{9, 3, 100}, {15, 5, 100}, {18, 6, 100}, {21, 7, 100}, // specialised
 		{12, 4, 100}, {2, 1, 100}, // generic, 3×21
 		{9, 5, 1000}, {10, 5, 1000}, // 2×32 at a specialised word count
-		{5, 5, 1e6}, {7, 7, 1e6}, {4, 4, 1e6}, // 1×64
+		{5, 5, 32766}, {7, 7, 32766}, {4, 4, 32766}, // 1×64, at the largest E there is
 	} {
 		idx, err := NewIndex(items, Options{Int: true, W: tc.w, E: tc.e})
 		if err != nil {
@@ -266,49 +266,23 @@ func TestBlockedScanWordCounts(t *testing.T) {
 	}
 }
 
-// TestScanRangeDispatch: the blocked loop carries neither the Unsorted
-// length test nor per-item fault hooks, so scanRange must hand both to
-// scanPerItem. An Unsorted scan that reached scanBlocked would stop at
-// the first short row; a hooked scan that did would call the hook once
-// per block instead of once per row.
+// TestScanRangeDispatch: the blocked loop does not carry per-item fault
+// hooks, so scanRange must hand a hooked scan to scanPerItem; one that
+// reached scanBlocked would call the hook once per block instead of once
+// per row.
 func TestScanRangeDispatch(t *testing.T) {
 	const n, k = 3000, 10
 	ds := data.Generate(data.MovieLens(), n, 4, 50)
-	ctx := context.Background()
-
-	unsorted, err := NewIndex(ds.Items, Options{SVD: true, Int: true, Reduction: true, Unsorted: true})
+	idx, err := NewIndex(ds.Items, Options{SVD: true, Int: true, Reduction: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sorted, err := NewIndex(ds.Items, Options{SVD: true, Int: true, Reduction: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	qsU, qsS := unsorted.newQueryState(), sorted.newQueryState()
+	qs := idx.newQueryState()
 	for qi := 0; qi < ds.Queries.Rows; qi++ {
-		unsorted.prepareQuery(ds.Queries.Row(qi), qsU)
-		if !qsU.headFirst {
-			t.Fatal("Unsorted F-SIR query state lost headFirst; the dispatch is not what keeps it off the blocked loop")
-		}
-		var got, want search.Stats
-		cGot, cWant := topk.New(k), topk.New(k)
-		if err := unsorted.scanRange(ctx, nil, qsU, 0, n, cGot, nil, &got); err != nil {
-			t.Fatal(err)
-		}
-		if err := unsorted.scanPerItem(ctx, nil, qsU, 0, n, cWant, nil, &want); err != nil {
-			t.Fatal(err)
-		}
-		if got != want || !reflect.DeepEqual(cGot.Results(), cWant.Results()) {
-			t.Fatalf("query %d Unsorted: scanRange %+v, scanPerItem %+v", qi, got, want)
-		}
-		if got.Scanned+got.PrunedByLength != n || got.PrunedByLength == 0 {
-			t.Fatalf("query %d Unsorted: %+v does not count each of %d rows once, some by length", qi, got, n)
-		}
-
-		sorted.prepareQuery(ds.Queries.Row(qi), qsS)
+		idx.prepareQuery(ds.Queries.Row(qi), qs)
 		hook := faults.NewRegistry(1).Enable(faults.SiteScan, faults.Plan{})
 		var st search.Stats
-		if err := sorted.scanRange(ctx, hook, qsS, 0, n, topk.New(k), nil, &st); err != nil {
+		if err := idx.scanRange(context.Background(), hook, qs, 0, n, topk.New(k), nil, &st); err != nil {
 			t.Fatal(err)
 		}
 		visited := st.Scanned
@@ -430,9 +404,8 @@ func TestBlockedScanFaultHookPerItem(t *testing.T) {
 
 // TestPackedHeadMatchesFloors: on a built index the packed head bound of
 // every row equals Theorem 2's IU^ℓ computed by vec.DotInt64 on the
-// unpacked floors — for each packed layout, the compact tail storage,
-// and items whose head coordinates sit at ±max, where e·v/max may floor
-// to −e−1.
+// unpacked floors — for each packed layout and for items whose head
+// coordinates sit at ±max, where e·v/max may floor to −e−1.
 func TestPackedHeadMatchesFloors(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	const n, d = 300, 24
@@ -451,9 +424,8 @@ func TestPackedHeadMatchesFloors(t *testing.T) {
 	sawLowest := false
 	for _, opts := range []Options{
 		{Int: true, W: 7},
-		{Int: true, W: 7, CompactInts: true},
 		{Int: true, W: 7, E: 1000},
-		{Int: true, W: 7, E: 1e6},
+		{Int: true, W: 7, E: 32766},
 		{Int: true, W: d},
 		{SVD: true, Int: true, Reduction: true},
 	} {
@@ -474,7 +446,7 @@ func TestPackedHeadMatchesFloors(t *testing.T) {
 			}
 			idx.prepareQuery(q, qs)
 			var qSumAbs int64
-			for _, f := range qs.qFloors[:w] {
+			for _, f := range qs.qFloors {
 				qSumAbs += abs64(int64(f))
 			}
 			for i := 0; i < n; i++ {
@@ -482,7 +454,7 @@ func TestPackedHeadMatchesFloors(t *testing.T) {
 				for _, f := range floors[:w] {
 					sawLowest = sawLowest || int64(f) == -id.lay.Offset()
 				}
-				iu := vec.DotInt64(qs.qFloors[:w], floors[:w]) + qSumAbs + sumAbs + int64(w)
+				iu := vec.DotInt64(qs.qFloors, floors[:w]) + qSumAbs + sumAbs + int64(w)
 				if got, want := idx.headBound(qs, i).bHead, float64(iu)*qs.headFactor; got != want {
 					t.Fatalf("%+v row %d: packed head bound %v, from floors %v", opts, i, got, want)
 				}
@@ -503,7 +475,7 @@ func TestNewIndexRejectsBadOptions(t *testing.T) {
 	for i := range items.Data {
 		items.Data[i] = float64(i%7) - 3
 	}
-	for _, e := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 1e9, 1e300} {
+	for _, e := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 1e300} {
 		if _, err := NewIndex(items, Options{SVD: true, Int: true, E: e}); err == nil {
 			t.Fatalf("E = %v accepted", e)
 		}
@@ -511,7 +483,8 @@ func TestNewIndexRejectsBadOptions(t *testing.T) {
 	if _, err := NewIndex(items, Options{SVD: true, E: math.NaN()}); err == nil {
 		t.Fatal("E = NaN accepted without the integer bound")
 	}
-	for _, e := range []float64{0, -1, 10, 1000, 1e6} {
+	// 3×21, 2×32 and 1×64 head layouts; TestEBoundary has the edge.
+	for _, e := range []float64{0, -1, 10, 1000, 20000} {
 		if _, err := NewIndex(items, Options{SVD: true, Int: true, E: e}); err != nil {
 			t.Fatalf("E = %v: %v", e, err)
 		}
@@ -538,35 +511,165 @@ func TestNewIndexRejectsBadOptions(t *testing.T) {
 	}
 }
 
+// TestEBoundary: the tail floors are int16, so E = 32766 (o = 32767) is
+// the largest that builds — on the 1×64 head layout at every w, still
+// exact — and anything above is refused by name wherever Options come
+// in: NewIndex, NewDynamicIndex, and a snapshot whose dyn.meta carries
+// such an E (a parent with int32 tails could write one).
+func TestEBoundary(t *testing.T) {
+	rng := rand.New(rand.NewSource(32766))
+	const n, d = 300, 6
+	items := normalMatrix(rng, n, d)
+	for w := 1; w <= d; w++ {
+		idx, err := NewIndex(items, Options{SVD: true, Int: true, Reduction: true, E: 32766, W: w})
+		if err != nil {
+			t.Fatalf("E = 32766, W = %d: %v", w, err)
+		}
+		if idx.ints.nw != w || idx.ints.lay.Offset() != math.MaxInt16 {
+			t.Fatalf("E = 32766, W = %d: %d head words at offset %d, want one per floor at 32767", w, idx.ints.nw, idx.ints.lay.Offset())
+		}
+		r := NewRetriever(idx)
+		for trial := 0; trial < 10; trial++ {
+			q := normalMatrix(rng, 1, d).Data
+			got, want := r.Search(q, 5), naiveLive(items, func(int) bool { return false }, q, 5)
+			for i := range want {
+				if got[i].ID != want[i].ID || math.Abs(got[i].Score-want[i].Score) > 1e-9 {
+					t.Fatalf("E = 32766, W = %d: got %v, naive %v", w, got, want)
+				}
+			}
+		}
+	}
+	good, err := NewDynamicIndex(items, Options{SVD: true, Int: true, Reduction: true}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range []float64{32767, 1e6, 1e9} {
+		opts := Options{SVD: true, Int: true, Reduction: true, E: e}
+		if _, err := NewIndex(items, opts); err == nil || !strings.Contains(err.Error(), "Options.E") {
+			t.Fatalf("NewIndex, E = %v: %v, want an error naming Options.E", e, err)
+		}
+		if _, err := NewDynamicIndex(items, opts, 0); !errors.Is(err, ErrRebuild) || !strings.Contains(err.Error(), "Options.E") {
+			t.Fatalf("NewDynamicIndex, E = %v: %v, want ErrRebuild naming Options.E", e, err)
+		}
+		state := craft(good)
+		state.opts.E = e
+		if _, _, err := LoadSnapshot(bytes.NewReader(state.snapshot(t)), 1); !errors.Is(err, ErrRebuild) || !strings.Contains(err.Error(), "Options.E") {
+			t.Fatalf("LoadSnapshot, E = %v: %v, want ErrRebuild naming Options.E", e, err)
+		}
+	}
+}
+
 // TestDecodeIntDataRejectsLies: an idx.ints section that parses but whose
-// floors leave the packed range, or disagree with their stored sums, is
-// corruption.
+// floors leave the range E allows, or disagree with their stored sums,
+// is corruption — in either encoding of the floors.
 func TestDecodeIntDataRejectsLies(t *testing.T) {
 	const n, d, w = 2, 3, 2
+	narrow := false
 	encode := func(floors []int32, sumAbsHead, sumAbsTail []int64) *snap.Decoder {
 		var e snap.Encoder
 		e.F64(100)
 		for i := 0; i < 4; i++ {
 			e.F64(1)
 		}
-		e.Bool(false)
-		e.Int32s(floors)
+		e.Bool(narrow)
+		if narrow {
+			floors16 := make([]int16, len(floors))
+			for i, f := range floors {
+				floors16[i] = int16(f)
+			}
+			e.Int16s(floors16)
+		} else {
+			e.Int32s(floors)
+		}
 		e.Int64s(sumAbsHead)
 		e.Int64s(sumAbsTail)
 		return snap.NewDecoder(e.Bytes())
 	}
 	good := []int32{-101, 100, 7, 1, -2, -3}
-	if _, err := decodeIntData(encode(good, []int64{201, 3}, []int64{7, 3}), n, d, w); err != nil {
-		t.Fatalf("consistent section rejected: %v", err)
-	}
-	for name, dec := range map[string]*snap.Decoder{
-		"head floor out of range": encode([]int32{-102, 100, 7, 1, -2, -3}, []int64{202, 3}, []int64{7, 3}),
-		"head sum mismatch":       encode(good, []int64{200, 3}, []int64{7, 3}),
-		"tail sum mismatch":       encode(good, []int64{201, 3}, []int64{7, 4}),
-		"short floors":            encode(good[:5], []int64{201, 3}, []int64{7, 3}),
-	} {
-		if _, err := decodeIntData(dec, n, d, w); !errors.Is(err, snap.ErrChecksum) {
-			t.Fatalf("%s: err = %v, want ErrChecksum", name, err)
+	for _, narrow = range []bool{false, true} {
+		if _, err := decodeIntData(encode(good, []int64{201, 3}, []int64{7, 3}), n, d, w); err != nil {
+			t.Fatalf("consistent section rejected: %v", err)
 		}
+		for name, dec := range map[string]*snap.Decoder{
+			"head floor out of range": encode([]int32{-102, 100, 7, 1, -2, -3}, []int64{202, 3}, []int64{7, 3}),
+			"tail floor out of range": encode([]int32{-101, 100, 101, 1, -2, -3}, []int64{201, 3}, []int64{101, 3}),
+			"head sum mismatch":       encode(good, []int64{200, 3}, []int64{7, 3}),
+			"tail sum mismatch":       encode(good, []int64{201, 3}, []int64{7, 4}),
+			"short floors":            encode(good[:5], []int64{201, 3}, []int64{7, 3}),
+		} {
+			if _, err := decodeIntData(dec, n, d, w); !errors.Is(err, snap.ErrChecksum) {
+				t.Fatalf("%s (int16 floors: %v): err = %v, want ErrChecksum", name, narrow, err)
+			}
+		}
+	}
+	// Only an int32 file can hold a floor no int16 does: it must be refused,
+	// not wrapped around into range (40000 − 65536 = −25536 would pass at
+	// E = 32766).
+	e := 32766.0
+	var enc snap.Encoder
+	enc.F64(e)
+	for i := 0; i < 4; i++ {
+		enc.F64(1)
+	}
+	enc.Bool(false)
+	enc.Int32s([]int32{1, 2, 40000, 1, -2, -3})
+	enc.Int64s([]int64{3, 3})
+	enc.Int64s([]int64{40000, 3})
+	if _, err := decodeIntData(snap.NewDecoder(enc.Bytes()), n, d, w); !errors.Is(err, snap.ErrChecksum) {
+		t.Fatalf("int32 floor 40000: err = %v, want ErrChecksum", err)
+	}
+}
+
+// TestInt32TailFixture: testdata/fexidx_int32_tail.snap was written by
+// Index.Save while the tail floors were int32 in memory and on disk (60×8
+// standard normal rows from rand.NewSource(31), F-SIR). It must load into
+// the index a fresh build gives — same answers, score bits and counters,
+// the int16 tail making the very pruning decisions the int32 one made —
+// re-save as that build saves, in the int16 encoding, and be refused once
+// a floor in it is one no int16 tail could have produced.
+func TestInt32TailFixture(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("testdata", "fexidx_int32_tail.snap"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := ReadIndex(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(31))
+	const n, d = 60, 8
+	fresh, err := NewIndex(normalMatrix(rng, n, d), Options{SVD: true, Int: true, Reduction: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rl, rf := NewRetriever(loaded), NewRetriever(fresh)
+	for i := 0; i < 50; i++ {
+		q := normalMatrix(rng, 1, d).Data
+		got, want := rl.Search(q, 5), rf.Search(q, 5)
+		if !reflect.DeepEqual(got, want) || rl.Stats() != rf.Stats() {
+			t.Fatalf("query %d: loaded %v %+v, fresh %v %+v", i, got, rl.Stats(), want, rf.Stats())
+		}
+	}
+	var resaved, built bytes.Buffer
+	if err := loaded.Save(&resaved); err != nil {
+		t.Fatal(err)
+	}
+	if err := fresh.Save(&built); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(resaved.Bytes(), built.Bytes()) || resaved.Len() != len(raw)-2*n*d {
+		t.Fatalf("re-saved %d bytes, a fresh build saves %d, the int32 file is %d", resaved.Len(), built.Len(), len(raw))
+	}
+
+	// idx.ints: e, two maxima, two scales, the encoding flag, the floors'
+	// length, then n·d floors of four bytes; the last of row 0 is a tail one.
+	lying := withSection(t, raw, secIdxInts, func(p []byte) {
+		if p[5*8] != 0 {
+			t.Fatal("the fixture's floors are not in the int32 encoding")
+		}
+		binary.LittleEndian.PutUint32(p[5*8+1+8+4*(d-1):], 40000)
+	})
+	if _, err := ReadIndex(bytes.NewReader(lying)); !errors.Is(err, snap.ErrChecksum) {
+		t.Fatalf("floor patched to 40000: err = %v, want ErrChecksum", err)
 	}
 }

@@ -29,17 +29,15 @@ func refNewIndex(items *vec.Matrix, opts Options) (*Index, error) {
 	for i := range idx.perm {
 		idx.perm[i] = i
 	}
-	if !opts.Unsorted {
-		norms := make([]float64, items.Rows)
-		for i := range norms {
-			norms[i] = vec.Norm(items.Row(i))
-		}
-		sort.SliceStable(idx.perm, func(a, b int) bool {
-			return norms[idx.perm[a]] > norms[idx.perm[b]]
-		})
-		for newIdx, origIdx := range idx.perm {
-			copy(sorted.Row(newIdx), items.Row(origIdx))
-		}
+	norms := make([]float64, items.Rows)
+	for i := range norms {
+		norms[i] = vec.Norm(items.Row(i))
+	}
+	sort.SliceStable(idx.perm, func(a, b int) bool {
+		return norms[idx.perm[a]] > norms[idx.perm[b]]
+	})
+	for newIdx, origIdx := range idx.perm {
+		copy(sorted.Row(newIdx), items.Row(origIdx))
 	}
 	idx.norms = make([]float64, sorted.Rows)
 	for i := range idx.norms {
@@ -64,7 +62,7 @@ func refNewIndex(items *vec.Matrix, opts Options) (*Index, error) {
 		idx.barTail[i] = vec.NormRange(idx.bar.Row(i), idx.w, idx.d)
 	}
 	if opts.Int {
-		ints, err := refBuildIntData(idx.bar, idx.w, opts.E, opts.GlobalIntScaling, opts.CompactInts && opts.E <= 16000)
+		ints, err := refBuildIntData(idx.bar, idx.w, opts.E)
 		if err != nil {
 			return nil, err
 		}
@@ -140,9 +138,9 @@ func refDecompose(items *vec.Matrix, rankTol float64) (*svd.Thin, error) {
 	return &svd.Thin{U: u, Sigma: sigma, V1: v1}, nil
 }
 
-func refBuildIntData(bar *vec.Matrix, w int, e float64, globalScaling, compact bool) (*intData, error) {
+func refBuildIntData(bar *vec.Matrix, w int, e float64) (*intData, error) {
 	n, d := bar.Rows, bar.Cols
-	id, err := newIntData(n, d, w, e, compact)
+	id, err := newIntData(n, d, w, e)
 	if err != nil {
 		return nil, err
 	}
@@ -154,10 +152,6 @@ func refBuildIntData(bar *vec.Matrix, w int, e float64, globalScaling, compact b
 		if t := vec.AbsMaxRange(row, w, d); t > id.maxTail {
 			id.maxTail = t
 		}
-	}
-	if globalScaling {
-		m := math.Max(id.maxHead, id.maxTail)
-		id.maxHead, id.maxTail = m, m
 	}
 	id.headScale = id.maxHead / e
 	id.tailScale = id.maxTail / e
@@ -177,7 +171,7 @@ func refBuildIntData(bar *vec.Matrix, w int, e float64, globalScaling, compact b
 			f[s] = int32(math.Floor(scaled))
 		}
 		if _, ok := id.setRow(i, w, f); !ok {
-			return nil, fmt.Errorf("core: head floor of row %d outside ±(⌈E⌉+1)", i)
+			return nil, fmt.Errorf("core: floor of row %d outside ±(⌈E⌉+1)", i)
 		}
 	}
 	return id, nil
@@ -279,13 +273,12 @@ func identityCatalog(shape string, n, d int) *vec.Matrix {
 
 // TestNewIndexMatchesSequentialReference pins the parallel, blocked
 // build to the sequential one byte for byte: Index.Save of NewIndex
-// equals Index.Save of refNewIndex for every pruning variant and
-// ablation, on both dataset shapes plus tied norms and a rank-deficient
+// equals Index.Save of refNewIndex for every pruning variant, on both
+// dataset shapes plus tied norms and a rank-deficient
 // P, across the row counts that exercise the 4-row and 2-row tails and
 // both sides of the parallel threshold, at every GOMAXPROCS.
 func TestNewIndexMatchesSequentialReference(t *testing.T) {
 	sir := Options{SVD: true, Int: true, Reduction: true}
-	with := func(set func(*Options)) Options { o := sir; set(&o); return o }
 	// Ordered so that every third variant is one that builds something
 	// the others do not (the subset the larger sizes run).
 	variants := []struct {
@@ -295,15 +288,12 @@ func TestNewIndexMatchesSequentialReference(t *testing.T) {
 		{"F-SIR", sir},
 		{"F-I", Options{Int: true}},
 		{"F-R", Options{Reduction: true}},
-		{"F-SIR/CompactInts", with(func(o *Options) { o.CompactInts = true })},
 		{"F-S", Options{SVD: true}},
 		{"F-SI", Options{SVD: true, Int: true}},
-		{"F-SIR/Unsorted", with(func(o *Options) { o.Unsorted = true })},
 		{"F-SR", Options{SVD: true, Reduction: true}},
+		{"F-SIR/W=3", Options{SVD: true, Int: true, Reduction: true, W: 3}},
 		{"F-IR", Options{Int: true, Reduction: true}},
-		{"F-SIR/GlobalIntScaling", with(func(o *Options) { o.GlobalIntScaling = true })},
 		{"F", Options{}},
-		{"F-SIR/W=3", with(func(o *Options) { o.W = 3 })},
 	}
 	// Every variant wherever it is cheap — d ∈ {1, 7} below the parallel
 	// threshold — and at n = 4099, d = 50 on the MovieLens shape, where
@@ -414,11 +404,11 @@ func firstFieldThatDiffers(a, b *Index) string {
 		case !floats([]float64{x.e, x.maxHead, x.maxTail, x.headScale, x.tailScale},
 			[]float64{y.e, y.maxHead, y.maxTail, y.headScale, y.tailScale}):
 			return "ints scales"
-		case x.lay != y.lay || x.nw != y.nw || x.compact != y.compact:
+		case x.lay != y.lay || x.nw != y.nw:
 			return "ints layout"
 		case !slices.Equal(x.head, y.head) || !slices.Equal(x.headConst, y.headConst):
 			return "ints head"
-		case !slices.Equal(x.floors, y.floors) || !slices.Equal(x.floors16, y.floors16) || !slices.Equal(x.sumAbsTail, y.sumAbsTail):
+		case !slices.Equal(x.tail, y.tail) || !slices.Equal(x.sumAbsTail, y.sumAbsTail):
 			return "ints tail"
 		}
 	}

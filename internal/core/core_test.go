@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"fexipro/internal/core"
@@ -95,28 +96,24 @@ func TestExactAcrossW(t *testing.T) {
 }
 
 func TestVariantParsing(t *testing.T) {
-	cases := map[string]core.Options{
-		"F-S":   {SVD: true},
-		"F-I":   {Int: true},
-		"F-SI":  {SVD: true, Int: true},
-		"F-SR":  {SVD: true, Reduction: true},
-		"F-SIR": {SVD: true, Int: true, Reduction: true},
-		"sir":   {SVD: true, Int: true, Reduction: true},
-	}
-	for name, want := range cases {
+	for name, want := range map[string]string{
+		"F-S": "F-S", "F-I": "F-I", "F-SI": "F-SI", "F-SR": "F-SR", "F-SIR": "F-SIR",
+		"f": "F", "sir": "F-SIR", "F-IR": "F-IR", "F-R": "F-R", "f-si": "F-SI",
+	} {
 		got, err := core.OptionsForVariant(name)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if got.SVD != want.SVD || got.Int != want.Int || got.Reduction != want.Reduction {
-			t.Fatalf("%s parsed to %+v", name, got)
+		if got.Variant() != want || got != (core.Options{SVD: got.SVD, Int: got.Int, Reduction: got.Reduction}) {
+			t.Fatalf("%s parsed to %+v (%s), want %s with default parameters", name, got, got.Variant(), want)
 		}
 	}
-	if _, err := core.OptionsForVariant("F-X"); err == nil {
-		t.Fatal("expected error for unknown variant")
-	}
-	if got := (core.Options{SVD: true, Int: true, Reduction: true}).Variant(); got != "F-SIR" {
-		t.Fatalf("Variant() = %q", got)
+	// F-SRI is the name of the other check order, not a spelling of F-SIR;
+	// the rest are empty, repeated, unordered or foreign letters.
+	for _, name := range []string{"", "F-", "F-SRI", "F-SS", "-", "F-F", "FSIR", "F-X", "F-RS", "F-SIRS"} {
+		if got, err := core.OptionsForVariant(name); err == nil || !strings.Contains(err.Error(), "unknown variant") {
+			t.Fatalf("%q parsed to %+v, err = %v; want an unknown-variant error", name, got, err)
+		}
 	}
 	if got := (core.Options{}).Variant(); got != "F" {
 		t.Fatalf("Variant() = %q", got)

@@ -30,6 +30,8 @@ type Index struct {
 
 	ints *intData // nil unless opts.Int
 	red  *redData // nil unless opts.Reduction
+
+	ablation Ablation // zero for every index NewIndex or ReadIndex returns
 }
 
 // intData holds the scaled integer approximation of Section 4.2 with the
@@ -37,8 +39,8 @@ type Index struct {
 // [−o, o−1] with o = ⌈e⌉+1 (e·v/max at v = −max can round to just below
 // −e). The w head floors of a row exist only packed (vec.PackedLayout,
 // DESIGN.md §3) so the head bound of Eq. 6 is one short multiply-add
-// chain; the d−w tail floors stay plain, in exactly one of floors
-// (int32) or floors16 (compact int16, Options.CompactInts).
+// chain; the d−w tail floors are plain int16, which is why newIntData
+// holds o to 32767 (the paper sweeps e ≤ 1000, Figure 11).
 type intData struct {
 	e                    float64
 	maxHead, maxTail     float64 // max |p̄_s| over s<w resp. s≥w, across all items
@@ -49,9 +51,7 @@ type intData struct {
 	head      []uint64 // n×nw packed head floors, item field order
 	headConst []int64  // Σ_{s<w} |⌊p̂_s⌋| − o·Σ_{s<w} ⌊p̂_s⌋ + w per row
 
-	compact    bool
-	floors     []int32 // n×(d−w) tail floors, row-major
-	floors16   []int16 // compact alternative to floors
+	tail       []int16 // n×(d−w) tail floors, row-major
 	sumAbsTail []int64 // Σ_{s≥w} |⌊p̂_s⌋| per row
 }
 
@@ -87,6 +87,10 @@ type redData struct {
 // the SVD cannot transform losslessly with an ErrIllConditioned-wrapping
 // one.
 func NewIndex(items *vec.Matrix, opts Options) (*Index, error) {
+	return newIndex(items, opts, Ablation{})
+}
+
+func newIndex(items *vec.Matrix, opts Options, ab Ablation) (*Index, error) {
 	// withDefaults tests ranges with <, which NaN passes: a NaN Rho would
 	// silently select w = d−1 and a NaN PruneSlack would switch every
 	// prune off.
@@ -106,21 +110,10 @@ func NewIndex(items *vec.Matrix, opts Options) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	idx := &Index{opts: opts, n: items.Rows, d: items.Cols}
 
-	// 1. Sort by decreasing original length (Algorithm 3 line 2) —
-	// unless the Unsorted ablation keeps the original order.
-	var sorted *vec.Matrix
-	if opts.Unsorted {
-		sorted = items.Clone()
-		idx.perm = make([]int, sorted.Rows)
-		for i := range idx.perm {
-			idx.perm[i] = i
-		}
-		idx.norms = norms
-	} else {
-		sorted, idx.perm, idx.norms = items.SortRowsByKeyDesc(norms)
-	}
+	// 1. Sort by decreasing original length (Algorithm 3 line 2).
+	sorted, perm, norms := items.SortRowsByKeyDesc(norms)
+	idx := &Index{opts: opts, n: items.Rows, d: items.Cols, perm: perm, norms: norms, ablation: ab}
 
 	// 2. Thin SVD (line 3) and the working representation.
 	if opts.SVD {
@@ -148,8 +141,7 @@ func NewIndex(items *vec.Matrix, opts Options) (*Index, error) {
 
 	// 5. Integer approximation (line 8).
 	if opts.Int {
-		compact := opts.CompactInts && opts.E <= 16000
-		ints, err := buildIntData(idx.bar, idx.w, opts.E, opts.GlobalIntScaling, compact)
+		ints, err := buildIntData(idx.bar, idx.w, opts.E, ab.GlobalIntScaling)
 		if err != nil {
 			return nil, err
 		}
@@ -266,12 +258,13 @@ func (idx *Index) chooseW() int {
 
 // newIntData validates e for the integer bound at this shape, picks the
 // packed head layout and allocates the per-row tables for setRow.
-func newIntData(n, d, w int, e float64, compact bool) (*intData, error) {
-	// With every floor in [−o, o−1], d·(2o)² < 2⁶² keeps the tail floors
-	// inside int32 and every IU sum (dot + Σ|·| terms, head constants)
-	// inside int64; it also implies the 1×64 head layout exists.
+func newIntData(n, d, w int, e float64) (*intData, error) {
+	// Every floor lies in [−o, o−1]: o ≤ 32767 keeps the tail floors inside
+	// int16, and with d·(2o)² < 2⁶² every IU sum (dot + Σ|·| terms, head
+	// constants) inside int64; together they imply the 1×64 head layout
+	// exists.
 	o := math.Ceil(e) + 1
-	if !(o >= 2 && float64(d)*4*o*o < 1<<62) {
+	if !(o >= 2 && o <= math.MaxInt16 && float64(d)*4*o*o < 1<<62) {
 		return nil, fmt.Errorf("core: Options.E = %v overflows the integer bound at d = %d", e, d)
 	}
 	lay, ok := vec.NewPackedLayout(int64(o), w)
@@ -282,23 +275,17 @@ func newIntData(n, d, w int, e float64, compact bool) (*intData, error) {
 		e:          e,
 		lay:        lay,
 		nw:         lay.Words(w),
+		head:       make([]uint64, n*lay.Words(w)),
 		headConst:  make([]int64, n),
-		compact:    compact,
+		tail:       make([]int16, n*(d-w)),
 		sumAbsTail: make([]int64, n),
-	}
-	id.head = make([]uint64, n*id.nw)
-	if compact {
-		id.floors16 = make([]int16, n*(d-w))
-	} else {
-		id.floors = make([]int32, n*(d-w))
 	}
 	return id, nil
 }
 
-// setRow stores row i's d floors — head packed, tail as is — with their
-// Σ|·| terms, and returns Σ_{s<w}|f_s|. ok is false when a head floor
-// lies outside the layout's range, which only a corrupt snapshot can
-// cause.
+// setRow stores row i's d floors — head packed, tail narrowed — with
+// their Σ|·| terms, and returns Σ_{s<w}|f_s|. ok is false when a floor
+// lies outside [−o, o−1], which only a corrupt snapshot can cause.
 func (id *intData) setRow(i, w int, f []int32) (sumAbsHead int64, ok bool) {
 	var sumHead, sumAbsTail int64
 	for _, x := range f[:w] {
@@ -307,14 +294,12 @@ func (id *intData) setRow(i, w int, f []int32) (sumAbsHead int64, ok bool) {
 	}
 	ok = id.lay.PackItem(id.head[i*id.nw:(i+1)*id.nw], f[:w])
 	id.headConst[i] = sumAbsHead - id.lay.Offset()*sumHead + int64(w)
-	dt := len(f) - w
+	o := int32(id.lay.Offset())
+	tail := id.tail[i*(len(f)-w):]
 	for s, x := range f[w:] {
 		sumAbsTail += abs64(int64(x))
-		if id.compact {
-			id.floors16[i*dt+s] = int16(x)
-		} else {
-			id.floors[i*dt+s] = x
-		}
+		ok = ok && -o <= x && x < o
+		tail[s] = int16(x)
 	}
 	id.sumAbsTail[i] = sumAbsTail
 	return sumAbsHead, ok
@@ -326,13 +311,8 @@ func (id *intData) row(i, w int, f []int32) (sumAbsHead int64) {
 	for _, x := range f[:w] {
 		sumAbsHead += abs64(int64(x))
 	}
-	dt := len(f) - w
-	for s := range f[w:] {
-		if id.compact {
-			f[w+s] = int32(id.floors16[i*dt+s])
-		} else {
-			f[w+s] = id.floors[i*dt+s]
-		}
+	for s, x := range id.tail[i*(len(f)-w) : (i+1)*(len(f)-w)] {
+		f[w+s] = int32(x)
 	}
 	return sumAbsHead
 }
@@ -345,12 +325,12 @@ func abs64(a int64) int64 {
 }
 
 // buildIntData scales the working vectors per Equation 7 (separate
-// head/tail maxima) — or Equation 4 (one global maximum) under the
-// GlobalIntScaling ablation — and stores their floors plus the per-row
+// head/tail maxima) — or Equation 4 (one global maximum) under
+// Ablation.GlobalIntScaling — and stores their floors plus the per-row
 // Σ|⌊·⌋| terms of the integer bound (Theorem 2).
-func buildIntData(bar *vec.Matrix, w int, e float64, globalScaling, compact bool) (*intData, error) {
+func buildIntData(bar *vec.Matrix, w int, e float64, globalScaling bool) (*intData, error) {
 	n, d := bar.Rows, bar.Cols
-	id, err := newIntData(n, d, w, e, compact)
+	id, err := newIntData(n, d, w, e)
 	if err != nil {
 		return nil, err
 	}
@@ -402,7 +382,7 @@ func buildIntData(bar *vec.Matrix, w int, e float64, globalScaling, compact bool
 		}
 	})
 	if bad < n {
-		return nil, fmt.Errorf("core: head floor of row %d outside ±(⌈E⌉+1)", bad)
+		return nil, fmt.Errorf("core: floor of row %d outside ±(⌈E⌉+1)", bad)
 	}
 	return id, nil
 }

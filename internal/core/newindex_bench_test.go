@@ -55,7 +55,7 @@ func BenchmarkNewIndex(b *testing.B) {
 			// Any d scales time the same; σ stands in for Σ⁻¹.
 			stage("transform-ms", func() { sorted.MulScaled(idx.thin.U, idx.sigma) })
 			stage("int+red-ms", func() {
-				if _, err := buildIntData(idx.bar, idx.w, opts.withDefaults().E, false, false); err != nil {
+				if _, err := buildIntData(idx.bar, idx.w, opts.withDefaults().E, false); err != nil {
 					b.Fatal(err)
 				}
 				buildRedData(idx.bar, idx.w, idx.sigma)

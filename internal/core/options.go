@@ -5,7 +5,10 @@
 // (R) on top of a Cauchy–Schwarz sorted sequential scan.
 package core
 
-import "fmt"
+import (
+	"fmt"
+	"strings"
+)
 
 // Options selects the FEXIPRO variant and its parameters.
 type Options struct {
@@ -35,33 +38,6 @@ type Options struct {
 	// RankTol is the relative threshold under which singular values are
 	// treated as zero. Default 1e-12.
 	RankTol float64
-
-	// Ablation switches (all default false = the paper's configuration).
-	// They quantify the value of individual design choices; see
-	// ablation_bench_test.go at the repository root.
-
-	// GlobalIntScaling scales integer approximations with one maximum
-	// over all dimensions (Equation 4) instead of separate head/tail
-	// maxima (Equation 7). The paper argues Eq. 7 is tighter after the
-	// SVD transformation skews the value ranges.
-	GlobalIntScaling bool
-	// ReductionFirst attempts the monotonicity-reduction bound BEFORE
-	// the integer bounds in the coordinate scan — the SRI order the
-	// paper found inferior to SIR.
-	ReductionFirst bool
-	// Unsorted scans items in their original order, disabling the
-	// early-termination break (the length test still prunes items
-	// individually). Quantifies the value of the norm sort.
-	Unsorted bool
-
-	// CompactInts stores the d−w tail columns of the integer
-	// approximation as int16 instead of int32 — the "small integer
-	// types" direction of the paper's future-work discussion: with
-	// e = 100 the floors fit comfortably, halving that table. The w head
-	// columns are not affected: they are always packed into 64-bit
-	// words (three 21-bit fields at e = 100), sized from E and w alone.
-	// Ignored (with int32 fallback) when E > 16000 would overflow int16.
-	CompactInts bool
 }
 
 func (o Options) withDefaults() Options {
@@ -103,29 +79,28 @@ func (o Options) Variant() string {
 	return s
 }
 
-// OptionsForVariant parses a paper variant name ("F-S", "F-I", "F-SI",
-// "F-SR", "F-SIR", case-insensitive, with or without the "F-" prefix)
-// into Options with default parameters.
+// OptionsForVariant parses a paper variant name into Options with
+// default parameters: "F", or the techniques in use as a non-empty
+// subsequence of S, I, R in that order, each at most once — F-S, F-I,
+// F-R, F-SI, F-SR, F-IR, F-SIR — case-insensitive, with or without the
+// "F-" prefix. Anything else is an error: "F-SRI" in particular names the
+// other check order (ablation.go), not a spelling of F-SIR.
 func OptionsForVariant(name string) (Options, error) {
+	upper := strings.ToUpper(name)
+	if upper == "F" {
+		return Options{}, nil
+	}
 	var o Options
-	suffix := name
-	if suffix == "F" || suffix == "f" {
-		return o, nil
-	}
-	if len(suffix) >= 2 && (suffix[0] == 'F' || suffix[0] == 'f') && suffix[1] == '-' {
-		suffix = suffix[2:]
-	}
-	for _, ch := range suffix {
-		switch ch {
-		case 'S', 's':
-			o.SVD = true
-		case 'I', 'i':
-			o.Int = true
-		case 'R', 'r':
-			o.Reduction = true
-		default:
-			return Options{}, fmt.Errorf("core: unknown variant %q", name)
-		}
+	rest := strings.TrimPrefix(upper, "F-")
+	rest, o.SVD = strings.CutPrefix(rest, "S")
+	rest, o.Int = strings.CutPrefix(rest, "I")
+	rest, o.Reduction = strings.CutPrefix(rest, "R")
+	if rest != "" || o == (Options{}) {
+		return Options{}, fmt.Errorf("core: unknown variant %q (want F or F- followed by letters of SIR in that order)", name)
 	}
 	return o, nil
 }
+
+// VariantNames lists every name OptionsForVariant accepts, in canonical
+// spelling, for flag help.
+const VariantNames = "F, F-S, F-I, F-R, F-SI, F-SR, F-IR, F-SIR"

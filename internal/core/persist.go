@@ -29,8 +29,13 @@ const (
 	secIdxRed  = "idx.red"  // monotone reduction data (optional)
 )
 
-// Save writes the index as a fexsnap/v1 container.
+// Save writes the index as a fexsnap/v1 container. An index built with
+// an Ablation is refused: the format has no place for one, and a reader
+// would scan it as the plain variant.
 func (idx *Index) Save(w io.Writer) error {
+	if idx.ablation != (Ablation{}) {
+		return fmt.Errorf("core: an ablation index (%+v) cannot be saved", idx.ablation)
+	}
 	var b snap.Builder
 	b.Section(secIdxMeta, func(e *snap.Encoder) {
 		encodeOptions(e, idx.opts)
@@ -52,23 +57,13 @@ func (idx *Index) Save(w io.Writer) error {
 		// fexsnap/v1 stores the full n×d floors and Σ|head floors|; the
 		// packed head is unpacked here and re-packed by ReadIndex.
 		n, d := idx.n, idx.d
-		var floors []int32
-		var floors16 []int16
-		if id.compact {
-			floors16 = make([]int16, n*d)
-		} else {
-			floors = make([]int32, n*d)
-		}
+		floors := make([]int16, n*d)
 		sumAbsHead := make([]int64, n)
 		f := make([]int32, d)
 		for i := 0; i < n; i++ {
 			sumAbsHead[i] = id.row(i, idx.w, f)
-			if !id.compact {
-				copy(floors[i*d:], f)
-				continue
-			}
 			for s, x := range f {
-				floors16[i*d+s] = int16(x)
+				floors[i*d+s] = int16(x)
 			}
 		}
 		b.Section(secIdxInts, func(e *snap.Encoder) {
@@ -77,12 +72,8 @@ func (idx *Index) Save(w io.Writer) error {
 			e.F64(id.maxTail)
 			e.F64(id.headScale)
 			e.F64(id.tailScale)
-			e.Bool(id.compact)
-			if id.compact {
-				e.Int16s(floors16)
-			} else {
-				e.Int32s(floors)
-			}
+			e.Bool(true) // int16 floors; the int32 encoding is only read
+			e.Int16s(floors)
 			e.Int64s(sumAbsHead)
 			e.Int64s(id.sumAbsTail)
 		})
@@ -109,7 +100,12 @@ func (idx *Index) WriteTo(w io.Writer) (int64, error) {
 }
 
 // encodeOptions and decodeOptions fix the on-disk field order of
-// Options, shared by the static index and DynamicIndex snapshots.
+// Options, shared by the static index and DynamicIndex snapshots. The
+// four trailing bools are the slots of options that no longer exist —
+// GlobalIntScaling, ReductionFirst, Unsorted, CompactInts — written false
+// so files of either age read under either code. One of the first three
+// set means an index this code cannot scan, and is refused; CompactInts
+// only chose between two encodings of the same floors and is ignored.
 func encodeOptions(e *snap.Encoder, o Options) {
 	e.Bool(o.SVD)
 	e.Bool(o.Int)
@@ -119,13 +115,12 @@ func encodeOptions(e *snap.Encoder, o Options) {
 	e.I64(int64(o.W))
 	e.F64(o.PruneSlack)
 	e.F64(o.RankTol)
-	e.Bool(o.GlobalIntScaling)
-	e.Bool(o.ReductionFirst)
-	e.Bool(o.Unsorted)
-	e.Bool(o.CompactInts)
+	for slot := 0; slot < 4; slot++ {
+		e.Bool(false)
+	}
 }
 
-func decodeOptions(d *snap.Decoder) Options {
+func decodeOptions(d *snap.Decoder) (Options, error) {
 	var o Options
 	o.SVD = d.Bool()
 	o.Int = d.Bool()
@@ -135,11 +130,15 @@ func decodeOptions(d *snap.Decoder) Options {
 	o.W = int(d.I64())
 	o.PruneSlack = d.F64()
 	o.RankTol = d.F64()
-	o.GlobalIntScaling = d.Bool()
-	o.ReductionFirst = d.Bool()
-	o.Unsorted = d.Bool()
-	o.CompactInts = d.Bool()
-	return o
+	ablated := false
+	for slot := 0; slot < 3; slot++ {
+		ablated = d.Bool() || ablated
+	}
+	_ = d.Bool()
+	if ablated && d.Err() == nil {
+		return o, fmt.Errorf("%w: snapshot of an index built with an ablation switch set", snap.ErrChecksum)
+	}
+	return o, nil
 }
 
 // sectionDecoder returns a Decoder over a mandatory section, or a typed
@@ -168,7 +167,10 @@ func indexFromSnap(f *snap.File) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	idx := &Index{opts: decodeOptions(d)}
+	idx := &Index{}
+	if idx.opts, err = decodeOptions(d); err != nil {
+		return nil, err
+	}
 	idx.n = int(d.I64())
 	idx.d = int(d.I64())
 	idx.w = int(d.I64())
@@ -237,19 +239,20 @@ func indexFromSnap(f *snap.File) (*Index, error) {
 	return idx, nil
 }
 
-// decodeIntData reads the idx.ints section (full n×d floors plus both
-// Σ|·| arrays) and rebuilds the in-memory form: head floors packed, tail
+// decodeIntData reads the idx.ints section (full n×d floors, as int16 or
+// — from a writer before the tail was narrowed — int32, plus both Σ|·|
+// arrays) and rebuilds the in-memory form: head floors packed, tail
 // floors in their own stripe. n, d, w come from the meta section; the
-// shape is checked before anything is indexed, and the stored Σ|·|
-// arrays must match the floors they summarize.
+// shape is checked before anything is indexed, every floor must lie in
+// the range its E allows, and the stored Σ|·| arrays must match the
+// floors they summarize.
 func decodeIntData(dec *snap.Decoder, n, d, w int) (*intData, error) {
 	e := dec.F64()
 	maxHead, maxTail := dec.F64(), dec.F64()
 	headScale, tailScale := dec.F64(), dec.F64()
-	compact := dec.Bool()
 	var floors []int32
 	var floors16 []int16
-	if compact {
+	if dec.Bool() {
 		floors16 = dec.Int16s()
 	} else {
 		floors = dec.Int32s()
@@ -263,7 +266,7 @@ func decodeIntData(dec *snap.Decoder, n, d, w int) (*intData, error) {
 		len(sumAbsHead) != n || len(sumAbsTail) != n {
 		return nil, fmt.Errorf("%w: loaded index integer data does not match shape n=%d d=%d w=%d", snap.ErrChecksum, n, d, w)
 	}
-	id, err := newIntData(n, d, w, e, compact)
+	id, err := newIntData(n, d, w, e)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", snap.ErrChecksum, err)
 	}
@@ -271,12 +274,12 @@ func decodeIntData(dec *snap.Decoder, n, d, w int) (*intData, error) {
 	id.headScale, id.tailScale = headScale, tailScale
 	f := make([]int32, d)
 	for i := 0; i < n; i++ {
-		if compact {
+		if floors16 != nil {
 			for s, x := range floors16[i*d : (i+1)*d] {
 				f[s] = int32(x)
 			}
 		} else {
-			copy(f, floors[i*d:(i+1)*d])
+			f = floors[i*d : (i+1)*d]
 		}
 		sh, ok := id.setRow(i, w, f)
 		if !ok || sh != sumAbsHead[i] || id.sumAbsTail[i] != sumAbsTail[i] {

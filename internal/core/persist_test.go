@@ -17,8 +17,6 @@ func TestIndexRoundTrip(t *testing.T) {
 		{SVD: true},
 		{Int: true},
 		{SVD: true, Int: true, Reduction: true},
-		{SVD: true, Int: true, Reduction: true, CompactInts: true},
-		{SVD: true, Int: true, Reduction: true, Unsorted: true, GlobalIntScaling: true, ReductionFirst: true},
 	} {
 		orig, err := core.NewIndex(items, opts)
 		if err != nil {

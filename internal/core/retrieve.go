@@ -50,18 +50,17 @@ func (r *Retriever) SetFaultHook(h *faults.Hook) { r.hook = h }
 type queryState struct {
 	// Scratch owned by this state (sized for the index it was created
 	// for via Index.newQueryState).
-	qbar      []float64
-	qFloors   []int32  // all d floors of ⌊q̂⌋; the tail half feeds the int32 tail bound
-	qFloors16 []int16  // the d−w tail floors again, for the compact tail bound
-	qHead     []uint64 // the w head floors packed in query field order
+	qbar    []float64
+	qFloors []int32  // the w head floors of ⌊q̂⌋, as PackQuery takes them
+	qHead   []uint64 // the same, packed in query field order
+	qTail   []int16  // the d−w tail floors
 
 	qNorm   float64 // ‖q‖ in the original space (used with the original ‖p‖ for Cauchy–Schwarz)
 	barNorm float64 // ‖q̄‖ in the working space
 	barTail float64 // ‖q̄^h‖ over coordinates w..d
 
 	// Integer part.
-	intOK       bool
-	headFirst   bool  // intOK in the paper's SIR order: the cascade opens with the integer head test
+	headFirst   bool  // the cascade opens with the integer head test: variants with I, in the paper's SIR order
 	qHeadConst  int64 // Σ_{s<w} |⌊q̂_s⌋| − o·Σ_{s<w} ⌊q̂_s⌋ − w·o²: the query's share of unpacking IU^ℓ
 	qSumAbsTail int64
 	headFactor  float64 // maxq^ℓ·maxP^ℓ/e², converts head IU to a bound on q̄^ℓᵀp̄^ℓ
@@ -82,11 +81,9 @@ type queryState struct {
 func (idx *Index) newQueryState() *queryState {
 	qs := &queryState{qbar: make([]float64, idx.d)}
 	if id := idx.ints; id != nil {
-		qs.qFloors = make([]int32, idx.d)
+		qs.qFloors = make([]int32, idx.w)
 		qs.qHead = make([]uint64, id.nw)
-		if id.compact {
-			qs.qFloors16 = make([]int16, idx.d-idx.w)
-		}
+		qs.qTail = make([]int16, idx.d-idx.w)
 	}
 	return qs
 }
@@ -162,11 +159,9 @@ func (r *Retriever) SearchContext(ctx context.Context, q []float64, k int) ([]to
 // The loop is chosen here, once per range, from the built index and the
 // call: scanBlocked when the cascade opens with the integer head test,
 // scanPerItem for everything that loop does not carry — variants without
-// that test, an installed fault hook (per-item CancelAtItem/PanicAtItem),
-// and the Unsorted ablation, whose length test skips single rows instead
-// of ending the scan.
+// that test and an installed fault hook (per-item CancelAtItem/PanicAtItem).
 func (idx *Index) scanRange(ctx context.Context, hook *faults.Hook, qs *queryState, lo, hi int, c *topk.Collector, shared *search.SharedThreshold, stats *search.Stats) error {
-	if qs.headFirst && hook == nil && !idx.opts.Unsorted {
+	if qs.headFirst && hook == nil {
 		return idx.scanBlocked(ctx, qs, lo, hi, c, shared, stats)
 	}
 	return idx.scanPerItem(ctx, hook, qs, lo, hi, c, shared, stats)
@@ -174,9 +169,9 @@ func (idx *Index) scanRange(ctx context.Context, hook *faults.Hook, qs *querySta
 
 // scanPerItem is scanRange one candidate at a time, reading the live
 // threshold for every row: the only loop of the variants whose cascade
-// does not open with the integer head test (F, F-S, F-SR, the SRI
-// ablation) and of Unsorted indexes, the loop of every variant while a
-// fault hook is installed, and the reference scanBlocked is tested
+// does not open with the integer head test (F, F-S, F-SR, SS as the
+// registry builds it, the SRI ablation), the loop of every variant while
+// a fault hook is installed, and the reference scanBlocked is tested
 // against, result for result and counter for counter.
 func (idx *Index) scanPerItem(ctx context.Context, hook *faults.Hook, qs *queryState, lo, hi int, c *topk.Collector, shared *search.SharedThreshold, stats *search.Stats) error {
 	slack := idx.opts.PruneSlack
@@ -192,14 +187,10 @@ func (idx *Index) scanPerItem(ctx context.Context, hook *faults.Hook, qs *queryS
 		t := shared.Floor(c.Threshold())
 		lenBound := qs.qNorm * idx.norms[i] //fex:bound
 		if lenBound < t {
-			if !idx.opts.Unsorted {
-				// Sorted by length: nothing later in this range can
-				// qualify either.
-				stats.PrunedByLength += hi - i
-				return nil
-			}
-			stats.PrunedByLength++
-			continue
+			// Sorted by length: nothing later in this range can qualify
+			// either.
+			stats.PrunedByLength += hi - i
+			return nil
 		}
 		stats.Scanned++
 		if v, ok := idx.candidate(i, qs, t, slack, stats); ok {
@@ -314,7 +305,7 @@ func (idx *Index) scanBlocked(ctx context.Context, qs *queryState, lo, hi int, c
 // per-query constant used by the staged pruning tests, writing into qs.
 func (idx *Index) prepareQuery(q []float64, qs *queryState) {
 	scratch := *qs
-	*qs = queryState{qbar: scratch.qbar, qFloors: scratch.qFloors, qFloors16: scratch.qFloors16, qHead: scratch.qHead}
+	*qs = queryState{qbar: scratch.qbar, qFloors: scratch.qFloors, qHead: scratch.qHead, qTail: scratch.qTail}
 	qs.qNorm = vec.Norm(q)
 
 	if idx.thin != nil {
@@ -328,8 +319,7 @@ func (idx *Index) prepareQuery(q []float64, qs *queryState) {
 	qs.barTail = vec.NormRange(qbar, idx.w, idx.d)
 
 	if id := idx.ints; id != nil {
-		qs.intOK = true
-		qs.headFirst = !idx.opts.ReductionFirst
+		qs.headFirst = !idx.ablation.ReductionFirst
 		w := idx.w
 		maxQHead := vec.AbsMaxRange(qbar, 0, w)
 		maxQTail := vec.AbsMaxRange(qbar, w, idx.d)
@@ -346,21 +336,19 @@ func (idx *Index) prepareQuery(q []float64, qs *queryState) {
 				}
 			}
 			f := int32(math.Floor(scaled))
-			qs.qFloors[s] = f
 			if s < w {
+				qs.qFloors[s] = f
 				sumHead += int64(f)
 				sumAbsHead += abs64(int64(f))
 				continue
 			}
 			qs.qSumAbsTail += abs64(int64(f))
-			if id.compact {
-				qs.qFloors16[s-w] = int16(f)
-			}
+			qs.qTail[s-w] = int16(f)
 		}
-		// A finite query's head floors lie in the layout's range for the
-		// same reason the items' do; a non-finite one has no meaningful
-		// bound either way, so the range report is not acted on.
-		_ = id.lay.PackQuery(qs.qHead, qs.qFloors[:w])
+		// A finite query's floors lie in [−o, o−1] for the same reason the
+		// items' do; a non-finite one has no meaningful bound either way,
+		// so the range report is not acted on.
+		_ = id.lay.PackQuery(qs.qHead, qs.qFloors)
 		o := id.lay.Offset()
 		qs.qHeadConst = sumAbsHead - o*sumHead - int64(w)*o*o
 		qs.headFactor = maxQHead * id.headScale / id.e
@@ -456,7 +444,7 @@ func (idx *Index) coordinateScan(i int, qs *queryState, t, margin, ub1 float64, 
 	// SRI-order ablation: the integer bounds move behind the reduction,
 	// where with the exact head v in hand only the tail one can still
 	// avoid the remaining d−w multiplications.
-	if qs.intOK && !qs.headFirst {
+	if idx.ablation.ReductionFirst && idx.ints != nil {
 		if v+idx.tailBound(qs, i) < t-margin {
 			stats.PrunedByIntFull++
 			return 0, false
@@ -469,20 +457,13 @@ func (idx *Index) coordinateScan(i int, qs *queryState, t, margin, ub1 float64, 
 }
 
 // tailBound is the integer upper bound on the tail product q̄^hᵀp̄^h of
-// row i (the tail half of Eq. 7), against either the int32 or the
-// compact int16 floor storage.
+// row i (the tail half of Eq. 7).
 //
 //fex:bound
 func (idx *Index) tailBound(qs *queryState, i int) float64 {
 	id := idx.ints
 	dt := idx.d - idx.w
-	var dot int64
-	if id.compact {
-		dot = vec.DotInt16(qs.qFloors16, id.floors16[i*dt:(i+1)*dt])
-	} else {
-		dot = vec.DotInt64(qs.qFloors[idx.w:], id.floors[i*dt:(i+1)*dt])
-	}
-	iuTail := dot + qs.qSumAbsTail + id.sumAbsTail[i] + int64(dt)
+	iuTail := vec.DotInt16(qs.qTail, id.tail[i*dt:(i+1)*dt]) + qs.qSumAbsTail + id.sumAbsTail[i] + int64(dt)
 	return float64(iuTail) * qs.tailFactor
 }
 

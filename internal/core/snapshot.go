@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -73,16 +72,10 @@ func (di *DynamicIndex) Alive(id int) bool {
 	return id >= 0 && id < di.items.Rows && !di.dead.has(id)
 }
 
-// Shard-section layouts, the first payload byte. SaveSnapshot writes
-// shardStateOnly and nothing else; the other two are what the previous
-// version wrote and are read for one more version: the bool "has a main
-// index", followed when true by that index as a nested fexsnap container,
-// which LoadSnapshot verifies and then ignores.
-const (
-	shardLegacyNoMain   = 0 // delta, deadInMain, rebuilds
-	shardLegacyEmbedded = 1 // index bytes, mainIDs, delta, deadInMain, rebuilds
-	shardStateOnly      = 2 // mainIDs, delta, deadInMain, rebuilds
-)
+// shardStateOnly is the first payload byte of a shard section, naming
+// its layout: mainIDs, delta, deadInMain, rebuilds. (0 and 1 were the
+// layouts that embedded the shard's index; nothing reads them any more.)
+const shardStateOnly = 2
 
 // SaveSnapshot writes the index's state as a fexsnap/v1 container: the
 // catalog, the tombstones, and per shard which catalog rows its main
@@ -158,7 +151,10 @@ func readDynState(r io.Reader) (*DynamicIndex, uint64, error) {
 		return nil, 0, err
 	}
 	lastSeq := d.U64()
-	di := &DynamicIndex{opts: decodeOptions(d)}
+	di := &DynamicIndex{}
+	if di.opts, err = decodeOptions(d); err != nil {
+		return nil, 0, err
+	}
 	di.d = int(d.I64())
 	di.rebuild = d.F64()
 	nShards := int(d.I64())
@@ -232,23 +228,10 @@ func readDynShard(f *snap.File, s int, di *DynamicIndex, placed *tombstones) (*d
 	if err != nil {
 		return nil, err
 	}
-	sh := &dynShard{}
-	switch layout := d.U8(); layout {
-	case shardStateOnly:
-		sh.mainIDs = d.Ints()
-	case shardLegacyEmbedded:
-		embedded := d.Bytes8()
-		if err := d.Err(); err != nil {
-			return nil, fmt.Errorf("core: shard %d: %w", s, err)
-		}
-		if _, err := snap.Read(bytes.NewReader(embedded)); err != nil {
-			return nil, fmt.Errorf("core: shard %d embedded index: %w", s, err)
-		}
-		sh.mainIDs = d.Ints()
-	case shardLegacyNoMain:
-	default:
+	if layout := d.U8(); layout != shardStateOnly {
 		return nil, fmt.Errorf("%w: shard %d has unknown section layout %d", snap.ErrChecksum, s, layout)
 	}
+	sh := &dynShard{mainIDs: d.Ints()}
 	sh.delta = d.Ints()
 	deadInMain := int(d.I64())
 	sh.rebuilds = int(d.I64())

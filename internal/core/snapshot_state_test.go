@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"math"
 	"math/rand"
@@ -11,6 +12,7 @@ import (
 	"slices"
 	"testing"
 
+	"fexipro/internal/search"
 	"fexipro/internal/snap"
 	"fexipro/internal/topk"
 	"fexipro/internal/vec"
@@ -204,20 +206,24 @@ func TestRecoveredIndexIsTheCheckpointedOne(t *testing.T) {
 	}
 }
 
-// embeddedFixture is a snapshot in the layout of the version before this
-// one, written by that version's SaveSnapshot: 60×8 standard normal rows
-// (rand.NewSource(21)), F-SIR, S = 2, item 7 deleted, one item added, WAL
-// sequence 2. Each shard section carries its main index as a nested
-// container.
-const embeddedFixture = "fexsnap_v1_dynamic_embedded.snap"
+// parentStateFixture is a checkpoint written by the SaveSnapshot of the
+// commit before the tail floors became int16 and the ablation options left
+// Options: 60×8 standard normal rows (rand.NewSource(21)), F-SIR, S = 2,
+// item 7 deleted, one item added, WAL sequence 2; its dyn.meta carries all
+// four option slots, false. parentStateAnswers holds what that commit's
+// index answered to 20 queries (rand.NewSource(22), k = 5): IDs, score
+// bits and stage counters.
+const (
+	parentStateFixture = "fexsnap_v1_dynamic_state.snap"
+	parentStateAnswers = "fexsnap_v1_dynamic_state.answers.json"
+)
 
-// TestLoadSnapshotEmbeddedIndexFixture: the previous layout still loads —
-// its embedded indexes verified, ignored, and rebuilt to the very bytes
-// that were embedded — answers like naive, and re-saves in the current
-// layout; a flipped bit inside the embedded index bytes is still a
-// checksum error although nothing reads them.
-func TestLoadSnapshotEmbeddedIndexFixture(t *testing.T) {
-	raw, err := os.ReadFile(filepath.Join("testdata", embeddedFixture))
+// TestLoadSnapshotParentFixture: the parent's checkpoint recovers to an
+// index that answers exactly as the parent's did and re-saves the bytes
+// it was loaded from; the same file with an ablation slot set, or a shard
+// section in a layout that embedded the index, is refused.
+func TestLoadSnapshotParentFixture(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("testdata", parentStateFixture))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,64 +236,74 @@ func TestLoadSnapshotEmbeddedIndexFixture(t *testing.T) {
 		t.Fatalf("fixture state: Len %d NextID %d delta %v deadInMain %d rebuilds %v",
 			di.Len(), di.NextID(), di.shards[0].delta, di.shards[1].deadInMain, di.Rebuilds())
 	}
+	js, err := os.ReadFile(filepath.Join("testdata", parentStateAnswers))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var answers []struct {
+		IDs   []int
+		Bits  []uint64
+		Stats search.Stats
+	}
+	if err := json.Unmarshal(js, &answers); err != nil || len(answers) != 20 {
+		t.Fatalf("%s: %d answers, %v", parentStateAnswers, len(answers), err)
+	}
+	rng := rand.New(rand.NewSource(22))
+	for i, want := range answers {
+		got := di.Search(normalMatrix(rng, 1, 8).Data, 5)
+		if len(got) != len(want.IDs) || di.Stats() != want.Stats {
+			t.Fatalf("query %d: %v %+v, the parent answered %v %+v", i, got, di.Stats(), want.IDs, want.Stats)
+		}
+		for r := range got {
+			if got[r].ID != want.IDs[r] || math.Float64bits(got[r].Score) != want.Bits[r] {
+				t.Fatalf("query %d rank %d: %+v, the parent answered ID %d score bits %#x", i, r, got[r], want.IDs[r], want.Bits[r])
+			}
+		}
+	}
+	var resaved bytes.Buffer
+	if err := di.SaveSnapshot(&resaved, seq); err != nil || !bytes.Equal(resaved.Bytes(), raw) {
+		t.Fatalf("re-saving the fixture: %v, %d bytes for the fixture's %d", err, resaved.Len(), len(raw))
+	}
 
+	// dyn.meta: lastSeq, then Options — 3 bools, Rho, E, W, PruneSlack,
+	// RankTol, then the four slots.
+	const slots = 8 + 3 + 5*8
+	for slot, refused := range []bool{true, true, true, false} {
+		set := withSection(t, raw, secDynMeta, func(p []byte) { p[slots+slot] = 1 })
+		_, _, err := LoadSnapshot(bytes.NewReader(set), 1)
+		if refused != errors.Is(err, snap.ErrChecksum) || (!refused && err != nil) {
+			t.Fatalf("option slot %d set: err = %v, refused should be %v", slot, err, refused)
+		}
+	}
+	for _, layout := range []byte{0, 1, 3} {
+		other := withSection(t, raw, dynShardTag(1), func(p []byte) { p[0] = layout })
+		if _, _, err := LoadSnapshot(bytes.NewReader(other), 1); !errors.Is(err, snap.ErrChecksum) {
+			t.Fatalf("shard section layout %d: err = %v, want ErrChecksum", layout, err)
+		}
+	}
+}
+
+// withSection returns the container raw with edit applied to a copy of
+// section tag's payload and every CRC made good again.
+func withSection(t *testing.T, raw []byte, tag string, edit func(payload []byte)) []byte {
+	t.Helper()
 	f, err := snap.Read(bytes.NewReader(raw))
 	if err != nil {
 		t.Fatal(err)
 	}
-	rebuilt := mainBytes(t, di)
-	flipAt := -1
-	for s := range di.shards {
-		payload, _ := f.Section(dynShardTag(s))
-		d := snap.NewDecoder(payload)
-		if layout := d.U8(); layout != shardLegacyEmbedded {
-			t.Fatalf("shard %d of the fixture has layout %d, not the embedded one", s, layout)
+	var b snap.Builder
+	for _, sec := range f.Sections {
+		payload := slices.Clone(sec.Payload)
+		if sec.Tag == tag {
+			edit(payload)
 		}
-		if embedded := d.Bytes8(); !bytes.Equal(embedded, rebuilt[s]) {
-			t.Fatalf("shard %d: rebuilding from the catalog gave other bytes than the embedded index", s)
-		}
-		if s == 0 {
-			flipAt = bytes.Index(raw, payload) + 9 + len(rebuilt[0])/2
-		}
+		b.Raw(sec.Tag, payload)
 	}
-
-	rng := rand.New(rand.NewSource(22))
-	for i := 0; i < 20; i++ {
-		q := normalMatrix(rng, 1, 8).Data
-		got, want := di.Search(q, 5), naiveLive(di.items, di.dead.has, q, 5)
-		for r := range want {
-			if got[r].ID != want[r].ID || math.Abs(got[r].Score-want[r].Score) > 1e-12 {
-				t.Fatalf("query %d: got %v, naive %v", i, got, want)
-			}
-		}
-	}
-
-	var resaved bytes.Buffer
-	if err := di.SaveSnapshot(&resaved, seq); err != nil {
+	var out bytes.Buffer
+	if err := b.Flush(&out); err != nil {
 		t.Fatal(err)
 	}
-	rf, err := snap.Read(bytes.NewReader(resaved.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for s := range di.shards {
-		if payload, _ := rf.Section(dynShardTag(s)); len(payload) == 0 || payload[0] != shardStateOnly {
-			t.Fatalf("re-saved shard %d is not in the state-only layout", s)
-		}
-	}
-	if resaved.Len() >= len(raw)/2 {
-		t.Fatalf("re-saved fixture is %d bytes, the embedded one %d", resaved.Len(), len(raw))
-	}
-	again, _, err := LoadSnapshot(bytes.NewReader(resaved.Bytes()), 1)
-	if err != nil || !slices.EqualFunc(mainBytes(t, again), rebuilt, bytes.Equal) {
-		t.Fatalf("the re-saved fixture loads differently: %v", err)
-	}
-
-	flipped := slices.Clone(raw)
-	flipped[flipAt] ^= 0x04
-	if _, _, err := LoadSnapshot(bytes.NewReader(flipped), 1); !errors.Is(err, snap.ErrChecksum) {
-		t.Fatalf("bit flipped inside the embedded index: %v, want ErrChecksum", err)
-	}
+	return out.Bytes()
 }
 
 // TestLoadSnapshotRefusesUncoveredOrRepeatedItems: the ID lists are the

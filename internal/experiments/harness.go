@@ -132,7 +132,7 @@ func buildAuto(items, sampleQueries *vec.Matrix, shards, workers int) (Built, er
 		d, _ := method.Lookup(name)
 		cands = append(cands, plan.Candidate{
 			Name:     d.Name,
-			Searcher: search.WithContext(b.Searcher),
+			Searcher: b.Searcher,
 			Cost:     d.Cost,
 			Exact:    d.Exact,
 		})
@@ -164,26 +164,23 @@ type RunResult struct {
 	PerQuery     []QueryCost
 	QueriesCount int
 
-	// StagesTimed is true when the method answered traced queries, so
-	// the per-stage wall times below are populated: the cumulative span
-	// durations of the query transform, the (per-shard) scan, and — for
-	// sharded methods — the canonical merge (DESIGN.md §13). Retrieve
-	// remains the outer end-to-end time; the stages nest inside it.
-	StagesTimed bool
-	Transform   time.Duration
-	Scan        time.Duration
-	Merge       time.Duration
+	// Per-stage wall times: the cumulative span durations of the query
+	// transform, the (per-shard) scan, and — for sharded methods — the
+	// canonical merge (DESIGN.md §13). Retrieve remains the outer
+	// end-to-end time; the stages nest inside it.
+	Transform time.Duration
+	Scan      time.Duration
+	Merge     time.Duration
 
 	// Plan is the planner's decision summary, present only for the
 	// "auto" pseudo-method.
 	Plan *plan.Summary
 }
 
-// Run executes every query of the dataset at k against a built method.
-// Methods that implement search.ContextSearcher run each query under a
-// span, so the result also carries per-stage (transform/scan/merge)
-// wall times; the span attach is a few hundred nanoseconds per query,
-// invisible next to a catalog scan.
+// Run executes every query of the dataset at k against a built method,
+// each under a span, so the result also carries per-stage
+// (transform/scan/merge) wall times; the span attach is a few hundred
+// nanoseconds per query, invisible next to a catalog scan.
 func Run(b Built, ds *data.Dataset, k int, collectPerQuery bool) RunResult {
 	r := RunResult{
 		Method:       b.Name,
@@ -195,22 +192,16 @@ func Run(b Built, ds *data.Dataset, k int, collectPerQuery bool) RunResult {
 	if collectPerQuery {
 		r.PerQuery = make([]QueryCost, 0, ds.Queries.Rows)
 	}
-	cs, traced := b.Searcher.(search.ContextSearcher)
-	r.StagesTimed = traced
 	var totalFull int
 	start := time.Now()
 	for i := 0; i < ds.Queries.Rows; i++ {
 		qStart := time.Now()
-		if traced {
-			root := obs.NewRoot("search")
-			_, _ = cs.SearchContext(obs.ContextWithSpan(context.Background(), root), ds.Queries.Row(i), k)
-			root.End()
-			r.Transform += root.ChildDuration("transform")
-			r.Scan += root.ChildDuration("scan")
-			r.Merge += root.ChildDuration("merge")
-		} else {
-			b.Searcher.Search(ds.Queries.Row(i), k)
-		}
+		root := obs.NewRoot("search")
+		_, _ = b.Searcher.SearchContext(obs.ContextWithSpan(context.Background(), root), ds.Queries.Row(i), k)
+		root.End()
+		r.Transform += root.ChildDuration("transform")
+		r.Scan += root.ChildDuration("scan")
+		r.Merge += root.ChildDuration("merge")
 		st := b.Searcher.Stats()
 		totalFull += st.FullProducts
 		r.Stats.Add(st)

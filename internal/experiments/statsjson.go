@@ -15,8 +15,8 @@ import (
 // benchmark dumps and production telemetry diffable field by field.
 type StatsReport struct {
 	// GoVersion and GCFlags identify the toolchain that produced these
-	// numbers (obs.Toolchain), so diffs against BENCH_seed.json can
-	// separate compiler upgrades from code changes.
+	// numbers (obs.Toolchain), so a diff of two dumps can separate
+	// compiler upgrades from code changes.
 	GoVersion string `json:"goVersion"`
 	GCFlags   string `json:"gcflags,omitempty"`
 
@@ -34,7 +34,7 @@ type StatsReport struct {
 	Stages          obs.StageCounters `json:"stages"`
 
 	// Per-stage wall times fed by the query span tree (DESIGN.md §13),
-	// present for methods that answer traced queries. TransformMs is
+	// present for methods whose searcher starts those spans. TransformMs is
 	// the cumulative query transform (SVD projection, integer floors),
 	// ScanMs the (per-shard) candidate scan, and MergeMs the canonical
 	// cross-shard merge (0 for single-scan methods). They nest inside
@@ -88,13 +88,11 @@ func CollectStats(cfg Config, methods []string, k int) ([]StatsReport, error) {
 				RetrieveMs:      float64(r.Retrieve.Microseconds()) / 1e3,
 				AvgFullProducts: r.AvgFullIP,
 				Stages:          obs.StageCountersFrom(r.Stats),
+				TransformMs:     float64(r.Transform.Microseconds()) / 1e3,
+				ScanMs:          float64(r.Scan.Microseconds()) / 1e3,
+				MergeMs:         float64(r.Merge.Microseconds()) / 1e3,
+				Plan:            r.Plan,
 			}
-			if r.StagesTimed {
-				rep.TransformMs = float64(r.Transform.Microseconds()) / 1e3
-				rep.ScanMs = float64(r.Scan.Microseconds()) / 1e3
-				rep.MergeMs = float64(r.Merge.Microseconds()) / 1e3
-			}
-			rep.Plan = r.Plan
 			out = append(out, rep)
 		}
 	}

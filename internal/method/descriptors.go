@@ -76,10 +76,18 @@ func init() {
 		Exact:          true,
 		ShardInvariant: true,
 		Build: func(items *vec.Matrix, o BuildOptions) (search.Searcher, error) {
-			return scan.NewSS(items, o.W), nil
+			idx, err := newSSIndex(items, o)
+			if err != nil {
+				return nil, err
+			}
+			return core.NewRetriever(idx), nil
 		},
 		NewKernel: func(items *vec.Matrix, o BuildOptions, shards int) (engine.Kernel, error) {
-			return scan.NewSSKernel(scan.NewSS(items, o.W), shards), nil
+			idx, err := newSSIndex(items, o)
+			if err != nil {
+				return nil, err
+			}
+			return core.NewSharded(idx, shards), nil
 		},
 		Cost: CostModel{Setup: 3e-7, PerItem: 1.2e-9, PerDim: 1.2e-9, PrunePrior: 0.5},
 	})
@@ -172,6 +180,13 @@ func newCoreIndex(variant string, items *vec.Matrix, o BuildOptions) (*core.Inde
 	opts.Rho = o.Rho
 	opts.E = o.E
 	opts.W = o.W
-	opts.CompactInts = o.CompactInts
 	return core.NewIndex(items, opts)
+}
+
+// newSSIndex builds SS (Algorithms 1 and 2): the sorted scan with
+// Cauchy–Schwarz termination and incremental pruning at w = o.W (d/5 by
+// default) is variant F compared strictly, as the paper states it — no
+// float-rounding slack, which only the transformed variants need.
+func newSSIndex(items *vec.Matrix, o BuildOptions) (*core.Index, error) {
+	return core.NewIndex(items, core.Options{W: o.W, PruneSlack: -1})
 }

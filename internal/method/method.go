@@ -32,11 +32,9 @@ type BuildOptions struct {
 	// W is the checking dimension: SS's scan prefix, or the FEXIPRO
 	// override for the ρ-derived w (0 = derive).
 	W int
-	// Rho, E, CompactInts are the FEXIPRO family's preprocessing
-	// parameters (zero values = paper defaults ρ=0.7, e=100, int32 tail
-	// floors).
-	Rho, E      float64
-	CompactInts bool
+	// Rho, E are the FEXIPRO family's preprocessing parameters (zero
+	// values = paper defaults ρ=0.7, e=100).
+	Rho, E float64
 	// LeafSize bounds tree leaves for BallTree/FastMKS/PCATree (0 = 20).
 	LeafSize int
 	// BucketSize is LEMP's norm-bucket size (0 = default).

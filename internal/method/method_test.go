@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"fexipro/internal/data"
-	"fexipro/internal/search"
 )
 
 func TestTableOrderMatchesPaper(t *testing.T) {
@@ -97,10 +96,8 @@ func TestEveryMethodBuildsAndSearches(t *testing.T) {
 					}
 				}
 			}
-			if cs, ok := s.(search.ContextSearcher); ok {
-				if _, err := cs.SearchContext(context.Background(), ds.Queries.Row(0), k); err != nil {
-					t.Fatalf("%s shards=%d: SearchContext: %v", name, shards, err)
-				}
+			if _, err := s.SearchContext(context.Background(), ds.Queries.Row(0), k); err != nil {
+				t.Fatalf("%s shards=%d: SearchContext: %v", name, shards, err)
 			}
 		}
 	}

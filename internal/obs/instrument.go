@@ -37,9 +37,7 @@ func InstrumentWith(s search.Searcher, rec *SearchRecorder) *Instrumented {
 // Search answers the query through the wrapped searcher and records its
 // counters and latency.
 func (w *Instrumented) Search(q []float64, k int) []topk.Result {
-	start := time.Now()
-	res := w.inner.Search(q, k)
-	w.rec.RecordSearch(w.inner.Stats(), time.Since(start).Seconds())
+	res, _ := w.SearchContext(context.Background(), q, k)
 	return res
 }
 
@@ -47,7 +45,7 @@ func (w *Instrumented) Search(q []float64, k int) []topk.Result {
 // and latency for cancelled scans too (partial work is still work).
 func (w *Instrumented) SearchContext(ctx context.Context, q []float64, k int) ([]topk.Result, error) {
 	start := time.Now()
-	res, err := search.WithContext(w.inner).SearchContext(ctx, q, k)
+	res, err := w.inner.SearchContext(ctx, q, k)
 	w.rec.RecordSearch(w.inner.Stats(), time.Since(start).Seconds())
 	return res, err
 }

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"context"
 	"testing"
 
 	"fexipro/internal/search"
@@ -13,6 +14,9 @@ type fakeSearcher struct{ st search.Stats }
 
 func (f *fakeSearcher) Search(q []float64, k int) []topk.Result {
 	return []topk.Result{{ID: 1, Score: 2}}
+}
+func (f *fakeSearcher) SearchContext(_ context.Context, q []float64, k int) ([]topk.Result, error) {
+	return f.Search(q, k), nil
 }
 func (f *fakeSearcher) Stats() search.Stats { return f.st }
 

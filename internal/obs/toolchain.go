@@ -8,9 +8,8 @@ import (
 // Toolchain reports the Go release the running binary was built with
 // and the -gcflags it was compiled under ("" when none were set).
 // Perf-trajectory reports (fexbench -statsjson, fexload -slojson)
-// embed both so counter and latency diffs against committed baselines
-// like BENCH_seed.json are attributable to toolchain changes, not just
-// code changes (DESIGN.md §14).
+// embed both so counter and latency diffs between two reports are
+// attributable to toolchain changes, not just code changes (DESIGN.md §14).
 func Toolchain() (goVersion, gcflags string) {
 	goVersion = runtime.Version()
 	bi, ok := debug.ReadBuildInfo()

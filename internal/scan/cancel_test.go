@@ -22,7 +22,7 @@ func TestNaiveCancellation(t *testing.T) {
 
 func TestSSCancellation(t *testing.T) {
 	searchtest.CheckCancellation(t, func(items *vec.Matrix) searchtest.FaultSearcher {
-		return scan.NewSS(items, 0)
+		return newSS(items, 0)
 	}, "SS")
 }
 

@@ -48,35 +48,9 @@ func (k *NaiveKernel) Scan(ctx context.Context, pq any, shard int, c *topk.Colle
 	return st, err
 }
 
-// SSKernel shards the SS sorted scan: each shard owns a contiguous
-// sub-range of the norm-sorted rows, so its Cauchy–Schwarz early
-// termination stays valid within the shard.
-type SSKernel struct {
-	s    *SS
-	part engine.Partition
-}
-
-// NewSSKernel partitions s's sorted rows into (at most) shards
-// contiguous ranges.
-func NewSSKernel(s *SS, shards int) *SSKernel {
-	return &SSKernel{s: s, part: engine.NewPartition(s.items.Rows, shards)}
-}
-
-// Shards implements engine.Kernel.
-func (k *SSKernel) Shards() int { return k.part.Shards() }
-
-// Prepare implements engine.Kernel.
-func (k *SSKernel) Prepare(q []float64) any { return k.s.prepareQuery(q) }
-
-// Scan implements engine.Kernel.
-func (k *SSKernel) Scan(ctx context.Context, pq any, shard int, c *topk.Collector, shared *search.SharedThreshold, hook *faults.Hook) (search.Stats, error) {
-	lo, hi := k.part.Range(shard)
-	var st search.Stats
-	err := k.s.scanRange(ctx, hook, pq.(*ssQuery), lo, hi, c, shared, &st)
-	return st, err
-}
-
-// SSLKernel shards the SS-L normalized scan the same way.
+// SSLKernel shards the SS-L normalized scan: each shard owns a
+// contiguous sub-range of the norm-sorted rows, so its Cauchy–Schwarz
+// early termination stays valid within the shard.
 type SSLKernel struct {
 	s    *SSL
 	part engine.Partition
@@ -104,6 +78,5 @@ func (k *SSLKernel) Scan(ctx context.Context, pq any, shard int, c *topk.Collect
 
 var (
 	_ engine.Kernel = (*NaiveKernel)(nil)
-	_ engine.Kernel = (*SSKernel)(nil)
 	_ engine.Kernel = (*SSLKernel)(nil)
 )

@@ -1,7 +1,10 @@
 // Package scan implements the sequential-scan retrieval baselines of
-// Section 2.2: the Naive full scan, the Cauchy–Schwarz sorted scan SS
-// with incremental pruning (Algorithms 1 and 2), and SS-L, the LEMP-style
-// single-query variant operating on normalized vectors.
+// Section 2.2: the Naive full scan and SS-L, the LEMP-style single-query
+// sorted scan operating on normalized vectors. The Cauchy–Schwarz sorted
+// scan SS with incremental pruning (Algorithms 1 and 2) is FEXIPRO with
+// no technique switched on and strict comparisons, so the method registry
+// builds it from internal/core (variant F, PruneSlack < 0) rather than
+// from a second copy of that loop here.
 //
 // Every baseline exposes its scan as a range-scan over a contiguous row
 // interval, so the same code path serves both the classic single-scan
@@ -49,10 +52,8 @@ func (n *Naive) Search(q []float64, k int) []topk.Result {
 func (n *Naive) SearchContext(ctx context.Context, q []float64, k int) ([]topk.Result, error) {
 	n.stats = search.Stats{}
 	c := topk.New(k)
-	if err := n.scanRange(ctx, n.hook, q, 0, n.items.Rows, c, &n.stats); err != nil {
-		return c.Results(), err
-	}
-	return c.Results(), nil
+	err := n.scanRange(ctx, n.hook, q, 0, n.items.Rows, c, &n.stats)
+	return c.Results(), err
 }
 
 // scanRange scans rows [lo, hi), offering every inner product to c.
@@ -61,46 +62,29 @@ func (n *Naive) SearchContext(ctx context.Context, q []float64, k int) ([]topk.R
 //
 // Naive is the cheapest per-item scan in the repository (a bare dot
 // product), so it is the one place where even a predictable per-item
-// branch shows up in profiles. The loop is therefore split three ways:
-// no guard at all when neither a hook nor a cancellable context is
-// present, stride-sized tight chunks with one poll between chunks when
-// only the context needs watching, and the fully guarded per-item loop
-// only when a fault hook demands per-item OnItem calls.
-// BenchmarkSearchContextOverhead in bench_test.go holds the first two
-// paths within 1% of a guard-free scan at d = 1.
+// branch shows up in profiles. The rows are therefore scored in chunks
+// with no guard inside and one search.Poll between chunks: a stride's
+// worth of rows, or — under a fault hook, which is owed an OnItem call
+// per row — one. The matrix header is read once, outside both loops: a
+// reload per row costs 3 % at d = 1. BenchmarkSearchContextOverhead in
+// bench_test.go holds the hook-less scan within 1% of a guard-free loop
+// there.
 func (n *Naive) scanRange(ctx context.Context, hook *faults.Hook, q []float64, lo, hi int, c *topk.Collector, stats *search.Stats) error {
-	done := ctx.Done()
-	switch {
-	case hook == nil && done == nil:
-		//fex:hot
-		for i := lo; i < hi; i++ {
-			c.Push(i, vec.Dot(q, n.items.Row(i)))
+	data, d := n.items.Data, n.items.Cols
+	chunk := search.CheckStride
+	if hook != nil {
+		chunk = 1
+	}
+	for base := lo; base < hi; base += chunk {
+		if err := search.Poll(ctx, hook, base-lo); err != nil {
+			stats.Scanned += base - lo
+			stats.FullProducts += base - lo
+			return err
 		}
-	case hook == nil:
-		for base := lo; base < hi; base += search.CheckStride {
-			if err := search.Poll(ctx, nil, base-lo); err != nil {
-				stats.Scanned += base - lo
-				stats.FullProducts += base - lo
-				return err
-			}
-			end := base + search.CheckStride
-			if end > hi {
-				end = hi
-			}
-			//fex:hot
-			for i := base; i < end; i++ {
-				c.Push(i, vec.Dot(q, n.items.Row(i)))
-			}
-		}
-	default:
+		end := min(base+chunk, hi)
 		//fex:hot
-		for i := lo; i < hi; i++ {
-			if err := search.Poll(ctx, hook, i-lo); err != nil {
-				stats.Scanned += i - lo
-				stats.FullProducts += i - lo
-				return err
-			}
-			c.Push(i, vec.Dot(q, n.items.Row(i)))
+		for i := base; i < end; i++ {
+			c.Push(i, vec.Dot(q, data[i*d:(i+1)*d]))
 		}
 	}
 	stats.Scanned += hi - lo

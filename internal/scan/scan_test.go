@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"fexipro/internal/method"
 	"fexipro/internal/scan"
 	"fexipro/internal/search"
 	"fexipro/internal/searchtest"
@@ -27,20 +28,29 @@ func TestNaiveStats(t *testing.T) {
 	}
 }
 
+// newSS is the registry's SS at checking dimension w. The sorted scan of
+// Algorithms 1 and 2 has no loop of its own in this package any more —
+// the registry builds it as FEXIPRO variant F compared strictly — and
+// these tests hold that build to what they held scan.SS to.
+func newSS(items *vec.Matrix, w int) searchtest.FaultSearcher {
+	s, err := method.Build("SS", items, method.BuildOptions{W: w})
+	if err != nil {
+		panic(err)
+	}
+	return s.(searchtest.FaultSearcher)
+}
+
 func TestSSExact(t *testing.T) {
-	searchtest.CheckSearcher(t, func(items *vec.Matrix) search.Searcher {
-		return scan.NewSS(items, 0)
-	}, "ss")
-	searchtest.CheckSearcherEdgeCases(t, func(items *vec.Matrix) search.Searcher {
-		return scan.NewSS(items, 0)
-	}, "ss")
+	build := func(items *vec.Matrix) search.Searcher { return newSS(items, 0) }
+	searchtest.CheckSearcher(t, build, "ss")
+	searchtest.CheckSearcherEdgeCases(t, build, "ss")
 }
 
 func TestSSExactVariousW(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	items, _ := searchtest.RandomInstance(rng, 200, 16)
 	for _, w := range []int{1, 4, 8, 15, 16, 100} {
-		s := scan.NewSS(items, w)
+		s := newSS(items, w)
 		for trial := 0; trial < 5; trial++ {
 			q := make([]float64, 16)
 			for j := range q {
@@ -54,7 +64,7 @@ func TestSSExactVariousW(t *testing.T) {
 func TestSSPrunes(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	items, q := searchtest.RandomInstance(rng, 2000, 16)
-	s := scan.NewSS(items, 0)
+	s := newSS(items, 0)
 	s.Search(q, 1)
 	st := s.Stats()
 	if st.PrunedByLength == 0 {
@@ -107,7 +117,7 @@ func TestSSLPrunesMoreThanNaive(t *testing.T) {
 func TestSearchPanicsOnDimMismatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	items, _ := searchtest.RandomInstance(rng, 10, 4)
-	s := scan.NewSS(items, 0)
+	s := newSS(items, 0)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"fexipro/internal/engine"
+	"fexipro/internal/method"
 	"fexipro/internal/scan"
 	"fexipro/internal/search"
 	"fexipro/internal/searchtest"
@@ -16,9 +17,19 @@ func TestShardedNaiveBitExact(t *testing.T) {
 	}, "naive")
 }
 
+// shardedSS is the registry's SS on the sharded engine (at shards = 1,
+// as everywhere, the sequential searcher).
+func shardedSS(items *vec.Matrix, shards int) searchtest.FaultSearcher {
+	s, err := method.Sharded("SS", items, method.BuildOptions{}, shards, 2)
+	if err != nil {
+		panic(err)
+	}
+	return s.(searchtest.FaultSearcher)
+}
+
 func TestShardedSSBitExact(t *testing.T) {
 	searchtest.CheckSharded(t, func(items *vec.Matrix, shards int) search.ContextSearcher {
-		return engine.New(scan.NewSSKernel(scan.NewSS(items, 0), shards), 2)
+		return shardedSS(items, shards)
 	}, "ss")
 }
 
@@ -35,9 +46,7 @@ func TestShardedScanCancellation(t *testing.T) {
 		}, "naive")
 	})
 	t.Run("ss", func(t *testing.T) {
-		searchtest.CheckShardedCancellation(t, func(items *vec.Matrix, shards int) searchtest.FaultSearcher {
-			return engine.New(scan.NewSSKernel(scan.NewSS(items, 0), shards), 2)
-		}, "ss")
+		searchtest.CheckShardedCancellation(t, shardedSS, "ss")
 	})
 	t.Run("ssl", func(t *testing.T) {
 		searchtest.CheckShardedCancellation(t, func(items *vec.Matrix, shards int) searchtest.FaultSearcher {

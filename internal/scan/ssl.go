@@ -63,6 +63,12 @@ func NewSSL(items *vec.Matrix, opts SSLOptions) *SSL {
 	return s
 }
 
+// clampW brings a checking dimension into [1, d−1]; at d = 1 there is no
+// room for a residual and w = d switches incremental pruning off.
+func clampW(w, d int) int {
+	return max(1, min(w, max(d-1, 1)))
+}
+
 func (s *SSL) setW(w int) {
 	d := s.unit.Cols
 	s.w = w
@@ -155,10 +161,8 @@ func (s *SSL) SearchContext(ctx context.Context, q []float64, k int) ([]topk.Res
 	qs := s.prepareQuery(q)
 	s.stats = search.Stats{}
 	c := topk.New(k)
-	if err := s.scanRange(ctx, s.hook, qs, 0, s.unit.Rows, c, nil, &s.stats); err != nil {
-		return c.Results(), err
-	}
-	return c.Results(), nil
+	err := s.scanRange(ctx, s.hook, qs, 0, s.unit.Rows, c, nil, &s.stats)
+	return c.Results(), err
 }
 
 // scanRange is the SS-L scan over the sorted rows [lo, hi). Pruning is

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"fexipro/internal/faults"
-	"fexipro/internal/topk"
 )
 
 // ErrDeadline is returned by SearchContext when the query is cancelled
@@ -34,18 +33,9 @@ const CheckStride = 1024
 // poll tests.
 const StrideMask = CheckStride - 1
 
-// ContextSearcher is a Searcher with a cancellable entrypoint. Every
-// searcher in this repository implements it natively: the scan loops
-// poll ctx every CheckStride items and return partial results with an
-// ErrDeadline-wrapping error on cancellation.
-type ContextSearcher interface {
-	Searcher
-	// SearchContext behaves like Search but honours ctx: on
-	// cancellation it promptly returns the best-so-far results and an
-	// error satisfying errors.Is(err, ErrDeadline). A nil error flags
-	// the results as exact.
-	SearchContext(ctx context.Context, q []float64, k int) ([]topk.Result, error)
-}
+// ContextSearcher is Searcher under the name it had while SearchContext
+// was an optional extra.
+type ContextSearcher = Searcher
 
 // Canceled wraps cause so the result satisfies
 // errors.Is(err, ErrDeadline), preserving an already-wrapped error.
@@ -106,24 +96,4 @@ func Poll(ctx context.Context, hook *faults.Hook, i int) error {
 		}
 	}
 	return nil
-}
-
-// WithContext returns s as a ContextSearcher: s itself when it
-// implements SearchContext natively, otherwise an adapter that checks
-// ctx once on entry (a completed scan is exact, so the adapter never
-// flags finished results).
-func WithContext(s Searcher) ContextSearcher {
-	if cs, ok := s.(ContextSearcher); ok {
-		return cs
-	}
-	return ctxAdapter{s}
-}
-
-type ctxAdapter struct{ Searcher }
-
-func (a ctxAdapter) SearchContext(ctx context.Context, q []float64, k int) ([]topk.Result, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, Canceled(err)
-	}
-	return a.Search(q, k), nil
 }

@@ -4,7 +4,11 @@
 // distribution figures (Figures 9 and 12).
 package search
 
-import "fexipro/internal/topk"
+import (
+	"context"
+
+	"fexipro/internal/topk"
+)
 
 // Searcher answers exact (or, for PCATree, approximate) top-k inner
 // product queries against a fixed item matrix.
@@ -13,8 +17,15 @@ type Searcher interface {
 	// sorted by descending score. Fewer than k results are returned only
 	// when the index holds fewer than k items.
 	Search(q []float64, k int) []topk.Result
+	// SearchContext behaves like Search but honours ctx: the scan loops
+	// poll it every CheckStride items, and on cancellation promptly
+	// return the best-so-far results and an error satisfying
+	// errors.Is(err, ErrDeadline). A nil error flags the results as
+	// exact.
+	SearchContext(ctx context.Context, q []float64, k int) ([]topk.Result, error)
 	// Stats returns the counters accumulated by the most recent Search
-	// call. Implementations that do not track a counter leave it zero.
+	// or SearchContext call. Implementations that do not track a counter
+	// leave it zero.
 	Stats() Stats
 }
 

@@ -65,9 +65,8 @@ func buildPlanner(t *testing.T, names []string, items *vec.Matrix, shards int, l
 		if err != nil {
 			t.Fatalf("%s: building %s: %v", label, name, err)
 		}
-		cs := search.WithContext(s)
-		cands = append(cands, plan.Candidate{Name: d.Name, Searcher: cs, Cost: d.Cost, Exact: d.Exact})
-		byName[d.Name] = cs
+		cands = append(cands, plan.Candidate{Name: d.Name, Searcher: s, Cost: d.Cost, Exact: d.Exact})
+		byName[d.Name] = s
 	}
 	p, err := plan.New(cands, plan.Options{N: items.Rows, D: items.Cols, Shards: shards, Workers: 2})
 	if err != nil {

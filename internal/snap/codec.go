@@ -87,12 +87,6 @@ func (e *Encoder) Int16s(v []int16) {
 	}
 }
 
-// Bytes8 appends a length-prefixed byte blob (nested containers).
-func (e *Encoder) Bytes8(v []byte) {
-	e.U64(uint64(len(v)))
-	e.buf = append(e.buf, v...)
-}
-
 // Matrix appends rows, cols, and the row-major float64 data. A nil
 // matrix is encoded as rows = MaxUint64 and distinguished on load.
 func (e *Encoder) Matrix(m *vec.Matrix) {
@@ -293,20 +287,6 @@ func (d *Decoder) Int16s() []int16 {
 		out[i] = int16(binary.LittleEndian.Uint16(b))
 	}
 	return out
-}
-
-// Bytes8 reads a length-prefixed byte blob, copying it out of the
-// section buffer.
-func (d *Decoder) Bytes8() []byte {
-	n := d.length(1)
-	if d.err != nil {
-		return nil
-	}
-	b := d.take(n)
-	if b == nil {
-		return nil
-	}
-	return append([]byte(nil), b...)
 }
 
 // Matrix reads a matrix written by Encoder.Matrix (nil-aware).

@@ -243,7 +243,6 @@ func TestEncoderDecoderRoundTrip(t *testing.T) {
 	e.Int64s([]int64{math.MinInt64, math.MaxInt64})
 	e.Int32s([]int32{-5, 5})
 	e.Int16s([]int16{-300, 300})
-	e.Bytes8([]byte("nested"))
 	e.Matrix(m)
 	e.Matrix(nil)
 
@@ -289,9 +288,6 @@ func TestEncoderDecoderRoundTrip(t *testing.T) {
 	}
 	if got := d.Int16s(); !reflect.DeepEqual(got, []int16{-300, 300}) {
 		t.Errorf("Int16s = %v", got)
-	}
-	if got := d.Bytes8(); string(got) != "nested" {
-		t.Errorf("Bytes8 = %q", got)
 	}
 	got := d.Matrix()
 	if got == nil || got.Rows != 3 || got.Cols != 2 || !reflect.DeepEqual(got.Data, m.Data) {

@@ -5,7 +5,6 @@ import (
 
 	"fexipro/internal/method"
 	"fexipro/internal/plan"
-	"fexipro/internal/search"
 )
 
 // PlannerOptions configures NewPlanner.
@@ -90,7 +89,7 @@ func NewPlanner(items *Matrix, o PlannerOptions) (*Planner, error) {
 		}
 		cands = append(cands, plan.Candidate{
 			Name:     d.Name,
-			Searcher: search.WithContext(s),
+			Searcher: s,
 			Cost:     d.Cost,
 			Exact:    d.Exact,
 		})

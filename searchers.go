@@ -25,10 +25,6 @@ type Options struct {
 	E float64
 	// W overrides the checking dimension (0 = derive from Rho).
 	W int
-	// CompactInts stores the tail columns of the integer approximations
-	// as int16 (halving that table; the head columns are always packed
-	// words); automatically falls back to int32 when E would overflow.
-	CompactInts bool
 	// Shards splits the index into that many contiguous partitions of
 	// the norm-sorted items, answered in parallel per query by the
 	// sharded execution engine and merged into the exact canonical
@@ -38,6 +34,17 @@ type Options struct {
 	// Workers bounds the per-query goroutine pool used when Shards > 1
 	// (≤ 0 means GOMAXPROCS, clamped to Shards). Ignored for Shards ≤ 1.
 	Workers int
+}
+
+// internal translates the technique set and parameters into internal options.
+func (o Options) internal() (core.Options, error) {
+	variant := o.Variant
+	if variant == "" {
+		variant = "F-SIR"
+	}
+	copts, err := core.OptionsForVariant(variant)
+	copts.Rho, copts.E, copts.W = o.Rho, o.E, o.W
+	return copts, err
 }
 
 // FEXIPRO is the framework's public handle: a preprocessed index plus a
@@ -58,18 +65,10 @@ type FEXIPRO struct {
 // New preprocesses items (rows are item vectors; copied) into a FEXIPRO
 // index using the requested variant.
 func New(items *Matrix, opts Options) (*FEXIPRO, error) {
-	variant := opts.Variant
-	if variant == "" {
-		variant = "F-SIR"
-	}
-	copts, err := core.OptionsForVariant(variant)
+	copts, err := opts.internal()
 	if err != nil {
 		return nil, err
 	}
-	copts.Rho = opts.Rho
-	copts.E = opts.E
-	copts.W = opts.W
-	copts.CompactInts = opts.CompactInts
 	idx, err := core.NewIndex(items.m, copts)
 	if err != nil {
 		return nil, err
@@ -182,10 +181,9 @@ type MethodOptions struct {
 	// W is SS's checking dimension, or the FEXIPRO family's override for
 	// the ρ-derived one (0 = derive).
 	W int
-	// Rho, E, CompactInts are the FEXIPRO family's preprocessing
-	// parameters (zero values = paper defaults).
-	Rho, E      float64
-	CompactInts bool
+	// Rho, E are the FEXIPRO family's preprocessing parameters (zero
+	// values = paper defaults).
+	Rho, E float64
 	// LeafSize bounds tree leaves for BallTree/FastMKS/PCATree (0 = 20).
 	LeafSize int
 	// BucketSize is LEMP's norm-bucket size (0 = default).
@@ -199,7 +197,7 @@ type MethodOptions struct {
 
 func (o MethodOptions) internal() method.BuildOptions {
 	bo := method.BuildOptions{
-		W: o.W, Rho: o.Rho, E: o.E, CompactInts: o.CompactInts,
+		W: o.W, Rho: o.Rho, E: o.E,
 		LeafSize: o.LeafSize, BucketSize: o.BucketSize, SpillFraction: o.SpillFraction,
 	}
 	if o.SampleQueries != nil {
@@ -237,7 +235,10 @@ func NewNaive(items *Matrix) Searcher {
 }
 
 // NewSS returns the Cauchy–Schwarz sorted scan with incremental pruning
-// at checking dimension w (0 = default d/5).
+// at checking dimension w (0 = default d/5): FEXIPRO's scan with no
+// transformation switched on, so it copies items and, where New would
+// return an error (no rows, a non-finite coordinate), panics — use
+// NewMethod("SS", …) to get the error instead.
 func NewSS(items *Matrix, w int) Searcher {
 	return wrap{s: builtin("SS", items.m, method.BuildOptions{W: w})}
 }
