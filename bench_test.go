@@ -291,7 +291,7 @@ func BenchmarkFig13(b *testing.B) {
 	for _, p := range benchProfiles {
 		b.Run(p, func(b *testing.B) {
 			ds := benchDataset(b, p)
-			tree := pcatree.New(ds.Items, pcatree.Options{LeafSize: 64})
+			tree := engine.New(pcatree.NewKernel(pcatree.New(ds.Items, pcatree.Options{LeafSize: 64}), 1), 1)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				for qi := 0; qi < ds.Queries.Rows; qi++ {

@@ -35,7 +35,7 @@ func LoadIndex(path string) (*FEXIPRO, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &FEXIPRO{idx: idx, r: core.NewRetriever(idx), shards: 1}, nil
+	return newFEXIPRO(idx, 1, 1), nil
 }
 
 // SearchAbove returns every item whose inner product with q is at least
@@ -45,14 +45,14 @@ func LoadIndex(path string) (*FEXIPRO, error) {
 // (~1e-12 relative); thresholds exactly equal to an item's score are
 // inherently knife-edge.
 func (f *FEXIPRO) SearchAbove(q []float64, t float64) []Result {
-	return convertResults(f.r.SearchAbove(q, t))
+	return convertResults(f.above.SearchAbove(q, t))
 }
 
 // SearchAboveContext behaves like SearchAbove but honours ctx: on
 // cancellation it returns the (sorted) items found so far with an
 // ErrDeadline-wrapping error; the set may be missing qualifying items.
 func (f *FEXIPRO) SearchAboveContext(ctx context.Context, q []float64, t float64) ([]Result, error) {
-	res, err := f.r.SearchAboveContext(ctx, q, t)
+	res, err := f.above.SearchAboveContext(ctx, q, t)
 	return convertResults(res), err
 }
 

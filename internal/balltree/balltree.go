@@ -15,7 +15,6 @@ package balltree
 
 import (
 	"context"
-	"fmt"
 	"math"
 	"math/rand"
 
@@ -29,18 +28,13 @@ import (
 // in the paper's experiments.
 const DefaultLeafSize = 20
 
-// Tree is an immutable BallTree over an item matrix.
+// Tree is an immutable BallTree over an item matrix. It is searched by
+// Kernel (one tree per shard) under engine.Engine.
 type Tree struct {
 	items    *vec.Matrix
 	root     *node
 	leafSize int
-	hook     *faults.Hook
-	stats    search.Stats
 }
-
-// SetFaultHook installs (or, with nil, removes) the fault-injection hook
-// called once per visited tree node.
-func (t *Tree) SetFaultHook(h *faults.Hook) { t.hook = h }
 
 type node struct {
 	centroid []float64
@@ -139,36 +133,12 @@ func (t *Tree) farthestFrom(from []float64, ids []int) int {
 	return best
 }
 
-// Search implements search.Searcher with depth-first branch-and-bound.
-func (t *Tree) Search(q []float64, k int) []topk.Result {
-	res, _ := t.SearchContext(context.Background(), q, k)
-	return res
-}
-
-// SearchContext implements search.ContextSearcher: the descent polls ctx
-// every search.CheckStride visited nodes and returns the best-so-far
-// partial top-k with an ErrDeadline-wrapping error on cancellation.
-func (t *Tree) SearchContext(ctx context.Context, q []float64, k int) ([]topk.Result, error) {
-	if len(q) != t.items.Cols {
-		panic(fmt.Sprintf("balltree: query dim %d != item dim %d", len(q), t.items.Cols))
-	}
-	t.stats = search.Stats{}
-	c := topk.New(k)
-	if t.root != nil && k > 0 {
-		s := &scanState{t: t, ctx: ctx, q: q, qNorm: vec.Norm(q), c: c, hook: t.hook, stats: &t.stats}
-		if err := s.descend(t.root); err != nil {
-			return c.Results(), err
-		}
-	}
-	return c.Results(), nil
-}
-
-// scanState carries one branch-and-bound descent's per-query inputs and
-// outputs, decoupled from the Tree so the same tree (or a per-shard
-// slice of trees) can be scanned by the sharded engine: the collector
-// and stats are externally owned, shared is the engine's cross-shard
-// monotone threshold (nil for single scans), and offset translates the
-// tree's local row IDs back to global item IDs.
+// scanState carries one depth-first branch-and-bound descent's per-query
+// inputs and outputs, decoupled from the Tree so a per-shard slice of
+// trees can be scanned by the engine: the collector and stats are
+// externally owned, shared is the engine's cross-shard monotone
+// threshold (nil at one shard), and offset translates the tree's local
+// row IDs back to global item IDs.
 type scanState struct {
 	t      *Tree
 	ctx    context.Context
@@ -244,9 +214,6 @@ func countItems(n *node) int {
 	return countItems(n.left) + countItems(n.right)
 }
 
-// Stats implements search.Searcher.
-func (t *Tree) Stats() search.Stats { return t.stats }
-
 // Depth returns the height of the tree (leaves have depth 1); used by
 // tests and diagnostics.
 func (t *Tree) Depth() int { return depth(t.root) }
@@ -264,5 +231,3 @@ func depth(n *node) int {
 	}
 	return r + 1
 }
-
-var _ search.ContextSearcher = (*Tree)(nil)

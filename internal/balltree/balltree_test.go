@@ -5,25 +5,40 @@ import (
 	"testing"
 
 	"fexipro/internal/balltree"
-	"fexipro/internal/search"
+	"fexipro/internal/engine"
 	"fexipro/internal/searchtest"
 	"fexipro/internal/vec"
 )
 
+// searcher is the package's one search path: the engine over a Kernel of
+// per-shard trees (the registry's BallTree is this at the default leaf
+// size, and internal/method's registry-driven test covers that).
+func searcher(leafSize int) searchtest.Builder {
+	return func(items *vec.Matrix, shards int) searchtest.FaultSearcher {
+		return engine.New(balltree.NewKernel(items, leafSize, shards), 2)
+	}
+}
+
 func TestBallTreeExact(t *testing.T) {
-	searchtest.CheckSearcher(t, func(items *vec.Matrix) search.Searcher {
-		return balltree.New(items, 0)
-	}, "balltree")
-	searchtest.CheckSearcherEdgeCases(t, func(items *vec.Matrix) search.Searcher {
-		return balltree.New(items, 0)
-	}, "balltree")
+	searchtest.CheckSearcher(t, searcher(0).Sequential, "balltree")
+	searchtest.CheckSearcherEdgeCases(t, searcher(0).Sequential, "balltree")
+}
+
+// Small leaves so even the harness's small instances produce real
+// multi-level trees in every shard.
+func TestShardedBallTreeBitExact(t *testing.T) {
+	searchtest.CheckSharded(t, searcher(4), "balltree")
+}
+
+func TestShardedBallTreeCancellation(t *testing.T) {
+	searchtest.CheckShardedCancellation(t, searcher(4), "balltree")
 }
 
 func TestBallTreeExactVariousLeafSizes(t *testing.T) {
 	rng := rand.New(rand.NewSource(40))
 	items, _ := searchtest.RandomInstance(rng, 300, 12)
 	for _, leaf := range []int{1, 5, 20, 100, 1000} {
-		tree := balltree.New(items, leaf)
+		tree := searcher(leaf).Sequential(items)
 		for trial := 0; trial < 5; trial++ {
 			q := make([]float64, 12)
 			for j := range q {
@@ -38,7 +53,7 @@ func TestBallTreePrunesInLowDimensions(t *testing.T) {
 	// At low d the bound is effective: the tree must not visit everything.
 	rng := rand.New(rand.NewSource(41))
 	items, q := searchtest.RandomInstance(rng, 5000, 3)
-	tree := balltree.New(items, 0)
+	tree := searcher(0).Sequential(items)
 	tree.Search(q, 1)
 	st := tree.Stats()
 	if st.FullProducts >= 5000 {
@@ -52,7 +67,7 @@ func TestBallTreePrunesInLowDimensions(t *testing.T) {
 func TestBallTreeAllDuplicates(t *testing.T) {
 	row := []float64{1, 2, 3}
 	items := vec.FromRows([][]float64{row, row, row, row, row})
-	tree := balltree.New(items, 2)
+	tree := searcher(2).Sequential(items)
 	got := tree.Search([]float64{1, 1, 1}, 3)
 	if len(got) != 3 {
 		t.Fatalf("got %d results", len(got))

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"fexipro/internal/core"
-	"fexipro/internal/search"
 	"fexipro/internal/searchtest"
 	"fexipro/internal/vec"
 )
@@ -31,7 +30,7 @@ func TestAllVariantsExact(t *testing.T) {
 	for _, variant := range allVariants {
 		variant := variant
 		t.Run(variant, func(t *testing.T) {
-			searchtest.CheckSearcher(t, func(items *vec.Matrix) search.Searcher {
+			searchtest.CheckSearcher(t, func(items *vec.Matrix) searchtest.FaultSearcher {
 				return buildVariant(t, items, variant)
 			}, variant)
 		})
@@ -42,7 +41,7 @@ func TestAllVariantsEdgeCases(t *testing.T) {
 	for _, variant := range allVariants {
 		variant := variant
 		t.Run(variant, func(t *testing.T) {
-			searchtest.CheckSearcherEdgeCases(t, func(items *vec.Matrix) search.Searcher {
+			searchtest.CheckSearcherEdgeCases(t, func(items *vec.Matrix) searchtest.FaultSearcher {
 				return buildVariant(t, items, variant)
 			}, variant)
 		})

@@ -426,7 +426,7 @@ type dynQuery struct {
 func (k *dynKernel) Shards() int { return len(k.di.shards) }
 
 // Prepare implements engine.Kernel.
-func (k *dynKernel) Prepare(q []float64) any {
+func (k *dynKernel) Prepare(q []float64, _ any) any {
 	if len(q) != k.di.d {
 		panic(fmt.Sprintf("core: query dim %d != %d", len(q), k.di.d))
 	}
@@ -492,18 +492,13 @@ func (di *DynamicIndex) Search(q []float64, k int) []topk.Result {
 	return res
 }
 
-// SearchContext implements search.ContextSearcher: all shards (delta
+// SearchContext implements search.Searcher: all shards (delta
 // buffers and main indexes) poll ctx and a cancellation merges every
 // shard's best-so-far into a partial top-k returned with an
 // ErrDeadline-wrapping error.
 func (di *DynamicIndex) SearchContext(ctx context.Context, q []float64, k int) ([]topk.Result, error) {
-	if len(q) != di.d {
-		panic(fmt.Sprintf("core: query dim %d != %d", len(q), di.d))
-	}
-	di.stats = search.Stats{}
-	if k <= 0 {
-		return nil, nil
-	}
+	// The engine owns the contract: dynKernel.Prepare panics on a
+	// dimension mismatch, and k ≤ 0 is no results and zero counters.
 	res, err := di.eng.SearchContext(ctx, q, k)
 	di.stats = di.eng.Stats()
 	return res, err
@@ -559,4 +554,4 @@ func (di *DynamicIndex) SearchAboveContext(ctx context.Context, q []float64, t f
 // shard's delta and main scans for that one query.
 func (di *DynamicIndex) Stats() search.Stats { return di.stats }
 
-var _ search.ContextSearcher = (*DynamicIndex)(nil)
+var _ search.Searcher = (*DynamicIndex)(nil)

@@ -39,7 +39,7 @@ func (l *LiveScan) Search(q []float64, k int) []topk.Result {
 	return res
 }
 
-// SearchContext implements search.ContextSearcher.
+// SearchContext implements search.Searcher.
 func (l *LiveScan) SearchContext(ctx context.Context, q []float64, k int) ([]topk.Result, error) {
 	di := l.di
 	if len(q) != di.d {
@@ -71,4 +71,4 @@ func (l *LiveScan) SearchContext(ctx context.Context, q []float64, k int) ([]top
 // Stats reports the counters of the most recent query (not cumulative).
 func (l *LiveScan) Stats() search.Stats { return l.stats }
 
-var _ search.ContextSearcher = (*LiveScan)(nil)
+var _ search.Searcher = (*LiveScan)(nil)

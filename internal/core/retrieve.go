@@ -7,22 +7,28 @@ import (
 	"math/bits"
 
 	"fexipro/internal/faults"
-	"fexipro/internal/obs"
 	"fexipro/internal/search"
 	"fexipro/internal/topk"
 	"fexipro/internal/vec"
 )
 
-// Retriever executes top-k queries against an Index (Algorithm 4). Each
-// Retriever owns scratch buffers and stats for one query at a time, so
-// concurrent queries need separate Retrievers over the same shared Index.
+// Retriever executes queries against an Index (Algorithm 4) on the
+// calling goroutine. Each Retriever owns scratch buffers and stats for
+// one query at a time, so concurrent queries need separate Retrievers
+// over the same shared Index.
 //
-// Since the sharded-execution refactor the Retriever is a thin wrapper:
-// all query preparation and scanning lives on the Index as
-// prepareQuery / scanRange, parameterized by a queryState (per-query
-// scratch) and an explicit row range, so the same code path serves both
-// this single-scan Retriever (range [0, n), no shared threshold) and
-// the per-shard kernel in Sharded (sub-ranges, shared threshold).
+// It is one of the two sequential searchers left beside engine.Engine
+// (scan.Naive, the reference, is the other). Top-k search in this
+// repository is the engine over a kernel — Sharded for an Index — and
+// neither the method registry nor fexipro.New reaches a Retriever for
+// it. The type stays as core's per-goroutine scratch for what the engine
+// does not run: SearchAbove (abovet.go), each worker of BatchTopK
+// (batchquery.go), a dynamic shard's above-t scan, and — through
+// SearchContext, which the frozen repository benchmark times as its
+// `core.retriever` rung and the blocked-scan tests use as the reference
+// — the scan with no executor around it. All query preparation and
+// scanning lives on the Index as prepareQuery / scanRange, so this and
+// the Sharded kernel run the same code.
 type Retriever struct {
 	idx   *Index
 	hook  *faults.Hook
@@ -97,16 +103,10 @@ func (r *Retriever) Search(q []float64, k int) []topk.Result {
 	return res
 }
 
-// SearchContext implements search.ContextSearcher: the scan polls ctx
+// SearchContext implements search.Searcher: the scan polls ctx
 // every search.CheckStride items and returns the best-so-far partial
-// top-k with an ErrDeadline-wrapping error on cancellation.
-//
-// When ctx carries an obs span, the two lifecycle stages of the
-// single-scan path — the per-query transform (Algorithm 4 lines 5–9)
-// and the pruning scan — are timed as "transform" and "scan" children,
-// matching the names the sharded engine uses so stage-timing consumers
-// need no per-topology cases. With no span in ctx every call is a nil
-// no-op; nothing span-related happens per item.
+// top-k with an ErrDeadline-wrapping error on cancellation. It starts no
+// spans: the traced query lifecycle (DESIGN.md §13) is the engine's.
 func (r *Retriever) SearchContext(ctx context.Context, q []float64, k int) ([]topk.Result, error) {
 	idx := r.idx
 	if len(q) != idx.d {
@@ -116,19 +116,9 @@ func (r *Retriever) SearchContext(ctx context.Context, q []float64, k int) ([]to
 	if k <= 0 {
 		return nil, nil
 	}
-	sp := obs.SpanFrom(ctx)
 	c := topk.New(k)
-	tsp := sp.StartChild("transform")
 	idx.prepareQuery(q, r.qs)
-	tsp.End()
-	ssp := sp.StartChild("scan")
 	err := idx.scanRange(ctx, r.hook, r.qs, 0, idx.n, c, nil, &r.stats)
-	if ssp != nil {
-		ssp.AttrInt("scanned", int64(r.stats.Scanned))
-		ssp.AttrInt("pruned", int64(r.stats.TotalPruned()))
-		ssp.AttrInt("fullProducts", int64(r.stats.FullProducts))
-		ssp.End()
-	}
 	return c.Results(), err
 }
 
@@ -467,4 +457,4 @@ func (idx *Index) tailBound(qs *queryState, i int) float64 {
 	return float64(iuTail) * qs.tailFactor
 }
 
-var _ search.ContextSearcher = (*Retriever)(nil)
+var _ search.Searcher = (*Retriever)(nil)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 
 	"fexipro/internal/engine"
 	"fexipro/internal/faults"
@@ -31,18 +32,23 @@ func NewSharded(idx *Index, shards int) *Sharded {
 	return &Sharded{idx: idx, part: engine.NewPartition(idx.n, shards)}
 }
 
-// Index returns the underlying (shared, immutable) index.
-func (s *Sharded) Index() *Index { return s.idx }
-
 // Shards implements engine.Kernel.
 func (s *Sharded) Shards() int { return s.part.Shards() }
 
 // Prepare implements engine.Kernel: it computes the per-query state
 // (transformed query, norms, integer floors, reduction constants) once;
 // the returned *queryState is read-only during scans and therefore safe
-// to share across concurrently scanning shards.
-func (s *Sharded) Prepare(q []float64) any {
-	qs := s.idx.newQueryState()
+// to share across concurrently scanning shards. The scratch buffers are
+// the calling engine's previous ones when it has any, as a Retriever
+// keeps its own.
+func (s *Sharded) Prepare(q []float64, reuse any) any {
+	if len(q) != s.idx.d {
+		panic(fmt.Sprintf("core: query dim %d != item dim %d", len(q), s.idx.d))
+	}
+	qs, _ := reuse.(*queryState)
+	if qs == nil {
+		qs = s.idx.newQueryState()
+	}
 	s.idx.prepareQuery(q, qs)
 	return qs
 }

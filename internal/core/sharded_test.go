@@ -7,7 +7,6 @@ import (
 
 	"fexipro/internal/core"
 	"fexipro/internal/engine"
-	"fexipro/internal/search"
 	"fexipro/internal/searchtest"
 	"fexipro/internal/vec"
 )
@@ -33,7 +32,7 @@ func TestShardedVariantsBitExact(t *testing.T) {
 	for _, variant := range allVariants {
 		variant := variant
 		t.Run(variant, func(t *testing.T) {
-			searchtest.CheckSharded(t, func(items *vec.Matrix, shards int) search.ContextSearcher {
+			searchtest.CheckSharded(t, func(items *vec.Matrix, shards int) searchtest.FaultSearcher {
 				return buildShardedVariant(t, items, variant, shards)
 			}, variant)
 		})

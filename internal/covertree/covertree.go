@@ -17,7 +17,6 @@ package covertree
 
 import (
 	"context"
-	"fmt"
 	"math"
 
 	"fexipro/internal/faults"
@@ -32,18 +31,13 @@ const Base = 1.3
 // DefaultLeafSize bounds the number of points enumerated at a leaf.
 const DefaultLeafSize = 20
 
-// Tree is an immutable cover-tree max-kernel index.
+// Tree is an immutable cover-tree max-kernel index. It is searched by
+// Kernel (one tree per shard) under engine.Engine.
 type Tree struct {
 	items    *vec.Matrix
 	root     *node
 	leafSize int
-	hook     *faults.Hook
-	stats    search.Stats
 }
-
-// SetFaultHook installs (or, with nil, removes) the fault-injection hook
-// called once per visited tree node.
-func (t *Tree) SetFaultHook(h *faults.Hook) { t.hook = h }
 
 type node struct {
 	id          int     // representative item
@@ -148,36 +142,12 @@ func (t *Tree) build(rep int, ids []int) *node {
 	return n
 }
 
-// Search implements search.Searcher via best-bound-first branch and bound.
-func (t *Tree) Search(q []float64, k int) []topk.Result {
-	res, _ := t.SearchContext(context.Background(), q, k)
-	return res
-}
-
-// SearchContext implements search.ContextSearcher: the descent polls ctx
-// every search.CheckStride visited nodes and returns the best-so-far
-// partial top-k with an ErrDeadline-wrapping error on cancellation.
-func (t *Tree) SearchContext(ctx context.Context, q []float64, k int) ([]topk.Result, error) {
-	if t.items.Rows > 0 && len(q) != t.items.Cols {
-		panic(fmt.Sprintf("covertree: query dim %d != item dim %d", len(q), t.items.Cols))
-	}
-	t.stats = search.Stats{}
-	c := topk.New(k)
-	if t.root != nil && k > 0 {
-		s := &scanState{t: t, ctx: ctx, q: q, qNorm: vec.Norm(q), c: c, hook: t.hook, stats: &t.stats}
-		if err := s.descend(t.root); err != nil {
-			return c.Results(), err
-		}
-	}
-	return c.Results(), nil
-}
-
-// scanState carries one branch-and-bound descent's per-query inputs and
-// outputs, decoupled from the Tree so per-shard trees can be scanned by
-// the sharded engine: the collector and stats are externally owned,
-// shared is the engine's cross-shard monotone threshold (nil for single
-// scans), and offset translates the tree's local row IDs back to global
-// item IDs.
+// scanState carries one best-bound-first branch-and-bound descent's
+// per-query inputs and outputs, decoupled from the Tree so per-shard
+// trees can be scanned by the engine: the collector and stats are
+// externally owned, shared is the engine's cross-shard monotone
+// threshold (nil at one shard), and offset translates the tree's local
+// row IDs back to global item IDs.
 type scanState struct {
 	t      *Tree
 	ctx    context.Context
@@ -240,9 +210,6 @@ func (s *scanState) descend(n *node) error {
 	return nil
 }
 
-// Stats implements search.Searcher.
-func (t *Tree) Stats() search.Stats { return t.stats }
-
 // Size returns the number of indexed items.
 func (t *Tree) Size() int {
 	if t.root == nil {
@@ -250,5 +217,3 @@ func (t *Tree) Size() int {
 	}
 	return t.root.size
 }
-
-var _ search.ContextSearcher = (*Tree)(nil)

@@ -5,28 +5,43 @@ import (
 	"testing"
 
 	"fexipro/internal/covertree"
-	"fexipro/internal/search"
+	"fexipro/internal/engine"
 	"fexipro/internal/searchtest"
 	"fexipro/internal/vec"
 )
 
+// searcher is the package's one search path: the engine over a Kernel of
+// per-shard trees (the registry's FastMKS is this at the default leaf
+// size, and internal/method's registry-driven test covers that).
+func searcher(leafSize int) searchtest.Builder {
+	return func(items *vec.Matrix, shards int) searchtest.FaultSearcher {
+		return engine.New(covertree.NewKernel(items, leafSize, shards), 2)
+	}
+}
+
 func TestCoverTreeExact(t *testing.T) {
-	searchtest.CheckSearcher(t, func(items *vec.Matrix) search.Searcher {
-		return covertree.New(items, 0)
-	}, "covertree")
-	searchtest.CheckSearcherEdgeCases(t, func(items *vec.Matrix) search.Searcher {
-		return covertree.New(items, 0)
-	}, "covertree")
+	searchtest.CheckSearcher(t, searcher(0).Sequential, "covertree")
+	searchtest.CheckSearcherEdgeCases(t, searcher(0).Sequential, "covertree")
+}
+
+// Small leaves so even the harness's small instances produce real
+// multi-level trees in every shard.
+func TestShardedCoverTreeBitExact(t *testing.T) {
+	searchtest.CheckSharded(t, searcher(4), "covertree")
+}
+
+func TestShardedCoverTreeCancellation(t *testing.T) {
+	searchtest.CheckShardedCancellation(t, searcher(4), "covertree")
 }
 
 func TestCoverTreeExactVariousLeafSizes(t *testing.T) {
 	rng := rand.New(rand.NewSource(50))
 	items, _ := searchtest.RandomInstance(rng, 400, 10)
 	for _, leaf := range []int{1, 10, 50} {
-		tree := covertree.New(items, leaf)
-		if tree.Size() != 400 {
-			t.Fatalf("leaf=%d: Size = %d, want 400", leaf, tree.Size())
+		if size := covertree.New(items, leaf).Size(); size != 400 {
+			t.Fatalf("leaf=%d: Size = %d, want 400", leaf, size)
 		}
+		tree := searcher(leaf).Sequential(items)
 		for trial := 0; trial < 5; trial++ {
 			q := make([]float64, 10)
 			for j := range q {
@@ -40,7 +55,7 @@ func TestCoverTreeExactVariousLeafSizes(t *testing.T) {
 func TestCoverTreeDuplicates(t *testing.T) {
 	row := []float64{-1, 0.5}
 	items := vec.FromRows([][]float64{row, row, row, row, row, row})
-	tree := covertree.New(items, 2)
+	tree := searcher(2).Sequential(items)
 	got := tree.Search([]float64{2, 2}, 4)
 	if len(got) != 4 {
 		t.Fatalf("got %d results", len(got))
@@ -55,7 +70,7 @@ func TestCoverTreeDuplicates(t *testing.T) {
 func TestCoverTreePrunesInLowDimensions(t *testing.T) {
 	rng := rand.New(rand.NewSource(51))
 	items, q := searchtest.RandomInstance(rng, 5000, 3)
-	tree := covertree.New(items, 0)
+	tree := searcher(0).Sequential(items)
 	tree.Search(q, 1)
 	st := tree.Stats()
 	if st.FullProducts >= 5000 {
@@ -64,12 +79,12 @@ func TestCoverTreePrunesInLowDimensions(t *testing.T) {
 }
 
 func TestCoverTreeEmpty(t *testing.T) {
-	tree := covertree.New(vec.NewMatrix(0, 4), 0)
-	if got := tree.Search([]float64{1, 2, 3, 4}, 3); len(got) != 0 {
+	empty := vec.NewMatrix(0, 4)
+	if got := searcher(0).Sequential(empty).Search([]float64{1, 2, 3, 4}, 3); len(got) != 0 {
 		t.Fatalf("empty tree returned %v", got)
 	}
-	if tree.Size() != 0 {
-		t.Fatalf("Size = %d", tree.Size())
+	if size := covertree.New(empty, 0).Size(); size != 0 {
+		t.Fatalf("Size = %d", size)
 	}
 }
 

@@ -52,7 +52,7 @@ func NewKernel(items *vec.Matrix, leafSize, shards int) *Kernel {
 func (k *Kernel) Shards() int { return len(k.trees) }
 
 // Prepare implements engine.Kernel.
-func (k *Kernel) Prepare(q []float64) any {
+func (k *Kernel) Prepare(q []float64, _ any) any {
 	if len(q) != k.dim {
 		panic(fmt.Sprintf("covertree: query dim %d != item dim %d", len(q), k.dim))
 	}

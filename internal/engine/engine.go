@@ -25,11 +25,15 @@ type Kernel interface {
 
 	// Prepare computes the per-query state shared READ-ONLY by every
 	// shard scan (e.g. the SVD-transformed query, its norm, integer
-	// floors). It must panic on dimension mismatch, matching the
-	// single-scan searchers. The engine passes the returned value to
-	// every Scan call for this query, from multiple goroutines, without
-	// further synchronization.
-	Prepare(q []float64) any
+	// floors). It must panic on dimension mismatch. The engine passes
+	// the returned value to every Scan call for this query, from
+	// multiple goroutines, without further synchronization. reuse is
+	// what the calling engine's previous Prepare on this kernel
+	// returned (nil on its first query): that query is over, so a
+	// kernel may overwrite and return it instead of allocating — the
+	// sequential scan's per-executor scratch, kept per engine so that
+	// engines can still share one kernel.
+	Prepare(q []float64, reuse any) any
 
 	// Scan runs the shard's part of the query: it offers candidates to
 	// c (a collector private to this shard) and may tighten its pruning
@@ -50,9 +54,12 @@ type Kernel interface {
 // thread-safe (the obs registry's histograms are).
 type Observer func(shard int, seconds float64, st search.Stats)
 
-// Engine fans a single query out across the shards of a Kernel using a
-// bounded worker pool, then merges the per-shard heaps into the exact
-// canonical global top-k. It implements search.ContextSearcher.
+// Engine is the one top-k searcher over a Kernel: it fans a single
+// query out across the kernel's shards using a bounded worker pool, then
+// merges the per-shard heaps into the exact canonical global top-k. A
+// registered method IS its kernel (internal/method has one factory per
+// descriptor); the sequential form of every method is this engine over
+// a one-shard kernel. It implements search.Searcher.
 //
 // Exactness across shard counts: every kernel in this repository offers
 // an S-invariant candidate multiset (each shard's pruning is justified
@@ -70,6 +77,7 @@ type Engine struct {
 	observer Observer
 	hook     *faults.Hook
 	stats    search.Stats
+	pq       any // the last query's prepared state, offered back to Prepare
 }
 
 // New returns an engine over kern answering each query with a pool of
@@ -107,17 +115,25 @@ func (e *Engine) Search(q []float64, k int) []topk.Result {
 
 // shardOut is one shard's contribution, filled in by a worker.
 type shardOut struct {
-	res  []topk.Result
-	st   search.Stats
-	err  error
-	secs float64
+	res      []topk.Result
+	st       search.Stats
+	err      error
+	panicked any // what the shard's scan panicked with, if it did
 }
 
-// SearchContext implements search.ContextSearcher. On cancellation it
-// merges whatever every shard had collected when it stopped and returns
-// the canonical best-so-far partial top-k alongside an
-// ErrDeadline-wrapping error; all returned scores remain true inner
-// products because each kernel maintains that invariant per shard.
+// SearchContext implements search.Searcher. On cancellation it merges
+// whatever every shard had collected when it stopped and returns the
+// canonical best-so-far partial top-k alongside an ErrDeadline-wrapping
+// error; all returned scores remain true inner products because each
+// kernel maintains that invariant per shard. k ≤ 0 is a defined answer
+// at every shard count: after Prepare's dimension check, no results and
+// zero Stats.
+//
+// A panic in a shard scan reaches the caller: pool workers recover it,
+// the remaining shards finish, and the lowest panicking shard's value
+// is re-raised on the calling goroutine — where a server's recover
+// middleware can answer it — instead of killing the process from a
+// goroutine nobody can guard.
 //
 // When ctx carries an obs span (tracing enabled for this query), the
 // engine attaches the query-lifecycle tree under it: one "transform"
@@ -130,21 +146,47 @@ func (e *Engine) SearchContext(ctx context.Context, q []float64, k int) ([]topk.
 	e.stats = search.Stats{}
 	sp := obs.SpanFrom(ctx)
 	tsp := sp.StartChild("transform")
-	pq := e.kern.Prepare(q)
+	pq := e.kern.Prepare(q, e.pq)
+	e.pq = pq
 	tsp.End()
+	if k <= 0 {
+		return nil, nil
+	}
 	shards := e.kern.Shards()
-	outs := make([]shardOut, shards)
-	shared := &search.SharedThreshold{}
 
 	scanSp := sp.StartChild("scan")
 	if scanSp != nil {
 		scanSp.AttrInt("shards", int64(shards))
 		scanSp.AttrInt("workers", int64(e.workers))
 	}
-	if e.workers <= 1 || shards == 1 {
+	if shards == 1 {
+		// One shard: the query is the merge of one list, so the shard's
+		// collector IS the canonical result and nothing is shared — a
+		// nil SharedThreshold is its documented single-shard form (Floor
+		// returns the local threshold, which is all a lone shard's own
+		// publishes could ever raise it to), and there is no outs slice
+		// or second collector. Results and counters equal the general
+		// route's; the sequential form of every method pays this path.
+		var out shardOut
+		e.runShard(ctx, pq, 0, k, nil, &out, scanSp, 0)
+		scanSp.End()
+		if msp := sp.StartChild("merge"); msp != nil {
+			msp.AttrInt("candidates", int64(len(out.res)))
+			msp.End()
+		}
+		e.stats = out.st
+		if out.err != nil {
+			return out.res, search.Canceled(out.err)
+		}
+		return out.res, nil
+	}
+
+	outs := make([]shardOut, shards)
+	shared := &search.SharedThreshold{}
+	if e.workers <= 1 {
 		// Sequential path: no goroutines, no atomic traffic beyond the
-		// shared-threshold loads the kernels do anyway. With one shard
-		// this is within noise of the pre-sharding scan loop.
+		// shared-threshold loads the kernels do anyway, and a panicking
+		// scan unwinds the caller directly.
 		// A cancelled shard means ctx is done; later shards return
 		// promptly via their entry Poll, each recording a deterministic
 		// (possibly empty) partial, so the loop never breaks early.
@@ -163,11 +205,16 @@ func (e *Engine) SearchContext(ctx context.Context, q []float64, k int) ([]topk.
 					if s >= shards {
 						return
 					}
-					e.runShard(ctx, pq, s, k, shared, &outs[s], scanSp, w)
+					e.runShardRecovering(ctx, pq, s, k, shared, &outs[s], scanSp, w)
 				}
 			}(w)
 		}
 		wg.Wait()
+		for s := range outs {
+			if p := outs[s].panicked; p != nil {
+				panic(p) // lowest shard's panic, deterministic
+			}
+		}
 	}
 	scanSp.End()
 
@@ -204,14 +251,26 @@ func (e *Engine) SearchContext(ctx context.Context, q []float64, k int) ([]topk.
 	return merged.Results(), nil
 }
 
-// runShard executes one shard scan and records its output, stats,
-// error, and wall time into out. When the query is traced (scanSp is
-// non-nil) it opens one child span per shard under the scan span: the
-// queueWaitMicros attribute is how long the shard sat in the pool's
-// queue before a worker picked it up (time since the scan span
-// started), and stolen marks shards taken beyond the pool's initial
-// distribution (shard index ≥ worker count) — together the "where did
-// the microseconds go" signal for partition skew and pool sizing.
+// runShardRecovering is runShard on a pool worker: a panicking scan is
+// parked in out for SearchContext to re-raise on the calling goroutine.
+func (e *Engine) runShardRecovering(ctx context.Context, pq any, s, k int, shared *search.SharedThreshold, out *shardOut, scanSp *obs.Span, worker int) {
+	defer func() {
+		if p := recover(); p != nil {
+			out.panicked = p
+		}
+	}()
+	e.runShard(ctx, pq, s, k, shared, out, scanSp, worker)
+}
+
+// runShard executes one shard scan and records its output, stats and
+// error into out. When the query is traced (scanSp is non-nil) it opens
+// one child span per shard under the scan span: the queueWaitMicros
+// attribute is how long the shard sat in the pool's queue before a
+// worker picked it up (time since the scan span started), and stolen
+// marks shards taken beyond the pool's initial distribution (shard
+// index ≥ worker count) — together the "where did the microseconds go"
+// signal for partition skew and pool sizing. The clock is read only
+// when an observer or a span asks for the scan's wall time.
 func (e *Engine) runShard(ctx context.Context, pq any, s, k int, shared *search.SharedThreshold, out *shardOut, scanSp *obs.Span, worker int) {
 	var ssp *obs.Span
 	if scanSp != nil {
@@ -225,9 +284,15 @@ func (e *Engine) runShard(ctx context.Context, pq any, s, k int, shared *search.
 		}
 	}
 	c := topk.New(k)
-	start := time.Now()
+	var start time.Time
+	if e.observer != nil {
+		start = time.Now()
+	}
 	st, err := e.kern.Scan(ctx, pq, s, c, shared, e.hook)
-	secs := time.Since(start).Seconds()
+	var secs float64
+	if e.observer != nil {
+		secs = time.Since(start).Seconds()
+	}
 	if ssp != nil {
 		ssp.AttrInt("scanned", int64(st.Scanned))
 		ssp.AttrInt("pruned", int64(st.TotalPruned()))
@@ -240,7 +305,6 @@ func (e *Engine) runShard(ctx context.Context, pq any, s, k int, shared *search.
 	out.res = c.Results()
 	out.st = st
 	out.err = err
-	out.secs = secs
 	if e.observer != nil {
 		e.observer(s, secs, st)
 	}
@@ -250,4 +314,4 @@ func (e *Engine) runShard(ctx context.Context, pq any, s, k int, shared *search.
 // counters for the most recent query.
 func (e *Engine) Stats() search.Stats { return e.stats }
 
-var _ search.ContextSearcher = (*Engine)(nil)
+var _ search.Searcher = (*Engine)(nil)

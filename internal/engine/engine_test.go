@@ -3,10 +3,14 @@ package engine
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
+	"reflect"
+	"strings"
 	"testing"
 
 	"fexipro/internal/faults"
+	"fexipro/internal/obs"
 	"fexipro/internal/search"
 	"fexipro/internal/topk"
 	"fexipro/internal/vec"
@@ -27,7 +31,7 @@ func newDotKernel(items *vec.Matrix, shards int) *dotKernel {
 
 func (dk *dotKernel) Shards() int { return dk.part.Shards() }
 
-func (dk *dotKernel) Prepare(q []float64) any {
+func (dk *dotKernel) Prepare(q []float64, _ any) any {
 	if len(q) != dk.items.Cols {
 		panic("dotKernel: dimension mismatch")
 	}
@@ -195,5 +199,116 @@ func TestEngineWorkerClamp(t *testing.T) {
 	}
 	if w := New(newDotKernel(items, 4), 0).Workers(); w < 1 || w > 4 {
 		t.Fatalf("workers defaulted to %d, want within [1,4]", w)
+	}
+}
+
+// padded presents a one-shard kernel as two shards, the second empty:
+// the same scan forced through the engine's general route (outs slice,
+// SharedThreshold, merge collector) instead of the one-shard route.
+type padded struct{ Kernel }
+
+func (padded) Shards() int { return 2 }
+
+func (p padded) Scan(ctx context.Context, pq any, shard int, c *topk.Collector, shared *search.SharedThreshold, hook *faults.Hook) (search.Stats, error) {
+	if shard == 1 {
+		return search.Stats{}, nil
+	}
+	return p.Kernel.Scan(ctx, pq, 0, c, shared, hook)
+}
+
+// TestOneShardRouteMatchesGeneralRoute: the one-shard query — no
+// SharedThreshold, the shard's collector as the result, the clock read
+// only on request — answers what the general route answers over the
+// same scan: results, counters, the span tree of DESIGN.md §13 and the
+// observer callback, complete and cancelled alike.
+func TestOneShardRouteMatchesGeneralRoute(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	items := randMatrix(rng, 400, 6)
+	// outcome is everything one query shows of itself.
+	type outcome struct {
+		Res       []topk.Result
+		Cancelled bool
+		Stats     search.Stats
+		Observed  []search.Stats // per observer callback that did work
+		Spans     map[string]int // span name (child/grandchild) → count
+	}
+	run := func(e *Engine, q []float64, cancelAt int) outcome {
+		var o outcome
+		e.SetObserver(func(shard int, seconds float64, st search.Stats) {
+			if st == (search.Stats{}) {
+				return // the padding shard does no work
+			}
+			if shard != 0 || seconds < 0 {
+				t.Errorf("observer saw shard %d, %v s, %+v", shard, seconds, st)
+			}
+			o.Observed = append(o.Observed, st)
+		})
+		if cancelAt > 0 {
+			e.SetFaultHook(faults.NewRegistry(1).Enable(faults.SiteScan, faults.Plan{CancelAtItem: cancelAt}))
+		}
+		root := obs.NewRoot("search")
+		res, err := e.SearchContext(obs.ContextWithSpan(context.Background(), root), q, 10)
+		root.End()
+		o.Res, o.Cancelled, o.Stats, o.Spans = res, errors.Is(err, search.ErrDeadline), e.Stats(), map[string]int{}
+		if err != nil && !o.Cancelled {
+			t.Fatalf("unexpected error %v", err)
+		}
+		for _, c := range root.Children() {
+			o.Spans[c.Name()]++
+			for _, cc := range c.Children() {
+				o.Spans[c.Name()+"/"+cc.Name()]++
+			}
+		}
+		return o
+	}
+	wantSpans := map[string]int{"transform": 1, "scan": 1, "scan/shard": 1, "merge": 1}
+	for _, cancelAt := range []int{0, 150} {
+		for trial := 0; trial < 5; trial++ {
+			q := randMatrix(rng, 1, 6).Row(0)
+			want := run(New(newDotKernel(items, 1), 1), q, cancelAt)
+			if want.Cancelled != (cancelAt > 0) || !reflect.DeepEqual(want.Spans, wantSpans) ||
+				len(want.Observed) != 1 || want.Observed[0] != want.Stats {
+				t.Fatalf("cancelAt=%d: one-shard route %+v", cancelAt, want)
+			}
+			for _, workers := range []int{1, 2} {
+				got := run(New(padded{newDotKernel(items, 1)}, workers), q, cancelAt)
+				got.Spans["scan/shard"]-- // the padding shard's span
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("cancelAt=%d W=%d: general route %+v, one-shard route %+v", cancelAt, workers, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestNonPositiveKAndWorkerPanic: k ≤ 0 answers nothing and counts
+// nothing after Prepare's dimension check, and a panic in a pool
+// worker's scan is re-raised on the calling goroutine.
+func TestNonPositiveKAndWorkerPanic(t *testing.T) {
+	items := randMatrix(rand.New(rand.NewSource(19)), 90, 3)
+	for _, shards := range []int{1, 3} {
+		e := New(newDotKernel(items, shards), 2)
+		for _, k := range []int{-1, 0} {
+			if res, err := e.SearchContext(context.Background(), items.Row(0), k); len(res) != 0 || err != nil || e.Stats() != (search.Stats{}) {
+				t.Fatalf("S=%d k=%d: %v, %v, %+v", shards, k, res, err, e.Stats())
+			}
+		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("S=%d: k=0 skipped the dimension check", shards)
+				}
+			}()
+			_, _ = e.SearchContext(context.Background(), []float64{1}, 0)
+		}()
+		e.SetFaultHook(faults.NewRegistry(1).Enable(faults.SiteScan, faults.Plan{PanicAtItem: 5}))
+		func() {
+			defer func() {
+				if p := recover(); p == nil || !strings.Contains(fmt.Sprint(p), "injected panic at item 5") {
+					t.Fatalf("S=%d: recovered %v on the caller, want the injected scan panic", shards, p)
+				}
+			}()
+			_, _ = e.SearchContext(context.Background(), items.Row(1), 4)
+		}()
 	}
 }

@@ -8,6 +8,7 @@ import (
 
 	"fexipro/internal/core"
 	"fexipro/internal/data"
+	"fexipro/internal/engine"
 	"fexipro/internal/pcatree"
 	"fexipro/internal/scan"
 	"fexipro/internal/svd"
@@ -144,7 +145,7 @@ func Figure10(cfg Config) (string, error) {
 					return "", err
 				}
 				wUsed = idx.W()
-				b := Built{Name: variant, Searcher: core.NewRetriever(idx)}
+				b := Built{Name: variant, Searcher: engine.New(core.NewSharded(idx, 1), 1)}
 				times[variant] = Run(b, ds, 1, false).Retrieve
 			}
 			row = append(row, fmt.Sprintf("%d", wUsed), Seconds(times["F-S"]), Seconds(times["F-SIR"]))
@@ -168,7 +169,7 @@ func Figure11(cfg Config) (string, error) {
 			if err != nil {
 				return "", err
 			}
-			b := Built{Name: "F-SIR", Searcher: core.NewRetriever(idx)}
+			b := Built{Name: "F-SIR", Searcher: engine.New(core.NewSharded(idx, 1), 1)}
 			x[i] = e
 			y[i] = Run(b, ds, 1, false).Retrieve.Seconds()
 		}
@@ -185,7 +186,7 @@ func Figure13(cfg Config) (string, error) {
 	for _, p := range cfg.profiles() {
 		ds := cfg.Load(p)
 		start := time.Now()
-		tree := pcatree.New(ds.Items, pcatree.Options{LeafSize: 64})
+		tree := engine.New(pcatree.NewKernel(pcatree.New(ds.Items, pcatree.Options{LeafSize: 64}), 1), 1)
 		prep := time.Since(start)
 
 		start = time.Now()

@@ -88,8 +88,9 @@ func Build(name string, items *vec.Matrix, sampleQueries *vec.Matrix) (Built, er
 
 // BuildSharded constructs the named method with its index partitioned
 // into `shards` scanned per query by a pool of `workers` goroutines
-// through the sharded execution engine (DESIGN.md §11). shards ≤ 1
-// builds the sequential searcher. Preprocess includes the shard
+// through the sharded execution engine (DESIGN.md §11) — the one
+// executor every method runs on, so Table 4 compares algorithms;
+// shards ≤ 1 is the sequential scan. Preprocess includes the shard
 // partitioning (and, for tree methods, the per-shard tree builds).
 func BuildSharded(name string, items, sampleQueries *vec.Matrix, shards, workers int) (Built, error) {
 	if strings.EqualFold(name, AutoMethod) {
@@ -101,20 +102,11 @@ func BuildSharded(name string, items, sampleQueries *vec.Matrix, shards, workers
 	}
 	o := method.BuildOptions{SampleQueries: firstRows(sampleQueries, tuningSamples)}
 	start := time.Now()
-	var s search.Searcher
-	if shards <= 1 {
-		s, err = d.Build(items, o)
-	} else {
-		var kern engine.Kernel
-		kern, err = d.NewKernel(items, o, shards)
-		if err == nil {
-			s = engine.New(kern, workers)
-		}
-	}
+	kern, err := d.NewKernel(items, o, shards)
 	if err != nil {
 		return Built{}, err
 	}
-	return Built{Name: d.Name, Searcher: s, Preprocess: time.Since(start)}, nil
+	return Built{Name: d.Name, Searcher: engine.New(kern, workers), Preprocess: time.Since(start)}, nil
 }
 
 // buildAuto constructs one candidate per registry AutoCandidate method

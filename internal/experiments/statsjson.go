@@ -33,11 +33,11 @@ type StatsReport struct {
 	AvgFullProducts float64           `json:"avgFullProducts"`
 	Stages          obs.StageCounters `json:"stages"`
 
-	// Per-stage wall times fed by the query span tree (DESIGN.md §13),
-	// present for methods whose searcher starts those spans. TransformMs is
-	// the cumulative query transform (SVD projection, integer floors),
-	// ScanMs the (per-shard) candidate scan, and MergeMs the canonical
-	// cross-shard merge (0 for single-scan methods). They nest inside
+	// Per-stage wall times fed by the query span tree the engine starts
+	// for every method (DESIGN.md §13). TransformMs is the cumulative
+	// query transform (SVD projection, integer floors), ScanMs the
+	// (per-shard) candidate scan, and MergeMs the canonical cross-shard
+	// merge (at one shard, the merge of one list). They nest inside
 	// RetrieveMs rather than partitioning it exactly: the gap is
 	// harness bookkeeping.
 	TransformMs float64 `json:"transformMs,omitempty"`
@@ -69,10 +69,6 @@ func CollectStats(cfg Config, methods []string, k int) ([]StatsReport, error) {
 			if err != nil {
 				return nil, fmt.Errorf("experiments: stats for %s/%s: %w", p.Name, name, err)
 			}
-			shards, workers := cfg.Shards, cfg.SearchWorkers
-			if shards <= 1 {
-				shards, workers = 0, 0 // omitted: sequential scan
-			}
 			rep := StatsReport{
 				GoVersion:       goVersion,
 				GCFlags:         gcflags,
@@ -82,8 +78,8 @@ func CollectStats(cfg Config, methods []string, k int) ([]StatsReport, error) {
 				Queries:         r.QueriesCount,
 				Items:           ds.Items.Rows,
 				Dim:             ds.Items.Cols,
-				Shards:          shards,
-				SearchWorkers:   workers,
+				Shards:          cfg.Shards,
+				SearchWorkers:   cfg.SearchWorkers,
 				PreprocessMs:    float64(r.Preprocess.Microseconds()) / 1e3,
 				RetrieveMs:      float64(r.Retrieve.Microseconds()) / 1e3,
 				AvgFullProducts: r.AvgFullIP,

@@ -31,7 +31,7 @@ func NewKernel(idx *Index, shards int) *Kernel {
 func (k *Kernel) Shards() int { return k.part.Shards() }
 
 // Prepare implements engine.Kernel.
-func (k *Kernel) Prepare(q []float64) any { return k.idx.prepareQuery(q) }
+func (k *Kernel) Prepare(q []float64, _ any) any { return k.idx.prepareQuery(q) }
 
 // Scan implements engine.Kernel: one contiguous bucket range of the
 // LEMP scan, with strict pruning against the max of the local and

@@ -41,7 +41,10 @@ type Options struct {
 	Strategy Strategy
 }
 
-// Index is an immutable LEMP index.
+// Index is an immutable LEMP index. Single top-k queries run through
+// Kernel under engine.Engine; the index itself answers the batch join
+// (TopKJoinContext) and the above-t scans, operations the engine does
+// not run — hook and stats below are theirs.
 type Index struct {
 	d        int
 	strategy Strategy
@@ -182,12 +185,6 @@ func (b *bucket) tuneW(samples *vec.Matrix) {
 	b.setW(bestW)
 }
 
-// Search implements search.Searcher for a single query.
-func (idx *Index) Search(q []float64, k int) []topk.Result {
-	res, _ := idx.SearchContext(context.Background(), q, k)
-	return res
-}
-
 // lempQuery is the per-query state shared read-only across shard scans.
 type lempQuery struct {
 	qNorm float64
@@ -220,26 +217,9 @@ func (idx *Index) prepareQuery(q []float64) *lempQuery {
 	return qs
 }
 
-// SearchContext implements search.ContextSearcher: bucket scans poll ctx
-// every search.CheckStride items (counted across buckets) and return the
-// best-so-far partial top-k with an ErrDeadline-wrapping error on
-// cancellation.
-func (idx *Index) SearchContext(ctx context.Context, q []float64, k int) ([]topk.Result, error) {
-	qs := idx.prepareQuery(q)
-	idx.stats = search.Stats{}
-	if k == 0 {
-		return nil, nil
-	}
-	c := topk.New(k)
-	if err := idx.scanBuckets(ctx, idx.hook, qs, 0, len(idx.buckets), c, nil, &idx.stats); err != nil {
-		return c.Results(), err
-	}
-	return c.Results(), nil
-}
-
 // scanBuckets runs the bucket scan over buckets [bLo, bHi) — the whole
-// index for the classic single scan, a contiguous bucket range for one
-// shard of the sharded engine. Buckets hold consecutive runs of the
+// index for one query of the batch join, a contiguous bucket range for
+// one shard of the engine that answers single queries (kernel.go). Buckets hold consecutive runs of the
 // norm-sorted items, so a contiguous bucket range preserves the sorted
 // prefix structure and the bucket-level stop stays valid within the
 // range. Pruning is STRICT against the max of the local and cross-shard
@@ -346,8 +326,8 @@ func (idx *Index) scanBucket(ctx context.Context, hook *faults.Hook, done <-chan
 	return nil
 }
 
-// Stats implements search.Searcher (counters of the most recent Search;
-// for TopKJoin they accumulate over the whole batch).
+// Stats returns the counters of the most recent TopKJoin, SearchAbove
+// or AboveJoin call (for the joins, accumulated over the whole batch).
 func (idx *Index) Stats() search.Stats { return idx.stats }
 
 // TopKJoin answers the paper's batch task: the top-k list for every
@@ -443,5 +423,3 @@ func (idx *Index) TopKJoinContext(ctx context.Context, queries *vec.Matrix, k, w
 	}
 	return out, nil
 }
-
-var _ search.ContextSearcher = (*Index)(nil)

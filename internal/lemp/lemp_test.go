@@ -4,27 +4,62 @@ import (
 	"math/rand"
 	"testing"
 
+	"fexipro/internal/engine"
 	"fexipro/internal/lemp"
 	"fexipro/internal/scan"
-	"fexipro/internal/search"
 	"fexipro/internal/searchtest"
 	"fexipro/internal/vec"
 )
 
-func TestLEMPExactSingleQuery(t *testing.T) {
-	searchtest.CheckSearcher(t, func(items *vec.Matrix) search.Searcher {
-		return lemp.New(items, lemp.Options{})
-	}, "lemp")
-	searchtest.CheckSearcherEdgeCases(t, func(items *vec.Matrix) search.Searcher {
-		return lemp.New(items, lemp.Options{})
-	}, "lemp")
+// searcher is the single-query search path: the engine over a Kernel of
+// bucket ranges (the registry's LEMP is this with the LI strategy, which
+// internal/method's registry-driven test covers; StrategyCoord and small
+// buckets are reachable only from here).
+func searcher(opts lemp.Options) searchtest.Builder {
+	return func(items *vec.Matrix, shards int) searchtest.FaultSearcher {
+		return engine.New(lemp.NewKernel(lemp.New(items, opts), shards), 2)
+	}
+}
+
+func checkExact(t *testing.T, opts lemp.Options, label string) {
+	t.Helper()
+	searchtest.CheckSearcher(t, searcher(opts).Sequential, label)
+	searchtest.CheckSearcherEdgeCases(t, searcher(opts).Sequential, label)
+}
+
+func TestLEMPExactSingleQuery(t *testing.T) { checkExact(t, lemp.Options{}, "lemp") }
+
+func TestLEMPCancellationLI(t *testing.T) {
+	searchtest.CheckCancellation(t, searcher(lemp.Options{}).Sequential, "LEMP-LI")
+}
+
+func TestLEMPCancellationCoord(t *testing.T) {
+	searchtest.CheckCancellation(t, searcher(lemp.Options{Strategy: lemp.StrategyCoord}).Sequential, "LEMP-COORD")
+}
+
+// Small buckets so even the harness's small instances span many
+// buckets and every shard count in the grid gets real work.
+func TestShardedLEMPBitExact(t *testing.T) {
+	for _, st := range []struct {
+		name     string
+		strategy lemp.Strategy
+	}{{"LI", lemp.StrategyLI}, {"Coord", lemp.StrategyCoord}} {
+		st := st
+		t.Run(st.name, func(t *testing.T) {
+			searchtest.CheckSharded(t, searcher(lemp.Options{BucketSize: 16, Strategy: st.strategy}), "lemp-"+st.name)
+		})
+	}
+}
+
+func TestShardedLEMPCancellation(t *testing.T) {
+	searchtest.CheckShardedCancellation(t, searcher(lemp.Options{BucketSize: 16}), "lemp")
 }
 
 func TestLEMPExactSmallBuckets(t *testing.T) {
 	rng := rand.New(rand.NewSource(70))
 	items, _ := searchtest.RandomInstance(rng, 500, 12)
 	for _, bs := range []int{1, 7, 64, 10000} {
-		idx := lemp.New(items, lemp.Options{BucketSize: bs})
+		idx := searcher(lemp.Options{BucketSize: bs}).Sequential(items)
 		for trial := 0; trial < 5; trial++ {
 			q := make([]float64, 12)
 			for j := range q {
@@ -59,7 +94,7 @@ func TestLEMPWithTunedW(t *testing.T) {
 	for i := range samples.Data {
 		samples.Data[i] = rng.NormFloat64()
 	}
-	idx := lemp.New(items, lemp.Options{SampleQueries: samples})
+	idx := searcher(lemp.Options{SampleQueries: samples}).Sequential(items)
 	for trial := 0; trial < 10; trial++ {
 		q := make([]float64, 20)
 		for j := range q {
@@ -72,7 +107,7 @@ func TestLEMPWithTunedW(t *testing.T) {
 func TestLEMPBucketTermination(t *testing.T) {
 	rng := rand.New(rand.NewSource(73))
 	items, q := searchtest.RandomInstance(rng, 5000, 16)
-	idx := lemp.New(items, lemp.Options{})
+	idx := searcher(lemp.Options{}).Sequential(items)
 	idx.Search(q, 1)
 	st := idx.Stats()
 	if st.PrunedByLength == 0 {
@@ -86,8 +121,8 @@ func TestLEMPBucketTermination(t *testing.T) {
 func TestLEMPFasterPathAgreesWithSSL(t *testing.T) {
 	rng := rand.New(rand.NewSource(74))
 	items, _ := searchtest.RandomInstance(rng, 400, 10)
-	idx := lemp.New(items, lemp.Options{})
-	ssl := scan.NewSSL(items, scan.SSLOptions{})
+	idx := searcher(lemp.Options{}).Sequential(items)
+	ssl := engine.New(scan.NewSSLKernel(scan.NewSSL(items, scan.SSLOptions{}), 1), 1)
 	for trial := 0; trial < 10; trial++ {
 		q := make([]float64, 10)
 		for j := range q {
@@ -107,12 +142,7 @@ func TestLEMPFasterPathAgreesWithSSL(t *testing.T) {
 }
 
 func TestCoordStrategyExact(t *testing.T) {
-	searchtest.CheckSearcher(t, func(items *vec.Matrix) search.Searcher {
-		return lemp.New(items, lemp.Options{Strategy: lemp.StrategyCoord})
-	}, "lemp-coord")
-	searchtest.CheckSearcherEdgeCases(t, func(items *vec.Matrix) search.Searcher {
-		return lemp.New(items, lemp.Options{Strategy: lemp.StrategyCoord})
-	}, "lemp-coord")
+	checkExact(t, lemp.Options{Strategy: lemp.StrategyCoord}, "lemp-coord")
 }
 
 func TestCoordStrategyJoinMatches(t *testing.T) {

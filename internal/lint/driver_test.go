@@ -30,64 +30,53 @@ func runWithFacts(a *Analyzer, units []*Unit) ([]Diagnostic, []Fact) {
 	return diags, facts
 }
 
-// TestFactExport pins the cross-package fact plumbing: the covered
-// kernel fixture must export both a kernel fact (from the Scan decl)
-// and a checksharded fact (from sharded_test.go), joined by directory.
+// TestFactExport pins the cross-package fact plumbing on apiparity's
+// Config ⇄ flag join: the lib unit exports one config-field fact per
+// exported Config field, the cmd unit one config-field-set fact per
+// field it wires, and the module phase joins the two by value across
+// the package boundary.
 func TestFactExport(t *testing.T) {
-	units := loadFixture(t, "kernelcontract")
-	_, facts := runWithFacts(KernelContract, units)
+	units := loadFixture(t, "apiparity")
+	_, facts := runWithFacts(APIParity, units)
 
-	var kernel, sharded *Fact
+	const wired = "fexipro/internal/lint/testdata/src/apiparity/lib.Config.Wired"
+	var field, set *Fact
 	for i := range facts {
-		f := &facts[i]
-		switch f.Name {
-		case factKernel:
-			kernel = f
-		case factCheckSharded:
-			sharded = f
+		if f := &facts[i]; f.Value == wired {
+			switch f.Name {
+			case factConfigField:
+				field = f
+			case factConfigSet:
+				set = f
+			}
 		}
 	}
-	if kernel == nil {
-		t.Fatal("no kernel fact exported for the Kern type")
+	if field == nil || set == nil {
+		t.Fatalf("Config.Wired: field fact %v, set fact %v; want both exported", field, set)
 	}
-	if kernel.Value != "Kern" {
-		t.Fatalf("kernel fact value = %q, want Kern", kernel.Value)
+	if field.Analyzer != APIParity.Name {
+		t.Fatalf("field fact attributed to %q", field.Analyzer)
 	}
-	if kernel.Analyzer != KernelContract.Name {
-		t.Fatalf("kernel fact attributed to %q", kernel.Analyzer)
+	if field.Pos.Line == 0 || filepath.Base(field.Pos.Filename) != "lib.go" {
+		t.Fatalf("field fact has unresolved position %+v", field.Pos)
 	}
-	if kernel.Pos.Line == 0 || kernel.Pos.Filename == "" {
-		t.Fatalf("kernel fact has unresolved position %+v", kernel.Pos)
-	}
-	if sharded == nil {
-		t.Fatal("no checksharded fact exported from sharded_test.go")
-	}
-	if filepath.Base(sharded.Pos.Filename) != "sharded_test.go" {
-		t.Fatalf("checksharded fact from %s, want sharded_test.go", sharded.Pos.Filename)
-	}
-	if kernel.Dir != sharded.Dir {
-		t.Fatalf("fact join key mismatch: kernel dir %s vs checksharded dir %s", kernel.Dir, sharded.Dir)
+	if field.Dir == set.Dir {
+		t.Fatalf("field and set facts both from %s, want two packages", field.Dir)
 	}
 
-	// The module phase joins them: covered kernel, so no coverage
-	// diagnostic may appear in the full Run either.
-	for _, d := range Run(units, []*Analyzer{KernelContract}) {
-		if strings.Contains(d.Message, "no sharded_test.go") {
-			t.Fatalf("covered kernel still reported uncovered: %s", d)
-		}
-	}
-
-	// And the uncovered fixture must produce exactly the coverage
-	// diagnostic the join exists for.
-	units = loadFixture(t, "kernelcontract_uncovered")
+	// The module phase joins them: the wired field is silent, the
+	// unwired one is exactly the diagnostic the join exists for.
 	found := false
-	for _, d := range Run(units, []*Analyzer{KernelContract}) {
-		if strings.Contains(d.Message, "no sharded_test.go") {
+	for _, d := range Run(units, []*Analyzer{APIParity}) {
+		if strings.Contains(d.Message, "Config.Wired") {
+			t.Fatalf("wired field still reported: %s", d)
+		}
+		if strings.Contains(d.Message, "Config.Unwired is not set") {
 			found = true
 		}
 	}
 	if !found {
-		t.Fatal("uncovered kernel not reported by the module phase")
+		t.Fatal("unwired field not reported by the module phase")
 	}
 }
 

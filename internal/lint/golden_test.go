@@ -23,7 +23,6 @@ var fixtureCases = []struct {
 	{MutCopy, "mutcopy"},
 	{CtxPoll, "ctxpoll"},
 	{KernelContract, "kernelcontract"},
-	{KernelContract, "kernelcontract_uncovered"},
 	{LockHold, "lockhold"},
 	{LockOrder, "lockorder"},
 	{GoroutineLife, "goroutinelife"},
@@ -31,7 +30,6 @@ var fixtureCases = []struct {
 	{HotAlloc, "hotalloc"},
 	{APIParity, "apiparity"},
 	{BoundFlow, "boundflow"},
-	{RegistryCover, "registrycover"},
 }
 
 // want is one expectation parsed from a `// want` comment.
@@ -201,8 +199,8 @@ func TestSuppression(t *testing.T) {
 // TestAnalyzerRegistry checks All()/ByName round-trips.
 func TestAnalyzerRegistry(t *testing.T) {
 	all := All()
-	if len(all) != 15 {
-		t.Fatalf("expected 15 analyzers, got %d", len(all))
+	if len(all) != 14 {
+		t.Fatalf("expected 14 analyzers, got %d", len(all))
 	}
 	names := make([]string, len(all))
 	for i, a := range all {

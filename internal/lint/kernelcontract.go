@@ -4,7 +4,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"path/filepath"
 	"strings"
 )
 
@@ -27,22 +26,16 @@ import (
 //     engine-supplied collector. Assignments through a pointer receiver
 //     are flagged; a documented synchronization scheme needs a
 //     //lint:ignore kernelcontract directive citing it.
-//  3. Every kernel package must ship a sharded_test.go invoking
-//     searchtest.CheckSharded (or CheckShardedCancellation) so the
-//     S=1 ⇔ S>1 bit-identity is pinned by a test, not just by review.
-//     This is a cross-package contract checked in the module phase via
-//     exported facts.
+//
+// That the S=1 ⇔ S>1 bit-identity is pinned by a test is not checked
+// here: a kernel reaches production by being registered, and
+// internal/method's registry-driven test runs every registered method
+// through searchtest.CheckSharded.
 var KernelContract = &Analyzer{
-	Name:      "kernelcontract",
-	Doc:       "engine.Kernel implementations: strict threshold comparisons, no state mutation in Scan, CheckSharded coverage",
-	Run:       runKernelContract,
-	RunModule: runKernelContractModule,
+	Name: "kernelcontract",
+	Doc:  "engine.Kernel implementations: strict threshold comparisons, no state mutation in Scan",
+	Run:  runKernelContract,
 }
-
-const (
-	factKernel       = "kernel"
-	factCheckSharded = "checksharded"
-)
 
 func runKernelContract(pass *Pass) {
 	// Group methods by receiver type name, non-test files only.
@@ -83,53 +76,10 @@ func runKernelContract(pass *Pass) {
 			continue
 		}
 		kernels = append(kernels, scan)
-		pass.ExportFact(scan.Pos(), factKernel, typeName)
 		checkScanMutation(pass, scan, typeName)
 	}
 	if len(kernels) > 0 {
 		checkThresholdComparisons(pass, kernels, decls)
-	}
-
-	// Export CheckSharded invocations (test files included — that is
-	// where they live) for the module-phase coverage check.
-	for _, file := range pass.Files {
-		fname := pass.Fset.Position(file.Pos()).Filename
-		if filepath.Base(fname) != "sharded_test.go" {
-			continue
-		}
-		ast.Inspect(file, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			if sel, ok := call.Fun.(*ast.SelectorExpr); ok &&
-				strings.HasPrefix(sel.Sel.Name, "CheckSharded") {
-				pass.ExportFact(call.Pos(), factCheckSharded, sel.Sel.Name)
-			}
-			return true
-		})
-	}
-}
-
-// runKernelContractModule pairs kernel facts with CheckSharded facts by
-// directory: a kernel package without a sharded_test.go invoking the
-// harness is a contract violation.
-func runKernelContractModule(mp *ModulePass) {
-	covered := make(map[string]bool)
-	for _, f := range mp.Facts {
-		if f.Name == factCheckSharded {
-			covered[f.Dir] = true
-		}
-	}
-	for _, f := range mp.Facts {
-		if f.Name != factKernel {
-			continue
-		}
-		if !covered[f.Dir] {
-			mp.Reportf(f.Pos,
-				"kernel type %s has no sharded_test.go invoking searchtest.CheckSharded in %s — the S-invariance contract (DESIGN.md §11) must be pinned by a test",
-				f.Value, filepath.Base(f.Dir))
-		}
 	}
 }
 

@@ -22,9 +22,8 @@
 //     / kernel Scan entry point must poll cancellation on a CheckStride
 //     boundary (DESIGN.md §10: scans must stay cancellable);
 //   - kernelcontract: engine.Kernel implementations must prune with
-//     strictly-conservative threshold comparisons, must not mutate
-//     kernel state inside Scan, and must be covered by a sharded_test.go
-//     invoking searchtest.CheckSharded (DESIGN.md §11 exactness);
+//     strictly-conservative threshold comparisons and must not mutate
+//     kernel state inside Scan (DESIGN.md §11 exactness);
 //   - lockhold:      index-mutex discipline — balanced Lock/Unlock,
 //     no blocking calls (channel ops, I/O, slog, Search*Context) while
 //     holding a mutex;
@@ -37,10 +36,6 @@
 //     values from //fex:bound upper-bound computations may only reach
 //     strictly-conservative threshold comparisons, with bound-fn facts
 //     carrying the taint across package boundaries.
-//   - registrycover: every method.Descriptor registered with a NewKernel
-//     factory must route to a kernel whose package has a sharded_test.go
-//     invoking searchtest.CheckSharded — the planner may only choose
-//     among harness-covered methods (DESIGN.md §16).
 //   - lockorder:     whole-program lock-order graph over the static call
 //     graph: every nested acquisition must be declared with
 //     //fex:lockorder A < B, contradictions of the declared hierarchy
@@ -450,7 +445,6 @@ func All() []*Analyzer {
 		HotAlloc,
 		APIParity,
 		BoundFlow,
-		RegistryCover,
 		LockOrder,
 		GoroutineLife,
 		GuardedBy,

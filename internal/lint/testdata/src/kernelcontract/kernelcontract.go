@@ -1,10 +1,7 @@
 // Package kernelcontract is a fexlint golden fixture: a structural
 // engine.Kernel (methods Shards, Prepare, context-first Scan) whose
-// Scan breaks the strict-comparison and no-mutation contracts. The
-// companion sharded_test.go keeps the CheckSharded coverage fact
-// satisfied, so no module-phase coverage diagnostic fires here (see the
-// kernelcontract_uncovered fixture for that path). SharedThreshold and
-// Collector mimic the real types by name.
+// Scan breaks the strict-comparison and no-mutation contracts.
+// SharedThreshold and Collector mimic the real types by name.
 package kernelcontract
 
 import "context"

@@ -8,7 +8,6 @@ import (
 	"fexipro/internal/lemp"
 	"fexipro/internal/pcatree"
 	"fexipro/internal/scan"
-	"fexipro/internal/search"
 	"fexipro/internal/vec"
 )
 
@@ -32,9 +31,6 @@ func init() {
 		ShardInvariant: true,
 		Table:          true,
 		AutoCandidate:  true,
-		Build: func(items *vec.Matrix, o BuildOptions) (search.Searcher, error) {
-			return scan.NewNaive(items), nil
-		},
 		NewKernel: func(items *vec.Matrix, o BuildOptions, shards int) (engine.Kernel, error) {
 			return scan.NewNaiveKernel(scan.NewNaive(items), shards), nil
 		},
@@ -47,9 +43,6 @@ func init() {
 		ShardInvariant: true,
 		Table:          true,
 		Pruning:        true,
-		Build: func(items *vec.Matrix, o BuildOptions) (search.Searcher, error) {
-			return balltree.New(items, o.LeafSize), nil
-		},
 		NewKernel: func(items *vec.Matrix, o BuildOptions, shards int) (engine.Kernel, error) {
 			return balltree.NewKernel(items, o.LeafSize, shards), nil
 		},
@@ -62,9 +55,6 @@ func init() {
 		Exact:          true,
 		ShardInvariant: true,
 		Table:          true,
-		Build: func(items *vec.Matrix, o BuildOptions) (search.Searcher, error) {
-			return covertree.New(items, o.LeafSize), nil
-		},
 		NewKernel: func(items *vec.Matrix, o BuildOptions, shards int) (engine.Kernel, error) {
 			return covertree.NewKernel(items, o.LeafSize, shards), nil
 		},
@@ -75,13 +65,6 @@ func init() {
 		Doc:            "Cauchy–Schwarz sorted scan with incremental pruning",
 		Exact:          true,
 		ShardInvariant: true,
-		Build: func(items *vec.Matrix, o BuildOptions) (search.Searcher, error) {
-			idx, err := newSSIndex(items, o)
-			if err != nil {
-				return nil, err
-			}
-			return core.NewRetriever(idx), nil
-		},
 		NewKernel: func(items *vec.Matrix, o BuildOptions, shards int) (engine.Kernel, error) {
 			idx, err := newSSIndex(items, o)
 			if err != nil {
@@ -100,9 +83,6 @@ func init() {
 		Table:          true,
 		Pruning:        true,
 		AutoCandidate:  true,
-		Build: func(items *vec.Matrix, o BuildOptions) (search.Searcher, error) {
-			return scan.NewSSL(items, scan.SSLOptions{SampleQueries: o.SampleQueries}), nil
-		},
 		NewKernel: func(items *vec.Matrix, o BuildOptions, shards int) (engine.Kernel, error) {
 			return scan.NewSSLKernel(scan.NewSSL(items, scan.SSLOptions{SampleQueries: o.SampleQueries}), shards), nil
 		},
@@ -113,9 +93,6 @@ func init() {
 		Doc:            "bucketed batch top-k join engine of Teflioudi et al.",
 		Exact:          true,
 		ShardInvariant: true,
-		Build: func(items *vec.Matrix, o BuildOptions) (search.Searcher, error) {
-			return lemp.New(items, lemp.Options{BucketSize: o.BucketSize, SampleQueries: o.SampleQueries}), nil
-		},
 		NewKernel: func(items *vec.Matrix, o BuildOptions, shards int) (engine.Kernel, error) {
 			return lemp.NewKernel(lemp.New(items, lemp.Options{BucketSize: o.BucketSize, SampleQueries: o.SampleQueries}), shards), nil
 		},
@@ -124,9 +101,6 @@ func init() {
 	Register(Descriptor{
 		Name: "PCATree",
 		Doc:  "APPROXIMATE PCA-tree of Bachrach et al.; excluded from planning unless approximate methods are allowed",
-		Build: func(items *vec.Matrix, o BuildOptions) (search.Searcher, error) {
-			return pcatree.New(items, pcatree.Options{LeafSize: o.LeafSize, SpillFraction: o.SpillFraction}), nil
-		},
 		NewKernel: func(items *vec.Matrix, o BuildOptions, shards int) (engine.Kernel, error) {
 			return pcatree.NewKernel(pcatree.New(items, pcatree.Options{LeafSize: o.LeafSize, SpillFraction: o.SpillFraction}), shards), nil
 		},
@@ -145,13 +119,6 @@ func init() {
 			Table:          table,
 			Pruning:        pruning,
 			AutoCandidate:  auto,
-			Build: func(items *vec.Matrix, o BuildOptions) (search.Searcher, error) {
-				idx, err := newCoreIndex(variant, items, o)
-				if err != nil {
-					return nil, err
-				}
-				return core.NewRetriever(idx), nil
-			},
 			NewKernel: func(items *vec.Matrix, o BuildOptions, shards int) (engine.Kernel, error) {
 				idx, err := newCoreIndex(variant, items, o)
 				if err != nil {

@@ -1,7 +1,8 @@
 // Package method is the single registry of retrieval methods: one
 // Descriptor per method couples the paper name (and CLI aliases) with
-// the builder, the sharded-execution kernel factory, capability flags,
-// and an analytic cost model. Every dispatch site in the repository —
+// the kernel factory (the method's one implementation, run by
+// engine.Engine at every shard count), capability flags, and an analytic
+// cost model. Every dispatch site in the repository —
 // the experiments harness, the public constructors in the root package,
 // server.Config, and the fexserve/fexbench/fexquery/fexcalibrate
 // binaries — resolves method names through this table, so adding a
@@ -16,7 +17,6 @@ import (
 	"strings"
 
 	"fexipro/internal/engine"
-	"fexipro/internal/search"
 	"fexipro/internal/vec"
 )
 
@@ -134,12 +134,12 @@ type Descriptor struct {
 	// every registered index per catalog.
 	AutoCandidate bool
 
-	// Build constructs the sequential searcher.
-	Build func(items *vec.Matrix, o BuildOptions) (search.Searcher, error)
-	// NewKernel constructs the sharded-execution kernel (shards ≥ 2).
-	// Every registered method must provide one; the registrycover lint
-	// check additionally demands CheckSharded coverage for the kernel's
-	// package.
+	// NewKernel constructs the method: its index over items, partitioned
+	// into (at most) shards scan ranges. It is the descriptor's one
+	// factory — the kernel is the method, engine.Engine the one top-k
+	// searcher over it, and the sequential form is shards = 1 — so a
+	// registered method is covered by internal/method's registry-driven
+	// test by being registered.
 	NewKernel func(items *vec.Matrix, o BuildOptions, shards int) (engine.Kernel, error)
 
 	// Cost is the method's prior cost model (see CostModel).
@@ -152,10 +152,10 @@ var (
 )
 
 // Register adds a descriptor to the registry. It panics on a duplicate
-// name/alias or a descriptor missing its builder or kernel factory —
-// registration happens in init, so these are programming errors.
+// name/alias or a descriptor missing its kernel factory — registration
+// happens in init, so these are programming errors.
 func Register(d Descriptor) {
-	if d.Name == "" || d.Build == nil || d.NewKernel == nil {
+	if d.Name == "" || d.NewKernel == nil {
 		panic(fmt.Sprintf("method: incomplete descriptor %q", d.Name))
 	}
 	dc := d
@@ -227,25 +227,13 @@ func Aliases() []string {
 	return out
 }
 
-// Build constructs the named method's sequential searcher.
-func Build(name string, items *vec.Matrix, o BuildOptions) (search.Searcher, error) {
+// Sharded constructs the named method partitioned into shards (values
+// < 1 mean one: the sequential scan) answered by a pool of workers
+// goroutines through the sharded execution engine.
+func Sharded(name string, items *vec.Matrix, o BuildOptions, shards, workers int) (*engine.Engine, error) {
 	d, err := Get(name)
 	if err != nil {
 		return nil, err
-	}
-	return d.Build(items, o)
-}
-
-// Sharded constructs the named method partitioned into shards answered
-// by a pool of workers goroutines through the sharded execution engine;
-// shards ≤ 1 falls back to the sequential Build.
-func Sharded(name string, items *vec.Matrix, o BuildOptions, shards, workers int) (search.Searcher, error) {
-	d, err := Get(name)
-	if err != nil {
-		return nil, err
-	}
-	if shards <= 1 {
-		return d.Build(items, o)
 	}
 	kern, err := d.NewKernel(items, o, shards)
 	if err != nil {

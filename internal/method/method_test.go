@@ -1,11 +1,8 @@
 package method
 
 import (
-	"context"
 	"reflect"
 	"testing"
-
-	"fexipro/internal/data"
 )
 
 func TestTableOrderMatchesPaper(t *testing.T) {
@@ -53,59 +50,6 @@ func TestExactExcludesPCATree(t *testing.T) {
 	if d.ShardInvariant {
 		t.Fatal("PCATree marked shard-invariant")
 	}
-}
-
-// TestEveryMethodBuildsAndSearches builds each registered method both
-// sequentially and sharded over a tiny dataset and checks the top-k
-// against the exhaustive scan (exact methods only; PCATree just has to
-// answer). This is the registry-level round-trip; the experiments
-// package repeats it through RunMethodSharded.
-func TestEveryMethodBuildsAndSearches(t *testing.T) {
-	p, err := data.ProfileByName("movielens")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ds := data.Generate(p, 300, 4, 12)
-	o := BuildOptions{SampleQueries: ds.Queries}
-	ref, err := Build("Naive", ds.Items, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const k = 5
-	for _, name := range Names() {
-		for _, shards := range []int{1, 3} {
-			s, err := Sharded(name, ds.Items, o, shards, 2)
-			if err != nil {
-				t.Fatalf("%s shards=%d: %v", name, shards, err)
-			}
-			d, _ := Lookup(name)
-			for qi := 0; qi < ds.Queries.Rows; qi++ {
-				q := ds.Queries.Row(qi)
-				got := s.Search(q, k)
-				if len(got) != k {
-					t.Fatalf("%s shards=%d q%d: %d results, want %d", name, shards, qi, len(got), k)
-				}
-				if !d.Exact {
-					continue
-				}
-				want := ref.Search(q, k)
-				for i := range want {
-					if got[i].ID != want[i].ID || !approxEq(got[i].Score, want[i].Score) {
-						t.Fatalf("%s shards=%d q%d r%d: got %d:%g want %d:%g",
-							name, shards, qi, i, got[i].ID, got[i].Score, want[i].ID, want[i].Score)
-					}
-				}
-			}
-			if _, err := s.SearchContext(context.Background(), ds.Queries.Row(0), k); err != nil {
-				t.Fatalf("%s shards=%d: SearchContext: %v", name, shards, err)
-			}
-		}
-	}
-}
-
-func approxEq(a, b float64) bool {
-	d := a - b
-	return d < 1e-7 && d > -1e-7
 }
 
 func TestCostModelPredict(t *testing.T) {

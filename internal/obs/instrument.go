@@ -41,7 +41,7 @@ func (w *Instrumented) Search(q []float64, k int) []topk.Result {
 	return res
 }
 
-// SearchContext implements search.ContextSearcher, recording counters
+// SearchContext implements search.Searcher, recording counters
 // and latency for cancelled scans too (partial work is still work).
 func (w *Instrumented) SearchContext(ctx context.Context, q []float64, k int) ([]topk.Result, error) {
 	start := time.Now()
@@ -56,4 +56,4 @@ func (w *Instrumented) Stats() search.Stats { return w.inner.Stats() }
 // Unwrap returns the wrapped searcher.
 func (w *Instrumented) Unwrap() search.Searcher { return w.inner }
 
-var _ search.ContextSearcher = (*Instrumented)(nil)
+var _ search.Searcher = (*Instrumented)(nil)

@@ -38,7 +38,7 @@ func (k *Kernel) Shards() int { return k.part.Shards() }
 
 // Prepare implements engine.Kernel: the Theorem 3 query lift
 // q̃ = (0, q₁, …, q_d), computed once.
-func (k *Kernel) Prepare(q []float64) any {
+func (k *Kernel) Prepare(q []float64, _ any) any {
 	if k.t.items.Rows > 0 && len(q) != k.t.items.Cols {
 		panic(fmt.Sprintf("pcatree: query dim %d != item dim %d", len(q), k.t.items.Cols))
 	}

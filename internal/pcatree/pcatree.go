@@ -18,7 +18,6 @@ package pcatree
 
 import (
 	"context"
-	"fmt"
 	"math"
 	"sort"
 
@@ -39,19 +38,14 @@ type Options struct {
 	SpillFraction float64
 }
 
-// Tree is an approximate inner-product index.
+// Tree is an approximate inner-product index. It is searched by Kernel
+// (every shard descends the one tree) under engine.Engine.
 type Tree struct {
 	items *vec.Matrix // original items, for exact re-ranking
 	ext   *vec.Matrix // (d+1)-dimensional transformed items
 	root  *pnode
 	opts  Options
-	hook  *faults.Hook
-	stats search.Stats
 }
-
-// SetFaultHook installs (or, with nil, removes) the fault-injection hook
-// called once per visited tree node.
-func (t *Tree) SetFaultHook(h *faults.Hook) { t.hook = h }
 
 type pnode struct {
 	// internal
@@ -164,37 +158,9 @@ func (t *Tree) topComponent(ids []int) []float64 {
 	return dir
 }
 
-// Search implements search.Searcher, approximately: only candidates in
-// the visited leaves are considered.
-func (t *Tree) Search(q []float64, k int) []topk.Result {
-	res, _ := t.SearchContext(context.Background(), q, k)
-	return res
-}
-
-// SearchContext implements search.ContextSearcher: the descent polls ctx
-// every search.CheckStride visited nodes and returns the best-so-far
-// partial (and, as always for PCATree, approximate) top-k with an
-// ErrDeadline-wrapping error on cancellation.
-func (t *Tree) SearchContext(ctx context.Context, q []float64, k int) ([]topk.Result, error) {
-	if t.items.Rows > 0 && len(q) != t.items.Cols {
-		panic(fmt.Sprintf("pcatree: query dim %d != item dim %d", len(q), t.items.Cols))
-	}
-	t.stats = search.Stats{}
-	c := topk.New(k)
-	if t.root == nil || k == 0 {
-		return c.Results(), nil
-	}
-	ext := make([]float64, t.items.Cols+1)
-	copy(ext[1:], q)
-	s := &scanState{t: t, ctx: ctx, ext: ext, q: q, c: c, hook: t.hook, stats: &t.stats, loID: 0, hiID: t.items.Rows}
-	if err := s.descend(t.root); err != nil {
-		return c.Results(), err
-	}
-	return c.Results(), nil
-}
-
 // scanState carries one defeatist descent's per-query inputs and
-// outputs, decoupled from the Tree for the sharded engine. Unlike the
+// outputs; only candidates in the visited leaves are considered, which
+// is what makes the method approximate. Unlike the
 // exact trees, PCATree shards share ONE global tree: the descent path
 // is threshold-independent (it depends only on the transformed query
 // and the spill option), so every shard walks the same nodes and offers
@@ -250,14 +216,11 @@ func (s *scanState) descend(n *pnode) error {
 	return nil
 }
 
-// Stats implements search.Searcher.
-func (t *Tree) Stats() search.Stats { return t.stats }
-
-// RMSEAtK computes the paper's RMSE@k quality metric for this tree
-// against exact results: the root-mean-square difference between the
+// RMSEAtK computes the paper's RMSE@k quality metric for an approximate
+// searcher (an engine over this package's Kernel) against exact results: the root-mean-square difference between the
 // scores of the approximate and the optimal recommendation lists
 // (Appendix B, Comparison with PCATree).
-func RMSEAtK(t *Tree, exact search.Searcher, queries *vec.Matrix, k int) float64 {
+func RMSEAtK(approximate, exact search.Searcher, queries *vec.Matrix, k int) float64 {
 	if queries.Rows == 0 || k == 0 {
 		return 0
 	}
@@ -265,7 +228,7 @@ func RMSEAtK(t *Tree, exact search.Searcher, queries *vec.Matrix, k int) float64
 	var count int
 	for i := 0; i < queries.Rows; i++ {
 		q := queries.Row(i)
-		approx := t.Search(q, k)
+		approx := approximate.Search(q, k)
 		opt := exact.Search(q, k)
 		for s := 0; s < len(opt); s++ {
 			var a float64
@@ -282,5 +245,3 @@ func RMSEAtK(t *Tree, exact search.Searcher, queries *vec.Matrix, k int) float64
 	}
 	return math.Sqrt(se / float64(count))
 }
-
-var _ search.ContextSearcher = (*Tree)(nil)

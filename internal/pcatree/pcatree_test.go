@@ -4,11 +4,46 @@ import (
 	"math/rand"
 	"testing"
 
+	"fexipro/internal/engine"
 	"fexipro/internal/pcatree"
 	"fexipro/internal/scan"
 	"fexipro/internal/searchtest"
 	"fexipro/internal/vec"
 )
+
+// searcher is the package's one search path: the engine over a Kernel of
+// ID ranges of one tree (the registry's PCATree is this, and
+// internal/method's registry-driven test covers its default options).
+func searcher(opts pcatree.Options) searchtest.Builder {
+	return func(items *vec.Matrix, shards int) searchtest.FaultSearcher {
+		return engine.New(pcatree.NewKernel(pcatree.New(items, opts), shards), 2)
+	}
+}
+
+// PCATree is approximate, but its defeatist descent is
+// threshold-independent, so the engine must return bit-identical
+// (approximate) results for every shard count — the full CheckSharded
+// harness applies because the S=1 engine is the reference. Small leaves
+// so the harness's small instances produce multi-level trees whose leaf
+// candidate sets straddle shard boundaries.
+func TestShardedPCATreeBitExact(t *testing.T) {
+	for _, cfg := range []struct {
+		name string
+		opts pcatree.Options
+	}{
+		{"defeatist", pcatree.Options{LeafSize: 8}},
+		{"spill", pcatree.Options{LeafSize: 8, SpillFraction: 0.3}},
+	} {
+		cfg := cfg
+		t.Run(cfg.name, func(t *testing.T) {
+			searchtest.CheckSharded(t, searcher(cfg.opts), "pcatree-"+cfg.name)
+		})
+	}
+}
+
+func TestShardedPCATreeCancellation(t *testing.T) {
+	searchtest.CheckShardedCancellationApprox(t, searcher(pcatree.Options{LeafSize: 8}), "pcatree")
+}
 
 func randomQueries(rng *rand.Rand, n, d int) *vec.Matrix {
 	m := vec.NewMatrix(n, d)
@@ -23,7 +58,7 @@ func randomQueries(rng *rand.Rand, n, d int) *vec.Matrix {
 func TestPCATreeReturnsValidScores(t *testing.T) {
 	rng := rand.New(rand.NewSource(60))
 	items, _ := searchtest.RandomInstance(rng, 500, 12)
-	tree := pcatree.New(items, pcatree.Options{LeafSize: 32})
+	tree := searcher(pcatree.Options{LeafSize: 32}).Sequential(items)
 	for trial := 0; trial < 10; trial++ {
 		q := make([]float64, 12)
 		for j := range q {
@@ -49,7 +84,7 @@ func TestPCATreeReturnsValidScores(t *testing.T) {
 func TestPCATreeIsSelective(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	items, q := searchtest.RandomInstance(rng, 4000, 16)
-	tree := pcatree.New(items, pcatree.Options{LeafSize: 64})
+	tree := searcher(pcatree.Options{LeafSize: 64}).Sequential(items)
 	tree.Search(q, 5)
 	if st := tree.Stats(); st.Scanned > 500 {
 		t.Fatalf("defeatist search scanned %d of 4000 items", st.Scanned)
@@ -63,8 +98,8 @@ func TestPCATreeSpillImprovesQuality(t *testing.T) {
 	queries := randomQueries(rng, 30, 10)
 	exact := scan.NewNaive(items)
 
-	narrow := pcatree.New(items, pcatree.Options{LeafSize: 32})
-	wide := pcatree.New(items, pcatree.Options{LeafSize: 32, SpillFraction: 0.15})
+	narrow := searcher(pcatree.Options{LeafSize: 32}).Sequential(items)
+	wide := searcher(pcatree.Options{LeafSize: 32, SpillFraction: 0.15}).Sequential(items)
 	rmseNarrow := pcatree.RMSEAtK(narrow, exact, queries, 5)
 	rmseWide := pcatree.RMSEAtK(wide, exact, queries, 5)
 	if rmseWide > rmseNarrow+1e-12 {
@@ -80,7 +115,7 @@ func TestPCATreeSpillImprovesQuality(t *testing.T) {
 func TestPCATreeHugeLeafIsExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(63))
 	items, _ := searchtest.RandomInstance(rng, 200, 8)
-	tree := pcatree.New(items, pcatree.Options{LeafSize: 10000})
+	tree := searcher(pcatree.Options{LeafSize: 10000}).Sequential(items)
 	for trial := 0; trial < 5; trial++ {
 		q := make([]float64, 8)
 		for j := range q {
@@ -94,7 +129,7 @@ func TestPCATreeRMSEMeasuresApproximation(t *testing.T) {
 	rng := rand.New(rand.NewSource(64))
 	items, _ := searchtest.RandomInstance(rng, 3000, 20)
 	queries := randomQueries(rng, 50, 20)
-	tree := pcatree.New(items, pcatree.Options{LeafSize: 32})
+	tree := searcher(pcatree.Options{LeafSize: 32}).Sequential(items)
 	exact := scan.NewNaive(items)
 	rmse := pcatree.RMSEAtK(tree, exact, queries, 10)
 	if rmse < 0 {
@@ -108,13 +143,13 @@ func TestPCATreeRMSEMeasuresApproximation(t *testing.T) {
 }
 
 func TestPCATreeEmptyAndZeroK(t *testing.T) {
-	empty := pcatree.New(vec.NewMatrix(0, 4), pcatree.Options{})
+	empty := searcher(pcatree.Options{}).Sequential(vec.NewMatrix(0, 4))
 	if got := empty.Search([]float64{1, 2, 3, 4}, 3); len(got) != 0 {
 		t.Fatalf("empty tree returned %v", got)
 	}
 	rng := rand.New(rand.NewSource(65))
 	items, q := searchtest.RandomInstance(rng, 50, 4)
-	tree := pcatree.New(items, pcatree.Options{})
+	tree := searcher(pcatree.Options{}).Sequential(items)
 	if got := tree.Search(q, 0); len(got) != 0 {
 		t.Fatalf("k=0 returned %v", got)
 	}

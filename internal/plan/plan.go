@@ -45,7 +45,7 @@ type Candidate struct {
 	// Name is the registry name recorded in decisions and metrics.
 	Name string
 	// Searcher answers the delegated queries.
-	Searcher search.ContextSearcher
+	Searcher search.Searcher
 	// Cost is the prior cost model, normally the registry descriptor's
 	// (overridden by a loaded Calibration).
 	Cost method.CostModel
@@ -399,4 +399,4 @@ func (p *Planner) Summary() Summary {
 	return s
 }
 
-var _ search.ContextSearcher = (*Planner)(nil)
+var _ search.Searcher = (*Planner)(nil)

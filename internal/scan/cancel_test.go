@@ -26,12 +26,6 @@ func TestSSCancellation(t *testing.T) {
 	}, "SS")
 }
 
-func TestSSLCancellation(t *testing.T) {
-	searchtest.CheckCancellation(t, func(items *vec.Matrix) searchtest.FaultSearcher {
-		return scan.NewSSL(items, scan.SSLOptions{})
-	}, "SS-L")
-}
-
 // TestDeadlineAcceptance is the PR's acceptance criterion: a query with
 // a 1 ms deadline against a 100k-item index comes back well under 10 ms
 // with partial results and an ErrDeadline-wrapping error — even when an

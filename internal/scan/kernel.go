@@ -32,7 +32,7 @@ func NewNaiveKernel(n *Naive, shards int) *NaiveKernel {
 func (k *NaiveKernel) Shards() int { return k.part.Shards() }
 
 // Prepare implements engine.Kernel. Naive needs no derived query state.
-func (k *NaiveKernel) Prepare(q []float64) any {
+func (k *NaiveKernel) Prepare(q []float64, _ any) any {
 	if len(q) != k.n.items.Cols {
 		panic("scan: query dim != item dim")
 	}
@@ -66,7 +66,7 @@ func NewSSLKernel(s *SSL, shards int) *SSLKernel {
 func (k *SSLKernel) Shards() int { return k.part.Shards() }
 
 // Prepare implements engine.Kernel.
-func (k *SSLKernel) Prepare(q []float64) any { return k.s.prepareQuery(q) }
+func (k *SSLKernel) Prepare(q []float64, _ any) any { return k.s.prepareQuery(q) }
 
 // Scan implements engine.Kernel.
 func (k *SSLKernel) Scan(ctx context.Context, pq any, shard int, c *topk.Collector, shared *search.SharedThreshold, hook *faults.Hook) (search.Stats, error) {

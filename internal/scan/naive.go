@@ -7,9 +7,9 @@
 // from a second copy of that loop here.
 //
 // Every baseline exposes its scan as a range-scan over a contiguous row
-// interval, so the same code path serves both the classic single-scan
-// SearchContext (range [0, n)) and one shard of the sharded execution
-// engine (see the *Kernel types in kernel.go and DESIGN.md §11).
+// interval: one shard of the sharded execution engine, which at one
+// shard is the classic sequential scan (see the *Kernel types in
+// kernel.go and DESIGN.md §11).
 package scan
 
 import (
@@ -24,6 +24,14 @@ import (
 // Naive scans every item and computes every inner product, tracking the
 // top-k with a bounded heap — the paper's Naive baseline and the ground
 // truth for all exactness tests.
+//
+// It is one of the two sequential searchers left beside engine.Engine
+// (core.Retriever is the other), and it stays because it is the
+// reference: every exactness test and the repository benchmark's oracle
+// compare an engine's answer against Naive.SearchContext, which must
+// therefore not itself run through the engine. The registry does not
+// reach it — the registered "Naive" is NaiveKernel under the engine,
+// over the same scanRange.
 type Naive struct {
 	items *vec.Matrix
 	hook  *faults.Hook
@@ -46,7 +54,7 @@ func (n *Naive) Search(q []float64, k int) []topk.Result {
 	return res
 }
 
-// SearchContext implements search.ContextSearcher: the scan polls ctx
+// SearchContext implements search.Searcher: the scan polls ctx
 // every search.CheckStride items and returns the best-so-far partial
 // top-k with an ErrDeadline-wrapping error on cancellation.
 func (n *Naive) SearchContext(ctx context.Context, q []float64, k int) ([]topk.Result, error) {
@@ -95,4 +103,4 @@ func (n *Naive) scanRange(ctx context.Context, hook *faults.Hook, q []float64, l
 // Stats implements search.Searcher.
 func (n *Naive) Stats() search.Stats { return n.stats }
 
-var _ search.ContextSearcher = (*Naive)(nil)
+var _ search.Searcher = (*Naive)(nil)

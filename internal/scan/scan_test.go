@@ -4,15 +4,15 @@ import (
 	"math/rand"
 	"testing"
 
+	"fexipro/internal/engine"
 	"fexipro/internal/method"
 	"fexipro/internal/scan"
-	"fexipro/internal/search"
 	"fexipro/internal/searchtest"
 	"fexipro/internal/vec"
 )
 
 func TestNaiveExact(t *testing.T) {
-	searchtest.CheckSearcher(t, func(items *vec.Matrix) search.Searcher {
+	searchtest.CheckSearcher(t, func(items *vec.Matrix) searchtest.FaultSearcher {
 		return scan.NewNaive(items)
 	}, "naive")
 }
@@ -28,22 +28,51 @@ func TestNaiveStats(t *testing.T) {
 	}
 }
 
-// newSS is the registry's SS at checking dimension w. The sorted scan of
+// ss is the registry's SS at checking dimension w. The sorted scan of
 // Algorithms 1 and 2 has no loop of its own in this package any more —
 // the registry builds it as FEXIPRO variant F compared strictly — and
 // these tests hold that build to what they held scan.SS to.
-func newSS(items *vec.Matrix, w int) searchtest.FaultSearcher {
-	s, err := method.Build("SS", items, method.BuildOptions{W: w})
-	if err != nil {
-		panic(err)
+func ss(w int) searchtest.Builder {
+	return func(items *vec.Matrix, shards int) searchtest.FaultSearcher {
+		s, err := method.Sharded("SS", items, method.BuildOptions{W: w}, shards, 2)
+		if err != nil {
+			panic(err)
+		}
+		return s
 	}
-	return s.(searchtest.FaultSearcher)
+}
+
+func newSS(items *vec.Matrix, w int) searchtest.FaultSearcher { return ss(w).Sequential(items) }
+
+// The two scans this package implements, as the engine runs them.
+func naive(items *vec.Matrix, shards int) searchtest.FaultSearcher {
+	return engine.New(scan.NewNaiveKernel(scan.NewNaive(items), shards), 2)
+}
+
+func ssl(opts scan.SSLOptions) searchtest.Builder {
+	return func(items *vec.Matrix, shards int) searchtest.FaultSearcher {
+		return engine.New(scan.NewSSLKernel(scan.NewSSL(items, opts), shards), 2)
+	}
+}
+
+func TestShardedNaiveBitExact(t *testing.T) { searchtest.CheckSharded(t, naive, "naive") }
+
+func TestShardedSSBitExact(t *testing.T) { searchtest.CheckSharded(t, ss(0), "ss") }
+
+func TestShardedSSLBitExact(t *testing.T) { searchtest.CheckSharded(t, ssl(scan.SSLOptions{}), "ssl") }
+
+func TestShardedScanCancellation(t *testing.T) {
+	for name, build := range map[string]searchtest.Builder{
+		"naive": naive, "ss": ss(0), "ssl": ssl(scan.SSLOptions{}),
+	} {
+		build := build
+		t.Run(name, func(t *testing.T) { searchtest.CheckShardedCancellation(t, build, name) })
+	}
 }
 
 func TestSSExact(t *testing.T) {
-	build := func(items *vec.Matrix) search.Searcher { return newSS(items, 0) }
-	searchtest.CheckSearcher(t, build, "ss")
-	searchtest.CheckSearcherEdgeCases(t, build, "ss")
+	searchtest.CheckSearcher(t, ss(0).Sequential, "ss")
+	searchtest.CheckSearcherEdgeCases(t, ss(0).Sequential, "ss")
 }
 
 func TestSSExactVariousW(t *testing.T) {
@@ -76,12 +105,8 @@ func TestSSPrunes(t *testing.T) {
 }
 
 func TestSSLExact(t *testing.T) {
-	searchtest.CheckSearcher(t, func(items *vec.Matrix) search.Searcher {
-		return scan.NewSSL(items, scan.SSLOptions{})
-	}, "ssl")
-	searchtest.CheckSearcherEdgeCases(t, func(items *vec.Matrix) search.Searcher {
-		return scan.NewSSL(items, scan.SSLOptions{})
-	}, "ssl")
+	searchtest.CheckSearcher(t, ssl(scan.SSLOptions{}).Sequential, "ssl")
+	searchtest.CheckSearcherEdgeCases(t, ssl(scan.SSLOptions{}).Sequential, "ssl")
 }
 
 func TestSSLExactWithTuning(t *testing.T) {
@@ -91,10 +116,10 @@ func TestSSLExactWithTuning(t *testing.T) {
 	for i := range samples.Data {
 		samples.Data[i] = rng.NormFloat64()
 	}
-	s := scan.NewSSL(items, scan.SSLOptions{SampleQueries: samples})
-	if s.W() < 1 || s.W() >= 24 {
-		t.Fatalf("tuned w = %d out of range", s.W())
+	if w := scan.NewSSL(items, scan.SSLOptions{SampleQueries: samples}).W(); w < 1 || w >= 24 {
+		t.Fatalf("tuned w = %d out of range", w)
 	}
+	s := ssl(scan.SSLOptions{SampleQueries: samples}).Sequential(items)
 	for trial := 0; trial < 10; trial++ {
 		q := make([]float64, 24)
 		for j := range q {
@@ -107,7 +132,7 @@ func TestSSLExactWithTuning(t *testing.T) {
 func TestSSLPrunesMoreThanNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	items, q := searchtest.RandomInstance(rng, 3000, 16)
-	s := scan.NewSSL(items, scan.SSLOptions{})
+	s := ssl(scan.SSLOptions{}).Sequential(items)
 	s.Search(q, 1)
 	if st := s.Stats(); st.FullProducts >= 3000 {
 		t.Errorf("SSL computed %d/%d full products", st.FullProducts, 3000)

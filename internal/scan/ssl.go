@@ -11,8 +11,9 @@ import (
 	"fexipro/internal/vec"
 )
 
-// SSL is SS-L: the sequential scan with the LEMP optimizations that are
-// effective for single-query top-k retrieval (Section 7.1). Inner
+// SSL is the SS-L index: the sequential scan with the LEMP optimizations
+// that are effective for single-query top-k retrieval (Section 7.1),
+// searched as an SSLKernel under engine.Engine at every shard count. Inner
 // products are computed over NORMALIZED vectors against the cosine
 // threshold t/(‖q‖·‖p‖), with a coordinate-based check (LEMP-C style, on
 // the query's dominant coordinate) before the incremental-pruning check
@@ -24,8 +25,6 @@ type SSL struct {
 	norms     []float64 // original ‖p‖ per sorted row
 	tailNorms []float64 // ‖p'^h‖ on the unit vectors, coordinates w..d
 	w         int
-	hook      *faults.Hook
-	stats     search.Stats
 }
 
 // SSLOptions configures SS-L construction.
@@ -97,8 +96,9 @@ func (s *SSL) tuneW(samples *vec.Matrix, k int) {
 		s.setW(w)
 		var cost float64
 		for i := 0; i < samples.Rows; i++ {
-			s.Search(samples.Row(i), k)
-			st := s.stats
+			var st search.Stats
+			// An uncancellable, hook-less scan cannot fail.
+			_ = s.scanRange(context.Background(), nil, s.prepareQuery(samples.Row(i)), 0, s.unit.Rows, topk.New(k), nil, &st)
 			cost += float64(st.Scanned*w + st.FullProducts*(d-w))
 		}
 		if cost < bestCost {
@@ -110,16 +110,6 @@ func (s *SSL) tuneW(samples *vec.Matrix, k int) {
 
 // W returns the checking dimension in use.
 func (s *SSL) W() int { return s.w }
-
-// SetFaultHook installs (or, with nil, removes) the fault-injection
-// hook called once per scanned item.
-func (s *SSL) SetFaultHook(h *faults.Hook) { s.hook = h }
-
-// Search implements search.Searcher.
-func (s *SSL) Search(q []float64, k int) []topk.Result {
-	res, _ := s.SearchContext(context.Background(), q, k)
-	return res
-}
 
 // sslQuery is the per-query state shared read-only across shard scans.
 type sslQuery struct {
@@ -152,17 +142,6 @@ func (s *SSL) prepareQuery(q []float64) *sslQuery {
 	qs.qf = qs.qUnit[qs.focus]
 	qs.qRest = math.Sqrt(math.Max(0, 1-qs.qf*qs.qf))
 	return qs
-}
-
-// SearchContext implements search.ContextSearcher: the scan polls ctx
-// every search.CheckStride items and returns the best-so-far partial
-// top-k with an ErrDeadline-wrapping error on cancellation.
-func (s *SSL) SearchContext(ctx context.Context, q []float64, k int) ([]topk.Result, error) {
-	qs := s.prepareQuery(q)
-	s.stats = search.Stats{}
-	c := topk.New(k)
-	err := s.scanRange(ctx, s.hook, qs, 0, s.unit.Rows, c, nil, &s.stats)
-	return c.Results(), err
 }
 
 // scanRange is the SS-L scan over the sorted rows [lo, hi). Pruning is
@@ -236,8 +215,3 @@ func (s *SSL) scanRange(ctx context.Context, hook *faults.Hook, qs *sslQuery, lo
 	}
 	return nil
 }
-
-// Stats implements search.Searcher.
-func (s *SSL) Stats() search.Stats { return s.stats }
-
-var _ search.ContextSearcher = (*SSL)(nil)

@@ -34,7 +34,8 @@ const CheckStride = 1024
 const StrideMask = CheckStride - 1
 
 // ContextSearcher is Searcher under the name it had while SearchContext
-// was an optional extra.
+// was an optional extra. The frozen benchmark/ package is the alias's
+// remaining user; everything else says Searcher.
 type ContextSearcher = Searcher
 
 // Canceled wraps cause so the result satisfies

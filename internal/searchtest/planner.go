@@ -52,10 +52,10 @@ func CheckPlannerExact(t *testing.T, names []string, label string) {
 // buildPlanner constructs a planner over registry methods plus the map
 // of candidate searchers by canonical name (the same instances the
 // planner routes to, so comparisons are against identical state).
-func buildPlanner(t *testing.T, names []string, items *vec.Matrix, shards int, label string) (*plan.Planner, map[string]search.ContextSearcher) {
+func buildPlanner(t *testing.T, names []string, items *vec.Matrix, shards int, label string) (*plan.Planner, map[string]search.Searcher) {
 	t.Helper()
 	var cands []plan.Candidate
-	byName := make(map[string]search.ContextSearcher, len(names))
+	byName := make(map[string]search.Searcher, len(names))
 	for _, name := range names {
 		d, err := method.Get(name)
 		if err != nil {
@@ -78,7 +78,7 @@ func buildPlanner(t *testing.T, names []string, items *vec.Matrix, shards int, l
 // checkDelegation verifies result and stats identity between the
 // planner and its chosen candidate across enough queries to leave
 // warmup and exercise cost decisions.
-func checkDelegation(t *testing.T, rng *rand.Rand, p *plan.Planner, cands map[string]search.ContextSearcher, items *vec.Matrix, k, shards int, label string) {
+func checkDelegation(t *testing.T, rng *rand.Rand, p *plan.Planner, cands map[string]search.Searcher, items *vec.Matrix, k, shards int, label string) {
 	t.Helper()
 	for trial := 0; trial < 12; trial++ {
 		q := randomQuery(rng, items.Cols)

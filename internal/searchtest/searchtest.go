@@ -70,7 +70,7 @@ func scoreClose(a, b float64) bool {
 
 // CheckSearcher runs a grid of (n, d, k) instances through the searcher
 // factory and validates every answer against Naive.
-func CheckSearcher(t *testing.T, build func(items *vec.Matrix) search.Searcher, label string) {
+func CheckSearcher(t *testing.T, build func(items *vec.Matrix) FaultSearcher, label string) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(12345))
 	cases := []struct{ n, d, k int }{
@@ -100,12 +100,20 @@ func CheckSearcher(t *testing.T, build func(items *vec.Matrix) search.Searcher, 
 	}
 }
 
-// FaultSearcher is a context-aware searcher that accepts a
-// fault-injection hook — every searcher in this repository.
+// FaultSearcher is a searcher that accepts a fault-injection hook —
+// every searcher in this repository.
 type FaultSearcher interface {
-	search.ContextSearcher
+	search.Searcher
 	SetFaultHook(*faults.Hook)
 }
+
+// Builder makes the searcher under test over its own index of items,
+// partitioned into the given number of shards: an engine over a kernel.
+type Builder func(items *vec.Matrix, shards int) FaultSearcher
+
+// Sequential is the builder at one shard, in the shape the unsharded
+// harnesses (CheckSearcher, CheckCancellation, …) take.
+func (b Builder) Sequential(items *vec.Matrix) FaultSearcher { return b(items, 1) }
 
 // CheckCancellation is the cancellation property suite shared by every
 // searcher: cancelling the scan at a random item (or node) index via a
@@ -201,7 +209,7 @@ func checkCancellation(t *testing.T, build func(items *vec.Matrix) FaultSearcher
 
 // CheckSearcherEdgeCases exercises degenerate inputs: zero queries, zero
 // items, duplicated vectors, negative-only data.
-func CheckSearcherEdgeCases(t *testing.T, build func(items *vec.Matrix) search.Searcher, label string) {
+func CheckSearcherEdgeCases(t *testing.T, build func(items *vec.Matrix) FaultSearcher, label string) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(999))
 

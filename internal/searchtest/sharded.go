@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"fexipro/internal/search"
 	"fexipro/internal/topk"
 	"fexipro/internal/vec"
 )
@@ -27,7 +26,7 @@ var ShardCounts = []int{2, 3, 7}
 // build must return a searcher over its own index built from items with
 // the given shard count; shards == 1 must be supported and is the
 // reference.
-func CheckSharded(t *testing.T, build func(items *vec.Matrix, shards int) search.ContextSearcher, label string) {
+func CheckSharded(t *testing.T, build Builder, label string) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(20260806))
 	cases := []struct{ n, d, k int }{
@@ -64,7 +63,7 @@ func CheckSharded(t *testing.T, build func(items *vec.Matrix, shards int) search
 	checkShardedQueries(t, build, zitems, [][]float64{zq}, 12, label+"/zero-query")
 }
 
-func checkShardedInstance(t *testing.T, build func(items *vec.Matrix, shards int) search.ContextSearcher, items *vec.Matrix, k, trials int, rng *rand.Rand, label string) {
+func checkShardedInstance(t *testing.T, build Builder, items *vec.Matrix, k, trials int, rng *rand.Rand, label string) {
 	t.Helper()
 	queries := make([][]float64, trials)
 	for i := range queries {
@@ -77,10 +76,10 @@ func checkShardedInstance(t *testing.T, build func(items *vec.Matrix, shards int
 	checkShardedQueries(t, build, items, queries, k, label)
 }
 
-func checkShardedQueries(t *testing.T, build func(items *vec.Matrix, shards int) search.ContextSearcher, items *vec.Matrix, queries [][]float64, k int, label string) {
+func checkShardedQueries(t *testing.T, build Builder, items *vec.Matrix, queries [][]float64, k int, label string) {
 	t.Helper()
 	ref := build(items, 1)
-	sharded := make(map[int]search.ContextSearcher, len(ShardCounts))
+	sharded := make(map[int]FaultSearcher, len(ShardCounts))
 	for _, s := range ShardCounts {
 		sharded[s] = build(items, s)
 	}
@@ -119,7 +118,7 @@ func checkShardedQueries(t *testing.T, build func(items *vec.Matrix, shards int)
 // ErrDeadline-flagged partials whose scores are all true inner
 // products, and unfired hooks must leave results identical to the
 // uncancelled baseline.
-func CheckShardedCancellation(t *testing.T, build func(items *vec.Matrix, shards int) FaultSearcher, label string) {
+func CheckShardedCancellation(t *testing.T, build Builder, label string) {
 	t.Helper()
 	for _, s := range ShardCounts {
 		s := s
@@ -132,7 +131,7 @@ func CheckShardedCancellation(t *testing.T, build func(items *vec.Matrix, shards
 // CheckShardedCancellationApprox is CheckShardedCancellation for
 // approximate searchers (PCA-Tree): the uncancelled baseline is not
 // compared against Naive but every other cancellation invariant holds.
-func CheckShardedCancellationApprox(t *testing.T, build func(items *vec.Matrix, shards int) FaultSearcher, label string) {
+func CheckShardedCancellationApprox(t *testing.T, build Builder, label string) {
 	t.Helper()
 	for _, s := range ShardCounts {
 		s := s

@@ -166,49 +166,51 @@ func TestPartialOnDeadline(t *testing.T) {
 }
 
 // TestPanicRecovery covers both panic sites: a request-level injected
-// panic and a scan-level panic raised while the index mutex is held.
+// panic and a scan-level panic raised while the index mutex is held —
+// at one shard on the request's goroutine, at two in an engine worker,
+// which must hand it back to that goroutine for recoverPanics to see.
 // Both must answer 500 code "panic" with a trace ID, advance the panic
 // counter, and leave the server serving (the mutex is released by the
 // deferred unlock, so a deadlock here would hang the follow-up request).
 func TestPanicRecovery(t *testing.T) {
-	reg := faults.NewRegistry(4)
-	ts, srv := newGuardedServer(t, 200, 8, server.Config{Faults: reg})
-
-	// Site 1: panic in the handler before any index work.
-	reg.Enable(faults.SiteServerSearch, faults.Plan{PanicEveryNCalls: 1})
-	resp, body := doSearch(t, ts.URL, nil)
-	if resp.StatusCode != 500 || !strings.Contains(body, `"code":"panic"`) {
-		t.Fatalf("handler panic answered %d %s", resp.StatusCode, body)
-	}
-	if resp.Header.Get("X-Trace-Id") == "" {
-		t.Fatal("panic response lost the trace ID header")
-	}
-	reg.Disable(faults.SiteServerSearch)
-
-	// Site 2: panic mid-scan, under the index mutex.
-	reg.Enable(faults.SiteScan, faults.Plan{PanicAtItem: 10})
-	resp, body = doSearch(t, ts.URL, nil)
-	if resp.StatusCode != 500 || !strings.Contains(body, `"code":"panic"`) {
-		t.Fatalf("scan panic answered %d %s", resp.StatusCode, body)
-	}
-	reg.Disable(faults.SiteScan)
-
-	// The server must still answer; a leaked mutex would hang here.
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		resp, body := doSearch(t, ts.URL, nil)
-		if resp.StatusCode != 200 {
-			t.Errorf("post-panic search = %d %s", resp.StatusCode, body)
+	for _, shards := range []int{1, 2} {
+		reg := faults.NewRegistry(4)
+		ts, srv := newGuardedServer(t, 200, 8, server.Config{Faults: reg, Shards: shards, SearchWorkers: 2})
+		for _, site := range []struct {
+			name string
+			plan faults.Plan
+		}{
+			{faults.SiteServerSearch, faults.Plan{PanicEveryNCalls: 1}}, // before any index work
+			{faults.SiteScan, faults.Plan{PanicAtItem: 10}},             // mid-scan, under the index mutex
+		} {
+			reg.Enable(site.name, site.plan)
+			resp, body := doSearch(t, ts.URL, nil)
+			if resp.StatusCode != 500 || !strings.Contains(body, `"code":"panic"`) {
+				t.Fatalf("shards=%d: %s panic answered %d %s", shards, site.name, resp.StatusCode, body)
+			}
+			if resp.Header.Get("X-Trace-Id") == "" {
+				t.Fatalf("shards=%d: %s panic response lost the trace ID header", shards, site.name)
+			}
+			reg.Disable(site.name)
 		}
-	}()
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("server deadlocked after recovered panic")
-	}
-	if got := srv.Metrics().Snapshot()["fexserve_guard_panics_total"]; got != 2 {
-		t.Fatalf("panic counter = %v, want 2", got)
+
+		// The server must still answer; a leaked mutex would hang here.
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			resp, body := doSearch(t, ts.URL, nil)
+			if resp.StatusCode != 200 {
+				t.Errorf("shards=%d: post-panic search = %d %s", shards, resp.StatusCode, body)
+			}
+		}()
+		select {
+		case <-done:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("shards=%d: server deadlocked after recovered panic", shards)
+		}
+		if got := srv.Metrics().Snapshot()["fexserve_guard_panics_total"]; got != 2 {
+			t.Fatalf("shards=%d: panic counter = %v, want 2", shards, got)
+		}
 	}
 }
 

@@ -29,10 +29,11 @@ type Options struct {
 	// the norm-sorted items, answered in parallel per query by the
 	// sharded execution engine and merged into the exact canonical
 	// top-k; results are bit-identical to the single-shard scan for
-	// every shard count. Values ≤ 1 keep the classic sequential scan.
+	// every shard count. Values ≤ 1 mean one shard: the classic
+	// sequential scan, run by the same engine on the calling goroutine.
 	Shards int
-	// Workers bounds the per-query goroutine pool used when Shards > 1
-	// (≤ 0 means GOMAXPROCS, clamped to Shards). Ignored for Shards ≤ 1.
+	// Workers bounds the per-query goroutine pool (≤ 0 means GOMAXPROCS;
+	// always clamped to Shards, so one shard starts no goroutine).
 	Workers int
 }
 
@@ -47,19 +48,22 @@ func (o Options) internal() (core.Options, error) {
 	return copts, err
 }
 
-// FEXIPRO is the framework's public handle: a preprocessed index plus a
-// single-threaded query executor (or, with Options.Shards > 1, a
-// sharded execution engine that answers each query with a bounded
-// worker pool and merges per-shard heaps into the exact canonical
-// top-k; see DESIGN.md §11). For concurrent querying, share the index
-// via Clone-free Retriever() calls: each executor owns independent
-// scratch state.
+// FEXIPRO is the framework's public handle: a preprocessed index and
+// the execution engine that answers top-k queries over it — the index's
+// norm-sorted rows in Options.Shards contiguous ranges, each query
+// scanned by a bounded worker pool and the per-shard heaps merged into
+// the exact canonical top-k (DESIGN.md §11). The default, one shard, is
+// the paper's sequential scan (Algorithm 4): the same engine, which then
+// starts no goroutine and merges one list. For concurrent querying take
+// one Retriever() per goroutine: each executor owns its per-query state
+// and all of them share the index.
 type FEXIPRO struct {
-	idx     *core.Index
-	r       *core.Retriever // Shards ≤ 1 path
-	eng     *engine.Engine  // Shards > 1 path (nil otherwise)
-	shards  int
-	workers int
+	idx  *core.Index
+	kern *core.Sharded  // idx partitioned; read-only, shared by every executor
+	eng  *engine.Engine // answers Search/SearchContext
+	// above is SearchAbove's executor: the engine runs top-k only, and
+	// the above-t scan keeps its scratch on a core.Retriever.
+	above *core.Retriever
 }
 
 // New preprocesses items (rows are item vectors; copied) into a FEXIPRO
@@ -73,66 +77,44 @@ func New(items *Matrix, opts Options) (*FEXIPRO, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The sequential retriever is always present: SearchAbove has no
-	// sharded path, and with Shards ≤ 1 it also answers Search.
-	f := &FEXIPRO{idx: idx, r: core.NewRetriever(idx), shards: 1, workers: opts.Workers}
-	if opts.Shards > 1 {
-		kern := core.NewSharded(idx, opts.Shards)
-		f.shards = kern.Shards() // clamped to the item count
-		f.eng = engine.New(kern, opts.Workers)
-	}
-	return f, nil
+	return newFEXIPRO(idx, opts.Shards, opts.Workers), nil
+}
+
+func newFEXIPRO(idx *core.Index, shards, workers int) *FEXIPRO {
+	kern := core.NewSharded(idx, shards) // clamps shards to [1, item count]
+	return &FEXIPRO{idx: idx, kern: kern, eng: engine.New(kern, workers), above: core.NewRetriever(idx)}
 }
 
 // Search implements Searcher.
 func (f *FEXIPRO) Search(q []float64, k int) []Result {
-	if f.eng != nil {
-		return convertResults(f.eng.Search(q, k))
-	}
-	return convertResults(f.r.Search(q, k))
+	return convertResults(f.eng.Search(q, k))
 }
 
 // SearchContext implements Searcher: on cancellation it returns the
 // best-so-far partial top-k and an ErrDeadline-wrapping error.
 func (f *FEXIPRO) SearchContext(ctx context.Context, q []float64, k int) ([]Result, error) {
-	if f.eng != nil {
-		res, err := f.eng.SearchContext(ctx, q, k)
-		return convertResults(res), err
-	}
-	res, err := f.r.SearchContext(ctx, q, k)
+	res, err := f.eng.SearchContext(ctx, q, k)
 	return convertResults(res), err
 }
 
 // LastStats implements Searcher.
-func (f *FEXIPRO) LastStats() Stats {
-	if f.eng != nil {
-		return convertStats(f.eng.Stats())
-	}
-	return convertStats(f.r.Stats())
-}
+func (f *FEXIPRO) LastStats() Stats { return convertStats(f.eng.Stats()) }
 
-// Retriever returns an additional query executor sharing this index;
-// each executor may be used from one goroutine at a time. The executor
-// inherits the instance's shard configuration.
+// Retriever returns an additional query executor sharing this index —
+// another engine over the same partitioned index, with this instance's
+// shard and worker configuration; each executor may be used from one
+// goroutine at a time.
 func (f *FEXIPRO) Retriever() Searcher {
-	if f.shards > 1 {
-		return wrap{s: engine.New(core.NewSharded(f.idx, f.shards), f.workers)}
-	}
-	return wrap{s: core.NewRetriever(f.idx)}
+	return wrap{s: engine.New(f.kern, f.eng.Workers())}
 }
 
 // Shards reports the number of index shards answering each query (1 for
 // the classic sequential scan).
-func (f *FEXIPRO) Shards() int { return f.shards }
+func (f *FEXIPRO) Shards() int { return f.kern.Shards() }
 
 // SearchWorkers reports the effective per-query worker-pool size (1 for
 // the classic sequential scan).
-func (f *FEXIPRO) SearchWorkers() int {
-	if f.eng == nil {
-		return 1
-	}
-	return f.eng.Workers()
-}
+func (f *FEXIPRO) SearchWorkers() int { return f.eng.Workers() }
 
 // W reports the checking dimension chosen during preprocessing.
 func (f *FEXIPRO) W() int { return f.idx.W() }
@@ -190,8 +172,9 @@ type MethodOptions struct {
 	BucketSize int
 	// SpillFraction is PCATree's spill overlap (0 = none).
 	SpillFraction float64
-	// Shards > 1 partitions the index and answers each query through the
+	// Shards partitions the index; each query is answered through the
 	// sharded execution engine with Workers goroutines (DESIGN.md §11).
+	// Values ≤ 1 mean one shard, the sequential scan.
 	Shards, Workers int
 }
 
@@ -217,11 +200,11 @@ func NewMethod(name string, items *Matrix, o MethodOptions) (Searcher, error) {
 	return wrap{s: s}, nil
 }
 
-// builtin builds a registry method whose descriptor cannot fail for a
-// valid matrix (the baselines below); the panic is unreachable by
-// construction.
+// builtin builds the sequential form of a registry method whose
+// descriptor cannot fail for a valid matrix (the baselines below); the
+// panic is unreachable by construction.
 func builtin(name string, items *vec.Matrix, o method.BuildOptions) search.Searcher {
-	s, err := method.Build(name, items, o)
+	s, err := method.Sharded(name, items, o, 1, 1)
 	if err != nil {
 		panic("fexipro: " + err.Error())
 	}
@@ -273,35 +256,38 @@ func NewPCATree(items *Matrix, leafSize int, spillFraction float64) Searcher {
 
 // LEMP is the batch top-k join engine (Teflioudi et al.).
 type LEMP struct {
-	idx *lemp.Index
+	idx *lemp.Index    // the batch joins and the above-t scans
+	eng *engine.Engine // single-query top-k over the same index
 }
 
 // NewLEMP indexes items for batch retrieval. sampleQueries (optional)
 // tunes each bucket's checking dimension.
 func NewLEMP(items *Matrix, bucketSize int, sampleQueries *Matrix) *LEMP {
-	o := method.BuildOptions{BucketSize: bucketSize}
+	o := lemp.Options{BucketSize: bucketSize}
 	if sampleQueries != nil {
 		o.SampleQueries = sampleQueries.m
 	}
-	// The registry returns LEMP as a generic Searcher; the public LEMP
-	// type keeps the concrete index for its batch TopKJoin API.
-	return &LEMP{idx: builtin("LEMP", items.m, o).(*lemp.Index)}
+	// The registry's LEMP is this kernel at one shard; the public type
+	// also keeps the concrete index for its batch TopKJoin API.
+	idx := lemp.New(items.m, o)
+	return &LEMP{idx: idx, eng: engine.New(lemp.NewKernel(idx, 1), 1)}
 }
 
 // Search implements Searcher for a single query.
 func (l *LEMP) Search(q []float64, k int) []Result {
-	return convertResults(l.idx.Search(q, k))
+	return convertResults(l.eng.Search(q, k))
 }
 
 // SearchContext implements Searcher: on cancellation it returns the
 // best-so-far partial top-k and an ErrDeadline-wrapping error.
 func (l *LEMP) SearchContext(ctx context.Context, q []float64, k int) ([]Result, error) {
-	res, err := l.idx.SearchContext(ctx, q, k)
+	res, err := l.eng.SearchContext(ctx, q, k)
 	return convertResults(res), err
 }
 
-// LastStats implements Searcher.
-func (l *LEMP) LastStats() Stats { return convertStats(l.idx.Stats()) }
+// LastStats implements Searcher: the counters of the most recent Search
+// or SearchContext (the joins and above-t scans do not report here).
+func (l *LEMP) LastStats() Stats { return convertStats(l.eng.Stats()) }
 
 // TopKJoin returns the top-k list for every query row.
 func (l *LEMP) TopKJoin(queries *Matrix, k int) [][]Result {
