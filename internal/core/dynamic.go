@@ -419,25 +419,46 @@ type dynKernel struct {
 // shard's transform differs, so the states are per-shard).
 type dynQuery struct {
 	q      []float64
-	states []*queryState
+	shards []dynShardQuery
+}
+
+// dynShardQuery is one shard's prepared state and the index whose
+// newQueryState sized it; state is nil while the shard has no main.
+type dynShardQuery struct {
+	main  *Index
+	state *queryState
 }
 
 // Shards implements engine.Kernel.
 func (k *dynKernel) Shards() int { return len(k.di.shards) }
 
-// Prepare implements engine.Kernel.
-func (k *dynKernel) Prepare(q []float64, _ any) any {
+// Prepare implements engine.Kernel. The engine's previous dynQuery is
+// overwritten in place, as Sharded.Prepare reuses its queryState; a
+// shard's scratch is kept only while it was made for the shard's current
+// main index — a rebuild installs a new *Index, so a state sized for the
+// old transform is never prepared against the new one. (Until the next
+// query replaces it, that state is what keeps a rebuilt-away index
+// reachable.)
+func (k *dynKernel) Prepare(q []float64, reuse any) any {
 	if len(q) != k.di.d {
 		panic(fmt.Sprintf("core: query dim %d != %d", len(q), k.di.d))
 	}
-	dq := &dynQuery{q: q, states: make([]*queryState, len(k.di.shards))}
+	dq, _ := reuse.(*dynQuery)
+	if dq == nil {
+		dq = &dynQuery{shards: make([]dynShardQuery, len(k.di.shards))}
+	}
+	dq.q = q
 	for s, sh := range k.di.shards {
-		if sh.main != nil {
-			qs := sh.main.newQueryState()
-			sh.main.prepareQuery(q, qs)
-			qs.live = liveView{ids: sh.mainIDs, dead: &k.di.dead}
-			dq.states[s] = qs
+		sq := &dq.shards[s]
+		if sh.main == nil {
+			*sq = dynShardQuery{}
+			continue
 		}
+		if sq.main != sh.main {
+			*sq = dynShardQuery{main: sh.main, state: sh.main.newQueryState()}
+		}
+		sh.main.prepareQuery(q, sq.state)
+		sq.state.live = liveView{ids: sh.mainIDs, dead: &k.di.dead}
 	}
 	return dq
 }
@@ -458,7 +479,7 @@ func (k *dynKernel) Scan(ctx context.Context, pq any, shard int, c *topk.Collect
 		}
 	})
 	if err == nil && sh.main != nil {
-		err = sh.main.scanRange(ctx, hook, dq.states[shard], 0, sh.main.n, c, shared, &st)
+		err = sh.main.scanRange(ctx, hook, dq.shards[shard].state, 0, sh.main.n, c, shared, &st)
 	}
 	return st, err
 }

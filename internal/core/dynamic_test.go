@@ -345,3 +345,80 @@ func TestDynamicAddAllocatesPerItem(t *testing.T) {
 		t.Fatalf("64 adds allocated %d bytes, catalog is %d", got, catalog)
 	}
 }
+
+// TestDynamicReusesQueryState: the engine's dynQuery and each shard's
+// queryState are overwritten from one query to the next, and a state is
+// re-made — not reused — once a rebuild has replaced the index it was
+// sized for. Adds alone force the rebuild, so a fresh index over the
+// grown catalog has the same IDs (scores to 1e-9: the fresh one has no
+// delta buffer, whose items are scored untransformed).
+func TestDynamicReusesQueryState(t *testing.T) {
+	const n, d, k = 400, 12, 5
+	opts := core.Options{SVD: true, Int: true, Reduction: true}
+	ds := data.Generate(data.MovieLens(), n, 4, d)
+	for _, shards := range []int{1, 3} {
+		di, err := core.NewDynamicIndexSharded(ds.Items, opts, 0, shards, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		all := ds.Items.Clone()
+		check := func(when string) {
+			t.Helper()
+			fresh, err := core.NewDynamicIndexSharded(all, opts, 0, shards, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for qi := 0; qi < ds.Queries.Rows; qi++ {
+				q := ds.Queries.Row(qi)
+				if err := sameResults(di.Search(q, k), fresh.Search(q, k), 1e-9); err != nil {
+					t.Fatalf("S=%d, %s, query %d: %v", shards, when, qi, err)
+				}
+			}
+		}
+		check("initial")
+
+		q := ds.Queries.Row(0)
+		mallocs := func() uint64 {
+			var m runtime.MemStats
+			runtime.ReadMemStats(&m)
+			before := m.Mallocs
+			di.Search(q, k)
+			runtime.ReadMemStats(&m)
+			return m.Mallocs - before
+		}
+		steady := testing.AllocsPerRun(50, func() { di.Search(q, k) })
+		// What is left is collectors, result slices, the transformed
+		// query and, above one shard, the engine's fan-out; the parent
+		// made a dynQuery, its state slice and the five allocations of
+		// newQueryState per shard on top (14 and 45 per search).
+		if limit := map[int]float64{1: 7, 3: 28}[shards]; steady > limit {
+			t.Fatalf("S=%d: a steady-state search allocates %.0f times, want ≤ %.0f", shards, steady, limit)
+		}
+
+		rng := rand.New(rand.NewSource(24))
+		rebuilt := di.Rebuilds()
+		for a := 0; a < n/2; a++ { // past 20 % of every shard
+			item := make([]float64, d)
+			for j := range item {
+				item[j] = rng.NormFloat64()
+			}
+			if _, err := di.Add(item); err != nil {
+				t.Fatal(err)
+			}
+			all.Rows++
+			all.Data = append(all.Data, item...)
+		}
+		for s, r := range di.Rebuilds() {
+			if r == rebuilt[s] {
+				t.Fatalf("S=%d: shard %d was not rebuilt by %d adds", shards, s, n/2)
+			}
+		}
+		if first := mallocs(); float64(first) <= steady {
+			t.Fatalf("S=%d: the first search after a rebuild allocated %d times, steady state %.0f: the stale query state was reused", shards, first, steady)
+		}
+		check("after rebuild")
+		if again := testing.AllocsPerRun(50, func() { di.Search(q, k) }); again != steady {
+			t.Fatalf("S=%d: %.0f allocations per search after the rebuild, %.0f before", shards, again, steady)
+		}
+	}
+}

@@ -2,6 +2,8 @@ package obs
 
 import (
 	"context"
+	"encoding/json"
+	"reflect"
 	"testing"
 
 	"fexipro/internal/search"
@@ -87,5 +89,27 @@ func TestStageCountersFrom(t *testing.T) {
 	}
 	if sc.Scanned != 9 || sc.FullProducts != 6 || sc.NodesVisited != 7 {
 		t.Fatalf("fields dropped: %+v", sc)
+	}
+}
+
+// TestStageCountersAppendJSON holds the hand-written encoder to the
+// struct's tags: every field set through reflection, so a field added to
+// StageCounters without its AppendJSON line fails here.
+func TestStageCountersAppendJSON(t *testing.T) {
+	var all StageCounters
+	v := reflect.ValueOf(&all).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		v.Field(i).SetInt(int64(1000 + i))
+	}
+	noNodes := all
+	noNodes.Scanned, noNodes.Pruned, noNodes.NodesVisited = -3, 1<<40, 0
+	for _, sc := range []StageCounters{{}, all, noNodes} {
+		want, err := json.Marshal(sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := sc.AppendJSON(nil); string(got) != string(want) {
+			t.Fatalf("AppendJSON = %s, json.Marshal = %s", got, want)
+		}
 	}
 }

@@ -39,6 +39,24 @@ func StageCountersFrom(st search.Stats) StageCounters {
 	}
 }
 
+// AppendJSON appends the bytes json.Marshal(sc) produces — the keys in
+// struct order, nodesVisited only when non-zero — without reflection;
+// the /v1/search response is built from it on every query.
+func (sc StageCounters) AppendJSON(b []byte) []byte {
+	b = strconv.AppendInt(append(b, `{"scanned":`...), int64(sc.Scanned), 10)
+	b = strconv.AppendInt(append(b, `,"prunedByLength":`...), int64(sc.PrunedByLength), 10)
+	b = strconv.AppendInt(append(b, `,"prunedByIntHead":`...), int64(sc.PrunedByIntHead), 10)
+	b = strconv.AppendInt(append(b, `,"prunedByIntFull":`...), int64(sc.PrunedByIntFull), 10)
+	b = strconv.AppendInt(append(b, `,"prunedByIncremental":`...), int64(sc.PrunedByIncremental), 10)
+	b = strconv.AppendInt(append(b, `,"prunedByMonotone":`...), int64(sc.PrunedByMonotone), 10)
+	b = strconv.AppendInt(append(b, `,"pruned":`...), int64(sc.Pruned), 10)
+	b = strconv.AppendInt(append(b, `,"fullProducts":`...), int64(sc.FullProducts), 10)
+	if sc.NodesVisited != 0 {
+		b = strconv.AppendInt(append(b, `,"nodesVisited":`...), int64(sc.NodesVisited), 10)
+	}
+	return append(b, '}')
+}
+
 // Stage names, in paper order (Table 3's bound cascade). These are the
 // values of the "stage" label on fexipro_pruned_items_total.
 const (

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"context"
 	"crypto/rand"
 	"encoding/hex"
 	mrand "math/rand"
@@ -47,17 +46,4 @@ func ValidTraceID(s string) bool {
 		}
 	}
 	return true
-}
-
-type traceKey struct{}
-
-// WithTraceID stores a trace ID in the context.
-func WithTraceID(ctx context.Context, id string) context.Context {
-	return context.WithValue(ctx, traceKey{}, id)
-}
-
-// TraceIDFrom returns the trace ID stored in ctx ("" when absent).
-func TraceIDFrom(ctx context.Context) string {
-	id, _ := ctx.Value(traceKey{}).(string)
-	return id
 }

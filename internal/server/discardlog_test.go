@@ -57,10 +57,11 @@ func TestDisabledLoggerSkipsRequestLine(t *testing.T) {
 				t.Fatalf("%s: search status %d: %s", name, rec.Code, rec.Body)
 			}
 		}
-		if got := srv.reqTotal(http.MethodPost, "/v1/search", "2xx").Value(); got != searches {
+		rs := srv.requestSeries(seriesKey{http.MethodPost, "/v1/search", "2xx"})
+		if got := rs.total.Value(); got != searches {
 			t.Fatalf("%s: fexserve_http_requests_total = %d, want %d", name, got, searches)
 		}
-		if got := srv.reqDur("/v1/search").Count(); got != searches {
+		if got := rs.dur.Count(); got != searches {
 			t.Fatalf("%s: duration histogram holds %d observations, want %d", name, got, searches)
 		}
 	}

@@ -40,6 +40,10 @@ func TestErrorPaths(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
+	// A valid body 14 bytes past the 1 MiB cap: small enough an overage
+	// that the HTTP server drains it instead of resetting the connection.
+	oversize := `{"vector":[` + strings.Repeat("1,", 1<<19) + `1]}`
+
 	cases := []struct {
 		name       string
 		method     string
@@ -104,6 +108,31 @@ func TestErrorPaths(t *testing.T) {
 			name:   "add dim mismatch",
 			method: "POST", path: "/v1/items", body: `{"vector": [1]}`,
 			wantStatus: 400, wantCode: "bad_request", wantSubstr: "1 dims, index has 4",
+		},
+		{
+			name:   "search oversize body",
+			method: "POST", path: "/v1/search", body: oversize,
+			wantStatus: 413, wantCode: "too_large", wantSubstr: "exceeds 1048576 bytes",
+		},
+		{
+			name:   "above oversize body",
+			method: "POST", path: "/v1/above", body: oversize,
+			wantStatus: 413, wantCode: "too_large", wantSubstr: "exceeds 1048576 bytes",
+		},
+		{
+			name:   "add oversize body",
+			method: "POST", path: "/v1/items", body: oversize,
+			wantStatus: 413, wantCode: "too_large", wantSubstr: "exceeds 1048576 bytes",
+		},
+		{
+			name:   "add ignores k of any type",
+			method: "POST", path: "/v1/items", body: `{"vector": [1], "k": "ten", "threshold": []}`,
+			wantStatus: 400, wantCode: "bad_request", wantSubstr: "1 dims, index has 4",
+		},
+		{
+			name:   "add overflowing literal",
+			method: "POST", path: "/v1/items", body: `{"vector": [1e999,0,0,0]}`,
+			wantStatus: 400, wantCode: "bad_request", wantSubstr: "invalid JSON",
 		},
 		{
 			name:   "delete non-numeric id",

@@ -9,8 +9,6 @@ import (
 	"strconv"
 	"strings"
 	"time"
-
-	"fexipro/internal/obs"
 )
 
 // This file is the server's production guard stack. Ordering (outermost
@@ -84,14 +82,14 @@ func (s *Server) recoverPanics(next http.Handler) http.Handler {
 			}
 			s.guardPanics.Inc()
 			s.log.LogAttrs(r.Context(), slog.LevelError, "panic recovered",
-				slog.String("traceId", obs.TraceIDFrom(r.Context())),
+				slog.String("traceId", traceIDFrom(r.Context())),
 				slog.String("path", r.URL.Path),
 				slog.String("panic", fmt.Sprint(rec)),
 				slog.String("stack", string(debug.Stack())),
 			)
 			if sw, ok := w.(*statusWriter); !ok || sw.status == 0 {
 				httpErrorCode(w, http.StatusInternalServerError, "panic",
-					"internal error (trace %s)", obs.TraceIDFrom(r.Context()))
+					"internal error (trace %s)", traceIDFrom(r.Context()))
 			}
 		}()
 		next.ServeHTTP(w, r)

@@ -16,6 +16,16 @@
 // the trace ID, latency, and — for search requests — k plus the
 // per-pruning-stage counters of the paper's Tables 3/7.
 //
+// The request path pays for no reflection on the bodies clients send
+// (DESIGN.md §10.5): the three body-carrying routes read the body under
+// a 1 MiB cap (413 too_large beyond it) and decode it with a one-pass
+// scanner of the canonical request object, falling back to
+// encoding/json — still the arbiter of validity and the author of every
+// error message — for anything else (decode.go); search answers are
+// appended byte for byte as encoding/json would write them (encode.go);
+// and the middleware resolves its metric handles once per (method,
+// route, status class).
+//
 // The handler serializes index access with a mutex: FEXIPRO retrievers
 // are single-goroutine and the dynamic index mutates on writes. For
 // read-heavy deployments, run several replicas of the process or shard
@@ -173,15 +183,19 @@ type Server struct {
 	// MaxK caps per-request k to bound response sizes (default 1000).
 	MaxK int
 
-	cfg      Config
-	reg      *obs.Registry
-	log      *slog.Logger
-	rec      *obs.SearchRecorder
-	reqTotal func(method, route, status string) *obs.Counter
-	reqDur   func(route string) *obs.Histogram
-	adds     *obs.Counter
-	deletes  *obs.Counter
-	items    *obs.Gauge
+	cfg     Config
+	reg     *obs.Registry
+	log     *slog.Logger
+	rec     *obs.SearchRecorder
+	adds    *obs.Counter
+	deletes *obs.Counter
+	items   *obs.Gauge
+
+	// observe's per-request metric handles, each resolved through the
+	// registry the first time its (method, route, status class) is seen.
+	seriesMu sync.RWMutex
+	//fex:guard seriesMu
+	series map[seriesKey]reqSeries
 
 	// Tracing + SLO state (DESIGN.md §13).
 	start       time.Time
@@ -273,15 +287,7 @@ func NewWithConfig(initial *vec.Matrix, opts core.Options, cfg Config) (*Server,
 			"Items retired through DELETE /v1/items/{id}."),
 		items: reg.Gauge("fexserve_index_items",
 			"Live items currently in the index."),
-	}
-	s.reqTotal = func(method, route, status string) *obs.Counter {
-		return reg.Counter("fexserve_http_requests_total",
-			"HTTP requests served, by method, route, and status class.",
-			obs.L("method", method), obs.L("route", route), obs.L("status", status))
-	}
-	s.reqDur = func(route string) *obs.Histogram {
-		return reg.Histogram("fexserve_http_request_duration_seconds",
-			"End-to-end HTTP request latency in seconds.", nil, obs.L("route", route))
+		series: make(map[seriesKey]reqSeries),
 	}
 	s.items.Set(float64(idx.Len()))
 
@@ -411,10 +417,15 @@ func (s *Server) Handler() http.Handler {
 	return s.observe(s.recoverPanics(s.shedLoad(s.withTimeout(mux))))
 }
 
-// reqInfo is filled in by handlers so the middleware can log
-// search-specific fields (k, per-stage counters, span-stage timings)
-// without re-plumbing every handler's return path.
+// reqInfo is observe's per-request record, one allocation reached
+// through one context value: the trace ID, the status-capturing writer
+// the inner layers write through, and what handlers fill in so the
+// middleware can log search-specific fields (k, per-stage counters,
+// span-stage timings) without re-plumbing every handler's return path.
 type reqInfo struct {
+	traceID string
+	sw      statusWriter
+
 	k        int
 	stats    obs.StageCounters
 	hasStats bool
@@ -428,6 +439,53 @@ type reqInfo struct {
 }
 
 type reqInfoKey struct{}
+
+// reqInfoFrom returns the record observe put in ctx, or nil for a
+// context that did not come through it.
+func reqInfoFrom(ctx context.Context) *reqInfo {
+	info, _ := ctx.Value(reqInfoKey{}).(*reqInfo)
+	return info
+}
+
+// traceIDFrom returns the request's trace ID ("" outside observe).
+func traceIDFrom(ctx context.Context) string {
+	if info := reqInfoFrom(ctx); info != nil {
+		return info.traceID
+	}
+	return ""
+}
+
+// seriesKey names one fexserve_http_requests_total series; reqSeries is
+// that counter with the route's latency histogram.
+type seriesKey struct{ method, route, status string }
+
+type reqSeries struct {
+	total *obs.Counter
+	dur   *obs.Histogram
+}
+
+// requestSeries resolves the metric handles of one (method, route,
+// status class) through the registry the first time it is seen — label
+// normalisation and a string key — and from the server's own map after.
+func (s *Server) requestSeries(key seriesKey) reqSeries {
+	s.seriesMu.RLock()
+	rs, ok := s.series[key]
+	s.seriesMu.RUnlock()
+	if ok {
+		return rs
+	}
+	rs = reqSeries{
+		total: s.reg.Counter("fexserve_http_requests_total",
+			"HTTP requests served, by method, route, and status class.",
+			obs.L("method", key.method), obs.L("route", key.route), obs.L("status", key.status)),
+		dur: s.reg.Histogram("fexserve_http_request_duration_seconds",
+			"End-to-end HTTP request latency in seconds.", nil, obs.L("route", key.route)),
+	}
+	s.seriesMu.Lock()
+	s.series[key] = rs
+	s.seriesMu.Unlock()
+	return rs
+}
 
 // statusWriter captures the response status for logs and metrics.
 type statusWriter struct {
@@ -470,21 +528,18 @@ func (s *Server) observe(next http.Handler) http.Handler {
 		}
 		w.Header().Set(obs.TraceHeader, traceID)
 
-		info := &reqInfo{}
-		ctx := obs.WithTraceID(r.Context(), traceID)
-		ctx = context.WithValue(ctx, reqInfoKey{}, info)
-
-		sw := &statusWriter{ResponseWriter: w}
+		info := &reqInfo{traceID: traceID, sw: statusWriter{ResponseWriter: w}}
+		sw := &info.sw
 		start := time.Now()
-		next.ServeHTTP(sw, r.WithContext(ctx))
+		next.ServeHTTP(sw, r.WithContext(context.WithValue(r.Context(), reqInfoKey{}, info)))
 		took := time.Since(start)
 
 		if sw.status == 0 {
 			sw.status = http.StatusOK
 		}
-		route := routeLabel(r)
-		s.reqTotal(r.Method, route, statusClass(sw.status)).Inc()
-		s.reqDur(route).Observe(took.Seconds())
+		rs := s.requestSeries(seriesKey{r.Method, routeLabel(r), statusClass(sw.status)})
+		rs.total.Inc()
+		rs.dur.Observe(took.Seconds())
 
 		if !s.log.Enabled(r.Context(), slog.LevelInfo) {
 			return
@@ -568,47 +623,6 @@ func statusClass(code int) string {
 	return "5xx"
 }
 
-type searchRequest struct {
-	Vector    []float64 `json:"vector"`
-	K         int       `json:"k"`
-	Threshold *float64  `json:"threshold"`
-}
-
-type resultJSON struct {
-	ID    int     `json:"id"`
-	Score float64 `json:"score"`
-}
-
-type searchResponse struct {
-	Results    []resultJSON      `json:"results"`
-	TookMicros int64             `json:"tookMicros"`
-	TraceID    string            `json:"traceId,omitempty"`
-	Stats      obs.StageCounters `json:"stats"`
-	// Exact is true only when the scan ran to completion: a deadline
-	// expiry answered with partial results (Config.PartialOnDeadline)
-	// reports false, and the result set may be missing items.
-	Exact bool `json:"exact"`
-}
-
-func (s *Server) decodeVector(w http.ResponseWriter, r *http.Request, req *searchRequest) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	if err := dec.Decode(req); err != nil {
-		httpError(w, http.StatusBadRequest, "invalid JSON: %v", err)
-		return false
-	}
-	if len(req.Vector) != s.dim {
-		httpError(w, http.StatusBadRequest, "vector has %d dims, index has %d", len(req.Vector), s.dim)
-		return false
-	}
-	for i, v := range req.Vector {
-		if isNaNOrInf(v) {
-			httpError(w, http.StatusBadRequest, "vector[%d] is not finite", i)
-			return false
-		}
-	}
-	return true
-}
-
 // noteSearch records a completed search into the cumulative metrics,
 // the sliding latency window, and the SLO burn counters, and exposes
 // its counters to the logging middleware.
@@ -621,7 +635,7 @@ func (s *Server) noteSearch(r *http.Request, k int, st search.Stats, took time.D
 			s.sloCounters[i].Inc()
 		}
 	}
-	if info, ok := r.Context().Value(reqInfoKey{}).(*reqInfo); ok {
+	if info := reqInfoFrom(r.Context()); info != nil {
 		info.k = k
 		info.stats = sc
 		info.hasStats = true
@@ -655,7 +669,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req searchRequest
-	if !s.decodeVector(w, r, &req) {
+	if !s.decodeVector(w, r, searchKeys, &req) {
 		return
 	}
 	if req.K <= 0 {
@@ -693,13 +707,14 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	if !s.deadlineOK(w, r, err) {
 		return
 	}
-	writeJSON(w, searchResponse{
-		Results:    toResultsJSON(results),
-		TookMicros: took.Microseconds(),
-		TraceID:    obs.TraceIDFrom(r.Context()),
-		Stats:      sc,
-		Exact:      err == nil,
-	})
+	reply := searchReply{
+		results:    results,
+		tookMicros: took.Microseconds(),
+		traceID:    traceIDFrom(r.Context()),
+		stats:      sc,
+		exact:      err == nil,
+	}
+	reply.write(w)
 }
 
 func (s *Server) handleAbove(w http.ResponseWriter, r *http.Request) {
@@ -707,7 +722,7 @@ func (s *Server) handleAbove(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req searchRequest
-	if !s.decodeVector(w, r, &req) {
+	if !s.decodeVector(w, r, searchKeys, &req) {
 		return
 	}
 	if req.Threshold == nil || isNaNOrInf(*req.Threshold) {
@@ -730,38 +745,23 @@ func (s *Server) handleAbove(w http.ResponseWriter, r *http.Request) {
 	if len(results) > s.MaxK {
 		results = results[:s.MaxK] // keep responses bounded
 	}
-	writeJSON(w, searchResponse{
-		Results:    toResultsJSON(results),
-		TookMicros: took.Microseconds(),
-		TraceID:    obs.TraceIDFrom(r.Context()),
-		Stats:      sc,
-		Exact:      err == nil,
-	})
-}
-
-type addItemRequest struct {
-	Vector []float64 `json:"vector"`
+	reply := searchReply{
+		results:    results,
+		tookMicros: took.Microseconds(),
+		traceID:    traceIDFrom(r.Context()),
+		stats:      sc,
+		exact:      err == nil,
+	}
+	reply.write(w)
 }
 
 func (s *Server) handleAddItem(w http.ResponseWriter, r *http.Request) {
 	if !s.onGuardedCall(w, r, faults.SiteServerMutate) {
 		return
 	}
-	var req addItemRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	if err := dec.Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "invalid JSON: %v", err)
+	var req searchRequest
+	if !s.decodeVector(w, r, itemKeys, &req) {
 		return
-	}
-	if len(req.Vector) != s.dim {
-		httpError(w, http.StatusBadRequest, "vector has %d dims, index has %d", len(req.Vector), s.dim)
-		return
-	}
-	for i, v := range req.Vector {
-		if isNaNOrInf(v) {
-			httpError(w, http.StatusBadRequest, "vector[%d] is not finite", i)
-			return
-		}
 	}
 	if s.reloading.Load() {
 		httpErrorCode(w, http.StatusServiceUnavailable, "reloading", "catalog reload in progress; retry shortly")
@@ -852,14 +852,6 @@ func (s *Server) handleInfo(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, map[string]any{"items": n, "dim": s.dim, "shards": s.idx.Shards(), "method": s.cfg.Method})
 }
 
-func toResultsJSON(rs []topk.Result) []resultJSON {
-	out := make([]resultJSON, len(rs))
-	for i, r := range rs {
-		out[i] = resultJSON{ID: r.ID, Score: r.Score}
-	}
-	return out
-}
-
 func writeJSON(w http.ResponseWriter, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	if err := json.NewEncoder(w).Encode(v); err != nil {
@@ -899,6 +891,8 @@ func defaultErrorCode(status int) string {
 		return "bad_request"
 	case status == http.StatusNotFound:
 		return "not_found"
+	case status == http.StatusRequestEntityTooLarge:
+		return "too_large"
 	case status == http.StatusTooManyRequests:
 		return "shed"
 	case status == http.StatusGatewayTimeout:

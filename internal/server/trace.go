@@ -31,7 +31,7 @@ func (s *Server) traceFinish(r *http.Request, root *obs.Span, method string, k i
 		return
 	}
 	root.End()
-	if info, ok := r.Context().Value(reqInfoKey{}).(*reqInfo); ok {
+	if info := reqInfoFrom(r.Context()); info != nil {
 		info.hasSpans = true
 		info.transform = root.ChildDuration("transform")
 		info.scan = root.ChildDuration("scan")
@@ -42,7 +42,7 @@ func (s *Server) traceFinish(r *http.Request, root *obs.Span, method string, k i
 		return
 	}
 	s.ring.Record(obs.TraceEntry{
-		TraceID: obs.TraceIDFrom(r.Context()),
+		TraceID: traceIDFrom(r.Context()),
 		Method:  method,
 		K:       k,
 		At:      time.Now(),

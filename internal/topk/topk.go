@@ -9,7 +9,7 @@ package topk
 
 import (
 	"math"
-	"sort"
+	"slices"
 )
 
 // Result is one retrieved item: its identifier in the original item
@@ -158,11 +158,14 @@ func (c *Collector) Results() []Result {
 // The exact (non-epsilon) score comparison is deliberate: it defines a
 // total order for deterministic tie-breaking, not a tolerance test.
 func SortResults(rs []Result) {
-	sort.Slice(rs, func(i, j int) bool {
-		if rs[i].Score != rs[j].Score { //lint:ignore floatcmp exact compare defines the deterministic total order
-			return rs[i].Score > rs[j].Score
+	slices.SortFunc(rs, func(a, b Result) int {
+		switch {
+		case worse(b, a):
+			return -1
+		case worse(a, b):
+			return 1
 		}
-		return rs[i].ID < rs[j].ID
+		return 0
 	})
 }
 
