@@ -21,7 +21,7 @@ RACE_PKGS = ./internal/server/... ./internal/obs/... ./internal/faults/... ./int
 # one target per invocation).
 FUZZTIME ?= 10s
 
-.PHONY: all verify build test check vet lint lint-race lint-fix-check perf-gate perf-facts fmt-check precommit race race-subset fuzz-smoke bench bench-shard repo-bench load-smoke loc
+.PHONY: all verify build test check vet cross lint lint-race lint-fix-check perf-gate perf-facts fmt-check precommit race race-subset fuzz-smoke bench bench-shard repo-bench load-smoke loc
 
 all: check
 
@@ -37,10 +37,19 @@ test:
 ## check: verify + static analysis + formatting + race detector on the
 ## concurrency-sensitive subset (fast enough for a local loop; CI also
 ## runs the full `make race`).
-check: verify vet lint lint-fix-check perf-gate fmt-check race-subset
+check: verify vet cross lint lint-fix-check perf-gate fmt-check race-subset
 
+## vet: includes asmdecl, which checks internal/vec's assembly against its
+## Go declarations.
 vet:
 	$(GO) vet ./...
+
+## cross: build and vet for a target with no assembly — internal/vec's
+## AVX2 kernels are amd64-only and every other GOARCH runs their plain-Go
+## bodies. Needs no network and no second toolchain.
+cross:
+	GOARCH=arm64 $(GO) build ./...
+	GOARCH=arm64 $(GO) vet ./...
 
 ## lint: project-specific static analysis. fexlint enforces FEXIPRO's
 ## exactness, concurrency, and telemetry invariants (float comparisons,
@@ -121,7 +130,7 @@ fuzz-smoke:
 	$(GO) test ./internal/data -run='^$$' -fuzz=FuzzReadMatrixBinary -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/data -run='^$$' -fuzz=FuzzReadMatrixCSV -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/engine -run='^$$' -fuzz=FuzzPartitionRoundTrip -fuzztime=$(FUZZTIME)
-	$(GO) test ./internal/vec -run='^$$' -fuzz=FuzzPackedDot -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/vec -run='^$$' -fuzz=FuzzHeadBlock -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/core -run='^$$' -fuzz=FuzzDynamicOps -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/core -run='^$$' -fuzz=FuzzSearchMatchesNaive -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/core -run='^$$' -fuzz=FuzzIntegerBound -fuzztime=$(FUZZTIME)

@@ -11,6 +11,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -36,10 +37,35 @@ func seedAt(k int, t float64) seedFn {
 	}
 }
 
+// PortableHeadKernel makes scanBlocked run the plain-Go body of the block
+// kernel until tb ends: how the scan battery runs once per body.
+func PortableHeadKernel(tb testing.TB) {
+	was := headBlockMask
+	tb.Cleanup(func() { headBlockMask = was })
+	headBlockMask = (*vec.HeadTest).BlockMaskPortable
+}
+
 // sameScan runs the blocked loop and its per-item reference over rows
 // [lo, hi) of idx from identically seeded collectors and fails unless
 // results and every search.Stats field agree. It returns those stats.
 func sameScan(t testing.TB, idx *Index, qs *queryState, lo, hi, k int, seed seedFn, shB, shP *search.SharedThreshold, what string) search.Stats {
+	t.Helper()
+	if !qs.headFirst || !idx.ints.lanes32 {
+		t.Fatalf("%s: scanRange does not select the blocked scan on this index", what)
+	}
+	return sameAsPerItem(t, idx, qs, lo, hi, k, seed, shB, shP, what)
+}
+
+// sameResults compares IDs and score bits, so NaN scores compare equal.
+func sameResults(a, b []topk.Result) bool {
+	return slices.EqualFunc(a, b, func(x, y topk.Result) bool {
+		return x.ID == y.ID && math.Float64bits(x.Score) == math.Float64bits(y.Score)
+	})
+}
+
+// sameAsPerItem is sameScan for any index: scanRange, whichever loop it
+// picks, against scanPerItem.
+func sameAsPerItem(t testing.TB, idx *Index, qs *queryState, lo, hi, k int, seed seedFn, shB, shP *search.SharedThreshold, what string) search.Stats {
 	t.Helper()
 	ctx := context.Background()
 	var stB, stP search.Stats
@@ -48,14 +74,14 @@ func sameScan(t testing.TB, idx *Index, qs *queryState, lo, hi, k int, seed seed
 		seed(cB)
 		seed(cP)
 	}
-	if err := idx.scanBlocked(ctx, qs, lo, hi, cB, shB, &stB); err != nil {
+	if err := idx.scanRange(ctx, nil, qs, lo, hi, cB, shB, &stB); err != nil {
 		t.Fatal(err)
 	}
 	if err := idx.scanPerItem(ctx, nil, qs, lo, hi, cP, shP, &stP); err != nil {
 		t.Fatal(err)
 	}
-	if stB != stP || !reflect.DeepEqual(cB.Results(), cP.Results()) {
-		t.Fatalf("%s rows [%d,%d) k=%d:\nblocked  %+v %v\nper-item %+v %v",
+	if stB != stP || !sameResults(cB.Results(), cP.Results()) {
+		t.Fatalf("%s rows [%d,%d) k=%d:\nscanRange %+v %v\nper-item  %+v %v",
 			what, lo, hi, k, stB, cB.Results(), stP, cP.Results())
 	}
 	return stB
@@ -202,64 +228,233 @@ func TestBlockedScanTies(t *testing.T) {
 	}
 }
 
-// TestBlockedScanWordCounts: the blocked loop agrees with the per-item
-// loop for every word count headMask has a straight-line body for, one
-// it leaves to the generic loop, and the 2×32 and 1×64 layouts; and on
-// those indexes headMask, headMaskGeneric and the one-row headBound
-// decide every row alike, over every range length up to 32 and cuts
-// that fall between, on and beyond the bounds.
+// TestBlockedScanWordCounts is the shapes table of the head layout: pair
+// counts on both sides of a pair boundary and of the benchmark's shapes,
+// E from the default to the largest there is, on both sides of the
+// int32-lane predicate w·(o+1)² < 2³¹. On every shape the one-row bound
+// equals Theorem 2's IU^ℓ from the unpacked floors and scanRange agrees
+// with the per-item loop; where the lanes hold IU^ℓ scanRange is the
+// blocked loop, and the block kernel, the one-row bound and the per-item
+// loop's own head test decide every row of a block alike for cuts on,
+// next to and far from the bound (PruneSlack < 0: the cut is the
+// threshold); where they do not, scanRange must not reach the kernel.
 func TestBlockedScanWordCounts(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
-	const n, d = 1500, 22
+	const n, d = 1500, 34
 	items := vec.NewMatrix(n, d)
 	for i := range items.Data {
 		items.Data[i] = rng.NormFloat64()
 	}
-	for _, tc := range []struct {
-		w, nw int
-		e     float64
-	}{
-		{9, 3, 100}, {15, 5, 100}, {18, 6, 100}, {21, 7, 100}, // specialised
-		{12, 4, 100}, {2, 1, 100}, // generic, 3×21
-		{9, 5, 1000}, {10, 5, 1000}, // 2×32 at a specialised word count
-		{5, 5, 32766}, {7, 7, 32766}, {4, 4, 32766}, // 1×64, at the largest E there is
-	} {
-		idx, err := NewIndex(items, Options{Int: true, W: tc.w, E: tc.e})
+	kernel := headBlockMask
+	defer func() { headBlockMask = kernel }()
+	floors := make([]int32, d)
+	for _, e := range []float64{100, 1000, 11000, 32766} {
+		for _, w := range []int{1, 2, 9, 15, 16, 17, 18, 21, 31, 32, 33} {
+			idx, err := NewIndex(items, Options{Int: true, W: w, E: e, PruneSlack: -1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			what := fmt.Sprintf("W=%d E=%v", w, e)
+			id := idx.ints
+			lanes32 := float64(w)*(e+2)*(e+2) < 1<<31
+			if id.nw != (w+1)/2 || id.lay.Offset() != int64(e)+1 || id.lanes32 != lanes32 {
+				t.Fatalf("%s: %d pairs at offset %d, lanes32 %v; want %d at %d, %v",
+					what, id.nw, id.lay.Offset(), id.lanes32, (w+1)/2, int64(e)+1, lanes32)
+			}
+			headBlockMask = kernel
+			if !lanes32 {
+				headBlockMask = func(*vec.HeadTest, int, float64) uint32 {
+					t.Fatalf("%s: the block kernel ran on an index whose IU^ℓ does not fit its lanes", what)
+					return 0
+				}
+			}
+			qs := idx.newQueryState()
+			for trial := 0; trial < 3; trial++ {
+				q := make([]float64, d)
+				for s := range q {
+					q[s] = rng.NormFloat64()
+				}
+				idx.prepareQuery(q, qs)
+				for i := trial; i < n; i += 7 {
+					iu := int64(w) + id.row(i, w, floors)
+					for s, g := range qs.head.Floors()[:w] {
+						iu += int64(floors[s])*int64(g) + abs64(int64(g))
+					}
+					if got, want := idx.headBound(qs, i).bHead, float64(iu)*qs.headFactor; got != want {
+						t.Fatalf("%s row %d: one-row head bound %v, from floors %v", what, i, got, want)
+					}
+				}
+				for _, k := range []int{1, 10} {
+					sameAsPerItem(t, idx, qs, 0, n, k, nil, nil, nil, what)
+					sameAsPerItem(t, idx, qs, 5, n-3, k, nil, nil, nil, what)
+				}
+				if !lanes32 {
+					continue
+				}
+				for b := 0; b+blockRows <= n; b += 5 * blockRows {
+					on := idx.headBound(qs, b+trial)
+					for _, cut := range []float64{
+						on.bHead + on.ub1, math.Nextafter(on.bHead+on.ub1, math.Inf(1)), math.Nextafter(on.bHead+on.ub1, math.Inf(-1)),
+						on.bHead + on.ub1 + 1, on.bHead + on.ub1 - 1, math.Inf(-1), math.Inf(1), math.NaN(),
+					} {
+						pruned := headBlockMask(&qs.head, b, cut)
+						for j := 0; j < blockRows; j++ {
+							hb := idx.headBound(qs, b+j)
+							byKernel, byRow := pruned>>uint(j)&1 == 1, hb.bHead+hb.ub1 < cut
+							byLoop := byRow // the margin of an infinite threshold is NaN: candidate is not asked
+							if !math.IsInf(cut, 0) {
+								var st search.Stats
+								idx.candidate(b+j, qs, cut, 0, &st)
+								byLoop = st.PrunedByIntHead == 1
+							}
+							if byKernel != byRow || byRow != byLoop {
+								t.Fatalf("%s row %d cut %v (bound %v): pruned by the kernel %v, by the one-row bound %v, by the per-item loop %v",
+									what, b+j, cut, hb.bHead+hb.ub1, byKernel, byRow, byLoop)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// raisePositions replays the per-item scan of [lo, hi) one row at a time
+// and marks in seen the position within its block of every row whose
+// offer raised the threshold.
+func raisePositions(t testing.TB, idx *Index, qs *queryState, lo, hi, k int, seed seedFn, seen *[blockRows]bool) {
+	c := topk.New(k)
+	if seed != nil {
+		seed(c)
+	}
+	var st search.Stats
+	for i := lo; i < hi; i++ {
+		before, full := c.Threshold(), c.Len() == c.K()
+		if err := idx.scanPerItem(context.Background(), nil, qs, i, i+1, c, nil, &st); err != nil {
+			t.Fatal(err)
+		}
+		if c.Len() == c.K() && (!full || c.Threshold() != before) {
+			seen[i%blockRows] = true
+		}
+	}
+}
+
+// TestBlockedScanUnalignedRanges: the blocked loop walks blocks on global
+// multiples of 16, so a range may begin and end anywhere inside one. For
+// catalogs that are less than a block, exactly one, one and a row, and
+// many blocks with and without a partial last one, and every (lo mod 16,
+// hi mod 16), scanRange equals scanPerItem result for result and counter
+// for counter — from empty collectors, from full ones whose first offers
+// raise the threshold (on every position of a block, checked), with the
+// length break inside the range's first, partial block, and for the shard
+// ranges of S ∈ {1, 2, 3, 7} through Sharded.Scan with no shared threshold.
+func TestBlockedScanUnalignedRanges(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	const d, k = 8, 3
+	var raised [blockRows]bool
+	for _, n := range []int{1, 15, 16, 17, 1500, 1501} {
+		items := normalMatrix(rng, n, d)
+		idx, err := NewIndex(items, Options{SVD: true, Int: true, Reduction: true})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if idx.ints.nw != tc.nw {
-			t.Fatalf("W=%d E=%v packs into %d words, want %d", tc.w, tc.e, idx.ints.nw, tc.nw)
-		}
-		what := fmt.Sprintf("W=%d E=%v", tc.w, tc.e)
 		qs := idx.newQueryState()
-		for trial := 0; trial < 4; trial++ {
-			q := make([]float64, d)
-			for s := range q {
-				q[s] = rng.NormFloat64()
+		var los, his []int
+		for r := 0; r <= blockRows; r++ {
+			los = append(los, r, n/2/blockRows*blockRows+r)
+			his = append(his, n-r, n/2/blockRows*blockRows+2*blockRows+r)
+		}
+		for qi := 0; qi < 3; qi++ {
+			idx.prepareQuery(normalMatrix(rng, 1, d).Data, qs)
+			what := fmt.Sprintf("n=%d query %d", n, qi)
+			// The score of the 200th-best row: seeded there, a scan's first
+			// offers raise the threshold wherever they sit.
+			top := topk.New(min(200, n))
+			var st search.Stats
+			if err := idx.scanPerItem(context.Background(), nil, qs, 0, n, top, nil, &st); err != nil {
+				t.Fatal(err)
 			}
-			idx.prepareQuery(q, qs)
-			for _, k := range []int{1, 10} {
-				sameScan(t, idx, qs, 0, n, k, nil, nil, nil, what)
-				sameScan(t, idx, qs, 5, n-3, k, nil, nil, nil, what)
-			}
-			for i := 0; i < n-32; i += 29 {
-				hb := idx.headBound(qs, i+trial)
-				for _, cut := range []float64{hb.bHead + hb.ub1, math.Nextafter(hb.bHead+hb.ub1, math.Inf(1)), math.Inf(-1), math.Inf(1), math.NaN()} {
-					for stop := i; stop <= i+32; stop++ {
-						var want uint32
-						for row := i; row < stop; row++ {
-							if hb := idx.headBound(qs, row); !(hb.bHead+hb.ub1 < cut) {
-								want |= 1 << (row - i)
-							}
-						}
-						if got := idx.headMask(qs, i, stop, cut); got != want {
-							t.Fatalf("%s rows [%d,%d) cut %v: headMask %#x, row by row %#x", what, i, stop, cut, got, want)
-						}
-						if got := idx.headMaskGeneric(qs, i, stop, cut); got != want {
-							t.Fatalf("%s rows [%d,%d) cut %v: headMaskGeneric %#x, row by row %#x", what, i, stop, cut, got, want)
-						}
+			seeded := seedAt(k, top.Threshold())
+			for _, lo := range los {
+				for _, hi := range his {
+					if lo < 0 || hi > n || lo > hi {
+						continue
 					}
+					sameScan(t, idx, qs, lo, hi, k, nil, nil, nil, what)
+					sameScan(t, idx, qs, lo, hi, k, seeded, nil, nil, what+" seeded")
+					if hi-lo > 2*blockRows {
+						raisePositions(t, idx, qs, lo, min(hi, lo+20*blockRows), k, seeded, &raised)
+					}
+				}
+			}
+			// The length break on each row of a first block entered at row 3.
+			for lo := 3; lo+blockRows <= n && lo < 100; lo += 5 * blockRows {
+				for brk := lo + 1; brk < lo+blockRows-3; brk++ {
+					pin := qs.qNorm * idx.norms[brk-1]
+					if st := sameScan(t, idx, qs, lo, n, k, seedAt(k, pin), nil, nil, what+" pinned"); st.PrunedByLength == 0 || st.Scanned >= blockRows-3 {
+						t.Fatalf("%s lo %d: pinned at row %d, scanned %d rows and pruned %d by length: the break is not inside the first block",
+							what, lo, brk, st.Scanned, st.PrunedByLength)
+					}
+				}
+			}
+			for _, shards := range []int{1, 2, 3, 7} {
+				sh := NewSharded(idx, shards)
+				for s := 0; s < sh.Shards(); s++ {
+					lo, hi := sh.part.Range(s)
+					c, cP := topk.New(k), topk.New(k)
+					var stP search.Stats
+					st, err := sh.Scan(context.Background(), qs, s, c, nil, nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := idx.scanPerItem(context.Background(), nil, qs, lo, hi, cP, nil, &stP); err != nil {
+						t.Fatal(err)
+					}
+					if st != stP || !reflect.DeepEqual(c.Results(), cP.Results()) {
+						t.Fatalf("%s S=%d shard %d rows [%d,%d):\nSharded.Scan %+v %v\nper-item     %+v %v",
+							what, shards, s, lo, hi, st, c.Results(), stP, cP.Results())
+					}
+				}
+			}
+		}
+	}
+	for pos, ok := range raised {
+		if !ok {
+			t.Fatalf("no raising offer fell on position %d of a block", pos)
+		}
+	}
+}
+
+// TestNonFiniteQueriesScanAlike: a query with NaN, ±Inf or coordinates so
+// large that e·v overflows has no meaningful bounds, but it must come back
+// without a panic and the blocked loop must still decide what the per-item
+// loop decides — its floors are clamped into [−o, o−1], so the kernel's
+// lanes cannot wrap.
+func TestNonFiniteQueriesScanAlike(t *testing.T) {
+	rng := rand.New(rand.NewSource(77))
+	const n, d = 200, 9
+	items := normalMatrix(rng, n, d)
+	for _, opts := range []Options{{Int: true, W: 4}, {Int: true, W: 4, E: 11000}, {SVD: true, Int: true, Reduction: true}} {
+		idx, err := NewIndex(items, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		qs := idx.newQueryState()
+		for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.MaxFloat64, -math.MaxFloat64, 5e-324} {
+			for _, at := range [][]int{{0}, {d - 1}, {1, 5}, {0, 1, 2, 3, 4, 5, 6, 7, 8}} {
+				q := normalMatrix(rng, 1, d).Data
+				for _, s := range at {
+					q[s] = bad
+				}
+				idx.prepareQuery(q, qs)
+				for _, f := range append(append([]int16{}, qs.head.Floors()...), qs.qTail...) {
+					if o := idx.ints.lay.Offset(); int64(f) < -o || int64(f) >= o {
+						t.Fatalf("%+v q=%v: query floor %d outside [−%d, %d)", opts, q, f, o, o)
+					}
+				}
+				for _, r := range [][2]int{{0, n}, {3, n - 5}, {17, 18}} {
+					sameScan(t, idx, qs, r[0], r[1], 5, nil, nil, nil, fmt.Sprintf("%+v q=%v", opts, q))
+					sameScan(t, idx, qs, r[0], r[1], 5, seedAt(5, 0.5), nil, nil, fmt.Sprintf("%+v q=%v seeded", opts, q))
 				}
 			}
 		}
@@ -295,11 +490,8 @@ func TestScanRangeDispatch(t *testing.T) {
 	}
 }
 
-// FuzzBlockedScan builds a small-integer catalog (d ≤ 6, n ≤ 200, so
-// ties are the norm), a query, k and a row range from the input and
-// checks the blocked loop against the per-item one, results and every
-// counter, from an empty collector and from one that starts full.
-func FuzzBlockedScan(f *testing.F) {
+// BlockedScanSeeds returns FuzzBlockedScan's seed inputs.
+func BlockedScanSeeds() [][]byte {
 	// d=1, k=2, q = (1), rows [0, 40): five rows at −4 fill the heap,
 	// the rows at 3 that follow them in norm order raise the threshold
 	// from positions 5–7 of block 0, and the rows at −2 after those pass
@@ -315,7 +507,6 @@ func FuzzBlockedScan(f *testing.F) {
 			raise = append(raise, 2)
 		}
 	}
-	f.Add(raise)
 	// d=2, k=1, rows [3, 60): one long row then short ones — the length
 	// break falls inside the first block, not on its edge.
 	brk := []byte{1, 0, 3, 60, 8, 8}
@@ -323,49 +514,65 @@ func FuzzBlockedScan(f *testing.F) {
 	for i := 1; i < 60; i++ {
 		brk = append(brk, byte(4+i%2), 4)
 	}
-	f.Add(brk)
-	f.Add(make([]byte, 64))
+	return [][]byte{raise, brk, make([]byte, 64)}
+}
 
+// FuzzBlockedScan builds a small-integer catalog (d ≤ 6, n ≤ 200, so
+// ties are the norm), a query, k and a row range from the input and
+// checks the blocked loop against the per-item one, results and every
+// counter, from an empty collector and from one that starts full.
+func FuzzBlockedScan(f *testing.F) {
+	for _, seed := range BlockedScanSeeds() {
+		f.Add(seed)
+	}
 	f.Fuzz(func(t *testing.T, in []byte) {
-		if len(in) < 4 {
-			return
-		}
-		d, k := int(in[0]%6)+1, int(in[1]%8)+1
-		loRaw, hiRaw := int(in[2]), int(in[3])
-		in = in[4:]
-		if len(in) < 2*d {
-			return
-		}
-		q := make([]float64, d)
-		for s := range q {
-			q[s] = float64(int(in[s]%9) - 4)
-		}
-		in = in[d:]
-		n := min(len(in)/d, 200)
-		items := vec.NewMatrix(n, d)
-		for i := range items.Data {
-			items.Data[i] = float64(int(in[i]%9) - 4)
-		}
-		lo, hi := loRaw%n, hiRaw%(n+1)
-		if lo > hi {
-			lo, hi = hi, lo
-		}
-		for _, opts := range []Options{
-			{Int: true, W: (d + 1) / 2, PruneSlack: -1},
-			{SVD: true, Int: true, Reduction: true},
-		} {
-			idx, err := NewIndex(items, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			qs := idx.newQueryState()
-			idx.prepareQuery(q, qs)
-			what := fmt.Sprintf("%+v d=%d n=%d q=%v", opts, d, n, q)
-			sameScan(t, idx, qs, lo, hi, k, nil, nil, nil, what)
-			sameScan(t, idx, qs, 0, n, k, nil, nil, nil, what)
-			sameScan(t, idx, qs, lo, hi, k, seedAt(k, float64(int(loRaw%9)-4)), nil, nil, what+" seeded")
-		}
+		CheckBlockedScanInput(t, in)
+		PortableHeadKernel(t)
+		CheckBlockedScanInput(t, in)
 	})
+}
+
+// CheckBlockedScanInput is FuzzBlockedScan's property on one input, under
+// whichever kernel body is installed.
+func CheckBlockedScanInput(t *testing.T, in []byte) {
+	if len(in) < 4 {
+		return
+	}
+	d, k := int(in[0]%6)+1, int(in[1]%8)+1
+	loRaw, hiRaw := int(in[2]), int(in[3])
+	in = in[4:]
+	if len(in) < 2*d {
+		return
+	}
+	q := make([]float64, d)
+	for s := range q {
+		q[s] = float64(int(in[s]%9) - 4)
+	}
+	in = in[d:]
+	n := min(len(in)/d, 200)
+	items := vec.NewMatrix(n, d)
+	for i := range items.Data {
+		items.Data[i] = float64(int(in[i]%9) - 4)
+	}
+	lo, hi := loRaw%n, hiRaw%(n+1)
+	if lo > hi {
+		lo, hi = hi, lo
+	}
+	for _, opts := range []Options{
+		{Int: true, W: (d + 1) / 2, PruneSlack: -1},
+		{SVD: true, Int: true, Reduction: true},
+	} {
+		idx, err := NewIndex(items, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		qs := idx.newQueryState()
+		idx.prepareQuery(q, qs)
+		what := fmt.Sprintf("%+v d=%d n=%d q=%v", opts, d, n, q)
+		sameScan(t, idx, qs, lo, hi, k, nil, nil, nil, what)
+		sameScan(t, idx, qs, 0, n, k, nil, nil, nil, what)
+		sameScan(t, idx, qs, lo, hi, k, seedAt(k, float64(int(loRaw%9)-4)), nil, nil, what+" seeded")
+	}
 }
 
 // TestBlockedScanFaultHookPerItem: with a fault hook installed the scan
@@ -402,10 +609,11 @@ func TestBlockedScanFaultHookPerItem(t *testing.T) {
 	}
 }
 
-// TestPackedHeadMatchesFloors: on a built index the packed head bound of
-// every row equals Theorem 2's IU^ℓ computed by vec.DotInt64 on the
-// unpacked floors — for each packed layout and for items whose head
-// coordinates sit at ±max, where e·v/max may floor to −e−1.
+// TestPackedHeadMatchesFloors: on a built index the head bound of every
+// row, from the int16 pairs in their blocks, equals Theorem 2's IU^ℓ
+// computed by vec.DotInt64 on the unpacked floors — on both sides of the
+// int32-lane predicate and for items whose head coordinates sit at ±max,
+// where e·v/max may floor to −e−1.
 func TestPackedHeadMatchesFloors(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	const n, d = 300, 24
@@ -435,7 +643,7 @@ func TestPackedHeadMatchesFloors(t *testing.T) {
 		}
 		id, w := idx.ints, idx.w
 		qs := idx.newQueryState()
-		floors := make([]int32, d)
+		floors, qFloors := make([]int32, d), make([]int32, w)
 		for trial := 0; trial < 6; trial++ {
 			q := make([]float64, d)
 			for j := range q {
@@ -446,23 +654,24 @@ func TestPackedHeadMatchesFloors(t *testing.T) {
 			}
 			idx.prepareQuery(q, qs)
 			var qSumAbs int64
-			for _, f := range qs.qFloors {
-				qSumAbs += abs64(int64(f))
+			for s := range qFloors {
+				qFloors[s] = int32(qs.head.Floors()[s])
+				qSumAbs += abs64(int64(qFloors[s]))
 			}
 			for i := 0; i < n; i++ {
 				sumAbs := id.row(i, w, floors)
 				for _, f := range floors[:w] {
 					sawLowest = sawLowest || int64(f) == -id.lay.Offset()
 				}
-				iu := vec.DotInt64(qs.qFloors, floors[:w]) + qSumAbs + sumAbs + int64(w)
+				iu := vec.DotInt64(qFloors, floors[:w]) + qSumAbs + sumAbs + int64(w)
 				if got, want := idx.headBound(qs, i).bHead, float64(iu)*qs.headFactor; got != want {
-					t.Fatalf("%+v row %d: packed head bound %v, from floors %v", opts, i, got, want)
+					t.Fatalf("%+v row %d: head bound %v, from floors %v", opts, i, got, want)
 				}
 			}
 		}
 	}
 	if !sawLowest {
-		t.Fatal("no head floor reached −(⌈E⌉+1); the pinned rows do not exercise the offset")
+		t.Fatal("no head floor reached −(⌈E⌉+1); the pinned rows do not exercise the range end")
 	}
 }
 
@@ -483,7 +692,7 @@ func TestNewIndexRejectsBadOptions(t *testing.T) {
 	if _, err := NewIndex(items, Options{SVD: true, E: math.NaN()}); err == nil {
 		t.Fatal("E = NaN accepted without the integer bound")
 	}
-	// 3×21, 2×32 and 1×64 head layouts; TestEBoundary has the edge.
+	// On both sides of the block kernel's int32 lanes; TestEBoundary has the edge.
 	for _, e := range []float64{0, -1, 10, 1000, 20000} {
 		if _, err := NewIndex(items, Options{SVD: true, Int: true, E: e}); err != nil {
 			t.Fatalf("E = %v: %v", e, err)
@@ -511,9 +720,10 @@ func TestNewIndexRejectsBadOptions(t *testing.T) {
 	}
 }
 
-// TestEBoundary: the tail floors are int16, so E = 32766 (o = 32767) is
-// the largest that builds — on the 1×64 head layout at every w, still
-// exact — and anything above is refused by name wherever Options come
+// TestEBoundary: the floors are int16, so E = 32766 (o = 32767) is the
+// largest that builds — past the block kernel's int32 lanes from w = 2
+// on, so on the per-item loop and still exact — and anything above is
+// refused by name wherever Options come
 // in: NewIndex, NewDynamicIndex, and a snapshot whose dyn.meta carries
 // such an E (a parent with int32 tails could write one).
 func TestEBoundary(t *testing.T) {
@@ -525,8 +735,9 @@ func TestEBoundary(t *testing.T) {
 		if err != nil {
 			t.Fatalf("E = 32766, W = %d: %v", w, err)
 		}
-		if idx.ints.nw != w || idx.ints.lay.Offset() != math.MaxInt16 {
-			t.Fatalf("E = 32766, W = %d: %d head words at offset %d, want one per floor at 32767", w, idx.ints.nw, idx.ints.lay.Offset())
+		if id := idx.ints; id.nw != (w+1)/2 || id.lay.Offset() != math.MaxInt16 || id.lanes32 != (w == 1) {
+			t.Fatalf("E = 32766, W = %d: %d pairs at offset %d, lanes32 %v; want %d at 32767, lanes only at w = 1",
+				w, id.nw, id.lay.Offset(), id.lanes32, (w+1)/2)
 		}
 		r := NewRetriever(idx)
 		for trial := 0; trial < 10; trial++ {

@@ -37,19 +37,20 @@ type Index struct {
 // intData holds the scaled integer approximation of Section 4.2 with the
 // separate head/tail scaling of Equation 7. Every floor lies in
 // [−o, o−1] with o = ⌈e⌉+1 (e·v/max at v = −max can round to just below
-// −e). The w head floors of a row exist only packed (vec.PackedLayout,
-// DESIGN.md §3) so the head bound of Eq. 6 is one short multiply-add
-// chain; the d−w tail floors are plain int16, which is why newIntData
-// holds o to 32767 (the paper sweeps e ≤ 1000, Figure 11).
+// −e), and newIntData holds o to 32767 so every floor is an int16 (the
+// paper sweeps e ≤ 1000, Figure 11). The w head floors of a row live in
+// 16-row blocks (vec.HeadLayout, DESIGN.md §3) so the head test of Eq. 6
+// is decided a block at a time; the d−w tail floors are row-major.
 type intData struct {
 	e                    float64
 	maxHead, maxTail     float64 // max |p̄_s| over s<w resp. s≥w, across all items
 	headScale, tailScale float64 // maxHead/e, maxTail/e — converts IU to a q̄-space factor
 
-	lay       vec.PackedLayout
-	nw        int      // words per row: lay.Words(w)
-	head      []uint64 // n×nw packed head floors, item field order
-	headConst []int64  // Σ_{s<w} |⌊p̂_s⌋| − o·Σ_{s<w} ⌊p̂_s⌋ + w per row
+	lay       vec.HeadLayout
+	nw        int     // 32-bit words (floor pairs) of head per row: lay.Pairs()
+	lanes32   bool    // IU^ℓ fits the block kernel's int32 lanes: w·(o+1)² < 2³¹
+	head      []int16 // the head floors in lay's blocks, rows past n zero
+	headConst []int32 // Σ_{s<w} |⌊p̂_s⌋| + w per row
 
 	tail       []int16 // n×(d−w) tail floors, row-major
 	sumAbsTail []int64 // Σ_{s≥w} |⌊p̂_s⌋| per row
@@ -257,43 +258,42 @@ func (idx *Index) chooseW() int {
 }
 
 // newIntData validates e for the integer bound at this shape, picks the
-// packed head layout and allocates the per-row tables for setRow.
+// head layout and allocates the per-row tables for setRow.
 func newIntData(n, d, w int, e float64) (*intData, error) {
-	// Every floor lies in [−o, o−1]: o ≤ 32767 keeps the tail floors inside
-	// int16, and with d·(2o)² < 2⁶² every IU sum (dot + Σ|·| terms, head
-	// constants) inside int64; together they imply the 1×64 head layout
-	// exists.
+	// Every floor lies in [−o, o−1]: o ≤ 32767 keeps the floors inside
+	// int16, d·(2o)² < 2⁶² every IU sum (dot + Σ|·| terms) inside int64,
+	// and w·(o+1) < 2³¹ a row's Σ|f|+w inside headConst.
 	o := math.Ceil(e) + 1
-	if !(o >= 2 && o <= math.MaxInt16 && float64(d)*4*o*o < 1<<62) {
+	if !(o >= 2 && o <= math.MaxInt16 && float64(d)*4*o*o < 1<<62 && float64(w)*(o+1) < 1<<31) {
 		return nil, fmt.Errorf("core: Options.E = %v overflows the integer bound at d = %d", e, d)
 	}
-	lay, ok := vec.NewPackedLayout(int64(o), w)
+	lay, ok := vec.NewHeadLayout(int64(o), w)
 	if !ok {
-		return nil, fmt.Errorf("core: Options.E = %v has no packed head layout at w = %d", e, w)
+		return nil, fmt.Errorf("core: Options.E = %v has no head layout at w = %d", e, w)
 	}
 	id := &intData{
 		e:          e,
 		lay:        lay,
-		nw:         lay.Words(w),
-		head:       make([]uint64, n*lay.Words(w)),
-		headConst:  make([]int64, n),
+		nw:         lay.Pairs(),
+		lanes32:    lay.Lanes32(),
+		head:       make([]int16, lay.Len(n)),
+		headConst:  make([]int32, n),
 		tail:       make([]int16, n*(d-w)),
 		sumAbsTail: make([]int64, n),
 	}
 	return id, nil
 }
 
-// setRow stores row i's d floors — head packed, tail narrowed — with
-// their Σ|·| terms, and returns Σ_{s<w}|f_s|. ok is false when a floor
-// lies outside [−o, o−1], which only a corrupt snapshot can cause.
+// setRow stores row i's d floors — head into its block, tail narrowed —
+// with their Σ|·| terms, and returns Σ_{s<w}|f_s|. ok is false when a
+// floor lies outside [−o, o−1], which only a corrupt snapshot can cause.
 func (id *intData) setRow(i, w int, f []int32) (sumAbsHead int64, ok bool) {
-	var sumHead, sumAbsTail int64
+	var sumAbsTail int64
 	for _, x := range f[:w] {
-		sumHead += int64(x)
 		sumAbsHead += abs64(int64(x))
 	}
-	ok = id.lay.PackItem(id.head[i*id.nw:(i+1)*id.nw], f[:w])
-	id.headConst[i] = sumAbsHead - id.lay.Offset()*sumHead + int64(w)
+	ok = id.lay.PackRow(id.head, i, f[:w])
+	id.headConst[i] = int32(sumAbsHead + int64(w))
 	o := int32(id.lay.Offset())
 	tail := id.tail[i*(len(f)-w):]
 	for s, x := range f[w:] {
@@ -307,14 +307,11 @@ func (id *intData) setRow(i, w int, f []int32) (sumAbsHead int64, ok bool) {
 
 // row inverts setRow: f receives row i's d floors; it returns Σ_{s<w}|f_s|.
 func (id *intData) row(i, w int, f []int32) (sumAbsHead int64) {
-	id.lay.UnpackItem(f[:w], id.head[i*id.nw:(i+1)*id.nw])
-	for _, x := range f[:w] {
-		sumAbsHead += abs64(int64(x))
-	}
+	id.lay.UnpackRow(f[:w], id.head, i)
 	for s, x := range id.tail[i*(len(f)-w) : (i+1)*(len(f)-w)] {
 		f[w+s] = int32(x)
 	}
-	return sumAbsHead
+	return int64(id.headConst[i]) - int64(w)
 }
 
 func abs64(a int64) int64 {

@@ -56,18 +56,16 @@ func (r *Retriever) SetFaultHook(h *faults.Hook) { r.hook = h }
 type queryState struct {
 	// Scratch owned by this state (sized for the index it was created
 	// for via Index.newQueryState).
-	qbar    []float64
-	qFloors []int32  // the w head floors of ⌊q̂⌋, as PackQuery takes them
-	qHead   []uint64 // the same, packed in query field order
-	qTail   []int16  // the d−w tail floors
+	qbar  []float64
+	head  vec.HeadTest // the integer head test: the index's head tables and the w head floors of ⌊q̂⌋
+	qTail []int16      // the d−w tail floors
 
 	qNorm   float64 // ‖q‖ in the original space (used with the original ‖p‖ for Cauchy–Schwarz)
 	barNorm float64 // ‖q̄‖ in the working space
 	barTail float64 // ‖q̄^h‖ over coordinates w..d
 
 	// Integer part.
-	headFirst   bool  // the cascade opens with the integer head test: variants with I, in the paper's SIR order
-	qHeadConst  int64 // Σ_{s<w} |⌊q̂_s⌋| − o·Σ_{s<w} ⌊q̂_s⌋ − w·o²: the query's share of unpacking IU^ℓ
+	headFirst   bool // the cascade opens with the integer head test: variants with I, in the paper's SIR order
 	qSumAbsTail int64
 	headFactor  float64 // maxq^ℓ·maxP^ℓ/e², converts head IU to a bound on q̄^ℓᵀp̄^ℓ
 	tailFactor  float64
@@ -87,8 +85,7 @@ type queryState struct {
 func (idx *Index) newQueryState() *queryState {
 	qs := &queryState{qbar: make([]float64, idx.d)}
 	if id := idx.ints; id != nil {
-		qs.qFloors = make([]int32, idx.w)
-		qs.qHead = make([]uint64, id.nw)
+		qs.head = id.lay.NewTest(id.head, id.headConst, idx.barTail)
 		qs.qTail = make([]int16, idx.d-idx.w)
 	}
 	return qs
@@ -147,11 +144,13 @@ func (r *Retriever) SearchContext(ctx context.Context, q []float64, k int) ([]to
 // products.
 //
 // The loop is chosen here, once per range, from the built index and the
-// call: scanBlocked when the cascade opens with the integer head test,
-// scanPerItem for everything that loop does not carry — variants without
-// that test and an installed fault hook (per-item CancelAtItem/PanicAtItem).
+// call: scanBlocked when the cascade opens with the integer head test and
+// the block kernel's int32 lanes hold its IU^ℓ, scanPerItem for everything
+// that loop does not carry — variants without that test, an E so large
+// that only the int64 one-row bound is exact (intData.lanes32), and an
+// installed fault hook (per-item CancelAtItem/PanicAtItem).
 func (idx *Index) scanRange(ctx context.Context, hook *faults.Hook, qs *queryState, lo, hi int, c *topk.Collector, shared *search.SharedThreshold, stats *search.Stats) error {
-	if qs.headFirst && hook == nil {
+	if qs.headFirst && idx.ints.lanes32 && hook == nil {
 		return idx.scanBlocked(ctx, qs, lo, hi, c, shared, stats)
 	}
 	return idx.scanPerItem(ctx, hook, qs, lo, hi, c, shared, stats)
@@ -216,9 +215,9 @@ func (idx *Index) offer(i int, v float64, qs *queryState, c *topk.Collector, sha
 }
 
 // blockRows is the number of sorted rows scanBlocked decides with one
-// headMask pass. It divides search.CheckStride, so with blocks starting
-// at shard-local multiples of it the context poll lands on block starts.
-const blockRows = 16
+// kernel pass: the rows of one block of the head layout. It divides
+// search.CheckStride, so the context poll lands on block starts.
+const blockRows = vec.HeadBlockRows
 
 // pruneMargin is the float-rounding allowance every prune test against
 // threshold t subtracts. The conversion rounds the product, so no
@@ -229,51 +228,61 @@ func pruneMargin(slack, t float64) float64 {
 }
 
 // scanBlocked is scanRange for the sorted indexes whose cascade opens
-// with the integer head test (qs.headFirst), where nearly every scanned
-// row dies. It reads the live threshold once per block of blockRows
-// rows, applies the length test to the block's last — shortest — row
-// only, and has headMask decide the head test for the whole block in one
-// pass. Rows between survivors are counted in bulk — they are the rows
-// scanPerItem would have scanned and pruned at the head test one by one
-// — and a survivor continues with afterHead and offer exactly as there.
-// Only an offer can move the threshold, so after one that reports it
-// did, the length test and the mask of the block's remaining rows are
-// redone: every row is decided against the threshold scanPerItem would
-// have read for it, which makes results and every counter identical to
-// that loop by construction. (Trusting the rows the old mask pruned
-// would still be exact, but t − margin(t) is not monotone in t to the
-// last ulp, so counters could differ.) Once a block's last row fails the
-// length test the scan ends somewhere inside it, and scanPerItem itself
-// finishes those rows. A threshold published by a sibling shard is picked
-// up at the next block or raising offer rather than the next row; any
-// published value is a global lower bound, so that is exact too, and
-// with one worker nothing is published mid-range.
+// with the integer head test (qs.headFirst, intData.lanes32), where nearly
+// every scanned row dies. It walks the head layout's blocks — blockRows
+// rows starting on GLOBAL multiples of blockRows, whatever lo is — reads
+// the live threshold once per block, applies the length test to the last
+// — shortest — row of the block inside the range only, and has the kernel
+// decide the head test for the whole block in one pass; the rows of the
+// block before the first one still to decide (a range or a restart that
+// begins mid-block) and from hi on are shifted out of the mask. Rows
+// between survivors are counted in bulk — they are the rows scanPerItem
+// would have scanned and pruned at the head test one by one — and a
+// survivor continues with afterHead and offer exactly as there. Only an
+// offer can move the threshold, so after one that reports it did, the
+// length test and the mask of the block's remaining rows are redone:
+// every row is decided against the threshold scanPerItem would have read
+// for it, which makes results and every counter identical to that loop by
+// construction, for any partition of the rows. (Trusting the rows the old
+// mask pruned would still be exact, but t − margin(t) is not monotone in t
+// to the last ulp, so counters could differ.) Once a block's last row
+// fails the length test the scan ends somewhere inside it, and scanPerItem
+// itself finishes those rows, as it does the index's final, partial block.
+// A threshold published by a sibling shard is picked up at the next block
+// or raising offer rather than the next row; any published value is a
+// global lower bound, so that is exact too, and with one worker nothing is
+// published mid-range.
 func (idx *Index) scanBlocked(ctx context.Context, qs *queryState, lo, hi int, c *topk.Collector, shared *search.SharedThreshold, stats *search.Stats) error {
 	slack := idx.opts.PruneSlack
 	done := ctx.Done()
+	first := lo &^ (blockRows - 1)
+	i := lo // the next row to decide
 	//fex:hot
-	for b := lo; b < hi; b += blockRows {
-		if done != nil && (b-lo)&search.StrideMask == 0 {
-			if err := search.Poll(ctx, nil, b-lo); err != nil {
+	for b := first; i < hi; b += blockRows {
+		if done != nil && (b-first)&search.StrideMask == 0 {
+			if err := search.Poll(ctx, nil, b-first); err != nil {
 				return err
 			}
 		}
+		if b+blockRows > idx.n {
+			return idx.scanPerItem(ctx, nil, qs, i, hi, c, shared, stats)
+		}
 		end := min(b+blockRows, hi)
 	rows:
-		for i := b; i < end; {
+		for i < end {
 			t := shared.Floor(c.Threshold())
 			lenBound := qs.qNorm * idx.norms[end-1] //fex:bound
 			if lenBound < t {
-				// The block's shortest row fails the length test, so the
-				// sorted scan ends within it: the reference loop finds
-				// where, from row i on.
+				// The range's shortest row in this block fails the length
+				// test, so the sorted scan ends within it: the reference
+				// loop finds where, from row i on.
 				return idx.scanPerItem(ctx, nil, qs, i, hi, c, shared, stats)
 			}
 			margin := pruneMargin(slack, t)
-			base, mask := i, idx.headMask(qs, i, end, t-margin)
-			for mask != 0 {
-				row := base + bits.TrailingZeros32(mask)
-				mask &= mask - 1
+			alive := ^headBlockMask(&qs.head, b, t-margin) & (1<<uint(end-b) - 1) &^ (1<<uint(i-b) - 1)
+			for alive != 0 {
+				row := b + bits.TrailingZeros32(alive)
+				alive &= alive - 1
 				stats.Scanned += row + 1 - i
 				stats.PrunedByIntHead += row - i
 				i = row + 1
@@ -295,7 +304,7 @@ func (idx *Index) scanBlocked(ctx context.Context, qs *queryState, lo, hi int, c
 // per-query constant used by the staged pruning tests, writing into qs.
 func (idx *Index) prepareQuery(q []float64, qs *queryState) {
 	scratch := *qs
-	*qs = queryState{qbar: scratch.qbar, qFloors: scratch.qFloors, qHead: scratch.qHead, qTail: scratch.qTail}
+	*qs = queryState{qbar: scratch.qbar, head: scratch.head, qTail: scratch.qTail}
 	qs.qNorm = vec.Norm(q)
 
 	if idx.thin != nil {
@@ -313,7 +322,9 @@ func (idx *Index) prepareQuery(q []float64, qs *queryState) {
 		w := idx.w
 		maxQHead := vec.AbsMaxRange(qbar, 0, w)
 		maxQTail := vec.AbsMaxRange(qbar, w, idx.d)
-		var sumHead, sumAbsHead int64
+		o := int32(id.lay.Offset())
+		qHead := qs.head.Floors()
+		var sumAbsHead int64
 		for s, v := range qbar {
 			var scaled float64
 			if s < w {
@@ -325,23 +336,22 @@ func (idx *Index) prepareQuery(q []float64, qs *queryState) {
 					scaled = id.e * v / maxQTail
 				}
 			}
-			f := int32(math.Floor(scaled))
+			// A finite query's floors lie in [−o, o−1] for the same reason
+			// the items' do. A non-finite one has no meaningful bound either
+			// way, but its floors are whatever the platform converts NaN and
+			// ±Inf to: clamped, IU stays inside the block kernel's lanes for
+			// every input and both scan loops keep deciding alike.
+			f := min(max(int32(math.Floor(scaled)), -o), o-1)
 			if s < w {
-				qs.qFloors[s] = f
-				sumHead += int64(f)
+				qHead[s] = int16(f)
 				sumAbsHead += abs64(int64(f))
 				continue
 			}
 			qs.qSumAbsTail += abs64(int64(f))
 			qs.qTail[s-w] = int16(f)
 		}
-		// A finite query's floors lie in [−o, o−1] for the same reason the
-		// items' do; a non-finite one has no meaningful bound either way,
-		// so the range report is not acted on.
-		_ = id.lay.PackQuery(qs.qHead, qs.qFloors)
-		o := id.lay.Offset()
-		qs.qHeadConst = sumAbsHead - o*sumHead - int64(w)*o*o
 		qs.headFactor = maxQHead * id.headScale / id.e
+		qs.head.SetQuery(int32(sumAbsHead), qs.headFactor, qs.barTail)
 		qs.tailFactor = maxQTail * id.tailScale / id.e
 	}
 

@@ -19,9 +19,9 @@ import (
 // re-save, bit-identical results and stage counters through the sharded
 // engine, and unchanged cancellation semantics. "F" pins the minimal
 // section set, "F-SIR" the full one (SVD + integer + reduction); the
-// remaining cases take the integer section through each way its head
-// floors are packed in memory (3×21, 2×32, 1×64 bits), since Save
-// unpacks and ReadIndex re-packs them.
+// remaining cases take the integer section through larger E on both
+// sides of the block kernel's int32 lanes, since Save unpacks the head
+// floors from their blocks and ReadIndex re-packs them.
 func TestSnapshotRoundTrip(t *testing.T) {
 	sir := core.Options{SVD: true, Int: true, Reduction: true}
 	e1000, e32766 := sir, sir

@@ -1,0 +1,185 @@
+package vec
+
+// The integer head test in 16-row blocks (DESIGN.md §3).
+//
+// The w head floors of a row — integers in [−o, o−1], o ≤ 32767 — are
+// stored as int16, signed as Theorem 2 writes them, P = ⌈w/2⌉ pairs to a
+// row with a zero in the odd-w lane. Rows are grouped HeadBlockRows at a
+// time and a block is stored pair-major: block b, pair p, row j holds
+// floors (2p, 2p+1) at
+//
+//	((b·P + p)·16 + j)·2
+//
+// so the 16 rows' copies of one pair are 64 contiguous bytes, and one
+// 32-bit lane is one row's pair. The query side is its w floors as int16
+// in order, followed by the zero lane: 2·P values. VPMADDWD of a pair
+// group with the broadcast query pair then leaves f₂ₚg₂ₚ + f₂ₚ₊₁g₂ₚ₊₁ in
+// each row's int32 lane, and P of them summed onto Σ|f|+w and Σ|g| is
+// IU^ℓ of Eq. 6 for 16 rows at once. Rows past the last one in the final
+// block are zero.
+//
+// HeadLayout hides the addressing: rows go in and out through PackRow and
+// UnpackRow, and a HeadTest bound to the tables gives one row's IU^ℓ
+// (RowIU) and decides a block (BlockMask).
+
+// HeadBlockRows is the number of sorted rows BlockMask decides at once.
+const HeadBlockRows = 16
+
+// HeadLayout is the block layout of w floors in [−o, o−1]. The zero value
+// is not usable; call NewHeadLayout.
+type HeadLayout struct {
+	w     int
+	pairs int   // P
+	o     int64 // floors lie in [−o, o−1]
+}
+
+// NewHeadLayout returns the layout of w floors in [−o, o−1], or false
+// when a floor would not fit int16 (or o, w are not positive). o = 32768
+// is excluded although −32768 is an int16: two such floors against two
+// such query floors are the one VPMADDWD input whose pair sum wraps.
+func NewHeadLayout(o int64, w int) (HeadLayout, bool) {
+	if o <= 0 || o > 32767 || w <= 0 {
+		return HeadLayout{}, false
+	}
+	return HeadLayout{w: w, pairs: (w + 1) / 2, o: o}, true
+}
+
+// Offset returns o.
+func (l *HeadLayout) Offset() int64 { return l.o }
+
+// Pairs returns P, the 32-bit words a row occupies; a query is 2·P int16.
+func (l *HeadLayout) Pairs() int { return l.pairs }
+
+// Len returns the number of int16 holding n rows: whole blocks.
+func (l *HeadLayout) Len(n int) int {
+	return (n + HeadBlockRows - 1) / HeadBlockRows * l.pairs * HeadBlockRows * 2
+}
+
+// Lanes32 reports whether IU^ℓ = Σfg + Σ|f| + Σ|g| + w, and every partial
+// sum of it, fits the int32 lanes BlockMask accumulates in for any row and
+// any query in range: |IU^ℓ| ≤ w·o² + 2·w·o + w = w·(o+1)² < 2³¹. Where
+// it does not, only HeadTest.RowIU (int64) may be used.
+func (l *HeadLayout) Lanes32() bool {
+	return int64(l.w) <= (1<<31-1)/((l.o+1)*(l.o+1))
+}
+
+// headIndex returns the position of floor s of row i in a layout of P =
+// pairs: the addressing above.
+func headIndex(pairs, i, s int) int {
+	return ((i/HeadBlockRows*pairs+s/2)*HeadBlockRows+i%HeadBlockRows)*2 + s%2
+}
+
+// PackRow stores the w floors f as row i of head. It reports whether
+// every floor lay in [−o, o−1]; the row is unusable otherwise.
+func (l *HeadLayout) PackRow(head []int16, i int, f []int32) bool {
+	ok := true
+	for s, x := range f[:l.w] {
+		ok = ok && -l.o <= int64(x) && int64(x) < l.o
+		head[headIndex(l.pairs, i, s)] = int16(x)
+	}
+	return ok
+}
+
+// UnpackRow inverts PackRow: f receives the w floors of row i.
+func (l *HeadLayout) UnpackRow(f []int32, head []int16, i int) {
+	for s := range f[:l.w] {
+		f[s] = int32(head[headIndex(l.pairs, i, s)])
+	}
+}
+
+// HeadTest is the head test of one query over one index's tables — what
+// the block kernel reads, bound once so that deciding a block costs a row
+// number and a cut. The item side is fixed by NewTest; the query side is
+// written per query: the floors through Floors, the rest through SetQuery.
+type HeadTest struct {
+	pairs  int       // P
+	head   []int16   // HeadLayout.Len(n) floors
+	consts []int32   // Σ|f|+w per row, n of them
+	tails  []float64 // ‖p̄^h‖ per row, n of them
+	floors []int16   // the query's 2·P floors, the odd-w lane zero
+	sumAbs int32     // Σ|g|
+	factor float64   // converts IU^ℓ to a bound on the head product
+	tail   float64   // ‖q̄^h‖
+}
+
+// NewTest binds the layout's tables: head as PackRow filled it for the n
+// rows that consts (Σ|f|+w per row) and tails (‖p̄^h‖ per row) describe.
+// It panics when the lengths disagree — the kernels rely on them.
+func (l *HeadLayout) NewTest(head []int16, consts []int32, tails []float64) HeadTest {
+	if len(tails) != len(consts) || len(head) != l.Len(len(consts)) {
+		panic("vec: head tables of different lengths")
+	}
+	return HeadTest{pairs: l.pairs, head: head, consts: consts, tails: tails, floors: make([]int16, 2*l.pairs)}
+}
+
+// Floors returns the query's floor slots: the caller writes its w floors,
+// each in [−o, o−1], to the first w and leaves the rest zero.
+func (h *HeadTest) Floors() []int16 { return h.floors }
+
+// SetQuery sets the query's Σ|g|, the factor that converts IU^ℓ to a bound
+// on the head product, and ‖q̄^h‖.
+func (h *HeadTest) SetQuery(sumAbs int32, factor, tail float64) {
+	h.sumAbs, h.factor, h.tail = sumAbs, factor, tail
+}
+
+// RowIU returns IU^ℓ = Σfg + Σ|f| + w + Σ|g| of row i in int64: the
+// one-row form of what BlockMask holds per lane, exact at every o a
+// layout exists for.
+func (h *HeadTest) RowIU(i int) int64 {
+	at := headIndex(h.pairs, i, 0)
+	s := int64(h.consts[i]) + int64(h.sumAbs)
+	for p := 0; p+1 < len(h.floors); p += 2 {
+		s += int64(h.head[at])*int64(h.floors[p]) + int64(h.head[at+1])*int64(h.floors[p+1])
+		at += HeadBlockRows * 2
+	}
+	return s
+}
+
+// BlockMask (kernels_amd64.go, kernels_other.go) runs the head test of
+// Algorithm 5 lines 2–4 on the block of HeadBlockRows rows that starts at
+// row (a multiple of HeadBlockRows, the block complete): bit j of the
+// result is set iff
+//
+//	float64(RowIU(row+j))·factor + tail·tails[row+j] < cut
+//
+// both products rounded before the add — the strict prune of row+j, so a
+// NaN on either side of the comparison prunes nothing. The layout must
+// satisfy Lanes32. With AVX2 the block is decided by the assembly in
+// kernels_amd64.s; everywhere else, and as the reference that is tested
+// against, by BlockMaskPortable. Every lane of either is bit for bit the
+// expression above.
+
+// BlockMaskPortable is BlockMask by the plain-Go body on every platform:
+// the lanes are int32 like the assembly's, one pair group at a time.
+func (h *HeadTest) BlockMaskPortable(row int, cut float64) uint32 {
+	h.checkBlock(row)
+	block := h.head[row*h.pairs*2:][:h.pairs*HeadBlockRows*2]
+	consts, tails := h.consts[row:][:HeadBlockRows], h.tails[row:][:HeadBlockRows]
+	var iu [HeadBlockRows]int32
+	for j := range iu {
+		iu[j] = consts[j] + h.sumAbs
+	}
+	//fex:hot
+	for p := 0; p+1 < len(h.floors); p += 2 {
+		g0, g1 := int32(h.floors[p]), int32(h.floors[p+1])
+		group := block[p*HeadBlockRows:][:HeadBlockRows*2]
+		for j := range iu {
+			iu[j] += int32(group[2*j])*g0 + int32(group[2*j+1])*g1
+		}
+	}
+	var m uint32
+	for j, v := range iu {
+		if float64(float64(v)*h.factor)+float64(h.tail*tails[j]) < cut {
+			m |= 1 << uint(j)
+		}
+	}
+	return m
+}
+
+// checkBlock panics unless row starts a complete block of the tables: with
+// NewTest's length check, the bounds check of the assembly.
+func (h *HeadTest) checkBlock(row int) {
+	if row < 0 || row%HeadBlockRows != 0 || row+HeadBlockRows > len(h.consts) {
+		panic("vec: head block outside the table")
+	}
+}

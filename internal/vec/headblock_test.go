@@ -1,0 +1,350 @@
+package vec
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"sort"
+	"testing"
+)
+
+func mustHeadLayout(t testing.TB, o int64, w int) HeadLayout {
+	t.Helper()
+	l, ok := NewHeadLayout(o, w)
+	if !ok {
+		t.Fatalf("o=%d w=%d: no layout", o, w)
+	}
+	return l
+}
+
+// setFloors writes the query floors g into h and returns Σ|g|.
+func setFloors(h *HeadTest, g []int32) (sumAbs int64) {
+	q := h.Floors()
+	clear(q)
+	for s, x := range g {
+		q[s] = int16(x)
+		sumAbs += int64(max(x, -x))
+	}
+	return sumAbs
+}
+
+// TestHeadRowDotMatchesDotInt64 is the differential test of the layout's
+// addressing: over widths on both sides of a pair boundary and the E
+// values the paper sweeps up to the largest there is, rows packed into
+// every position of three blocks unpack to what went in, and RowIU is
+// DotInt64 on the plain floors plus the Σ|·| terms — for random vectors
+// and for vectors pinned at the range ends −o (the ⌊−e−ε⌋ floor) and o−1.
+func TestHeadRowDotMatchesDotInt64(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for _, tc := range []struct {
+		e float64
+		w int
+	}{
+		{10, 1}, {10, 50}, {100, 2}, {100, 17}, {100, 18}, {100, 19}, {100, 51},
+		{1000, 5}, {1000, 50}, {11000, 17}, {11000, 18}, {32766, 1}, {32766, 7}, {32766, 64},
+	} {
+		o := int64(math.Ceil(tc.e)) + 1
+		l := mustHeadLayout(t, o, tc.w)
+		if l.Pairs() != (tc.w+1)/2 || l.Offset() != o {
+			t.Fatalf("E=%v w=%d: %d pairs at offset %d", tc.e, tc.w, l.Pairs(), l.Offset())
+		}
+		fill := func(f func(s int) int32) []int32 {
+			v := make([]int32, tc.w)
+			for s := range v {
+				v[s] = f(s)
+			}
+			return v
+		}
+		lo, hi := int32(-o), int32(o-1)
+		vectors := [][]int32{
+			fill(func(int) int32 { return lo }),
+			fill(func(int) int32 { return hi }),
+			fill(func(s int) int32 { return []int32{lo, hi}[s%2] }),
+			fill(func(int) int32 { return 0 }),
+		}
+		for r := 0; r < 8; r++ {
+			vectors = append(vectors, fill(func(int) int32 { return lo + int32(rng.Int63n(2*o)) }))
+		}
+		const n = 3*HeadBlockRows - 5
+		head := make([]int16, l.Len(n))
+		if len(head) != 3*HeadBlockRows*2*l.Pairs() {
+			t.Fatalf("E=%v w=%d: %d rows take %d int16", tc.e, tc.w, n, len(head))
+		}
+		rows := make([][]int32, n)
+		consts := make([]int32, n)
+		for i := range rows {
+			rows[i] = vectors[rng.Intn(len(vectors))]
+			if !l.PackRow(head, i, rows[i]) {
+				t.Fatalf("E=%v w=%d: PackRow rejected %v", tc.e, tc.w, rows[i])
+			}
+			consts[i] = int32(i) // any constant: RowIU adds it
+		}
+		h := l.NewTest(head, consts, make([]float64, n))
+		back := make([]int32, tc.w)
+		for i, a := range rows {
+			l.UnpackRow(back, head, i)
+			for s := range a {
+				if back[s] != a[s] {
+					t.Fatalf("E=%v w=%d row %d: UnpackRow[%d] = %d, packed %d", tc.e, tc.w, i, s, back[s], a[s])
+				}
+			}
+			for _, b := range vectors {
+				sumAbs := setFloors(&h, b)
+				h.SetQuery(int32(sumAbs), 1, 1)
+				if got, want := h.RowIU(i), DotInt64(a, b)+int64(i)+sumAbs; got != want {
+					t.Fatalf("E=%v w=%d row %d: RowIU %d, from DotInt64 %d\na=%v\nb=%v", tc.e, tc.w, i, got, want, a, b)
+				}
+			}
+		}
+	}
+}
+
+// TestHeadLayoutRejects: floors outside [−o, o−1] are reported, shapes
+// int16 cannot hold have no layout, and Lanes32 is w·(o+1)² < 2³¹.
+func TestHeadLayoutRejects(t *testing.T) {
+	l := mustHeadLayout(t, 101, 4)
+	head := make([]int16, l.Len(1))
+	for _, v := range [][]int32{{0, 101, 0, 0}, {-102, 0, 0, 0}, {0, 0, 0, 1 << 16}} {
+		if l.PackRow(head, 0, v) {
+			t.Fatalf("PackRow accepted %v at offset 101", v)
+		}
+	}
+	for _, tc := range []struct {
+		o int64
+		w int
+	}{{0, 4}, {-3, 4}, {101, 0}, {32768, 4}, {math.MaxInt32, 4}} {
+		if _, ok := NewHeadLayout(tc.o, tc.w); ok {
+			t.Fatalf("NewHeadLayout(%d, %d) succeeded", tc.o, tc.w)
+		}
+	}
+	for _, tc := range []struct {
+		o    int64
+		w    int
+		fits bool
+	}{
+		{101, 50, true}, {1001, 2138, true}, {1001, 2139, false},
+		{11001, 17, true}, {11001, 18, false}, {32767, 1, true}, {32767, 2, false},
+	} {
+		l := mustHeadLayout(t, tc.o, tc.w)
+		if exact := float64(tc.w)*float64(tc.o+1)*float64(tc.o+1) < 1<<31; l.Lanes32() != tc.fits || exact != tc.fits {
+			t.Fatalf("o=%d w=%d: Lanes32 %v, w·(o+1)² < 2³¹ %v, want %v", tc.o, tc.w, l.Lanes32(), exact, tc.fits)
+		}
+	}
+}
+
+// headBlockCase is one block's worth of head-test operands, the block
+// under test preceded by another so its row is not 0.
+type headBlockCase struct {
+	l      HeadLayout
+	h      HeadTest
+	bounds [HeadBlockRows]float64 // row by row in int64, when the lanes hold IU
+}
+
+// newHeadBlockCase packs the floors of 16 rows (w each) and a query (w)
+// drawn by next, which returns values in [−o, o].
+func newHeadBlockCase(t testing.TB, o int64, w int, next func() int32, tails []float64, factor, qTail float64) *headBlockCase {
+	c := &headBlockCase{l: mustHeadLayout(t, o, w)}
+	l := &c.l
+	consts := make([]int32, 2*HeadBlockRows)
+	tails = append(make([]float64, HeadBlockRows), tails...)
+	head := make([]int16, l.Len(len(consts)))
+	c.h = l.NewTest(head, consts, tails)
+	g := make([]int32, w)
+	for s := range g {
+		g[s] = next()
+	}
+	qSumAbs := setFloors(&c.h, g)
+	c.h.SetQuery(int32(qSumAbs), factor, qTail)
+	f := make([]int32, w)
+	for j := 0; j < HeadBlockRows; j++ {
+		sumAbs := int64(w)
+		for s := range f {
+			f[s] = next()
+			sumAbs += int64(max(f[s], -f[s]))
+		}
+		// PackRow reports +o as out of range; the kernels must still agree
+		// on it, the lanes' bound w·(o+1)² covers |f| = o.
+		l.PackRow(head, HeadBlockRows+j, f)
+		consts[HeadBlockRows+j] = int32(sumAbs)
+		iu := DotInt64(f, g) + sumAbs + qSumAbs
+		if got := c.h.RowIU(HeadBlockRows + j); got != iu {
+			t.Fatalf("o=%d w=%d row %d: RowIU %d, from floors %d", o, w, j, got, iu)
+		}
+		c.bounds[j] = float64(float64(iu)*factor) + float64(qTail*tails[HeadBlockRows+j])
+	}
+	return c
+}
+
+// check compares both bodies at cut, and against the row-by-row bounds
+// when the layout keeps IU inside the lanes.
+func (c *headBlockCase) check(t testing.TB, cut float64) {
+	got := c.h.BlockMask(HeadBlockRows, cut)
+	ref := c.h.BlockMaskPortable(HeadBlockRows, cut)
+	if got != ref {
+		t.Fatalf("o=%d w=%d %+v cut=%v: BlockMask %#04x, plain-Go body %#04x", c.l.o, c.l.w, c.h, cut, got, ref)
+	}
+	if !c.l.Lanes32() {
+		return
+	}
+	var want uint32
+	for j, b := range c.bounds {
+		if b < cut {
+			want |= 1 << uint(j)
+		}
+	}
+	if got != want {
+		t.Fatalf("o=%d w=%d %+v cut=%v: BlockMask %#04x, row by row %#04x (bounds %v)", c.l.o, c.l.w, c.h, cut, got, want, c.bounds)
+	}
+}
+
+// checkCuts runs check at NaN, ±Inf and on and next to every row's bound:
+// strict <, so a row whose bound equals the cut is not pruned.
+func (c *headBlockCase) checkCuts(t testing.TB) {
+	for _, cut := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0} {
+		c.check(t, cut)
+	}
+	for _, b := range c.bounds {
+		c.check(t, b)
+		c.check(t, math.Nextafter(b, math.Inf(1)))
+		c.check(t, math.Nextafter(b, math.Inf(-1)))
+	}
+}
+
+// TestHeadBlockMaskMatchesRows: each body of BlockMask decides every row
+// of a block as the one-row int64 evaluation does, over the widths and E
+// of the scan's shapes table on the lanes' side of Lanes32 — random floors
+// and floors pinned at −o, o−1 and o everywhere, where IU is largest.
+func TestHeadBlockMaskMatchesRows(t *testing.T) {
+	for _, body := range kernelBodies() {
+		t.Run(body, func(t *testing.T) {
+			forceBody(t, body)
+			rng := rand.New(rand.NewSource(25))
+			tails := make([]float64, HeadBlockRows)
+			for _, e := range []int64{1, 100, 1000, 11000, 32766} {
+				for _, w := range []int{1, 2, 9, 15, 16, 17, 18, 21, 31, 32, 33, 64} {
+					o := e + 1
+					if l := mustHeadLayout(t, o, w); !l.Lanes32() {
+						continue
+					}
+					for j := range tails {
+						tails[j] = rng.Float64()
+					}
+					draws := []func() int32{
+						func() int32 { return int32(rng.Int63n(2*o+1) - o) },
+						func() int32 { return int32(-o) },
+						func() int32 { return int32(o - 1) },
+						func() int32 { return int32(o) },
+						func() int32 { return []int32{int32(-o), int32(o)}[rng.Intn(2)] },
+					}
+					for _, next := range draws {
+						newHeadBlockCase(t, o, w, next, tails, rng.Float64()/float64(e*e), rng.Float64()).checkCuts(t)
+					}
+				}
+			}
+		})
+	}
+}
+
+// FuzzHeadBlock drives the same differential with fuzzer-chosen shapes,
+// floors, scale factors and cuts: the dispatched body (the assembly where
+// there is one), the plain-Go body and the int64 row-by-row evaluation
+// agree on all 16 bits. Beyond Lanes32 the lanes wrap, in both bodies
+// alike, and only those two are compared.
+func FuzzHeadBlock(f *testing.F) {
+	f.Add(uint16(100), uint8(18), uint8(0), uint8(0), []byte{0, 255, 7, 9, 200, 1})
+	f.Add(uint16(32766), uint8(1), uint8(3), uint8(1), []byte{255, 255, 255, 255})
+	f.Add(uint16(11000), uint8(17), uint8(1), uint8(2), []byte{1, 2, 3, 4, 5, 6, 7, 8, 9})
+	f.Add(uint16(1000), uint8(64), uint8(2), uint8(0), []byte{0, 0, 1, 1, 2, 2})
+	f.Fuzz(func(t *testing.T, e uint16, w, factorSel, tailSel uint8, raw []byte) {
+		if e == 0 || e > 32766 || w == 0 || w > 64 || len(raw) == 0 {
+			return
+		}
+		o := int64(e) + 1
+		at := 0
+		next := func() int32 {
+			sel, hi, lo := raw[at%len(raw)], raw[(at+1)%len(raw)], raw[(at+2)%len(raw)]
+			at += 3
+			switch sel % 8 {
+			case 0:
+				return int32(-o)
+			case 1:
+				return int32(o - 1)
+			case 2:
+				return int32(o)
+			}
+			return int32(int64(uint16(hi)<<8|uint16(lo))%(2*o+1) - o)
+		}
+		factor := []float64{0, 5e-324, 1e300, 1, 1 / float64(o*o)}[int(factorSel)%5]
+		tails := make([]float64, HeadBlockRows)
+		for j := range tails {
+			switch (int(tailSel) + j) % 4 {
+			case 1:
+				tails[j] = math.Inf(1)
+			case 2:
+				tails[j] = float64(raw[j%len(raw)]) / 16
+			}
+		}
+		qTail := float64(raw[0]) / 64
+		newHeadBlockCase(t, o, int(w), next, tails, factor, qTail).checkCuts(t)
+	})
+}
+
+// BenchmarkHeadMask is the sizing of the blocked scan's kernel: ns per row
+// and bytes streamed per row of one BlockMask per 16-row block, per body,
+// at the pair counts w = 13…22 give, over a catalog resident in L2
+// (n = 10⁴: the compute-bound figure, lib-skewed's 12k-row scans) and one
+// that streams from memory (n = 10⁵: the bandwidth-bound one, lib-flat).
+// The cut is the bound's 98th percentile, so 2 % of the rows survive as in
+// a real scan.
+//
+//	go test ./internal/vec -run '^$' -bench HeadMask -count 6
+func BenchmarkHeadMask(b *testing.B) {
+	for _, n := range []int{10000, 100000} {
+		for _, pairs := range []int{7, 8, 9, 11} {
+			const o = 101
+			rng := rand.New(rand.NewSource(19))
+			w := 2 * pairs
+			l := mustHeadLayout(b, o, w)
+			head := make([]int16, l.Len(n))
+			consts := make([]int32, n)
+			tails := make([]float64, n)
+			f, g := make([]int32, w), make([]int32, w)
+			draw := func(v []int32) (sumAbs int64) {
+				for s := range v {
+					v[s] = int32(math.Floor(math.Max(-o, math.Min(o-1, rng.NormFloat64()*o/3))))
+					sumAbs += int64(max(v[s], -v[s]))
+				}
+				return sumAbs
+			}
+			h := l.NewTest(head, consts, tails)
+			draw(g)
+			const factor, qTail = 1.0 / (o * o), 0.5
+			h.SetQuery(int32(setFloors(&h, g)), factor, qTail)
+			bounds := make([]float64, n)
+			for i := range bounds {
+				consts[i] = int32(draw(f) + int64(w))
+				tails[i] = rng.Float64()
+				l.PackRow(head, i, f)
+				bounds[i] = float64(h.RowIU(i))*factor + qTail*tails[i]
+			}
+			sort.Float64s(bounds)
+			cut := bounds[n*98/100]
+			for _, body := range kernelBodies() {
+				b.Run(fmt.Sprintf("n=%d/P=%d/%s", n, pairs, body), func(b *testing.B) {
+					forceBody(b, body)
+					var pruned uint32
+					for r := 0; r < b.N; r++ {
+						for row := 0; row+HeadBlockRows <= n; row += HeadBlockRows {
+							pruned += h.BlockMask(row, cut)
+						}
+					}
+					sinkMask = pruned
+					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/row")
+					b.ReportMetric(float64(4*pairs+4+8), "B/row")
+				})
+			}
+		}
+	}
+}
+
+var sinkMask uint32

@@ -1,0 +1,64 @@
+package vec
+
+// useAVX2 selects the assembly bodies of kernels_amd64.s. It is read from
+// the processor once, at init; the tests clear it to run the same suite on
+// the plain-Go bodies.
+var useAVX2 = detectAVX2()
+
+// detectAVX2 reports whether AVX2 instructions may be executed: the CPU
+// has them (leaf 7 EBX bit 5) and AVX (leaf 1 ECX bit 28), and the OS has
+// enabled XGETBV (OSXSAVE, leaf 1 ECX bit 27) and saves both the XMM and
+// the YMM halves of the registers across context switches (XCR0 bits 1
+// and 2). internal/cpu has the same answer but cannot be imported.
+func detectAVX2() bool {
+	maxLeaf, _, _, _ := cpuid(0, 0)
+	if maxLeaf < 7 {
+		return false
+	}
+	_, _, ecx1, _ := cpuid(1, 0)
+	const osxsave, avx = 1 << 27, 1 << 28
+	if ecx1&osxsave == 0 || ecx1&avx == 0 {
+		return false
+	}
+	if xcr0, _ := xgetbv(); xcr0&6 != 6 {
+		return false
+	}
+	_, ebx7, _, _ := cpuid(7, 0)
+	return ebx7&(1<<5) != 0
+}
+
+func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
+
+func xgetbv() (eax, edx uint32)
+
+// BlockMask is documented in headblock.go.
+func (h *HeadTest) BlockMask(row int, cut float64) uint32 {
+	if !useAVX2 {
+		return h.BlockMaskPortable(row, cut)
+	}
+	h.checkBlock(row)
+	return headBlockMaskAVX2(h, row, cut)
+}
+
+// headBlockMaskAVX2 is BlockMaskPortable over 16 int32 lanes. It reads the
+// block of h.head, 16 of h.consts and 16 of h.tails from row on, unchecked.
+//
+//go:noescape
+func headBlockMaskAVX2(h *HeadTest, row int, cut float64) uint32
+
+func dotInt16(a, b []int16) int64 {
+	if !useAVX2 || len(a) < 16 {
+		return dotInt16Go(a, b)
+	}
+	n := len(a) &^ 7
+	s := dotInt16AVX2(a[:n], b[:n])
+	for i := n; i < len(a); i++ {
+		s += int64(a[i]) * int64(b[i])
+	}
+	return s
+}
+
+// dotInt16AVX2 is dotInt16Go for len(a) = len(b) a multiple of 8.
+//
+//go:noescape
+func dotInt16AVX2(a, b []int16) int64

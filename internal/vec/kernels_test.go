@@ -1,6 +1,7 @@
 package vec
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -59,26 +60,41 @@ func TestDotInt64AllLengths(t *testing.T) {
 	}
 }
 
+// TestDotInt16AllLengths: every body of DotInt16 equals the int64 sum of
+// products at lengths 0…80, on slices starting at every offset 0…15 of a
+// backing array (the assembly loads unaligned), for random values over the
+// whole int16 range, for the range ends, and for vectors of nothing but
+// math.MinInt16 — the one input whose VPMADDWD pair sum (2³¹) wraps.
 func TestDotInt16AllLengths(t *testing.T) {
-	rng := rand.New(rand.NewSource(203))
-	for n := 0; n <= 19; n++ {
-		a := make([]int16, n)
-		b := make([]int16, n)
-		var want int64
-		for i := 0; i < n; i++ {
-			a[i] = int16(rng.Intn(201) - 100)
-			b[i] = int16(rng.Intn(201) - 100)
-			want += int64(a[i]) * int64(b[i])
-		}
-		if got := DotInt16(a, b); got != want {
-			t.Fatalf("n=%d: %d vs %d", n, got, want)
-		}
-	}
-	// Extremes cannot overflow.
-	a := []int16{math.MaxInt16, math.MinInt16}
-	want := int64(math.MaxInt16)*int64(math.MaxInt16) + int64(math.MinInt16)*int64(math.MinInt16)
-	if got := DotInt16(a, a); got != want {
-		t.Fatalf("extremes: %d vs %d", got, want)
+	for _, body := range kernelBodies() {
+		t.Run(body, func(t *testing.T) {
+			forceBody(t, body)
+			rng := rand.New(rand.NewSource(203))
+			backA, backB := make([]int16, 96), make([]int16, 96)
+			fills := map[string]func() (int16, int16){
+				"random":   func() (int16, int16) { return int16(rng.Intn(1 << 16)), int16(rng.Intn(1 << 16)) },
+				"small":    func() (int16, int16) { return int16(rng.Intn(201) - 100), int16(rng.Intn(201) - 100) },
+				"min":      func() (int16, int16) { return math.MinInt16, math.MinInt16 },
+				"min·max":  func() (int16, int16) { return math.MinInt16, math.MaxInt16 },
+				"max":      func() (int16, int16) { return math.MaxInt16, math.MaxInt16 },
+				"min some": func() (int16, int16) { return int16(rng.Intn(2)) * math.MinInt16, math.MinInt16 },
+			}
+			for name, fill := range fills {
+				for n := 0; n <= 80; n++ {
+					for off := 0; off < 16; off++ {
+						a, b := backA[off:off+n], backB[off:off+n]
+						var want int64
+						for i := range a {
+							a[i], b[i] = fill()
+							want += int64(a[i]) * int64(b[i])
+						}
+						if got := DotInt16(a, b); got != want {
+							t.Fatalf("%s n=%d offset %d: %d vs %d", name, n, off, got, want)
+						}
+					}
+				}
+			}
+		})
 	}
 }
 
@@ -116,16 +132,26 @@ func BenchmarkDotInt64_50(b *testing.B) {
 	_ = sink
 }
 
-func BenchmarkDotInt16_50(b *testing.B) {
-	x := make([]int16, 50)
-	y := make([]int16, 50)
-	for i := range x {
-		x[i], y[i] = int16(i*7%199-100), int16(i*13%199-100)
+// BenchmarkDotInt16 sizes the tail bound's dot, per body, at d − w = 35
+// (d = 50, w = 15) and at a whole d = 50 vector.
+func BenchmarkDotInt16(b *testing.B) {
+	for _, n := range []int{35, 50} {
+		x := make([]int16, n)
+		y := make([]int16, n)
+		for i := range x {
+			x[i], y[i] = int16(i*7%199-100), int16(i*13%199-100)
+		}
+		for _, body := range kernelBodies() {
+			b.Run(fmt.Sprintf("n=%d/%s", n, body), func(b *testing.B) {
+				forceBody(b, body)
+				var sink int64
+				for i := 0; i < b.N; i++ {
+					sink += DotInt16(x, y)
+				}
+				sinkInt = sink
+			})
+		}
 	}
-	b.ResetTimer()
-	var sink int64
-	for i := 0; i < b.N; i++ {
-		sink += DotInt16(x, y)
-	}
-	_ = sink
 }
+
+var sinkInt int64

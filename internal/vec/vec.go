@@ -76,15 +76,21 @@ func DotInt64(a, b []int32) int64 {
 	return s
 }
 
-// DotInt16 returns the inner product of two compact integer vectors —
-// the int16 representation the paper's future-work section motivates
-// (smaller integers ⇒ better cache behaviour). Accumulation in int64
-// cannot overflow: each term is bounded by 2³⁰ and slices are far
-// shorter than 2³³.
+// DotInt16 returns the inner product of two int16 vectors — the d−w tail
+// floors of the integer bound — accumulated in int64 and exact for every
+// input: each term is bounded by 2³⁰ and slices are far shorter than 2³³.
+// With AVX2 the bulk of a vector of 16 or more goes through VPMADDWD
+// (kernels_amd64.s); dotInt16Go is the body everywhere else. It panics if
+// the slices have different lengths.
 func DotInt16(a, b []int16) int64 {
 	if len(a) != len(b) {
 		panic(fmt.Sprintf("vec: DotInt16 length mismatch %d != %d", len(a), len(b)))
 	}
+	return dotInt16(a, b)
+}
+
+// dotInt16Go is DotInt16's plain-Go body.
+func dotInt16Go(a, b []int16) int64 {
 	var s0, s1 int64
 	i := 0
 	for ; i+2 <= len(a); i += 2 {
