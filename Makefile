@@ -125,7 +125,8 @@ race-subset:
 
 ## fuzz-smoke: run each fuzz target for FUZZTIME on top of the committed
 ## regression corpus (internal/data/testdata/fuzz). New crashers found
-## here should be committed as corpus seeds.
+## here should be committed as corpus seeds. FuzzBlockedScan carries the
+## fixed-threshold (above-t) collector case beside the top-k ones.
 fuzz-smoke:
 	$(GO) test ./internal/data -run='^$$' -fuzz=FuzzReadMatrixBinary -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/data -run='^$$' -fuzz=FuzzReadMatrixCSV -fuzztime=$(FUZZTIME)

@@ -43,16 +43,20 @@ func LoadIndex(path string) (*FEXIPRO, error) {
 // original LEMP task, listed as future work in the FEXIPRO paper). The
 // threshold comparison is subject to float64 rounding of the products
 // (~1e-12 relative); thresholds exactly equal to an item's score are
-// inherently knife-edge.
+// inherently knife-edge. A NaN or +Inf threshold returns nothing, -Inf
+// every item. It is the same engine run as Search — the pruning cascade
+// against a threshold that starts at t and stays there — so it honours
+// Options.Shards and Workers, and LastStats reports it.
 func (f *FEXIPRO) SearchAbove(q []float64, t float64) []Result {
-	return convertResults(f.above.SearchAbove(q, t))
+	res, _ := f.SearchAboveContext(context.Background(), q, t)
+	return res
 }
 
 // SearchAboveContext behaves like SearchAbove but honours ctx: on
 // cancellation it returns the (sorted) items found so far with an
 // ErrDeadline-wrapping error; the set may be missing qualifying items.
 func (f *FEXIPRO) SearchAboveContext(ctx context.Context, q []float64, t float64) ([]Result, error) {
-	res, err := f.above.SearchAboveContext(ctx, q, t)
+	res, err := f.eng.SearchAboveContext(ctx, q, t)
 	return convertResults(res), err
 }
 
@@ -73,12 +77,7 @@ func (l *LEMP) SearchAboveContext(ctx context.Context, q []float64, t float64) (
 // AboveJoin answers the batch above-t task: for every query row, all
 // items with product ≥ t.
 func (l *LEMP) AboveJoin(queries *Matrix, t float64) [][]Result {
-	raw := l.idx.AboveJoin(queries.m, t)
-	out := make([][]Result, len(raw))
-	for i, rs := range raw {
-		out[i] = convertResults(rs)
-	}
-	return out
+	return convertLists(l.idx.AboveJoin(queries.m, t))
 }
 
 // Dynamic is an exact top-k index over a mutable item catalog: a

@@ -1,9 +1,11 @@
 package fexipro_test
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 
 	"fexipro"
@@ -37,6 +39,75 @@ func TestSearchAbovePublic(t *testing.T) {
 			for _, r := range got {
 				if r.Score < thr {
 					t.Fatalf("%s: %v below threshold %v", name, r.Score, thr)
+				}
+			}
+		}
+	}
+}
+
+// TestSearchAboveHostileThresholds: the thresholds no score compares
+// with sensibly have one decided answer, made where the fixed-threshold
+// collector is made — NaN and +Inf return nothing, -Inf every live item —
+// for the core scan with and without the block kernel, the dynamic index
+// over delta rows and tombstones, and LEMP.
+func TestSearchAboveHostileThresholds(t *testing.T) {
+	rng := rand.New(rand.NewSource(26))
+	items := randomItems(rng, 500, 10)
+	q := randomQuery(rng, 10)
+
+	type aboveSearcher interface {
+		SearchAbove(q []float64, t float64) []fexipro.Result
+	}
+	systems := map[string]aboveSearcher{"LEMP": fexipro.NewLEMP(items, 0, nil)}
+	live := map[string]int{"LEMP": 500}
+	for _, variant := range []string{"F-SIR", "F"} {
+		for _, shards := range []int{1, 3} {
+			name := fmt.Sprintf("%s/S=%d", variant, shards)
+			f, err := fexipro.New(items, fexipro.Options{Variant: variant, Shards: shards})
+			if err != nil {
+				t.Fatal(err)
+			}
+			systems[name], live[name] = f, 500
+		}
+	}
+	dead := map[int]bool{}
+	for _, shards := range []int{1, 3} {
+		d, err := fexipro.NewDynamic(items, fexipro.Options{Shards: shards})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 5; i++ { // delta rows
+			if _, err := d.Add(randomQuery(rng, 10)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, id := range []int{0, 7, 250, 499, 502} { // tombstones, one of them in the delta
+			if err := d.Delete(id); err != nil {
+				t.Fatal(err)
+			}
+			dead[id] = true
+		}
+		name := fmt.Sprintf("Dynamic/S=%d", shards)
+		systems[name], live[name] = d, d.Len()
+	}
+
+	for name, s := range systems {
+		for _, c := range []struct {
+			thr  float64
+			want int
+		}{{math.NaN(), 0}, {math.Inf(1), 0}, {math.Inf(-1), live[name]}} {
+			got := s.SearchAbove(q, c.thr)
+			if len(got) != c.want {
+				t.Fatalf("%s t=%v: %d results, want %d", name, c.thr, len(got), c.want)
+			}
+			seen := map[int]bool{}
+			for i, r := range got {
+				if seen[r.ID] || (strings.HasPrefix(name, "Dynamic") && dead[r.ID]) {
+					t.Fatalf("%s t=%v: item %d returned twice or after its delete", name, c.thr, r.ID)
+				}
+				seen[r.ID] = true
+				if i > 0 && got[i-1].Score < r.Score {
+					t.Fatalf("%s t=%v: unsorted at rank %d", name, c.thr, i)
 				}
 			}
 		}

@@ -192,6 +192,22 @@ func convertResults(in []topk.Result) []Result {
 	return out
 }
 
+// convertLists converts a batch answer list by list. A nil batch (the
+// call failed before any query ran) and a nil list (a query a cancelled
+// batch never reached) stay nil.
+func convertLists(raw [][]topk.Result) [][]Result {
+	if raw == nil {
+		return nil
+	}
+	out := make([][]Result, len(raw))
+	for i, rs := range raw {
+		if rs != nil {
+			out[i] = convertResults(rs)
+		}
+	}
+	return out
+}
+
 func convertStats(st search.Stats) Stats {
 	return Stats{
 		Scanned:             st.Scanned,

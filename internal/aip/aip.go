@@ -23,6 +23,7 @@ import (
 	"sort"
 
 	"fexipro/internal/core"
+	"fexipro/internal/search"
 	"fexipro/internal/topk"
 	"fexipro/internal/vec"
 )
@@ -50,12 +51,7 @@ func Exact(users, items *vec.Matrix, k int, opts core.Options) ([]Pair, error) {
 
 	// Process queries in decreasing norm order so the global threshold
 	// rises quickly and the Cauchy–Schwarz test can drop whole queries.
-	qNorms := users.RowNorms()
-	order := make([]int, users.Rows)
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool { return qNorms[order[a]] > qNorms[order[b]] })
+	order, qNorms := search.ByNormDesc(users)
 
 	maxItemNorm := 0.0
 	for _, n := range items.RowNorms() {

@@ -2,18 +2,19 @@ package core
 
 import (
 	"context"
-	"fmt"
 
-	"fexipro/internal/search"
 	"fexipro/internal/topk"
 )
 
 // SearchAbove returns every item whose inner product with q is at least
 // t, sorted by descending score — the paper's "above-t" problem (its
-// Section 9 future work; the original LEMP task). The whole pruning
-// cascade applies unchanged because the threshold is constant: the
-// sorted scan stops at the first item with ‖q‖·‖p‖ < t, and
-// per-candidate bounds below t discard candidates without full products.
+// Section 9 future work; the original LEMP task). It needs no algorithm
+// of its own: the whole pruning cascade applies unchanged because the
+// threshold is constant, so this is the top-k scan into a collector whose
+// threshold starts at t and never moves (topk.NewAbove) — the sorted scan
+// stops at the first item with ‖q‖·‖p‖ < t, the block kernel and the
+// per-candidate bounds discard what lies strictly below t, and a product
+// equal to t survives every strict test and the collector's.
 func (r *Retriever) SearchAbove(q []float64, t float64) []topk.Result {
 	res, _ := r.SearchAboveContext(context.Background(), q, t)
 	return res
@@ -24,37 +25,6 @@ func (r *Retriever) SearchAbove(q []float64, t float64) []topk.Result {
 // best-so-far partial result with an ErrDeadline-wrapping error on
 // cancellation.
 func (r *Retriever) SearchAboveContext(ctx context.Context, q []float64, t float64) ([]topk.Result, error) {
-	idx := r.idx
-	if len(q) != idx.d {
-		panic(fmt.Sprintf("core: query dim %d != item dim %d", len(q), idx.d))
-	}
-	r.stats = search.Stats{}
-	idx.prepareQuery(q, r.qs)
-	qs := r.qs
-	slack := idx.opts.PruneSlack
-	done := ctx.Done()
-	hook := r.hook
-
-	var out []topk.Result
-	for i := 0; i < idx.n; i++ {
-		if hook != nil || (done != nil && i&search.StrideMask == 0) {
-			if err := search.Poll(ctx, hook, i); err != nil {
-				topk.SortResults(out)
-				return out, err
-			}
-		}
-		if qs.qNorm*idx.norms[i] < t {
-			r.stats.PrunedByLength += idx.n - i
-			break
-		}
-		r.stats.Scanned++
-		// The cascade prunes only when a bound drops BELOW t (strictly,
-		// minus the safety margin), so items with qᵀp == t survive.
-		v, ok := idx.candidate(i, qs, t, slack, &r.stats)
-		if ok && v >= t {
-			out = append(out, topk.Result{ID: idx.perm[i], Score: v})
-		}
-	}
-	topk.SortResults(out)
-	return out, nil
+	r.begin(q)
+	return r.scan(ctx, q, topk.NewAbove(t))
 }

@@ -3,8 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"sort"
-	"sync"
 
 	"fexipro/internal/search"
 	"fexipro/internal/topk"
@@ -21,9 +19,10 @@ import (
 //     per-query scan prefixes aligned with the norm-sorted items for
 //     cache locality, and
 //   - queries are sharded across workers, each with its own Retriever
-//     over the shared immutable index.
+//     over the shared immutable index
 //
-// Results are returned in input order. workers ≤ 0 uses one worker.
+// — search.Batch, the loop it shares with lemp.TopKJoinContext. Results
+// are returned in input order. workers ≤ 0 uses one worker.
 func BatchTopK(idx *Index, queries *vec.Matrix, k, workers int) ([][]topk.Result, error) {
 	return BatchTopKContext(context.Background(), idx, queries, k, workers)
 }
@@ -37,58 +36,20 @@ func BatchTopKContext(ctx context.Context, idx *Index, queries *vec.Matrix, k, w
 	if queries.Cols != idx.d {
 		return nil, fmt.Errorf("core: query dim %d != item dim %d", queries.Cols, idx.d)
 	}
-	if workers <= 0 {
-		workers = 1
-	}
-	order := make([]int, queries.Rows)
-	for i := range order {
-		order[i] = i
-	}
-	norms := queries.RowNorms()
-	sort.Slice(order, func(a, b int) bool { return norms[order[a]] > norms[order[b]] })
-
 	out := make([][]topk.Result, queries.Rows)
-	if workers == 1 || queries.Rows <= 1 {
+	err := search.Batch(queries, workers, func(rows []int) error {
 		r := NewRetriever(idx)
-		for _, qi := range order {
+		for _, qi := range rows {
 			res, err := r.SearchContext(ctx, queries.Row(qi), k)
 			out[qi] = res
 			if err != nil {
-				return out, search.Canceled(err)
+				return err
 			}
 		}
-		return out, nil
-	}
-
-	var wg sync.WaitGroup
-	chunk := (len(order) + workers - 1) / workers
-	errs := make([]error, (len(order)+chunk-1)/chunk)
-	ci := 0
-	for lo := 0; lo < len(order); lo += chunk {
-		hi := lo + chunk
-		if hi > len(order) {
-			hi = len(order)
-		}
-		wg.Add(1)
-		go func(part []int, slot *error) {
-			defer wg.Done()
-			r := NewRetriever(idx)
-			for _, qi := range part {
-				res, err := r.SearchContext(ctx, queries.Row(qi), k)
-				out[qi] = res
-				if err != nil {
-					*slot = err
-					return
-				}
-			}
-		}(order[lo:hi], &errs[ci])
-		ci++
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return out, search.Canceled(err) // first chunk's error: deterministic
-		}
+		return nil
+	})
+	if err != nil {
+		return out, search.Canceled(err)
 	}
 	return out, nil
 }

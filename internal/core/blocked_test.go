@@ -67,13 +67,28 @@ func sameResults(a, b []topk.Result) bool {
 // picks, against scanPerItem.
 func sameAsPerItem(t testing.TB, idx *Index, qs *queryState, lo, hi, k int, seed seedFn, shB, shP *search.SharedThreshold, what string) search.Stats {
 	t.Helper()
-	ctx := context.Background()
-	var stB, stP search.Stats
 	cB, cP := topk.New(k), topk.New(k)
 	if seed != nil {
 		seed(cB)
 		seed(cP)
 	}
+	return sameInto(t, idx, qs, lo, hi, cB, cP, shB, shP, fmt.Sprintf("%s k=%d", what, k))
+}
+
+// sameScanAbove is sameScan's fixed-threshold case: the two loops into
+// topk.NewAbove(thr) collectors, which never fill — no offer raises the
+// threshold, no block restarts, nothing is published.
+func sameScanAbove(t testing.TB, idx *Index, qs *queryState, lo, hi int, thr float64, shB, shP *search.SharedThreshold, what string) search.Stats {
+	t.Helper()
+	return sameInto(t, idx, qs, lo, hi, topk.NewAbove(thr), topk.NewAbove(thr), shB, shP, fmt.Sprintf("%s above %v", what, thr))
+}
+
+// sameInto scans rows [lo, hi) with scanRange into cB and with scanPerItem
+// into cP, two collectors in the same state.
+func sameInto(t testing.TB, idx *Index, qs *queryState, lo, hi int, cB, cP *topk.Collector, shB, shP *search.SharedThreshold, what string) search.Stats {
+	t.Helper()
+	ctx := context.Background()
+	var stB, stP search.Stats
 	if err := idx.scanRange(ctx, nil, qs, lo, hi, cB, shB, &stB); err != nil {
 		t.Fatal(err)
 	}
@@ -81,8 +96,8 @@ func sameAsPerItem(t testing.TB, idx *Index, qs *queryState, lo, hi, k int, seed
 		t.Fatal(err)
 	}
 	if stB != stP || !sameResults(cB.Results(), cP.Results()) {
-		t.Fatalf("%s rows [%d,%d) k=%d:\nscanRange %+v %v\nper-item  %+v %v",
-			what, lo, hi, k, stB, cB.Results(), stP, cP.Results())
+		t.Fatalf("%s rows [%d,%d):\nscanRange %+v %v\nper-item  %+v %v",
+			what, lo, hi, stB, cB.Results(), stP, cP.Results())
 	}
 	return stB
 }
@@ -132,12 +147,31 @@ func TestBlockedScanMatchesPerItem(t *testing.T) {
 			for _, lo := range []int{0, 1, 7, 15} {
 				sameScan(t, idx, qs, lo, n, 10, seedAt(10, top.Threshold()), nil, nil, what+" seeded")
 			}
+			// Above-t is the same two loops at a threshold that never
+			// moves: the 40th-best score itself (a row ties it), the best
+			// score, and the values where nothing and everything is cut.
+			best := top.Results()[0].Score
+			for _, thr := range []float64{top.Threshold(), best, math.Nextafter(best, math.Inf(1)), 0} {
+				for _, r := range [][2]int{{0, n}, {3, n - 5}, {17, 10007}, {31, 48}} {
+					sameScanAbove(t, idx, qs, r[0], r[1], thr, nil, nil, what)
+				}
+			}
+			if qi < 2 {
+				for _, thr := range []float64{math.Inf(-1), math.Inf(1), math.NaN()} {
+					sameScanAbove(t, idx, qs, 0, n, thr, nil, nil, what)
+					sameScanAbove(t, idx, qs, 5, 1000, thr, nil, nil, what)
+				}
+			}
 			for _, shards := range []int{1, 2, 3, 7} {
 				part := engine.NewPartition(n, shards)
-				var shB, shP search.SharedThreshold
+				var shB, shP, abB, abP search.SharedThreshold
 				for s := 0; s < shards; s++ {
 					lo, hi := part.Range(s)
 					sameScan(t, idx, qs, lo, hi, 10, nil, &shB, &shP, fmt.Sprintf("%s S=%d shard %d", what, shards, s))
+					sameScanAbove(t, idx, qs, lo, hi, top.Threshold(), &abB, &abP, fmt.Sprintf("%s S=%d shard %d", what, shards, s))
+				}
+				if v := abB.Load(); !math.IsInf(v, -1) {
+					t.Fatalf("%s S=%d: an above-t scan published %v to the shared threshold", what, shards, v)
 				}
 			}
 		}
@@ -520,7 +554,8 @@ func BlockedScanSeeds() [][]byte {
 // FuzzBlockedScan builds a small-integer catalog (d ≤ 6, n ≤ 200, so
 // ties are the norm), a query, k and a row range from the input and
 // checks the blocked loop against the per-item one, results and every
-// counter, from an empty collector and from one that starts full.
+// counter, from an empty collector, from one that starts full and into
+// fixed-threshold (above-t) ones.
 func FuzzBlockedScan(f *testing.F) {
 	for _, seed := range BlockedScanSeeds() {
 		f.Add(seed)
@@ -572,6 +607,11 @@ func CheckBlockedScanInput(t *testing.T, in []byte) {
 		sameScan(t, idx, qs, lo, hi, k, nil, nil, nil, what)
 		sameScan(t, idx, qs, 0, n, k, nil, nil, nil, what)
 		sameScan(t, idx, qs, lo, hi, k, seedAt(k, float64(int(loRaw%9)-4)), nil, nil, what+" seeded")
+		// The fixed-threshold collector at a value the small-integer
+		// products tie, and at a tenth below one.
+		thr := float64(int(hiRaw%13) - 6)
+		sameScanAbove(t, idx, qs, lo, hi, thr, nil, nil, what)
+		sameScanAbove(t, idx, qs, 0, n, thr-0.1, nil, nil, what)
 	}
 }
 

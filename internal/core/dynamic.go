@@ -47,9 +47,8 @@ type DynamicIndex struct {
 	deadCount int         // total live→dead transitions ever
 
 	shards []*dynShard
-	eng    *engine.Engine
-	hook   *faults.Hook
-	stats  search.Stats
+	eng    *engine.Engine // every query, top-k and above-t; its Stats are this index's
+	hook   *faults.Hook   // the engine's, kept for LiveScan
 }
 
 // dynShard is one shard's two-tier state: its preprocessed main index
@@ -57,11 +56,10 @@ type DynamicIndex struct {
 // and the count of deletions hitting the current main since its build.
 type dynShard struct {
 	main       *Index
-	ret        *Retriever // for SearchAbove; shares main
-	mainIDs    []int      // catalog IDs covered by main (ascending; positions = index rows)
-	delta      []int      // catalog IDs not yet in main; their vectors are the catalog rows
-	deadInMain int        // tombstones among mainIDs: counts toward the rebuild trigger, nothing else
-	rebuilds   int        // number of times this shard's main index has been built
+	mainIDs    []int // catalog IDs covered by main (ascending; positions = index rows)
+	delta      []int // catalog IDs not yet in main; their vectors are the catalog rows
+	deadInMain int   // tombstones among mainIDs: counts toward the rebuild trigger, nothing else
+	rebuilds   int   // number of times this shard's main index has been built
 }
 
 // tombstones is the set of deleted catalog IDs, one bit per ID, grown
@@ -305,8 +303,7 @@ func (di *DynamicIndex) rebuildShard(ctx context.Context, s int) error {
 	if err != nil {
 		return err
 	}
-	*sh = dynShard{mainIDs: live, rebuilds: sh.rebuilds + 1}
-	sh.adopt(idx, di.hook)
+	*sh = dynShard{main: idx, mainIDs: live, rebuilds: sh.rebuilds + 1}
 	return nil
 }
 
@@ -373,31 +370,17 @@ func (di *DynamicIndex) deriveMains(ctx context.Context) error {
 		}
 	}
 	for s, sh := range di.shards {
-		if mains[s] != nil {
-			sh.adopt(mains[s], di.hook)
-		}
+		sh.main = mains[s]
 	}
 	return nil
 }
 
-// adopt makes idx the shard's main index, scanned under hook.
-func (sh *dynShard) adopt(idx *Index, hook *faults.Hook) {
-	sh.main = idx
-	sh.ret = NewRetriever(idx)
-	sh.ret.SetFaultHook(hook)
-}
-
 // SetFaultHook installs (or, with nil, removes) the fault-injection hook
 // called once per scanned item in both the delta buffers and the main
-// indexes (shard-locally); it survives rebuilds.
+// indexes (shard-locally); it lives on the engine, so it survives rebuilds.
 func (di *DynamicIndex) SetFaultHook(h *faults.Hook) {
 	di.hook = h
 	di.eng.SetFaultHook(h)
-	for _, sh := range di.shards {
-		if sh.ret != nil {
-			sh.ret.SetFaultHook(h)
-		}
-	}
 }
 
 // SetShardObserver installs (or, with nil, removes) the engine's
@@ -465,28 +448,25 @@ func (k *dynKernel) Prepare(q []float64, reuse any) any {
 
 // Scan implements engine.Kernel: shard s's delta buffer exhaustively,
 // then its main index through the shard's live view, both into the same
-// collector of k. Every item c retains is live, so c.Threshold() is a
-// lower bound on the global k-th score however many tombstones the shard
-// holds, and the main scan publishes to and prunes against the engine's
-// shared threshold. Poll/fault indices are shard-local.
+// collector. Every item c retains is live, so c.Threshold() is a lower
+// bound on the global k-th score however many tombstones the shard holds
+// (above-t: the constant t), and the main scan publishes to and prunes
+// against the engine's shared threshold. Poll/fault indices are
+// shard-local.
 func (k *dynKernel) Scan(ctx context.Context, pq any, shard int, c *topk.Collector, shared *search.SharedThreshold, hook *faults.Hook) (search.Stats, error) {
 	sh := k.di.shards[shard]
 	dq := pq.(*dynQuery)
 	var st search.Stats
-	err := k.di.scanDelta(ctx, hook, sh, dq.q, &st, func(id int, v float64) {
-		if c.Push(id, v) && c.Len() == c.K() {
-			shared.Publish(c.Threshold())
-		}
-	})
+	err := k.di.scanDelta(ctx, hook, sh, dq.q, c, shared, &st)
 	if err == nil && sh.main != nil {
 		err = sh.main.scanRange(ctx, hook, dq.shards[shard].state, 0, sh.main.n, c, shared, &st)
 	}
 	return st, err
 }
 
-// scanDelta hands emit the exact product of q with every live item of
-// sh's delta buffer; the vectors are the catalog's rows.
-func (di *DynamicIndex) scanDelta(ctx context.Context, hook *faults.Hook, sh *dynShard, q []float64, st *search.Stats, emit func(id int, v float64)) error {
+// scanDelta offers c the exact product of q with every live item of sh's
+// delta buffer; the vectors are the catalog's rows.
+func (di *DynamicIndex) scanDelta(ctx context.Context, hook *faults.Hook, sh *dynShard, q []float64, c *topk.Collector, shared *search.SharedThreshold, st *search.Stats) error {
 	done := ctx.Done()
 	for pos, id := range sh.delta {
 		if hook != nil || (done != nil && pos&search.StrideMask == 0) {
@@ -499,7 +479,9 @@ func (di *DynamicIndex) scanDelta(ctx context.Context, hook *faults.Hook, sh *dy
 		}
 		st.Scanned++
 		st.FullProducts++
-		emit(id, vec.Dot(q, di.items.Row(id)))
+		if c.Push(id, vec.Dot(q, di.items.Row(id))) && c.Len() == c.K() {
+			shared.Publish(c.Threshold())
+		}
 	}
 	return nil
 }
@@ -520,9 +502,7 @@ func (di *DynamicIndex) Search(q []float64, k int) []topk.Result {
 func (di *DynamicIndex) SearchContext(ctx context.Context, q []float64, k int) ([]topk.Result, error) {
 	// The engine owns the contract: dynKernel.Prepare panics on a
 	// dimension mismatch, and k ≤ 0 is no results and zero counters.
-	res, err := di.eng.SearchContext(ctx, q, k)
-	di.stats = di.eng.Stats()
-	return res, err
+	return di.eng.SearchContext(ctx, q, k)
 }
 
 // SearchAbove returns every live item with qᵀp ≥ t, sorted by descending
@@ -534,37 +514,11 @@ func (di *DynamicIndex) SearchAbove(q []float64, t float64) []topk.Result {
 
 // SearchAboveContext behaves like SearchAbove but honours ctx in every
 // shard, returning the sorted partial result set with an
-// ErrDeadline-wrapping error on cancellation.
+// ErrDeadline-wrapping error on cancellation. It is the engine's run of
+// SearchContext into fixed-threshold collectors: the same delta scan,
+// live view and shard fan-out.
 func (di *DynamicIndex) SearchAboveContext(ctx context.Context, q []float64, t float64) ([]topk.Result, error) {
-	if len(q) != di.d {
-		panic(fmt.Sprintf("core: query dim %d != %d", len(q), di.d))
-	}
-	di.stats = search.Stats{}
-	var out []topk.Result
-	for _, sh := range di.shards {
-		err := di.scanDelta(ctx, di.hook, sh, q, &di.stats, func(id int, v float64) {
-			if v >= t {
-				out = append(out, topk.Result{ID: id, Score: v})
-			}
-		})
-		if err == nil && sh.ret != nil {
-			var res []topk.Result
-			res, err = sh.ret.SearchAboveContext(ctx, q, t)
-			//lint:ignore ctxpoll remap of the results the cancellable scan above retained
-			for _, r := range res {
-				if id := sh.mainIDs[r.ID]; !di.dead.has(id) {
-					out = append(out, topk.Result{ID: id, Score: r.Score})
-				}
-			}
-			di.stats.Add(sh.ret.Stats())
-		}
-		if err != nil {
-			topk.SortResults(out)
-			return out, err
-		}
-	}
-	topk.SortResults(out)
-	return out, nil
+	return di.eng.SearchAboveContext(ctx, q, t)
 }
 
 // Stats implements search.Searcher with the same per-query semantics as
@@ -573,6 +527,6 @@ func (di *DynamicIndex) SearchAboveContext(ctx context.Context, q []float64, t f
 // reset at the start of each query and are NOT cumulative across
 // queries). For sharded instances the counters are the sum over every
 // shard's delta and main scans for that one query.
-func (di *DynamicIndex) Stats() search.Stats { return di.stats }
+func (di *DynamicIndex) Stats() search.Stats { return di.eng.Stats() }
 
 var _ search.Searcher = (*DynamicIndex)(nil)

@@ -18,17 +18,16 @@ import (
 // over the same shared Index.
 //
 // It is one of the two sequential searchers left beside engine.Engine
-// (scan.Naive, the reference, is the other). Top-k search in this
-// repository is the engine over a kernel — Sharded for an Index — and
-// neither the method registry nor fexipro.New reaches a Retriever for
-// it. The type stays as core's per-goroutine scratch for what the engine
-// does not run: SearchAbove (abovet.go), each worker of BatchTopK
-// (batchquery.go), a dynamic shard's above-t scan, and — through
-// SearchContext, which the frozen repository benchmark times as its
-// `core.retriever` rung and the blocked-scan tests use as the reference
-// — the scan with no executor around it. All query preparation and
-// scanning lives on the Index as prepareQuery / scanRange, so this and
-// the Sharded kernel run the same code.
+// (scan.Naive, the reference, is the other). Search in this repository,
+// top-k and above-t, is the engine over a kernel — Sharded for an Index —
+// and neither the method registry, fexipro.New nor the dynamic index
+// reaches a Retriever for it. The type stays as the scan with no executor
+// around it: each worker of BatchTopK (batchquery.go), aip.Exact's
+// per-user above-t probe, and — through SearchContext, which the frozen
+// repository benchmark times as its `core.retriever` rung and the
+// blocked-scan tests use as the reference — core's own sequential form.
+// All query preparation and scanning lives on the Index as prepareQuery /
+// scanRange, so this and the Sharded kernel run the same code.
 type Retriever struct {
 	idx   *Index
 	hook  *faults.Hook
@@ -105,17 +104,26 @@ func (r *Retriever) Search(q []float64, k int) []topk.Result {
 // top-k with an ErrDeadline-wrapping error on cancellation. It starts no
 // spans: the traced query lifecycle (DESIGN.md §13) is the engine's.
 func (r *Retriever) SearchContext(ctx context.Context, q []float64, k int) ([]topk.Result, error) {
-	idx := r.idx
-	if len(q) != idx.d {
-		panic(fmt.Sprintf("core: query dim %d != item dim %d", len(q), idx.d))
-	}
-	r.stats = search.Stats{}
+	r.begin(q)
 	if k <= 0 {
 		return nil, nil
 	}
-	c := topk.New(k)
-	idx.prepareQuery(q, r.qs)
-	err := idx.scanRange(ctx, r.hook, r.qs, 0, idx.n, c, nil, &r.stats)
+	return r.scan(ctx, q, topk.New(k))
+}
+
+// begin opens a query: the dimension check and fresh counters.
+func (r *Retriever) begin(q []float64) {
+	if len(q) != r.idx.d {
+		panic(fmt.Sprintf("core: query dim %d != item dim %d", len(q), r.idx.d))
+	}
+	r.stats = search.Stats{}
+}
+
+// scan is the whole query, top-k or above-t as c says: prepareQuery, then
+// scanRange over every row into c.
+func (r *Retriever) scan(ctx context.Context, q []float64, c *topk.Collector) ([]topk.Result, error) {
+	r.idx.prepareQuery(q, r.qs)
+	err := r.idx.scanRange(ctx, r.hook, r.qs, 0, r.idx.n, c, nil, &r.stats)
 	return c.Results(), err
 }
 

@@ -54,12 +54,14 @@ type Kernel interface {
 // thread-safe (the obs registry's histograms are).
 type Observer func(shard int, seconds float64, st search.Stats)
 
-// Engine is the one top-k searcher over a Kernel: it fans a single
-// query out across the kernel's shards using a bounded worker pool, then
-// merges the per-shard heaps into the exact canonical global top-k. A
-// registered method IS its kernel (internal/method has one factory per
-// descriptor); the sequential form of every method is this engine over
-// a one-shard kernel. It implements search.Searcher.
+// Engine is the one searcher over a Kernel: it fans a single query out
+// across the kernel's shards using a bounded worker pool, then merges
+// the per-shard heaps into the exact canonical global answer — the top-k,
+// or with SearchAboveContext everything scoring at least t, which is the
+// same run into collectors made by topk.NewAbove. A registered method IS
+// its kernel (internal/method has one factory per descriptor); the
+// sequential form of every method is this engine over a one-shard
+// kernel. It implements search.Searcher.
 //
 // Exactness across shard counts: every kernel in this repository offers
 // an S-invariant candidate multiset (each shard's pruning is justified
@@ -128,6 +130,30 @@ type shardOut struct {
 // kernel maintains that invariant per shard. k ≤ 0 is a defined answer
 // at every shard count: after Prepare's dimension check, no results and
 // zero Stats.
+func (e *Engine) SearchContext(ctx context.Context, q []float64, k int) ([]topk.Result, error) {
+	if k <= 0 {
+		e.stats = search.Stats{}
+		e.pq = e.kern.Prepare(q, e.pq)
+		return nil, nil
+	}
+	return e.run(ctx, q, topk.New(k))
+}
+
+// SearchAboveContext returns every item whose inner product with q is at
+// least t, sorted by descending score — the paper's above-t task (its §9;
+// the original LEMP problem) — under SearchContext's contract and on the
+// same run: the threshold every kernel prunes against is constant, so its
+// strict-prune argument holds verbatim, no shard ever publishes (a
+// collector that cannot fill never raises anything), and the merge is the
+// sorted union. A NaN or +Inf threshold returns nothing, -Inf every item
+// the kernel offers (topk.NewAbove).
+func (e *Engine) SearchAboveContext(ctx context.Context, q []float64, t float64) ([]topk.Result, error) {
+	return e.run(ctx, q, topk.NewAbove(t))
+}
+
+// run answers one query into c, the empty collector that says what the
+// answer is: the one shard's own, or the merge target of per-shard
+// collectors made like it (c.Fresh).
 //
 // A panic in a shard scan reaches the caller: pool workers recover it,
 // the remaining shards finish, and the lowest panicking shard's value
@@ -142,16 +168,13 @@ type shardOut struct {
 // provenance, and stage counters), and one "merge" child around the
 // canonical merge. With no span in ctx every call below is a nil no-op
 // (DESIGN.md §13), so the untraced path costs one context lookup.
-func (e *Engine) SearchContext(ctx context.Context, q []float64, k int) ([]topk.Result, error) {
+func (e *Engine) run(ctx context.Context, q []float64, c *topk.Collector) ([]topk.Result, error) {
 	e.stats = search.Stats{}
 	sp := obs.SpanFrom(ctx)
 	tsp := sp.StartChild("transform")
 	pq := e.kern.Prepare(q, e.pq)
 	e.pq = pq
 	tsp.End()
-	if k <= 0 {
-		return nil, nil
-	}
 	shards := e.kern.Shards()
 
 	scanSp := sp.StartChild("scan")
@@ -168,7 +191,7 @@ func (e *Engine) SearchContext(ctx context.Context, q []float64, k int) ([]topk.
 		// or second collector. Results and counters equal the general
 		// route's; the sequential form of every method pays this path.
 		var out shardOut
-		e.runShard(ctx, pq, 0, k, nil, &out, scanSp, 0)
+		e.runShard(ctx, pq, 0, c, nil, &out, scanSp, 0)
 		scanSp.End()
 		if msp := sp.StartChild("merge"); msp != nil {
 			msp.AttrInt("candidates", int64(len(out.res)))
@@ -191,7 +214,7 @@ func (e *Engine) SearchContext(ctx context.Context, q []float64, k int) ([]topk.
 		// promptly via their entry Poll, each recording a deterministic
 		// (possibly empty) partial, so the loop never breaks early.
 		for s := 0; s < shards; s++ {
-			e.runShard(ctx, pq, s, k, shared, &outs[s], scanSp, 0)
+			e.runShard(ctx, pq, s, c.Fresh(), shared, &outs[s], scanSp, 0)
 		}
 	} else {
 		var next atomic.Int64
@@ -205,7 +228,7 @@ func (e *Engine) SearchContext(ctx context.Context, q []float64, k int) ([]topk.
 					if s >= shards {
 						return
 					}
-					e.runShardRecovering(ctx, pq, s, k, shared, &outs[s], scanSp, w)
+					e.runShardRecovering(ctx, pq, s, c.Fresh(), shared, &outs[s], scanSp, w)
 				}
 			}(w)
 		}
@@ -218,24 +241,24 @@ func (e *Engine) SearchContext(ctx context.Context, q []float64, k int) ([]topk.
 	}
 	scanSp.End()
 
-	// Merge: push every shard's retained results into one canonical
-	// collector. The collector's total order (score desc, ID asc) makes
-	// the merged set independent of push order, so no cross-shard
-	// ordering discipline is needed here.
+	// Merge: push every shard's retained results into c. The collector's
+	// total order (score desc, ID asc) makes the merged set independent
+	// of push order, so no cross-shard ordering discipline is needed
+	// here.
 	msp := sp.StartChild("merge")
-	merged := topk.New(k)
 	var firstErr error
 	candidates := 0
 	for s := 0; s < shards; s++ {
 		o := &outs[s]
 		e.stats.Add(o.st)
 		candidates += len(o.res)
-		// This push loop is bounded by O(shards·k) retained results, not
-		// the catalog size — cancellation already happened inside the
-		// shard scans, so a poll here would only delay the merge.
-		//lint:ignore ctxpoll bounded merge of ≤ shards·k retained results
+		// This push loop is bounded by the shards' retained results
+		// (O(shards·k) for top-k), not the catalog size — cancellation
+		// already happened inside the shard scans, so a poll here would
+		// only delay the merge.
+		//lint:ignore ctxpoll bounded merge of the results the cancellable shard scans retained
 		for _, r := range o.res { //fex:hot
-			merged.Push(r.ID, r.Score)
+			c.Push(r.ID, r.Score)
 		}
 		if o.err != nil && firstErr == nil {
 			firstErr = o.err // lowest shard's error, deterministic
@@ -246,24 +269,24 @@ func (e *Engine) SearchContext(ctx context.Context, q []float64, k int) ([]topk.
 		msp.End()
 	}
 	if firstErr != nil {
-		return merged.Results(), search.Canceled(firstErr)
+		return c.Results(), search.Canceled(firstErr)
 	}
-	return merged.Results(), nil
+	return c.Results(), nil
 }
 
 // runShardRecovering is runShard on a pool worker: a panicking scan is
 // parked in out for SearchContext to re-raise on the calling goroutine.
-func (e *Engine) runShardRecovering(ctx context.Context, pq any, s, k int, shared *search.SharedThreshold, out *shardOut, scanSp *obs.Span, worker int) {
+func (e *Engine) runShardRecovering(ctx context.Context, pq any, s int, c *topk.Collector, shared *search.SharedThreshold, out *shardOut, scanSp *obs.Span, worker int) {
 	defer func() {
 		if p := recover(); p != nil {
 			out.panicked = p
 		}
 	}()
-	e.runShard(ctx, pq, s, k, shared, out, scanSp, worker)
+	e.runShard(ctx, pq, s, c, shared, out, scanSp, worker)
 }
 
-// runShard executes one shard scan and records its output, stats and
-// error into out. When the query is traced (scanSp is non-nil) it opens
+// runShard executes one shard scan into c and records its output, stats
+// and error into out. When the query is traced (scanSp is non-nil) it opens
 // one child span per shard under the scan span: the queueWaitMicros
 // attribute is how long the shard sat in the pool's queue before a
 // worker picked it up (time since the scan span started), and stolen
@@ -271,7 +294,7 @@ func (e *Engine) runShardRecovering(ctx context.Context, pq any, s, k int, share
 // index ≥ worker count) — together the "where did the microseconds go"
 // signal for partition skew and pool sizing. The clock is read only
 // when an observer or a span asks for the scan's wall time.
-func (e *Engine) runShard(ctx context.Context, pq any, s, k int, shared *search.SharedThreshold, out *shardOut, scanSp *obs.Span, worker int) {
+func (e *Engine) runShard(ctx context.Context, pq any, s int, c *topk.Collector, shared *search.SharedThreshold, out *shardOut, scanSp *obs.Span, worker int) {
 	var ssp *obs.Span
 	if scanSp != nil {
 		wait := time.Since(scanSp.Start())
@@ -283,7 +306,6 @@ func (e *Engine) runShard(ctx context.Context, pq any, s, k int, shared *search.
 			ssp.AttrInt("stolen", 1)
 		}
 	}
-	c := topk.New(k)
 	var start time.Time
 	if e.observer != nil {
 		start = time.Now()

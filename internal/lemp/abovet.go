@@ -2,19 +2,17 @@ package lemp
 
 import (
 	"context"
-	"fmt"
-	"math"
 
-	"fexipro/internal/faults"
 	"fexipro/internal/search"
 	"fexipro/internal/topk"
 	"fexipro/internal/vec"
 )
 
 // SearchAbove answers LEMP's original problem for one query: every item
-// with qᵀp ≥ t, sorted by descending score. Buckets are visited in
-// decreasing max-norm order and the scan stops at the first bucket whose
-// best possible product is below t.
+// with qᵀp ≥ t, sorted by descending score. It is the top-k bucket scan
+// into a collector whose threshold is fixed at t (topk.NewAbove): buckets
+// are visited in decreasing max-norm order and the scan stops at the
+// first bucket whose best possible product is below t.
 func (idx *Index) SearchAbove(q []float64, t float64) []topk.Result {
 	res, _ := idx.SearchAboveContext(context.Background(), q, t)
 	return res
@@ -27,92 +25,10 @@ func (idx *Index) SearchAbove(q []float64, t float64) []topk.Result {
 // cancellation the set may be missing qualifying items, but every
 // returned score is a true inner product.
 func (idx *Index) SearchAboveContext(ctx context.Context, q []float64, t float64) ([]topk.Result, error) {
-	if len(q) != idx.d {
-		panic(fmt.Sprintf("lemp: query dim %d != item dim %d", len(q), idx.d))
-	}
 	idx.stats = search.Stats{}
-	qNorm := vec.Norm(q)
-	done := ctx.Done()
-	hook := idx.hook
-	pos := 0
-	var out []topk.Result
-	if qNorm == 0 {
-		if t <= 0 {
-			for bi := range idx.buckets {
-				b := &idx.buckets[bi]
-				for _, id := range b.ids {
-					if hook != nil || (done != nil && pos&search.StrideMask == 0) {
-						if err := search.Poll(ctx, hook, pos); err != nil {
-							topk.SortResults(out)
-							return out, err
-						}
-					}
-					pos++
-					out = append(out, topk.Result{ID: id, Score: 0})
-				}
-			}
-			topk.SortResults(out)
-		}
-		return out, nil
-	}
-	qUnit := vec.Scaled(q, 1/qNorm)
-
-	for bi := range idx.buckets {
-		b := &idx.buckets[bi]
-		if qNorm*b.maxNorm < t {
-			for _, rest := range idx.buckets[bi:] {
-				idx.stats.PrunedByLength += len(rest.ids)
-			}
-			break
-		}
-		if err := idx.scanBucketAbove(ctx, hook, done, &pos, b, qUnit, qNorm, t, &out); err != nil {
-			topk.SortResults(out)
-			return out, err
-		}
-	}
-	topk.SortResults(out)
-	return out, nil
-}
-
-func (idx *Index) scanBucketAbove(ctx context.Context, hook *faults.Hook, done <-chan struct{}, pos *int, b *bucket, qUnit []float64, qNorm, t float64, out *[]topk.Result) error {
-	d := idx.d
-	w := b.w
-	qTail := vec.NormRange(qUnit, w, d)
-	for i := 0; i < b.unit.Rows; i++ {
-		if hook != nil || (done != nil && *pos&search.StrideMask == 0) {
-			if err := search.Poll(ctx, hook, *pos); err != nil {
-				return err
-			}
-		}
-		*pos++
-		lenBound := qNorm * b.norms[i]
-		if lenBound < t {
-			idx.stats.PrunedByLength += b.unit.Rows - i
-			return nil
-		}
-		idx.stats.Scanned++
-		theta := math.Inf(-1)
-		if lenBound > 0 {
-			theta = t / lenBound
-		}
-		row := b.unit.Row(i)
-		var cos float64
-		if w < d {
-			cos = vec.DotRange(qUnit, row, 0, w)
-			if cos+qTail*b.tailNorms[i] < theta {
-				idx.stats.PrunedByIncremental++
-				continue
-			}
-			cos += vec.DotRange(qUnit, row, w, d)
-		} else {
-			cos = vec.Dot(qUnit, row)
-		}
-		idx.stats.FullProducts++
-		if v := cos * lenBound; v >= t {
-			*out = append(*out, topk.Result{ID: b.ids[i], Score: v})
-		}
-	}
-	return nil
+	c := topk.NewAbove(t)
+	err := idx.scanBuckets(ctx, idx.hook, idx.prepareQuery(q), 0, len(idx.buckets), c, nil, &idx.stats)
+	return c.Results(), err
 }
 
 // AboveJoin answers the batch above-t task: for every query row, all

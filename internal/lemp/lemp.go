@@ -41,10 +41,11 @@ type Options struct {
 	Strategy Strategy
 }
 
-// Index is an immutable LEMP index. Single top-k queries run through
-// Kernel under engine.Engine; the index itself answers the batch join
-// (TopKJoinContext) and the above-t scans, operations the engine does
-// not run — hook and stats below are theirs.
+// Index is an immutable LEMP index. Single queries run through Kernel
+// under engine.Engine; the index itself answers the batch joins
+// (TopKJoinContext, AboveJoin) and the one-query above-t scan they are
+// made of, all of them scanBuckets over every bucket — hook and stats
+// below are theirs.
 type Index struct {
 	d        int
 	strategy Strategy
@@ -217,9 +218,10 @@ func (idx *Index) prepareQuery(q []float64) *lempQuery {
 	return qs
 }
 
-// scanBuckets runs the bucket scan over buckets [bLo, bHi) — the whole
-// index for one query of the batch join, a contiguous bucket range for
-// one shard of the engine that answers single queries (kernel.go). Buckets hold consecutive runs of the
+// scanBuckets runs the bucket scan over buckets [bLo, bHi) into c, top-k
+// or above-t as c was made — the whole index for one query of a batch
+// join, a contiguous bucket range for one shard of the engine that
+// answers single queries (kernel.go). Buckets hold consecutive runs of the
 // norm-sorted items, so a contiguous bucket range preserves the sorted
 // prefix structure and the bucket-level stop stays valid within the
 // range. Pruning is STRICT against the max of the local and cross-shard
@@ -353,73 +355,28 @@ func (idx *Index) TopKJoinContext(ctx context.Context, queries *vec.Matrix, k, w
 		panic(fmt.Sprintf("lemp: query dim %d != item dim %d", queries.Cols, idx.d))
 	}
 	out := make([][]topk.Result, queries.Rows)
-	ordered, perm, _ := queries.SortRowsByNormDesc()
-	if workers <= 1 || queries.Rows <= 1 {
-		var acc search.Stats
-		var firstErr error
-		for i := 0; i < ordered.Rows; i++ {
-			qs := idx.prepareQuery(ordered.Row(i))
-			var st search.Stats
-			c := topk.New(k)
-			err := idx.scanBuckets(ctx, idx.hook, qs, 0, len(idx.buckets), c, nil, &st)
-			out[perm[i]] = c.Results()
-			acc.Add(st)
-			if err != nil {
-				firstErr = err
-				break
-			}
-		}
-		idx.stats = acc
-		if firstErr != nil {
-			return out, search.Canceled(firstErr)
-		}
-		return out, nil
-	}
-
-	chunk := (ordered.Rows + workers - 1) / workers
-	type chunkOut struct {
-		st  search.Stats
-		err error
-	}
-	nchunks := (ordered.Rows + chunk - 1) / chunk
-	couts := make([]chunkOut, nchunks)
-	var wg sync.WaitGroup
-	for ci := 0; ci < nchunks; ci++ {
-		lo := ci * chunk
-		hi := lo + chunk
-		if hi > ordered.Rows {
-			hi = ordered.Rows
-		}
-		wg.Add(1)
-		go func(ci, lo, hi int) {
-			defer wg.Done()
-			co := &couts[ci]
-			for i := lo; i < hi; i++ {
-				qs := idx.prepareQuery(ordered.Row(i))
-				var st search.Stats
-				c := topk.New(k)
-				err := idx.scanBuckets(ctx, idx.hook, qs, 0, len(idx.buckets), c, nil, &st)
-				out[perm[i]] = c.Results()
-				co.st.Add(st)
-				if err != nil {
-					co.err = err
-					return
-				}
-			}
-		}(ci, lo, hi)
-	}
-	wg.Wait()
+	var mu sync.Mutex
 	var acc search.Stats
-	var firstErr error
-	for ci := range couts {
-		acc.Add(couts[ci].st)
-		if couts[ci].err != nil && firstErr == nil {
-			firstErr = couts[ci].err
+	err := search.Batch(queries, workers, func(rows []int) error {
+		var st search.Stats
+		defer func() {
+			mu.Lock()
+			acc.Add(st)
+			mu.Unlock()
+		}()
+		for _, qi := range rows {
+			c := topk.New(k)
+			err := idx.scanBuckets(ctx, idx.hook, idx.prepareQuery(queries.Row(qi)), 0, len(idx.buckets), c, nil, &st)
+			out[qi] = c.Results()
+			if err != nil {
+				return err
+			}
 		}
-	}
+		return nil
+	})
 	idx.stats = acc
-	if firstErr != nil {
-		return out, search.Canceled(firstErr)
+	if err != nil {
+		return out, search.Canceled(err)
 	}
 	return out, nil
 }

@@ -16,9 +16,10 @@ import (
 // runs, through its one factory and the engine, the exactness grid and
 // the degenerate inputs against Naive at one shard, bit-identity of
 // S ∈ {2, 3, 7} against S = 1, the cancellation contract at
-// S ∈ {1, 2, 3, 7}, the defined answer for k ≤ 0, and the counter
-// accounting below. The approximate PCATree is held to everything but
-// the comparison with Naive.
+// S ∈ {1, 2, 3, 7}, the defined answer for k ≤ 0, the counter
+// accounting below, and above-t against Naive's own above-t loop at
+// S ∈ {1, 2, 3, 7}. The approximate PCATree is held to everything but
+// the comparisons with Naive.
 func TestEveryMethodBuildsAndSearches(t *testing.T) {
 	for _, name := range method.Names() {
 		name := name
@@ -44,6 +45,7 @@ func TestEveryMethodBuildsAndSearches(t *testing.T) {
 			checkNonPositiveK(t, build, name)
 			if d.Exact {
 				checkRowsCountedOnce(t, build, name)
+				searchtest.CheckAbove(t, build, name)
 			}
 		})
 	}

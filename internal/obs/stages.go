@@ -108,7 +108,6 @@ const (
 // latency into a registry for one searcher variant. Construct once per
 // (registry, variant) pair; RecordSearch is safe for concurrent use.
 type SearchRecorder struct {
-	variant  string
 	searches *Counter
 	scanned  *Counter
 	stages   [5]*Counter
@@ -122,7 +121,6 @@ type SearchRecorder struct {
 func NewSearchRecorder(reg *Registry, variant string) *SearchRecorder {
 	v := L("variant", variant)
 	r := &SearchRecorder{
-		variant: variant,
 		searches: reg.Counter(MetricSearches,
 			"Search calls answered.", v),
 		scanned: reg.Counter(MetricScanned,
@@ -141,9 +139,6 @@ func NewSearchRecorder(reg *Registry, variant string) *SearchRecorder {
 	}
 	return r
 }
-
-// Variant returns the variant label this recorder reports under.
-func (r *SearchRecorder) Variant() string { return r.variant }
 
 // ShardScanObserver returns a per-shard scan callback (matching the
 // execution engine's Observer signature) that records each shard's wall

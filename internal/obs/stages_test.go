@@ -1,44 +1,29 @@
 package obs
 
 import (
-	"context"
 	"encoding/json"
 	"reflect"
 	"testing"
 
 	"fexipro/internal/search"
-	"fexipro/internal/topk"
 )
 
-// fakeSearcher returns canned stats so the recorder's accumulation can
-// be asserted exactly.
-type fakeSearcher struct{ st search.Stats }
-
-func (f *fakeSearcher) Search(q []float64, k int) []topk.Result {
-	return []topk.Result{{ID: 1, Score: 2}}
-}
-func (f *fakeSearcher) SearchContext(_ context.Context, q []float64, k int) ([]topk.Result, error) {
-	return f.Search(q, k), nil
-}
-func (f *fakeSearcher) Stats() search.Stats { return f.st }
-
-func TestInstrumentedAccumulates(t *testing.T) {
+// TestSearchRecorderAccumulates: every RecordSearch folds one query's
+// counters, stage by stage, and its latency into the variant's families.
+func TestSearchRecorderAccumulates(t *testing.T) {
 	reg := NewRegistry()
-	fake := &fakeSearcher{st: search.Stats{
-		Scanned:             10,
-		PrunedByLength:      1,
-		PrunedByIntHead:     2,
-		PrunedByIntFull:     3,
-		PrunedByIncremental: 4,
-		PrunedByMonotone:    5,
-		FullProducts:        6,
-		NodesVisited:        7,
-	}}
-	w := Instrument(fake, reg, "F-SIR")
+	rec := NewSearchRecorder(reg, "F-SIR")
 	for i := 0; i < 3; i++ {
-		if res := w.Search([]float64{1}, 1); len(res) != 1 {
-			t.Fatalf("search result lost: %v", res)
-		}
+		rec.RecordSearch(search.Stats{
+			Scanned:             10,
+			PrunedByLength:      1,
+			PrunedByIntHead:     2,
+			PrunedByIntFull:     3,
+			PrunedByIncremental: 4,
+			PrunedByMonotone:    5,
+			FullProducts:        6,
+			NodesVisited:        7,
+		}, 0.001)
 	}
 
 	v := L("variant", "F-SIR")
@@ -65,13 +50,6 @@ func TestInstrumentedAccumulates(t *testing.T) {
 	}
 	if got := reg.Histogram(MetricSearchLatency, "", nil, v).Count(); got != 3 {
 		t.Fatalf("latency observations = %d, want 3", got)
-	}
-	// Stats passthrough preserves the last-call contract.
-	if w.Stats() != fake.st {
-		t.Fatal("Stats not passed through")
-	}
-	if w.Unwrap() != fake {
-		t.Fatal("Unwrap lost the inner searcher")
 	}
 }
 

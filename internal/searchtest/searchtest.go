@@ -6,6 +6,7 @@ package searchtest
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -139,33 +140,46 @@ func CheckCancellationApprox(t *testing.T, build func(items *vec.Matrix) FaultSe
 
 func checkCancellation(t *testing.T, build func(items *vec.Matrix) FaultSearcher, label string, exact bool) {
 	t.Helper()
+	const k = 10
+	checkCancelled(t, build, label, func(s FaultSearcher, ctx context.Context, q []float64) ([]topk.Result, error) {
+		return s.SearchContext(ctx, q, k)
+	}, func(items *vec.Matrix, q []float64, base []topk.Result) {
+		if exact {
+			CheckTopK(t, items, q, k, base, label+"/uncancelled")
+		}
+	})
+}
+
+// checkCancelled is the cancellation suite for any one-query entry point:
+// query runs it on s, checkBase judges the uncancelled answer.
+func checkCancelled(t *testing.T, build func(items *vec.Matrix) FaultSearcher, label string,
+	query func(s FaultSearcher, ctx context.Context, q []float64) ([]topk.Result, error),
+	checkBase func(items *vec.Matrix, q []float64, base []topk.Result)) {
+	t.Helper()
 	const seed = 20240611
 	rng := rand.New(rand.NewSource(seed))
 	items, q := RandomInstance(rng, 400, 16)
-	const k = 10
 	s := build(items)
 
-	base, err := s.SearchContext(context.Background(), q, k)
+	base, err := query(s, context.Background(), q)
 	if err != nil {
-		t.Fatalf("%s: uncancelled SearchContext error: %v", label, err)
+		t.Fatalf("%s: uncancelled query error: %v", label, err)
 	}
-	if exact {
-		CheckTopK(t, items, q, k, base, label+"/uncancelled")
-	}
+	checkBase(items, q, base)
 
 	for trial := 0; trial < 25; trial++ {
 		cancelAt := 1 + rng.Intn(600) // may exceed the work actually done
 		reg := faults.NewRegistry(seed + int64(trial))
 		hook := reg.Enable(faults.SiteScan, faults.Plan{CancelAtItem: cancelAt})
 		s.SetFaultHook(hook)
-		res, err := s.SearchContext(context.Background(), q, k)
+		res, err := query(s, context.Background(), q)
 		s.SetFaultHook(nil)
 
 		if hook.Counts().Cancels > 0 {
 			// The scan was cut short: flagging these results exact (nil
 			// error) would be a correctness lie.
 			if err == nil {
-				t.Fatalf("%s: cancel at item %d fired but SearchContext returned nil error",
+				t.Fatalf("%s: cancel at item %d fired but the query returned nil error",
 					label, cancelAt)
 			}
 			if !errors.Is(err, search.ErrDeadline) {
@@ -177,14 +191,7 @@ func checkCancellation(t *testing.T, build func(items *vec.Matrix) FaultSearcher
 			if err != nil {
 				t.Fatalf("%s: unfired cancel at %d returned error %v", label, cancelAt, err)
 			}
-			if len(res) != len(base) {
-				t.Fatalf("%s: unfired cancel changed result count %d != %d", label, len(res), len(base))
-			}
-			for i := range res {
-				if res[i] != base[i] {
-					t.Fatalf("%s: unfired cancel changed rank %d: %+v != %+v", label, i, res[i], base[i])
-				}
-			}
+			checkSameAnswer(t, res, base, fmt.Sprintf("%s: unfired cancel at %d", label, cancelAt))
 		}
 		// Partial or not: scores are true inner products, sorted descending.
 		for i, r := range res {
@@ -202,8 +209,22 @@ func checkCancellation(t *testing.T, build func(items *vec.Matrix) FaultSearcher
 	// An already-cancelled context returns promptly with ErrDeadline.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := s.SearchContext(ctx, q, k); !errors.Is(err, search.ErrDeadline) {
+	if _, err := query(s, ctx, q); !errors.Is(err, search.ErrDeadline) {
 		t.Fatalf("%s: pre-cancelled context error = %v, want ErrDeadline", label, err)
+	}
+}
+
+// checkSameAnswer is struct equality, list against list: IDs, score bits,
+// order.
+func checkSameAnswer(t *testing.T, got, want []topk.Result, what string) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d results, want %d\n got=%v\nwant=%v", what, len(got), len(want), got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("%s: rank %d: got %+v, want %+v\n got=%v\nwant=%v", what, i, got[i], want[i], got, want)
+		}
 	}
 }
 

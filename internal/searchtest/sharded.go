@@ -45,22 +45,25 @@ func CheckSharded(t *testing.T, build Builder, label string) {
 
 	// Tie-heavy instance: blocks of duplicated rows force exact score
 	// ties that straddle shard boundaries.
-	dup := vec.NewMatrix(90, 6)
-	for i := 0; i < dup.Rows; i++ {
-		src := dup.Row(i)
-		proto := i % 9 // 10 copies of each of 9 distinct rows
-		r := rand.New(rand.NewSource(int64(proto)))
-		for j := range src {
-			src[j] = r.NormFloat64()
-		}
-	}
-	checkShardedInstance(t, build, dup, 25, 5, rng, label+"/duplicates")
+	checkShardedInstance(t, build, duplicatedRows(), 25, 5, rng, label+"/duplicates")
 
 	// Zero query: every score ties at 0 (or the scan degenerates), the
 	// harshest tie-order test of all.
 	zitems, _ := RandomInstance(rng, 70, 5)
 	zq := make([]float64, 5)
 	checkShardedQueries(t, build, zitems, [][]float64{zq}, 12, label+"/zero-query")
+}
+
+// duplicatedRows is 10 copies of each of 9 distinct rows, interleaved.
+func duplicatedRows() *vec.Matrix {
+	dup := vec.NewMatrix(90, 6)
+	for i := 0; i < dup.Rows; i++ {
+		r := rand.New(rand.NewSource(int64(i % 9)))
+		for j := range dup.Row(i) {
+			dup.Row(i)[j] = r.NormFloat64()
+		}
+	}
+	return dup
 }
 
 func checkShardedInstance(t *testing.T, build Builder, items *vec.Matrix, k, trials int, rng *rand.Rand, label string) {
@@ -95,19 +98,10 @@ func checkShardedQueries(t *testing.T, build Builder, items *vec.Matrix, queries
 				t.Fatalf("%s: S=%d query %d: %v", label, s, qi, err)
 			}
 			topk.SortResults(got)
-			if len(got) != len(want) {
-				t.Fatalf("%s: S=%d query %d: %d results, want %d\n got=%v\nwant=%v",
-					label, s, qi, len(got), len(want), got, want)
-			}
-			for i := range want {
-				// Struct equality: IDs AND bitwise-identical scores AND
-				// identical tie order. Any float drift or scan-order
-				// dependence fails here.
-				if got[i] != want[i] {
-					t.Fatalf("%s: S=%d query %d rank %d: got %+v, want %+v\n got=%v\nwant=%v",
-						label, s, qi, i, got[i], want[i], got, want)
-				}
-			}
+			// Struct equality: IDs AND bitwise-identical scores AND
+			// identical tie order. Any float drift or scan-order
+			// dependence fails here.
+			checkSameAnswer(t, got, want, fmt.Sprintf("%s: S=%d query %d", label, s, qi))
 		}
 	}
 }

@@ -742,15 +742,18 @@ func (s *Server) handleAbove(w http.ResponseWriter, r *http.Request) {
 	if !s.deadlineOK(w, r, err) {
 		return
 	}
-	if len(results) > s.MaxK {
-		results = results[:s.MaxK] // keep responses bounded
+	// Responses stay bounded: a list cut to MaxK is the best MaxK of the
+	// answer, not the answer, and says so.
+	cut := len(results) > s.MaxK
+	if cut {
+		results = results[:s.MaxK]
 	}
 	reply := searchReply{
 		results:    results,
 		tookMicros: took.Microseconds(),
 		traceID:    traceIDFrom(r.Context()),
 		stats:      sc,
-		exact:      err == nil,
+		exact:      err == nil && !cut,
 	}
 	reply.write(w)
 }

@@ -139,6 +139,48 @@ func TestAboveEndpoint(t *testing.T) {
 	}
 }
 
+// TestAboveTruncatedIsNotExact: /v1/above bounds its response at MaxK, and
+// a list it cut is not the exact answer — `exact` says so; an answer that
+// fits is exact, sharded or not.
+func TestAboveTruncatedIsNotExact(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	items := vec.NewMatrix(200, 6)
+	for i := range items.Data {
+		items.Data[i] = rng.NormFloat64()
+	}
+	q := []float64{1, -1, 0.5, 0.25, 2, -0.5}
+	ranked := scan.NewNaive(items).Search(q, items.Rows)
+	for _, shards := range []int{1, 3} {
+		srv, err := server.NewWithConfig(items, core.Options{SVD: true, Int: true, Reduction: true},
+			server.Config{MaxK: 5, Shards: shards})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts := httptest.NewServer(srv.Handler())
+		for _, c := range []struct {
+			above int // the threshold sits just below this rank's score
+			n     int
+			exact bool
+		}{{3, 4, true}, {4, 5, true}, {5, 5, false}, {150, 5, false}} {
+			thr := ranked[c.above].Score - 1e-9
+			got := decode[struct {
+				Results []struct{ ID int } `json:"results"`
+				Exact   bool               `json:"exact"`
+			}](t, postJSON(t, ts.URL+"/v1/above", map[string]any{"vector": q, "threshold": thr}))
+			if len(got.Results) != c.n || got.Exact != c.exact {
+				t.Fatalf("S=%d, %d items above t: %d results, exact=%v; want %d, %v",
+					shards, c.above+1, len(got.Results), got.Exact, c.n, c.exact)
+			}
+			for i, r := range got.Results {
+				if r.ID != ranked[i].ID {
+					t.Fatalf("S=%d rank %d: id %d, want %d", shards, i, r.ID, ranked[i].ID)
+				}
+			}
+		}
+		ts.Close()
+	}
+}
+
 func TestItemLifecycle(t *testing.T) {
 	ts, _ := newTestServer(t, 100, 4)
 

@@ -5,6 +5,9 @@
 // The collector is a fixed-capacity binary min-heap over scores: the root
 // always holds the k-th largest score seen so far, which is exactly the
 // pruning threshold t that the scan algorithms compare bounds against.
+// The query mode is a property of the collector, not of the scan: New(k)
+// is top-k, NewAbove(t) the paper's §9 above-t task — the same scan
+// against a threshold that starts at t and, with k unbounded, stays there.
 package topk
 
 import (
@@ -34,12 +37,15 @@ type Result struct {
 type Collector struct {
 	k     int
 	items []Result // min-heap: root is the canonically worst retained item
-	// floor caches the fast-reject cutoff for Push: -Inf while the heap
-	// has room (nothing can be rejected), the root score once it is
-	// full, +Inf for k == 0. A candidate scoring strictly below floor
-	// cannot enter; ties go through pushSlow for the canonical ID
-	// comparison.
+	// floor is the pruning threshold and the fast-reject cutoff for Push:
+	// empty while the heap has room, the root score once it is full. A
+	// candidate scoring strictly below floor cannot enter; ties go
+	// through pushSlow for the canonical ID comparison.
 	floor float64
+	// empty is the floor of the empty collector: -Inf for top-k (nothing
+	// can be rejected until the heap fills), +Inf for k == 0, t for
+	// NewAbove(t), whose heap never fills.
+	empty float64
 }
 
 // worse reports whether a ranks strictly below b in the canonical order
@@ -60,17 +66,33 @@ func New(k int) *Collector {
 	if k < 0 {
 		panic("topk: negative k")
 	}
-	return &Collector{k: k, items: make([]Result, 0, k), floor: emptyFloor(k)}
+	empty := math.Inf(-1)
+	if k == 0 {
+		empty = math.Inf(1)
+	}
+	return &Collector{k: k, items: make([]Result, 0, k), floor: empty, empty: empty}
 }
 
-// emptyFloor is the fast-reject cutoff of an empty collector: +Inf for
-// k == 0 (everything rejected), -Inf otherwise (nothing rejected until
-// the heap fills).
-func emptyFloor(k int) float64 {
-	if k == 0 {
-		return math.Inf(1)
+// NewAbove returns the fixed-threshold collector: it retains every
+// candidate scoring at least t, however many, and its Threshold is t from
+// the first row to the last — so a scan written for top-k prunes against
+// the constant and answers above-t, and since it is never full nothing is
+// ever published to sibling shards. Hostile thresholds are decided here,
+// once: -Inf retains every candidate offered; +Inf and NaN, which no score
+// is at least, retain none (New(0)). A NaN score — a non-finite query;
+// items are checked when indexed — is below no threshold and is retained,
+// as New retains it while it has room.
+func NewAbove(t float64) *Collector {
+	if !(t < math.Inf(1)) {
+		return New(0)
 	}
-	return math.Inf(-1)
+	return &Collector{k: math.MaxInt, floor: t, empty: t}
+}
+
+// Fresh returns an empty collector of the same k and starting threshold
+// as c: a shard's own collector beside the one its results merge into.
+func (c *Collector) Fresh() *Collector {
+	return &Collector{k: c.k, items: make([]Result, 0, cap(c.items)), floor: c.empty, empty: c.empty}
 }
 
 // K returns the collector's capacity.
@@ -80,20 +102,13 @@ func (c *Collector) K() int { return c.k }
 func (c *Collector) Len() int { return len(c.items) }
 
 // Threshold returns the current pruning threshold t: the smallest score
-// in the heap once it is full, -Inf while it is not (so nothing is pruned
-// until k candidates have been scored), and +Inf for k == 0. Scan loops
-// read it once per item, so it must stay inlinable.
+// in the heap once it is full; while it is not, -Inf for top-k (so
+// nothing is pruned until k candidates have been scored), +Inf for
+// k == 0 and the fixed t of NewAbove. Scan loops read it once per item,
+// so it must stay inlinable.
 //
 //fex:inline
-func (c *Collector) Threshold() float64 {
-	if c.k == 0 {
-		return math.Inf(1)
-	}
-	if len(c.items) < c.k {
-		return math.Inf(-1)
-	}
-	return c.items[0].Score
-}
+func (c *Collector) Threshold() float64 { return c.floor }
 
 // Push offers a candidate. It returns true if the candidate entered the
 // top-k (displacing the canonically worst retained item if the heap was
@@ -172,7 +187,7 @@ func SortResults(rs []Result) {
 // Reset empties the collector, keeping its capacity.
 func (c *Collector) Reset() {
 	c.items = c.items[:0]
-	c.floor = emptyFloor(c.k)
+	c.floor = c.empty
 }
 
 func (c *Collector) siftUp(i int) {

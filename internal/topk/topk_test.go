@@ -3,6 +3,7 @@ package topk
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -99,6 +100,51 @@ func TestReset(t *testing.T) {
 	c.Reset()
 	if c.Len() != 0 || !math.IsInf(c.Threshold(), -1) {
 		t.Fatal("Reset did not clear state")
+	}
+}
+
+// TestAboveCollector: NewAbove(t) keeps every candidate scoring at least
+// t — a tie at t included — in canonical order, its threshold is t before,
+// during and after, it is never full, and Fresh and Reset give it back
+// empty at the same threshold; NaN and +Inf keep nothing, -Inf everything.
+func TestAboveCollector(t *testing.T) {
+	c := NewAbove(1.5)
+	for id, s := range []float64{2, 1.5, 1.4999, 3, 1.5, -7} {
+		if got, want := c.Push(id, s), s >= 1.5; got != want {
+			t.Fatalf("Push(%d, %v) = %v, want %v", id, s, got, want)
+		}
+		if c.Threshold() != 1.5 || c.Len() == c.K() {
+			t.Fatalf("after %d pushes: threshold %v, len %d, k %d", id+1, c.Threshold(), c.Len(), c.K())
+		}
+	}
+	want := []Result{{3, 3}, {0, 2}, {1, 1.5}, {4, 1.5}}
+	if got := c.Results(); !slices.Equal(got, want) {
+		t.Fatalf("Results = %v, want %v", got, want)
+	}
+	for what, e := range map[string]*Collector{"Fresh": c.Fresh(), "Reset": c} {
+		if what == "Reset" {
+			e.Reset()
+		}
+		if e.Len() != 0 || e.Threshold() != 1.5 || e.K() != c.K() {
+			t.Fatalf("%s: len %d, threshold %v, k %d", what, e.Len(), e.Threshold(), e.K())
+		}
+	}
+	full := New(2)
+	full.Push(0, 5)
+	full.Push(1, 6)
+	if f := full.Fresh(); f.K() != 2 || f.Len() != 0 || !math.IsInf(f.Threshold(), -1) {
+		t.Fatalf("Fresh of a full top-2: k %d, len %d, threshold %v", f.K(), f.Len(), f.Threshold())
+	}
+
+	for _, thr := range []float64{math.NaN(), math.Inf(1)} {
+		c := NewAbove(thr)
+		if c.Push(0, math.MaxFloat64) || c.Push(1, math.Inf(1)) || c.Len() != 0 || !math.IsInf(c.Threshold(), 1) {
+			t.Fatalf("NewAbove(%v) kept something or has threshold %v", thr, c.Threshold())
+		}
+	}
+	all := NewAbove(math.Inf(-1))
+	if !all.Push(0, -math.MaxFloat64) || !all.Push(1, math.Inf(-1)) || all.Len() != 2 {
+		t.Fatal("NewAbove(-Inf) rejected a candidate")
 	}
 }
 

@@ -60,10 +60,7 @@ func (o Options) internal() (core.Options, error) {
 type FEXIPRO struct {
 	idx  *core.Index
 	kern *core.Sharded  // idx partitioned; read-only, shared by every executor
-	eng  *engine.Engine // answers Search/SearchContext
-	// above is SearchAbove's executor: the engine runs top-k only, and
-	// the above-t scan keeps its scratch on a core.Retriever.
-	above *core.Retriever
+	eng  *engine.Engine // answers Search and SearchAbove
 }
 
 // New preprocesses items (rows are item vectors; copied) into a FEXIPRO
@@ -82,7 +79,7 @@ func New(items *Matrix, opts Options) (*FEXIPRO, error) {
 
 func newFEXIPRO(idx *core.Index, shards, workers int) *FEXIPRO {
 	kern := core.NewSharded(idx, shards) // clamps shards to [1, item count]
-	return &FEXIPRO{idx: idx, kern: kern, eng: engine.New(kern, workers), above: core.NewRetriever(idx)}
+	return &FEXIPRO{idx: idx, kern: kern, eng: engine.New(kern, workers)}
 }
 
 // Search implements Searcher.
@@ -134,16 +131,7 @@ func (f *FEXIPRO) TopKAll(queries *Matrix, k, workers int) ([][]Result, error) {
 // nil error flags every list as exact.
 func (f *FEXIPRO) TopKAllContext(ctx context.Context, queries *Matrix, k, workers int) ([][]Result, error) {
 	raw, err := core.BatchTopKContext(ctx, f.idx, queries.m, k, workers)
-	if raw == nil {
-		return nil, err
-	}
-	out := make([][]Result, len(raw))
-	for i, rs := range raw {
-		if rs != nil {
-			out[i] = convertResults(rs)
-		}
-	}
-	return out, err
+	return convertLists(raw), err
 }
 
 var _ Searcher = (*FEXIPRO)(nil)
@@ -256,7 +244,7 @@ func NewPCATree(items *Matrix, leafSize int, spillFraction float64) Searcher {
 
 // LEMP is the batch top-k join engine (Teflioudi et al.).
 type LEMP struct {
-	idx *lemp.Index    // the batch joins and the above-t scans
+	idx *lemp.Index    // the batch joins and the above-t scans they are made of
 	eng *engine.Engine // single-query top-k over the same index
 }
 
@@ -303,16 +291,7 @@ func (l *LEMP) TopKJoin(queries *Matrix, k int) [][]Result {
 // error. A nil error flags every list as exact.
 func (l *LEMP) TopKJoinContext(ctx context.Context, queries *Matrix, k, workers int) ([][]Result, error) {
 	raw, err := l.idx.TopKJoinContext(ctx, queries.m, k, workers)
-	if raw == nil {
-		return nil, err
-	}
-	out := make([][]Result, len(raw))
-	for i, rs := range raw {
-		if rs != nil {
-			out[i] = convertResults(rs)
-		}
-	}
-	return out, err
+	return convertLists(raw), err
 }
 
 var _ Searcher = (*LEMP)(nil)
@@ -340,11 +319,5 @@ func (m *MiniBatch) TopKAll(queries *Matrix, k int) [][]Result {
 // Every filled slot holds the exact top-k for its query.
 func (m *MiniBatch) TopKAllContext(ctx context.Context, queries *Matrix, k int) ([][]Result, error) {
 	raw, err := m.mb.TopKAllContext(ctx, queries.m, k)
-	out := make([][]Result, len(raw))
-	for i, rs := range raw {
-		if rs != nil {
-			out[i] = convertResults(rs)
-		}
-	}
-	return out, err
+	return convertLists(raw), err
 }

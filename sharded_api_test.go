@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 
@@ -58,9 +59,9 @@ func TestOptionsShardsBitExact(t *testing.T) {
 	}
 }
 
-// TestShardedSearchAboveStillWorks guards the one query mode without a
-// sharded path: SearchAbove on a sharded handle must keep answering via
-// the sequential retriever rather than panicking.
+// TestShardedSearchAboveStillWorks: SearchAbove on a sharded handle is
+// the engine's fan-out, not a sequential retriever beside it — same hits,
+// bit for bit, as the one-shard handle, and its counters in LastStats.
 func TestShardedSearchAboveStillWorks(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260812))
 	items := randomItems(rng, 120, 8)
@@ -68,12 +69,22 @@ func TestShardedSearchAboveStillWorks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	seq, err := fexipro.New(items, fexipro.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	q := randomQuery(rng, 8)
-	hits := f.SearchAbove(q, 0.5)
+	hits, want := f.SearchAbove(q, 0.5), seq.SearchAbove(q, 0.5)
+	if len(hits) == 0 || !reflect.DeepEqual(hits, want) {
+		t.Fatalf("S=4 hits %v, S=1 hits %v", hits, want)
+	}
 	for i, h := range hits {
 		if h.Score < 0.5 {
 			t.Fatalf("hit %d score %v below threshold", i, h.Score)
 		}
+	}
+	if st := f.LastStats(); st.Scanned+st.PrunedByLength != 120 {
+		t.Fatalf("LastStats after SearchAbove does not account for the 120 rows: %+v", st)
 	}
 }
 
