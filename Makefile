@@ -125,8 +125,10 @@ race-subset:
 
 ## fuzz-smoke: run each fuzz target for FUZZTIME on top of the committed
 ## regression corpus (internal/data/testdata/fuzz). New crashers found
-## here should be committed as corpus seeds. FuzzBlockedScan carries the
-## fixed-threshold (above-t) collector case beside the top-k ones.
+## here should be committed as corpus seeds. FuzzHeadBlock compares the
+## head test's run kernel — assembly, plain Go, row by row — over runs of
+## blocks; FuzzBlockedScan carries the fixed-threshold (above-t) collector
+## case beside the top-k ones, under both kernel bodies.
 fuzz-smoke:
 	$(GO) test ./internal/data -run='^$$' -fuzz=FuzzReadMatrixBinary -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/data -run='^$$' -fuzz=FuzzReadMatrixCSV -fuzztime=$(FUZZTIME)

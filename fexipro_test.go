@@ -151,6 +151,22 @@ func TestStatsExposed(t *testing.T) {
 	}
 }
 
+// TestSearchAllocations pins the library path's per-query allocations: the
+// query is transformed into the engine's reused scratch, so what a Search
+// allocates is its collector and its two result lists.
+func TestSearchAllocations(t *testing.T) {
+	rng := rand.New(rand.NewSource(27))
+	const d = 16
+	s, err := fexipro.New(randomItems(rng, 1000, d), fexipro.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := randomQuery(rng, d)
+	if got := testing.AllocsPerRun(100, func() { s.Search(q, 10) }); got > 4 {
+		t.Fatalf("one Search allocates %.0f times, want ≤ 4", got)
+	}
+}
+
 func TestRetrieverConcurrency(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	items := randomItems(rng, 300, 8)

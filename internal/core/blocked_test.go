@@ -37,12 +37,12 @@ func seedAt(k int, t float64) seedFn {
 	}
 }
 
-// PortableHeadKernel makes scanBlocked run the plain-Go body of the block
-// kernel until tb ends: how the scan battery runs once per body.
+// PortableHeadKernel makes the integer kernels — scanBlocked's run kernel
+// and the tail bound's dot product — run their plain-Go bodies until tb
+// ends: how the scan battery runs once per body.
 func PortableHeadKernel(tb testing.TB) {
-	was := headBlockMask
-	tb.Cleanup(func() { headBlockMask = was })
-	headBlockMask = (*vec.HeadTest).BlockMaskPortable
+	was := vec.SetPortable(true)
+	tb.Cleanup(func() { vec.SetPortable(was) })
 }
 
 // sameScan runs the blocked loop and its per-item reference over rows
@@ -113,6 +113,7 @@ func sameInto(t testing.TB, idx *Index, qs *queryState, lo, hi int, cB, cP *topk
 // one-worker engine does).
 func TestBlockedScanMatchesPerItem(t *testing.T) {
 	const n = 20000
+	beyondHi := 0
 	for _, p := range []data.Profile{data.MovieLens(), data.Netflix()} {
 		ds := data.Generate(p, n, 12, 50)
 		opts := Options{SVD: true, Int: true, Reduction: true}
@@ -156,6 +157,7 @@ func TestBlockedScanMatchesPerItem(t *testing.T) {
 					sameScanAbove(t, idx, qs, r[0], r[1], thr, nil, nil, what)
 				}
 			}
+			beyondHi += survivorsBeyondHi(t, idx, qs, top.Threshold(), what)
 			if qi < 2 {
 				for _, thr := range []float64{math.Inf(-1), math.Inf(1), math.NaN()} {
 					sameScanAbove(t, idx, qs, 0, n, thr, nil, nil, what)
@@ -176,6 +178,38 @@ func TestBlockedScanMatchesPerItem(t *testing.T) {
 			}
 		}
 	}
+	if beyondHi == 0 {
+		t.Fatal("no range ended inside a block whose only head-test survivors lie at rows ≥ hi")
+	}
+}
+
+// survivorsBeyondHi looks, among the blocks every row of which passes the
+// length test at thr, for ones whose first rows the head test prunes and
+// whose survivors all come after them, and ends a range between the two:
+// the kernel stops its run at a block in which scanBlocked has nothing
+// left to decide. Both ends of the range are mid-block, several blocks —
+// one run — apart. It returns the number of ranges it ran.
+func survivorsBeyondHi(t testing.TB, idx *Index, qs *queryState, thr float64, what string) (ran int) {
+	cut := thr - pruneMargin(idx.opts.PruneSlack, thr)
+	for b := 10 * blockRows; b+blockRows <= idx.n && ran < 3; b += blockRows {
+		if qs.qNorm*idx.norms[b+blockRows-1] < thr {
+			break
+		}
+		first := blockRows // the block's first survivor
+		for j := blockRows - 1; j >= 0; j-- {
+			if hb := idx.headBound(qs, b+j, qs.head.RowIU(b+j)); !(hb.bHead+hb.ub1 < cut) {
+				first = j
+			}
+		}
+		if first == 0 || first == blockRows {
+			continue
+		}
+		lo, hi := b-7*blockRows-5, b+first
+		sameScanAbove(t, idx, qs, lo, hi, thr, nil, nil, what+" survivors beyond hi")
+		sameScan(t, idx, qs, lo, hi, 10, seedAt(10, thr), nil, nil, what+" survivors beyond hi, seeded")
+		ran++
+	}
+	return ran
 }
 
 // TestBlockedScanLengthBreakPositions: with the threshold pinned above
@@ -213,6 +247,36 @@ func TestBlockedScanLengthBreakPositions(t *testing.T) {
 			}
 			if len(seen) != blockRows {
 				t.Fatalf("break row %d covered %d of %d block positions", first, len(seen), blockRows)
+			}
+		}
+		// The break in block 0, 1, 2, 3, 5, 9, 17, 33 and 63 of a 64-block
+		// run — every depth of the halving length test — and, at one depth,
+		// on each of the block's 16 rows. A fixed-threshold collector keeps
+		// the break where it was put; a full heap seeded there may raise.
+		const base = 10 * blockRows
+		for _, blk := range []int{0, 1, 2, 3, 5, 9, 17, 33, 63} {
+			for pos := 0; pos < blockRows; pos++ {
+				if pos != 7 && blk != 5 {
+					continue
+				}
+				brk := base + blk*blockRows + pos
+				if brk == base {
+					continue // nothing before the break to pin the threshold at
+				}
+				pin := qs.qNorm * idx.norms[brk-1]
+				if !(qs.qNorm*idx.norms[brk] < pin) {
+					t.Fatalf("query %d: rows %d and %d tie in length", qi, brk-1, brk)
+				}
+				what := fmt.Sprintf("query %d break in block %d of the run, row %d", qi, blk, pos)
+				for _, lo := range []int{base, base + 3} {
+					if lo >= brk {
+						continue
+					}
+					if st := sameScanAbove(t, idx, qs, lo, n, pin, nil, nil, what); st.Scanned != brk-lo || st.PrunedByLength != n-brk {
+						t.Fatalf("%s: scanned %d rows and pruned %d by length from row %d, want the break at row %d", what, st.Scanned, st.PrunedByLength, lo, brk)
+					}
+					sameScan(t, idx, qs, lo, n, k, seedAt(k, pin), nil, nil, what+" seeded")
+				}
 			}
 		}
 	}
@@ -271,7 +335,8 @@ func TestBlockedScanTies(t *testing.T) {
 // blocked loop, and the block kernel, the one-row bound and the per-item
 // loop's own head test decide every row of a block alike for cuts on,
 // next to and far from the bound (PruneSlack < 0: the cut is the
-// threshold); where they do not, scanRange must not reach the kernel.
+// threshold); where they do not, scanRange must not reach the kernel,
+// which panics on such a layout.
 func TestBlockedScanWordCounts(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	const n, d = 1500, 34
@@ -279,8 +344,6 @@ func TestBlockedScanWordCounts(t *testing.T) {
 	for i := range items.Data {
 		items.Data[i] = rng.NormFloat64()
 	}
-	kernel := headBlockMask
-	defer func() { headBlockMask = kernel }()
 	floors := make([]int32, d)
 	for _, e := range []float64{100, 1000, 11000, 32766} {
 		for _, w := range []int{1, 2, 9, 15, 16, 17, 18, 21, 31, 32, 33} {
@@ -295,13 +358,6 @@ func TestBlockedScanWordCounts(t *testing.T) {
 				t.Fatalf("%s: %d pairs at offset %d, lanes32 %v; want %d at %d, %v",
 					what, id.nw, id.lay.Offset(), id.lanes32, (w+1)/2, int64(e)+1, lanes32)
 			}
-			headBlockMask = kernel
-			if !lanes32 {
-				headBlockMask = func(*vec.HeadTest, int, float64) uint32 {
-					t.Fatalf("%s: the block kernel ran on an index whose IU^ℓ does not fit its lanes", what)
-					return 0
-				}
-			}
 			qs := idx.newQueryState()
 			for trial := 0; trial < 3; trial++ {
 				q := make([]float64, d)
@@ -314,7 +370,7 @@ func TestBlockedScanWordCounts(t *testing.T) {
 					for s, g := range qs.head.Floors()[:w] {
 						iu += int64(floors[s])*int64(g) + abs64(int64(g))
 					}
-					if got, want := idx.headBound(qs, i).bHead, float64(iu)*qs.headFactor; got != want {
+					if got, want := idx.headBound(qs, i, qs.head.RowIU(i)).bHead, float64(iu)*qs.headFactor; got != want {
 						t.Fatalf("%s row %d: one-row head bound %v, from floors %v", what, i, got, want)
 					}
 				}
@@ -326,14 +382,18 @@ func TestBlockedScanWordCounts(t *testing.T) {
 					continue
 				}
 				for b := 0; b+blockRows <= n; b += 5 * blockRows {
-					on := idx.headBound(qs, b+trial)
+					on := idx.headBound(qs, b+trial, qs.head.RowIU(b+trial))
 					for _, cut := range []float64{
 						on.bHead + on.ub1, math.Nextafter(on.bHead+on.ub1, math.Inf(1)), math.Nextafter(on.bHead+on.ub1, math.Inf(-1)),
 						on.bHead + on.ub1 + 1, on.bHead + on.ub1 - 1, math.Inf(-1), math.Inf(1), math.NaN(),
 					} {
-						pruned := headBlockMask(&qs.head, b, cut)
+						var iu [blockRows]int32
+						at, pruned := qs.head.BlockRun(b, b+blockRows, cut, &iu)
 						for j := 0; j < blockRows; j++ {
-							hb := idx.headBound(qs, b+j)
+							hb := idx.headBound(qs, b+j, qs.head.RowIU(b+j))
+							if fromLane := float64(float64(iu[j]) * qs.headFactor); at == b && fromLane != hb.bHead {
+								t.Fatalf("%s row %d cut %v: head bound %v from the kernel's lane, %v from the one-row IU", what, b+j, cut, fromLane, hb.bHead)
+							}
 							byKernel, byRow := pruned>>uint(j)&1 == 1, hb.bHead+hb.ub1 < cut
 							byLoop := byRow // the margin of an infinite threshold is NaN: candidate is not asked
 							if !math.IsInf(cut, 0) {
@@ -355,8 +415,9 @@ func TestBlockedScanWordCounts(t *testing.T) {
 
 // raisePositions replays the per-item scan of [lo, hi) one row at a time
 // and marks in seen the position within its block of every row whose
-// offer raised the threshold.
-func raisePositions(t testing.TB, idx *Index, qs *queryState, lo, hi, k int, seed seedFn, seen *[blockRows]bool) {
+// offer raised the threshold. It returns the last such row, or −1.
+func raisePositions(t testing.TB, idx *Index, qs *queryState, lo, hi, k int, seed seedFn, seen *[blockRows]bool) (last int) {
+	last = -1
 	c := topk.New(k)
 	if seed != nil {
 		seed(c)
@@ -369,8 +430,10 @@ func raisePositions(t testing.TB, idx *Index, qs *queryState, lo, hi, k int, see
 		}
 		if c.Len() == c.K() && (!full || c.Threshold() != before) {
 			seen[i%blockRows] = true
+			last = i
 		}
 	}
+	return last
 }
 
 // TestBlockedScanUnalignedRanges: the blocked loop walks blocks on global
@@ -379,13 +442,16 @@ func raisePositions(t testing.TB, idx *Index, qs *queryState, lo, hi, k int, see
 // many blocks with and without a partial last one, and every (lo mod 16,
 // hi mod 16), scanRange equals scanPerItem result for result and counter
 // for counter — from empty collectors, from full ones whose first offers
-// raise the threshold (on every position of a block, checked), with the
-// length break inside the range's first, partial block, and for the shard
+// raise the threshold (on every position of a block, checked — position 15
+// starts the next run on a block boundary — and on the last row of a
+// range), with the length break inside the range's first, partial block,
+// and for the shard
 // ranges of S ∈ {1, 2, 3, 7} through Sharded.Scan with no shared threshold.
 func TestBlockedScanUnalignedRanges(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	const d, k = 8, 3
 	var raised [blockRows]bool
+	raisedLast := 0
 	for _, n := range []int{1, 15, 16, 17, 1500, 1501} {
 		items := normalMatrix(rng, n, d)
 		idx, err := NewIndex(items, Options{SVD: true, Int: true, Reduction: true})
@@ -417,7 +483,12 @@ func TestBlockedScanUnalignedRanges(t *testing.T) {
 					sameScan(t, idx, qs, lo, hi, k, nil, nil, nil, what)
 					sameScan(t, idx, qs, lo, hi, k, seeded, nil, nil, what+" seeded")
 					if hi-lo > 2*blockRows {
-						raisePositions(t, idx, qs, lo, min(hi, lo+20*blockRows), k, seeded, &raised)
+						// Ending the range behind a raising row makes its offer
+						// the last thing the scan does.
+						if last := raisePositions(t, idx, qs, lo, min(hi, lo+20*blockRows), k, seeded, &raised); last >= 0 {
+							sameScan(t, idx, qs, lo, last+1, k, seeded, nil, nil, what+" seeded, raised on the last row")
+							raisedLast++
+						}
 					}
 				}
 			}
@@ -456,6 +527,9 @@ func TestBlockedScanUnalignedRanges(t *testing.T) {
 		if !ok {
 			t.Fatalf("no raising offer fell on position %d of a block", pos)
 		}
+	}
+	if raisedLast == 0 {
+		t.Fatal("no range ended behind a raising offer")
 	}
 }
 
@@ -649,6 +723,106 @@ func TestBlockedScanFaultHookPerItem(t *testing.T) {
 	}
 }
 
+// pollCtx is a context that records, each time the scan asks for its Done
+// channel — once per poll in the blocked loop — how many rows the scan had
+// decided, and cancels itself at the cancelAt-th ask (never at 0): a
+// cancellation mid-scan with no fault hook installed.
+type pollCtx struct {
+	context.Context
+	stats    *search.Stats
+	done     chan struct{}
+	cancelAt int
+	decided  []int
+}
+
+func (c *pollCtx) Done() <-chan struct{} {
+	c.decided = append(c.decided, c.stats.Scanned+c.stats.PrunedByLength)
+	if len(c.decided) == c.cancelAt {
+		close(c.done)
+	}
+	return c.done
+}
+
+func (c *pollCtx) Err() error {
+	select {
+	case <-c.done:
+		return context.Canceled
+	default:
+		return nil
+	}
+}
+
+// TestBlockedScanCancellation: with no hook the blocked loop polls its
+// context on entry and then at least once per search.CheckStride decided
+// rows (one block of slack), however the survivors cut its runs; a context
+// cancelled between two polls stops the scan at the next, and what comes
+// back is the scan of exactly the rows decided until then — every score a
+// true product, every counter what the per-item loop counts for them.
+func TestBlockedScanCancellation(t *testing.T) {
+	const n, k, lo = 20000, 10, 5
+	ds := data.Generate(data.Netflix(), n, 3, 50)
+	idx, err := NewIndex(ds.Items, Options{SVD: true, Int: true, Reduction: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	qs := idx.newQueryState()
+	for qi := 0; qi < ds.Queries.Rows; qi++ {
+		idx.prepareQuery(ds.Queries.Row(qi), qs)
+		if !qs.headFirst || !idx.ints.lanes32 {
+			t.Fatal("scanRange does not select the blocked scan on this index")
+		}
+		scan := func(cancelAt int) (*pollCtx, search.Stats, []topk.Result, error) {
+			var st search.Stats
+			ctx := &pollCtx{Context: context.Background(), stats: &st, done: make(chan struct{}), cancelAt: cancelAt}
+			c := topk.New(k)
+			err := idx.scanRange(ctx, nil, qs, lo, n, c, nil, &st)
+			return ctx, st, c.Results(), err
+		}
+		whole, _, _, err := scan(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		polls := whole.decided
+		if len(polls) < 6 || polls[0] != 0 {
+			t.Fatalf("query %d: polled at %v decided rows, want the first poll before any row and at least 6", qi, polls)
+		}
+		for p := 1; p < len(polls); p++ {
+			if gap := polls[p] - polls[p-1]; gap < 0 || gap > search.CheckStride+blockRows {
+				t.Fatalf("query %d: %d rows decided between polls %d and %d (%v)", qi, gap, p-1, p, polls)
+			}
+		}
+		// The last two asks are the per-item loop's, entered at the length break.
+		for _, at := range []int{1, 2, len(polls) / 2, len(polls) - 2} {
+			ctx, st, got, err := scan(at)
+			if !errors.Is(err, search.ErrDeadline) {
+				t.Fatalf("query %d cancelled at poll %d: err = %v, want ErrDeadline", qi, at, err)
+			}
+			decided := polls[at-1]
+			if len(ctx.decided) != at || st.Scanned != decided || st.PrunedByLength != 0 {
+				t.Fatalf("query %d cancelled at poll %d (%d rows decided): the scan went on to %+v, polls %v", qi, at, decided, st, ctx.decided)
+			}
+			var stP search.Stats
+			cP := topk.New(k)
+			if err := idx.scanPerItem(context.Background(), nil, qs, lo, lo+decided, cP, nil, &stP); err != nil {
+				t.Fatal(err)
+			}
+			if st != stP || !sameResults(got, cP.Results()) {
+				t.Fatalf("query %d cancelled at poll %d:\npartial  %+v %v\nper-item %+v %v over rows [%d,%d)", qi, at, st, got, stP, cP.Results(), lo, lo+decided)
+			}
+			row := make(map[int]int, decided)
+			for i := lo; i < lo+decided; i++ {
+				row[idx.perm[i]] = i
+			}
+			for _, r := range got {
+				i, ok := row[r.ID]
+				if want := vec.Dot(qs.qbar, idx.bar.Row(i)); !ok || math.Abs(r.Score-want) > 1e-9*(1+math.Abs(want)) {
+					t.Fatalf("query %d cancelled at poll %d: result %+v, row %d (decided: %v) has product %v", qi, at, r, i, ok, want)
+				}
+			}
+		}
+	}
+}
+
 // TestPackedHeadMatchesFloors: on a built index the head bound of every
 // row, from the int16 pairs in their blocks, equals Theorem 2's IU^ℓ
 // computed by vec.DotInt64 on the unpacked floors — on both sides of the
@@ -704,7 +878,7 @@ func TestPackedHeadMatchesFloors(t *testing.T) {
 					sawLowest = sawLowest || int64(f) == -id.lay.Offset()
 				}
 				iu := vec.DotInt64(qFloors, floors[:w]) + qSumAbs + sumAbs + int64(w)
-				if got, want := idx.headBound(qs, i).bHead, float64(iu)*qs.headFactor; got != want {
+				if got, want := idx.headBound(qs, i, qs.head.RowIU(i)).bHead, float64(iu)*qs.headFactor; got != want {
 					t.Fatalf("%+v row %d: head bound %v, from floors %v", opts, i, got, want)
 				}
 			}

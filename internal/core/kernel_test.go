@@ -24,6 +24,7 @@ func TestScanBatteryPortableKernel(t *testing.T) {
 		{"BlockedScanWordCounts", core.TestBlockedScanWordCounts},
 		{"BlockedScanUnalignedRanges", core.TestBlockedScanUnalignedRanges},
 		{"BlockedScanFaultHookPerItem", core.TestBlockedScanFaultHookPerItem},
+		{"BlockedScanCancellation", core.TestBlockedScanCancellation},
 		{"BlockedScanSeeds", func(t *testing.T) {
 			for _, in := range core.BlockedScanSeeds() {
 				core.CheckBlockedScanInput(t, in)

@@ -144,12 +144,11 @@ func (r *Retriever) scan(ctx context.Context, q []float64, c *topk.Collector) ([
 // from other shards, which are themselves global lower bounds, so the
 // argument is unchanged.
 //
-// ctx is polled every search.CheckStride items at SHARD-LOCAL indices
-// (i−lo), so every shard polls on its first item and fault-hook
-// CancelAtItem plans fire relative to each shard's own progress. On
-// cancellation the error wraps search.ErrDeadline and c holds
-// best-so-far results whose scores are true (working-space) inner
-// products.
+// ctx is polled on every shard's first row and then at least once per
+// search.CheckStride rows it decides; fault-hook CancelAtItem plans count
+// SHARD-LOCAL rows (i−lo). On cancellation the error wraps
+// search.ErrDeadline and c holds best-so-far results whose scores are
+// true (working-space) inner products.
 //
 // The loop is chosen here, once per range, from the built index and the
 // call: scanBlocked when the cascade opens with the integer head test and
@@ -222,10 +221,13 @@ func (idx *Index) offer(i int, v float64, qs *queryState, c *topk.Collector, sha
 	return false
 }
 
-// blockRows is the number of sorted rows scanBlocked decides with one
-// kernel pass: the rows of one block of the head layout. It divides
-// search.CheckStride, so the context poll lands on block starts.
-const blockRows = vec.HeadBlockRows
+// blockRows is the number of sorted rows in one block of the head layout;
+// runRows is the most scanBlocked hands the kernel at once, the rows
+// between two polls of the context.
+const (
+	blockRows = vec.HeadBlockRows
+	runRows   = search.CheckStride
+)
 
 // pruneMargin is the float-rounding allowance every prune test against
 // threshold t subtracts. The conversion rounds the product, so no
@@ -237,75 +239,85 @@ func pruneMargin(slack, t float64) float64 {
 
 // scanBlocked is scanRange for the sorted indexes whose cascade opens
 // with the integer head test (qs.headFirst, intData.lanes32), where nearly
-// every scanned row dies. It walks the head layout's blocks — blockRows
-// rows starting on GLOBAL multiples of blockRows, whatever lo is — reads
-// the live threshold once per block, applies the length test to the last
-// — shortest — row of the block inside the range only, and has the kernel
-// decide the head test for the whole block in one pass; the rows of the
-// block before the first one still to decide (a range or a restart that
-// begins mid-block) and from hi on are shifted out of the mask. Rows
-// between survivors are counted in bulk — they are the rows scanPerItem
-// would have scanned and pruned at the head test one by one — and a
-// survivor continues with afterHead and offer exactly as there. Only an
-// offer can move the threshold, so after one that reports it did, the
-// length test and the mask of the block's remaining rows are redone:
-// every row is decided against the threshold scanPerItem would have read
-// for it, which makes results and every counter identical to that loop by
-// construction, for any partition of the rows. (Trusting the rows the old
-// mask pruned would still be exact, but t − margin(t) is not monotone in t
-// to the last ulp, so counters could differ.) Once a block's last row
-// fails the length test the scan ends somewhere inside it, and scanPerItem
-// itself finishes those rows, as it does the index's final, partial block.
-// A threshold published by a sibling shard is picked up at the next block
-// or raising offer rather than the next row; any published value is a
-// global lower bound, so that is exact too, and with one worker nothing is
-// published mid-range.
+// every scanned row dies: a loop over the blocks that hold a survivor
+// (DESIGN.md §3). Blocks are blockRows rows on GLOBAL multiples of
+// blockRows, whatever lo is. From the block of i, the next row to decide,
+// it reads the live threshold once and takes as the RUN the largest of 64,
+// 32, …, 1 blocks — cut at hi, at the index's last complete block and at
+// the poll window — whose last row passes the length test: rows are sorted
+// by norm and a float product is monotone in one factor, so every row of
+// the run passes exactly when scanPerItem would say so. When not even one
+// block's last row does, the sorted scan ends inside that block and
+// scanPerItem finds where, as it finishes the index's final, partial block.
+// The kernel decides the run's head tests block after block until one holds
+// a row it does not prune; that block's rows before i (a range or a restart
+// that begins mid-block) and from the run's end on are shifted out of its
+// mask. Rows up to a survivor are counted in bulk — they are the rows
+// scanPerItem would have scanned and pruned at the head test one by one —
+// and the survivor continues with afterHead and offer exactly as there, its
+// head bound from the IU^ℓ lane the kernel held for it. Only an offer can
+// move the threshold, so after one that reports it did the next run starts
+// at the following row: every row is decided against the threshold
+// scanPerItem would have read for it, which makes results and every
+// counter identical to that loop by construction, for any partition of the
+// rows. (Trusting the rows the old mask pruned would still be exact, but
+// t − margin(t) is not monotone in t to the last ulp, so counters could
+// differ.) A threshold published by a sibling shard is picked up at the
+// next run rather than the next row; any published value is a global lower
+// bound, so that is exact too.
 func (idx *Index) scanBlocked(ctx context.Context, qs *queryState, lo, hi int, c *topk.Collector, shared *search.SharedThreshold, stats *search.Stats) error {
 	slack := idx.opts.PruneSlack
-	done := ctx.Done()
-	first := lo &^ (blockRows - 1)
-	i := lo // the next row to decide
+	limit := min(hi, idx.n&^(blockRows-1)) // the rows of [lo, hi) in complete blocks end here
+	var iu [blockRows]int32
+	i := lo      // the next row to decide
+	window := lo // runs end at or before it; reaching it polls ctx and moves it on by runRows
 	//fex:hot
-	for b := first; i < hi; b += blockRows {
-		if done != nil && (b-first)&search.StrideMask == 0 {
-			if err := search.Poll(ctx, nil, b-first); err != nil {
+	for i < limit {
+		b := i &^ (blockRows - 1)
+		if i >= window {
+			if err := search.Poll(ctx, nil, 0); err != nil {
 				return err
 			}
+			window = b + runRows
 		}
-		if b+blockRows > idx.n {
-			return idx.scanPerItem(ctx, nil, qs, i, hi, c, shared, stats)
-		}
-		end := min(b+blockRows, hi)
-	rows:
-		for i < end {
-			t := shared.Floor(c.Threshold())
+		t := shared.Floor(c.Threshold())
+		end := min(window, limit)
+		for rows := runRows; ; rows >>= 1 {
 			lenBound := qs.qNorm * idx.norms[end-1] //fex:bound
-			if lenBound < t {
-				// The range's shortest row in this block fails the length
-				// test, so the sorted scan ends within it: the reference
-				// loop finds where, from row i on.
+			if !(lenBound < t) {
+				break
+			}
+			if rows == blockRows { // the sorted scan ends inside block b
 				return idx.scanPerItem(ctx, nil, qs, i, hi, c, shared, stats)
 			}
-			margin := pruneMargin(slack, t)
-			alive := ^headBlockMask(&qs.head, b, t-margin) & (1<<uint(end-b) - 1) &^ (1<<uint(i-b) - 1)
-			for alive != 0 {
-				row := b + bits.TrailingZeros32(alive)
+			end = min(b+rows>>1, end)
+		}
+		margin := pruneMargin(slack, t)
+		at, pruned := qs.head.BlockRun(b, end, t-margin, &iu)
+		raised := false
+		if at < end {
+			end = min(at+blockRows, end)
+			alive := ^pruned & (1<<uint(end-at) - 1) &^ (1<<uint(max(i-at, 0)) - 1)
+			for alive != 0 && !raised {
+				j := bits.TrailingZeros32(alive)
 				alive &= alive - 1
+				row := at + j
 				stats.Scanned += row + 1 - i
 				stats.PrunedByIntHead += row - i
 				i = row + 1
-				if v, ok := idx.afterHead(row, qs, t, margin, idx.headBound(qs, row), stats); ok {
-					if idx.offer(row, v, qs, c, shared) {
-						continue rows
-					}
+				hb := idx.headBound(qs, row, int64(iu[j&(blockRows-1)]))
+				if v, ok := idx.afterHead(row, qs, t, margin, hb, stats); ok {
+					raised = idx.offer(row, v, qs, c, shared)
 				}
 			}
+		}
+		if !raised {
 			stats.Scanned += end - i
 			stats.PrunedByIntHead += end - i
 			i = end
 		}
 	}
-	return nil
+	return idx.scanPerItem(ctx, nil, qs, i, hi, c, shared, stats)
 }
 
 // prepareQuery transforms q into the working space and precomputes every
@@ -316,8 +328,7 @@ func (idx *Index) prepareQuery(q []float64, qs *queryState) {
 	qs.qNorm = vec.Norm(q)
 
 	if idx.thin != nil {
-		bar := idx.thin.TransformQuery(q)
-		copy(qs.qbar, bar)
+		idx.thin.TransformQueryInto(qs.qbar, q)
 	} else {
 		copy(qs.qbar, q)
 	}
@@ -394,7 +405,7 @@ func (idx *Index) candidate(i int, qs *queryState, t, slack float64, stats *sear
 		ub1 := qs.barTail * idx.barTail[i] //fex:bound
 		return idx.coordinateScan(i, qs, t, margin, ub1, stats)
 	}
-	hb := idx.headBound(qs, i)
+	hb := idx.headBound(qs, i, qs.head.RowIU(i))
 	if hb.bHead+hb.ub1 < t-margin {
 		stats.PrunedByIntHead++
 		return 0, false

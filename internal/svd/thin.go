@@ -39,12 +39,20 @@ func (t *Thin) Rank(tol float64) int {
 // space: q̄ = Σ_d·Uᵀ·q (Theorem 1). The result has the same inner
 // products with the rows of V1 as q has with the original item vectors.
 func (t *Thin) TransformQuery(q []float64) []float64 {
+	out := make([]float64, t.U.Rows)
+	t.TransformQueryInto(out, q)
+	return out
+}
+
+// TransformQueryInto is TransformQuery into dst, which must hold d values
+// and not overlap q: the per-query form, with no allocation.
+func (t *Thin) TransformQueryInto(dst, q []float64) {
 	d := t.U.Rows
-	if len(q) != d {
-		panic(fmt.Sprintf("svd: TransformQuery dim mismatch: %d vs %d", len(q), d))
+	if len(q) != d || len(dst) != d {
+		panic(fmt.Sprintf("svd: TransformQuery dim mismatch: %d into %d vs %d", len(q), len(dst), d))
 	}
-	out := make([]float64, d)
-	// out[j] = σ_j * Σ_i U[i][j]·q[i]
+	clear(dst)
+	// dst[j] = σ_j * Σ_i U[i][j]·q[i]
 	for i := 0; i < d; i++ {
 		qi := q[i]
 		if qi == 0 {
@@ -52,13 +60,12 @@ func (t *Thin) TransformQuery(q []float64) []float64 {
 		}
 		urow := t.U.Row(i)
 		for j := 0; j < d; j++ {
-			out[j] += urow[j] * qi
+			dst[j] += urow[j] * qi
 		}
 	}
 	for j := 0; j < d; j++ {
-		out[j] *= t.Sigma[j]
+		dst[j] *= t.Sigma[j]
 	}
-	return out
 }
 
 // Decompose computes the thin SVD of the item collection. items is the

@@ -20,10 +20,14 @@ package vec
 //
 // HeadLayout hides the addressing: rows go in and out through PackRow and
 // UnpackRow, and a HeadTest bound to the tables gives one row's IU^ℓ
-// (RowIU) and decides a block (BlockMask).
+// (RowIU) and decides a run of blocks (BlockRun).
 
-// HeadBlockRows is the number of sorted rows BlockMask decides at once.
+// HeadBlockRows is the number of sorted rows in a block: what one pass of
+// BlockRun's body decides.
 const HeadBlockRows = 16
+
+// allPruned is the mask of a block in which the head test prunes every row.
+const allPruned = 1<<HeadBlockRows - 1
 
 // HeadLayout is the block layout of w floors in [−o, o−1]. The zero value
 // is not usable; call NewHeadLayout.
@@ -56,7 +60,7 @@ func (l *HeadLayout) Len(n int) int {
 }
 
 // Lanes32 reports whether IU^ℓ = Σfg + Σ|f| + Σ|g| + w, and every partial
-// sum of it, fits the int32 lanes BlockMask accumulates in for any row and
+// sum of it, fits the int32 lanes BlockRun accumulates in for any row and
 // any query in range: |IU^ℓ| ≤ w·o² + 2·w·o + w = w·(o+1)² < 2³¹. Where
 // it does not, only HeadTest.RowIU (int64) may be used.
 func (l *HeadLayout) Lanes32() bool {
@@ -93,6 +97,7 @@ func (l *HeadLayout) UnpackRow(f []int32, head []int16, i int) {
 // written per query: the floors through Floors, the rest through SetQuery.
 type HeadTest struct {
 	pairs  int       // P
+	lanes  bool      // HeadLayout.Lanes32: BlockRun may run
 	head   []int16   // HeadLayout.Len(n) floors
 	consts []int32   // Σ|f|+w per row, n of them
 	tails  []float64 // ‖p̄^h‖ per row, n of them
@@ -109,7 +114,7 @@ func (l *HeadLayout) NewTest(head []int16, consts []int32, tails []float64) Head
 	if len(tails) != len(consts) || len(head) != l.Len(len(consts)) {
 		panic("vec: head tables of different lengths")
 	}
-	return HeadTest{pairs: l.pairs, head: head, consts: consts, tails: tails, floors: make([]int16, 2*l.pairs)}
+	return HeadTest{pairs: l.pairs, lanes: l.Lanes32(), head: head, consts: consts, tails: tails, floors: make([]int16, 2*l.pairs)}
 }
 
 // Floors returns the query's floor slots: the caller writes its w floors,
@@ -123,7 +128,7 @@ func (h *HeadTest) SetQuery(sumAbs int32, factor, tail float64) {
 }
 
 // RowIU returns IU^ℓ = Σfg + Σ|f| + w + Σ|g| of row i in int64: the
-// one-row form of what BlockMask holds per lane, exact at every o a
+// one-row form of what BlockRun holds per lane, exact at every o a
 // layout exists for.
 func (h *HeadTest) RowIU(i int) int64 {
 	at := headIndex(h.pairs, i, 0)
@@ -135,51 +140,60 @@ func (h *HeadTest) RowIU(i int) int64 {
 	return s
 }
 
-// BlockMask (kernels_amd64.go, kernels_other.go) runs the head test of
-// Algorithm 5 lines 2–4 on the block of HeadBlockRows rows that starts at
-// row (a multiple of HeadBlockRows, the block complete): bit j of the
-// result is set iff
+// BlockRun (kernels_amd64.go, kernels_other.go) runs the head test of
+// Algorithm 5 lines 2–4 at one cut over the blocks that start at row,
+// row+16, … below end (row a multiple of HeadBlockRows, every one of those
+// blocks complete in the tables) until a block holds a row the test does
+// NOT prune. Bit j of a block's mask is set iff
 //
-//	float64(RowIU(row+j))·factor + tail·tails[row+j] < cut
+//	float64(RowIU(b+j))·factor + tail·tails[b+j] < cut
 //
-// both products rounded before the add — the strict prune of row+j, so a
-// NaN on either side of the comparison prunes nothing. The layout must
-// satisfy Lanes32. With AVX2 the block is decided by the assembly in
-// kernels_amd64.s; everywhere else, and as the reference that is tested
-// against, by BlockMaskPortable. Every lane of either is bit for bit the
-// expression above.
+// both products rounded before the add — the strict prune of row b+j, so a
+// NaN on either side of the comparison prunes nothing. It returns the first
+// block whose mask is not all ones, with that mask and, in iu, the block's
+// 16 IU^ℓ (iu[j] = RowIU(b+j)), or (end, all ones) when every row of the
+// run is pruned; iu is scratch then. It panics unless the layout satisfies
+// Lanes32. With AVX2 the run is decided by the assembly in kernels_amd64.s;
+// everywhere else, and as the reference that is tested against, by
+// BlockRunPortable. Every lane of either is bit for bit the expression
+// above.
 
-// BlockMaskPortable is BlockMask by the plain-Go body on every platform:
-// the lanes are int32 like the assembly's, one pair group at a time.
-func (h *HeadTest) BlockMaskPortable(row int, cut float64) uint32 {
-	h.checkBlock(row)
-	block := h.head[row*h.pairs*2:][:h.pairs*HeadBlockRows*2]
-	consts, tails := h.consts[row:][:HeadBlockRows], h.tails[row:][:HeadBlockRows]
-	var iu [HeadBlockRows]int32
-	for j := range iu {
-		iu[j] = consts[j] + h.sumAbs
-	}
-	//fex:hot
-	for p := 0; p+1 < len(h.floors); p += 2 {
-		g0, g1 := int32(h.floors[p]), int32(h.floors[p+1])
-		group := block[p*HeadBlockRows:][:HeadBlockRows*2]
+// BlockRunPortable is BlockRun by the plain-Go body on every platform: the
+// lanes are int32 like the assembly's, one pair group at a time.
+func (h *HeadTest) BlockRunPortable(row, end int, cut float64, iu *[HeadBlockRows]int32) (at int, pruned uint32) {
+	h.checkRun(row, end)
+	for ; row < end; row += HeadBlockRows {
+		block := h.head[row*h.pairs*2:][:h.pairs*HeadBlockRows*2]
+		consts, tails := h.consts[row:][:HeadBlockRows], h.tails[row:][:HeadBlockRows]
 		for j := range iu {
-			iu[j] += int32(group[2*j])*g0 + int32(group[2*j+1])*g1
+			iu[j] = consts[j] + h.sumAbs
+		}
+		//fex:hot
+		for p := 0; p+1 < len(h.floors); p += 2 {
+			g0, g1 := int32(h.floors[p]), int32(h.floors[p+1])
+			group := block[p*HeadBlockRows:][:HeadBlockRows*2]
+			for j := range iu {
+				iu[j] += int32(group[2*j])*g0 + int32(group[2*j+1])*g1
+			}
+		}
+		var m uint32
+		for j, v := range iu {
+			if float64(float64(v)*h.factor)+float64(h.tail*tails[j]) < cut {
+				m |= 1 << uint(j)
+			}
+		}
+		if m != allPruned {
+			return row, m
 		}
 	}
-	var m uint32
-	for j, v := range iu {
-		if float64(float64(v)*h.factor)+float64(h.tail*tails[j]) < cut {
-			m |= 1 << uint(j)
-		}
-	}
-	return m
+	return end, allPruned
 }
 
-// checkBlock panics unless row starts a complete block of the tables: with
-// NewTest's length check, the bounds check of the assembly.
-func (h *HeadTest) checkBlock(row int) {
-	if row < 0 || row%HeadBlockRows != 0 || row+HeadBlockRows > len(h.consts) {
-		panic("vec: head block outside the table")
+// checkRun panics unless the lanes hold IU^ℓ and the blocks from row to
+// below end are complete blocks of the tables: with NewTest's length check,
+// the bounds check of the assembly.
+func (h *HeadTest) checkRun(row, end int) {
+	if !h.lanes || row < 0 || row%HeadBlockRows != 0 || (row < end && (end+HeadBlockRows-1)/HeadBlockRows*HeadBlockRows > len(h.consts)) {
+		panic("vec: head block run outside the table or the int32 lanes")
 	}
 }

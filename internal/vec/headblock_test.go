@@ -132,23 +132,27 @@ func TestHeadLayoutRejects(t *testing.T) {
 	}
 }
 
-// headBlockCase is one block's worth of head-test operands, the block
-// under test preceded by another so its row is not 0.
+// headBlockCase is a run's worth of head-test operands: the blocks under
+// test preceded by another so their first row is not 0.
 type headBlockCase struct {
 	l      HeadLayout
 	h      HeadTest
-	bounds [HeadBlockRows]float64 // row by row in int64, when the lanes hold IU
+	ius    []int64   // IU^ℓ row by row in int64, the leading block included
+	bounds []float64 // the bound from it
 }
 
-// newHeadBlockCase packs the floors of 16 rows (w each) and a query (w)
-// drawn by next, which returns values in [−o, o].
+// newHeadBlockCase packs the floors of len(tails) rows — whole blocks, w
+// floors each — and a query (w) drawn by next, which returns values in
+// [−o, o].
 func newHeadBlockCase(t testing.TB, o int64, w int, next func() int32, tails []float64, factor, qTail float64) *headBlockCase {
 	c := &headBlockCase{l: mustHeadLayout(t, o, w)}
 	l := &c.l
-	consts := make([]int32, 2*HeadBlockRows)
+	n := HeadBlockRows + len(tails)
+	consts := make([]int32, n)
 	tails = append(make([]float64, HeadBlockRows), tails...)
-	head := make([]int16, l.Len(len(consts)))
+	head := make([]int16, l.Len(n))
 	c.h = l.NewTest(head, consts, tails)
+	c.ius, c.bounds = make([]int64, n), make([]float64, n)
 	g := make([]int32, w)
 	for s := range g {
 		g[s] = next()
@@ -156,7 +160,7 @@ func newHeadBlockCase(t testing.TB, o int64, w int, next func() int32, tails []f
 	qSumAbs := setFloors(&c.h, g)
 	c.h.SetQuery(int32(qSumAbs), factor, qTail)
 	f := make([]int32, w)
-	for j := 0; j < HeadBlockRows; j++ {
+	for i := HeadBlockRows; i < n; i++ {
 		sumAbs := int64(w)
 		for s := range f {
 			f[s] = next()
@@ -164,70 +168,112 @@ func newHeadBlockCase(t testing.TB, o int64, w int, next func() int32, tails []f
 		}
 		// PackRow reports +o as out of range; the kernels must still agree
 		// on it, the lanes' bound w·(o+1)² covers |f| = o.
-		l.PackRow(head, HeadBlockRows+j, f)
-		consts[HeadBlockRows+j] = int32(sumAbs)
-		iu := DotInt64(f, g) + sumAbs + qSumAbs
-		if got := c.h.RowIU(HeadBlockRows + j); got != iu {
-			t.Fatalf("o=%d w=%d row %d: RowIU %d, from floors %d", o, w, j, got, iu)
+		l.PackRow(head, i, f)
+		consts[i] = int32(sumAbs)
+		c.ius[i] = DotInt64(f, g) + sumAbs + qSumAbs
+		if got := c.h.RowIU(i); got != c.ius[i] {
+			t.Fatalf("o=%d w=%d row %d: RowIU %d, from floors %d", o, w, i, got, c.ius[i])
 		}
-		c.bounds[j] = float64(float64(iu)*factor) + float64(qTail*tails[HeadBlockRows+j])
+		c.bounds[i] = float64(float64(c.ius[i])*factor) + float64(qTail*tails[i])
 	}
 	return c
 }
 
-// check compares both bodies at cut, and against the row-by-row bounds
-// when the layout keeps IU inside the lanes.
-func (c *headBlockCase) check(t testing.TB, cut float64) {
-	got := c.h.BlockMask(HeadBlockRows, cut)
-	ref := c.h.BlockMaskPortable(HeadBlockRows, cut)
-	if got != ref {
-		t.Fatalf("o=%d w=%d %+v cut=%v: BlockMask %#04x, plain-Go body %#04x", c.l.o, c.l.w, c.h, cut, got, ref)
-	}
+// check runs both bodies over the blocks from row to below end at cut and
+// compares stop position, mask and — where the run stopped at a block — all
+// 16 IU lanes, with each other and with the row-by-row int64 evaluation. It
+// returns where the run stopped. A layout that does not keep IU inside the
+// lanes must make both bodies panic instead.
+func (c *headBlockCase) check(t testing.TB, row, end int, cut float64) int {
+	var iu, iuRef [HeadBlockRows]int32
 	if !c.l.Lanes32() {
-		return
+		for body, run := range map[string]func(){
+			"BlockRun":         func() { c.h.BlockRun(row, end, cut, &iu) },
+			"BlockRunPortable": func() { c.h.BlockRunPortable(row, end, cut, &iu) },
+		} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Fatalf("o=%d w=%d: %s ran although IU does not fit its lanes", c.l.o, c.l.w, body)
+					}
+				}()
+				run()
+			}()
+		}
+		return row
 	}
-	var want uint32
-	for j, b := range c.bounds {
-		if b < cut {
-			want |= 1 << uint(j)
+	at, pruned := c.h.BlockRun(row, end, cut, &iu)
+	atRef, prunedRef := c.h.BlockRunPortable(row, end, cut, &iuRef)
+	what := fmt.Sprintf("o=%d w=%d blocks [%d,%d) cut=%v", c.l.o, c.l.w, row, end, cut)
+	if at != atRef || pruned != prunedRef || (at < end && iu != iuRef) {
+		t.Fatalf("%s %+v: BlockRun (%d, %#04x, %v), plain-Go body (%d, %#04x, %v)", what, c.h, at, pruned, iu, atRef, prunedRef, iuRef)
+	}
+	wantAt, want := end, uint32(allPruned)
+	for b := row; b < end && wantAt == end; b += HeadBlockRows {
+		var m uint32
+		for j, v := range c.bounds[b:][:HeadBlockRows] {
+			if v < cut {
+				m |= 1 << uint(j)
+			}
+		}
+		if m != allPruned {
+			wantAt, want = b, m
 		}
 	}
-	if got != want {
-		t.Fatalf("o=%d w=%d %+v cut=%v: BlockMask %#04x, row by row %#04x (bounds %v)", c.l.o, c.l.w, c.h, cut, got, want, c.bounds)
+	if at != wantAt || pruned != want {
+		t.Fatalf("%s %+v: BlockRun (%d, %#04x), row by row (%d, %#04x) (bounds %v)", what, c.h, at, pruned, wantAt, want, c.bounds[row:])
 	}
+	if at < end {
+		for j, v := range iu {
+			if int64(v) != c.ius[at+j] {
+				t.Fatalf("%s: IU lane %d of block %d is %d, RowIU %d", what, j, at, v, c.ius[at+j])
+			}
+		}
+	}
+	return at
 }
 
-// checkCuts runs check at NaN, ±Inf and on and next to every row's bound:
-// strict <, so a row whose bound equals the cut is not pruned.
+// checkCuts runs check over runs of zero, one and all the blocks, from the
+// first and from the second block, to a block boundary and to the middle of
+// the last block, at NaN, ±Inf and on and next to every row's bound: strict
+// <, so a row whose bound equals the cut is not pruned. NaN and −Inf prune
+// nothing: the run stops at its first block.
 func (c *headBlockCase) checkCuts(t testing.TB) {
-	for _, cut := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0} {
-		c.check(t, cut)
+	first, n := HeadBlockRows, len(c.bounds)
+	cuts := []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0}
+	for _, b := range c.bounds[first:] {
+		cuts = append(cuts, b, math.Nextafter(b, math.Inf(1)), math.Nextafter(b, math.Inf(-1)))
 	}
-	for _, b := range c.bounds {
-		c.check(t, b)
-		c.check(t, math.Nextafter(b, math.Inf(1)))
-		c.check(t, math.Nextafter(b, math.Inf(-1)))
+	for _, r := range [][2]int{{first, first}, {first, 0}, {n, n}, {first, first + HeadBlockRows}, {first, n}, {first, n - 5}, {first + HeadBlockRows, n}} {
+		for _, cut := range cuts {
+			at := c.check(t, r[0], r[1], cut)
+			if prunesNothing := math.IsNaN(cut) || math.IsInf(cut, -1); prunesNothing && r[0] < r[1] && at != r[0] {
+				t.Fatalf("o=%d w=%d blocks [%d,%d) cut=%v: the run stopped at %d, not at its first block", c.l.o, c.l.w, r[0], r[1], cut, at)
+			}
+		}
 	}
 }
 
-// TestHeadBlockMaskMatchesRows: each body of BlockMask decides every row
-// of a block as the one-row int64 evaluation does, over the widths and E
-// of the scan's shapes table on the lanes' side of Lanes32 — random floors
-// and floors pinned at −o, o−1 and o everywhere, where IU is largest.
+// TestHeadBlockMaskMatchesRows: each body of BlockRun decides every row of
+// a run as the one-row int64 evaluation does and hands out the lanes RowIU
+// gives, over the widths and E of the scan's shapes table on the lanes'
+// side of Lanes32 — random floors and floors pinned at −o, o−1 and o
+// everywhere, where IU is largest. The last of the five blocks carries the
+// largest tails, so the cuts next to its bounds leave survivors only there,
+// and +Inf leaves none.
 func TestHeadBlockMaskMatchesRows(t *testing.T) {
+	const blocks = 5
 	for _, body := range kernelBodies() {
 		t.Run(body, func(t *testing.T) {
 			forceBody(t, body)
 			rng := rand.New(rand.NewSource(25))
-			tails := make([]float64, HeadBlockRows)
+			tails := make([]float64, blocks*HeadBlockRows)
+			var lastOnly, none int
 			for _, e := range []int64{1, 100, 1000, 11000, 32766} {
 				for _, w := range []int{1, 2, 9, 15, 16, 17, 18, 21, 31, 32, 33, 64} {
 					o := e + 1
 					if l := mustHeadLayout(t, o, w); !l.Lanes32() {
 						continue
-					}
-					for j := range tails {
-						tails[j] = rng.Float64()
 					}
 					draws := []func() int32{
 						func() int32 { return int32(rng.Int63n(2*o+1) - o) },
@@ -237,19 +283,39 @@ func TestHeadBlockMaskMatchesRows(t *testing.T) {
 						func() int32 { return []int32{int32(-o), int32(o)}[rng.Intn(2)] },
 					}
 					for _, next := range draws {
-						newHeadBlockCase(t, o, w, next, tails, rng.Float64()/float64(e*e), rng.Float64()).checkCuts(t)
+						factor := rng.Float64() / float64(e*e)
+						for j := range tails {
+							tails[j] = rng.Float64()
+							if j >= (blocks-1)*HeadBlockRows {
+								// Above any bound of the blocks before: IU·factor ≤ w·(o+1)²/e².
+								tails[j] += 8 * float64(w) * float64(o+1) * float64(o+1) / float64(e*e)
+							}
+						}
+						c := newHeadBlockCase(t, o, w, next, tails, factor, 0.5+rng.Float64())
+						c.checkCuts(t)
+						last := blocks * HeadBlockRows
+						if c.check(t, HeadBlockRows, len(c.bounds), c.bounds[last+3]) == last {
+							lastOnly++
+						}
+						if c.check(t, HeadBlockRows, len(c.bounds), math.Inf(1)) == len(c.bounds) {
+							none++
+						}
 					}
 				}
+			}
+			if lastOnly == 0 || lastOnly != none {
+				t.Fatalf("%d runs stopped at their last block and %d found no survivor: both must be every case", lastOnly, none)
 			}
 		})
 	}
 }
 
 // FuzzHeadBlock drives the same differential with fuzzer-chosen shapes,
-// floors, scale factors and cuts: the dispatched body (the assembly where
-// there is one), the plain-Go body and the int64 row-by-row evaluation
-// agree on all 16 bits. Beyond Lanes32 the lanes wrap, in both bodies
-// alike, and only those two are compared.
+// floors, scale factors and cuts over runs of three blocks: the dispatched
+// body (the assembly where there is one), the plain-Go body and the int64
+// row-by-row evaluation agree on where the run stops, on all 16 mask bits
+// and on all 16 IU lanes. Beyond Lanes32 the lanes would wrap: both bodies
+// must refuse to run.
 func FuzzHeadBlock(f *testing.F) {
 	f.Add(uint16(100), uint8(18), uint8(0), uint8(0), []byte{0, 255, 7, 9, 200, 1})
 	f.Add(uint16(32766), uint8(1), uint8(3), uint8(1), []byte{255, 255, 255, 255})
@@ -275,13 +341,15 @@ func FuzzHeadBlock(f *testing.F) {
 			return int32(int64(uint16(hi)<<8|uint16(lo))%(2*o+1) - o)
 		}
 		factor := []float64{0, 5e-324, 1e300, 1, 1 / float64(o*o)}[int(factorSel)%5]
-		tails := make([]float64, HeadBlockRows)
+		tails := make([]float64, 3*HeadBlockRows)
 		for j := range tails {
 			switch (int(tailSel) + j) % 4 {
 			case 1:
 				tails[j] = math.Inf(1)
 			case 2:
 				tails[j] = float64(raw[j%len(raw)]) / 16
+			case 3:
+				tails[j] = float64(raw[j/HeadBlockRows%len(raw)]) // one value to a block
 			}
 		}
 		qTail := float64(raw[0]) / 64
@@ -290,17 +358,20 @@ func FuzzHeadBlock(f *testing.F) {
 }
 
 // BenchmarkHeadMask is the sizing of the blocked scan's kernel: ns per row
-// and bytes streamed per row of one BlockMask per 16-row block, per body,
-// at the pair counts w = 13…22 give, over a catalog resident in L2
-// (n = 10⁴: the compute-bound figure, lib-skewed's 12k-row scans) and one
-// that streams from memory (n = 10⁵: the bandwidth-bound one, lib-flat).
-// The cut is the bound's 98th percentile, so 2 % of the rows survive as in
-// a real scan.
+// and bytes streamed per row of whole scans by BlockRun as scanBlocked
+// drives it — runs of at most 64 blocks, the next one starting behind the
+// block that stopped the last — per body, at the pair counts w = 13…22
+// give, over a catalog resident in L2 (n = 10⁴: the compute-bound figure,
+// lib-skewed's 12k-row scans) and one that streams from memory (n = 10⁵:
+// the bandwidth-bound one, lib-flat). The cut is a percentile of the bound:
+// no row survives, 0.6 % and 2 % do as in a real scan, or all of them — the
+// first blocks of every query, whose heap is still filling, where every
+// block ends its run and a run costs what one call per block did.
 //
 //	go test ./internal/vec -run '^$' -bench HeadMask -count 6
 func BenchmarkHeadMask(b *testing.B) {
 	for _, n := range []int{10000, 100000} {
-		for _, pairs := range []int{7, 8, 9, 11} {
+		for _, pairs := range []int{7, 11} {
 			const o = 101
 			rng := rand.New(rand.NewSource(19))
 			w := 2 * pairs
@@ -328,20 +399,31 @@ func BenchmarkHeadMask(b *testing.B) {
 				bounds[i] = float64(h.RowIU(i))*factor + qTail*tails[i]
 			}
 			sort.Float64s(bounds)
-			cut := bounds[n*98/100]
-			for _, body := range kernelBodies() {
-				b.Run(fmt.Sprintf("n=%d/P=%d/%s", n, pairs, body), func(b *testing.B) {
-					forceBody(b, body)
-					var pruned uint32
-					for r := 0; r < b.N; r++ {
-						for row := 0; row+HeadBlockRows <= n; row += HeadBlockRows {
-							pruned += h.BlockMask(row, cut)
+			for _, c := range []struct {
+				survive string
+				cut     float64
+			}{{"0", math.Inf(1)}, {"0.6%", bounds[n*994/1000]}, {"2%", bounds[n*98/100]}, {"100%", math.Inf(-1)}} {
+				for _, body := range kernelBodies() {
+					b.Run(fmt.Sprintf("n=%d/P=%d/survive=%s/%s", n, pairs, c.survive, body), func(b *testing.B) {
+						forceBody(b, body)
+						const runRows = 64 * HeadBlockRows
+						var iu [HeadBlockRows]int32
+						var sum uint32
+						for r := 0; r < b.N; r++ {
+							for row := 0; row < n; {
+								end := min(row+runRows, n)
+								at, pruned := h.BlockRun(row, end, c.cut, &iu)
+								sum += pruned + uint32(iu[0])
+								if row = at; at < end {
+									row += HeadBlockRows
+								}
+							}
 						}
-					}
-					sinkMask = pruned
-					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/row")
-					b.ReportMetric(float64(4*pairs+4+8), "B/row")
-				})
+						sinkMask = sum
+						b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/row")
+						b.ReportMetric(float64(4*pairs+4+8), "B/row")
+					})
+				}
 			}
 		}
 	}

@@ -1,9 +1,18 @@
 package vec
 
 // useAVX2 selects the assembly bodies of kernels_amd64.s. It is read from
-// the processor once, at init; the tests clear it to run the same suite on
-// the plain-Go bodies.
+// the processor once, at init; tests clear it through SetPortable to run
+// the same suite on the plain-Go bodies.
 var useAVX2 = detectAVX2()
+
+// SetPortable makes BlockRun and DotInt16 run their plain-Go bodies (true)
+// or the bodies the processor allows, and reports the setting it replaced:
+// how tests here and in internal/core run once per body, no kernel running.
+func SetPortable(on bool) (was bool) {
+	was = !useAVX2
+	useAVX2 = !on && detectAVX2()
+	return was
+}
 
 // detectAVX2 reports whether AVX2 instructions may be executed: the CPU
 // has them (leaf 7 EBX bit 5) and AVX (leaf 1 ECX bit 28), and the OS has
@@ -31,20 +40,23 @@ func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 
 func xgetbv() (eax, edx uint32)
 
-// BlockMask is documented in headblock.go.
-func (h *HeadTest) BlockMask(row int, cut float64) uint32 {
+// BlockRun is documented in headblock.go.
+func (h *HeadTest) BlockRun(row, end int, cut float64, iu *[HeadBlockRows]int32) (at int, pruned uint32) {
 	if !useAVX2 {
-		return h.BlockMaskPortable(row, cut)
+		return h.BlockRunPortable(row, end, cut, iu)
 	}
-	h.checkBlock(row)
-	return headBlockMaskAVX2(h, row, cut)
+	h.checkRun(row, end)
+	if row >= end {
+		return end, allPruned
+	}
+	return headBlockRunAVX2(h, row, end, cut, iu)
 }
 
-// headBlockMaskAVX2 is BlockMaskPortable over 16 int32 lanes. It reads the
-// block of h.head, 16 of h.consts and 16 of h.tails from row on, unchecked.
+// headBlockRunAVX2 is BlockRunPortable over 16 int32 lanes for row < end: it
+// reads each block of h.head, h.consts and h.tails until it stops, unchecked.
 //
 //go:noescape
-func headBlockMaskAVX2(h *HeadTest, row int, cut float64) uint32
+func headBlockRunAVX2(h *HeadTest, row, end int, cut float64, iu *[HeadBlockRows]int32) (at int, pruned uint32)
 
 func dotInt16(a, b []int16) int64 {
 	if !useAVX2 || len(a) < 16 {

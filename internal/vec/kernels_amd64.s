@@ -24,30 +24,41 @@ TEXT ·xgetbv(SB), NOSPLIT, $0-8
 	MOVL DX, edx+4(FP)
 	RET
 
-// func headBlockMaskAVX2(h *HeadTest, row int, cut float64) uint32
+// func headBlockRunAVX2(h *HeadTest, row, end int, cut float64, iu *[16]int32) (at int, pruned uint32)
 //
-// Y0 and Y1 hold IU of rows 0–7 and 8–15 as int32. Each is converted to
-// float64 exactly, multiplied by factor, and added to the separately
-// rounded tail·tails — two VMULPD and a VADDPD, never an FMA, so a lane
-// is bit for bit BlockMaskPortable's expression. Predicate 1 of VCMPPD is
-// LT_OS: false when either side is NaN, like Go's <.
-TEXT ·headBlockMaskAVX2(SB), NOSPLIT, $0-28
+// One pass of block per 16 rows, the query's constants broadcast once for
+// the run. Y0 and Y1 hold IU of rows 0–7 and 8–15 as int32. Each is
+// converted to float64 exactly, multiplied by factor, and added to the
+// separately rounded tail·tails — two VMULPD and a VADDPD, never an FMA, so
+// a lane is bit for bit BlockRunPortable's expression. Predicate 1 of
+// VCMPPD is LT_OS: false when either side is NaN, like Go's <. The run ends
+// at the first block whose 16 mask bits are not all set, its lanes stored
+// to iu, or at end.
+TEXT ·headBlockRunAVX2(SB), NOSPLIT, $0-52
 	MOVQ h+0(FP), R8
 	MOVQ row+8(FP), AX
-	MOVQ HeadTest_pairs(R8), CX        // P
+	MOVQ end+16(FP), R9
+	MOVQ HeadTest_pairs(R8), R10       // P
 	MOVQ AX, DX
-	IMULQ CX, DX
+	IMULQ R10, DX
 	MOVQ HeadTest_head(R8), SI
 	LEAQ (SI)(DX*4), SI                // the block: row·P pairs of 4 bytes in
 	MOVQ HeadTest_consts(R8), DX
 	LEAQ (DX)(AX*4), DX
 	MOVQ HeadTest_tails(R8), DI
 	LEAQ (DI)(AX*8), DI
-	MOVQ HeadTest_floors(R8), BX
+	MOVQ HeadTest_floors(R8), R11
 
-	VPBROADCASTD HeadTest_sumAbs(R8), Y2
-	VPADDD       (DX), Y2, Y0
-	VPADDD       32(DX), Y2, Y1
+	VPBROADCASTD HeadTest_sumAbs(R8), Y14
+	VBROADCASTSD HeadTest_factor(R8), Y8
+	VBROADCASTSD HeadTest_tail(R8), Y9
+	VBROADCASTSD cut+24(FP), Y10
+
+block:
+	VPADDD       (DX), Y14, Y0
+	VPADDD       32(DX), Y14, Y1
+	MOVQ         R11, BX
+	MOVQ         R10, CX
 
 pair:
 	VPBROADCASTD (BX), Y2              // (g₂ₚ, g₂ₚ₊₁) in every lane
@@ -60,10 +71,6 @@ pair:
 	DECQ         CX
 	JNZ          pair
 
-	VBROADCASTSD HeadTest_factor(R8), Y8
-	VBROADCASTSD HeadTest_tail(R8), Y9
-	VBROADCASTSD cut+16(FP), Y10
-
 	VCVTDQ2PD    X0, Y4                // rows 0–3
 	VEXTRACTI128 $1, Y0, X5
 	VCVTDQ2PD    X5, Y5                // rows 4–7
@@ -75,31 +82,45 @@ pair:
 	VMULPD       Y8, Y5, Y5
 	VMULPD       Y8, Y6, Y6
 	VMULPD       Y8, Y7, Y7
-	VMULPD       (DI), Y9, Y11
-	VMULPD       32(DI), Y9, Y12
-	VMULPD       64(DI), Y9, Y13
-	VMULPD       96(DI), Y9, Y14
-	VADDPD       Y11, Y4, Y4
-	VADDPD       Y12, Y5, Y5
-	VADDPD       Y13, Y6, Y6
-	VADDPD       Y14, Y7, Y7
+	VMULPD       (DI), Y9, Y2
+	VMULPD       32(DI), Y9, Y3
+	VMULPD       64(DI), Y9, Y11
+	VMULPD       96(DI), Y9, Y12
+	VADDPD       Y2, Y4, Y4
+	VADDPD       Y3, Y5, Y5
+	VADDPD       Y11, Y6, Y6
+	VADDPD       Y12, Y7, Y7
 
 	VCMPPD       $1, Y10, Y4, Y4       // bound < cut
 	VCMPPD       $1, Y10, Y5, Y5
 	VCMPPD       $1, Y10, Y6, Y6
 	VCMPPD       $1, Y10, Y7, Y7
-	VMOVMSKPD    Y4, AX
+	VMOVMSKPD    Y4, R12
 	VMOVMSKPD    Y5, BX
 	VMOVMSKPD    Y6, CX
-	VMOVMSKPD    Y7, DX
+	VMOVMSKPD    Y7, R13
 	SHLL         $4, BX
 	SHLL         $8, CX
-	SHLL         $12, DX
-	ORL          BX, AX
-	ORL          DX, CX
-	ORL          CX, AX
+	SHLL         $12, R13
+	ORL          BX, R12
+	ORL          R13, CX
+	ORL          CX, R12
+	CMPL         R12, $0xFFFF
+	JNE          stop
+	ADDQ         $16, AX
+	ADDQ         $64, DX
+	ADDQ         $128, DI
+	CMPQ         AX, R9
+	JLT          block
+	MOVQ         R9, AX                // every row pruned: (end, all ones)
+
+stop:
+	MOVQ         iu+32(FP), BX
+	VMOVDQU      Y0, (BX)
+	VMOVDQU      Y1, 32(BX)
 	VZEROUPPER
-	MOVL         AX, ret+24(FP)
+	MOVQ         AX, at+40(FP)
+	MOVL         R12, pruned+48(FP)
 	RET
 
 // func dotInt16AVX2(a, b []int16) int64

@@ -7,6 +7,23 @@ import (
 	"testing"
 )
 
+// kernelBodies names the bodies of BlockRun and DotInt16 this machine can
+// run: SetPortable(false) asks for the processor's, and undoing it reports
+// whether those were the plain-Go ones.
+func kernelBodies() []string {
+	if was := SetPortable(false); SetPortable(was) {
+		return []string{"portable"}
+	}
+	return []string{"avx2", "portable"}
+}
+
+// forceBody routes the kernels' dispatchers to one of kernelBodies for the
+// rest of a test.
+func forceBody(tb testing.TB, body string) {
+	was := SetPortable(body != "avx2")
+	tb.Cleanup(func() { SetPortable(was) })
+}
+
 // dotReference is the plain sequential loop the unrolled kernels must
 // agree with (up to reassociation rounding).
 func dotReference(a, b []float64) float64 {
