@@ -127,7 +127,7 @@ race-subset:
 ## regression corpus (internal/data/testdata/fuzz). New crashers found
 ## here should be committed as corpus seeds. FuzzHeadBlock compares the
 ## head test's run kernel — assembly, plain Go, row by row — over runs of
-## blocks; FuzzBlockedScan carries the fixed-threshold (above-t) collector
+## blocks at both table widths (int8 and int16 floors); FuzzBlockedScan carries the fixed-threshold (above-t) collector
 ## case beside the top-k ones, under both kernel bodies.
 fuzz-smoke:
 	$(GO) test ./internal/data -run='^$$' -fuzz=FuzzReadMatrixBinary -fuzztime=$(FUZZTIME)

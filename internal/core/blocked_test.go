@@ -110,16 +110,25 @@ func sameInto(t testing.TB, idx *Index, qs *queryState, lo, hi int, cB, cP *topk
 // row survives every block), collectors that start full so the first
 // offers raise the threshold in the middle of a block, S ∈ {1,2,3,7}
 // shards scanned in order against one shared threshold (what a
-// one-worker engine does).
+// one-worker engine does) — the MovieLens shape at the paper's E = 100,
+// whose head tables are the narrow ones, the Netflix shape at E = 200 too,
+// the wide.
 func TestBlockedScanMatchesPerItem(t *testing.T) {
 	const n = 20000
 	beyondHi := 0
-	for _, p := range []data.Profile{data.MovieLens(), data.Netflix()} {
+	for _, tc := range []struct {
+		p data.Profile
+		e float64
+	}{{data.MovieLens(), 100}, {data.Netflix(), 100}, {data.Netflix(), 200}} {
+		p := tc.p
 		ds := data.Generate(p, n, 12, 50)
-		opts := Options{SVD: true, Int: true, Reduction: true}
+		opts := Options{SVD: true, Int: true, Reduction: true, E: tc.e}
 		idx, err := NewIndex(ds.Items, opts)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if idx.ints.lay.Narrow() != (tc.e == 100) {
+			t.Fatalf("%s E=%v: narrow head tables: %v", p.Name, tc.e, idx.ints.lay.Narrow())
 		}
 		qs := idx.newQueryState()
 		for qi := 0; qi < ds.Queries.Rows; qi++ {
@@ -345,7 +354,7 @@ func TestBlockedScanWordCounts(t *testing.T) {
 		items.Data[i] = rng.NormFloat64()
 	}
 	floors := make([]int32, d)
-	for _, e := range []float64{100, 1000, 11000, 32766} {
+	for _, e := range []float64{100, 127, 128, 1000, 11000, 32766} {
 		for _, w := range []int{1, 2, 9, 15, 16, 17, 18, 21, 31, 32, 33} {
 			idx, err := NewIndex(items, Options{Int: true, W: w, E: e, PruneSlack: -1})
 			if err != nil {
@@ -354,9 +363,9 @@ func TestBlockedScanWordCounts(t *testing.T) {
 			what := fmt.Sprintf("W=%d E=%v", w, e)
 			id := idx.ints
 			lanes32 := float64(w)*(e+2)*(e+2) < 1<<31
-			if id.nw != (w+1)/2 || id.lay.Offset() != int64(e)+1 || id.lanes32 != lanes32 {
-				t.Fatalf("%s: %d pairs at offset %d, lanes32 %v; want %d at %d, %v",
-					what, id.nw, id.lay.Offset(), id.lanes32, (w+1)/2, int64(e)+1, lanes32)
+			if id.nw != (w+1)/2 || id.lay.Offset() != int64(e)+1 || id.lanes32 != lanes32 || id.lay.Narrow() != (e <= 127) {
+				t.Fatalf("%s: %d pairs at offset %d, lanes32 %v, narrow %v; want %d at %d, %v, narrow up to E = 127",
+					what, id.nw, id.lay.Offset(), id.lanes32, id.lay.Narrow(), (w+1)/2, int64(e)+1, lanes32)
 			}
 			qs := idx.newQueryState()
 			for trial := 0; trial < 3; trial++ {
@@ -824,7 +833,7 @@ func TestBlockedScanCancellation(t *testing.T) {
 }
 
 // TestPackedHeadMatchesFloors: on a built index the head bound of every
-// row, from the int16 pairs in their blocks, equals Theorem 2's IU^ℓ
+// row, from the floor pairs in their blocks at either width, equals Theorem 2's IU^ℓ
 // computed by vec.DotInt64 on the unpacked floors — on both sides of the
 // int32-lane predicate and for items whose head coordinates sit at ±max,
 // where e·v/max may floor to −e−1.
@@ -846,6 +855,8 @@ func TestPackedHeadMatchesFloors(t *testing.T) {
 	sawLowest := false
 	for _, opts := range []Options{
 		{Int: true, W: 7},
+		{Int: true, W: 7, E: 127},
+		{Int: true, W: 7, E: 128},
 		{Int: true, W: 7, E: 1000},
 		{Int: true, W: 7, E: 32766},
 		{Int: true, W: d},
@@ -1020,6 +1031,7 @@ func TestDecodeIntDataRejectsLies(t *testing.T) {
 			"tail floor out of range": encode([]int32{-101, 100, 101, 1, -2, -3}, []int64{201, 3}, []int64{101, 3}),
 			"head sum mismatch":       encode(good, []int64{200, 3}, []int64{7, 3}),
 			"tail sum mismatch":       encode(good, []int64{201, 3}, []int64{7, 4}),
+			"tail sum off by 2³²":     encode(good, []int64{201, 3}, []int64{7 + 1<<32, 3}),
 			"short floors":            encode(good[:5], []int64{201, 3}, []int64{7, 3}),
 		} {
 			if _, err := decodeIntData(dec, n, d, w); !errors.Is(err, snap.ErrChecksum) {
@@ -1096,5 +1108,65 @@ func TestInt32TailFixture(t *testing.T) {
 	})
 	if _, err := ReadIndex(bytes.NewReader(lying)); !errors.Is(err, snap.ErrChecksum) {
 		t.Fatalf("floor patched to 40000: err = %v, want ErrChecksum", err)
+	}
+}
+
+// TestNewIntDataPredicate pins newIntData's range predicate at its edges:
+// o ≤ 32767, w·(o+1) < 2³¹ for the head table's Σ|f|+w and (d−w)·o < 2³¹
+// for the int32 Σ|tail floors|.
+func TestNewIntDataPredicate(t *testing.T) {
+	for _, tc := range []struct {
+		d, w int
+		e    float64
+		ok   bool
+	}{
+		{50, 10, 100, true}, {50, 10, 32766, true}, {50, 10, 32767, false}, {50, 10, 0.5, true}, {50, 10, 0, false},
+		{65535, 65535, 32766, true}, {65536, 65536, 32766, false}, // w·32768 against 2³¹
+		{65539, 1, 32766, true}, {65540, 1, 32766, false}, {65540, 2, 32766, true}, // (d−w)·32767 against 2³¹
+		{1 << 21, 1, 1023, true}, {1<<21 + 1, 1, 1023, false}, // (d−w)·1024 against 2³¹
+	} {
+		id, err := newIntData(1, tc.d, tc.w, tc.e)
+		if (err == nil) != tc.ok {
+			t.Fatalf("newIntData(d=%d, w=%d, E=%v): err = %v, want ok = %v", tc.d, tc.w, tc.e, err, tc.ok)
+		}
+		if err == nil && id.lay.Narrow() != (tc.e <= 127) {
+			t.Fatalf("newIntData(d=%d, w=%d, E=%v): narrow = %v", tc.d, tc.w, tc.e, id.lay.Narrow())
+		}
+	}
+}
+
+// TestHeadWidthSurvivesSaveLoad: the file holds plain int16 floors whatever
+// the head tables' width, so an index read back — narrow at E = 100, wide
+// at E = 128 — is the built one table for table and saves the same bytes;
+// and the golden file, written by a commit whose head tables were all wide,
+// loads into the narrow tables today's build of its catalog has
+// (TestGoldenSnapshotBitIdentical compares answers and counters).
+func TestHeadWidthSurvivesSaveLoad(t *testing.T) {
+	ds := data.Generate(data.MovieLens(), 200, 8, 16)
+	for _, e := range []float64{100, 128} {
+		built, err := NewIndex(ds.Items, Options{SVD: true, Int: true, Reduction: true, E: e})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var file, again bytes.Buffer
+		if err := built.Save(&file); err != nil {
+			t.Fatal(err)
+		}
+		raw := file.Bytes()
+		if e == 100 {
+			if raw, err = os.ReadFile(filepath.Join("testdata", "fexsnap_v1_movielens.snap")); err != nil {
+				t.Fatal(err)
+			}
+		}
+		loaded, err := ReadIndex(bytes.NewReader(raw))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if diff := firstFieldThatDiffers(built, loaded); diff != "" || loaded.ints.lay.Narrow() != (e == 100) {
+			t.Fatalf("E=%v: loaded index differs from the built one in %q; narrow = %v", e, diff, loaded.ints.lay.Narrow())
+		}
+		if err := loaded.Save(&again); err != nil || !bytes.Equal(again.Bytes(), raw) {
+			t.Fatalf("E=%v: re-saved %d bytes (err %v), read %d", e, again.Len(), err, len(raw))
+		}
 	}
 }

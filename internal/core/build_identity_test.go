@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"slices"
 	"sort"
@@ -406,7 +407,7 @@ func firstFieldThatDiffers(a, b *Index) string {
 			return "ints scales"
 		case x.lay != y.lay || x.nw != y.nw:
 			return "ints layout"
-		case !slices.Equal(x.head, y.head) || !slices.Equal(x.headConst, y.headConst):
+		case !reflect.DeepEqual(x.head, y.head):
 			return "ints head"
 		case !slices.Equal(x.tail, y.tail) || !slices.Equal(x.sumAbsTail, y.sumAbsTail):
 			return "ints tail"

@@ -40,20 +40,20 @@ type Index struct {
 // −e), and newIntData holds o to 32767 so every floor is an int16 (the
 // paper sweeps e ≤ 1000, Figure 11). The w head floors of a row live in
 // 16-row blocks (vec.HeadLayout, DESIGN.md §3) so the head test of Eq. 6
-// is decided a block at a time; the d−w tail floors are row-major.
+// is decided a block at a time — as int8 beside an int16 Σ|f|+w where o
+// allows (e ≤ 127), the layout's choice; the d−w tail floors are row-major.
 type intData struct {
 	e                    float64
 	maxHead, maxTail     float64 // max |p̄_s| over s<w resp. s≥w, across all items
 	headScale, tailScale float64 // maxHead/e, maxTail/e — converts IU to a q̄-space factor
 
-	lay       vec.HeadLayout
-	nw        int     // 32-bit words (floor pairs) of head per row: lay.Pairs()
-	lanes32   bool    // IU^ℓ fits the block kernel's int32 lanes: w·(o+1)² < 2³¹
-	head      []int16 // the head floors in lay's blocks, rows past n zero
-	headConst []int32 // Σ_{s<w} |⌊p̂_s⌋| + w per row
+	lay     vec.HeadLayout
+	nw      int           // floor pairs of head per row: lay.Pairs()
+	lanes32 bool          // IU^ℓ fits the block kernel's int32 lanes: w·(o+1)² < 2³¹
+	head    vec.HeadTable // the head floors in lay's blocks, rows past n zero, and Σ_{s<w} |⌊p̂_s⌋| + w per row
 
 	tail       []int16 // n×(d−w) tail floors, row-major
-	sumAbsTail []int64 // Σ_{s≥w} |⌊p̂_s⌋| per row
+	sumAbsTail []int32 // Σ_{s≥w} |⌊p̂_s⌋| per row
 }
 
 // redData holds the monotonicity-reduction preprocessing of Section 5.2.
@@ -262,9 +262,10 @@ func (idx *Index) chooseW() int {
 func newIntData(n, d, w int, e float64) (*intData, error) {
 	// Every floor lies in [−o, o−1]: o ≤ 32767 keeps the floors inside
 	// int16, d·(2o)² < 2⁶² every IU sum (dot + Σ|·| terms) inside int64,
-	// and w·(o+1) < 2³¹ a row's Σ|f|+w inside headConst.
+	// w·(o+1) < 2³¹ a row's Σ|f|+w inside the head table's widest consts
+	// and (d−w)·o < 2³¹ its Σ|tail floors| inside sumAbsTail.
 	o := math.Ceil(e) + 1
-	if !(o >= 2 && o <= math.MaxInt16 && float64(d)*4*o*o < 1<<62 && float64(w)*(o+1) < 1<<31) {
+	if !(o >= 2 && o <= math.MaxInt16 && float64(d)*4*o*o < 1<<62 && float64(w)*(o+1) < 1<<31 && float64(d-w)*o < 1<<31) {
 		return nil, fmt.Errorf("core: Options.E = %v overflows the integer bound at d = %d", e, d)
 	}
 	lay, ok := vec.NewHeadLayout(int64(o), w)
@@ -276,10 +277,9 @@ func newIntData(n, d, w int, e float64) (*intData, error) {
 		lay:        lay,
 		nw:         lay.Pairs(),
 		lanes32:    lay.Lanes32(),
-		head:       make([]int16, lay.Len(n)),
-		headConst:  make([]int32, n),
+		head:       lay.NewTable(n),
 		tail:       make([]int16, n*(d-w)),
-		sumAbsTail: make([]int64, n),
+		sumAbsTail: make([]int32, n),
 	}
 	return id, nil
 }
@@ -289,11 +289,7 @@ func newIntData(n, d, w int, e float64) (*intData, error) {
 // floor lies outside [−o, o−1], which only a corrupt snapshot can cause.
 func (id *intData) setRow(i, w int, f []int32) (sumAbsHead int64, ok bool) {
 	var sumAbsTail int64
-	for _, x := range f[:w] {
-		sumAbsHead += abs64(int64(x))
-	}
-	ok = id.lay.PackRow(id.head, i, f[:w])
-	id.headConst[i] = int32(sumAbsHead + int64(w))
+	sumAbsHead, ok = id.head.PackRow(i, f[:w])
 	o := int32(id.lay.Offset())
 	tail := id.tail[i*(len(f)-w):]
 	for s, x := range f[w:] {
@@ -301,17 +297,16 @@ func (id *intData) setRow(i, w int, f []int32) (sumAbsHead int64, ok bool) {
 		ok = ok && -o <= x && x < o
 		tail[s] = int16(x)
 	}
-	id.sumAbsTail[i] = sumAbsTail
+	id.sumAbsTail[i] = int32(sumAbsTail)
 	return sumAbsHead, ok
 }
 
 // row inverts setRow: f receives row i's d floors; it returns Σ_{s<w}|f_s|.
 func (id *intData) row(i, w int, f []int32) (sumAbsHead int64) {
-	id.lay.UnpackRow(f[:w], id.head, i)
 	for s, x := range id.tail[i*(len(f)-w) : (i+1)*(len(f)-w)] {
 		f[w+s] = int32(x)
 	}
-	return int64(id.headConst[i]) - int64(w)
+	return id.head.UnpackRow(f[:w], i)
 }
 
 func abs64(a int64) int64 {

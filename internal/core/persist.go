@@ -58,10 +58,10 @@ func (idx *Index) Save(w io.Writer) error {
 		// packed head is unpacked here and re-packed by ReadIndex.
 		n, d := idx.n, idx.d
 		floors := make([]int16, n*d)
-		sumAbsHead := make([]int64, n)
+		sumAbsHead, sumAbsTail := make([]int64, n), make([]int64, n)
 		f := make([]int32, d)
 		for i := 0; i < n; i++ {
-			sumAbsHead[i] = id.row(i, idx.w, f)
+			sumAbsHead[i], sumAbsTail[i] = id.row(i, idx.w, f), int64(id.sumAbsTail[i])
 			for s, x := range f {
 				floors[i*d+s] = int16(x)
 			}
@@ -75,7 +75,7 @@ func (idx *Index) Save(w io.Writer) error {
 			e.Bool(true) // int16 floors; the int32 encoding is only read
 			e.Int16s(floors)
 			e.Int64s(sumAbsHead)
-			e.Int64s(id.sumAbsTail)
+			e.Int64s(sumAbsTail)
 		})
 	}
 	if rd := idx.red; rd != nil {
@@ -282,7 +282,7 @@ func decodeIntData(dec *snap.Decoder, n, d, w int) (*intData, error) {
 			f = floors[i*d : (i+1)*d]
 		}
 		sh, ok := id.setRow(i, w, f)
-		if !ok || sh != sumAbsHead[i] || id.sumAbsTail[i] != sumAbsTail[i] {
+		if !ok || sh != sumAbsHead[i] || int64(id.sumAbsTail[i]) != sumAbsTail[i] {
 			return nil, fmt.Errorf("%w: loaded index integer data inconsistent at row %d", snap.ErrChecksum, i)
 		}
 	}

@@ -84,7 +84,7 @@ type queryState struct {
 func (idx *Index) newQueryState() *queryState {
 	qs := &queryState{qbar: make([]float64, idx.d)}
 	if id := idx.ints; id != nil {
-		qs.head = id.lay.NewTest(id.head, id.headConst, idx.barTail)
+		qs.head = id.head.NewTest(idx.barTail)
 		qs.qTail = make([]int16, idx.d-idx.w)
 	}
 	return qs
@@ -394,11 +394,12 @@ func (idx *Index) prepareQuery(q []float64, qs *queryState) {
 }
 
 // candidate runs the whole cascade (Algorithm 5) for one row: first the
-// head test that scanBlocked applies through headMask, or coordinateScan
-// alone for the indexes without one. It returns the exact working-space
-// product and true, or (0, false) when the candidate was pruned. Every
-// prune test is STRICT (`< t − margin`), matching scanRange's invariant
-// that pruned items have score strictly below the threshold.
+// head test that scanBlocked applies a run of blocks at a time through
+// HeadTest.BlockRun, or coordinateScan alone for the indexes without one.
+// It returns the exact working-space product and true, or (0, false) when
+// the candidate was pruned. Every prune test is STRICT (`< t − margin`),
+// matching scanRange's invariant that pruned items have score strictly
+// below the threshold.
 func (idx *Index) candidate(i int, qs *queryState, t, slack float64, stats *search.Stats) (float64, bool) {
 	margin := pruneMargin(slack, t)
 	if !qs.headFirst {
@@ -482,7 +483,7 @@ func (idx *Index) coordinateScan(i int, qs *queryState, t, margin, ub1 float64, 
 func (idx *Index) tailBound(qs *queryState, i int) float64 {
 	id := idx.ints
 	dt := idx.d - idx.w
-	iuTail := vec.DotInt16(qs.qTail, id.tail[i*dt:(i+1)*dt]) + qs.qSumAbsTail + id.sumAbsTail[i] + int64(dt)
+	iuTail := vec.DotInt16(qs.qTail, id.tail[i*dt:(i+1)*dt]) + qs.qSumAbsTail + int64(id.sumAbsTail[i]) + int64(dt)
 	return float64(iuTail) * qs.tailFactor
 }
 

@@ -287,6 +287,47 @@ func TestTransformQueryPanicsOnDimMismatch(t *testing.T) {
 	thin.TransformQuery([]float64{1, 2})
 }
 
+// TestTransformQueryIntoBitIdentical: the unrolled TransformQueryInto gives
+// every q̄_j the bits of the one-column-at-a-time loop it replaced — the
+// same products added in the same order — over 1 000 queries at dimensions
+// on both sides of the unroll width, zero coordinates (skipped rows)
+// included.
+func TestTransformQueryIntoBitIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(28))
+	for _, d := range []int{1, 3, 4, 50, 51} {
+		thin, err := Decompose(randomMatrix(rng, 3*d+5, d), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		q, got, want := make([]float64, d), make([]float64, d), make([]float64, d)
+		for trial := 0; trial < 1000; trial++ {
+			for i := range q {
+				if q[i] = rng.NormFloat64(); rng.Intn(8) == 0 {
+					q[i] = 0
+				}
+			}
+			clear(want)
+			for i, qi := range q {
+				if qi == 0 {
+					continue
+				}
+				for j := 0; j < d; j++ {
+					want[j] += thin.U.Row(i)[j] * qi
+				}
+			}
+			for j := range want {
+				want[j] *= thin.Sigma[j]
+			}
+			thin.TransformQueryInto(got, q)
+			for j := range want {
+				if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
+					t.Fatalf("d=%d query %d: q̄[%d] = %v, the plain loop gives %v", d, trial, j, got[j], want[j])
+				}
+			}
+		}
+	}
+}
+
 // TestDecomposeRefusesToDropLiveDirections: zeroing σⱼ ≤ 1e-12·σ₁ is
 // lossless only when nothing lives along uⱼ. With one coordinate of one
 // item at 1e13, seven of eight directions fall under the tolerance while

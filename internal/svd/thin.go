@@ -58,13 +58,21 @@ func (t *Thin) TransformQueryInto(dst, q []float64) {
 		if qi == 0 {
 			continue
 		}
-		urow := t.U.Row(i)
-		for j := 0; j < d; j++ {
-			dst[j] += urow[j] * qi
+		// Four columns a pass over slices of one length, so no index is
+		// checked; each dst[j] still sees its d products in row order.
+		out, urow := dst, t.U.Row(i)[:len(dst)]
+		for ; len(out) >= 4 && len(urow) >= 4; out, urow = out[4:], urow[4:] {
+			out[0] += urow[0] * qi
+			out[1] += urow[1] * qi
+			out[2] += urow[2] * qi
+			out[3] += urow[3] * qi
+		}
+		for j := range out {
+			out[j] += urow[j] * qi
 		}
 	}
-	for j := 0; j < d; j++ {
-		dst[j] *= t.Sigma[j]
+	for j, s := range t.Sigma[:len(dst)] {
+		dst[j] *= s
 	}
 }
 

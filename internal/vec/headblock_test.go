@@ -30,8 +30,9 @@ func setFloors(h *HeadTest, g []int32) (sumAbs int64) {
 
 // TestHeadRowDotMatchesDotInt64 is the differential test of the layout's
 // addressing: over widths on both sides of a pair boundary and the E
-// values the paper sweeps up to the largest there is, rows packed into
-// every position of three blocks unpack to what went in, and RowIU is
+// values the paper sweeps up to the largest there is — both table widths,
+// and o = 128 against 129 where they meet — rows packed into every position
+// of three blocks unpack to what went in, Σ|f| included, and RowIU is
 // DotInt64 on the plain floors plus the Σ|·| terms — for random vectors
 // and for vectors pinned at the range ends −o (the ⌊−e−ε⌋ floor) and o−1.
 func TestHeadRowDotMatchesDotInt64(t *testing.T) {
@@ -41,7 +42,7 @@ func TestHeadRowDotMatchesDotInt64(t *testing.T) {
 		w int
 	}{
 		{10, 1}, {10, 50}, {100, 2}, {100, 17}, {100, 18}, {100, 19}, {100, 51},
-		{1000, 5}, {1000, 50}, {11000, 17}, {11000, 18}, {32766, 1}, {32766, 7}, {32766, 64},
+		{126, 7}, {127, 7}, {127, 254}, {127, 255}, {128, 7}, {1000, 5}, {1000, 50}, {11000, 17}, {11000, 18}, {32766, 1}, {32766, 7}, {32766, 64},
 	} {
 		o := int64(math.Ceil(tc.e)) + 1
 		l := mustHeadLayout(t, o, tc.w)
@@ -66,23 +67,32 @@ func TestHeadRowDotMatchesDotInt64(t *testing.T) {
 			vectors = append(vectors, fill(func(int) int32 { return lo + int32(rng.Int63n(2*o)) }))
 		}
 		const n = 3*HeadBlockRows - 5
-		head := make([]int16, l.Len(n))
-		if len(head) != 3*HeadBlockRows*2*l.Pairs() {
-			t.Fatalf("E=%v w=%d: %d rows take %d int16", tc.e, tc.w, n, len(head))
+		if l.Len(n) != 3*HeadBlockRows*2*l.Pairs() {
+			t.Fatalf("E=%v w=%d: %d rows take %d floors", tc.e, tc.w, n, l.Len(n))
+		}
+		tab := l.NewTable(n)
+		if narrow := o <= 128 && tc.w*int(o+1) <= math.MaxInt16; l.Narrow() != narrow || (tab.head8 != nil) != narrow || (tab.head16 != nil) == narrow {
+			t.Fatalf("E=%v w=%d: Narrow() %v, want %v, in exactly one table", tc.e, tc.w, l.Narrow(), narrow)
 		}
 		rows := make([][]int32, n)
-		consts := make([]int32, n)
+		sums := make([]int64, n)
 		for i := range rows {
 			rows[i] = vectors[rng.Intn(len(vectors))]
-			if !l.PackRow(head, i, rows[i]) {
+			var ok bool
+			if sums[i], ok = tab.PackRow(i, rows[i]); !ok {
 				t.Fatalf("E=%v w=%d: PackRow rejected %v", tc.e, tc.w, rows[i])
 			}
-			consts[i] = int32(i) // any constant: RowIU adds it
 		}
-		h := l.NewTest(head, consts, make([]float64, n))
+		h := tab.NewTest(make([]float64, n))
 		back := make([]int32, tc.w)
 		for i, a := range rows {
-			l.UnpackRow(back, head, i)
+			var want int64
+			for _, x := range a {
+				want += int64(max(x, -x))
+			}
+			if got := tab.UnpackRow(back, i); got != want || sums[i] != want {
+				t.Fatalf("E=%v w=%d row %d: Σ|f| packed %d, unpacked %d, want %d", tc.e, tc.w, i, sums[i], got, want)
+			}
 			for s := range a {
 				if back[s] != a[s] {
 					t.Fatalf("E=%v w=%d row %d: UnpackRow[%d] = %d, packed %d", tc.e, tc.w, i, s, back[s], a[s])
@@ -91,7 +101,7 @@ func TestHeadRowDotMatchesDotInt64(t *testing.T) {
 			for _, b := range vectors {
 				sumAbs := setFloors(&h, b)
 				h.SetQuery(int32(sumAbs), 1, 1)
-				if got, want := h.RowIU(i), DotInt64(a, b)+int64(i)+sumAbs; got != want {
+				if got, want := h.RowIU(i), DotInt64(a, b)+sums[i]+int64(tc.w)+sumAbs; got != want {
 					t.Fatalf("E=%v w=%d row %d: RowIU %d, from DotInt64 %d\na=%v\nb=%v", tc.e, tc.w, i, got, want, a, b)
 				}
 			}
@@ -102,11 +112,13 @@ func TestHeadRowDotMatchesDotInt64(t *testing.T) {
 // TestHeadLayoutRejects: floors outside [−o, o−1] are reported, shapes
 // int16 cannot hold have no layout, and Lanes32 is w·(o+1)² < 2³¹.
 func TestHeadLayoutRejects(t *testing.T) {
-	l := mustHeadLayout(t, 101, 4)
-	head := make([]int16, l.Len(1))
-	for _, v := range [][]int32{{0, 101, 0, 0}, {-102, 0, 0, 0}, {0, 0, 0, 1 << 16}} {
-		if l.PackRow(head, 0, v) {
-			t.Fatalf("PackRow accepted %v at offset 101", v)
+	for _, o := range []int64{101, 129} {
+		l := mustHeadLayout(t, o, 4)
+		tab := l.NewTable(1)
+		for _, v := range [][]int32{{0, int32(o), 0, 0}, {int32(-o - 1), 0, 0, 0}, {0, 0, 0, 1 << 16}} {
+			if _, ok := tab.PackRow(0, v); ok {
+				t.Fatalf("PackRow accepted %v at offset %d", v, o)
+			}
 		}
 	}
 	for _, tc := range []struct {
@@ -132,6 +144,40 @@ func TestHeadLayoutRejects(t *testing.T) {
 	}
 }
 
+// TestHeadLayoutWidth pins the width predicate — narrow iff o ≤ 128 and
+// w·(o+1) ≤ 32767 — on both sides of both conditions, with what a row
+// streams at each width, and runs the kernels over the largest Σ|f|+w a
+// narrow table admits: 1057 floors of −30 (an odd w) make exactly 32767.
+// Floors of −128 and 127 in every lane are TestHeadBlockMaskMatchesRows's
+// e = 127.
+func TestHeadLayoutWidth(t *testing.T) {
+	for _, tc := range []struct {
+		o      int64
+		w      int
+		narrow bool
+	}{
+		{2, 1, true}, {101, 50, true}, {128, 7, true}, {129, 7, false}, {1001, 7, false}, {32767, 1, false},
+		{128, 254, true}, {128, 255, false}, {127, 255, true}, {127, 256, false}, {30, 1057, true}, {30, 1058, false},
+	} {
+		l := mustHeadLayout(t, tc.o, tc.w)
+		if l.Narrow() != tc.narrow || (tc.narrow && !l.Lanes32()) {
+			t.Fatalf("o=%d w=%d: Narrow() %v, want %v; Lanes32 %v", tc.o, tc.w, l.Narrow(), tc.narrow, l.Lanes32())
+		}
+		if want := map[bool]int{true: 2*l.Pairs() + 2 + 8, false: 4*l.Pairs() + 4 + 8}[tc.narrow]; l.RowBytes() != want {
+			t.Fatalf("o=%d w=%d: RowBytes %d, want %d", tc.o, tc.w, l.RowBytes(), want)
+		}
+	}
+	for _, body := range kernelBodies() {
+		forceBody(t, body)
+		tails := make([]float64, 2*HeadBlockRows)
+		c := newHeadBlockCase(t, 30, 1057, func() int32 { return -30 }, tails, 1.0/900, 1)
+		if got := c.h.tab.consts16[len(tails)]; got != math.MaxInt16 {
+			t.Fatalf("%s: Σ|f|+w of 1057 floors of −30 stored as %d", body, got)
+		}
+		c.checkCuts(t)
+	}
+}
+
 // headBlockCase is a run's worth of head-test operands: the blocks under
 // test preceded by another so their first row is not 0.
 type headBlockCase struct {
@@ -143,15 +189,16 @@ type headBlockCase struct {
 
 // newHeadBlockCase packs the floors of len(tails) rows — whole blocks, w
 // floors each — and a query (w) drawn by next, which returns values in
-// [−o, o].
+// [−o, o]. PackRow reports +o as out of range; the kernels must still agree
+// on what it stored — o itself but in a narrow table of o = 128, where it is
+// −128 — and the lanes' bound w·(o+1)² covers |f| = o.
 func newHeadBlockCase(t testing.TB, o int64, w int, next func() int32, tails []float64, factor, qTail float64) *headBlockCase {
 	c := &headBlockCase{l: mustHeadLayout(t, o, w)}
 	l := &c.l
 	n := HeadBlockRows + len(tails)
-	consts := make([]int32, n)
 	tails = append(make([]float64, HeadBlockRows), tails...)
-	head := make([]int16, l.Len(n))
-	c.h = l.NewTest(head, consts, tails)
+	tab := l.NewTable(n)
+	c.h = tab.NewTest(tails)
 	c.ius, c.bounds = make([]int64, n), make([]float64, n)
 	g := make([]int32, w)
 	for s := range g {
@@ -161,16 +208,12 @@ func newHeadBlockCase(t testing.TB, o int64, w int, next func() int32, tails []f
 	c.h.SetQuery(int32(qSumAbs), factor, qTail)
 	f := make([]int32, w)
 	for i := HeadBlockRows; i < n; i++ {
-		sumAbs := int64(w)
 		for s := range f {
 			f[s] = next()
-			sumAbs += int64(max(f[s], -f[s]))
 		}
-		// PackRow reports +o as out of range; the kernels must still agree
-		// on it, the lanes' bound w·(o+1)² covers |f| = o.
-		l.PackRow(head, i, f)
-		consts[i] = int32(sumAbs)
-		c.ius[i] = DotInt64(f, g) + sumAbs + qSumAbs
+		sumAbs, _ := tab.PackRow(i, f)
+		tab.UnpackRow(f, i)
+		c.ius[i] = DotInt64(f, g) + sumAbs + int64(w) + qSumAbs
 		if got := c.h.RowIU(i); got != c.ius[i] {
 			t.Fatalf("o=%d w=%d row %d: RowIU %d, from floors %d", o, w, i, got, c.ius[i])
 		}
@@ -269,7 +312,7 @@ func TestHeadBlockMaskMatchesRows(t *testing.T) {
 			rng := rand.New(rand.NewSource(25))
 			tails := make([]float64, blocks*HeadBlockRows)
 			var lastOnly, none int
-			for _, e := range []int64{1, 100, 1000, 11000, 32766} {
+			for _, e := range []int64{1, 100, 127, 128, 1000, 11000, 32766} {
 				for _, w := range []int{1, 2, 9, 15, 16, 17, 18, 21, 31, 32, 33, 64} {
 					o := e + 1
 					if l := mustHeadLayout(t, o, w); !l.Lanes32() {
@@ -315,14 +358,16 @@ func TestHeadBlockMaskMatchesRows(t *testing.T) {
 // body (the assembly where there is one), the plain-Go body and the int64
 // row-by-row evaluation agree on where the run stops, on all 16 mask bits
 // and on all 16 IU lanes. Beyond Lanes32 the lanes would wrap: both bodies
-// must refuse to run.
+// must refuse to run. Both table widths occur: o = e+1 ≤ 128 is narrow up
+// to w·(o+1) = 32767, which w reaches at o = 30 (the committed corpus holds
+// o = 101, 127, 128, 129 and both sides of that product).
 func FuzzHeadBlock(f *testing.F) {
-	f.Add(uint16(100), uint8(18), uint8(0), uint8(0), []byte{0, 255, 7, 9, 200, 1})
-	f.Add(uint16(32766), uint8(1), uint8(3), uint8(1), []byte{255, 255, 255, 255})
-	f.Add(uint16(11000), uint8(17), uint8(1), uint8(2), []byte{1, 2, 3, 4, 5, 6, 7, 8, 9})
-	f.Add(uint16(1000), uint8(64), uint8(2), uint8(0), []byte{0, 0, 1, 1, 2, 2})
-	f.Fuzz(func(t *testing.T, e uint16, w, factorSel, tailSel uint8, raw []byte) {
-		if e == 0 || e > 32766 || w == 0 || w > 64 || len(raw) == 0 {
+	f.Add(uint16(100), uint16(18), uint8(0), uint8(0), []byte{0, 255, 7, 9, 200, 1})
+	f.Add(uint16(32766), uint16(1), uint8(3), uint8(1), []byte{255, 255, 255, 255})
+	f.Add(uint16(11000), uint16(17), uint8(1), uint8(2), []byte{1, 2, 3, 4, 5, 6, 7, 8, 9})
+	f.Add(uint16(1000), uint16(64), uint8(2), uint8(0), []byte{0, 0, 1, 1, 2, 2})
+	f.Fuzz(func(t *testing.T, e, w uint16, factorSel, tailSel uint8, raw []byte) {
+		if e == 0 || e > 32766 || w == 0 || w > 1058 || len(raw) == 0 {
 			return
 		}
 		o := int64(e) + 1
@@ -361,70 +406,76 @@ func FuzzHeadBlock(f *testing.F) {
 // and bytes streamed per row of whole scans by BlockRun as scanBlocked
 // drives it — runs of at most 64 blocks, the next one starting behind the
 // block that stopped the last — per body, at the pair counts w = 13…22
-// give, over a catalog resident in L2 (n = 10⁴: the compute-bound figure,
-// lib-skewed's 12k-row scans) and one that streams from memory (n = 10⁵:
-// the bandwidth-bound one, lib-flat). The cut is a percentile of the bound:
-// no row survives, 0.6 % and 2 % do as in a real scan, or all of them — the
-// first blocks of every query, whose heap is still filling, where every
-// block ends its run and a run costs what one call per block did.
+// give, at both table widths (o = 101, the paper's e = 100: narrow; o = 129,
+// the first wide one, over the same floors), over a catalog resident in L2
+// (n = 10⁴: the compute-bound figure, lib-skewed's 12k-row scans) and one
+// that streams from memory (n = 10⁵: the bandwidth-bound one, lib-flat).
+// The cut is a percentile of the bound: no row survives, 0.6 % and 2 % do as
+// in a real scan, or all of them — the first blocks of every query, whose
+// heap is still filling, where every block ends its run and a run costs what
+// one call per block did.
 //
 //	go test ./internal/vec -run '^$' -bench HeadMask -count 6
 func BenchmarkHeadMask(b *testing.B) {
 	for _, n := range []int{10000, 100000} {
 		for _, pairs := range []int{7, 11} {
-			const o = 101
-			rng := rand.New(rand.NewSource(19))
-			w := 2 * pairs
-			l := mustHeadLayout(b, o, w)
-			head := make([]int16, l.Len(n))
-			consts := make([]int32, n)
-			tails := make([]float64, n)
-			f, g := make([]int32, w), make([]int32, w)
-			draw := func(v []int32) (sumAbs int64) {
-				for s := range v {
-					v[s] = int32(math.Floor(math.Max(-o, math.Min(o-1, rng.NormFloat64()*o/3))))
-					sumAbs += int64(max(v[s], -v[s]))
-				}
-				return sumAbs
+			for _, o := range []int64{101, 129} {
+				benchmarkHeadMask(b, n, pairs, o)
 			}
-			h := l.NewTest(head, consts, tails)
-			draw(g)
-			const factor, qTail = 1.0 / (o * o), 0.5
-			h.SetQuery(int32(setFloors(&h, g)), factor, qTail)
-			bounds := make([]float64, n)
-			for i := range bounds {
-				consts[i] = int32(draw(f) + int64(w))
-				tails[i] = rng.Float64()
-				l.PackRow(head, i, f)
-				bounds[i] = float64(h.RowIU(i))*factor + qTail*tails[i]
-			}
-			sort.Float64s(bounds)
-			for _, c := range []struct {
-				survive string
-				cut     float64
-			}{{"0", math.Inf(1)}, {"0.6%", bounds[n*994/1000]}, {"2%", bounds[n*98/100]}, {"100%", math.Inf(-1)}} {
-				for _, body := range kernelBodies() {
-					b.Run(fmt.Sprintf("n=%d/P=%d/survive=%s/%s", n, pairs, c.survive, body), func(b *testing.B) {
-						forceBody(b, body)
-						const runRows = 64 * HeadBlockRows
-						var iu [HeadBlockRows]int32
-						var sum uint32
-						for r := 0; r < b.N; r++ {
-							for row := 0; row < n; {
-								end := min(row+runRows, n)
-								at, pruned := h.BlockRun(row, end, c.cut, &iu)
-								sum += pruned + uint32(iu[0])
-								if row = at; at < end {
-									row += HeadBlockRows
-								}
-							}
+		}
+	}
+}
+
+func benchmarkHeadMask(b *testing.B, n, pairs int, o int64) {
+	const od = 101.0 // the floors drawn are those of o = 101 at either width
+	rng := rand.New(rand.NewSource(19))
+	w := 2 * pairs
+	l := mustHeadLayout(b, o, w)
+	tab := l.NewTable(n)
+	tails := make([]float64, n)
+	f, g := make([]int32, w), make([]int32, w)
+	draw := func(v []int32) {
+		for s := range v {
+			v[s] = int32(math.Floor(math.Max(-od, math.Min(od-1, rng.NormFloat64()*od/3))))
+		}
+	}
+	h := tab.NewTest(tails)
+	draw(g)
+	const factor, qTail = 1 / (od * od), 0.5
+	h.SetQuery(int32(setFloors(&h, g)), factor, qTail)
+	bounds := make([]float64, n)
+	for i := range bounds {
+		draw(f)
+		tails[i] = rng.Float64()
+		tab.PackRow(i, f)
+		bounds[i] = float64(h.RowIU(i))*factor + qTail*tails[i]
+	}
+	sort.Float64s(bounds)
+	width := map[bool]string{true: "narrow", false: "wide"}[l.Narrow()]
+	for _, c := range []struct {
+		survive string
+		cut     float64
+	}{{"0", math.Inf(1)}, {"0.6%", bounds[n*994/1000]}, {"2%", bounds[n*98/100]}, {"100%", math.Inf(-1)}} {
+		for _, body := range kernelBodies() {
+			b.Run(fmt.Sprintf("n=%d/P=%d/%s/survive=%s/%s", n, pairs, width, c.survive, body), func(b *testing.B) {
+				forceBody(b, body)
+				const runRows = 64 * HeadBlockRows
+				var iu [HeadBlockRows]int32
+				var sum uint32
+				for r := 0; r < b.N; r++ {
+					for row := 0; row < n; {
+						end := min(row+runRows, n)
+						at, pruned := h.BlockRun(row, end, c.cut, &iu)
+						sum += pruned + uint32(iu[0])
+						if row = at; at < end {
+							row += HeadBlockRows
 						}
-						sinkMask = sum
-						b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/row")
-						b.ReportMetric(float64(4*pairs+4+8), "B/row")
-					})
+					}
 				}
-			}
+				sinkMask = sum
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/row")
+				b.ReportMetric(float64(l.RowBytes()), "B/row")
+			})
 		}
 	}
 }

@@ -53,7 +53,8 @@ func (h *HeadTest) BlockRun(row, end int, cut float64, iu *[HeadBlockRows]int32)
 }
 
 // headBlockRunAVX2 is BlockRunPortable over 16 int32 lanes for row < end: it
-// reads each block of h.head, h.consts and h.tails until it stops, unchecked.
+// reads each block of h.tab (the slices of its width) and h.tails until it
+// stops, unchecked.
 //
 //go:noescape
 func headBlockRunAVX2(h *HeadTest, row, end int, cut float64, iu *[HeadBlockRows]int32) (at int, pruned uint32)

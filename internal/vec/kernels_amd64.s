@@ -27,24 +27,24 @@ TEXT ·xgetbv(SB), NOSPLIT, $0-8
 // func headBlockRunAVX2(h *HeadTest, row, end int, cut float64, iu *[16]int32) (at int, pruned uint32)
 //
 // One pass of block per 16 rows, the query's constants broadcast once for
-// the run. Y0 and Y1 hold IU of rows 0–7 and 8–15 as int32. Each is
-// converted to float64 exactly, multiplied by factor, and added to the
-// separately rounded tail·tails — two VMULPD and a VADDPD, never an FMA, so
-// a lane is bit for bit BlockRunPortable's expression. Predicate 1 of
-// VCMPPD is LT_OS: false when either side is NaN, like Go's <. The run ends
-// at the first block whose 16 mask bits are not all set, its lanes stored
-// to iu, or at end.
+// the run. Y0 and Y1 hold IU of rows 0–7 and 8–15 as int32. A wide table
+// (R8 = 0) feeds VPADDD and VPMADDWD from memory; a narrow one is sign-
+// extended on the way in — VPMOVSXWD for Σ|f|+w, VPMOVSXBW for a pair
+// group — to the int16 and int32 the wide one holds, at half the stride:
+// from there on a lane cannot tell the two apart. Each lane is converted
+// to float64 exactly, multiplied by factor, and added to the separately
+// rounded tail·tails — two VMULPD and a VADDPD, never an FMA, so a lane is
+// bit for bit BlockRunPortable's expression. Predicate 1 of VCMPPD is
+// LT_OS: false when either side is NaN, like Go's <. The run ends at the
+// first block whose 16 mask bits are not all set, its lanes stored to iu,
+// or at end.
 TEXT ·headBlockRunAVX2(SB), NOSPLIT, $0-52
 	MOVQ h+0(FP), R8
 	MOVQ row+8(FP), AX
 	MOVQ end+16(FP), R9
-	MOVQ HeadTest_pairs(R8), R10       // P
-	MOVQ AX, DX
-	IMULQ R10, DX
-	MOVQ HeadTest_head(R8), SI
-	LEAQ (SI)(DX*4), SI                // the block: row·P pairs of 4 bytes in
-	MOVQ HeadTest_consts(R8), DX
-	LEAQ (DX)(AX*4), DX
+	MOVQ (HeadTest_tab+HeadTable_lay+HeadLayout_pairs)(R8), R10 // P
+	MOVQ AX, BX
+	IMULQ R10, BX                      // the block: row·P pairs in
 	MOVQ HeadTest_tails(R8), DI
 	LEAQ (DI)(AX*8), DI
 	MOVQ HeadTest_floors(R8), R11
@@ -54,11 +54,30 @@ TEXT ·headBlockRunAVX2(SB), NOSPLIT, $0-52
 	VBROADCASTSD HeadTest_tail(R8), Y9
 	VBROADCASTSD cut+24(FP), Y10
 
+	CMPB (HeadTest_tab+HeadTable_lay+HeadLayout_narrow)(R8), $0
+	JNE  narrow
+	MOVQ (HeadTest_tab+HeadTable_head16)(R8), SI
+	LEAQ (SI)(BX*4), SI                // 4 bytes a pair
+	MOVQ (HeadTest_tab+HeadTable_consts32)(R8), DX
+	LEAQ (DX)(AX*4), DX
+	XORL R8, R8
+	JMP  block
+
+narrow:
+	MOVQ (HeadTest_tab+HeadTable_head8)(R8), SI
+	LEAQ (SI)(BX*2), SI                // 2 bytes a pair
+	MOVQ (HeadTest_tab+HeadTable_consts16)(R8), DX
+	LEAQ (DX)(AX*2), DX
+	MOVL $1, R8
+
 block:
-	VPADDD       (DX), Y14, Y0
-	VPADDD       32(DX), Y14, Y1
 	MOVQ         R11, BX
 	MOVQ         R10, CX
+	TESTL        R8, R8
+	JNZ          block8
+	VPADDD       (DX), Y14, Y0
+	VPADDD       32(DX), Y14, Y1
+	ADDQ         $64, DX
 
 pair:
 	VPBROADCASTD (BX), Y2              // (g₂ₚ, g₂ₚ₊₁) in every lane
@@ -70,7 +89,29 @@ pair:
 	ADDQ         $64, SI
 	DECQ         CX
 	JNZ          pair
+	JMP          bound
 
+block8:
+	VPMOVSXWD    (DX), Y0
+	VPMOVSXWD    16(DX), Y1
+	VPADDD       Y14, Y0, Y0
+	VPADDD       Y14, Y1, Y1
+	ADDQ         $32, DX
+
+pair8:
+	VPBROADCASTD (BX), Y2
+	VPMOVSXBW    (SI), Y3
+	VPMOVSXBW    16(SI), Y4
+	VPMADDWD     Y2, Y3, Y3
+	VPMADDWD     Y2, Y4, Y4
+	VPADDD       Y3, Y0, Y0
+	VPADDD       Y4, Y1, Y1
+	ADDQ         $4, BX
+	ADDQ         $32, SI
+	DECQ         CX
+	JNZ          pair8
+
+bound:
 	VCVTDQ2PD    X0, Y4                // rows 0–3
 	VEXTRACTI128 $1, Y0, X5
 	VCVTDQ2PD    X5, Y5                // rows 4–7
@@ -108,7 +149,6 @@ pair:
 	CMPL         R12, $0xFFFF
 	JNE          stop
 	ADDQ         $16, AX
-	ADDQ         $64, DX
 	ADDQ         $128, DI
 	CMPQ         AX, R9
 	JLT          block
