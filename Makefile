@@ -40,7 +40,8 @@ test:
 check: verify vet cross lint lint-fix-check perf-gate fmt-check race-subset
 
 ## vet: includes asmdecl, which checks internal/vec's assembly against its
-## Go declarations.
+## Go declarations, and copylocks, which keeps sync and sync/atomic values
+## (obs.Counter included) from being copied.
 vet:
 	$(GO) vet ./...
 
@@ -53,11 +54,11 @@ cross:
 
 ## lint: project-specific static analysis. fexlint enforces FEXIPRO's
 ## exactness, concurrency, and telemetry invariants (float comparisons,
-## stage-counter discipline, RNG seeding, discarded errors, mutex/atomic
-## copies, cancellable scan loops, kernel threshold contracts, lock-hold
-## discipline, //fex:hot allocation freedom, Search⇄SearchContext
-## parity, lock-order deadlock candidates, goroutine join edges,
-## //fex:guard field enforcement). Exits 0 clean / 1 findings / 2 load
+## stage-counter discipline, RNG seeding, discarded errors, cancellable
+## scan loops, lock-hold discipline, //fex:hot allocation freedom,
+## Search⇄SearchContext parity, strict and counted prunes of bound- and
+## threshold-derived values, lock-order deadlock candidates, goroutine
+## join edges, //fex:guard field enforcement). Exits 0 clean / 1 findings / 2 load
 ## error; findings in .fexlint-baseline.json are suppressed-and-counted,
 ## anything new fails, and -check-baseline fails on baseline rot (dead
 ## entries whose findings no longer fire). See DESIGN.md §12.

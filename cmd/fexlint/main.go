@@ -57,9 +57,9 @@
 //	{
 //	  "diagnostics": [
 //	    {
-//	      "analyzer": "kernelcontract",
+//	      "analyzer": "boundflow",
 //	      "file": "internal/core/retrieve.go",   // cwd-relative
-//	      "line": 150, "col": 24,
+//	      "line": 185, "col": 15,
 //	      "message": "...",
 //	      "fixes": [                             // omitted when empty
 //	        {"message": "replace <= with <",

@@ -54,30 +54,8 @@ var ctxEntryNames = map[string]bool{
 }
 
 func runCtxPoll(pass *Pass) {
-	// Index every function declaration by its *types.Func object so the
-	// call-graph walk can resolve same-unit static calls.
-	decls := make(map[types.Object]*ast.FuncDecl)
-	var declOrder []types.Object
-	var entries []*ast.FuncDecl
-	for _, file := range pass.Files {
-		if strings.HasSuffix(pass.Fset.Position(file.Pos()).Filename, "_test.go") {
-			continue // test harnesses replay scans deliberately
-		}
-		for _, d := range file.Decls {
-			fd, ok := d.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			obj := pass.Info.Defs[fd.Name]
-			if obj != nil {
-				decls[obj] = fd
-				declOrder = append(declOrder, obj)
-			}
-			if ctxEntryNames[fd.Name.Name] || isKernelScanDecl(pass, fd) {
-				entries = append(entries, fd)
-			}
-		}
-	}
+	// Test harnesses replay scans deliberately.
+	cg, order := callGraph(nonTestFiles(pass.Fset, pass.Files), pass.Info)
 
 	// Entry-poller fixpoint: a function polls at entry if it checks
 	// cancellation outside any loop, where a call to an already-known
@@ -86,11 +64,8 @@ func runCtxPoll(pass *Pass) {
 	pollers := make(map[types.Object]bool)
 	for changed := true; changed; {
 		changed = false
-		for _, obj := range declOrder {
-			if pollers[obj] {
-				continue
-			}
-			if hasEntryPoll(pass, pollers, decls[obj]) {
+		for _, obj := range order {
+			if !pollers[obj] && hasEntryPoll(pass, pollers, cg.Decls[obj]) {
 				pollers[obj] = true
 				changed = true
 			}
@@ -98,56 +73,28 @@ func runCtxPoll(pass *Pass) {
 	}
 	// Publish entry pollers for other units' pending loops — every unit
 	// exports, even ones with no context entry points of their own.
-	for _, obj := range declOrder {
-		if !pollers[obj] {
+	for _, obj := range order {
+		if pollers[obj] {
+			pass.ExportFact(cg.Decls[obj].Pos(), factEntryPoll, obj.(*types.Func).FullName())
+		}
+	}
+
+	// Reachability from the entry points; a function reached from several
+	// is reported under the first.
+	reachable := make(map[types.Object]string)
+	for _, entry := range order {
+		fd := cg.Decls[entry]
+		if !ctxEntryNames[fd.Name.Name] && !isKernelScanDecl(pass.Info, fd) {
 			continue
 		}
-		if fn, ok := obj.(*types.Func); ok {
-			pass.ExportFact(decls[obj].Pos(), factEntryPoll, fn.FullName())
+		for obj := range cg.Reachable([]types.Object{entry}) {
+			if _, seen := reachable[obj]; !seen {
+				reachable[obj] = fd.Name.Name
+			}
 		}
 	}
-
-	if len(entries) == 0 {
-		return
-	}
-
-	// Reachability: same-unit static call graph from the entry set.
-	reachable := make(map[*ast.FuncDecl]string) // decl -> rooting entry name
-	var walk func(fd *ast.FuncDecl, root string)
-	walk = func(fd *ast.FuncDecl, root string) {
-		if _, seen := reachable[fd]; seen {
-			return
-		}
-		reachable[fd] = root
-		ast.Inspect(fd.Body, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			var id *ast.Ident
-			switch fun := call.Fun.(type) {
-			case *ast.Ident:
-				id = fun
-			case *ast.SelectorExpr:
-				id = fun.Sel
-			}
-			if id == nil {
-				return true
-			}
-			if obj := pass.Info.Uses[id]; obj != nil {
-				if callee, ok := decls[obj]; ok {
-					walk(callee, root)
-				}
-			}
-			return true
-		})
-	}
-	for _, fd := range entries {
-		walk(fd, fd.Name.Name)
-	}
-
-	for fd, root := range reachable {
-		checkScanLoops(pass, pollers, fd, root)
+	for obj, root := range reachable {
+		checkScanLoops(pass, pollers, cg.Decls[obj], root)
 	}
 }
 
@@ -183,11 +130,11 @@ func runCtxPollModule(mp *ModulePass) {
 
 // isKernelScanDecl reports whether fd looks like engine.Kernel.Scan: a
 // method named Scan whose first parameter is a context.Context.
-func isKernelScanDecl(pass *Pass, fd *ast.FuncDecl) bool {
+func isKernelScanDecl(info *types.Info, fd *ast.FuncDecl) bool {
 	if fd.Name.Name != "Scan" || fd.Type.Params == nil || len(fd.Type.Params.List) == 0 {
 		return false
 	}
-	return isContextType(pass.TypeOf(fd.Type.Params.List[0].Type))
+	return isContextType(info.TypeOf(fd.Type.Params.List[0].Type))
 }
 
 // checkScanLoops flags every unsatisfied scan loop in fd. A loop that
@@ -320,7 +267,7 @@ func isScanLoop(pass *Pass, fd *ast.FuncDecl, body *ast.BlockStmt) bool {
 		}
 		switch fun := call.Fun.(type) {
 		case *ast.SelectorExpr:
-			if fun.Sel.Name == "Push" && isCollectorType(pass.TypeOf(fun.X)) {
+			if fun.Sel.Name == "Push" && isNamed(pass.TypeOf(fun.X), "Collector") {
 				found = true
 			}
 			if pass.Info.Uses[fun.Sel] != nil && pass.Info.Uses[fun.Sel] == pass.Info.Defs[fd.Name] {
@@ -353,19 +300,15 @@ func shallowInspect(body *ast.BlockStmt, f func(ast.Node)) {
 	})
 }
 
-// isCollectorType reports whether t is (a pointer to) a named type
-// called Collector — the top-k collector contract.
-func isCollectorType(t types.Type) bool {
-	if t == nil {
-		return false
-	}
-	if p, ok := t.Underlying().(*types.Pointer); ok {
-		t = p.Elem()
-	} else if p, ok := t.(*types.Pointer); ok {
+// isNamed reports whether t is (a pointer to) a named type called name,
+// the by-name match that lets fixtures mimic topk.Collector,
+// search.SharedThreshold and search.Stats.
+func isNamed(t types.Type, name string) bool {
+	if p, ok := t.(*types.Pointer); ok {
 		t = p.Elem()
 	}
 	named, ok := t.(*types.Named)
-	return ok && named.Obj().Name() == "Collector"
+	return ok && named.Obj().Name() == name
 }
 
 // appendsResult reports whether an append call grows a slice of a type

@@ -60,8 +60,8 @@ func TestFactExport(t *testing.T) {
 	if field.Pos.Line == 0 || filepath.Base(field.Pos.Filename) != "lib.go" {
 		t.Fatalf("field fact has unresolved position %+v", field.Pos)
 	}
-	if field.Dir == set.Dir {
-		t.Fatalf("field and set facts both from %s, want two packages", field.Dir)
+	if dir := filepath.Dir(field.Pos.Filename); dir == filepath.Dir(set.Pos.Filename) {
+		t.Fatalf("field and set facts both from %s, want two packages", dir)
 	}
 
 	// The module phase joins them: the wired field is silent, the
@@ -80,8 +80,8 @@ func TestFactExport(t *testing.T) {
 	}
 }
 
-// fixModule writes a temp module with one fixable kernelcontract
-// violation and one fixable lockhold defer typo, returning its dir.
+// fixModule writes a temp module with one fixable boundflow threshold
+// comparison and one fixable lockhold defer typo, returning its dir.
 func fixModule(t *testing.T) string {
 	t.Helper()
 	dir := t.TempDir()
@@ -162,7 +162,7 @@ func loadModule(t *testing.T, dir string) []*Unit {
 // pass is a no-op, byte for byte.
 func TestFixIdempotency(t *testing.T) {
 	dir := fixModule(t)
-	analyzers := []*Analyzer{KernelContract, LockHold}
+	analyzers := []*Analyzer{BoundFlow, LockHold}
 
 	diags := Run(loadModule(t, dir), analyzers)
 	var fixable int

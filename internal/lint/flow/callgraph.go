@@ -17,15 +17,6 @@ type CallGraph struct {
 	// directly (same unit or imported — callers filter by Decls
 	// membership when they need a body to descend into).
 	Callees map[types.Object][]types.Object
-	// Sites maps a declared function to its call expressions paired with
-	// the resolved callee, for diagnostics at the call site.
-	Sites map[types.Object][]CallSite
-}
-
-// CallSite is one resolved static call inside a function body.
-type CallSite struct {
-	Call   *ast.CallExpr
-	Callee types.Object
 }
 
 // BuildCallGraph walks every function declaration in files and resolves
@@ -36,7 +27,6 @@ func BuildCallGraph(files []*ast.File, info *types.Info) *CallGraph {
 	cg := &CallGraph{
 		Decls:   make(map[types.Object]*ast.FuncDecl),
 		Callees: make(map[types.Object][]types.Object),
-		Sites:   make(map[types.Object][]CallSite),
 	}
 	for _, f := range files {
 		for _, decl := range f.Decls {
@@ -56,11 +46,7 @@ func BuildCallGraph(files []*ast.File, info *types.Info) *CallGraph {
 					return true
 				}
 				callee := Callee(info, call)
-				if callee == nil {
-					return true
-				}
-				cg.Sites[obj] = append(cg.Sites[obj], CallSite{Call: call, Callee: callee})
-				if !seen[callee] {
+				if callee != nil && !seen[callee] {
 					seen[callee] = true
 					cg.Callees[obj] = append(cg.Callees[obj], callee)
 				}

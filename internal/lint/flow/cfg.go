@@ -1,11 +1,11 @@
 // Package flow is fexlint's stdlib-only dataflow layer: per-function
-// control-flow graphs over go/ast, a generic worklist solver with
-// reaching definitions and a configurable taint lattice on top, and a
-// per-unit static call graph. It exists so analyzers can reason about
-// VALUES (where a bound-derived float can flow) and CALLS (whether a
-// callee polls cancellation or blocks) instead of pattern-matching
-// tokens — the upgrade that turns fexlint's hot-path contracts from
-// syntactic checks into semantic ones (DESIGN.md §14).
+// control-flow graphs over go/ast, a worklist solver for a configurable
+// taint lattice, and a per-unit static call graph. It exists so
+// analyzers can reason about VALUES (where a bound-derived float can
+// flow) and CALLS (whether a callee polls cancellation or blocks)
+// instead of pattern-matching tokens — the upgrade that turns fexlint's
+// hot-path contracts from syntactic checks into semantic ones
+// (DESIGN.md §14).
 //
 // The graphs are statement-granular: every statement, loop condition,
 // and range operand is one node of a basic block, in execution order.

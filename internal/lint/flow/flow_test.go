@@ -37,23 +37,6 @@ func typecheck(t *testing.T, src, name string) (*ast.FuncDecl, *types.Info, []*a
 	return nil, nil, nil
 }
 
-func paramObjs(info *types.Info, fd *ast.FuncDecl) []types.Object {
-	var out []types.Object
-	if fd.Recv != nil {
-		for _, f := range fd.Recv.List {
-			for _, n := range f.Names {
-				out = append(out, info.Defs[n])
-			}
-		}
-	}
-	for _, f := range fd.Type.Params.List {
-		for _, n := range f.Names {
-			out = append(out, info.Defs[n])
-		}
-	}
-	return out
-}
-
 func TestCFGShapes(t *testing.T) {
 	cases := []struct {
 		name string
@@ -204,6 +187,13 @@ func TestTaintPropagation(t *testing.T) {
 	if res.Tainted(afterStmt, as.Rhs[0]) {
 		t.Error("b reassigned to 0.0 must kill taint before `after`")
 	}
+
+	// Entry seeds a parameter: t, clean above, is tainted from entry on.
+	spec := taintSpecFor(info)
+	spec.Entry = []types.Object{info.Defs[fd.Type.Params.List[0].Names[0]]}
+	if !Solve(g, spec).Tainted(ret, left.Y) {
+		t.Error("t seeded through Entry should be tainted")
+	}
 }
 
 func TestTaintThroughLoop(t *testing.T) {
@@ -215,68 +205,6 @@ func TestTaintThroughLoop(t *testing.T) {
 	as := sinkStmt.(*ast.AssignStmt)
 	if !res.Tainted(sinkStmt, as.Rhs[0]) {
 		t.Error("acc tainted inside the loop must still be tainted after it")
-	}
-}
-
-const reachSrc = `package t
-
-func g(p int) int {
-	x := 1
-	if p > 0 {
-		x = 2
-	}
-	y := x
-	x = 3
-	z := x
-	return y + z
-}
-`
-
-func TestReachingDefs(t *testing.T) {
-	fd, info, _ := typecheck(t, reachSrc, "g")
-	g := New(fd.Body)
-	rd := SolveReaching(g, info, paramObjs(info, fd))
-
-	var xObj types.Object
-	for id, obj := range info.Defs {
-		if id.Name == "x" {
-			xObj = obj
-		}
-	}
-	if xObj == nil {
-		t.Fatal("no x object")
-	}
-
-	yStmt := findNode(t, g, nil, reachSrc, "y := x")
-	if defs := rd.Defs(yStmt, xObj); len(defs) != 2 {
-		t.Fatalf("y := x should see 2 reaching defs of x (x:=1 and x=2), got %d", len(defs))
-	}
-	if _, ok := rd.SoleDef(yStmt, xObj); ok {
-		t.Fatal("SoleDef must fail when two defs reach")
-	}
-
-	zStmt := findNode(t, g, nil, reachSrc, "z := x")
-	def, ok := rd.SoleDef(zStmt, xObj)
-	if !ok {
-		t.Fatal("z := x should see exactly one def (x = 3)")
-	}
-	as, ok := def.Node.(*ast.AssignStmt)
-	if !ok {
-		t.Fatalf("def node is %T, want *ast.AssignStmt", def.Node)
-	}
-	if lit, ok := as.Rhs[0].(*ast.BasicLit); !ok || lit.Value != "3" {
-		t.Fatalf("sole def should be x = 3, got %v", as.Rhs[0])
-	}
-
-	// Parameter p reaches everywhere with its entry def.
-	var pObj types.Object
-	for id, obj := range info.Defs {
-		if id.Name == "p" {
-			pObj = obj
-		}
-	}
-	if defs := rd.Defs(yStmt, pObj); len(defs) != 1 || defs[0].Node != nil {
-		t.Fatalf("param p should have the entry def, got %v", defs)
 	}
 }
 

@@ -53,6 +53,10 @@ type TaintSpec struct {
 	// tainted regardless of the right-hand expression (the //fex:bound
 	// directive on a definition line).
 	SourceStmt func(stmt ast.Node) bool
+
+	// Entry lists the variables tainted on function entry: the
+	// parameters whose arguments carry the taint at some call site.
+	Entry []types.Object
 }
 
 // TaintResult answers flow-sensitive taint queries after Solve.
@@ -72,6 +76,9 @@ func Solve(g *Graph, spec TaintSpec) *TaintResult {
 	entry := make([]objset, len(g.Blocks))
 	for i := range entry {
 		entry[i] = objset{}
+	}
+	for _, obj := range spec.Entry {
+		entry[g.Entry.Index][obj] = true
 	}
 
 	// Worklist to fixpoint. A successor is (re)queued when its entry
@@ -117,12 +124,6 @@ func Solve(g *Graph, spec TaintSpec) *TaintResult {
 // unknown nodes answer with the empty state (nothing tainted).
 func (t *TaintResult) Tainted(node ast.Node, expr ast.Expr) bool {
 	return exprTaint(t.spec, t.before[node], expr)
-}
-
-// TaintedObj reports whether the variable obj is tainted just before
-// node executes.
-func (t *TaintResult) TaintedObj(node ast.Node, obj types.Object) bool {
-	return t.before[node][obj]
 }
 
 // transfer applies one CFG node's effect to state in place.
@@ -257,9 +258,9 @@ func exprTaint(spec TaintSpec, state objset, e ast.Expr) bool {
 	case *ast.ParenExpr:
 		return exprTaint(spec, state, x.X)
 	case *ast.UnaryExpr:
-		// -bound is a lower bound (direction flips), but the default
-		// stance keeps taint: the value is still bound-DERIVED, and the
-		// comparison rule accounts for sides. &x and +x pass through.
+		// -bound is a lower bound (direction flips), but the value is
+		// still bound-DERIVED: taint stays, and boundflow reports any
+		// comparison over a negated tainted value. &x and +x pass through.
 		return exprTaint(spec, state, x.X)
 	case *ast.StarExpr:
 		return exprTaint(spec, state, x.X)

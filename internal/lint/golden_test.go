@@ -10,26 +10,28 @@ import (
 )
 
 // fixtureCases maps each analyzer to its golden fixture package(s)
-// under testdata/src.
+// under testdata/src. A case is named <analyzer>/<fixture> unless it
+// sets group, which kernelcontract's does: boundflow checks it now,
+// but the case keeps the retired analyzer's name.
 var fixtureCases = []struct {
 	analyzer *Analyzer
 	fixture  string
+	group    string
 }{
-	{FloatCmp, "floatcmp"},
-	{StageCounters, "stagecounters"},
-	{StageCounters, "stagecounters_nototal"},
-	{RNGSeed, "rngseed"},
-	{ErrCheck, "errcheck"},
-	{MutCopy, "mutcopy"},
-	{CtxPoll, "ctxpoll"},
-	{KernelContract, "kernelcontract"},
-	{LockHold, "lockhold"},
-	{LockOrder, "lockorder"},
-	{GoroutineLife, "goroutinelife"},
-	{GuardedBy, "guardedby"},
-	{HotAlloc, "hotalloc"},
-	{APIParity, "apiparity"},
-	{BoundFlow, "boundflow"},
+	{FloatCmp, "floatcmp", ""},
+	{StageCounters, "stagecounters", ""},
+	{StageCounters, "stagecounters_nototal", ""},
+	{RNGSeed, "rngseed", ""},
+	{ErrCheck, "errcheck", ""},
+	{CtxPoll, "ctxpoll", ""},
+	{LockHold, "lockhold", ""},
+	{LockOrder, "lockorder", ""},
+	{GoroutineLife, "goroutinelife", ""},
+	{GuardedBy, "guardedby", ""},
+	{HotAlloc, "hotalloc", ""},
+	{APIParity, "apiparity", ""},
+	{BoundFlow, "boundflow", ""},
+	{BoundFlow, "kernelcontract", "kernelcontract"},
 }
 
 // want is one expectation parsed from a `// want` comment.
@@ -110,11 +112,16 @@ func loadFixture(t *testing.T, fixture string) []*Unit {
 
 // TestGoldenFixtures checks every analyzer against its fixture: each
 // `// want` comment must be matched by a diagnostic on that exact
-// file:line, and no unexpected diagnostics may appear.
+// file:line, and no unexpected diagnostics may appear. A diagnostic's
+// fixes are matched as " [fix: <message>]" after its message, so a want
+// can pin a fix, or with a trailing `$` its absence.
 func TestGoldenFixtures(t *testing.T) {
 	for _, tc := range fixtureCases {
-		name := tc.analyzer.Name + "/" + tc.fixture
-		t.Run(name, func(t *testing.T) {
+		group := tc.analyzer.Name
+		if tc.group != "" {
+			group = tc.group
+		}
+		t.Run(group+"/"+tc.fixture, func(t *testing.T) {
 			units := loadFixture(t, tc.fixture)
 			var wants []*want
 			for _, u := range units {
@@ -128,9 +135,13 @@ func TestGoldenFixtures(t *testing.T) {
 				t.Fatalf("fixture %s produced no diagnostics; fexlint must exit non-zero on it", tc.fixture)
 			}
 			for _, d := range diags {
+				text := d.Message
+				for _, f := range d.Fixes {
+					text += " [fix: " + f.Message + "]"
+				}
 				matched := false
 				for _, w := range wants {
-					if !w.hit && w.file == filepath.Base(d.File) && w.line == d.Line && w.rx.MatchString(d.Message) {
+					if !w.hit && w.file == filepath.Base(d.File) && w.line == d.Line && w.rx.MatchString(text) {
 						w.hit = true
 						matched = true
 						break
@@ -199,8 +210,8 @@ func TestSuppression(t *testing.T) {
 // TestAnalyzerRegistry checks All()/ByName round-trips.
 func TestAnalyzerRegistry(t *testing.T) {
 	all := All()
-	if len(all) != 14 {
-		t.Fatalf("expected 14 analyzers, got %d", len(all))
+	if len(all) != 12 {
+		t.Fatalf("expected 12 analyzers, got %d", len(all))
 	}
 	names := make([]string, len(all))
 	for i, a := range all {

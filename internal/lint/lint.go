@@ -7,23 +7,18 @@
 //   - floatcmp:      no ==/!= between floating-point expressions outside
 //     the allowlisted exact-zero idiom (Theorems 1–4 demand conservative
 //     bounds, and float equality is the classic way "exact" goes wrong);
-//   - stagecounters: every threshold-guarded pruning exit increments a
-//     StageCounters field, TotalPruned sums every stage, StageCounters
-//     literals are complete, and Metric* constants obey the Prometheus
-//     naming grammar shared with internal/obs;
+//   - stagecounters: TotalPruned sums every stage, StageCounters
+//     literals are complete, PrunedBy* counters only grow, and Metric*
+//     constants obey the Prometheus naming grammar shared with
+//     internal/obs;
 //   - rngseed:       no math/rand global-source calls, and no
 //     non-deterministic seeds in tests/benchmarks (EXPERIMENTS.md
 //     reproducibility);
 //   - errcheck:      no silently discarded error results outside the
 //     explicit `_ =` and `defer Close` idioms;
-//   - mutcopy:       no by-value copies of types holding sync primitives
-//     or atomic fields, and no mixed atomic/plain access to a field;
 //   - ctxpoll:       every item-scan loop reachable from a SearchContext
 //     / kernel Scan entry point must poll cancellation on a CheckStride
 //     boundary (DESIGN.md §10: scans must stay cancellable);
-//   - kernelcontract: engine.Kernel implementations must prune with
-//     strictly-conservative threshold comparisons and must not mutate
-//     kernel state inside Scan (DESIGN.md §11 exactness);
 //   - lockhold:      index-mutex discipline — balanced Lock/Unlock,
 //     no blocking calls (channel ops, I/O, slog, Search*Context) while
 //     holding a mutex;
@@ -32,10 +27,11 @@
 //   - apiparity:     exported Search ⇄ SearchContext (and SearchAbove ⇄
 //     SearchAboveContext) parity on every searcher, and every
 //     server/experiments Config field must be wired to a cmd flag.
-//   - boundflow:     dataflow taint over internal/lint/flow CFGs —
-//     values from //fex:bound upper-bound computations may only reach
-//     strictly-conservative threshold comparisons, with bound-fn facts
-//     carrying the taint across package boundaries.
+//   - boundflow:     the pruning contract, by dataflow over
+//     internal/lint/flow CFGs and call graphs — values derived from
+//     //fex:bound upper bounds or, under a kernel Scan, from the shared
+//     threshold meet only strictly-conservative comparisons, and every
+//     prune exit increments a PrunedBy* counter (DESIGN.md §12.9);
 //   - lockorder:     whole-program lock-order graph over the static call
 //     graph: every nested acquisition must be declared with
 //     //fex:lockorder A < B, contradictions of the declared hierarchy
@@ -49,6 +45,9 @@
 //     only be accessed under their mutex, and fields whose every write
 //     already happens under exactly one mutex get the annotation
 //     suggested as a machine-applicable fix.
+//
+// Copies of sync and sync/atomic values are go vet's copylocks check,
+// which `make check` and CI run beside fexlint.
 //
 // The driver type-checks package directories in parallel, runs each
 // analyzer's per-unit pass concurrently across units, then runs an
@@ -76,6 +75,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"fexipro/internal/lint/flow"
 )
 
 // TextEdit is one byte-range replacement in a file. Offsets are byte
@@ -117,15 +118,10 @@ func (d Diagnostic) String() string {
 // position — which keeps them trivially mergeable and sortable across
 // parallel unit passes.
 type Fact struct {
-	// UnitPath is the import path of the exporting unit.
-	UnitPath string
-	// Dir is the directory of the exporting unit, the natural join key
-	// for "package X must have a test in the same directory" contracts.
-	Dir string
 	// Analyzer is the exporting analyzer's name; module passes only see
 	// their own facts.
 	Analyzer string
-	// Name classifies the fact (e.g. "kernel", "checksharded",
+	// Name classifies the fact (e.g. "bound-fn", "entrypoll",
 	// "config-field", "config-field-set").
 	Name string
 	// Value carries the payload (e.g. a type name or field key).
@@ -197,8 +193,6 @@ func (p *Pass) report(pos token.Pos, fixes []SuggestedFix, format string, args .
 // module phase.
 func (p *Pass) ExportFact(pos token.Pos, name, value string) {
 	*p.facts = append(*p.facts, Fact{
-		UnitPath: p.unit.Path,
-		Dir:      p.unit.Dir,
 		Analyzer: p.Analyzer.Name,
 		Name:     name,
 		Value:    value,
@@ -223,6 +217,30 @@ func (p *Pass) TypeOf(expr ast.Expr) types.Type {
 // TextEdits.
 func (p *Pass) Offset(pos token.Pos) int {
 	return p.Fset.Position(pos).Offset
+}
+
+// nonTestFiles drops the _test.go files of a unit.
+func nonTestFiles(fset *token.FileSet, files []*ast.File) []*ast.File {
+	var out []*ast.File
+	for _, f := range files {
+		if !strings.HasSuffix(fset.Position(f.Pos()).Filename, "_test.go") {
+			out = append(out, f)
+		}
+	}
+	return out
+}
+
+// callGraph returns the static call graph of files and its declared
+// functions in source order, the deterministic order that same-unit
+// fixpoints and facts iterate in.
+func callGraph(files []*ast.File, info *types.Info) (*flow.CallGraph, []types.Object) {
+	cg := flow.BuildCallGraph(files, info)
+	order := make([]types.Object, 0, len(cg.Decls))
+	for obj := range cg.Decls {
+		order = append(order, obj)
+	}
+	sort.Slice(order, func(i, j int) bool { return order[i].Pos() < order[j].Pos() })
+	return cg, order
 }
 
 // ModulePass is the whole-program phase of one analyzer: it sees the
@@ -438,9 +456,7 @@ func All() []*Analyzer {
 		StageCounters,
 		RNGSeed,
 		ErrCheck,
-		MutCopy,
 		CtxPoll,
-		KernelContract,
 		LockHold,
 		HotAlloc,
 		APIParity,

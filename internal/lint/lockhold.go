@@ -4,7 +4,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"strings"
 
 	"fexipro/internal/lint/flow"
 )
@@ -47,43 +46,26 @@ var LockHold = &Analyzer{
 }
 
 func runLockHold(pass *Pass) {
-	decls := make(map[types.Object]*ast.FuncDecl)
-	var declOrder []types.Object
-	var fds []*ast.FuncDecl
-	for _, file := range pass.Files {
-		if strings.HasSuffix(pass.Fset.Position(file.Pos()).Filename, "_test.go") {
-			continue // tests block on locks deliberately (race harnesses)
-		}
-		for _, d := range file.Decls {
-			fd, ok := d.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			if obj := pass.Info.Defs[fd.Name]; obj != nil {
-				decls[obj] = fd
-				declOrder = append(declOrder, obj)
-			}
-			fds = append(fds, fd)
-		}
-	}
-	blockers := blockerFixpoint(pass, decls, declOrder)
-	for _, fd := range fds {
-		checkLocks(pass, blockers, fd)
+	// Tests block on locks deliberately (race harnesses).
+	cg, order := callGraph(nonTestFiles(pass.Fset, pass.Files), pass.Info)
+	blockers := blockerFixpoint(pass, cg, order)
+	for _, obj := range order {
+		checkLocks(pass, blockers, cg.Decls[obj])
 	}
 }
 
 // blockerFixpoint computes which same-unit functions (transitively,
 // through same-unit static calls) perform a blocking operation, mapping
 // each to the call chain that reaches it (e.g. "relay → time.Sleep").
-func blockerFixpoint(pass *Pass, decls map[types.Object]*ast.FuncDecl, declOrder []types.Object) map[types.Object]string {
+func blockerFixpoint(pass *Pass, cg *flow.CallGraph, order []types.Object) map[types.Object]string {
 	blockers := make(map[types.Object]string)
 	for changed := true; changed; {
 		changed = false
-		for _, obj := range declOrder {
+		for _, obj := range order {
 			if blockers[obj] != "" {
 				continue
 			}
-			if reason := directBlockReason(pass, blockers, decls[obj].Body); reason != "" {
+			if reason := directBlockReason(pass, blockers, cg.Decls[obj].Body); reason != "" {
 				blockers[obj] = reason
 				changed = true
 			}

@@ -13,26 +13,22 @@ import (
 
 // StageCounters enforces the telemetry contract between the pruning
 // cascade and the StageCounters schema introduced by the observability
-// layer:
+// layer (that every prune exit increments a PrunedBy* counter is
+// boundflow's, which knows where the prunes are):
 //
-//  1. any threshold-guarded exit (an if whose condition compares a value
-//     derived from a Threshold() call, inside a method on a type that
-//     carries a Stats field) must increment a PrunedBy* counter before
-//     leaving the loop or function — a pruning decision that is not
-//     counted silently corrupts Tables 3/7-style telemetry;
-//  2. a struct type named Stats that declares PrunedBy* fields must have
+//  1. a struct type named Stats that declares PrunedBy* fields must have
 //     a TotalPruned method referencing every one of them (the single
 //     collapse point for the per-stage counters);
-//  3. a keyed composite literal of a struct named StageCounters must set
+//  2. a keyed composite literal of a struct named StageCounters must set
 //     every field, so schema conversions cannot silently drop a stage;
-//  4. string constants named Metric* must satisfy the Prometheus metric
+//  3. string constants named Metric* must satisfy the Prometheus metric
 //     naming grammar, via the same obs.ValidMetricName the runtime
 //     registry enforces — the static and dynamic checks cannot diverge;
-//  5. a PrunedBy* field must never be plainly assigned (counters are
+//  4. a PrunedBy* field must never be plainly assigned (counters are
 //     monotone within a query: use += or ++; reset the whole Stats).
 var StageCounters = &Analyzer{
 	Name: "stagecounters",
-	Doc:  "enforces StageCounters increments on pruning exits, TotalPruned completeness, and Prometheus metric-name grammar",
+	Doc:  "enforces TotalPruned completeness, complete StageCounters literals, monotone PrunedBy* counters, and Prometheus metric-name grammar",
 	Run:  runStageCounters,
 }
 
@@ -42,10 +38,6 @@ func runStageCounters(pass *Pass) {
 		checkStatsTypes(pass, file)
 		ast.Inspect(file, func(n ast.Node) bool {
 			switch node := n.(type) {
-			case *ast.FuncDecl:
-				if node.Body != nil && hasStatsReceiver(pass, node) {
-					checkThresholdExits(pass, node)
-				}
 			case *ast.CompositeLit:
 				checkStageCountersLit(pass, node)
 			case *ast.AssignStmt:
@@ -56,7 +48,7 @@ func runStageCounters(pass *Pass) {
 	}
 }
 
-// --- check 4: Metric* constants obey the Prometheus grammar ----------
+// --- check 3: Metric* constants obey the Prometheus grammar ----------
 
 func checkMetricConsts(pass *Pass, file *ast.File) {
 	for _, decl := range file.Decls {
@@ -87,7 +79,7 @@ func checkMetricConsts(pass *Pass, file *ast.File) {
 	}
 }
 
-// --- check 2: Stats types collapse every PrunedBy* field -------------
+// --- check 1: Stats types collapse every PrunedBy* field -------------
 
 func checkStatsTypes(pass *Pass, file *ast.File) {
 	for _, decl := range file.Decls {
@@ -172,7 +164,7 @@ func receiverTypeName(expr ast.Expr) string {
 	return ""
 }
 
-// --- check 3: keyed StageCounters literals are complete --------------
+// --- check 2: keyed StageCounters literals are complete --------------
 
 func checkStageCountersLit(pass *Pass, lit *ast.CompositeLit) {
 	t := pass.TypeOf(lit)
@@ -210,7 +202,7 @@ func checkStageCountersLit(pass *Pass, lit *ast.CompositeLit) {
 	}
 }
 
-// --- check 5: stage counters are monotone --------------------------
+// --- check 4: stage counters are monotone --------------------------
 
 func checkPlainCounterAssign(pass *Pass, as *ast.AssignStmt) {
 	if as.Tok != token.ASSIGN {
@@ -224,177 +216,4 @@ func checkPlainCounterAssign(pass *Pass, as *ast.AssignStmt) {
 		pass.Reportf(sel.Sel.Pos(),
 			"plain assignment to stage counter %s; counters are monotone within a query (use += or ++, reset the whole Stats value)", sel.Sel.Name)
 	}
-}
-
-// --- check 1: threshold-guarded exits must count the prune -----------
-
-// hasStatsReceiver reports whether fd is a method on a struct that holds
-// a field of a named type called Stats (e.g. search.Stats).
-func hasStatsReceiver(pass *Pass, fd *ast.FuncDecl) bool {
-	if fd.Recv == nil || len(fd.Recv.List) == 0 {
-		return false
-	}
-	t := pass.TypeOf(fd.Recv.List[0].Type)
-	if t == nil {
-		return false
-	}
-	if ptr, ok := t.(*types.Pointer); ok {
-		t = ptr.Elem()
-	}
-	st, ok := t.Underlying().(*types.Struct)
-	if !ok {
-		return false
-	}
-	for i := 0; i < st.NumFields(); i++ {
-		ft := st.Field(i).Type()
-		if named, ok := ft.(*types.Named); ok && named.Obj().Name() == "Stats" {
-			return true
-		}
-	}
-	return false
-}
-
-// checkThresholdExits performs a local taint pass: identifiers assigned
-// from a Threshold() call (transitively) taint the conditions they
-// appear in; any tainted comparison guarding a break/continue/return
-// must increment a PrunedBy* counter in that branch.
-func checkThresholdExits(pass *Pass, fd *ast.FuncDecl) {
-	tainted := make(map[types.Object]bool)
-	// Fixpoint over the function's assignments (bodies are short; the
-	// bound prevents pathological loops).
-	for iter := 0; iter < 8; iter++ {
-		changed := false
-		ast.Inspect(fd.Body, func(n ast.Node) bool {
-			as, ok := n.(*ast.AssignStmt)
-			if !ok || len(as.Rhs) == 0 {
-				return true
-			}
-			dirty := false
-			for _, rhs := range as.Rhs {
-				if exprTainted(pass, rhs, tainted) {
-					dirty = true
-				}
-			}
-			if !dirty {
-				return true
-			}
-			for _, lhs := range as.Lhs {
-				id, ok := lhs.(*ast.Ident)
-				if !ok {
-					continue
-				}
-				obj := pass.Info.ObjectOf(id)
-				if obj != nil && !tainted[obj] {
-					tainted[obj] = true
-					changed = true
-				}
-			}
-			return true
-		})
-		if !changed {
-			break
-		}
-	}
-
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		ifs, ok := n.(*ast.IfStmt)
-		if !ok || !condIsThresholdCompare(pass, ifs.Cond, tainted) {
-			return true
-		}
-		for _, branch := range []ast.Stmt{ifs.Body, ifs.Else} {
-			block, ok := branch.(*ast.BlockStmt)
-			if !ok || !endsInExit(block) {
-				continue
-			}
-			if !incrementsStageCounter(block) {
-				pass.Reportf(ifs.If,
-					"threshold-guarded exit does not increment a PrunedBy* stage counter; uncounted prunes corrupt the Tables 3/7 telemetry")
-			}
-		}
-		return true
-	})
-}
-
-// exprTainted reports whether e contains a Threshold() call or a tainted
-// identifier.
-func exprTainted(pass *Pass, e ast.Expr, tainted map[types.Object]bool) bool {
-	found := false
-	ast.Inspect(e, func(n ast.Node) bool {
-		switch node := n.(type) {
-		case *ast.CallExpr:
-			if sel, ok := node.Fun.(*ast.SelectorExpr); ok {
-				name := sel.Sel.Name
-				if name == "Threshold" || name == "threshold" {
-					found = true
-				}
-			}
-		case *ast.Ident:
-			if obj := pass.Info.ObjectOf(node); obj != nil && tainted[obj] {
-				found = true
-			}
-		}
-		return !found
-	})
-	return found
-}
-
-// condIsThresholdCompare reports whether cond contains an ordered
-// comparison with a tainted side.
-func condIsThresholdCompare(pass *Pass, cond ast.Expr, tainted map[types.Object]bool) bool {
-	found := false
-	ast.Inspect(cond, func(n ast.Node) bool {
-		be, ok := n.(*ast.BinaryExpr)
-		if !ok {
-			return true
-		}
-		switch be.Op {
-		case token.LSS, token.LEQ, token.GTR, token.GEQ:
-			if exprTainted(pass, be.X, tainted) || exprTainted(pass, be.Y, tainted) {
-				found = true
-			}
-		}
-		return !found
-	})
-	return found
-}
-
-// endsInExit reports whether the block's last statement leaves the loop
-// or function.
-func endsInExit(block *ast.BlockStmt) bool {
-	if len(block.List) == 0 {
-		return false
-	}
-	switch last := block.List[len(block.List)-1].(type) {
-	case *ast.BranchStmt:
-		return last.Tok == token.BREAK || last.Tok == token.CONTINUE
-	case *ast.ReturnStmt:
-		return true
-	}
-	return false
-}
-
-// incrementsStageCounter reports whether the block (recursively)
-// contains a += or ++ on a field named PrunedBy*.
-func incrementsStageCounter(block *ast.BlockStmt) bool {
-	found := false
-	ast.Inspect(block, func(n ast.Node) bool {
-		switch node := n.(type) {
-		case *ast.AssignStmt:
-			if node.Tok == token.ADD_ASSIGN {
-				for _, lhs := range node.Lhs {
-					if sel, ok := lhs.(*ast.SelectorExpr); ok && strings.HasPrefix(sel.Sel.Name, "PrunedBy") {
-						found = true
-					}
-				}
-			}
-		case *ast.IncDecStmt:
-			if node.Tok == token.INC {
-				if sel, ok := node.X.(*ast.SelectorExpr); ok && strings.HasPrefix(sel.Sel.Name, "PrunedBy") {
-					found = true
-				}
-			}
-		}
-		return !found
-	})
-	return found
 }

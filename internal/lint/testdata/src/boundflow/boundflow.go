@@ -1,7 +1,9 @@
 // Package boundflow is the golden fixture for the boundflow analyzer:
-// direction-aware taint from //fex:bound sources through locals and
-// function returns (bound-fn facts, cross-package included), the
-// sanitizing exact recompute, and the conservative-comparison rule.
+// direction-aware taint from //fex:bound sources through locals,
+// function returns (bound-fn facts, cross-package included) and call
+// arguments, the sanitizing exact recompute, and the
+// conservative-comparison rule. The kernelcontract fixture covers the
+// threshold label under a kernel-shaped Scan and the prune-exit rule.
 package boundflow
 
 import "fexipro/internal/lint/testdata/src/boundflow/bounds"
@@ -28,7 +30,7 @@ func throughLocals(q, p []float64, qTail, pTail, t float64) bool {
 	ub := partial + qTail*pTail //fex:bound
 	scaled := ub * 1.25
 	shifted := scaled + 0.5
-	if shifted <= t { // want `comparison "<=" on a bound-derived value`
+	if shifted <= t { // want `comparison "<=" on a bound-derived value.*; use < \[fix: replace <= with <\]$`
 		return false
 	}
 	return shifted >= t // legal: tie-keeping keep
@@ -95,8 +97,30 @@ func equality(partial, qTail, pTail, t float64) bool {
 // rightSide: the mirrored rule when the bound sits on the right.
 func rightSide(partial, qTail, pTail, t float64) bool {
 	ub := partial + qTail*pTail //fex:bound
-	if t < ub {                 // want `comparison "<" on a bound-derived value`
+	if t < ub {                 // want `comparison "<" on a bound-derived value.*\[fix: replace < with <=\]$`
 		return true
 	}
 	return t > ub // legal: threshold strictly above the bound prunes
+}
+
+// passBound: a bound passed to a same-unit helper labels the helper's
+// parameter, with no threshold anywhere in sight.
+func passBound(q, p []float64, qTail, pTail, floor float64) bool {
+	ub1 := qTail * pTail //fex:bound
+	return residual(dot(q, p), ub1, floor)
+}
+
+func residual(v, ub1, floor float64) bool {
+	return v+ub1 <= floor // want `comparison "<=" on a bound-derived value`
+}
+
+// negatedPrune: -ub > -t is the strict prune ub < t, but an operator
+// rewrite cannot see through the negation (`>=` would prune ties), so
+// both comparisons are reported and neither carries a fix.
+func negatedPrune(partial, qTail, pTail, t float64) bool {
+	ub := partial + qTail*pTail //fex:bound
+	if -ub > -t {               // want `comparison ">" on a negated bound-derived value.*un-negated.*\)$`
+		return false
+	}
+	return -ub >= -t // want `comparison ">=" on a negated bound-derived value.*un-negated.*\)$`
 }

@@ -1,7 +1,7 @@
-// Package kernelcontract is a fexlint golden fixture: a structural
-// engine.Kernel (methods Shards, Prepare, context-first Scan) whose
-// Scan breaks the strict-comparison and no-mutation contracts.
-// SharedThreshold and Collector mimic the real types by name.
+// Package kernelcontract is the boundflow fixture for kernel-shaped
+// code: the threshold label under a kernel-shaped Scan, its operator
+// fixes, and the prune-exit rule. It keeps the name of the retired
+// kernelcontract analyzer, whose cases it carries.
 package kernelcontract
 
 import "context"
@@ -12,9 +12,6 @@ type SharedThreshold struct{ v float64 }
 // Floor mimics the monotone-max read.
 func (s *SharedThreshold) Floor(local float64) float64 { return s.v }
 
-// Load mimics the raw read.
-func (s *SharedThreshold) Load() float64 { return s.v }
-
 // Collector mimics topk.Collector.
 type Collector struct{ t float64 }
 
@@ -24,54 +21,115 @@ func (c *Collector) Threshold() float64 { return c.t }
 // Push mimics the collector offer.
 func (c *Collector) Push(int, float64) bool { return true }
 
-// Kern structurally implements engine.Kernel.
-type Kern struct {
-	norms   []float64
-	scanned int
+// Stats mirrors search.Stats.
+type Stats struct {
+	Scanned        int
+	PrunedByLength int
 }
 
-// Shards implements engine.Kernel.
-func (k *Kern) Shards() int { return 1 }
+// Kern is shaped like engine.Kernel: the functions its Scan reaches are
+// where threshold-derived values are labelled.
+type Kern struct {
+	norms []float64
+	tails []float64
+}
 
-// Prepare implements engine.Kernel.
-func (k *Kern) Prepare(q []float64) any { return nil }
-
-// Scan implements engine.Kernel with three contract violations: a
-// receiver mutation and two non-conservative threshold comparisons
-// (both carry suggested fixes restoring the conservative operator).
-func (k *Kern) Scan(ctx context.Context, pq any, shard int, c *Collector, shared *SharedThreshold) error {
+// Scan carries two non-conservative threshold comparisons, each with
+// the fix that restores the conservative operator.
+func (k *Kern) Scan(ctx context.Context, pq any, shard int, c *Collector, shared *SharedThreshold) (Stats, error) {
+	var st Stats
 	t := shared.Floor(c.Threshold())
 	for i, n := range k.norms {
 		if err := ctx.Err(); err != nil {
-			return err
+			return st, err
 		}
-		k.scanned++ // want `Scan on kernel Kern mutates receiver state`
-		if n <= t { // want `threshold comparison "<=" prunes or drops exact ties`
+		if n <= t { // want `comparison "<=" on a threshold-derived value.*\[fix: replace <= with <\]$`
+			st.PrunedByLength++
 			continue
 		}
-		if t >= n { // want `threshold comparison ">=" prunes or drops exact ties`
+		if t >= n { // want `comparison ">=" on a threshold-derived value.*\[fix: replace >= with >\]$`
+			st.PrunedByLength++
 			continue
 		}
 		if n < t { // strict prune: conservative, no diagnostic
+			st.PrunedByLength++
 			continue
 		}
 		if n >= t { // tie-keeping keep: conservative, no diagnostic
 			c.Push(i, n)
 		}
+		k.tailTest(i, t, &st)
 	}
-	return k.helper(t)
+	k.keepSide(t, &st)
+	s := &searcher{norms: k.norms}
+	s.searchBad(c)
+	s.searchGood(c)
+	return st, k.helper(t)
 }
 
 // helper receives a threshold-derived value through a call argument:
-// the fixpoint must carry derivedness across the call and through
-// arithmetic.
+// the label crosses the call and survives arithmetic.
 func (k *Kern) helper(t float64) error {
 	limit := t * 0.5
-	if 1.0 == limit { // want `threshold comparison "==" prunes or drops exact ties`
+	if 1.0 == limit { // want `comparison "==" on a threshold-derived value`
 		return nil
 	}
 	if 1.0 < limit { // derived on the right, strict prune: fine
 		return nil
 	}
 	return nil
+}
+
+// tailTest takes its counters as a parameter, the F-SIR cascade's shape:
+// a prune exit here must count.
+func (k *Kern) tailTest(i int, t float64, stats *Stats) bool {
+	ub := k.norms[i] * k.tails[i] //fex:bound
+	if ub < t {                   // want `prune exit does not increment a PrunedBy\* stage counter`
+		return false
+	}
+	stats.Scanned++
+	return true
+}
+
+// keepSide: the break runs when the prune does NOT hold (scanBlocked's
+// run-halving shape), so it owes no counter.
+func (k *Kern) keepSide(t float64, stats *Stats) int {
+	end := len(k.norms)
+	for end > 0 {
+		lenBound := k.norms[end-1] //fex:bound
+		if !(lenBound < t) {
+			break
+		}
+		stats.PrunedByLength++
+		end--
+	}
+	return end
+}
+
+// searcher counts through a Stats field of its receiver.
+type searcher struct {
+	stats Stats
+	norms []float64
+}
+
+func (s *searcher) searchBad(c *Collector) {
+	t := c.Threshold()
+	for _, n := range s.norms {
+		if n < t { // want `prune exit does not increment a PrunedBy\* stage counter`
+			break
+		}
+		s.stats.Scanned++
+	}
+}
+
+func (s *searcher) searchGood(c *Collector) {
+	t := c.Threshold()
+	theta := t * 0.5 // the label survives arithmetic
+	for i, n := range s.norms {
+		if n < theta { // counted prune: allowed
+			s.stats.PrunedByLength += len(s.norms) - i
+			break
+		}
+		s.stats.Scanned++
+	}
 }

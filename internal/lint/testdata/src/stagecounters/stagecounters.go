@@ -44,38 +44,7 @@ const (
 	MetricDash    = "fexipro-dash"           // want `violates the Prometheus naming grammar`
 )
 
-type collector struct{ floor float64 }
-
-func (c *collector) Threshold() float64 { return c.floor }
-
-type searcher struct {
-	stats Stats
-	norms []float64
-}
-
-func (s *searcher) searchBad(c *collector) {
-	t := c.Threshold()
-	for _, n := range s.norms {
-		if n <= t { // want `threshold-guarded exit does not increment`
-			break
-		}
-		s.stats.Scanned++
-	}
-}
-
-func (s *searcher) searchGood(c *collector) {
-	t := c.Threshold()
-	theta := t * 0.5 // taint propagates through derived values
-	for i, n := range s.norms {
-		if n <= theta { // counted prune: allowed
-			s.stats.PrunedByLength += len(s.norms) - i
-			break
-		}
-		s.stats.Scanned++
-	}
-}
-
-func (s *searcher) reset(n int) {
-	s.stats = Stats{}          // whole-struct reset: allowed
-	s.stats.PrunedByLength = n // want `plain assignment to stage counter`
+func reset(st *Stats, n int) {
+	*st = Stats{}         // whole-struct reset: allowed
+	st.PrunedByLength = n // want `plain assignment to stage counter`
 }
