@@ -32,7 +32,9 @@
 //
 // -fix applies every machine-applicable suggested fix in place and then
 // reports only the findings that remain; fix application is idempotent
-// (a second -fix pass rewrites nothing).
+// (a second -fix pass rewrites nothing). Fixes apply after baseline
+// suppression, so -fix only rewrites code for findings that fail a
+// plain run anyway.
 //
 // -baseline names a grandfathered-findings file (default
 // .fexlint-baseline.json at the module root; a missing file is an empty

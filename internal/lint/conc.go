@@ -1,16 +1,21 @@
 package lint
 
 import (
+	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
+	"strings"
 )
 
-// conc.go holds the concurrency-model helpers shared by the lockhold,
-// lockorder, goroutinelife, and guardedby analyzers: classifying sync
-// primitives, flattening receiver chains, pairing Lock/Unlock events
-// into lexical held regions, and resolving a mutex expression to its
-// canonical whole-program name.
+// conc.go holds the concurrency model shared by the locks and
+// goroutinelife analyzers: classifying sync primitives, flattening
+// receiver chains, the per-body lock record (Lock/Unlock events paired
+// into lexical held regions, once per body), and resolving a mutex
+// expression to its canonical whole-program name.
+
+// factSep joins the fields of a locks or goroutinelife fact value.
+const factSep = "|"
 
 // lockEvent is one Lock/RLock/Unlock/RUnlock call observed in a
 // function body, in source order.
@@ -24,14 +29,15 @@ type lockEvent struct {
 }
 
 // lockRegion is one lexical held span: from a Lock/RLock to its
-// matching release (or to the body end when the release is deferred).
+// matching release, or to the body end when the release is deferred or
+// missing.
 type lockRegion struct {
-	path   string   // flattened receiver chain, e.g. "s.mu"
-	expr   ast.Expr // the mutex expression at the Lock site
-	read   bool     // RLock
-	pos    token.Pos
-	end    token.Pos
-	defers bool // released via defer (region runs to body end)
+	path string   // flattened receiver chain, e.g. "s.mu"
+	expr ast.Expr // the mutex expression at the Lock site
+	read bool     // RLock
+	pos  token.Pos
+	end  token.Pos
+	open bool // no matching release in this body
 }
 
 // covers reports whether p falls strictly inside the held span.
@@ -39,9 +45,63 @@ func (r lockRegion) covers(p token.Pos) bool {
 	return r.pos < p && p < r.end
 }
 
+// lockBody is the lock record of one function body: a declaration, or
+// a function literal inside one (literals run on their own schedule —
+// often a goroutine — so each is its own context with its own regions).
+type lockBody struct {
+	ctx  string       // types.Func.FullName, plus "$<i>" for the i-th literal
+	fn   types.Object // the declared function; nil for a literal
+	body *ast.BlockStmt
+	// lockedRecv is the receiver of a method named *Locked — by this
+	// tree's convention its caller holds the lock — and nil otherwise.
+	lockedRecv types.Object
+	regions    []lockRegion // matched, then open, in Lock order
+	deferTypos []lockEvent  // `defer mu.Lock()`
+}
+
+// lockBodies enumerates the unit's non-test function bodies — each
+// declaration, then its function literals numbered in ast.Inspect
+// pre-order — and pairs each body's lock events into regions once, for
+// every rule of the locks analyzer to read.
+func lockBodies(pass *Pass) []*lockBody {
+	var out []*lockBody
+	add := func(ctx string, fn types.Object, body *ast.BlockStmt) *lockBody {
+		b := &lockBody{ctx: ctx, fn: fn, body: body}
+		b.regions, b.deferTypos = pairLockRegions(collectLockEvents(pass, body), body.End())
+		out = append(out, b)
+		return b
+	}
+	for _, file := range nonTestFiles(pass.Fset, pass.Files) {
+		for _, d := range file.Decls {
+			fd, ok := d.(*ast.FuncDecl)
+			if !ok || fd.Body == nil {
+				continue
+			}
+			obj := pass.Info.Defs[fd.Name]
+			if obj == nil {
+				continue
+			}
+			ctx := funcFullName(obj)
+			b := add(ctx, obj, fd.Body)
+			if sig := obj.Type().(*types.Signature); sig.Recv() != nil && strings.HasSuffix(fd.Name.Name, "Locked") {
+				b.lockedRecv = sig.Recv()
+			}
+			i := 0
+			ast.Inspect(fd.Body, func(n ast.Node) bool {
+				if fl, ok := n.(*ast.FuncLit); ok {
+					i++
+					add(fmt.Sprintf("%s$%d", ctx, i), nil, fl.Body)
+				}
+				return true
+			})
+		}
+	}
+	return out
+}
+
 // collectLockEvents walks body for mutex Lock/RLock/Unlock/RUnlock
-// calls in source order. Function literals are skipped — they run on
-// their own schedule, not inside the enclosing held region.
+// calls in source order. Function literals are skipped — they are
+// bodies of their own.
 func collectLockEvents(pass *Pass, body *ast.BlockStmt) []lockEvent {
 	var events []lockEvent
 	ast.Inspect(body, func(n ast.Node) bool {
@@ -85,47 +145,50 @@ func collectLockEvents(pass *Pass, body *ast.BlockStmt) []lockEvent {
 }
 
 // pairLockRegions matches each Lock/RLock event to its positionally
-// next same-path release, producing the lexical held regions plus the
-// two shapes lockhold diagnoses: defer-Lock typos and unmatched locks.
-func pairLockRegions(events []lockEvent, bodyEnd token.Pos) (regions []lockRegion, deferTypos, unmatched []lockEvent) {
+// next same-path release. A Lock with no release still makes a region
+// — open, running to the body end: the lock stays held past everything
+// after it. `defer mu.Lock()` makes none; it is returned as a typo.
+func pairLockRegions(events []lockEvent, bodyEnd token.Pos) (regions []lockRegion, deferTypos []lockEvent) {
 	used := make([]bool, len(events))
+	var open []lockRegion
 	for i, ev := range events {
-		switch ev.name {
-		case "Lock", "RLock":
-			if ev.defered {
-				deferTypos = append(deferTypos, ev)
-				continue
-			}
-			region := lockRegion{path: ev.path, expr: ev.expr, read: ev.name == "RLock", pos: ev.pos, end: bodyEnd}
-			unlock := "Unlock"
-			if ev.name == "RLock" {
-				unlock = "RUnlock"
-			}
-			matched := false
-			for j := i + 1; j < len(events); j++ {
-				if used[j] || events[j].path != ev.path || events[j].name != unlock {
-					continue
-				}
-				used[j] = true
-				matched = true
-				if events[j].defered {
-					region.defers = true // runs to body end
-				} else {
-					region.end = events[j].pos
-				}
-				break
-			}
-			if !matched {
-				unmatched = append(unmatched, ev)
-				continue
-			}
-			regions = append(regions, region)
-		case "Unlock", "RUnlock":
+		if ev.name != "Lock" && ev.name != "RLock" {
 			// Matched from the Lock side; stray unlocks (no earlier lock)
 			// are cross-function handoffs — out of scope.
+			continue
+		}
+		if ev.defered {
+			deferTypos = append(deferTypos, ev)
+			continue
+		}
+		region := lockRegion{path: ev.path, expr: ev.expr, read: ev.name == "RLock", pos: ev.pos, end: bodyEnd, open: true}
+		unlock := unlockName(ev.name)
+		for j := i + 1; j < len(events); j++ {
+			if used[j] || events[j].path != ev.path || events[j].name != unlock {
+				continue
+			}
+			used[j] = true
+			region.open = false
+			if !events[j].defered {
+				region.end = events[j].pos
+			}
+			break
+		}
+		if region.open {
+			open = append(open, region)
+		} else {
+			regions = append(regions, region)
 		}
 	}
-	return regions, deferTypos, unmatched
+	return append(regions, open...), deferTypos
+}
+
+// unlockName is the release that matches lock ("Lock" or "RLock").
+func unlockName(lock string) string {
+	if lock == "RLock" {
+		return "RUnlock"
+	}
+	return "Unlock"
 }
 
 // globalLockName resolves a mutex expression to its canonical

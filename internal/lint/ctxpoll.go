@@ -3,6 +3,7 @@ package lint
 import (
 	"go/ast"
 	"go/types"
+	"slices"
 	"strings"
 
 	"fexipro/internal/lint/flow"
@@ -140,19 +141,21 @@ func isKernelScanDecl(info *types.Info, fd *ast.FuncDecl) bool {
 // checkScanLoops flags every unsatisfied scan loop in fd. A loop that
 // calls into other packages is not condemned locally: its candidate
 // callees are exported as a pending fact and judged in the module phase
-// against the full entry-poller set.
+// against the full entry-poller set. A loop that only runs when the
+// context is not cancellable — under the then-branch of an if, or a
+// case, whose condition requires `doneChan == nil` (the guard-free fast
+// path of the Naive scan) — is exempt.
 func checkScanLoops(pass *Pass, pollers map[types.Object]bool, fd *ast.FuncDecl, root string) {
 	entryPoll := hasEntryPoll(pass, pollers, fd)
-	var visit func(n ast.Node, ancestorPolled bool)
-	visit = func(n ast.Node, ancestorPolled bool) {
+	var visit func(n ast.Node, ancestorPolled, nilDone bool)
+	visit = func(n ast.Node, ancestorPolled, nilDone bool) {
 		switch s := n.(type) {
 		case *ast.FuncLit:
 			return // closures run on their own goroutine/schedule
 		case *ast.ForStmt, *ast.RangeStmt:
 			body := loopBody(s)
-			polled := containsPoll(pass, pollers, body)
-			if isScanLoop(pass, fd, body) &&
-				!polled && !ancestorPolled && !entryPoll && !guardedUncancellable(pass, fd, s) {
+			polled := hasPoll(pass, pollers, body)
+			if isScanLoop(pass, fd, body) && !polled && !ancestorPolled && !entryPoll && !nilDone {
 				if exts := externalCallees(pass, body); len(exts) > 0 {
 					pass.ExportFact(n.Pos(), factPendingPoll, root+"|"+strings.Join(exts, ","))
 				} else {
@@ -162,15 +165,30 @@ func checkScanLoops(pass *Pass, pollers map[types.Object]bool, fd *ast.FuncDecl,
 				}
 			}
 			for _, st := range body.List {
-				visit(st, ancestorPolled || polled)
+				visit(st, ancestorPolled || polled, nilDone)
+			}
+			return
+		case *ast.IfStmt:
+			if s.Init != nil {
+				visit(s.Init, ancestorPolled, nilDone)
+			}
+			visit(s.Body, ancestorPolled, nilDone || condRequiresNilDone(pass, s.Cond))
+			if s.Else != nil {
+				visit(s.Else, ancestorPolled, nilDone)
+			}
+			return
+		case *ast.CaseClause:
+			guarded := nilDone || slices.ContainsFunc(s.List, func(e ast.Expr) bool { return condRequiresNilDone(pass, e) })
+			for _, st := range s.Body {
+				visit(st, ancestorPolled, guarded)
 			}
 			return
 		}
 		// Generic recursion over child statements.
-		children(n, func(c ast.Node) { visit(c, ancestorPolled) })
+		children(n, func(c ast.Node) { visit(c, ancestorPolled, nilDone) })
 	}
 	for _, st := range fd.Body.List {
-		visit(st, false)
+		visit(st, false, false)
 	}
 }
 
@@ -333,30 +351,23 @@ func appendsResult(pass *Pass, call *ast.CallExpr) bool {
 	return ok && named.Obj().Name() == "Result"
 }
 
-// containsPoll reports whether block contains a cancellation check at
-// any depth, excluding closures: a call to a function named Poll, a
+// hasPoll reports whether n contains a cancellation check at any
+// depth, excluding closures: a call to a function named Poll, a
 // ctx.Err() call, a receive from a Done channel (directly or in a
 // select), or a call to a same-unit entry poller.
-func containsPoll(pass *Pass, pollers map[types.Object]bool, block *ast.BlockStmt) bool {
-	if block == nil {
-		return false
-	}
+func hasPoll(pass *Pass, pollers map[types.Object]bool, n ast.Node) bool {
 	found := false
-	ast.Inspect(block, func(n ast.Node) bool {
+	ast.Inspect(n, func(m ast.Node) bool {
 		if found {
 			return false
 		}
-		switch e := n.(type) {
+		switch e := m.(type) {
 		case *ast.FuncLit:
 			return false
 		case *ast.CallExpr:
-			if isPollCall(pass, pollers, e) {
-				found = true
-			}
+			found = isPollCall(pass, pollers, e)
 		case *ast.UnaryExpr:
-			if isDoneReceive(pass, e) {
-				found = true
-			}
+			found = isDoneReceive(pass, e)
 		}
 		return true
 	})
@@ -433,7 +444,7 @@ func hasEntryPoll(pass *Pass, pollers map[types.Object]bool, fd *ast.FuncDecl) b
 		case *ast.IfStmt:
 			// Both the condition and the guarded body count: the stride
 			// guard idiom wraps the Poll call in an if.
-			if exprHasPoll(pass, pollers, s.Cond) {
+			if hasPoll(pass, pollers, s.Cond) {
 				found = true
 				return
 			}
@@ -446,20 +457,20 @@ func hasEntryPoll(pass *Pass, pollers map[types.Object]bool, fd *ast.FuncDecl) b
 			}
 			return
 		case *ast.ExprStmt:
-			if exprHasPoll(pass, pollers, s.X) {
+			if hasPoll(pass, pollers, s.X) {
 				found = true
 			}
 			return
 		case *ast.AssignStmt:
 			for _, r := range s.Rhs {
-				if exprHasPoll(pass, pollers, r) {
+				if hasPoll(pass, pollers, r) {
 					found = true
 				}
 			}
 			return
 		case *ast.ReturnStmt:
 			for _, r := range s.Results {
-				if exprHasPoll(pass, pollers, r) {
+				if hasPoll(pass, pollers, r) {
 					found = true
 				}
 			}
@@ -482,71 +493,6 @@ func hasEntryPoll(pass *Pass, pollers map[types.Object]bool, fd *ast.FuncDecl) b
 		}
 	}
 	return found
-}
-
-// exprHasPoll reports whether expr contains a poll call or Done receive.
-func exprHasPoll(pass *Pass, pollers map[types.Object]bool, expr ast.Expr) bool {
-	if expr == nil {
-		return false
-	}
-	found := false
-	ast.Inspect(expr, func(n ast.Node) bool {
-		if found {
-			return false
-		}
-		switch e := n.(type) {
-		case *ast.FuncLit:
-			return false
-		case *ast.CallExpr:
-			if isPollCall(pass, pollers, e) {
-				found = true
-			}
-		case *ast.UnaryExpr:
-			if isDoneReceive(pass, e) {
-				found = true
-			}
-		}
-		return true
-	})
-	return found
-}
-
-// guardedUncancellable reports whether loop only executes when the
-// context is not cancellable: it sits under an if/switch-case whose
-// condition requires a Done channel to be nil (`done == nil`), the
-// guard-free fast-path idiom of the Naive scan.
-func guardedUncancellable(pass *Pass, fd *ast.FuncDecl, loop ast.Node) bool {
-	// Collect the conditions of every if/case enclosing the loop.
-	var conds []ast.Expr
-	var path []ast.Node
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		if n == nil {
-			path = path[:len(path)-1]
-			return true
-		}
-		if n == loop {
-			for i, anc := range path {
-				switch s := anc.(type) {
-				case *ast.IfStmt:
-					// Only the then-branch is guarded by the condition.
-					if i+1 < len(path) && path[i+1] == s.Body || (i+1 == len(path) && s.Body == loop) {
-						conds = append(conds, s.Cond)
-					}
-				case *ast.CaseClause:
-					conds = append(conds, s.List...)
-				}
-			}
-			return false
-		}
-		path = append(path, n)
-		return true
-	})
-	for _, cond := range conds {
-		if condRequiresNilDone(pass, cond) {
-			return true
-		}
-	}
-	return false
 }
 
 // condRequiresNilDone reports whether cond (possibly an && conjunction)

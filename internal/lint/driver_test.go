@@ -81,7 +81,7 @@ func TestFactExport(t *testing.T) {
 }
 
 // fixModule writes a temp module with one fixable boundflow threshold
-// comparison and one fixable lockhold defer typo, returning its dir.
+// comparison and one fixable locks defer typo, returning its dir.
 func fixModule(t *testing.T) string {
 	t.Helper()
 	dir := t.TempDir()
@@ -162,7 +162,7 @@ func loadModule(t *testing.T, dir string) []*Unit {
 // pass is a no-op, byte for byte.
 func TestFixIdempotency(t *testing.T) {
 	dir := fixModule(t)
-	analyzers := []*Analyzer{BoundFlow, LockHold}
+	analyzers := []*Analyzer{BoundFlow, Locks}
 
 	diags := Run(loadModule(t, dir), analyzers)
 	var fixable int
@@ -225,7 +225,7 @@ func TestFixIdempotency(t *testing.T) {
 // reload, suppress exactly those findings, and keep everything new.
 func TestBaselineRoundTrip(t *testing.T) {
 	units := loadFixture(t, "lockhold")
-	diags := Run(units, []*Analyzer{LockHold})
+	diags := Run(units, []*Analyzer{Locks})
 	if len(diags) == 0 {
 		t.Fatal("lockhold fixture produced no diagnostics")
 	}
@@ -299,7 +299,7 @@ func TestBaselineRoundTrip(t *testing.T) {
 // live baseline reports none.
 func TestBaselineDead(t *testing.T) {
 	units := loadFixture(t, "lockhold")
-	diags := Run(units, []*Analyzer{LockHold})
+	diags := Run(units, []*Analyzer{Locks})
 	if len(diags) == 0 {
 		t.Fatal("lockhold fixture produced no diagnostics")
 	}
@@ -355,7 +355,7 @@ func TestBaselineDead(t *testing.T) {
 // analyzer in registration order, with identical diagnostics to Run.
 func TestRunTimed(t *testing.T) {
 	units := loadFixture(t, "lockorder")
-	analyzers := []*Analyzer{LockHold, LockOrder}
+	analyzers := []*Analyzer{Locks, GoroutineLife}
 	diags, timings := RunTimed(units, analyzers)
 	if len(timings) != len(analyzers) {
 		t.Fatalf("got %d timings for %d analyzers", len(timings), len(analyzers))
@@ -368,9 +368,9 @@ func TestRunTimed(t *testing.T) {
 			t.Fatalf("negative duration in %+v", timings[i])
 		}
 	}
-	// LockOrder has a module phase that did real work on this fixture.
-	if timings[1].Module == 0 {
-		t.Fatal("lockorder module phase reported zero duration")
+	// Locks has a module phase that did real work on this fixture.
+	if timings[0].Module == 0 {
+		t.Fatal("locks module phase reported zero duration")
 	}
 	plain := Run(units, analyzers)
 	if len(plain) != len(diags) {

@@ -60,7 +60,7 @@ func runGoroutineLifeUnit(pass *Pass) {
 			// join against it in the module phase.
 			if obj := pass.Info.Defs[fd.Name]; obj != nil {
 				if fn := funcFullName(obj); fn != "" {
-					pass.ExportFact(fd.Pos(), "body", fn+lockOrderSep+bodyVerdict(pass, fd.Body, closedChans(pass, fd.Body)))
+					pass.ExportFact(fd.Pos(), "body", fn+factSep+bodyVerdict(pass, fd.Body, closedChans(pass, fd.Body)))
 				}
 			}
 			glWalkBody(pass, fd.Body)
@@ -344,7 +344,7 @@ func runGoroutineLifeModule(mp *ModulePass) {
 		if f.Name != "body" {
 			continue
 		}
-		fn, v, _ := strings.Cut(f.Value, lockOrderSep)
+		fn, v, _ := strings.Cut(f.Value, factSep)
 		verdicts[fn] = v
 	}
 	for _, f := range mp.Facts {

@@ -19,9 +19,16 @@
 //   - ctxpoll:       every item-scan loop reachable from a SearchContext
 //     / kernel Scan entry point must poll cancellation on a CheckStride
 //     boundary (DESIGN.md §10: scans must stay cancellable);
-//   - lockhold:      index-mutex discipline — balanced Lock/Unlock,
-//     no blocking calls (channel ops, I/O, slog, Search*Context) while
-//     holding a mutex;
+//   - locks:         the mutex contracts, over one lock record per
+//     function body and function literal — balanced Lock/Unlock and no
+//     blocking calls (channel ops, I/O, slog, Search*Context) while
+//     holding a mutex; a whole-program lock-order graph over the static
+//     call graph, where every nested acquisition must be declared with
+//     //fex:lockorder A < B, contradictions of the declared hierarchy
+//     are flagged, and cycles are reported as deadlock candidates with
+//     the full acquisition chain; and //fex:guard mu field contracts,
+//     with the annotation suggested as a fix for fields whose every
+//     write already holds exactly one mutex;
 //   - hotalloc:      no allocations, interface boxing, or closure
 //     captures inside loops marked //fex:hot;
 //   - apiparity:     exported Search ⇄ SearchContext (and SearchAbove ⇄
@@ -32,19 +39,10 @@
 //     //fex:bound upper bounds or, under a kernel Scan, from the shared
 //     threshold meet only strictly-conservative comparisons, and every
 //     prune exit increments a PrunedBy* counter (DESIGN.md §12.9);
-//   - lockorder:     whole-program lock-order graph over the static call
-//     graph: every nested acquisition must be declared with
-//     //fex:lockorder A < B, contradictions of the declared hierarchy
-//     are flagged, and cycles in the observed∪declared graph are
-//     reported as deadlock candidates with the full acquisition chain;
 //   - goroutinelife: every go statement needs a statically provable
 //     termination/join edge (WaitGroup Done, ctx.Done exit arm,
 //     closed-channel range, or bounded body), plus leak-on-error
-//     checks around wg.Add;
-//   - guardedby:     //fex:guard mu field contracts — guarded fields may
-//     only be accessed under their mutex, and fields whose every write
-//     already happens under exactly one mutex get the annotation
-//     suggested as a machine-applicable fix.
+//     checks around wg.Add.
 //
 // Copies of sync and sync/atomic values are go vet's copylocks check,
 // which `make check` and CI run beside fexlint.
@@ -457,13 +455,11 @@ func All() []*Analyzer {
 		RNGSeed,
 		ErrCheck,
 		CtxPoll,
-		LockHold,
+		Locks,
 		HotAlloc,
 		APIParity,
 		BoundFlow,
-		LockOrder,
 		GoroutineLife,
-		GuardedBy,
 	}
 }
 

@@ -112,6 +112,7 @@ func (s *Scanner) TopKAllContext(ctx context.Context, qs [][]float64, k int) [][
 func (s *Scanner) TopKJoinContext(ctx context.Context, qs [][]float64, k int) []Result {
 	c := &Collector{}
 	done := ctx.Done()
+	s.joinSwitch(done, c)
 	if done == nil {
 		for i := range s.items {
 			c.Push(i, 0)
@@ -129,6 +130,17 @@ func (s *Scanner) TopKJoinContext(ctx context.Context, qs [][]float64, k int) []
 		c.Push(i, 0)
 	}
 	return nil
+}
+
+// joinSwitch is the switch form of the fast path: a case whose
+// condition requires done == nil guards its loop like an if does.
+func (s *Scanner) joinSwitch(done <-chan struct{}, c *Collector) {
+	switch {
+	case done == nil:
+		for i := range s.items {
+			c.Push(i, 0)
+		}
+	}
 }
 
 // BatchTopKContext reaches an unpolled scan through a helper: the

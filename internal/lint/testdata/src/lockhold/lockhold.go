@@ -104,6 +104,7 @@ func pure() {}
 func (s *S) cleanHelpersHeld() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	//fex:lockorder lockhold.S.mu < lockhold.S.rw
 	s.lockedHelper()
 	pure()
 }
@@ -131,10 +132,40 @@ func (s *S) pollSelect() {
 // handoff documents a cross-function lock protocol with an ignore
 // directive, which must suppress the unbalanced-lock diagnostic.
 func (s *S) handoff() {
-	//lint:ignore lockhold released by the caller via releaseHandoff
+	//lint:ignore locks released by the caller via releaseHandoff
 	s.mu.Lock()
 }
 
 func (s *S) releaseHandoff() {
 	s.mu.Unlock()
+}
+
+// literals: a function literal is a body of its own, so a goroutine's
+// closure gets the same hold checks as a declaration.
+func (t *S) literals(ch chan int) {
+	go func() {
+		t.mu.Lock()
+		ch <- 1                      // want `channel send while holding t.mu`
+		time.Sleep(time.Millisecond) // want `time.Sleep while holding t.mu`
+		t.mu.Unlock()
+	}()
+	f := func() {
+		t.mu.Lock() // want `has no matching Unlock in this function`
+	}
+	f()
+}
+
+func forRows(n int, fn func(lo, hi int)) { fn(0, n) }
+
+// firstBad is shaped like a row-range worker: its closure holds a local
+// mutex around one assignment and blocks on nothing.
+func firstBad(n int) int {
+	var mu sync.Mutex
+	bad := n
+	forRows(n, func(lo, hi int) {
+		mu.Lock()
+		bad = min(bad, lo)
+		mu.Unlock()
+	})
+	return bad
 }

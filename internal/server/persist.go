@@ -152,7 +152,7 @@ func (s *Server) checkpointLocked() error {
 	// single-writer by design. What runs under the lock is the encode,
 	// write and fsync of the catalog — 40 MB, ≈ 0.1 s at n = 10⁵, d = 50 —
 	// and readers wait for it too until the read path stops taking s.mu.
-	//lint:ignore lockhold the catalog and the WAL sequence must be captured together: a 40 MB write + fsync at n = 10⁵, no index bytes (DESIGN.md §15.3)
+	//lint:ignore locks the catalog and the WAL sequence must be captured together: a 40 MB write + fsync at n = 10⁵, no index bytes (DESIGN.md §15.3)
 	if err := core.WriteSnapshotDir(s.dataDir, s.idx, lastSeq); err != nil {
 		return fmt.Errorf("writing snapshot: %w", err)
 	}

@@ -658,9 +658,9 @@ func (s *Server) searchLocked(fn func() ([]topk.Result, error), stats func() sea
 	// fn is always one index scan whose runtime is bounded by the
 	// request deadline: the context threaded into it fires ErrDeadline
 	// and the scan returns, so the hold time is capped by MaxTimeout.
-	//lint:ignore lockhold fn is a deadline-bounded index scan (DESIGN.md §10)
+	//lint:ignore locks fn is a deadline-bounded index scan (DESIGN.md §10)
 	res, err := fn()
-	//lint:ignore lockhold stats copies in-memory counters; no blocking
+	//lint:ignore locks stats copies in-memory counters; no blocking
 	return res, stats(), err
 }
 

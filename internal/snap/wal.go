@@ -343,7 +343,7 @@ func (w *WAL) Append(op WALOp, id int64, item []float64) (uint64, error) {
 	rec := WALRecord{Seq: w.nextSeq, Op: op, ID: id, Vec: item}
 	enc := encodeWALRecord(rec, w.dim)
 	if h := w.hook; h != nil {
-		//lint:ignore lockhold the fault hook must fire inside the append critical section to model a torn write at the exact record boundary (test-only injection)
+		//lint:ignore locks the fault hook must fire inside the append critical section to model a torn write at the exact record boundary (test-only injection)
 		if err := w.pollHookLocked(h, enc); err != nil {
 			return 0, err
 		}
