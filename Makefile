@@ -10,12 +10,12 @@ GO ?= go
 # registry (including span trees and sliding-window rotation), the
 # fault-injection hooks, the cancellation paths of the core retriever
 # and the scan baselines, the sharded execution engine and its kernels,
-# and the open-loop load generator's concurrent senders, plus the query
-# planner (EWMA calibration under the server's concurrent searches) and
-# the method registry its candidates come from, and the row-range
-# workers of the parallel preprocessing (vec.ForRows, the Gram split)
-# with the decomposition that runs on them. `make race` runs everything.
-RACE_PKGS = ./internal/server/... ./internal/obs/... ./internal/faults/... ./internal/core/... ./internal/scan/... ./internal/engine/... ./internal/load/... ./internal/snap/... ./internal/plan/... ./internal/method/... ./internal/vec/... ./internal/svd/...
+# and the open-loop load generator's concurrent senders, plus the method
+# registry (every method through the engine's worker pool), and the
+# row-range workers of the parallel preprocessing (vec.ForRows, the Gram
+# split) with the decomposition that runs on them. `make race` runs
+# everything.
+RACE_PKGS = ./internal/server/... ./internal/obs/... ./internal/faults/... ./internal/core/... ./internal/scan/... ./internal/engine/... ./internal/load/... ./internal/snap/... ./internal/method/... ./internal/vec/... ./internal/svd/...
 
 # Per-target budget for the fuzz smoke (`go test -fuzz` accepts exactly
 # one target per invocation).

@@ -43,7 +43,7 @@ func main() {
 		dim      = flag.Int("dim", 0, "override dimensionality d (0 = profile default of 50)")
 		list     = flag.Bool("list", false, "list available experiments and exit")
 		statsOut = flag.Bool("statsjson", false, "dump per-stage pruning counters as JSON (same schema as fexserve telemetry)")
-		methods  = flag.String("methods", "", "comma-separated methods for -statsjson: \"auto\" for the query planner, or any of "+strings.Join(method.Names(), ", ")+" (default: all of Table 4)")
+		methods  = flag.String("methods", "", "comma-separated methods for -statsjson, any of "+strings.Join(method.Names(), ", ")+" (default: all of Table 4)")
 		k        = flag.Int("k", 1, "top-k for -statsjson")
 		shards   = flag.Int("shards", 0, "partition each method's index into this many shards answered in parallel per query; results stay exact (0/1 = sequential scan)")
 		workers  = flag.Int("workers", 0, "per-query goroutine pool for -shards > 1 (0 = GOMAXPROCS, clamped to -shards)")

@@ -1,17 +1,8 @@
-// Command fexcalibrate is a development tool with two jobs:
-//
-// Sweep mode (default): sweep the synthetic dataset generator's
-// parameters (norm skew, spectral decay) and report the pruning-power
-// profile of each combination, so the dataset profiles in internal/data
-// can be tuned to reproduce the SHAPE of the paper's Tables 3/4 (who
-// wins, by roughly what factor).
-//
-// Fit mode (-fit): measure each method across a grid of catalog sizes
-// and dimensions, fit the query planner's per-method cost coefficients
-// (internal/plan) by least squares, and write them as a versioned
-// fexplan/v1 file. Point fexserve's -data-dir at the directory holding
-// it (as plan.snap) and `-method auto` boots with an offline-calibrated
-// cost model instead of warming up online.
+// Command fexcalibrate is a development tool: it sweeps the synthetic
+// dataset generator's parameters (norm skew, spectral decay) and reports
+// the pruning-power and retrieval-time profile of each combination, so
+// the dataset profiles in internal/data can be tuned to reproduce the
+// SHAPE of the paper's Tables 3/4 (who wins, by roughly what factor).
 package main
 
 import (
@@ -23,7 +14,6 @@ import (
 	"fexipro/internal/data"
 	"fexipro/internal/experiments"
 	"fexipro/internal/method"
-	"fexipro/internal/plan"
 )
 
 func main() {
@@ -41,8 +31,6 @@ func run() error {
 		k       = flag.Int("k", 1, "results per query")
 		seed    = flag.Int64("seed", 0, "dataset RNG seed (0 = profile default)")
 		methods = flag.String("methods", "", "comma-separated methods (default: Naive + every pruning method)")
-		fit     = flag.Bool("fit", false, "fit planner cost coefficients instead of sweeping profiles")
-		out     = flag.String("out", plan.CalibrationFile, "fexplan/v1 output path for -fit")
 	)
 	flag.Parse()
 
@@ -56,9 +44,6 @@ func run() error {
 	names, err := methodList(*methods)
 	if err != nil {
 		return err
-	}
-	if *fit {
-		return fitCosts(prof, names, *items, *queries, *k, *out)
 	}
 	return sweep(prof, names, *items, *queries, *k)
 }
@@ -109,61 +94,14 @@ func sweep(prof data.Profile, names []string, items, queries, k int) error {
 					return err
 				}
 				fmt.Fprintf(&row, " %9.1f", res.AvgFullIP)
-				times = append(times, float64(res.Retrieve.Milliseconds()))
+				times = append(times, res.Retrieve.Seconds()*1e3)
 			}
 			row.WriteString(" |")
 			for _, t := range times {
-				fmt.Fprintf(&row, " %9.0f", t)
+				fmt.Fprintf(&row, " %9.2f", t)
 			}
 			fmt.Println(row.String())
 		}
 	}
-	return nil
-}
-
-// fitCosts measures each method over a (size × dimension) grid and
-// writes the least-squares cost coefficients as a fexplan/v1 file. The
-// grid varies both n and d so the fit's PerItem and PerDim columns are
-// not collinear.
-func fitCosts(prof data.Profile, names []string, items, queries, k int, out string) error {
-	sizes := []int{items / 4, items / 2, items}
-	dims := []int{0, prof.Dim / 2} // 0 = the profile's own dim
-	cal := &plan.Calibration{Schema: plan.Schema, Methods: map[string]method.CostModel{}}
-	for _, m := range names {
-		var samples []plan.Sample
-		for _, n := range sizes {
-			if n < 1 {
-				n = 1
-			}
-			for _, d := range dims {
-				ds := data.Generate(prof, n, queries, d)
-				res, err := experiments.RunMethod(m, ds, k, false)
-				if err != nil {
-					return err
-				}
-				prune := 0.0
-				if rows := float64(ds.Items.Rows); rows > 0 {
-					prune = min(max(1-res.AvgFullIP/rows, 0), 1)
-				}
-				samples = append(samples, plan.Sample{
-					N: ds.Items.Rows, D: ds.Items.Cols, K: k,
-					Shards: 1, Workers: 1,
-					PruneFrac: prune,
-					Seconds:   res.Retrieve.Seconds() / float64(res.QueriesCount),
-				})
-			}
-		}
-		model, err := plan.Fit(samples)
-		if err != nil {
-			return fmt.Errorf("fitting %s: %w", m, err)
-		}
-		cal.Methods[m] = model
-		fmt.Printf("%-8s setup=%.3g perItem=%.3g perDim=%.3g prunePrior=%.2f (%d samples)\n",
-			m, model.Setup, model.PerItem, model.PerDim, model.PrunePrior, len(samples))
-	}
-	if err := plan.WriteFile(out, cal); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s (%s, %d methods)\n", out, plan.Schema, len(cal.Methods))
 	return nil
 }

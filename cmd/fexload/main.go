@@ -26,9 +26,6 @@
 // quantiles in milliseconds, and per-objective SLO burn — field-style
 // compatible with the fexbench -statsjson dumps, so the same tooling
 // can diff offline benchmark and load-test runs.
-// When the target runs `-method auto`, the report also carries a
-// "plan" block (the server's /v1/plan summary) attributing the run's
-// queries to the methods the cost-based planner chose.
 package main
 
 import (

@@ -30,7 +30,7 @@ func main() {
 		useStdin    = flag.Bool("stdin", false, "read comma-separated query vectors from stdin")
 		k           = flag.Int("k", 10, "number of results per query")
 		method      = flag.String("method", "fexipro",
-			"fexipro, auto (cost-based planner), or any registered method: "+strings.Join(fexipro.Methods(), ", "))
+			"fexipro, or any registered method: "+strings.Join(fexipro.Methods(), ", "))
 		variant   = flag.String("variant", "F-SIR", "FEXIPRO variant when -method=fexipro")
 		showStats = flag.Bool("stats", false, "print pruning statistics per query")
 	)
@@ -47,17 +47,12 @@ func main() {
 
 	start := time.Now()
 	var searcher fexipro.Searcher
-	// "fexipro" and "auto" are dispatch modes, not registry methods: the
-	// first parses -variant, the second builds the cost-based planner
-	// over the registry's auto candidates. Everything else resolves
-	// through the method registry (names are case-insensitive; aliases
-	// like "ssl" or "scan" work).
-	switch {
-	case strings.EqualFold(*method, "fexipro"):
+	// "fexipro" is a dispatch mode, not a registry method: it parses
+	// -variant. Everything else resolves through the method registry
+	// (names are case-insensitive; aliases like "ssl" or "scan" work).
+	if strings.EqualFold(*method, "fexipro") {
 		searcher, err = fexipro.New(items, fexipro.Options{Variant: *variant})
-	case strings.EqualFold(*method, "auto"):
-		searcher, err = fexipro.NewPlanner(items, fexipro.PlannerOptions{})
-	default:
+	} else {
 		searcher, err = fexipro.NewMethod(*method, items, fexipro.MethodOptions{})
 	}
 	if err != nil {
@@ -79,11 +74,6 @@ func main() {
 			st := searcher.LastStats()
 			fmt.Fprintf(os.Stderr, "  %.1fµs scanned=%d pruned=%d full=%d\n",
 				float64(time.Since(qStart).Microseconds()), st.Scanned, st.Pruned, st.FullProducts)
-			if p, ok := searcher.(*fexipro.Planner); ok {
-				d := p.LastDecision()
-				fmt.Fprintf(os.Stderr, "  plan: %s (%s) predicted=%.1fµs observed=%.1fµs\n",
-					d.Method, d.Reason, d.PredictedSeconds*1e6, d.ObservedSeconds*1e6)
-			}
 		}
 	}
 

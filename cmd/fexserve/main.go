@@ -102,7 +102,6 @@ func main() {
 		dim         = flag.Int("dim", 0, "dimension for an empty starting catalog")
 		addr        = flag.String("addr", ":8080", "listen address")
 		variant     = flag.String("variant", "F-SIR", "FEXIPRO variant: "+core.VariantNames)
-		methodMode  = flag.String("method", "fexipro", "search strategy: fexipro (always the index) or auto (cost-based planner routing each query to the index or a live-catalog scan, DESIGN.md §16)")
 		logFormat   = flag.String("log-format", "text", "structured log format: text|json")
 		enablePprof = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
 
@@ -167,7 +166,6 @@ func main() {
 		MaxConcurrent:     *maxConcurrent,
 		PartialOnDeadline: *partial,
 		MaxK:              *maxK,
-		Method:            *methodMode,
 		Shards:            *shards,
 		SearchWorkers:     *searchWorkers,
 		DataDir:           *dataDir,
@@ -189,7 +187,7 @@ func main() {
 		"Unix time the process finished startup.").Set(float64(time.Now().Unix()))
 
 	logger.Info("startup",
-		"items", items.Rows, "dim", items.Cols, "variant", opts.Variant(), "method", *methodMode,
+		"items", items.Rows, "dim", items.Cols, "variant", opts.Variant(),
 		"buildMillis", buildDur.Milliseconds(), "addr", *addr,
 		"shards", *shards, "searchWorkers", *searchWorkers,
 		"pprof", *enablePprof,

@@ -48,7 +48,6 @@ type DynamicIndex struct {
 
 	shards []*dynShard
 	eng    *engine.Engine // every query, top-k and above-t; its Stats are this index's
-	hook   *faults.Hook   // the engine's, kept for LiveScan
 }
 
 // dynShard is one shard's two-tier state: its preprocessed main index
@@ -378,10 +377,7 @@ func (di *DynamicIndex) deriveMains(ctx context.Context) error {
 // SetFaultHook installs (or, with nil, removes) the fault-injection hook
 // called once per scanned item in both the delta buffers and the main
 // indexes (shard-locally); it lives on the engine, so it survives rebuilds.
-func (di *DynamicIndex) SetFaultHook(h *faults.Hook) {
-	di.hook = h
-	di.eng.SetFaultHook(h)
-}
+func (di *DynamicIndex) SetFaultHook(h *faults.Hook) { di.eng.SetFaultHook(h) }
 
 // SetShardObserver installs (or, with nil, removes) the engine's
 // per-shard scan observer — one callback per completed shard scan with

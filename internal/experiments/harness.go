@@ -9,14 +9,12 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"strings"
 	"time"
 
 	"fexipro/internal/data"
 	"fexipro/internal/engine"
 	"fexipro/internal/method"
 	"fexipro/internal/obs"
-	"fexipro/internal/plan"
 	"fexipro/internal/search"
 	"fexipro/internal/vec"
 )
@@ -61,11 +59,6 @@ func (c Config) Load(p data.Profile) *data.Dataset {
 // method names in this repository.
 var MethodNames = method.TableNames()
 
-// AutoMethod is the pseudo-method name that builds the cost-based
-// query planner (internal/plan) over the registry's default candidate
-// pool instead of one fixed method.
-const AutoMethod = "auto"
-
 // Built couples a constructed searcher with its preprocessing time.
 type Built struct {
 	Name       string
@@ -80,8 +73,7 @@ const tuningSamples = 5
 // Build constructs the named method over the items by resolving the
 // internal/method registry (names and aliases, case-insensitive). SS-L
 // and LEMP use (the first few) sampleQueries for w tuning when
-// provided. The name "auto" builds the cost-based planner over the
-// registry's default candidate pool.
+// provided.
 func Build(name string, items *vec.Matrix, sampleQueries *vec.Matrix) (Built, error) {
 	return BuildSharded(name, items, sampleQueries, 1, 1)
 }
@@ -93,9 +85,6 @@ func Build(name string, items *vec.Matrix, sampleQueries *vec.Matrix) (Built, er
 // shards ≤ 1 is the sequential scan. Preprocess includes the shard
 // partitioning (and, for tree methods, the per-shard tree builds).
 func BuildSharded(name string, items, sampleQueries *vec.Matrix, shards, workers int) (Built, error) {
-	if strings.EqualFold(name, AutoMethod) {
-		return buildAuto(items, sampleQueries, shards, workers)
-	}
 	d, err := method.Get(name)
 	if err != nil {
 		return Built{}, fmt.Errorf("experiments: %w", err)
@@ -107,35 +96,6 @@ func BuildSharded(name string, items, sampleQueries *vec.Matrix, shards, workers
 		return Built{}, err
 	}
 	return Built{Name: d.Name, Searcher: engine.New(kern, workers), Preprocess: time.Since(start)}, nil
-}
-
-// buildAuto constructs one candidate per registry AutoCandidate method
-// and wires them into a plan.Planner, so the harness measures the
-// planner exactly like any fixed method — its Run results additionally
-// carry a plan Summary (decisions, mispredict rate).
-func buildAuto(items, sampleQueries *vec.Matrix, shards, workers int) (Built, error) {
-	start := time.Now()
-	var cands []plan.Candidate
-	for _, name := range method.AutoNames() {
-		b, err := BuildSharded(name, items, sampleQueries, shards, workers)
-		if err != nil {
-			return Built{}, fmt.Errorf("experiments: auto candidate %s: %w", name, err)
-		}
-		d, _ := method.Lookup(name)
-		cands = append(cands, plan.Candidate{
-			Name:     d.Name,
-			Searcher: b.Searcher,
-			Cost:     d.Cost,
-			Exact:    d.Exact,
-		})
-	}
-	p, err := plan.New(cands, plan.Options{
-		N: items.Rows, D: items.Cols, Shards: shards, Workers: workers,
-	})
-	if err != nil {
-		return Built{}, err
-	}
-	return Built{Name: AutoMethod, Searcher: p, Preprocess: time.Since(start)}, nil
 }
 
 // QueryCost records one query's work for the distribution figures.
@@ -163,10 +123,6 @@ type RunResult struct {
 	Transform time.Duration
 	Scan      time.Duration
 	Merge     time.Duration
-
-	// Plan is the planner's decision summary, present only for the
-	// "auto" pseudo-method.
-	Plan *plan.Summary
 }
 
 // Run executes every query of the dataset at k against a built method,
@@ -207,10 +163,6 @@ func Run(b Built, ds *data.Dataset, k int, collectPerQuery bool) RunResult {
 	r.Retrieve = time.Since(start)
 	if ds.Queries.Rows > 0 {
 		r.AvgFullIP = float64(totalFull) / float64(ds.Queries.Rows)
-	}
-	if p, ok := b.Searcher.(interface{ Summary() plan.Summary }); ok {
-		s := p.Summary()
-		r.Plan = &s
 	}
 	return r
 }

@@ -9,11 +9,11 @@ import (
 )
 
 // TestRegistryRoundTripsThroughRunMethodSharded is the registry/harness
-// parity check: every method the registry knows — plus the "auto"
-// planner — must build and answer through RunMethodSharded at both the
-// sequential and the sharded execution paths, returning the canonical
-// registry name and a full result set. This replaces the old implicit
-// parity between three hand-maintained name tables.
+// parity check: every method the registry knows must build and answer
+// through RunMethodSharded at both the sequential and the sharded
+// execution paths, returning the canonical registry name and a full
+// result set. This replaces the old implicit parity between three
+// hand-maintained name tables.
 func TestRegistryRoundTripsThroughRunMethodSharded(t *testing.T) {
 	p, err := data.ProfileByName("movielens")
 	if err != nil {
@@ -21,29 +21,17 @@ func TestRegistryRoundTripsThroughRunMethodSharded(t *testing.T) {
 	}
 	ds := data.Generate(p, 250, 3, 10)
 	const k = 4
-	names := append(method.Names(), AutoMethod)
-	for _, name := range names {
+	for _, name := range method.Names() {
 		for _, shards := range []int{1, 2} {
 			r, err := RunMethodSharded(name, ds, k, false, shards, 2)
 			if err != nil {
 				t.Fatalf("%s shards=%d: %v", name, shards, err)
 			}
-			wantName := name
-			if d, ok := method.Lookup(name); ok {
-				wantName = d.Name
-			}
-			if r.Method != wantName {
-				t.Errorf("%s: result method %q, want canonical %q", name, r.Method, wantName)
+			if r.Method != name {
+				t.Errorf("%s: result method %q, want canonical %q", name, r.Method, name)
 			}
 			if r.QueriesCount != ds.Queries.Rows {
 				t.Errorf("%s shards=%d: ran %d queries, want %d", name, shards, r.QueriesCount, ds.Queries.Rows)
-			}
-			if name == AutoMethod {
-				if r.Plan == nil || r.Plan.Queries != int64(ds.Queries.Rows) {
-					t.Errorf("auto shards=%d: plan summary %+v, want %d planned queries", shards, r.Plan, ds.Queries.Rows)
-				}
-			} else if r.Plan != nil {
-				t.Errorf("%s: unexpected plan summary on a fixed method", name)
 			}
 		}
 	}

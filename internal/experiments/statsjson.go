@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"fexipro/internal/obs"
-	"fexipro/internal/plan"
 )
 
 // StatsReport is one (dataset, method, k) cell of the offline
@@ -43,12 +42,6 @@ type StatsReport struct {
 	TransformMs float64 `json:"transformMs,omitempty"`
 	ScanMs      float64 `json:"scanMs,omitempty"`
 	MergeMs     float64 `json:"mergeMs,omitempty"`
-
-	// Plan is the query planner's decision summary (per-method decision
-	// counts, predicted-vs-observed EWMAs, mispredict rate), present
-	// only for the "auto" pseudo-method, so BENCH diffs can attribute a
-	// latency shift to a plan change.
-	Plan *plan.Summary `json:"plan,omitempty"`
 }
 
 // CollectStats runs each named method over each configured profile at k
@@ -87,7 +80,6 @@ func CollectStats(cfg Config, methods []string, k int) ([]StatsReport, error) {
 				TransformMs:     float64(r.Transform.Microseconds()) / 1e3,
 				ScanMs:          float64(r.Scan.Microseconds()) / 1e3,
 				MergeMs:         float64(r.Merge.Microseconds()) / 1e3,
-				Plan:            r.Plan,
 			}
 			out = append(out, rep)
 		}

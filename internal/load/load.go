@@ -29,7 +29,6 @@ import (
 	"time"
 
 	"fexipro/internal/obs"
-	"fexipro/internal/plan"
 )
 
 // Schema identifies the Report wire format.
@@ -216,22 +215,6 @@ type Report struct {
 
 	LatencyMs Latency     `json:"latencyMs"`
 	SLOs      []SLOResult `json:"slos"`
-
-	// Plan is the target's query-planner state (GET /v1/plan), fetched
-	// once after the run completes. Present only when the server runs
-	// `-method auto`; a fixed-method target answers 404 and the field
-	// stays null. It attributes the run's latency profile to routing:
-	// which methods answered, why, and how calibrated the cost model was.
-	Plan *PlanReport `json:"plan,omitempty"`
-}
-
-// PlanReport mirrors the server's /v1/plan answer: the planner mode,
-// the candidate pool, and the per-method decision summary in the same
-// plan.Summary schema fexbench -statsjson embeds.
-type PlanReport struct {
-	Mode       string       `json:"mode"`
-	Candidates []string     `json:"candidates"`
-	Summary    plan.Summary `json:"summary"`
 }
 
 // Validate checks a decoded report for schema conformance — the
@@ -255,18 +238,6 @@ func (r *Report) Validate() error {
 	for _, s := range r.SLOs {
 		if s.Violations > r.Searches {
 			return fmt.Errorf("load: SLO %s violations %d exceed searches %d", s.Objective, s.Violations, r.Searches)
-		}
-	}
-	if r.Plan != nil {
-		if r.Plan.Mode == "" || len(r.Plan.Candidates) == 0 {
-			return fmt.Errorf("load: plan block missing mode or candidates")
-		}
-		var decided int64
-		for _, m := range r.Plan.Summary.Methods {
-			decided += m.Queries
-		}
-		if decided != r.Plan.Summary.Queries {
-			return fmt.Errorf("load: plan method queries sum to %d, summary says %d", decided, r.Plan.Summary.Queries)
 		}
 	}
 	return nil
@@ -385,7 +356,6 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 	elapsed := time.Since(start)
 
 	rep := buildReport(&cfg, tl, sent, shed, elapsed)
-	rep.Plan = fetchPlan(&cfg)
 	if cfg.ownsClient {
 		// Every sender has joined (wg.Wait above); drop the transport's
 		// keep-alive connections too, so no goroutine started on this
@@ -393,33 +363,6 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 		cfg.Client.CloseIdleConnections()
 	}
 	return rep, nil
-}
-
-// fetchPlan asks the target for its planner summary once the run is
-// over. Any failure — 404 from a fixed-method server, transport error,
-// malformed body — just leaves the report's plan block null: the load
-// numbers stand on their own.
-func fetchPlan(cfg *Config) *PlanReport {
-	ctx, cancel := context.WithTimeout(context.Background(), cfg.Timeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, cfg.Target+"/v1/plan", nil)
-	if err != nil {
-		return nil
-	}
-	resp, err := cfg.Client.Do(req)
-	if err != nil {
-		return nil
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		_, _ = io.Copy(io.Discard, resp.Body)
-		return nil
-	}
-	var pr PlanReport
-	if json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&pr) != nil {
-		return nil
-	}
-	return &pr
 }
 
 // interval is the gap to the next arrival at time offset into the run,

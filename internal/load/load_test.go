@@ -97,17 +97,6 @@ func TestReportValidate(t *testing.T) {
 	if bad.Validate() == nil {
 		t.Fatal("missing SLO results accepted")
 	}
-	bad = base()
-	bad.Plan = &load.PlanReport{Mode: "auto"}
-	if bad.Validate() == nil {
-		t.Fatal("plan block without candidates accepted")
-	}
-	bad = base()
-	bad.Plan = &load.PlanReport{Mode: "auto", Candidates: []string{"F-SIR", "Naive"}}
-	bad.Plan.Summary.Queries = 3 // no per-method rows account for them
-	if bad.Validate() == nil {
-		t.Fatal("inconsistent plan decision counts accepted")
-	}
 }
 
 // TestRunSmoke drives a real in-process fexserve with searches and
@@ -176,54 +165,6 @@ func TestRunSmoke(t *testing.T) {
 	}
 	if err := back.Validate(); err != nil {
 		t.Fatalf("round-tripped run report invalid: %v", err)
-	}
-	// A fixed-method server has no planner: /v1/plan answers 404 and
-	// the report's plan block stays null.
-	if rep.Plan != nil {
-		t.Fatalf("plan block present against fixed-method server: %+v", rep.Plan)
-	}
-}
-
-// TestRunPlanBlock: against a `-method auto` server the report carries
-// the planner's decision summary, and it accounts for every routed
-// query.
-func TestRunPlanBlock(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	items := vec.NewMatrix(300, 8)
-	for i := range items.Data {
-		items.Data[i] = rng.NormFloat64()
-	}
-	srv, err := server.NewWithConfig(items, core.Options{SVD: true, Int: true, Reduction: true},
-		server.Config{Method: "auto"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-
-	rep, err := load.Run(context.Background(), load.Config{
-		Target:   ts.URL,
-		Dim:      8,
-		Rate:     300,
-		Duration: 400 * time.Millisecond,
-		Users:    1_000,
-		K:        5,
-		Seed:     11,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := rep.Validate(); err != nil {
-		t.Fatalf("report invalid: %v\n%+v", err, rep)
-	}
-	if rep.Plan == nil {
-		t.Fatal("no plan block against auto-method server")
-	}
-	if rep.Plan.Mode != "auto" || len(rep.Plan.Candidates) == 0 {
-		t.Fatalf("plan block malformed: %+v", rep.Plan)
-	}
-	if rep.Searches > 0 && rep.Plan.Summary.Queries == 0 {
-		t.Fatalf("searches completed but planner recorded no decisions: %+v", rep.Plan)
 	}
 }
 

@@ -16,25 +16,17 @@ import (
 // paper's Table 4 column order exactly (Naive, BallTree, FastMKS, SS-L,
 // F-S, F-I, F-SI, F-SR, F-SIR), with the off-table methods (SS, LEMP,
 // PCATree, bare F) interleaved where they fit the family grouping.
-//
-// Cost-model coefficients are priors in the literal sense: close enough
-// to rank a blocked scan against a pruned index on cold start, and
-// replaced by online EWMA calibration (internal/plan) or an offline
-// `fexcalibrate -fit` sweep as soon as observations exist.
 func init() {
 	Register(Descriptor{
 		Name:           "Naive",
 		Aliases:        []string{"scan"},
 		Doc:            "exhaustive blocked scan; no preprocessing, no pruning",
 		Exact:          true,
-		Dynamic:        true,
 		ShardInvariant: true,
 		Table:          true,
-		AutoCandidate:  true,
 		NewKernel: func(items *vec.Matrix, o BuildOptions, shards int) (engine.Kernel, error) {
 			return scan.NewNaiveKernel(scan.NewNaive(items), shards), nil
 		},
-		Cost: CostModel{Setup: 2e-7, PerItem: 2e-10, PerDim: 1.2e-9, PrunePrior: 0},
 	})
 	Register(Descriptor{
 		Name:           "BallTree",
@@ -46,7 +38,6 @@ func init() {
 		NewKernel: func(items *vec.Matrix, o BuildOptions, shards int) (engine.Kernel, error) {
 			return balltree.NewKernel(items, o.LeafSize, shards), nil
 		},
-		Cost: CostModel{Setup: 5e-7, PerItem: 4e-9, PerDim: 1.2e-9, PrunePrior: 0.7},
 	})
 	Register(Descriptor{
 		Name:           "FastMKS",
@@ -58,7 +49,6 @@ func init() {
 		NewKernel: func(items *vec.Matrix, o BuildOptions, shards int) (engine.Kernel, error) {
 			return covertree.NewKernel(items, o.LeafSize, shards), nil
 		},
-		Cost: CostModel{Setup: 5e-7, PerItem: 6e-9, PerDim: 1.2e-9, PrunePrior: 0.5},
 	})
 	Register(Descriptor{
 		Name:           "SS",
@@ -72,7 +62,6 @@ func init() {
 			}
 			return core.NewSharded(idx, shards), nil
 		},
-		Cost: CostModel{Setup: 3e-7, PerItem: 1.2e-9, PerDim: 1.2e-9, PrunePrior: 0.5},
 	})
 	Register(Descriptor{
 		Name:           "SS-L",
@@ -82,11 +71,9 @@ func init() {
 		ShardInvariant: true,
 		Table:          true,
 		Pruning:        true,
-		AutoCandidate:  true,
 		NewKernel: func(items *vec.Matrix, o BuildOptions, shards int) (engine.Kernel, error) {
 			return scan.NewSSLKernel(scan.NewSSL(items, scan.SSLOptions{SampleQueries: o.SampleQueries}), shards), nil
 		},
-		Cost: CostModel{Setup: 3e-7, PerItem: 1.5e-9, PerDim: 1.2e-9, PrunePrior: 0.8},
 	})
 	Register(Descriptor{
 		Name:           "LEMP",
@@ -96,29 +83,25 @@ func init() {
 		NewKernel: func(items *vec.Matrix, o BuildOptions, shards int) (engine.Kernel, error) {
 			return lemp.NewKernel(lemp.New(items, lemp.Options{BucketSize: o.BucketSize, SampleQueries: o.SampleQueries}), shards), nil
 		},
-		Cost: CostModel{Setup: 5e-7, PerItem: 1.5e-9, PerDim: 1.2e-9, PrunePrior: 0.8},
 	})
 	Register(Descriptor{
 		Name: "PCATree",
-		Doc:  "APPROXIMATE PCA-tree of Bachrach et al.; excluded from planning unless approximate methods are allowed",
+		Doc:  "APPROXIMATE PCA-tree of Bachrach et al.",
 		NewKernel: func(items *vec.Matrix, o BuildOptions, shards int) (engine.Kernel, error) {
 			return pcatree.NewKernel(pcatree.New(items, pcatree.Options{LeafSize: o.LeafSize, SpillFraction: o.SpillFraction}), shards), nil
 		},
-		Cost: CostModel{Setup: 5e-7, PerItem: 3e-9, PerDim: 1.2e-9, PrunePrior: 0.95},
 	})
 	// The FEXIPRO family: one descriptor per paper variant, all built
 	// through core.OptionsForVariant so the name → technique-set parsing
 	// stays in internal/core where the techniques live.
-	fex := func(variant string, pruning, table, auto bool, cost CostModel) {
+	fex := func(variant string, pruning, table bool) {
 		Register(Descriptor{
 			Name:           variant,
 			Doc:            "FEXIPRO variant " + variant,
 			Exact:          true,
-			Dynamic:        true,
 			ShardInvariant: true,
 			Table:          table,
 			Pruning:        pruning,
-			AutoCandidate:  auto,
 			NewKernel: func(items *vec.Matrix, o BuildOptions, shards int) (engine.Kernel, error) {
 				idx, err := newCoreIndex(variant, items, o)
 				if err != nil {
@@ -126,15 +109,14 @@ func init() {
 				}
 				return core.NewSharded(idx, shards), nil
 			},
-			Cost: cost,
 		})
 	}
-	fex("F-S", true, true, false, CostModel{Setup: 2e-6, PerItem: 1.5e-9, PerDim: 1.2e-9, PrunePrior: 0.85})
-	fex("F-I", false, true, false, CostModel{Setup: 2e-6, PerItem: 1.2e-9, PerDim: 1.2e-9, PrunePrior: 0.9})
-	fex("F-SI", true, true, false, CostModel{Setup: 2e-6, PerItem: 1.2e-9, PerDim: 1.2e-9, PrunePrior: 0.95})
-	fex("F-SR", false, true, false, CostModel{Setup: 3e-6, PerItem: 1.5e-9, PerDim: 1.2e-9, PrunePrior: 0.9})
-	fex("F-SIR", true, true, true, CostModel{Setup: 3e-6, PerItem: 1.2e-9, PerDim: 1.2e-9, PrunePrior: 0.97})
-	fex("F", false, false, false, CostModel{Setup: 1e-6, PerItem: 1.5e-9, PerDim: 1.2e-9, PrunePrior: 0.3})
+	fex("F-S", true, true)
+	fex("F-I", false, true)
+	fex("F-SI", true, true)
+	fex("F-SR", false, true)
+	fex("F-SIR", true, true)
+	fex("F", false, false)
 }
 
 // newCoreIndex builds a FEXIPRO core index for a paper variant with the

@@ -1,10 +1,9 @@
 // Package method is the single registry of retrieval methods: one
 // Descriptor per method couples the paper name (and CLI aliases) with
 // the kernel factory (the method's one implementation, run by
-// engine.Engine at every shard count), capability flags, and an analytic
-// cost model. Every dispatch site in the repository —
-// the experiments harness, the public constructors in the root package,
-// server.Config, and the fexserve/fexbench/fexquery/fexcalibrate
+// engine.Engine at every shard count) and capability flags. Every
+// dispatch site in the repository — the experiments harness, the public
+// constructors in the root package, and the fexbench/fexquery/fexcalibrate
 // binaries — resolves method names through this table, so adding a
 // method is one Register call, and no string-keyed method switch exists
 // anywhere else (internal/method's own tests enforce that at the source
@@ -43,66 +42,6 @@ type BuildOptions struct {
 	SpillFraction float64
 }
 
-// CostModel is one method's analytic per-query cost in seconds:
-//
-//	cost = Setup + (PerItem·n + PerDim·(1-prune)·n·d) / parallelism
-//
-// Setup covers the query transform (SVD projection, integer floors),
-// PerItem the per-candidate bound check (or amortized tree-node visit),
-// and PerDim one multiply-add of a full inner product. PrunePrior is
-// the fraction of items expected to be eliminated before their full
-// product when no observed pruning fraction is available. The
-// coefficients are deliberately coarse priors — the planner calibrates
-// them online (EWMA of observed cost) and fexcalibrate -fit replaces
-// them with least-squares fits over real sweeps.
-type CostModel struct {
-	Setup      float64 `json:"setup"`
-	PerItem    float64 `json:"perItem"`
-	PerDim     float64 `json:"perDim"`
-	PrunePrior float64 `json:"prunePrior"`
-}
-
-// Features are the planner-visible query/workload parameters the cost
-// model predicts from.
-type Features struct {
-	N, D, K         int
-	Shards, Workers int
-	// PruneFrac is the observed fraction of items pruned before a full
-	// product (search.Stats.TotalPruned / n); a negative value selects
-	// the model's prior.
-	PruneFrac float64
-}
-
-// Parallelism is the effective per-query speedup of the sharded
-// execution engine: shards bounded by the worker pool, never below 1.
-func (f Features) Parallelism() float64 {
-	s := f.Shards
-	if s < 1 {
-		s = 1
-	}
-	w := f.Workers
-	if w <= 0 || w > s {
-		w = s
-	}
-	return float64(w)
-}
-
-// Predict returns the modeled per-query seconds for these features.
-func (m CostModel) Predict(f Features) float64 {
-	prune := f.PruneFrac
-	if prune < 0 {
-		prune = m.PrunePrior
-	}
-	if prune < 0 {
-		prune = 0
-	} else if prune > 1 {
-		prune = 1
-	}
-	n := float64(f.N)
-	survivors := (1 - prune) * n
-	return m.Setup + (m.PerItem*n+m.PerDim*survivors*float64(f.D))/f.Parallelism()
-}
-
 // Descriptor registers one retrieval method.
 type Descriptor struct {
 	// Name is the canonical paper name ("F-SIR", "SS-L", "BallTree", …).
@@ -113,12 +52,10 @@ type Descriptor struct {
 	// Doc is a one-line description for -help style listings.
 	Doc string
 
-	// Exact marks methods that return the provably exact top-k. The
-	// planner never picks a non-exact method unless explicitly allowed.
+	// Exact marks methods that return the provably exact top-k: the
+	// registry battery holds them to Naive's answers, and holds the
+	// approximate rest only to their own cancellation and shard contracts.
 	Exact bool
-	// Dynamic marks methods whose index admits online add/delete
-	// (served by core.DynamicIndex or a plain catalog scan).
-	Dynamic bool
 	// ShardInvariant marks methods whose sharded execution is
 	// bit-identical to the single-shard scan for every shard count
 	// (searchtest.CheckSharded-pinned).
@@ -128,11 +65,6 @@ type Descriptor struct {
 	Table bool
 	// Pruning includes the method in the Tables 3/7 pruning columns.
 	Pruning bool
-	// AutoCandidate includes the method in the default `-method auto`
-	// planner pool. The pool spans the blocked-scan vs pruned-scan vs
-	// full-index tradeoff ("To Index or Not to Index") without building
-	// every registered index per catalog.
-	AutoCandidate bool
 
 	// NewKernel constructs the method: its index over items, partitioned
 	// into (at most) shards scan ranges. It is the descriptor's one
@@ -141,9 +73,6 @@ type Descriptor struct {
 	// registered method is covered by internal/method's registry-driven
 	// test by being registered.
 	NewKernel func(items *vec.Matrix, o BuildOptions, shards int) (engine.Kernel, error)
-
-	// Cost is the method's prior cost model (see CostModel).
-	Cost CostModel
 }
 
 var (
@@ -198,13 +127,6 @@ func TableNames() []string { return filtered(func(d *Descriptor) bool { return d
 
 // PruningNames lists the pruning-table methods (Tables 3 and 7 columns).
 func PruningNames() []string { return filtered(func(d *Descriptor) bool { return d.Pruning }) }
-
-// ExactNames lists the provably exact methods — the planner's candidate
-// pool when approximate methods are not explicitly allowed.
-func ExactNames() []string { return filtered(func(d *Descriptor) bool { return d.Exact }) }
-
-// AutoNames lists the default `-method auto` candidate pool.
-func AutoNames() []string { return filtered(func(d *Descriptor) bool { return d.AutoCandidate }) }
 
 func filtered(keep func(*Descriptor) bool) []string {
 	var out []string

@@ -38,44 +38,12 @@ func TestLookupAliasesAndCase(t *testing.T) {
 }
 
 func TestExactExcludesPCATree(t *testing.T) {
-	for _, name := range ExactNames() {
-		if name == "PCATree" {
-			t.Fatal("ExactNames contains the approximate PCATree")
-		}
-	}
 	d, _ := Lookup("PCATree")
 	if d.Exact {
 		t.Fatal("PCATree marked exact")
 	}
 	if d.ShardInvariant {
 		t.Fatal("PCATree marked shard-invariant")
-	}
-}
-
-func TestCostModelPredict(t *testing.T) {
-	m := CostModel{Setup: 1e-6, PerItem: 1e-9, PerDim: 1e-9, PrunePrior: 0.9}
-	f := Features{N: 100000, D: 50, K: 10, Shards: 1, PruneFrac: -1}
-	base := m.Predict(f)
-	if base <= m.Setup {
-		t.Fatalf("Predict = %g, want > setup", base)
-	}
-	// More observed pruning must predict cheaper.
-	f.PruneFrac = 0.99
-	if highPrune := m.Predict(f); highPrune >= base {
-		t.Fatalf("prune 0.99 cost %g >= prior cost %g", highPrune, base)
-	}
-	// Parallelism divides the scan term.
-	f.PruneFrac = -1
-	f.Shards, f.Workers = 4, 4
-	if par := m.Predict(f); par >= base {
-		t.Fatalf("4-way cost %g >= sequential %g", par, base)
-	}
-	// Workers clamp parallelism to the pool size.
-	if (Features{Shards: 8, Workers: 2}).Parallelism() != 2 {
-		t.Fatal("parallelism not clamped by workers")
-	}
-	if (Features{}).Parallelism() != 1 {
-		t.Fatal("zero features parallelism != 1")
 	}
 }
 

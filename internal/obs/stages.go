@@ -93,15 +93,6 @@ const (
 	MetricSnapshotBytes = "fexipro_snapshot_bytes"
 	MetricWALRecords    = "fexipro_wal_records_total"
 	MetricWALReplays    = "fexipro_wal_replays_total"
-	// Query-planner metrics (DESIGN.md §16): decision counts labeled by
-	// the chosen method and the reason it was picked (warmup / probe /
-	// cost), plus the planner's calibration state — predicted and
-	// observed per-query cost EWMAs, labeled by method. Predicted
-	// tracking observed means the cost model has converged; a sustained
-	// gap shows up as mispredicts.
-	MetricPlanDecisions = "fexipro_plan_decisions_total"
-	MetricPlanPredicted = "fexipro_plan_predicted_seconds"
-	MetricPlanObserved  = "fexipro_plan_observed_seconds"
 )
 
 // SearchRecorder accumulates cumulative per-stage counters and search

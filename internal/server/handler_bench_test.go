@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"runtime/debug"
 	"testing"
 
 	"fexipro/internal/core"
@@ -69,9 +70,13 @@ func BenchmarkHandlerSearch(b *testing.B) {
 // TestHandlerSearchAllocations pins what one search costs the handler in
 // allocations, request construction excluded: encoding/json's reflection
 // decode and encode made it 57, the scanner and appender left 15, the
-// in-place query transform leaves 14, and the bound is where either
-// creeping back would show.
+// in-place query transform leaves 14, and the bound is 14, so one more
+// allocation on the search path fails here. Under the race detector,
+// whose instrumentation moves values to the heap, the count means nothing.
 func TestHandlerSearchAllocations(t *testing.T) {
+	if raceDetector() {
+		t.Skip("allocation counts differ under -race")
+	}
 	h, bodies := searchFixture(t, 500, 1)
 	w := &nopWriter{h: http.Header{}}
 	const runs = 200
@@ -84,7 +89,21 @@ func TestHandlerSearchAllocations(t *testing.T) {
 		h.ServeHTTP(w, reqs[next])
 		next++
 	})
-	if got > 26 {
-		t.Fatalf("one /v1/search allocates %.0f times in the handler, want ≤ 26", got)
+	if got > 14 {
+		t.Fatalf("one /v1/search allocates %.0f times in the handler, want ≤ 14", got)
 	}
+}
+
+// raceDetector reports whether this test binary was built with -race.
+func raceDetector() bool {
+	bi, ok := debug.ReadBuildInfo()
+	if !ok {
+		return false
+	}
+	for _, s := range bi.Settings {
+		if s.Key == "-race" {
+			return s.Value == "true"
+		}
+	}
+	return false
 }

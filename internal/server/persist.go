@@ -162,12 +162,6 @@ func (s *Server) checkpointLocked() error {
 		return fmt.Errorf("resetting wal: %w", err)
 	}
 	s.sinceCheckpoint = 0
-	// The planner's learned cost calibration rides along with every
-	// checkpoint (plan.go): cheap to write, and a restart then resumes
-	// routing with converged coefficients instead of re-warming.
-	if err := s.savePlanCalibrationLocked(); err != nil {
-		return fmt.Errorf("writing plan calibration: %w", err)
-	}
 	return nil
 }
 
@@ -227,17 +221,6 @@ func (s *Server) Reload(items *vec.Matrix, opts core.Options) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.idx = idx
-	// The planner's candidates close over the replaced index; rebuild
-	// them over the new catalog, carrying the learned calibration across
-	// the epoch (the cost coefficients describe the methods, not the
-	// items, so they stay valid — and SizeFn re-reads the new Len).
-	if s.planner != nil {
-		cal := s.planner.Calibration()
-		if err := s.initPlannerLocked(opts); err != nil {
-			return err
-		}
-		s.planner.SetCalibration(cal)
-	}
 	s.items.Set(float64(idx.Len()))
 	// New epoch: the snapshot now holds the replacement catalog and the
 	// WAL restarts empty. Pre-reload records are superseded by design.

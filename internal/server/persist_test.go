@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"log/slog"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -402,5 +404,86 @@ func TestPersistSnapshotBytesGauge(t *testing.T) {
 	_, ts2 := newPersistServer(t, initial, cfg)
 	if v, _ := persistMetric(t, ts2, "fexipro_snapshot_bytes"); v != fileSize() {
 		t.Fatalf("fexipro_snapshot_bytes = %v after a restart, file has %v", v, fileSize())
+	}
+}
+
+// parentDataDir is a data directory written by the commit before the
+// query planner was removed, in that commit's layout: a 40×8 catalog
+// (persistItems, seed 31) served at S = 2 with the planner on and
+// checkpointed after 100 searches — which also wrote plan.snap, the
+// planner's calibration — then two adds and the delete of item 7
+// appended to dyn.wal. answers.json holds what that commit answered to 20
+// queries (persistItems(1, 8, ·) from seed 32, k = 5): IDs and score bits.
+const parentDataDir = "testdata/parent_datadir"
+
+// TestPersistParentDataDirIgnoresPlanFile: the parent's data directory
+// boots to the same catalog and answers, a checkpoint leaves its
+// plan.snap in place byte for byte, and a plan.snap no reader could parse
+// changes nothing either — the file is never read.
+func TestPersistParentDataDirIgnoresPlanFile(t *testing.T) {
+	js, err := os.ReadFile(filepath.Join(parentDataDir, "answers.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var answers []struct {
+		IDs  []int
+		Bits []uint64
+	}
+	if err := json.Unmarshal(js, &answers); err != nil || len(answers) != 20 {
+		t.Fatalf("answers.json: %d answers, %v", len(answers), err)
+	}
+	for _, garbage := range []bool{false, true} {
+		dir := t.TempDir()
+		for _, f := range []string{core.SnapshotFile, core.WALFile, "plan.snap"} {
+			raw, err := os.ReadFile(filepath.Join(parentDataDir, f))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if garbage && f == "plan.snap" {
+				raw = []byte("not a calibration")
+			}
+			if err := os.WriteFile(filepath.Join(dir, f), raw, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		planPath := filepath.Join(dir, "plan.snap")
+		planBytes, _ := os.ReadFile(planPath)
+		before, err := os.Stat(planPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var warnings bytes.Buffer
+		logger := slog.New(slog.NewTextHandler(&warnings, &slog.HandlerOptions{Level: slog.LevelWarn}))
+		srv, ts := newPersistServer(t, nil, server.Config{DataDir: dir, Logger: logger})
+		if n := infoItems(t, ts); n != 41 {
+			t.Fatalf("garbage=%v: %d live items, the parent had 41", garbage, n)
+		}
+		rng := rand.New(rand.NewSource(32))
+		for i, want := range answers {
+			got := searchIDs(t, ts, persistItems(1, 8, rng).Data, 5)
+			if len(got) != len(want.IDs) {
+				t.Fatalf("garbage=%v query %d: %v, the parent answered %v", garbage, i, got, want.IDs)
+			}
+			for r := range got {
+				if got[r].ID != want.IDs[r] || math.Float64bits(got[r].Score) != want.Bits[r] {
+					t.Fatalf("garbage=%v query %d rank %d: %+v, the parent answered ID %d score bits %#x",
+						garbage, i, r, got[r], want.IDs[r], want.Bits[r])
+				}
+			}
+		}
+		if err := srv.Checkpoint(); err != nil {
+			t.Fatalf("garbage=%v: checkpoint: %v", garbage, err)
+		}
+		after, err := os.Stat(planPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, _ := os.ReadFile(planPath)
+		if !os.SameFile(before, after) || !after.ModTime().Equal(before.ModTime()) || !bytes.Equal(raw, planBytes) {
+			t.Fatalf("garbage=%v: the checkpoint touched plan.snap", garbage)
+		}
+		if warnings.Len() > 0 {
+			t.Fatalf("garbage=%v: the server warned: %s", garbage, warnings.String())
+		}
 	}
 }

@@ -6,7 +6,6 @@
 //	POST   /v1/items           {"vector": [...]}            → {"id": n}
 //	DELETE /v1/items/{id}
 //	GET    /v1/info
-//	GET    /v1/plan            query-planner decisions (Config.Method "auto")
 //	GET    /v1/healthz
 //	GET    /metrics            Prometheus text exposition
 //	GET    /debug/pprof/       (opt-in via Config.EnablePprof)
@@ -51,7 +50,6 @@ import (
 	"fexipro/internal/core"
 	"fexipro/internal/faults"
 	"fexipro/internal/obs"
-	"fexipro/internal/plan"
 	"fexipro/internal/search"
 	"fexipro/internal/snap"
 	"fexipro/internal/topk"
@@ -91,16 +89,6 @@ type Config struct {
 	// Production servers leave it nil, which costs one nil check.
 	//lint:ignore apiparity test-only injection surface, deliberately unreachable from flags
 	Faults *faults.Registry
-
-	// Method selects the retrieval strategy for /v1/search. Empty or
-	// "fexipro" serves every search from the dynamic FEXIPRO index.
-	// "auto" enables the cost-based query planner (DESIGN.md §16): each
-	// search is routed to whichever exact candidate — the FEXIPRO index
-	// or an exhaustive live-catalog scan — the calibrated cost model
-	// predicts cheaper, with decisions exported as
-	// fexipro_plan_decisions_total{method,reason} and GET /v1/plan.
-	// Results are exact either way; a misprediction is slow, never wrong.
-	Method string
 
 	// Shards splits the dynamic index into that many independent catalog
 	// shards (DESIGN.md §11): a single Add or Delete only ever rebuilds
@@ -206,9 +194,6 @@ type Server struct {
 	uptime      *obs.Gauge
 	quantiles   []*obs.Gauge // one per obs.WindowQuantiles entry
 
-	// Query planner state (Config.Method == "auto"); nil otherwise.
-	planner *plan.Planner
-
 	// Persistence state (see persist.go); wal is nil without DataDir.
 	wal             *snap.WAL
 	dataDir         string
@@ -241,11 +226,6 @@ func New(initial *vec.Matrix, opts core.Options) (*Server, error) {
 
 // NewWithConfig builds a server with explicit observability wiring.
 func NewWithConfig(initial *vec.Matrix, opts core.Options, cfg Config) (*Server, error) {
-	methodName, merr := validateMethod(cfg.Method)
-	if merr != nil {
-		return nil, merr
-	}
-	cfg.Method = methodName
 	shards := cfg.Shards
 	if shards < 1 {
 		shards = 1
@@ -370,15 +350,6 @@ func NewWithConfig(initial *vec.Matrix, opts core.Options, cfg Config) (*Server,
 		"Guarded /v1/ requests currently being served.")
 	s.readyGauge = reg.Gauge("fexserve_ready",
 		"1 when the index is built and the server accepts traffic, else 0.")
-
-	// Query planner (plan.go): built over the serving index, primed from
-	// any checkpointed calibration in the data directory.
-	if cfg.Method == methodAuto {
-		if err := s.initPlannerLocked(opts); err != nil {
-			return nil, err
-		}
-		s.loadPlanCalibration()
-	}
 	s.SetReady(true) // the index build above succeeded
 	return s, nil
 }
@@ -395,7 +366,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("POST /v1/items", s.handleAddItem)
 	mux.HandleFunc("DELETE /v1/items/", s.handleDeleteItem)
 	mux.HandleFunc("GET /v1/info", s.handleInfo)
-	mux.HandleFunc("GET /v1/plan", s.handlePlan)
 	mux.HandleFunc("GET /v1/healthz", s.handleHealthz)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /readyz", s.handleReadyz)
@@ -593,8 +563,6 @@ func routeLabel(r *http.Request) string {
 		return "/v1/items/{id}"
 	case p == "/v1/info":
 		return "/v1/info"
-	case p == "/v1/plan":
-		return "/v1/plan"
 	case p == "/v1/healthz" || p == "/healthz":
 		return "/healthz"
 	case p == "/readyz":
@@ -645,13 +613,11 @@ func (s *Server) noteSearch(r *http.Request, k int, st search.Stats, took time.D
 
 // searchLocked serializes index access around fn, releasing the mutex
 // even when an injected fault panics mid-scan (the deferred unlock is
-// what keeps a recovered panic from deadlocking every later request).
-// stats reads the per-query counters of whatever fn drove (the index,
-// or the planner's chosen candidate) while still under the lock. The
-// scan-site fault hook is re-read per call so tests can Enable or
-// Disable it between requests; it covers the planner's live-scan
-// candidate too (LiveScan shares the index's hook).
-func (s *Server) searchLocked(fn func() ([]topk.Result, error), stats func() search.Stats) ([]topk.Result, search.Stats, error) {
+// what keeps a recovered panic from deadlocking every later request),
+// and reads the index's counters of the query fn ran while still under
+// the lock. The scan-site fault hook is re-read per call so tests can
+// Enable or Disable it between requests.
+func (s *Server) searchLocked(fn func() ([]topk.Result, error)) ([]topk.Result, search.Stats, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.idx.SetFaultHook(s.cfg.Faults.Hook(faults.SiteScan))
@@ -660,8 +626,7 @@ func (s *Server) searchLocked(fn func() ([]topk.Result, error), stats func() sea
 	// and the scan returns, so the hold time is capped by MaxTimeout.
 	//lint:ignore locks fn is a deadline-bounded index scan (DESIGN.md §10)
 	res, err := fn()
-	//lint:ignore locks stats copies in-memory counters; no blocking
-	return res, stats(), err
+	return res, s.idx.Stats(), err
 }
 
 func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
@@ -682,26 +647,10 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	}
 	r, root := s.traceStart(r, "search")
 	start := time.Now()
-	var dec plan.Decision
 	results, st, err := s.searchLocked(func() ([]topk.Result, error) {
-		if s.planner != nil {
-			res, serr := s.planner.SearchContext(r.Context(), req.Vector, req.K)
-			dec = s.planner.LastDecision() // still under s.mu: this query's decision
-			return res, serr
-		}
 		return s.idx.SearchContext(r.Context(), req.Vector, req.K)
-	}, func() search.Stats {
-		if s.planner != nil {
-			return s.planner.Stats()
-		}
-		return s.idx.Stats()
 	})
 	took := time.Since(start)
-	if s.planner != nil {
-		root.AttrStr("plan.method", dec.Method)
-		root.AttrStr("plan.reason", dec.Reason)
-		root.AttrInt("plan.predicted_us", int64(dec.Predicted*1e6))
-	}
 	sc := s.noteSearch(r, req.K, st, took)
 	s.traceFinish(r, root, "search", req.K, took, err == nil, &sc)
 	if !s.deadlineOK(w, r, err) {
@@ -731,11 +680,9 @@ func (s *Server) handleAbove(w http.ResponseWriter, r *http.Request) {
 	}
 	r, root := s.traceStart(r, "above")
 	start := time.Now()
-	// Above-threshold retrieval always uses the index: the planner only
-	// arbitrates top-k, where the scan-vs-index tradeoff is per query.
 	results, st, err := s.searchLocked(func() ([]topk.Result, error) {
 		return s.idx.SearchAboveContext(r.Context(), req.Vector, *req.Threshold)
-	}, func() search.Stats { return s.idx.Stats() })
+	})
 	took := time.Since(start)
 	sc := s.noteSearch(r, 0, st, took)
 	s.traceFinish(r, root, "above", 0, took, err == nil, &sc)
@@ -852,7 +799,7 @@ func (s *Server) handleInfo(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	n := s.idx.Len()
 	s.mu.Unlock()
-	writeJSON(w, map[string]any{"items": n, "dim": s.dim, "shards": s.idx.Shards(), "method": s.cfg.Method})
+	writeJSON(w, map[string]any{"items": n, "dim": s.dim, "shards": s.idx.Shards()})
 }
 
 func writeJSON(w http.ResponseWriter, v any) {

@@ -139,7 +139,7 @@ var _ Searcher = (*FEXIPRO)(nil)
 // Methods lists every retrieval method registered in this build, in
 // registry order (the paper's table order with off-table methods
 // interleaved). Any of these names — or their aliases, case-insensitive
-// — works with NewMethod and PlannerOptions.Methods.
+// — works with NewMethod.
 func Methods() []string { return method.Names() }
 
 // MethodOptions tunes NewMethod. The zero value selects each method's
