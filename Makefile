@@ -121,13 +121,16 @@ race-subset:
 ## regression corpus (internal/data/testdata/fuzz). New crashers found
 ## here should be committed as corpus seeds. FuzzHeadBlock compares the
 ## head test's run kernel — assembly, plain Go, row by row — over runs of
-## blocks at both table widths (int8 and int16 floors); FuzzBlockedScan carries the fixed-threshold (above-t) collector
-## case beside the top-k ones, under both kernel bodies.
+## blocks of int8 floors, every shape the layout admits; FuzzDotTail the
+## tail bound's two bodies against an int64 sum; FuzzBlockedScan carries
+## the fixed-threshold (above-t) collector case beside the top-k ones,
+## under both kernel bodies.
 fuzz-smoke:
 	$(GO) test ./internal/data -run='^$$' -fuzz=FuzzReadMatrixBinary -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/data -run='^$$' -fuzz=FuzzReadMatrixCSV -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/engine -run='^$$' -fuzz=FuzzPartitionRoundTrip -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/vec -run='^$$' -fuzz=FuzzHeadBlock -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/vec -run='^$$' -fuzz=FuzzDotTail -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/core -run='^$$' -fuzz=FuzzDynamicOps -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/core -run='^$$' -fuzz=FuzzSearchMatchesNaive -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/core -run='^$$' -fuzz=FuzzIntegerBound -fuzztime=$(FUZZTIME)

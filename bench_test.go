@@ -268,7 +268,7 @@ func BenchmarkFig10(b *testing.B) {
 func BenchmarkFig11(b *testing.B) {
 	for _, p := range benchProfiles {
 		ds := benchDataset(b, p)
-		for _, e := range []float64{10, 100, 1000} {
+		for _, e := range []float64{10, 100, 127} {
 			b.Run(fmt.Sprintf("%s/e=%g", p, e), func(b *testing.B) {
 				idx, err := core.NewIndex(ds.Items, core.Options{SVD: true, Int: true, Reduction: true, E: e})
 				if err != nil {

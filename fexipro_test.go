@@ -115,11 +115,11 @@ func TestVariantOptions(t *testing.T) {
 	if _, err := fexipro.New(items, fexipro.Options{Variant: "bogus"}); err == nil {
 		t.Fatal("expected error for bad variant")
 	}
-	// E = 32766 is the last whose floors fit the int16 tail.
-	if _, err := fexipro.New(items, fexipro.Options{E: 32766}); err != nil {
-		t.Fatalf("E = 32766: %v", err)
+	// E = 127 is the last whose floors fit the int8 tables.
+	if _, err := fexipro.New(items, fexipro.Options{E: 127}); err != nil {
+		t.Fatalf("E = 127: %v", err)
 	}
-	for _, e := range []float64{math.NaN(), math.Inf(1), 1e300, 32767, 1e6, 1e9} {
+	for _, e := range []float64{math.NaN(), math.Inf(1), 1e300, 128, 1000, 32766, 32767, 1e9} {
 		if _, err := fexipro.New(items, fexipro.Options{E: e}); err == nil || !strings.Contains(err.Error(), "Options.E") {
 			t.Fatalf("E = %v: err = %v, want one naming Options.E", e, err)
 		}

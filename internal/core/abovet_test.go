@@ -90,7 +90,7 @@ func TestSearchAbovePrunes(t *testing.T) {
 func TestSearchAboveWithExplicitOptions(t *testing.T) {
 	rng := rand.New(rand.NewSource(94))
 	items, q := searchtest.RandomInstance(rng, 300, 10)
-	idx, err := core.NewIndex(items, core.Options{SVD: true, Int: true, Reduction: true, W: 3, E: 1000})
+	idx, err := core.NewIndex(items, core.Options{SVD: true, Int: true, Reduction: true, W: 3, E: 127})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -50,10 +50,15 @@ func PortableHeadKernel(tb testing.TB) {
 // results and every search.Stats field agree. It returns those stats.
 func sameScan(t testing.TB, idx *Index, qs *queryState, lo, hi, k int, seed seedFn, shB, shP *search.SharedThreshold, what string) search.Stats {
 	t.Helper()
-	if !qs.headFirst || !idx.ints.lanes32 {
+	if !qs.headFirst {
 		t.Fatalf("%s: scanRange does not select the blocked scan on this index", what)
 	}
-	return sameAsPerItem(t, idx, qs, lo, hi, k, seed, shB, shP, what)
+	cB, cP := topk.New(k), topk.New(k)
+	if seed != nil {
+		seed(cB)
+		seed(cP)
+	}
+	return sameInto(t, idx, qs, lo, hi, cB, cP, shB, shP, fmt.Sprintf("%s k=%d", what, k))
 }
 
 // sameResults compares IDs and score bits, so NaN scores compare equal.
@@ -61,18 +66,6 @@ func sameResults(a, b []topk.Result) bool {
 	return slices.EqualFunc(a, b, func(x, y topk.Result) bool {
 		return x.ID == y.ID && math.Float64bits(x.Score) == math.Float64bits(y.Score)
 	})
-}
-
-// sameAsPerItem is sameScan for any index: scanRange, whichever loop it
-// picks, against scanPerItem.
-func sameAsPerItem(t testing.TB, idx *Index, qs *queryState, lo, hi, k int, seed seedFn, shB, shP *search.SharedThreshold, what string) search.Stats {
-	t.Helper()
-	cB, cP := topk.New(k), topk.New(k)
-	if seed != nil {
-		seed(cB)
-		seed(cP)
-	}
-	return sameInto(t, idx, qs, lo, hi, cB, cP, shB, shP, fmt.Sprintf("%s k=%d", what, k))
 }
 
 // sameScanAbove is sameScan's fixed-threshold case: the two loops into
@@ -111,24 +104,20 @@ func sameInto(t testing.TB, idx *Index, qs *queryState, lo, hi int, cB, cP *topk
 // offers raise the threshold in the middle of a block, S ∈ {1,2,3,7}
 // shards scanned in order against one shared threshold (what a
 // one-worker engine does) — the MovieLens shape at the paper's E = 100,
-// whose head tables are the narrow ones, the Netflix shape at E = 200 too,
-// the wide.
+// the Netflix shape at E = 100 and at the largest, E = 127.
 func TestBlockedScanMatchesPerItem(t *testing.T) {
 	const n = 20000
 	beyondHi := 0
 	for _, tc := range []struct {
 		p data.Profile
 		e float64
-	}{{data.MovieLens(), 100}, {data.Netflix(), 100}, {data.Netflix(), 200}} {
+	}{{data.MovieLens(), 100}, {data.Netflix(), 100}, {data.Netflix(), 127}} {
 		p := tc.p
 		ds := data.Generate(p, n, 12, 50)
 		opts := Options{SVD: true, Int: true, Reduction: true, E: tc.e}
 		idx, err := NewIndex(ds.Items, opts)
 		if err != nil {
 			t.Fatal(err)
-		}
-		if idx.ints.lay.Narrow() != (tc.e == 100) {
-			t.Fatalf("%s E=%v: narrow head tables: %v", p.Name, tc.e, idx.ints.lay.Narrow())
 		}
 		qs := idx.newQueryState()
 		for qi := 0; qi < ds.Queries.Rows; qi++ {
@@ -337,15 +326,12 @@ func TestBlockedScanTies(t *testing.T) {
 
 // TestBlockedScanWordCounts is the shapes table of the head layout: pair
 // counts on both sides of a pair boundary and of the benchmark's shapes,
-// E from the default to the largest there is, on both sides of the
-// int32-lane predicate w·(o+1)² < 2³¹. On every shape the one-row bound
-// equals Theorem 2's IU^ℓ from the unpacked floors and scanRange agrees
-// with the per-item loop; where the lanes hold IU^ℓ scanRange is the
-// blocked loop, and the block kernel, the one-row bound and the per-item
-// loop's own head test decide every row of a block alike for cuts on,
-// next to and far from the bound (PruneSlack < 0: the cut is the
-// threshold); where they do not, scanRange must not reach the kernel,
-// which panics on such a layout.
+// E from 1 through the default to the largest there is. On every shape
+// the one-row bound equals Theorem 2's IU^ℓ from the unpacked floors,
+// scanRange — the blocked loop — agrees with the per-item loop, and the
+// block kernel, the one-row bound and the per-item loop's own head test
+// decide every row of a block alike for cuts on, next to and far from the
+// bound (PruneSlack < 0: the cut is the threshold).
 func TestBlockedScanWordCounts(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	const n, d = 1500, 34
@@ -354,7 +340,7 @@ func TestBlockedScanWordCounts(t *testing.T) {
 		items.Data[i] = rng.NormFloat64()
 	}
 	floors := make([]int32, d)
-	for _, e := range []float64{100, 127, 128, 1000, 11000, 32766} {
+	for _, e := range []float64{1, 100, 126, 127} {
 		for _, w := range []int{1, 2, 9, 15, 16, 17, 18, 21, 31, 32, 33} {
 			idx, err := NewIndex(items, Options{Int: true, W: w, E: e, PruneSlack: -1})
 			if err != nil {
@@ -362,10 +348,8 @@ func TestBlockedScanWordCounts(t *testing.T) {
 			}
 			what := fmt.Sprintf("W=%d E=%v", w, e)
 			id := idx.ints
-			lanes32 := float64(w)*(e+2)*(e+2) < 1<<31
-			if id.nw != (w+1)/2 || id.lay.Offset() != int64(e)+1 || id.lanes32 != lanes32 || id.lay.Narrow() != (e <= 127) {
-				t.Fatalf("%s: %d pairs at offset %d, lanes32 %v, narrow %v; want %d at %d, %v, narrow up to E = 127",
-					what, id.nw, id.lay.Offset(), id.lanes32, id.lay.Narrow(), (w+1)/2, int64(e)+1, lanes32)
+			if id.lay.Pairs() != (w+1)/2 || id.lay.Offset() != int64(e)+1 {
+				t.Fatalf("%s: %d pairs at offset %d; want %d at %d", what, id.lay.Pairs(), id.lay.Offset(), (w+1)/2, int64(e)+1)
 			}
 			qs := idx.newQueryState()
 			for trial := 0; trial < 3; trial++ {
@@ -384,11 +368,8 @@ func TestBlockedScanWordCounts(t *testing.T) {
 					}
 				}
 				for _, k := range []int{1, 10} {
-					sameAsPerItem(t, idx, qs, 0, n, k, nil, nil, nil, what)
-					sameAsPerItem(t, idx, qs, 5, n-3, k, nil, nil, nil, what)
-				}
-				if !lanes32 {
-					continue
+					sameScan(t, idx, qs, 0, n, k, nil, nil, nil, what)
+					sameScan(t, idx, qs, 5, n-3, k, nil, nil, nil, what)
 				}
 				for b := 0; b+blockRows <= n; b += 5 * blockRows {
 					on := idx.headBound(qs, b+trial, qs.head.RowIU(b+trial))
@@ -551,7 +532,7 @@ func TestNonFiniteQueriesScanAlike(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	const n, d = 200, 9
 	items := normalMatrix(rng, n, d)
-	for _, opts := range []Options{{Int: true, W: 4}, {Int: true, W: 4, E: 11000}, {SVD: true, Int: true, Reduction: true}} {
+	for _, opts := range []Options{{Int: true, W: 4}, {Int: true, W: 4, E: 127}, {SVD: true, Int: true, Reduction: true}} {
 		idx, err := NewIndex(items, opts)
 		if err != nil {
 			t.Fatal(err)
@@ -777,7 +758,7 @@ func TestBlockedScanCancellation(t *testing.T) {
 	qs := idx.newQueryState()
 	for qi := 0; qi < ds.Queries.Rows; qi++ {
 		idx.prepareQuery(ds.Queries.Row(qi), qs)
-		if !qs.headFirst || !idx.ints.lanes32 {
+		if !qs.headFirst {
 			t.Fatal("scanRange does not select the blocked scan on this index")
 		}
 		scan := func(cancelAt int) (*pollCtx, search.Stats, []topk.Result, error) {
@@ -833,10 +814,11 @@ func TestBlockedScanCancellation(t *testing.T) {
 }
 
 // TestPackedHeadMatchesFloors: on a built index the head bound of every
-// row, from the floor pairs in their blocks at either width, equals Theorem 2's IU^ℓ
-// computed by vec.DotInt64 on the unpacked floors — on both sides of the
-// int32-lane predicate and for items whose head coordinates sit at ±max,
-// where e·v/max may floor to −e−1.
+// row, from the floor pairs in their blocks, equals Theorem 2's IU^ℓ
+// computed by vec.DotInt64 on the unpacked floors — from E = 100 to the
+// largest, 127, and for items whose head coordinates sit at ±max, where
+// e·v/max may floor to −e−1: −128 at E = 127, the one int8 no e·v/max
+// reaches otherwise. An E past 127 is refused by name.
 func TestPackedHeadMatchesFloors(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	const n, d = 300, 24
@@ -844,22 +826,24 @@ func TestPackedHeadMatchesFloors(t *testing.T) {
 	for i := range items.Data {
 		items.Data[i] = rng.NormFloat64()
 	}
-	// A max whose scaled value 100·(−max)/max rounds below −100.
+	// A max whose scaled value e·(−max)/max rounds below −e at both E.
 	var pin float64
-	for pin = 10; math.Floor(100*-pin/pin) != -101; pin = 10 + rng.Float64() {
+	for pin = 10; math.Floor(100*-pin/pin) != -101 || math.Floor(127*-pin/pin) != -128; pin = 10 + rng.Float64() {
 	}
 	for s := 0; s < d; s++ {
 		items.Set(s, s, pin)
 		items.Set(d+s, s, -pin)
 	}
-	sawLowest := false
+	for _, e := range []float64{128, 1000, 32766} {
+		if _, err := NewIndex(items, Options{Int: true, W: 7, E: e}); !errors.Is(err, ErrIntDomain) || !strings.Contains(err.Error(), "Options.E") {
+			t.Fatalf("E = %v: err = %v, want ErrIntDomain naming Options.E", e, err)
+		}
+	}
 	for _, opts := range []Options{
 		{Int: true, W: 7},
 		{Int: true, W: 7, E: 127},
-		{Int: true, W: 7, E: 128},
-		{Int: true, W: 7, E: 1000},
-		{Int: true, W: 7, E: 32766},
 		{Int: true, W: d},
+		{Int: true, W: d, E: 127},
 		{SVD: true, Int: true, Reduction: true},
 	} {
 		idx, err := NewIndex(items, opts)
@@ -869,6 +853,7 @@ func TestPackedHeadMatchesFloors(t *testing.T) {
 		id, w := idx.ints, idx.w
 		qs := idx.newQueryState()
 		floors, qFloors := make([]int32, d), make([]int32, w)
+		sawLowest := false
 		for trial := 0; trial < 6; trial++ {
 			q := make([]float64, d)
 			for j := range q {
@@ -894,16 +879,16 @@ func TestPackedHeadMatchesFloors(t *testing.T) {
 				}
 			}
 		}
-	}
-	if !sawLowest {
-		t.Fatal("no head floor reached −(⌈E⌉+1); the pinned rows do not exercise the range end")
+		if !sawLowest && !opts.SVD {
+			t.Fatalf("%+v: no head floor reached −(⌈E⌉+1); the pinned rows do not exercise the range end", opts)
+		}
 	}
 }
 
 // TestNewIndexRejectsBadOptions: a non-finite E, Rho, PruneSlack or
-// RankTol, or an E whose floors could overflow the integer tables at
-// this shape, is an error, not an index — NaN in particular passes every
-// range test withDefaults applies.
+// RankTol, or an E outside the integer bound's domain (0, 127], is an
+// error, not an index — NaN in particular passes every range test
+// withDefaults applies.
 func TestNewIndexRejectsBadOptions(t *testing.T) {
 	items := vec.NewMatrix(20, 6)
 	for i := range items.Data {
@@ -917,10 +902,15 @@ func TestNewIndexRejectsBadOptions(t *testing.T) {
 	if _, err := NewIndex(items, Options{SVD: true, E: math.NaN()}); err == nil {
 		t.Fatal("E = NaN accepted without the integer bound")
 	}
-	// On both sides of the block kernel's int32 lanes; TestEBoundary has the edge.
-	for _, e := range []float64{0, -1, 10, 1000, 20000} {
+	// TestEBoundary has the edge.
+	for _, e := range []float64{0, -1, 10, 127} {
 		if _, err := NewIndex(items, Options{SVD: true, Int: true, E: e}); err != nil {
 			t.Fatalf("E = %v: %v", e, err)
+		}
+	}
+	for _, e := range []float64{1000, 20000} {
+		if _, err := NewIndex(items, Options{SVD: true, Int: true, E: e}); !errors.Is(err, ErrIntDomain) || !strings.Contains(err.Error(), "Options.E") {
+			t.Fatalf("E = %v: err = %v, want ErrIntDomain naming Options.E", e, err)
 		}
 	}
 	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
@@ -945,24 +935,22 @@ func TestNewIndexRejectsBadOptions(t *testing.T) {
 	}
 }
 
-// TestEBoundary: the floors are int16, so E = 32766 (o = 32767) is the
-// largest that builds — past the block kernel's int32 lanes from w = 2
-// on, so on the per-item loop and still exact — and anything above is
-// refused by name wherever Options come
-// in: NewIndex, NewDynamicIndex, and a snapshot whose dyn.meta carries
-// such an E (a parent with int32 tails could write one).
+// TestEBoundary: the floors are int8, so E = 127 (o = 128) is the largest
+// that builds — exact against the naive scan at every W — and anything
+// above is refused by name wherever Options come in: NewIndex,
+// NewDynamicIndex, and a snapshot whose dyn.meta carries such an E (an
+// older version, whose int16 floors took E up to 32766, could write one).
 func TestEBoundary(t *testing.T) {
-	rng := rand.New(rand.NewSource(32766))
+	rng := rand.New(rand.NewSource(127))
 	const n, d = 300, 6
 	items := normalMatrix(rng, n, d)
 	for w := 1; w <= d; w++ {
-		idx, err := NewIndex(items, Options{SVD: true, Int: true, Reduction: true, E: 32766, W: w})
+		idx, err := NewIndex(items, Options{SVD: true, Int: true, Reduction: true, E: MaxE, W: w})
 		if err != nil {
-			t.Fatalf("E = 32766, W = %d: %v", w, err)
+			t.Fatalf("E = 127, W = %d: %v", w, err)
 		}
-		if id := idx.ints; id.nw != (w+1)/2 || id.lay.Offset() != math.MaxInt16 || id.lanes32 != (w == 1) {
-			t.Fatalf("E = 32766, W = %d: %d pairs at offset %d, lanes32 %v; want %d at 32767, lanes only at w = 1",
-				w, id.nw, id.lay.Offset(), id.lanes32, (w+1)/2)
+		if lay := idx.ints.lay; lay.Pairs() != (w+1)/2 || lay.Offset() != 128 {
+			t.Fatalf("E = 127, W = %d: %d pairs at offset %d; want %d at 128", w, lay.Pairs(), lay.Offset(), (w+1)/2)
 		}
 		r := NewRetriever(idx)
 		for trial := 0; trial < 10; trial++ {
@@ -970,7 +958,7 @@ func TestEBoundary(t *testing.T) {
 			got, want := r.Search(q, 5), naiveLive(items, func(int) bool { return false }, q, 5)
 			for i := range want {
 				if got[i].ID != want[i].ID || math.Abs(got[i].Score-want[i].Score) > 1e-9 {
-					t.Fatalf("E = 32766, W = %d: got %v, naive %v", w, got, want)
+					t.Fatalf("E = 127, W = %d: got %v, naive %v", w, got, want)
 				}
 			}
 		}
@@ -979,10 +967,10 @@ func TestEBoundary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, e := range []float64{32767, 1e6, 1e9} {
+	for _, e := range []float64{127.5, 128, 32766, 1e9} {
 		opts := Options{SVD: true, Int: true, Reduction: true, E: e}
-		if _, err := NewIndex(items, opts); err == nil || !strings.Contains(err.Error(), "Options.E") {
-			t.Fatalf("NewIndex, E = %v: %v, want an error naming Options.E", e, err)
+		if _, err := NewIndex(items, opts); !errors.Is(err, ErrIntDomain) || !strings.Contains(err.Error(), "Options.E") {
+			t.Fatalf("NewIndex, E = %v: %v, want ErrIntDomain naming Options.E", e, err)
 		}
 		if _, err := NewDynamicIndex(items, opts, 0); !errors.Is(err, ErrRebuild) || !strings.Contains(err.Error(), "Options.E") {
 			t.Fatalf("NewDynamicIndex, E = %v: %v, want ErrRebuild naming Options.E", e, err)
@@ -1000,15 +988,15 @@ func TestEBoundary(t *testing.T) {
 // is corruption — in either encoding of the floors.
 func TestDecodeIntDataRejectsLies(t *testing.T) {
 	const n, d, w = 2, 3, 2
-	narrow := false
+	int16s := false
 	encode := func(floors []int32, sumAbsHead, sumAbsTail []int64) *snap.Decoder {
 		var e snap.Encoder
 		e.F64(100)
 		for i := 0; i < 4; i++ {
 			e.F64(1)
 		}
-		e.Bool(narrow)
-		if narrow {
+		e.Bool(int16s)
+		if int16s {
 			floors16 := make([]int16, len(floors))
 			for i, f := range floors {
 				floors16[i] = int16(f)
@@ -1022,7 +1010,7 @@ func TestDecodeIntDataRejectsLies(t *testing.T) {
 		return snap.NewDecoder(e.Bytes())
 	}
 	good := []int32{-101, 100, 7, 1, -2, -3}
-	for _, narrow = range []bool{false, true} {
+	for _, int16s = range []bool{false, true} {
 		if _, err := decodeIntData(encode(good, []int64{201, 3}, []int64{7, 3}), n, d, w); err != nil {
 			t.Fatalf("consistent section rejected: %v", err)
 		}
@@ -1035,16 +1023,20 @@ func TestDecodeIntDataRejectsLies(t *testing.T) {
 			"short floors":            encode(good[:5], []int64{201, 3}, []int64{7, 3}),
 		} {
 			if _, err := decodeIntData(dec, n, d, w); !errors.Is(err, snap.ErrChecksum) {
-				t.Fatalf("%s (int16 floors: %v): err = %v, want ErrChecksum", name, narrow, err)
+				t.Fatalf("%s (int16 floors: %v): err = %v, want ErrChecksum", name, int16s, err)
 			}
 		}
 	}
-	// Only an int32 file can hold a floor no int16 does: it must be refused,
-	// not wrapped around into range (40000 − 65536 = −25536 would pass at
-	// E = 32766).
-	e := 32766.0
+	// A floor the int8 tables would wrap into range must be refused, not
+	// stored: 263 (at E = 100) and 40000 (only an int32 file holds it, at
+	// E = 127) are 7 and 64 as int8s.
+	for _, int16s = range []bool{false, true} {
+		if _, err := decodeIntData(encode([]int32{1, 2, 263, 1, -2, -3}, []int64{3, 3}, []int64{263, 3}), n, d, w); !errors.Is(err, snap.ErrChecksum) {
+			t.Fatalf("floor 263 (int16 floors: %v): err = %v, want ErrChecksum", int16s, err)
+		}
+	}
 	var enc snap.Encoder
-	enc.F64(e)
+	enc.F64(MaxE)
 	for i := 0; i < 4; i++ {
 		enc.F64(1)
 	}
@@ -1061,7 +1053,7 @@ func TestDecodeIntDataRejectsLies(t *testing.T) {
 // Index.Save while the tail floors were int32 in memory and on disk (60×8
 // standard normal rows from rand.NewSource(31), F-SIR). It must load into
 // the index a fresh build gives — same answers, score bits and counters,
-// the int16 tail making the very pruning decisions the int32 one made —
+// the int8 tail making the very pruning decisions the int32 one made —
 // re-save as that build saves, in the int16 encoding, and be refused once
 // a floor in it is one no int16 tail could have produced.
 func TestInt32TailFixture(t *testing.T) {
@@ -1112,38 +1104,45 @@ func TestInt32TailFixture(t *testing.T) {
 }
 
 // TestNewIntDataPredicate pins newIntData's range predicate at its edges:
-// o ≤ 32767, w·(o+1) < 2³¹ for the head table's Σ|f|+w and (d−w)·o < 2³¹
-// for the int32 Σ|tail floors|.
+// o = ⌈E⌉+1 ≤ 128 for the int8 floors, w·(o+1) ≤ 32767 for the head
+// table's int16 Σ|f|+w (w ≤ 254 at E = 127, 321 at E = 100) and
+// (d−w)·o² < 2³¹ for DotTail's int32 lanes. Every refusal wraps
+// ErrIntDomain and names Options.E.
 func TestNewIntDataPredicate(t *testing.T) {
 	for _, tc := range []struct {
 		d, w int
 		e    float64
 		ok   bool
 	}{
-		{50, 10, 100, true}, {50, 10, 32766, true}, {50, 10, 32767, false}, {50, 10, 0.5, true}, {50, 10, 0, false},
-		{65535, 65535, 32766, true}, {65536, 65536, 32766, false}, // w·32768 against 2³¹
-		{65539, 1, 32766, true}, {65540, 1, 32766, false}, {65540, 2, 32766, true}, // (d−w)·32767 against 2³¹
-		{1 << 21, 1, 1023, true}, {1<<21 + 1, 1, 1023, false}, // (d−w)·1024 against 2³¹
+		{50, 10, 100, true}, {50, 10, 127, true}, {50, 10, 127.5, false}, {50, 10, 128, false}, {50, 10, 32766, false},
+		{50, 10, 0.5, true}, {50, 10, 0, false}, {50, 10, math.NaN(), false},
+		{300, 254, 127, true}, {300, 255, 127, false}, {400, 321, 100, true}, {400, 322, 100, false}, // w·(o+1) against 32767
+		{131072, 1, 127, true}, {131073, 1, 127, false}, // (d−w)·128² against 2³¹
+		{210517, 1, 100, true}, {210518, 1, 100, false}, // (d−w)·101² against 2³¹
 	} {
 		id, err := newIntData(1, tc.d, tc.w, tc.e)
 		if (err == nil) != tc.ok {
 			t.Fatalf("newIntData(d=%d, w=%d, E=%v): err = %v, want ok = %v", tc.d, tc.w, tc.e, err, tc.ok)
 		}
-		if err == nil && id.lay.Narrow() != (tc.e <= 127) {
-			t.Fatalf("newIntData(d=%d, w=%d, E=%v): narrow = %v", tc.d, tc.w, tc.e, id.lay.Narrow())
+		if err != nil && (!errors.Is(err, ErrIntDomain) || !strings.Contains(err.Error(), "Options.E")) {
+			t.Fatalf("newIntData(d=%d, w=%d, E=%v): err = %v, want ErrIntDomain naming Options.E", tc.d, tc.w, tc.e, err)
+		}
+		if err == nil && len(id.tail) != tc.d-tc.w {
+			t.Fatalf("newIntData(d=%d, w=%d, E=%v): %d tail floors", tc.d, tc.w, tc.e, len(id.tail))
 		}
 	}
 }
 
-// TestHeadWidthSurvivesSaveLoad: the file holds plain int16 floors whatever
-// the head tables' width, so an index read back — narrow at E = 100, wide
-// at E = 128 — is the built one table for table and saves the same bytes;
-// and the golden file, written by a commit whose head tables were all wide,
-// loads into the narrow tables today's build of its catalog has
-// (TestGoldenSnapshotBitIdentical compares answers and counters).
+// TestHeadWidthSurvivesSaveLoad: the file holds int16 floors and the
+// tables int8 ones, so an index read back — at E = 100 and at the largest,
+// E = 127, whose −128 floors are the int8 range's end — is the built one
+// table for table and saves the same bytes; and the golden file, written
+// by a commit whose head tables and tails were all int16, loads into the
+// tables today's build of its catalog has (TestGoldenSnapshotBitIdentical
+// compares answers and counters).
 func TestHeadWidthSurvivesSaveLoad(t *testing.T) {
 	ds := data.Generate(data.MovieLens(), 200, 8, 16)
-	for _, e := range []float64{100, 128} {
+	for _, e := range []float64{100, 127} {
 		built, err := NewIndex(ds.Items, Options{SVD: true, Int: true, Reduction: true, E: e})
 		if err != nil {
 			t.Fatal(err)
@@ -1162,8 +1161,8 @@ func TestHeadWidthSurvivesSaveLoad(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if diff := firstFieldThatDiffers(built, loaded); diff != "" || loaded.ints.lay.Narrow() != (e == 100) {
-			t.Fatalf("E=%v: loaded index differs from the built one in %q; narrow = %v", e, diff, loaded.ints.lay.Narrow())
+		if diff := firstFieldThatDiffers(built, loaded); diff != "" {
+			t.Fatalf("E=%v: loaded index differs from the built one in %q", e, diff)
 		}
 		if err := loaded.Save(&again); err != nil || !bytes.Equal(again.Bytes(), raw) {
 			t.Fatalf("E=%v: re-saved %d bytes (err %v), read %d", e, again.Len(), err, len(raw))

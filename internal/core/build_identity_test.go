@@ -405,7 +405,7 @@ func firstFieldThatDiffers(a, b *Index) string {
 		case !floats([]float64{x.e, x.maxHead, x.maxTail, x.headScale, x.tailScale},
 			[]float64{y.e, y.maxHead, y.maxTail, y.headScale, y.tailScale}):
 			return "ints scales"
-		case x.lay != y.lay || x.nw != y.nw:
+		case x.lay != y.lay:
 			return "ints layout"
 		case !reflect.DeepEqual(x.head, y.head):
 			return "ints head"

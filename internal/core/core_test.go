@@ -62,7 +62,7 @@ func TestExactAcrossParameters(t *testing.T) {
 		queries[i] = q
 	}
 	for _, rho := range []float64{0.5, 0.6, 0.7, 0.8, 0.9} {
-		for _, e := range []float64{10, 100, 1000} {
+		for _, e := range []float64{10, 100, 127} {
 			idx, err := core.NewIndex(items, core.Options{SVD: true, Int: true, Reduction: true, Rho: rho, E: e})
 			if err != nil {
 				t.Fatal(err)

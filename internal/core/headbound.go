@@ -9,10 +9,10 @@ type headBound struct {
 
 // headBound evaluates the head-test terms of sorted row i from its IU^ℓ:
 // HeadTest.RowIU's int64 in the per-item loop, the lane the run kernel held
-// for the row in the blocked one — the same integer wherever that loop runs
-// (intData.lanes32). Both products are explicitly rounded, here and in the
-// kernel, so no architecture may fuse either into the add that follows and
-// the two agree bit for bit.
+// for the row in the blocked one — the same integer, since IU^ℓ fits the
+// kernel's int32 lanes at every E the layout takes. Both products are
+// explicitly rounded, here and in the kernel, so no architecture may fuse
+// either into the add that follows and the two agree bit for bit.
 func (idx *Index) headBound(qs *queryState, i int, iu int64) headBound {
 	return headBound{
 		bHead: float64(float64(iu) * qs.headFactor), //fex:bound

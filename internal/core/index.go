@@ -37,22 +37,19 @@ type Index struct {
 // intData holds the scaled integer approximation of Section 4.2 with the
 // separate head/tail scaling of Equation 7. Every floor lies in
 // [−o, o−1] with o = ⌈e⌉+1 (e·v/max at v = −max can round to just below
-// −e), and newIntData holds o to 32767 so every floor is an int16 (the
-// paper sweeps e ≤ 1000, Figure 11). The w head floors of a row live in
-// 16-row blocks (vec.HeadLayout, DESIGN.md §3) so the head test of Eq. 6
-// is decided a block at a time — as int8 beside an int16 Σ|f|+w where o
-// allows (e ≤ 127), the layout's choice; the d−w tail floors are row-major.
+// −e), and newIntData holds e to 127 so every floor is an int8. The w head
+// floors of a row live in 16-row blocks beside an int16 Σ|f|+w
+// (vec.HeadLayout, DESIGN.md §3) so the head test of Eq. 6 is decided a
+// block at a time; the d−w tail floors are row-major.
 type intData struct {
 	e                    float64
 	maxHead, maxTail     float64 // max |p̄_s| over s<w resp. s≥w, across all items
 	headScale, tailScale float64 // maxHead/e, maxTail/e — converts IU to a q̄-space factor
 
-	lay     vec.HeadLayout
-	nw      int           // floor pairs of head per row: lay.Pairs()
-	lanes32 bool          // IU^ℓ fits the block kernel's int32 lanes: w·(o+1)² < 2³¹
-	head    vec.HeadTable // the head floors in lay's blocks, rows past n zero, and Σ_{s<w} |⌊p̂_s⌋| + w per row
+	lay  vec.HeadLayout
+	head vec.HeadTable // the head floors in lay's blocks, rows past n zero, and Σ_{s<w} |⌊p̂_s⌋| + w per row
 
-	tail       []int16 // n×(d−w) tail floors, row-major
+	tail       []int8  // n×(d−w) tail floors, row-major
 	sumAbsTail []int32 // Σ_{s≥w} |⌊p̂_s⌋| per row
 }
 
@@ -162,6 +159,15 @@ func newIndex(items *vec.Matrix, opts Options, ab Ablation) (*Index, error) {
 // catalog is not finite and no decomposition of it means anything.
 var ErrNotFinite = errors.New("item vector is not finite")
 
+// MaxE is the largest Options.E the integer bound takes: at e ≤ 127 every
+// floor, in [−⌈e⌉−1, ⌈e⌉], is an int8.
+const MaxE = 127
+
+// ErrIntDomain is wrapped by the error, naming Options.E, that refuses an
+// E above MaxE, more head floors than an int16 Σ|f|+w admits (w > 254 at
+// e = 127), or a tail whose dot could leave vec.DotTail's int32 lanes.
+var ErrIntDomain = errors.New("outside the integer bound's domain")
+
 // ErrIllConditioned is wrapped by NewIndex's error when Options.SVD is set
 // and one item is so much larger than the rest (≳ 10¹³ ×) that the rank
 // tolerance would drop directions other items live in: the transform
@@ -260,25 +266,26 @@ func (idx *Index) chooseW() int {
 // newIntData validates e for the integer bound at this shape, picks the
 // head layout and allocates the per-row tables for setRow.
 func newIntData(n, d, w int, e float64) (*intData, error) {
-	// Every floor lies in [−o, o−1]: o ≤ 32767 keeps the floors inside
-	// int16, d·(2o)² < 2⁶² every IU sum (dot + Σ|·| terms) inside int64,
-	// w·(o+1) < 2³¹ a row's Σ|f|+w inside the head table's widest consts
-	// and (d−w)·o < 2³¹ its Σ|tail floors| inside sumAbsTail.
+	// Every floor lies in [−o, o−1]: o ≤ 128 keeps the floors inside int8,
+	// the layout keeps a row's Σ|f|+w inside int16, and (d−w)·o² < 2³¹
+	// keeps DotTail's int32 lanes exact — and so Σ|tail floors| inside
+	// sumAbsTail.
 	o := math.Ceil(e) + 1
-	if !(o >= 2 && o <= math.MaxInt16 && float64(d)*4*o*o < 1<<62 && float64(w)*(o+1) < 1<<31 && float64(d-w)*o < 1<<31) {
-		return nil, fmt.Errorf("core: Options.E = %v overflows the integer bound at d = %d", e, d)
+	if !(o >= 2 && o <= MaxE+1) {
+		return nil, fmt.Errorf("core: Options.E = %v is not in (0, %d]: %w", e, MaxE, ErrIntDomain)
 	}
 	lay, ok := vec.NewHeadLayout(int64(o), w)
 	if !ok {
-		return nil, fmt.Errorf("core: Options.E = %v has no head layout at w = %d", e, w)
+		return nil, fmt.Errorf("core: Options.E = %v admits at most %d head floors, w = %d: %w", e, math.MaxInt16/int(o+1), w, ErrIntDomain)
+	}
+	if !(float64(d-w)*o*o < 1<<31) {
+		return nil, fmt.Errorf("core: Options.E = %v overflows the tail bound at d−w = %d: %w", e, d-w, ErrIntDomain)
 	}
 	id := &intData{
 		e:          e,
 		lay:        lay,
-		nw:         lay.Pairs(),
-		lanes32:    lay.Lanes32(),
 		head:       lay.NewTable(n),
-		tail:       make([]int16, n*(d-w)),
+		tail:       make([]int8, n*(d-w)),
 		sumAbsTail: make([]int32, n),
 	}
 	return id, nil
@@ -295,7 +302,7 @@ func (id *intData) setRow(i, w int, f []int32) (sumAbsHead int64, ok bool) {
 	for s, x := range f[w:] {
 		sumAbsTail += abs64(int64(x))
 		ok = ok && -o <= x && x < o
-		tail[s] = int16(x)
+		tail[s] = int8(x)
 	}
 	id.sumAbsTail[i] = int32(sumAbsTail)
 	return sumAbsHead, ok

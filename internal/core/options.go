@@ -24,7 +24,9 @@ type Options struct {
 	// Rho is the singular-value mass ratio that selects the checking
 	// dimension w (Section 3). Default 0.7 — the paper's best setting.
 	Rho float64
-	// E is the integer scaling parameter e of Section 4.2. Default 100.
+	// E is the integer scaling parameter e of Section 4.2: 1 … 127
+	// (MaxE), default 100 (≤ 0 selects it). NewIndex refuses a larger E
+	// with an ErrIntDomain-wrapping error: every floor is an int8.
 	E float64
 	// W overrides the checking dimension; ≤ 0 derives it from Rho (with
 	// SVD) or uses d/5 (without).

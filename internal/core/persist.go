@@ -268,7 +268,7 @@ func decodeIntData(dec *snap.Decoder, n, d, w int) (*intData, error) {
 	}
 	id, err := newIntData(n, d, w, e)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", snap.ErrChecksum, err)
+		return nil, fmt.Errorf("%w: %w", snap.ErrChecksum, err)
 	}
 	id.maxHead, id.maxTail = maxHead, maxTail
 	id.headScale, id.tailScale = headScale, tailScale

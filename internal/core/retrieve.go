@@ -57,7 +57,7 @@ type queryState struct {
 	// for via Index.newQueryState).
 	qbar  []float64
 	head  vec.HeadTest // the integer head test: the index's head tables and the w head floors of ⌊q̂⌋
-	qTail []int16      // the d−w tail floors
+	qTail []int16      // the d−w tail floors, each in [−o, o−1]
 
 	qNorm   float64 // ‖q‖ in the original space (used with the original ‖p‖ for Cauchy–Schwarz)
 	barNorm float64 // ‖q̄‖ in the working space
@@ -150,14 +150,12 @@ func (r *Retriever) scan(ctx context.Context, q []float64, c *topk.Collector) ([
 // search.ErrDeadline and c holds best-so-far results whose scores are
 // true (working-space) inner products.
 //
-// The loop is chosen here, once per range, from the built index and the
-// call: scanBlocked when the cascade opens with the integer head test and
-// the block kernel's int32 lanes hold its IU^ℓ, scanPerItem for everything
-// that loop does not carry — variants without that test, an E so large
-// that only the int64 one-row bound is exact (intData.lanes32), and an
-// installed fault hook (per-item CancelAtItem/PanicAtItem).
+// The loop is chosen here, once per range, from the query and the call:
+// scanBlocked when the cascade opens with the integer head test,
+// scanPerItem for everything that loop does not carry — variants without
+// that test and an installed fault hook (per-item CancelAtItem/PanicAtItem).
 func (idx *Index) scanRange(ctx context.Context, hook *faults.Hook, qs *queryState, lo, hi int, c *topk.Collector, shared *search.SharedThreshold, stats *search.Stats) error {
-	if qs.headFirst && idx.ints.lanes32 && hook == nil {
+	if qs.headFirst && hook == nil {
 		return idx.scanBlocked(ctx, qs, lo, hi, c, shared, stats)
 	}
 	return idx.scanPerItem(ctx, hook, qs, lo, hi, c, shared, stats)
@@ -238,7 +236,7 @@ func pruneMargin(slack, t float64) float64 {
 }
 
 // scanBlocked is scanRange for the sorted indexes whose cascade opens
-// with the integer head test (qs.headFirst, intData.lanes32), where nearly
+// with the integer head test (qs.headFirst), where nearly
 // every scanned row dies: a loop over the blocks that hold a survivor
 // (DESIGN.md §3). Blocks are blockRows rows on GLOBAL multiples of
 // blockRows, whatever lo is. From the block of i, the next row to decide,
@@ -483,7 +481,7 @@ func (idx *Index) coordinateScan(i int, qs *queryState, t, margin, ub1 float64, 
 func (idx *Index) tailBound(qs *queryState, i int) float64 {
 	id := idx.ints
 	dt := idx.d - idx.w
-	iuTail := vec.DotInt16(qs.qTail, id.tail[i*dt:(i+1)*dt]) + qs.qSumAbsTail + int64(id.sumAbsTail[i]) + int64(dt)
+	iuTail := vec.DotTail(qs.qTail, id.tail[i*dt:(i+1)*dt]) + qs.qSumAbsTail + int64(id.sumAbsTail[i]) + int64(dt)
 	return float64(iuTail) * qs.tailFactor
 }
 

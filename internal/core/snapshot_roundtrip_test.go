@@ -19,22 +19,22 @@ import (
 // re-save, bit-identical results and stage counters through the sharded
 // engine, and unchanged cancellation semantics. "F" pins the minimal
 // section set, "F-SIR" the full one (SVD + integer + reduction); the
-// remaining cases take the integer section through larger E on both
-// sides of the block kernel's int32 lanes, since Save unpacks the head
-// floors from their blocks and ReadIndex re-packs them.
+// remaining cases take the integer section to both ends of E's domain,
+// (0, 127], since Save widens the int8 floors to int16 and ReadIndex
+// narrows and re-packs them.
 func TestSnapshotRoundTrip(t *testing.T) {
 	sir := core.Options{SVD: true, Int: true, Reduction: true}
-	e1000, e32766 := sir, sir
-	e1000.E = 1000
-	e32766.E = 32766
+	e1, e127 := sir, sir
+	e1.E = 1
+	e127.E = core.MaxE
 	for _, tc := range []struct {
 		name string
 		opts core.Options
 	}{
 		{"F", core.Options{}},
 		{"F-SIR", sir},
-		{"F-SIR-E1000", e1000},
-		{"F-SIR-E32766", e32766},
+		{"F-SIR-E127", e127},
+		{"F-SIR-E1", e1},
 	} {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {

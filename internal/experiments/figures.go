@@ -158,7 +158,7 @@ func Figure10(cfg Config) (string, error) {
 
 // Figure11 sweeps the integer scaling parameter e for F-SIR.
 func Figure11(cfg Config) (string, error) {
-	es := []float64{10, 50, 100, 500, 1000}
+	es := []float64{10, 30, 60, 100, 127}
 	out := ""
 	for _, p := range cfg.profiles() {
 		ds := cfg.Load(p)

@@ -29,9 +29,8 @@ func setFloors(h *HeadTest, g []int32) (sumAbs int64) {
 }
 
 // TestHeadRowDotMatchesDotInt64 is the differential test of the layout's
-// addressing: over widths on both sides of a pair boundary and the E
-// values the paper sweeps up to the largest there is — both table widths,
-// and o = 128 against 129 where they meet — rows packed into every position
+// addressing: over widths on both sides of a pair boundary, E up to 127
+// and w up to the 254 floors o = 128 admits — rows packed into every position
 // of three blocks unpack to what went in, Σ|f| included, and RowIU is
 // DotInt64 on the plain floors plus the Σ|·| terms — for random vectors
 // and for vectors pinned at the range ends −o (the ⌊−e−ε⌋ floor) and o−1.
@@ -42,7 +41,7 @@ func TestHeadRowDotMatchesDotInt64(t *testing.T) {
 		w int
 	}{
 		{10, 1}, {10, 50}, {100, 2}, {100, 17}, {100, 18}, {100, 19}, {100, 51},
-		{126, 7}, {127, 7}, {127, 254}, {127, 255}, {128, 7}, {1000, 5}, {1000, 50}, {11000, 17}, {11000, 18}, {32766, 1}, {32766, 7}, {32766, 64},
+		{126, 7}, {127, 1}, {127, 7}, {127, 64}, {127, 253}, {127, 254},
 	} {
 		o := int64(math.Ceil(tc.e)) + 1
 		l := mustHeadLayout(t, o, tc.w)
@@ -71,9 +70,6 @@ func TestHeadRowDotMatchesDotInt64(t *testing.T) {
 			t.Fatalf("E=%v w=%d: %d rows take %d floors", tc.e, tc.w, n, l.Len(n))
 		}
 		tab := l.NewTable(n)
-		if narrow := o <= 128 && tc.w*int(o+1) <= math.MaxInt16; l.Narrow() != narrow || (tab.head8 != nil) != narrow || (tab.head16 != nil) == narrow {
-			t.Fatalf("E=%v w=%d: Narrow() %v, want %v, in exactly one table", tc.e, tc.w, l.Narrow(), narrow)
-		}
 		rows := make([][]int32, n)
 		sums := make([]int64, n)
 		for i := range rows {
@@ -109,10 +105,11 @@ func TestHeadRowDotMatchesDotInt64(t *testing.T) {
 	}
 }
 
-// TestHeadLayoutRejects: floors outside [−o, o−1] are reported, shapes
-// int16 cannot hold have no layout, and Lanes32 is w·(o+1)² < 2³¹.
+// TestHeadLayoutRejects: floors outside [−o, o−1] are reported, and shapes
+// whose floors an int8 or whose Σ|f|+w an int16 cannot hold have no
+// layout — o = 129 and, at o = 128, w = 255 the first of each.
 func TestHeadLayoutRejects(t *testing.T) {
-	for _, o := range []int64{101, 129} {
+	for _, o := range []int64{101, 128} {
 		l := mustHeadLayout(t, o, 4)
 		tab := l.NewTable(1)
 		for _, v := range [][]int32{{0, int32(o), 0, 0}, {int32(-o - 1), 0, 0, 0}, {0, 0, 0, 1 << 16}} {
@@ -124,46 +121,25 @@ func TestHeadLayoutRejects(t *testing.T) {
 	for _, tc := range []struct {
 		o int64
 		w int
-	}{{0, 4}, {-3, 4}, {101, 0}, {32768, 4}, {math.MaxInt32, 4}} {
+	}{{0, 4}, {-3, 4}, {101, 0}, {129, 1}, {129, 4}, {128, 255}, {101, 322}, {30, 1058}, {32767, 1}, {math.MaxInt32, 4}} {
 		if _, ok := NewHeadLayout(tc.o, tc.w); ok {
 			t.Fatalf("NewHeadLayout(%d, %d) succeeded", tc.o, tc.w)
 		}
 	}
-	for _, tc := range []struct {
-		o    int64
-		w    int
-		fits bool
-	}{
-		{101, 50, true}, {1001, 2138, true}, {1001, 2139, false},
-		{11001, 17, true}, {11001, 18, false}, {32767, 1, true}, {32767, 2, false},
-	} {
-		l := mustHeadLayout(t, tc.o, tc.w)
-		if exact := float64(tc.w)*float64(tc.o+1)*float64(tc.o+1) < 1<<31; l.Lanes32() != tc.fits || exact != tc.fits {
-			t.Fatalf("o=%d w=%d: Lanes32 %v, w·(o+1)² < 2³¹ %v, want %v", tc.o, tc.w, l.Lanes32(), exact, tc.fits)
-		}
-	}
 }
 
-// TestHeadLayoutWidth pins the width predicate — narrow iff o ≤ 128 and
-// w·(o+1) ≤ 32767 — on both sides of both conditions, with what a row
-// streams at each width, and runs the kernels over the largest Σ|f|+w a
-// narrow table admits: 1057 floors of −30 (an odd w) make exactly 32767.
-// Floors of −128 and 127 in every lane are TestHeadBlockMaskMatchesRows's
-// e = 127.
+// TestHeadLayoutWidth pins the accepting side of the predicate — o ≤ 128
+// and w·(o+1) ≤ 32767, TestHeadLayoutRejects has the other — with what a
+// row streams, and runs the kernels over the largest Σ|f|+w a table
+// admits: 1057 floors of −30 (an odd w) make exactly 32767. Floors of −128
+// and 127 in every lane are TestHeadBlockMaskMatchesRows's e = 127.
 func TestHeadLayoutWidth(t *testing.T) {
 	for _, tc := range []struct {
-		o      int64
-		w      int
-		narrow bool
-	}{
-		{2, 1, true}, {101, 50, true}, {128, 7, true}, {129, 7, false}, {1001, 7, false}, {32767, 1, false},
-		{128, 254, true}, {128, 255, false}, {127, 255, true}, {127, 256, false}, {30, 1057, true}, {30, 1058, false},
-	} {
+		o int64
+		w int
+	}{{1, 1}, {2, 1}, {101, 50}, {101, 321}, {128, 7}, {128, 254}, {127, 255}, {30, 1057}} {
 		l := mustHeadLayout(t, tc.o, tc.w)
-		if l.Narrow() != tc.narrow || (tc.narrow && !l.Lanes32()) {
-			t.Fatalf("o=%d w=%d: Narrow() %v, want %v; Lanes32 %v", tc.o, tc.w, l.Narrow(), tc.narrow, l.Lanes32())
-		}
-		if want := map[bool]int{true: 2*l.Pairs() + 2 + 8, false: 4*l.Pairs() + 4 + 8}[tc.narrow]; l.RowBytes() != want {
+		if want := 2*l.Pairs() + 2 + 8; l.RowBytes() != want {
 			t.Fatalf("o=%d w=%d: RowBytes %d, want %d", tc.o, tc.w, l.RowBytes(), want)
 		}
 	}
@@ -171,7 +147,7 @@ func TestHeadLayoutWidth(t *testing.T) {
 		forceBody(t, body)
 		tails := make([]float64, 2*HeadBlockRows)
 		c := newHeadBlockCase(t, 30, 1057, func() int32 { return -30 }, tails, 1.0/900, 1)
-		if got := c.h.tab.consts16[len(tails)]; got != math.MaxInt16 {
+		if got := c.h.tab.consts[len(tails)]; got != math.MaxInt16 {
 			t.Fatalf("%s: Σ|f|+w of 1057 floors of −30 stored as %d", body, got)
 		}
 		c.checkCuts(t)
@@ -190,8 +166,8 @@ type headBlockCase struct {
 // newHeadBlockCase packs the floors of len(tails) rows — whole blocks, w
 // floors each — and a query (w) drawn by next, which returns values in
 // [−o, o]. PackRow reports +o as out of range; the kernels must still agree
-// on what it stored — o itself but in a narrow table of o = 128, where it is
-// −128 — and the lanes' bound w·(o+1)² covers |f| = o.
+// on what it stored — o itself, except at o = 128, where it is −128 — and
+// the lanes' bound w·(o+1)² covers |f| = o.
 func newHeadBlockCase(t testing.TB, o int64, w int, next func() int32, tails []float64, factor, qTail float64) *headBlockCase {
 	c := &headBlockCase{l: mustHeadLayout(t, o, w)}
 	l := &c.l
@@ -225,26 +201,9 @@ func newHeadBlockCase(t testing.TB, o int64, w int, next func() int32, tails []f
 // check runs both bodies over the blocks from row to below end at cut and
 // compares stop position, mask and — where the run stopped at a block — all
 // 16 IU lanes, with each other and with the row-by-row int64 evaluation. It
-// returns where the run stopped. A layout that does not keep IU inside the
-// lanes must make both bodies panic instead.
+// returns where the run stopped.
 func (c *headBlockCase) check(t testing.TB, row, end int, cut float64) int {
 	var iu, iuRef [HeadBlockRows]int32
-	if !c.l.Lanes32() {
-		for body, run := range map[string]func(){
-			"BlockRun":         func() { c.h.BlockRun(row, end, cut, &iu) },
-			"BlockRunPortable": func() { c.h.BlockRunPortable(row, end, cut, &iu) },
-		} {
-			func() {
-				defer func() {
-					if recover() == nil {
-						t.Fatalf("o=%d w=%d: %s ran although IU does not fit its lanes", c.l.o, c.l.w, body)
-					}
-				}()
-				run()
-			}()
-		}
-		return row
-	}
 	at, pruned := c.h.BlockRun(row, end, cut, &iu)
 	atRef, prunedRef := c.h.BlockRunPortable(row, end, cut, &iuRef)
 	what := fmt.Sprintf("o=%d w=%d blocks [%d,%d) cut=%v", c.l.o, c.l.w, row, end, cut)
@@ -299,9 +258,8 @@ func (c *headBlockCase) checkCuts(t testing.TB) {
 
 // TestHeadBlockMaskMatchesRows: each body of BlockRun decides every row of
 // a run as the one-row int64 evaluation does and hands out the lanes RowIU
-// gives, over the widths and E of the scan's shapes table on the lanes'
-// side of Lanes32 — random floors and floors pinned at −o, o−1 and o
-// everywhere, where IU is largest. The last of the five blocks carries the
+// gives, over the widths and E of the scan's shapes table — random floors
+// and floors pinned at −o, o−1 and o everywhere, where IU is largest. The last of the five blocks carries the
 // largest tails, so the cuts next to its bounds leave survivors only there,
 // and +Inf leaves none.
 func TestHeadBlockMaskMatchesRows(t *testing.T) {
@@ -312,12 +270,9 @@ func TestHeadBlockMaskMatchesRows(t *testing.T) {
 			rng := rand.New(rand.NewSource(25))
 			tails := make([]float64, blocks*HeadBlockRows)
 			var lastOnly, none int
-			for _, e := range []int64{1, 100, 127, 128, 1000, 11000, 32766} {
+			for _, e := range []int64{1, 100, 127} {
 				for _, w := range []int{1, 2, 9, 15, 16, 17, 18, 21, 31, 32, 33, 64} {
 					o := e + 1
-					if l := mustHeadLayout(t, o, w); !l.Lanes32() {
-						continue
-					}
 					draws := []func() int32{
 						func() int32 { return int32(rng.Int63n(2*o+1) - o) },
 						func() int32 { return int32(-o) },
@@ -357,20 +312,19 @@ func TestHeadBlockMaskMatchesRows(t *testing.T) {
 // floors, scale factors and cuts over runs of three blocks: the dispatched
 // body (the assembly where there is one), the plain-Go body and the int64
 // row-by-row evaluation agree on where the run stops, on all 16 mask bits
-// and on all 16 IU lanes. Beyond Lanes32 the lanes would wrap: both bodies
-// must refuse to run. Both table widths occur: o = e+1 ≤ 128 is narrow up
-// to w·(o+1) = 32767, which w reaches at o = 30 (the committed corpus holds
-// o = 101, 127, 128, 129 and both sides of that product).
+// and on all 16 IU lanes. Shapes NewHeadLayout refuses — o = e+1 > 128, or
+// w·(o+1) > 32767, which w reaches at o = 30 — are skipped (the committed
+// corpus holds o = 101, 127, 128, 129 and both sides of that product).
 func FuzzHeadBlock(f *testing.F) {
 	f.Add(uint16(100), uint16(18), uint8(0), uint8(0), []byte{0, 255, 7, 9, 200, 1})
-	f.Add(uint16(32766), uint16(1), uint8(3), uint8(1), []byte{255, 255, 255, 255})
-	f.Add(uint16(11000), uint16(17), uint8(1), uint8(2), []byte{1, 2, 3, 4, 5, 6, 7, 8, 9})
-	f.Add(uint16(1000), uint16(64), uint8(2), uint8(0), []byte{0, 0, 1, 1, 2, 2})
+	f.Add(uint16(127), uint16(254), uint8(3), uint8(1), []byte{255, 255, 255, 255})
+	f.Add(uint16(127), uint16(17), uint8(1), uint8(2), []byte{1, 2, 3, 4, 5, 6, 7, 8, 9})
+	f.Add(uint16(1), uint16(64), uint8(2), uint8(0), []byte{0, 0, 1, 1, 2, 2})
 	f.Fuzz(func(t *testing.T, e, w uint16, factorSel, tailSel uint8, raw []byte) {
-		if e == 0 || e > 32766 || w == 0 || w > 1058 || len(raw) == 0 {
+		o := int64(e) + 1
+		if _, ok := NewHeadLayout(o, int(w)); e == 0 || !ok || len(raw) == 0 {
 			return
 		}
-		o := int64(e) + 1
 		at := 0
 		next := func() int32 {
 			sel, hi, lo := raw[at%len(raw)], raw[(at+1)%len(raw)], raw[(at+2)%len(raw)]
@@ -406,8 +360,7 @@ func FuzzHeadBlock(f *testing.F) {
 // and bytes streamed per row of whole scans by BlockRun as scanBlocked
 // drives it — runs of at most 64 blocks, the next one starting behind the
 // block that stopped the last — per body, at the pair counts w = 13…22
-// give, at both table widths (o = 101, the paper's e = 100: narrow; o = 129,
-// the first wide one, over the same floors), over a catalog resident in L2
+// give, at the paper's e = 100 (o = 101), over a catalog resident in L2
 // (n = 10⁴: the compute-bound figure, lib-skewed's 12k-row scans) and one
 // that streams from memory (n = 10⁵: the bandwidth-bound one, lib-flat).
 // The cut is a percentile of the bound: no row survives, 0.6 % and 2 % do as
@@ -419,15 +372,13 @@ func FuzzHeadBlock(f *testing.F) {
 func BenchmarkHeadMask(b *testing.B) {
 	for _, n := range []int{10000, 100000} {
 		for _, pairs := range []int{7, 11} {
-			for _, o := range []int64{101, 129} {
-				benchmarkHeadMask(b, n, pairs, o)
-			}
+			benchmarkHeadMask(b, n, pairs)
 		}
 	}
 }
 
-func benchmarkHeadMask(b *testing.B, n, pairs int, o int64) {
-	const od = 101.0 // the floors drawn are those of o = 101 at either width
+func benchmarkHeadMask(b *testing.B, n, pairs int) {
+	const o, od = 101, 101.0
 	rng := rand.New(rand.NewSource(19))
 	w := 2 * pairs
 	l := mustHeadLayout(b, o, w)
@@ -451,13 +402,12 @@ func benchmarkHeadMask(b *testing.B, n, pairs int, o int64) {
 		bounds[i] = float64(h.RowIU(i))*factor + qTail*tails[i]
 	}
 	sort.Float64s(bounds)
-	width := map[bool]string{true: "narrow", false: "wide"}[l.Narrow()]
 	for _, c := range []struct {
 		survive string
 		cut     float64
 	}{{"0", math.Inf(1)}, {"0.6%", bounds[n*994/1000]}, {"2%", bounds[n*98/100]}, {"100%", math.Inf(-1)}} {
 		for _, body := range kernelBodies() {
-			b.Run(fmt.Sprintf("n=%d/P=%d/%s/survive=%s/%s", n, pairs, width, c.survive, body), func(b *testing.B) {
+			b.Run(fmt.Sprintf("n=%d/P=%d/survive=%s/%s", n, pairs, c.survive, body), func(b *testing.B) {
 				forceBody(b, body)
 				const runRows = 64 * HeadBlockRows
 				var iu [HeadBlockRows]int32

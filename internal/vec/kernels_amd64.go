@@ -5,7 +5,7 @@ package vec
 // the same suite on the plain-Go bodies.
 var useAVX2 = detectAVX2()
 
-// SetPortable makes BlockRun and DotInt16 run their plain-Go bodies (true)
+// SetPortable makes BlockRun, DotInt16 and DotTail run their plain-Go bodies (true)
 // or the bodies the processor allows, and reports the setting it replaced:
 // how tests here and in internal/core run once per body, no kernel running.
 func SetPortable(on bool) (was bool) {
@@ -53,8 +53,7 @@ func (h *HeadTest) BlockRun(row, end int, cut float64, iu *[HeadBlockRows]int32)
 }
 
 // headBlockRunAVX2 is BlockRunPortable over 16 int32 lanes for row < end: it
-// reads each block of h.tab (the slices of its width) and h.tails until it
-// stops, unchecked.
+// reads each block of h.tab and h.tails until it stops, unchecked.
 //
 //go:noescape
 func headBlockRunAVX2(h *HeadTest, row, end int, cut float64, iu *[HeadBlockRows]int32) (at int, pruned uint32)
@@ -75,3 +74,20 @@ func dotInt16(a, b []int16) int64 {
 //
 //go:noescape
 func dotInt16AVX2(a, b []int16) int64
+
+func dotTail(q []int16, p []int8) int64 {
+	if !useAVX2 || len(p) < 16 {
+		return dotTailGo(q, p)
+	}
+	n := len(p) &^ 7
+	s := dotTailAVX2(q[:n], p[:n])
+	for i := n; i < len(p); i++ {
+		s += int64(q[i]) * int64(p[i])
+	}
+	return s
+}
+
+// dotTailAVX2 is dotTailGo for len(q) = len(p) a multiple of 8.
+//
+//go:noescape
+func dotTailAVX2(q []int16, p []int8) int64

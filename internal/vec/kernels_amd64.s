@@ -1,7 +1,7 @@
 #include "textflag.h"
 #include "go_asm.h"
 
-// AVX2 bodies of the two integer kernels (DESIGN.md §3). Nothing here is
+// AVX2 bodies of the integer kernels (DESIGN.md §3). Nothing here is
 // outside AVX2 — no FMA, no AVX-512 — so a GOAMD64=v1 build runs them
 // behind detectAVX2.
 
@@ -27,17 +27,14 @@ TEXT ·xgetbv(SB), NOSPLIT, $0-8
 // func headBlockRunAVX2(h *HeadTest, row, end int, cut float64, iu *[16]int32) (at int, pruned uint32)
 //
 // One pass of block per 16 rows, the query's constants broadcast once for
-// the run. Y0 and Y1 hold IU of rows 0–7 and 8–15 as int32. A wide table
-// (R8 = 0) feeds VPADDD and VPMADDWD from memory; a narrow one is sign-
-// extended on the way in — VPMOVSXWD for Σ|f|+w, VPMOVSXBW for a pair
-// group — to the int16 and int32 the wide one holds, at half the stride:
-// from there on a lane cannot tell the two apart. Each lane is converted
-// to float64 exactly, multiplied by factor, and added to the separately
-// rounded tail·tails — two VMULPD and a VADDPD, never an FMA, so a lane is
-// bit for bit BlockRunPortable's expression. Predicate 1 of VCMPPD is
-// LT_OS: false when either side is NaN, like Go's <. The run ends at the
-// first block whose 16 mask bits are not all set, its lanes stored to iu,
-// or at end.
+// the run. Y0 and Y1 hold IU of rows 0–7 and 8–15 as int32: the table is
+// sign-extended on the way in, VPMOVSXWD for Σ|f|+w and VPMOVSXBW for a
+// pair group ahead of VPMADDWD. Each lane is converted to float64 exactly,
+// multiplied by factor, and added to the separately rounded tail·tails —
+// two VMULPD and a VADDPD, never an FMA, so a lane is bit for bit
+// BlockRunPortable's expression. Predicate 1 of VCMPPD is LT_OS: false
+// when either side is NaN, like Go's <. The run ends at the first block
+// whose 16 mask bits are not all set, its lanes stored to iu, or at end.
 TEXT ·headBlockRunAVX2(SB), NOSPLIT, $0-52
 	MOVQ h+0(FP), R8
 	MOVQ row+8(FP), AX
@@ -48,58 +45,27 @@ TEXT ·headBlockRunAVX2(SB), NOSPLIT, $0-52
 	MOVQ HeadTest_tails(R8), DI
 	LEAQ (DI)(AX*8), DI
 	MOVQ HeadTest_floors(R8), R11
+	MOVQ (HeadTest_tab+HeadTable_head)(R8), SI
+	LEAQ (SI)(BX*2), SI                // 2 bytes a pair
+	MOVQ (HeadTest_tab+HeadTable_consts)(R8), DX
+	LEAQ (DX)(AX*2), DX
 
 	VPBROADCASTD HeadTest_sumAbs(R8), Y14
 	VBROADCASTSD HeadTest_factor(R8), Y8
 	VBROADCASTSD HeadTest_tail(R8), Y9
 	VBROADCASTSD cut+24(FP), Y10
 
-	CMPB (HeadTest_tab+HeadTable_lay+HeadLayout_narrow)(R8), $0
-	JNE  narrow
-	MOVQ (HeadTest_tab+HeadTable_head16)(R8), SI
-	LEAQ (SI)(BX*4), SI                // 4 bytes a pair
-	MOVQ (HeadTest_tab+HeadTable_consts32)(R8), DX
-	LEAQ (DX)(AX*4), DX
-	XORL R8, R8
-	JMP  block
-
-narrow:
-	MOVQ (HeadTest_tab+HeadTable_head8)(R8), SI
-	LEAQ (SI)(BX*2), SI                // 2 bytes a pair
-	MOVQ (HeadTest_tab+HeadTable_consts16)(R8), DX
-	LEAQ (DX)(AX*2), DX
-	MOVL $1, R8
-
 block:
 	MOVQ         R11, BX
 	MOVQ         R10, CX
-	TESTL        R8, R8
-	JNZ          block8
-	VPADDD       (DX), Y14, Y0
-	VPADDD       32(DX), Y14, Y1
-	ADDQ         $64, DX
-
-pair:
-	VPBROADCASTD (BX), Y2              // (g₂ₚ, g₂ₚ₊₁) in every lane
-	VPMADDWD     (SI), Y2, Y3
-	VPMADDWD     32(SI), Y2, Y4
-	VPADDD       Y3, Y0, Y0
-	VPADDD       Y4, Y1, Y1
-	ADDQ         $4, BX
-	ADDQ         $64, SI
-	DECQ         CX
-	JNZ          pair
-	JMP          bound
-
-block8:
 	VPMOVSXWD    (DX), Y0
 	VPMOVSXWD    16(DX), Y1
 	VPADDD       Y14, Y0, Y0
 	VPADDD       Y14, Y1, Y1
 	ADDQ         $32, DX
 
-pair8:
-	VPBROADCASTD (BX), Y2
+pair:
+	VPBROADCASTD (BX), Y2              // (g₂ₚ, g₂ₚ₊₁) in every lane
 	VPMOVSXBW    (SI), Y3
 	VPMOVSXBW    16(SI), Y4
 	VPMADDWD     Y2, Y3, Y3
@@ -109,7 +75,7 @@ pair8:
 	ADDQ         $4, BX
 	ADDQ         $32, SI
 	DECQ         CX
-	JNZ          pair8
+	JNZ          pair
 
 bound:
 	VCVTDQ2PD    X0, Y4                // rows 0–3
@@ -222,6 +188,52 @@ reduce:
 	SHRQ         $1, CX                // pairs summed
 	IMULQ        $0x7FFF0000, CX
 	SUBQ         CX, AX
+	VZEROUPPER
+	MOVQ         AX, ret+48(FP)
+	RET
+
+// func dotTailAVX2(q []int16, p []int8) int64
+//
+// 16 item floors at a time are sign-extended to int16 (VPMOVSXBW) and
+// multiplied into the query's by VPMADDWD. Both sides lie in [−128, 127],
+// so a pair sum is at most 2·2¹⁴ and the int32 lanes accumulate without
+// widening; the caller keeps the whole sum below 2³¹, so the lanes and
+// their horizontal sum are exact, and the result is sign-extended once.
+TEXT ·dotTailAVX2(SB), NOSPLIT, $0-56
+	MOVQ q_base+0(FP), SI
+	MOVQ q_len+8(FP), CX
+	MOVQ p_base+24(FP), DI
+
+	VPXOR     Y0, Y0, Y0               // eight int32 sums
+	MOVQ      CX, DX
+	SHRQ      $4, DX
+	JZ        eightTail
+
+sixteenTail:
+	VPMOVSXBW (DI), Y1
+	VPMADDWD  (SI), Y1, Y1
+	VPADDD    Y1, Y0, Y0
+	ADDQ      $32, SI
+	ADDQ      $16, DI
+	DECQ      DX
+	JNZ       sixteenTail
+
+eightTail:
+	TESTQ     $8, CX
+	JZ        reduceTail
+	VPMOVSXBW (DI), X1
+	VPMADDWD  (SI), X1, X1
+	VPADDD    Y1, Y0, Y0               // the upper half of Y1 is zero
+
+reduceTail:
+	VEXTRACTI128 $1, Y0, X1
+	VPADDD       X1, X0, X0
+	VPSHUFD      $0x4E, X0, X1
+	VPADDD       X1, X0, X0
+	VPSHUFD      $0xB1, X0, X1
+	VPADDD       X1, X0, X0
+	VMOVD        X0, AX
+	MOVLQSX      AX, AX
 	VZEROUPPER
 	MOVQ         AX, ret+48(FP)
 	RET

@@ -13,3 +13,5 @@ func (h *HeadTest) BlockRun(row, end int, cut float64, iu *[HeadBlockRows]int32)
 }
 
 func dotInt16(a, b []int16) int64 { return dotInt16Go(a, b) }
+
+func dotTail(q []int16, p []int8) int64 { return dotTailGo(q, p) }

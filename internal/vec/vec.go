@@ -76,9 +76,9 @@ func DotInt64(a, b []int32) int64 {
 	return s
 }
 
-// DotInt16 returns the inner product of two int16 vectors — the d−w tail
-// floors of the integer bound — accumulated in int64 and exact for every
-// input: each term is bounded by 2³⁰ and slices are far shorter than 2³³.
+// DotInt16 returns the inner product of two int16 vectors, accumulated in
+// int64 and exact for every input: each term is bounded by 2³⁰ and slices
+// are far shorter than 2³³.
 // With AVX2 the bulk of a vector of 16 or more goes through VPMADDWD
 // (kernels_amd64.s); dotInt16Go is the body everywhere else. It panics if
 // the slices have different lengths.
@@ -100,6 +100,35 @@ func dotInt16Go(a, b []int16) int64 {
 	s := s0 + s1
 	for ; i < len(a); i++ {
 		s += int64(a[i]) * int64(b[i])
+	}
+	return s
+}
+
+// DotTail returns the inner product of the query floors q and the item
+// floors p — the d−w tail of the integer bound — for values in
+// [−128, 127] whose products sum to less than 2³¹ in magnitude, as every
+// tail the integer bound stores does: (d−w)·o² < 2³¹. With AVX2 the bulk
+// of a vector of 16 or more goes through VPMOVSXBW and VPMADDWD into int32
+// lanes (kernels_amd64.s); dotTailGo is the body everywhere else. It
+// panics if the slices have different lengths.
+func DotTail(q []int16, p []int8) int64 {
+	if len(q) != len(p) {
+		panic(fmt.Sprintf("vec: DotTail length mismatch %d != %d", len(q), len(p)))
+	}
+	return dotTail(q, p)
+}
+
+// dotTailGo is DotTail's plain-Go body, exact in int64 for any input.
+func dotTailGo(q []int16, p []int8) int64 {
+	var s0, s1 int64
+	i := 0
+	for ; i+2 <= len(p); i += 2 {
+		s0 += int64(q[i]) * int64(p[i])
+		s1 += int64(q[i+1]) * int64(p[i+1])
+	}
+	s := s0 + s1
+	for ; i < len(p); i++ {
+		s += int64(q[i]) * int64(p[i])
 	}
 	return s
 }

@@ -21,7 +21,8 @@ type Options struct {
 	// Rho sets the singular-value mass ratio that picks the checking
 	// dimension w (default 0.7).
 	Rho float64
-	// E is the integer scaling parameter (default 100).
+	// E is the integer scaling parameter: 1 … 127, default 100 (≤ 0
+	// selects it). A larger E is refused: every floor is an int8.
 	E float64
 	// W overrides the checking dimension (0 = derive from Rho).
 	W int
