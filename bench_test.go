@@ -26,6 +26,8 @@ import (
 	"fexipro/internal/obs"
 	"fexipro/internal/pcatree"
 	"fexipro/internal/scan"
+	"fexipro/internal/search"
+	"fexipro/internal/searchtest"
 	"fexipro/internal/svd"
 	"fexipro/internal/topk"
 	"fexipro/internal/vec"
@@ -93,15 +95,15 @@ func runWorkload(b *testing.B, profile, method string, k int) {
 	ds := benchDataset(b, profile)
 	built := benchSearcher(b, profile, method)
 	b.ResetTimer()
-	var full int
+	var st search.Stats
 	for i := 0; i < b.N; i++ {
-		full = 0
+		st = search.Stats{}
+		ctx := search.WithStats(context.Background(), &st)
 		for qi := 0; qi < ds.Queries.Rows; qi++ {
-			built.Searcher.Search(ds.Queries.Row(qi), k)
-			full += built.Searcher.Stats().FullProducts
+			_, _ = built.Searcher.SearchContext(ctx, ds.Queries.Row(qi), k)
 		}
 	}
-	b.ReportMetric(float64(full)/float64(ds.Queries.Rows), "fullIP/query")
+	b.ReportMetric(float64(st.FullProducts)/float64(ds.Queries.Rows), "fullIP/query")
 	b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*ds.Queries.Rows), "µs/query")
 }
 
@@ -229,9 +231,8 @@ func BenchmarkFig9And12(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				maxFull = 0
 				for qi := 0; qi < ds.Queries.Rows; qi++ {
-					built.Searcher.Search(ds.Queries.Row(qi), 1)
-					if f := built.Searcher.Stats().FullProducts; f > maxFull {
-						maxFull = f
+					if _, st := searchtest.Counted(built.Searcher, ds.Queries.Row(qi), 1); st.FullProducts > maxFull {
+						maxFull = st.FullProducts
 					}
 				}
 			}

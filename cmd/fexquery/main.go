@@ -13,6 +13,7 @@ package main
 
 import (
 	"bufio"
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -62,8 +63,10 @@ func main() {
 		items.Rows(), items.Cols(), *method, time.Since(start).Seconds())
 
 	answer := func(qi int, q []float64) {
+		var st fexipro.Stats
 		qStart := time.Now()
-		res := searcher.Search(q, *k)
+		res, _ := searcher.SearchContext(fexipro.WithStats(context.Background(), &st), q, *k)
+		took := time.Since(qStart)
 		var b strings.Builder
 		fmt.Fprintf(&b, "query %d:", qi)
 		for _, r := range res {
@@ -71,9 +74,8 @@ func main() {
 		}
 		fmt.Println(b.String())
 		if *showStats {
-			st := searcher.LastStats()
 			fmt.Fprintf(os.Stderr, "  %.1fµs scanned=%d pruned=%d full=%d\n",
-				float64(time.Since(qStart).Microseconds()), st.Scanned, st.Pruned, st.FullProducts)
+				float64(took.Microseconds()), st.Scanned, st.TotalPruned(), st.FullProducts)
 		}
 	}
 

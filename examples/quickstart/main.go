@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -33,17 +34,21 @@ func main() {
 	for qi := 0; qi < ds.Queries.Rows(); qi++ {
 		q := ds.Queries.Row(qi)
 
+		// The query's counters go to the sink its context carries.
+		var st fexipro.Stats
 		start = time.Now()
-		top := searcher.Search(q, 5)
+		top, err := searcher.SearchContext(fexipro.WithStats(context.Background(), &st), q, 5)
 		elapsed := time.Since(start)
-		st := searcher.LastStats()
+		if err != nil {
+			log.Fatal(err)
+		}
 
 		fmt.Printf("query %d (%v): ", qi, elapsed.Round(time.Microsecond))
 		for _, r := range top {
 			fmt.Printf("item %d (%.3f)  ", r.ID, r.Score)
 		}
 		fmt.Printf("\n  scanned %d, pruned %d, full products %d (of %d items)\n",
-			st.Scanned, st.Pruned, st.FullProducts, ds.Items.Rows())
+			st.Scanned, st.TotalPruned(), st.FullProducts, ds.Items.Rows())
 
 		// FEXIPRO is exact: the naive scan must agree.
 		want := naive.Search(q, 5)

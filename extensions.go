@@ -46,7 +46,8 @@ func LoadIndex(path string) (*FEXIPRO, error) {
 // inherently knife-edge. A NaN or +Inf threshold returns nothing, -Inf
 // every item. It is the same engine run as Search — the pruning cascade
 // against a threshold that starts at t and stays there — so it honours
-// Options.Shards and Workers, and LastStats reports it.
+// Options.Shards and Workers, and SearchAboveContext counts into a
+// WithStats sink as SearchContext does.
 func (f *FEXIPRO) SearchAbove(q []float64, t float64) []Result {
 	res, _ := f.SearchAboveContext(context.Background(), q, t)
 	return res
@@ -157,9 +158,6 @@ func (d *Dynamic) SearchAboveContext(ctx context.Context, q []float64, t float64
 	res, err := d.di.SearchAboveContext(ctx, q, t)
 	return convertResults(res), err
 }
-
-// LastStats implements Searcher.
-func (d *Dynamic) LastStats() Stats { return convertStats(d.di.Stats()) }
 
 var _ Searcher = (*Dynamic)(nil)
 

@@ -114,43 +114,19 @@ type Result struct {
 	Score float64
 }
 
-// Stats reports the work performed by the most recent Search call of a
-// Searcher, mirroring the instrumentation behind the paper's Tables 3/7.
-// The five per-stage pruning counters are reported individually (one per
-// bound in the cascade) alongside the collapsed Pruned total.
-type Stats struct {
-	// Scanned is the number of candidates examined before termination.
-	Scanned int
-	// PrunedByLength counts items skipped via the Cauchy–Schwarz length
-	// bound, including everything cut off by early termination of the
-	// sorted scan.
-	PrunedByLength int
-	// PrunedByIntHead and PrunedByIntFull count prunes by the partial and
-	// full integer upper bounds.
-	PrunedByIntHead int
-	PrunedByIntFull int
-	// PrunedByIncremental counts prunes by the float incremental bound
-	// after the exact head dimensions.
-	PrunedByIncremental int
-	// PrunedByMonotone counts prunes by the monotonicity-reduction bound.
-	PrunedByMonotone int
-	// Pruned is the sum of the five per-stage counters: candidates
-	// eliminated by any bound without computing their full inner product.
-	Pruned int
-	// FullProducts is the number of entire qᵀp computations.
-	FullProducts int
-	// NodesVisited counts tree nodes expanded (tree methods only).
-	NodesVisited int
-}
+// Stats counts the work of the searches run under one WithStats context,
+// the instrumentation behind the paper's Tables 3/7: the five pruning
+// stages one by one, TotalPruned their sum, the full products, and the
+// nodes a tree method expanded.
+type Stats = search.Stats
 
-// TotalPruned returns the sum of the five per-stage pruning counters:
-// every candidate eliminated by any bound without computing its full
-// inner product. It always equals the Pruned field on Stats produced by
-// this package; the method is the collapse point callers should use
-// when deriving the total from individually adjusted stage counters.
-func (s Stats) TotalPruned() int {
-	return s.PrunedByLength + s.PrunedByIntHead + s.PrunedByIntFull +
-		s.PrunedByIncremental + s.PrunedByMonotone
+// WithStats returns a context under which every search adds its counters
+// to st: SearchContext and SearchAboveContext on every searcher here, and
+// TopKAllContext and TopKJoinContext summed over their queries. Pass a
+// zero Stats to read one query's counters; st must not be shared by
+// searches that run at the same time.
+func WithStats(ctx context.Context, st *Stats) context.Context {
+	return search.WithStats(ctx, st)
 }
 
 // Searcher is the common interface of every retrieval method.
@@ -162,10 +138,8 @@ type Searcher interface {
 	// expiry or cancellation it promptly returns the best-so-far partial
 	// results together with an error satisfying
 	// errors.Is(err, ErrDeadline). A nil error flags the results as
-	// exact.
+	// exact. The query's counters go to ctx's WithStats sink, if any.
 	SearchContext(ctx context.Context, q []float64, k int) ([]Result, error)
-	// LastStats reports counters for the most recent Search call.
-	LastStats() Stats
 }
 
 // wrap adapts an internal searcher to the public interface.
@@ -181,8 +155,6 @@ func (w wrap) SearchContext(ctx context.Context, q []float64, k int) ([]Result, 
 	res, err := w.s.SearchContext(ctx, q, k)
 	return convertResults(res), err
 }
-
-func (w wrap) LastStats() Stats { return convertStats(w.s.Stats()) }
 
 func convertResults(in []topk.Result) []Result {
 	out := make([]Result, len(in))
@@ -206,18 +178,4 @@ func convertLists(raw [][]topk.Result) [][]Result {
 		}
 	}
 	return out
-}
-
-func convertStats(st search.Stats) Stats {
-	return Stats{
-		Scanned:             st.Scanned,
-		PrunedByLength:      st.PrunedByLength,
-		PrunedByIntHead:     st.PrunedByIntHead,
-		PrunedByIntFull:     st.PrunedByIntFull,
-		PrunedByIncremental: st.PrunedByIncremental,
-		PrunedByMonotone:    st.PrunedByMonotone,
-		Pruned:              st.TotalPruned(),
-		FullProducts:        st.FullProducts,
-		NodesVisited:        st.NodesVisited,
-	}
 }

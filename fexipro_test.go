@@ -2,6 +2,7 @@ package fexipro_test
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"math"
 	"math/rand"
@@ -138,9 +139,11 @@ func TestStatsExposed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.Search(randomQuery(rng, 16), 3)
-	st := s.LastStats()
-	if st.Scanned+st.Pruned == 0 {
+	var st fexipro.Stats
+	if _, err := s.SearchContext(fexipro.WithStats(context.Background(), &st), randomQuery(rng, 16), 3); err != nil {
+		t.Fatal(err)
+	}
+	if st.Scanned+st.TotalPruned() == 0 {
 		t.Fatalf("stats empty: %+v", st)
 	}
 	if st.FullProducts > st.Scanned {

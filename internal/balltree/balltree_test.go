@@ -54,8 +54,7 @@ func TestBallTreePrunesInLowDimensions(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	items, q := searchtest.RandomInstance(rng, 5000, 3)
 	tree := searcher(0).Sequential(items)
-	tree.Search(q, 1)
-	st := tree.Stats()
+	_, st := searchtest.Counted(tree, q, 1)
 	if st.FullProducts >= 5000 {
 		t.Errorf("no pruning at d=3: %d full products", st.FullProducts)
 	}

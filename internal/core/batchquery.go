@@ -31,13 +31,14 @@ func BatchTopK(idx *Index, queries *vec.Matrix, k, workers int) ([][]topk.Result
 // cancellation it stops promptly and returns the per-query lists
 // completed so far (unprocessed slots stay nil; the query cut short
 // keeps its best-so-far partial) together with an ErrDeadline-wrapping
-// error. A nil error flags every list as exact.
+// error. A nil error flags every list as exact. The counters of every
+// query go to ctx's sink, if it carries one.
 func BatchTopKContext(ctx context.Context, idx *Index, queries *vec.Matrix, k, workers int) ([][]topk.Result, error) {
 	if queries.Cols != idx.d {
 		return nil, fmt.Errorf("core: query dim %d != item dim %d", queries.Cols, idx.d)
 	}
 	out := make([][]topk.Result, queries.Rows)
-	err := search.Batch(queries, workers, func(rows []int) error {
+	err := search.Batch(ctx, queries, workers, func(ctx context.Context, rows []int) error {
 		r := NewRetriever(idx)
 		for _, qi := range rows {
 			res, err := r.SearchContext(ctx, queries.Row(qi), k)

@@ -497,7 +497,7 @@ func (di *DynamicIndex) Search(q []float64, k int) []topk.Result {
 // ErrDeadline-wrapping error.
 func (di *DynamicIndex) SearchContext(ctx context.Context, q []float64, k int) ([]topk.Result, error) {
 	// The engine owns the contract: dynKernel.Prepare panics on a
-	// dimension mismatch, and k ≤ 0 is no results and zero counters.
+	// dimension mismatch, and k ≤ 0 is no results and nothing counted.
 	return di.eng.SearchContext(ctx, q, k)
 }
 
@@ -516,13 +516,5 @@ func (di *DynamicIndex) SearchAbove(q []float64, t float64) []topk.Result {
 func (di *DynamicIndex) SearchAboveContext(ctx context.Context, q []float64, t float64) ([]topk.Result, error) {
 	return di.eng.SearchAboveContext(ctx, q, t)
 }
-
-// Stats implements search.Searcher with the same per-query semantics as
-// Retriever.Stats(): the counters cover ONLY the most recent
-// Search/SearchContext/SearchAbove/SearchAboveContext call (they are
-// reset at the start of each query and are NOT cumulative across
-// queries). For sharded instances the counters are the sum over every
-// shard's delta and main scans for that one query.
-func (di *DynamicIndex) Stats() search.Stats { return di.eng.Stats() }
 
 var _ search.Searcher = (*DynamicIndex)(nil)

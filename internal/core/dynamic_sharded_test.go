@@ -157,10 +157,9 @@ func TestDynamicShardedRebuildIsolation(t *testing.T) {
 	}
 }
 
-// TestDynamicStatsPerQuery pins the documented Stats() contract:
-// counters cover only the most recent query (same semantics as
-// Retriever.Stats()), resetting at every Search* call rather than
-// accumulating.
+// TestDynamicStatsPerQuery: a fresh sink per query holds that query's
+// counters alone — a different query in between leaks nothing into the
+// repeat, which counts exactly what the first run did.
 func TestDynamicStatsPerQuery(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260810))
 	items, q := searchtest.RandomInstance(rng, 150, 8)
@@ -175,8 +174,7 @@ func TestDynamicStatsPerQuery(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			di.Search(q, 5)
-			first := di.Stats()
+			_, first := searchtest.Counted(di, q, 5)
 			if first.Scanned == 0 && first.PrunedByLength == 0 {
 				t.Fatal("first query recorded no work")
 			}
@@ -185,10 +183,9 @@ func TestDynamicStatsPerQuery(t *testing.T) {
 			for j := range q2 {
 				q2[j] = rng.NormFloat64()
 			}
-			di.Search(q2, 9)
-			di.Search(q, 5)
-			if di.Stats() != first {
-				t.Fatalf("Stats() accumulated across queries: first %+v, repeat %+v", first, di.Stats())
+			searchtest.Counted(di, q2, 9)
+			if _, again := searchtest.Counted(di, q, 5); again != first {
+				t.Fatalf("a fresh sink counted %+v for the repeat, %+v for the first run", again, first)
 			}
 		})
 	}

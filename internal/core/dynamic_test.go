@@ -271,16 +271,15 @@ func TestDynamicTombstonesKeepThreshold(t *testing.T) {
 			for qi := 0; qi < ds.Queries.Rows; qi++ {
 				q := ds.Queries.Row(qi)
 				want := ref.topK(q, k+1) // one past k, to place above-t's t
-				got := di.Search(q, k)
-				scanned := di.Stats().Scanned
+				got, st := searchtest.Counted(di, q, k)
 				if err := sameResults(got, want[:k], searchtest.Tolerance); err != nil {
 					t.Fatalf("S=%d %s query %d: %v", shards, phase, qi, err)
 				}
 				j := ref.passedOver(q, k, n, shards)
-				twin.Search(q, k+j)
-				if bound := twin.Stats().Scanned + len(ref.items) - n; scanned > bound {
+				_, twinSt := searchtest.Counted(twin, q, k+j)
+				if bound := twinSt.Scanned + len(ref.items) - n; st.Scanned > bound {
 					t.Fatalf("S=%d %s query %d: scanned %d rows, the twin scans %d for k+%d plus the delta",
-						shards, phase, qi, scanned, bound, j)
+						shards, phase, qi, st.Scanned, bound, j)
 				}
 				above := di.SearchAbove(q, (want[k-1].Score+want[k].Score)/2)
 				if err := sameResults(above, want[:k], searchtest.Tolerance); err != nil {

@@ -14,6 +14,7 @@ import (
 	"fexipro/internal/core"
 	"fexipro/internal/faults"
 	"fexipro/internal/obs"
+	"fexipro/internal/searchtest"
 	"fexipro/internal/snap"
 	"fexipro/internal/topk"
 	"fexipro/internal/vec"
@@ -113,10 +114,8 @@ func (fx *recoverFixture) assertSameResults(t *testing.T, label string, got, wan
 		t.Fatalf("%s: catalog shape %d/%d, want %d/%d", label, got.Len(), got.NextID(), want.Len(), want.NextID())
 	}
 	for qi, q := range fx.queries {
-		gres := got.Search(q, 5)
-		gst := got.Stats()
-		wres := want.Search(q, 5)
-		wst := want.Stats()
+		gres, gst := searchtest.Counted(got, q, 5)
+		wres, wst := searchtest.Counted(want, q, 5)
 		topk.SortResults(gres)
 		topk.SortResults(wres)
 		if !reflect.DeepEqual(gres, wres) {

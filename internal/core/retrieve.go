@@ -40,7 +40,7 @@ func NewRetriever(idx *Index) *Retriever {
 	return &Retriever{idx: idx, qs: idx.newQueryState()}
 }
 
-// Stats implements search.Searcher for the most recent query.
+// Stats is the last query's counters, kept for its one reader: the frozen benchmark/trace.go.
 func (r *Retriever) Stats() search.Stats { return r.stats }
 
 // SetFaultHook installs (or, with nil, removes) the fault-injection
@@ -120,10 +120,11 @@ func (r *Retriever) begin(q []float64) {
 }
 
 // scan is the whole query, top-k or above-t as c says: prepareQuery, then
-// scanRange over every row into c.
+// scanRange over every row into c, its counters then added to ctx's sink.
 func (r *Retriever) scan(ctx context.Context, q []float64, c *topk.Collector) ([]topk.Result, error) {
 	r.idx.prepareQuery(q, r.qs)
 	err := r.idx.scanRange(ctx, r.hook, r.qs, 0, r.idx.n, c, nil, &r.stats)
+	search.AddStats(ctx, r.stats)
 	return c.Results(), err
 }
 

@@ -1,7 +1,6 @@
 package core_test
 
 import (
-	"context"
 	"math/rand"
 	"testing"
 
@@ -87,16 +86,12 @@ func TestShardedCancellation(t *testing.T) {
 	}, "core/F-SIR")
 }
 
-// TestShardedStatsAggregate: the engine's Stats must be the sum of the
-// per-shard stage counters and account for every row exactly once.
+// TestShardedStatsAggregate: the counters the engine adds to the sink
+// must account for every row exactly once.
 func TestShardedStatsAggregate(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	items, q := searchtest.RandomInstance(rng, 500, 16)
-	eng := buildShardedVariant(t, items, "F-SIR", 5)
-	if _, err := eng.SearchContext(context.Background(), q, 10); err != nil {
-		t.Fatal(err)
-	}
-	st := eng.Stats()
+	_, st := searchtest.Counted(buildShardedVariant(t, items, "F-SIR", 5), q, 10)
 	if got := st.Scanned + st.PrunedByLength; got != 500 {
 		t.Fatalf("Scanned+PrunedByLength = %d, want 500 (every row accounted once)", got)
 	}

@@ -9,6 +9,7 @@ import (
 
 	"fexipro/internal/core"
 	"fexipro/internal/engine"
+	"fexipro/internal/search"
 	"fexipro/internal/searchtest"
 	"fexipro/internal/topk"
 	"fexipro/internal/vec"
@@ -150,11 +151,12 @@ func checkSnapshotInstance(t *testing.T, opts core.Options, items *vec.Matrix, k
 			for j := range q {
 				q[j] = rng.NormFloat64()
 			}
-			want, err := fresh.SearchContext(context.Background(), q, k)
+			var freshSt, warmSt search.Stats
+			want, err := fresh.SearchContext(search.WithStats(context.Background(), &freshSt), q, k)
 			if err != nil {
 				t.Fatalf("%s: S=%d original search: %v", label, shards, err)
 			}
-			got, err := warm.SearchContext(context.Background(), q, k)
+			got, err := warm.SearchContext(search.WithStats(context.Background(), &warmSt), q, k)
 			if err != nil {
 				t.Fatalf("%s: S=%d loaded search: %v", label, shards, err)
 			}
@@ -178,7 +180,7 @@ func checkSnapshotInstance(t *testing.T, opts core.Options, items *vec.Matrix, k
 			// shards, which sibling's threshold a shard sees published
 			// depends on how the workers were scheduled.
 			if shards == 1 {
-				if a, b := fresh.Stats(), warm.Stats(); a != b {
+				if a, b := freshSt, warmSt; a != b {
 					t.Fatalf("%s: S=%d query %d: stage counters diverged after load:\noriginal %+v\n  loaded %+v",
 						label, shards, trial, a, b)
 				}

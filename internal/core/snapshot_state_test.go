@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"fexipro/internal/search"
+	"fexipro/internal/searchtest"
 	"fexipro/internal/snap"
 	"fexipro/internal/topk"
 	"fexipro/internal/vec"
@@ -194,8 +195,8 @@ func TestRecoveredIndexIsTheCheckpointedOne(t *testing.T) {
 			}
 			for i := 0; i < queries.Rows; i++ {
 				q := queries.Row(i)
-				want, wantStats := di.Search(q, 10), di.Stats()
-				got, gotStats := loaded.Search(q, 10), loaded.Stats()
+				want, wantStats := searchtest.Counted(di, q, 10)
+				got, gotStats := searchtest.Counted(loaded, q, 10)
 				if !slices.EqualFunc(got, want, func(a, b topk.Result) bool {
 					return a.ID == b.ID && math.Float64bits(a.Score) == math.Float64bits(b.Score)
 				}) || gotStats != wantStats {
@@ -250,9 +251,9 @@ func TestLoadSnapshotParentFixture(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(22))
 	for i, want := range answers {
-		got := di.Search(normalMatrix(rng, 1, 8).Data, 5)
-		if len(got) != len(want.IDs) || di.Stats() != want.Stats {
-			t.Fatalf("query %d: %v %+v, the parent answered %v %+v", i, got, di.Stats(), want.IDs, want.Stats)
+		got, st := searchtest.Counted(di, normalMatrix(rng, 1, 8).Data, 5)
+		if len(got) != len(want.IDs) || st != want.Stats {
+			t.Fatalf("query %d: %v %+v, the parent answered %v %+v", i, got, st, want.IDs, want.Stats)
 		}
 		for r := range got {
 			if got[r].ID != want.IDs[r] || math.Float64bits(got[r].Score) != want.Bits[r] {

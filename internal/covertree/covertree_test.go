@@ -71,8 +71,7 @@ func TestCoverTreePrunesInLowDimensions(t *testing.T) {
 	rng := rand.New(rand.NewSource(51))
 	items, q := searchtest.RandomInstance(rng, 5000, 3)
 	tree := searcher(0).Sequential(items)
-	tree.Search(q, 1)
-	st := tree.Stats()
+	_, st := searchtest.Counted(tree, q, 1)
 	if st.FullProducts >= 5000 {
 		t.Errorf("no pruning at d=3: %d full products", st.FullProducts)
 	}

@@ -70,15 +70,16 @@ type Observer func(shard int, seconds float64, st search.Stats)
 // function of the offered multiset — so S=1 and S>1 return bit-identical
 // IDs, scores, and tie order. See DESIGN.md §11.
 //
-// Engine is not safe for concurrent Search calls on the same instance
-// (it keeps per-query stats, like every other searcher here); use one
-// Engine per querying goroutine over a shared Kernel.
+// A query's counters go to the sink its context carries
+// (search.WithStats): the sum of every shard's. The only per-engine query
+// state is pq, the Prepare scratch, so Engine is not safe for concurrent
+// Search calls on the same instance; use one Engine per querying
+// goroutine over a shared Kernel.
 type Engine struct {
 	kern     Kernel
 	workers  int
 	observer Observer
 	hook     *faults.Hook
-	stats    search.Stats
 	pq       any // the last query's prepared state, offered back to Prepare
 }
 
@@ -129,10 +130,9 @@ type shardOut struct {
 // error; all returned scores remain true inner products because each
 // kernel maintains that invariant per shard. k ≤ 0 is a defined answer
 // at every shard count: after Prepare's dimension check, no results and
-// zero Stats.
+// nothing added to the sink.
 func (e *Engine) SearchContext(ctx context.Context, q []float64, k int) ([]topk.Result, error) {
 	if k <= 0 {
-		e.stats = search.Stats{}
 		e.pq = e.kern.Prepare(q, e.pq)
 		return nil, nil
 	}
@@ -167,9 +167,10 @@ func (e *Engine) SearchAboveContext(ctx context.Context, q []float64, t float64)
 // per-shard scans (annotated with shard, worker, queue wait, steal
 // provenance, and stage counters), and one "merge" child around the
 // canonical merge. With no span in ctx every call below is a nil no-op
-// (DESIGN.md §13), so the untraced path costs one context lookup.
+// (DESIGN.md §13), so the untraced path costs one context lookup. The
+// shards' counters go to ctx's sink, if it carries one (search.WithStats),
+// once their scans are over.
 func (e *Engine) run(ctx context.Context, q []float64, c *topk.Collector) ([]topk.Result, error) {
-	e.stats = search.Stats{}
 	sp := obs.SpanFrom(ctx)
 	tsp := sp.StartChild("transform")
 	pq := e.kern.Prepare(q, e.pq)
@@ -197,7 +198,7 @@ func (e *Engine) run(ctx context.Context, q []float64, c *topk.Collector) ([]top
 			msp.AttrInt("candidates", int64(len(out.res)))
 			msp.End()
 		}
-		e.stats = out.st
+		search.AddStats(ctx, out.st)
 		if out.err != nil {
 			return out.res, search.Canceled(out.err)
 		}
@@ -246,11 +247,12 @@ func (e *Engine) run(ctx context.Context, q []float64, c *topk.Collector) ([]top
 	// of push order, so no cross-shard ordering discipline is needed
 	// here.
 	msp := sp.StartChild("merge")
+	var st search.Stats
 	var firstErr error
 	candidates := 0
 	for s := 0; s < shards; s++ {
 		o := &outs[s]
-		e.stats.Add(o.st)
+		st.Add(o.st)
 		candidates += len(o.res)
 		// This push loop is bounded by the shards' retained results
 		// (O(shards·k) for top-k), not the catalog size — cancellation
@@ -264,6 +266,7 @@ func (e *Engine) run(ctx context.Context, q []float64, c *topk.Collector) ([]top
 			firstErr = o.err // lowest shard's error, deterministic
 		}
 	}
+	search.AddStats(ctx, st)
 	if msp != nil {
 		msp.AttrInt("candidates", int64(candidates))
 		msp.End()
@@ -331,9 +334,5 @@ func (e *Engine) runShard(ctx context.Context, pq any, s int, c *topk.Collector,
 		e.observer(s, secs, st)
 	}
 }
-
-// Stats implements search.Searcher: the sum of every shard's stage
-// counters for the most recent query.
-func (e *Engine) Stats() search.Stats { return e.stats }
 
 var _ search.Searcher = (*Engine)(nil)

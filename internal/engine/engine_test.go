@@ -111,10 +111,10 @@ func TestEngineStatsAggregate(t *testing.T) {
 	items := randMatrix(rng, 300, 4)
 	q := items.Row(0)
 	e := New(newDotKernel(items, 5), 2)
-	if _, err := e.SearchContext(context.Background(), q, 3); err != nil {
+	var st search.Stats
+	if _, err := e.SearchContext(search.WithStats(context.Background(), &st), q, 3); err != nil {
 		t.Fatal(err)
 	}
-	st := e.Stats()
 	if st.Scanned != 300 {
 		t.Fatalf("aggregated Scanned = %d, want 300", st.Scanned)
 	}
@@ -247,9 +247,10 @@ func TestOneShardRouteMatchesGeneralRoute(t *testing.T) {
 			e.SetFaultHook(faults.NewRegistry(1).Enable(faults.SiteScan, faults.Plan{CancelAtItem: cancelAt}))
 		}
 		root := obs.NewRoot("search")
-		res, err := e.SearchContext(obs.ContextWithSpan(context.Background(), root), q, 10)
+		var st search.Stats
+		res, err := e.SearchContext(search.WithStats(obs.ContextWithSpan(context.Background(), root), &st), q, 10)
 		root.End()
-		o.Res, o.Cancelled, o.Stats, o.Spans = res, errors.Is(err, search.ErrDeadline), e.Stats(), map[string]int{}
+		o.Res, o.Cancelled, o.Stats, o.Spans = res, errors.Is(err, search.ErrDeadline), st, map[string]int{}
 		if err != nil && !o.Cancelled {
 			t.Fatalf("unexpected error %v", err)
 		}
@@ -289,8 +290,9 @@ func TestNonPositiveKAndWorkerPanic(t *testing.T) {
 	for _, shards := range []int{1, 3} {
 		e := New(newDotKernel(items, shards), 2)
 		for _, k := range []int{-1, 0} {
-			if res, err := e.SearchContext(context.Background(), items.Row(0), k); len(res) != 0 || err != nil || e.Stats() != (search.Stats{}) {
-				t.Fatalf("S=%d k=%d: %v, %v, %+v", shards, k, res, err, e.Stats())
+			var st search.Stats
+			if res, err := e.SearchContext(search.WithStats(context.Background(), &st), items.Row(0), k); len(res) != 0 || err != nil || st != (search.Stats{}) {
+				t.Fatalf("S=%d k=%d: %v, %v, %+v", shards, k, res, err, st)
 			}
 		}
 		func() {

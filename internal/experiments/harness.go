@@ -126,7 +126,7 @@ type RunResult struct {
 }
 
 // Run executes every query of the dataset at k against a built method,
-// each under a span, so the result also carries per-stage
+// each under a span and a counter sink, so the result also carries per-stage
 // (transform/scan/merge) wall times; the span attach is a few hundred
 // nanoseconds per query, invisible next to a catalog scan.
 func Run(b Built, ds *data.Dataset, k int, collectPerQuery bool) RunResult {
@@ -145,12 +145,13 @@ func Run(b Built, ds *data.Dataset, k int, collectPerQuery bool) RunResult {
 	for i := 0; i < ds.Queries.Rows; i++ {
 		qStart := time.Now()
 		root := obs.NewRoot("search")
-		_, _ = b.Searcher.SearchContext(obs.ContextWithSpan(context.Background(), root), ds.Queries.Row(i), k)
+		var st search.Stats
+		ctx := search.WithStats(obs.ContextWithSpan(context.Background(), root), &st)
+		_, _ = b.Searcher.SearchContext(ctx, ds.Queries.Row(i), k)
 		root.End()
 		r.Transform += root.ChildDuration("transform")
 		r.Scan += root.ChildDuration("scan")
 		r.Merge += root.ChildDuration("merge")
-		st := b.Searcher.Stats()
 		totalFull += st.FullProducts
 		r.Stats.Add(st)
 		if collectPerQuery {

@@ -25,9 +25,10 @@ func (idx *Index) SearchAbove(q []float64, t float64) []topk.Result {
 // cancellation the set may be missing qualifying items, but every
 // returned score is a true inner product.
 func (idx *Index) SearchAboveContext(ctx context.Context, q []float64, t float64) ([]topk.Result, error) {
-	idx.stats = search.Stats{}
+	var st search.Stats
 	c := topk.NewAbove(t)
-	err := idx.scanBuckets(ctx, idx.hook, idx.prepareQuery(q), 0, len(idx.buckets), c, nil, &idx.stats)
+	err := idx.scanBuckets(ctx, idx.hook, idx.prepareQuery(q), 0, len(idx.buckets), c, nil, &st)
+	search.AddStats(ctx, st)
 	return c.Results(), err
 }
 
@@ -35,11 +36,8 @@ func (idx *Index) SearchAboveContext(ctx context.Context, q []float64, t float64
 // items with product ≥ t.
 func (idx *Index) AboveJoin(queries *vec.Matrix, t float64) [][]topk.Result {
 	out := make([][]topk.Result, queries.Rows)
-	var acc search.Stats
-	for i := 0; i < queries.Rows; i++ {
+	for i := range out {
 		out[i] = idx.SearchAbove(queries.Row(i), t)
-		acc.Add(idx.stats)
 	}
-	idx.stats = acc
 	return out
 }

@@ -1,12 +1,14 @@
 package lemp_test
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
 
 	"fexipro/internal/lemp"
 	"fexipro/internal/scan"
+	"fexipro/internal/search"
 	"fexipro/internal/searchtest"
 	"fexipro/internal/vec"
 )
@@ -74,8 +76,11 @@ func TestSearchAbovePrunesBuckets(t *testing.T) {
 	items, q := searchtest.RandomInstance(rng, 5000, 12)
 	idx := lemp.New(items, lemp.Options{})
 	top := scan.NewNaive(items).Search(q, 1)
-	idx.SearchAbove(q, top[0].Score*0.95)
-	if st := idx.Stats(); st.PrunedByLength == 0 {
+	var st search.Stats
+	if _, err := idx.SearchAboveContext(search.WithStats(context.Background(), &st), q, top[0].Score*0.95); err != nil {
+		t.Fatal(err)
+	}
+	if st.PrunedByLength == 0 {
 		t.Error("above-t never pruned by bucket length")
 	}
 }

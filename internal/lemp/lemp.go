@@ -16,7 +16,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sync"
 
 	"fexipro/internal/faults"
 	"fexipro/internal/search"
@@ -44,14 +43,14 @@ type Options struct {
 // Index is an immutable LEMP index. Single queries run through Kernel
 // under engine.Engine; the index itself answers the batch joins
 // (TopKJoinContext, AboveJoin) and the one-query above-t scan they are
-// made of, all of them scanBuckets over every bucket — hook and stats
-// below are theirs.
+// made of, all of them scanBuckets over every bucket — the hook below is
+// theirs, and their counters go to the sink in their context
+// (search.WithStats).
 type Index struct {
 	d        int
 	strategy Strategy
 	buckets  []bucket
 	hook     *faults.Hook
-	stats    search.Stats
 }
 
 // SetFaultHook installs (or, with nil, removes) the fault-injection hook
@@ -328,10 +327,6 @@ func (idx *Index) scanBucket(ctx context.Context, hook *faults.Hook, done <-chan
 	return nil
 }
 
-// Stats returns the counters of the most recent TopKJoin, SearchAbove
-// or AboveJoin call (for the joins, accumulated over the whole batch).
-func (idx *Index) Stats() search.Stats { return idx.stats }
-
 // TopKJoin answers the paper's batch task: the top-k list for every
 // query row. Queries are processed in descending-norm order internally
 // (LEMP's locality optimization) but results are returned in input order.
@@ -344,37 +339,30 @@ func (idx *Index) TopKJoin(queries *vec.Matrix, k int) [][]topk.Result {
 
 // TopKJoinContext is TopKJoin with cancellation and worker parallelism:
 // queries are processed in descending-norm order, sharded across
-// workers (≤ 0 or 1 means sequential), each worker accumulating its own
-// stage counters over the shared read-only buckets. On cancellation it
-// returns the batch completed so far — unprocessed queries have nil
-// slots, the query cut short mid-scan keeps its true-inner-product
-// partial — together with an ErrDeadline-wrapping error. Stats() after
-// the call reports the counters accumulated over the whole batch.
+// workers (≤ 0 or 1 means sequential), each worker counting into a sink
+// of its own over the shared read-only buckets (search.Batch adds them to
+// ctx's). On cancellation it returns the batch completed so far —
+// unprocessed queries have nil slots, the query cut short mid-scan keeps
+// its true-inner-product partial — together with an ErrDeadline-wrapping
+// error.
 func (idx *Index) TopKJoinContext(ctx context.Context, queries *vec.Matrix, k, workers int) ([][]topk.Result, error) {
 	if queries.Cols != idx.d {
 		panic(fmt.Sprintf("lemp: query dim %d != item dim %d", queries.Cols, idx.d))
 	}
 	out := make([][]topk.Result, queries.Rows)
-	var mu sync.Mutex
-	var acc search.Stats
-	err := search.Batch(queries, workers, func(rows []int) error {
+	err := search.Batch(ctx, queries, workers, func(ctx context.Context, rows []int) (err error) {
 		var st search.Stats
-		defer func() {
-			mu.Lock()
-			acc.Add(st)
-			mu.Unlock()
-		}()
 		for _, qi := range rows {
 			c := topk.New(k)
-			err := idx.scanBuckets(ctx, idx.hook, idx.prepareQuery(queries.Row(qi)), 0, len(idx.buckets), c, nil, &st)
+			err = idx.scanBuckets(ctx, idx.hook, idx.prepareQuery(queries.Row(qi)), 0, len(idx.buckets), c, nil, &st)
 			out[qi] = c.Results()
 			if err != nil {
-				return err
+				break
 			}
 		}
-		return nil
+		search.AddStats(ctx, st)
+		return err
 	})
-	idx.stats = acc
 	if err != nil {
 		return out, search.Canceled(err)
 	}

@@ -108,8 +108,7 @@ func TestLEMPBucketTermination(t *testing.T) {
 	rng := rand.New(rand.NewSource(73))
 	items, q := searchtest.RandomInstance(rng, 5000, 16)
 	idx := searcher(lemp.Options{}).Sequential(items)
-	idx.Search(q, 1)
-	st := idx.Stats()
+	_, st := searchtest.Counted(idx, q, 1)
 	if st.PrunedByLength == 0 {
 		t.Error("LEMP never pruned by length on norm-skewed data")
 	}

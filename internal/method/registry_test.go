@@ -2,9 +2,14 @@ package method_test
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"math/rand"
+	"slices"
+	"sync"
 	"testing"
 
+	"fexipro/internal/faults"
 	"fexipro/internal/method"
 	"fexipro/internal/search"
 	"fexipro/internal/searchtest"
@@ -16,8 +21,8 @@ import (
 // runs, through its one factory and the engine, the exactness grid and
 // the degenerate inputs against Naive at one shard, bit-identity of
 // S ∈ {2, 3, 7} against S = 1, the cancellation contract at
-// S ∈ {1, 2, 3, 7}, the defined answer for k ≤ 0, the counter
-// accounting below, and above-t against Naive's own above-t loop at
+// S ∈ {1, 2, 3, 7}, the counter contract below (k ≤ 0 included), the
+// counter accounting, and above-t against Naive's own above-t loop at
 // S ∈ {1, 2, 3, 7}. The approximate PCATree is held to everything but
 // the comparisons with Naive.
 func TestEveryMethodBuildsAndSearches(t *testing.T) {
@@ -42,7 +47,7 @@ func TestEveryMethodBuildsAndSearches(t *testing.T) {
 				searchtest.CheckShardedCancellationApprox(t, build, name)
 			}
 			searchtest.CheckSharded(t, build, name)
-			checkNonPositiveK(t, build, name)
+			checkCounters(t, name)
 			if d.Exact {
 				checkRowsCountedOnce(t, build, name)
 				searchtest.CheckAbove(t, build, name)
@@ -51,19 +56,68 @@ func TestEveryMethodBuildsAndSearches(t *testing.T) {
 	}
 }
 
-// checkNonPositiveK: k ≤ 0 is a defined answer at every shard count —
-// no results, nil error, zero counters — not a panic in a worker.
-func checkNonPositiveK(t *testing.T, build searchtest.Builder, label string) {
+// checkCounters is the counter contract at S ∈ {1, 2, 3, 7}: a query adds
+// to the sink its context carries (search.WithStats) the sum of what its
+// shards report to the engine's observer; two queries into one sink hold
+// the sum of their one-query sinks; k ≤ 0 answers and adds nothing; a
+// query cut short by CancelAtItem adds the work it did, over no more rows
+// than there are; and a context with no sink gets the same answer.
+func checkCounters(t *testing.T, name string) {
 	t.Helper()
-	items, q := searchtest.RandomInstance(rand.New(rand.NewSource(23)), 50, 8)
-	for _, shards := range []int{1, 3} {
-		s := build(items, shards)
+	const n = 300
+	rng := rand.New(rand.NewSource(31))
+	items, q := searchtest.RandomInstance(rng, n, 12)
+	_, q2 := searchtest.RandomInstance(rng, 1, 12)
+	for _, shards := range []int{1, 2, 3, 7} {
+		label := fmt.Sprintf("%s S=%d", name, shards)
+		e, err := method.Sharded(name, items, method.BuildOptions{}, shards, 2)
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		var mu sync.Mutex
+		var observed search.Stats
+		e.SetObserver(func(_ int, _ float64, st search.Stats) {
+			mu.Lock()
+			defer mu.Unlock()
+			observed.Add(st)
+		})
+		res, st := searchtest.Counted(e, q, 5)
+		if st == (search.Stats{}) || st != observed {
+			t.Fatalf("%s: the sink holds %+v, the shards reported %+v", label, st, observed)
+		}
+		if bare, err := e.SearchContext(context.Background(), q, 5); err != nil || !slices.Equal(bare, res) {
+			t.Fatalf("%s: with no sink %v (%v), with one %v", label, bare, err, res)
+		}
 		for _, k := range []int{-1, 0} {
-			res, err := s.SearchContext(context.Background(), q, k)
-			if len(res) != 0 || err != nil || s.Stats() != (search.Stats{}) {
-				t.Fatalf("%s S=%d k=%d: %d results, err %v, stats %+v; want none, nil, zero",
-					label, shards, k, len(res), err, s.Stats())
+			if res, st := searchtest.Counted(e, q, k); len(res) != 0 || st != (search.Stats{}) {
+				t.Fatalf("%s k=%d: %d results, %+v in the sink; want none and zero", label, k, len(res), st)
 			}
+		}
+		e.SetFaultHook(faults.NewRegistry(1).Enable(faults.SiteScan, faults.Plan{CancelAtItem: 2}))
+		var cut search.Stats
+		_, err = e.SearchContext(search.WithStats(context.Background(), &cut), q, 5)
+		e.SetFaultHook(nil)
+		if !errors.Is(err, search.ErrDeadline) || cut == (search.Stats{}) || cut.Scanned > n {
+			t.Fatalf("%s: cancelled query: %v, %+v in the sink; want ErrDeadline and the work done, Scanned ≤ %d", label, err, cut, n)
+		}
+		// One worker: the shards and their shared threshold run in a fixed
+		// order, so a query's counters repeat exactly.
+		seq, err := method.Sharded(name, items, method.BuildOptions{}, shards, 1)
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		_, want := searchtest.Counted(seq, q, 5)
+		_, second := searchtest.Counted(seq, q2, 5)
+		want.Add(second)
+		var both search.Stats
+		ctx := search.WithStats(context.Background(), &both)
+		for _, x := range [][]float64{q, q2} {
+			if _, err := seq.SearchContext(ctx, x, 5); err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+		}
+		if both != want {
+			t.Fatalf("%s: two queries into one sink %+v, the sum of their own sinks %+v", label, both, want)
 		}
 	}
 }
@@ -77,11 +131,7 @@ func checkRowsCountedOnce(t *testing.T, build searchtest.Builder, label string) 
 	const n = 300
 	items, q := searchtest.RandomInstance(rand.New(rand.NewSource(29)), n, 12)
 	for _, shards := range []int{1, 2, 3, 7} {
-		s := build(items, shards)
-		if _, err := s.SearchContext(context.Background(), q, 5); err != nil {
-			t.Fatalf("%s S=%d: %v", label, shards, err)
-		}
-		st := s.Stats()
+		_, st := searchtest.Counted(build(items, shards), q, 5)
 		if st.Scanned+st.PrunedByLength != n || st.FullProducts+st.TotalPruned() != n {
 			t.Fatalf("%s S=%d: %+v does not account for %d rows once each", label, shards, st, n)
 		}

@@ -85,8 +85,7 @@ func TestPCATreeIsSelective(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	items, q := searchtest.RandomInstance(rng, 4000, 16)
 	tree := searcher(pcatree.Options{LeafSize: 64}).Sequential(items)
-	tree.Search(q, 5)
-	if st := tree.Stats(); st.Scanned > 500 {
+	if _, st := searchtest.Counted(tree, q, 5); st.Scanned > 500 {
 		t.Fatalf("defeatist search scanned %d of 4000 items", st.Scanned)
 	}
 }

@@ -21,25 +21,22 @@ func (n *Naive) SearchAbove(q []float64, t float64) []topk.Result {
 // error; on cancellation the set may be missing items, but every
 // returned score is a true inner product.
 func (n *Naive) SearchAboveContext(ctx context.Context, q []float64, t float64) ([]topk.Result, error) {
-	n.stats = search.Stats{}
 	done := ctx.Done()
 	hook := n.hook
 	var out []topk.Result
-	for i := 0; i < n.items.Rows; i++ {
+	var err error
+	i := 0
+	for ; i < n.items.Rows; i++ {
 		if hook != nil || (done != nil && i&search.StrideMask == 0) {
-			if err := search.Poll(ctx, hook, i); err != nil {
-				n.stats.Scanned = i
-				n.stats.FullProducts = i
-				topk.SortResults(out)
-				return out, err
+			if err = search.Poll(ctx, hook, i); err != nil {
+				break
 			}
 		}
 		if v := vec.Dot(q, n.items.Row(i)); v >= t {
 			out = append(out, topk.Result{ID: i, Score: v})
 		}
 	}
-	n.stats.Scanned = n.items.Rows
-	n.stats.FullProducts = n.items.Rows
+	search.AddStats(ctx, search.Stats{Scanned: i, FullProducts: i})
 	topk.SortResults(out)
-	return out, nil
+	return out, err
 }

@@ -57,15 +57,16 @@ func TestDeadlineAcceptance(t *testing.T) {
 	// of a few attempts but require correct semantics on every attempt.
 	best := time.Duration(1 << 62)
 	for attempt := 0; attempt < 5; attempt++ {
+		var st search.Stats
 		ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
 		start := time.Now()
-		res, err := s.SearchContext(ctx, q, 10)
+		res, err := s.SearchContext(search.WithStats(ctx, &st), q, 10)
 		took := time.Since(start)
 		cancel()
 		if !errors.Is(err, search.ErrDeadline) {
 			t.Fatalf("attempt %d: err = %v, want ErrDeadline", attempt, err)
 		}
-		if len(res) >= 10 && s.Stats().Scanned >= n {
+		if len(res) >= 10 && st.Scanned >= n {
 			t.Fatalf("attempt %d: scan ran to completion despite 1ms deadline", attempt)
 		}
 		if took < best {

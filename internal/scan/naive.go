@@ -35,7 +35,6 @@ import (
 type Naive struct {
 	items *vec.Matrix
 	hook  *faults.Hook
-	stats search.Stats
 }
 
 // NewNaive indexes the item matrix (rows are item vectors). The matrix is
@@ -58,9 +57,10 @@ func (n *Naive) Search(q []float64, k int) []topk.Result {
 // every search.CheckStride items and returns the best-so-far partial
 // top-k with an ErrDeadline-wrapping error on cancellation.
 func (n *Naive) SearchContext(ctx context.Context, q []float64, k int) ([]topk.Result, error) {
-	n.stats = search.Stats{}
+	var st search.Stats
 	c := topk.New(k)
-	err := n.scanRange(ctx, n.hook, q, 0, n.items.Rows, c, &n.stats)
+	err := n.scanRange(ctx, n.hook, q, 0, n.items.Rows, c, &st)
+	search.AddStats(ctx, st)
 	return c.Results(), err
 }
 
@@ -99,8 +99,5 @@ func (n *Naive) scanRange(ctx context.Context, hook *faults.Hook, q []float64, l
 	stats.FullProducts += hi - lo
 	return nil
 }
-
-// Stats implements search.Searcher.
-func (n *Naive) Stats() search.Stats { return n.stats }
 
 var _ search.Searcher = (*Naive)(nil)

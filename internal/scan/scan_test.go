@@ -20,9 +20,7 @@ func TestNaiveExact(t *testing.T) {
 func TestNaiveStats(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	items, q := searchtest.RandomInstance(rng, 100, 8)
-	n := scan.NewNaive(items)
-	n.Search(q, 5)
-	st := n.Stats()
+	_, st := searchtest.Counted(scan.NewNaive(items), q, 5)
 	if st.Scanned != 100 || st.FullProducts != 100 {
 		t.Fatalf("stats = %+v, want 100 scanned/full", st)
 	}
@@ -93,9 +91,7 @@ func TestSSExactVariousW(t *testing.T) {
 func TestSSPrunes(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	items, q := searchtest.RandomInstance(rng, 2000, 16)
-	s := newSS(items, 0)
-	s.Search(q, 1)
-	st := s.Stats()
+	_, st := searchtest.Counted(newSS(items, 0), q, 1)
 	if st.PrunedByLength == 0 {
 		t.Error("SS never used Cauchy–Schwarz termination on skewed data")
 	}
@@ -132,9 +128,7 @@ func TestSSLExactWithTuning(t *testing.T) {
 func TestSSLPrunesMoreThanNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	items, q := searchtest.RandomInstance(rng, 3000, 16)
-	s := ssl(scan.SSLOptions{}).Sequential(items)
-	s.Search(q, 1)
-	if st := s.Stats(); st.FullProducts >= 3000 {
+	if _, st := searchtest.Counted(ssl(scan.SSLOptions{}).Sequential(items), q, 1); st.FullProducts >= 3000 {
 		t.Errorf("SSL computed %d/%d full products", st.FullProducts, 3000)
 	}
 }

@@ -2,6 +2,7 @@ package search
 
 import (
 	"cmp"
+	"context"
 	"slices"
 	"sync"
 
@@ -27,27 +28,33 @@ func ByNormDesc(queries *vec.Matrix) (order []int, norms []float64) {
 // ByNormDesc order, cut into at most workers contiguous chunks, each
 // handed to chunk — which owns whatever per-worker state it needs — on a
 // goroutine of its own. One chunk (workers ≤ 1, or a single query) is the
-// sequential form and runs on the calling goroutine. A chunk stops at its
-// first error; Batch returns the first chunk's in chunk order, so the
-// error does not depend on the schedule.
-func Batch(queries *vec.Matrix, workers int, chunk func(rows []int) error) error {
+// sequential form and runs on the calling goroutine with ctx. Concurrent
+// chunks each search under a counter sink of their own when ctx carries
+// one (WithStats), added to ctx's once every chunk has returned. A chunk
+// stops at its first error; Batch returns the first chunk's in chunk
+// order, so the error does not depend on the schedule.
+func Batch(ctx context.Context, queries *vec.Matrix, workers int, chunk func(ctx context.Context, rows []int) error) error {
 	order, _ := ByNormDesc(queries)
 	workers = max(workers, 1)
 	size := max((len(order)+workers-1)/workers, 1)
 	if size >= len(order) {
-		return chunk(order)
+		return chunk(ctx, order)
 	}
 	errs := make([]error, (len(order)+size-1)/size)
+	sinks := make([]Stats, len(errs))
 	var wg sync.WaitGroup
 	for ci := range errs {
 		part := order[ci*size : min((ci+1)*size, len(order))]
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			errs[ci] = chunk(part)
+			errs[ci] = chunk(WithStats(ctx, &sinks[ci]), part)
 		}()
 	}
 	wg.Wait()
+	for _, st := range sinks {
+		AddStats(ctx, st)
+	}
 	for _, err := range errs {
 		if err != nil {
 			return err

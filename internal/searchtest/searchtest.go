@@ -108,6 +108,14 @@ type FaultSearcher interface {
 	SetFaultHook(*faults.Hook)
 }
 
+// Counted answers q's top-k on s under a fresh counter sink
+// (search.WithStats) and returns the results with the query's counters.
+func Counted(s search.Searcher, q []float64, k int) ([]topk.Result, search.Stats) {
+	var st search.Stats
+	res, _ := s.SearchContext(search.WithStats(context.Background(), &st), q, k)
+	return res, st
+}
+
 // Builder makes the searcher under test over its own index of items,
 // partitioned into the given number of shards: an engine over a kernel.
 type Builder func(items *vec.Matrix, shards int) FaultSearcher

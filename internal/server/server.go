@@ -387,17 +387,20 @@ func (s *Server) Handler() http.Handler {
 	return s.observe(s.recoverPanics(s.shedLoad(s.withTimeout(mux))))
 }
 
-// reqInfo is observe's per-request record, one allocation reached
-// through one context value: the trace ID, the status-capturing writer
-// the inner layers write through, and what handlers fill in so the
-// middleware can log search-specific fields (k, per-stage counters,
-// span-stage timings) without re-plumbing every handler's return path.
+// reqInfo is observe's per-request record and the request's context: it
+// embeds the parent context and answers reqInfoKey itself, so the record
+// is one allocation and needs no context.WithValue. It holds the trace
+// ID, the status-capturing writer the inner layers write through, and
+// what handlers fill in so the middleware can log search-specific fields
+// (k, per-stage counters, span-stage timings) without re-plumbing every
+// handler's return path.
 type reqInfo struct {
+	context.Context
 	traceID string
 	sw      statusWriter
 
 	k        int
-	stats    obs.StageCounters
+	stats    search.Stats // the search handlers' sink (search.WithStats)
 	hasStats bool
 
 	// Span-stage summary (tracing enabled only).
@@ -410,20 +413,26 @@ type reqInfo struct {
 
 type reqInfoKey struct{}
 
-// reqInfoFrom returns the record observe put in ctx, or nil for a
-// context that did not come through it.
+// Value answers reqInfoKey with the record and every other key from the
+// parent context.
+func (info *reqInfo) Value(key any) any {
+	if key == (reqInfoKey{}) {
+		return info
+	}
+	return info.Context.Value(key)
+}
+
+// reqInfoFrom returns the record observe made the request's context, or
+// a fresh one for a context that did not come through it.
 func reqInfoFrom(ctx context.Context) *reqInfo {
-	info, _ := ctx.Value(reqInfoKey{}).(*reqInfo)
-	return info
+	if info, ok := ctx.Value(reqInfoKey{}).(*reqInfo); ok {
+		return info
+	}
+	return &reqInfo{Context: ctx}
 }
 
 // traceIDFrom returns the request's trace ID ("" outside observe).
-func traceIDFrom(ctx context.Context) string {
-	if info := reqInfoFrom(ctx); info != nil {
-		return info.traceID
-	}
-	return ""
-}
+func traceIDFrom(ctx context.Context) string { return reqInfoFrom(ctx).traceID }
 
 // seriesKey names one fexserve_http_requests_total series; reqSeries is
 // that counter with the route's latency histogram.
@@ -498,10 +507,10 @@ func (s *Server) observe(next http.Handler) http.Handler {
 		}
 		w.Header().Set(obs.TraceHeader, traceID)
 
-		info := &reqInfo{traceID: traceID, sw: statusWriter{ResponseWriter: w}}
+		info := &reqInfo{Context: r.Context(), traceID: traceID, sw: statusWriter{ResponseWriter: w}}
 		sw := &info.sw
 		start := time.Now()
-		next.ServeHTTP(sw, r.WithContext(context.WithValue(r.Context(), reqInfoKey{}, info)))
+		next.ServeHTTP(sw, r.WithContext(info))
 		took := time.Since(start)
 
 		if sw.status == 0 {
@@ -591,33 +600,31 @@ func statusClass(code int) string {
 	return "5xx"
 }
 
-// noteSearch records a completed search into the cumulative metrics,
-// the sliding latency window, and the SLO burn counters, and exposes
-// its counters to the logging middleware.
-func (s *Server) noteSearch(r *http.Request, k int, st search.Stats, took time.Duration) obs.StageCounters {
-	sc := obs.StageCountersFrom(st)
-	s.rec.RecordSearch(st, took.Seconds())
+// noteSearch records a completed search, whose counters are in
+// info.stats, into the cumulative metrics, the sliding latency window,
+// and the SLO burn counters, marks them for the logging middleware, and
+// returns them in the reply's schema.
+func (s *Server) noteSearch(info *reqInfo, k int, took time.Duration) obs.StageCounters {
+	s.rec.RecordSearch(info.stats, took.Seconds())
 	s.window.Observe(took.Seconds())
 	for i, obj := range s.sloObjs {
 		if took > obj {
 			s.sloCounters[i].Inc()
 		}
 	}
-	if info := reqInfoFrom(r.Context()); info != nil {
-		info.k = k
-		info.stats = sc
-		info.hasStats = true
-	}
-	return sc
+	info.k = k
+	info.hasStats = true
+	return obs.StageCountersFrom(info.stats)
 }
 
 // searchLocked serializes index access around fn, releasing the mutex
 // even when an injected fault panics mid-scan (the deferred unlock is
-// what keeps a recovered panic from deadlocking every later request),
-// and reads the index's counters of the query fn ran while still under
-// the lock. The scan-site fault hook is re-read per call so tests can
-// Enable or Disable it between requests.
-func (s *Server) searchLocked(fn func() ([]topk.Result, error)) ([]topk.Result, search.Stats, error) {
+// what keeps a recovered panic from deadlocking every later request).
+// fn's counters go to the sink in the context it searches under, so
+// nothing is read from the index after the scan. The scan-site fault
+// hook is re-read per call so tests can Enable or Disable it between
+// requests.
+func (s *Server) searchLocked(fn func() ([]topk.Result, error)) ([]topk.Result, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.idx.SetFaultHook(s.cfg.Faults.Hook(faults.SiteScan))
@@ -625,8 +632,7 @@ func (s *Server) searchLocked(fn func() ([]topk.Result, error)) ([]topk.Result, 
 	// request deadline: the context threaded into it fires ErrDeadline
 	// and the scan returns, so the hold time is capped by MaxTimeout.
 	//lint:ignore locks fn is a deadline-bounded index scan (DESIGN.md §10)
-	res, err := fn()
-	return res, s.idx.Stats(), err
+	return fn()
 }
 
 func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
@@ -646,12 +652,14 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	r, root := s.traceStart(r, "search")
+	info := reqInfoFrom(r.Context())
+	ctx := search.WithStats(r.Context(), &info.stats)
 	start := time.Now()
-	results, st, err := s.searchLocked(func() ([]topk.Result, error) {
-		return s.idx.SearchContext(r.Context(), req.Vector, req.K)
+	results, err := s.searchLocked(func() ([]topk.Result, error) {
+		return s.idx.SearchContext(ctx, req.Vector, req.K)
 	})
 	took := time.Since(start)
-	sc := s.noteSearch(r, req.K, st, took)
+	sc := s.noteSearch(info, req.K, took)
 	s.traceFinish(r, root, "search", req.K, took, err == nil, &sc)
 	if !s.deadlineOK(w, r, err) {
 		return
@@ -659,7 +667,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	reply := searchReply{
 		results:    results,
 		tookMicros: took.Microseconds(),
-		traceID:    traceIDFrom(r.Context()),
+		traceID:    info.traceID,
 		stats:      sc,
 		exact:      err == nil,
 	}
@@ -679,12 +687,14 @@ func (s *Server) handleAbove(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	r, root := s.traceStart(r, "above")
+	info := reqInfoFrom(r.Context())
+	ctx := search.WithStats(r.Context(), &info.stats)
 	start := time.Now()
-	results, st, err := s.searchLocked(func() ([]topk.Result, error) {
-		return s.idx.SearchAboveContext(r.Context(), req.Vector, *req.Threshold)
+	results, err := s.searchLocked(func() ([]topk.Result, error) {
+		return s.idx.SearchAboveContext(ctx, req.Vector, *req.Threshold)
 	})
 	took := time.Since(start)
-	sc := s.noteSearch(r, 0, st, took)
+	sc := s.noteSearch(info, 0, took)
 	s.traceFinish(r, root, "above", 0, took, err == nil, &sc)
 	if !s.deadlineOK(w, r, err) {
 		return
@@ -698,7 +708,7 @@ func (s *Server) handleAbove(w http.ResponseWriter, r *http.Request) {
 	reply := searchReply{
 		results:    results,
 		tookMicros: took.Microseconds(),
-		traceID:    traceIDFrom(r.Context()),
+		traceID:    info.traceID,
 		stats:      sc,
 		exact:      err == nil && !cut,
 	}

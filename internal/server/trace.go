@@ -31,18 +31,17 @@ func (s *Server) traceFinish(r *http.Request, root *obs.Span, method string, k i
 		return
 	}
 	root.End()
-	if info := reqInfoFrom(r.Context()); info != nil {
-		info.hasSpans = true
-		info.transform = root.ChildDuration("transform")
-		info.scan = root.ChildDuration("scan")
-		info.merge = root.ChildDuration("merge")
-		info.rebuild = root.ChildDuration("rebuild")
-	}
+	info := reqInfoFrom(r.Context())
+	info.hasSpans = true
+	info.transform = root.ChildDuration("transform")
+	info.scan = root.ChildDuration("scan")
+	info.merge = root.ChildDuration("merge")
+	info.rebuild = root.ChildDuration("rebuild")
 	if took < s.cfg.SlowQuery {
 		return
 	}
 	s.ring.Record(obs.TraceEntry{
-		TraceID: traceIDFrom(r.Context()),
+		TraceID: info.traceID,
 		Method:  method,
 		K:       k,
 		At:      time.Now(),

@@ -55,9 +55,10 @@ func (o Options) internal() (core.Options, error) {
 // scanned by a bounded worker pool and the per-shard heaps merged into
 // the exact canonical top-k (DESIGN.md §11). The default, one shard, is
 // the paper's sequential scan (Algorithm 4): the same engine, which then
-// starts no goroutine and merges one list. For concurrent querying take
-// one Retriever() per goroutine: each executor owns its per-query state
-// and all of them share the index.
+// starts no goroutine and merges one list. A query's counters go to the
+// sink in its context (WithStats). For concurrent querying take one
+// Retriever() per goroutine: each executor owns its per-query scratch and
+// all of them share the index.
 type FEXIPRO struct {
 	idx  *core.Index
 	kern *core.Sharded  // idx partitioned; read-only, shared by every executor
@@ -95,13 +96,11 @@ func (f *FEXIPRO) SearchContext(ctx context.Context, q []float64, k int) ([]Resu
 	return convertResults(res), err
 }
 
-// LastStats implements Searcher.
-func (f *FEXIPRO) LastStats() Stats { return convertStats(f.eng.Stats()) }
-
 // Retriever returns an additional query executor sharing this index —
 // another engine over the same partitioned index, with this instance's
 // shard and worker configuration; each executor may be used from one
-// goroutine at a time.
+// goroutine at a time, and keeps no counters: like every search, its
+// queries count into the sink in their context (WithStats).
 func (f *FEXIPRO) Retriever() Searcher {
 	return wrap{s: engine.New(f.kern, f.eng.Workers())}
 }
@@ -273,10 +272,6 @@ func (l *LEMP) SearchContext(ctx context.Context, q []float64, k int) ([]Result,
 	res, err := l.eng.SearchContext(ctx, q, k)
 	return convertResults(res), err
 }
-
-// LastStats implements Searcher: the counters of the most recent Search
-// or SearchContext (the joins and above-t scans do not report here).
-func (l *LEMP) LastStats() Stats { return convertStats(l.eng.Stats()) }
 
 // TopKJoin returns the top-k list for every query row.
 func (l *LEMP) TopKJoin(queries *Matrix, k int) [][]Result {

@@ -61,7 +61,7 @@ func TestOptionsShardsBitExact(t *testing.T) {
 
 // TestShardedSearchAboveStillWorks: SearchAbove on a sharded handle is
 // the engine's fan-out, not a sequential retriever beside it — same hits,
-// bit for bit, as the one-shard handle, and its counters in LastStats.
+// bit for bit, as the one-shard handle, and its counters in the sink.
 func TestShardedSearchAboveStillWorks(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260812))
 	items := randomItems(rng, 120, 8)
@@ -74,8 +74,9 @@ func TestShardedSearchAboveStillWorks(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := randomQuery(rng, 8)
-	hits, want := f.SearchAbove(q, 0.5), seq.SearchAbove(q, 0.5)
-	if len(hits) == 0 || !reflect.DeepEqual(hits, want) {
+	var st fexipro.Stats
+	hits, err := f.SearchAboveContext(fexipro.WithStats(context.Background(), &st), q, 0.5)
+	if want := seq.SearchAbove(q, 0.5); err != nil || len(hits) == 0 || !reflect.DeepEqual(hits, want) {
 		t.Fatalf("S=4 hits %v, S=1 hits %v", hits, want)
 	}
 	for i, h := range hits {
@@ -83,8 +84,8 @@ func TestShardedSearchAboveStillWorks(t *testing.T) {
 			t.Fatalf("hit %d score %v below threshold", i, h.Score)
 		}
 	}
-	if st := f.LastStats(); st.Scanned+st.PrunedByLength != 120 {
-		t.Fatalf("LastStats after SearchAbove does not account for the 120 rows: %+v", st)
+	if st.Scanned+st.PrunedByLength != 120 {
+		t.Fatalf("the sink after SearchAboveContext does not account for the 120 rows: %+v", st)
 	}
 }
 

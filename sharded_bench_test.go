@@ -12,6 +12,7 @@
 package fexipro_test
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -20,6 +21,7 @@ import (
 	"fexipro/internal/core"
 	"fexipro/internal/data"
 	"fexipro/internal/experiments"
+	"fexipro/internal/search"
 )
 
 func BenchmarkShardedSearch(b *testing.B) {
@@ -42,15 +44,15 @@ func BenchmarkShardedSearch(b *testing.B) {
 				b.Fatal(err)
 			}
 			b.ResetTimer()
-			var full int
+			var st search.Stats
 			for i := 0; i < b.N; i++ {
-				full = 0
+				st = search.Stats{}
+				ctx := search.WithStats(context.Background(), &st)
 				for qi := 0; qi < ds.Queries.Rows; qi++ {
-					built.Searcher.Search(ds.Queries.Row(qi), k)
-					full += built.Searcher.Stats().FullProducts
+					_, _ = built.Searcher.SearchContext(ctx, ds.Queries.Row(qi), k)
 				}
 			}
-			b.ReportMetric(float64(full)/float64(ds.Queries.Rows), "fullIP/query")
+			b.ReportMetric(float64(st.FullProducts)/float64(ds.Queries.Rows), "fullIP/query")
 			b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*ds.Queries.Rows), "µs/query")
 		})
 	}
@@ -82,15 +84,15 @@ func BenchmarkDynamicSearchTombstones(b *testing.B) {
 			}
 		}
 		b.Run(fmt.Sprintf("tombstones=%d", tombstones), func(b *testing.B) {
-			var scanned int
+			var st search.Stats
 			for i := 0; i < b.N; i++ {
-				scanned = 0
+				st = search.Stats{}
+				ctx := search.WithStats(context.Background(), &st)
 				for qi := 0; qi < ds.Queries.Rows; qi++ {
-					di.Search(ds.Queries.Row(qi), k)
-					scanned += di.Stats().Scanned
+					_, _ = di.SearchContext(ctx, ds.Queries.Row(qi), k)
 				}
 			}
-			b.ReportMetric(float64(scanned)/float64(ds.Queries.Rows), "scanned/query")
+			b.ReportMetric(float64(st.Scanned)/float64(ds.Queries.Rows), "scanned/query")
 			b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*ds.Queries.Rows), "µs/query")
 		})
 	}
