@@ -7,6 +7,8 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -14,11 +16,17 @@ import (
 // buildTool compiles one cmd/<name> into dir and returns the binary path.
 func buildTool(t *testing.T, dir, name string) string {
 	t.Helper()
+	return buildMain(t, dir, name, "fexipro/cmd/"+name)
+}
+
+// buildMain compiles the main package pkg into dir/name.
+func buildMain(t *testing.T, dir, name, pkg string) string {
+	t.Helper()
 	bin := filepath.Join(dir, name)
-	cmd := exec.Command("go", "build", "-o", bin, "fexipro/cmd/"+name)
+	cmd := exec.Command("go", "build", "-o", bin, pkg)
 	cmd.Dir = repoRoot(t)
 	if out, err := cmd.CombinedOutput(); err != nil {
-		t.Fatalf("building %s: %v\n%s", name, err, out)
+		t.Fatalf("building %s: %v\n%s", pkg, err, out)
 	}
 	return bin
 }
@@ -74,6 +82,47 @@ func TestGenQueryPipeline(t *testing.T) {
 		if qout != first {
 			t.Fatalf("method %s disagrees:\n%s\nvs\n%s", method, qout, first)
 		}
+	}
+
+	// -stats prints one counter line per query to stderr, from the
+	// query's WithStats sink: the naive scan multiplies all 500 items,
+	// FEXIPRO at least one and never more than it scanned.
+	statsLine := regexp.MustCompile(`(?m)^  [0-9.]+µs scanned=(\d+) pruned=(\d+) full=(\d+)$`)
+	for _, method := range []string{"naive", "fexipro"} {
+		_, stderr := run(t, fexquery,
+			"-items", filepath.Join(dir, "items.fxp"),
+			"-queries", filepath.Join(dir, "queries.fxp"),
+			"-k", "3", "-method", method, "-stats")
+		lines := statsLine.FindAllStringSubmatch(stderr, -1)
+		if len(lines) != 5 {
+			t.Fatalf("%s -stats: %d counter lines for 5 queries:\n%s", method, len(lines), stderr)
+		}
+		for _, m := range lines {
+			scanned, _ := strconv.Atoi(m[1])
+			pruned, _ := strconv.Atoi(m[2])
+			full, _ := strconv.Atoi(m[3])
+			ok := 0 < full && full <= scanned && scanned <= 500
+			if method == "naive" {
+				ok = scanned == 500 && pruned == 0 && full == 500
+			}
+			if !ok {
+				t.Fatalf("%s -stats: %q", method, m[0])
+			}
+		}
+	}
+}
+
+// TestQuickstartRuns runs examples/quickstart, the program the README's
+// quick start comes from: every answer matches the naive scan, and every
+// query prints the counters its WithStats sink collected.
+func TestQuickstartRuns(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds binaries; skipped in -short")
+	}
+	out, _ := run(t, buildMain(t, t.TempDir(), "quickstart", "fexipro/examples/quickstart"))
+	if !strings.Contains(out, "all results verified against the naive scan") ||
+		!regexp.MustCompile(`scanned \d+, pruned \d+, full products \d+`).MatchString(out) {
+		t.Fatalf("quickstart output:\n%s", out)
 	}
 }
 
