@@ -21,5 +21,6 @@ type Ablation struct {
 // NewAblationIndex is NewIndex with ab applied. Only ablation_test.go and
 // the root ablation_bench_test.go call it; Save refuses the result.
 func NewAblationIndex(items *vec.Matrix, opts Options, ab Ablation) (*Index, error) {
-	return newIndex(items, opts, ab)
+	cat := catalogOf(items)
+	return newIndex(&cat, nil, opts, ab)
 }

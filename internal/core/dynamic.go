@@ -42,9 +42,9 @@ type DynamicIndex struct {
 	d       int
 	rebuild float64
 
-	items     *vec.Matrix // full catalog in insertion order (live + dead); Add appends in place
-	dead      tombstones  // every ID ever deleted, including those already compacted out of a main index
-	deadCount int         // total live→dead transitions ever
+	items     catalog    // every item ever added, live and dead, by catalog ID
+	dead      tombstones // every ID ever deleted, including those already compacted out of a main index
+	deadCount int        // total live→dead transitions ever
 
 	shards []*dynShard
 	eng    *engine.Engine // every query, top-k and above-t; its Stats are this index's
@@ -130,7 +130,7 @@ func NewDynamicIndexSharded(initial *vec.Matrix, opts Options, rebuildFraction f
 		opts:    opts.withDefaults(),
 		d:       initial.Cols,
 		rebuild: rebuildFraction,
-		items:   initial.Clone(),
+		items:   catalogOf(initial.Clone()),
 		shards:  make([]*dynShard, shards),
 	}
 	for s := range di.shards {
@@ -155,7 +155,7 @@ func NewDynamicIndexSharded(initial *vec.Matrix, opts Options, rebuildFraction f
 }
 
 // Len returns the number of live items.
-func (di *DynamicIndex) Len() int { return di.items.Rows - di.deadCount }
+func (di *DynamicIndex) Len() int { return di.items.rows - di.deadCount }
 
 // Shards returns the number of catalog shards.
 func (di *DynamicIndex) Shards() int { return len(di.shards) }
@@ -182,9 +182,9 @@ func (di *DynamicIndex) Add(item []float64) (int, error) {
 	return di.AddContext(context.Background(), item)
 }
 
-// AddContext behaves like Add: one row appended to the catalog's backing
-// array and one ID to the owning shard's delta buffer, O(d) amortized
-// (about a microsecond at d = 50 whatever the catalog holds). When ctx
+// AddContext behaves like Add: one row copied into the catalog's last
+// block and one ID appended to the owning shard's delta buffer, O(d)
+// whatever the catalog holds — no add copies the rows before it. When ctx
 // carries an obs span the owning shard's rebuild, if this update
 // triggers one (0.15–0.2 s at n = 10⁵, d = 50; EXPERIMENTS.md), is
 // timed as a "rebuild" child span. An item with a non-finite coordinate
@@ -198,16 +198,13 @@ func (di *DynamicIndex) AddContext(ctx context.Context, item []float64) (int, er
 	if err := checkItem(item, "item"); err != nil {
 		return 0, err
 	}
-	id := di.items.Rows
-	di.items.Data = append(di.items.Data, item...)
-	di.items.Rows++
+	id := di.items.add(item)
 	sh := di.shardOf(id)
 	sh.delta = append(sh.delta, id)
 	if err := di.maybeRebuild(ctx, id%len(di.shards)); err != nil {
 		// rebuildShard changed nothing; take the row back out.
 		sh.delta = sh.delta[:len(sh.delta)-1]
-		di.items.Rows--
-		di.items.Data = di.items.Data[:id*di.d]
+		di.items.dropLast()
 		return 0, err
 	}
 	return id, nil
@@ -222,7 +219,7 @@ func (di *DynamicIndex) Delete(id int) error {
 // DeleteContext behaves like Delete with AddContext's span and error
 // semantics.
 func (di *DynamicIndex) DeleteContext(ctx context.Context, id int) error {
-	if id < 0 || id >= di.items.Rows {
+	if id < 0 || id >= di.items.rows {
 		return fmt.Errorf("core: delete of unknown item %d", id)
 	}
 	if di.dead.has(id) {
@@ -285,8 +282,8 @@ func (di *DynamicIndex) rebuildShard(ctx context.Context, s int) error {
 		defer rsp.End()
 	}
 	S := len(di.shards)
-	live := make([]int, 0, (di.items.Rows+S-1)/S)
-	for id := s; id < di.items.Rows; id += S {
+	live := make([]int, 0, (di.items.rows+S-1)/S)
+	for id := s; id < di.items.rows; id += S {
 		if !di.dead.has(id) {
 			live = append(live, id)
 		}
@@ -307,18 +304,15 @@ func (di *DynamicIndex) rebuildShard(ctx context.Context, s int) error {
 }
 
 // buildMain preprocesses shard s's main index: NewIndex over the catalog
-// rows at ids, in that order. Every main index comes to exist through this
-// one call — the initial build, a rebuild, and LoadSnapshot re-deriving a
+// rows at ids, in that order, read in place (no copy of them is made
+// before the build's own gather). Every main index comes to exist through
+// this one call — the initial build, a rebuild, and LoadSnapshot re-deriving a
 // checkpointed shard from its stored mainIDs — and NewIndex is a pure
 // function of (rows, Options) at any GOMAXPROCS (DESIGN.md §17), so the
 // recovered shard is the checkpointed one byte for byte. The error wraps
 // ErrRebuild.
 func (di *DynamicIndex) buildMain(s int, ids []int) (*Index, error) {
-	rows := vec.NewMatrix(len(ids), di.d)
-	for r, id := range ids {
-		copy(rows.Row(r), di.items.Row(id))
-	}
-	idx, err := NewIndex(rows, di.opts)
+	idx, err := newIndex(&di.items, ids, di.opts, Ablation{})
 	if err != nil {
 		// %v, not %w: whatever NewIndex objects to is the stored catalog's
 		// doing, not the vector of the update that happened to trigger this.
@@ -475,7 +469,7 @@ func (di *DynamicIndex) scanDelta(ctx context.Context, hook *faults.Hook, sh *dy
 		}
 		st.Scanned++
 		st.FullProducts++
-		if c.Push(id, vec.Dot(q, di.items.Row(id))) && c.Len() == c.K() {
+		if c.Push(id, vec.Dot(q, di.items.row(id))) && c.Len() == c.K() {
 			shared.Publish(c.Threshold())
 		}
 	}

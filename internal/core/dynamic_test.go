@@ -320,9 +320,8 @@ func TestDynamicTombstonesKeepThreshold(t *testing.T) {
 	}
 }
 
-// TestDynamicAddAllocatesPerItem: 64 Adds on a 2·10⁴ × 50 catalog may
-// regrow the catalog's backing array once (1.25 catalogs) but must not
-// copy it per insert (64 catalogs).
+// TestDynamicAddAllocatesPerItem: 64 Adds on a 2·10⁴ × 50 catalog must
+// not copy it per insert (64 catalogs); they fill one catalog block.
 func TestDynamicAddAllocatesPerItem(t *testing.T) {
 	const n, d = 20000, 50
 	ds := data.Generate(data.MovieLens(), n, 1, d)

@@ -85,10 +85,14 @@ type redData struct {
 // the SVD cannot transform losslessly with an ErrIllConditioned-wrapping
 // one.
 func NewIndex(items *vec.Matrix, opts Options) (*Index, error) {
-	return newIndex(items, opts, Ablation{})
+	cat := catalogOf(items)
+	return newIndex(&cat, nil, opts, Ablation{})
 }
 
-func newIndex(items *vec.Matrix, opts Options, ab Ablation) (*Index, error) {
+// newIndex builds the index over the rows of cat with IDs ids, in that
+// order, or over all of cat in ID order when ids is nil. The rows are read
+// in place: the one copy of them is the norm-sorted gather.
+func newIndex(cat *catalog, ids []int, opts Options, ab Ablation) (*Index, error) {
 	// withDefaults tests ranges with <, which NaN passes: a NaN Rho would
 	// silently select w = d−1 and a NaN PruneSlack would switch every
 	// prune off.
@@ -101,17 +105,26 @@ func newIndex(items *vec.Matrix, opts Options, ab Ablation) (*Index, error) {
 		}
 	}
 	opts = opts.withDefaults()
-	if items.Rows == 0 || items.Cols == 0 {
-		return nil, fmt.Errorf("core: empty item matrix %d×%d", items.Rows, items.Cols)
+	n := len(ids)
+	if ids == nil {
+		n = cat.rows
 	}
-	norms, err := checkedNorms(items)
+	if n == 0 || cat.d == 0 {
+		return nil, fmt.Errorf("core: empty item matrix %d×%d", n, cat.d)
+	}
+	norms, err := checkedNorms(cat, ids, n)
 	if err != nil {
 		return nil, err
 	}
 
 	// 1. Sort by decreasing original length (Algorithm 3 line 2).
-	sorted, perm, norms := items.SortRowsByKeyDesc(norms)
-	idx := &Index{opts: opts, n: items.Rows, d: items.Cols, perm: perm, norms: norms, ablation: ab}
+	perm := vec.DescendingOrder(norms)
+	sorted := gatherRows(cat, ids, perm)
+	sortedNorms := make([]float64, n)
+	for i, row := range perm {
+		sortedNorms[i] = norms[row]
+	}
+	idx := &Index{opts: opts, n: n, d: cat.d, perm: perm, norms: sortedNorms, ablation: ab}
 
 	// 2. Thin SVD (line 3) and the working representation.
 	if opts.SVD {
@@ -174,16 +187,24 @@ var ErrIntDomain = errors.New("outside the integer bound's domain")
 // would no longer preserve inner products, so there is no index to build.
 var ErrIllConditioned = svd.ErrIllConditioned
 
-// checkedNorms returns ‖p‖ for every row of items, or the error of the
-// first row that has no finite norm.
-func checkedNorms(items *vec.Matrix) ([]float64, error) {
-	norms := make([]float64, items.Rows)
+// buildID returns the catalog ID of row i of a build over ids (nil: all).
+func buildID(ids []int, i int) int {
+	if ids == nil {
+		return i
+	}
+	return ids[i]
+}
+
+// checkedNorms returns ‖p‖ for each of the n build rows (see newIndex),
+// or the error of the first one that has no finite norm.
+func checkedNorms(cat *catalog, ids []int, n int) ([]float64, error) {
+	norms := make([]float64, n)
 	var mu sync.Mutex
-	bad := items.Rows
-	vec.ForRows(items.Rows, func(lo, hi int) {
+	bad := n
+	vec.ForRows(n, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			// A NaN or ±Inf coordinate makes the norm NaN or +Inf too.
-			norms[i] = vec.Norm(items.Row(i))
+			norms[i] = vec.Norm(cat.row(buildID(ids, i)))
 			if math.IsNaN(norms[i]) || math.IsInf(norms[i], 0) {
 				mu.Lock()
 				bad = min(bad, i)
@@ -192,8 +213,8 @@ func checkedNorms(items *vec.Matrix) ([]float64, error) {
 			}
 		}
 	})
-	if bad < items.Rows {
-		return nil, checkItem(items.Row(bad), fmt.Sprintf("item matrix row %d", bad))
+	if bad < n {
+		return nil, checkItem(cat.row(buildID(ids, bad)), fmt.Sprintf("item matrix row %d", bad))
 	}
 	var total float64
 	for _, nrm := range norms {
@@ -203,6 +224,18 @@ func checkedNorms(items *vec.Matrix) ([]float64, error) {
 		return nil, fmt.Errorf("core: item matrix Σ‖p‖² overflows float64: %w", ErrNotFinite)
 	}
 	return norms, nil
+}
+
+// gatherRows returns the matrix whose row i is a copy of build row
+// perm[i] (see newIndex), the rows shared out by ForRows.
+func gatherRows(cat *catalog, ids, perm []int) *vec.Matrix {
+	out := vec.NewMatrix(len(perm), cat.d)
+	vec.ForRows(len(perm), func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			copy(out.Row(i), cat.row(buildID(ids, perm[i])))
+		}
+	})
+	return out
 }
 
 // checkItem returns an ErrNotFinite-wrapping error naming what is wrong

@@ -26,6 +26,7 @@ func BenchmarkNewIndex(b *testing.B) {
 	opts := Options{SVD: true, Int: true, Reduction: true}
 	for _, p := range []data.Profile{data.MovieLens(), data.Netflix()} {
 		items := data.Generate(p, n, 1, d).Items
+		cat := catalogOf(items)
 		b.Run(p.Name, func(b *testing.B) {
 			var idx *Index
 			for i := 0; i < b.N; i++ {
@@ -53,12 +54,12 @@ func BenchmarkNewIndex(b *testing.B) {
 			}
 			stage("norms-ms", func() {
 				var err error
-				if norms, err = checkedNorms(items); err != nil {
+				if norms, err = checkedNorms(&cat, nil, items.Rows); err != nil {
 					b.Fatal(err)
 				}
 			})
 			stage("order-ms", func() { perm = vec.DescendingOrder(norms) })
-			stage("gather-ms", func() { sorted = items.GatherRows(perm) })
+			stage("gather-ms", func() { sorted = gatherRows(&cat, nil, perm) })
 			stage("gram-ms", func() { gram = sorted.GramLower() })
 			stage("eigen-ms", func() {
 				if _, _, err := svd.SymEigen(gram); err != nil {

@@ -64,12 +64,12 @@ func dynShardTag(s int) string { return fmt.Sprintf("dsh%04d", s) }
 func (di *DynamicIndex) Dim() int { return di.d }
 
 // NextID returns the catalog ID the next Add will be assigned.
-func (di *DynamicIndex) NextID() int { return di.items.Rows }
+func (di *DynamicIndex) NextID() int { return di.items.rows }
 
 // Alive reports whether id names a live (inserted and not deleted)
 // catalog item.
 func (di *DynamicIndex) Alive(id int) bool {
-	return id >= 0 && id < di.items.Rows && !di.dead.has(id)
+	return id >= 0 && id < di.items.rows && !di.dead.has(id)
 }
 
 // shardStateOnly is the first payload byte of a shard section, naming
@@ -95,7 +95,8 @@ func (di *DynamicIndex) SaveSnapshot(w io.Writer, lastSeq uint64) error {
 		e.I64(int64(len(di.shards)))
 		e.I64(int64(di.deadCount))
 	})
-	b.Section(secDynItems, func(e *snap.Encoder) { e.Matrix(di.items) })
+	// The catalog's blocks encode as the one matrix they hold.
+	b.Section(secDynItems, func(e *snap.Encoder) { e.MatrixParts(di.items.rows, di.d, di.items.parts()...) })
 	// Ascending, so two saves of one state are byte-identical.
 	b.Section(secDynDead, func(e *snap.Encoder) { e.Ints(di.dead.appendIDs(make([]int, 0, di.deadCount))) })
 	for s, sh := range di.shards {
@@ -171,17 +172,18 @@ func readDynState(r io.Reader) (*DynamicIndex, uint64, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	di.items = d.Matrix()
+	items := d.Matrix()
 	if err := d.Finish(); err != nil {
 		return nil, 0, fmt.Errorf("core: dynamic items: %w", err)
 	}
-	if di.items == nil || di.items.Cols != di.d {
+	if items == nil || items.Cols != di.d {
 		return nil, 0, fmt.Errorf("%w: dynamic catalog matrix disagrees with d=%d", snap.ErrChecksum, di.d)
 	}
+	di.items = catalogOf(items)
 	// NewIndex and Add let no other kind of row into a catalog, and the
 	// delta rows below reach a scan without passing either again.
-	for id := 0; id < di.items.Rows; id++ {
-		if err := checkItem(di.items.Row(id), "catalog row"); err != nil {
+	for id := 0; id < di.items.rows; id++ {
+		if err := checkItem(di.items.row(id), "catalog row"); err != nil {
 			return nil, 0, fmt.Errorf("%w: item %d: %v", snap.ErrChecksum, id, err)
 		}
 	}
@@ -198,8 +200,8 @@ func readDynState(r io.Reader) (*DynamicIndex, uint64, error) {
 		return nil, 0, fmt.Errorf("%w: %d tombstones, meta says %d", snap.ErrChecksum, len(deadIDs), di.deadCount)
 	}
 	for _, id := range deadIDs {
-		if id < 0 || id >= di.items.Rows || di.dead.has(id) {
-			return nil, 0, fmt.Errorf("%w: tombstone %d invalid for %d items", snap.ErrChecksum, id, di.items.Rows)
+		if id < 0 || id >= di.items.rows || di.dead.has(id) {
+			return nil, 0, fmt.Errorf("%w: tombstone %d invalid for %d items", snap.ErrChecksum, id, di.items.rows)
 		}
 		di.dead.set(id)
 	}
@@ -213,7 +215,7 @@ func readDynState(r io.Reader) (*DynamicIndex, uint64, error) {
 	}
 	// Every live item must be in reach of a scan. (A dead one may be in
 	// neither list: a rebuild compacted it away.)
-	for id := 0; id < di.items.Rows; id++ {
+	for id := 0; id < di.items.rows; id++ {
 		if !di.dead.has(id) && !placed.has(id) {
 			return nil, 0, fmt.Errorf("%w: live item %d is in no shard's main index or delta buffer", snap.ErrChecksum, id)
 		}
@@ -249,7 +251,7 @@ func readDynShard(f *snap.File, s int, di *DynamicIndex, placed *tombstones) (*d
 	S := len(di.shards)
 	prev := -1
 	for _, id := range sh.mainIDs {
-		if id <= prev || id >= di.items.Rows || id%S != s {
+		if id <= prev || id >= di.items.rows || id%S != s {
 			return nil, fmt.Errorf("%w: shard %d main ID %d out of place", snap.ErrChecksum, s, id)
 		}
 		prev = id
@@ -264,7 +266,7 @@ func readDynShard(f *snap.File, s int, di *DynamicIndex, placed *tombstones) (*d
 	}
 	// Delta vectors are their IDs' catalog rows: only the IDs are stored.
 	for _, id := range sh.delta {
-		if id < 0 || id >= di.items.Rows || id%S != s || placed.has(id) {
+		if id < 0 || id >= di.items.rows || id%S != s || placed.has(id) {
 			return nil, fmt.Errorf("%w: shard %d delta ID %d out of place or listed twice", snap.ErrChecksum, s, id)
 		}
 		placed.set(id)

@@ -74,7 +74,7 @@ func (c craftedState) snapshot(t testing.TB) []byte {
 
 // craft spells out di's own state: craft(di).snapshot() is SaveSnapshot.
 func craft(di *DynamicIndex) craftedState {
-	c := craftedState{opts: di.opts, d: di.d, rebuild: di.rebuild, items: di.items.Clone(),
+	c := craftedState{opts: di.opts, d: di.d, rebuild: di.rebuild, items: di.items.matrix(),
 		dead: di.dead.appendIDs(nil), deadCount: di.deadCount}
 	for _, sh := range di.shards {
 		c.shards = append(c.shards, craftedShard{slices.Clone(sh.mainIDs), slices.Clone(sh.delta), sh.deadInMain, sh.rebuilds})
@@ -357,7 +357,7 @@ func TestLoadSnapshotRefusesUncoveredOrRepeatedItems(t *testing.T) {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
 		q := normalMatrix(rng, 1, 6).Data
-		got, want := loaded.Search(q, 43), naiveLive(di.items, di.dead.has, q, 43)
+		got, want := loaded.Search(q, 43), naiveLive(di.items.matrix(), di.dead.has, q, 43)
 		if len(got) != len(want) {
 			t.Fatalf("%s: %d results, naive has %d", tc.name, len(got), len(want))
 		}

@@ -94,14 +94,28 @@ func (e *Encoder) Matrix(m *vec.Matrix) {
 		e.U64(math.MaxUint64)
 		return
 	}
+	e.MatrixParts(m.Rows, m.Cols, m.Data)
+}
+
+// MatrixParts appends what Matrix appends for the rows×cols matrix whose
+// row-major data is parts laid end to end, for a caller that stores its
+// rows in blocks. The parts must hold exactly rows·cols values.
+func (e *Encoder) MatrixParts(rows, cols int, parts ...[]float64) {
 	// One growth, not log₂(size) of them each copying what came before: a
 	// 10⁵×50 catalog is 40 MB, and a checkpoint encodes it under the
 	// server's lock.
-	e.buf = slices.Grow(e.buf, 16+8*len(m.Data))
-	e.U64(uint64(m.Rows))
-	e.U64(uint64(m.Cols))
-	for _, x := range m.Data {
-		e.F64(x)
+	e.buf = slices.Grow(e.buf, 16+8*rows*cols)
+	e.U64(uint64(rows))
+	e.U64(uint64(cols))
+	n := 0
+	for _, p := range parts {
+		n += len(p)
+		for _, x := range p {
+			e.F64(x)
+		}
+	}
+	if n != rows*cols {
+		panic(fmt.Sprintf("snap: MatrixParts got %d values for %d×%d", n, rows, cols))
 	}
 }
 
