@@ -13,10 +13,11 @@ GO ?= go
 # and the open-loop load generator's concurrent senders, plus the method
 # registry (every method through the engine's worker pool), and the
 # row-range workers of the parallel preprocessing (vec.ForRows, the Gram
-# split) with the decomposition that runs on them, and the LEMP batch
-# join, whose search.Batch workers each count into a sink of their own
-# that the join adds to its caller's. `make race` runs everything.
-RACE_PKGS = ./internal/server/... ./internal/obs/... ./internal/faults/... ./internal/core/... ./internal/scan/... ./internal/engine/... ./internal/load/... ./internal/snap/... ./internal/method/... ./internal/vec/... ./internal/svd/... ./internal/lemp/...
+# split) with the decomposition that runs on them, the LEMP batch join,
+# whose engine.Batch workers each count into a sink of their own that the
+# join adds to its caller's, and the search contract's shared threshold
+# (TestSharedThresholdConcurrentPublish). `make race` runs everything.
+RACE_PKGS = ./internal/server/... ./internal/obs/... ./internal/faults/... ./internal/core/... ./internal/scan/... ./internal/engine/... ./internal/load/... ./internal/snap/... ./internal/method/... ./internal/vec/... ./internal/svd/... ./internal/lemp/... ./internal/search/...
 
 # Per-target budget for the fuzz smoke (`go test -fuzz` accepts exactly
 # one target per invocation).

@@ -98,7 +98,7 @@ func runWorkload(b *testing.B, profile, method string, k int) {
 	var st search.Stats
 	for i := 0; i < b.N; i++ {
 		st = search.Stats{}
-		ctx := search.WithStats(context.Background(), &st)
+		ctx := obs.WithStats(context.Background(), &st)
 		for qi := 0; qi < ds.Queries.Rows; qi++ {
 			_, _ = built.Searcher.SearchContext(ctx, ds.Queries.Row(qi), k)
 		}
@@ -443,7 +443,7 @@ func BenchmarkSpanOverhead(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			root := obs.NewRoot("search")
-			ctx := obs.ContextWithSpan(context.Background(), root)
+			ctx := obs.WithQuery(context.Background(), obs.Query{Span: root})
 			if _, err := s.SearchContext(ctx, q, k); err != nil {
 				b.Fatal(err)
 			}
@@ -456,7 +456,7 @@ func BenchmarkSpanOverhead(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			root := obs.NewRoot("search")
-			ctx := obs.ContextWithSpan(context.Background(), root)
+			ctx := obs.WithQuery(context.Background(), obs.Query{Span: root})
 			if _, err := eng.SearchContext(ctx, q, k); err != nil {
 				b.Fatal(err)
 			}

@@ -35,6 +35,7 @@ import (
 	"context"
 
 	"fexipro/internal/core"
+	"fexipro/internal/obs"
 	"fexipro/internal/search"
 	"fexipro/internal/topk"
 	"fexipro/internal/vec"
@@ -126,7 +127,7 @@ type Stats = search.Stats
 // zero Stats to read one query's counters; st must not be shared by
 // searches that run at the same time.
 func WithStats(ctx context.Context, st *Stats) context.Context {
-	return search.WithStats(ctx, st)
+	return obs.WithStats(ctx, st)
 }
 
 // Searcher is the common interface of every retrieval method.

@@ -23,7 +23,7 @@ import (
 	"sort"
 
 	"fexipro/internal/core"
-	"fexipro/internal/search"
+	"fexipro/internal/engine"
 	"fexipro/internal/topk"
 	"fexipro/internal/vec"
 )
@@ -51,7 +51,7 @@ func Exact(users, items *vec.Matrix, k int, opts core.Options) ([]Pair, error) {
 
 	// Process queries in decreasing norm order so the global threshold
 	// rises quickly and the Cauchy–Schwarz test can drop whole queries.
-	order, qNorms := search.ByNormDesc(users)
+	order, qNorms := engine.ByNormDesc(users)
 
 	maxItemNorm := 0.0
 	for _, n := range items.RowNorms() {

@@ -6,6 +6,7 @@ import (
 
 	"fexipro/internal/balltree"
 	"fexipro/internal/engine"
+	"fexipro/internal/search"
 	"fexipro/internal/searchtest"
 	"fexipro/internal/vec"
 )
@@ -14,7 +15,7 @@ import (
 // per-shard trees (the registry's BallTree is this at the default leaf
 // size, and internal/method's registry-driven test covers that).
 func searcher(leafSize int) searchtest.Builder {
-	return func(items *vec.Matrix, shards int) searchtest.FaultSearcher {
+	return func(items *vec.Matrix, shards int) search.Searcher {
 		return engine.New(balltree.NewKernel(items, leafSize, shards), 2)
 	}
 }

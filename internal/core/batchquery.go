@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 
+	"fexipro/internal/engine"
 	"fexipro/internal/search"
 	"fexipro/internal/topk"
 	"fexipro/internal/vec"
@@ -21,7 +22,7 @@ import (
 //   - queries are sharded across workers, each with its own Retriever
 //     over the shared immutable index
 //
-// — search.Batch, the loop it shares with lemp.TopKJoinContext. Results
+// — engine.Batch, the loop it shares with lemp.TopKJoinContext. Results
 // are returned in input order. workers ≤ 0 uses one worker.
 func BatchTopK(idx *Index, queries *vec.Matrix, k, workers int) ([][]topk.Result, error) {
 	return BatchTopKContext(context.Background(), idx, queries, k, workers)
@@ -31,14 +32,15 @@ func BatchTopK(idx *Index, queries *vec.Matrix, k, workers int) ([][]topk.Result
 // cancellation it stops promptly and returns the per-query lists
 // completed so far (unprocessed slots stay nil; the query cut short
 // keeps its best-so-far partial) together with an ErrDeadline-wrapping
-// error. A nil error flags every list as exact. The counters of every
-// query go to ctx's sink, if it carries one.
+// error. A nil error flags every list as exact. Every query runs under
+// ctx's query value (obs.Query): its fault hook, and its sink, which gets
+// the counters of every query.
 func BatchTopKContext(ctx context.Context, idx *Index, queries *vec.Matrix, k, workers int) ([][]topk.Result, error) {
 	if queries.Cols != idx.d {
 		return nil, fmt.Errorf("core: query dim %d != item dim %d", queries.Cols, idx.d)
 	}
 	out := make([][]topk.Result, queries.Rows)
-	err := search.Batch(ctx, queries, workers, func(ctx context.Context, rows []int) error {
+	err := engine.Batch(ctx, queries, workers, func(ctx context.Context, rows []int) error {
 		r := NewRetriever(idx)
 		for _, qi := range rows {
 			res, err := r.SearchContext(ctx, queries.Row(qi), k)

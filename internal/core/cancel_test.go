@@ -8,6 +8,7 @@ import (
 
 	"fexipro/internal/core"
 	"fexipro/internal/faults"
+	"fexipro/internal/obs"
 	"fexipro/internal/search"
 	"fexipro/internal/searchtest"
 	"fexipro/internal/vec"
@@ -21,7 +22,7 @@ func TestRetrieverCancellation(t *testing.T) {
 	for _, variant := range allVariants {
 		variant := variant
 		t.Run(variant, func(t *testing.T) {
-			searchtest.CheckCancellation(t, func(items *vec.Matrix) searchtest.FaultSearcher {
+			searchtest.CheckCancellation(t, func(items *vec.Matrix) search.Searcher {
 				idx, err := core.NewIndex(items, mustOptions(t, variant))
 				if err != nil {
 					t.Fatalf("NewIndex(%s): %v", variant, err)
@@ -45,7 +46,7 @@ func mustOptions(t *testing.T, variant string) core.Options {
 // land in the delta scan or inside the main retriever, and both must
 // surface as ErrDeadline with valid partial results.
 func TestDynamicCancellation(t *testing.T) {
-	searchtest.CheckCancellation(t, func(items *vec.Matrix) searchtest.FaultSearcher {
+	searchtest.CheckCancellation(t, func(items *vec.Matrix) search.Searcher {
 		di, err := core.NewDynamicIndex(items, mustOptions(t, "F-SIR"), 0.25)
 		if err != nil {
 			t.Fatalf("NewDynamicIndex: %v", err)
@@ -54,10 +55,11 @@ func TestDynamicCancellation(t *testing.T) {
 	}, "Dynamic/F-SIR")
 }
 
-// TestDynamicHookSurvivesRebuild pins the SetFaultHook contract across
-// main-index rebuilds: after enough mutations to trigger a rebuild, a
-// cancellation fault installed before the rebuild still fires inside the
-// rebuilt main retriever.
+// TestDynamicHookSurvivesRebuild: the scan fault hook rides the query's
+// context (obs.Query), so no rebuild can lose it. The same context cancels
+// a search before the main index is rebuilt and, right after an update
+// rebuilds it, inside the rebuilt main scan: the rebuild folds the delta
+// buffer in, so the first row that search reaches is the new main's.
 func TestDynamicHookSurvivesRebuild(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	items, q := searchtest.RandomInstance(rng, 200, 8)
@@ -67,11 +69,18 @@ func TestDynamicHookSurvivesRebuild(t *testing.T) {
 	}
 	reg := faults.NewRegistry(31)
 	hook := reg.Enable(faults.SiteScan, faults.Plan{CancelAtItem: 1})
-	di.SetFaultHook(hook)
+	ctx := obs.WithQuery(context.Background(), obs.Query{Hook: hook})
+	if _, err := di.SearchContext(ctx, q, 5); !errors.Is(err, search.ErrDeadline) {
+		t.Fatalf("pre-rebuild SearchContext error = %v, want ErrDeadline", err)
+	}
 
-	// Mutate well past the 10% rebuild fraction so the main retriever is
-	// replaced at least once while the hook is installed.
-	for i := 0; i < 100; i++ {
+	// Mutate past the 10% rebuild fraction, and stop at the update that
+	// rebuilds the main index.
+	rebuilt := func() bool { return di.Rebuilds()[0] > 1 }
+	for i := 0; !rebuilt(); i++ {
+		if i == 100 {
+			t.Fatal("100 updates triggered no rebuild")
+		}
 		row := make([]float64, 8)
 		for j := range row {
 			row[j] = rng.NormFloat64()
@@ -80,7 +89,7 @@ func TestDynamicHookSurvivesRebuild(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Add #%d: %v", i, err)
 		}
-		if i%2 == 0 {
+		if i%2 == 0 && !rebuilt() {
 			if err := di.Delete(id); err != nil {
 				t.Fatalf("Delete %d: %v", id, err)
 			}
@@ -88,12 +97,12 @@ func TestDynamicHookSurvivesRebuild(t *testing.T) {
 	}
 
 	before := hook.Counts().Cancels
-	_, err = di.SearchContext(context.Background(), q, 5)
+	_, err = di.SearchContext(ctx, q, 5)
 	if !errors.Is(err, search.ErrDeadline) {
 		t.Fatalf("post-rebuild SearchContext error = %v, want ErrDeadline", err)
 	}
 	if hook.Counts().Cancels <= before {
-		t.Fatal("fault hook did not fire after rebuild: SetFaultHook was lost")
+		t.Fatal("fault hook did not fire in the rebuilt main scan")
 	}
 }
 
@@ -119,9 +128,7 @@ func TestCancelledAboveNeverExact(t *testing.T) {
 		cancelAt := 1 + rng.Intn(600)
 		reg := faults.NewRegistry(77 + int64(trial))
 		hook := reg.Enable(faults.SiteScan, faults.Plan{CancelAtItem: cancelAt})
-		r.SetFaultHook(hook)
-		res, err := r.SearchAboveContext(context.Background(), q, threshold)
-		r.SetFaultHook(nil)
+		res, err := r.SearchAboveContext(obs.WithQuery(context.Background(), obs.Query{Hook: hook}), q, threshold)
 
 		if hook.Counts().Cancels > 0 {
 			if !errors.Is(err, search.ErrDeadline) {

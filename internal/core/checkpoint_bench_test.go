@@ -78,7 +78,7 @@ func BenchmarkCheckpointRecover(b *testing.B) {
 
 				root := obs.NewRoot("boot")
 				t0 = time.Now()
-				rec, err := OpenRecovered(obs.ContextWithSpan(context.Background(), root), dir, 1, 1<<20)
+				rec, err := OpenRecovered(obs.WithQuery(context.Background(), obs.Query{Span: root}), dir, 1, 1<<20)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"fexipro/internal/core"
+	"fexipro/internal/search"
 	"fexipro/internal/searchtest"
 	"fexipro/internal/vec"
 )
@@ -30,7 +31,7 @@ func TestAllVariantsExact(t *testing.T) {
 	for _, variant := range allVariants {
 		variant := variant
 		t.Run(variant, func(t *testing.T) {
-			searchtest.CheckSearcher(t, func(items *vec.Matrix) searchtest.FaultSearcher {
+			searchtest.CheckSearcher(t, func(items *vec.Matrix) search.Searcher {
 				return buildVariant(t, items, variant)
 			}, variant)
 		})
@@ -41,7 +42,7 @@ func TestAllVariantsEdgeCases(t *testing.T) {
 	for _, variant := range allVariants {
 		variant := variant
 		t.Run(variant, func(t *testing.T) {
-			searchtest.CheckSearcherEdgeCases(t, func(items *vec.Matrix) searchtest.FaultSearcher {
+			searchtest.CheckSearcherEdgeCases(t, func(items *vec.Matrix) search.Searcher {
 				return buildVariant(t, items, variant)
 			}, variant)
 		})

@@ -368,11 +368,6 @@ func (di *DynamicIndex) deriveMains(ctx context.Context) error {
 	return nil
 }
 
-// SetFaultHook installs (or, with nil, removes) the fault-injection hook
-// called once per scanned item in both the delta buffers and the main
-// indexes (shard-locally); it lives on the engine, so it survives rebuilds.
-func (di *DynamicIndex) SetFaultHook(h *faults.Hook) { di.eng.SetFaultHook(h) }
-
 // SetShardObserver installs (or, with nil, removes) the engine's
 // per-shard scan observer — one callback per completed shard scan with
 // the shard index, its wall time, and its stage counters. Serving

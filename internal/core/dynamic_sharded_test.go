@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"fexipro/internal/core"
+	"fexipro/internal/search"
 	"fexipro/internal/searchtest"
 	"fexipro/internal/vec"
 )
@@ -194,7 +195,7 @@ func TestDynamicStatsPerQuery(t *testing.T) {
 // TestDynamicShardedCancellation runs the cancellation property suite
 // against the sharded dynamic index for every harness shard count.
 func TestDynamicShardedCancellation(t *testing.T) {
-	searchtest.CheckShardedCancellation(t, func(items *vec.Matrix, shards int) searchtest.FaultSearcher {
+	searchtest.CheckShardedCancellation(t, func(items *vec.Matrix, shards int) search.Searcher {
 		di, err := core.NewDynamicIndexSharded(items, mustOptions(t, "F-SIR"), 0.25, shards, 2)
 		if err != nil {
 			t.Fatalf("NewDynamicIndexSharded: %v", err)

@@ -483,7 +483,7 @@ func TestRecoverSpans(t *testing.T) {
 	const checkpointAt = 6
 	dir := writeDataDir(t, fx.build(t, checkpointAt), 0, buildWAL(t, fx, checkpointAt, 0))
 	root := obs.NewRoot("boot")
-	rec, err := core.OpenRecovered(obs.ContextWithSpan(context.Background(), root), dir, 1, 1)
+	rec, err := core.OpenRecovered(obs.WithQuery(context.Background(), obs.Query{Span: root}), dir, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

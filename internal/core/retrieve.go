@@ -7,6 +7,7 @@ import (
 	"math/bits"
 
 	"fexipro/internal/faults"
+	"fexipro/internal/obs"
 	"fexipro/internal/search"
 	"fexipro/internal/topk"
 	"fexipro/internal/vec"
@@ -30,7 +31,6 @@ import (
 // scanRange, so this and the Sharded kernel run the same code.
 type Retriever struct {
 	idx   *Index
-	hook  *faults.Hook
 	stats search.Stats
 	qs    *queryState
 }
@@ -42,10 +42,6 @@ func NewRetriever(idx *Index) *Retriever {
 
 // Stats is the last query's counters, kept for its one reader: the frozen benchmark/trace.go.
 func (r *Retriever) Stats() search.Stats { return r.stats }
-
-// SetFaultHook installs (or, with nil, removes) the fault-injection
-// hook called once per scanned item.
-func (r *Retriever) SetFaultHook(h *faults.Hook) { r.hook = h }
 
 // queryState holds the per-query derived quantities of Algorithm 4
 // lines 5–9 plus the scratch buffers they are computed into. It is
@@ -120,11 +116,13 @@ func (r *Retriever) begin(q []float64) {
 }
 
 // scan is the whole query, top-k or above-t as c says: prepareQuery, then
-// scanRange over every row into c, its counters then added to ctx's sink.
+// scanRange over every row into c under ctx's obs.Query: its fault hook
+// polled, its sink then given the counters.
 func (r *Retriever) scan(ctx context.Context, q []float64, c *topk.Collector) ([]topk.Result, error) {
+	qv := obs.QueryFrom(ctx)
 	r.idx.prepareQuery(q, r.qs)
-	err := r.idx.scanRange(ctx, r.hook, r.qs, 0, r.idx.n, c, nil, &r.stats)
-	search.AddStats(ctx, r.stats)
+	err := r.idx.scanRange(ctx, qv.Hook, r.qs, 0, r.idx.n, c, nil, &r.stats)
+	qv.AddStats(r.stats)
 	return c.Results(), err
 }
 

@@ -6,6 +6,7 @@ import (
 
 	"fexipro/internal/core"
 	"fexipro/internal/engine"
+	"fexipro/internal/search"
 	"fexipro/internal/searchtest"
 	"fexipro/internal/vec"
 )
@@ -31,7 +32,7 @@ func TestShardedVariantsBitExact(t *testing.T) {
 	for _, variant := range allVariants {
 		variant := variant
 		t.Run(variant, func(t *testing.T) {
-			searchtest.CheckSharded(t, func(items *vec.Matrix, shards int) searchtest.FaultSearcher {
+			searchtest.CheckSharded(t, func(items *vec.Matrix, shards int) search.Searcher {
 				return buildShardedVariant(t, items, variant, shards)
 			}, variant)
 		})
@@ -81,7 +82,7 @@ func TestShardedMatchesLegacyRetriever(t *testing.T) {
 // ErrDeadline-flagged partials whose scores are true inner products,
 // for every shard count in the harness grid.
 func TestShardedCancellation(t *testing.T) {
-	searchtest.CheckShardedCancellation(t, func(items *vec.Matrix, shards int) searchtest.FaultSearcher {
+	searchtest.CheckShardedCancellation(t, func(items *vec.Matrix, shards int) search.Searcher {
 		return buildShardedVariant(t, items, "F-SIR", shards)
 	}, "core/F-SIR")
 }

@@ -9,6 +9,7 @@ import (
 
 	"fexipro/internal/core"
 	"fexipro/internal/engine"
+	"fexipro/internal/obs"
 	"fexipro/internal/search"
 	"fexipro/internal/searchtest"
 	"fexipro/internal/topk"
@@ -89,7 +90,7 @@ func checkSnapshotRoundTrip(t *testing.T, opts core.Options, label string) {
 	// must satisfy the same partial-result contract as a fresh one.
 	for _, shards := range snapshotShardCounts {
 		shards := shards
-		searchtest.CheckCancellation(t, func(items *vec.Matrix) searchtest.FaultSearcher {
+		searchtest.CheckCancellation(t, func(items *vec.Matrix) search.Searcher {
 			return shardedSearcher(saveLoad(t, buildIndex(t, items, opts, label), label), shards)
 		}, fmt.Sprintf("%s/loaded/S=%d", label, shards))
 	}
@@ -152,11 +153,11 @@ func checkSnapshotInstance(t *testing.T, opts core.Options, items *vec.Matrix, k
 				q[j] = rng.NormFloat64()
 			}
 			var freshSt, warmSt search.Stats
-			want, err := fresh.SearchContext(search.WithStats(context.Background(), &freshSt), q, k)
+			want, err := fresh.SearchContext(obs.WithStats(context.Background(), &freshSt), q, k)
 			if err != nil {
 				t.Fatalf("%s: S=%d original search: %v", label, shards, err)
 			}
-			got, err := warm.SearchContext(search.WithStats(context.Background(), &warmSt), q, k)
+			got, err := warm.SearchContext(obs.WithStats(context.Background(), &warmSt), q, k)
 			if err != nil {
 				t.Fatalf("%s: S=%d loaded search: %v", label, shards, err)
 			}

@@ -6,6 +6,7 @@ import (
 
 	"fexipro/internal/covertree"
 	"fexipro/internal/engine"
+	"fexipro/internal/search"
 	"fexipro/internal/searchtest"
 	"fexipro/internal/vec"
 )
@@ -14,7 +15,7 @@ import (
 // per-shard trees (the registry's FastMKS is this at the default leaf
 // size, and internal/method's registry-driven test covers that).
 func searcher(leafSize int) searchtest.Builder {
-	return func(items *vec.Matrix, shards int) searchtest.FaultSearcher {
+	return func(items *vec.Matrix, shards int) search.Searcher {
 		return engine.New(covertree.NewKernel(items, leafSize, shards), 2)
 	}
 }

@@ -1,4 +1,4 @@
-package search
+package engine
 
 import (
 	"cmp"
@@ -6,11 +6,13 @@ import (
 	"slices"
 	"sync"
 
+	"fexipro/internal/obs"
+	"fexipro/internal/search"
 	"fexipro/internal/vec"
 )
 
 // ByNormDesc returns the rows of queries in the order every batch task
-// here processes them — decreasing norm, rows of equal norm in row order
+// processes them — decreasing norm, rows of equal norm in row order
 // (LEMP's locality optimisation: consecutive queries scan similar
 // prefixes of the norm-sorted items, and a global threshold rises
 // fastest) — and the norms by row.
@@ -24,13 +26,14 @@ func ByNormDesc(queries *vec.Matrix) (order []int, norms []float64) {
 	return order, norms
 }
 
-// Batch is the one loop under the batch tasks: the rows of queries in
-// ByNormDesc order, cut into at most workers contiguous chunks, each
-// handed to chunk — which owns whatever per-worker state it needs — on a
-// goroutine of its own. One chunk (workers ≤ 1, or a single query) is the
-// sequential form and runs on the calling goroutine with ctx. Concurrent
-// chunks each search under a counter sink of their own when ctx carries
-// one (WithStats), added to ctx's once every chunk has returned. A chunk
+// Batch is the one loop under the batch tasks (core.BatchTopKContext,
+// lemp.Index.TopKJoinContext): the rows of queries in ByNormDesc order,
+// cut into at most workers contiguous chunks, each handed to chunk —
+// which owns whatever per-worker state it needs — on a goroutine of its
+// own. One chunk (workers ≤ 1, or a single query) is the sequential form
+// and runs on the calling goroutine with ctx. Concurrent chunks each get
+// a copy of ctx's Query — its span and fault hook, a sink of their own —
+// and the sinks are added to ctx's once every chunk has returned. A chunk
 // stops at its first error; Batch returns the first chunk's in chunk
 // order, so the error does not depend on the schedule.
 func Batch(ctx context.Context, queries *vec.Matrix, workers int, chunk func(ctx context.Context, rows []int) error) error {
@@ -40,20 +43,22 @@ func Batch(ctx context.Context, queries *vec.Matrix, workers int, chunk func(ctx
 	if size >= len(order) {
 		return chunk(ctx, order)
 	}
+	q := obs.QueryFrom(ctx)
 	errs := make([]error, (len(order)+size-1)/size)
-	sinks := make([]Stats, len(errs))
+	sinks := make([]search.Stats, len(errs))
 	var wg sync.WaitGroup
 	for ci := range errs {
 		part := order[ci*size : min((ci+1)*size, len(order))]
+		cctx := obs.WithStats(ctx, &sinks[ci])
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			errs[ci] = chunk(WithStats(ctx, &sinks[ci]), part)
+			errs[ci] = chunk(cctx, part)
 		}()
 	}
 	wg.Wait()
 	for _, st := range sinks {
-		AddStats(ctx, st)
+		q.AddStats(st)
 	}
 	for _, err := range errs {
 		if err != nil {

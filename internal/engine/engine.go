@@ -40,8 +40,8 @@ type Kernel interface {
 	// with shared.Floor / contribute via shared.Publish once c is full.
 	// On cancellation it returns an ErrDeadline-wrapping error after
 	// leaving c with best-so-far results whose scores are true inner
-	// products. hook, when non-nil, is the fault-injection hook to pass
-	// to search.Poll with SHARD-LOCAL item indices (so CancelAtItem
+	// products. hook, when non-nil, is the query's fault-injection hook,
+	// to pass to search.Poll with SHARD-LOCAL item indices (so CancelAtItem
 	// fires relative to each shard's own scan). The returned Stats
 	// count only this shard's work; the engine aggregates.
 	Scan(ctx context.Context, pq any, shard int, c *topk.Collector, shared *search.SharedThreshold, hook *faults.Hook) (search.Stats, error)
@@ -70,16 +70,15 @@ type Observer func(shard int, seconds float64, st search.Stats)
 // function of the offered multiset — so S=1 and S>1 return bit-identical
 // IDs, scores, and tie order. See DESIGN.md §11.
 //
-// A query's counters go to the sink its context carries
-// (search.WithStats): the sum of every shard's. The only per-engine query
-// state is pq, the Prepare scratch, so Engine is not safe for concurrent
-// Search calls on the same instance; use one Engine per querying
-// goroutine over a shared Kernel.
+// A query's span, sink and fault hook come from its context's obs.Query;
+// the sink gets the sum of every shard's counters. The only per-engine
+// query state is pq, the Prepare scratch, so Engine is not safe for
+// concurrent Search calls on the same instance; use one Engine per
+// querying goroutine over a shared Kernel.
 type Engine struct {
 	kern     Kernel
 	workers  int
 	observer Observer
-	hook     *faults.Hook
 	pq       any // the last query's prepared state, offered back to Prepare
 }
 
@@ -99,13 +98,6 @@ func New(kern Kernel, workers int) *Engine {
 // SetObserver installs (or, with nil, removes) the per-shard scan
 // observer.
 func (e *Engine) SetObserver(o Observer) { e.observer = o }
-
-// SetFaultHook installs (or, with nil, removes) the fault-injection
-// hook passed to every shard scan. The hook's atomics make it safe to
-// share across concurrently scanning shards; CancelAtItem semantics
-// are shard-local (the first shard to pass that many items cancels the
-// query).
-func (e *Engine) SetFaultHook(h *faults.Hook) { e.hook = h }
 
 // Workers returns the effective worker-pool size.
 func (e *Engine) Workers() int { return e.workers }
@@ -161,24 +153,24 @@ func (e *Engine) SearchAboveContext(ctx context.Context, q []float64, t float64)
 // middleware can answer it — instead of killing the process from a
 // goroutine nobody can guard.
 //
-// When ctx carries an obs span (tracing enabled for this query), the
-// engine attaches the query-lifecycle tree under it: one "transform"
-// child around Prepare, one "scan" child whose own children are the
-// per-shard scans (annotated with shard, worker, queue wait, steal
-// provenance, and stage counters), and one "merge" child around the
-// canonical merge. With no span in ctx every call below is a nil no-op
-// (DESIGN.md §13), so the untraced path costs one context lookup. The
-// shards' counters go to ctx's sink, if it carries one (search.WithStats),
-// once their scans are over.
+// run reads ctx's obs.Query once. When it carries a span (tracing enabled
+// for this query), the engine attaches the query-lifecycle tree under it:
+// one "transform" child around Prepare, one "scan" child whose own
+// children are the per-shard scans (annotated with shard, worker, queue
+// wait, steal provenance, and stage counters), and one "merge" child
+// around the canonical merge. With no span every call below is a nil no-op
+// (DESIGN.md §13), so the untraced path costs that one context lookup.
+// Every shard scan polls its hook (atomic, so shards share it), and the
+// shards' counters go to its sink, if any, once their scans are over.
 func (e *Engine) run(ctx context.Context, q []float64, c *topk.Collector) ([]topk.Result, error) {
-	sp := obs.SpanFrom(ctx)
-	tsp := sp.StartChild("transform")
+	qv := obs.QueryFrom(ctx)
+	tsp := qv.Span.StartChild("transform")
 	pq := e.kern.Prepare(q, e.pq)
 	e.pq = pq
 	tsp.End()
 	shards := e.kern.Shards()
 
-	scanSp := sp.StartChild("scan")
+	scanSp := qv.Span.StartChild("scan")
 	if scanSp != nil {
 		scanSp.AttrInt("shards", int64(shards))
 		scanSp.AttrInt("workers", int64(e.workers))
@@ -192,13 +184,13 @@ func (e *Engine) run(ctx context.Context, q []float64, c *topk.Collector) ([]top
 		// or second collector. Results and counters equal the general
 		// route's; the sequential form of every method pays this path.
 		var out shardOut
-		e.runShard(ctx, pq, 0, c, nil, &out, scanSp, 0)
+		e.runShard(ctx, pq, 0, c, nil, qv.Hook, &out, scanSp, 0)
 		scanSp.End()
-		if msp := sp.StartChild("merge"); msp != nil {
+		if msp := qv.Span.StartChild("merge"); msp != nil {
 			msp.AttrInt("candidates", int64(len(out.res)))
 			msp.End()
 		}
-		search.AddStats(ctx, out.st)
+		qv.AddStats(out.st)
 		if out.err != nil {
 			return out.res, search.Canceled(out.err)
 		}
@@ -215,7 +207,7 @@ func (e *Engine) run(ctx context.Context, q []float64, c *topk.Collector) ([]top
 		// promptly via their entry Poll, each recording a deterministic
 		// (possibly empty) partial, so the loop never breaks early.
 		for s := 0; s < shards; s++ {
-			e.runShard(ctx, pq, s, c.Fresh(), shared, &outs[s], scanSp, 0)
+			e.runShard(ctx, pq, s, c.Fresh(), shared, qv.Hook, &outs[s], scanSp, 0)
 		}
 	} else {
 		var next atomic.Int64
@@ -229,7 +221,7 @@ func (e *Engine) run(ctx context.Context, q []float64, c *topk.Collector) ([]top
 					if s >= shards {
 						return
 					}
-					e.runShardRecovering(ctx, pq, s, c.Fresh(), shared, &outs[s], scanSp, w)
+					e.runShardRecovering(ctx, pq, s, c.Fresh(), shared, qv.Hook, &outs[s], scanSp, w)
 				}
 			}(w)
 		}
@@ -246,7 +238,7 @@ func (e *Engine) run(ctx context.Context, q []float64, c *topk.Collector) ([]top
 	// total order (score desc, ID asc) makes the merged set independent
 	// of push order, so no cross-shard ordering discipline is needed
 	// here.
-	msp := sp.StartChild("merge")
+	msp := qv.Span.StartChild("merge")
 	var st search.Stats
 	var firstErr error
 	candidates := 0
@@ -266,7 +258,7 @@ func (e *Engine) run(ctx context.Context, q []float64, c *topk.Collector) ([]top
 			firstErr = o.err // lowest shard's error, deterministic
 		}
 	}
-	search.AddStats(ctx, st)
+	qv.AddStats(st)
 	if msp != nil {
 		msp.AttrInt("candidates", int64(candidates))
 		msp.End()
@@ -279,25 +271,25 @@ func (e *Engine) run(ctx context.Context, q []float64, c *topk.Collector) ([]top
 
 // runShardRecovering is runShard on a pool worker: a panicking scan is
 // parked in out for SearchContext to re-raise on the calling goroutine.
-func (e *Engine) runShardRecovering(ctx context.Context, pq any, s int, c *topk.Collector, shared *search.SharedThreshold, out *shardOut, scanSp *obs.Span, worker int) {
+func (e *Engine) runShardRecovering(ctx context.Context, pq any, s int, c *topk.Collector, shared *search.SharedThreshold, hook *faults.Hook, out *shardOut, scanSp *obs.Span, worker int) {
 	defer func() {
 		if p := recover(); p != nil {
 			out.panicked = p
 		}
 	}()
-	e.runShard(ctx, pq, s, c, shared, out, scanSp, worker)
+	e.runShard(ctx, pq, s, c, shared, hook, out, scanSp, worker)
 }
 
-// runShard executes one shard scan into c and records its output, stats
-// and error into out. When the query is traced (scanSp is non-nil) it opens
-// one child span per shard under the scan span: the queueWaitMicros
-// attribute is how long the shard sat in the pool's queue before a
-// worker picked it up (time since the scan span started), and stolen
-// marks shards taken beyond the pool's initial distribution (shard
-// index ≥ worker count) — together the "where did the microseconds go"
-// signal for partition skew and pool sizing. The clock is read only
+// runShard executes one shard scan into c under the query's fault hook
+// and records its output, stats and error into out. When the query is
+// traced (scanSp is non-nil) it opens one child span per shard under the
+// scan span: the queueWaitMicros attribute is how long the shard sat in
+// the pool's queue before a worker picked it up (time since the scan span
+// started), and stolen marks shards taken beyond the pool's initial
+// distribution (shard index ≥ worker count) — together the "where did the
+// microseconds go" signal for partition skew and pool sizing. The clock is read only
 // when an observer or a span asks for the scan's wall time.
-func (e *Engine) runShard(ctx context.Context, pq any, s int, c *topk.Collector, shared *search.SharedThreshold, out *shardOut, scanSp *obs.Span, worker int) {
+func (e *Engine) runShard(ctx context.Context, pq any, s int, c *topk.Collector, shared *search.SharedThreshold, hook *faults.Hook, out *shardOut, scanSp *obs.Span, worker int) {
 	var ssp *obs.Span
 	if scanSp != nil {
 		wait := time.Since(scanSp.Start())
@@ -313,7 +305,7 @@ func (e *Engine) runShard(ctx context.Context, pq any, s int, c *topk.Collector,
 	if e.observer != nil {
 		start = time.Now()
 	}
-	st, err := e.kern.Scan(ctx, pq, s, c, shared, e.hook)
+	st, err := e.kern.Scan(ctx, pq, s, c, shared, hook)
 	var secs float64
 	if e.observer != nil {
 		secs = time.Since(start).Seconds()

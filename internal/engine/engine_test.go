@@ -112,7 +112,7 @@ func TestEngineStatsAggregate(t *testing.T) {
 	q := items.Row(0)
 	e := New(newDotKernel(items, 5), 2)
 	var st search.Stats
-	if _, err := e.SearchContext(search.WithStats(context.Background(), &st), q, 3); err != nil {
+	if _, err := e.SearchContext(obs.WithStats(context.Background(), &st), q, 3); err != nil {
 		t.Fatal(err)
 	}
 	if st.Scanned != 300 {
@@ -163,8 +163,8 @@ func TestEngineCancellationPartials(t *testing.T) {
 	for _, workers := range []int{1, 3} {
 		e := New(newDotKernel(items, 4), workers)
 		reg := faults.NewRegistry(20260806)
-		e.SetFaultHook(reg.Enable(faults.SiteScan, faults.Plan{CancelAtItem: 25}))
-		res, err := e.SearchContext(context.Background(), q, 10)
+		hook := reg.Enable(faults.SiteScan, faults.Plan{CancelAtItem: 25})
+		res, err := e.SearchContext(obs.WithQuery(context.Background(), obs.Query{Hook: hook}), q, 10)
 		if !errors.Is(err, search.ErrDeadline) {
 			t.Fatalf("W=%d: err = %v, want ErrDeadline", workers, err)
 		}
@@ -243,12 +243,13 @@ func TestOneShardRouteMatchesGeneralRoute(t *testing.T) {
 			}
 			o.Observed = append(o.Observed, st)
 		})
+		var hook *faults.Hook
 		if cancelAt > 0 {
-			e.SetFaultHook(faults.NewRegistry(1).Enable(faults.SiteScan, faults.Plan{CancelAtItem: cancelAt}))
+			hook = faults.NewRegistry(1).Enable(faults.SiteScan, faults.Plan{CancelAtItem: cancelAt})
 		}
 		root := obs.NewRoot("search")
 		var st search.Stats
-		res, err := e.SearchContext(search.WithStats(obs.ContextWithSpan(context.Background(), root), &st), q, 10)
+		res, err := e.SearchContext(obs.WithQuery(context.Background(), obs.Query{Span: root, Stats: &st, Hook: hook}), q, 10)
 		root.End()
 		o.Res, o.Cancelled, o.Stats, o.Spans = res, errors.Is(err, search.ErrDeadline), st, map[string]int{}
 		if err != nil && !o.Cancelled {
@@ -291,7 +292,7 @@ func TestNonPositiveKAndWorkerPanic(t *testing.T) {
 		e := New(newDotKernel(items, shards), 2)
 		for _, k := range []int{-1, 0} {
 			var st search.Stats
-			if res, err := e.SearchContext(search.WithStats(context.Background(), &st), items.Row(0), k); len(res) != 0 || err != nil || st != (search.Stats{}) {
+			if res, err := e.SearchContext(obs.WithStats(context.Background(), &st), items.Row(0), k); len(res) != 0 || err != nil || st != (search.Stats{}) {
 				t.Fatalf("S=%d k=%d: %v, %v, %+v", shards, k, res, err, st)
 			}
 		}
@@ -303,14 +304,14 @@ func TestNonPositiveKAndWorkerPanic(t *testing.T) {
 			}()
 			_, _ = e.SearchContext(context.Background(), []float64{1}, 0)
 		}()
-		e.SetFaultHook(faults.NewRegistry(1).Enable(faults.SiteScan, faults.Plan{PanicAtItem: 5}))
+		hook := faults.NewRegistry(1).Enable(faults.SiteScan, faults.Plan{PanicAtItem: 5})
 		func() {
 			defer func() {
 				if p := recover(); p == nil || !strings.Contains(fmt.Sprint(p), "injected panic at item 5") {
 					t.Fatalf("S=%d: recovered %v on the caller, want the injected scan panic", shards, p)
 				}
 			}()
-			_, _ = e.SearchContext(context.Background(), items.Row(1), 4)
+			_, _ = e.SearchContext(obs.WithQuery(context.Background(), obs.Query{Hook: hook}), items.Row(1), 4)
 		}()
 	}
 }

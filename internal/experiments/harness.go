@@ -146,7 +146,7 @@ func Run(b Built, ds *data.Dataset, k int, collectPerQuery bool) RunResult {
 		qStart := time.Now()
 		root := obs.NewRoot("search")
 		var st search.Stats
-		ctx := search.WithStats(obs.ContextWithSpan(context.Background(), root), &st)
+		ctx := obs.WithQuery(context.Background(), obs.Query{Span: root, Stats: &st})
 		_, _ = b.Searcher.SearchContext(ctx, ds.Queries.Row(i), k)
 		root.End()
 		r.Transform += root.ChildDuration("transform")

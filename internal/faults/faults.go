@@ -7,10 +7,11 @@
 //
 // Two injection sites exist:
 //
-//   - scan loops: every searcher exposes SetFaultHook(*Hook); the scan
-//     loop calls Hook.OnItem(i) once per candidate, behind a nil check
-//     that costs nothing in production (hooks are never installed
-//     outside tests).
+//   - scan loops: a query's hook rides its context, in the query value
+//     obs.Query that the searcher reads once per query; the scan loop
+//     calls Hook.OnItem(i) once per candidate, behind a nil check that
+//     costs nothing in production (hooks are never installed outside
+//     tests).
 //   - request handlers: the HTTP server calls Hook.OnCall() at the top
 //     of guarded handlers, letting tests inject per-request latency,
 //     failures, and panics through the full middleware stack.

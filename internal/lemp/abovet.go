@@ -3,6 +3,7 @@ package lemp
 import (
 	"context"
 
+	"fexipro/internal/obs"
 	"fexipro/internal/search"
 	"fexipro/internal/topk"
 	"fexipro/internal/vec"
@@ -25,10 +26,11 @@ func (idx *Index) SearchAbove(q []float64, t float64) []topk.Result {
 // cancellation the set may be missing qualifying items, but every
 // returned score is a true inner product.
 func (idx *Index) SearchAboveContext(ctx context.Context, q []float64, t float64) ([]topk.Result, error) {
+	qv := obs.QueryFrom(ctx)
 	var st search.Stats
 	c := topk.NewAbove(t)
-	err := idx.scanBuckets(ctx, idx.hook, idx.prepareQuery(q), 0, len(idx.buckets), c, nil, &st)
-	search.AddStats(ctx, st)
+	err := idx.scanBuckets(ctx, qv.Hook, idx.prepareQuery(q), 0, len(idx.buckets), c, nil, &st)
+	qv.AddStats(st)
 	return c.Results(), err
 }
 

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"fexipro/internal/lemp"
+	"fexipro/internal/obs"
 	"fexipro/internal/scan"
 	"fexipro/internal/search"
 	"fexipro/internal/searchtest"
@@ -77,7 +78,7 @@ func TestSearchAbovePrunesBuckets(t *testing.T) {
 	idx := lemp.New(items, lemp.Options{})
 	top := scan.NewNaive(items).Search(q, 1)
 	var st search.Stats
-	if _, err := idx.SearchAboveContext(search.WithStats(context.Background(), &st), q, top[0].Score*0.95); err != nil {
+	if _, err := idx.SearchAboveContext(obs.WithStats(context.Background(), &st), q, top[0].Score*0.95); err != nil {
 		t.Fatal(err)
 	}
 	if st.PrunedByLength == 0 {

@@ -17,7 +17,9 @@ import (
 	"fmt"
 	"math"
 
+	"fexipro/internal/engine"
 	"fexipro/internal/faults"
+	"fexipro/internal/obs"
 	"fexipro/internal/search"
 	"fexipro/internal/topk"
 	"fexipro/internal/vec"
@@ -43,20 +45,14 @@ type Options struct {
 // Index is an immutable LEMP index. Single queries run through Kernel
 // under engine.Engine; the index itself answers the batch joins
 // (TopKJoinContext, AboveJoin) and the one-query above-t scan they are
-// made of, all of them scanBuckets over every bucket — the hook below is
-// theirs, and their counters go to the sink in their context
-// (search.WithStats).
+// made of, all of them scanBuckets over every bucket under their
+// context's obs.Query: its hook sees a global item counter that runs
+// across bucket boundaries, and its sink gets their counters.
 type Index struct {
 	d        int
 	strategy Strategy
 	buckets  []bucket
-	hook     *faults.Hook
 }
-
-// SetFaultHook installs (or, with nil, removes) the fault-injection hook
-// called once per scanned item (with a global item counter that runs
-// across bucket boundaries).
-func (idx *Index) SetFaultHook(h *faults.Hook) { idx.hook = h }
 
 type bucket struct {
 	unit      *vec.Matrix // normalized vectors
@@ -340,7 +336,7 @@ func (idx *Index) TopKJoin(queries *vec.Matrix, k int) [][]topk.Result {
 // TopKJoinContext is TopKJoin with cancellation and worker parallelism:
 // queries are processed in descending-norm order, sharded across
 // workers (≤ 0 or 1 means sequential), each worker counting into a sink
-// of its own over the shared read-only buckets (search.Batch adds them to
+// of its own over the shared read-only buckets (engine.Batch adds them to
 // ctx's). On cancellation it returns the batch completed so far —
 // unprocessed queries have nil slots, the query cut short mid-scan keeps
 // its true-inner-product partial — together with an ErrDeadline-wrapping
@@ -350,17 +346,18 @@ func (idx *Index) TopKJoinContext(ctx context.Context, queries *vec.Matrix, k, w
 		panic(fmt.Sprintf("lemp: query dim %d != item dim %d", queries.Cols, idx.d))
 	}
 	out := make([][]topk.Result, queries.Rows)
-	err := search.Batch(ctx, queries, workers, func(ctx context.Context, rows []int) (err error) {
+	err := engine.Batch(ctx, queries, workers, func(ctx context.Context, rows []int) (err error) {
+		qv := obs.QueryFrom(ctx)
 		var st search.Stats
 		for _, qi := range rows {
 			c := topk.New(k)
-			err = idx.scanBuckets(ctx, idx.hook, idx.prepareQuery(queries.Row(qi)), 0, len(idx.buckets), c, nil, &st)
+			err = idx.scanBuckets(ctx, qv.Hook, idx.prepareQuery(queries.Row(qi)), 0, len(idx.buckets), c, nil, &st)
 			out[qi] = c.Results()
 			if err != nil {
 				break
 			}
 		}
-		search.AddStats(ctx, st)
+		qv.AddStats(st)
 		return err
 	})
 	if err != nil {

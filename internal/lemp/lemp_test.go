@@ -7,6 +7,7 @@ import (
 	"fexipro/internal/engine"
 	"fexipro/internal/lemp"
 	"fexipro/internal/scan"
+	"fexipro/internal/search"
 	"fexipro/internal/searchtest"
 	"fexipro/internal/vec"
 )
@@ -16,7 +17,7 @@ import (
 // internal/method's registry-driven test covers; StrategyCoord and small
 // buckets are reachable only from here).
 func searcher(opts lemp.Options) searchtest.Builder {
-	return func(items *vec.Matrix, shards int) searchtest.FaultSearcher {
+	return func(items *vec.Matrix, shards int) search.Searcher {
 		return engine.New(lemp.NewKernel(lemp.New(items, opts), shards), 2)
 	}
 }

@@ -70,7 +70,7 @@ func forward(vals []any) {
 // is flagged, in all three spellings. Attribute/End calls on an
 // already-open span are allowed (nil no-ops on the untraced path).
 func spans(ctx context.Context, items []float64) {
-	parent := obs.SpanFrom(ctx)
+	parent := obs.QueryFrom(ctx).Span
 	//fex:hot
 	for range items {
 		s := obs.NewRoot("scan") // want `obs.NewRoot inside a //fex:hot loop starts a span per scanned item`

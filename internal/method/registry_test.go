@@ -11,6 +11,7 @@ import (
 
 	"fexipro/internal/faults"
 	"fexipro/internal/method"
+	"fexipro/internal/obs"
 	"fexipro/internal/search"
 	"fexipro/internal/searchtest"
 	"fexipro/internal/vec"
@@ -30,7 +31,7 @@ func TestEveryMethodBuildsAndSearches(t *testing.T) {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			d, _ := method.Lookup(name)
-			build := searchtest.Builder(func(items *vec.Matrix, shards int) searchtest.FaultSearcher {
+			build := searchtest.Builder(func(items *vec.Matrix, shards int) search.Searcher {
 				e, err := method.Sharded(name, items, method.BuildOptions{}, shards, 2)
 				if err != nil {
 					t.Fatalf("%s shards=%d: %v", name, shards, err)
@@ -57,7 +58,7 @@ func TestEveryMethodBuildsAndSearches(t *testing.T) {
 }
 
 // checkCounters is the counter contract at S ∈ {1, 2, 3, 7}: a query adds
-// to the sink its context carries (search.WithStats) the sum of what its
+// to the sink its context carries (obs.WithStats) the sum of what its
 // shards report to the engine's observer; two queries into one sink hold
 // the sum of their one-query sinks; k ≤ 0 answers and adds nothing; a
 // query cut short by CancelAtItem adds the work it did, over no more rows
@@ -93,10 +94,9 @@ func checkCounters(t *testing.T, name string) {
 				t.Fatalf("%s k=%d: %d results, %+v in the sink; want none and zero", label, k, len(res), st)
 			}
 		}
-		e.SetFaultHook(faults.NewRegistry(1).Enable(faults.SiteScan, faults.Plan{CancelAtItem: 2}))
 		var cut search.Stats
-		_, err = e.SearchContext(search.WithStats(context.Background(), &cut), q, 5)
-		e.SetFaultHook(nil)
+		hook := faults.NewRegistry(1).Enable(faults.SiteScan, faults.Plan{CancelAtItem: 2})
+		_, err = e.SearchContext(obs.WithQuery(context.Background(), obs.Query{Stats: &cut, Hook: hook}), q, 5)
 		if !errors.Is(err, search.ErrDeadline) || cut == (search.Stats{}) || cut.Scanned > n {
 			t.Fatalf("%s: cancelled query: %v, %+v in the sink; want ErrDeadline and the work done, Scanned ≤ %d", label, err, cut, n)
 		}
@@ -110,7 +110,7 @@ func checkCounters(t *testing.T, name string) {
 		_, second := searchtest.Counted(seq, q2, 5)
 		want.Add(second)
 		var both search.Stats
-		ctx := search.WithStats(context.Background(), &both)
+		ctx := obs.WithStats(context.Background(), &both)
 		for _, x := range [][]float64{q, q2} {
 			if _, err := seq.SearchContext(ctx, x, 5); err != nil {
 				t.Fatalf("%s: %v", label, err)

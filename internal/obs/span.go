@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"context"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -13,11 +12,11 @@ import (
 // and measure monotonic wall time from StartChild to End.
 //
 // The API is nil-tolerant by design: every method on a nil *Span is a
-// no-op, and StartSpan returns nil when the context carries no parent
-// span. That nil path IS the tracing-disabled fast path — it costs one
-// context value lookup per query and zero allocations, so the hot
-// search path pays nothing when tracing is off (BenchmarkSpanOverhead
-// pins this below 1%).
+// no-op, and StartSpan returns nil when the context's Query carries no
+// span. That nil path IS the tracing-disabled fast path — it costs the
+// one context value lookup a query makes anyway (QueryFrom) and zero
+// allocations, so the hot search path pays nothing when tracing is off
+// (BenchmarkSpanOverhead pins this below 1%).
 //
 // Concurrency: StartChild and the Attr setters are safe to call from
 // multiple goroutines (the sharded engine starts one child per shard
@@ -47,8 +46,7 @@ type spanAttr struct {
 }
 
 // NewRoot starts a new root span. Callers that want the span to flow
-// into downstream stages must put it in the context with
-// ContextWithSpan.
+// into downstream stages put it in the context as the Query's Span.
 func NewRoot(name string) *Span {
 	return &Span{name: name, start: time.Now()}
 }
@@ -183,42 +181,6 @@ func (s *Span) Snapshot() SpanJSON {
 		out.Children = append(out.Children, c.Snapshot())
 	}
 	return out
-}
-
-type spanKey struct{}
-
-// ContextWithSpan stores a span in the context so downstream stages
-// (engine, retriever, rebuilds) attach children to it. Storing nil
-// returns ctx unchanged, keeping SpanFrom's nil fast path intact.
-func ContextWithSpan(ctx context.Context, s *Span) context.Context {
-	if s == nil {
-		return ctx
-	}
-	return context.WithValue(ctx, spanKey{}, s)
-}
-
-// SpanFrom returns the span stored in ctx, or nil when tracing is
-// disabled for this query. The nil return is what makes every
-// downstream StartChild/Attr call a no-op.
-func SpanFrom(ctx context.Context) *Span {
-	s, _ := ctx.Value(spanKey{}).(*Span)
-	return s
-}
-
-// StartSpan starts a child of the context's span (nil, and ctx
-// unchanged, when the context carries none) and returns a context
-// carrying the child. This is the one-call idiom for instrumenting a
-// stage:
-//
-//	ctx, sp := obs.StartSpan(ctx, "rebuild")
-//	defer sp.End()
-func StartSpan(ctx context.Context, name string) (context.Context, *Span) {
-	parent := SpanFrom(ctx)
-	if parent == nil {
-		return ctx, nil
-	}
-	child := parent.StartChild(name)
-	return ContextWithSpan(ctx, child), child
 }
 
 // TraceEntry is one completed, recorded query: its identity, outcome

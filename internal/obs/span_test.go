@@ -33,20 +33,20 @@ func TestStartSpanWithoutParentIsDisabled(t *testing.T) {
 	if ctx2 != ctx {
 		t.Fatal("disabled StartSpan must return the context unchanged")
 	}
-	if SpanFrom(ctx) != nil {
+	if QueryFrom(ctx).Span != nil {
 		t.Fatal("background context must carry no span")
 	}
 }
 
 func TestSpanTreeNesting(t *testing.T) {
 	root := NewRoot("search")
-	ctx := ContextWithSpan(context.Background(), root)
+	ctx := WithQuery(context.Background(), Query{Span: root})
 
 	ctx2, tr := StartSpan(ctx, "transform")
 	if tr == nil {
 		t.Fatal("StartSpan under a root must create a child")
 	}
-	if SpanFrom(ctx2) != tr {
+	if QueryFrom(ctx2).Span != tr {
 		t.Fatal("StartSpan must store the child in the returned context")
 	}
 	tr.End()

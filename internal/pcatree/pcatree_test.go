@@ -7,6 +7,7 @@ import (
 	"fexipro/internal/engine"
 	"fexipro/internal/pcatree"
 	"fexipro/internal/scan"
+	"fexipro/internal/search"
 	"fexipro/internal/searchtest"
 	"fexipro/internal/vec"
 )
@@ -15,7 +16,7 @@ import (
 // ID ranges of one tree (the registry's PCATree is this, and
 // internal/method's registry-driven test covers its default options).
 func searcher(opts pcatree.Options) searchtest.Builder {
-	return func(items *vec.Matrix, shards int) searchtest.FaultSearcher {
+	return func(items *vec.Matrix, shards int) search.Searcher {
 		return engine.New(pcatree.NewKernel(pcatree.New(items, opts), shards), 2)
 	}
 }

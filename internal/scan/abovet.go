@@ -3,6 +3,7 @@ package scan
 import (
 	"context"
 
+	"fexipro/internal/obs"
 	"fexipro/internal/search"
 	"fexipro/internal/topk"
 	"fexipro/internal/vec"
@@ -21,8 +22,8 @@ func (n *Naive) SearchAbove(q []float64, t float64) []topk.Result {
 // error; on cancellation the set may be missing items, but every
 // returned score is a true inner product.
 func (n *Naive) SearchAboveContext(ctx context.Context, q []float64, t float64) ([]topk.Result, error) {
-	done := ctx.Done()
-	hook := n.hook
+	qv := obs.QueryFrom(ctx)
+	done, hook := ctx.Done(), qv.Hook
 	var out []topk.Result
 	var err error
 	i := 0
@@ -36,7 +37,7 @@ func (n *Naive) SearchAboveContext(ctx context.Context, q []float64, t float64) 
 			out = append(out, topk.Result{ID: i, Score: v})
 		}
 	}
-	search.AddStats(ctx, search.Stats{Scanned: i, FullProducts: i})
+	qv.AddStats(search.Stats{Scanned: i, FullProducts: i})
 	topk.SortResults(out)
 	return out, err
 }

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"fexipro/internal/faults"
+	"fexipro/internal/obs"
 	"fexipro/internal/scan"
 	"fexipro/internal/search"
 	"fexipro/internal/searchtest"
@@ -15,13 +16,13 @@ import (
 )
 
 func TestNaiveCancellation(t *testing.T) {
-	searchtest.CheckCancellation(t, func(items *vec.Matrix) searchtest.FaultSearcher {
+	searchtest.CheckCancellation(t, func(items *vec.Matrix) search.Searcher {
 		return scan.NewNaive(items)
 	}, "Naive")
 }
 
 func TestSSCancellation(t *testing.T) {
-	searchtest.CheckCancellation(t, func(items *vec.Matrix) searchtest.FaultSearcher {
+	searchtest.CheckCancellation(t, func(items *vec.Matrix) search.Searcher {
 		return newSS(items, 0)
 	}, "SS")
 }
@@ -47,11 +48,10 @@ func TestDeadlineAcceptance(t *testing.T) {
 	reg := faults.NewRegistry(7)
 	// Sleep 2 ms at item 0 only: the 1 ms deadline is stale before the
 	// first poll completes.
-	s.SetFaultHook(reg.Enable(faults.SiteScan, faults.Plan{
+	hook := reg.Enable(faults.SiteScan, faults.Plan{
 		ItemLatency:      2 * time.Millisecond,
 		ItemLatencyEvery: 1 << 30,
-	}))
-	defer s.SetFaultHook(nil)
+	})
 
 	// Wall-clock assertions flake on loaded machines; accept the fastest
 	// of a few attempts but require correct semantics on every attempt.
@@ -60,7 +60,7 @@ func TestDeadlineAcceptance(t *testing.T) {
 		var st search.Stats
 		ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
 		start := time.Now()
-		res, err := s.SearchContext(search.WithStats(ctx, &st), q, 10)
+		res, err := s.SearchContext(obs.WithQuery(ctx, obs.Query{Stats: &st, Hook: hook}), q, 10)
 		took := time.Since(start)
 		cancel()
 		if !errors.Is(err, search.ErrDeadline) {

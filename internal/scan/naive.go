@@ -16,6 +16,7 @@ import (
 	"context"
 
 	"fexipro/internal/faults"
+	"fexipro/internal/obs"
 	"fexipro/internal/search"
 	"fexipro/internal/topk"
 	"fexipro/internal/vec"
@@ -34,7 +35,6 @@ import (
 // over the same scanRange.
 type Naive struct {
 	items *vec.Matrix
-	hook  *faults.Hook
 }
 
 // NewNaive indexes the item matrix (rows are item vectors). The matrix is
@@ -42,10 +42,6 @@ type Naive struct {
 func NewNaive(items *vec.Matrix) *Naive {
 	return &Naive{items: items}
 }
-
-// SetFaultHook installs (or, with nil, removes) the fault-injection
-// hook called once per scanned item.
-func (n *Naive) SetFaultHook(h *faults.Hook) { n.hook = h }
 
 // Search implements search.Searcher.
 func (n *Naive) Search(q []float64, k int) []topk.Result {
@@ -57,10 +53,11 @@ func (n *Naive) Search(q []float64, k int) []topk.Result {
 // every search.CheckStride items and returns the best-so-far partial
 // top-k with an ErrDeadline-wrapping error on cancellation.
 func (n *Naive) SearchContext(ctx context.Context, q []float64, k int) ([]topk.Result, error) {
+	qv := obs.QueryFrom(ctx)
 	var st search.Stats
 	c := topk.New(k)
-	err := n.scanRange(ctx, n.hook, q, 0, n.items.Rows, c, &st)
-	search.AddStats(ctx, st)
+	err := n.scanRange(ctx, qv.Hook, q, 0, n.items.Rows, c, &st)
+	qv.AddStats(st)
 	return c.Results(), err
 }
 

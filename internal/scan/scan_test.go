@@ -7,12 +7,13 @@ import (
 	"fexipro/internal/engine"
 	"fexipro/internal/method"
 	"fexipro/internal/scan"
+	"fexipro/internal/search"
 	"fexipro/internal/searchtest"
 	"fexipro/internal/vec"
 )
 
 func TestNaiveExact(t *testing.T) {
-	searchtest.CheckSearcher(t, func(items *vec.Matrix) searchtest.FaultSearcher {
+	searchtest.CheckSearcher(t, func(items *vec.Matrix) search.Searcher {
 		return scan.NewNaive(items)
 	}, "naive")
 }
@@ -31,7 +32,7 @@ func TestNaiveStats(t *testing.T) {
 // the registry builds it as FEXIPRO variant F compared strictly — and
 // these tests hold that build to what they held scan.SS to.
 func ss(w int) searchtest.Builder {
-	return func(items *vec.Matrix, shards int) searchtest.FaultSearcher {
+	return func(items *vec.Matrix, shards int) search.Searcher {
 		s, err := method.Sharded("SS", items, method.BuildOptions{W: w}, shards, 2)
 		if err != nil {
 			panic(err)
@@ -40,15 +41,15 @@ func ss(w int) searchtest.Builder {
 	}
 }
 
-func newSS(items *vec.Matrix, w int) searchtest.FaultSearcher { return ss(w).Sequential(items) }
+func newSS(items *vec.Matrix, w int) search.Searcher { return ss(w).Sequential(items) }
 
 // The two scans this package implements, as the engine runs them.
-func naive(items *vec.Matrix, shards int) searchtest.FaultSearcher {
+func naive(items *vec.Matrix, shards int) search.Searcher {
 	return engine.New(scan.NewNaiveKernel(scan.NewNaive(items), shards), 2)
 }
 
 func ssl(opts scan.SSLOptions) searchtest.Builder {
-	return func(items *vec.Matrix, shards int) searchtest.FaultSearcher {
+	return func(items *vec.Matrix, shards int) search.Searcher {
 		return engine.New(scan.NewSSLKernel(scan.NewSSL(items, opts), shards), 2)
 	}
 }

@@ -52,10 +52,12 @@ func Canceled(cause error) error {
 
 // Poll is the scan-loop guard slow path. Loops call it only when a
 // fault hook is installed, or the context is cancellable AND the item
-// index lands on a stride boundary:
+// index lands on a stride boundary. The hook is the one the query value
+// in ctx carries (obs.Query), read once per query — by the engine, which
+// hands it to each Kernel.Scan, or by a searcher of its own:
 //
 //	done := ctx.Done()
-//	hook := s.hook
+//	hook := obs.QueryFrom(ctx).Hook
 //	for i := 0; i < n; i++ {
 //		if hook != nil || (done != nil && i&search.StrideMask == 0) {
 //			if err := search.Poll(ctx, hook, i); err != nil {

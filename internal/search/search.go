@@ -22,33 +22,9 @@ type Searcher interface {
 	// return the best-so-far results and an error satisfying
 	// errors.Is(err, ErrDeadline). A nil error flags the results as
 	// exact. It adds the query's counters — a cancelled query's too — to
-	// the sink ctx carries (WithStats), if any.
+	// the sink of the query value ctx carries (obs.Query), if any, and
+	// polls that value's fault hook.
 	SearchContext(ctx context.Context, q []float64, k int) ([]topk.Result, error)
-}
-
-type statsKey struct{}
-
-// WithStats returns a context under which every search adds its counters
-// to st: a caller that wants one query's counters passes a zero Stats and
-// reads it after the call returns. The sink accumulates across the
-// queries run under it and is written by one goroutine at a time — the
-// one that called the search, or a batch task's join (Batch) — so it
-// must not be shared by queries that run concurrently.
-func WithStats(ctx context.Context, st *Stats) context.Context {
-	return context.WithValue(ctx, statsKey{}, st)
-}
-
-// StatsFrom returns the sink WithStats put in ctx, or nil.
-func StatsFrom(ctx context.Context) *Stats {
-	st, _ := ctx.Value(statsKey{}).(*Stats)
-	return st
-}
-
-// AddStats adds st to ctx's sink, if it carries one.
-func AddStats(ctx context.Context, st Stats) {
-	if sink := StatsFrom(ctx); sink != nil {
-		sink.Add(st)
-	}
 }
 
 // Stats counts the work done by one Search call.

@@ -3,14 +3,10 @@ package search
 import (
 	"context"
 	"errors"
-	"fmt"
-	"slices"
-	"sync"
 	"testing"
 	"time"
 
 	"fexipro/internal/faults"
-	"fexipro/internal/vec"
 )
 
 func TestStatsAdd(t *testing.T) {
@@ -30,22 +26,6 @@ func TestStatsAddZero(t *testing.T) {
 	a.Add(Stats{})
 	if a.Scanned != 5 {
 		t.Fatalf("Add zero changed stats: %+v", a)
-	}
-}
-
-// TestStatsSink: a context without a sink takes counters and drops them;
-// one with a sink accumulates every addition.
-func TestStatsSink(t *testing.T) {
-	AddStats(context.Background(), Stats{Scanned: 1})
-	if StatsFrom(context.Background()) != nil {
-		t.Fatal("a bare context carries a sink")
-	}
-	var st Stats
-	ctx := WithStats(context.Background(), &st)
-	AddStats(ctx, Stats{Scanned: 2, FullProducts: 1})
-	AddStats(ctx, Stats{Scanned: 3})
-	if StatsFrom(ctx) != &st || st != (Stats{Scanned: 5, FullProducts: 1}) {
-		t.Fatalf("sink holds %+v, want 5 scanned and 1 full product", st)
 	}
 }
 
@@ -69,57 +49,5 @@ func TestPollPassedDeadline(t *testing.T) {
 	}
 	if err := Poll(ctx, nil, 0); err != nil {
 		t.Fatalf("hook-less Poll = %v, want nil while Done is open", err)
-	}
-}
-
-// TestBatchChunksByNorm: Batch hands out every row exactly once, in
-// decreasing-norm order (equal norms by row) across contiguous chunks,
-// one chunk on the calling goroutine when workers ≤ 1, adds what the
-// chunks count to the caller's sink, and returns the error of the first
-// failing chunk in chunk order whatever the schedule.
-func TestBatchChunksByNorm(t *testing.T) {
-	queries := vec.FromRows([][]float64{{1}, {3}, {0}, {3}, {2}, {5}, {-4}})
-	wantOrder := []int{5, 6, 1, 3, 4, 0, 2}
-	for _, workers := range []int{-1, 0, 1, 2, 3, 7, 20} {
-		var mu sync.Mutex
-		var chunks [][]int
-		var sink Stats
-		if err := Batch(WithStats(context.Background(), &sink), queries, workers, func(ctx context.Context, rows []int) error {
-			AddStats(ctx, Stats{Scanned: len(rows)})
-			mu.Lock()
-			defer mu.Unlock()
-			chunks = append(chunks, rows)
-			return nil
-		}); err != nil {
-			t.Fatal(err)
-		}
-		if sink.Scanned != len(wantOrder) {
-			t.Fatalf("workers=%d: the chunks' sinks add up to %d rows, want %d", workers, sink.Scanned, len(wantOrder))
-		}
-		if want := min(max(workers, 1), 7); len(chunks) > want {
-			t.Fatalf("workers=%d: %d chunks", workers, len(chunks))
-		}
-		slices.SortFunc(chunks, func(a, b []int) int { return slices.Index(wantOrder, a[0]) - slices.Index(wantOrder, b[0]) })
-		if got := slices.Concat(chunks...); !slices.Equal(got, wantOrder) {
-			t.Fatalf("workers=%d: rows %v, want %v", workers, got, wantOrder)
-		}
-	}
-	errAt := func(row int) error { return fmt.Errorf("row %d", row) }
-	err := Batch(context.Background(), queries, 7, func(_ context.Context, rows []int) error {
-		if rows[0] == 3 || rows[0] == 0 {
-			return errAt(rows[0])
-		}
-		return nil
-	})
-	if err == nil || err.Error() != "row 3" {
-		t.Fatalf("first error by chunk order = %v, want row 3", err)
-	}
-	if err := Batch(context.Background(), vec.NewMatrix(0, 1), 4, func(_ context.Context, rows []int) error {
-		if len(rows) != 0 {
-			t.Fatalf("empty batch handed rows %v", rows)
-		}
-		return nil
-	}); err != nil {
-		t.Fatal(err)
 	}
 }

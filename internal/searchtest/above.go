@@ -8,14 +8,15 @@ import (
 	"testing"
 
 	"fexipro/internal/scan"
+	"fexipro/internal/search"
 	"fexipro/internal/topk"
 	"fexipro/internal/vec"
 )
 
-// aboveSearcher is a FaultSearcher that also answers the above-t task:
-// the engine over any kernel, which is what a Builder returns.
+// aboveSearcher is a searcher that also answers the above-t task: the
+// engine over any kernel, which is what a Builder returns.
 type aboveSearcher interface {
-	FaultSearcher
+	search.Searcher
 	SearchAboveContext(ctx context.Context, q []float64, t float64) ([]topk.Result, error)
 }
 
@@ -90,8 +91,8 @@ func CheckAbove(t *testing.T, build Builder, label string) {
 		}
 	}
 	for _, s := range append([]int{1}, ShardCounts...) {
-		checkCancelled(t, func(items *vec.Matrix) FaultSearcher { return build(items, s) }, fmt.Sprintf("%s/above S=%d", label, s),
-			func(e FaultSearcher, ctx context.Context, q []float64) ([]topk.Result, error) {
+		checkCancelled(t, func(items *vec.Matrix) search.Searcher { return build(items, s) }, fmt.Sprintf("%s/above S=%d", label, s),
+			func(e search.Searcher, ctx context.Context, q []float64) ([]topk.Result, error) {
 				return e.(aboveSearcher).SearchAboveContext(ctx, q, 0.5)
 			}, func(items *vec.Matrix, q []float64, base []topk.Result) {
 				CheckTopK(t, items, q, len(scan.NewNaive(items).SearchAbove(q, 0.5)), base, label+"/above/uncancelled")

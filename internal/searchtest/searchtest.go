@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"fexipro/internal/faults"
+	"fexipro/internal/obs"
 	"fexipro/internal/scan"
 	"fexipro/internal/search"
 	"fexipro/internal/topk"
@@ -71,7 +72,7 @@ func scoreClose(a, b float64) bool {
 
 // CheckSearcher runs a grid of (n, d, k) instances through the searcher
 // factory and validates every answer against Naive.
-func CheckSearcher(t *testing.T, build func(items *vec.Matrix) FaultSearcher, label string) {
+func CheckSearcher(t *testing.T, build func(items *vec.Matrix) search.Searcher, label string) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(12345))
 	cases := []struct{ n, d, k int }{
@@ -101,37 +102,31 @@ func CheckSearcher(t *testing.T, build func(items *vec.Matrix) FaultSearcher, la
 	}
 }
 
-// FaultSearcher is a searcher that accepts a fault-injection hook —
-// every searcher in this repository.
-type FaultSearcher interface {
-	search.Searcher
-	SetFaultHook(*faults.Hook)
-}
-
 // Counted answers q's top-k on s under a fresh counter sink
-// (search.WithStats) and returns the results with the query's counters.
+// (obs.WithStats) and returns the results with the query's counters.
 func Counted(s search.Searcher, q []float64, k int) ([]topk.Result, search.Stats) {
 	var st search.Stats
-	res, _ := s.SearchContext(search.WithStats(context.Background(), &st), q, k)
+	res, _ := s.SearchContext(obs.WithStats(context.Background(), &st), q, k)
 	return res, st
 }
 
 // Builder makes the searcher under test over its own index of items,
 // partitioned into the given number of shards: an engine over a kernel.
-type Builder func(items *vec.Matrix, shards int) FaultSearcher
+type Builder func(items *vec.Matrix, shards int) search.Searcher
 
 // Sequential is the builder at one shard, in the shape the unsharded
 // harnesses (CheckSearcher, CheckCancellation, …) take.
-func (b Builder) Sequential(items *vec.Matrix) FaultSearcher { return b(items, 1) }
+func (b Builder) Sequential(items *vec.Matrix) search.Searcher { return b(items, 1) }
 
 // CheckCancellation is the cancellation property suite shared by every
 // searcher: cancelling the scan at a random item (or node) index via a
-// deterministic fault NEVER yields a result set flagged exact (nil
-// error), every partial score is a true inner product of its returned
-// ID, partial results stay sorted, a hook that never fires leaves the
-// results identical to the uncancelled baseline, and an
-// already-cancelled context returns promptly with ErrDeadline.
-func CheckCancellation(t *testing.T, build func(items *vec.Matrix) FaultSearcher, label string) {
+// deterministic fault — a hook in the query's context (obs.Query) —
+// NEVER yields a result set flagged exact (nil error), every partial
+// score is a true inner product of its returned ID, partial results stay
+// sorted, a hook that never fires leaves the results identical to the
+// uncancelled baseline, and an already-cancelled context returns
+// promptly with ErrDeadline.
+func CheckCancellation(t *testing.T, build func(items *vec.Matrix) search.Searcher, label string) {
 	t.Helper()
 	checkCancellation(t, build, label, true)
 }
@@ -141,15 +136,15 @@ func CheckCancellation(t *testing.T, build func(items *vec.Matrix) FaultSearcher
 // but every other invariant — never-exact-when-cut-short, true scores,
 // sortedness, unfired-hook determinism, prompt pre-cancelled return —
 // still holds.
-func CheckCancellationApprox(t *testing.T, build func(items *vec.Matrix) FaultSearcher, label string) {
+func CheckCancellationApprox(t *testing.T, build func(items *vec.Matrix) search.Searcher, label string) {
 	t.Helper()
 	checkCancellation(t, build, label, false)
 }
 
-func checkCancellation(t *testing.T, build func(items *vec.Matrix) FaultSearcher, label string, exact bool) {
+func checkCancellation(t *testing.T, build func(items *vec.Matrix) search.Searcher, label string, exact bool) {
 	t.Helper()
 	const k = 10
-	checkCancelled(t, build, label, func(s FaultSearcher, ctx context.Context, q []float64) ([]topk.Result, error) {
+	checkCancelled(t, build, label, func(s search.Searcher, ctx context.Context, q []float64) ([]topk.Result, error) {
 		return s.SearchContext(ctx, q, k)
 	}, func(items *vec.Matrix, q []float64, base []topk.Result) {
 		if exact {
@@ -160,8 +155,8 @@ func checkCancellation(t *testing.T, build func(items *vec.Matrix) FaultSearcher
 
 // checkCancelled is the cancellation suite for any one-query entry point:
 // query runs it on s, checkBase judges the uncancelled answer.
-func checkCancelled(t *testing.T, build func(items *vec.Matrix) FaultSearcher, label string,
-	query func(s FaultSearcher, ctx context.Context, q []float64) ([]topk.Result, error),
+func checkCancelled(t *testing.T, build func(items *vec.Matrix) search.Searcher, label string,
+	query func(s search.Searcher, ctx context.Context, q []float64) ([]topk.Result, error),
 	checkBase func(items *vec.Matrix, q []float64, base []topk.Result)) {
 	t.Helper()
 	const seed = 20240611
@@ -179,9 +174,7 @@ func checkCancelled(t *testing.T, build func(items *vec.Matrix) FaultSearcher, l
 		cancelAt := 1 + rng.Intn(600) // may exceed the work actually done
 		reg := faults.NewRegistry(seed + int64(trial))
 		hook := reg.Enable(faults.SiteScan, faults.Plan{CancelAtItem: cancelAt})
-		s.SetFaultHook(hook)
-		res, err := query(s, context.Background(), q)
-		s.SetFaultHook(nil)
+		res, err := query(s, obs.WithQuery(context.Background(), obs.Query{Hook: hook}), q)
 
 		if hook.Counts().Cancels > 0 {
 			// The scan was cut short: flagging these results exact (nil
@@ -238,7 +231,7 @@ func checkSameAnswer(t *testing.T, got, want []topk.Result, what string) {
 
 // CheckSearcherEdgeCases exercises degenerate inputs: zero queries, zero
 // items, duplicated vectors, negative-only data.
-func CheckSearcherEdgeCases(t *testing.T, build func(items *vec.Matrix) FaultSearcher, label string) {
+func CheckSearcherEdgeCases(t *testing.T, build func(items *vec.Matrix) search.Searcher, label string) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(999))
 

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"fexipro/internal/search"
 	"fexipro/internal/topk"
 	"fexipro/internal/vec"
 )
@@ -82,7 +83,7 @@ func checkShardedInstance(t *testing.T, build Builder, items *vec.Matrix, k, tri
 func checkShardedQueries(t *testing.T, build Builder, items *vec.Matrix, queries [][]float64, k int, label string) {
 	t.Helper()
 	ref := build(items, 1)
-	sharded := make(map[int]FaultSearcher, len(ShardCounts))
+	sharded := make(map[int]search.Searcher, len(ShardCounts))
 	for _, s := range ShardCounts {
 		sharded[s] = build(items, s)
 	}
@@ -116,7 +117,7 @@ func CheckShardedCancellation(t *testing.T, build Builder, label string) {
 	t.Helper()
 	for _, s := range ShardCounts {
 		s := s
-		CheckCancellation(t, func(items *vec.Matrix) FaultSearcher {
+		CheckCancellation(t, func(items *vec.Matrix) search.Searcher {
 			return build(items, s)
 		}, fmt.Sprintf("%s/S=%d", label, s))
 	}
@@ -129,7 +130,7 @@ func CheckShardedCancellationApprox(t *testing.T, build Builder, label string) {
 	t.Helper()
 	for _, s := range ShardCounts {
 		s := s
-		CheckCancellationApprox(t, func(items *vec.Matrix) FaultSearcher {
+		CheckCancellationApprox(t, func(items *vec.Matrix) search.Searcher {
 			return build(items, s)
 		}, fmt.Sprintf("%s/S=%d", label, s))
 	}

@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"runtime/debug"
 	"testing"
+	"time"
 
 	"fexipro/internal/core"
 	"fexipro/internal/server"
@@ -26,6 +27,11 @@ func (w *nopWriter) Write(p []byte) (int, error) { return len(p), nil }
 // server over n items of d = 50 and pre-encoded {"k":10,"vector":[…]}
 // bodies with 17-digit floats.
 func searchFixture(tb testing.TB, n, queries int) (http.Handler, [][]byte) {
+	return searchFixtureConfig(tb, n, queries, server.Config{})
+}
+
+// searchFixtureConfig is searchFixture for a server made with cfg.
+func searchFixtureConfig(tb testing.TB, n, queries int, cfg server.Config) (http.Handler, [][]byte) {
 	tb.Helper()
 	const d = 50
 	rng := rand.New(rand.NewSource(24))
@@ -33,7 +39,7 @@ func searchFixture(tb testing.TB, n, queries int) (http.Handler, [][]byte) {
 	for i := range items.Data {
 		items.Data[i] = rng.NormFloat64()
 	}
-	srv, err := server.New(items, core.Options{SVD: true, Int: true, Reduction: true})
+	srv, err := server.NewWithConfig(items, core.Options{SVD: true, Int: true, Reduction: true}, cfg)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -70,29 +76,41 @@ func BenchmarkHandlerSearch(b *testing.B) {
 // TestHandlerSearchAllocations pins what one search costs the handler in
 // allocations, request construction excluded: encoding/json's reflection
 // decode and encode made it 57, the scanner and appender left 15, the
-// in-place query transform left 14, and the bound is 14, so one more
-// allocation on the search path fails here. The counter sink the handler
-// searches under costs one context.WithValue; observe's WithValue gave
-// way to reqInfo as the request's context, which pays for it. Under the race detector,
-// whose instrumentation moves values to the heap, the count means nothing.
+// in-place query transform left 14, and the query value (obs.Query) that
+// the request's own record answers from Value — span, counter sink and
+// fault hook, with no context.WithValue and no request copy — left 13
+// untraced. A traced search (a root span, its children and attributes;
+// SlowQuery keeps the ring out of it) made 36 and makes 33. The bounds
+// are those counts, so one more allocation on either path fails here.
+// Under the race detector, whose instrumentation moves values to the
+// heap, the count means nothing.
 func TestHandlerSearchAllocations(t *testing.T) {
 	if raceDetector() {
 		t.Skip("allocation counts differ under -race")
 	}
-	h, bodies := searchFixture(t, 500, 1)
-	w := &nopWriter{h: http.Header{}}
-	const runs = 200
-	reqs := make([]*http.Request, 0, runs+1) // AllocsPerRun warms up with one extra call
-	for len(reqs) < cap(reqs) {
-		reqs = append(reqs, httptest.NewRequest(http.MethodPost, "/v1/search", bytes.NewReader(bodies[0])))
-	}
-	next := 0
-	got := testing.AllocsPerRun(runs, func() {
-		h.ServeHTTP(w, reqs[next])
-		next++
-	})
-	if got > 14 {
-		t.Fatalf("one /v1/search allocates %.0f times in the handler, want ≤ 14", got)
+	for _, c := range []struct {
+		name string
+		cfg  server.Config
+		max  float64
+	}{
+		{"untraced", server.Config{}, 13},
+		{"traced", server.Config{Trace: true, SlowQuery: time.Hour}, 33},
+	} {
+		h, bodies := searchFixtureConfig(t, 500, 1, c.cfg)
+		w := &nopWriter{h: http.Header{}}
+		const runs = 200
+		reqs := make([]*http.Request, 0, runs+1) // AllocsPerRun warms up with one extra call
+		for len(reqs) < cap(reqs) {
+			reqs = append(reqs, httptest.NewRequest(http.MethodPost, "/v1/search", bytes.NewReader(bodies[0])))
+		}
+		next := 0
+		got := testing.AllocsPerRun(runs, func() {
+			h.ServeHTTP(w, reqs[next])
+			next++
+		})
+		if got > c.max {
+			t.Fatalf("%s: one /v1/search allocates %.0f times in the handler, want ≤ %.0f", c.name, got, c.max)
+		}
 	}
 }
 

@@ -64,7 +64,7 @@ func openPersistence(cfg Config, initial *vec.Matrix, opts core.Options, shards 
 	b := &persistBoot{}
 	start := time.Now()
 	root := obs.NewRoot("boot")
-	rec, err := core.OpenRecovered(obs.ContextWithSpan(context.Background(), root), cfg.DataDir, cfg.SearchWorkers, syncEvery)
+	rec, err := core.OpenRecovered(obs.WithQuery(context.Background(), obs.Query{Span: root}), cfg.DataDir, cfg.SearchWorkers, syncEvery)
 	switch {
 	case err == nil:
 		b.loadDur = time.Since(start)

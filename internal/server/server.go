@@ -388,19 +388,20 @@ func (s *Server) Handler() http.Handler {
 }
 
 // reqInfo is observe's per-request record and the request's context: it
-// embeds the parent context and answers reqInfoKey itself, so the record
-// is one allocation and needs no context.WithValue. It holds the trace
-// ID, the status-capturing writer the inner layers write through, and
-// what handlers fill in so the middleware can log search-specific fields
-// (k, per-stage counters, span-stage timings) without re-plumbing every
-// handler's return path.
+// embeds the parent context and answers reqInfoKey and obs.QueryKey
+// itself, so the record is one allocation and needs no context.WithValue.
+// It holds the trace ID, the status-capturing writer the inner layers
+// write through, the request's obs.Query, and what handlers fill in so
+// the middleware can log search-specific fields (k, per-stage counters,
+// span-stage timings) without re-plumbing every handler's return path.
 type reqInfo struct {
 	context.Context
 	traceID string
 	sw      statusWriter
+	query   obs.Query
 
 	k        int
-	stats    search.Stats // the search handlers' sink (search.WithStats)
+	stats    search.Stats // the search handlers' sink (query.Stats)
 	hasStats bool
 
 	// Span-stage summary (tracing enabled only).
@@ -413,11 +414,14 @@ type reqInfo struct {
 
 type reqInfoKey struct{}
 
-// Value answers reqInfoKey with the record and every other key from the
-// parent context.
+// Value answers reqInfoKey with the record, obs.QueryKey with its Query,
+// and every other key from the parent context.
 func (info *reqInfo) Value(key any) any {
-	if key == (reqInfoKey{}) {
+	switch key.(type) {
+	case reqInfoKey:
 		return info
+	case obs.QueryKey:
+		return &info.query
 	}
 	return info.Context.Value(key)
 }
@@ -617,17 +621,16 @@ func (s *Server) noteSearch(info *reqInfo, k int, took time.Duration) obs.StageC
 	return obs.StageCountersFrom(info.stats)
 }
 
-// searchLocked serializes index access around fn, releasing the mutex
-// even when an injected fault panics mid-scan (the deferred unlock is
-// what keeps a recovered panic from deadlocking every later request).
-// fn's counters go to the sink in the context it searches under, so
-// nothing is read from the index after the scan. The scan-site fault
-// hook is re-read per call so tests can Enable or Disable it between
-// requests.
-func (s *Server) searchLocked(fn func() ([]topk.Result, error)) ([]topk.Result, error) {
+// searchLocked points info's Query at info.stats and the scan-site fault
+// hook (re-read per call so tests can Enable or Disable it between
+// requests), then only serializes index access around fn, releasing the
+// mutex even when an injected fault panics mid-scan (the deferred unlock
+// is what keeps a recovered panic from deadlocking every later request).
+func (s *Server) searchLocked(info *reqInfo, fn func() ([]topk.Result, error)) ([]topk.Result, error) {
+	info.query.Stats = &info.stats
+	info.query.Hook = s.cfg.Faults.Hook(faults.SiteScan)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.idx.SetFaultHook(s.cfg.Faults.Hook(faults.SiteScan))
 	// fn is always one index scan whose runtime is bounded by the
 	// request deadline: the context threaded into it fires ErrDeadline
 	// and the scan returns, so the hold time is capped by MaxTimeout.
@@ -651,12 +654,11 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "k %d exceeds maximum %d", req.K, s.MaxK)
 		return
 	}
-	r, root := s.traceStart(r, "search")
+	root := s.traceStart(r, "search")
 	info := reqInfoFrom(r.Context())
-	ctx := search.WithStats(r.Context(), &info.stats)
 	start := time.Now()
-	results, err := s.searchLocked(func() ([]topk.Result, error) {
-		return s.idx.SearchContext(ctx, req.Vector, req.K)
+	results, err := s.searchLocked(info, func() ([]topk.Result, error) {
+		return s.idx.SearchContext(r.Context(), req.Vector, req.K)
 	})
 	took := time.Since(start)
 	sc := s.noteSearch(info, req.K, took)
@@ -686,12 +688,11 @@ func (s *Server) handleAbove(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "a finite threshold is required")
 		return
 	}
-	r, root := s.traceStart(r, "above")
+	root := s.traceStart(r, "above")
 	info := reqInfoFrom(r.Context())
-	ctx := search.WithStats(r.Context(), &info.stats)
 	start := time.Now()
-	results, err := s.searchLocked(func() ([]topk.Result, error) {
-		return s.idx.SearchAboveContext(ctx, req.Vector, *req.Threshold)
+	results, err := s.searchLocked(info, func() ([]topk.Result, error) {
+		return s.idx.SearchAboveContext(r.Context(), req.Vector, *req.Threshold)
 	})
 	took := time.Since(start)
 	sc := s.noteSearch(info, 0, took)
@@ -727,7 +728,7 @@ func (s *Server) handleAddItem(w http.ResponseWriter, r *http.Request) {
 		httpErrorCode(w, http.StatusServiceUnavailable, "reloading", "catalog reload in progress; retry shortly")
 		return
 	}
-	r, root := s.traceStart(r, "add")
+	root := s.traceStart(r, "add")
 	start := time.Now()
 	s.mu.Lock()
 	id, err := s.idx.AddContext(r.Context(), req.Vector)
@@ -774,7 +775,7 @@ func (s *Server) handleDeleteItem(w http.ResponseWriter, r *http.Request) {
 		httpErrorCode(w, http.StatusServiceUnavailable, "reloading", "catalog reload in progress; retry shortly")
 		return
 	}
-	r, root := s.traceStart(r, "delete")
+	root := s.traceStart(r, "delete")
 	start := time.Now()
 	s.mu.Lock()
 	err = s.idx.DeleteContext(r.Context(), id)

@@ -11,15 +11,16 @@ import (
 // collection, the /debug/queries slow-query ring, and the scrape-time
 // refresh of the windowed quantile and uptime gauges.
 
-// traceStart opens a root span for a traced request and returns a
-// context carrying it. With tracing disabled it returns ctx unchanged
-// and a nil span — every downstream span call is then a no-op.
-func (s *Server) traceStart(r *http.Request, method string) (*http.Request, *obs.Span) {
+// traceStart opens a root span for a traced request and puts it in the
+// request's obs.Query. With tracing disabled it returns nil — every
+// downstream span call is then a no-op.
+func (s *Server) traceStart(r *http.Request, method string) *obs.Span {
 	if !s.cfg.Trace {
-		return r, nil
+		return nil
 	}
-	root := obs.NewRoot(method)
-	return r.WithContext(obs.ContextWithSpan(r.Context(), root)), root
+	info := reqInfoFrom(r.Context())
+	info.query.Span = obs.NewRoot(method)
+	return info.query.Span
 }
 
 // traceFinish ends the root span, surfaces its stage summary to the

@@ -21,6 +21,7 @@ import (
 	"fexipro/internal/core"
 	"fexipro/internal/data"
 	"fexipro/internal/experiments"
+	"fexipro/internal/obs"
 	"fexipro/internal/search"
 )
 
@@ -47,7 +48,7 @@ func BenchmarkShardedSearch(b *testing.B) {
 			var st search.Stats
 			for i := 0; i < b.N; i++ {
 				st = search.Stats{}
-				ctx := search.WithStats(context.Background(), &st)
+				ctx := obs.WithStats(context.Background(), &st)
 				for qi := 0; qi < ds.Queries.Rows; qi++ {
 					_, _ = built.Searcher.SearchContext(ctx, ds.Queries.Row(qi), k)
 				}
@@ -87,7 +88,7 @@ func BenchmarkDynamicSearchTombstones(b *testing.B) {
 			var st search.Stats
 			for i := 0; i < b.N; i++ {
 				st = search.Stats{}
-				ctx := search.WithStats(context.Background(), &st)
+				ctx := obs.WithStats(context.Background(), &st)
 				for qi := 0; qi < ds.Queries.Rows; qi++ {
 					_, _ = di.SearchContext(ctx, ds.Queries.Row(qi), k)
 				}
