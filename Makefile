@@ -141,6 +141,7 @@ fuzz-smoke:
 	$(GO) test ./internal/core -run='^$$' -fuzz=FuzzIntegerBound -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/core -run='^$$' -fuzz=FuzzBlockedScan -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/core -run='^$$' -fuzz=FuzzLoadSnapshot -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/core -run='^$$' -fuzz=FuzzReadIndex -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/snap -run='^$$' -fuzz=FuzzSnapshotLoad -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/snap -run='^$$' -fuzz=FuzzWALReplay -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/server -run='^$$' -fuzz=FuzzDecodeRequest -fuzztime=$(FUZZTIME)

@@ -15,7 +15,7 @@ func (f *FEXIPRO) SaveIndex(path string) error {
 	if err != nil {
 		return err
 	}
-	if _, err := f.idx.WriteTo(file); err != nil {
+	if err := f.idx.Save(file); err != nil {
 		_ = file.Close() // the write error is the one worth reporting
 		return err
 	}

@@ -3,7 +3,6 @@ package core
 import (
 	"bytes"
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -984,79 +983,14 @@ func TestEBoundary(t *testing.T) {
 	}
 }
 
-// TestDecodeIntDataRejectsLies: an idx.ints section that parses but whose
-// floors leave the range E allows, or disagree with their stored sums,
-// is corruption — in either encoding of the floors.
-func TestDecodeIntDataRejectsLies(t *testing.T) {
-	const n, d, w = 2, 3, 2
-	int16s := false
-	encode := func(floors []int32, sumAbsHead, sumAbsTail []int64) *snap.Decoder {
-		var e snap.Encoder
-		e.F64(100)
-		for i := 0; i < 4; i++ {
-			e.F64(1)
-		}
-		e.Bool(int16s)
-		if int16s {
-			floors16 := make([]int16, len(floors))
-			for i, f := range floors {
-				floors16[i] = int16(f)
-			}
-			e.Int16s(floors16)
-		} else {
-			e.Int32s(floors)
-		}
-		e.Int64s(sumAbsHead)
-		e.Int64s(sumAbsTail)
-		return snap.NewDecoder(e.Bytes())
-	}
-	good := []int32{-101, 100, 7, 1, -2, -3}
-	for _, int16s = range []bool{false, true} {
-		if _, err := decodeIntData(encode(good, []int64{201, 3}, []int64{7, 3}), n, d, w); err != nil {
-			t.Fatalf("consistent section rejected: %v", err)
-		}
-		for name, dec := range map[string]*snap.Decoder{
-			"head floor out of range": encode([]int32{-102, 100, 7, 1, -2, -3}, []int64{202, 3}, []int64{7, 3}),
-			"tail floor out of range": encode([]int32{-101, 100, 101, 1, -2, -3}, []int64{201, 3}, []int64{101, 3}),
-			"head sum mismatch":       encode(good, []int64{200, 3}, []int64{7, 3}),
-			"tail sum mismatch":       encode(good, []int64{201, 3}, []int64{7, 4}),
-			"tail sum off by 2³²":     encode(good, []int64{201, 3}, []int64{7 + 1<<32, 3}),
-			"short floors":            encode(good[:5], []int64{201, 3}, []int64{7, 3}),
-		} {
-			if _, err := decodeIntData(dec, n, d, w); !errors.Is(err, snap.ErrChecksum) {
-				t.Fatalf("%s (int16 floors: %v): err = %v, want ErrChecksum", name, int16s, err)
-			}
-		}
-	}
-	// A floor the int8 tables would wrap into range must be refused, not
-	// stored: 263 (at E = 100) and 40000 (only an int32 file holds it, at
-	// E = 127) are 7 and 64 as int8s.
-	for _, int16s = range []bool{false, true} {
-		if _, err := decodeIntData(encode([]int32{1, 2, 263, 1, -2, -3}, []int64{3, 3}, []int64{263, 3}), n, d, w); !errors.Is(err, snap.ErrChecksum) {
-			t.Fatalf("floor 263 (int16 floors: %v): err = %v, want ErrChecksum", int16s, err)
-		}
-	}
-	var enc snap.Encoder
-	enc.F64(MaxE)
-	for i := 0; i < 4; i++ {
-		enc.F64(1)
-	}
-	enc.Bool(false)
-	enc.Int32s([]int32{1, 2, 40000, 1, -2, -3})
-	enc.Int64s([]int64{3, 3})
-	enc.Int64s([]int64{40000, 3})
-	if _, err := decodeIntData(snap.NewDecoder(enc.Bytes()), n, d, w); !errors.Is(err, snap.ErrChecksum) {
-		t.Fatalf("int32 floor 40000: err = %v, want ErrChecksum", err)
-	}
-}
-
 // TestInt32TailFixture: testdata/fexidx_int32_tail.snap was written by
 // Index.Save while the tail floors were int32 in memory and on disk (60×8
-// standard normal rows from rand.NewSource(31), F-SIR). It must load into
-// the index a fresh build gives — same answers, score bits and counters,
-// the int8 tail making the very pruning decisions the int32 one made —
-// re-save as that build saves, in the int16 encoding, and be refused once
-// a floor in it is one no int16 tail could have produced.
+// standard normal rows from rand.NewSource(31), F-SIR), with idx.tail,
+// idx.ints and idx.red sections today's Save no longer writes. The reader
+// skips them, so the file must load into the index a fresh build gives —
+// field for field, with the same answers, score bits and counters — and
+// re-save as that build saves. A skipped section is still checksummed: one
+// byte flipped inside the old idx.ints payload is ErrChecksum.
 func TestInt32TailFixture(t *testing.T) {
 	raw, err := os.ReadFile(filepath.Join("testdata", "fexidx_int32_tail.snap"))
 	if err != nil {
@@ -1071,6 +1005,9 @@ func TestInt32TailFixture(t *testing.T) {
 	fresh, err := NewIndex(normalMatrix(rng, n, d), Options{SVD: true, Int: true, Reduction: true})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if diff := firstFieldThatDiffers(fresh, loaded); diff != "" {
+		t.Fatalf("loaded index differs from a fresh build in %q", diff)
 	}
 	rl, rf := NewRetriever(loaded), NewRetriever(fresh)
 	for i := 0; i < 50; i++ {
@@ -1087,20 +1024,23 @@ func TestInt32TailFixture(t *testing.T) {
 	if err := fresh.Save(&built); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(resaved.Bytes(), built.Bytes()) || resaved.Len() != len(raw)-2*n*d {
-		t.Fatalf("re-saved %d bytes, a fresh build saves %d, the int32 file is %d", resaved.Len(), built.Len(), len(raw))
+	if !bytes.Equal(resaved.Bytes(), built.Bytes()) {
+		t.Fatalf("re-saved %d bytes, a fresh build saves %d", resaved.Len(), built.Len())
 	}
 
-	// idx.ints: e, two maxima, two scales, the encoding flag, the floors'
-	// length, then n·d floors of four bytes; the last of row 0 is a tail one.
-	lying := withSection(t, raw, secIdxInts, func(p []byte) {
-		if p[5*8] != 0 {
-			t.Fatal("the fixture's floors are not in the int32 encoding")
-		}
-		binary.LittleEndian.PutUint32(p[5*8+1+8+4*(d-1):], 40000)
-	})
-	if _, err := ReadIndex(bytes.NewReader(lying)); !errors.Is(err, snap.ErrChecksum) {
-		t.Fatalf("floor patched to 40000: err = %v, want ErrChecksum", err)
+	f, err := snap.Read(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ints, ok := f.Section("idx.ints")
+	if !ok {
+		t.Fatal("the fixture has no idx.ints section: it no longer tests the old format")
+	}
+	at := bytes.Index(raw, ints) + len(ints)/2
+	flipped := append([]byte(nil), raw...)
+	flipped[at] ^= 0x40
+	if _, err := ReadIndex(bytes.NewReader(flipped)); !errors.Is(err, snap.ErrChecksum) {
+		t.Fatalf("byte %d of the skipped idx.ints flipped: err = %v, want ErrChecksum", at, err)
 	}
 }
 
@@ -1134,39 +1074,42 @@ func TestNewIntDataPredicate(t *testing.T) {
 	}
 }
 
-// TestHeadWidthSurvivesSaveLoad: the file holds int16 floors and the
-// tables int8 ones, so an index read back — at E = 100 and at the largest,
-// E = 127, whose −128 floors are the int8 range's end — is the built one
-// table for table and saves the same bytes; and the golden file, written
-// by a commit whose head tables and tails were all int16, loads into the
-// tables today's build of its catalog has (TestGoldenSnapshotBitIdentical
-// compares answers and counters).
+// TestHeadWidthSurvivesSaveLoad: the file stores the rows and ReadIndex
+// derives the integer and reduction tables from them, so for every
+// combination of S, I and R and for E at 1, 100 and the largest, 127 —
+// whose −128 floors are the int8 range's end — an index read back is the
+// built one table for table and saves the bytes the build saves.
 func TestHeadWidthSurvivesSaveLoad(t *testing.T) {
 	ds := data.Generate(data.MovieLens(), 200, 8, 16)
-	for _, e := range []float64{100, 127} {
-		built, err := NewIndex(ds.Items, Options{SVD: true, Int: true, Reduction: true, E: e})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var file, again bytes.Buffer
-		if err := built.Save(&file); err != nil {
-			t.Fatal(err)
-		}
-		raw := file.Bytes()
-		if e == 100 {
-			if raw, err = os.ReadFile(filepath.Join("testdata", "fexsnap_v1_movielens.snap")); err != nil {
+	for bits := 0; bits < 8; bits++ {
+		for _, e := range []float64{1, 100, MaxE} {
+			opts := Options{SVD: bits&1 != 0, Int: bits&2 != 0, Reduction: bits&4 != 0, E: e}
+			built, err := NewIndex(ds.Items, opts)
+			if err != nil {
 				t.Fatal(err)
 			}
-		}
-		loaded, err := ReadIndex(bytes.NewReader(raw))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if diff := firstFieldThatDiffers(built, loaded); diff != "" {
-			t.Fatalf("E=%v: loaded index differs from the built one in %q", e, diff)
-		}
-		if err := loaded.Save(&again); err != nil || !bytes.Equal(again.Bytes(), raw) {
-			t.Fatalf("E=%v: re-saved %d bytes (err %v), read %d", e, again.Len(), err, len(raw))
+			var file, again bytes.Buffer
+			if err := built.Save(&file); err != nil {
+				t.Fatal(err)
+			}
+			loaded, err := ReadIndex(bytes.NewReader(file.Bytes()))
+			if err != nil {
+				t.Fatalf("%+v: %v", opts, err)
+			}
+			if diff := firstFieldThatDiffers(built, loaded); diff != "" {
+				t.Fatalf("%+v: loaded index differs from the built one in %q", opts, diff)
+			}
+			if err := loaded.Save(&again); err != nil || !bytes.Equal(again.Bytes(), file.Bytes()) {
+				t.Fatalf("%+v: re-saved %d bytes (err %v), the build saved %d", opts, again.Len(), err, file.Len())
+			}
 		}
 	}
+}
+
+// row inverts setRow: f receives row i's d floors; it returns Σ_{s<w}|f_s|.
+func (id *intData) row(i, w int, f []int32) (sumAbsHead int64) {
+	for s, x := range id.tail[i*(len(f)-w) : (i+1)*(len(f)-w)] {
+		f[w+s] = int32(x)
+	}
+	return id.head.UnpackRow(f[:w], i)
 }

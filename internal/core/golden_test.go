@@ -15,8 +15,11 @@ import (
 // bytes were written by the Save code of the commit that introduced
 // them, so any later encoding change — field order, widths, section
 // layout — fails these tests instead of silently orphaning every
-// snapshot in production. Regenerate (after a DELIBERATE format bump)
-// with:
+// snapshot in production. They were last regenerated when Save stopped
+// writing the tables ReadIndex derives (idx.tail, idx.ints, idx.red);
+// testdata/fexidx_int32_tail.snap is kept in the format before that, and
+// TestInt32TailFixture holds today's reader to it. Regenerate (only after
+// a DELIBERATE format change, which keeps older files loading) with:
 //
 //	UPDATE_SNAP_GOLDEN=1 go test ./internal/core/ -run TestWriteGoldenSnapshots
 const (
@@ -26,7 +29,7 @@ const (
 
 // goldenIndex builds the fixture index: a seeded 200×16 MovieLens-like
 // item set through the full FEXIPRO pipeline (SVD + integer +
-// reduction), so every optional section appears in the container.
+// reduction), so the optional idx.svd section appears in the container.
 func goldenIndex(t testing.TB) (*core.Index, *data.Dataset) {
 	t.Helper()
 	ds := data.Generate(data.MovieLens(), 200, 8, 16)

@@ -141,8 +141,19 @@ func newIndex(cat *catalog, ids []int, opts Options, ab Ablation) (*Index, error
 
 	// 3. Checking dimension w (line 4).
 	idx.w = idx.chooseW()
+	if err := idx.derive(); err != nil {
+		return nil, err
+	}
+	return idx, nil
+}
 
-	// 4. Residual norms for incremental pruning (line 11).
+// derive computes the tables that cost one pass over bar each (Algorithm
+// 3 lines 8, 9 and 11) from opts, w, bar, sigma and the ablation. newIndex
+// calls it after the SVD and ReadIndex after decoding what the file
+// stores, so a loaded index holds the built one's tables because one
+// function made both.
+func (idx *Index) derive() error {
+	// Residual norms for incremental pruning (line 11).
 	idx.barTail = make([]float64, idx.n)
 	vec.ForRows(idx.n, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
@@ -150,20 +161,20 @@ func newIndex(cat *catalog, ids []int, opts Options, ab Ablation) (*Index, error
 		}
 	})
 
-	// 5. Integer approximation (line 8).
-	if opts.Int {
-		ints, err := buildIntData(idx.bar, idx.w, opts.E, ab.GlobalIntScaling)
+	// Integer approximation (line 8).
+	if idx.opts.Int {
+		ints, err := buildIntData(idx.bar, idx.w, idx.opts.E, idx.ablation.GlobalIntScaling)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		idx.ints = ints
 	}
 
-	// 6. Monotonicity reduction (line 9).
-	if opts.Reduction {
+	// Monotonicity reduction (line 9).
+	if idx.opts.Reduction {
 		idx.red = buildRedData(idx.bar, idx.w, idx.sigma)
 	}
-	return idx, nil
+	return nil
 }
 
 // ErrNotFinite is wrapped by every error that rejects an item vector
@@ -326,7 +337,8 @@ func newIntData(n, d, w int, e float64) (*intData, error) {
 
 // setRow stores row i's d floors — head into its block, tail narrowed —
 // with their Σ|·| terms, and returns Σ_{s<w}|f_s|. ok is false when a
-// floor lies outside [−o, o−1], which only a corrupt snapshot can cause.
+// floor lies outside [−o, o−1], which only a loaded row whose coordinate
+// times E overflows can cause.
 func (id *intData) setRow(i, w int, f []int32) (sumAbsHead int64, ok bool) {
 	var sumAbsTail int64
 	sumAbsHead, ok = id.head.PackRow(i, f[:w])
@@ -339,14 +351,6 @@ func (id *intData) setRow(i, w int, f []int32) (sumAbsHead int64, ok bool) {
 	}
 	id.sumAbsTail[i] = int32(sumAbsTail)
 	return sumAbsHead, ok
-}
-
-// row inverts setRow: f receives row i's d floors; it returns Σ_{s<w}|f_s|.
-func (id *intData) row(i, w int, f []int32) (sumAbsHead int64) {
-	for s, x := range id.tail[i*(len(f)-w) : (i+1)*(len(f)-w)] {
-		f[w+s] = int32(x)
-	}
-	return id.head.UnpackRow(f[:w], i)
 }
 
 func abs64(a int64) int64 {

@@ -2,11 +2,16 @@ package core_test
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"math"
 	"math/rand"
 	"testing"
 
 	"fexipro/internal/core"
 	"fexipro/internal/searchtest"
+	"fexipro/internal/snap"
+	"fexipro/internal/vec"
 )
 
 func TestIndexRoundTrip(t *testing.T) {
@@ -23,12 +28,8 @@ func TestIndexRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 		var buf bytes.Buffer
-		n, err := orig.WriteTo(&buf)
-		if err != nil {
+		if err := orig.Save(&buf); err != nil {
 			t.Fatal(err)
-		}
-		if n != int64(buf.Len()) {
-			t.Fatalf("WriteTo reported %d bytes, wrote %d", n, buf.Len())
 		}
 		loaded, err := core.ReadIndex(&buf)
 		if err != nil {
@@ -71,7 +72,7 @@ func TestReadIndexRejectsCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if _, err := idx.WriteTo(&buf); err != nil {
+	if err := idx.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
 	full := buf.Bytes()
@@ -96,4 +97,102 @@ func TestReadIndexRejectsCorruption(t *testing.T) {
 		// never panic; the error itself is irrelevant.
 		_, _ = core.ReadIndex(bytes.NewReader(c))
 	}
+
+	// Files whose every CRC is good but which no Save wrote must be
+	// refused, not loaded into an index that panics, answers an item twice
+	// or floors differently per platform.
+	plain, err := core.NewIndex(items, core.Options{Int: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var plainBuf bytes.Buffer
+	if err := plain.Save(&plainBuf); err != nil {
+		t.Fatal(err)
+	}
+	payload := func(raw []byte, tag string) []byte {
+		f, err := snap.Read(bytes.NewReader(raw))
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, ok := f.Section(tag)
+		if !ok {
+			t.Fatalf("no section %q", tag)
+		}
+		return append([]byte(nil), p...)
+	}
+	const d = 8
+	basis := func(rows, cols, sigmas int) []byte {
+		var e snap.Encoder
+		e.Matrix(vec.NewMatrix(rows, cols))
+		e.Floats(make([]float64, sigmas))
+		return e.Bytes()
+	}
+	ints := func(edit func([]int)) []byte {
+		perm := snap.NewDecoder(payload(full, "idx.perm")).Ints()
+		edit(perm)
+		var e snap.Encoder
+		e.Ints(perm)
+		return e.Bytes()
+	}
+	rows := func(v float64) []byte {
+		m := snap.NewDecoder(payload(full, "idx.rows")).Matrix()
+		m.Data[3*d+5] = v
+		var e snap.Encoder
+		e.Matrix(m)
+		return e.Bytes()
+	}
+	e128 := payload(full, "idx.meta")
+	binary.LittleEndian.PutUint64(e128[3+8:], math.Float64bits(128)) // three bools, Rho, then E
+	for _, tc := range []struct {
+		name, tag string
+		raw       []byte
+		payload   []byte // nil drops the section
+	}{
+		{"idx.svd without Options.SVD", "idx.svd", plainBuf.Bytes(), basis(2, 2, 2)},
+		{"Options.SVD without idx.svd", "idx.svd", full, nil},
+		{"a basis one column short", "idx.svd", full, basis(d, d-1, d)},
+		{"one singular value short", "idx.svd", full, basis(d, d, d-1)},
+		{"perm repeats an ID", "idx.perm", full, ints(func(p []int) { p[1] = p[0] })},
+		{"perm leaves [0, n)", "idx.perm", full, ints(func(p []int) { p[2] = len(p) })},
+		{"a NaN coordinate", "idx.rows", full, rows(math.NaN())},
+		{"an infinite coordinate", "idx.rows", full, rows(math.Inf(-1))},
+		{"E = 128", "idx.meta", full, e128},
+	} {
+		raw := replaceSection(t, tc.raw, tc.tag, tc.payload)
+		_, err := core.ReadIndex(bytes.NewReader(raw))
+		if !errors.Is(err, snap.ErrChecksum) {
+			t.Fatalf("%s: err = %v, want ErrChecksum", tc.name, err)
+		}
+		if tc.name == "E = 128" && !errors.Is(err, core.ErrIntDomain) {
+			t.Fatalf("%s: err = %v, want ErrIntDomain too", tc.name, err)
+		}
+	}
+}
+
+// replaceSection returns the container raw with section tag's payload
+// replaced by payload — appended when raw has no such section, dropped
+// when payload is nil — and every CRC good.
+func replaceSection(t *testing.T, raw []byte, tag string, payload []byte) []byte {
+	t.Helper()
+	f, err := snap.Read(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b snap.Builder
+	found := false
+	for _, s := range f.Sections {
+		if s.Tag != tag {
+			b.Raw(s.Tag, s.Payload)
+		} else if found = true; payload != nil {
+			b.Raw(tag, payload)
+		}
+	}
+	if !found {
+		b.Raw(tag, payload)
+	}
+	var out bytes.Buffer
+	if err := b.Flush(&out); err != nil {
+		t.Fatal(err)
+	}
+	return out.Bytes()
 }

@@ -21,9 +21,8 @@ import (
 // re-save, bit-identical results and stage counters through the sharded
 // engine, and unchanged cancellation semantics. "F" pins the minimal
 // section set, "F-SIR" the full one (SVD + integer + reduction); the
-// remaining cases take the integer section to both ends of E's domain,
-// (0, 127], since Save widens the int8 floors to int16 and ReadIndex
-// narrows and re-packs them.
+// remaining cases take the integer tables ReadIndex derives to both ends
+// of E's domain, (0, 127].
 func TestSnapshotRoundTrip(t *testing.T) {
 	sir := core.Options{SVD: true, Int: true, Reduction: true}
 	e1, e127 := sir, sir

@@ -63,30 +63,6 @@ func (e *Encoder) Ints(v []int) {
 	}
 }
 
-// Int64s appends a length-prefixed []int64.
-func (e *Encoder) Int64s(v []int64) {
-	e.U64(uint64(len(v)))
-	for _, x := range v {
-		e.I64(x)
-	}
-}
-
-// Int32s appends a length-prefixed []int32.
-func (e *Encoder) Int32s(v []int32) {
-	e.U64(uint64(len(v)))
-	for _, x := range v {
-		e.buf = binary.LittleEndian.AppendUint32(e.buf, uint32(x))
-	}
-}
-
-// Int16s appends a length-prefixed []int16.
-func (e *Encoder) Int16s(v []int16) {
-	e.U64(uint64(len(v)))
-	for _, x := range v {
-		e.buf = binary.LittleEndian.AppendUint16(e.buf, uint16(x))
-	}
-}
-
 // Matrix appends rows, cols, and the row-major float64 data. A nil
 // matrix is encoded as rows = MaxUint64 and distinguished on load.
 func (e *Encoder) Matrix(m *vec.Matrix) {
@@ -252,53 +228,6 @@ func (d *Decoder) Ints() []int {
 	out := make([]int, n)
 	for i := range out {
 		out[i] = int(d.I64())
-	}
-	return out
-}
-
-// Int64s reads a length-prefixed []int64.
-func (d *Decoder) Int64s() []int64 {
-	n := d.length(8)
-	if d.err != nil {
-		return nil
-	}
-	out := make([]int64, n)
-	for i := range out {
-		out[i] = d.I64()
-	}
-	return out
-}
-
-// Int32s reads a length-prefixed []int32.
-func (d *Decoder) Int32s() []int32 {
-	n := d.length(4)
-	if d.err != nil {
-		return nil
-	}
-	out := make([]int32, n)
-	for i := range out {
-		b := d.take(4)
-		if b == nil {
-			return nil
-		}
-		out[i] = int32(binary.LittleEndian.Uint32(b))
-	}
-	return out
-}
-
-// Int16s reads a length-prefixed []int16.
-func (d *Decoder) Int16s() []int16 {
-	n := d.length(2)
-	if d.err != nil {
-		return nil
-	}
-	out := make([]int16, n)
-	for i := range out {
-		b := d.take(2)
-		if b == nil {
-			return nil
-		}
-		out[i] = int16(binary.LittleEndian.Uint16(b))
 	}
 	return out
 }
