@@ -509,8 +509,3 @@ func (idx *Index) Len() int { return idx.n }
 
 // Options returns the (defaulted) options the index was built with.
 func (idx *Index) Options() Options { return idx.opts }
-
-// SingularValues returns the singular values of the item matrix, or nil
-// when the SVD transformation is disabled. The slice must not be
-// modified.
-func (idx *Index) SingularValues() []float64 { return idx.sigma }

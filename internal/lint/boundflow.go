@@ -32,9 +32,9 @@ import (
 //     true score: a bound on the left or a threshold on the right admits
 //     only `<` (strict prune) and `>=` (tie-keeping keep), the mirror
 //     image only `>` and `<=`, and `==`/`!=` nothing; operators with a
-//     conservative rewrite carry it as a fix. A comparison over a
+//     conservative rewrite name it in the report. A comparison over a
 //     NEGATED labelled value is reported without one: `-b > -t` is the
-//     strict prune b < t, and "fixing" it to `>=` would prune ties.
+//     strict prune b < t, and rewriting it to `>=` would prune ties.
 //  2. In a function that can count (a Stats receiver, receiver field or
 //     parameter), a branch that runs when a prune holds — the body of
 //     `if b < t`, the else of `if b >= t` or `if !(b < t)` — and leaves
@@ -453,15 +453,7 @@ func (b *boundUnit) checkComparison(f *boundFunc, node ast.Node, be *ast.BinaryE
 		b.mp.Reportf(pos, msg, op)
 		return
 	}
-	b.mp.ReportFix(pos, SuggestedFix{
-		Message: "replace " + op + " with " + fixed.String(),
-		Edits: []TextEdit{{
-			File:    pos.Filename,
-			Offset:  pos.Offset,
-			End:     pos.Offset + len(op),
-			NewText: fixed.String(),
-		}},
-	}, msg+"; use "+fixed.String(), op)
+	b.mp.Reportf(pos, msg+"; use "+fixed.String(), op)
 }
 
 // checkExit is rule 2 for one if statement.

@@ -24,7 +24,6 @@ type lockEvent struct {
 	name    string   // Lock, RLock, Unlock, RUnlock
 	expr    ast.Expr // the mutex expression (receiver of the call)
 	pos     token.Pos
-	selPos  token.Pos // position of the method name ident
 	defered bool
 }
 
@@ -137,7 +136,7 @@ func collectLockEvents(pass *Pass, body *ast.BlockStmt) []lockEvent {
 		}
 		events = append(events, lockEvent{
 			path: path, name: sel.Sel.Name, expr: sel.X,
-			pos: call.Pos(), selPos: sel.Sel.Pos(), defered: defered,
+			pos: call.Pos(), defered: defered,
 		})
 		return !defered // a DeferStmt's call was handled; skip re-visiting it
 	})

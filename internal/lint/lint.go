@@ -27,8 +27,8 @@
 //     //fex:lockorder A < B, contradictions of the declared hierarchy
 //     are flagged, and cycles are reported as deadlock candidates with
 //     the full acquisition chain; and //fex:guard mu field contracts,
-//     with the annotation suggested as a fix for fields whose every
-//     write already holds exactly one mutex;
+//     with the annotation suggested for fields whose every write
+//     already holds exactly one mutex;
 //   - hotalloc:      no allocations, interface boxing, or closure
 //     captures inside loops marked //fex:hot;
 //   - apiparity:     exported Search ⇄ SearchContext (and SearchAbove ⇄
@@ -50,17 +50,15 @@
 // The driver type-checks package directories in parallel, runs each
 // analyzer's per-unit pass concurrently across units, then runs an
 // optional whole-program module phase over the facts the unit passes
-// exported (Pass.ExportFact → Analyzer.RunModule). Analyzers may attach
-// machine-applicable suggested fixes to diagnostics; `fexlint -fix`
-// applies them. A baseline file supports incremental adoption: known
-// findings recorded in the baseline are suppressed (and counted) until
-// fixed.
+// exported (Pass.ExportFact → Analyzer.RunModule).
 //
-// Diagnostics can be suppressed per line with
+// The one way to suppress a diagnostic is a line comment
 //
-//	//lint:ignore <analyzer> reason
+//	//lint:ignore <analyzer>[,<analyzer>...] <reason>
 //
-// placed on the flagged line or on the line immediately above it.
+// placed on the flagged line or on the line immediately above it. It
+// must name registered analyzers and give a reason; a directive that
+// does not silences nothing.
 package lint
 
 import (
@@ -69,6 +67,7 @@ import (
 	"go/token"
 	"go/types"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -77,32 +76,14 @@ import (
 	"fexipro/internal/lint/flow"
 )
 
-// TextEdit is one byte-range replacement in a file. Offsets are byte
-// offsets into the file's current content; End is exclusive.
-type TextEdit struct {
-	File    string `json:"file"`
-	Offset  int    `json:"offset"`
-	End     int    `json:"end"`
-	NewText string `json:"new_text"`
-}
-
-// SuggestedFix is a machine-applicable repair for a diagnostic,
-// applied by `fexlint -fix`.
-type SuggestedFix struct {
-	Message string     `json:"message"`
-	Edits   []TextEdit `json:"edits"`
-}
-
 // Diagnostic is one analyzer finding at a resolved source position.
 type Diagnostic struct {
-	Analyzer string         `json:"analyzer"`
-	Pos      token.Position `json:"-"`
-	File     string         `json:"file"`
-	Line     int            `json:"line"`
-	Col      int            `json:"col"`
-	Message  string         `json:"message"`
-	// Fixes holds machine-applicable repairs (may be empty).
-	Fixes []SuggestedFix `json:"fixes,omitempty"`
+	Analyzer string
+	Pos      token.Position
+	File     string
+	Line     int
+	Col      int
+	Message  string
 }
 
 // String renders the diagnostic in the canonical file:line:col form.
@@ -163,28 +144,23 @@ type Pass struct {
 // Reportf records a diagnostic at pos unless an ignore directive
 // suppresses it.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
-	p.report(pos, nil, format, args...)
-}
-
-// ReportFix records a diagnostic carrying a machine-applicable fix.
-func (p *Pass) ReportFix(pos token.Pos, fix SuggestedFix, format string, args ...any) {
-	p.report(pos, []SuggestedFix{fix}, format, args...)
-}
-
-func (p *Pass) report(pos token.Pos, fixes []SuggestedFix, format string, args ...any) {
 	position := p.Fset.Position(pos)
 	if p.unit.suppressed(p.Analyzer.Name, position) {
 		return
 	}
-	*p.out = append(*p.out, Diagnostic{
-		Analyzer: p.Analyzer.Name,
-		Pos:      position,
-		File:     position.Filename,
-		Line:     position.Line,
-		Col:      position.Column,
+	*p.out = append(*p.out, newDiagnostic(p.Analyzer.Name, position, format, args...))
+}
+
+// newDiagnostic formats one finding at a resolved position.
+func newDiagnostic(analyzer string, pos token.Position, format string, args ...any) Diagnostic {
+	return Diagnostic{
+		Analyzer: analyzer,
+		Pos:      pos,
+		File:     pos.Filename,
+		Line:     pos.Line,
+		Col:      pos.Column,
 		Message:  fmt.Sprintf(format, args...),
-		Fixes:    fixes,
-	})
+	}
 }
 
 // ExportFact publishes a (name, value) fact at pos for this analyzer's
@@ -209,12 +185,6 @@ func (p *Pass) TypeOf(expr ast.Expr) types.Type {
 		}
 	}
 	return nil
-}
-
-// Offset returns the byte offset of pos within its file, for building
-// TextEdits.
-func (p *Pass) Offset(pos token.Pos) int {
-	return p.Fset.Position(pos).Offset
 }
 
 // nonTestFiles drops the _test.go files of a unit.
@@ -259,55 +229,56 @@ type ModulePass struct {
 
 // Reportf records a module-phase diagnostic at a resolved position.
 func (mp *ModulePass) Reportf(pos token.Position, format string, args ...any) {
-	mp.report(pos, nil, format, args...)
-}
-
-// ReportFix records a module-phase diagnostic carrying a
-// machine-applicable fix.
-func (mp *ModulePass) ReportFix(pos token.Position, fix SuggestedFix, format string, args ...any) {
-	mp.report(pos, []SuggestedFix{fix}, format, args...)
-}
-
-func (mp *ModulePass) report(pos token.Position, fixes []SuggestedFix, format string, args ...any) {
 	if u := mp.byFile[pos.Filename]; u != nil && u.suppressed(mp.Analyzer.Name, pos) {
 		return
 	}
-	*mp.out = append(*mp.out, Diagnostic{
-		Analyzer: mp.Analyzer.Name,
-		Pos:      pos,
-		File:     pos.Filename,
-		Line:     pos.Line,
-		Col:      pos.Column,
-		Message:  fmt.Sprintf(format, args...),
-		Fixes:    fixes,
-	})
+	*mp.out = append(*mp.out, newDiagnostic(mp.Analyzer.Name, pos, format, args...))
 }
 
 // ignoreDirective is one parsed //lint:ignore comment.
 type ignoreDirective struct {
 	line      int
-	analyzers []string // empty or "*" entry means all analyzers
+	analyzers []string
 }
 
-// parseIgnores extracts //lint:ignore directives from a file.
+// parseIgnores extracts the //lint:ignore directives of a file that
+// suppress anything: those of the form
+//
+//	//lint:ignore <analyzer>[,<analyzer>...] <reason>
+//
+// naming registered analyzers only and giving a non-empty reason. A
+// directive missing either silences nothing, so its findings stay
+// reported.
 func parseIgnores(fset *token.FileSet, file *ast.File) []ignoreDirective {
+	registered := make(map[string]bool)
+	for _, a := range All() {
+		registered[a.Name] = true
+	}
 	var out []ignoreDirective
 	for _, cg := range file.Comments {
 		for _, c := range cg.List {
-			text := strings.TrimPrefix(c.Text, "//")
-			text = strings.TrimSpace(text)
-			if !strings.HasPrefix(text, "lint:ignore") {
+			fields := strings.Fields(strings.TrimPrefix(c.Text, "//"))
+			if len(fields) < 3 || fields[0] != "lint:ignore" {
 				continue
 			}
-			fields := strings.Fields(text)
-			d := ignoreDirective{line: fset.Position(c.Pos()).Line}
-			if len(fields) >= 2 {
-				d.analyzers = strings.Split(fields[1], ",")
+			names := strings.Split(fields[1], ",")
+			if !allRegistered(registered, names) {
+				continue
 			}
-			out = append(out, d)
+			out = append(out, ignoreDirective{line: fset.Position(c.Pos()).Line, analyzers: names})
 		}
 	}
 	return out
+}
+
+// allRegistered reports whether every name is a registered analyzer.
+func allRegistered(registered map[string]bool, names []string) bool {
+	for _, n := range names {
+		if !registered[n] {
+			return false
+		}
+	}
+	return true
 }
 
 // suppressed reports whether an ignore directive in the unit covers the
@@ -315,16 +286,8 @@ func parseIgnores(fset *token.FileSet, file *ast.File) []ignoreDirective {
 // on the line immediately above).
 func (u *Unit) suppressed(analyzer string, pos token.Position) bool {
 	for _, d := range u.ignores[pos.Filename] {
-		if d.line != pos.Line && d.line != pos.Line-1 {
-			continue
-		}
-		if len(d.analyzers) == 0 {
+		if (d.line == pos.Line || d.line == pos.Line-1) && slices.Contains(d.analyzers, analyzer) {
 			return true
-		}
-		for _, a := range d.analyzers {
-			if a == analyzer || a == "*" {
-				return true
-			}
 		}
 	}
 	return false

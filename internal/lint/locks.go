@@ -8,7 +8,6 @@ import (
 	"path/filepath"
 	"slices"
 	"sort"
-	"strconv"
 	"strings"
 
 	"fexipro/internal/lint/flow"
@@ -27,7 +26,7 @@ import (
 //     same body (a cross-function handoff needs a //lint:ignore locks
 //     directive citing the protocol);
 //   - `defer mu.Lock()` — the classic typo for `defer mu.Unlock()` — is
-//     flagged with a suggested fix;
+//     flagged, naming the Unlock it meant;
 //   - nothing blocks inside a matched region: channel sends, receives
 //     and selects without default, time.Sleep, slog logging (a Handler
 //     may write to a blocked pipe), Search*/TopK*Context calls (a whole
@@ -52,8 +51,8 @@ import (
 // and written while mu is write-held, except through the receiver of a
 // *Locked method (the caller holds the lock) or on an object still
 // local to its constructor. A field of a mutex-bearing struct whose
-// every write (≥2) holds exactly one sibling mutex gets the annotation
-// suggested as a fix.
+// every write (≥2) holds exactly one sibling mutex is reported with
+// the annotation to add.
 //
 // An unmatched Lock makes a region to the body end for the order and
 // guard rules; the blocking rule reads matched regions only. Test files
@@ -178,16 +177,7 @@ var blockHint = map[string]string{
 func checkHold(pass *Pass, blockers map[types.Object]string, b *lockBody) {
 	for _, ev := range b.deferTypos {
 		want := unlockName(ev.name)
-		off := pass.Offset(ev.selPos)
-		pass.ReportFix(ev.pos, SuggestedFix{
-			Message: "replace defer " + ev.path + "." + ev.name + " with defer " + ev.path + "." + want,
-			Edits: []TextEdit{{
-				File:    pass.Fset.Position(ev.pos).Filename,
-				Offset:  off,
-				End:     off + len(ev.name),
-				NewText: want,
-			}},
-		}, "defer %s.%s() locks at function exit — almost certainly a typo for defer %s.%s()",
+		pass.Reportf(ev.pos, "defer %s.%s() locks at function exit — almost certainly a typo for defer %s.%s()",
 			ev.path, ev.name, ev.path, want)
 	}
 	for _, r := range b.regions {
@@ -673,7 +663,7 @@ func sortedKeys[V any](m map[string]V) []string {
 // exportGuardFields validates //fex:guard annotations on one struct
 // declaration and exports a "field" fact for every guardable field
 // (structs with at least one mutex sibling), carrying the annotation
-// state and the insertion point for a suggested one.
+// state.
 func exportGuardFields(pass *Pass, ts *ast.TypeSpec) {
 	st, ok := ts.Type.(*ast.StructType)
 	if !ok {
@@ -703,17 +693,12 @@ func exportGuardFields(pass *Pass, ts *ast.TypeSpec) {
 		if len(mutexes) == 0 || isMutex || len(f.Names) == 0 {
 			continue // embedded fields and mutex-free structs are out of scope
 		}
-		p := pass.Fset.Position(f.Pos())
-		lineStart := p.Offset - (p.Column - 1)
 		if guard == "" {
 			guard = "-"
 		}
 		for _, n := range f.Names {
 			key := pass.Pkg.Name() + "." + ts.Name.Name + "." + n.Name
-			pass.ExportFact(n.Pos(), "field", strings.Join([]string{
-				key, strings.Join(mutexes, ","), guard,
-				strconv.Itoa(lineStart), strconv.Itoa(p.Column - 1),
-			}, factSep))
+			pass.ExportFact(n.Pos(), "field", strings.Join([]string{key, strings.Join(mutexes, ","), guard}, factSep))
 		}
 	}
 }
@@ -902,12 +887,10 @@ func rootObject(pass *Pass, e ast.Expr) types.Object {
 
 // guardField is the module-phase view of one guardable field.
 type guardField struct {
-	key       string
-	siblings  []string
-	guard     string // "-" when unannotated
-	pos       token.Position
-	lineStart int
-	indent    int
+	key      string
+	siblings []string
+	guard    string // "-" when unannotated
+	pos      token.Position
 }
 
 // checkGuards joins the field and access facts: annotated fields are
@@ -925,12 +908,9 @@ func checkGuards(mp *ModulePass) {
 		parts := strings.Split(f.Value, factSep)
 		switch f.Name {
 		case "field":
-			lineStart, _ := strconv.Atoi(parts[3])
-			indent, _ := strconv.Atoi(parts[4])
 			if _, dup := fields[parts[0]]; !dup {
 				fields[parts[0]] = &guardField{
-					key: parts[0], siblings: strings.Split(parts[1], ","),
-					guard: parts[2], pos: f.Pos, lineStart: lineStart, indent: indent,
+					key: parts[0], siblings: strings.Split(parts[1], ","), guard: parts[2], pos: f.Pos,
 				}
 			}
 		case "access":
@@ -996,14 +976,6 @@ func checkGuards(mp *ModulePass) {
 			continue
 		}
 		guard := candidates[0]
-		mp.ReportFix(fld.pos, SuggestedFix{
-			Message: fmt.Sprintf("annotate %s with //fex:guard %s", key, guard),
-			Edits: []TextEdit{{
-				File:    fld.pos.Filename,
-				Offset:  fld.lineStart,
-				End:     fld.lineStart,
-				NewText: strings.Repeat("\t", fld.indent) + guardDirective + " " + guard + "\n",
-			}},
-		}, "field %s is always written (%d×) under %s and never without it — annotate `//fex:guard %s` so the contract is enforced", key, totalW, prefix+guard, guard)
+		mp.Reportf(fld.pos, "field %s is always written (%d×) under %s and never without it — annotate `//fex:guard %s` so the contract is enforced", key, totalW, prefix+guard, guard)
 	}
 }

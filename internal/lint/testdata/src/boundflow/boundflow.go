@@ -30,7 +30,7 @@ func throughLocals(q, p []float64, qTail, pTail, t float64) bool {
 	ub := partial + qTail*pTail //fex:bound
 	scaled := ub * 1.25
 	shifted := scaled + 0.5
-	if shifted <= t { // want `comparison "<=" on a bound-derived value.*; use < \[fix: replace <= with <\]$`
+	if shifted <= t { // want `comparison "<=" on a bound-derived value.*; use <$`
 		return false
 	}
 	return shifted >= t // legal: tie-keeping keep
@@ -97,7 +97,7 @@ func equality(partial, qTail, pTail, t float64) bool {
 // rightSide: the mirrored rule when the bound sits on the right.
 func rightSide(partial, qTail, pTail, t float64) bool {
 	ub := partial + qTail*pTail //fex:bound
-	if t < ub {                 // want `comparison "<" on a bound-derived value.*\[fix: replace < with <=\]$`
+	if t < ub {                 // want `comparison "<" on a bound-derived value.*; use <=$`
 		return true
 	}
 	return t > ub // legal: threshold strictly above the bound prunes

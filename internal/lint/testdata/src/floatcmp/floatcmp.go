@@ -43,3 +43,17 @@ func good(a, b float64) bool {
 	//lint:ignore floatcmp suppression mechanism under test
 	return a == b
 }
+
+// strict holds directives that silence nothing: each finding under one
+// is still reported.
+func strict(a, b float64) (bool, bool, bool, bool) {
+	//lint:ignore
+	w := a == b // want `floating-point == comparison`
+	//lint:ignore * every analyzer
+	x := a != b // want `floating-point != comparison`
+	//lint:ignore floatcmp
+	y := a == b // want `floating-point == comparison`
+	//lint:ignore flotcmp misspelt analyzer name
+	z := a != b // want `floating-point != comparison`
+	return w, x, y, z
+}

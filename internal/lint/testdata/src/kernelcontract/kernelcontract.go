@@ -43,11 +43,11 @@ func (k *Kern) Scan(ctx context.Context, pq any, shard int, c *Collector, shared
 		if err := ctx.Err(); err != nil {
 			return st, err
 		}
-		if n <= t { // want `comparison "<=" on a threshold-derived value.*\[fix: replace <= with <\]$`
+		if n <= t { // want `comparison "<=" on a threshold-derived value.*; use <$`
 			st.PrunedByLength++
 			continue
 		}
-		if t >= n { // want `comparison ">=" on a threshold-derived value.*\[fix: replace >= with >\]$`
+		if t >= n { // want `comparison ">=" on a threshold-derived value.*; use >$`
 			st.PrunedByLength++
 			continue
 		}

@@ -51,9 +51,6 @@ func (s *Server) SetReady(ready bool) {
 	}
 }
 
-// Ready reports the current readiness state.
-func (s *Server) Ready() bool { return s.ready.Load() }
-
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusOK)
 	fmt.Fprintln(w, "ok")

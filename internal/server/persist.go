@@ -226,6 +226,3 @@ func (s *Server) Reload(items *vec.Matrix, opts core.Options) error {
 	// WAL restarts empty. Pre-reload records are superseded by design.
 	return s.checkpointLocked()
 }
-
-// Reloading reports whether a background Reload is currently building.
-func (s *Server) Reloading() bool { return s.reloading.Load() }
