@@ -125,7 +125,9 @@ race-subset:
 ## AVX2 and plain-Go bodies of the build's Gram and V₁ transform, bit for
 ## bit, on fuzzed shapes and float bits; FuzzBlockedScan carries
 ## the fixed-threshold (above-t) collector case beside the top-k ones,
-## under both kernel bodies.
+## under both kernel bodies; FuzzParseNumber the request scanner's
+## number reader against the grammar, strconv.ParseFloat's bits and
+## strconv.ParseInt, at any offset of any bytes.
 fuzz-smoke:
 	$(GO) test ./internal/data -run='^$$' -fuzz=FuzzReadMatrixBinary -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/data -run='^$$' -fuzz=FuzzReadMatrixCSV -fuzztime=$(FUZZTIME)
@@ -142,6 +144,7 @@ fuzz-smoke:
 	$(GO) test ./internal/snap -run='^$$' -fuzz=FuzzSnapshotLoad -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/snap -run='^$$' -fuzz=FuzzWALReplay -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/server -run='^$$' -fuzz=FuzzDecodeRequest -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/server -run='^$$' -fuzz=FuzzParseNumber -fuzztime=$(FUZZTIME)
 
 ## load-smoke: fexload in self-contained mode — it starts an in-process
 ## fexserve over a synthetic catalog, offers a short open-loop workload

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"net/http"
-	"strconv"
 	"sync"
 )
 
@@ -179,7 +178,7 @@ func scanRequest(body []byte, allow reqKeys, dim int, req *searchRequest) bool {
 					}
 					i = skipSpace(body, i+1)
 				}
-				v, end := scanFloat(body, i)
+				v, end := parseNumber(body, i)
 				if end < 0 {
 					return false
 				}
@@ -191,18 +190,14 @@ func scanRequest(body []byte, allow reqKeys, dim int, req *searchRequest) bool {
 			}
 			i++
 		case keyK:
-			end, integer := scanNumber(body, i)
-			if end < 0 || !integer {
+			k, end := parseInt(body, i)
+			if end < 0 {
 				return false
 			}
-			k, err := strconv.ParseInt(string(body[i:end]), 10, 0)
-			if err != nil {
-				return false
-			}
-			out.K = int(k)
+			out.K = k
 			i = end
 		case keyThreshold:
-			t, end := scanFloat(body, i)
+			t, end := parseNumber(body, i)
 			if end < 0 {
 				return false
 			}
@@ -230,73 +225,6 @@ func scanRequest(body []byte, allow reqKeys, dim int, req *searchRequest) bool {
 // is not JSON whitespace.
 func skipSpace(b []byte, i int) int {
 	for i < len(b) && (b[i] == ' ' || b[i] == '\n' || b[i] == '\t' || b[i] == '\r') {
-		i++
-	}
-	return i
-}
-
-// scanFloat parses the JSON number at b[i:] and returns it with the
-// index after it, or -1 when there is no such number or strconv refuses
-// it (out of range).
-func scanFloat(b []byte, i int) (float64, int) {
-	end, _ := scanNumber(b, i)
-	if end < 0 {
-		return 0, -1
-	}
-	v, err := strconv.ParseFloat(string(b[i:end]), 64)
-	if err != nil {
-		return 0, -1
-	}
-	return v, end
-}
-
-// scanNumber checks b[i:] against the JSON number grammar
-//
-//	-?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?
-//
-// and returns the end of the longest match, or -1 when there is none,
-// and whether the match has neither fraction nor exponent. strconv alone
-// will not do: it also takes hex floats, "Inf", "NaN", underscores and a
-// leading "+", "." or "0". The caller requires a delimiter after the
-// match, which is what turns "01" or "1.5.2" away.
-func scanNumber(b []byte, i int) (end int, integer bool) {
-	if i < len(b) && b[i] == '-' {
-		i++
-	}
-	switch {
-	case i < len(b) && b[i] == '0':
-		i++
-	case i < len(b) && '1' <= b[i] && b[i] <= '9':
-		i = skipDigits(b, i)
-	default:
-		return -1, false
-	}
-	integer = true
-	if i < len(b) && b[i] == '.' {
-		integer = false
-		j := skipDigits(b, i+1)
-		if j == i+1 {
-			return -1, false
-		}
-		i = j
-	}
-	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
-		integer = false
-		i++
-		if i < len(b) && (b[i] == '+' || b[i] == '-') {
-			i++
-		}
-		j := skipDigits(b, i)
-		if j == i {
-			return -1, false
-		}
-		i = j
-	}
-	return i, integer
-}
-
-func skipDigits(b []byte, i int) int {
-	for i < len(b) && '0' <= b[i] && b[i] <= '9' {
 		i++
 	}
 	return i

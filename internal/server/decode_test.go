@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -205,5 +206,32 @@ func TestScanRequestTakesTheCanonicalShapes(t *testing.T) {
 	}
 	if !scanRequest([]byte(`{"vector":[1,2,3]}`), itemKeys, 3, &req) || len(req.Vector) != 3 {
 		t.Error("the item key set declined a bare vector")
+	}
+}
+
+// BenchmarkDecodeRequest times scanRequest alone on the repository
+// benchmark's body: json.Marshal of {"k":10,"vector":[…]} at d = 50 with
+// 17-digit floats.
+func BenchmarkDecodeRequest(b *testing.B) {
+	const d = 50
+	rng := rand.New(rand.NewSource(39))
+	bodies := make([][]byte, 64)
+	for i := range bodies {
+		q := make([]float64, d)
+		for j := range q {
+			q[j] = rng.NormFloat64()
+		}
+		var err error
+		if bodies[i], err = json.Marshal(map[string]any{"vector": q, "k": 10}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var req searchRequest
+		if !scanRequest(bodies[i%len(bodies)], searchKeys, d, &req) {
+			b.Fatal("scanRequest declined the benchmark body")
+		}
 	}
 }

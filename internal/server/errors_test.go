@@ -90,6 +90,12 @@ func TestErrorPaths(t *testing.T) {
 			wantStatus: 400, wantCode: "bad_request", wantSubstr: "exceeds maximum 10",
 		},
 		{
+			name:   "search k outside int",
+			method: "POST", path: "/v1/search", body: `{"vector": [1,2,3,4], "k": 9223372036854775808}`,
+			wantStatus: 400, wantCode: "bad_request",
+			wantSubstr: "invalid JSON: json: cannot unmarshal number 9223372036854775808 into Go struct field searchRequest.k of type int",
+		},
+		{
 			name:   "above missing threshold",
 			method: "POST", path: "/v1/above", body: `{"vector": [1,2,3,4]}`,
 			wantStatus: 400, wantCode: "bad_request", wantSubstr: "threshold",
