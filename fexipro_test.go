@@ -449,3 +449,18 @@ func TestNewRefusesLossyTransform(t *testing.T) {
 		}
 	}
 }
+
+// TestNewMethodRejectsSampleWidth: tuning samples narrower or wider than
+// the items used to panic in NewMethod (SS-L, and LEMP when narrower) or
+// tune on truncated rows (LEMP when wider); both now return an error.
+func TestNewMethodRejectsSampleWidth(t *testing.T) {
+	items := randomItems(rand.New(rand.NewSource(3)), 40, 8)
+	for _, name := range []string{"SS-L", "LEMP"} {
+		for _, cols := range []int{4, 12} {
+			s, err := fexipro.NewMethod(name, items, fexipro.MethodOptions{SampleQueries: fexipro.NewMatrix(3, cols)})
+			if err == nil || s != nil {
+				t.Errorf("%s with %d-wide samples: got %v, %v; want an error", name, cols, s, err)
+			}
+		}
+	}
+}

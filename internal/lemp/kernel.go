@@ -11,11 +11,11 @@ import (
 
 // Kernel adapts a LEMP index to engine.Kernel: the norm-ordered buckets
 // are partitioned into contiguous bucket ranges, one per shard. The
-// buckets themselves (normalization, per-bucket w tuning, coord bounds)
-// are built once over the full matrix, so per-item arithmetic is
-// bit-identical regardless of shard count, and a contiguous bucket
-// range preserves the descending-norm structure the bucket-level stop
-// relies on.
+// buckets themselves (normalization, w tuning) are built once over the
+// full matrix, so per-item arithmetic is bit-identical regardless of
+// shard count, and a contiguous bucket range preserves the
+// descending-norm structure the bucket-level stop relies on. A catalog
+// of fewer than DefaultBucketSize·shards rows gets fewer shards.
 type Kernel struct {
 	idx  *Index
 	part engine.Partition

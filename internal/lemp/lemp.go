@@ -1,7 +1,8 @@
 // Package lemp implements the LEMP batch top-k inner-product join of
 // Teflioudi, Gemulla & Mykytiuk (SIGMOD 2015) — the state-of-the-art
 // batch baseline the paper compares against in Table 6 (LEMP-LI: length
-// plus incremental pruning).
+// plus incremental pruning) — and, as a configuration of the same index,
+// the paper's SS-L baseline (NewSSL).
 //
 // Preprocessing sorts the item vectors by decreasing length and packs
 // consecutive runs into buckets sized to stay cache-resident. Each bucket
@@ -9,7 +10,8 @@
 // sample queries. A query q with current threshold t visits buckets in
 // order, stops as soon as ‖q‖·maxnorm(bucket) ≤ t, and inside a bucket
 // prunes candidates with the length test and the incremental cosine test
-// before finishing any inner product.
+// before finishing any inner product. SS-L adds a focus-coordinate test
+// per candidate and shares one measured w across all buckets.
 package lemp
 
 import (
@@ -38,67 +40,38 @@ type Options struct {
 	W int
 	// SampleQueries drives per-bucket w tuning when W ≤ 0.
 	SampleQueries *vec.Matrix
-	// Strategy selects the pruning family (default StrategyLI).
-	Strategy Strategy
 }
 
-// Index is an immutable LEMP index. Single queries run through Kernel
-// under engine.Engine; the index itself answers the batch joins
-// (TopKJoinContext, AboveJoin) and the one-query above-t scan they are
-// made of, all of them scanBuckets over every bucket under their
-// context's obs.Query: its hook sees a global item counter that runs
-// across bucket boundaries, and its sink gets their counters.
+// Index is an immutable bucket index: LEMP-LI as New builds it, SS-L as
+// NewSSL does. Single queries run through Kernel under engine.Engine;
+// the index itself answers the batch joins (TopKJoinContext, AboveJoin)
+// and the one-query above-t scan they are made of, all of them
+// scanBuckets over every bucket under their context's obs.Query: its
+// hook sees a global item counter that runs across bucket boundaries,
+// and its sink gets their counters.
 type Index struct {
-	d        int
-	strategy Strategy
-	buckets  []bucket
+	d       int
+	focus   bool // SS-L: test the query's focus coordinate on every candidate
+	buckets []bucket
 }
 
 type bucket struct {
-	unit      *vec.Matrix // normalized vectors
+	unit      *vec.Matrix // normalized vectors, a view of the index's one sorted matrix
 	norms     []float64   // original lengths, descending
 	ids       []int       // original item IDs
 	w         int
 	tailNorms []float64 // ‖p'^h‖ per vector at the bucket's w
 	maxNorm   float64
-	coord     *coordBounds // non-nil under StrategyCoord
 }
 
-// New builds the index over items (rows are item vectors; copied).
+// New builds the LEMP-LI index over items (rows are item vectors;
+// copied). It panics when SampleQueries has another width than items.
 func New(items *vec.Matrix, opts Options) *Index {
 	if opts.BucketSize <= 0 {
 		opts.BucketSize = DefaultBucketSize
 	}
-	sorted, perm, norms := items.SortRowsByNormDesc()
-	d := sorted.Cols
-
-	idx := &Index{d: d, strategy: opts.Strategy}
-	for start := 0; start < sorted.Rows; start += opts.BucketSize {
-		end := start + opts.BucketSize
-		if end > sorted.Rows {
-			end = sorted.Rows
-		}
-		b := bucket{
-			unit:  vec.NewMatrix(end-start, d),
-			norms: make([]float64, end-start),
-			ids:   make([]int, end-start),
-		}
-		for i := start; i < end; i++ {
-			row := b.unit.Row(i - start)
-			copy(row, sorted.Row(i))
-			if norms[i] > 0 {
-				vec.Scale(row, 1/norms[i])
-			}
-			b.norms[i-start] = norms[i]
-			b.ids[i-start] = perm[i]
-		}
-		b.maxNorm = b.norms[0]
-		if opts.Strategy == StrategyCoord {
-			b.coord = buildCoordBounds(&b)
-		}
-		idx.buckets = append(idx.buckets, b)
-	}
-
+	idx := build(items, opts.SampleQueries, opts.BucketSize)
+	d := idx.d
 	for i := range idx.buckets {
 		b := &idx.buckets[i]
 		switch {
@@ -109,6 +82,54 @@ func New(items *vec.Matrix, opts Options) *Index {
 		default:
 			b.setW(defaultW(d))
 		}
+	}
+	return idx
+}
+
+// NewSSL builds SS-L, the sequential scan with the LEMP optimizations
+// that are effective for single-query retrieval (Section 7.1): the same
+// buckets and scan as New, with the focus-coordinate test on every
+// candidate and one checking dimension for every bucket, the candidate
+// whose scan touches the fewest dimensions on samples (nil: d/5). It
+// panics when samples has another width than items.
+func NewSSL(items, samples *vec.Matrix) *Index {
+	return newSSL(items, samples, DefaultBucketSize)
+}
+
+func newSSL(items, samples *vec.Matrix, bucketSize int) *Index {
+	idx := build(items, samples, bucketSize)
+	idx.focus = true
+	w := defaultW(idx.d)
+	if samples != nil && idx.d > 1 {
+		w = idx.tuneW(samples)
+	}
+	idx.setW(w)
+	return idx
+}
+
+// build sorts items by decreasing length, normalizes the sorted copy in
+// place and cuts it into buckets of size rows, each a view of that one
+// matrix. Checking dimensions are left to the caller.
+func build(items, samples *vec.Matrix, size int) *Index {
+	if samples != nil && samples.Cols != items.Cols {
+		panic(fmt.Sprintf("lemp: query dim %d != item dim %d", samples.Cols, items.Cols))
+	}
+	unit, perm, norms := items.SortRowsByNormDesc()
+	d := unit.Cols
+	for i, n := range norms {
+		if n > 0 {
+			vec.Scale(unit.Row(i), 1/n)
+		}
+	}
+	idx := &Index{d: d}
+	for start := 0; start < unit.Rows; start += size {
+		end := min(start+size, unit.Rows)
+		idx.buckets = append(idx.buckets, bucket{
+			unit:    &vec.Matrix{Rows: end - start, Cols: d, Data: unit.Data[start*d : end*d]},
+			norms:   norms[start:end],
+			ids:     perm[start:end],
+			maxNorm: norms[start],
+		})
 	}
 	return idx
 }
@@ -124,6 +145,25 @@ func defaultW(d int) int {
 	return w
 }
 
+// candidateWs lists the checking dimensions both tuners try for d > 1:
+// d/10, d/5, d/3 and d/2 clamped to [1, d−1], repeats dropped.
+func candidateWs(d int) []int {
+	var ws []int
+	for _, frac := range []int{10, 5, 3, 2} {
+		w := max(1, min(d/frac, d-1))
+		if len(ws) == 0 || ws[len(ws)-1] != w {
+			ws = append(ws, w)
+		}
+	}
+	return ws
+}
+
+func (idx *Index) setW(w int) {
+	for i := range idx.buckets {
+		idx.buckets[i].setW(w)
+	}
+}
+
 func (b *bucket) setW(w int) {
 	d := b.unit.Cols
 	b.w = w
@@ -133,26 +173,38 @@ func (b *bucket) setW(w int) {
 	}
 }
 
-// tuneW picks the w minimizing the modeled scan cost on the samples: for
-// each sample's unit vector, count dimensions that incremental pruning at
-// w would touch against a mid-bucket threshold.
-func (b *bucket) tuneW(samples *vec.Matrix) {
-	d := b.unit.Cols
-	candidates := []int{}
-	for _, frac := range []int{10, 5, 3, 2} {
-		w := d / frac
-		if w < 1 {
-			w = 1
+// tuneW is SS-L's tuner: it scans every bucket for each sample at k = 10
+// with each candidate w and returns the first w with the lowest measured
+// cost, Scanned·w partial dimensions plus FullProducts·(d−w) to finish.
+func (idx *Index) tuneW(samples *vec.Matrix) int {
+	d := idx.d
+	ws := candidateWs(d)
+	bestW, bestCost := ws[0], math.Inf(1)
+	for _, w := range ws {
+		idx.setW(w)
+		var cost float64
+		for s := 0; s < samples.Rows; s++ {
+			var st search.Stats
+			// An uncancellable, hook-less scan cannot fail.
+			_ = idx.scanBuckets(context.Background(), nil, idx.prepareQuery(samples.Row(s)), 0, len(idx.buckets), topk.New(10), nil, &st)
+			cost += float64(st.Scanned*w + st.FullProducts*(d-w))
 		}
-		if w >= d {
-			w = d - 1
-		}
-		if len(candidates) == 0 || candidates[len(candidates)-1] != w {
-			candidates = append(candidates, w)
+		if cost < bestCost {
+			bestCost, bestW = cost, w
 		}
 	}
-	bestW, bestCost := candidates[0], math.Inf(1)
-	for _, w := range candidates {
+	return bestW
+}
+
+// tuneW is LEMP's per-bucket tuner: it picks the w minimizing the
+// modeled scan cost on the samples — for each sample's unit vector, the
+// dimensions that incremental pruning at w would touch against a
+// mid-bucket threshold.
+func (b *bucket) tuneW(samples *vec.Matrix) {
+	d := b.unit.Cols
+	ws := candidateWs(d)
+	bestW, bestCost := ws[0], math.Inf(1)
+	for _, w := range ws {
 		b.setW(w)
 		var cost float64
 		for s := 0; s < samples.Rows; s++ {
@@ -200,8 +252,8 @@ func (idx *Index) prepareQuery(q []float64) *lempQuery {
 	}
 	qs.qUnit = vec.Scaled(q, 1/qs.qNorm)
 
-	// Focus coordinate for the COORD candidate test.
-	if idx.strategy == StrategyCoord {
+	// Focus coordinate: the query's largest-magnitude unit coordinate.
+	if idx.focus {
 		for j := 1; j < idx.d; j++ {
 			if math.Abs(qs.qUnit[j]) > math.Abs(qs.qUnit[qs.focus]) {
 				qs.focus = j
@@ -253,16 +305,6 @@ func (idx *Index) scanBuckets(ctx context.Context, hook *faults.Hook, qs *lempQu
 			}
 			return nil
 		}
-		// COORD: one O(d) bound may rule out the whole bucket without
-		// stopping the scan (later buckets can still qualify).
-		if b.coord != nil && !math.IsInf(t, -1) {
-			cosUB := b.coord.cosUpperBound(qs.qUnit)
-			if b.coord.bucketBound(qs.qNorm, b.maxNorm, cosUB) < t {
-				stats.PrunedByIncremental += len(b.ids)
-				pos += len(b.ids)
-				continue
-			}
-		}
 		if err := idx.scanBucket(ctx, hook, done, &pos, b, qs, c, shared, stats); err != nil {
 			return err
 		}
@@ -294,8 +336,8 @@ func (idx *Index) scanBucket(ctx context.Context, hook *faults.Hook, done <-chan
 			theta = t / lenBound
 		}
 		row := b.unit.Row(i)
-		if b.coord != nil {
-			// LEMP-C focus-coordinate test: a single multiplication per
+		if idx.focus {
+			// SS-L's focus-coordinate test: one multiplication per
 			// candidate before any partial dot product.
 			pf := row[qs.focus]
 			if qs.qf*pf+qs.qRest*math.Sqrt(math.Max(0, 1-pf*pf)) < theta {

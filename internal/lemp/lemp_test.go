@@ -2,23 +2,31 @@ package lemp_test
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"fexipro/internal/engine"
 	"fexipro/internal/lemp"
-	"fexipro/internal/scan"
 	"fexipro/internal/search"
 	"fexipro/internal/searchtest"
 	"fexipro/internal/vec"
 )
 
 // searcher is the single-query search path: the engine over a Kernel of
-// bucket ranges (the registry's LEMP is this with the LI strategy, which
-// internal/method's registry-driven test covers; StrategyCoord and small
-// buckets are reachable only from here).
+// bucket ranges (the registry's LEMP is this with default options, which
+// internal/method's registry-driven test covers; small buckets are
+// reachable only from here).
 func searcher(opts lemp.Options) searchtest.Builder {
 	return func(items *vec.Matrix, shards int) search.Searcher {
 		return engine.New(lemp.NewKernel(lemp.New(items, opts), shards), 2)
+	}
+}
+
+// ssl is untuned SS-L, the configuration that runs the focus-coordinate
+// test, in buckets of bucketSize rows.
+func ssl(bucketSize int) searchtest.Builder {
+	return func(items *vec.Matrix, shards int) search.Searcher {
+		return engine.New(lemp.NewKernel(lemp.NewSSLBuckets(items, nil, bucketSize), shards), 2)
 	}
 }
 
@@ -35,21 +43,14 @@ func TestLEMPCancellationLI(t *testing.T) {
 }
 
 func TestLEMPCancellationCoord(t *testing.T) {
-	searchtest.CheckCancellation(t, searcher(lemp.Options{Strategy: lemp.StrategyCoord}).Sequential, "LEMP-COORD")
+	searchtest.CheckCancellation(t, ssl(lemp.DefaultBucketSize).Sequential, "SS-L")
 }
 
 // Small buckets so even the harness's small instances span many
 // buckets and every shard count in the grid gets real work.
 func TestShardedLEMPBitExact(t *testing.T) {
-	for _, st := range []struct {
-		name     string
-		strategy lemp.Strategy
-	}{{"LI", lemp.StrategyLI}, {"Coord", lemp.StrategyCoord}} {
-		st := st
-		t.Run(st.name, func(t *testing.T) {
-			searchtest.CheckSharded(t, searcher(lemp.Options{BucketSize: 16, Strategy: st.strategy}), "lemp-"+st.name)
-		})
-	}
+	t.Run("LI", func(t *testing.T) { searchtest.CheckSharded(t, searcher(lemp.Options{BucketSize: 16}), "lemp-LI") })
+	t.Run("Coord", func(t *testing.T) { searchtest.CheckSharded(t, ssl(16), "ssl") })
 }
 
 func TestShardedLEMPCancellation(t *testing.T) {
@@ -122,14 +123,17 @@ func TestLEMPFasterPathAgreesWithSSL(t *testing.T) {
 	rng := rand.New(rand.NewSource(74))
 	items, _ := searchtest.RandomInstance(rng, 400, 10)
 	idx := searcher(lemp.Options{}).Sequential(items)
-	ssl := engine.New(scan.NewSSLKernel(scan.NewSSL(items, scan.SSLOptions{}), 1), 1)
+	ref := ssl(lemp.DefaultBucketSize).Sequential(items)
+	var fullLI, fullSSL int
 	for trial := 0; trial < 10; trial++ {
 		q := make([]float64, 10)
 		for j := range q {
 			q[j] = rng.NormFloat64()
 		}
-		a := idx.Search(q, 5)
-		b := ssl.Search(q, 5)
+		a, stLI := searchtest.Counted(idx, q, 5)
+		b, stSSL := searchtest.Counted(ref, q, 5)
+		fullLI += stLI.FullProducts
+		fullSSL += stSSL.FullProducts
 		if len(a) != len(b) {
 			t.Fatalf("result lengths differ: %d vs %d", len(a), len(b))
 		}
@@ -139,10 +143,16 @@ func TestLEMPFasterPathAgreesWithSSL(t *testing.T) {
 			}
 		}
 	}
+	// Both scan at w = d/5; SS-L's focus-coordinate test is what cuts
+	// the candidates it finishes.
+	if fullSSL >= fullLI {
+		t.Errorf("SS-L finished %d products, LEMP-LI %d: the focus test pruned nothing", fullSSL, fullLI)
+	}
 }
 
 func TestCoordStrategyExact(t *testing.T) {
-	checkExact(t, lemp.Options{Strategy: lemp.StrategyCoord}, "lemp-coord")
+	searchtest.CheckSearcher(t, ssl(16).Sequential, "ssl/small-buckets")
+	searchtest.CheckSearcherEdgeCases(t, ssl(16).Sequential, "ssl/small-buckets")
 }
 
 func TestCoordStrategyJoinMatches(t *testing.T) {
@@ -153,7 +163,7 @@ func TestCoordStrategyJoinMatches(t *testing.T) {
 		queries.Data[i] = rng.NormFloat64()
 	}
 	li := lemp.New(items, lemp.Options{})
-	coord := lemp.New(items, lemp.Options{Strategy: lemp.StrategyCoord})
+	coord := lemp.NewSSL(items, nil)
 	a := li.TopKJoin(queries, 5)
 	b := coord.TopKJoin(queries, 5)
 	for qi := range a {
@@ -161,6 +171,44 @@ func TestCoordStrategyJoinMatches(t *testing.T) {
 			if d := a[qi][i].Score - b[qi][i].Score; d > 1e-9 || d < -1e-9 {
 				t.Fatalf("query %d rank %d: %v vs %v", qi, i, a[qi][i], b[qi][i])
 			}
+		}
+	}
+}
+
+// SS-L tunes one checking dimension for every bucket, in [1, d−1].
+func TestSSLTunedW(t *testing.T) {
+	rng := rand.New(rand.NewSource(76))
+	items, _ := searchtest.RandomInstance(rng, 1000, 24)
+	samples := vec.NewMatrix(10, 24)
+	for i := range samples.Data {
+		samples.Data[i] = rng.NormFloat64()
+	}
+	ws := lemp.NewSSL(items, samples).Ws()
+	for _, w := range ws {
+		if w != ws[0] || w < 1 || w >= 24 {
+			t.Fatalf("bucket checking dimensions %v: want one value in [1, 23]", ws)
+		}
+	}
+}
+
+// Tuning samples of another width than the items panic with the same
+// message a query of that width does.
+func TestSampleWidthPanics(t *testing.T) {
+	rng := rand.New(rand.NewSource(77))
+	items, _ := searchtest.RandomInstance(rng, 50, 8)
+	for name, build := range map[string]func(samples *vec.Matrix){
+		"LEMP": func(s *vec.Matrix) { lemp.New(items, lemp.Options{SampleQueries: s}) },
+		"SS-L": func(s *vec.Matrix) { lemp.NewSSL(items, s) },
+	} {
+		for _, cols := range []int{4, 12} {
+			func() {
+				defer func() {
+					if msg, _ := recover().(string); !strings.HasPrefix(msg, "lemp: query dim") {
+						t.Errorf("%s with %d-wide samples: recovered %q, want a lemp: query dim panic", name, cols, msg)
+					}
+				}()
+				build(vec.NewMatrix(3, cols))
+			}()
 		}
 	}
 }

@@ -1,6 +1,8 @@
 package method
 
 import (
+	"fmt"
+
 	"fexipro/internal/balltree"
 	"fexipro/internal/core"
 	"fexipro/internal/covertree"
@@ -72,7 +74,10 @@ func init() {
 		Table:          true,
 		Pruning:        true,
 		NewKernel: func(items *vec.Matrix, o BuildOptions, shards int) (engine.Kernel, error) {
-			return scan.NewSSLKernel(scan.NewSSL(items, scan.SSLOptions{SampleQueries: o.SampleQueries}), shards), nil
+			if err := checkSamples(items, o); err != nil {
+				return nil, err
+			}
+			return lemp.NewKernel(lemp.NewSSL(items, o.SampleQueries), shards), nil
 		},
 	})
 	Register(Descriptor{
@@ -81,6 +86,9 @@ func init() {
 		Exact:          true,
 		ShardInvariant: true,
 		NewKernel: func(items *vec.Matrix, o BuildOptions, shards int) (engine.Kernel, error) {
+			if err := checkSamples(items, o); err != nil {
+				return nil, err
+			}
 			return lemp.NewKernel(lemp.New(items, lemp.Options{BucketSize: o.BucketSize, SampleQueries: o.SampleQueries}), shards), nil
 		},
 	})
@@ -138,4 +146,13 @@ func newCoreIndex(variant string, items *vec.Matrix, o BuildOptions) (*core.Inde
 // float-rounding slack, which only the transformed variants need.
 func newSSIndex(items *vec.Matrix, o BuildOptions) (*core.Index, error) {
 	return core.NewIndex(items, core.Options{W: o.W, PruneSlack: -1})
+}
+
+// checkSamples refuses tuning samples whose width is not the catalog's,
+// which the SS-L and LEMP builds would otherwise panic on.
+func checkSamples(items *vec.Matrix, o BuildOptions) error {
+	if o.SampleQueries != nil && o.SampleQueries.Cols != items.Cols {
+		return fmt.Errorf("method: sample query dim %d != item dim %d", o.SampleQueries.Cols, items.Cols)
+	}
+	return nil
 }

@@ -26,7 +26,8 @@ import (
 type BuildOptions struct {
 	// SampleQueries drives LEMP-style w tuning for SS-L and LEMP (nil =
 	// untuned defaults). Callers pass the handful of rows they want used;
-	// the registry does not truncate.
+	// the registry does not truncate, and refuses rows of another width
+	// than the items'.
 	SampleQueries *vec.Matrix
 	// W is the checking dimension: SS's scan prefix, or the FEXIPRO
 	// override for the ρ-derived w (0 = derive).

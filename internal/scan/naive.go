@@ -1,15 +1,15 @@
-// Package scan implements the sequential-scan retrieval baselines of
-// Section 2.2: the Naive full scan and SS-L, the LEMP-style single-query
-// sorted scan operating on normalized vectors. The Cauchy–Schwarz sorted
-// scan SS with incremental pruning (Algorithms 1 and 2) is FEXIPRO with
-// no technique switched on and strict comparisons, so the method registry
-// builds it from internal/core (variant F, PruneSlack < 0) rather than
-// from a second copy of that loop here.
+// Package scan implements the Naive full scan of Section 2.2, the ground
+// truth for every exactness test. The other sequential scans are
+// configurations of indexes that live elsewhere, so no second copy of
+// their loops lives here: the Cauchy–Schwarz sorted scan SS with
+// incremental pruning (Algorithms 1 and 2) is FEXIPRO with no technique
+// switched on and strict comparisons (internal/core, variant F,
+// PruneSlack < 0), and SS-L, the LEMP-style sorted scan over normalized
+// vectors, is lemp.NewSSL.
 //
-// Every baseline exposes its scan as a range-scan over a contiguous row
-// interval: one shard of the sharded execution engine, which at one
-// shard is the classic sequential scan (see the *Kernel types in
-// kernel.go and DESIGN.md §11).
+// Naive exposes its scan as a range-scan over a contiguous row interval:
+// one shard of the sharded execution engine, which at one shard is the
+// classic sequential scan (NaiveKernel in kernel.go, DESIGN.md §11).
 package scan
 
 import (

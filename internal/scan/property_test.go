@@ -31,7 +31,7 @@ func TestScannersAgreeProperty(t *testing.T) {
 
 		naive := scan.NewNaive(items).Search(q, 1)
 		ss := newSS(items, 0).Search(q, 1)
-		sslTop := ssl(scan.SSLOptions{}).Sequential(items).Search(q, 1)
+		sslTop := ssl(nil).Sequential(items).Search(q, 1)
 		if len(naive) != 1 || len(ss) != 1 || len(sslTop) != 1 {
 			return false
 		}

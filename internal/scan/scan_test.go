@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"fexipro/internal/engine"
+	"fexipro/internal/lemp"
 	"fexipro/internal/method"
 	"fexipro/internal/scan"
 	"fexipro/internal/search"
@@ -43,14 +44,17 @@ func ss(w int) searchtest.Builder {
 
 func newSS(items *vec.Matrix, w int) search.Searcher { return ss(w).Sequential(items) }
 
-// The two scans this package implements, as the engine runs them.
+// The scan this package implements, as the engine runs it.
 func naive(items *vec.Matrix, shards int) search.Searcher {
 	return engine.New(scan.NewNaiveKernel(scan.NewNaive(items), shards), 2)
 }
 
-func ssl(opts scan.SSLOptions) searchtest.Builder {
+// ssl is SS-L tuned on samples (nil: untuned): LEMP's bucket scan with
+// the focus-coordinate test. Its shards are bucket ranges, so the small
+// catalogs here get at most two; lemp's tests shard it in small buckets.
+func ssl(samples *vec.Matrix) searchtest.Builder {
 	return func(items *vec.Matrix, shards int) search.Searcher {
-		return engine.New(scan.NewSSLKernel(scan.NewSSL(items, opts), shards), 2)
+		return engine.New(lemp.NewKernel(lemp.NewSSL(items, samples), shards), 2)
 	}
 }
 
@@ -58,11 +62,11 @@ func TestShardedNaiveBitExact(t *testing.T) { searchtest.CheckSharded(t, naive, 
 
 func TestShardedSSBitExact(t *testing.T) { searchtest.CheckSharded(t, ss(0), "ss") }
 
-func TestShardedSSLBitExact(t *testing.T) { searchtest.CheckSharded(t, ssl(scan.SSLOptions{}), "ssl") }
+func TestShardedSSLBitExact(t *testing.T) { searchtest.CheckSharded(t, ssl(nil), "ssl") }
 
 func TestShardedScanCancellation(t *testing.T) {
 	for name, build := range map[string]searchtest.Builder{
-		"naive": naive, "ss": ss(0), "ssl": ssl(scan.SSLOptions{}),
+		"naive": naive, "ss": ss(0), "ssl": ssl(nil),
 	} {
 		build := build
 		t.Run(name, func(t *testing.T) { searchtest.CheckShardedCancellation(t, build, name) })
@@ -102,8 +106,8 @@ func TestSSPrunes(t *testing.T) {
 }
 
 func TestSSLExact(t *testing.T) {
-	searchtest.CheckSearcher(t, ssl(scan.SSLOptions{}).Sequential, "ssl")
-	searchtest.CheckSearcherEdgeCases(t, ssl(scan.SSLOptions{}).Sequential, "ssl")
+	searchtest.CheckSearcher(t, ssl(nil).Sequential, "ssl")
+	searchtest.CheckSearcherEdgeCases(t, ssl(nil).Sequential, "ssl")
 }
 
 func TestSSLExactWithTuning(t *testing.T) {
@@ -113,10 +117,7 @@ func TestSSLExactWithTuning(t *testing.T) {
 	for i := range samples.Data {
 		samples.Data[i] = rng.NormFloat64()
 	}
-	if w := scan.NewSSL(items, scan.SSLOptions{SampleQueries: samples}).W(); w < 1 || w >= 24 {
-		t.Fatalf("tuned w = %d out of range", w)
-	}
-	s := ssl(scan.SSLOptions{SampleQueries: samples}).Sequential(items)
+	s := ssl(samples).Sequential(items)
 	for trial := 0; trial < 10; trial++ {
 		q := make([]float64, 24)
 		for j := range q {
@@ -129,7 +130,7 @@ func TestSSLExactWithTuning(t *testing.T) {
 func TestSSLPrunesMoreThanNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	items, q := searchtest.RandomInstance(rng, 3000, 16)
-	if _, st := searchtest.Counted(ssl(scan.SSLOptions{}).Sequential(items), q, 1); st.FullProducts >= 3000 {
+	if _, st := searchtest.Counted(ssl(nil).Sequential(items), q, 1); st.FullProducts >= 3000 {
 		t.Errorf("SSL computed %d/%d full products", st.FullProducts, 3000)
 	}
 }

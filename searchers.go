@@ -146,7 +146,8 @@ func Methods() []string { return method.Names() }
 // documented defaults; fields a method does not use are ignored.
 type MethodOptions struct {
 	// SampleQueries drives LEMP-style checking-dimension tuning for
-	// SS-L and LEMP (optional, may be nil).
+	// SS-L and LEMP (optional, may be nil). Its rows must have the
+	// items' width; NewMethod returns an error otherwise.
 	SampleQueries *Matrix
 	// W is SS's checking dimension, or the FEXIPRO family's override for
 	// the ρ-derived one (0 = derive).
