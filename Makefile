@@ -8,10 +8,12 @@ GO ?= go
 # Packages exercising concurrency-sensitive code under the race
 # detector: the server guard stack and e2e chaos test, the metrics
 # registry (including span trees and sliding-window rotation), the
-# fault-injection hooks, the cancellation paths of the core retriever
-# and the scan baselines, the sharded execution engine and its kernels,
-# and the open-loop load generator's concurrent senders, plus the method
-# registry (every method through the engine's worker pool), and the
+# fault-injection hooks and the scan contexts they make (Hook.Context,
+# whose poll count every shard of a query shares), the cancellation
+# paths of the core retriever and the scan baselines, the sharded
+# execution engine and its kernels, and the open-loop load generator's
+# concurrent senders, plus the method registry (every method through the
+# engine's worker pool), and the
 # row-range workers of the parallel preprocessing (vec.ForRows, the Gram
 # split) with the decomposition that runs on them, the LEMP batch join,
 # whose engine.Batch workers each count into a sink of their own that the

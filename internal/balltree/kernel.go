@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"fexipro/internal/engine"
-	"fexipro/internal/faults"
 	"fexipro/internal/search"
 	"fexipro/internal/topk"
 	"fexipro/internal/vec"
@@ -64,7 +63,7 @@ func (k *Kernel) Prepare(q []float64, _ any) any {
 // Scan implements engine.Kernel: one shard tree's branch-and-bound
 // descent, offsetting leaf IDs back to global row indices. The poll
 // index (stats.NodesVisited) is shard-local by construction.
-func (k *Kernel) Scan(ctx context.Context, pq any, shard int, c *topk.Collector, shared *search.SharedThreshold, hook *faults.Hook) (search.Stats, error) {
+func (k *Kernel) Scan(ctx context.Context, pq any, shard int, c *topk.Collector, shared *search.SharedThreshold) (search.Stats, error) {
 	tr := k.trees[shard]
 	qs := pq.(*btQuery)
 	var st search.Stats
@@ -78,7 +77,6 @@ func (k *Kernel) Scan(ctx context.Context, pq any, shard int, c *topk.Collector,
 		qNorm:  qs.qNorm,
 		c:      c,
 		shared: shared,
-		hook:   hook,
 		stats:  &st,
 		offset: k.starts[shard],
 	}

@@ -73,11 +73,10 @@ func (m *MiniBatch) TopKAllContext(ctx context.Context, queries *vec.Matrix, k i
 		panic(fmt.Sprintf("batch: query dim %d != item dim %d", queries.Cols, m.items.Cols))
 	}
 	out := make([][]topk.Result, queries.Rows)
-	done := ctx.Done()
 	for start := 0; start < queries.Rows; start += m.opts.BatchSize {
-		if done != nil && start > 0 {
-			if err := ctx.Err(); err != nil {
-				return out, search.Canceled(err)
+		if start > 0 {
+			if err := search.Poll(ctx); err != nil {
+				return out, err
 			}
 		}
 		end := start + m.opts.BatchSize

@@ -33,8 +33,8 @@ func BatchTopK(idx *Index, queries *vec.Matrix, k, workers int) ([][]topk.Result
 // completed so far (unprocessed slots stay nil; the query cut short
 // keeps its best-so-far partial) together with an ErrDeadline-wrapping
 // error. A nil error flags every list as exact. Every query runs under
-// ctx's query value (obs.Query): its fault hook, and its sink, which gets
-// the counters of every query.
+// ctx, and the sink of its query value (obs.Query) gets the counters of
+// every query.
 func BatchTopKContext(ctx context.Context, idx *Index, queries *vec.Matrix, k, workers int) ([][]topk.Result, error) {
 	if queries.Cols != idx.d {
 		return nil, fmt.Errorf("core: query dim %d != item dim %d", queries.Cols, idx.d)

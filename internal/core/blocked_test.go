@@ -82,10 +82,10 @@ func sameInto(t testing.TB, idx *Index, qs *queryState, lo, hi int, cB, cP *topk
 	t.Helper()
 	ctx := context.Background()
 	var stB, stP search.Stats
-	if err := idx.scanRange(ctx, nil, qs, lo, hi, cB, shB, &stB); err != nil {
+	if err := idx.scanRange(ctx, qs, lo, hi, cB, shB, &stB); err != nil {
 		t.Fatal(err)
 	}
-	if err := idx.scanPerItem(ctx, nil, qs, lo, hi, cP, shP, &stP); err != nil {
+	if err := idx.scanPerItem(ctx, qs, lo, hi, cP, shP, &stP); err != nil {
 		t.Fatal(err)
 	}
 	if stB != stP || !sameResults(cB.Results(), cP.Results()) {
@@ -140,7 +140,7 @@ func TestBlockedScanMatchesPerItem(t *testing.T) {
 			// raise the threshold, wherever in a block they sit.
 			top := topk.New(40)
 			var st search.Stats
-			if err := idx.scanPerItem(context.Background(), nil, qs, 0, n, top, nil, &st); err != nil {
+			if err := idx.scanPerItem(context.Background(), qs, 0, n, top, nil, &st); err != nil {
 				t.Fatal(err)
 			}
 			for _, lo := range []int{0, 1, 7, 15} {
@@ -415,7 +415,7 @@ func raisePositions(t testing.TB, idx *Index, qs *queryState, lo, hi, k int, see
 	var st search.Stats
 	for i := lo; i < hi; i++ {
 		before, full := c.Threshold(), c.Len() == c.K()
-		if err := idx.scanPerItem(context.Background(), nil, qs, i, i+1, c, nil, &st); err != nil {
+		if err := idx.scanPerItem(context.Background(), qs, i, i+1, c, nil, &st); err != nil {
 			t.Fatal(err)
 		}
 		if c.Len() == c.K() && (!full || c.Threshold() != before) {
@@ -461,7 +461,7 @@ func TestBlockedScanUnalignedRanges(t *testing.T) {
 			// offers raise the threshold wherever they sit.
 			top := topk.New(min(200, n))
 			var st search.Stats
-			if err := idx.scanPerItem(context.Background(), nil, qs, 0, n, top, nil, &st); err != nil {
+			if err := idx.scanPerItem(context.Background(), qs, 0, n, top, nil, &st); err != nil {
 				t.Fatal(err)
 			}
 			seeded := seedAt(k, top.Threshold())
@@ -498,11 +498,11 @@ func TestBlockedScanUnalignedRanges(t *testing.T) {
 					lo, hi := sh.part.Range(s)
 					c, cP := topk.New(k), topk.New(k)
 					var stP search.Stats
-					st, err := sh.Scan(context.Background(), qs, s, c, nil, nil)
+					st, err := sh.Scan(context.Background(), qs, s, c, nil)
 					if err != nil {
 						t.Fatal(err)
 					}
-					if err := idx.scanPerItem(context.Background(), nil, qs, lo, hi, cP, nil, &stP); err != nil {
+					if err := idx.scanPerItem(context.Background(), qs, lo, hi, cP, nil, &stP); err != nil {
 						t.Fatal(err)
 					}
 					if st != stP || !reflect.DeepEqual(c.Results(), cP.Results()) {
@@ -555,35 +555,6 @@ func TestNonFiniteQueriesScanAlike(t *testing.T) {
 					sameScan(t, idx, qs, r[0], r[1], 5, seedAt(5, 0.5), nil, nil, fmt.Sprintf("%+v q=%v seeded", opts, q))
 				}
 			}
-		}
-	}
-}
-
-// TestScanRangeDispatch: the blocked loop does not carry per-item fault
-// hooks, so scanRange must hand a hooked scan to scanPerItem; one that
-// reached scanBlocked would call the hook once per block instead of once
-// per row.
-func TestScanRangeDispatch(t *testing.T) {
-	const n, k = 3000, 10
-	ds := data.Generate(data.MovieLens(), n, 4, 50)
-	idx, err := NewIndex(ds.Items, Options{SVD: true, Int: true, Reduction: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	qs := idx.newQueryState()
-	for qi := 0; qi < ds.Queries.Rows; qi++ {
-		idx.prepareQuery(ds.Queries.Row(qi), qs)
-		hook := faults.NewRegistry(1).Enable(faults.SiteScan, faults.Plan{})
-		var st search.Stats
-		if err := idx.scanRange(context.Background(), hook, qs, 0, n, topk.New(k), nil, &st); err != nil {
-			t.Fatal(err)
-		}
-		visited := st.Scanned
-		if st.PrunedByLength > 0 {
-			visited++ // the row the scan broke at
-		}
-		if items := hook.Counts().Items; items != int64(visited) {
-			t.Fatalf("query %d: hook saw %d rows of %d visited", qi, items, visited)
 		}
 	}
 }
@@ -679,75 +650,12 @@ func CheckBlockedScanInput(t *testing.T, in []byte) {
 	}
 }
 
-// TestBlockedScanFaultHookPerItem: with a fault hook installed the scan
-// keeps per-item semantics — a CancelAtItem in the middle of what would
-// be a block stops after exactly that many rows, with the partial
-// results and counters of a scan over just those rows.
-func TestBlockedScanFaultHookPerItem(t *testing.T) {
-	ds := data.Generate(data.Netflix(), 4000, 4, 50)
-	idx, err := NewIndex(ds.Items, Options{SVD: true, Int: true, Reduction: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	const lo, cancelAt, k = 5, 21, 10
-	hook := faults.NewRegistry(1).Enable(faults.SiteScan, faults.Plan{CancelAtItem: cancelAt})
-	qs := idx.newQueryState()
-	for qi := 0; qi < ds.Queries.Rows; qi++ {
-		idx.prepareQuery(ds.Queries.Row(qi), qs)
-		var got, want search.Stats
-		cGot, cWant := topk.New(k), topk.New(k)
-		err := idx.scanRange(context.Background(), hook, qs, lo, idx.n, cGot, nil, &got)
-		if !errors.Is(err, search.ErrDeadline) {
-			t.Fatalf("query %d: err = %v, want ErrDeadline", qi, err)
-		}
-		if err := idx.scanBlocked(context.Background(), qs, lo, lo+cancelAt, cWant, nil, &want); err != nil {
-			t.Fatal(err)
-		}
-		if got != want || !reflect.DeepEqual(cGot.Results(), cWant.Results()) {
-			t.Fatalf("query %d: cancelled at local item %d:\n got %+v %v\nwant %+v %v",
-				qi, cancelAt, got, cGot.Results(), want, cWant.Results())
-		}
-		if got.Scanned != cancelAt {
-			t.Fatalf("query %d: scanned %d rows before the cancel, want %d", qi, got.Scanned, cancelAt)
-		}
-	}
-}
-
-// pollCtx is a context that records, each time the scan asks for its Done
-// channel — once per poll in the blocked loop — how many rows the scan had
-// decided, and cancels itself at the cancelAt-th ask (never at 0): a
-// cancellation mid-scan with no fault hook installed.
-type pollCtx struct {
-	context.Context
-	stats    *search.Stats
-	done     chan struct{}
-	cancelAt int
-	decided  []int
-}
-
-func (c *pollCtx) Done() <-chan struct{} {
-	c.decided = append(c.decided, c.stats.Scanned+c.stats.PrunedByLength)
-	if len(c.decided) == c.cancelAt {
-		close(c.done)
-	}
-	return c.done
-}
-
-func (c *pollCtx) Err() error {
-	select {
-	case <-c.done:
-		return context.Canceled
-	default:
-		return nil
-	}
-}
-
-// TestBlockedScanCancellation: with no hook the blocked loop polls its
-// context on entry and then at least once per search.CheckStride decided
-// rows (one block of slack), however the survivors cut its runs; a context
-// cancelled between two polls stops the scan at the next, and what comes
-// back is the scan of exactly the rows decided until then — every score a
-// true product, every counter what the per-item loop counts for them.
+// TestBlockedScanCancellation: the blocked loop polls its context on
+// entry and then at least once per search.CheckStride decided rows (one
+// block of slack), however the survivors cut its runs, and a fault that
+// cancels the context at poll N (faults.Hook.Context) stops the scan at
+// that poll. What comes back is exactly scanBlocked's result and counters
+// over the rows decided before it — every score a true product.
 func TestBlockedScanCancellation(t *testing.T) {
 	const n, k, lo = 20000, 10, 5
 	ds := data.Generate(data.Netflix(), n, 3, 50)
@@ -756,51 +664,45 @@ func TestBlockedScanCancellation(t *testing.T) {
 		t.Fatal(err)
 	}
 	qs := idx.newQueryState()
+	scan := func(plan faults.Plan) (*faults.Hook, search.Stats, []topk.Result, error) {
+		hook := faults.NewRegistry(1).Enable(faults.SiteScan, plan)
+		var st search.Stats
+		c := topk.New(k)
+		err := idx.scanRange(hook.Context(context.Background()), qs, lo, n, c, nil, &st)
+		return hook, st, c.Results(), err
+	}
 	for qi := 0; qi < ds.Queries.Rows; qi++ {
 		idx.prepareQuery(ds.Queries.Row(qi), qs)
 		if !qs.headFirst {
 			t.Fatal("scanRange does not select the blocked scan on this index")
 		}
-		scan := func(cancelAt int) (*pollCtx, search.Stats, []topk.Result, error) {
-			var st search.Stats
-			ctx := &pollCtx{Context: context.Background(), stats: &st, done: make(chan struct{}), cancelAt: cancelAt}
-			c := topk.New(k)
-			err := idx.scanRange(ctx, nil, qs, lo, n, c, nil, &st)
-			return ctx, st, c.Results(), err
-		}
-		whole, _, _, err := scan(0)
+		whole, _, _, err := scan(faults.Plan{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		polls := whole.decided
-		if len(polls) < 6 || polls[0] != 0 {
-			t.Fatalf("query %d: polled at %v decided rows, want the first poll before any row and at least 6", qi, polls)
-		}
-		for p := 1; p < len(polls); p++ {
-			if gap := polls[p] - polls[p-1]; gap < 0 || gap > search.CheckStride+blockRows {
-				t.Fatalf("query %d: %d rows decided between polls %d and %d (%v)", qi, gap, p-1, p, polls)
-			}
-		}
-		// The last two asks are the per-item loop's, entered at the length break.
-		for _, at := range []int{1, 2, len(polls) / 2, len(polls) - 2} {
-			ctx, st, got, err := scan(at)
+		// decided[p-1] is how many rows the scan had decided at its p-th
+		// poll: what the scan cancelled there reports as scanned. The last
+		// poll is the per-item loop's, entered at the length break.
+		decided := make([]int, whole.Counts().Items)
+		for at := 1; at <= len(decided); at++ {
+			hook, st, got, err := scan(faults.Plan{CancelAtItem: at})
 			if !errors.Is(err, search.ErrDeadline) {
 				t.Fatalf("query %d cancelled at poll %d: err = %v, want ErrDeadline", qi, at, err)
 			}
-			decided := polls[at-1]
-			if len(ctx.decided) != at || st.Scanned != decided || st.PrunedByLength != 0 {
-				t.Fatalf("query %d cancelled at poll %d (%d rows decided): the scan went on to %+v, polls %v", qi, at, decided, st, ctx.decided)
+			if polls := hook.Counts().Items; polls != int64(at) || st.PrunedByLength != 0 {
+				t.Fatalf("query %d cancelled at poll %d: the scan went on to poll %d, %+v", qi, at, polls, st)
 			}
-			var stP search.Stats
-			cP := topk.New(k)
-			if err := idx.scanPerItem(context.Background(), nil, qs, lo, lo+decided, cP, nil, &stP); err != nil {
+			decided[at-1] = st.Scanned
+			var stB search.Stats
+			cB := topk.New(k)
+			if err := idx.scanBlocked(context.Background(), qs, lo, lo+st.Scanned, cB, nil, &stB); err != nil {
 				t.Fatal(err)
 			}
-			if st != stP || !sameResults(got, cP.Results()) {
-				t.Fatalf("query %d cancelled at poll %d:\npartial  %+v %v\nper-item %+v %v over rows [%d,%d)", qi, at, st, got, stP, cP.Results(), lo, lo+decided)
+			if st != stB || !sameResults(got, cB.Results()) {
+				t.Fatalf("query %d cancelled at poll %d:\npartial %+v %v\nblocked %+v %v over rows [%d,%d)", qi, at, st, got, stB, cB.Results(), lo, lo+st.Scanned)
 			}
-			row := make(map[int]int, decided)
-			for i := lo; i < lo+decided; i++ {
+			row := make(map[int]int, st.Scanned)
+			for i := lo; i < lo+st.Scanned; i++ {
 				row[idx.perm[i]] = i
 			}
 			for _, r := range got {
@@ -808,6 +710,14 @@ func TestBlockedScanCancellation(t *testing.T) {
 				if want := vec.Dot(qs.qbar, idx.bar.Row(i)); !ok || math.Abs(r.Score-want) > 1e-9*(1+math.Abs(want)) {
 					t.Fatalf("query %d cancelled at poll %d: result %+v, row %d (decided: %v) has product %v", qi, at, r, i, ok, want)
 				}
+			}
+		}
+		if len(decided) < 6 || decided[0] != 0 {
+			t.Fatalf("query %d: polled at %v decided rows, want the first poll before any row and at least 6", qi, decided)
+		}
+		for p := 1; p < len(decided); p++ {
+			if gap := decided[p] - decided[p-1]; gap < 0 || gap > search.CheckStride+blockRows {
+				t.Fatalf("query %d: %d rows decided between polls %d and %d (%v)", qi, gap, p, p+1, decided)
 			}
 		}
 	}

@@ -8,7 +8,6 @@ import (
 
 	"fexipro/internal/core"
 	"fexipro/internal/faults"
-	"fexipro/internal/obs"
 	"fexipro/internal/search"
 	"fexipro/internal/searchtest"
 	"fexipro/internal/vec"
@@ -55,11 +54,11 @@ func TestDynamicCancellation(t *testing.T) {
 	}, "Dynamic/F-SIR")
 }
 
-// TestDynamicHookSurvivesRebuild: the scan fault hook rides the query's
-// context (obs.Query), so no rebuild can lose it. The same context cancels
-// a search before the main index is rebuilt and, right after an update
-// rebuilds it, inside the rebuilt main scan: the rebuild folds the delta
-// buffer in, so the first row that search reaches is the new main's.
+// TestDynamicHookSurvivesRebuild: a scan fault is the query's context
+// (faults.Hook.Context), so no rebuild can lose it. The same context
+// cancels a search before the main index is rebuilt and, right after an
+// update rebuilds it, inside the rebuilt main scan: the rebuild folds the
+// delta buffer in, so the first poll that search makes is the new main's.
 func TestDynamicHookSurvivesRebuild(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	items, q := searchtest.RandomInstance(rng, 200, 8)
@@ -67,9 +66,8 @@ func TestDynamicHookSurvivesRebuild(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewDynamicIndex: %v", err)
 	}
-	reg := faults.NewRegistry(31)
-	hook := reg.Enable(faults.SiteScan, faults.Plan{CancelAtItem: 1})
-	ctx := obs.WithQuery(context.Background(), obs.Query{Hook: hook})
+	hook := faults.NewRegistry(31).Enable(faults.SiteScan, faults.Plan{CancelAtItem: 1})
+	ctx := hook.Context(context.Background())
 	if _, err := di.SearchContext(ctx, q, 5); !errors.Is(err, search.ErrDeadline) {
 		t.Fatalf("pre-rebuild SearchContext error = %v, want ErrDeadline", err)
 	}
@@ -108,10 +106,11 @@ func TestDynamicHookSurvivesRebuild(t *testing.T) {
 
 // TestCancelledAboveNeverExact is the SearchAboveContext analogue of the
 // top-k property: a threshold scan cut short must not return nil error,
-// and its partial results must all be genuine above-threshold hits.
+// its partial results must all be genuine above-threshold hits, and some
+// trial cuts it short after it has found hits. The cancel points spread
+// over the polls an unfaulted scan makes.
 func TestCancelledAboveNeverExact(t *testing.T) {
-	rng := rand.New(rand.NewSource(77))
-	items, q := searchtest.RandomInstance(rng, 400, 16)
+	items, q := searchtest.CancelInstance()
 	idx, err := core.NewIndex(items, mustOptions(t, "F-SIR"))
 	if err != nil {
 		t.Fatalf("NewIndex: %v", err)
@@ -124,34 +123,45 @@ func TestCancelledAboveNeverExact(t *testing.T) {
 		t.Fatalf("uncancelled SearchAboveContext error: %v", err)
 	}
 
-	for trial := 0; trial < 20; trial++ {
-		cancelAt := 1 + rng.Intn(600)
-		reg := faults.NewRegistry(77 + int64(trial))
-		hook := reg.Enable(faults.SiteScan, faults.Plan{CancelAtItem: cancelAt})
-		res, err := r.SearchAboveContext(obs.WithQuery(context.Background(), obs.Query{Hook: hook}), q, threshold)
+	probe := faults.NewRegistry(77).Enable(faults.SiteScan, faults.Plan{})
+	if _, err := r.SearchAboveContext(probe.Context(context.Background()), q, threshold); err != nil {
+		t.Fatalf("SearchAboveContext under a fault-free hook: %v", err)
+	}
+	const trials = 20
+	polls, partial := int(probe.Counts().Items), 0
+	for trial := 0; trial < trials; trial++ {
+		cancelAt := 1 + trial*(polls+1)/trials
+		hook := faults.NewRegistry(77+int64(trial)).Enable(faults.SiteScan, faults.Plan{CancelAtItem: cancelAt})
+		res, err := r.SearchAboveContext(hook.Context(context.Background()), q, threshold)
 
 		if hook.Counts().Cancels > 0 {
 			if !errors.Is(err, search.ErrDeadline) {
-				t.Fatalf("cancel at %d: err = %v, want ErrDeadline", cancelAt, err)
+				t.Fatalf("cancel at poll %d: err = %v, want ErrDeadline", cancelAt, err)
 			}
 			if len(res) > len(full) {
-				t.Fatalf("cancel at %d: partial run returned %d hits, full run only %d",
+				t.Fatalf("cancel at poll %d: partial run returned %d hits, full run only %d",
 					cancelAt, len(res), len(full))
 			}
+			if len(res) > 0 {
+				partial++
+			}
 		} else if err != nil {
-			t.Fatalf("unfired cancel at %d: err = %v", cancelAt, err)
+			t.Fatalf("unfired cancel at poll %d: err = %v", cancelAt, err)
 		}
 		for i, hit := range res {
 			actual := vec.Dot(q, items.Row(hit.ID))
 			if diff := actual - hit.Score; diff > 1e-9 || diff < -1e-9 {
-				t.Fatalf("cancel at %d: hit %d score %v, true product %v", cancelAt, hit.ID, hit.Score, actual)
+				t.Fatalf("cancel at poll %d: hit %d score %v, true product %v", cancelAt, hit.ID, hit.Score, actual)
 			}
 			if actual < threshold {
-				t.Fatalf("cancel at %d: hit %d score %v below threshold", cancelAt, hit.ID, actual)
+				t.Fatalf("cancel at poll %d: hit %d score %v below threshold", cancelAt, hit.ID, actual)
 			}
 			if i > 0 && res[i-1].Score < hit.Score {
-				t.Fatalf("cancel at %d: results unsorted at rank %d", cancelAt, i)
+				t.Fatalf("cancel at poll %d: results unsorted at rank %d", cancelAt, i)
 			}
 		}
+	}
+	if partial == 0 {
+		t.Fatalf("no trial cut the scan short after it had found hits (%d polls unfaulted)", polls)
 	}
 }

@@ -10,7 +10,6 @@ import (
 	"sync"
 
 	"fexipro/internal/engine"
-	"fexipro/internal/faults"
 	"fexipro/internal/obs"
 	"fexipro/internal/search"
 	"fexipro/internal/topk"
@@ -436,26 +435,25 @@ func (k *dynKernel) Prepare(q []float64, reuse any) any {
 // collector. Every item c retains is live, so c.Threshold() is a lower
 // bound on the global k-th score however many tombstones the shard holds
 // (above-t: the constant t), and the main scan publishes to and prunes
-// against the engine's shared threshold. Poll/fault indices are
-// shard-local.
-func (k *dynKernel) Scan(ctx context.Context, pq any, shard int, c *topk.Collector, shared *search.SharedThreshold, hook *faults.Hook) (search.Stats, error) {
+// against the engine's shared threshold. Poll positions are shard-local.
+func (k *dynKernel) Scan(ctx context.Context, pq any, shard int, c *topk.Collector, shared *search.SharedThreshold) (search.Stats, error) {
 	sh := k.di.shards[shard]
 	dq := pq.(*dynQuery)
 	var st search.Stats
-	err := k.di.scanDelta(ctx, hook, sh, dq.q, c, shared, &st)
+	err := k.di.scanDelta(ctx, sh, dq.q, c, shared, &st)
 	if err == nil && sh.main != nil {
-		err = sh.main.scanRange(ctx, hook, dq.shards[shard].state, 0, sh.main.n, c, shared, &st)
+		err = sh.main.scanRange(ctx, dq.shards[shard].state, 0, sh.main.n, c, shared, &st)
 	}
 	return st, err
 }
 
 // scanDelta offers c the exact product of q with every live item of sh's
 // delta buffer; the vectors are the catalog's rows.
-func (di *DynamicIndex) scanDelta(ctx context.Context, hook *faults.Hook, sh *dynShard, q []float64, c *topk.Collector, shared *search.SharedThreshold, st *search.Stats) error {
+func (di *DynamicIndex) scanDelta(ctx context.Context, sh *dynShard, q []float64, c *topk.Collector, shared *search.SharedThreshold, st *search.Stats) error {
 	done := ctx.Done()
 	for pos, id := range sh.delta {
-		if hook != nil || (done != nil && pos&search.StrideMask == 0) {
-			if err := search.Poll(ctx, hook, pos); err != nil {
+		if done != nil && pos&search.StrideMask == 0 {
+			if err := search.Poll(ctx); err != nil {
 				return err
 			}
 		}

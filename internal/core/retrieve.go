@@ -6,7 +6,6 @@ import (
 	"math"
 	"math/bits"
 
-	"fexipro/internal/faults"
 	"fexipro/internal/obs"
 	"fexipro/internal/search"
 	"fexipro/internal/topk"
@@ -116,12 +115,11 @@ func (r *Retriever) begin(q []float64) {
 }
 
 // scan is the whole query, top-k or above-t as c says: prepareQuery, then
-// scanRange over every row into c under ctx's obs.Query: its fault hook
-// polled, its sink then given the counters.
+// scanRange over every row into c, then the counters to ctx's sink.
 func (r *Retriever) scan(ctx context.Context, q []float64, c *topk.Collector) ([]topk.Result, error) {
 	qv := obs.QueryFrom(ctx)
 	r.idx.prepareQuery(q, r.qs)
-	err := r.idx.scanRange(ctx, qv.Hook, r.qs, 0, r.idx.n, c, nil, &r.stats)
+	err := r.idx.scanRange(ctx, r.qs, 0, r.idx.n, c, nil, &r.stats)
 	qv.AddStats(r.stats)
 	return c.Results(), err
 }
@@ -144,36 +142,34 @@ func (r *Retriever) scan(ctx context.Context, q []float64, c *topk.Collector) ([
 // argument is unchanged.
 //
 // ctx is polled on every shard's first row and then at least once per
-// search.CheckStride rows it decides; fault-hook CancelAtItem plans count
-// SHARD-LOCAL rows (i−lo). On cancellation the error wraps
-// search.ErrDeadline and c holds best-so-far results whose scores are
-// true (working-space) inner products.
+// search.CheckStride rows it decides (SHARD-LOCAL rows, i−lo). On
+// cancellation the error wraps search.ErrDeadline and c holds best-so-far
+// results whose scores are true (working-space) inner products.
 //
-// The loop is chosen here, once per range, from the query and the call:
+// The loop is chosen here, once per range, from the query alone:
 // scanBlocked when the cascade opens with the integer head test,
-// scanPerItem for everything that loop does not carry — variants without
-// that test and an installed fault hook (per-item CancelAtItem/PanicAtItem).
-func (idx *Index) scanRange(ctx context.Context, hook *faults.Hook, qs *queryState, lo, hi int, c *topk.Collector, shared *search.SharedThreshold, stats *search.Stats) error {
-	if qs.headFirst && hook == nil {
+// scanPerItem for the variants without it. A fault injected through ctx
+// (faults.Hook.Context) fires on the polls of whichever loop runs.
+func (idx *Index) scanRange(ctx context.Context, qs *queryState, lo, hi int, c *topk.Collector, shared *search.SharedThreshold, stats *search.Stats) error {
+	if qs.headFirst {
 		return idx.scanBlocked(ctx, qs, lo, hi, c, shared, stats)
 	}
-	return idx.scanPerItem(ctx, hook, qs, lo, hi, c, shared, stats)
+	return idx.scanPerItem(ctx, qs, lo, hi, c, shared, stats)
 }
 
 // scanPerItem is scanRange one candidate at a time, reading the live
 // threshold for every row: the only loop of the variants whose cascade
 // does not open with the integer head test (F, F-S, F-SR, SS as the
-// registry builds it, the SRI ablation), the loop of every variant while
-// a fault hook is installed, and the reference scanBlocked is tested
-// against, result for result and counter for counter.
-func (idx *Index) scanPerItem(ctx context.Context, hook *faults.Hook, qs *queryState, lo, hi int, c *topk.Collector, shared *search.SharedThreshold, stats *search.Stats) error {
+// registry builds it, the SRI ablation), scanBlocked's loop for the end of
+// its range, and the reference scanBlocked is tested against, result for
+// result and counter for counter.
+func (idx *Index) scanPerItem(ctx context.Context, qs *queryState, lo, hi int, c *topk.Collector, shared *search.SharedThreshold, stats *search.Stats) error {
 	slack := idx.opts.PruneSlack
 	done := ctx.Done()
 	//fex:hot
 	for i := lo; i < hi; i++ {
-		local := i - lo
-		if hook != nil || (done != nil && local&search.StrideMask == 0) {
-			if err := search.Poll(ctx, hook, local); err != nil {
+		if done != nil && (i-lo)&search.StrideMask == 0 {
+			if err := search.Poll(ctx); err != nil {
 				return err
 			}
 		}
@@ -272,7 +268,7 @@ func (idx *Index) scanBlocked(ctx context.Context, qs *queryState, lo, hi int, c
 	for i < limit {
 		b := i &^ (blockRows - 1)
 		if i >= window {
-			if err := search.Poll(ctx, nil, 0); err != nil {
+			if err := search.Poll(ctx); err != nil {
 				return err
 			}
 			window = b + runRows
@@ -285,7 +281,7 @@ func (idx *Index) scanBlocked(ctx context.Context, qs *queryState, lo, hi int, c
 				break
 			}
 			if rows == blockRows { // the sorted scan ends inside block b
-				return idx.scanPerItem(ctx, nil, qs, i, hi, c, shared, stats)
+				return idx.scanPerItem(ctx, qs, i, hi, c, shared, stats)
 			}
 			end = min(b+rows>>1, end)
 		}
@@ -314,7 +310,7 @@ func (idx *Index) scanBlocked(ctx context.Context, qs *queryState, lo, hi int, c
 			i = end
 		}
 	}
-	return idx.scanPerItem(ctx, nil, qs, i, hi, c, shared, stats)
+	return idx.scanPerItem(ctx, qs, i, hi, c, shared, stats)
 }
 
 // prepareQuery transforms q into the working space and precomputes every

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"fexipro/internal/engine"
-	"fexipro/internal/faults"
 	"fexipro/internal/search"
 	"fexipro/internal/topk"
 )
@@ -56,11 +55,11 @@ func (s *Sharded) Prepare(q []float64, reuse any) any {
 // Scan implements engine.Kernel: one shard's slice of Algorithm 4's
 // sorted scan, with strict pruning against the max of the local and
 // shared thresholds.
-func (s *Sharded) Scan(ctx context.Context, pq any, shard int, c *topk.Collector, shared *search.SharedThreshold, hook *faults.Hook) (search.Stats, error) {
+func (s *Sharded) Scan(ctx context.Context, pq any, shard int, c *topk.Collector, shared *search.SharedThreshold) (search.Stats, error) {
 	qs := pq.(*queryState)
 	lo, hi := s.part.Range(shard)
 	var st search.Stats
-	err := s.idx.scanRange(ctx, hook, qs, lo, hi, c, shared, &st)
+	err := s.idx.scanRange(ctx, qs, lo, hi, c, shared, &st)
 	return st, err
 }
 

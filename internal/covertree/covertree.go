@@ -19,7 +19,6 @@ import (
 	"context"
 	"math"
 
-	"fexipro/internal/faults"
 	"fexipro/internal/search"
 	"fexipro/internal/topk"
 	"fexipro/internal/vec"
@@ -155,14 +154,13 @@ type scanState struct {
 	qNorm  float64
 	c      *topk.Collector
 	shared *search.SharedThreshold
-	hook   *faults.Hook
 	stats  *search.Stats
 	offset int
 }
 
 func (s *scanState) descend(n *node) error {
-	if done := s.ctx.Done(); s.hook != nil || (done != nil && s.stats.NodesVisited&search.StrideMask == 0) {
-		if err := search.Poll(s.ctx, s.hook, s.stats.NodesVisited); err != nil {
+	if done := s.ctx.Done(); done != nil && s.stats.NodesVisited&search.StrideMask == 0 {
+		if err := search.Poll(s.ctx); err != nil {
 			return err
 		}
 	}

@@ -32,10 +32,11 @@ func ByNormDesc(queries *vec.Matrix) (order []int, norms []float64) {
 // which owns whatever per-worker state it needs — on a goroutine of its
 // own. One chunk (workers ≤ 1, or a single query) is the sequential form
 // and runs on the calling goroutine with ctx. Concurrent chunks each get
-// a copy of ctx's Query — its span and fault hook, a sink of their own —
-// and the sinks are added to ctx's once every chunk has returned. A chunk
-// stops at its first error; Batch returns the first chunk's in chunk
-// order, so the error does not depend on the schedule.
+// ctx with a copy of its Query — its span, a sink of their own — so they
+// share its cancellation and any fault it injects, and the sinks are
+// added to ctx's once every chunk has returned. A chunk stops at its
+// first error; Batch returns the first chunk's in chunk order, so the
+// error does not depend on the schedule.
 func Batch(ctx context.Context, queries *vec.Matrix, workers int, chunk func(ctx context.Context, rows []int) error) error {
 	order, _ := ByNormDesc(queries)
 	workers = max(workers, 1)

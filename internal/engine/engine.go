@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"fexipro/internal/faults"
 	"fexipro/internal/obs"
 	"fexipro/internal/search"
 	"fexipro/internal/topk"
@@ -40,11 +39,11 @@ type Kernel interface {
 	// with shared.Floor / contribute via shared.Publish once c is full.
 	// On cancellation it returns an ErrDeadline-wrapping error after
 	// leaving c with best-so-far results whose scores are true inner
-	// products. hook, when non-nil, is the query's fault-injection hook,
-	// to pass to search.Poll with SHARD-LOCAL item indices (so CancelAtItem
-	// fires relative to each shard's own scan). The returned Stats
-	// count only this shard's work; the engine aggregates.
-	Scan(ctx context.Context, pq any, shard int, c *topk.Collector, shared *search.SharedThreshold, hook *faults.Hook) (search.Stats, error)
+	// products. It polls ctx (search.Poll) at SHARD-LOCAL stride
+	// boundaries, the first before any work; a fault injected through ctx
+	// (faults.Hook.Context) counts the polls of every shard. The returned
+	// Stats count only this shard's work; the engine aggregates.
+	Scan(ctx context.Context, pq any, shard int, c *topk.Collector, shared *search.SharedThreshold) (search.Stats, error)
 }
 
 // Observer receives one callback per completed shard scan (successful
@@ -70,7 +69,7 @@ type Observer func(shard int, seconds float64, st search.Stats)
 // function of the offered multiset — so S=1 and S>1 return bit-identical
 // IDs, scores, and tie order. See DESIGN.md §11.
 //
-// A query's span, sink and fault hook come from its context's obs.Query;
+// A query's span and sink come from its context's obs.Query;
 // the sink gets the sum of every shard's counters. The only per-engine
 // query state is pq, the Prepare scratch, so Engine is not safe for
 // concurrent Search calls on the same instance; use one Engine per
@@ -160,8 +159,7 @@ func (e *Engine) SearchAboveContext(ctx context.Context, q []float64, t float64)
 // wait, steal provenance, and stage counters), and one "merge" child
 // around the canonical merge. With no span every call below is a nil no-op
 // (DESIGN.md §13), so the untraced path costs that one context lookup.
-// Every shard scan polls its hook (atomic, so shards share it), and the
-// shards' counters go to its sink, if any, once their scans are over.
+// The shards' counters go to its sink, if any, once their scans are over.
 func (e *Engine) run(ctx context.Context, q []float64, c *topk.Collector) ([]topk.Result, error) {
 	qv := obs.QueryFrom(ctx)
 	tsp := qv.Span.StartChild("transform")
@@ -184,7 +182,7 @@ func (e *Engine) run(ctx context.Context, q []float64, c *topk.Collector) ([]top
 		// or second collector. Results and counters equal the general
 		// route's; the sequential form of every method pays this path.
 		var out shardOut
-		e.runShard(ctx, pq, 0, c, nil, qv.Hook, &out, scanSp, 0)
+		e.runShard(ctx, pq, 0, c, nil, &out, scanSp, 0)
 		scanSp.End()
 		if msp := qv.Span.StartChild("merge"); msp != nil {
 			msp.AttrInt("candidates", int64(len(out.res)))
@@ -207,7 +205,7 @@ func (e *Engine) run(ctx context.Context, q []float64, c *topk.Collector) ([]top
 		// promptly via their entry Poll, each recording a deterministic
 		// (possibly empty) partial, so the loop never breaks early.
 		for s := 0; s < shards; s++ {
-			e.runShard(ctx, pq, s, c.Fresh(), shared, qv.Hook, &outs[s], scanSp, 0)
+			e.runShard(ctx, pq, s, c.Fresh(), shared, &outs[s], scanSp, 0)
 		}
 	} else {
 		var next atomic.Int64
@@ -221,7 +219,7 @@ func (e *Engine) run(ctx context.Context, q []float64, c *topk.Collector) ([]top
 					if s >= shards {
 						return
 					}
-					e.runShardRecovering(ctx, pq, s, c.Fresh(), shared, qv.Hook, &outs[s], scanSp, w)
+					e.runShardRecovering(ctx, pq, s, c.Fresh(), shared, &outs[s], scanSp, w)
 				}
 			}(w)
 		}
@@ -271,25 +269,25 @@ func (e *Engine) run(ctx context.Context, q []float64, c *topk.Collector) ([]top
 
 // runShardRecovering is runShard on a pool worker: a panicking scan is
 // parked in out for SearchContext to re-raise on the calling goroutine.
-func (e *Engine) runShardRecovering(ctx context.Context, pq any, s int, c *topk.Collector, shared *search.SharedThreshold, hook *faults.Hook, out *shardOut, scanSp *obs.Span, worker int) {
+func (e *Engine) runShardRecovering(ctx context.Context, pq any, s int, c *topk.Collector, shared *search.SharedThreshold, out *shardOut, scanSp *obs.Span, worker int) {
 	defer func() {
 		if p := recover(); p != nil {
 			out.panicked = p
 		}
 	}()
-	e.runShard(ctx, pq, s, c, shared, hook, out, scanSp, worker)
+	e.runShard(ctx, pq, s, c, shared, out, scanSp, worker)
 }
 
-// runShard executes one shard scan into c under the query's fault hook
-// and records its output, stats and error into out. When the query is
-// traced (scanSp is non-nil) it opens one child span per shard under the
-// scan span: the queueWaitMicros attribute is how long the shard sat in
-// the pool's queue before a worker picked it up (time since the scan span
-// started), and stolen marks shards taken beyond the pool's initial
-// distribution (shard index ≥ worker count) — together the "where did the
-// microseconds go" signal for partition skew and pool sizing. The clock is read only
-// when an observer or a span asks for the scan's wall time.
-func (e *Engine) runShard(ctx context.Context, pq any, s int, c *topk.Collector, shared *search.SharedThreshold, hook *faults.Hook, out *shardOut, scanSp *obs.Span, worker int) {
+// runShard executes one shard scan into c and records its output, stats
+// and error into out. When the query is traced (scanSp is non-nil) it
+// opens one child span per shard under the scan span: the queueWaitMicros
+// attribute is how long the shard sat in the pool's queue before a worker
+// picked it up (time since the scan span started), and stolen marks
+// shards taken beyond the pool's initial distribution (shard index ≥
+// worker count) — together the "where did the microseconds go" signal for
+// partition skew and pool sizing. The clock is read only when an observer
+// or a span asks for the scan's wall time.
+func (e *Engine) runShard(ctx context.Context, pq any, s int, c *topk.Collector, shared *search.SharedThreshold, out *shardOut, scanSp *obs.Span, worker int) {
 	var ssp *obs.Span
 	if scanSp != nil {
 		wait := time.Since(scanSp.Start())
@@ -305,7 +303,7 @@ func (e *Engine) runShard(ctx context.Context, pq any, s int, c *topk.Collector,
 	if e.observer != nil {
 		start = time.Now()
 	}
-	st, err := e.kern.Scan(ctx, pq, s, c, shared, hook)
+	st, err := e.kern.Scan(ctx, pq, s, c, shared)
 	var secs float64
 	if e.observer != nil {
 		secs = time.Since(start).Seconds()

@@ -19,7 +19,9 @@ import (
 // dotKernel is a minimal exact kernel over a raw matrix: each shard
 // naively dots its contiguous row range. It exercises the engine's
 // fan-out, merge, shared-threshold, stats-aggregation, and cancellation
-// plumbing without any FEXIPRO transform machinery.
+// plumbing without any FEXIPRO transform machinery. It polls a
+// cancellable context on every row, so a fault injected through the
+// context (faults.Hook.Context) lands at the row its poll ordinal names.
 type dotKernel struct {
 	items *vec.Matrix
 	part  Partition
@@ -38,15 +40,15 @@ func (dk *dotKernel) Prepare(q []float64, _ any) any {
 	return q
 }
 
-func (dk *dotKernel) Scan(ctx context.Context, pq any, shard int, c *topk.Collector, shared *search.SharedThreshold, hook *faults.Hook) (search.Stats, error) {
+func (dk *dotKernel) Scan(ctx context.Context, pq any, shard int, c *topk.Collector, shared *search.SharedThreshold) (search.Stats, error) {
 	q := pq.([]float64)
 	lo, hi := dk.part.Range(shard)
 	var st search.Stats
 	done := ctx.Done()
 	for i := lo; i < hi; i++ {
 		local := i - lo
-		if hook != nil || (done != nil && local&search.StrideMask == 0) {
-			if err := search.Poll(ctx, hook, local); err != nil {
+		if done != nil {
+			if err := search.Poll(ctx); err != nil {
 				st.Scanned = local
 				st.FullProducts = local
 				return st, err
@@ -164,7 +166,7 @@ func TestEngineCancellationPartials(t *testing.T) {
 		e := New(newDotKernel(items, 4), workers)
 		reg := faults.NewRegistry(20260806)
 		hook := reg.Enable(faults.SiteScan, faults.Plan{CancelAtItem: 25})
-		res, err := e.SearchContext(obs.WithQuery(context.Background(), obs.Query{Hook: hook}), q, 10)
+		res, err := e.SearchContext(hook.Context(context.Background()), q, 10)
 		if !errors.Is(err, search.ErrDeadline) {
 			t.Fatalf("W=%d: err = %v, want ErrDeadline", workers, err)
 		}
@@ -209,11 +211,11 @@ type padded struct{ Kernel }
 
 func (padded) Shards() int { return 2 }
 
-func (p padded) Scan(ctx context.Context, pq any, shard int, c *topk.Collector, shared *search.SharedThreshold, hook *faults.Hook) (search.Stats, error) {
+func (p padded) Scan(ctx context.Context, pq any, shard int, c *topk.Collector, shared *search.SharedThreshold) (search.Stats, error) {
 	if shard == 1 {
 		return search.Stats{}, nil
 	}
-	return p.Kernel.Scan(ctx, pq, 0, c, shared, hook)
+	return p.Kernel.Scan(ctx, pq, 0, c, shared)
 }
 
 // TestOneShardRouteMatchesGeneralRoute: the one-shard query — no
@@ -243,13 +245,13 @@ func TestOneShardRouteMatchesGeneralRoute(t *testing.T) {
 			}
 			o.Observed = append(o.Observed, st)
 		})
-		var hook *faults.Hook
+		ctx := context.Background()
 		if cancelAt > 0 {
-			hook = faults.NewRegistry(1).Enable(faults.SiteScan, faults.Plan{CancelAtItem: cancelAt})
+			ctx = faults.NewRegistry(1).Enable(faults.SiteScan, faults.Plan{CancelAtItem: cancelAt}).Context(ctx)
 		}
 		root := obs.NewRoot("search")
 		var st search.Stats
-		res, err := e.SearchContext(obs.WithQuery(context.Background(), obs.Query{Span: root, Stats: &st, Hook: hook}), q, 10)
+		res, err := e.SearchContext(obs.WithQuery(ctx, obs.Query{Span: root, Stats: &st}), q, 10)
 		root.End()
 		o.Res, o.Cancelled, o.Stats, o.Spans = res, errors.Is(err, search.ErrDeadline), st, map[string]int{}
 		if err != nil && !o.Cancelled {
@@ -311,7 +313,7 @@ func TestNonPositiveKAndWorkerPanic(t *testing.T) {
 					t.Fatalf("S=%d: recovered %v on the caller, want the injected scan panic", shards, p)
 				}
 			}()
-			_, _ = e.SearchContext(obs.WithQuery(context.Background(), obs.Query{Hook: hook}), items.Row(1), 4)
+			_, _ = e.SearchContext(hook.Context(context.Background()), items.Row(1), 4)
 		}()
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sync/atomic"
 	"testing"
 
@@ -66,8 +67,9 @@ func TestOneContextLookupPerQuery(t *testing.T) {
 
 // TestStartSpanKeepsSinkAndHook: a context derived by obs.StartSpan — a
 // rebuild's, a snapshot load's — carries the child span with the
-// parent's sink and hook, so a search under it counts into the parent's
-// sink, polls the parent's hook and hangs its stages under the child.
+// parent's sink, and stays a context derived from the parent, so a search
+// under it counts into the parent's sink, polls the fault hook the parent
+// was made by (faults.Hook.Context) and hangs its stages under the child.
 func TestStartSpanKeepsSinkAndHook(t *testing.T) {
 	rng := rand.New(rand.NewSource(37))
 	items, q := searchtest.RandomInstance(rng, 200, 8)
@@ -78,9 +80,9 @@ func TestStartSpanKeepsSinkAndHook(t *testing.T) {
 	var st search.Stats
 	hook := faults.NewRegistry(1).Enable(faults.SiteScan, faults.Plan{})
 	root := obs.NewRoot("boot")
-	ctx, sp := obs.StartSpan(obs.WithQuery(context.Background(), obs.Query{Span: root, Stats: &st, Hook: hook}), "snapshot.load")
-	if got := obs.QueryFrom(ctx); sp == nil || got != (obs.Query{Span: sp, Stats: &st, Hook: hook}) {
-		t.Fatalf("derived query %+v, want the child %p with the parent's sink and hook", got, sp)
+	ctx, sp := obs.StartSpan(obs.WithQuery(hook.Context(context.Background()), obs.Query{Span: root, Stats: &st}), "snapshot.load")
+	if got := obs.QueryFrom(ctx); sp == nil || got != (obs.Query{Span: sp, Stats: &st}) {
+		t.Fatalf("derived query %+v, want the child %p with the parent's sink", got, sp)
 	}
 	if _, err := e.SearchContext(ctx, q, 5); err != nil {
 		t.Fatal(err)
@@ -88,7 +90,7 @@ func TestStartSpanKeepsSinkAndHook(t *testing.T) {
 	sp.End()
 	root.End()
 	if st == (search.Stats{}) || hook.Counts().Items == 0 {
-		t.Fatalf("search under the derived context: sink %+v, hook saw %d items", st, hook.Counts().Items)
+		t.Fatalf("search under the derived context: sink %+v, hook saw %d polls", st, hook.Counts().Items)
 	}
 	var names []string
 	for _, c := range sp.Children() {
@@ -100,36 +102,43 @@ func TestStartSpanKeepsSinkAndHook(t *testing.T) {
 }
 
 // TestBatchChunkKeepsSpanAndHook: every chunk of engine.Batch runs under
-// the caller's span and hook; concurrent chunks count into sinks of their
-// own, and the caller's sink ends up with every chunk's counters.
+// the caller's span and under a context derived from the caller's, so its
+// polls reach the caller's fault hook; concurrent chunks count into sinks
+// of their own, and the caller's sink ends up with every chunk's counters.
 func TestBatchChunkKeepsSpanAndHook(t *testing.T) {
 	queries := vec.FromRows([][]float64{{1}, {3}, {0}, {3}, {2}, {5}, {-4}})
 	for _, workers := range []int{1, 3} {
 		var sink search.Stats
 		root := obs.NewRoot("batch")
 		hook := faults.NewRegistry(1).Enable(faults.SiteScan, faults.Plan{})
-		ctx := obs.WithQuery(context.Background(), obs.Query{Span: root, Stats: &sink, Hook: hook})
+		ctx := obs.WithQuery(hook.Context(context.Background()), obs.Query{Span: root, Stats: &sink})
+		var chunks atomic.Int64
 		err := engine.Batch(ctx, queries, workers, func(ctx context.Context, rows []int) error {
+			chunks.Add(1)
 			q := obs.QueryFrom(ctx)
-			if q.Span != root || q.Hook != hook || q.Stats == nil || (workers > 1) == (q.Stats == &sink) {
+			if q.Span != root || q.Stats == nil || (workers > 1) == (q.Stats == &sink) {
 				t.Errorf("workers=%d: chunk %v runs under %+v", workers, rows, q)
 			}
 			q.AddStats(search.Stats{Scanned: len(rows)})
-			return nil
+			return search.Poll(ctx)
 		})
 		if err != nil || sink.Scanned != queries.Rows {
 			t.Fatalf("workers=%d: %v, the sink counts %d rows, want %d", workers, err, sink.Scanned, queries.Rows)
+		}
+		if polls := hook.Counts().Items; polls != chunks.Load() {
+			t.Fatalf("workers=%d: the hook saw %d polls from %d chunks", workers, polls, chunks.Load())
 		}
 	}
 }
 
 // TestBatchCancellation holds the two batch calls, core.BatchTopKContext
-// and lemp.Index.TopKJoinContext, to the cancellation contract with a
-// CancelAtItem hook in the context, at one worker and at three: a batch
-// the hook cut short never returns a nil error, every list — a partial
-// one too — holds true inner products in descending order, a hook that
-// never fires leaves the answer identical to the baseline, and the hook
-// does reach the scans.
+// and lemp.Index.TopKJoinContext, to the cancellation contract under a
+// CancelAtItem hook's context, at one worker and at three: a batch the
+// hook cut short never returns a nil error, every list — a partial one
+// too — holds true inner products in descending order, a hook that never
+// fires leaves the answer identical to the baseline, and some trial cuts
+// the batch short after it has answered queries. The cancel points spread
+// over the polls an unfaulted batch makes.
 func TestBatchCancellation(t *testing.T) {
 	const seed, k = 20261017, 10
 	rng := rand.New(rand.NewSource(seed))
@@ -158,15 +167,22 @@ func TestBatchCancellation(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: uncancelled batch: %v", label, err)
 			}
-			fired := 0
+			probe := faults.NewRegistry(seed).Enable(faults.SiteScan, faults.Plan{})
+			if got, err := batch(probe.Context(context.Background()), workers); err != nil || !reflect.DeepEqual(got, base) {
+				t.Fatalf("%s: under a fault-free hook: %v, answer differs from the baseline", label, err)
+			}
+			polls := int(probe.Counts().Items)
+			partial := 0
 			for trial := 0; trial < 25; trial++ {
-				cancelAt := 1 + rng.Intn(600) // may exceed the work actually done
+				cancelAt := 1 + trial*(polls+1)/25
 				hook := faults.NewRegistry(seed+int64(trial)).Enable(faults.SiteScan, faults.Plan{CancelAtItem: cancelAt})
-				got, err := batch(obs.WithQuery(context.Background(), obs.Query{Hook: hook}), workers)
+				got, err := batch(hook.Context(context.Background()), workers)
 				if hook.Counts().Cancels > 0 {
-					fired++
 					if !errors.Is(err, search.ErrDeadline) {
 						t.Fatalf("%s: cancel at %d fired, err = %v, want ErrDeadline", label, cancelAt, err)
+					}
+					if slices.ContainsFunc(got, func(res []topk.Result) bool { return len(res) > 0 }) {
+						partial++
 					}
 				} else if err != nil || !reflect.DeepEqual(got, base) {
 					t.Fatalf("%s: unfired cancel at %d: %v, answer differs from the baseline", label, cancelAt, err)
@@ -180,8 +196,8 @@ func TestBatchCancellation(t *testing.T) {
 					}
 				}
 			}
-			if fired == 0 {
-				t.Fatalf("%s: the hook in the context fired in none of 25 trials", label)
+			if partial == 0 {
+				t.Fatalf("%s: no trial cut the batch short after it had answered a query (%d polls unfaulted)", label, polls)
 			}
 		}
 	}

@@ -5,16 +5,14 @@
 // from tests exactly and reproducibly, instead of hoping a loaded CI
 // machine happens to hit the window.
 //
-// Two injection sites exist:
+// Two kinds of injection site exist:
 //
-//   - scan loops: a query's hook rides its context, in the query value
-//     obs.Query that the searcher reads once per query; the scan loop
-//     calls Hook.OnItem(i) once per candidate, behind a nil check that
-//     costs nothing in production (hooks are never installed outside
-//     tests).
-//   - request handlers: the HTTP server calls Hook.OnCall() at the top
-//     of guarded handlers, letting tests inject per-request latency,
-//     failures, and panics through the full middleware stack.
+//   - scans: a query runs under Hook.Context(ctx), whose every poll (one
+//     per search.CheckStride rows or tree nodes) runs Hook.OnItem, so the
+//     scan loops carry no fault code and run exactly as in production.
+//   - calls: the HTTP server calls Hook.OnCall() at the top of guarded
+//     handlers, letting tests inject per-request latency, failures, and
+//     panics through the full middleware stack, and the WAL on appends.
 //
 // All faults are deterministic: counted faults (every-nth, at-item-i)
 // depend only on call order, and probabilistic faults draw from a
@@ -23,6 +21,7 @@
 package faults
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"hash/fnv"
@@ -40,7 +39,7 @@ var ErrInjected = errors.New("faults: injected fault")
 // Canonical site names. A Registry may hold hooks under any string, but
 // the server and the test battery agree on these.
 const (
-	// SiteScan is the per-item hook compiled into searcher scan loops.
+	// SiteScan fires on every poll of a scan under Hook.Context.
 	SiteScan = "scan"
 	// SiteServerSearch fires at the top of /v1/search and /v1/above.
 	SiteServerSearch = "server.search"
@@ -58,15 +57,15 @@ const (
 // value injects nothing.
 type Plan struct {
 	// CancelAtItem makes OnItem return an ErrInjected-wrapping error for
-	// every item index ≥ the given value (scan loops translate this into
-	// a deadline-style cancellation with partial results). 0 disables.
+	// every item ≥ the given value (under Hook.Context, every poll from
+	// that ordinal on: the scan ends with partial results). 0 disables.
 	CancelAtItem int
-	// PanicAtItem makes OnItem panic when the scan reaches exactly this
-	// item index. 0 disables.
+	// PanicAtItem makes OnItem panic at exactly this item (for a scan, on
+	// the goroutine that makes that poll). 0 disables.
 	PanicAtItem int
-	// ItemLatency is slept inside OnItem every ItemLatencyEvery items
-	// (default: every item when ItemLatency > 0), slowing a scan so
-	// wall-clock deadlines reliably expire mid-scan.
+	// ItemLatency is slept inside OnItem on every item that is a multiple
+	// of ItemLatencyEvery (default: every item when ItemLatency > 0),
+	// slowing a scan so wall-clock deadlines reliably expire mid-scan.
 	ItemLatency      time.Duration
 	ItemLatencyEvery int
 
@@ -128,9 +127,9 @@ func (h *Hook) Counts() Counts {
 	}
 }
 
-// OnItem is the scan-loop injection point: searchers call it once per
-// candidate item (behind a nil check). It may sleep, panic, or return
-// an error that the scan loop must surface as a cancellation.
+// OnItem is the per-item injection point: of a Context on every poll, of
+// the WAL on every append. It may sleep, panic, or return an error the
+// caller must surface as a failure.
 func (h *Hook) OnItem(i int) error {
 	h.items.Add(1)
 	p := &h.plan
@@ -153,6 +152,39 @@ func (h *Hook) OnItem(i int) error {
 		return fmt.Errorf("%w: forced cancellation at item %d (site %q)", ErrInjected, i, h.site)
 	}
 	return nil
+}
+
+// Context returns parent, derived so that every poll of it — an Err call,
+// as search.Poll makes — runs OnItem with the poll's ordinal, counted from
+// 1 across all polling goroutines: it may sleep, panic on the polling
+// goroutine, or cancel the context with its error as the cause. The
+// parent's deadline is then checked against the clock, so a scan stalled
+// past it stops even before the runtime runs the timer that closes Done.
+// A nil hook returns parent itself.
+func (h *Hook) Context(parent context.Context) context.Context {
+	if h == nil {
+		return parent
+	}
+	ctx, cancel := context.WithCancelCause(parent)
+	return &pollContext{Context: ctx, hook: h, cancel: cancel}
+}
+
+// pollContext is the context Hook.Context returns.
+type pollContext struct {
+	context.Context
+	hook   *Hook
+	cancel context.CancelCauseFunc
+	polls  atomic.Int64
+}
+
+// Err is one poll.
+func (c *pollContext) Err() error {
+	if err := c.hook.OnItem(int(c.polls.Add(1))); err != nil {
+		c.cancel(err)
+	} else if dl, ok := c.Deadline(); ok && !time.Now().Before(dl) {
+		c.cancel(context.DeadlineExceeded)
+	}
+	return c.Context.Err()
 }
 
 // OnCall is the request-level injection point: handlers call it once
@@ -227,7 +259,7 @@ func (r *Registry) Disable(site string) {
 }
 
 // Hook returns the hook installed at site, or nil — the nil result is
-// what production scan loops see, making the injection free.
+// what production sees, and its Context is free.
 func (r *Registry) Hook(site string) *Hook {
 	if r == nil {
 		return nil

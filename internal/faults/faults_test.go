@@ -1,7 +1,10 @@
 package faults
 
 import (
+	"context"
 	"errors"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -216,5 +219,120 @@ func TestHookSharedAcrossGoroutines(t *testing.T) {
 	}
 	if c := h.Counts(); c.Items != workers*1000 {
 		t.Fatalf("Items = %d, want %d", c.Items, workers*1000)
+	}
+}
+
+// TestContextPolls: every Err call of a Hook.Context context is one poll,
+// run through OnItem with its ordinal counted from 1 — PanicAtItem 1
+// panics at the first poll, CancelAtItem 3 ends the context at the third
+// with an ErrInjected cause, ItemLatencyEvery 3 stalls polls 3, 6 and 9
+// of ten — and the context keeps its parent's values.
+func TestContextPolls(t *testing.T) {
+	type key struct{}
+	parent := context.WithValue(context.Background(), key{}, "v")
+
+	ctx := NewRegistry(1).Enable(SiteScan, Plan{PanicAtItem: 1}).Context(parent)
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("the first poll did not panic at PanicAtItem 1")
+			}
+		}()
+		_ = ctx.Err()
+	}()
+	if err := ctx.Err(); err != nil || ctx.Value(key{}) != "v" {
+		t.Fatalf("after the panic: Err = %v, Value = %v; want a live context with the parent's value", err, ctx.Value(key{}))
+	}
+
+	h := NewRegistry(1).Enable(SiteScan, Plan{CancelAtItem: 3})
+	ctx = h.Context(parent)
+	for poll := 1; poll <= 5; poll++ {
+		err := ctx.Err()
+		if (err != nil) != (poll >= 3) {
+			t.Fatalf("poll %d: Err = %v, want an error from poll 3 on", poll, err)
+		}
+	}
+	select {
+	case <-ctx.Done():
+	default:
+		t.Fatal("Done is open after the cancelling poll")
+	}
+	if cause := context.Cause(ctx); !errors.Is(cause, ErrInjected) || !strings.Contains(cause.Error(), "item 3") {
+		t.Fatalf("Cause = %v, want the injected cancellation at item 3", cause)
+	}
+	if c := h.Counts(); c.Items != 5 || c.Cancels != 3 {
+		t.Fatalf("counts %+v, want 5 polls and 3 cancels", c)
+	}
+
+	h = NewRegistry(1).Enable(SiteScan, Plan{ItemLatency: time.Microsecond, ItemLatencyEvery: 3})
+	ctx = h.Context(parent)
+	for poll := 1; poll <= 10; poll++ {
+		if err := ctx.Err(); err != nil {
+			t.Fatalf("poll %d: %v", poll, err)
+		}
+	}
+	if c := h.Counts(); c.Delays != 3 {
+		t.Fatalf("Delays = %d over ten polls, want 3", c.Delays)
+	}
+}
+
+// openDeadline is a context whose deadline passes on the clock while its
+// Done channel stays open — the state a scan sees after a stall, before
+// the runtime runs the timer that would close Done.
+type openDeadline struct {
+	context.Context
+	at time.Time
+}
+
+func (c openDeadline) Deadline() (time.Time, bool) { return c.at, true }
+func (openDeadline) Done() <-chan struct{}         { return make(chan struct{}) }
+
+// TestContextDeadlineAfterStall: a poll whose injected stall runs past the
+// parent's deadline ends the context with DeadlineExceeded even though
+// the parent itself never reports done; a poll before the deadline does
+// not.
+func TestContextDeadlineAfterStall(t *testing.T) {
+	parent := openDeadline{context.Background(), time.Now().Add(100 * time.Millisecond)}
+	ctx := NewRegistry(1).Enable(SiteScan, Plan{ItemLatency: 150 * time.Millisecond, ItemLatencyEvery: 2}).Context(parent)
+	if err := ctx.Err(); err != nil {
+		t.Fatalf("poll 1, before the deadline: %v", err)
+	}
+	if err := ctx.Err(); err == nil || !errors.Is(context.Cause(ctx), context.DeadlineExceeded) {
+		t.Fatalf("poll 2, stalled past the deadline: Err = %v, Cause = %v; want DeadlineExceeded", err, context.Cause(ctx))
+	}
+	if parent.Err() != nil {
+		t.Fatal("the parent reports done; the test would not show the clock check")
+	}
+}
+
+// TestNilHookContext: with no hook installed a scan runs under its
+// caller's context itself.
+func TestNilHookContext(t *testing.T) {
+	parent := context.Background()
+	if got := NewRegistry(1).Hook(SiteScan).Context(parent); got != parent {
+		t.Fatalf("nil hook's Context = %v, want the parent", got)
+	}
+}
+
+// TestContextConcurrentPolls: polls from several goroutines draw distinct
+// ordinals — 8 × 1000 polls under CancelAtItem 4001 cancel exactly 4000
+// times — and the context ends; run under -race by make race-subset.
+func TestContextConcurrentPolls(t *testing.T) {
+	const workers, polls = 8, 1000
+	h := NewRegistry(1).Enable(SiteScan, Plan{CancelAtItem: workers*polls/2 + 1})
+	ctx := h.Context(context.Background())
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < polls; i++ {
+				_ = ctx.Err()
+			}
+		}()
+	}
+	wg.Wait()
+	if c := h.Counts(); c.Items != workers*polls || c.Cancels != workers*polls/2 || ctx.Err() == nil {
+		t.Fatalf("counts %+v, Err %v; want %d polls, %d cancels and a done context", c, ctx.Err(), workers*polls, workers*polls/2)
 	}
 }

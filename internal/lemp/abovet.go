@@ -20,16 +20,15 @@ func (idx *Index) SearchAbove(q []float64, t float64) []topk.Result {
 }
 
 // SearchAboveContext behaves like SearchAbove but honours ctx: the
-// bucket scan polls cancellation every search.CheckStride items (and on
-// every item when a fault hook is installed) and returns the (sorted)
-// qualifying items found so far with an ErrDeadline-wrapping error. On
-// cancellation the set may be missing qualifying items, but every
-// returned score is a true inner product.
+// bucket scan polls cancellation every search.CheckStride items and
+// returns the (sorted) qualifying items found so far with an
+// ErrDeadline-wrapping error. On cancellation the set may be missing
+// qualifying items, but every returned score is a true inner product.
 func (idx *Index) SearchAboveContext(ctx context.Context, q []float64, t float64) ([]topk.Result, error) {
 	qv := obs.QueryFrom(ctx)
 	var st search.Stats
 	c := topk.NewAbove(t)
-	err := idx.scanBuckets(ctx, qv.Hook, idx.prepareQuery(q), 0, len(idx.buckets), c, nil, &st)
+	err := idx.scanBuckets(ctx, idx.prepareQuery(q), 0, len(idx.buckets), c, nil, &st)
 	qv.AddStats(st)
 	return c.Results(), err
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 
 	"fexipro/internal/engine"
-	"fexipro/internal/faults"
 	"fexipro/internal/search"
 	"fexipro/internal/topk"
 )
@@ -36,10 +35,10 @@ func (k *Kernel) Prepare(q []float64, _ any) any { return k.idx.prepareQuery(q) 
 // Scan implements engine.Kernel: one contiguous bucket range of the
 // LEMP scan, with strict pruning against the max of the local and
 // shared thresholds.
-func (k *Kernel) Scan(ctx context.Context, pq any, shard int, c *topk.Collector, shared *search.SharedThreshold, hook *faults.Hook) (search.Stats, error) {
+func (k *Kernel) Scan(ctx context.Context, pq any, shard int, c *topk.Collector, shared *search.SharedThreshold) (search.Stats, error) {
 	bLo, bHi := k.part.Range(shard)
 	var st search.Stats
-	err := k.idx.scanBuckets(ctx, hook, pq.(*lempQuery), bLo, bHi, c, shared, &st)
+	err := k.idx.scanBuckets(ctx, pq.(*lempQuery), bLo, bHi, c, shared, &st)
 	return st, err
 }
 

@@ -20,7 +20,6 @@ import (
 	"math"
 
 	"fexipro/internal/engine"
-	"fexipro/internal/faults"
 	"fexipro/internal/obs"
 	"fexipro/internal/search"
 	"fexipro/internal/topk"
@@ -46,9 +45,7 @@ type Options struct {
 // NewSSL does. Single queries run through Kernel under engine.Engine;
 // the index itself answers the batch joins (TopKJoinContext, AboveJoin)
 // and the one-query above-t scan they are made of, all of them
-// scanBuckets over every bucket under their context's obs.Query: its
-// hook sees a global item counter that runs across bucket boundaries,
-// and its sink gets their counters.
+// scanBuckets over every bucket, with the counters to their context's sink.
 type Index struct {
 	d       int
 	focus   bool // SS-L: test the query's focus coordinate on every candidate
@@ -185,8 +182,8 @@ func (idx *Index) tuneW(samples *vec.Matrix) int {
 		var cost float64
 		for s := 0; s < samples.Rows; s++ {
 			var st search.Stats
-			// An uncancellable, hook-less scan cannot fail.
-			_ = idx.scanBuckets(context.Background(), nil, idx.prepareQuery(samples.Row(s)), 0, len(idx.buckets), topk.New(10), nil, &st)
+			// An uncancellable scan cannot fail.
+			_ = idx.scanBuckets(context.Background(), idx.prepareQuery(samples.Row(s)), 0, len(idx.buckets), topk.New(10), nil, &st)
 			cost += float64(st.Scanned*w + st.FullProducts*(d-w))
 		}
 		if cost < bestCost {
@@ -274,7 +271,7 @@ func (idx *Index) prepareQuery(q []float64) *lempQuery {
 // range. Pruning is STRICT against the max of the local and cross-shard
 // thresholds; ctx is polled at SHARD-LOCAL item positions (counted from
 // the start of the range, across bucket boundaries).
-func (idx *Index) scanBuckets(ctx context.Context, hook *faults.Hook, qs *lempQuery, bLo, bHi int, c *topk.Collector, shared *search.SharedThreshold, stats *search.Stats) error {
+func (idx *Index) scanBuckets(ctx context.Context, qs *lempQuery, bLo, bHi int, c *topk.Collector, shared *search.SharedThreshold, stats *search.Stats) error {
 	done := ctx.Done()
 	pos := 0 // item counter across the range's buckets, for Poll indices
 	if qs.qNorm == 0 {
@@ -284,8 +281,8 @@ func (idx *Index) scanBuckets(ctx context.Context, hook *faults.Hook, qs *lempQu
 		for bi := bLo; bi < bHi; bi++ {
 			b := &idx.buckets[bi]
 			for i := range b.ids {
-				if hook != nil || (done != nil && pos&search.StrideMask == 0) {
-					if err := search.Poll(ctx, hook, pos); err != nil {
+				if done != nil && pos&search.StrideMask == 0 {
+					if err := search.Poll(ctx); err != nil {
 						return err
 					}
 				}
@@ -305,21 +302,21 @@ func (idx *Index) scanBuckets(ctx context.Context, hook *faults.Hook, qs *lempQu
 			}
 			return nil
 		}
-		if err := idx.scanBucket(ctx, hook, done, &pos, b, qs, c, shared, stats); err != nil {
+		if err := idx.scanBucket(ctx, done, &pos, b, qs, c, shared, stats); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-func (idx *Index) scanBucket(ctx context.Context, hook *faults.Hook, done <-chan struct{}, pos *int, b *bucket, qs *lempQuery, c *topk.Collector, shared *search.SharedThreshold, stats *search.Stats) error {
+func (idx *Index) scanBucket(ctx context.Context, done <-chan struct{}, pos *int, b *bucket, qs *lempQuery, c *topk.Collector, shared *search.SharedThreshold, stats *search.Stats) error {
 	d := idx.d
 	w := b.w
 	qTail := vec.NormRange(qs.qUnit, w, d)
 	//fex:hot
 	for i := 0; i < b.unit.Rows; i++ {
-		if hook != nil || (done != nil && *pos&search.StrideMask == 0) {
-			if err := search.Poll(ctx, hook, *pos); err != nil {
+		if done != nil && *pos&search.StrideMask == 0 {
+			if err := search.Poll(ctx); err != nil {
 				return err
 			}
 		}
@@ -393,7 +390,7 @@ func (idx *Index) TopKJoinContext(ctx context.Context, queries *vec.Matrix, k, w
 		var st search.Stats
 		for _, qi := range rows {
 			c := topk.New(k)
-			err = idx.scanBuckets(ctx, qv.Hook, idx.prepareQuery(queries.Row(qi)), 0, len(idx.buckets), c, nil, &st)
+			err = idx.scanBuckets(ctx, idx.prepareQuery(queries.Row(qi)), 0, len(idx.buckets), c, nil, &st)
 			out[qi] = c.Results()
 			if err != nil {
 				break

@@ -2,14 +2,12 @@ package method_test
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math/rand"
 	"slices"
 	"sync"
 	"testing"
 
-	"fexipro/internal/faults"
 	"fexipro/internal/method"
 	"fexipro/internal/obs"
 	"fexipro/internal/search"
@@ -22,20 +20,31 @@ import (
 // runs, through its one factory and the engine, the exactness grid and
 // the degenerate inputs against Naive at one shard, bit-identity of
 // S ∈ {2, 3, 7} against S = 1, the cancellation contract at
-// S ∈ {1, 2, 3, 7}, the counter contract below (k ≤ 0 included), the
-// counter accounting, and above-t against Naive's own above-t loop at
-// S ∈ {1, 2, 3, 7}. The approximate PCATree is held to everything but
+// S ∈ {1, 2, 3, 7} (the approximate PCATree's at S = 1 is its package's),
+// the counter contract below (k ≤ 0 included), the counter accounting,
+// and above-t against Naive's own above-t loop at S ∈ {1, 2, 3, 7}. The approximate PCATree is held to everything but
 // the comparisons with Naive.
 func TestEveryMethodBuildsAndSearches(t *testing.T) {
 	for _, name := range method.Names() {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			d, _ := method.Lookup(name)
+			// One build per (items, shards): the top-k and the above-t
+			// cancellation suites share searchtest.CancelInstance.
+			type key struct {
+				items  *vec.Matrix
+				shards int
+			}
+			built := map[key]search.Searcher{}
 			build := searchtest.Builder(func(items *vec.Matrix, shards int) search.Searcher {
+				if e, ok := built[key{items, shards}]; ok {
+					return e
+				}
 				e, err := method.Sharded(name, items, method.BuildOptions{}, shards, 2)
 				if err != nil {
 					t.Fatalf("%s shards=%d: %v", name, shards, err)
 				}
+				built[key{items, shards}] = e
 				return e
 			})
 			if d.Exact {
@@ -44,7 +53,10 @@ func TestEveryMethodBuildsAndSearches(t *testing.T) {
 				searchtest.CheckCancellation(t, build.Sequential, name+"/S=1")
 				searchtest.CheckShardedCancellation(t, build, name)
 			} else {
-				searchtest.CheckCancellationApprox(t, build.Sequential, name+"/S=1")
+				// An approximate descent visits one root-to-leaf path, at
+				// one shard fewer nodes than a poll stride, so no fault can
+				// land in it after rows were offered; the method's own
+				// package runs S = 1 with the descent spilling.
 				searchtest.CheckShardedCancellationApprox(t, build, name)
 			}
 			searchtest.CheckSharded(t, build, name)
@@ -60,9 +72,9 @@ func TestEveryMethodBuildsAndSearches(t *testing.T) {
 // checkCounters is the counter contract at S ∈ {1, 2, 3, 7}: a query adds
 // to the sink its context carries (obs.WithStats) the sum of what its
 // shards report to the engine's observer; two queries into one sink hold
-// the sum of their one-query sinks; k ≤ 0 answers and adds nothing; a
-// query cut short by CancelAtItem adds the work it did, over no more rows
-// than there are; and a context with no sink gets the same answer.
+// the sum of their one-query sinks; k ≤ 0 answers and adds nothing; and a
+// context with no sink gets the same answer. (That a query cut short adds
+// the work it did is the cancellation battery's to check.)
 func checkCounters(t *testing.T, name string) {
 	t.Helper()
 	const n = 300
@@ -93,12 +105,6 @@ func checkCounters(t *testing.T, name string) {
 			if res, st := searchtest.Counted(e, q, k); len(res) != 0 || st != (search.Stats{}) {
 				t.Fatalf("%s k=%d: %d results, %+v in the sink; want none and zero", label, k, len(res), st)
 			}
-		}
-		var cut search.Stats
-		hook := faults.NewRegistry(1).Enable(faults.SiteScan, faults.Plan{CancelAtItem: 2})
-		_, err = e.SearchContext(obs.WithQuery(context.Background(), obs.Query{Stats: &cut, Hook: hook}), q, 5)
-		if !errors.Is(err, search.ErrDeadline) || cut == (search.Stats{}) || cut.Scanned > n {
-			t.Fatalf("%s: cancelled query: %v, %+v in the sink; want ErrDeadline and the work done, Scanned ≤ %d", label, err, cut, n)
 		}
 		// One worker: the shards and their shared threshold run in a fixed
 		// order, so a query's counters repeat exactly.

@@ -3,21 +3,18 @@ package obs
 import (
 	"context"
 
-	"fexipro/internal/faults"
 	"fexipro/internal/search"
 )
 
 // Query is the per-query state a context carries under one key: the span
-// the query's stages attach children to, the sink its counters are added
-// to, and the fault hook its scan loops poll. Every field is optional;
-// the zero Query is untraced, uncounted and unfaulted. A searcher reads it
-// once per query (QueryFrom), so no searcher holds per-query state. The
-// span and hook may be shared by concurrent queries; the sink must not be
-// (engine.Batch gives each concurrent chunk its own).
+// the query's stages attach children to and the sink its counters are
+// added to. Both are optional; the zero Query is untraced and uncounted.
+// A searcher reads it once per query (QueryFrom), so no searcher holds
+// per-query state. The span may be shared by concurrent queries; the sink
+// must not be (engine.Batch gives each concurrent chunk its own).
 type Query struct {
 	Span  *Span
 	Stats *search.Stats
-	Hook  *faults.Hook
 }
 
 // QueryKey is the context key of the Query. A context type of its own may
@@ -55,7 +52,7 @@ func (q Query) AddStats(st search.Stats) {
 }
 
 // StartSpan starts a child of ctx's span and returns a context whose Query
-// carries the child, and the parent's sink and hook; with no span it
+// carries the child and the parent's sink; with no span it
 // returns ctx unchanged and nil. The one-call idiom for a stage:
 //
 //	ctx, sp := obs.StartSpan(ctx, "rebuild")

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"fexipro/internal/engine"
-	"fexipro/internal/faults"
 	"fexipro/internal/search"
 	"fexipro/internal/topk"
 )
@@ -49,8 +48,8 @@ func (k *Kernel) Prepare(q []float64, _ any) any {
 
 // Scan implements engine.Kernel: a full defeatist descent of the shared
 // tree, filtered to the shard's ID range. Node-visit counts are
-// shard-local, so Poll/fault indices start at zero per shard.
-func (k *Kernel) Scan(ctx context.Context, pq any, shard int, c *topk.Collector, shared *search.SharedThreshold, hook *faults.Hook) (search.Stats, error) {
+// shard-local, so each shard polls from its own first node.
+func (k *Kernel) Scan(ctx context.Context, pq any, shard int, c *topk.Collector, shared *search.SharedThreshold) (search.Stats, error) {
 	qs := pq.(*pcQuery)
 	var st search.Stats
 	if k.t.root == nil || c.K() <= 0 {
@@ -64,7 +63,6 @@ func (k *Kernel) Scan(ctx context.Context, pq any, shard int, c *topk.Collector,
 		q:      qs.q,
 		c:      c,
 		shared: shared,
-		hook:   hook,
 		stats:  &st,
 		loID:   lo,
 		hiID:   hi,

@@ -21,7 +21,6 @@ import (
 	"math"
 	"sort"
 
-	"fexipro/internal/faults"
 	"fexipro/internal/search"
 	"fexipro/internal/svd"
 	"fexipro/internal/topk"
@@ -174,14 +173,13 @@ type scanState struct {
 	ext, q     []float64
 	c          *topk.Collector
 	shared     *search.SharedThreshold
-	hook       *faults.Hook
 	stats      *search.Stats
 	loID, hiID int
 }
 
 func (s *scanState) descend(n *pnode) error {
-	if done := s.ctx.Done(); s.hook != nil || (done != nil && s.stats.NodesVisited&search.StrideMask == 0) {
-		if err := search.Poll(s.ctx, s.hook, s.stats.NodesVisited); err != nil {
+	if done := s.ctx.Done(); done != nil && s.stats.NodesVisited&search.StrideMask == 0 {
+		if err := search.Poll(s.ctx); err != nil {
 			return err
 		}
 	}

@@ -15,9 +15,14 @@ import (
 // searcher is the package's one search path: the engine over a Kernel of
 // ID ranges of one tree (the registry's PCATree is this, and
 // internal/method's registry-driven test covers its default options).
+// Every shard count of one builder shares the tree it built over items.
 func searcher(opts pcatree.Options) searchtest.Builder {
+	trees := map[*vec.Matrix]*pcatree.Tree{}
 	return func(items *vec.Matrix, shards int) search.Searcher {
-		return engine.New(pcatree.NewKernel(pcatree.New(items, opts), shards), 2)
+		if trees[items] == nil {
+			trees[items] = pcatree.New(items, opts)
+		}
+		return engine.New(pcatree.NewKernel(trees[items], shards), 2)
 	}
 }
 
@@ -44,6 +49,14 @@ func TestShardedPCATreeBitExact(t *testing.T) {
 
 func TestShardedPCATreeCancellation(t *testing.T) {
 	searchtest.CheckShardedCancellationApprox(t, searcher(pcatree.Options{LeafSize: 8}), "pcatree")
+}
+
+// TestPCATreeCancellation is the cancellation suite at one shard, which
+// the registry leaves to this package: there a defeatist descent visits
+// fewer nodes than a poll stride, so only a spilling one runs long enough
+// for a fault to land in it after candidates were offered.
+func TestPCATreeCancellation(t *testing.T) {
+	searchtest.CheckCancellationApprox(t, searcher(pcatree.Options{LeafSize: 8, SpillFraction: 0.3}).Sequential, "pcatree/spill")
 }
 
 func randomQueries(rng *rand.Rand, n, d int) *vec.Matrix {

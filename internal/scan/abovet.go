@@ -23,13 +23,13 @@ func (n *Naive) SearchAbove(q []float64, t float64) []topk.Result {
 // returned score is a true inner product.
 func (n *Naive) SearchAboveContext(ctx context.Context, q []float64, t float64) ([]topk.Result, error) {
 	qv := obs.QueryFrom(ctx)
-	done, hook := ctx.Done(), qv.Hook
+	done := ctx.Done()
 	var out []topk.Result
 	var err error
 	i := 0
 	for ; i < n.items.Rows; i++ {
-		if hook != nil || (done != nil && i&search.StrideMask == 0) {
-			if err = search.Poll(ctx, hook, i); err != nil {
+		if done != nil && i&search.StrideMask == 0 {
+			if err = search.Poll(ctx); err != nil {
 				break
 			}
 		}

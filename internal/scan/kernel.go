@@ -4,7 +4,6 @@ import (
 	"context"
 
 	"fexipro/internal/engine"
-	"fexipro/internal/faults"
 	"fexipro/internal/search"
 	"fexipro/internal/topk"
 )
@@ -35,10 +34,10 @@ func (k *NaiveKernel) Prepare(q []float64, _ any) any {
 
 // Scan implements engine.Kernel. Naive never prunes, so the shared
 // threshold is unused.
-func (k *NaiveKernel) Scan(ctx context.Context, pq any, shard int, c *topk.Collector, shared *search.SharedThreshold, hook *faults.Hook) (search.Stats, error) {
+func (k *NaiveKernel) Scan(ctx context.Context, pq any, shard int, c *topk.Collector, shared *search.SharedThreshold) (search.Stats, error) {
 	lo, hi := k.part.Range(shard)
 	var st search.Stats
-	err := k.n.scanRange(ctx, hook, pq.([]float64), lo, hi, c, &st)
+	err := k.n.scanRange(ctx, pq.([]float64), lo, hi, c, &st)
 	return st, err
 }
 

@@ -15,7 +15,6 @@ package scan
 import (
 	"context"
 
-	"fexipro/internal/faults"
 	"fexipro/internal/obs"
 	"fexipro/internal/search"
 	"fexipro/internal/topk"
@@ -56,7 +55,7 @@ func (n *Naive) SearchContext(ctx context.Context, q []float64, k int) ([]topk.R
 	qv := obs.QueryFrom(ctx)
 	var st search.Stats
 	c := topk.New(k)
-	err := n.scanRange(ctx, qv.Hook, q, 0, n.items.Rows, c, &st)
+	err := n.scanRange(ctx, q, 0, n.items.Rows, c, &st)
 	qv.AddStats(st)
 	return c.Results(), err
 }
@@ -68,25 +67,19 @@ func (n *Naive) SearchContext(ctx context.Context, q []float64, k int) ([]topk.R
 // Naive is the cheapest per-item scan in the repository (a bare dot
 // product), so it is the one place where even a predictable per-item
 // branch shows up in profiles. The rows are therefore scored in chunks
-// with no guard inside and one search.Poll between chunks: a stride's
-// worth of rows, or — under a fault hook, which is owed an OnItem call
-// per row — one. The matrix header is read once, outside both loops: a
-// reload per row costs 3 % at d = 1. BenchmarkSearchContextOverhead in
-// bench_test.go holds the hook-less scan within 1% of a guard-free loop
-// there.
-func (n *Naive) scanRange(ctx context.Context, hook *faults.Hook, q []float64, lo, hi int, c *topk.Collector, stats *search.Stats) error {
+// with no guard inside and one search.Poll before each stride's worth of
+// rows. The matrix header is read once, outside both loops: a reload per
+// row costs 3 % at d = 1. BenchmarkSearchContextOverhead in bench_test.go
+// holds the scan within 1% of a guard-free loop there.
+func (n *Naive) scanRange(ctx context.Context, q []float64, lo, hi int, c *topk.Collector, stats *search.Stats) error {
 	data, d := n.items.Data, n.items.Cols
-	chunk := search.CheckStride
-	if hook != nil {
-		chunk = 1
-	}
-	for base := lo; base < hi; base += chunk {
-		if err := search.Poll(ctx, hook, base-lo); err != nil {
+	for base := lo; base < hi; base += search.CheckStride {
+		if err := search.Poll(ctx); err != nil {
 			stats.Scanned += base - lo
 			stats.FullProducts += base - lo
 			return err
 		}
-		end := min(base+chunk, hi)
+		end := min(base+search.CheckStride, hi)
 		//fex:hot
 		for i := base; i < end; i++ {
 			c.Push(i, vec.Dot(q, data[i*d:(i+1)*d]))

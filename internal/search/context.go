@@ -4,9 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"time"
-
-	"fexipro/internal/faults"
 )
 
 // ErrDeadline is returned by SearchContext when the query is cancelled
@@ -20,13 +17,11 @@ import (
 var ErrDeadline = errors.New("search: scan cancelled before completion")
 
 // CheckStride is the number of scanned items (or tree nodes) between
-// context-cancellation polls. Without a fault hook the guard costs two
-// predictable branches per item plus one channel select per stride (the
-// Naive scan goes further and runs stride-sized tight chunks with no
-// per-item branch at all); at 1024 this amortizes to under 1% of the
-// per-item work of even the cheapest scan (d = 1 naive dot products),
-// which BenchmarkSearchContextOverhead in bench_test.go verifies on the
-// uncancelled hot path.
+// context-cancellation polls, and so between two firings of an injected
+// scan fault. The guard costs two predictable branches per item plus one
+// Poll per stride (Naive runs stride-sized chunks with no per-item branch
+// at all); at 1024 this is under 1% of even a d = 1 naive scan, which
+// BenchmarkSearchContextOverhead in bench_test.go verifies.
 const CheckStride = 1024
 
 // StrideMask is the bitmask form of CheckStride for i&StrideMask == 0
@@ -50,53 +45,27 @@ func Canceled(cause error) error {
 	return fmt.Errorf("%w: %v", ErrDeadline, cause)
 }
 
-// Poll is the scan-loop guard slow path. Loops call it only when a
-// fault hook is installed, or the context is cancellable AND the item
-// index lands on a stride boundary. The hook is the one the query value
-// in ctx carries (obs.Query), read once per query — by the engine, which
-// hands it to each Kernel.Scan, or by a searcher of its own:
+// Poll is the scan-loop guard slow path: one ctx.Err call, and when that
+// reports ctx done, its cause wrapped in ErrDeadline. Loops call it when
+// the context is cancellable AND the item index lands on a stride
+// boundary:
 //
 //	done := ctx.Done()
-//	hook := obs.QueryFrom(ctx).Hook
 //	for i := 0; i < n; i++ {
-//		if hook != nil || (done != nil && i&search.StrideMask == 0) {
-//			if err := search.Poll(ctx, hook, i); err != nil {
+//		if done != nil && i&search.StrideMask == 0 {
+//			if err := search.Poll(ctx); err != nil {
 //				return c.Results(), err
 //			}
 //		}
 //		...
 //	}
 //
-// so the uncancelled, un-faulted hot path pays two nil checks per item,
-// and a cancellable-but-unexpired scan adds one Poll call (a channel
-// select) per CheckStride items rather than per item. The returned
-// error always wraps ErrDeadline.
-func Poll(ctx context.Context, hook *faults.Hook, i int) error {
-	// With a fault hook installed (a test scenario — production servers
-	// run hook == nil) the context is checked on every call, not just at
-	// stride boundaries: injected per-item latency simulates a
-	// pathologically slow scan, and a deadline must cut that scan short
-	// even when pruning ends it before the next stride boundary.
-	//
-	// The deadline itself is compared with the clock as well: after an
-	// injected stall the runtime may not yet have run the timer that
-	// closes ctx.Done(), and the scan could otherwise finish "in time".
-	checkCtx := i&StrideMask == 0
-	if hook != nil {
-		if err := hook.OnItem(i); err != nil {
-			return Canceled(err)
-		}
-		if dl, ok := ctx.Deadline(); ok && !time.Now().Before(dl) {
-			return Canceled(context.DeadlineExceeded)
-		}
-		checkCtx = true
-	}
-	if done := ctx.Done(); done != nil && checkCtx {
-		select {
-		case <-done:
-			return Canceled(ctx.Err())
-		default:
-		}
+// so the uncancelled hot path pays the guard's two branches per item, and a
+// cancellable-but-unexpired scan one Poll per CheckStride items. Injected
+// faults arrive the same way, as a context (faults.Hook.Context).
+func Poll(ctx context.Context) error {
+	if ctx.Err() != nil {
+		return Canceled(context.Cause(ctx))
 	}
 	return nil
 }

@@ -22,8 +22,8 @@ type Searcher interface {
 	// return the best-so-far results and an error satisfying
 	// errors.Is(err, ErrDeadline). A nil error flags the results as
 	// exact. It adds the query's counters — a cancelled query's too — to
-	// the sink of the query value ctx carries (obs.Query), if any, and
-	// polls that value's fault hook.
+	// the sink of the query value ctx carries (obs.Query), if any. A scan
+	// fault is a context too (faults.Hook.Context): it fires on the polls.
 	SearchContext(ctx context.Context, q []float64, k int) ([]topk.Result, error)
 }
 

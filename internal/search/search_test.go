@@ -3,6 +3,7 @@ package search
 import (
 	"context"
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -37,17 +38,17 @@ type lateTimerCtx struct{ context.Context }
 func (lateTimerCtx) Deadline() (time.Time, bool) { return time.Now().Add(-time.Millisecond), true }
 func (lateTimerCtx) Done() <-chan struct{}       { return make(chan struct{}) }
 
-// TestPollPassedDeadline: under a fault hook (the per-item test path)
-// Poll treats a deadline already passed on the clock as expired even
-// though Done is still open; the hook-less production poll keeps
-// trusting Done alone.
+// TestPollPassedDeadline: under a fault hook's context
+// (faults.Hook.Context) Poll treats a deadline already passed on the
+// clock as expired even though Done is still open, and says so; the
+// production poll of the bare context keeps trusting the context alone.
 func TestPollPassedDeadline(t *testing.T) {
 	ctx := lateTimerCtx{context.Background()}
 	hook := faults.NewRegistry(1).Enable(faults.SiteScan, faults.Plan{})
-	if err := Poll(ctx, hook, 5); !errors.Is(err, ErrDeadline) {
-		t.Fatalf("Poll with hook and passed deadline = %v, want ErrDeadline", err)
+	if err := Poll(hook.Context(ctx)); !errors.Is(err, ErrDeadline) || !strings.Contains(err.Error(), context.DeadlineExceeded.Error()) {
+		t.Fatalf("Poll under a hook with a passed deadline = %v, want ErrDeadline for the deadline", err)
 	}
-	if err := Poll(ctx, nil, 0); err != nil {
-		t.Fatalf("hook-less Poll = %v, want nil while Done is open", err)
+	if err := Poll(ctx); err != nil {
+		t.Fatalf("Poll of the bare context = %v, want nil while Done is open", err)
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"fexipro/internal/faults"
@@ -119,13 +120,15 @@ type Builder func(items *vec.Matrix, shards int) search.Searcher
 func (b Builder) Sequential(items *vec.Matrix) search.Searcher { return b(items, 1) }
 
 // CheckCancellation is the cancellation property suite shared by every
-// searcher: cancelling the scan at a random item (or node) index via a
-// deterministic fault — a hook in the query's context (obs.Query) —
-// NEVER yields a result set flagged exact (nil error), every partial
-// score is a true inner product of its returned ID, partial results stay
-// sorted, a hook that never fires leaves the results identical to the
-// uncancelled baseline, and an already-cancelled context returns
-// promptly with ErrDeadline.
+// searcher. A deterministic fault — a scan under faults.Hook.Context that
+// cancels at one of the query's polls — NEVER yields a result set flagged
+// exact (nil error); every partial score is a true inner product of its
+// returned ID; partial results stay sorted; a cancelled query adds the
+// work it did to the sink its context carries; a fault that never fires
+// leaves the results identical to the uncancelled baseline; and an
+// already-cancelled context returns promptly with ErrDeadline. The suite
+// fails unless some trial was cancelled after the scan had offered rows,
+// so that what came back was a non-empty partial.
 func CheckCancellation(t *testing.T, build func(items *vec.Matrix) search.Searcher, label string) {
 	t.Helper()
 	checkCancellation(t, build, label, true)
@@ -134,8 +137,8 @@ func CheckCancellation(t *testing.T, build func(items *vec.Matrix) search.Search
 // CheckCancellationApprox is CheckCancellation for approximate searchers
 // (PCA-Tree): the uncancelled baseline is not compared against Naive,
 // but every other invariant — never-exact-when-cut-short, true scores,
-// sortedness, unfired-hook determinism, prompt pre-cancelled return —
-// still holds.
+// sortedness, unfired-fault determinism, prompt pre-cancelled return, a
+// non-empty partial — still holds.
 func CheckCancellationApprox(t *testing.T, build func(items *vec.Matrix) search.Searcher, label string) {
 	t.Helper()
 	checkCancellation(t, build, label, false)
@@ -153,15 +156,30 @@ func checkCancellation(t *testing.T, build func(items *vec.Matrix) search.Search
 	})
 }
 
+// CancelInstance returns the cancellation suite's one shared, read-only
+// instance: 30 000 × 16 items and a query, all entries standard normal. A
+// fault lands after rows were offered only in a scan past its first poll
+// stride; with flat norms no index prunes much, and every sorted scan and
+// both exact trees get that far at one shard.
+var CancelInstance = sync.OnceValues(func() (*vec.Matrix, []float64) {
+	rng := rand.New(rand.NewSource(20240611))
+	m := vec.NewMatrix(30001, 16)
+	for i := range m.Data {
+		m.Data[i] = rng.NormFloat64()
+	}
+	return m.Slice(0, 30000), m.Row(30000)
+})
+
 // checkCancelled is the cancellation suite for any one-query entry point:
-// query runs it on s, checkBase judges the uncancelled answer.
+// query runs it on s, checkBase judges the uncancelled answer. The cancel
+// points spread evenly from the first poll an unfaulted run makes to one
+// past its last.
 func checkCancelled(t *testing.T, build func(items *vec.Matrix) search.Searcher, label string,
 	query func(s search.Searcher, ctx context.Context, q []float64) ([]topk.Result, error),
 	checkBase func(items *vec.Matrix, q []float64, base []topk.Result)) {
 	t.Helper()
-	const seed = 20240611
-	rng := rand.New(rand.NewSource(seed))
-	items, q := RandomInstance(rng, 400, 16)
+	const seed, trials = 20240611, 25
+	items, q := CancelInstance()
 	s := build(items)
 
 	base, err := query(s, context.Background(), q)
@@ -169,42 +187,58 @@ func checkCancelled(t *testing.T, build func(items *vec.Matrix) search.Searcher,
 		t.Fatalf("%s: uncancelled query error: %v", label, err)
 	}
 	checkBase(items, q, base)
+	probe := faults.NewRegistry(seed).Enable(faults.SiteScan, faults.Plan{})
+	res, err := query(s, probe.Context(context.Background()), q)
+	if err != nil {
+		t.Fatalf("%s: query under a fault-free hook: %v", label, err)
+	}
+	checkSameAnswer(t, res, base, label+": fault-free hook")
+	polls := int(probe.Counts().Items)
 
-	for trial := 0; trial < 25; trial++ {
-		cancelAt := 1 + rng.Intn(600) // may exceed the work actually done
-		reg := faults.NewRegistry(seed + int64(trial))
-		hook := reg.Enable(faults.SiteScan, faults.Plan{CancelAtItem: cancelAt})
-		res, err := query(s, obs.WithQuery(context.Background(), obs.Query{Hook: hook}), q)
+	midScan := 0
+	for trial := 0; trial < trials; trial++ {
+		cancelAt := 1 + trial*(polls+1)/trials
+		hook := faults.NewRegistry(seed+int64(trial)).Enable(faults.SiteScan, faults.Plan{CancelAtItem: cancelAt})
+		var st search.Stats
+		res, err := query(s, obs.WithStats(hook.Context(context.Background()), &st), q)
 
 		if hook.Counts().Cancels > 0 {
 			// The scan was cut short: flagging these results exact (nil
 			// error) would be a correctness lie.
 			if err == nil {
-				t.Fatalf("%s: cancel at item %d fired but the query returned nil error",
-					label, cancelAt)
+				t.Fatalf("%s: cancel at poll %d fired but the query returned nil error", label, cancelAt)
 			}
 			if !errors.Is(err, search.ErrDeadline) {
 				t.Fatalf("%s: cancellation error %v does not wrap search.ErrDeadline", label, err)
+			}
+			if len(res) > 0 {
+				midScan++
+				if st == (search.Stats{}) || st.Scanned > items.Rows {
+					t.Fatalf("%s: cancel at poll %d put %+v in the sink; want the work done, Scanned ≤ %d", label, cancelAt, st, items.Rows)
+				}
 			}
 		} else {
 			// Fault never fired: the scan completed and must be exact,
 			// identical to the baseline run.
 			if err != nil {
-				t.Fatalf("%s: unfired cancel at %d returned error %v", label, cancelAt, err)
+				t.Fatalf("%s: unfired cancel at poll %d returned error %v", label, cancelAt, err)
 			}
-			checkSameAnswer(t, res, base, fmt.Sprintf("%s: unfired cancel at %d", label, cancelAt))
+			checkSameAnswer(t, res, base, fmt.Sprintf("%s: unfired cancel at poll %d", label, cancelAt))
 		}
 		// Partial or not: scores are true inner products, sorted descending.
 		for i, r := range res {
 			actual := vec.Dot(q, items.Row(r.ID))
 			if !scoreClose(actual, r.Score) {
-				t.Fatalf("%s: cancel at %d returned item %d with score %v, true product %v",
+				t.Fatalf("%s: cancel at poll %d returned item %d with score %v, true product %v",
 					label, cancelAt, r.ID, r.Score, actual)
 			}
 			if i > 0 && res[i-1].Score < r.Score {
-				t.Fatalf("%s: cancel at %d results unsorted at rank %d", label, cancelAt, i)
+				t.Fatalf("%s: cancel at poll %d results unsorted at rank %d", label, cancelAt, i)
 			}
 		}
+	}
+	if midScan == 0 {
+		t.Fatalf("%s: no trial cancelled the scan after it had offered rows (an unfaulted query polls %d times)", label, polls)
 	}
 
 	// An already-cancelled context returns promptly with ErrDeadline.

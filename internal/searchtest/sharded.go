@@ -111,8 +111,8 @@ func checkShardedQueries(t *testing.T, build Builder, items *vec.Matrix, queries
 // (searchtest.CheckCancellation) against the sharded searcher for every
 // S in ShardCounts: cancelled sharded scans must return
 // ErrDeadline-flagged partials whose scores are all true inner
-// products, and unfired hooks must leave results identical to the
-// uncancelled baseline.
+// products, and faults that never fire must leave results identical to
+// the uncancelled baseline.
 func CheckShardedCancellation(t *testing.T, build Builder, label string) {
 	t.Helper()
 	for _, s := range ShardCounts {

@@ -22,7 +22,7 @@ import (
 // TestE2EChaos is the race-detector end-to-end exercise: concurrent
 // searchers, threshold scanners, mutators, and metrics scrapers hammer
 // one guarded server while the fault registry injects call latency,
-// call failures, and per-item scan latency. The test asserts:
+// call failures, and scan latency on every poll. The test asserts:
 //
 //   - no deadlock (bounded by the test timeout; every client returns)
 //   - every response is one of the expected statuses, and every non-2xx
@@ -53,10 +53,9 @@ func TestE2EChaos(t *testing.T) {
 		FailEveryNCalls: 17, // sprinkle 500 "injected" among the 200s
 	})
 	reg.Enable(faults.SiteServerMutate, faults.Plan{FailEveryNCalls: 13})
-	reg.Enable(faults.SiteScan, faults.Plan{
-		ItemLatency:      20 * time.Microsecond,
-		ItemLatencyEvery: 64,
-	})
+	// A search of these 300 rows polls once: stall each poll about as long
+	// as a stall every 64 rows would add up to.
+	reg.Enable(faults.SiteScan, faults.Plan{ItemLatency: 100 * time.Microsecond})
 
 	srv, err := server.NewWithConfig(items, core.Options{SVD: true, Int: true, Reduction: true}, server.Config{
 		MaxConcurrent:  4,

@@ -113,12 +113,10 @@ func TestShedLoad(t *testing.T) {
 // work, and the timeout counter advances.
 func TestDeadline504(t *testing.T) {
 	reg := faults.NewRegistry(2)
-	// One 2 ms stall at scan item 0: the 1 ms deadline is expired by the
-	// very first poll, whatever the machine load.
-	reg.Enable(faults.SiteScan, faults.Plan{
-		ItemLatency:      2 * time.Millisecond,
-		ItemLatencyEvery: 1 << 30,
-	})
+	// A 2 ms stall at every scan poll: the 1 ms deadline is expired by the
+	// end of the very first poll, whatever the machine load, and that poll
+	// ends the scan.
+	reg.Enable(faults.SiteScan, faults.Plan{ItemLatency: 2 * time.Millisecond})
 	ts, srv := newGuardedServer(t, 5000, 8, server.Config{Faults: reg})
 
 	resp, body := doSearch(t, ts.URL, map[string]string{server.TimeoutHeader: "1"})
@@ -143,10 +141,7 @@ func TestDeadline504(t *testing.T) {
 // answers 200 with "exact": false and counts a partial.
 func TestPartialOnDeadline(t *testing.T) {
 	reg := faults.NewRegistry(3)
-	reg.Enable(faults.SiteScan, faults.Plan{
-		ItemLatency:      2 * time.Millisecond,
-		ItemLatencyEvery: 1 << 30,
-	})
+	reg.Enable(faults.SiteScan, faults.Plan{ItemLatency: 2 * time.Millisecond})
 	ts, srv := newGuardedServer(t, 5000, 8, server.Config{
 		PartialOnDeadline: true,
 		Faults:            reg,
@@ -181,7 +176,7 @@ func TestPanicRecovery(t *testing.T) {
 			plan faults.Plan
 		}{
 			{faults.SiteServerSearch, faults.Plan{PanicEveryNCalls: 1}}, // before any index work
-			{faults.SiteScan, faults.Plan{PanicAtItem: 10}},             // mid-scan, under the index mutex
+			{faults.SiteScan, faults.Plan{PanicAtItem: 1}},              // at the scan's first poll, under the index mutex
 		} {
 			reg.Enable(site.name, site.plan)
 			resp, body := doSearch(t, ts.URL, nil)
@@ -265,12 +260,10 @@ func TestReadyzLifecycle(t *testing.T) {
 // Config.MaxTimeout rather than honoured or rejected.
 func TestMaxTimeoutClamp(t *testing.T) {
 	reg := faults.NewRegistry(6)
-	// Stall every item 3 ms: with MaxTimeout 5 ms the clamped deadline
-	// expires after a few items even though the client asked for an hour.
-	reg.Enable(faults.SiteScan, faults.Plan{
-		ItemLatency:      3 * time.Millisecond,
-		ItemLatencyEvery: 1,
-	})
+	// Stall every poll 10 ms: with MaxTimeout 5 ms the clamped deadline
+	// has expired by the end of the first poll, which ends the scan, even
+	// though the client asked for an hour.
+	reg.Enable(faults.SiteScan, faults.Plan{ItemLatency: 10 * time.Millisecond})
 	ts, _ := newGuardedServer(t, 5000, 8, server.Config{
 		MaxTimeout: 5 * time.Millisecond,
 		Faults:     reg,

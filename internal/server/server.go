@@ -168,8 +168,6 @@ type Server struct {
 	mu  sync.Mutex
 	idx *core.DynamicIndex
 	dim int
-	// MaxK caps per-request k to bound response sizes (default 1000).
-	MaxK int
 
 	cfg     Config
 	reg     *obs.Registry
@@ -254,13 +252,12 @@ func NewWithConfig(initial *vec.Matrix, opts core.Options, cfg Config) (*Server,
 	}
 	reg := cfg.Metrics
 	s := &Server{
-		idx:  idx,
-		dim:  idx.Dim(),
-		MaxK: cfg.MaxK,
-		cfg:  cfg,
-		reg:  reg,
-		log:  cfg.Logger,
-		rec:  obs.NewSearchRecorder(reg, opts.Variant()),
+		idx: idx,
+		dim: idx.Dim(),
+		cfg: cfg,
+		reg: reg,
+		log: cfg.Logger,
+		rec: obs.NewSearchRecorder(reg, opts.Variant()),
 		adds: reg.Counter("fexserve_items_added_total",
 			"Items inserted through POST /v1/items."),
 		deletes: reg.Counter("fexserve_items_deleted_total",
@@ -621,21 +618,22 @@ func (s *Server) noteSearch(info *reqInfo, k int, took time.Duration) obs.StageC
 	return obs.StageCountersFrom(info.stats)
 }
 
-// searchLocked points info's Query at info.stats and the scan-site fault
-// hook (re-read per call so tests can Enable or Disable it between
-// requests), then only serializes index access around fn, releasing the
-// mutex even when an injected fault panics mid-scan (the deferred unlock
-// is what keeps a recovered panic from deadlocking every later request).
-func (s *Server) searchLocked(info *reqInfo, fn func() ([]topk.Result, error)) ([]topk.Result, error) {
+// searchLocked points info's Query at info.stats, then only serializes
+// index access around fn, which scans under ctx as the scan-site fault
+// hook wraps it (re-read per call so tests can Enable or Disable it
+// between requests), releasing the mutex even when an injected fault
+// panics mid-scan (the deferred unlock is what keeps a recovered panic
+// from deadlocking every later request).
+func (s *Server) searchLocked(ctx context.Context, info *reqInfo, fn func(ctx context.Context) ([]topk.Result, error)) ([]topk.Result, error) {
 	info.query.Stats = &info.stats
-	info.query.Hook = s.cfg.Faults.Hook(faults.SiteScan)
+	ctx = s.cfg.Faults.Hook(faults.SiteScan).Context(ctx)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	// fn is always one index scan whose runtime is bounded by the
 	// request deadline: the context threaded into it fires ErrDeadline
 	// and the scan returns, so the hold time is capped by MaxTimeout.
 	//lint:ignore locks fn is a deadline-bounded index scan (DESIGN.md §10)
-	return fn()
+	return fn(ctx)
 }
 
 func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
@@ -650,15 +648,15 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "k must be positive, got %d", req.K)
 		return
 	}
-	if req.K > s.MaxK {
-		httpError(w, http.StatusBadRequest, "k %d exceeds maximum %d", req.K, s.MaxK)
+	if req.K > s.cfg.MaxK {
+		httpError(w, http.StatusBadRequest, "k %d exceeds maximum %d", req.K, s.cfg.MaxK)
 		return
 	}
 	root := s.traceStart(r, "search")
 	info := reqInfoFrom(r.Context())
 	start := time.Now()
-	results, err := s.searchLocked(info, func() ([]topk.Result, error) {
-		return s.idx.SearchContext(r.Context(), req.Vector, req.K)
+	results, err := s.searchLocked(r.Context(), info, func(ctx context.Context) ([]topk.Result, error) {
+		return s.idx.SearchContext(ctx, req.Vector, req.K)
 	})
 	took := time.Since(start)
 	sc := s.noteSearch(info, req.K, took)
@@ -691,8 +689,8 @@ func (s *Server) handleAbove(w http.ResponseWriter, r *http.Request) {
 	root := s.traceStart(r, "above")
 	info := reqInfoFrom(r.Context())
 	start := time.Now()
-	results, err := s.searchLocked(info, func() ([]topk.Result, error) {
-		return s.idx.SearchAboveContext(r.Context(), req.Vector, *req.Threshold)
+	results, err := s.searchLocked(r.Context(), info, func(ctx context.Context) ([]topk.Result, error) {
+		return s.idx.SearchAboveContext(ctx, req.Vector, *req.Threshold)
 	})
 	took := time.Since(start)
 	sc := s.noteSearch(info, 0, took)
@@ -702,9 +700,9 @@ func (s *Server) handleAbove(w http.ResponseWriter, r *http.Request) {
 	}
 	// Responses stay bounded: a list cut to MaxK is the best MaxK of the
 	// answer, not the answer, and says so.
-	cut := len(results) > s.MaxK
+	cut := len(results) > s.cfg.MaxK
 	if cut {
-		results = results[:s.MaxK]
+		results = results[:s.cfg.MaxK]
 	}
 	reply := searchReply{
 		results:    results,
