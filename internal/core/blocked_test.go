@@ -650,6 +650,70 @@ func CheckBlockedScanInput(t *testing.T, in []byte) {
 	}
 }
 
+// TestBlockedScanFaultHookPerItem: a scan fault hook counts each poll of
+// the scan as one plan item and leaves the loop alone. Under a fault-free
+// hook scanRange returns exactly what it returns without one; a
+// CancelAtItem at the last of those polls stops the scan there, with the
+// partial results and counters of a scan over just the rows it had decided.
+func TestBlockedScanFaultHookPerItem(t *testing.T) {
+	ds := data.Generate(data.Netflix(), 4000, 4, 50)
+	idx, err := NewIndex(ds.Items, Options{SVD: true, Int: true, Reduction: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const lo, k = 5, 10
+	qs := idx.newQueryState()
+	scan := func(ctx context.Context, hi int) (search.Stats, []topk.Result, error) {
+		var st search.Stats
+		c := topk.New(k)
+		err := idx.scanRange(ctx, qs, lo, hi, c, nil, &st)
+		return st, c.Results(), err
+	}
+	partial := 0
+	for qi := 0; qi < ds.Queries.Rows; qi++ {
+		idx.prepareQuery(ds.Queries.Row(qi), qs)
+		want, wantRes, err := scan(context.Background(), idx.n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hook := faults.NewRegistry(1).Enable(faults.SiteScan, faults.Plan{})
+		got, gotRes, err := scan(hook.Context(context.Background()), idx.n)
+		if err != nil {
+			t.Fatalf("query %d under a fault-free hook: %v", qi, err)
+		}
+		if got != want || !sameResults(gotRes, wantRes) {
+			t.Fatalf("query %d: the hook changed the scan:\n hooked %+v %v\nplain  %+v %v", qi, got, gotRes, want, wantRes)
+		}
+		polls := hook.Counts().Items
+		if polls < 1 {
+			t.Fatalf("query %d: the hook saw no poll", qi)
+		}
+
+		hook = faults.NewRegistry(1).Enable(faults.SiteScan, faults.Plan{CancelAtItem: int(polls)})
+		got, gotRes, err = scan(hook.Context(context.Background()), idx.n)
+		if !errors.Is(err, search.ErrDeadline) {
+			t.Fatalf("query %d cancelled at poll %d: err = %v, want ErrDeadline", qi, polls, err)
+		}
+		if n := hook.Counts().Items; n != polls {
+			t.Fatalf("query %d cancelled at poll %d: the hook saw %d polls", qi, polls, n)
+		}
+		prefix, prefixRes, err := scan(context.Background(), lo+got.Scanned)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != prefix || !sameResults(gotRes, prefixRes) {
+			t.Fatalf("query %d cancelled at poll %d:\npartial %+v %v\nprefix  %+v %v over rows [%d,%d)",
+				qi, polls, got, gotRes, prefix, prefixRes, lo, lo+got.Scanned)
+		}
+		if got.Scanned > 0 {
+			partial++
+		}
+	}
+	if partial == 0 {
+		t.Fatal("no query was cancelled after it had scanned a row")
+	}
+}
+
 // TestBlockedScanCancellation: the blocked loop polls its context on
 // entry and then at least once per search.CheckStride decided rows (one
 // block of slack), however the survivors cut its runs, and a fault that

@@ -78,6 +78,15 @@ func TestShardedMatchesLegacyRetriever(t *testing.T) {
 	}
 }
 
+// TestShardedCancellation: cancelled sharded scans return
+// ErrDeadline-flagged partials whose scores are true inner products,
+// for every shard count in the harness grid.
+func TestShardedCancellation(t *testing.T) {
+	searchtest.CheckShardedCancellation(t, func(items *vec.Matrix, shards int) search.Searcher {
+		return buildShardedVariant(t, items, "F-SIR", shards)
+	}, "core/F-SIR")
+}
+
 // TestShardedStatsAggregate: the counters the engine adds to the sink
 // must account for every row exactly once.
 func TestShardedStatsAggregate(t *testing.T) {

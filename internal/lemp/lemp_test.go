@@ -38,6 +38,10 @@ func checkExact(t *testing.T, opts lemp.Options, label string) {
 
 func TestLEMPExactSingleQuery(t *testing.T) { checkExact(t, lemp.Options{}, "lemp") }
 
+func TestLEMPCancellationLI(t *testing.T) {
+	searchtest.CheckCancellation(t, searcher(lemp.Options{}).Sequential, "LEMP-LI")
+}
+
 func TestLEMPCancellationCoord(t *testing.T) {
 	searchtest.CheckCancellation(t, ssl(lemp.DefaultBucketSize).Sequential, "SS-L")
 }

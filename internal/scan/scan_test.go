@@ -64,6 +64,15 @@ func TestShardedSSBitExact(t *testing.T) { searchtest.CheckSharded(t, ss(0), "ss
 
 func TestShardedSSLBitExact(t *testing.T) { searchtest.CheckSharded(t, ssl(nil), "ssl") }
 
+func TestShardedScanCancellation(t *testing.T) {
+	for name, build := range map[string]searchtest.Builder{
+		"naive": naive, "ss": ss(0), "ssl": ssl(nil),
+	} {
+		build := build
+		t.Run(name, func(t *testing.T) { searchtest.CheckShardedCancellation(t, build, name) })
+	}
+}
+
 func TestSSExact(t *testing.T) {
 	searchtest.CheckSearcher(t, ss(0).Sequential, "ss")
 	searchtest.CheckSearcherEdgeCases(t, ss(0).Sequential, "ss")
