@@ -107,14 +107,7 @@ func NewDynamic(initial *Matrix, opts Options) (*Dynamic, error) {
 	if err != nil {
 		return nil, err
 	}
-	shards, workers := opts.Shards, opts.Workers
-	if shards < 1 {
-		shards = 1
-	}
-	if workers == 0 {
-		workers = 1
-	}
-	di, err := core.NewDynamicIndexSharded(initial.m, copts, 0, shards, workers)
+	di, err := core.NewDynamicIndexSharded(initial.m, copts, 0, opts.Shards, opts.Workers)
 	if err != nil {
 		return nil, err
 	}

@@ -1,10 +1,14 @@
 package batch_test
 
 import (
+	"context"
+	"errors"
 	"math/rand"
 	"testing"
 
 	"fexipro/internal/batch"
+	"fexipro/internal/faults"
+	"fexipro/internal/search"
 	"fexipro/internal/searchtest"
 	"fexipro/internal/vec"
 )
@@ -73,4 +77,32 @@ func TestMiniBatchPanicsOnDimMismatch(t *testing.T) {
 		}
 	}()
 	mb.TopKAll(vec.NewMatrix(1, 3), 1)
+}
+
+// TestMiniBatchCancellation: a context cancelled after the first batch —
+// its first poll, which comes before the second batch — leaves the first
+// batch's lists exact, every later slot nil, and an ErrDeadline-wrapping
+// error.
+func TestMiniBatchCancellation(t *testing.T) {
+	rng := rand.New(rand.NewSource(84))
+	items, _ := searchtest.RandomInstance(rng, 200, 8)
+	queries := randomQueries(rng, 10, 8)
+	const batchSize, k = 4, 3
+	mb := batch.New(items, batch.Options{BatchSize: batchSize, Workers: 1})
+	hook := faults.NewRegistry(84).Enable(faults.SiteScan, faults.Plan{CancelAtItem: 1})
+	all, err := mb.TopKAllContext(hook.Context(context.Background()), queries, k)
+	if !errors.Is(err, search.ErrDeadline) {
+		t.Fatalf("err = %v, want ErrDeadline", err)
+	}
+	if len(all) != queries.Rows {
+		t.Fatalf("%d result lists, want %d", len(all), queries.Rows)
+	}
+	for qi := 0; qi < batchSize; qi++ {
+		searchtest.CheckTopK(t, items, queries.Row(qi), k, all[qi], "minibatch/first batch")
+	}
+	for qi := batchSize; qi < queries.Rows; qi++ {
+		if all[qi] != nil {
+			t.Fatalf("query %d after the cancelled poll has results %v", qi, all[qi])
+		}
+	}
 }

@@ -10,8 +10,9 @@ import (
 )
 
 // Every ablation combination must remain EXACT — the switches trade
-// speed, never correctness — and must not be persistable: a snapshot has
-// no field that could tell a reader how the index was built.
+// speed, never correctness — must count every row once, as the registry
+// holds every method to, and must not be persistable: a snapshot has no
+// field that could tell a reader how the index was built.
 func TestAblationsExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(130))
 	items, _ := searchtest.RandomInstance(rng, 500, 16)
@@ -31,7 +32,13 @@ func TestAblationsExact(t *testing.T) {
 			for j := range q {
 				q[j] = rng.NormFloat64()
 			}
-			searchtest.CheckTopK(t, items, q, 5, r.Search(q, 5), name)
+			res, st := searchtest.Counted(r, q, 5)
+			searchtest.CheckTopK(t, items, q, 5, res, name)
+			// Every row is cut by the length bound or scanned, and a
+			// scanned row is pruned by exactly one stage or multiplied out.
+			if n := items.Rows; st.Scanned+st.PrunedByLength != n || st.FullProducts+st.TotalPruned() != n {
+				t.Fatalf("%s: %+v does not account for %d rows once each", name, st, n)
+			}
 		}
 		if err := idx.Save(io.Discard); err == nil {
 			t.Fatalf("%s: Save wrote an ablation index", name)

@@ -1,14 +1,21 @@
 package core_test
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
 	"fexipro/internal/core"
+	"fexipro/internal/obs"
+	"fexipro/internal/search"
 	"fexipro/internal/searchtest"
 	"fexipro/internal/vec"
 )
 
+// TestBatchTopKMatchesSingle: every list of a batch is the single query's,
+// and the batch's sink — engine.Batch gives each worker's chunk a sink of
+// its own and adds them to the caller's — holds the sum of the queries'
+// own sinks.
 func TestBatchTopKMatchesSingle(t *testing.T) {
 	rng := rand.New(rand.NewSource(120))
 	items, _ := searchtest.RandomInstance(rng, 600, 14)
@@ -21,13 +28,22 @@ func TestBatchTopKMatchesSingle(t *testing.T) {
 		t.Fatal(err)
 	}
 	single := core.NewRetriever(idx)
+	var wantSt search.Stats
+	for qi := 0; qi < queries.Rows; qi++ {
+		_, st := searchtest.Counted(single, queries.Row(qi), 6)
+		wantSt.Add(st)
+	}
 	for _, workers := range []int{0, 1, 3, 8} {
-		all, err := core.BatchTopK(idx, queries, 6, workers)
+		var st search.Stats
+		all, err := core.BatchTopKContext(obs.WithStats(context.Background(), &st), idx, queries, 6, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if len(all) != 37 {
 			t.Fatalf("workers=%d: %d lists", workers, len(all))
+		}
+		if st != wantSt {
+			t.Fatalf("workers=%d: the batch's sink holds %+v, its queries' own sinks add up to %+v", workers, st, wantSt)
 		}
 		for qi := 0; qi < queries.Rows; qi++ {
 			want := single.Search(queries.Row(qi), 6)

@@ -3,11 +3,13 @@ package core_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 
 	"fexipro/internal/core"
 	"fexipro/internal/faults"
+	"fexipro/internal/obs"
 	"fexipro/internal/search"
 	"fexipro/internal/searchtest"
 	"fexipro/internal/vec"
@@ -43,7 +45,15 @@ func mustOptions(t *testing.T, variant string) core.Options {
 
 // TestDynamicCancellation covers the two-tier searcher: cancellation can
 // land in the delta scan or inside the main retriever, and both must
-// surface as ErrDeadline with valid partial results.
+// surface as ErrDeadline with valid partial results. The battery runs on
+// an index whose rows sit in its main index, and then, at S = 1 and
+// sharded, on one whose rows sit in its delta buffers: built from
+// CancelInstance's first row with a rebuild fraction no add reaches, each
+// shard's main index holds the shard's first row (the first add to an
+// empty shard builds it) and scanDelta scans the rest. The battery alone
+// would pass a delta scan that never polls, since the one-row main scan's
+// poll cancels it right after the whole buffer, so an unfaulted query
+// there must also poll at least once per search.CheckStride rows it scans.
 func TestDynamicCancellation(t *testing.T) {
 	searchtest.CheckCancellation(t, func(items *vec.Matrix) search.Searcher {
 		di, err := core.NewDynamicIndex(items, mustOptions(t, "F-SIR"), 0.25)
@@ -52,6 +62,38 @@ func TestDynamicCancellation(t *testing.T) {
 		}
 		return di
 	}, "Dynamic/F-SIR")
+
+	for _, shards := range []int{1, 2, 3, 7} {
+		label := fmt.Sprintf("Dynamic/delta S=%d", shards)
+		build := func(items *vec.Matrix) search.Searcher {
+			di, err := core.NewDynamicIndexSharded(items.Slice(0, 1), mustOptions(t, "F-SIR"), 1e9, shards, 2)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			for id := 1; id < items.Rows; id++ {
+				if _, err := di.Add(items.Row(id)); err != nil {
+					t.Fatalf("%s: Add %d: %v", label, id, err)
+				}
+			}
+			for s, n := range di.Rebuilds() {
+				if n != 1 {
+					t.Fatalf("%s: shard %d built its main index %d times, want once", label, s, n)
+				}
+			}
+			return di
+		}
+		searchtest.CheckCancellation(t, build, label)
+
+		items, q := searchtest.CancelInstance()
+		probe := faults.NewRegistry(17).Enable(faults.SiteScan, faults.Plan{})
+		var st search.Stats
+		if _, err := build(items).SearchContext(obs.WithStats(probe.Context(context.Background()), &st), q, 10); err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		if polls := int(probe.Counts().Items); polls*search.CheckStride < st.Scanned {
+			t.Fatalf("%s: %d polls over %d scanned rows, want one per %d rows at least", label, polls, st.Scanned, search.CheckStride)
+		}
+	}
 }
 
 // TestDynamicHookSurvivesRebuild: a scan fault is the query's context

@@ -248,7 +248,6 @@ func (e *Engine) run(ctx context.Context, q []float64, c *topk.Collector) ([]top
 		// (O(shards·k) for top-k), not the catalog size — cancellation
 		// already happened inside the shard scans, so a poll here would
 		// only delay the merge.
-		//lint:ignore ctxpoll bounded merge of the results the cancellable shard scans retained
 		for _, r := range o.res { //fex:hot
 			c.Push(r.ID, r.Score)
 		}

@@ -1,14 +1,17 @@
 package lemp_test
 
 import (
+	"context"
 	"math/rand"
 	"strings"
 	"testing"
 
 	"fexipro/internal/engine"
 	"fexipro/internal/lemp"
+	"fexipro/internal/obs"
 	"fexipro/internal/search"
 	"fexipro/internal/searchtest"
+	"fexipro/internal/topk"
 	"fexipro/internal/vec"
 )
 
@@ -72,6 +75,10 @@ func TestLEMPExactSmallBuckets(t *testing.T) {
 	}
 }
 
+// TestLEMPTopKJoinMatchesNaive: every list of a join is exact, and the
+// join's sink — each worker adds one sink up over the queries of its
+// chunk — holds the sum of its queries' own sinks, at one worker and at
+// three.
 func TestLEMPTopKJoinMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	items, _ := searchtest.RandomInstance(rng, 800, 16)
@@ -80,12 +87,33 @@ func TestLEMPTopKJoinMatchesNaive(t *testing.T) {
 		queries.Data[i] = rng.NormFloat64()
 	}
 	idx := lemp.New(items, lemp.Options{BucketSize: 128})
-	all := idx.TopKJoin(queries, 7)
-	if len(all) != 25 {
-		t.Fatalf("join returned %d result lists", len(all))
+	join := func(queries *vec.Matrix, workers int) ([][]topk.Result, search.Stats) {
+		var st search.Stats
+		all, err := idx.TopKJoinContext(obs.WithStats(context.Background(), &st), queries, 7, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return all, st
 	}
+	var want search.Stats
 	for qi := 0; qi < queries.Rows; qi++ {
-		searchtest.CheckTopK(t, items, queries.Row(qi), 7, all[qi], "lemp/join")
+		_, st := join(queries.Slice(qi, qi+1), 1)
+		want.Add(st)
+	}
+	if want.PrunedByLength == 0 {
+		t.Fatalf("no query was cut by the length bound: %+v", want)
+	}
+	for _, workers := range []int{1, 3} {
+		all, st := join(queries, workers)
+		if len(all) != 25 {
+			t.Fatalf("workers=%d: join returned %d result lists", workers, len(all))
+		}
+		for qi := 0; qi < queries.Rows; qi++ {
+			searchtest.CheckTopK(t, items, queries.Row(qi), 7, all[qi], "lemp/join")
+		}
+		if st != want {
+			t.Fatalf("workers=%d: the join's sink holds %+v, its queries' own sinks add up to %+v", workers, st, want)
+		}
 	}
 }
 

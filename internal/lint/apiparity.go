@@ -185,14 +185,8 @@ func exportConfigSets(pass *Pass, file *ast.File) {
 // configTypePath returns the defining package path when t is (a pointer
 // to) a named struct type called Config.
 func configTypePath(t types.Type) (string, bool) {
-	if t == nil {
-		return "", false
-	}
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok || named.Obj().Name() != "Config" || named.Obj().Pkg() == nil {
+	named := namedRecv(t)
+	if named == nil || named.Obj().Name() != "Config" || named.Obj().Pkg() == nil {
 		return "", false
 	}
 	if _, ok := named.Underlying().(*types.Struct); !ok {
@@ -221,4 +215,17 @@ func runAPIParityModule(mp *ModulePass) {
 			"%s is not set by any cmd/ package: the field is unreachable from every shipped flag, so production silently pins its zero value — wire a flag or document why with //lint:ignore apiparity",
 			short)
 	}
+}
+
+// receiverTypeName is the base type name of a method receiver expression.
+func receiverTypeName(expr ast.Expr) string {
+	switch t := expr.(type) {
+	case *ast.Ident:
+		return t.Name
+	case *ast.StarExpr:
+		return receiverTypeName(t.X)
+	case *ast.IndexExpr:
+		return receiverTypeName(t.X)
+	}
+	return ""
 }

@@ -19,12 +19,13 @@ import (
 // so annotated, in any package ("bound-fn" facts); and
 // THRESHOLD-derived, from SharedThreshold.Floor/Load or
 // Collector.Threshold in the non-test functions that same-unit calls
-// reach from a kernel-shaped Scan (isKernelScanDecl). Labels flow
-// through locals, fields (weakly) and arithmetic — a bound survives +
-// and * on either side and - and / on the left only, so `t / lenBound`
-// is a threshold, not a bound; a threshold survives all four — and
-// into a same-unit callee's parameters from the arguments at its call
-// sites (flow.TaintSpec.Entry, iterated to a fixpoint). Reassigning a
+// reach from a kernel-shaped Scan (a method named Scan whose first
+// parameter is a context.Context). Labels flow through locals, fields
+// (weakly) and arithmetic — a bound survives + and * on either side and
+// - and / on the left only, so `t / lenBound` is a threshold, not a
+// bound; a threshold survives all four — and into a same-unit callee's
+// parameters from the arguments at its call sites
+// (flow.TaintSpec.Entry, iterated to a fixpoint). Reassigning a
 // variable from an unlabelled expression (the exact recompute) drops
 // its label. The rules:
 //
@@ -150,7 +151,9 @@ func checkBoundFlowUnit(mp *ModulePass, u *Unit, boundFns map[string]bool) {
 	dirty := make(map[types.Object]bool)
 	for _, obj := range order {
 		fd := cg.Decls[obj]
-		if isKernelScanDecl(u.Info, fd) && !strings.HasSuffix(u.Fset.Position(fd.Pos()).Filename, "_test.go") {
+		params := fd.Type.Params.List
+		if fd.Name.Name == "Scan" && len(params) > 0 && isContextType(u.Info.TypeOf(params[0].Type)) &&
+			!strings.HasSuffix(u.Fset.Position(fd.Pos()).Filename, "_test.go") {
 			scans = append(scans, obj)
 		}
 		dirty[obj] = true
@@ -314,7 +317,7 @@ func isThresholdCall(info *types.Info, e ast.Expr) bool {
 		return false
 	}
 	sel, ok := call.Fun.(*ast.SelectorExpr)
-	return ok && thresholdReads[sel.Sel.Name] != "" && isNamed(info.TypeOf(sel.X), thresholdReads[sel.Sel.Name])
+	return ok && thresholdReads[sel.Sel.Name] != "" && namedIs(info.TypeOf(sel.X), "", thresholdReads[sel.Sel.Name])
 }
 
 // boundBinaryRule is the direction-aware propagation: an upper bound
@@ -498,7 +501,7 @@ func countsPrunes(fn types.Object) bool {
 			continue
 		}
 		t := v.Type()
-		if isNamed(t, "Stats") {
+		if namedIs(t, "", "Stats") {
 			return true
 		}
 		if p, ok := t.(*types.Pointer); ok {
@@ -506,7 +509,7 @@ func countsPrunes(fn types.Object) bool {
 		}
 		if st, ok := t.Underlying().(*types.Struct); ok {
 			for i := range st.NumFields() {
-				if isNamed(st.Field(i).Type(), "Stats") {
+				if namedIs(st.Field(i).Type(), "", "Stats") {
 					return true
 				}
 			}

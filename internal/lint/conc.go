@@ -5,6 +5,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"strings"
 )
 
@@ -234,55 +235,32 @@ func namedRecv(t types.Type) *types.Named {
 	return named
 }
 
+// namedIs reports whether t is (a pointer to) a named type called one of
+// names, declared in the package with import path pkg — or in any package
+// when pkg is "", the by-name match that lets fixtures mimic
+// topk.Collector, search.SharedThreshold and search.Stats.
+func namedIs(t types.Type, pkg string, names ...string) bool {
+	named := namedRecv(t)
+	if named == nil {
+		return false
+	}
+	obj := named.Obj()
+	if pkg != "" && (obj.Pkg() == nil || obj.Pkg().Path() != pkg) {
+		return false
+	}
+	return slices.Contains(names, obj.Name())
+}
+
 // isMutexType matches sync.Mutex / sync.RWMutex (or pointers to them);
 // named types embedding them are out of scope by design — every shared
 // lock in this tree is a plain field.
-func isMutexType(t types.Type) bool {
-	if t == nil {
-		return false
-	}
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	if obj.Pkg() == nil || obj.Pkg().Path() != "sync" {
-		return false
-	}
-	return obj.Name() == "Mutex" || obj.Name() == "RWMutex"
-}
+func isMutexType(t types.Type) bool { return namedIs(t, "sync", "Mutex", "RWMutex") }
 
 // isWaitGroupType matches sync.WaitGroup (or a pointer to it).
-func isWaitGroupType(t types.Type) bool {
-	if t == nil {
-		return false
-	}
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	return obj.Pkg() != nil && obj.Pkg().Path() == "sync" && obj.Name() == "WaitGroup"
-}
+func isWaitGroupType(t types.Type) bool { return namedIs(t, "sync", "WaitGroup") }
 
 // isContextType matches context.Context.
-func isContextType(t types.Type) bool {
-	if t == nil {
-		return false
-	}
-	named, ok := types.Unalias(t).(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	return obj.Pkg() != nil && obj.Pkg().Path() == "context" && obj.Name() == "Context"
-}
+func isContextType(t types.Type) bool { return namedIs(t, "context", "Context") }
 
 // flattenChain renders an ident/selector chain ("s.mu"); returns "" for
 // anything more exotic (map index, call result), which the analyzers

@@ -2,7 +2,7 @@
 // control-flow graphs over go/ast, a worklist solver for a configurable
 // taint lattice, and a per-unit static call graph. It exists so
 // analyzers can reason about VALUES (where a bound-derived float can
-// flow) and CALLS (whether a callee polls cancellation or blocks)
+// flow) and CALLS (whether a callee blocks)
 // instead of pattern-matching tokens — the upgrade that turns fexlint's
 // hot-path contracts from syntactic checks into semantic ones
 // (DESIGN.md §14).

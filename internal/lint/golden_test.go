@@ -19,11 +19,8 @@ var fixtureCases = []struct {
 	group    string
 }{
 	{FloatCmp, "floatcmp", ""},
-	{StageCounters, "stagecounters", ""},
-	{StageCounters, "stagecounters_nototal", ""},
 	{RNGSeed, "rngseed", ""},
 	{ErrCheck, "errcheck", ""},
-	{CtxPoll, "ctxpoll", ""},
 	{Locks, "lockhold", "lockhold"},
 	{Locks, "lockorder", "lockorder"},
 	{GoroutineLife, "goroutinelife", ""},
@@ -223,7 +220,7 @@ func TestAnalyzerRegistry(t *testing.T) {
 		}
 		names[i] = a.Name
 	}
-	want := []string{"floatcmp", "stagecounters", "rngseed", "errcheck", "ctxpoll", "locks", "hotalloc", "apiparity", "boundflow", "goroutinelife"}
+	want := []string{"floatcmp", "rngseed", "errcheck", "locks", "hotalloc", "apiparity", "boundflow", "goroutinelife"}
 	if !slices.Equal(names, want) {
 		t.Fatalf("All() = %v, want %v", names, want)
 	}

@@ -57,8 +57,13 @@ func runHotAlloc(pass *Pass) {
 			continue
 		}
 		ast.Inspect(file, func(n ast.Node) bool {
-			body := loopBody(n)
-			if body == nil {
+			var body *ast.BlockStmt
+			switch s := n.(type) {
+			case *ast.ForStmt:
+				body = s.Body
+			case *ast.RangeStmt:
+				body = s.Body
+			default:
 				return true
 			}
 			line := pass.Fset.Position(n.Pos()).Line

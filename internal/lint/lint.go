@@ -7,18 +7,11 @@
 //   - floatcmp:      no ==/!= between floating-point expressions outside
 //     the allowlisted exact-zero idiom (Theorems 1–4 demand conservative
 //     bounds, and float equality is the classic way "exact" goes wrong);
-//   - stagecounters: TotalPruned sums every stage, StageCounters
-//     literals are complete, PrunedBy* counters only grow, and Metric*
-//     constants obey the Prometheus naming grammar shared with
-//     internal/obs;
 //   - rngseed:       no math/rand global-source calls, and no
 //     non-deterministic seeds in tests/benchmarks (EXPERIMENTS.md
 //     reproducibility);
 //   - errcheck:      no silently discarded error results outside the
 //     explicit `_ =` and `defer Close` idioms;
-//   - ctxpoll:       every item-scan loop reachable from a SearchContext
-//     / kernel Scan entry point must poll cancellation on a CheckStride
-//     boundary (DESIGN.md §10: scans must stay cancellable);
 //   - locks:         the mutex contracts, over one lock record per
 //     function body and function literal — balanced Lock/Unlock and no
 //     blocking calls (channel ops, I/O, slog, Search*Context) while
@@ -45,7 +38,11 @@
 //     checks around wg.Add.
 //
 // Copies of sync and sync/atomic values are go vet's copylocks check,
-// which `make check` and CI run beside fexlint.
+// which `make check` and CI run beside fexlint. Cancellable scan loops and
+// the stage-counter schema are checked at run time instead: every
+// method's scans by the cancellation battery in internal/searchtest, its
+// counters by the registry test in internal/method, and metric names by
+// the obs registry.
 //
 // The driver type-checks package directories in parallel, runs each
 // analyzer's per-unit pass concurrently across units, then runs an
@@ -100,8 +97,8 @@ type Fact struct {
 	// Analyzer is the exporting analyzer's name; module passes only see
 	// their own facts.
 	Analyzer string
-	// Name classifies the fact (e.g. "bound-fn", "entrypoll",
-	// "config-field", "config-field-set").
+	// Name classifies the fact (e.g. "bound-fn", "config-field",
+	// "config-field-set").
 	Name string
 	// Value carries the payload (e.g. a type name or field key).
 	Value string
@@ -414,10 +411,8 @@ func RunTimed(units []*Unit, analyzers []*Analyzer) ([]Diagnostic, []Timing) {
 func All() []*Analyzer {
 	return []*Analyzer{
 		FloatCmp,
-		StageCounters,
 		RNGSeed,
 		ErrCheck,
-		CtxPoll,
 		Locks,
 		HotAlloc,
 		APIParity,

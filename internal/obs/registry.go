@@ -287,10 +287,9 @@ func seriesKey(ls []Label) string {
 }
 
 // ValidMetricName reports whether name satisfies the Prometheus metric
-// naming grammar [a-zA-Z_:][a-zA-Z0-9_:]*. It is the single source of
-// truth for metric-name validity: the registry enforces it at runtime
-// and fexlint's stagecounters analyzer enforces it at build time on
-// every Metric* constant, so the two checks cannot diverge.
+// naming grammar [a-zA-Z_:][a-zA-Z0-9_:]*. The registry is the one place
+// that enforces it: registering a family under any other name panics, so
+// a malformed Metric* constant fails the first test that registers it.
 func ValidMetricName(name string) bool {
 	if name == "" {
 		return false

@@ -65,9 +65,8 @@ func TestInvalidMetricNamePanics(t *testing.T) {
 }
 
 // TestValidMetricNameEdgeCases exercises the Prometheus metric-name
-// grammar boundary cases. ValidMetricName is shared between the runtime
-// registry and fexlint's stagecounters analyzer, so these cases pin the
-// grammar for both enforcement points.
+// grammar boundary cases. ValidMetricName is what the registry checks
+// every family name against, the only enforcement point of the grammar.
 func TestValidMetricNameEdgeCases(t *testing.T) {
 	cases := []struct {
 		name  string

@@ -65,8 +65,12 @@ func TestStageCountersFrom(t *testing.T) {
 	if sc.Pruned != st.TotalPruned() {
 		t.Fatal("StageCountersFrom disagrees with Stats.TotalPruned")
 	}
-	if sc.Scanned != 9 || sc.FullProducts != 6 || sc.NodesVisited != 7 {
-		t.Fatalf("fields dropped: %+v", sc)
+	want := StageCounters{
+		Scanned: 9, PrunedByLength: 1, PrunedByIntHead: 2, PrunedByIntFull: 3,
+		PrunedByIncremental: 4, PrunedByMonotone: 5, Pruned: 15, FullProducts: 6, NodesVisited: 7,
+	}
+	if sc != want {
+		t.Fatalf("fields dropped: %+v, want %+v", sc, want)
 	}
 }
 

@@ -21,6 +21,15 @@ func TestNaiveCancellation(t *testing.T) {
 	}, "Naive")
 }
 
+// TestNaiveAboveCancellation holds the above-t oracle, Naive's own
+// threshold loop, to the cancellation contract the engine's above-t runs
+// are held to.
+func TestNaiveAboveCancellation(t *testing.T) {
+	searchtest.CheckAboveCancellation(t, func(items *vec.Matrix) search.Searcher {
+		return scan.NewNaive(items)
+	}, "Naive/above")
+}
+
 func TestSSCancellation(t *testing.T) {
 	searchtest.CheckCancellation(t, func(items *vec.Matrix) search.Searcher {
 		return newSS(items, 0)

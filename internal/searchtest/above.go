@@ -31,8 +31,7 @@ type aboveSearcher interface {
 // scan.Naive.SearchAboveContext returns — the oracle, which shares no
 // collector with the code under test. Instances: random rows, duplicated
 // rows, the zero query. A scan cancelled midway returns a sorted,
-// true-scored partial with ErrDeadline (checkCancelled, at a t about 2 %
-// of CancelInstance's products reach).
+// true-scored partial with ErrDeadline (CheckAboveCancellation).
 func CheckAbove(t *testing.T, build Builder, label string) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(20261005))
@@ -92,11 +91,6 @@ func CheckAbove(t *testing.T, build Builder, label string) {
 		}
 	}
 	for _, s := range append([]int{1}, ShardCounts...) {
-		checkCancelled(t, func(items *vec.Matrix) search.Searcher { return build(items, s) }, fmt.Sprintf("%s/above S=%d", label, s),
-			func(e search.Searcher, ctx context.Context, q []float64) ([]topk.Result, error) {
-				return e.(aboveSearcher).SearchAboveContext(ctx, q, 8)
-			}, func(items *vec.Matrix, q []float64, base []topk.Result) {
-				CheckTopK(t, items, q, len(scan.NewNaive(items).SearchAbove(q, 8)), base, label+"/above/uncancelled")
-			})
+		CheckAboveCancellation(t, func(items *vec.Matrix) search.Searcher { return build(items, s) }, fmt.Sprintf("%s/above S=%d", label, s))
 	}
 }

@@ -128,7 +128,9 @@ func (b Builder) Sequential(items *vec.Matrix) search.Searcher { return b(items,
 // leaves the results identical to the uncancelled baseline; and an
 // already-cancelled context returns promptly with ErrDeadline. The suite
 // fails unless some trial was cancelled after the scan had offered rows,
-// so that what came back was a non-empty partial.
+// so that what came back was a non-empty partial. It runs CancelInstance's
+// query and the zero query, which every row ties and which LEMP and SS-L
+// answer in a loop of their own.
 func CheckCancellation(t *testing.T, build func(items *vec.Matrix) search.Searcher, label string) {
 	t.Helper()
 	checkCancellation(t, build, label, true)
@@ -138,7 +140,7 @@ func CheckCancellation(t *testing.T, build func(items *vec.Matrix) search.Search
 // (PCA-Tree): the uncancelled baseline is not compared against Naive,
 // but every other invariant — never-exact-when-cut-short, true scores,
 // sortedness, unfired-fault determinism, prompt pre-cancelled return, a
-// non-empty partial — still holds.
+// non-empty partial — still holds, for CancelInstance's query only.
 func CheckCancellationApprox(t *testing.T, build func(items *vec.Matrix) search.Searcher, label string) {
 	t.Helper()
 	checkCancellation(t, build, label, false)
@@ -147,12 +149,26 @@ func CheckCancellationApprox(t *testing.T, build func(items *vec.Matrix) search.
 func checkCancellation(t *testing.T, build func(items *vec.Matrix) search.Searcher, label string, exact bool) {
 	t.Helper()
 	const k = 10
-	checkCancelled(t, build, label, func(s search.Searcher, ctx context.Context, q []float64) ([]topk.Result, error) {
+	checkCancelled(t, build, label, exact, func(s search.Searcher, ctx context.Context, q []float64) ([]topk.Result, error) {
 		return s.SearchContext(ctx, q, k)
-	}, func(items *vec.Matrix, q []float64, base []topk.Result) {
+	}, func(items *vec.Matrix, q []float64, base []topk.Result, label string) {
 		if exact {
 			CheckTopK(t, items, q, k, base, label+"/uncancelled")
 		}
+	})
+}
+
+// CheckAboveCancellation is the cancellation suite for the above-t task:
+// SearchAboveContext at a t about 2 % of CancelInstance's products reach,
+// under CheckCancellation's invariants, with the uncancelled answer held
+// to Naive's.
+func CheckAboveCancellation(t *testing.T, build func(items *vec.Matrix) search.Searcher, label string) {
+	t.Helper()
+	const thr = 8
+	checkCancelled(t, build, label, false, func(s search.Searcher, ctx context.Context, q []float64) ([]topk.Result, error) {
+		return s.(aboveSearcher).SearchAboveContext(ctx, q, thr)
+	}, func(items *vec.Matrix, q []float64, base []topk.Result, label string) {
+		CheckTopK(t, items, q, len(scan.NewNaive(items).SearchAbove(q, thr)), base, label+"/uncancelled")
 	})
 }
 
@@ -170,23 +186,36 @@ var CancelInstance = sync.OnceValues(func() (*vec.Matrix, []float64) {
 	return m.Slice(0, 30000), m.Row(30000)
 })
 
-// checkCancelled is the cancellation suite for any one-query entry point:
-// query runs it on s, checkBase judges the uncancelled answer. The cancel
-// points spread evenly from the first poll an unfaulted run makes to one
-// past its last.
-func checkCancelled(t *testing.T, build func(items *vec.Matrix) search.Searcher, label string,
+// checkCancelled is the cancellation suite for any one-query entry point
+// over one build of CancelInstance: query runs it on s, checkBase judges
+// the uncancelled answer. It runs the instance's query and, when zero is
+// set, the zero query.
+func checkCancelled(t *testing.T, build func(items *vec.Matrix) search.Searcher, label string, zero bool,
 	query func(s search.Searcher, ctx context.Context, q []float64) ([]topk.Result, error),
-	checkBase func(items *vec.Matrix, q []float64, base []topk.Result)) {
+	checkBase func(items *vec.Matrix, q []float64, base []topk.Result, label string)) {
 	t.Helper()
-	const seed, trials = 20240611, 25
 	items, q := CancelInstance()
 	s := build(items)
+	checkCancelledQuery(t, s, items, q, false, label, query, checkBase)
+	if zero {
+		checkCancelledQuery(t, s, items, make([]float64, len(q)), true, label+"/zero-query", query, checkBase)
+	}
+}
+
+// checkCancelledQuery is checkCancelled for one query q, the zero query
+// when zero is set. The cancel points spread evenly from the first poll an
+// unfaulted run makes to one past its last.
+func checkCancelledQuery(t *testing.T, s search.Searcher, items *vec.Matrix, q []float64, zero bool, label string,
+	query func(s search.Searcher, ctx context.Context, q []float64) ([]topk.Result, error),
+	checkBase func(items *vec.Matrix, q []float64, base []topk.Result, label string)) {
+	t.Helper()
+	const seed, trials = 20240611, 25
 
 	base, err := query(s, context.Background(), q)
 	if err != nil {
 		t.Fatalf("%s: uncancelled query error: %v", label, err)
 	}
-	checkBase(items, q, base)
+	checkBase(items, q, base, label)
 	probe := faults.NewRegistry(seed).Enable(faults.SiteScan, faults.Plan{})
 	res, err := query(s, probe.Context(context.Background()), q)
 	if err != nil {
@@ -213,7 +242,9 @@ func checkCancelled(t *testing.T, build func(items *vec.Matrix) search.Searcher,
 			}
 			if len(res) > 0 {
 				midScan++
-				if st == (search.Stats{}) || st.Scanned > items.Rows {
+				// LEMP's zero-query loop offers rows without counting
+				// them, so only another query must leave work in the sink.
+				if (st == (search.Stats{}) && !zero) || st.Scanned > items.Rows {
 					t.Fatalf("%s: cancel at poll %d put %+v in the sink; want the work done, Scanned ≤ %d", label, cancelAt, st, items.Rows)
 				}
 			}
