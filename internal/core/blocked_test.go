@@ -1080,7 +1080,7 @@ func TestHeadWidthSurvivesSaveLoad(t *testing.T) {
 	}
 }
 
-// row inverts setRow: f receives row i's d floors; it returns Σ_{s<w}|f_s|.
+// row inverts floorRow: f receives row i's d floors; it returns Σ_{s<w}|f_s|.
 func (id *intData) row(i, w int, f []int32) (sumAbsHead int64) {
 	for s, x := range id.tail[i*(len(f)-w) : (i+1)*(len(f)-w)] {
 		f[w+s] = int32(x)

@@ -18,12 +18,13 @@ import (
 
 // refNewIndex is Algorithm 3 as it was written before preprocessing went
 // parallel and register-blocked: one goroutine, one row and one product
-// at a time, a clone-and-sort-in-place through sort.SliceStable. It is
-// the specification of every bit NewIndex produces; nothing outside the
-// tests calls it.
-func refNewIndex(items *vec.Matrix, opts Options) (*Index, error) {
+// at a time, a clone-and-sort-in-place through sort.SliceStable, one pass
+// over the rows per table. It is the specification of every bit NewIndex
+// (and NewAblationIndex, under ab) produces; nothing outside the tests
+// calls it.
+func refNewIndex(items *vec.Matrix, opts Options, ab Ablation) (*Index, error) {
 	opts = opts.withDefaults()
-	idx := &Index{opts: opts, n: items.Rows, d: items.Cols}
+	idx := &Index{opts: opts, n: items.Rows, d: items.Cols, ablation: ab}
 
 	sorted := items.Clone()
 	idx.perm = make([]int, sorted.Rows)
@@ -63,7 +64,7 @@ func refNewIndex(items *vec.Matrix, opts Options) (*Index, error) {
 		idx.barTail[i] = vec.NormRange(idx.bar.Row(i), idx.w, idx.d)
 	}
 	if opts.Int {
-		ints, err := refBuildIntData(idx.bar, idx.w, opts.E)
+		ints, err := refBuildIntData(idx.bar, idx.w, opts.E, ab.GlobalIntScaling)
 		if err != nil {
 			return nil, err
 		}
@@ -139,24 +140,32 @@ func refDecompose(items *vec.Matrix, rankTol float64) (*svd.Thin, error) {
 	return &svd.Thin{U: u, Sigma: sigma, V1: v1}, nil
 }
 
-func refBuildIntData(bar *vec.Matrix, w int, e float64) (*intData, error) {
+// refBuildIntData scales by the head and tail maxima (Equation 7), or by
+// one maximum over every coordinate (Equation 4) when global is set.
+func refBuildIntData(bar *vec.Matrix, w int, e float64, global bool) (*intData, error) {
 	n, d := bar.Rows, bar.Cols
 	id, err := newIntData(n, d, w, e)
 	if err != nil {
 		return nil, err
 	}
-	for i := 0; i < n; i++ {
-		row := bar.Row(i)
-		if h := vec.AbsMaxRange(row, 0, w); h > id.maxHead {
-			id.maxHead = h
-		}
-		if t := vec.AbsMaxRange(row, w, d); t > id.maxTail {
-			id.maxTail = t
+	if global {
+		id.maxHead = bar.AbsMax()
+		id.maxTail = id.maxHead
+	} else {
+		for i := 0; i < n; i++ {
+			row := bar.Row(i)
+			if h := vec.AbsMaxRange(row, 0, w); h > id.maxHead {
+				id.maxHead = h
+			}
+			if t := vec.AbsMaxRange(row, w, d); t > id.maxTail {
+				id.maxTail = t
+			}
 		}
 	}
 	id.headScale = id.maxHead / e
 	id.tailScale = id.maxTail / e
 	f := make([]int32, d)
+	o := int32(id.lay.Offset())
 	for i := 0; i < n; i++ {
 		for s, v := range bar.Row(i) {
 			var scaled float64
@@ -171,7 +180,15 @@ func refBuildIntData(bar *vec.Matrix, w int, e float64) (*intData, error) {
 			}
 			f[s] = int32(math.Floor(scaled))
 		}
-		if _, ok := id.setRow(i, w, f); !ok {
+		_, ok := id.head.PackRow(i, f[:w])
+		var sumAbsTail int64
+		for s, x := range f[w:] {
+			ok = ok && -o <= x && x < o
+			id.tail[i*(d-w)+s] = int8(x)
+			sumAbsTail += abs64(int64(x))
+		}
+		id.sumAbsTail[i] = int32(sumAbsTail)
+		if !ok {
 			return nil, fmt.Errorf("core: floor of row %d outside ±(⌈E⌉+1)", i)
 		}
 	}
@@ -230,7 +247,9 @@ func refBuildRedData(bar *vec.Matrix, w int, sigma []float64) *redData {
 // dataset shapes: "ties" repeats rows and norms (the stable order
 // decides), "rankdef" spans only ⌈d/2⌉ directions and keeps a few zero
 // coordinates and zero rows (the v == 0 skips the blocked kernels
-// dropped).
+// dropped), and "zerohead" is Gaussian but zero in the w = max(1, ⌊d/5⌋)
+// columns a build without the SVD checks first, so that its head maximum
+// is 0 (at d = 1 every row is zero).
 func identityCatalog(shape string, n, d int) *vec.Matrix {
 	switch shape {
 	case "movielens":
@@ -266,6 +285,14 @@ func identityCatalog(shape string, n, d int) *vec.Matrix {
 				vec.AxpyInto(m.Row(i), m.Row(i), basis.Row(k), float64(rng.Intn(9)-4)/4)
 			}
 		}
+	case "zerohead":
+		w := max(1, d/5)
+		for i := 0; i < n; i++ {
+			row := m.Row(i)
+			for s := w; s < d; s++ {
+				row[s] = rng.NormFloat64()
+			}
+		}
 	default:
 		panic(shape)
 	}
@@ -275,26 +302,34 @@ func identityCatalog(shape string, n, d int) *vec.Matrix {
 // TestNewIndexMatchesSequentialReference pins the parallel, blocked
 // build to the sequential one byte for byte: Index.Save of NewIndex
 // equals Index.Save of refNewIndex for every pruning variant, on both
-// dataset shapes plus tied norms and a rank-deficient
-// P, across the row counts that exercise the 4-row and 2-row tails and
-// both sides of the parallel threshold, at every GOMAXPROCS.
+// dataset shapes plus tied norms, a rank-deficient P and a zero head,
+// across the row counts that exercise the 4-row and 2-row tails and
+// both sides of the parallel threshold, at every GOMAXPROCS. The
+// global-int variants are the GlobalIntScaling ablation, whose every
+// field (Save refuses it) is held to a reference that scales by one
+// maximum.
 func TestNewIndexMatchesSequentialReference(t *testing.T) {
 	sir := Options{SVD: true, Int: true, Reduction: true}
 	// Ordered so that every third variant is one that builds something
 	// the others do not (the subset the larger sizes run).
+	global := Ablation{GlobalIntScaling: true}
 	variants := []struct {
 		name string
 		opts Options
+		ab   Ablation // built through NewAblationIndex when set
 	}{
-		{"F-SIR", sir},
-		{"F-I", Options{Int: true}},
-		{"F-R", Options{Reduction: true}},
-		{"F-S", Options{SVD: true}},
-		{"F-SI", Options{SVD: true, Int: true}},
-		{"F-SR", Options{SVD: true, Reduction: true}},
-		{"F-SIR/W=3", Options{SVD: true, Int: true, Reduction: true, W: 3}},
-		{"F-IR", Options{Int: true, Reduction: true}},
-		{"F", Options{}},
+		{"F-SIR", sir, Ablation{}},
+		{"F-I", Options{Int: true}, Ablation{}},
+		{"F-R", Options{Reduction: true}, Ablation{}},
+		{"F-S", Options{SVD: true}, Ablation{}},
+		{"F-SI", Options{SVD: true, Int: true}, Ablation{}},
+		{"F-SR", Options{SVD: true, Reduction: true}, Ablation{}},
+		{"F-SIR/W=3", Options{SVD: true, Int: true, Reduction: true, W: 3}, Ablation{}},
+		{"F-IR", Options{Int: true, Reduction: true}, Ablation{}},
+		{"F", Options{}, Ablation{}},
+		{"F-SIR/global-int", sir, global},
+		{"F-I/global-int", Options{Int: true}, global},
+		{"F-SI/W=3/global-int", Options{SVD: true, Int: true, W: 3}, global},
 	}
 	// Every variant wherever it is cheap — d ∈ {1, 7} below the parallel
 	// threshold — and at n = 4099, d = 50 on the MovieLens shape, where
@@ -307,7 +342,7 @@ func TestNewIndexMatchesSequentialReference(t *testing.T) {
 		dims   []int
 		every  int
 	}
-	all := []string{"movielens", "netflix", "ties", "rankdef"}
+	all := []string{"movielens", "netflix", "ties", "rankdef", "zerohead"}
 	sizes := []size{
 		{1, all, []int{1, 7}, 1},
 		{1, all[:1], []int{50}, 12},
@@ -320,6 +355,7 @@ func TestNewIndexMatchesSequentialReference(t *testing.T) {
 		{4099, all[:1], []int{50}, 1},
 		{4099, all, []int{1, 7}, 3},
 		{4099, all[1:], []int{50}, 12},
+		{4099, all[4:], []int{7}, 1},
 		{20000, all[:1], []int{50}, 12},
 	}
 	if testing.Short() {
@@ -335,7 +371,7 @@ func TestNewIndexMatchesSequentialReference(t *testing.T) {
 				items := identityCatalog(shape, sz.n, d)
 				refs := make([]*Index, len(variants))
 				for vi := 0; vi < len(variants); vi += sz.every {
-					ref, err := refNewIndex(items, variants[vi].opts)
+					ref, err := refNewIndex(items, variants[vi].opts, variants[vi].ab)
 					if err != nil {
 						t.Fatalf("%s/n=%d/d=%d/%s: reference: %v", shape, sz.n, d, variants[vi].name, err)
 					}
@@ -345,7 +381,7 @@ func TestNewIndexMatchesSequentialReference(t *testing.T) {
 					runtime.GOMAXPROCS(procs)
 					for vi := 0; vi < len(variants); vi += sz.every {
 						name := fmt.Sprintf("%s/n=%d/d=%d/%s at GOMAXPROCS %d", shape, sz.n, d, variants[vi].name, procs)
-						idx, err := NewIndex(items, variants[vi].opts)
+						idx, err := NewAblationIndex(items, variants[vi].opts, variants[vi].ab)
 						if err != nil {
 							t.Fatalf("%s: %v", name, err)
 						}
@@ -372,6 +408,29 @@ func TestNewIndexMatchesSequentialReference(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestNewIndexAllocatesOneRowCopy: an F-SIR build holds one n×d copy of
+// the rows — the norm-sorted gather, which V₁ is written over — so all it
+// allocates, tables and scratch included, stays under 1.5·n·d·8 bytes at
+// n = 2·10⁴, d = 50 (a second n×d matrix would take it past 2·n·d·8).
+// Each worker holds scratch of its own, so the build runs on two, as it
+// does on every machine the test runs on.
+func TestNewIndexAllocatesOneRowCopy(t *testing.T) {
+	const n, d = 20000, 50
+	items := data.Generate(data.MovieLens(), n, 1, d).Items
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	idx, err := NewIndex(items, Options{SVD: true, Int: true, Reduction: true})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(n*d*8*3/2); got >= limit {
+		t.Errorf("an F-SIR build of %d×%d allocated %d bytes, want under %d (1.5·n·d·8)", n, d, got, limit)
+	}
+	runtime.KeepAlive(idx)
 }
 
 // firstFieldThatDiffers names the first Index field whose bits differ

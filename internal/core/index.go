@@ -76,8 +76,10 @@ type redData struct {
 }
 
 // NewIndex preprocesses the item matrix (rows are item vectors) per
-// Algorithm 3. The input matrix is copied; the caller's data is never
-// modified. Catalogs of a few thousand rows and more are built on
+// Algorithm 3. The input matrix is copied once, in norm order, and the
+// SVD's V₁ is written over that copy, so a build holds one n×d matrix
+// besides the caller's, which is never modified. Catalogs of a few
+// thousand rows and more are built on
 // GOMAXPROCS goroutines (vec.ForRows); the index is the same bytes
 // whatever that number is (DESIGN.md "Parallel preprocessing"). A
 // catalog with a NaN or infinite coordinate, or whose squared norms
@@ -91,7 +93,8 @@ func NewIndex(items *vec.Matrix, opts Options) (*Index, error) {
 
 // newIndex builds the index over the rows of cat with IDs ids, in that
 // order, or over all of cat in ID order when ids is nil. The rows are read
-// in place: the one copy of them is the norm-sorted gather.
+// in place: the one copy of them is the norm-sorted gather, which becomes
+// the working representation.
 func newIndex(cat *catalog, ids []int, opts Options, ab Ablation) (*Index, error) {
 	// withDefaults tests ranges with <, which NaN passes: a NaN Rho would
 	// silently select w = d−1 and a NaN PruneSlack would switch every
@@ -126,9 +129,10 @@ func newIndex(cat *catalog, ids []int, opts Options, ab Ablation) (*Index, error
 	}
 	idx := &Index{opts: opts, n: n, d: cat.d, perm: perm, norms: sortedNorms, ablation: ab}
 
-	// 2. Thin SVD (line 3) and the working representation.
+	// 2. Thin SVD (line 3) and the working representation: V₁ is written
+	// over the gathered rows, which nothing reads again.
 	if opts.SVD {
-		thin, err := svd.Decompose(sorted, opts.RankTol)
+		thin, err := svd.DecomposeInPlace(sorted, opts.RankTol)
 		if err != nil {
 			return nil, fmt.Errorf("core: SVD transformation failed: %w", err)
 		}
@@ -147,33 +151,131 @@ func newIndex(cat *catalog, ids []int, opts Options, ab Ablation) (*Index, error
 	return idx, nil
 }
 
-// derive computes the tables that cost one pass over bar each (Algorithm
-// 3 lines 8, 9 and 11) from opts, w, bar, sigma and the ablation. newIndex
-// calls it after the SVD and ReadIndex after decoding what the file
-// stores, so a loaded index holds the built one's tables because one
-// function made both.
+// derive computes the tables Algorithm 3 lines 8, 9 and 11 make from the
+// working vectors — the tail norms, the integer floors and the reduction
+// constants — from opts, w, bar, sigma and the ablation, in two passes
+// over bar (DESIGN.md §17): rowSums, then rowTables with the extrema the
+// first folded. newIndex calls it after the SVD and ReadIndex after
+// decoding what the file stores, so a loaded index holds the built one's
+// tables because one function made both.
 func (idx *Index) derive() error {
-	// Residual norms for incremental pruning (line 11).
-	idx.barTail = make([]float64, idx.n)
-	vec.ForRows(idx.n, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			idx.barTail[i] = vec.NormRange(idx.bar.Row(i), idx.w, idx.d)
-		}
-	})
+	return idx.rowTables(idx.rowSums())
+}
 
-	// Integer approximation (line 8).
+// rowExtrema is what rowSums folds over all rows. Maxima and minima are
+// exact, so folding per-range ones in whatever order the workers finish
+// gives the bits of one pass over all rows (likewise the lowest failing
+// row in rowTables).
+type rowExtrema struct {
+	maxHead, maxTail float64 // max |p̄_s| over s<w resp. s≥w
+	min              float64 // min p̄_s
+	maxSq            float64 // max ‖p̄‖²
+}
+
+// rowSums is derive's first pass. It stores every row's ‖p̄^h‖ (line 11)
+// and returns the extrema the integer and reduction tables scale by. A
+// row's ‖p̄^h‖² and ‖p̄‖² are each one chain of squares added from zero in
+// increasing s — the bits vec.NormRange and vec.Norm give — run side by
+// side over the tail. ‖p̄‖ itself is never taken: b = max ‖p̄‖ is the
+// square root of the largest ‖p̄‖², because a correctly rounded square
+// root is monotone.
+func (idx *Index) rowSums() rowExtrema {
+	bar, w := idx.bar, idx.w
+	idx.barTail = make([]float64, idx.n)
+	all := rowExtrema{min: math.Inf(1)}
+	var mu sync.Mutex
+	vec.ForRows(idx.n, func(lo, hi int) {
+		// Plain comparisons, not the builtin max and min: every value is
+		// finite, and which zero a tie of ±0 keeps is immaterial (only
+		// |min| is used, and |·| is never −0).
+		x := rowExtrema{min: math.Inf(1)}
+		for i := lo; i < hi; i++ {
+			row := bar.Row(i)
+			var sq, tailSq float64
+			for _, v := range row[:w] {
+				sq += v * v
+				if a := math.Abs(v); a > x.maxHead {
+					x.maxHead = a
+				}
+				if v < x.min {
+					x.min = v
+				}
+			}
+			for _, v := range row[w:] {
+				p := v * v
+				sq += p
+				tailSq += p
+				if a := math.Abs(v); a > x.maxTail {
+					x.maxTail = a
+				}
+				if v < x.min {
+					x.min = v
+				}
+			}
+			idx.barTail[i] = math.Sqrt(tailSq)
+			if sq > x.maxSq {
+				x.maxSq = sq
+			}
+		}
+		mu.Lock()
+		all.maxHead = max(all.maxHead, x.maxHead)
+		all.maxTail = max(all.maxTail, x.maxTail)
+		all.min = min(all.min, x.min)
+		all.maxSq = max(all.maxSq, x.maxSq)
+		mu.Unlock()
+	})
+	return all
+}
+
+// rowTables is derive's second pass: the integer floors of every row
+// (line 8) and its reduction constants (line 9), both from the row while
+// it is in cache, two rows at a time.
+func (idx *Index) rowTables(x rowExtrema) error {
+	n, d, w, bar := idx.n, idx.d, idx.w, idx.bar
+	var id *intData
 	if idx.opts.Int {
-		ints, err := buildIntData(idx.bar, idx.w, idx.opts.E, idx.ablation.GlobalIntScaling)
-		if err != nil {
+		var err error
+		if id, err = newIntData(n, d, w, idx.opts.E); err != nil {
 			return err
 		}
-		idx.ints = ints
+		id.setScales(x, idx.ablation.GlobalIntScaling)
 	}
-
-	// Monotonicity reduction (line 9).
+	var rd *redData
+	var headC2 float64
 	if idx.opts.Reduction {
-		idx.red = buildRedData(idx.bar, idx.w, idx.sigma)
+		rd, headC2 = newRedData(n, d, w, idx.sigma, x)
 	}
+	if id == nil && rd == nil {
+		return nil
+	}
+	bad := n
+	var mu sync.Mutex
+	vec.ForRows(n, func(lo, hi int) {
+		var f []int32
+		if id != nil {
+			f = make([]int32, w)
+		}
+		for i := lo; i < hi; i += 2 {
+			// A range of odd length ends on a pair that names its last
+			// row twice.
+			i1 := min(i+1, hi-1)
+			for r := i; id != nil && r <= i1; r++ {
+				if !id.floorRow(r, w, bar.Row(r), f) {
+					mu.Lock()
+					bad = min(bad, r)
+					mu.Unlock()
+					return
+				}
+			}
+			if rd != nil {
+				rd.setRows(i, i1, bar.Row(i), bar.Row(i1), w, headC2)
+			}
+		}
+	})
+	if bad < n {
+		return fmt.Errorf("core: floor of row %d outside ±(⌈E⌉+1)", bad)
+	}
+	idx.ints, idx.red = id, rd
 	return nil
 }
 
@@ -308,7 +410,7 @@ func (idx *Index) chooseW() int {
 }
 
 // newIntData validates e for the integer bound at this shape, picks the
-// head layout and allocates the per-row tables for setRow.
+// head layout and allocates the per-row tables for floorRow.
 func newIntData(n, d, w int, e float64) (*intData, error) {
 	// Every floor lies in [−o, o−1]: o ≤ 128 keeps the floors inside int8,
 	// the layout keeps a row's Σ|f|+w inside int16, and (d−w)·o² < 2³¹
@@ -335,24 +437,6 @@ func newIntData(n, d, w int, e float64) (*intData, error) {
 	return id, nil
 }
 
-// setRow stores row i's d floors — head into its block, tail narrowed —
-// with their Σ|·| terms, and returns Σ_{s<w}|f_s|. ok is false when a
-// floor lies outside [−o, o−1], which only a loaded row whose coordinate
-// times E overflows can cause.
-func (id *intData) setRow(i, w int, f []int32) (sumAbsHead int64, ok bool) {
-	var sumAbsTail int64
-	sumAbsHead, ok = id.head.PackRow(i, f[:w])
-	o := int32(id.lay.Offset())
-	tail := id.tail[i*(len(f)-w):]
-	for s, x := range f[w:] {
-		sumAbsTail += abs64(int64(x))
-		ok = ok && -o <= x && x < o
-		tail[s] = int8(x)
-	}
-	id.sumAbsTail[i] = int32(sumAbsTail)
-	return sumAbsHead, ok
-}
-
 func abs64(a int64) int64 {
 	if a < 0 {
 		return -a
@@ -360,98 +444,67 @@ func abs64(a int64) int64 {
 	return a
 }
 
-// buildIntData scales the working vectors per Equation 7 (separate
-// head/tail maxima) — or Equation 4 (one global maximum) under
-// Ablation.GlobalIntScaling — and stores their floors plus the per-row
-// Σ|⌊·⌋| terms of the integer bound (Theorem 2).
-func buildIntData(bar *vec.Matrix, w int, e float64, globalScaling bool) (*intData, error) {
-	n, d := bar.Rows, bar.Cols
-	id, err := newIntData(n, d, w, e)
-	if err != nil {
-		return nil, err
-	}
-	// Maxima are exact, so folding per-range maxima in whatever order the
-	// workers finish gives the bits of one pass over all rows (likewise
-	// the lowest failing row below, and the min and max in buildRedData).
-	var mu sync.Mutex
-	vec.ForRows(n, func(lo, hi int) {
-		var maxHead, maxTail float64
-		for i := lo; i < hi; i++ {
-			row := bar.Row(i)
-			maxHead = max(maxHead, vec.AbsMaxRange(row, 0, w))
-			maxTail = max(maxTail, vec.AbsMaxRange(row, w, d))
-		}
-		mu.Lock()
-		id.maxHead = max(id.maxHead, maxHead)
-		id.maxTail = max(id.maxTail, maxTail)
-		mu.Unlock()
-	})
+// setScales takes the head and tail maxima of Equation 7 from x — or,
+// under Ablation.GlobalIntScaling, one maximum over all dimensions
+// (Equation 4) for both — and the factors that turn IU back into q̄ space.
+func (id *intData) setScales(x rowExtrema, globalScaling bool) {
+	id.maxHead, id.maxTail = x.maxHead, x.maxTail
 	if globalScaling {
 		m := math.Max(id.maxHead, id.maxTail)
 		id.maxHead, id.maxTail = m, m
 	}
-	id.headScale = id.maxHead / e
-	id.tailScale = id.maxTail / e
-	bad := n
-	vec.ForRows(n, func(lo, hi int) {
-		f := make([]int32, d)
-		for i := lo; i < hi; i++ {
-			for s, v := range bar.Row(i) {
-				var scaled float64
-				if s < w {
-					if id.maxHead > 0 {
-						scaled = e * v / id.maxHead
-					}
-				} else {
-					if id.maxTail > 0 {
-						scaled = e * v / id.maxTail
-					}
-				}
-				f[s] = int32(math.Floor(scaled))
-			}
-			if _, ok := id.setRow(i, w, f); !ok {
-				mu.Lock()
-				bad = min(bad, i)
-				mu.Unlock()
-				return
-			}
-		}
-	})
-	if bad < n {
-		return nil, fmt.Errorf("core: floor of row %d outside ±(⌈E⌉+1)", bad)
-	}
-	return id, nil
+	id.headScale = id.maxHead / id.e
+	id.tailScale = id.maxTail / id.e
 }
 
-// buildRedData computes the Section 5.2 reduction constants over the
-// working vectors. sigma may be nil (no SVD); the c skew then defaults
-// to a constant shift.
-func buildRedData(bar *vec.Matrix, w int, sigma []float64) *redData {
-	n, d := bar.Rows, bar.Cols
-	rd := &redData{
+// floorRow stores the floors of row i, ⌊e·p̄_s/max⌋ with the head and the
+// tail each scaled by its own maximum (Theorem 2) — the head into its
+// block through f (w values of scratch), the tail narrowed as it goes —
+// and their Σ|·| terms. It reports whether every floor lies in [−o, o−1],
+// which only a loaded row whose coordinate times E overflows can break.
+// A half whose maximum is 0 floors to 0. The floor is math.Floor, not a
+// truncate-and-correct: the sign is a coin flip, so a correcting branch
+// mispredicts every other value.
+func (id *intData) floorRow(i, w int, row []float64, f []int32) bool {
+	e := id.e
+	if m := id.maxHead; m > 0 {
+		for s, v := range row[:w] {
+			f[s] = int32(math.Floor(e * v / m))
+		}
+	} else {
+		clear(f)
+	}
+	_, ok := id.head.PackRow(i, f)
+	tail := id.tail[i*(len(row)-w):][:len(row)-w]
+	var sumAbs int64
+	lo, hi := int32(0), int32(0)
+	if m := id.maxTail; m > 0 { // else the fresh table's zeros are the floors
+		for s, v := range row[w:] {
+			x := int32(math.Floor(e * v / m))
+			tail[s] = int8(x)
+			sumAbs += abs64(int64(x))
+			lo, hi = min(lo, x), max(hi, x)
+		}
+	}
+	id.sumAbsTail[i] = int32(sumAbs)
+	o := int32(id.lay.Offset())
+	return ok && -o <= lo && hi < o
+}
+
+// newRedData computes the Section 5.2 constants that hold for every row
+// from the extrema of the working vectors, allocates the per-row ones for
+// setRows, and returns Σ_{s<w} c_s² beside them. sigma may be nil (no
+// SVD); the c skew then defaults to a constant shift.
+func newRedData(n, d, w int, sigma []float64, x rowExtrema) (rd *redData, headC2 float64) {
+	rd = &redData{
 		c:          make([]float64, d),
 		headConstP: make([]float64, n),
 		hhTail:     make([]float64, n),
+		// The rows are sorted by ORIGINAL norm, which differs from the
+		// working norm under SVD, so b is the true maximum.
+		b: math.Sqrt(x.maxSq),
 	}
-
-	// p̄min and b = max ‖p̄‖ (the rows are sorted by ORIGINAL norm, which
-	// differs from the working norm under SVD, so take the true maximum).
-	// Only |p̄min| is used, so which zero a tie of ±0 picks is immaterial.
-	pmin := math.Inf(1)
-	var mu sync.Mutex
-	vec.ForRows(n, func(lo, hi int) {
-		lmin, lb := math.Inf(1), 0.0
-		for i := lo; i < hi; i++ {
-			row := bar.Row(i)
-			lmin = min(lmin, vec.Min(row))
-			lb = max(lb, vec.Norm(row))
-		}
-		mu.Lock()
-		pmin = min(pmin, lmin)
-		rd.b = max(rd.b, lb)
-		mu.Unlock()
-	})
-	base := math.Max(1, math.Abs(pmin))
+	base := math.Max(1, math.Abs(x.min))
 	// c_s = max(1,|p̄min|) + σ_s/σ_d — skewed like the singular values.
 	sigmaLast := 0.0
 	if sigma != nil {
@@ -470,32 +523,41 @@ func buildRedData(bar *vec.Matrix, w int, sigma []float64) *redData {
 		rd.c[s] = base + ratio
 		rd.sumC2 += rd.c[s] * rd.c[s]
 	}
-
-	var headC2 float64 // Σ_{s<w} c_s²
 	for _, c := range rd.c[:w] {
 		headC2 += c * c
 	}
-	vec.ForRows(n, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			// ‖ṕ‖² = (b²−‖p̄‖²) + Σ(p̄_s+c_s)² = b² + 2Σc_s·p̄_s + Σc_s².
-			row := bar.Row(i)
-			var headCP, tailSq float64
-			for s, v := range row[:w] {
-				headCP += rd.c[s] * v
-			}
-			sumCP := headCP // Σ_s c_s·p̄_s is the head sum carried on
-			for s, v := range row[w:] {
-				c := rd.c[w+s]
-				sumCP += c * v
-				t := v + c
-				tailSq += t * t
-			}
-			pAcuteSq := rd.b*rd.b + 2*sumCP + rd.sumC2
-			rd.headConstP[i] = -pAcuteSq + 2*(headCP+headC2)
-			rd.hhTail[i] = math.Sqrt(tailSq)
-		}
-	})
-	return rd
+	return rd, headC2
+}
+
+// setRows stores the per-row constants of rows i and j (j may be i) from
+// their working vectors ri and rj. By ‖ṕ‖² = (b²−‖p̄‖²) + Σ(p̄_s+c_s)² =
+// b² + 2Σc_s·p̄_s + Σc_s², a row takes three sums: Σ_{s<w} c_s·p̄_s, that
+// sum carried on over the tail, and Σ_{s≥w}(p̄_s+c_s)². Each is one chain
+// in increasing s; the two rows' chains are interleaved so that a sum
+// does not wait on its own previous addition alone.
+func (rd *redData) setRows(i, j int, ri, rj []float64, w int, headC2 float64) {
+	c := rd.c[:len(ri)]
+	rj = rj[:len(ri)]
+	var hi, hj float64 // Σ_{s<w} c_s·p̄_s
+	for s, cs := range c[:w] {
+		hi += cs * ri[s]
+		hj += cs * rj[s]
+	}
+	si, sj := hi, hj   // Σ_s c_s·p̄_s
+	var ti, tj float64 // Σ_{s≥w} (p̄_s+c_s)²
+	for s := w; s < len(c); s++ {
+		cs, vi, vj := c[s], ri[s], rj[s]
+		si += cs * vi
+		sj += cs * vj
+		ui, uj := vi+cs, vj+cs
+		ti += ui * ui
+		tj += uj * uj
+	}
+	b2 := rd.b * rd.b
+	rd.headConstP[i] = -(b2 + 2*si + rd.sumC2) + 2*(hi+headC2)
+	rd.headConstP[j] = -(b2 + 2*sj + rd.sumC2) + 2*(hj+headC2)
+	rd.hhTail[i] = math.Sqrt(ti)
+	rd.hhTail[j] = math.Sqrt(tj)
 }
 
 // W returns the checking dimension chosen during preprocessing.

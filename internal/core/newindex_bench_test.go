@@ -14,8 +14,9 @@ import (
 // n = 10⁵, d = 50 items of each dataset shape, in ms per build, and what
 // the build is made of — the validating norm pass, the norm order, the
 // gather of the rows into it, the Gram matrix, its 50×50 Jacobi, the V₁
-// transform, and the integer and reduction tables — each stage timed on
-// its own over the same data (the tail norms and allocation are the
+// transform written over the gathered rows, and derive's two passes (the
+// row sums and extrema, then the integer and reduction tables) — each
+// stage timed on its own over the same data (allocation is the
 // remainder). Run it at -cpu 1,2: the blocked kernels pay on one core,
 // the row split on the second; the order and the Jacobi run on one
 // goroutine.
@@ -66,13 +67,26 @@ func BenchmarkNewIndex(b *testing.B) {
 					b.Fatal(err)
 				}
 			})
-			// Any d scales time the same; σ stands in for Σ⁻¹.
-			stage("transform-ms", func() { sorted.MulScaled(idx.thin.U, idx.sigma) })
-			stage("int+red-ms", func() {
-				if _, err := buildIntData(idx.bar, idx.w, opts.withDefaults().E, false); err != nil {
+			// The build writes V₁ over the gathered rows; the stage does
+			// the same to one copy of them, over and over. An orthonormal
+			// U and unit scales keep every value's size, and any scales
+			// cost the same.
+			ones := make([]float64, d)
+			for j := range ones {
+				ones[j] = 1
+			}
+			work := sorted.Clone()
+			stage("transform-ms", func() { work.MulScaledInPlace(idx.thin.U, ones) })
+			var ext rowExtrema
+			stage("sums-ms", func() {
+				cp := *idx
+				ext = cp.rowSums()
+			})
+			stage("tables-ms", func() {
+				cp := *idx
+				if err := cp.rowTables(ext); err != nil {
 					b.Fatal(err)
 				}
-				buildRedData(idx.bar, idx.w, idx.sigma)
 			})
 		})
 	}

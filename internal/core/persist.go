@@ -195,7 +195,6 @@ func (idx *Index) validateLoaded() error {
 }
 
 // finite reports whether every value in xs is neither NaN nor ±Inf.
-// finite reports whether every value in xs is neither NaN nor ±Inf.
 func finite(xs []float64) bool {
 	for _, x := range xs {
 		if math.IsNaN(x - x) { // NaN exactly when x is NaN or ±Inf

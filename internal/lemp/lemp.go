@@ -277,7 +277,8 @@ func (idx *Index) scanBuckets(ctx context.Context, qs *lempQuery, bLo, bHi int, 
 	if qs.qNorm == 0 {
 		// Zero query: every item ties at 0. Offer the WHOLE range so the
 		// canonical collector retains the same k IDs no matter how
-		// buckets are split across shards.
+		// buckets are split across shards; each row offered counts as
+		// scanned and multiplied, as in scan.Naive.
 		for bi := bLo; bi < bHi; bi++ {
 			b := &idx.buckets[bi]
 			for i := range b.ids {
@@ -287,6 +288,8 @@ func (idx *Index) scanBuckets(ctx context.Context, qs *lempQuery, bLo, bHi int, 
 					}
 				}
 				pos++
+				stats.Scanned++
+				stats.FullProducts++
 				c.Push(b.ids[i], 0)
 			}
 		}

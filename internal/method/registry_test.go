@@ -130,16 +130,22 @@ func checkCounters(t *testing.T, name string) {
 
 // checkRowsCountedOnce: an exact method's counters account for every
 // row exactly once at every shard count — reached by the scan or cut by
-// the length bound, and then either fully multiplied or pruned. (The
+// the length bound, and then either fully multiplied or pruned — for a
+// random query and for the zero query, which every row ties. (The
 // approximate PCATree only ever sees the leaves on its descent path.)
 func checkRowsCountedOnce(t *testing.T, build searchtest.Builder, label string) {
 	t.Helper()
 	const n = 300
 	items, q := searchtest.RandomInstance(rand.New(rand.NewSource(29)), n, 12)
 	for _, shards := range []int{1, 2, 3, 7} {
-		_, st := searchtest.Counted(build(items, shards), q, 5)
-		if st.Scanned+st.PrunedByLength != n || st.FullProducts+st.TotalPruned() != n {
-			t.Fatalf("%s S=%d: %+v does not account for %d rows once each", label, shards, st, n)
+		for _, query := range []struct {
+			name string
+			q    []float64
+		}{{"random", q}, {"zero", make([]float64, len(q))}} {
+			_, st := searchtest.Counted(build(items, shards), query.q, 5)
+			if st.Scanned+st.PrunedByLength != n || st.FullProducts+st.TotalPruned() != n {
+				t.Fatalf("%s S=%d, %s query: %+v does not account for %d rows once each", label, shards, query.name, st, n)
+			}
 		}
 	}
 }

@@ -196,16 +196,16 @@ func checkCancelled(t *testing.T, build func(items *vec.Matrix) search.Searcher,
 	t.Helper()
 	items, q := CancelInstance()
 	s := build(items)
-	checkCancelledQuery(t, s, items, q, false, label, query, checkBase)
+	checkCancelledQuery(t, s, items, q, label, query, checkBase)
 	if zero {
-		checkCancelledQuery(t, s, items, make([]float64, len(q)), true, label+"/zero-query", query, checkBase)
+		checkCancelledQuery(t, s, items, make([]float64, len(q)), label+"/zero-query", query, checkBase)
 	}
 }
 
-// checkCancelledQuery is checkCancelled for one query q, the zero query
-// when zero is set. The cancel points spread evenly from the first poll an
-// unfaulted run makes to one past its last.
-func checkCancelledQuery(t *testing.T, s search.Searcher, items *vec.Matrix, q []float64, zero bool, label string,
+// checkCancelledQuery is checkCancelled for one query q. The cancel points
+// spread evenly from the first poll an unfaulted run makes to one past its
+// last.
+func checkCancelledQuery(t *testing.T, s search.Searcher, items *vec.Matrix, q []float64, label string,
 	query func(s search.Searcher, ctx context.Context, q []float64) ([]topk.Result, error),
 	checkBase func(items *vec.Matrix, q []float64, base []topk.Result, label string)) {
 	t.Helper()
@@ -242,9 +242,7 @@ func checkCancelledQuery(t *testing.T, s search.Searcher, items *vec.Matrix, q [
 			}
 			if len(res) > 0 {
 				midScan++
-				// LEMP's zero-query loop offers rows without counting
-				// them, so only another query must leave work in the sink.
-				if (st == (search.Stats{}) && !zero) || st.Scanned > items.Rows {
+				if st == (search.Stats{}) || st.Scanned > items.Rows {
 					t.Fatalf("%s: cancel at poll %d put %+v in the sink; want the work done, Scanned ≤ %d", label, cancelAt, st, items.Rows)
 				}
 			}

@@ -363,3 +363,48 @@ func TestDecomposeRefusesToDropLiveDirections(t *testing.T) {
 		}
 	}
 }
+
+// TestDecomposeInPlaceMatchesDecompose: Decompose leaves its input's bits
+// alone, and DecomposeInPlace returns the same U, Σ and V₁ bits with V₁
+// written over its input — or, when it refuses the input, leaves it
+// alone too.
+func TestDecomposeInPlaceMatchesDecompose(t *testing.T) {
+	same := func(a, b []float64) bool {
+		if len(a) != len(b) {
+			return false
+		}
+		for i := range a {
+			if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+				return false
+			}
+		}
+		return true
+	}
+	rng := rand.New(rand.NewSource(3))
+	illConditioned := randomMatrix(rng, 50, 8)
+	illConditioned.Row(7)[3] = 1e20
+	rankDeficient := randomMatrix(rng, 300, 6)
+	for i := 0; i < rankDeficient.Rows; i++ {
+		rankDeficient.Row(i)[5] = rankDeficient.Row(i)[0] // a duplicate column
+	}
+	for _, items := range []*vec.Matrix{randomMatrix(rng, 7, 3), randomMatrix(rng, 5000, 8), rankDeficient, illConditioned} {
+		orig := items.Clone()
+		want, wantErr := Decompose(items, 0)
+		if !same(items.Data, orig.Data) {
+			t.Fatalf("%d×%d: Decompose modified its input", items.Rows, items.Cols)
+		}
+		got, err := DecomposeInPlace(items, 0)
+		if (err != nil) != (wantErr != nil) {
+			t.Fatalf("%d×%d: DecomposeInPlace error %v, Decompose error %v", items.Rows, items.Cols, err, wantErr)
+		}
+		if err != nil {
+			if !same(items.Data, orig.Data) {
+				t.Fatalf("%d×%d: DecomposeInPlace modified the input it refused", items.Rows, items.Cols)
+			}
+			continue
+		}
+		if got.V1 != items || !same(got.V1.Data, want.V1.Data) || !same(got.U.Data, want.U.Data) || !same(got.Sigma, want.Sigma) {
+			t.Fatalf("%d×%d: DecomposeInPlace differs from Decompose, or its V₁ is not its input", items.Rows, items.Cols)
+		}
+	}
+}

@@ -77,7 +77,8 @@ func (t *Thin) TransformQueryInto(dst, q []float64) {
 }
 
 // Decompose computes the thin SVD of the item collection. items is the
-// n×d matrix whose rows are item vectors (Pᵀ in paper notation).
+// n×d matrix whose rows are item vectors (Pᵀ in paper notation); it is
+// not modified.
 //
 // Singular values smaller than rankTol·σ₁ are treated as zero and their
 // V₁ columns zeroed: those directions carry none of P, so inner products
@@ -88,19 +89,45 @@ func (t *Thin) TransformQueryInto(dst, q []float64) {
 // would be lossy and Decompose returns an ErrIllConditioned-wrapping
 // error instead.
 func Decompose(items *vec.Matrix, rankTol float64) (*Thin, error) {
+	t, inv, err := basis(items, rankTol)
+	if err != nil {
+		return nil, err
+	}
+	t.V1 = items.MulScaled(t.U, inv)
+	return t, nil
+}
+
+// DecomposeInPlace is Decompose for a caller that has no further use for
+// items: it writes V₁ over items, the same bits Decompose returns, and
+// the result's V1 is items. The transform then needs no second n×d
+// matrix. On an error items is left as it was.
+func DecomposeInPlace(items *vec.Matrix, rankTol float64) (*Thin, error) {
+	t, inv, err := basis(items, rankTol)
+	if err != nil {
+		return nil, err
+	}
+	items.MulScaledInPlace(t.U, inv)
+	t.V1 = items
+	return t, nil
+}
+
+// basis is the decomposition up to V₁: U, Σ with the dropped singular
+// values zeroed, and the column scales Σ⁻¹ (0 for a dropped one) that
+// take items·U to V₁.
+func basis(items *vec.Matrix, rankTol float64) (t *Thin, inv []float64, err error) {
 	if rankTol <= 0 {
 		rankTol = 1e-12
 	}
 	d := items.Cols
 	if d == 0 {
-		return nil, fmt.Errorf("svd: Decompose on zero-dimensional items")
+		return nil, nil, fmt.Errorf("svd: Decompose on zero-dimensional items")
 	}
 
 	// G = P·Pᵀ = Itemsᵀ·Items (d×d).
 	g := items.GramLower()
 	lambda, u, err := SymEigen(g)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 
 	sigma := make([]float64, d)
@@ -112,7 +139,7 @@ func Decompose(items *vec.Matrix, rankTol float64) (*Thin, error) {
 	}
 
 	// V1 = Pᵀ·U·Σ⁻¹ = Items·U·Σ⁻¹ (n×d); zero columns for null σ.
-	inv := make([]float64, d)
+	inv = make([]float64, d)
 	var zeroed []int
 	for j := 0; j < d; j++ {
 		if sigma[0] > 0 && sigma[j] > rankTol*sigma[0] {
@@ -124,9 +151,9 @@ func Decompose(items *vec.Matrix, rankTol float64) (*Thin, error) {
 		}
 	}
 	if err := checkNullDirections(items, u, zeroed); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return &Thin{U: u, Sigma: sigma, V1: items.MulScaled(u, inv)}, nil
+	return &Thin{U: u, Sigma: sigma}, inv, nil
 }
 
 // ErrIllConditioned is wrapped by Decompose's error when the item matrix

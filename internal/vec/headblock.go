@@ -91,14 +91,17 @@ func (l HeadLayout) NewTable(n int) HeadTable {
 // unusable otherwise. Rows may be packed concurrently.
 func (t *HeadTable) PackRow(i int, f []int32) (sumAbs int64, ok bool) {
 	l := &t.lay
-	ok = true
+	// Floor s sits 2·HeadBlockRows·⌊s/2⌋ + s mod 2 past floor 0; the
+	// range is checked once on the row's extremes, not per floor.
+	head := t.head[headIndex(l.pairs, i, 0):]
+	lo, hi := int32(0), int32(0)
 	for s, x := range f[:l.w] {
-		ok = ok && -l.o <= int64(x) && int64(x) < l.o
-		t.head[headIndex(l.pairs, i, s)] = int8(x)
+		head[s/2*2*HeadBlockRows+s%2] = int8(x)
 		sumAbs += int64(max(x, -x))
+		lo, hi = min(lo, x), max(hi, x)
 	}
 	t.consts[i] = int16(sumAbs + int64(l.w))
-	return sumAbs, ok
+	return sumAbs, -l.o <= int64(lo) && int64(hi) < l.o
 }
 
 // UnpackRow inverts PackRow: f receives the w floors of row i, and Σ|f|

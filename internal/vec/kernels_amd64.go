@@ -93,11 +93,6 @@ func dotTail(q []int16, p []int8) int64 {
 //go:noescape
 func dotTailAVX2(q []int16, p []int8) int64
 
-// kernelChunk is how many 4-row blocks one call of a build kernel takes:
-// about 0.1 ms at d = 50. The runtime cannot preempt assembly, so a
-// longer call would hold off a GC's stop-the-world for that long.
-const kernelChunk = 64
-
 // gramBand is gramRows over all of m: on AVX2 the assembly takes the
 // 4-row blocks and gramRows the Rows mod 4 rows left.
 func gramBand(g, m *Matrix, alo, ahi int) {
@@ -118,22 +113,23 @@ func gramBand(g, m *Matrix, alo, ahi int) {
 //go:noescape
 func gramBlocksAVX2(g, m []float64, blocks, d, alo, ahi int)
 
-// mulScaledRows returns what MulScaled runs on each ForRows range: on
-// AVX2 the assembly over the range's 4-row blocks and mulRows for the
-// hi−lo mod 4 rows left, mulRows alone otherwise.
-func mulScaledRows(out, m, other *Matrix, scale []float64) func(lo, hi int) {
+// mulKernel returns the body MulScaled and MulScaledInPlace run on
+// each part of m: on AVX2 the assembly over the part's 4-row blocks and
+// mulRows for the Rows mod 4 rows left, mulRows alone otherwise.
+func mulKernel(other *Matrix, scale []float64) func(out, m *Matrix) {
 	ot := other.T()
 	if !useAVX2 {
-		return func(lo, hi int) { mulRows(out, m, ot, scale, lo, hi) }
+		return func(out, m *Matrix) { mulRows(out, m, ot, scale, 0, m.Rows) }
 	}
 	panels, padded, mask := packPanels(other, scale)
-	return func(lo, hi int) {
-		for lo+4 <= hi {
-			blocks := min((hi-lo)/4, kernelChunk)
-			mulBlocksAVX2(out.Data[lo*out.Cols:], m.Data[lo*m.Cols:], panels, padded, &mask, blocks, m.Cols, out.Cols)
-			lo += 4 * blocks
+	return func(out, m *Matrix) {
+		i := 0
+		for i+4 <= m.Rows {
+			blocks := min((m.Rows-i)/4, kernelChunk)
+			mulBlocksAVX2(out.Data[i*out.Cols:], m.Data[i*m.Cols:], panels, padded, &mask, blocks, m.Cols, out.Cols)
+			i += 4 * blocks
 		}
-		mulRows(out, m, ot, scale, lo, hi)
+		mulRows(out, m, ot, scale, i, m.Rows)
 	}
 }
 

@@ -18,7 +18,7 @@ func dotTail(q []int16, p []int8) int64 { return dotTailGo(q, p) }
 
 func gramBand(g, m *Matrix, alo, ahi int) { gramRows(g, m, 0, alo, ahi) }
 
-func mulScaledRows(out, m, other *Matrix, scale []float64) func(lo, hi int) {
+func mulKernel(other *Matrix, scale []float64) func(out, m *Matrix) {
 	ot := other.T()
-	return func(lo, hi int) { mulRows(out, m, ot, scale, lo, hi) }
+	return func(out, m *Matrix) { mulRows(out, m, ot, scale, 0, m.Rows) }
 }

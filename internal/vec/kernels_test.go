@@ -226,7 +226,8 @@ func FuzzDotTail(f *testing.F) {
 }
 
 // FuzzBuildKernels: on fuzzer-chosen shapes and float64 bits, the AVX2
-// and plain-Go bodies of GramLower, MulScaled and Mul agree bit for bit.
+// and plain-Go bodies of GramLower, MulScaled, Mul and MulScaledInPlace
+// agree bit for bit, and MulScaledInPlace leaves what MulScaled returns.
 // Input NaNs become the quiet NaN x86 makes itself (0xFFF8…): which of
 // two NaN operands a sum or product passes on follows operand order, and
 // Go does not fix the order of a commutative operation's operands, while
@@ -257,12 +258,21 @@ func FuzzBuildKernels(f *testing.F) {
 		fill(m.Data)
 		fill(other.Data)
 		fill(scale)
-		var got [][3]*Matrix
+		// The in-place form takes a square other: m.Cols × m.Cols.
+		u, uScale := NewMatrix(m.Cols, m.Cols), make([]float64, m.Cols)
+		fill(u.Data)
+		fill(uScale)
+		var got [][4]*Matrix
 		for _, body := range kernelBodies() {
 			forceBody(t, body)
-			got = append(got, [3]*Matrix{m.GramLower(), m.MulScaled(other, scale), m.Mul(other)})
+			inPlace := m.Clone()
+			inPlace.MulScaledInPlace(u, uScale)
+			if want := m.MulScaled(u, uScale); !sameBits(inPlace.Data, want.Data) {
+				t.Fatalf("MulScaledInPlace of %d×%d, %s: differs from MulScaled", m.Rows, m.Cols, body)
+			}
+			got = append(got, [4]*Matrix{m.GramLower(), m.MulScaled(other, scale), m.Mul(other), inPlace})
 		}
-		for i, name := range []string{"GramLower", "MulScaled", "Mul"} {
+		for i, name := range []string{"GramLower", "MulScaled", "Mul", "MulScaledInPlace"} {
 			if a, b := got[0][i], got[len(got)-1][i]; !sameBits(a.Data, b.Data) {
 				t.Fatalf("%s of %d×%d by %d×%d: the bodies differ", name, m.Rows, m.Cols, other.Rows, other.Cols)
 			}

@@ -117,10 +117,44 @@ func (m *Matrix) MulScaled(other *Matrix, scale []float64) *Matrix {
 	}
 	out := NewMatrix(m.Rows, other.Cols)
 	if m.Cols > 0 && other.Cols > 0 {
-		ForRows(m.Rows, mulScaledRows(out, m, other, scale))
+		kernel := mulKernel(other, scale)
+		ForRows(m.Rows, func(lo, hi int) { kernel(out.Slice(lo, hi), m.Slice(lo, hi)) })
 	}
 	return out
 }
+
+// MulScaledInPlace overwrites m with MulScaled(other, scale), the same
+// bits, for a square other: it never holds a second m, only one buffer
+// of 4·kernelChunk rows per worker. Each worker runs MulScaled's kernel
+// on a part of its range into the buffer and copies the buffer back over
+// the part, which no other row of the product reads. It panics if other
+// is not m.Cols×m.Cols or len(scale) != m.Cols.
+func (m *Matrix) MulScaledInPlace(other *Matrix, scale []float64) {
+	if other.Rows != m.Cols || other.Cols != m.Cols {
+		panic(fmt.Sprintf("vec: MulScaledInPlace of %d×%d by %d×%d", m.Rows, m.Cols, other.Rows, other.Cols))
+	}
+	if scale != nil && len(scale) != other.Cols {
+		panic(fmt.Sprintf("vec: MulScaled has %d scales for %d columns", len(scale), other.Cols))
+	}
+	if m.Cols == 0 {
+		return
+	}
+	kernel := mulKernel(other, scale)
+	ForRows(m.Rows, func(lo, hi int) {
+		buf := NewMatrix(min(hi-lo, 4*kernelChunk), m.Cols)
+		for lo < hi {
+			part := m.Slice(lo, min(lo+buf.Rows, hi))
+			kernel(buf.Slice(0, part.Rows), part)
+			copy(part.Data, buf.Data)
+			lo += part.Rows
+		}
+	})
+}
+
+// kernelChunk is how many 4-row blocks one call of a build kernel takes:
+// about 0.1 ms at d = 50. The runtime cannot preempt assembly, so a
+// longer call would hold off a GC's stop-the-world for that long.
+const kernelChunk = 64
 
 // mulRows fills rows [lo, hi) of out = m·otᵀ·diag(scale), ot the
 // transpose of other so that every operand streams: the plain-Go body of

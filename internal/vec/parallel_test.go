@@ -239,6 +239,78 @@ func TestMulScaledMatchesDefinition(t *testing.T) {
 	}
 }
 
+// TestMulScaledInPlaceMatchesMulScaled: MulScaledInPlace leaves in m the
+// bits MulScaled returns (which TestMulScaledMatchesDefinition pins to
+// the k-order sums), under both kernel bodies and at every GOMAXPROCS, on
+// row counts that leave every residue mod 4 on both sides of one
+// in-place buffer (4·kernelChunk rows), of two, and of the parallel
+// threshold — whose split hands each worker a range that ends in a
+// partial buffer — and on special values.
+func TestMulScaledInPlaceMatchesMulScaled(t *testing.T) {
+	rng := rand.New(rand.NewSource(47))
+	chunk := 4 * kernelChunk
+	var rows []int
+	for _, at := range []int{0, chunk, 2 * chunk, parallelMinRows} {
+		for r := max(0, at-3); r <= at+3; r++ {
+			rows = append(rows, r)
+		}
+	}
+	rows = append(rows, 3*parallelMinRows+5)
+	check := func(what string, m, u *Matrix, scale []float64) {
+		t.Helper()
+		eachBody(t, func(body string) {
+			withProcs(t, func(procs int) {
+				want := m.MulScaled(u, scale)
+				got := m.Clone()
+				got.MulScaledInPlace(u, scale)
+				if !sameBits(got.Data, want.Data) {
+					t.Fatalf("%s %d×%d, %s at GOMAXPROCS %d: MulScaledInPlace differs from MulScaled", what, m.Rows, m.Cols, body, procs)
+				}
+			})
+		})
+	}
+	for _, r := range rows {
+		dims := []int{1, 7, 8, 9, 50}
+		if r > 2*chunk+3 {
+			dims = []int{9, 50}
+		}
+		for _, d := range dims {
+			scale := make([]float64, d)
+			for j := range scale {
+				scale[j] = float64(j%3) - 0.5
+			}
+			check("gaussian", gaussian(rng, r, d), gaussian(rng, d, d), scale)
+			check("gaussian, nil scale", gaussian(rng, r, d), gaussian(rng, d, d), nil)
+		}
+	}
+	for _, r := range []int{7, chunk + 1, parallelMinRows + 3} {
+		scale := []float64{1e300, 5e-324, math.Copysign(0, -1), 0, -1, 0.5, 1e-300, 3, -2, 1, 7, -1e300, 2}
+		check("special", special(rng, r, 13), special(rng, 13, 13), scale)
+	}
+}
+
+// TestMulScaledInPlaceRejectsNonSquare: the product of an in-place
+// transform must have m's shape.
+func TestMulScaledInPlaceRejectsNonSquare(t *testing.T) {
+	for _, tc := range []struct {
+		u     *Matrix
+		scale []float64
+	}{
+		{NewMatrix(3, 4), nil},
+		{NewMatrix(4, 3), nil},
+		{NewMatrix(3, 3), make([]float64, 2)},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("MulScaledInPlace of 5×3 by %d×%d with %d scales did not panic", tc.u.Rows, tc.u.Cols, len(tc.scale))
+				}
+			}()
+			NewMatrix(5, 3).MulScaledInPlace(tc.u, tc.scale)
+		}()
+	}
+}
+
 // descOrder is DescendingOrder's comparison: decreasing, −0 equal to +0,
 // NaN after every number and equal to every NaN.
 func descOrder(a, b float64) int {
