@@ -120,17 +120,22 @@ race-subset:
 
 ## fuzz-smoke: run each fuzz target for FUZZTIME on top of the committed
 ## regression corpus (internal/data/testdata/fuzz). New crashers found
-## here should be committed as corpus seeds. FuzzHeadBlock compares the
-## head test's run kernel — assembly, plain Go, row by row — over runs of
-## blocks of int8 floors, every shape the layout admits; FuzzDotTail the
-## tail bound's two bodies against an int64 sum; FuzzBuildKernels the
-## AVX2 and plain-Go bodies of the build's Gram and V₁ transform, bit for
-## bit, on fuzzed shapes and float bits; FuzzBlockedScan carries
-## the fixed-threshold (above-t) collector case beside the top-k ones,
-## under both kernel bodies; FuzzParseNumber the request scanner's
+## here should be committed as corpus seeds. It starts with TestBodies -v,
+## whose log names the kernel bodies this processor runs — portable, avx2
+## and, with AVX-512 VNNI, avx512vnni — and the ones it skips: the bodies
+## FuzzHeadBlock, FuzzDotTail, FuzzBuildKernels and FuzzBlockedScan cover
+## on this run. FuzzHeadBlock compares the head test's run kernel, Collect
+## — each body against plain Go and row by row — over runs of blocks of
+## int8 floors, every shape the layout admits; FuzzDotTail the tail
+## bound's bodies against an int64 sum; FuzzBuildKernels the build's Gram
+## and V₁ transform, each body bit for bit against plain Go, on fuzzed
+## shapes and float bits; FuzzBlockedScan the blocked scan against the
+## per-item one under each body, the fixed-threshold (above-t) collector
+## case beside the top-k ones; FuzzParseNumber the request scanner's
 ## number reader against the grammar, strconv.ParseFloat's bits and
 ## strconv.ParseInt, at any offset of any bytes.
 fuzz-smoke:
+	$(GO) test ./internal/vec -run='^TestBodies$$' -v
 	$(GO) test ./internal/data -run='^$$' -fuzz=FuzzReadMatrixBinary -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/data -run='^$$' -fuzz=FuzzReadMatrixCSV -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/engine -run='^$$' -fuzz=FuzzPartitionRoundTrip -fuzztime=$(FUZZTIME)

@@ -14,7 +14,7 @@
 //	POST   /v1/above    {"vector": [...], "threshold": 3.5}
 //	POST   /v1/items    {"vector": [...]}            → 201 {"id": n}
 //	DELETE /v1/items/{id}
-//	GET    /v1/info     → {"items": n, "dim": d, "shards": s}
+//	GET    /v1/info     → {"items": n, "dim": d, "shards": s, "kernel": body}
 //	GET    /healthz     liveness (also at /v1/healthz)
 //	GET    /readyz      readiness: 200 once the index is built, 503
 //	                    while draining for shutdown
@@ -193,7 +193,8 @@ func main() {
 		"pprof", *enablePprof,
 		"timeout", timeout.String(), "maxTimeout", maxTimeout.String(),
 		"maxConcurrent", *maxConcurrent, "partialOnDeadline", *partial,
-		"trace", *trace, "slowQueryMs", *slowQueryMs)
+		"trace", *trace, "slowQueryMs", *slowQueryMs,
+		"kernel", vec.Selected().String())
 
 	httpSrv := &http.Server{
 		Handler:           srv.Handler(),

@@ -16,8 +16,9 @@ import (
 
 // serveProc is one running fexserve binary plus the address it bound.
 type serveProc struct {
-	cmd  *exec.Cmd
-	base string // http://127.0.0.1:PORT
+	cmd    *exec.Cmd
+	base   string // http://127.0.0.1:PORT
+	kernel string // the head-kernel body its startup line reports
 }
 
 // startServe launches fexserve with the given extra flags on an
@@ -42,29 +43,33 @@ func startServe(t *testing.T, bin string, extra ...string) *serveProc {
 	})
 
 	// The bound address is logged as `msg=listening addr=127.0.0.1:PORT`
-	// (slog text format). Scan until it appears, then keep draining the
-	// pipe in the background so the server never blocks on logging.
-	addrCh := make(chan string, 1)
+	// (slog text format), after the startup line that names the kernel
+	// body. Scan until it appears, then keep draining the pipe in the
+	// background so the server never blocks on logging.
+	addrCh := make(chan [2]string, 1)
 	go func() {
 		sc := bufio.NewScanner(stderr)
+		kernel := ""
 		for sc.Scan() {
 			line := sc.Text()
-			if !strings.Contains(line, "msg=listening") {
-				continue
-			}
 			for _, f := range strings.Fields(line) {
-				if a, ok := strings.CutPrefix(f, "addr="); ok {
-					addrCh <- a
+				if k, ok := strings.CutPrefix(f, "kernel="); ok && strings.Contains(line, "msg=startup") {
+					kernel = k
+				}
+				if a, ok := strings.CutPrefix(f, "addr="); ok && strings.Contains(line, "msg=listening") {
+					addrCh <- [2]string{a, kernel}
 				}
 			}
-			break
+			if strings.Contains(line, "msg=listening") {
+				break
+			}
 		}
 		_, _ = io.Copy(io.Discard, stderr)
 	}()
 
 	select {
-	case addr := <-addrCh:
-		p := &serveProc{cmd: cmd, base: "http://" + addr}
+	case got := <-addrCh:
+		p := &serveProc{cmd: cmd, base: "http://" + got[0], kernel: got[1]}
 		waitReady(t, p.base)
 		return p
 	case <-time.After(20 * time.Second):
@@ -164,13 +169,17 @@ func TestServeRestartPersistence(t *testing.T) {
 
 	s2 := startServe(t, bin, "-dim", "4", "-data-dir", dataDir)
 	var info struct {
-		Items int `json:"items"`
+		Items  int    `json:"items"`
+		Kernel string `json:"kernel"`
 	}
 	if code := serveJSON(t, http.MethodGet, s2.base+"/v1/info", nil, &info); code != http.StatusOK {
 		t.Fatalf("info: status %d", code)
 	}
 	if info.Items != 2 {
 		t.Fatalf("restarted catalog has %d items, want 2 (3 adds - 1 delete)", info.Items)
+	}
+	if info.Kernel == "" || info.Kernel != s2.kernel {
+		t.Fatalf("/v1/info reports kernel %q, the startup line %q", info.Kernel, s2.kernel)
 	}
 
 	var sr struct {

@@ -36,13 +36,28 @@ func seedAt(k int, t float64) seedFn {
 	}
 }
 
-// PortableHeadKernel makes vec's kernels — scanBlocked's run kernel, the
-// tail bound's dot product, and the build's Gram and V₁ transform — run
-// their plain-Go bodies until tb ends: how the scan battery and the build
-// identity run once per body.
-func PortableHeadKernel(tb testing.TB) {
-	was := vec.SetPortable(true)
-	tb.Cleanup(func() { vec.SetPortable(was) })
+// ForceKernel makes vec's kernels — scanBlocked's run kernel, the tail
+// bound's dot product, and the build's Gram and V₁ transform — run body
+// until tb ends, and skips tb, saying why, when the processor has no such
+// body: how the scan battery and the build identity run once per body.
+func ForceKernel(tb testing.TB, body vec.Body) {
+	if !vec.Supported(body) {
+		tb.Skipf("the %s kernel body needs instructions this processor lacks", body)
+	}
+	was := vec.SetBody(body)
+	tb.Cleanup(func() { vec.SetBody(was) })
+}
+
+// KernelBodies returns the vec kernel bodies this processor runs, the
+// selected one first.
+func KernelBodies() []vec.Body {
+	run := []vec.Body{vec.Selected()}
+	for _, b := range []vec.Body{vec.AVX512VNNI, vec.AVX2, vec.Portable} {
+		if vec.Supported(b) && b != run[0] {
+			run = append(run, b)
+		}
+	}
+	return run
 }
 
 // sameScan runs the blocked loop and its per-item reference over rows
@@ -377,14 +392,18 @@ func TestBlockedScanWordCounts(t *testing.T) {
 						on.bHead + on.ub1, math.Nextafter(on.bHead+on.ub1, math.Inf(1)), math.Nextafter(on.bHead+on.ub1, math.Inf(-1)),
 						on.bHead + on.ub1 + 1, on.bHead + on.ub1 - 1, math.Inf(-1), math.Inf(1), math.NaN(),
 					} {
-						var iu [blockRows]int32
-						at, pruned := qs.head.BlockRun(b, b+blockRows, cut, &iu)
-						for j := 0; j < blockRows; j++ {
+						var got vec.Survivors
+						_, alive := qs.head.Collect(b, b+blockRows, cut, &got)
+						for j, k := 0, 0; j < blockRows; j++ {
 							hb := idx.headBound(qs, b+j, qs.head.RowIU(b+j))
-							if fromLane := float64(float64(iu[j]) * qs.headFactor); at == b && fromLane != hb.bHead {
-								t.Fatalf("%s row %d cut %v: head bound %v from the kernel's lane, %v from the one-row IU", what, b+j, cut, fromLane, hb.bHead)
+							byKernel := k == alive || int(got.Rows[k]) != b+j
+							if !byKernel {
+								if fromLane := float64(float64(got.IU[k]) * qs.headFactor); fromLane != hb.bHead {
+									t.Fatalf("%s row %d cut %v: head bound %v from the kernel's IU, %v from the one-row IU", what, b+j, cut, fromLane, hb.bHead)
+								}
+								k++
 							}
-							byKernel, byRow := pruned>>uint(j)&1 == 1, hb.bHead+hb.ub1 < cut
+							byRow := hb.bHead+hb.ub1 < cut
 							byLoop := byRow // the margin of an infinite threshold is NaN: candidate is not asked
 							if !math.IsInf(cut, 0) {
 								var st search.Stats
@@ -590,15 +609,17 @@ func BlockedScanSeeds() [][]byte {
 // ties are the norm), a query, k and a row range from the input and
 // checks the blocked loop against the per-item one, results and every
 // counter, from an empty collector, from one that starts full and into
-// fixed-threshold (above-t) ones.
+// fixed-threshold (above-t) ones, under every kernel body the processor
+// runs.
 func FuzzBlockedScan(f *testing.F) {
 	for _, seed := range BlockedScanSeeds() {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, in []byte) {
-		CheckBlockedScanInput(t, in)
-		PortableHeadKernel(t)
-		CheckBlockedScanInput(t, in)
+		for _, body := range KernelBodies() {
+			ForceKernel(t, body)
+			CheckBlockedScanInput(t, in)
+		}
 	})
 }
 

@@ -149,7 +149,7 @@ func refBuildIntData(bar *vec.Matrix, w int, e float64, global bool) (*intData, 
 		return nil, err
 	}
 	if global {
-		id.maxHead = bar.AbsMax()
+		id.maxHead = vec.AbsMax(bar.Data)
 		id.maxTail = id.maxHead
 	} else {
 		for i := 0; i < n; i++ {
@@ -202,7 +202,7 @@ func refBuildRedData(bar *vec.Matrix, w int, sigma []float64) *redData {
 		headConstP: make([]float64, n),
 		hhTail:     make([]float64, n),
 	}
-	pmin := vec.Min(bar.Data)
+	pmin := slices.Min(bar.Data)
 	base := math.Max(1, math.Abs(pmin))
 	sigmaLast := 0.0
 	for i := len(sigma) - 1; i >= 0; i-- {

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"fexipro/internal/core"
+	"fexipro/internal/vec"
 )
 
 // TestScanBatteryPortableKernel runs the scan battery a second time with
@@ -14,7 +15,23 @@ import (
 // theorems, and FuzzBlockedScan's seeds. (On a machine without AVX2 both
 // runs are those bodies.)
 func TestScanBatteryPortableKernel(t *testing.T) {
-	core.PortableHeadKernel(t)
+	scanBattery(t, vec.Portable)
+}
+
+// TestScanBatteryAVX2Kernel runs the battery on the AVX2 bodies where the
+// processor would select the AVX-512 VNNI head kernel: with the default
+// run and the plain-Go one, every body the processor has runs it. Where
+// AVX2 is the selected body the default run is this one, and where it is
+// missing there is nothing to run; either way the test skips and says so.
+func TestScanBatteryAVX2Kernel(t *testing.T) {
+	if vec.Selected() == vec.AVX2 {
+		t.Skip("the avx2 kernel body is the selected one: the default run covers it")
+	}
+	scanBattery(t, vec.AVX2)
+}
+
+func scanBattery(t *testing.T, body vec.Body) {
+	core.ForceKernel(t, body)
 	for _, tc := range []struct {
 		name string
 		test func(*testing.T)

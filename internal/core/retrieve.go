@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"math/bits"
 
 	"fexipro/internal/obs"
 	"fexipro/internal/search"
@@ -231,9 +230,9 @@ func pruneMargin(slack, t float64) float64 {
 }
 
 // scanBlocked is scanRange for the sorted indexes whose cascade opens
-// with the integer head test (qs.headFirst), where nearly
-// every scanned row dies: a loop over the blocks that hold a survivor
-// (DESIGN.md §3). Blocks are blockRows rows on GLOBAL multiples of
+// with the integer head test (qs.headFirst), where nearly every scanned
+// row dies: a loop over runs of blocks, one vec.HeadTest.Collect call per
+// run (DESIGN.md §3). Blocks are blockRows rows on GLOBAL multiples of
 // blockRows, whatever lo is. From the block of i, the next row to decide,
 // it reads the live threshold once and takes as the RUN the largest of 64,
 // 32, …, 1 blocks — cut at hi, at the index's last complete block and at
@@ -242,26 +241,37 @@ func pruneMargin(slack, t float64) float64 {
 // the run passes exactly when scanPerItem would say so. When not even one
 // block's last row does, the sorted scan ends inside that block and
 // scanPerItem finds where, as it finishes the index's final, partial block.
-// The kernel decides the run's head tests block after block until one holds
-// a row it does not prune; that block's rows before i (a range or a restart
-// that begins mid-block) and from the run's end on are shifted out of its
-// mask. Rows up to a survivor are counted in bulk — they are the rows
-// scanPerItem would have scanned and pruned at the head test one by one —
-// and the survivor continues with afterHead and offer exactly as there, its
-// head bound from the IU^ℓ lane the kernel held for it. Only an offer can
-// move the threshold, so after one that reports it did the next run starts
-// at the following row: every row is decided against the threshold
-// scanPerItem would have read for it, which makes results and every
-// counter identical to that loop by construction, for any partition of the
-// rows. (Trusting the rows the old mask pruned would still be exact, but
-// t − margin(t) is not monotone in t to the last ulp, so counters could
-// differ.) A threshold published by a sibling shard is picked up at the
-// next run rather than the next row; any published value is a global lower
-// bound, so that is exact too.
+//
+// Collect decides the run's head tests at the run's cut and hands back its
+// survivors, row and IU^ℓ, up to a batch of vec.CollectLimit or more. The
+// batch is decided in row order exactly as scanPerItem would decide it:
+// survivors before i (a range or a restart that begins mid-block) and from
+// the run's end on are dropped; the rows between survivors are counted in
+// bulk, scanned and pruned at the head test; each survivor is re-tested
+// from its IU^ℓ against the live cut, with the rounded expression the
+// kernel lane uses, and continues with afterHead and offer. Only an offer
+// moves the threshold by this scan's doing. After one that raises it the
+// new threshold is read as the next run would read it; if its cut is not
+// below the run's, every row the kernel pruned stays pruned, and if the
+// run's last row still passes the length test at it, no later row of the
+// run breaks the sorted scan, so the batch goes on at the new threshold.
+// Otherwise — t − margin(t) is not monotone in t to the last ulp, and a
+// NaN cut orders with nothing — the next run starts at the following row.
+// Either way every row is decided against the threshold scanPerItem would
+// have read for it, which makes results and every counter identical to
+// that loop by construction, for any partition of the rows. A threshold
+// published by a sibling shard is picked up at a raise or at the next run
+// rather than the next row; any published value is a global lower bound,
+// so that is exact too. The survivors' tail bounds (tailBound) do not
+// depend on the threshold and are computed for the batch before any
+// decision, so their cache misses overlap.
 func (idx *Index) scanBlocked(ctx context.Context, qs *queryState, lo, hi int, c *topk.Collector, shared *search.SharedThreshold, stats *search.Stats) error {
 	slack := idx.opts.PruneSlack
 	limit := min(hi, idx.n&^(blockRows-1)) // the rows of [lo, hi) in complete blocks end here
-	var iu [blockRows]int32
+	var batch vec.Survivors
+	var tails [len(batch.Rows)]float64
+	// 32 slots: a batch index k is k&mask, which needs no bounds check.
+	const mask = len(batch.Rows) - 1
 	i := lo      // the next row to decide
 	window := lo // runs end at or before it; reaching it polls ctx and moves it on by runRows
 	//fex:hot
@@ -275,8 +285,9 @@ func (idx *Index) scanBlocked(ctx context.Context, qs *queryState, lo, hi int, c
 		}
 		t := shared.Floor(c.Threshold())
 		end := min(window, limit)
+		var lenBound float64 // the length bound of the run's last row
 		for rows := runRows; ; rows >>= 1 {
-			lenBound := qs.qNorm * idx.norms[end-1] //fex:bound
+			lenBound = qs.qNorm * idx.norms[end-1] //fex:bound
 			if !(lenBound < t) {
 				break
 			}
@@ -286,28 +297,45 @@ func (idx *Index) scanBlocked(ctx context.Context, qs *queryState, lo, hi int, c
 			end = min(b+rows>>1, end)
 		}
 		margin := pruneMargin(slack, t)
-		at, pruned := qs.head.BlockRun(b, end, t-margin, &iu)
-		raised := false
-		if at < end {
-			end = min(at+blockRows, end)
-			alive := ^pruned & (1<<uint(end-at) - 1) &^ (1<<uint(max(i-at, 0)) - 1)
-			for alive != 0 && !raised {
-				j := bits.TrailingZeros32(alive)
-				alive &= alive - 1
-				row := at + j
-				stats.Scanned += row + 1 - i
-				stats.PrunedByIntHead += row - i
-				i = row + 1
-				hb := idx.headBound(qs, row, int64(iu[j&(blockRows-1)]))
-				if v, ok := idx.afterHead(row, qs, t, margin, hb, stats); ok {
-					raised = idx.offer(row, v, qs, c, shared)
-				}
+		cut := t - margin
+		next, n := qs.head.Collect(b, end, cut, &batch)
+		first := 0
+		for first < n && int(batch.Rows[first&mask]) < i {
+			first++
+		}
+		for n > first && int(batch.Rows[(n-1)&mask]) >= end {
+			n--
+		}
+		if idx.w < idx.d {
+			for k := first; k < n; k++ {
+				tails[k&mask] = idx.tailBound(qs, int(batch.Rows[k&mask]))
 			}
 		}
-		if !raised {
-			stats.Scanned += end - i
-			stats.PrunedByIntHead += end - i
-			i = end
+		restart := false
+		for k := first; k < n && !restart; k++ {
+			row := int(batch.Rows[k&mask])
+			hb := idx.headBound(qs, row, int64(batch.IU[k&mask]))
+			stats.Scanned += row + 1 - i
+			stats.PrunedByIntHead += row - i
+			i = row + 1
+			if hb.bHead+hb.ub1 < cut { // only after a raise
+				stats.PrunedByIntHead++
+				continue
+			}
+			v, ok := idx.afterHead(row, qs, t, margin, hb, tails[k&mask], stats)
+			if !ok || !idx.offer(row, v, qs, c, shared) {
+				continue
+			}
+			t = shared.Floor(c.Threshold())
+			margin = pruneMargin(slack, t)
+			restart = !(t-margin >= cut) || lenBound < t
+			cut = t - margin
+		}
+		if !restart {
+			stop := min(next, end)
+			stats.Scanned += stop - i
+			stats.PrunedByIntHead += stop - i
+			i = stop
 		}
 	}
 	return idx.scanPerItem(ctx, qs, i, hi, c, shared, stats)
@@ -388,7 +416,7 @@ func (idx *Index) prepareQuery(q []float64, qs *queryState) {
 
 // candidate runs the whole cascade (Algorithm 5) for one row: first the
 // head test that scanBlocked applies a run of blocks at a time through
-// HeadTest.BlockRun, or coordinateScan alone for the indexes without one.
+// HeadTest.Collect, or coordinateScan alone for the indexes without one.
 // It returns the exact working-space product and true, or (0, false) when
 // the candidate was pruned. Every prune test is STRICT (`< t − margin`),
 // matching scanRange's invariant that pruned items have score strictly
@@ -404,15 +432,20 @@ func (idx *Index) candidate(i int, qs *queryState, t, slack float64, stats *sear
 		stats.PrunedByIntHead++
 		return 0, false
 	}
-	return idx.afterHead(i, qs, t, margin, hb, stats)
+	var bTail float64
+	if idx.w < idx.d {
+		bTail = idx.tailBound(qs, i)
+	}
+	return idx.afterHead(i, qs, t, margin, hb, bTail, stats)
 }
 
 // afterHead continues Algorithm 5 for a row that survived the integer
-// head test (lines 2–4): the full integer bound (Eq. 3, lines 5–8), then
-// the float cascade.
-func (idx *Index) afterHead(i int, qs *queryState, t, margin float64, hb headBound, stats *search.Stats) (float64, bool) {
+// head test (lines 2–4): the full integer bound (Eq. 3, lines 5–8), from
+// bTail, the row's tailBound (unused when the head is the whole vector),
+// then the float cascade.
+func (idx *Index) afterHead(i int, qs *queryState, t, margin float64, hb headBound, bTail float64, stats *search.Stats) (float64, bool) {
 	if idx.w < idx.d {
-		if hb.bHead+idx.tailBound(qs, i) < t-margin {
+		if hb.bHead+bTail < t-margin {
 			stats.PrunedByIntFull++
 			return 0, false
 		}

@@ -3,6 +3,7 @@ package core_test
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -102,7 +103,7 @@ func TestTheorem4OrderPreservation(t *testing.T) {
 		}
 
 		// Build the reduction exactly as Section 5.2 specifies.
-		pmin := vec.Min(items.Data)
+		pmin := slices.Min(items.Data)
 		b := 0.0
 		for i := 0; i < n; i++ {
 			if nv := vec.Norm(items.Row(i)); nv > b {

@@ -804,11 +804,15 @@ func (s *Server) handleDeleteItem(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusNoContent)
 }
 
+// handleInfo answers GET /v1/info: the live item count, the dimension, the
+// shard count and the head kernel's body (vec.Selected: "avx512vnni",
+// "avx2" or "portable"), so a latency can be put down to the hardware it
+// ran on.
 func (s *Server) handleInfo(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	n := s.idx.Len()
 	s.mu.Unlock()
-	writeJSON(w, map[string]any{"items": n, "dim": s.dim, "shards": s.idx.Shards()})
+	writeJSON(w, map[string]any{"items": n, "dim": s.dim, "shards": s.idx.Shards(), "kernel": vec.Selected().String()})
 }
 
 func writeJSON(w http.ResponseWriter, v any) {

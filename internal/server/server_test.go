@@ -245,7 +245,7 @@ func TestInfoAndHealth(t *testing.T) {
 		t.Fatal(err)
 	}
 	info := decode[map[string]any](t, resp)
-	if info["items"].(float64) != 42 || info["dim"].(float64) != 4 {
+	if info["items"].(float64) != 42 || info["dim"].(float64) != 4 || info["kernel"] != vec.Selected().String() {
 		t.Fatalf("info = %v", info)
 	}
 	hresp, err := http.Get(ts.URL + "/v1/healthz")

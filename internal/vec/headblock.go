@@ -22,14 +22,12 @@ import "math"
 //
 // HeadLayout hides the addressing and HeadTable the storage: rows go in
 // and out through PackRow and UnpackRow, and a HeadTest bound to the table
-// gives one row's IU^ℓ (RowIU) and decides a run of blocks (BlockRun).
+// gives one row's IU^ℓ (RowIU) and collects the survivors of a run of
+// blocks (Collect).
 
 // HeadBlockRows is the number of sorted rows in a block: what one pass of
-// BlockRun's body decides.
+// Collect's body decides.
 const HeadBlockRows = 16
-
-// allPruned is the mask of a block in which the head test prunes every row.
-const allPruned = 1<<HeadBlockRows - 1
 
 // HeadLayout is the block layout of w floors in [−o, o−1]. The zero value
 // is not usable; call NewHeadLayout.
@@ -43,7 +41,7 @@ type HeadLayout struct {
 // unless every floor fits an int8 and every Σ|f|+w an int16: o ≤ 128 and
 // w·(o+1) ≤ 32767 (at o = 128, w ≤ 254), o and w positive. Then IU^ℓ and
 // every partial sum of it lie within w·(o+1)² ≤ 32767·129 < 2³¹, so the
-// int32 lanes BlockRun accumulates in hold it for any row and query in
+// int32 lanes Collect accumulates in hold it for any row and query in
 // range.
 func NewHeadLayout(o int64, w int) (HeadLayout, bool) {
 	if o <= 0 || o > 128 || w <= 0 || int64(w)*(o+1) > math.MaxInt16 {
@@ -58,7 +56,7 @@ func (l *HeadLayout) Offset() int64 { return l.o }
 // Pairs returns P, the floor pairs a row occupies; a query is 2·P int16.
 func (l *HeadLayout) Pairs() int { return l.pairs }
 
-// RowBytes returns what one row adds to the stream BlockRun reads: its P
+// RowBytes returns what one row adds to the stream Collect reads: its P
 // floor pairs, Σ|f|+w and the float64 ‖p̄^h‖.
 func (l *HeadLayout) RowBytes() int { return 2*l.pairs + 2 + 8 }
 
@@ -114,8 +112,8 @@ func (t *HeadTable) UnpackRow(f []int32, i int) (sumAbs int64) {
 }
 
 // HeadTest is the head test of one query over one index's tables — what
-// the block kernel reads, bound once so that deciding a block costs a row
-// number and a cut. The item side is fixed by NewTest; the query side is
+// the block kernel reads, bound once so that deciding a run costs two row
+// numbers and a cut. The item side is fixed by NewTest; the query side is
 // written per query: the floors through Floors, the rest through SetQuery.
 type HeadTest struct {
 	tab    HeadTable
@@ -124,6 +122,13 @@ type HeadTest struct {
 	sumAbs int32     // Σ|g|
 	factor float64   // converts IU^ℓ to a bound on the head product
 	tail   float64   // ‖q̄^h‖
+
+	// The query as the VNNI body reads it (SetQuery): per two pairs, the
+	// even-row and the odd-row operand, 16 dwords each; the constant
+	// Σ|g| − 128·Σg; and whether every floor fits an int8.
+	dwords []int32
+	bias   int32
+	int8Q  bool
 }
 
 // NewTest binds the table and tails, ‖p̄^h‖ of each of its rows. It panics
@@ -132,7 +137,8 @@ func (t *HeadTable) NewTest(tails []float64) HeadTest {
 	if len(tails) != len(t.consts) {
 		panic("vec: head tables of different lengths")
 	}
-	return HeadTest{tab: *t, tails: tails, floors: make([]int16, 2*t.lay.pairs)}
+	p := t.lay.pairs
+	return HeadTest{tab: *t, tails: tails, floors: make([]int16, 2*p), dwords: make([]int32, (p+1)/2*2*HeadBlockRows)}
 }
 
 // Floors returns the query's floor slots: the caller writes its w floors,
@@ -140,13 +146,37 @@ func (t *HeadTable) NewTest(tails []float64) HeadTest {
 func (h *HeadTest) Floors() []int16 { return h.floors }
 
 // SetQuery sets the query's Σ|g|, the factor that converts IU^ℓ to a bound
-// on the head product, and ‖q̄^h‖.
+// on the head product, and ‖q̄^h‖, and lays the floors out for the VNNI
+// body. That body multiplies the table's bytes, XORed with 0x80 into the
+// unsigned f+128, by signed query bytes four to a dword: a 64-byte load is
+// pairs 2s and 2s+1 of the block, dword k < 8 holding rows 2k and 2k+1 of
+// the first, dword 8+k of the second. So step s has two operands — the
+// query pair as (g, g′, 0, 0) for the even rows and (0, 0, g, g′) for the
+// odd ones, pair 2s in the low eight dwords and pair 2s+1 in the high
+// eight — and IU^ℓ is Σ(f+128)g plus the row's Σ|f|+w plus the per-query
+// bias Σ|g| − 128·Σg. Every partial sum stays within w·255·128 < 2³¹ for
+// each layout NewHeadLayout admits, so the int32 lanes are exact.
 func (h *HeadTest) SetQuery(sumAbs int32, factor, tail float64) {
 	h.sumAbs, h.factor, h.tail = sumAbs, factor, tail
+	h.bias, h.int8Q = sumAbs, true
+	for _, g := range h.floors {
+		h.bias -= 128 * int32(g)
+		h.int8Q = h.int8Q && g == int16(int8(g))
+	}
+	clear(h.dwords)
+	for p := 0; p+1 < len(h.floors); p += 2 {
+		g := uint32(uint8(h.floors[p])) | uint32(uint8(h.floors[p+1]))<<8
+		step := h.dwords[p/4*2*HeadBlockRows:][:2*HeadBlockRows]
+		half := p / 2 % 2 * HeadBlockRows / 2
+		for k := range HeadBlockRows / 2 {
+			step[half+k] = int32(g)
+			step[HeadBlockRows+half+k] = int32(g << 16)
+		}
+	}
 }
 
 // RowIU returns IU^ℓ = Σfg + Σ|f| + w + Σ|g| of row i in int64: the
-// one-row form of what BlockRun holds per lane.
+// one-row form of what Collect decides per lane.
 func (h *HeadTest) RowIU(i int) int64 {
 	head := h.tab.head
 	at := headIndex(h.tab.lay.pairs, i, 0)
@@ -158,30 +188,48 @@ func (h *HeadTest) RowIU(i int) int64 {
 	return s
 }
 
-// BlockRun (kernels_amd64.go, kernels_other.go) runs the head test of
-// Algorithm 5 lines 2–4 at one cut over the blocks that start at row,
-// row+16, … below end (row a multiple of HeadBlockRows, every one of those
-// blocks complete in the tables) until a block holds a row the test does
-// NOT prune. Bit j of a block's mask is set iff
-//
-//	float64(RowIU(b+j))·factor + tail·tails[b+j] < cut
-//
-// both products rounded before the add — the strict prune of row b+j, so a
-// NaN on either side of the comparison prunes nothing. It returns the first
-// block whose mask is not all ones, with that mask and, in iu, the block's
-// 16 IU^ℓ (iu[j] = RowIU(b+j)), or (end, all ones) when every row of the
-// run is pruned; iu is scratch then. With AVX2 the run is decided by the
-// assembly in kernels_amd64.s; everywhere else, and as the reference that
-// is tested against, by BlockRunPortable. Every lane of either is bit for
-// bit the expression above.
+// CollectLimit is the number of survivors at which Collect ends a run
+// early: a fixed batch, not a setting.
+const CollectLimit = 16
 
-// BlockRunPortable is BlockRun by the plain-Go body on every platform: the
-// lanes are int32 like the assembly's, one pair group at a time, the floors
-// and Σ|f|+w widened as they are read.
-func (h *HeadTest) BlockRunPortable(row, end int, cut float64, iu *[HeadBlockRows]int32) (at int, pruned uint32) {
+// Survivors is the buffer Collect fills: row and IU^ℓ of each survivor, in
+// row order. It has room for a whole block past CollectLimit − 1, which
+// the vector bodies store before they count.
+type Survivors struct {
+	Rows [CollectLimit + HeadBlockRows]int32
+	IU   [CollectLimit + HeadBlockRows]int32
+}
+
+// Collect (kernels_amd64.go, kernels_other.go) runs the head test of
+// Algorithm 5 lines 2–4 at one cut over the blocks that start at row,
+// row+16, … below end — row a multiple of HeadBlockRows, end any row
+// after it, every one of those blocks complete in the tables. Row r
+// survives iff
+//
+//	!(float64(RowIU(r))·factor + tail·tails[r] < cut)
+//
+// both products rounded before the add — not the strict prune, so a NaN
+// on either side of the comparison prunes nothing. Collect writes each
+// survivor's row and IU^ℓ to out.Rows[k] and out.IU[k], k = 0, 1, … in row
+// order, and stops after the block that brings it to CollectLimit
+// survivors or more, or at the run's end. It returns next, the first row
+// of the first block it did not decide (a multiple of HeadBlockRows, end
+// rounded up when the run ended), and n, the survivors written — those of
+// whole blocks, so rows before the caller's first row or at and after end
+// are the caller's to drop. Three bodies implement it, each bit for bit
+// the expression above: the plain-Go collectPortable everywhere, and on
+// amd64 the AVX2 assembly and, when CPUID reports AVX-512 VNNI, the VNNI
+// assembly (kernels_amd64.s) for queries whose floors fit an int8 — every
+// query the scan prepares.
+
+// collectPortable is Collect by the plain-Go body on every platform: the
+// lanes are int32 like the assembly's, one pair group at a time, the
+// floors and Σ|f|+w widened as they are read.
+func (h *HeadTest) collectPortable(row, end int, cut float64, out *Survivors) (next, n int) {
 	h.checkRun(row, end)
 	pairs := h.tab.lay.pairs
-	for ; row < end; row += HeadBlockRows {
+	var iu [HeadBlockRows]int32
+	for ; row < end && n < CollectLimit; row += HeadBlockRows {
 		block := h.tab.head[row*pairs*2:][:pairs*HeadBlockRows*2]
 		consts, tails := h.tab.consts[row:][:HeadBlockRows], h.tails[row:][:HeadBlockRows]
 		for j := range iu {
@@ -195,17 +243,15 @@ func (h *HeadTest) BlockRunPortable(row, end int, cut float64, iu *[HeadBlockRow
 				iu[j] += int32(group[2*j])*g0 + int32(group[2*j+1])*g1
 			}
 		}
-		var m uint32
 		for j, v := range iu {
-			if float64(float64(v)*h.factor)+float64(h.tail*tails[j]) < cut {
-				m |= 1 << uint(j)
+			if !(float64(float64(v)*h.factor)+float64(h.tail*tails[j]) < cut) {
+				out.Rows[n&(len(out.Rows)-1)] = int32(row + j)
+				out.IU[n&(len(out.IU)-1)] = v
+				n++
 			}
 		}
-		if m != allPruned {
-			return row, m
-		}
 	}
-	return end, allPruned
+	return row, n
 }
 
 // checkRun panics unless the blocks from row to below end are complete

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -143,7 +144,7 @@ func TestHeadLayoutWidth(t *testing.T) {
 			t.Fatalf("o=%d w=%d: RowBytes %d, want %d", tc.o, tc.w, l.RowBytes(), want)
 		}
 	}
-	for _, body := range kernelBodies() {
+	for _, body := range kernelBodies(t) {
 		forceBody(t, body)
 		tails := make([]float64, 2*HeadBlockRows)
 		c := newHeadBlockCase(t, 30, 1057, func() int32 { return -30 }, tails, 1.0/900, 1)
@@ -198,48 +199,49 @@ func newHeadBlockCase(t testing.TB, o int64, w int, next func() int32, tails []f
 	return c
 }
 
-// check runs both bodies over the blocks from row to below end at cut and
-// compares stop position, mask and — where the run stopped at a block — all
-// 16 IU lanes, with each other and with the row-by-row int64 evaluation. It
-// returns where the run stopped.
-func (c *headBlockCase) check(t testing.TB, row, end int, cut float64) int {
-	var iu, iuRef [HeadBlockRows]int32
-	at, pruned := c.h.BlockRun(row, end, cut, &iu)
-	atRef, prunedRef := c.h.BlockRunPortable(row, end, cut, &iuRef)
-	what := fmt.Sprintf("o=%d w=%d blocks [%d,%d) cut=%v", c.l.o, c.l.w, row, end, cut)
-	if at != atRef || pruned != prunedRef || (at < end && iu != iuRef) {
-		t.Fatalf("%s %+v: BlockRun (%d, %#04x, %v), plain-Go body (%d, %#04x, %v)", what, c.h, at, pruned, iu, atRef, prunedRef, iuRef)
-	}
-	wantAt, want := end, uint32(allPruned)
-	for b := row; b < end && wantAt == end; b += HeadBlockRows {
-		var m uint32
-		for j, v := range c.bounds[b:][:HeadBlockRows] {
-			if v < cut {
-				m |= 1 << uint(j)
-			}
-		}
-		if m != allPruned {
-			wantAt, want = b, m
-		}
-	}
-	if at != wantAt || pruned != want {
-		t.Fatalf("%s %+v: BlockRun (%d, %#04x), row by row (%d, %#04x) (bounds %v)", what, c.h, at, pruned, wantAt, want, c.bounds[row:])
-	}
-	if at < end {
-		for j, v := range iu {
-			if int64(v) != c.ius[at+j] {
-				t.Fatalf("%s: IU lane %d of block %d is %d, RowIU %d", what, j, at, v, c.ius[at+j])
+// collectRows is the row-by-row evaluation of Collect over the blocks
+// from row to below end at cut: the survivors' rows and int64 IU^ℓ, and
+// where the run stops.
+func (c *headBlockCase) collectRows(row, end int, cut float64) (next int, rows []int32, ius []int64) {
+	for next = row; next < end && len(rows) < CollectLimit; next += HeadBlockRows {
+		for r := next; r < next+HeadBlockRows; r++ {
+			if !(c.bounds[r] < cut) {
+				rows, ius = append(rows, int32(r)), append(ius, c.ius[r])
 			}
 		}
 	}
-	return at
+	return next, rows, ius
+}
+
+// check runs the installed body and the plain-Go one over the blocks from
+// row to below end at cut and compares where they stop and every survivor,
+// row and IU^ℓ, with each other and with the row-by-row int64 evaluation.
+// It returns where the run stopped and the survivors it found.
+func (c *headBlockCase) check(t testing.TB, row, end int, cut float64) (next, n int) {
+	var got, ref Survivors
+	next, n = c.h.Collect(row, end, cut, &got)
+	nextRef, nRef := c.h.collectPortable(row, end, cut, &ref)
+	what := fmt.Sprintf("%s o=%d w=%d blocks [%d,%d) cut=%v", Selected(), c.l.o, c.l.w, row, end, cut)
+	if next != nextRef || n != nRef || !slices.Equal(got.Rows[:n], ref.Rows[:n]) || !slices.Equal(got.IU[:n], ref.IU[:n]) {
+		t.Fatalf("%s %+v: Collect (%d, %v, %v), plain-Go body (%d, %v, %v)", what, c.h, next, got.Rows[:n], got.IU[:n], nextRef, ref.Rows[:nRef], ref.IU[:nRef])
+	}
+	wantNext, rows, ius := c.collectRows(row, end, cut)
+	if next != wantNext || n != len(rows) {
+		t.Fatalf("%s: Collect stopped at %d with %d survivors, row by row at %d with %d (bounds %v)", what, next, n, wantNext, len(rows), c.bounds[row:])
+	}
+	for k := range rows {
+		if got.Rows[k] != rows[k] || int64(got.IU[k]) != ius[k] {
+			t.Fatalf("%s: survivor %d is row %d with IU %d, row by row row %d with IU %d", what, k, got.Rows[k], got.IU[k], rows[k], ius[k])
+		}
+	}
+	return next, n
 }
 
 // checkCuts runs check over runs of zero, one and all the blocks, from the
 // first and from the second block, to a block boundary and to the middle of
 // the last block, at NaN, ±Inf and on and next to every row's bound: strict
-// <, so a row whose bound equals the cut is not pruned. NaN and −Inf prune
-// nothing: the run stops at its first block.
+// <, so a row whose bound equals the cut survives. NaN and −Inf prune
+// nothing: the run stops after its first block, all 16 rows collected.
 func (c *headBlockCase) checkCuts(t testing.TB) {
 	first, n := HeadBlockRows, len(c.bounds)
 	cuts := []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0}
@@ -248,30 +250,31 @@ func (c *headBlockCase) checkCuts(t testing.TB) {
 	}
 	for _, r := range [][2]int{{first, first}, {first, 0}, {n, n}, {first, first + HeadBlockRows}, {first, n}, {first, n - 5}, {first + HeadBlockRows, n}} {
 		for _, cut := range cuts {
-			at := c.check(t, r[0], r[1], cut)
-			if prunesNothing := math.IsNaN(cut) || math.IsInf(cut, -1); prunesNothing && r[0] < r[1] && at != r[0] {
-				t.Fatalf("o=%d w=%d blocks [%d,%d) cut=%v: the run stopped at %d, not at its first block", c.l.o, c.l.w, r[0], r[1], cut, at)
+			next, got := c.check(t, r[0], r[1], cut)
+			if prunesNothing := math.IsNaN(cut) || math.IsInf(cut, -1); prunesNothing && r[0] < r[1] && (next != r[0]+HeadBlockRows || got != HeadBlockRows) {
+				t.Fatalf("o=%d w=%d blocks [%d,%d) cut=%v: the run stopped at %d with %d survivors, not after its first block", c.l.o, c.l.w, r[0], r[1], cut, next, got)
 			}
 		}
 	}
 }
 
-// TestHeadBlockMaskMatchesRows: each body of BlockRun decides every row of
-// a run as the one-row int64 evaluation does and hands out the lanes RowIU
-// gives, over the widths and E of the scan's shapes table — random floors
-// and floors pinned at −o, o−1 and o everywhere, where IU is largest. The last of the five blocks carries the
-// largest tails, so the cuts next to its bounds leave survivors only there,
-// and +Inf leaves none.
+// TestHeadBlockMaskMatchesRows: each body of Collect decides every row of
+// a run as the one-row int64 evaluation does and hands out the IU^ℓ RowIU
+// gives, over the widths and E of the scan's shapes table — w = 1, odd,
+// even, and 254, the widest o = 128 admits — random floors and floors
+// pinned at −o, o−1 and o everywhere, where IU is largest (−128 and 127 at
+// o = 128). The last of the five blocks carries the largest tails, so the
+// cuts next to its bounds leave survivors only there, and +Inf leaves none.
 func TestHeadBlockMaskMatchesRows(t *testing.T) {
 	const blocks = 5
-	for _, body := range kernelBodies() {
-		t.Run(body, func(t *testing.T) {
+	for _, body := range kernelBodies(t) {
+		t.Run(body.String(), func(t *testing.T) {
 			forceBody(t, body)
 			rng := rand.New(rand.NewSource(25))
 			tails := make([]float64, blocks*HeadBlockRows)
 			var lastOnly, none int
 			for _, e := range []int64{1, 100, 127} {
-				for _, w := range []int{1, 2, 9, 15, 16, 17, 18, 21, 31, 32, 33, 64} {
+				for _, w := range []int{1, 2, 9, 15, 16, 17, 18, 21, 31, 32, 33, 64, 127, 254} {
 					o := e + 1
 					draws := []func() int32{
 						func() int32 { return int32(rng.Int63n(2*o+1) - o) },
@@ -292,29 +295,112 @@ func TestHeadBlockMaskMatchesRows(t *testing.T) {
 						c := newHeadBlockCase(t, o, w, next, tails, factor, 0.5+rng.Float64())
 						c.checkCuts(t)
 						last := blocks * HeadBlockRows
-						if c.check(t, HeadBlockRows, len(c.bounds), c.bounds[last+3]) == last {
+						if next, got := c.check(t, HeadBlockRows, len(c.bounds), c.bounds[last+3]); next == len(c.bounds) && got > 0 {
 							lastOnly++
 						}
-						if c.check(t, HeadBlockRows, len(c.bounds), math.Inf(1)) == len(c.bounds) {
+						if next, got := c.check(t, HeadBlockRows, len(c.bounds), math.Inf(1)); next == len(c.bounds) && got == 0 {
 							none++
 						}
 					}
 				}
 			}
 			if lastOnly == 0 || lastOnly != none {
-				t.Fatalf("%d runs stopped at their last block and %d found no survivor: both must be every case", lastOnly, none)
+				t.Fatalf("%d runs found survivors in their last block only and %d found no survivor: both must be every case", lastOnly, none)
 			}
 		})
 	}
 }
 
+// TestCollectLimit: a run ends after the block that brings it to
+// CollectLimit survivors, however many that block adds, and not before —
+// 15 in the first block, 16 in it, and 15 then 16 (31, the most a run
+// holds) — for a run ending on a block boundary and one ending mid-block.
+func TestCollectLimit(t *testing.T) {
+	const blocks = 4
+	for _, body := range kernelBodies(t) {
+		forceBody(t, body)
+		for _, tc := range []struct {
+			alive    []int // survivors per block
+			wantNext int   // in blocks after the first
+			wantN    int
+		}{
+			{[]int{15, 0, 0, 0}, 4, 15},
+			{[]int{15, 1, 0, 9}, 2, 16},
+			{[]int{16, 16, 0, 0}, 1, 16},
+			{[]int{15, 16, 16, 0}, 2, 31},
+			{[]int{0, 3, 15, 1}, 3, 18},
+			{[]int{1, 1, 1, 1}, 4, 4},
+		} {
+			tails := make([]float64, blocks*HeadBlockRows)
+			for b, alive := range tc.alive {
+				for j := range alive {
+					tails[b*HeadBlockRows+(j*7+b)%HeadBlockRows] = 1e6 // far above any bound with a zero tail
+				}
+			}
+			rng := rand.New(rand.NewSource(31))
+			c := newHeadBlockCase(t, 101, 13, func() int32 { return int32(rng.Intn(203) - 101) }, tails, 1.0/(101*101), 1)
+			for _, end := range []int{len(c.bounds), len(c.bounds) - 5} {
+				next, n := c.check(t, HeadBlockRows, end, 1e5)
+				if want := HeadBlockRows * (1 + tc.wantNext); next != want || n != tc.wantN {
+					t.Fatalf("%s survivors %v up to row %d: stopped at %d with %d, want %d with %d", body, tc.alive, end, next, n, want, tc.wantN)
+				}
+			}
+		}
+	}
+}
+
+// TestCollectWideQueryFloors: a query floor of o = 128 does not fit the
+// signed bytes of the VNNI body, so such a query (only tests build one)
+// runs the AVX2 body, and every body still collects what the rows decide.
+func TestCollectWideQueryFloors(t *testing.T) {
+	for _, body := range kernelBodies(t) {
+		forceBody(t, body)
+		rng := rand.New(rand.NewSource(37))
+		for _, w := range []int{1, 7, 254} {
+			c := newHeadBlockCase(t, 128, w, func() int32 { return int32(rng.Intn(257) - 128) }, make([]float64, 3*HeadBlockRows), 1.0/(127*127), 1)
+			for s := range w {
+				c.h.floors[s] = []int16{128, -128}[s%2]
+			}
+			c.refresh(t)
+			if c.h.int8Q {
+				t.Fatalf("w=%d: floors %v taken for int8", w, c.h.floors)
+			}
+			c.checkCuts(t)
+		}
+	}
+}
+
+// refresh recomputes the case's IU^ℓ and bounds after its query floors
+// were rewritten, Σ|g| included.
+func (c *headBlockCase) refresh(t testing.TB) {
+	var sumAbs int32
+	for _, g := range c.h.floors {
+		sumAbs += int32(max(g, -g))
+	}
+	c.h.SetQuery(sumAbs, c.h.factor, c.h.tail)
+	f := make([]int32, c.l.w)
+	for i := HeadBlockRows; i < len(c.ius); i++ {
+		fSum := c.h.tab.UnpackRow(f, i)
+		var dot int64
+		for s, x := range f {
+			dot += int64(x) * int64(c.h.floors[s])
+		}
+		c.ius[i] = dot + fSum + int64(c.l.w) + int64(sumAbs)
+		if got := c.h.RowIU(i); got != c.ius[i] {
+			t.Fatalf("row %d: RowIU %d, from floors %d", i, got, c.ius[i])
+		}
+		c.bounds[i] = float64(float64(c.ius[i])*c.h.factor) + float64(c.h.tail*c.h.tails[i])
+	}
+}
+
 // FuzzHeadBlock drives the same differential with fuzzer-chosen shapes,
-// floors, scale factors and cuts over runs of three blocks: the dispatched
-// body (the assembly where there is one), the plain-Go body and the int64
-// row-by-row evaluation agree on where the run stops, on all 16 mask bits
-// and on all 16 IU lanes. Shapes NewHeadLayout refuses — o = e+1 > 128, or
-// w·(o+1) > 32767, which w reaches at o = 30 — are skipped (the committed
-// corpus holds o = 101, 127, 128, 129 and both sides of that product).
+// floors, scale factors and cuts over runs of three blocks, under every
+// body the processor has (kernelBodies logs the ones it skips): the body,
+// the plain-Go body and the int64 row-by-row evaluation agree on where the
+// run stops and on every survivor's row and IU^ℓ. Shapes NewHeadLayout
+// refuses — o = e+1 > 128, or w·(o+1) > 32767, which w reaches at o = 30 —
+// are skipped (the committed corpus holds o = 101, 127, 128, 129 and both
+// sides of that product).
 func FuzzHeadBlock(f *testing.F) {
 	f.Add(uint16(100), uint16(18), uint8(0), uint8(0), []byte{0, 255, 7, 9, 200, 1})
 	f.Add(uint16(127), uint16(254), uint8(3), uint8(1), []byte{255, 255, 255, 255})
@@ -352,21 +438,24 @@ func FuzzHeadBlock(f *testing.F) {
 			}
 		}
 		qTail := float64(raw[0]) / 64
-		newHeadBlockCase(t, o, int(w), next, tails, factor, qTail).checkCuts(t)
+		c := newHeadBlockCase(t, o, int(w), next, tails, factor, qTail)
+		for _, body := range kernelBodies(t) {
+			forceBody(t, body)
+			c.checkCuts(t)
+		}
 	})
 }
 
 // BenchmarkHeadMask is the sizing of the blocked scan's kernel: ns per row
-// and bytes streamed per row of whole scans by BlockRun as scanBlocked
-// drives it — runs of at most 64 blocks, the next one starting behind the
-// block that stopped the last — per body, at the pair counts w = 13…22
+// and bytes streamed per row of whole scans by Collect as scanBlocked
+// drives it — runs of at most 64 blocks, each call going on from the row
+// where the last one stopped — per body, at the pair counts w = 13…22
 // give, at the paper's e = 100 (o = 101), over a catalog resident in L2
 // (n = 10⁴: the compute-bound figure, lib-skewed's 12k-row scans) and one
 // that streams from memory (n = 10⁵: the bandwidth-bound one, lib-flat).
 // The cut is a percentile of the bound: no row survives, 0.6 % and 2 % do as
 // in a real scan, or all of them — the first blocks of every query, whose
-// heap is still filling, where every block ends its run and a run costs what
-// one call per block did.
+// heap is still filling, where every call ends after its first block.
 //
 //	go test ./internal/vec -run '^$' -bench HeadMask -count 6
 func BenchmarkHeadMask(b *testing.B) {
@@ -406,20 +495,17 @@ func benchmarkHeadMask(b *testing.B, n, pairs int) {
 		survive string
 		cut     float64
 	}{{"0", math.Inf(1)}, {"0.6%", bounds[n*994/1000]}, {"2%", bounds[n*98/100]}, {"100%", math.Inf(-1)}} {
-		for _, body := range kernelBodies() {
+		for _, body := range kernelBodies(b) {
 			b.Run(fmt.Sprintf("n=%d/P=%d/survive=%s/%s", n, pairs, c.survive, body), func(b *testing.B) {
 				forceBody(b, body)
 				const runRows = 64 * HeadBlockRows
-				var iu [HeadBlockRows]int32
-				var sum uint32
+				var out Survivors
+				var sum int
 				for r := 0; r < b.N; r++ {
 					for row := 0; row < n; {
-						end := min(row+runRows, n)
-						at, pruned := h.BlockRun(row, end, c.cut, &iu)
-						sum += pruned + uint32(iu[0])
-						if row = at; at < end {
-							row += HeadBlockRows
-						}
+						next, got := h.Collect(row, min(row+runRows, n), c.cut, &out)
+						sum += got + int(out.IU[0])
+						row = next
 					}
 				}
 				sinkMask = sum
@@ -430,4 +516,4 @@ func benchmarkHeadMask(b *testing.B, n, pairs int) {
 	}
 }
 
-var sinkMask uint32
+var sinkMask int

@@ -1,66 +1,72 @@
 package vec
 
-// useAVX2 selects the assembly bodies of kernels_amd64.s. It is read from
-// the processor once, at init; tests clear it through SetPortable to run
-// the same suite on the plain-Go bodies.
-var useAVX2 = detectAVX2()
+// best is the most capable body this processor runs (body.go).
+var best = detect()
 
-// SetPortable makes BlockRun, DotInt16, DotTail and the build's GramLower
-// and MulScaled run their plain-Go bodies (true) or the bodies the
-// processor allows, and reports the setting it replaced: how tests here
-// and in internal/core run once per body, no kernel running.
-func SetPortable(on bool) (was bool) {
-	was = !useAVX2
-	useAVX2 = !on && detectAVX2()
-	return was
-}
-
-// detectAVX2 reports whether AVX2 instructions may be executed: the CPU
-// has them (leaf 7 EBX bit 5) and AVX (leaf 1 ECX bit 28), and the OS has
-// enabled XGETBV (OSXSAVE, leaf 1 ECX bit 27) and saves both the XMM and
-// the YMM halves of the registers across context switches (XCR0 bits 1
-// and 2). internal/cpu has the same answer but cannot be imported.
-func detectAVX2() bool {
+// detect reads the best body from the processor. AVX2 needs AVX2 and the
+// BMI1/BMI2 bit operations (leaf 7 EBX bits 5, 3 and 8) and AVX (leaf 1
+// ECX bit 28), with XGETBV enabled (OSXSAVE, leaf 1 ECX bit 27) and the
+// OS saving the XMM and YMM halves of the registers (XCR0 bits 1 and 2).
+// AVX512VNNI needs AVX512F, DQ, BW and VL (leaf 7 EBX bits 16, 17, 30 and
+// 31) and VNNI (leaf 7 ECX bit 11), with the opmask and both ZMM halves
+// saved too (XCR0 bits 5–7: 0xE6 in all). internal/cpu has the same
+// answers but cannot be imported.
+func detect() Body {
 	maxLeaf, _, _, _ := cpuid(0, 0)
 	if maxLeaf < 7 {
-		return false
+		return Portable
 	}
 	_, _, ecx1, _ := cpuid(1, 0)
 	const osxsave, avx = 1 << 27, 1 << 28
 	if ecx1&osxsave == 0 || ecx1&avx == 0 {
-		return false
+		return Portable
 	}
-	if xcr0, _ := xgetbv(); xcr0&6 != 6 {
-		return false
+	xcr0, _ := xgetbv()
+	_, ebx7, ecx7, _ := cpuid(7, 0)
+	const avx2 = 1<<5 | 1<<3 | 1<<8 // AVX2, BMI1, BMI2
+	if xcr0&6 != 6 || ebx7&avx2 != avx2 {
+		return Portable
 	}
-	_, ebx7, _, _ := cpuid(7, 0)
-	return ebx7&(1<<5) != 0
+	const avx512 = 1<<16 | 1<<17 | 1<<30 | 1<<31
+	const vnni = 1 << 11
+	if xcr0&0xE6 == 0xE6 && ebx7&avx512 == avx512 && ecx7&vnni != 0 {
+		return AVX512VNNI
+	}
+	return AVX2
 }
 
 func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 
 func xgetbv() (eax, edx uint32)
 
-// BlockRun is documented in headblock.go.
-func (h *HeadTest) BlockRun(row, end int, cut float64, iu *[HeadBlockRows]int32) (at int, pruned uint32) {
-	if !useAVX2 {
-		return h.BlockRunPortable(row, end, cut, iu)
+// Collect is documented in headblock.go.
+func (h *HeadTest) Collect(row, end int, cut float64, out *Survivors) (next, n int) {
+	if active == Portable {
+		return h.collectPortable(row, end, cut, out)
 	}
 	h.checkRun(row, end)
 	if row >= end {
-		return end, allPruned
+		return row, 0
 	}
-	return headBlockRunAVX2(h, row, end, cut, iu)
+	if active == AVX512VNNI && h.int8Q {
+		return collectVNNI(h, row, end, cut, out)
+	}
+	return collectAVX2(h, row, end, cut, out)
 }
 
-// headBlockRunAVX2 is BlockRunPortable over 16 int32 lanes for row < end: it
+// collectAVX2 is collectPortable over 16 int32 lanes for row < end: it
 // reads each block of h.tab and h.tails until it stops, unchecked.
 //
 //go:noescape
-func headBlockRunAVX2(h *HeadTest, row, end int, cut float64, iu *[HeadBlockRows]int32) (at int, pruned uint32)
+func collectAVX2(h *HeadTest, row, end int, cut float64, out *Survivors) (next, n int)
+
+// collectVNNI is collectAVX2 for a query whose floors fit an int8.
+//
+//go:noescape
+func collectVNNI(h *HeadTest, row, end int, cut float64, out *Survivors) (next, n int)
 
 func dotInt16(a, b []int16) int64 {
-	if !useAVX2 || len(a) < 16 {
+	if active == Portable || len(a) < 16 {
 		return dotInt16Go(a, b)
 	}
 	n := len(a) &^ 7
@@ -77,7 +83,7 @@ func dotInt16(a, b []int16) int64 {
 func dotInt16AVX2(a, b []int16) int64
 
 func dotTail(q []int16, p []int8) int64 {
-	if !useAVX2 || len(p) < 16 {
+	if active == Portable || len(p) < 16 {
 		return dotTailGo(q, p)
 	}
 	n := len(p) &^ 7
@@ -97,7 +103,7 @@ func dotTailAVX2(q []int16, p []int8) int64
 // 4-row blocks and gramRows the Rows mod 4 rows left.
 func gramBand(g, m *Matrix, alo, ahi int) {
 	i := 0
-	if useAVX2 && alo < ahi {
+	if active != Portable && alo < ahi {
 		for i+4 <= m.Rows {
 			blocks := min((m.Rows-i)/4, kernelChunk)
 			gramBlocksAVX2(g.Data, m.Data[i*m.Cols:], blocks, m.Cols, alo, ahi)
@@ -118,7 +124,7 @@ func gramBlocksAVX2(g, m []float64, blocks, d, alo, ahi int)
 // mulRows for the Rows mod 4 rows left, mulRows alone otherwise.
 func mulKernel(other *Matrix, scale []float64) func(out, m *Matrix) {
 	ot := other.T()
-	if !useAVX2 {
+	if active == Portable {
 		return func(out, m *Matrix) { mulRows(out, m, ot, scale, 0, m.Rows) }
 	}
 	panels, padded, mask := packPanels(other, scale)

@@ -3,8 +3,9 @@
 
 // AVX2 bodies of the scan's integer kernels (DESIGN.md §3) and of the
 // build's two float64 loops, the Gram band and the V₁ transform (DESIGN.md
-// §17). Nothing here is outside AVX2 — no FMA, no AVX-512 — so a
-// GOAMD64=v1 build runs them behind detectAVX2. The float bodies multiply
+// §17), and the AVX-512 VNNI body of the head kernel. Nothing but
+// collectVNNI is outside AVX2 and BMI1/2 — no FMA anywhere — so a
+// GOAMD64=v1 build runs them behind detect. The float bodies multiply
 // and add in separate instructions, the sum always the first source of
 // its VADDPD, so every lane is its plain-Go body's chain of roundings.
 
@@ -27,7 +28,29 @@ TEXT ·xgetbv(SB), NOSPLIT, $0-8
 	MOVL DX, edx+4(FP)
 	RET
 
-// func headBlockRunAVX2(h *HeadTest, row, end int, cut float64, iu *[16]int32) (at int, pruned uint32)
+// The row of each lane within a block, and the VPERMT2D index that
+// interleaves the even rows (first table) with the odd ones (second).
+DATA lanes<>+0(SB)/8, $0x0000000100000000
+DATA lanes<>+8(SB)/8, $0x0000000300000002
+DATA lanes<>+16(SB)/8, $0x0000000500000004
+DATA lanes<>+24(SB)/8, $0x0000000700000006
+DATA lanes<>+32(SB)/8, $0x0000000900000008
+DATA lanes<>+40(SB)/8, $0x0000000B0000000A
+DATA lanes<>+48(SB)/8, $0x0000000D0000000C
+DATA lanes<>+56(SB)/8, $0x0000000F0000000E
+GLOBL lanes<>(SB), RODATA|NOPTR, $64
+
+DATA interleave<>+0(SB)/8, $0x0000001000000000
+DATA interleave<>+8(SB)/8, $0x0000001100000001
+DATA interleave<>+16(SB)/8, $0x0000001200000002
+DATA interleave<>+24(SB)/8, $0x0000001300000003
+DATA interleave<>+32(SB)/8, $0x0000001400000004
+DATA interleave<>+40(SB)/8, $0x0000001500000005
+DATA interleave<>+48(SB)/8, $0x0000001600000006
+DATA interleave<>+56(SB)/8, $0x0000001700000007
+GLOBL interleave<>(SB), RODATA|NOPTR, $64
+
+// func collectAVX2(h *HeadTest, row, end int, cut float64, out *Survivors) (next, n int)
 //
 // One pass of block per 16 rows, the query's constants broadcast once for
 // the run. Y0 and Y1 hold IU of rows 0–7 and 8–15 as int32: the table is
@@ -35,13 +58,19 @@ TEXT ·xgetbv(SB), NOSPLIT, $0-8
 // pair group ahead of VPMADDWD. Each lane is converted to float64 exactly,
 // multiplied by factor, and added to the separately rounded tail·tails —
 // two VMULPD and a VADDPD, never an FMA, so a lane is bit for bit
-// BlockRunPortable's expression. Predicate 1 of VCMPPD is LT_OS: false
-// when either side is NaN, like Go's <. The run ends at the first block
-// whose 16 mask bits are not all set, its lanes stored to iu, or at end.
-TEXT ·headBlockRunAVX2(SB), NOSPLIT, $0-52
+// collectPortable's expression. Predicate 1 of VCMPPD is LT_OS: false
+// when either side is NaN, like Go's <, so the complement of its mask is
+// the survivors. A block with one stores its 16 lanes at out.IU[n]; if
+// every row survives, its rows follow as a vector, and otherwise TZCNT/BLSR
+// walk the survivor bits upwards, moving each lane down to the next free
+// slot (never above the lane it reads) beside its row number.
+// The run ends after the block that brings n to CollectLimit, or at end.
+TEXT ·collectAVX2(SB), NOSPLIT, $0-56
 	MOVQ h+0(FP), R8
 	MOVQ row+8(FP), AX
 	MOVQ end+16(FP), R9
+	MOVQ out+32(FP), R14
+	XORQ R13, R13                      // n
 	MOVQ (HeadTest_tab+HeadTable_lay+HeadLayout_pairs)(R8), R10 // P
 	MOVQ AX, BX
 	IMULQ R10, BX                      // the block: row·P pairs in
@@ -80,7 +109,6 @@ pair:
 	DECQ         CX
 	JNZ          pair
 
-bound:
 	VCVTDQ2PD    X0, Y4                // rows 0–3
 	VEXTRACTI128 $1, Y0, X5
 	VCVTDQ2PD    X5, Y5                // rows 4–7
@@ -108,29 +136,184 @@ bound:
 	VMOVMSKPD    Y4, R12
 	VMOVMSKPD    Y5, BX
 	VMOVMSKPD    Y6, CX
-	VMOVMSKPD    Y7, R13
+	VMOVMSKPD    Y7, R8
 	SHLL         $4, BX
 	SHLL         $8, CX
-	SHLL         $12, R13
+	SHLL         $12, R8
 	ORL          BX, R12
-	ORL          R13, CX
+	ORL          R8, CX
 	ORL          CX, R12
-	CMPL         R12, $0xFFFF
-	JNE          stop
+	XORL         $0xFFFF, R12          // the survivors
+	JNZ          collect
+
+next:
 	ADDQ         $16, AX
 	ADDQ         $128, DI
 	CMPQ         AX, R9
 	JLT          block
-	MOVQ         R9, AX                // every row pruned: (end, all ones)
 
-stop:
-	MOVQ         iu+32(FP), BX
-	VMOVDQU      Y0, (BX)
-	VMOVDQU      Y1, 32(BX)
+done:
 	VZEROUPPER
-	MOVQ         AX, at+40(FP)
-	MOVL         R12, pruned+48(FP)
+	MOVQ         AX, next+40(FP)
+	MOVQ         R13, n+48(FP)
 	RET
+
+collect:
+	LEAQ         Survivors_IU(R14)(R13*4), R8 // lane j of the block
+	VMOVDQU      Y0, (R8)
+	VMOVDQU      Y1, 32(R8)
+	CMPL         R12, $0xFFFF
+	JNE          extract
+	VMOVQ        AX, X2                // every row survives: the lanes are
+	VPBROADCASTD X2, Y2                // in place, the rows in order
+	VPADDD       lanes<>(SB), Y2, Y3
+	VPADDD       lanes<>+32(SB), Y2, Y4
+	VMOVDQU      Y3, Survivors_Rows(R14)(R13*4)
+	VMOVDQU      Y4, Survivors_Rows+32(R14)(R13*4)
+	ADDQ         $16, R13
+	JMP          full
+
+extract:
+	TZCNTL       R12, CX
+	MOVL         (R8)(CX*4), BX
+	MOVL         BX, Survivors_IU(R14)(R13*4)
+	LEAL         (AX)(CX*1), BX
+	MOVL         BX, Survivors_Rows(R14)(R13*4)
+	INCQ         R13
+	BLSRL        R12, R12
+	JNZ          extract
+
+full:
+	CMPQ         R13, $const_CollectLimit
+	JLT          next
+	ADDQ         $16, AX               // the batch is full after this block
+	JMP          done
+
+// func collectVNNI(h *HeadTest, row, end int, cut float64, out *Survivors) (next, n int)
+//
+// collectAVX2's run with the integer part on VPDPBUSD. Each step reads
+// two pair groups (64 bytes), XORs them with 0x80 into the unsigned f+128,
+// and multiplies them into Z0 by the step's even-row query operand and
+// into Z1 by its odd-row one (SetQuery's layout); an odd P ends with one
+// group, loaded under a mask that keeps the next block's bytes out of the
+// sum and the load inside the table. Folding the high half of each sum
+// onto its low half leaves the even rows in Y0 and the odd rows in Y1,
+// VPERMT2D puts the 16 rows in order, and Σ|f|+w plus Σ|g| − 128·Σg makes
+// them IU^ℓ, exactly. The float part is collectAVX2's at twice the width:
+// separate VMULPD and VADDPD, then predicate 5, NLT_US, the complement of
+// LT_OS: true when either side is NaN, so K1 is the survivors as they
+// stand. VPCOMPRESSD packs the survivors' lanes and row numbers to the
+// bottom of a register, stored whole at out.IU[n] and out.Rows[n].
+TEXT ·collectVNNI(SB), NOSPLIT, $0-56
+	MOVQ h+0(FP), R8
+	MOVQ row+8(FP), AX
+	MOVQ end+16(FP), R9
+	MOVQ out+32(FP), R14
+	XORQ R13, R13                      // n
+	MOVQ (HeadTest_tab+HeadTable_lay+HeadLayout_pairs)(R8), R10 // P
+	MOVQ AX, BX
+	IMULQ R10, BX
+	MOVQ HeadTest_tails(R8), DI
+	LEAQ (DI)(AX*8), DI
+	MOVQ HeadTest_dwords(R8), R11
+	MOVQ (HeadTest_tab+HeadTable_head)(R8), SI
+	LEAQ (SI)(BX*2), SI
+	MOVQ (HeadTest_tab+HeadTable_consts)(R8), DX
+	LEAQ (DX)(AX*2), DX
+	MOVQ R10, R12
+	SHRQ $1, R12                       // whole steps: P/2
+
+	VPBROADCASTD HeadTest_bias(R8), Z14
+	VBROADCASTSD HeadTest_factor(R8), Z8
+	VBROADCASTSD HeadTest_tail(R8), Z9
+	VBROADCASTSD cut+24(FP), Z10
+	MOVL         $0x80808080, BX
+	VPBROADCASTD BX, Z13
+	VMOVDQU32    interleave<>(SB), Z11
+	VPBROADCASTD AX, Z12
+	VPADDD       lanes<>(SB), Z12, Z12 // each lane's row
+	MOVL         $16, BX
+	VPBROADCASTD BX, Z15
+	MOVL         $0xFF, BX
+	KMOVW        BX, K3                // the low group of a step
+
+vblock:
+	VPXORD       Z0, Z0, Z0
+	VPXORD       Z1, Z1, Z1
+	MOVQ         R11, BX
+	MOVQ         R12, CX
+	TESTQ        CX, CX
+	JZ           vodd
+
+vstep:
+	VPXORD       (SI), Z13, Z2         // f+128
+	VPDPBUSD     (BX), Z2, Z0          // even rows
+	VPDPBUSD     64(BX), Z2, Z1        // odd rows
+	ADDQ         $64, SI
+	ADDQ         $128, BX
+	DECQ         CX
+	JNZ          vstep
+
+vodd:
+	TESTQ        $1, R10
+	JZ           vsum
+	VMOVDQU32.Z  (SI), K3, Z2
+	VPXORD       Z13, Z2, Z2
+	VPDPBUSD     (BX), Z2, Z0
+	VPDPBUSD     64(BX), Z2, Z1
+	ADDQ         $32, SI
+
+vsum:
+	VEXTRACTI64X4 $1, Z0, Y2
+	VPADDD       Y2, Y0, Y0            // rows 0, 2, …, 14
+	VEXTRACTI64X4 $1, Z1, Y3
+	VPADDD       Y3, Y1, Y1            // rows 1, 3, …, 15
+	VPERMT2D     Z1, Z11, Z0           // rows 0–15
+	VPMOVSXWD    (DX), Z2
+	VPADDD       Z2, Z0, Z0
+	VPADDD       Z14, Z0, Z0           // IU^ℓ
+	ADDQ         $32, DX
+
+	VCVTDQ2PD    Y0, Z4                // rows 0–7
+	VEXTRACTI64X4 $1, Z0, Y5
+	VCVTDQ2PD    Y5, Z5                // rows 8–15
+	VMULPD       Z8, Z4, Z4
+	VMULPD       Z8, Z5, Z5
+	VMULPD       (DI), Z9, Z6
+	VMULPD       64(DI), Z9, Z7
+	VADDPD       Z6, Z4, Z4
+	VADDPD       Z7, Z5, Z5
+	VCMPPD       $5, Z10, Z4, K1       // !(bound < cut)
+	VCMPPD       $5, Z10, Z5, K2
+	KUNPCKBW     K1, K2, K1            // rows 0–7 low, 8–15 high
+	KORTESTW     K1, K1
+	JNZ          vcollect
+
+vnext:
+	ADDQ         $16, AX
+	ADDQ         $128, DI
+	VPADDD       Z15, Z12, Z12
+	CMPQ         AX, R9
+	JLT          vblock
+
+vdone:
+	VZEROUPPER
+	MOVQ         AX, next+40(FP)
+	MOVQ         R13, n+48(FP)
+	RET
+
+vcollect:
+	VPCOMPRESSD  Z0, K1, Z6
+	VMOVDQU32    Z6, Survivors_IU(R14)(R13*4)
+	VPCOMPRESSD  Z12, K1, Z7
+	VMOVDQU32    Z7, Survivors_Rows(R14)(R13*4)
+	KMOVW        K1, BX
+	POPCNTL      BX, BX
+	ADDQ         BX, R13
+	CMPQ         R13, $const_CollectLimit
+	JLT          vnext
+	ADDQ         $16, AX               // the batch is full after this block
+	JMP          vdone
 
 // func dotInt16AVX2(a, b []int16) int64
 //

@@ -4,12 +4,11 @@ package vec
 
 // No assembly off amd64: the plain-Go bodies are the kernels.
 
-// SetPortable is documented in kernels_amd64.go; here there is one body.
-func SetPortable(bool) (was bool) { return true }
+const best = Portable
 
-// BlockRun is documented in headblock.go.
-func (h *HeadTest) BlockRun(row, end int, cut float64, iu *[HeadBlockRows]int32) (at int, pruned uint32) {
-	return h.BlockRunPortable(row, end, cut, iu)
+// Collect is documented in headblock.go.
+func (h *HeadTest) Collect(row, end int, cut float64, out *Survivors) (next, n int) {
+	return h.collectPortable(row, end, cut, out)
 }
 
 func dotInt16(a, b []int16) int64 { return dotInt16Go(a, b) }

@@ -9,21 +9,26 @@ import (
 	"testing"
 )
 
-// kernelBodies names the bodies of the kernels SetPortable switches that
-// this machine can run: SetPortable(false) asks for the processor's, and
-// undoing it reports whether those were the plain-Go ones.
-func kernelBodies() []string {
-	if was := SetPortable(false); SetPortable(was) {
-		return []string{"portable"}
+// kernelBodies returns the bodies this processor runs, the best first,
+// and logs each one it skips and why: every test of a kernel runs once
+// per body the machine has.
+func kernelBodies(tb testing.TB) []Body {
+	var run []Body
+	for _, b := range []Body{AVX512VNNI, AVX2, Portable} {
+		if Supported(b) {
+			run = append(run, b)
+		} else {
+			tb.Logf("%s body skipped: this processor lacks its instructions", b)
+		}
 	}
-	return []string{"avx2", "portable"}
+	return run
 }
 
 // forceBody routes the kernels' dispatchers to one of kernelBodies for the
 // rest of a test.
-func forceBody(tb testing.TB, body string) {
-	was := SetPortable(body != "avx2")
-	tb.Cleanup(func() { SetPortable(was) })
+func forceBody(tb testing.TB, body Body) {
+	was := SetBody(body)
+	tb.Cleanup(func() { SetBody(was) })
 }
 
 // dotReference is the plain sequential loop the unrolled kernels must
@@ -85,8 +90,8 @@ func TestDotInt64AllLengths(t *testing.T) {
 // whole int16 range, for the range ends, and for vectors of nothing but
 // math.MinInt16 — the one input whose VPMADDWD pair sum (2³¹) wraps.
 func TestDotInt16AllLengths(t *testing.T) {
-	for _, body := range kernelBodies() {
-		t.Run(body, func(t *testing.T) {
+	for _, body := range kernelBodies(t) {
+		t.Run(body.String(), func(t *testing.T) {
 			forceBody(t, body)
 			rng := rand.New(rand.NewSource(203))
 			backA, backB := make([]int16, 96), make([]int16, 96)
@@ -142,8 +147,8 @@ func dotTailReference(q []int16, p []int8) int64 {
 // the largest product, 300 of them the largest sum here — and for random
 // vectors with one lane pinned at each end, at every position.
 func TestDotTailAllLengths(t *testing.T) {
-	for _, body := range kernelBodies() {
-		t.Run(body, func(t *testing.T) {
+	for _, body := range kernelBodies(t) {
+		t.Run(body.String(), func(t *testing.T) {
 			forceBody(t, body)
 			rng := rand.New(rand.NewSource(204))
 			const maxLen = 300
@@ -216,7 +221,7 @@ func FuzzDotTail(f *testing.F) {
 			q[i], p[i] = int16(int8(qBytes[i])), int8(pBytes[i])
 		}
 		want := dotTailReference(q, p)
-		for _, body := range kernelBodies() {
+		for _, body := range kernelBodies(t) {
 			forceBody(t, body)
 			if got := DotTail(q, p); got != want {
 				t.Fatalf("%s n=%d: %d vs %d", body, n, got, want)
@@ -263,7 +268,7 @@ func FuzzBuildKernels(f *testing.F) {
 		fill(u.Data)
 		fill(uScale)
 		var got [][4]*Matrix
-		for _, body := range kernelBodies() {
+		for _, body := range kernelBodies(t) {
 			forceBody(t, body)
 			inPlace := m.Clone()
 			inPlace.MulScaledInPlace(u, uScale)
@@ -284,8 +289,8 @@ func FuzzBuildKernels(f *testing.F) {
 // loops, per body, at the benchmark's n = 10⁵, d = 50 (run at -cpu 1,2).
 func BenchmarkGramLower(b *testing.B) {
 	m := gaussian(rand.New(rand.NewSource(1)), 100000, 50)
-	for _, body := range kernelBodies() {
-		b.Run(body, func(b *testing.B) {
+	for _, body := range kernelBodies(b) {
+		b.Run(body.String(), func(b *testing.B) {
 			forceBody(b, body)
 			for i := 0; i < b.N; i++ {
 				sinkMatrix = m.GramLower()
@@ -298,8 +303,8 @@ func BenchmarkMulScaled(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	m, u := gaussian(rng, 100000, 50), gaussian(rng, 50, 50)
 	scale := randomSlice(rng, 50)
-	for _, body := range kernelBodies() {
-		b.Run(body, func(b *testing.B) {
+	for _, body := range kernelBodies(b) {
+		b.Run(body.String(), func(b *testing.B) {
 			forceBody(b, body)
 			for i := 0; i < b.N; i++ {
 				sinkMatrix = m.MulScaled(u, scale)
@@ -344,7 +349,7 @@ func BenchmarkDotInt16(b *testing.B) {
 		for i := range x {
 			x[i], y[i] = int16(i*7%199-100), int16(i*13%199-100)
 		}
-		for _, body := range kernelBodies() {
+		for _, body := range kernelBodies(b) {
 			b.Run(fmt.Sprintf("n=%d/%s", n, body), func(b *testing.B) {
 				forceBody(b, body)
 				var sink int64
@@ -367,7 +372,7 @@ func BenchmarkDotTail(b *testing.B) {
 		for i := range p {
 			q[i], p[i] = int16(i*7%199-100), int8(i*13%199-100)
 		}
-		for _, body := range kernelBodies() {
+		for _, body := range kernelBodies(b) {
 			b.Run(fmt.Sprintf("n=%d/%s", n, body), func(b *testing.B) {
 				forceBody(b, body)
 				var sink int64
@@ -381,3 +386,37 @@ func BenchmarkDotTail(b *testing.B) {
 }
 
 var sinkInt int64
+
+// TestBodies: the selected body and the plain-Go one run here, SetBody
+// installs each body the processor has and hands back the one it
+// replaced, refuses one it lacks, and the names are what fexserve's
+// /v1/info reports. It logs the bodies: make fuzz-smoke runs it first, so
+// its log names the bodies every fuzz run after it covered.
+func TestBodies(t *testing.T) {
+	run := kernelBodies(t)
+	t.Logf("kernel bodies run here: %v; selected: %s", run, Selected())
+	if !Supported(Selected()) || !Supported(Portable) {
+		t.Fatalf("selected %s or portable not supported", Selected())
+	}
+	for _, b := range run {
+		was := SetBody(b)
+		if got := SetBody(was); got != b {
+			t.Fatalf("SetBody(%s) installed %s", b, got)
+		}
+	}
+	if !Supported(AVX512VNNI) {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatal("SetBody installed a body the processor lacks")
+				}
+			}()
+			SetBody(AVX512VNNI)
+		}()
+	}
+	for b, name := range map[Body]string{Portable: "portable", AVX2: "avx2", AVX512VNNI: "avx512vnni"} {
+		if b.String() != name {
+			t.Fatalf("body %d named %q, want %q", b, b.String(), name)
+		}
+	}
+}

@@ -281,13 +281,6 @@ func (m *Matrix) RowNorms() []float64 {
 	return out
 }
 
-// AbsMax returns the maximum absolute entry of the matrix (0 if empty).
-func (m *Matrix) AbsMax() float64 { return AbsMax(m.Data) }
-
-// MinValue returns the minimum entry of the matrix.
-// It panics on an empty matrix.
-func (m *Matrix) MinValue() float64 { return Min(m.Data) }
-
 // Equal reports whether m and other have identical shape and entries
 // within absolute tolerance tol.
 func (m *Matrix) Equal(other *Matrix, tol float64) bool {

@@ -93,17 +93,11 @@ func TestGramLower(t *testing.T) {
 	}
 }
 
-func TestRowNormsAndAbsMax(t *testing.T) {
+func TestRowNorms(t *testing.T) {
 	m := FromRows([][]float64{{3, 4}, {0, -7}})
 	norms := m.RowNorms()
 	if norms[0] != 5 || norms[1] != 7 {
 		t.Fatalf("RowNorms = %v", norms)
-	}
-	if m.AbsMax() != 7 {
-		t.Fatalf("AbsMax = %v", m.AbsMax())
-	}
-	if m.MinValue() != -7 {
-		t.Fatalf("MinValue = %v", m.MinValue())
 	}
 }
 

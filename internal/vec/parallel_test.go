@@ -94,11 +94,11 @@ func TestForRowsSmallInputStaysOnTheCaller(t *testing.T) {
 
 // eachBody runs f once under each of kernelBodies and restores the
 // setting it found.
-func eachBody(t *testing.T, f func(body string)) {
+func eachBody(t *testing.T, f func(body Body)) {
 	t.Helper()
-	defer SetPortable(SetPortable(false))
-	for _, body := range kernelBodies() {
-		SetPortable(body != "avx2")
+	defer SetBody(SetBody(Portable))
+	for _, body := range kernelBodies(t) {
+		SetBody(body)
 		f(body)
 	}
 }
@@ -162,7 +162,7 @@ func checkGramLower(t *testing.T, what string, m *Matrix) {
 			want.Set(a, b, s)
 		}
 	}
-	eachBody(t, func(body string) {
+	eachBody(t, func(body Body) {
 		withProcs(t, func(procs int) {
 			if got := m.GramLower(); !sameBits(got.Data, want.Data) {
 				t.Fatalf("%s %d×%d, %s at GOMAXPROCS %d: GramLower differs from the row-order sums", what, m.Rows, cols, body, procs)
@@ -199,7 +199,7 @@ func checkMulScaled(t *testing.T, what string, m, other *Matrix, scale []float64
 			want.Set(i, j, s*scale[j])
 		}
 	}
-	eachBody(t, func(body string) {
+	eachBody(t, func(body Body) {
 		withProcs(t, func(procs int) {
 			if got := m.MulScaled(other, scale); !sameBits(got.Data, want.Data) {
 				t.Fatalf("%s %d×%d·%d×%d, %s at GOMAXPROCS %d: MulScaled differs from the k-order sums", what, rows, inner, inner, cols, body, procs)
@@ -258,7 +258,7 @@ func TestMulScaledInPlaceMatchesMulScaled(t *testing.T) {
 	rows = append(rows, 3*parallelMinRows+5)
 	check := func(what string, m, u *Matrix, scale []float64) {
 		t.Helper()
-		eachBody(t, func(body string) {
+		eachBody(t, func(body Body) {
 			withProcs(t, func(procs int) {
 				want := m.MulScaled(u, scale)
 				got := m.Clone()

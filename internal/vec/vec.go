@@ -175,34 +175,6 @@ func AbsMaxRange(a []float64, lo, hi int) float64 {
 	return AbsMax(a[lo:hi])
 }
 
-// Min returns the minimum value in a. It panics on an empty slice.
-func Min(a []float64) float64 {
-	if len(a) == 0 {
-		panic("vec: Min of empty slice")
-	}
-	m := a[0]
-	for _, v := range a[1:] {
-		if v < m {
-			m = v
-		}
-	}
-	return m
-}
-
-// Max returns the maximum value in a. It panics on an empty slice.
-func Max(a []float64) float64 {
-	if len(a) == 0 {
-		panic("vec: Max of empty slice")
-	}
-	m := a[0]
-	for _, v := range a[1:] {
-		if v > m {
-			m = v
-		}
-	}
-	return m
-}
-
 // Scale multiplies every element of a by s, in place.
 func Scale(a []float64, s float64) {
 	for i := range a {
