@@ -131,7 +131,9 @@ race-subset:
 ## and V₁ transform, each body bit for bit against plain Go, on fuzzed
 ## shapes and float bits; FuzzBlockedScan the blocked scan against the
 ## per-item one under each body, the fixed-threshold (above-t) collector
-## case beside the top-k ones; FuzzParseNumber the request scanner's
+## case beside the top-k ones; FuzzBuilderStream the streamed snapshot
+## writer against the payload-then-write encoding, byte for byte, on
+## sections up to well past its 64 KiB buffer; FuzzParseNumber the request scanner's
 ## number reader against the grammar, strconv.ParseFloat's bits and
 ## strconv.ParseInt, at any offset of any bytes.
 fuzz-smoke:
@@ -150,6 +152,7 @@ fuzz-smoke:
 	$(GO) test ./internal/core -run='^$$' -fuzz=FuzzReadIndex -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/snap -run='^$$' -fuzz=FuzzSnapshotLoad -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/snap -run='^$$' -fuzz=FuzzWALReplay -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/snap -run='^$$' -fuzz=FuzzBuilderStream -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/server -run='^$$' -fuzz=FuzzDecodeRequest -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/server -run='^$$' -fuzz=FuzzParseNumber -fuzztime=$(FUZZTIME)
 

@@ -116,6 +116,22 @@ func NewDynamicIndex(initial *vec.Matrix, opts Options, rebuildFraction float64)
 // the amortized rebuild cost of Add/Delete by ~shards×; single-item
 // updates only ever rebuild the one shard that owns the item.
 func NewDynamicIndexSharded(initial *vec.Matrix, opts Options, rebuildFraction float64, shards, workers int) (*DynamicIndex, error) {
+	di, err := newDynState(initial, opts, rebuildFraction, shards, workers)
+	if err != nil {
+		return nil, err
+	}
+	if err := di.deriveMains(context.Background()); err != nil {
+		return nil, err
+	}
+	return di, nil
+}
+
+// newDynState is NewDynamicIndexSharded but for the main indexes: the
+// catalog, the engine, and every shard's mainIDs with rebuilds = 1 where
+// they are not empty. deriveMains, which writes only each shard's main,
+// completes it; SaveSnapshot already writes the finished index's state,
+// and may run while deriveMains does (CreateDir).
+func newDynState(initial *vec.Matrix, opts Options, rebuildFraction float64, shards, workers int) (*DynamicIndex, error) {
 	if initial.Cols <= 0 {
 		return nil, fmt.Errorf("core: dynamic index needs a positive dimension, got %d", initial.Cols)
 	}
@@ -132,23 +148,16 @@ func NewDynamicIndexSharded(initial *vec.Matrix, opts Options, rebuildFraction f
 		items:   catalogOf(initial.Clone()),
 		shards:  make([]*dynShard, shards),
 	}
-	for s := range di.shards {
-		di.shards[s] = &dynShard{}
-	}
 	di.eng = engine.New(&dynKernel{di: di}, workers)
-	for s, sh := range di.shards {
-		sh.mainIDs = make([]int, 0, (initial.Rows-s+shards-1)/shards)
+	for s := range di.shards {
+		sh := &dynShard{mainIDs: make([]int, 0, (initial.Rows-s+shards-1)/shards)}
 		for id := s; id < initial.Rows; id += shards {
 			sh.mainIDs = append(sh.mainIDs, id)
 		}
-	}
-	if err := di.deriveMains(context.Background()); err != nil {
-		return nil, err
-	}
-	for _, sh := range di.shards {
-		if sh.main != nil {
+		if len(sh.mainIDs) > 0 {
 			sh.rebuilds = 1
 		}
+		di.shards[s] = sh
 	}
 	return di, nil
 }

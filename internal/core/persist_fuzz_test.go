@@ -107,16 +107,16 @@ func FuzzReadIndex(f *testing.F) {
 		x := words(rows)
 		bar := &vec.Matrix{Rows: len(x) / cols, Cols: cols, Data: x[:len(x)/cols*cols]}
 
+		var meta snap.Encoder
+		encodeOptions(&meta, opts)
+		if flags&fuzzAblated != 0 {
+			meta.Bytes()[43] = 1 // the GlobalIntScaling slot, after 3 bools and 5 words
+		}
+		meta.I64(int64(n))
+		meta.I64(int64(d))
+		meta.I64(int64(w))
 		var b snap.Builder
-		b.Section(secIdxMeta, func(enc *snap.Encoder) {
-			encodeOptions(enc, opts)
-			if flags&fuzzAblated != 0 {
-				enc.Bytes()[43] = 1 // the GlobalIntScaling slot, after 3 bools and 5 words
-			}
-			enc.I64(int64(n))
-			enc.I64(int64(d))
-			enc.I64(int64(w))
-		})
+		b.Raw(secIdxMeta, meta.Bytes())
 		b.Section(secIdxPerm, func(enc *snap.Encoder) {
 			ids := make([]int, len(perm)/8)
 			for i := range ids {

@@ -211,7 +211,7 @@ func TestRecoverSnapshotOnly(t *testing.T) {
 }
 
 // TestRecoverNoSnapshot: an empty directory is ErrNoSnapshot, the
-// build-then-checkpoint signal.
+// signal to initialize it with CreateDir.
 func TestRecoverNoSnapshot(t *testing.T) {
 	_, err := core.OpenRecovered(context.Background(), t.TempDir(), 1, 1)
 	if !errors.Is(err, core.ErrNoSnapshot) {

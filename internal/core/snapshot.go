@@ -11,6 +11,7 @@ import (
 	"fexipro/internal/engine"
 	"fexipro/internal/obs"
 	"fexipro/internal/snap"
+	"fexipro/internal/vec"
 )
 
 // DynamicIndex persistence (fexsnap/v1 + WAL, DESIGN.md §15). A data
@@ -46,8 +47,7 @@ const (
 )
 
 // ErrNoSnapshot is returned by OpenRecovered when the directory holds
-// no checkpoint — the caller should build the initial index and
-// checkpoint it.
+// no checkpoint — the caller should initialize it with CreateDir.
 var ErrNoSnapshot = errors.New("core: no snapshot in data directory")
 
 // DynamicIndex snapshot section tags. Shard sections are "dsh0000",
@@ -279,30 +279,128 @@ func readDynShard(f *snap.File, s int, di *DynamicIndex, placed *tombstones) (*d
 // SnapshotFile, so a crash mid-checkpoint leaves the previous
 // checkpoint intact.
 func WriteSnapshotDir(dir string, di *DynamicIndex, lastSeq uint64) error {
+	if err := writeSnapshotTmp(dir, di, lastSeq); err != nil {
+		return err
+	}
 	tmp := filepath.Join(dir, SnapshotFile+".tmp")
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	if err := di.SaveSnapshot(f, lastSeq); err != nil {
-		_ = f.Close()
-		_ = os.Remove(tmp)
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		_ = f.Close()
-		_ = os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		_ = os.Remove(tmp)
-		return err
-	}
 	if err := os.Rename(tmp, filepath.Join(dir, SnapshotFile)); err != nil {
 		_ = os.Remove(tmp)
 		return err
 	}
 	return syncDir(dir)
+}
+
+// writeSnapshotTmp writes and fsyncs the snapshot as SnapshotFile+".tmp"
+// in dir, removing it again if any step fails.
+func writeSnapshotTmp(dir string, di *DynamicIndex, lastSeq uint64) error {
+	tmp := filepath.Join(dir, SnapshotFile+".tmp")
+	f, err := os.Create(tmp)
+	if err != nil {
+		return err
+	}
+	err = di.SaveSnapshot(f, lastSeq)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		_ = os.Remove(tmp)
+	}
+	return err
+}
+
+// ErrStaleWAL is wrapped by CreateDir's error when the directory has no
+// snapshot but its WAL holds records: they belong to no catalog a first
+// boot could build, and replaying them onto one would apply stale
+// mutations. It wraps snap.ErrChecksum.
+var ErrStaleWAL = fmt.Errorf("core: WAL without a snapshot: %w", snap.ErrChecksum)
+
+// CreateDir initializes a data directory that holds no checkpoint — the
+// case OpenRecovered answers with ErrNoSnapshot. It builds the index
+// NewDynamicIndexSharded builds over initial, writes its checkpoint at
+// WAL sequence 0 and an empty WAL, and returns both as OpenRecovered
+// would. That checkpoint does not depend on the build: it stores the
+// catalog and each shard's mainIDs and rebuilds, all known before any
+// main index exists. So one goroutine writes it while the calling one
+// builds the shards, and it is renamed into place only after both have
+// succeeded. The writer is joined on every path; an error leaves neither
+// SnapshotFile nor its temporary file behind (an empty WAL may stay).
+//
+// The creation order makes each entry durable before the next depends
+// on it: the directory (its entry synced in the parent), the WAL with
+// its header fsynced, the snapshot written and fsynced under a temporary
+// name, the rename, then one directory fsync covering the WAL's entry
+// and the snapshot's. A WAL that already holds records fails with
+// ErrStaleWAL; a header-only one, which a crash between these steps
+// leaves, is reused.
+//
+// When ctx carries an obs span, the writer is a "snapshot.save" child
+// (its own wall time) beside one "index.rebuild" child per shard.
+func CreateDir(ctx context.Context, dir string, initial *vec.Matrix, opts Options, shards, workers, syncEvery int) (*Recovered, error) {
+	di, err := newDynState(initial, opts, 0, shards, workers)
+	if err != nil {
+		return nil, err
+	}
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return nil, fmt.Errorf("core: creating data dir: %w", err)
+	}
+	if err := syncDir(filepath.Dir(dir)); err != nil {
+		return nil, err
+	}
+	type written struct {
+		wal *snap.WAL
+		err error
+	}
+	done := make(chan written, 1)
+	go func() {
+		wal, err := writeFirst(ctx, dir, di, syncEvery)
+		done <- written{wal, err}
+	}()
+	err = di.deriveMains(ctx)
+	w := <-done
+	if w.err != nil {
+		if err == nil {
+			err = w.err
+		}
+		return nil, err // the writer has closed its WAL and removed its file
+	}
+	tmp := filepath.Join(dir, SnapshotFile+".tmp")
+	if err == nil {
+		err = os.Rename(tmp, filepath.Join(dir, SnapshotFile))
+	}
+	if err != nil {
+		_ = w.wal.Close()
+		_ = os.Remove(tmp)
+		return nil, err
+	}
+	if err := syncDir(dir); err != nil {
+		_ = w.wal.Close()
+		return nil, err
+	}
+	return &Recovered{Index: di, WAL: w.wal}, nil
+}
+
+// writeFirst is CreateDir's writer: it opens the WAL, refusing one that
+// holds records, and writes the snapshot as SnapshotFile+".tmp". di's
+// state is final; its main indexes may still be being built.
+func writeFirst(ctx context.Context, dir string, di *DynamicIndex, syncEvery int) (*snap.WAL, error) {
+	_, sp := obs.StartSpan(ctx, "snapshot.save")
+	defer sp.End()
+	w, rp, err := snap.OpenWAL(filepath.Join(dir, WALFile), di.d, syncEvery, 0)
+	if err != nil {
+		return nil, err
+	}
+	if n := len(rp.Records); n > 0 {
+		_ = w.Close()
+		return nil, fmt.Errorf("%w: it holds %d records but the directory has no snapshot", ErrStaleWAL, n)
+	}
+	if err := writeSnapshotTmp(dir, di, 0); err != nil {
+		_ = w.Close()
+		return nil, err
+	}
+	return w, nil
 }
 
 // syncDir fsyncs a directory so a rename within it is durable.
@@ -335,8 +433,8 @@ type Recovered struct {
 
 // OpenRecovered restores a DynamicIndex from dir (snapshot + WAL
 // replay) and returns it with the repaired, append-ready WAL. When the
-// directory has no snapshot it returns ErrNoSnapshot — build the
-// initial index, checkpoint it with WriteSnapshotDir, then call again.
+// directory has no snapshot it returns ErrNoSnapshot — initialize it
+// with CreateDir instead.
 // Any other failure wraps a snap sentinel; a torn WAL tail is NOT a
 // failure (it is repaired, and only unacknowledged bytes are lost).
 //

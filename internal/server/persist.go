@@ -21,9 +21,9 @@ import (
 //     which rows each shard's main index covers — rebuilds the shard
 //     indexes from it (the same bytes the checkpointed process had) and
 //     replays <dir>/dyn.wal, all through core.OpenRecovered; a fresh
-//     directory builds from the initial matrix and checkpoints
-//     immediately so the NEXT boot starts from the acknowledged catalog,
-//     not from -items.
+//     directory builds from the initial matrix while its first
+//     checkpoint is written (core.CreateDir), so the NEXT boot starts
+//     from the acknowledged catalog, not from -items.
 //   - Every mutation handler applies the change to the in-memory index
 //     and then appends one WAL record, all inside the same s.mu
 //     critical section, before acknowledging the request. Replay order
@@ -49,7 +49,7 @@ type persistBoot struct {
 	readDur  time.Duration // snapshot read, verified and decoded
 	buildDur time.Duration // shard indexes rebuilt from it
 	walDur   time.Duration // WAL replayed
-	saveDur  time.Duration
+	saveDur  time.Duration // first boot: the checkpoint writer's own wall time
 	replayed int
 }
 
@@ -64,7 +64,8 @@ func openPersistence(cfg Config, initial *vec.Matrix, opts core.Options, shards 
 	b := &persistBoot{}
 	start := time.Now()
 	root := obs.NewRoot("boot")
-	rec, err := core.OpenRecovered(obs.WithQuery(context.Background(), obs.Query{Span: root}), cfg.DataDir, cfg.SearchWorkers, syncEvery)
+	ctx := obs.WithQuery(context.Background(), obs.Query{Span: root})
+	rec, err := core.OpenRecovered(ctx, cfg.DataDir, cfg.SearchWorkers, syncEvery)
 	switch {
 	case err == nil:
 		b.loadDur = time.Since(start)
@@ -84,25 +85,15 @@ func openPersistence(cfg Config, initial *vec.Matrix, opts core.Options, shards 
 		return rec.Index, b, nil
 	case errors.Is(err, core.ErrNoSnapshot):
 		// First boot on an empty directory: build from the initial
-		// matrix, then checkpoint so restarts load instead of rebuilding.
-		if mkErr := os.MkdirAll(cfg.DataDir, 0o755); mkErr != nil {
-			return nil, nil, fmt.Errorf("server: creating data dir: %w", mkErr)
+		// matrix while its checkpoint is written, so restarts load
+		// instead of rebuilding.
+		rec, err = core.CreateDir(ctx, cfg.DataDir, initial, opts, shards, cfg.SearchWorkers, syncEvery)
+		if err != nil {
+			return nil, nil, fmt.Errorf("server: initializing %q: %w", cfg.DataDir, err)
 		}
-		idx, buildErr := core.NewDynamicIndexSharded(initial, opts, 0, shards, cfg.SearchWorkers)
-		if buildErr != nil {
-			return nil, nil, buildErr
-		}
-		saveStart := time.Now()
-		if saveErr := core.WriteSnapshotDir(cfg.DataDir, idx, 0); saveErr != nil {
-			return nil, nil, saveErr
-		}
-		b.saveDur = time.Since(saveStart)
-		wal, _, walErr := snap.OpenWAL(filepath.Join(cfg.DataDir, core.WALFile), idx.Dim(), syncEvery, 0)
-		if walErr != nil {
-			return nil, nil, walErr
-		}
-		b.wal = wal
-		return idx, b, nil
+		b.saveDur = root.ChildDuration("snapshot.save")
+		b.wal = rec.WAL
+		return rec.Index, b, nil
 	default:
 		return nil, nil, fmt.Errorf("server: recovering %q: %w", cfg.DataDir, err)
 	}

@@ -3,6 +3,7 @@ package server_test
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"log/slog"
@@ -20,6 +21,7 @@ import (
 	"fexipro/internal/core"
 	"fexipro/internal/faults"
 	"fexipro/internal/server"
+	"fexipro/internal/snap"
 	"fexipro/internal/vec"
 )
 
@@ -229,6 +231,31 @@ func TestPersistFreshDirInitializes(t *testing.T) {
 	ts.Close()
 	if err := srv.ClosePersistence(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestPersistFreshDirRefusesStaleWAL: a data dir whose WAL holds
+// records but which has no snapshot fails the boot typed
+// (snap.ErrChecksum) instead of keeping those records for the next boot
+// to replay onto the -items catalog.
+func TestPersistFreshDirRefusesStaleWAL(t *testing.T) {
+	dir := t.TempDir()
+	w, _, err := snap.OpenWAL(filepath.Join(dir, core.WALFile), 3, 1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.Append(snap.WALDelete, 2, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	_, err = server.NewWithConfig(persistItems(8, 3, rand.New(rand.NewSource(7))), core.Options{}, server.Config{DataDir: dir})
+	if !errors.Is(err, core.ErrStaleWAL) || !errors.Is(err, snap.ErrChecksum) {
+		t.Fatalf("boot over a stale WAL: %v, want ErrStaleWAL", err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, core.SnapshotFile)); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("refused boot wrote a snapshot (stat: %v)", err)
 	}
 }
 

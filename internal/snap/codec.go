@@ -3,6 +3,7 @@ package snap
 import (
 	"encoding/binary"
 	"fmt"
+	"io"
 	"math"
 	"slices"
 
@@ -11,24 +12,75 @@ import (
 
 // Encoder builds a section payload. All values are little-endian; the
 // variable-length shapes (slices, matrices) carry explicit u64 lengths
-// so a Decoder can bound-check before touching the data. Encoding into
-// memory cannot fail, so the API has no error returns — the container
-// writer reports I/O errors once per section.
+// so a Decoder can bound-check before touching the data. The zero value
+// keeps the payload in memory (Bytes). The encoders Builder.Flush makes
+// stream it instead: their buffer is one fixed-size slice, handed to a
+// sink (a CRC, then the file) each time it fills, so a 40 MB catalog is
+// never held as one payload. Encoding cannot fail, so the API has no
+// error returns — a sink's error is kept and reported once per section.
 type Encoder struct {
 	buf []byte
+	// sink, when set, takes buf each time it fills; buf then never grows
+	// past its capacity.
+	sink io.Writer
+	n    int   // bytes handed to sink
+	err  error // sink's first error; the bytes after it are dropped
 }
 
-// Bytes returns the accumulated payload.
+// Bytes returns the payload accumulated by an Encoder's zero value.
 func (e *Encoder) Bytes() []byte { return e.buf }
 
+// reserve makes room for n ≤ 8 more bytes in a streaming encoder; a
+// memory one grows on append.
+func (e *Encoder) reserve(n int) {
+	if e.sink != nil && cap(e.buf)-len(e.buf) < n {
+		e.flush()
+	}
+}
+
+// flush hands the buffered bytes to the sink.
+func (e *Encoder) flush() {
+	if len(e.buf) == 0 {
+		return
+	}
+	if e.err == nil {
+		_, e.err = e.sink.Write(e.buf)
+	}
+	e.n += len(e.buf)
+	e.buf = e.buf[:0]
+}
+
+// words extends buf by k 8-byte words, 1 ≤ k ≤ n for n ≥ 1, and returns
+// them to be filled: all n in a memory encoder, as many as the buffer
+// holds in a streaming one.
+func (e *Encoder) words(n int) []byte {
+	if e.sink == nil {
+		e.buf = slices.Grow(e.buf, 8*n)
+	} else if cap(e.buf)-len(e.buf) < 8 {
+		e.flush()
+	}
+	start := len(e.buf)
+	e.buf = e.buf[:start+8*min(n, (cap(e.buf)-start)/8)]
+	return e.buf[start:]
+}
+
 // U8 appends one byte.
-func (e *Encoder) U8(v uint8) { e.buf = append(e.buf, v) }
+func (e *Encoder) U8(v uint8) {
+	e.reserve(1)
+	e.buf = append(e.buf, v)
+}
 
 // U32 appends a little-endian uint32.
-func (e *Encoder) U32(v uint32) { e.buf = binary.LittleEndian.AppendUint32(e.buf, v) }
+func (e *Encoder) U32(v uint32) {
+	e.reserve(4)
+	e.buf = binary.LittleEndian.AppendUint32(e.buf, v)
+}
 
 // U64 appends a little-endian uint64.
-func (e *Encoder) U64(v uint64) { e.buf = binary.LittleEndian.AppendUint64(e.buf, v) }
+func (e *Encoder) U64(v uint64) {
+	e.reserve(8)
+	e.buf = binary.LittleEndian.AppendUint64(e.buf, v)
+}
 
 // I64 appends a little-endian int64.
 func (e *Encoder) I64(v int64) { e.U64(uint64(v)) }
@@ -49,17 +101,33 @@ func (e *Encoder) Bool(v bool) {
 // Floats appends a length-prefixed []float64.
 func (e *Encoder) Floats(v []float64) {
 	e.U64(uint64(len(v)))
-	for _, x := range v {
-		e.F64(x)
+	e.floats(v)
+}
+
+// floats appends v's bit patterns, a buffer's worth at a time.
+func (e *Encoder) floats(v []float64) {
+	for len(v) > 0 {
+		dst := e.words(len(v))
+		k := len(dst) / 8
+		for _, x := range v[:k] {
+			binary.LittleEndian.PutUint64(dst, math.Float64bits(x))
+			dst = dst[8:]
+		}
+		v = v[k:]
 	}
 }
 
 // Ints appends a length-prefixed []int as int64s.
 func (e *Encoder) Ints(v []int) {
-	e.buf = slices.Grow(e.buf, 8+8*len(v))
 	e.U64(uint64(len(v)))
-	for _, x := range v {
-		e.I64(int64(x))
+	for len(v) > 0 {
+		dst := e.words(len(v))
+		k := len(dst) / 8
+		for _, x := range v[:k] {
+			binary.LittleEndian.PutUint64(dst, uint64(int64(x)))
+			dst = dst[8:]
+		}
+		v = v[k:]
 	}
 }
 
@@ -77,21 +145,17 @@ func (e *Encoder) Matrix(m *vec.Matrix) {
 // row-major data is parts laid end to end, for a caller that stores its
 // rows in blocks. The parts must hold exactly rows·cols values.
 func (e *Encoder) MatrixParts(rows, cols int, parts ...[]float64) {
-	// One growth, not log₂(size) of them each copying what came before: a
-	// 10⁵×50 catalog is 40 MB, and a checkpoint encodes it under the
-	// server's lock.
-	e.buf = slices.Grow(e.buf, 16+8*rows*cols)
-	e.U64(uint64(rows))
-	e.U64(uint64(cols))
 	n := 0
 	for _, p := range parts {
 		n += len(p)
-		for _, x := range p {
-			e.F64(x)
-		}
 	}
 	if n != rows*cols {
 		panic(fmt.Sprintf("snap: MatrixParts got %d values for %d×%d", n, rows, cols))
+	}
+	e.U64(uint64(rows))
+	e.U64(uint64(cols))
+	for _, p := range parts {
+		e.floats(p)
 	}
 }
 

@@ -106,67 +106,118 @@ func (f *File) Section(tag string) ([]byte, bool) {
 	return nil, false
 }
 
-// Builder accumulates sections for a fexsnap file. The zero value is
-// ready to use.
+// Builder accumulates sections for a fexsnap file and writes them in
+// the order they were added. The zero value is ready to use.
 type Builder struct {
-	secs []Section
+	parts []part
 }
 
-// Section appends a section whose payload is produced by fn writing
-// into a fresh Encoder.
+// part is one section of a Builder: a payload, or the fn that encodes
+// it.
+type part struct {
+	Section
+	fn func(e *Encoder)
+}
+
+// Section appends a section whose payload fn encodes. Flush runs fn
+// twice, on two encoders: once to learn the payload's length and CRC,
+// once to write it. fn must therefore be a pure read of state that
+// does not change between the two runs, encoding the same bytes both
+// times; Flush refuses a section whose two runs differ in length.
 func (b *Builder) Section(tag string, fn func(e *Encoder)) {
-	e := &Encoder{}
-	fn(e)
-	b.secs = append(b.secs, Section{Tag: tag, Payload: e.Bytes()})
+	b.parts = append(b.parts, part{Section: Section{Tag: tag}, fn: fn})
 }
 
 // Raw appends a pre-encoded section (used for nested containers and by
 // the fixture generator).
 func (b *Builder) Raw(tag string, payload []byte) {
-	b.secs = append(b.secs, Section{Tag: tag, Payload: payload})
+	b.parts = append(b.parts, part{Section: Section{Tag: tag, Payload: payload}})
 }
 
-// Flush writes the assembled container to w.
+// Flush writes the assembled container to w. Each encoded section
+// streams through one buffer of 64 KiB: a checksum pass, the section
+// header, then a write pass. The file bytes are those of Write over the
+// encoded payloads.
 func (b *Builder) Flush(w io.Writer) error {
-	return Write(w, b.secs)
-}
-
-// Write emits a complete fexsnap/v1 container holding the given
-// sections (in order), including header, per-section checksums,
-// alignment padding, and the end marker.
-func Write(w io.Writer, sections []Section) error {
 	var hdr [16]byte
 	copy(hdr[:8], magic)
 	putU32(hdr[8:12], version)
 	if _, err := w.Write(hdr[:]); err != nil {
 		return err
 	}
-	for _, s := range sections {
-		if len(s.Tag) > tagLen {
-			return fmt.Errorf("snap: section tag %q longer than %d bytes", s.Tag, tagLen)
+	var buf []byte
+	for _, p := range b.parts {
+		if len(p.Tag) > tagLen {
+			return fmt.Errorf("snap: section tag %q longer than %d bytes", p.Tag, tagLen)
 		}
-		if s.Tag == endTag {
+		if p.Tag == endTag {
 			return fmt.Errorf("snap: section tag %q is reserved", endTag)
 		}
-		if err := writeSection(w, s.Tag, s.Payload); err != nil {
+		if p.fn == nil {
+			if err := writeSection(w, p.Tag, p.Payload); err != nil {
+				return err
+			}
+			continue
+		}
+		if buf == nil {
+			buf = make([]byte, 0, chunk)
+		}
+		sum := crc32.NewIEEE()
+		e := Encoder{buf: buf, sink: sum}
+		p.fn(&e)
+		e.flush()
+		length := e.n
+		if err := writeSectionHeader(w, p.Tag, length, sum.Sum32()); err != nil {
+			return err
+		}
+		e = Encoder{buf: buf, sink: w}
+		p.fn(&e)
+		e.flush()
+		if e.err != nil {
+			return e.err
+		}
+		if e.n != length {
+			return fmt.Errorf("snap: section %q encoded %d bytes, then %d: its fn is not a pure read", p.Tag, length, e.n)
+		}
+		if err := writePadding(w, length); err != nil {
 			return err
 		}
 	}
 	return writeSection(w, endTag, nil)
 }
 
+// Write emits a complete fexsnap/v1 container holding the given
+// sections (in order), including header, per-section checksums,
+// alignment padding, and the end marker.
+func Write(w io.Writer, sections []Section) error {
+	b := Builder{parts: make([]part, len(sections))}
+	for i, s := range sections {
+		b.parts[i].Section = s
+	}
+	return b.Flush(w)
+}
+
 func writeSection(w io.Writer, tag string, payload []byte) error {
-	var hdr [24]byte
-	copy(hdr[:tagLen], tag)
-	putU64(hdr[8:16], uint64(len(payload)))
-	putU32(hdr[16:20], crc32.ChecksumIEEE(payload))
-	if _, err := w.Write(hdr[:]); err != nil {
+	if err := writeSectionHeader(w, tag, len(payload), crc32.ChecksumIEEE(payload)); err != nil {
 		return err
 	}
 	if _, err := w.Write(payload); err != nil {
 		return err
 	}
-	if pad := padding(len(payload)); pad > 0 {
+	return writePadding(w, len(payload))
+}
+
+func writeSectionHeader(w io.Writer, tag string, length int, crc uint32) error {
+	var hdr [24]byte
+	copy(hdr[:tagLen], tag)
+	putU64(hdr[8:16], uint64(length))
+	putU32(hdr[16:20], crc)
+	_, err := w.Write(hdr[:])
+	return err
+}
+
+func writePadding(w io.Writer, length int) error {
+	if pad := padding(length); pad > 0 {
 		var zeros [8]byte
 		if _, err := w.Write(zeros[:pad]); err != nil {
 			return err

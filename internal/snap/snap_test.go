@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
 
 	"fexipro/internal/vec"
@@ -368,6 +371,64 @@ func TestBuilderSections(t *testing.T) {
 	}
 	if p, ok := f.Section("raw"); !ok || !bytes.Equal(p, []byte{9}) {
 		t.Fatalf("raw payload = %v, %v", p, ok)
+	}
+}
+
+// chunkWriter records the largest single write it is handed and fails
+// every write after failAfter bytes (never, when failAfter is 0).
+type chunkWriter struct {
+	n, largest, failAfter int
+}
+
+func (w *chunkWriter) Write(p []byte) (int, error) {
+	if w.failAfter > 0 && w.n+len(p) > w.failAfter {
+		return 0, errors.New("disk full")
+	}
+	w.n += len(p)
+	w.largest = max(w.largest, len(p))
+	return len(p), nil
+}
+
+// TestBuilderStreams: a 1 MiB section reaches the writer in pieces of
+// at most the 64 KiB buffer, and its encoding allocates about that
+// buffer, not the payload.
+func TestBuilderStreams(t *testing.T) {
+	m := vec.NewMatrix(1<<14, 8)
+	var b Builder
+	b.Section("big", func(e *Encoder) { e.Matrix(m) })
+	var w chunkWriter
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	if err := b.Flush(&w); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&m1)
+	if w.largest > chunk || w.n < len(m.Data)*8 {
+		t.Fatalf("wrote %d B, largest write %d B; want ≥ %d B in writes ≤ %d B", w.n, w.largest, len(m.Data)*8, chunk)
+	}
+	if got := m1.TotalAlloc - m0.TotalAlloc; got > 2*chunk {
+		t.Fatalf("Flush allocated %d B for a %d B payload", got, len(m.Data)*8)
+	}
+}
+
+// TestBuilderFlushErrors: a writer's error comes back from Flush, and a
+// section fn that encodes different bytes on its two runs is refused
+// rather than written under the other run's length.
+func TestBuilderFlushErrors(t *testing.T) {
+	var b Builder
+	b.Section("big", func(e *Encoder) { e.Floats(make([]float64, 1<<14)) })
+	if err := b.Flush(&chunkWriter{failAfter: 100 << 10}); err == nil || err.Error() != "disk full" {
+		t.Fatalf("Flush into a failing writer: %v", err)
+	}
+
+	runs := 0
+	var impure Builder
+	impure.Section("impure", func(e *Encoder) {
+		runs++
+		e.Ints(make([]int, runs))
+	})
+	if err := impure.Flush(io.Discard); err == nil || !strings.Contains(err.Error(), "not a pure read") {
+		t.Fatalf("Flush of an impure section: %v", err)
 	}
 }
 
