@@ -51,10 +51,14 @@ vet:
 
 ## cross: build and vet for a target with no assembly — internal/vec's
 ## AVX2 kernels are amd64-only and every other GOARCH runs their plain-Go
-## bodies. Needs no network and no second toolchain.
+## bodies — and for one that is not Linux, where internal/snap's WAL
+## syncs with fsync instead of fdatasync (wal_other.go). Needs no network
+## and no second toolchain.
 cross:
 	GOARCH=arm64 $(GO) build ./...
 	GOARCH=arm64 $(GO) vet ./...
+	GOOS=darwin GOARCH=arm64 $(GO) build ./...
+	GOOS=darwin GOARCH=arm64 $(GO) vet ./internal/snap
 
 ## lint: project-specific static analysis. fexlint's eight analyzers
 ## enforce FEXIPRO's exactness, concurrency, and reproducibility

@@ -59,7 +59,7 @@
 // mutation is appended to the WAL before the HTTP response is sent.
 // -checkpoint-every N snapshots and truncates the WAL every N
 // mutations; SIGTERM always checkpoints after draining, so a restart
-// replays nothing and loses nothing. -wal-sync-every batches fsyncs.
+// replays nothing and loses nothing. -wal-sync-every batches WAL syncs.
 // SIGHUP reloads the -items factor file: the replacement index builds
 // in the background while searches keep answering, then swaps in and is
 // checkpointed — readers wait for that write, ≈ 0.1 s at 10⁵ items and
@@ -116,7 +116,7 @@ func main() {
 
 		dataDir         = flag.String("data-dir", "", "persistence directory (DESIGN.md §15): boot recovers the acknowledged catalog from current.snap + dyn.wal and rebuilds the index from it (-items only seeds an empty directory), every acknowledged mutation is write-ahead logged, SIGTERM checkpoints before exit")
 		checkpointEvery = flag.Int("checkpoint-every", 0, "with -data-dir, write a fresh snapshot and truncate the WAL after this many acknowledged mutations (0 = only on shutdown/reload)")
-		walSyncEvery    = flag.Int("wal-sync-every", 1, "with -data-dir, fsync the WAL every Nth append; >1 trades a bounded crash-loss window for mutation throughput")
+		walSyncEvery    = flag.Int("wal-sync-every", 1, "with -data-dir, sync the WAL (fdatasync) every Nth append; >1 trades a bounded crash-loss window for mutation throughput")
 
 		trace       = flag.Bool("trace", false, "collect a per-query span tree (transform, per-shard scans, merge, rebuilds) for every /v1/ request, served at GET /debug/queries (DESIGN.md §13)")
 		slowQueryMs = flag.Float64("slow-query-ms", 0, "with -trace, only queries at least this slow enter the /debug/queries ring (0 records every traced query)")

@@ -219,16 +219,49 @@ func TestRecoverNoSnapshot(t *testing.T) {
 	}
 }
 
+// walTail is how many zero bytes the every-byte tests keep after the
+// log: enough to read as the preallocated tail, and small, so a data
+// directory per offset never holds a whole preallocated file.
+const walTail = 64
+
+// usedWAL returns the length of wal's log: the header and its records,
+// without the zero tail.
+func usedWAL(t *testing.T, wal []byte) int {
+	t.Helper()
+	rp, err := snap.ReplayWAL(bytes.NewReader(wal))
+	if err != nil || rp.Torn {
+		t.Fatalf("replay of the built WAL: %v", err)
+	}
+	return int(rp.ValidLen)
+}
+
+// recoverOnce writes a data directory with the given checkpoint and WAL
+// bytes, recovers it and removes it again, so the every-byte tests hold
+// one directory at a time.
+func recoverOnce(t *testing.T, di *core.DynamicIndex, lastSeq uint64, wal []byte) (*core.Recovered, error) {
+	t.Helper()
+	dir := writeDataDir(t, di, lastSeq, wal)
+	defer func() { _ = os.RemoveAll(dir) }()
+	return openRecovered(dir)
+}
+
 // TestRecoverWALTruncationEveryByte is the headline property: with the
 // checkpoint at mutation 6 and the remaining 12 mutations in the WAL,
-// cut the WAL at EVERY byte offset; recovery must restore exactly the
-// acknowledged prefix the surviving records describe, bit-identical to
-// an in-memory index that applied the same prefix.
+// cut the log at EVERY byte offset — the file ending there, as a log
+// that grew record by record left it, and the same bytes followed by a
+// zero tail, as a crash over the preallocated tail leaves them;
+// recovery must restore exactly the acknowledged prefix the surviving
+// records describe, bit-identical to an in-memory index that applied
+// the same prefix. A cut inside a record also tears it the other way
+// round, as sectors that land out of order do: the record's bytes
+// before the cut still zeros, the ones after it landed, zeros after the
+// record. Recovery must then restore the records before it.
 func TestRecoverWALTruncationEveryByte(t *testing.T) {
 	fx := newRecoverFixture(t)
 	const checkpointAt = 6
 	base := fx.build(t, checkpointAt)
 	wal := buildWAL(t, fx, checkpointAt, 0)
+	used := usedWAL(t, wal)
 
 	// Reference states for every achievable prefix, built once.
 	refs := make([]*core.DynamicIndex, len(fx.muts)+1)
@@ -236,43 +269,84 @@ func TestRecoverWALTruncationEveryByte(t *testing.T) {
 		refs[n] = fx.build(t, n)
 	}
 
-	for cut := 0; cut <= len(wal); cut++ {
-		dir := writeDataDir(t, base, 0, wal[:cut])
-		rec, err := openRecovered(dir)
-		if err != nil {
-			// Only a cut inside the 16-byte WAL header may fail (the file
-			// is not recognizably a WAL); a zero-byte file reads as fresh.
-			if cut == 0 || cut >= 16 {
-				t.Fatalf("cut %d: %v", cut, err)
+	zeroTailed := make([]byte, used+walTail)
+	headZeroed := make([]byte, used+walTail)
+	start, end, records := 16, 16, 0 // the record the cut falls in, and how many end before it
+	for cut := 0; cut <= used; cut++ {
+		if cut >= end && cut < used {
+			start, end = cut, cut+8+int(binary.LittleEndian.Uint32(wal[cut:]))
+			if cut > 16 {
+				records++
 			}
-			if !errors.Is(err, snap.ErrTruncated) && !errors.Is(err, snap.ErrBadMagic) {
-				t.Fatalf("cut %d: untyped error %v", cut, err)
-			}
-			continue
 		}
-		prefix := checkpointAt + rec.Replayed
-		fx.assertSameResults(t, "truncated WAL", rec.Index, refs[prefix])
+		copy(zeroTailed, wal[:cut])
+		clear(zeroTailed[cut:])
+		files := []struct {
+			name string
+			wal  []byte
+		}{{"truncated WAL", wal[:cut]}, {"zero-tailed WAL", zeroTailed}}
+		if cut > start && cut < end {
+			copy(headZeroed, wal[:start])
+			clear(headZeroed[start:])
+			copy(headZeroed[cut:], wal[cut:end])
+			files = append(files, struct {
+				name string
+				wal  []byte
+			}{"WAL torn at its head", headZeroed})
+		}
+		for _, file := range files {
+			rec, err := recoverOnce(t, base, 0, file.wal)
+			if err != nil {
+				// Only a cut inside the 16-byte WAL header may fail (the
+				// file is not recognizably a WAL); a zero-byte file reads
+				// as fresh. Zeros where the dimension belongs are
+				// implausible: ErrChecksum, for the zero-tailed file only.
+				if len(file.wal) == 0 || cut >= 16 {
+					t.Fatalf("%s, cut %d: %v", file.name, cut, err)
+				}
+				if !errors.Is(err, snap.ErrTruncated) && !errors.Is(err, snap.ErrBadMagic) &&
+					(file.name != "zero-tailed WAL" || !errors.Is(err, snap.ErrChecksum)) {
+					t.Fatalf("%s, cut %d: untyped error %v", file.name, cut, err)
+				}
+				continue
+			}
+			// The record is torn unless the bytes it kept are zeros
+			// anyway (the high bytes of a small ID): then the log ends
+			// cleanly before it.
+			if torn := len(bytes.Trim(wal[cut:end], "\x00")) != 0; file.name == "WAL torn at its head" && (rec.Replayed != records || rec.TornTail != torn) {
+				t.Fatalf("%s, cut %d: replayed %d records (torn %v), want the %d before it (torn %v)",
+					file.name, cut, rec.Replayed, rec.TornTail, records, torn)
+			}
+			prefix := checkpointAt + rec.Replayed
+			fx.assertSameResults(t, file.name, rec.Index, refs[prefix])
+		}
 	}
 }
 
-// TestRecoverWALBitFlipEveryByte flips one bit at every post-header WAL
-// offset: recovery must fail typed or restore a true acknowledged
-// prefix — never a silently wrong index.
+// TestRecoverWALBitFlipEveryByte flips one bit at every post-header
+// offset of the log and the first bytes of its zero tail: recovery must
+// fail typed or restore a true acknowledged prefix — never a silently
+// wrong index. Only a flip inside the last record may leave that record
+// out (it reads as torn over the zero tail, DESIGN.md §15.2).
 func TestRecoverWALBitFlipEveryByte(t *testing.T) {
 	fx := newRecoverFixture(t)
 	const checkpointAt = 6
 	base := fx.build(t, checkpointAt)
 	wal := buildWAL(t, fx, checkpointAt, 0)
+	used := usedWAL(t, wal)
+	lastStart := used - 8 - 17 // the last mutation is a delete
+	if !fx.muts[len(fx.muts)-1].del {
+		lastStart = used - 8 - 17 - 8*fx.initial.Cols
+	}
 	refs := make([]*core.DynamicIndex, len(fx.muts)+1)
 	for n := checkpointAt; n <= len(fx.muts); n++ {
 		refs[n] = fx.build(t, n)
 	}
 
-	for off := 16; off < len(wal); off++ {
-		b := append([]byte(nil), wal...)
+	for off := 16; off < used+walTail; off++ {
+		b := append([]byte(nil), wal[:used+walTail]...)
 		b[off] ^= 0x20
-		dir := writeDataDir(t, base, 0, b)
-		rec, err := openRecovered(dir)
+		rec, err := recoverOnce(t, base, 0, b)
 		if err != nil {
 			if !errors.Is(err, snap.ErrChecksum) && !errors.Is(err, snap.ErrTruncated) && !errors.Is(err, snap.ErrBadMagic) {
 				t.Fatalf("flip %d: untyped error %v", off, err)
@@ -280,6 +354,9 @@ func TestRecoverWALBitFlipEveryByte(t *testing.T) {
 			continue
 		}
 		prefix := checkpointAt + rec.Replayed
+		if prefix != len(fx.muts) && (prefix != len(fx.muts)-1 || off < lastStart || off >= used) {
+			t.Fatalf("flip %d: recovered %d of %d mutations", off, prefix, len(fx.muts))
+		}
 		fx.assertSameResults(t, "flipped WAL", rec.Index, refs[prefix])
 	}
 }

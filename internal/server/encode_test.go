@@ -99,3 +99,17 @@ func TestSearchReplyBytes(t *testing.T) {
 		t.Errorf("appendJSON onto a non-empty buffer wrote %s", got)
 	}
 }
+
+// TestAddedReplyBytes: the answer to an add is what encoding/json's
+// Encoder wrote for map[string]int{"id": n}, byte for byte.
+func TestAddedReplyBytes(t *testing.T) {
+	for _, id := range []int{0, 1, 9, 10, 99999, 100000, -1, math.MaxInt64, math.MinInt64} {
+		var want bytes.Buffer
+		if err := json.NewEncoder(&want).Encode(map[string]int{"id": id}); err != nil {
+			t.Fatal(err)
+		}
+		if got := appendAddedJSON(nil, id); !bytes.Equal(got, want.Bytes()) {
+			t.Errorf("id %d: %q, want %q", id, got, want.Bytes())
+		}
+	}
+}

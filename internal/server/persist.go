@@ -165,7 +165,7 @@ func snapshotBytes(dir string) float64 {
 	return float64(st.Size())
 }
 
-// ClosePersistence fsyncs and closes the WAL. The server must not
+// ClosePersistence syncs and closes the WAL. The server must not
 // acknowledge further mutations afterwards; fexserve calls it after the
 // final checkpoint on shutdown.
 func (s *Server) ClosePersistence() error {

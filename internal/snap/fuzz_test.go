@@ -6,6 +6,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"reflect"
 	"testing"
 
 	"fexipro/internal/vec"
@@ -58,19 +59,25 @@ func FuzzSnapshotLoad(f *testing.F) {
 
 // FuzzWALReplay feeds arbitrary bytes to the WAL scanner: typed error
 // or a prefix-consistent replay, never a panic, and never a record the
-// bytes do not fully back.
+// bytes do not fully back. Zeros appended to a log that replays cleanly
+// are a preallocated tail: they change neither its records nor its
+// length.
 func FuzzWALReplay(f *testing.F) {
 	var hdr [walHdrLen]byte
 	copy(hdr[:8], walMagic)
 	putU32(hdr[8:12], walVersion)
 	putU32(hdr[12:16], 2)
 	log := append([]byte(nil), hdr[:]...)
-	log = append(log, encodeWALRecord(WALRecord{Seq: 1, Op: WALAdd, ID: 7, Vec: []float64{1, 2}}, 2)...)
-	log = append(log, encodeWALRecord(WALRecord{Seq: 2, Op: WALDelete, ID: 7}, 2)...)
+	log = append(log, appendWALRecord(nil, WALRecord{Seq: 1, Op: WALAdd, ID: 7, Vec: []float64{1, 2}})...)
+	log = append(log, appendWALRecord(nil, WALRecord{Seq: 2, Op: WALDelete, ID: 7})...)
 	f.Add(log)
 	f.Add(log[:len(log)-3])
 	f.Add(hdr[:])
 	f.Add([]byte{})
+	zeros := make([]byte, 64)
+	f.Add(append(append([]byte(nil), log...), zeros...))                   // a zero tail
+	f.Add(append(append([]byte(nil), log[:len(log)-3]...), zeros[:35]...)) // torn over zeros
+	f.Add(append(append([]byte(nil), hdr[:]...), zeros[:5]...))            // a reset cut short
 	f.Fuzz(func(t *testing.T, data []byte) {
 		rp, err := ReplayWAL(bytes.NewReader(data))
 		if err != nil {
@@ -78,6 +85,15 @@ func FuzzWALReplay(f *testing.F) {
 				t.Fatalf("untyped error: %v", err)
 			}
 			return
+		}
+		if !rp.Torn {
+			for _, n := range []int{3, 8, 1 + len(data)%61} {
+				padded := append(append([]byte(nil), data...), make([]byte, n)...)
+				zp, err := ReplayWAL(bytes.NewReader(padded))
+				if err != nil || zp.Torn || zp.ValidLen != rp.ValidLen || !reflect.DeepEqual(zp.Records, rp.Records) {
+					t.Fatalf("%d zeros appended to a clean log of ValidLen %d: %+v, %v", n, rp.ValidLen, zp, err)
+				}
+			}
 		}
 		if rp.ValidLen < walHdrLen || rp.ValidLen > int64(len(data)) {
 			t.Fatalf("ValidLen %d outside [%d, %d]", rp.ValidLen, walHdrLen, len(data))

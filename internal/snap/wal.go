@@ -28,15 +28,28 @@ import (
 //	    id  i64      catalog ID (the ID an add WILL be assigned)
 //	    vec [dim]f64 add records only
 //
-// Replay semantics are the heart of crash recovery:
+// The writer keeps the file zero-filled past its last record (the
+// preallocated tail, walSegment bytes at a time) and writes each record
+// over those zeros, so an append changes no file size and its
+// fdatasync has no metadata to journal. Replay semantics are the heart
+// of crash recovery:
 //
 //   - A record cut short at the tail (torn write: the crash-normal
 //     case, since appends are sequential) terminates replay; the intact
 //     prefix is returned with Torn set. Recovery from a WAL truncated
 //     at ANY byte offset therefore yields a prefix of the acknowledged
 //     mutation sequence — never an invented or reordered one.
-//   - A complete record whose CRC does not match (a bit flip, not a
-//     torn write — torn writes can only shorten the tail) is
+//   - An all-zero record header followed by nothing but zeros ends the
+//     log: that is the preallocated tail.
+//   - A crash can also tear the record being written over the zero
+//     tail in no set order: its sectors reach the disk independently,
+//     so some of its bytes land and zeros stay in place of the rest.
+//     Hence an all-zero header or a CRC-bad record, when every non-zero
+//     byte from its start lies within one maximal record and no intact
+//     record lies among them, is a torn tail: Torn, as above.
+//   - Anything else where a record should be — zeros or a CRC-bad
+//     record with more data after them (a hole or a bit flip mid-log,
+//     not a torn write: torn writes only touch the last record) — is
 //     corruption: replay fails with ErrChecksum rather than guessing.
 //   - Sequence numbers must increase by exactly 1; a gap means records
 //     were lost in the middle and replay fails with ErrChecksum.
@@ -64,7 +77,14 @@ const (
 	// maxWALDim bounds the dimensionality a WAL header may declare, so
 	// a corrupt header cannot make replay allocate huge vectors.
 	maxWALDim = 1 << 16
+	// walSegment is the unit of preallocation: a new or reset log is
+	// zero-filled to walSegment bytes, and a record that does not fit
+	// extends the file to the next multiple of it.
+	walSegment = 64 << 10
 )
+
+// walZeros is the source of every zero the WAL writes.
+var walZeros [4 << 10]byte
 
 // WALReplay is the outcome of scanning a WAL file.
 type WALReplay struct {
@@ -110,11 +130,13 @@ func ReplayWAL(r io.Reader) (*WALReplay, error) {
 		var rhdr [8]byte
 		n, err := io.ReadFull(r, rhdr[:])
 		if err != nil {
-			if n == 0 && errors.Is(err, io.EOF) {
-				return rp, nil // clean end at a record boundary
-			}
-			rp.Torn = true // header cut short: torn tail
+			// EOF at a record boundary, or inside the zero tail, is a
+			// clean end; any other header cut short is a torn tail.
+			rp.Torn = !allZero(rhdr[:n])
 			return rp, nil
+		}
+		if rhdr == [8]byte{} {
+			return rp.endAt(r, rhdr[:], maxPayload, fmt.Sprintf("zero header after record %d is followed by data", len(rp.Records)))
 		}
 		length := int(getU32(rhdr[:4]))
 		crc := getU32(rhdr[4:8])
@@ -130,8 +152,7 @@ func ReplayWAL(r io.Reader) (*WALReplay, error) {
 			return rp, nil
 		}
 		if got := crc32.ChecksumIEEE(payload); got != crc {
-			return nil, fmt.Errorf("%w: WAL record %d crc %08x, want %08x",
-				ErrChecksum, len(rp.Records)+1, got, crc)
+			return rp.endAt(r, append(rhdr[:], payload...), maxPayload, fmt.Sprintf("record %d crc %08x, want %08x", len(rp.Records)+1, got, crc))
 		}
 		rec, err := decodeWALRecord(payload, dim)
 		if err != nil {
@@ -145,6 +166,85 @@ func ReplayWAL(r io.Reader) (*WALReplay, error) {
 	}
 }
 
+// endAt decides a log whose bytes at rp.ValidLen are not an intact
+// record; seen holds what was read of them. They are the preallocated
+// tail when they and everything after them are zero, and a torn tail
+// when every non-zero byte lies within one maximal record of the start
+// and none of them is an intact record. Anything else is damage inside
+// the log, described by what and the offset it starts at.
+func (rp *WALReplay) endAt(r io.Reader, seen []byte, maxPayload int, what string) (*WALReplay, error) {
+	what = fmt.Sprintf("%s at byte %d", what, rp.ValidLen)
+	win := make([]byte, 8+maxPayload)
+	n := copy(win, seen)
+	m, err := io.ReadFull(r, win[n:])
+	if err != nil && !errors.Is(err, io.EOF) && !errors.Is(err, io.ErrUnexpectedEOF) {
+		return nil, walTailErr(err, what)
+	}
+	win = win[:n+m]
+	zero, err := zeroToEOF(r)
+	switch {
+	case err != nil || !zero:
+		return nil, walTailErr(err, what)
+	case allZero(win):
+		return rp, nil
+	case intactRecordIn(win[1:], rp.Dim):
+		return nil, walTailErr(nil, what+", and an intact record follows it")
+	}
+	rp.Torn = true
+	return rp, nil
+}
+
+// intactRecordIn reports whether a whole record of either size, with a
+// matching CRC, starts at any offset of b.
+func intactRecordIn(b []byte, dim int) bool {
+	for at := 0; at+8 <= len(b); at++ {
+		length := int(getU32(b[at:]))
+		if length != walPayloadLen(WALDelete, dim) && length != walPayloadLen(WALAdd, dim) || at+8+length > len(b) {
+			continue
+		}
+		if crc32.ChecksumIEEE(b[at+8:at+8+length]) == getU32(b[at+4:]) {
+			return true
+		}
+	}
+	return false
+}
+
+// zeroToEOF reads r to its end and reports whether every byte was zero.
+func zeroToEOF(r io.Reader) (bool, error) {
+	buf := make([]byte, len(walZeros))
+	for {
+		n, err := r.Read(buf)
+		if !allZero(buf[:n]) {
+			return false, nil
+		}
+		if errors.Is(err, io.EOF) {
+			return true, nil
+		}
+		if err != nil {
+			return false, err
+		}
+	}
+}
+
+// walTailErr is the typed error for a WAL whose bytes after what ends the
+// log are not all zero (ErrChecksum: corruption, described by what), or
+// could not be read (ErrTruncated).
+func walTailErr(readErr error, what string) error {
+	if readErr != nil {
+		return fmt.Errorf("%w: reading the WAL tail: %v", ErrTruncated, readErr)
+	}
+	return fmt.Errorf("%w: WAL %s", ErrChecksum, what)
+}
+
+func allZero(b []byte) bool {
+	for _, c := range b {
+		if c != 0 {
+			return false
+		}
+	}
+	return true
+}
+
 // walPayloadLen is the exact payload size of a record of the given op.
 func walPayloadLen(op WALOp, dim int) int {
 	if op == WALAdd {
@@ -153,20 +253,23 @@ func walPayloadLen(op WALOp, dim int) int {
 	return 17
 }
 
-func encodeWALRecord(rec WALRecord, dim int) []byte {
-	payload := make([]byte, 0, walPayloadLen(rec.Op, dim))
-	payload = binary.LittleEndian.AppendUint64(payload, rec.Seq)
-	payload = append(payload, byte(rec.Op))
-	payload = binary.LittleEndian.AppendUint64(payload, uint64(rec.ID))
+// appendWALRecord appends rec's framed encoding — length, CRC, payload —
+// to b.
+func appendWALRecord(b []byte, rec WALRecord) []byte {
+	start := len(b)
+	b = append(b, 0, 0, 0, 0, 0, 0, 0, 0) // length and CRC, filled in below
+	b = binary.LittleEndian.AppendUint64(b, rec.Seq)
+	b = append(b, byte(rec.Op))
+	b = binary.LittleEndian.AppendUint64(b, uint64(rec.ID))
 	if rec.Op == WALAdd {
 		for _, v := range rec.Vec {
-			payload = binary.LittleEndian.AppendUint64(payload, math.Float64bits(v))
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
 		}
 	}
-	out := make([]byte, 0, 8+len(payload))
-	out = binary.LittleEndian.AppendUint32(out, uint32(len(payload)))
-	out = binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(payload))
-	return append(out, payload...)
+	payload := b[start+8:]
+	putU32(b[start:], uint32(len(payload)))
+	putU32(b[start+4:], crc32.ChecksumIEEE(payload))
+	return b
 }
 
 func decodeWALRecord(payload []byte, dim int) (WALRecord, error) {
@@ -199,11 +302,12 @@ func decodeWALRecord(payload []byte, dim int) (WALRecord, error) {
 	return rec, nil
 }
 
-// WAL is an open write-ahead log accepting appends. Appends are
-// buffered per record and fsynced every SyncEvery records (and on Sync
-// and Close), batching the dominant durability cost. All methods are
-// safe for concurrent use, though the server serializes appends under
-// its own mutex anyway.
+// WAL is an open write-ahead log accepting appends. Each record is
+// written in place over the preallocated zero tail and made durable with
+// fdatasync (datasync) every SyncEvery records (and on Sync and Close),
+// batching the dominant durability cost. All methods are safe for
+// concurrent use, though the server serializes appends under its own
+// mutex anyway.
 //
 // Lock hierarchy: WAL.mu is held across the fault-hook poll, whose
 // Hook mutex is a leaf — declared here for the lockorder analyzer.
@@ -216,7 +320,16 @@ type WAL struct {
 	dim  int
 	//fex:guard mu
 	nextSeq uint64
-	// syncEvery batches fsyncs: 1 = fsync per append (full durability),
+	// off is where the next record goes; end is the file's size, and
+	// every byte of [off, end) is zero.
+	//fex:guard mu
+	off int64
+	//fex:guard mu
+	end int64
+	// buf holds the record being appended, reused by every append.
+	//fex:guard mu
+	buf []byte
+	// syncEvery batches syncs: 1 = sync per append (full durability),
 	// N > 1 amortizes at the cost of the last N-1 acks on power loss.
 	syncEvery int
 	//fex:guard mu
@@ -229,13 +342,15 @@ type WAL struct {
 // OpenWAL opens (or creates) the WAL at path for appending. dim is the
 // item dimensionality; baseSeq is the sequence number the owning
 // snapshot is checkpointed at (records continue at baseSeq+1).
-// syncEvery ≤ 0 means fsync on every append.
+// syncEvery ≤ 0 means a sync on every append.
 //
-// An existing file is fully replayed and validated first; a torn tail
-// (crash mid-append) is truncated away — exactly the prefix-consistent
-// repair the replay semantics promise — while genuine corruption fails
-// with a typed error. The replay result is returned so callers can
-// re-apply records newer than their snapshot.
+// A new file is written as its header and a zero tail up to walSegment
+// bytes, and synced. An existing file is fully replayed and validated
+// first; a torn tail (crash mid-append) is truncated away — exactly the
+// prefix-consistent repair the replay semantics promise — and the zero
+// tail written again after it, while genuine corruption fails with a
+// typed error. The replay result is returned so callers can re-apply
+// records newer than their snapshot.
 func OpenWAL(path string, dim, syncEvery int, baseSeq uint64) (*WAL, *WALReplay, error) {
 	if dim < 1 || dim > maxWALDim {
 		return nil, nil, fmt.Errorf("snap: WAL dimension %d out of range [1, %d]", dim, maxWALDim)
@@ -253,33 +368,10 @@ func OpenWAL(path string, dim, syncEvery int, baseSeq uint64) (*WAL, *WALReplay,
 		return nil, nil, err
 	}
 	w := &WAL{f: f, path: path, dim: dim, syncEvery: syncEvery}
-	var rp *WALReplay
-	if st.Size() == 0 {
-		if err := w.writeHeader(); err != nil {
-			_ = f.Close()
-			return nil, nil, err
-		}
-		rp = &WALReplay{Dim: dim, ValidLen: walHdrLen}
-	} else {
-		rp, err = ReplayWAL(f)
-		if err != nil {
-			_ = f.Close()
-			return nil, nil, err
-		}
-		if rp.Dim != dim {
-			_ = f.Close()
-			return nil, nil, fmt.Errorf("%w: WAL dimension %d, index has %d", ErrChecksum, rp.Dim, dim)
-		}
-		if rp.Torn {
-			if err := f.Truncate(rp.ValidLen); err != nil {
-				_ = f.Close()
-				return nil, nil, err
-			}
-		}
-		if _, err := f.Seek(rp.ValidLen, io.SeekStart); err != nil {
-			_ = f.Close()
-			return nil, nil, err
-		}
+	rp, err := w.open(st.Size())
+	if err != nil {
+		_ = f.Close()
+		return nil, nil, err
 	}
 	w.nextSeq = rp.LastSeq() + 1
 	if baseSeq+1 > w.nextSeq {
@@ -288,15 +380,64 @@ func OpenWAL(path string, dim, syncEvery int, baseSeq uint64) (*WAL, *WALReplay,
 	return w, rp, nil
 }
 
-func (w *WAL) writeHeader() error {
-	var hdr [walHdrLen]byte
-	copy(hdr[:8], walMagic)
-	putU32(hdr[8:12], walVersion)
-	putU32(hdr[12:16], uint32(w.dim))
-	if _, err := w.f.Write(hdr[:]); err != nil {
+// open formats an empty file or replays and repairs an existing one of
+// the given size, leaving off and end set.
+func (w *WAL) open(size int64) (*WALReplay, error) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if size == 0 {
+		var hdr [walHdrLen]byte
+		copy(hdr[:8], walMagic)
+		putU32(hdr[8:12], walVersion)
+		putU32(hdr[12:16], uint32(w.dim))
+		if _, err := w.f.WriteAt(hdr[:], 0); err != nil {
+			return nil, err
+		}
+		w.off, w.end = walHdrLen, walHdrLen
+		return &WALReplay{Dim: w.dim, ValidLen: walHdrLen}, w.extendLocked(walSegment)
+	}
+	rp, err := ReplayWAL(io.NewSectionReader(w.f, 0, size))
+	if err != nil {
+		return nil, err
+	}
+	if rp.Dim != w.dim {
+		return nil, fmt.Errorf("%w: WAL dimension %d, index has %d", ErrChecksum, rp.Dim, w.dim)
+	}
+	w.off, w.end = rp.ValidLen, size
+	if rp.Torn {
+		// Cut the torn record off before zeroing again: a shorter record
+		// written over it later must not leave its bytes behind, and no
+		// crash may leave it half zeroed with data after it.
+		if err := w.f.Truncate(rp.ValidLen); err != nil {
+			return nil, err
+		}
+		w.end = rp.ValidLen
+		return rp, w.extendLocked(walExtent(rp.ValidLen + 1))
+	}
+	return rp, nil
+}
+
+// walExtent is n rounded up to a whole number of segments.
+func walExtent(n int64) int64 {
+	return (n + walSegment - 1) / walSegment * walSegment
+}
+
+// extendLocked writes zeros from end to size and syncs the file with
+// fsync, which also makes the new size durable. A failure breaks the WAL.
+func (w *WAL) extendLocked(size int64) error {
+	for w.end < size {
+		n := min(size-w.end, int64(len(walZeros)))
+		if _, err := w.f.WriteAt(walZeros[:n], w.end); err != nil {
+			w.broken = err
+			return err
+		}
+		w.end += n
+	}
+	if err := w.f.Sync(); err != nil {
+		w.broken = err
 		return err
 	}
-	return w.f.Sync()
+	return nil
 }
 
 // Path returns the file the WAL writes to.
@@ -340,18 +481,24 @@ func (w *WAL) Append(op WALOp, id int64, item []float64) (uint64, error) {
 	if op == WALAdd && len(item) != w.dim {
 		return 0, fmt.Errorf("snap: add record dim %d, WAL has %d", len(item), w.dim)
 	}
-	rec := WALRecord{Seq: w.nextSeq, Op: op, ID: id, Vec: item}
-	enc := encodeWALRecord(rec, w.dim)
-	if h := w.hook; h != nil {
-		//lint:ignore locks the fault hook must fire inside the append critical section to model a torn write at the exact record boundary (test-only injection)
-		if err := w.pollHookLocked(h, enc); err != nil {
+	seq := w.nextSeq
+	w.buf = appendWALRecord(w.buf[:0], WALRecord{Seq: seq, Op: op, ID: id, Vec: item})
+	if need := w.off + int64(len(w.buf)); need > w.end {
+		if err := w.extendLocked(walExtent(need)); err != nil {
 			return 0, err
 		}
 	}
-	if _, err := w.f.Write(enc); err != nil {
+	if h := w.hook; h != nil {
+		//lint:ignore locks the fault hook must fire inside the append critical section to model a torn write at the exact record boundary (test-only injection)
+		if err := w.pollHookLocked(h, w.buf); err != nil {
+			return 0, err
+		}
+	}
+	if _, err := w.f.WriteAt(w.buf, w.off); err != nil {
 		w.broken = err
 		return 0, err
 	}
+	w.off += int64(len(w.buf))
 	w.nextSeq++
 	w.appended++
 	w.unsynced++
@@ -360,16 +507,18 @@ func (w *WAL) Append(op WALOp, id int64, item []float64) (uint64, error) {
 			return 0, err
 		}
 	}
-	return rec.Seq, nil
+	return seq, nil
 }
 
 // pollHookLocked consults the fault hook, tearing the write on failure or
-// panic: half the encoded record hits the file (best-effort, synced),
-// the WAL marks itself failed, and the fault propagates.
+// panic: the first half of the encoded record is written over the zero
+// tail (best-effort, synced), the WAL marks itself failed, and the fault
+// propagates.
 func (w *WAL) pollHookLocked(h *faults.Hook, enc []byte) error {
+	off := w.off
 	tear := func(cause error) {
-		_, _ = w.f.Write(enc[:len(enc)/2])
-		_ = w.f.Sync()
+		_, _ = w.f.WriteAt(enc[:len(enc)/2], off)
+		_ = datasync(w.f)
 		w.broken = cause
 	}
 	defer func() {
@@ -403,7 +552,7 @@ func (w *WAL) syncLocked() error {
 	if w.unsynced == 0 {
 		return nil
 	}
-	if err := w.f.Sync(); err != nil {
+	if err := datasync(w.f); err != nil {
 		w.broken = err
 		return err
 	}
@@ -412,9 +561,12 @@ func (w *WAL) syncLocked() error {
 }
 
 // Reset truncates the log back to its header after a successful
-// checkpoint at baseSeq. Sequence numbers continue from baseSeq+1, so
-// records that race a checkpoint remain identifiable (recovery skips
-// anything at or below the snapshot's sequence).
+// checkpoint at baseSeq and preallocates its zero tail again. Sequence
+// numbers continue from baseSeq+1, so records that race a checkpoint
+// remain identifiable (recovery skips anything at or below the
+// snapshot's sequence). The records are cut off, never zeroed in place:
+// a crash midway then leaves the old log or a header with zeros, never
+// a damaged record with data after it.
 func (w *WAL) Reset(baseSeq uint64) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -425,12 +577,8 @@ func (w *WAL) Reset(baseSeq uint64) error {
 		w.broken = err
 		return err
 	}
-	if _, err := w.f.Seek(walHdrLen, io.SeekStart); err != nil {
-		w.broken = err
-		return err
-	}
-	if err := w.f.Sync(); err != nil {
-		w.broken = err
+	w.off, w.end = walHdrLen, walHdrLen
+	if err := w.extendLocked(walSegment); err != nil {
 		return err
 	}
 	w.unsynced = 0

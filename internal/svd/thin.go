@@ -51,29 +51,8 @@ func (t *Thin) TransformQueryInto(dst, q []float64) {
 	if len(q) != d || len(dst) != d {
 		panic(fmt.Sprintf("svd: TransformQuery dim mismatch: %d into %d vs %d", len(q), len(dst), d))
 	}
-	clear(dst)
 	// dst[j] = σ_j * Σ_i U[i][j]·q[i]
-	for i := 0; i < d; i++ {
-		qi := q[i]
-		if qi == 0 {
-			continue
-		}
-		// Four columns a pass over slices of one length, so no index is
-		// checked; each dst[j] still sees its d products in row order.
-		out, urow := dst, t.U.Row(i)[:len(dst)]
-		for ; len(out) >= 4 && len(urow) >= 4; out, urow = out[4:], urow[4:] {
-			out[0] += urow[0] * qi
-			out[1] += urow[1] * qi
-			out[2] += urow[2] * qi
-			out[3] += urow[3] * qi
-		}
-		for j := range out {
-			out[j] += urow[j] * qi
-		}
-	}
-	for j, s := range t.Sigma[:len(dst)] {
-		dst[j] *= s
-	}
+	vec.TransformQuery(dst, t.U, q, t.Sigma)
 }
 
 // Decompose computes the thin SVD of the item collection. items is the

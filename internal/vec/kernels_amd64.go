@@ -167,3 +167,17 @@ func packPanels(other *Matrix, scale []float64) (panels, padded []float64, mask 
 //
 //go:noescape
 func mulBlocksAVX2(out, m, panels, scale []float64, mask *[8]int64, blocks, inner, cols int)
+
+func transformQuery(dst []float64, u *Matrix, q, scale []float64) {
+	if active == Portable || len(dst) == 0 || len(q) == 0 {
+		transformGo(dst, u, q, scale)
+		return
+	}
+	transformAVX2(dst, u.Data, q, scale, u.Cols)
+}
+
+// transformAVX2 is transformGo for len(dst) ≥ 1 and len(q) ≥ 1, u's rows
+// stride values apart.
+//
+//go:noescape
+func transformAVX2(dst, u, q, scale []float64, stride int)

@@ -629,3 +629,134 @@ mulNext:
 	JNZ  mulBlock
 	VZEROUPPER
 	RET
+
+// Lanes to keep for a last pass of 1–3 columns: the four qwords from
+// entry 3 − r on have r lanes set.
+DATA transformMask<>+0(SB)/8, $-1
+DATA transformMask<>+8(SB)/8, $-1
+DATA transformMask<>+16(SB)/8, $-1
+DATA transformMask<>+24(SB)/8, $0
+DATA transformMask<>+32(SB)/8, $0
+DATA transformMask<>+40(SB)/8, $0
+DATA transformMask<>+48(SB)/8, $0
+GLOBL transformMask<>(SB), RODATA|NOPTR, $56
+
+// func transformAVX2(dst, u, q, scale []float64, stride int)
+//
+// transformGo with its sums in registers: 16 columns a pass (Y0–Y3), then
+// 4 (Y0), then the last 1–3 under a mask (Y13). Each pass walks the rows
+// in increasing i; a q[i] that compares equal to zero (VUCOMISD: ZF set,
+// PF clear — a NaN is unordered and taken, as Go's == leaves it) skips its
+// row, and any other is broadcast (Y4) and multiplied by the row's
+// columns, each product added into its sum. The sums start at +0 and are
+// multiplied by scale before the store.
+TEXT ·transformAVX2(SB), NOSPLIT, $0-104
+	MOVQ   dst_base+0(FP), DI
+	MOVQ   dst_len+8(FP), R8          // columns left
+	MOVQ   u_base+24(FP), R9          // u at the pass's first column
+	MOVQ   q_base+48(FP), R10
+	MOVQ   q_len+56(FP), R11
+	MOVQ   scale_base+72(FP), R12
+	MOVQ   stride+96(FP), BX
+	SHLQ   $3, BX                     // one row of u, in bytes
+	VXORPD X14, X14, X14
+
+t16:
+	CMPQ   R8, $16
+	JLT    t4
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	MOVQ   R9, SI
+	MOVQ   R10, DX
+	MOVQ   R11, CX
+
+t16Row:
+	VMOVSD       (DX), X4
+	VUCOMISD     X14, X4
+	JNE          t16Use
+	JPS          t16Use
+	JMP          t16Next
+
+t16Use:
+	VBROADCASTSD X4, Y4
+	VMULPD       (SI), Y4, Y5
+	VMULPD       32(SI), Y4, Y6
+	VMULPD       64(SI), Y4, Y7
+	VMULPD       96(SI), Y4, Y8
+	VADDPD       Y5, Y0, Y0
+	VADDPD       Y6, Y1, Y1
+	VADDPD       Y7, Y2, Y2
+	VADDPD       Y8, Y3, Y3
+
+t16Next:
+	ADDQ    BX, SI
+	ADDQ    $8, DX
+	DECQ    CX
+	JNZ     t16Row
+	VMULPD  (R12), Y0, Y0
+	VMULPD  32(R12), Y1, Y1
+	VMULPD  64(R12), Y2, Y2
+	VMULPD  96(R12), Y3, Y3
+	VMOVUPD Y0, (DI)
+	VMOVUPD Y1, 32(DI)
+	VMOVUPD Y2, 64(DI)
+	VMOVUPD Y3, 96(DI)
+	ADDQ    $128, DI
+	ADDQ    $128, R9
+	ADDQ    $128, R12
+	SUBQ    $16, R8
+	JMP     t16
+
+t4:
+	TESTQ  R8, R8
+	JZ     tDone
+	LEAQ   transformMask<>(SB), AX
+	CMPQ   R8, $4
+	JGE    t4All
+	MOVQ   $3, CX
+	SUBQ   R8, CX
+	VMOVDQU (AX)(CX*8), Y13           // the last pass: R8 lanes
+	JMP    t4Pass
+
+t4All:
+	VPCMPEQQ Y13, Y13, Y13            // every lane
+
+t4Pass:
+	VXORPD Y0, Y0, Y0
+	MOVQ   R9, SI
+	MOVQ   R10, DX
+	MOVQ   R11, CX
+
+t4Row:
+	VMOVSD       (DX), X4
+	VUCOMISD     X14, X4
+	JNE          t4Use
+	JPS          t4Use
+	JMP          t4Next
+
+t4Use:
+	VBROADCASTSD X4, Y4
+	VMASKMOVPD   (SI), Y13, Y5
+	VMULPD       Y5, Y4, Y5
+	VADDPD       Y5, Y0, Y0
+
+t4Next:
+	ADDQ       BX, SI
+	ADDQ       $8, DX
+	DECQ       CX
+	JNZ        t4Row
+	VMASKMOVPD (R12), Y13, Y5
+	VMULPD     Y5, Y0, Y0
+	VMASKMOVPD Y0, Y13, (DI)
+	ADDQ       $32, DI
+	ADDQ       $32, R9
+	ADDQ       $32, R12
+	SUBQ       $4, R8
+	JG         t4
+	// R8 ≤ 0: the masked pass was the last.
+
+tDone:
+	VZEROUPPER
+	RET

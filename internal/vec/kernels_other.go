@@ -21,3 +21,5 @@ func mulKernel(other *Matrix, scale []float64) func(out, m *Matrix) {
 	ot := other.T()
 	return func(out, m *Matrix) { mulRows(out, m, ot, scale, 0, m.Rows) }
 }
+
+func transformQuery(dst []float64, u *Matrix, q, scale []float64) { transformGo(dst, u, q, scale) }

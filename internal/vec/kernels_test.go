@@ -267,9 +267,18 @@ func FuzzBuildKernels(f *testing.F) {
 		u, uScale := NewMatrix(m.Cols, m.Cols), make([]float64, m.Cols)
 		fill(u.Data)
 		fill(uScale)
+		q := make([]float64, m.Cols)
+		fill(q)
+		for i := 0; i < len(q); i += 3 {
+			q[i] = 0 // a row the transform skips
+		}
 		var got [][4]*Matrix
+		var transformed [][]float64
 		for _, body := range kernelBodies(t) {
 			forceBody(t, body)
+			qbar := make([]float64, u.Cols)
+			TransformQuery(qbar, u, q, uScale)
+			transformed = append(transformed, qbar)
 			inPlace := m.Clone()
 			inPlace.MulScaledInPlace(u, uScale)
 			if want := m.MulScaled(u, uScale); !sameBits(inPlace.Data, want.Data) {
@@ -282,7 +291,67 @@ func FuzzBuildKernels(f *testing.F) {
 				t.Fatalf("%s of %d×%d by %d×%d: the bodies differ", name, m.Rows, m.Cols, other.Rows, other.Cols)
 			}
 		}
+		if a, b := transformed[0], transformed[len(transformed)-1]; !sameBits(a, b) {
+			t.Fatalf("TransformQuery at d = %d: the bodies differ", len(q))
+		}
 	})
+}
+
+// TestTransformQueryBodies holds every body of TransformQuery to the
+// plain-Go one bit for bit: 200 queries per shape with a fifth of their
+// coordinates zero (and a −0, an Inf and a NaN), at dimensions around the 16- and 4-column passes,
+// over a u with as many columns as dst and with more.
+func TestTransformQueryBodies(t *testing.T) {
+	rng := rand.New(rand.NewSource(49))
+	for _, d := range []int{1, 2, 3, 4, 5, 7, 15, 16, 17, 20, 31, 32, 33, 50, 51, 64} {
+		for _, extra := range []int{0, 3} {
+			u := gaussian(rng, d, d+extra)
+			scale := randomSlice(rng, d)
+			q, want, got := make([]float64, d), make([]float64, d), make([]float64, d)
+			for n := 0; n < 200; n++ {
+				for i := range q {
+					if q[i] = rng.NormFloat64(); rng.Intn(5) == 0 {
+						q[i] = 0
+					}
+				}
+				if n == 0 {
+					q[0] = math.Copysign(0, -1) // skipped like +0
+				}
+				if n == 1 {
+					q[d-1] = math.Inf(1)
+				}
+				if n == 2 {
+					q[d/2] = math.NaN() // unequal to zero: not skipped
+				}
+				transformGo(want, u, q, scale)
+				for _, body := range kernelBodies(t) {
+					forceBody(t, body)
+					for j := range got {
+						got[j] = math.NaN() // every column must be written
+					}
+					TransformQuery(got, u, q, scale)
+					if !sameBits(got, want) {
+						t.Fatalf("d = %d, %d extra columns, query %d, %s: %v, want %v", d, extra, n, body, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkTransformQuery sizes the per-query transform at d = 50 per body.
+func BenchmarkTransformQuery(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	u, scale, q := gaussian(rng, 50, 50), randomSlice(rng, 50), randomSlice(rng, 50)
+	dst := make([]float64, 50)
+	for _, body := range kernelBodies(b) {
+		b.Run(body.String(), func(b *testing.B) {
+			forceBody(b, body)
+			for i := 0; i < b.N; i++ {
+				TransformQuery(dst, u, q, scale)
+			}
+		})
+	}
 }
 
 // BenchmarkGramLower and BenchmarkMulScaled size the build's two float64

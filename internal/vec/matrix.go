@@ -331,3 +331,44 @@ func (m *Matrix) GatherRows(perm []int) *Matrix {
 	})
 	return out
 }
+
+// TransformQuery sets dst[j] = scale[j]·Σᵢ u[i][j]·q[i] for every
+// column j < len(dst): svd.Thin's query transform q̄ = Σ·Uᵀ·q. Each sum
+// starts at +0 and takes the products of the rows with q[i] ≠ 0 in
+// increasing i, each product and sum rounded, then one rounded multiply
+// by scale[j] — whichever body runs. u has len(q) rows of at least
+// len(dst) columns, scale at least len(dst) values, and dst must not
+// overlap q.
+func TransformQuery(dst []float64, u *Matrix, q, scale []float64) {
+	if u.Rows != len(q) || u.Cols < len(dst) || len(scale) < len(dst) {
+		panic(fmt.Sprintf("vec: TransformQuery of %d values by %d×%d into %d with %d scales",
+			len(q), u.Rows, u.Cols, len(dst), len(scale)))
+	}
+	transformQuery(dst, u, q, scale)
+}
+
+// transformGo is TransformQuery's plain-Go body and the reference of
+// its AVX2 one.
+func transformGo(dst []float64, u *Matrix, q, scale []float64) {
+	clear(dst)
+	for i, qi := range q {
+		if qi == 0 {
+			continue
+		}
+		// Four columns a pass over slices of one length, so no index is
+		// checked; each dst[j] still sees its products in row order.
+		out, urow := dst, u.Row(i)[:len(dst)]
+		for ; len(out) >= 4 && len(urow) >= 4; out, urow = out[4:], urow[4:] {
+			out[0] += urow[0] * qi
+			out[1] += urow[1] * qi
+			out[2] += urow[2] * qi
+			out[3] += urow[3] * qi
+		}
+		for j := range out {
+			out[j] += urow[j] * qi
+		}
+	}
+	for j, s := range scale[:len(dst)] {
+		dst[j] *= s
+	}
+}
