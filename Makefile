@@ -127,11 +127,14 @@ race-subset:
 ## here should be committed as corpus seeds. It starts with TestBodies -v,
 ## whose log names the kernel bodies this processor runs — portable, avx2
 ## and, with AVX-512 VNNI, avx512vnni — and the ones it skips: the bodies
-## FuzzHeadBlock, FuzzDotTail, FuzzBuildKernels and FuzzBlockedScan cover
-## on this run. FuzzHeadBlock compares the head test's run kernel, Collect
-## — each body against plain Go and row by row — over runs of blocks of
-## int8 floors, every shape the layout admits; FuzzDotTail the tail
-## bound's bodies against an int64 sum; FuzzBuildKernels the build's Gram
+## FuzzHeadBlock, FuzzDotTail, FuzzDot, FuzzBuildKernels and FuzzBlockedScan
+## cover on this run. FuzzHeadBlock compares the head test's run kernel,
+## Collect — each body against plain Go and row by row — over runs of
+## blocks of int8 floors, every shape the layout admits; FuzzDotTail the
+## batched tail kernel's bodies, over batches of table rows, against an
+## int64 sum mod 2³²; FuzzDot the float dot's bodies, Dot and DotRange at
+## every length up to 70 and every lo, bit for bit against plain Go on
+## fuzzed float bits; FuzzBuildKernels the build's Gram
 ## and V₁ transform, each body bit for bit against plain Go, on fuzzed
 ## shapes and float bits; FuzzBlockedScan the blocked scan against the
 ## per-item one under each body, the fixed-threshold (above-t) collector
@@ -147,6 +150,7 @@ fuzz-smoke:
 	$(GO) test ./internal/engine -run='^$$' -fuzz=FuzzPartitionRoundTrip -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/vec -run='^$$' -fuzz=FuzzHeadBlock -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/vec -run='^$$' -fuzz=FuzzDotTail -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/vec -run='^$$' -fuzz='^FuzzDot$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/vec -run='^$$' -fuzz=FuzzBuildKernels -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/core -run='^$$' -fuzz=FuzzDynamicOps -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/core -run='^$$' -fuzz=FuzzSearchMatchesNaive -fuzztime=$(FUZZTIME)

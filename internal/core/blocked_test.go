@@ -1042,7 +1042,7 @@ func TestInt32TailFixture(t *testing.T) {
 // TestNewIntDataPredicate pins newIntData's range predicate at its edges:
 // o = ⌈E⌉+1 ≤ 128 for the int8 floors, w·(o+1) ≤ 32767 for the head
 // table's int16 Σ|f|+w (w ≤ 254 at E = 127, 321 at E = 100) and
-// (d−w)·o² < 2³¹ for DotTail's int32 lanes. Every refusal wraps
+// (d−w)·o² < 2³¹ for vec.DotTails's int32 sums. Every refusal wraps
 // ErrIntDomain and names Options.E.
 func TestNewIntDataPredicate(t *testing.T) {
 	for _, tc := range []struct {

@@ -291,7 +291,7 @@ const MaxE = 127
 
 // ErrIntDomain is wrapped by the error, naming Options.E, that refuses an
 // E above MaxE, more head floors than an int16 Σ|f|+w admits (w > 254 at
-// e = 127), or a tail whose dot could leave vec.DotTail's int32 lanes.
+// e = 127), or a tail whose dot could leave vec.DotTails's int32 sums.
 var ErrIntDomain = errors.New("outside the integer bound's domain")
 
 // ErrIllConditioned is wrapped by NewIndex's error when Options.SVD is set
@@ -414,7 +414,7 @@ func (idx *Index) chooseW() int {
 func newIntData(n, d, w int, e float64) (*intData, error) {
 	// Every floor lies in [−o, o−1]: o ≤ 128 keeps the floors inside int8,
 	// the layout keeps a row's Σ|f|+w inside int16, and (d−w)·o² < 2³¹
-	// keeps DotTail's int32 lanes exact — and so Σ|tail floors| inside
+	// keeps vec.DotTails's int32 sums exact — and so Σ|tail floors| inside
 	// sumAbsTail.
 	o := math.Ceil(e) + 1
 	if !(o >= 2 && o <= MaxE+1) {

@@ -264,11 +264,13 @@ func pruneMargin(slack, t float64) float64 {
 // rather than the next row; any published value is a global lower bound,
 // so that is exact too. The survivors' tail bounds (tailBound) do not
 // depend on the threshold and are computed for the batch before any
-// decision, so their cache misses overlap.
+// decision, their dots in one vec.DotTails call, so their cache misses
+// overlap.
 func (idx *Index) scanBlocked(ctx context.Context, qs *queryState, lo, hi int, c *topk.Collector, shared *search.SharedThreshold, stats *search.Stats) error {
 	slack := idx.opts.PruneSlack
 	limit := min(hi, idx.n&^(blockRows-1)) // the rows of [lo, hi) in complete blocks end here
 	var batch vec.Survivors
+	var dots [len(batch.Rows)]int32
 	var tails [len(batch.Rows)]float64
 	// 32 slots: a batch index k is k&mask, which needs no bounds check.
 	const mask = len(batch.Rows) - 1
@@ -306,9 +308,10 @@ func (idx *Index) scanBlocked(ctx context.Context, qs *queryState, lo, hi int, c
 		for n > first && int(batch.Rows[(n-1)&mask]) >= end {
 			n--
 		}
-		if idx.w < idx.d {
+		if idx.w < idx.d && first < n {
+			vec.DotTails(qs.qTail, idx.ints.tail, batch.Rows[first:n], dots[first:n])
 			for k := first; k < n; k++ {
-				tails[k&mask] = idx.tailBound(qs, int(batch.Rows[k&mask]))
+				tails[k&mask] = idx.tailBound(qs, int(batch.Rows[k&mask]), dots[k&mask])
 			}
 		}
 		restart := false
@@ -434,7 +437,7 @@ func (idx *Index) candidate(i int, qs *queryState, t, slack float64, stats *sear
 	}
 	var bTail float64
 	if idx.w < idx.d {
-		bTail = idx.tailBound(qs, i)
+		bTail = idx.rowTailBound(qs, i)
 	}
 	return idx.afterHead(i, qs, t, margin, hb, bTail, stats)
 }
@@ -491,7 +494,7 @@ func (idx *Index) coordinateScan(i int, qs *queryState, t, margin, ub1 float64, 
 	// where with the exact head v in hand only the tail one can still
 	// avoid the remaining d−w multiplications.
 	if idx.ablation.ReductionFirst && idx.ints != nil {
-		if v+idx.tailBound(qs, i) < t-margin {
+		if v+idx.rowTailBound(qs, i) < t-margin {
 			stats.PrunedByIntFull++
 			return 0, false
 		}
@@ -503,14 +506,25 @@ func (idx *Index) coordinateScan(i int, qs *queryState, t, margin, ub1 float64, 
 }
 
 // tailBound is the integer upper bound on the tail product q̄^hᵀp̄^h of
-// row i (the tail half of Eq. 7).
+// row i (the tail half of Eq. 7) from dot, the row's vec.DotTails sum:
+// IU^h = dot + Σ|g| + Σ|f| + (d−w), times the tail factor. The product is
+// explicitly rounded, as headBound's are, so no architecture may fuse it
+// into the add that follows, and the blocked and per-row scans, which both
+// come here, agree bit for bit.
 //
 //fex:bound
-func (idx *Index) tailBound(qs *queryState, i int) float64 {
-	id := idx.ints
-	dt := idx.d - idx.w
-	iuTail := vec.DotTail(qs.qTail, id.tail[i*dt:(i+1)*dt]) + qs.qSumAbsTail + int64(id.sumAbsTail[i]) + int64(dt)
-	return float64(iuTail) * qs.tailFactor
+func (idx *Index) tailBound(qs *queryState, i int, dot int32) float64 {
+	iu := int64(dot) + qs.qSumAbsTail + int64(idx.ints.sumAbsTail[i]) + int64(idx.d-idx.w)
+	return float64(float64(iu) * qs.tailFactor)
+}
+
+// rowTailBound is tailBound of row i alone: vec.DotTails over one row.
+//
+//fex:bound
+func (idx *Index) rowTailBound(qs *queryState, i int) float64 {
+	rows, dots := [1]int32{int32(i)}, [1]int32{}
+	vec.DotTails(qs.qTail, idx.ints.tail, rows[:], dots[:])
+	return idx.tailBound(qs, i, dots[0])
 }
 
 var _ search.Searcher = (*Retriever)(nil)

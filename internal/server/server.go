@@ -755,6 +755,7 @@ func (s *Server) handleAddItem(w http.ResponseWriter, r *http.Request) {
 	}
 	s.adds.Inc()
 	s.items.Set(float64(n))
+	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusCreated)
 	var buf [32]byte
 	// Best-effort: the status is already on the wire.

@@ -189,6 +189,9 @@ func TestItemLifecycle(t *testing.T) {
 	if resp.StatusCode != http.StatusCreated {
 		t.Fatalf("add status %d", resp.StatusCode)
 	}
+	if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
+		t.Fatalf("add reply Content-Type %q, want application/json", ct)
+	}
 	added := decode[map[string]int](t, resp)
 	id := added["id"]
 	if id != 100 {

@@ -1,6 +1,7 @@
 package snap
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -396,7 +397,7 @@ func (w *WAL) open(size int64) (*WALReplay, error) {
 		w.off, w.end = walHdrLen, walHdrLen
 		return &WALReplay{Dim: w.dim, ValidLen: walHdrLen}, w.extendLocked(walSegment)
 	}
-	rp, err := ReplayWAL(io.NewSectionReader(w.f, 0, size))
+	rp, err := replayAt(w.f, size)
 	if err != nil {
 		return nil, err
 	}
@@ -415,6 +416,13 @@ func (w *WAL) open(size int64) (*WALReplay, error) {
 		return rp, w.extendLocked(walExtent(rp.ValidLen + 1))
 	}
 	return rp, nil
+}
+
+// replayAt is ReplayWAL over the first size bytes of f, read ahead a
+// segment at a time: ReplayWAL reads each record in two small pieces, and
+// on a file each read is a pread of its own.
+func replayAt(f io.ReaderAt, size int64) (*WALReplay, error) {
+	return ReplayWAL(bufio.NewReaderSize(io.NewSectionReader(f, 0, size), walSegment))
 }
 
 // walExtent is n rounded up to a whole number of segments.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -621,6 +622,45 @@ func TestWALAppendAllocations(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Errorf("delete append: %v allocations, want 0", n)
+	}
+}
+
+// readCounter is an io.ReaderAt that counts its calls.
+type readCounter struct {
+	r     io.ReaderAt
+	reads int
+}
+
+func (c *readCounter) ReadAt(p []byte, off int64) (int, error) {
+	c.reads++
+	return c.r.ReadAt(p, off)
+}
+
+// TestWALReplayReadsAhead: reopening a 200-record log reads its file a
+// segment at a time — a few reads, not two per record — and replays what
+// an unbuffered reader does.
+func TestWALReplayReadsAhead(t *testing.T) {
+	recs := make([]WALRecord, 200)
+	for i := range recs {
+		recs[i] = WALRecord{Seq: uint64(i + 1), Op: WALAdd, ID: int64(i), Vec: make([]float64, 50)}
+		recs[i].Vec[i%50] = float64(i)
+	}
+	_, raw := walFixture(t, 50, recs)
+	c := &readCounter{r: bytes.NewReader(raw)}
+	rp, err := replayAt(c, int64(len(raw)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := ReplayWAL(bytes.NewReader(raw))
+	if err != nil || !reflect.DeepEqual(rp, want) {
+		t.Fatalf("buffered replay %+v, unbuffered %+v (%v)", rp, want, err)
+	}
+	if len(rp.Records) != len(recs) {
+		t.Fatalf("replayed %d records, want %d", len(rp.Records), len(recs))
+	}
+	t.Logf("%d reads of a %d-byte log", c.reads, len(raw))
+	if most := len(raw)/walSegment + 2; c.reads > most {
+		t.Fatalf("%d reads of a %d-byte log, want at most %d", c.reads, len(raw), most)
 	}
 }
 

@@ -1,7 +1,8 @@
 package vec
 
-// Body names one set of kernel bodies: Collect, DotInt16, DotTail and the
-// build's GramLower and MulScaled run the bodies of the selected one.
+// Body names one set of kernel bodies: the scan's Collect, DotTails, Dot
+// and DotRange, DotInt16, TransformQuery, and the build's GramLower and
+// MulScaled (and MulScaledInPlace) run the bodies of the selected one.
 type Body uint8
 
 const (

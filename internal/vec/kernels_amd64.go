@@ -82,22 +82,31 @@ func dotInt16(a, b []int16) int64 {
 //go:noescape
 func dotInt16AVX2(a, b []int16) int64
 
-func dotTail(q []int16, p []int8) int64 {
-	if active == Portable || len(p) < 16 {
-		return dotTailGo(q, p)
+func dotTails(q []int16, tab []int8, rows []int32, out []int32) {
+	if active == Portable || len(q) < 16 {
+		dotTailsGo(q, tab, rows, out)
+		return
 	}
-	n := len(p) &^ 7
-	s := dotTailAVX2(q[:n], p[:n])
-	for i := n; i < len(p); i++ {
-		s += int64(q[i]) * int64(p[i])
-	}
-	return s
+	dotTailsAVX2(q, tab, rows, out)
 }
 
-// dotTailAVX2 is dotTailGo for len(q) = len(p) a multiple of 8.
+// dotTailsAVX2 is dotTailsGo for len(q) ≥ 16, len(out) = len(rows) and
+// every row inside tab.
 //
 //go:noescape
-func dotTailAVX2(q []int16, p []int8) int64
+func dotTailsAVX2(q []int16, tab []int8, rows []int32, out []int32)
+
+func dot(a, b []float64) float64 {
+	if active == Portable {
+		return dotGo(a, b)
+	}
+	return dotAVX2(a, b)
+}
+
+// dotAVX2 is dotGo for len(a) = len(b).
+//
+//go:noescape
+func dotAVX2(a, b []float64) float64
 
 // gramBand is gramRows over all of m: on AVX2 the assembly takes the
 // 4-row blocks and gramRows the Rows mod 4 rows left.

@@ -1,13 +1,14 @@
 #include "textflag.h"
 #include "go_asm.h"
 
-// AVX2 bodies of the scan's integer kernels (DESIGN.md §3) and of the
-// build's two float64 loops, the Gram band and the V₁ transform (DESIGN.md
-// §17), and the AVX-512 VNNI body of the head kernel. Nothing but
-// collectVNNI is outside AVX2 and BMI1/2 — no FMA anywhere — so a
-// GOAMD64=v1 build runs them behind detect. The float bodies multiply
-// and add in separate instructions, the sum always the first source of
-// its VADDPD, so every lane is its plain-Go body's chain of roundings.
+// AVX2 bodies of the scan's integer kernels and float dot product
+// (DESIGN.md §3) and of the build's two float64 loops, the Gram band and
+// the V₁ transform (DESIGN.md §17), and the AVX-512 VNNI body of the head
+// kernel. Nothing but collectVNNI is outside AVX2 and BMI1/2 — no FMA
+// anywhere — so a GOAMD64=v1 build runs them behind detect. The float
+// bodies multiply and add in separate instructions, the sum always the
+// first source of its VADDPD, so every lane is its plain-Go body's chain
+// of roundings.
 
 // func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuid(SB), NOSPLIT, $0-24
@@ -378,50 +379,130 @@ reduce:
 	MOVQ         AX, ret+48(FP)
 	RET
 
-// func dotTailAVX2(q []int16, p []int8) int64
+// Sixteen words of zeros, then sixteen of ones: the sixteen at word r keep
+// the last r of sixteen lanes.
+DATA tailmask<>+0(SB)/8, $0
+DATA tailmask<>+8(SB)/8, $0
+DATA tailmask<>+16(SB)/8, $0
+DATA tailmask<>+24(SB)/8, $0
+DATA tailmask<>+32(SB)/8, $-1
+DATA tailmask<>+40(SB)/8, $-1
+DATA tailmask<>+48(SB)/8, $-1
+DATA tailmask<>+56(SB)/8, $-1
+GLOBL tailmask<>(SB), RODATA|NOPTR, $64
+
+// func dotTailsAVX2(q []int16, tab []int8, rows []int32, out []int32)
 //
-// 16 item floors at a time are sign-extended to int16 (VPMOVSXBW) and
-// multiplied into the query's by VPMADDWD. Both sides lie in [−128, 127],
-// so a pair sum is at most 2·2¹⁴ and the int32 lanes accumulate without
-// widening; the caller keeps the whole sum below 2³¹, so the lanes and
-// their horizontal sum are exact, and the result is sign-extended once.
-TEXT ·dotTailAVX2(SB), NOSPLIT, $0-56
-	MOVQ q_base+0(FP), SI
-	MOVQ q_len+8(FP), CX
-	MOVQ p_base+24(FP), DI
+// Per row, 16 item floors at a time are sign-extended to int16
+// (VPMOVSXBW) and multiplied into the query's by VPMADDWD. The r = dt mod
+// 16 last floors are one more step over the row's LAST 16 bytes, against
+// the query's last 16 words with the 16−r already summed zeroed once per
+// call (Y15), so no load leaves the row. A query word times a
+// sign-extended byte is below 2²² in magnitude, so VPMADDWD's pair sums
+// are exact and the int32 lanes and their horizontal sum are the sum mod
+// 2³², as dotTailsGo's int32 adds are.
+TEXT ·dotTailsAVX2(SB), NOSPLIT, $0-96
+	MOVQ    q_base+0(FP), SI
+	MOVQ    q_len+8(FP), CX            // dt ≥ 16
+	MOVQ    tab_base+24(FP), R8
+	MOVQ    rows_base+48(FP), R9
+	MOVQ    rows_len+56(FP), R10
+	MOVQ    out_base+72(FP), R11
+	TESTQ   R10, R10
+	JZ      tailsDone
+	MOVQ    CX, R12
+	SHRQ    $4, R12                    // whole steps, at least one
+	MOVQ    CX, R13
+	ANDQ    $15, R13                   // r
+	LEAQ    tailmask<>(SB), AX
+	VMOVDQU (AX)(R13*2), Y15
+	VPAND   -32(SI)(CX*2), Y15, Y15    // the query's last 16 words, 16−r zeroed
 
-	VPXOR     Y0, Y0, Y0               // eight int32 sums
-	MOVQ      CX, DX
-	SHRQ      $4, DX
-	JZ        eightTail
+tailsRow:
+	MOVLQSX (R9), AX
+	IMULQ   CX, AX
+	LEAQ    (R8)(AX*1), DI             // the row
+	MOVQ    SI, BX
+	MOVQ    R12, DX
+	VPXOR   Y0, Y0, Y0                 // eight int32 sums
 
-sixteenTail:
+tailsStep:
 	VPMOVSXBW (DI), Y1
-	VPMADDWD  (SI), Y1, Y1
+	VPMADDWD  (BX), Y1, Y1
 	VPADDD    Y1, Y0, Y0
-	ADDQ      $32, SI
 	ADDQ      $16, DI
+	ADDQ      $32, BX
 	DECQ      DX
-	JNZ       sixteenTail
+	JNZ       tailsStep
+	TESTQ     R13, R13
+	JZ        tailsSum
+	VPMOVSXBW -16(DI)(R13*1), Y1       // the row's last 16 floors
+	VPMADDWD  Y15, Y1, Y1
+	VPADDD    Y1, Y0, Y0
 
-eightTail:
-	TESTQ     $8, CX
-	JZ        reduceTail
-	VPMOVSXBW (DI), X1
-	VPMADDWD  (SI), X1, X1
-	VPADDD    Y1, Y0, Y0               // the upper half of Y1 is zero
-
-reduceTail:
+tailsSum:
 	VEXTRACTI128 $1, Y0, X1
 	VPADDD       X1, X0, X0
 	VPSHUFD      $0x4E, X0, X1
 	VPADDD       X1, X0, X0
 	VPSHUFD      $0xB1, X0, X1
 	VPADDD       X1, X0, X0
-	VMOVD        X0, AX
-	MOVLQSX      AX, AX
+	VMOVD        X0, (R11)
+	ADDQ         $4, R9
+	ADDQ         $4, R11
+	DECQ         R10
+	JNZ          tailsRow
+
+tailsDone:
 	VZEROUPPER
-	MOVQ         AX, ret+48(FP)
+	RET
+
+// func dotAVX2(a, b []float64) float64
+//
+// dotGo's sum: Y0 holds (s₀, s₁, s₂, s₃) and takes four products a step,
+// each rounded by VMULPD before VADDPD adds it to its accumulator (the
+// first source). Then ((s₀+s₁)+s₂)+s₃ and the len mod 4 last terms in
+// order, one VMULSD and one VADDSD each: every rounding is dotGo's.
+TEXT ·dotAVX2(SB), NOSPLIT, $0-56
+	MOVQ   a_base+0(FP), SI
+	MOVQ   a_len+8(FP), CX
+	MOVQ   b_base+24(FP), DI
+	VXORPD Y0, Y0, Y0
+	MOVQ   CX, DX
+	SHRQ   $2, DX
+	JZ     dotSum
+
+dotFour:
+	VMOVUPD (SI), Y1
+	VMULPD  (DI), Y1, Y1
+	VADDPD  Y1, Y0, Y0
+	ADDQ    $32, SI
+	ADDQ    $32, DI
+	DECQ    DX
+	JNZ     dotFour
+
+dotSum:
+	VEXTRACTF128 $1, Y0, X1            // s₂, s₃
+	VUNPCKHPD    X0, X0, X2            // s₁
+	VADDSD       X2, X0, X0
+	VADDSD       X1, X0, X0
+	VUNPCKHPD    X1, X1, X1            // s₃
+	VADDSD       X1, X0, X0
+	ANDQ         $3, CX
+	JZ           dotDone
+
+dotOne:
+	VMOVSD (SI), X1
+	VMULSD (DI), X1, X1
+	VADDSD X1, X0, X0
+	ADDQ   $8, SI
+	ADDQ   $8, DI
+	DECQ   CX
+	JNZ    dotOne
+
+dotDone:
+	VZEROUPPER
+	VMOVSD X0, ret+48(FP)
 	RET
 
 // func gramBlocksAVX2(g, m []float64, blocks, d, alo, ahi int)

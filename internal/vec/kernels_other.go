@@ -13,7 +13,9 @@ func (h *HeadTest) Collect(row, end int, cut float64, out *Survivors) (next, n i
 
 func dotInt16(a, b []int16) int64 { return dotInt16Go(a, b) }
 
-func dotTail(q []int16, p []int8) int64 { return dotTailGo(q, p) }
+func dotTails(q []int16, tab []int8, rows []int32, out []int32) { dotTailsGo(q, tab, rows, out) }
+
+func dot(a, b []float64) float64 { return dotGo(a, b) }
 
 func gramBand(g, m *Matrix, alo, ahi int) { gramRows(g, m, 0, alo, ahi) }
 

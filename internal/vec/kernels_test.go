@@ -131,7 +131,7 @@ func TestDotInt16PanicsOnMismatch(t *testing.T) {
 	DotInt16([]int16{1}, []int16{1, 2})
 }
 
-// dotTailReference is DotTail's sum in int64, one term at a time.
+// dotTailReference is a DotTails sum in int64, one term at a time.
 func dotTailReference(q []int16, p []int8) int64 {
 	var s int64
 	for i := range p {
@@ -140,19 +140,42 @@ func dotTailReference(q []int16, p []int8) int64 {
 	return s
 }
 
-// TestDotTailAllLengths: every body of DotTail equals the int64 sum of
-// products at lengths 0…300, on slices starting at every offset 0…15 of a
-// backing array (the assembly loads unaligned), for random floors in
-// [−128, 127], for vectors of nothing but the range ends — −128·−128 is
-// the largest product, 300 of them the largest sum here — and for random
-// vectors with one lane pinned at each end, at every position.
+// checkDotTails runs DotTails over rows of tab into an out one longer
+// than rows, and fails unless each out[k] is the int64 sum of row
+// rows[k] mod 2³² and the slot past the batch is untouched.
+func checkDotTails(tb testing.TB, what string, q []int16, tab []int8, rows []int32) {
+	tb.Helper()
+	const sentinel = -0x5A5A5A5B
+	out := make([]int32, len(rows)+1)
+	for k := range out {
+		out[k] = sentinel
+	}
+	DotTails(q, tab, rows, out)
+	dt := len(q)
+	for k, r := range rows {
+		if want := int32(dotTailReference(q, tab[int(r)*dt:][:dt])); out[k] != want {
+			tb.Fatalf("%s dt=%d, %d rows: row %d (slot %d) %d vs %d", what, dt, len(rows), r, k, out[k], want)
+		}
+	}
+	if out[len(rows)] != sentinel {
+		tb.Fatalf("%s dt=%d: wrote past %d rows", what, dt, len(rows))
+	}
+}
+
+// TestDotTailAllLengths: every body of DotTails equals the int64 sum of
+// products at every dt 1…70, for batches of 0…32 rows drawn with repeats
+// from a 40-row table whose last row ends the slice — on Linux where an
+// unreadable page begins, so reading past any row would fault — and a
+// query slice at every offset mod 16 (the assembly loads unaligned). The
+// floors are random in [−128, 127], nothing but the range ends (−128·−128
+// is the largest product), or random with one lane of the query and of
+// the last row pinned at each end, at every position.
 func TestDotTailAllLengths(t *testing.T) {
 	for _, body := range kernelBodies(t) {
 		t.Run(body.String(), func(t *testing.T) {
 			forceBody(t, body)
 			rng := rand.New(rand.NewSource(204))
-			const maxLen = 300
-			backQ, backP := make([]int16, maxLen+16), make([]int8, maxLen+16)
+			const tableRows, maxDt = 40, 70
 			floor := func() int8 { return int8(rng.Intn(256) - 128) }
 			fills := map[string]func() (int16, int8){
 				"random":   func() (int16, int8) { return int16(floor()), floor() },
@@ -163,68 +186,159 @@ func TestDotTailAllLengths(t *testing.T) {
 				"min some": func() (int16, int8) { return int16(rng.Intn(2)) * math.MinInt8, math.MinInt8 },
 				"max some": func() (int16, int8) { return math.MaxInt8, int8(rng.Intn(2)) * math.MaxInt8 },
 			}
-			check := func(what string, q []int16, p []int8) {
-				if got, want := DotTail(q, p), dotTailReference(q, p); got != want {
-					t.Fatalf("%s n=%d: %d vs %d", what, len(p), got, want)
-				}
-			}
-			for name, fill := range fills {
-				for n := 0; n <= maxLen; n++ {
-					for off := 0; off < 16; off += 1 + n%3 {
-						q, p := backQ[off:off+n], backP[off:off+n]
-						for i := range p {
-							q[i], p[i] = fill()
+			backQ := make([]int16, maxDt+16)
+			for dt := 1; dt <= maxDt; dt++ {
+				tab := guardedFloors(t, tableRows*dt)
+				q := backQ[dt%16:][:dt]
+				for name, fill := range fills {
+					for i := range tab {
+						_, tab[i] = fill()
+					}
+					for i := range q {
+						q[i], _ = fill()
+					}
+					for size := 0; size <= 32; size++ {
+						rows := make([]int32, size)
+						for k := range rows {
+							rows[k] = int32(rng.Intn(tableRows))
 						}
-						check(fmt.Sprintf("%s offset %d", name, off), q, p)
+						if size > 0 {
+							rows[rng.Intn(size)] = tableRows - 1
+						}
+						if size > 1 {
+							rows[rng.Intn(size)] = rows[rng.Intn(size)]
+						}
+						checkDotTails(t, name, q, tab, rows)
 					}
 				}
-			}
-			for n := 1; n <= maxLen; n++ {
-				q, p := backQ[:n], backP[:n]
-				for i := range p {
-					q[i], p[i] = int16(floor()), floor()
+				last := tab[(tableRows-1)*dt:]
+				for i := range q {
+					q[i] = int16(floor())
 				}
-				for pos := range p {
-					wasQ, wasP := q[pos], p[pos]
+				for i := range tab {
+					tab[i] = floor()
+				}
+				rows := []int32{tableRows - 1, 0, tableRows - 1}
+				for pos := range q {
+					wasQ, wasP := q[pos], last[pos]
 					for _, end := range [][2]int8{{math.MinInt8, math.MinInt8}, {math.MinInt8, math.MaxInt8}, {math.MaxInt8, math.MinInt8}, {math.MaxInt8, math.MaxInt8}} {
-						q[pos], p[pos] = int16(end[0]), end[1]
-						check(fmt.Sprintf("lane %d at %v", pos, end), q, p)
+						q[pos], last[pos] = int16(end[0]), end[1]
+						checkDotTails(t, fmt.Sprintf("lane %d at %v", pos, end), q, tab, rows)
 					}
-					q[pos], p[pos] = wasQ, wasP
+					q[pos], last[pos] = wasQ, wasP
 				}
 			}
 		})
 	}
 }
 
+// TestDotTailPanicsOnMismatch: DotTails refuses a row outside the table,
+// either side of it, and an out shorter than the batch.
 func TestDotTailPanicsOnMismatch(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic")
+	q, tab := []int16{1, 2}, []int8{1, 2, 3, 4, 5} // two whole rows
+	for name, call := range map[string]func(){
+		"row past the table": func() { DotTails(q, tab, []int32{0, 2}, make([]int32, 2)) },
+		"negative row":       func() { DotTails(q, tab, []int32{-1}, make([]int32, 1)) },
+		"short out":          func() { DotTails(q, tab, []int32{0, 1}, make([]int32, 1)) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: no panic", name)
+				}
+			}()
+			call()
+		}()
+	}
+	for _, body := range kernelBodies(t) {
+		forceBody(t, body)
+		out := []int32{7, 7}
+		if DotTails(nil, tab, []int32{5}, out); out[0] != 0 || out[1] != 7 {
+			t.Fatalf("%s: dt = 0 left %v", body, out)
 		}
-	}()
-	DotTail([]int16{1}, []int8{1, 2})
+	}
 }
 
-// FuzzDotTail: for fuzzer-chosen floors in [−128, 127], each byte one
-// floor, both bodies of DotTail equal the int64 sum of products over the
-// common length — capped where 2¹⁴-products could first reach 2³¹, past
-// DotTail's domain.
+// FuzzDotTail: for a fuzzer-chosen query of any int16 values (two bytes
+// each, dt = their count), table bytes cut into rows of dt floors, and
+// batch rows (one byte each, taken mod the rows there are), every body of
+// DotTails equals the int64 sum of products mod 2³².
 func FuzzDotTail(f *testing.F) {
-	f.Add([]byte{0x80, 0x7f, 1, 2}, []byte{0x80, 0x80, 0xff, 3})
-	f.Add(make([]byte, 37), make([]byte, 37))
-	f.Add(bytes.Repeat([]byte{0x80}, 300), bytes.Repeat([]byte{0x80}, 300))
-	f.Fuzz(func(t *testing.T, qBytes, pBytes []byte) {
-		n := min(len(qBytes), len(pBytes), 1<<17-1)
-		q, p := make([]int16, n), make([]int8, n)
-		for i := range p {
-			q[i], p[i] = int16(int8(qBytes[i])), int8(pBytes[i])
+	f.Add([]byte{0x80, 0xff, 0x7f, 0, 1, 0, 2, 0}, []byte{0x80, 0x80, 0xff, 3, 0x7f, 0x80, 1, 2}, []byte{1, 0, 1})
+	f.Add(make([]byte, 74), make([]byte, 37*3), []byte{2, 2, 0, 1})
+	f.Add(bytes.Repeat([]byte{0x80, 0xff}, 70), bytes.Repeat([]byte{0x80}, 70*33), bytes.Repeat([]byte{32}, 32))
+	f.Fuzz(func(t *testing.T, qBytes, tabBytes, rowBytes []byte) {
+		dt := min(len(qBytes)/2, 1<<10)
+		if dt == 0 || len(tabBytes) < dt {
+			return
 		}
-		want := dotTailReference(q, p)
+		q := make([]int16, dt)
+		for i := range q {
+			q[i] = int16(binary.LittleEndian.Uint16(qBytes[2*i:]))
+		}
+		tab := make([]int8, len(tabBytes)/dt*dt)
+		for i := range tab {
+			tab[i] = int8(tabBytes[i])
+		}
+		rows := make([]int32, min(len(rowBytes), 64))
+		for k := range rows {
+			rows[k] = int32(int(rowBytes[k]) % (len(tab) / dt))
+		}
 		for _, body := range kernelBodies(t) {
 			forceBody(t, body)
-			if got := DotTail(q, p); got != want {
-				t.Fatalf("%s n=%d: %d vs %d", body, n, got, want)
+			checkDotTails(t, body.String(), q, tab, rows)
+		}
+	})
+}
+
+// sameFloat reports whether x and y have the same bits or are both NaN:
+// which NaN operand's payload a sum passes on follows operand order,
+// which Go does not fix for a commutative operation.
+func sameFloat(x, y float64) bool {
+	return math.Float64bits(x) == math.Float64bits(y) || math.IsNaN(x) && math.IsNaN(y)
+}
+
+// FuzzDot: on fuzzer-chosen float64 bits — the seeds hold ±0, denormals,
+// ±Inf, NaNs and magnitudes whose products overflow or underflow — every
+// body of Dot and DotRange gives dotGo's bits for every length 0…70 and
+// every lo.
+func FuzzDot(f *testing.F) {
+	specials := []float64{0, math.Copysign(0, -1), math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, 0x1p-1060, math.Inf(1), math.Inf(-1), math.NaN(), math.MaxFloat64, -1e300, 1e-300, 1, -1.5, 3.25}
+	raw := func(vals ...float64) []byte {
+		b := make([]byte, 8*len(vals))
+		for i, v := range vals {
+			binary.LittleEndian.PutUint64(b[8*i:], math.Float64bits(v))
+		}
+		return b
+	}
+	f.Add(raw(specials...))
+	rng := rand.New(rand.NewSource(205))
+	many := make([]float64, 140)
+	for i := range many {
+		if many[i] = rng.NormFloat64(); i%9 == 0 {
+			many[i] = specials[rng.Intn(len(specials))]
+		}
+	}
+	f.Add(raw(many...))
+	f.Add(raw(randomSlice(rng, 140)...))
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		n := min(len(raw)/16, 70)
+		a, b := make([]float64, n), make([]float64, n)
+		for i := range a {
+			a[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[16*i:]))
+			b[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[16*i+8:]))
+		}
+		for _, body := range kernelBodies(t) {
+			forceBody(t, body)
+			for hi := 0; hi <= n; hi++ {
+				if got, want := Dot(a[:hi], b[:hi]), dotGo(a[:hi], b[:hi]); !sameFloat(got, want) {
+					t.Fatalf("%s: Dot of length %d = %v, dotGo %v", body, hi, got, want)
+				}
+				for lo := 0; lo <= hi; lo++ {
+					if got, want := DotRange(a, b, lo, hi), dotGo(a[lo:hi], b[lo:hi]); !sameFloat(got, want) {
+						t.Fatalf("%s: DotRange [%d, %d) = %v, dotGo %v", body, lo, hi, got, want)
+					}
+				}
 			}
 		}
 	})
@@ -431,28 +545,64 @@ func BenchmarkDotInt16(b *testing.B) {
 	}
 }
 
-// BenchmarkDotTail sizes the tail bound's dot as the index stores it, per
-// body, at the benchmark's d − w = 32 (lib-flat) and 37 (lib-skewed): the
-// DotInt16 sibling over half the item bytes.
-func BenchmarkDotTail(b *testing.B) {
-	for _, n := range []int{32, 37} {
-		q := make([]int16, n)
-		p := make([]int8, n)
-		for i := range p {
-			q[i], p[i] = int16(i*7%199-100), int8(i*13%199-100)
+// BenchmarkDotTails sizes the tail bounds of a survivor batch, per body,
+// at the benchmark's d − w = 32 (lib-flat) and 37 (lib-skewed), for
+// batches of 1, 16 and 32 rows spread over the 10⁵ rows of a table as a
+// scan's survivors are; ns/row is per row of the batch.
+func BenchmarkDotTails(b *testing.B) {
+	const tableRows, batches = 100000, 1024
+	rng := rand.New(rand.NewSource(1))
+	for _, dt := range []int{32, 37} {
+		q := make([]int16, dt)
+		for i := range q {
+			q[i] = int16(rng.Intn(256) - 128)
 		}
+		tab := make([]int8, tableRows*dt)
+		for i := range tab {
+			tab[i] = int8(rng.Intn(256) - 128)
+		}
+		for _, size := range []int{1, 16, 32} {
+			rows := make([]int32, batches*size)
+			for k := range rows {
+				rows[k] = int32(rng.Intn(tableRows))
+			}
+			for _, body := range kernelBodies(b) {
+				b.Run(fmt.Sprintf("dt=%d/batch=%d/%s", dt, size, body), func(b *testing.B) {
+					forceBody(b, body)
+					out := make([]int32, size)
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						at := i % batches * size
+						DotTails(q, tab, rows[at:at+size], out)
+					}
+					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*size), "ns/row")
+				})
+			}
+		}
+	}
+}
+
+// BenchmarkDotRange sizes the float products of the scan's cascade, per
+// body, at d = 50, w = 13: the head [0, 13), the tail [13, 50) and the
+// whole [0, 50).
+func BenchmarkDotRange(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	x, y := randomSlice(rng, 50), randomSlice(rng, 50)
+	for _, r := range [][2]int{{0, 13}, {13, 50}, {0, 50}} {
 		for _, body := range kernelBodies(b) {
-			b.Run(fmt.Sprintf("n=%d/%s", n, body), func(b *testing.B) {
+			b.Run(fmt.Sprintf("%d-%d/%s", r[0], r[1], body), func(b *testing.B) {
 				forceBody(b, body)
-				var sink int64
+				var sink float64
 				for i := 0; i < b.N; i++ {
-					sink += DotTail(q, p)
+					sink += DotRange(x, y, r[0], r[1])
 				}
-				sinkInt = sink
+				sinkFloat = sink
 			})
 		}
 	}
 }
+
+var sinkFloat float64
 
 var sinkInt int64
 

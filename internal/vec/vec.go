@@ -2,9 +2,11 @@
 // other package in this repository: dot products, norms, partial (prefix
 // and suffix) norms, scaling, and a flat row-major matrix type.
 //
-// The kernels are deliberately simple, allocation-free loops: the FEXIPRO
-// framework spends nearly all of its time in short dot products and norm
-// lookups, and the Go compiler turns these loops into tight scalar code.
+// The kernels are allocation-free loops: the FEXIPRO framework spends
+// nearly all of its time in short dot products and norm lookups. The ones
+// the scan and the build run most have assembly bodies on amd64
+// (kernels_amd64.s), each the same arithmetic as its plain-Go body, which
+// every platform keeps as the reference (body.go).
 package vec
 
 import (
@@ -15,44 +17,49 @@ import (
 // Dot returns the inner product of a and b.
 // It panics if the slices have different lengths.
 //
-// The loop is unrolled four-way with independent accumulators: the whole
-// retrieval stack bottoms out in this kernel, and breaking the
-// loop-carried dependency roughly doubles throughput on superscalar
-// CPUs. Note the unrolled association changes the floating-point
-// rounding relative to a sequential loop by O(d·eps), which is below
-// every tolerance used in this repository.
+// The sum runs in four independent accumulators, s_j over the terms
+// i ≡ j (mod 4), added as ((s₀+s₁)+s₂)+s₃, and then the len mod 4 last
+// terms in order: the whole retrieval stack bottoms out in this kernel,
+// and breaking the loop-carried dependency roughly doubles throughput on
+// superscalar CPUs. This association differs from a sequential loop by
+// O(d·eps), below every tolerance used in this repository, but it is
+// fixed: with AVX2 one ymm register holds (s₀, s₁, s₂, s₃), VMULPD and
+// VADDPD take four terms at a time (kernels_amd64.s), and dotGo is the
+// body everywhere else, the two bit for bit the same sum.
 func Dot(a, b []float64) float64 {
 	if len(a) != len(b) {
 		panic(fmt.Sprintf("vec: Dot length mismatch %d != %d", len(a), len(b)))
 	}
+	return dot(a, b)
+}
+
+// DotRange returns the inner product of a[lo:hi] and b[lo:hi]: Dot of
+// the two, and 0 for an empty range.
+func DotRange(a, b []float64, lo, hi int) float64 {
+	if lo >= hi {
+		return 0
+	}
+	_, _ = a[hi-1], b[hi-1] // a length check, not a capacity one
+	return dot(a[lo:hi], b[lo:hi])
+}
+
+// dotGo is Dot's plain-Go body, for len(a) = len(b). Each product is
+// rounded by an explicit conversion before its add: Go may fuse x += y·z
+// into one FMA (GOAMD64=v3, arm64), and a fused add would round once
+// where the AVX2 body rounds twice.
+func dotGo(a, b []float64) float64 {
+	b = b[:len(a)]
 	var s0, s1, s2, s3 float64
 	i := 0
 	for ; i+4 <= len(a); i += 4 {
-		s0 += a[i] * b[i]
-		s1 += a[i+1] * b[i+1]
-		s2 += a[i+2] * b[i+2]
-		s3 += a[i+3] * b[i+3]
+		s0 += float64(a[i] * b[i])
+		s1 += float64(a[i+1] * b[i+1])
+		s2 += float64(a[i+2] * b[i+2])
+		s3 += float64(a[i+3] * b[i+3])
 	}
 	s := s0 + s1 + s2 + s3
 	for ; i < len(a); i++ {
-		s += a[i] * b[i]
-	}
-	return s
-}
-
-// DotRange returns the inner product of a[lo:hi] and b[lo:hi].
-func DotRange(a, b []float64, lo, hi int) float64 {
-	var s0, s1, s2, s3 float64
-	i := lo
-	for ; i+4 <= hi; i += 4 {
-		s0 += a[i] * b[i]
-		s1 += a[i+1] * b[i+1]
-		s2 += a[i+2] * b[i+2]
-		s3 += a[i+3] * b[i+3]
-	}
-	s := s0 + s1 + s2 + s3
-	for ; i < hi; i++ {
-		s += a[i] * b[i]
+		s += float64(a[i] * b[i])
 	}
 	return s
 }
@@ -104,33 +111,46 @@ func dotInt16Go(a, b []int16) int64 {
 	return s
 }
 
-// DotTail returns the inner product of the query floors q and the item
-// floors p — the d−w tail of the integer bound — for values in
-// [−128, 127] whose products sum to less than 2³¹ in magnitude, as every
-// tail the integer bound stores does: (d−w)·o² < 2³¹. With AVX2 the bulk
-// of a vector of 16 or more goes through VPMOVSXBW and VPMADDWD into int32
-// lanes (kernels_amd64.s); dotTailGo is the body everywhere else. It
-// panics if the slices have different lengths.
-func DotTail(q []int16, p []int8) int64 {
-	if len(q) != len(p) {
-		panic(fmt.Sprintf("vec: DotTail length mismatch %d != %d", len(q), len(p)))
+// DotTails sets out[k], for each k < len(rows), to the inner product of
+// the query's tail floors q with row rows[k] of tab, the row-major table
+// of item tail floors, dt = len(q) to a row: the d−w tail of the integer
+// bound for a batch of rows in one call. The sum is taken mod 2³², so
+// every body agrees for any input, and it is exact whenever it fits an
+// int32 — as for every tail the index stores, whose floors lie in
+// [−128, 127] with (d−w)·o² < 2³¹. With AVX2 and dt ≥ 16 each row goes
+// through VPMOVSXBW and VPMADDWD into int32 lanes 16 floors a step, the
+// dt mod 16 last ones too, never reading past the row's dt bytes
+// (kernels_amd64.s); dotTailsGo is the body everywhere else. It panics
+// if out is shorter than rows or a row lies outside tab.
+func DotTails(q []int16, tab []int8, rows []int32, out []int32) {
+	out = out[:len(rows)]
+	dt := len(q)
+	last := len(tab) - dt // where the last whole row starts
+	for _, r := range rows {
+		if r < 0 || int(r)*dt > last {
+			panic(fmt.Sprintf("vec: DotTails row %d outside a table of %d", r, len(tab)/dt))
+		}
 	}
-	return dotTail(q, p)
+	dotTails(q, tab, rows, out)
 }
 
-// dotTailGo is DotTail's plain-Go body, exact in int64 for any input.
-func dotTailGo(q []int16, p []int8) int64 {
-	var s0, s1 int64
-	i := 0
-	for ; i+2 <= len(p); i += 2 {
-		s0 += int64(q[i]) * int64(p[i])
-		s1 += int64(q[i+1]) * int64(p[i+1])
+// dotTailsGo is DotTails's plain-Go body, one row at a time, for rows
+// inside tab.
+func dotTailsGo(q []int16, tab []int8, rows []int32, out []int32) {
+	dt := len(q)
+	for k, r := range rows {
+		p := tab[int(r)*dt:][:dt]
+		var s0, s1 int32
+		i := 0
+		for ; i+2 <= dt; i += 2 {
+			s0 += int32(q[i]) * int32(p[i])
+			s1 += int32(q[i+1]) * int32(p[i+1])
+		}
+		if i < dt {
+			s0 += int32(q[i]) * int32(p[i])
+		}
+		out[k] = s0 + s1
 	}
-	s := s0 + s1
-	for ; i < len(p); i++ {
-		s += int64(q[i]) * int64(p[i])
-	}
-	return s
 }
 
 // Norm returns the Euclidean norm (length) of a.
