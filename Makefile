@@ -51,12 +51,16 @@ vet:
 
 ## cross: build and vet for a target with no assembly — internal/vec's
 ## AVX2 kernels are amd64-only and every other GOARCH runs their plain-Go
-## bodies — and for one that is not Linux, where internal/snap's WAL
-## syncs with fsync instead of fdatasync (wal_other.go). Needs no network
-## and no second toolchain.
+## bodies — for a 32-bit one, where int holds 32 bits (tests included:
+## vet compiles them; the 386 test run itself waits for a portable exp,
+## since the golden catalogs differ there), and for one that is not
+## Linux, where internal/snap's WAL syncs with fsync instead of fdatasync
+## (wal_other.go). Needs no network and no second toolchain.
 cross:
 	GOARCH=arm64 $(GO) build ./...
 	GOARCH=arm64 $(GO) vet ./...
+	GOARCH=386 CGO_ENABLED=0 $(GO) build ./...
+	GOARCH=386 CGO_ENABLED=0 $(GO) vet ./...
 	GOOS=darwin GOARCH=arm64 $(GO) build ./...
 	GOOS=darwin GOARCH=arm64 $(GO) vet ./internal/snap
 

@@ -2,10 +2,13 @@ package fexipro
 
 import (
 	"context"
+	"fmt"
+	"math"
 	"os"
 
-	"fexipro/internal/aip"
 	"fexipro/internal/core"
+	"fexipro/internal/engine"
+	"fexipro/internal/topk"
 )
 
 // SaveIndex writes the preprocessed index to path, so a later process
@@ -161,32 +164,91 @@ type Pair struct {
 }
 
 // TopPairs returns the k largest inner products across ALL (user, item)
-// pairs, exactly — the AIP problem of Ballard et al., driven by a
-// FEXIPRO index with a global threshold.
+// pairs, exactly — the top-k All-pairs Inner Product problem of Ballard,
+// Kolda, Pinar & Seshadhri (ICDM 2015), which the paper leaves as future
+// work (its §9). It drives one F-SIR index over items (New with the zero
+// Options) with a GLOBAL threshold: users are taken in decreasing norm
+// order, so the global k-th product rises fast and the Cauchy–Schwarz
+// test ‖u‖·max‖p‖ ends the loop early, and each remaining user is an
+// above-t query against the current k-th product, which reuses the whole
+// single-query pruning cascade. k ≤ 0 returns nothing.
 func TopPairs(users, items *Matrix, k int) ([]Pair, error) {
-	raw, err := aip.Exact(users.m, items.m, k, core.Options{SVD: true, Int: true, Reduction: true})
+	if users.Cols() != items.Cols() {
+		return nil, fmt.Errorf("fexipro: TopPairs dim mismatch %d vs %d", users.Cols(), items.Cols())
+	}
+	if k <= 0 {
+		return nil, nil
+	}
+	f, err := New(items, Options{})
 	if err != nil {
 		return nil, err
 	}
-	return convertPairs(raw), nil
-}
-
-// TopPairsSampled approximates TopPairs by diamond-style sampling with
-// exact verification of the sampled candidates: returned scores are true
-// inner products, but the candidate set may miss true top-k pairs.
-// samples ≤ 0 selects 100,000.
-func TopPairsSampled(users, items *Matrix, k, samples int, seed int64) ([]Pair, error) {
-	raw, err := aip.Sample(users.m, items.m, k, aip.SampleConfig{Samples: samples, Seed: seed})
-	if err != nil {
-		return nil, err
+	order, qNorms := engine.ByNormDesc(users.m)
+	maxItemNorm := 0.0
+	for _, n := range items.m.RowNorms() {
+		maxItemNorm = max(maxItemNorm, n)
 	}
-	return convertPairs(raw), nil
+	global := newPairHeap(k)
+	for _, u := range order {
+		t := global.inner.Threshold()
+		if qNorms[u]*maxItemNorm <= t {
+			break // no remaining user can contribute
+		}
+		for _, r := range f.SearchAbove(users.Row(u), nextAfter(t)) {
+			global.push(Pair{User: u, Item: r.ID, Score: r.Score})
+		}
+	}
+	return global.sorted(), nil
 }
 
-func convertPairs(in []aip.Pair) []Pair {
-	out := make([]Pair, len(in))
-	for i, p := range in {
-		out[i] = Pair{User: p.User, Item: p.Item, Score: p.Score}
+// nextAfter nudges the exclusive threshold t into an inclusive one for
+// SearchAbove without re-admitting t itself.
+func nextAfter(t float64) float64 {
+	if math.IsInf(t, -1) {
+		return t
+	}
+	return math.Nextafter(t, math.Inf(1))
+}
+
+// pairHeap is a bounded min-heap over Pair scores: a top-k collector over
+// push-order IDs, and the pairs those IDs name. (Packing user and item
+// into one collector ID would overflow int on 32-bit targets.)
+type pairHeap struct {
+	k     int
+	inner *topk.Collector
+	byID  map[int]Pair // collector IDs → pairs
+	next  int
+}
+
+func newPairHeap(k int) *pairHeap {
+	return &pairHeap{k: k, inner: topk.New(k), byID: make(map[int]Pair, k+1)}
+}
+
+func (h *pairHeap) push(p Pair) {
+	id := h.next
+	h.next++
+	if h.inner.Push(id, p.Score) {
+		h.byID[id] = p
+		if len(h.byID) > 4*h.k {
+			h.compact()
+		}
+	}
+}
+
+// compact drops evicted pairs from the side map.
+func (h *pairHeap) compact() {
+	live := make(map[int]Pair, h.k)
+	for _, r := range h.inner.Results() {
+		live[r.ID] = h.byID[r.ID]
+	}
+	h.byID = live
+}
+
+func (h *pairHeap) sorted() []Pair {
+	res := h.inner.Results()
+	out := make([]Pair, len(res))
+	for i, r := range res {
+		out[i] = h.byID[r.ID]
 	}
 	return out
 }

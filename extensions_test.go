@@ -193,17 +193,86 @@ func TestTopPairsPublic(t *testing.T) {
 			t.Fatalf("rank %d: %v vs %v", i, got[i], all[i])
 		}
 	}
+}
 
-	sampled, err := fexipro.TopPairsSampled(users, items, 10, 300000, 3)
+// bruteTopPairs computes the true top-k pairs by enumerating everything.
+func bruteTopPairs(users, items *fexipro.Matrix, k int) []fexipro.Pair {
+	var all []fexipro.Pair
+	for u := 0; u < users.Rows(); u++ {
+		for i := 0; i < items.Rows(); i++ {
+			var s float64
+			for j, v := range users.Row(u) {
+				s += v * items.At(i, j)
+			}
+			all = append(all, fexipro.Pair{User: u, Item: i, Score: s})
+		}
+	}
+	sort.Slice(all, func(a, b int) bool { return all[a].Score > all[b].Score })
+	return all[:min(k, len(all))]
+}
+
+func TestTopPairsMatchesBruteForce(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for _, shape := range []struct{ m, n, d, k int }{
+		{10, 20, 4, 1}, {50, 80, 8, 10}, {30, 200, 16, 25}, {5, 5, 3, 100},
+	} {
+		users := randomItems(rng, shape.m, shape.d)
+		items := randomItems(rng, shape.n, shape.d)
+		got, err := fexipro.TopPairs(users, items, shape.k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := bruteTopPairs(users, items, shape.k)
+		if len(got) != len(want) {
+			t.Fatalf("%+v: got %d pairs, want %d", shape, len(got), len(want))
+		}
+		for i := range want {
+			if math.Abs(got[i].Score-want[i].Score) > 1e-7*(1+math.Abs(want[i].Score)) {
+				t.Fatalf("%+v rank %d: %+v vs %+v", shape, i, got[i], want[i])
+			}
+			var exact float64
+			for j, v := range users.Row(got[i].User) {
+				exact += v * items.At(got[i].Item, j)
+			}
+			if math.Abs(got[i].Score-exact) > 1e-7*(1+math.Abs(exact)) {
+				t.Fatalf("%+v rank %d: %+v is not the pair's product %v", shape, i, got[i], exact)
+			}
+		}
+	}
+}
+
+// TestTopPairsEdgeCases: k ≤ 0 answers nothing, mismatched widths an
+// error, and tied products keep the order the global heap gives them —
+// users by descending norm, then row; a user's items by ID — so the
+// answer is one list, not any k of the tied pairs.
+func TestTopPairsEdgeCases(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	users := randomItems(rng, 5, 4)
+	items := randomItems(rng, 5, 4)
+	for _, k := range []int{0, -1} {
+		if got, err := fexipro.TopPairs(users, items, k); err != nil || got != nil {
+			t.Fatalf("k=%d: %v, %v", k, got, err)
+		}
+	}
+	if _, err := fexipro.TopPairs(users, randomItems(rng, 5, 3), 1); err == nil {
+		t.Fatal("expected dim mismatch error")
+	}
+
+	// Every product is 3, bit for bit: identical rows transform alike.
+	tiedUsers := fexipro.MatrixFromRows([][]float64{{1, 1}, {1, 1}, {1, 1}})
+	tiedItems := fexipro.MatrixFromRows([][]float64{{2, 1}, {2, 1}, {2, 1}, {2, 1}})
+	got, err := fexipro.TopPairs(tiedUsers, tiedItems, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(sampled) == 0 {
-		t.Fatal("sampling returned nothing")
+	want := []fexipro.Pair{{0, 0, 3}, {0, 1, 3}, {0, 2, 3}, {0, 3, 3}, {1, 0, 3}}
+	if len(got) != len(want) {
+		t.Fatalf("tied: got %+v, want %+v", got, want)
 	}
-	// The single largest pair should be found with high probability.
-	if sampled[0].Score < all[0].s-1e-9 && sampled[0].Score < all[2].s {
-		t.Fatalf("sampled top %v far below true top %v", sampled[0].Score, all[0].s)
+	for i := range want {
+		if got[i].User != want[i].User || got[i].Item != want[i].Item || math.Abs(got[i].Score-3) > 1e-9 {
+			t.Fatalf("tied: got %+v, want %+v", got, want)
+		}
 	}
 }
 

@@ -1,20 +1,51 @@
 package core_test
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
 
 	"fexipro/internal/core"
+	"fexipro/internal/engine"
+	"fexipro/internal/obs"
 	"fexipro/internal/scan"
+	"fexipro/internal/search"
 	"fexipro/internal/searchtest"
+	"fexipro/internal/topk"
+	"fexipro/internal/vec"
 )
+
+// aboveSearcher is the sequential form of above-t on an index: the engine
+// over a one-shard kernel.
+type aboveSearcher struct{ *engine.Engine }
+
+func newAboveSearcher(idx *core.Index) aboveSearcher {
+	return aboveSearcher{engine.New(core.NewSharded(idx, 1), 1)}
+}
+
+func buildAbove(t *testing.T, items *vec.Matrix, variant string) aboveSearcher {
+	t.Helper()
+	idx, err := core.NewIndex(items, mustOptions(t, variant))
+	if err != nil {
+		t.Fatalf("%s: %v", variant, err)
+	}
+	return newAboveSearcher(idx)
+}
+
+// SearchAbove answers q's above-t query under a fresh counter sink and
+// returns the results with the query's counters.
+func (a aboveSearcher) SearchAbove(q []float64, t float64) ([]topk.Result, search.Stats) {
+	var st search.Stats
+	res, _ := a.SearchAboveContext(obs.WithStats(context.Background(), &st), q, t)
+	return res, st
+}
 
 func TestSearchAboveMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(90))
 	for _, variant := range []string{"F", "F-S", "F-SI", "F-SIR"} {
 		items, _ := searchtest.RandomInstance(rng, 800, 16)
-		r := buildVariant(t, items, variant)
+		r := buildAbove(t, items, variant)
 		naive := scan.NewNaive(items)
 		for trial := 0; trial < 10; trial++ {
 			q := make([]float64, 16)
@@ -29,7 +60,7 @@ func TestSearchAboveMatchesNaive(t *testing.T) {
 			naiveAll := naive.Search(q, 800)
 			for _, pick := range []int{0, 5, 50, 400} {
 				thr := naiveAll[pick].Score - 1e-9*(1+math.Abs(naiveAll[pick].Score))
-				got := r.SearchAbove(q, thr)
+				got, _ := r.SearchAbove(q, thr)
 				want := naive.SearchAbove(q, thr)
 				if len(got) != len(want) {
 					t.Fatalf("%s t=%v: got %d results, want %d", variant, thr, len(got), len(want))
@@ -50,11 +81,11 @@ func TestSearchAboveMatchesNaive(t *testing.T) {
 func TestSearchAboveHighThresholdEmpty(t *testing.T) {
 	rng := rand.New(rand.NewSource(91))
 	items, q := searchtest.RandomInstance(rng, 200, 8)
-	r := buildVariant(t, items, "F-SIR")
-	if got := r.SearchAbove(q, 1e18); len(got) != 0 {
+	r := buildAbove(t, items, "F-SIR")
+	got, st := r.SearchAbove(q, 1e18)
+	if len(got) != 0 {
 		t.Fatalf("expected empty result, got %d", len(got))
 	}
-	st := r.Stats()
 	if st.Scanned != 0 {
 		t.Fatalf("high threshold should terminate immediately, scanned %d", st.Scanned)
 	}
@@ -63,8 +94,8 @@ func TestSearchAboveHighThresholdEmpty(t *testing.T) {
 func TestSearchAboveMinusInfReturnsAll(t *testing.T) {
 	rng := rand.New(rand.NewSource(92))
 	items, q := searchtest.RandomInstance(rng, 150, 6)
-	r := buildVariant(t, items, "F-SIR")
-	got := r.SearchAbove(q, math.Inf(-1))
+	r := buildAbove(t, items, "F-SIR")
+	got, _ := r.SearchAbove(q, math.Inf(-1))
 	if len(got) != 150 {
 		t.Fatalf("got %d results, want 150", len(got))
 	}
@@ -78,10 +109,9 @@ func TestSearchAboveMinusInfReturnsAll(t *testing.T) {
 func TestSearchAbovePrunes(t *testing.T) {
 	rng := rand.New(rand.NewSource(93))
 	items, q := searchtest.RandomInstance(rng, 5000, 16)
-	r := buildVariant(t, items, "F-SIR")
+	r := buildAbove(t, items, "F-SIR")
 	top := r.Search(q, 10)
-	r.SearchAbove(q, top[9].Score)
-	st := r.Stats()
+	_, st := r.SearchAbove(q, top[9].Score)
 	if st.FullProducts >= 5000 {
 		t.Fatalf("above-t computed all %d products", st.FullProducts)
 	}
@@ -94,9 +124,9 @@ func TestSearchAboveWithExplicitOptions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := core.NewRetriever(idx)
+	r := newAboveSearcher(idx)
 	naive := scan.NewNaive(items)
-	got := r.SearchAbove(q, 0)
+	got, _ := r.SearchAbove(q, 0)
 	want := naive.SearchAbove(q, 0)
 	if len(got) != len(want) {
 		t.Fatalf("got %d, want %d", len(got), len(want))

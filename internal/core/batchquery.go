@@ -19,8 +19,8 @@ import (
 //   - queries are processed in decreasing norm order, which keeps the
 //     per-query scan prefixes aligned with the norm-sorted items for
 //     cache locality, and
-//   - queries are sharded across workers, each with its own Retriever
-//     over the shared immutable index
+//   - queries are sharded across workers, each with its own one-shard
+//     engine over the shared immutable index
 //
 // — engine.Batch, the loop it shares with lemp.TopKJoinContext. Results
 // are returned in input order. workers ≤ 0 uses one worker.
@@ -33,15 +33,16 @@ func BatchTopK(idx *Index, queries *vec.Matrix, k, workers int) ([][]topk.Result
 // completed so far (unprocessed slots stay nil; the query cut short
 // keeps its best-so-far partial) together with an ErrDeadline-wrapping
 // error. A nil error flags every list as exact. Every query runs under
-// ctx, and the sink of its query value (obs.Query) gets the counters of
-// every query.
+// ctx as an engine query — under a traced ctx each adds its transform,
+// scan and merge spans — and the sink of its query value (obs.Query)
+// gets the counters of every query.
 func BatchTopKContext(ctx context.Context, idx *Index, queries *vec.Matrix, k, workers int) ([][]topk.Result, error) {
 	if queries.Cols != idx.d {
 		return nil, fmt.Errorf("core: query dim %d != item dim %d", queries.Cols, idx.d)
 	}
 	out := make([][]topk.Result, queries.Rows)
 	err := engine.Batch(ctx, queries, workers, func(ctx context.Context, rows []int) error {
-		r := NewRetriever(idx)
+		r := engine.New(NewSharded(idx, 1), 1)
 		for _, qi := range rows {
 			res, err := r.SearchContext(ctx, queries.Row(qi), k)
 			out[qi] = res

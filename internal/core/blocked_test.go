@@ -972,7 +972,7 @@ func TestEBoundary(t *testing.T) {
 		}
 		state := craft(good)
 		state.opts.E = e
-		if _, _, err := LoadSnapshot(bytes.NewReader(state.snapshot(t)), 1); !errors.Is(err, ErrRebuild) || !strings.Contains(err.Error(), "Options.E") {
+		if _, _, err := loadSnapshot(context.Background(), bytes.NewReader(state.snapshot(t)), 1); !errors.Is(err, ErrRebuild) || !strings.Contains(err.Error(), "Options.E") {
 			t.Fatalf("LoadSnapshot, E = %v: %v, want ErrRebuild naming Options.E", e, err)
 		}
 	}

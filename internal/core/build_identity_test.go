@@ -281,8 +281,12 @@ func identityCatalog(shape string, n, d int) *vec.Matrix {
 			if i%11 == 5 {
 				continue // zero row
 			}
+			row := m.Row(i)
 			for k := 0; k < r; k++ {
-				vec.AxpyInto(m.Row(i), m.Row(i), basis.Row(k), float64(rng.Intn(9)-4)/4)
+				s := float64(rng.Intn(9)-4) / 4
+				for j, b := range basis.Row(k) {
+					row[j] += s * b
+				}
 			}
 		}
 	case "zerohead":

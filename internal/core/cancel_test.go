@@ -157,7 +157,7 @@ func TestCancelledAboveNeverExact(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewIndex: %v", err)
 	}
-	r := core.NewRetriever(idx)
+	r := newAboveSearcher(idx)
 	const threshold = 0.5
 
 	full, err := r.SearchAboveContext(context.Background(), q, threshold)

@@ -62,7 +62,7 @@ func TestDynamicFirstAddAllocatesOneBlock(t *testing.T) {
 					if err := di.SaveSnapshot(&buf, 0); err != nil {
 						t.Fatal(err)
 					}
-					if di, _, err = LoadSnapshot(&buf, 1); err != nil {
+					if di, _, err = loadSnapshot(context.Background(), &buf, 1); err != nil {
 						t.Fatal(err)
 					}
 				}

@@ -11,8 +11,8 @@ import (
 )
 
 // Index is a preprocessed FEXIPRO item index (the output of Algorithm 3).
-// It is immutable after construction and safe for concurrent Search calls
-// through separate Retriever values (see NewRetriever).
+// It is immutable after construction and safe for concurrent searches
+// through separate engines over it (engine.New(NewSharded(idx, s), w)).
 type Index struct {
 	opts Options
 	n, d int

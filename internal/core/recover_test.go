@@ -188,6 +188,21 @@ func openRecovered(dir string) (*core.Recovered, error) {
 	return rec, nil
 }
 
+// recoverSnapshot recovers a data directory holding raw as its only
+// file: the snapshot with no WAL, so the index is the checkpoint's.
+func recoverSnapshot(t testing.TB, raw []byte) (*core.DynamicIndex, uint64, error) {
+	t.Helper()
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, core.SnapshotFile), raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	rec, err := openRecovered(dir)
+	if err != nil {
+		return nil, 0, err
+	}
+	return rec.Index, rec.SnapshotSeq, nil
+}
+
 // TestRecoverSnapshotOnly: checkpoint, empty WAL, recovery equals the
 // checkpointed state exactly.
 func TestRecoverSnapshotOnly(t *testing.T) {
@@ -383,7 +398,7 @@ func TestRecoverSnapshotBitFlipPerSection(t *testing.T) {
 		if len(s.Payload) > 0 {
 			b := append([]byte(nil), raw...)
 			b[payloadOff+len(s.Payload)/2] ^= 0x01
-			_, _, err := core.LoadSnapshot(bytes.NewReader(b), 1)
+			_, _, err := recoverSnapshot(t, b)
 			if err == nil {
 				t.Fatalf("section %q: flipped payload loaded successfully", s.Tag)
 			}
@@ -445,7 +460,7 @@ func TestLoadSnapshotRejectsLyingTombstoneCount(t *testing.T) {
 	}
 	for _, tag := range []string{"dsh0000", "dsh0001"} {
 		for _, delta := range []int64{-1, 1} {
-			_, _, err := core.LoadSnapshot(bytes.NewReader(reencode(tag, delta)), 1)
+			_, _, err := recoverSnapshot(t, reencode(tag, delta))
 			if !errors.Is(err, snap.ErrChecksum) {
 				t.Fatalf("%s deadInMain%+d: load returned %v, want ErrChecksum", tag, delta, err)
 			}

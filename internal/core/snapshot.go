@@ -111,20 +111,14 @@ func (di *DynamicIndex) SaveSnapshot(w io.Writer, lastSeq uint64) error {
 	return b.Flush(w)
 }
 
-// LoadSnapshot reads a snapshot written by SaveSnapshot, rebuilds every
+// loadSnapshot reads a snapshot written by SaveSnapshot, rebuilds every
 // shard's main index from the catalog rows it names, and returns the
 // index plus the WAL sequence number it covers. workers sizes the query
 // engine exactly as in NewDynamicIndexSharded. A file that cannot be a
 // SaveSnapshot of any index fails with an error wrapping a snap sentinel;
 // one whose bytes are in order but whose catalog NewIndex refuses, with
-// one wrapping ErrRebuild.
-func LoadSnapshot(r io.Reader, workers int) (*DynamicIndex, uint64, error) {
-	return loadSnapshot(context.Background(), r, workers)
-}
-
-// loadSnapshot is LoadSnapshot under a span: "snapshot.read" covers
-// reading, verifying and decoding the state, one "index.rebuild" per
-// shard the derivation.
+// one wrapping ErrRebuild. "snapshot.read" covers reading, verifying and
+// decoding the state, one "index.rebuild" per shard the derivation.
 func loadSnapshot(ctx context.Context, r io.Reader, workers int) (*DynamicIndex, uint64, error) {
 	_, rsp := obs.StartSpan(ctx, "snapshot.read")
 	di, lastSeq, err := readDynState(r)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"math"
@@ -179,7 +180,7 @@ func TestRecoveredIndexIsTheCheckpointedOne(t *testing.T) {
 		queries := normalMatrix(rng, 200, d)
 		for _, procs := range []int{1, 2, 8} {
 			prev := runtime.GOMAXPROCS(procs)
-			loaded, seq, err := LoadSnapshot(bytes.NewReader(snapshot.Bytes()), 1)
+			loaded, seq, err := loadSnapshot(context.Background(), bytes.NewReader(snapshot.Bytes()), 1)
 			runtime.GOMAXPROCS(prev)
 			if err != nil || seq != 5 {
 				t.Fatalf("S=%d P=%d: load: seq %d, %v", shards, procs, seq, err)
@@ -228,7 +229,7 @@ func TestLoadSnapshotParentFixture(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	di, seq, err := LoadSnapshot(bytes.NewReader(raw), 1)
+	di, seq, err := loadSnapshot(context.Background(), bytes.NewReader(raw), 1)
 	if err != nil || seq != 2 {
 		t.Fatalf("load: seq %d, %v", seq, err)
 	}
@@ -271,14 +272,14 @@ func TestLoadSnapshotParentFixture(t *testing.T) {
 	const slots = 8 + 3 + 5*8
 	for slot, refused := range []bool{true, true, true, false} {
 		set := withSection(t, raw, secDynMeta, func(p []byte) { p[slots+slot] = 1 })
-		_, _, err := LoadSnapshot(bytes.NewReader(set), 1)
+		_, _, err := loadSnapshot(context.Background(), bytes.NewReader(set), 1)
 		if refused != errors.Is(err, snap.ErrChecksum) || (!refused && err != nil) {
 			t.Fatalf("option slot %d set: err = %v, refused should be %v", slot, err, refused)
 		}
 	}
 	for _, layout := range []byte{0, 1, 3} {
 		other := withSection(t, raw, dynShardTag(1), func(p []byte) { p[0] = layout })
-		if _, _, err := LoadSnapshot(bytes.NewReader(other), 1); !errors.Is(err, snap.ErrChecksum) {
+		if _, _, err := loadSnapshot(context.Background(), bytes.NewReader(other), 1); !errors.Is(err, snap.ErrChecksum) {
 			t.Fatalf("shard section layout %d: err = %v, want ErrChecksum", layout, err)
 		}
 	}
@@ -346,7 +347,7 @@ func TestLoadSnapshotRefusesUncoveredOrRepeatedItems(t *testing.T) {
 	} {
 		c := craft(di)
 		tc.mutate(&c)
-		loaded, _, err := LoadSnapshot(bytes.NewReader(c.snapshot(t)), 1)
+		loaded, _, err := loadSnapshot(context.Background(), bytes.NewReader(c.snapshot(t)), 1)
 		if !tc.ok {
 			if !errors.Is(err, snap.ErrChecksum) {
 				t.Errorf("%s: load returned %v, want ErrChecksum", tc.name, err)
@@ -385,7 +386,7 @@ func TestLoadSnapshotRebuildFailureIsNotCorruption(t *testing.T) {
 	}{{1e6, true}, {1e9, true}, {1e12, true}, {1e13, false}, {1e16, false}, {1e20, false}} {
 		c := craft(di)
 		c.items.Row(7)[3] = tc.big
-		_, _, err := LoadSnapshot(bytes.NewReader(c.snapshot(t)), 1)
+		_, _, err := loadSnapshot(context.Background(), bytes.NewReader(c.snapshot(t)), 1)
 		if tc.loads && err != nil {
 			t.Errorf("at %g: %v", tc.big, err)
 		}
@@ -503,7 +504,7 @@ func FuzzLoadSnapshot(f *testing.F) {
 			}
 		}
 
-		di, seq, err := LoadSnapshot(bytes.NewReader(c.snapshot(t)), 1)
+		di, seq, err := loadSnapshot(context.Background(), bytes.NewReader(c.snapshot(t)), 1)
 		if err != nil {
 			if !errors.Is(err, snap.ErrChecksum) && !errors.Is(err, snap.ErrTruncated) && !errors.Is(err, ErrRebuild) {
 				t.Fatalf("untyped error: %v", err)

@@ -118,7 +118,10 @@ func TestSpectralDecayOrdering(t *testing.T) {
 		}
 		var lambda float64
 		for iter := 0; iter < 200; iter++ {
-			nv := g.MulVec(v)
+			nv := make([]float64, g.Rows)
+			for r := range nv {
+				nv[r] = vec.Dot(g.Row(r), v)
+			}
 			lambda = vec.Norm(nv)
 			if lambda == 0 {
 				break

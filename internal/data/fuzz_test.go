@@ -47,6 +47,9 @@ func FuzzReadMatrixBinary(f *testing.F) {
 	f.Add([]byte("FXP1\xff\xff\xff\x7f\x01\x00\x00\x00"))     // the OOM header
 	f.Add([]byte("FXP1\x00\x00\x00\x00\x05\x00\x00\x00"))     // 0×5 empty matrix
 	f.Add([]byte("FXP1\x00\x01\x00\x00\x00\x01\x00\x00junk")) // plausible shape, no data
+	f.Add([]byte("FXP1\x00\x00\x00\x80\x01\x00\x00\x00"))     // 2^31×1: the largest shape, past int on 32-bit
+	f.Add([]byte("FXP1\xff\xff\xff\xff\x00\x00\x00\x00"))     // (2^32−1)×0: rows past int on 32-bit
+	f.Add([]byte("FXP1\x00\x00\x00\x00\xff\xff\xff\xff"))     // 0×(2^32−1): cols past int on 32-bit
 
 	f.Fuzz(func(t *testing.T, in []byte) {
 		got, err := ReadMatrixBinary(bytes.NewReader(in))

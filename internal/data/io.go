@@ -58,16 +58,18 @@ func ReadMatrixBinary(r io.Reader) (*vec.Matrix, error) {
 	if _, err := io.ReadFull(br, hdr[:]); err != nil {
 		return nil, fmt.Errorf("data: reading header: %w", err)
 	}
-	rows := int(binary.LittleEndian.Uint32(hdr[0:4]))
-	cols := int(binary.LittleEndian.Uint32(hdr[4:8]))
-	if rows < 0 || cols < 0 || (cols != 0 && rows > (1<<31)/cols) {
+	// The shape is read in int64, where any two uint32 multiply exactly;
+	// on a 32-bit target rows, cols and their product must also fit int.
+	rows := int64(binary.LittleEndian.Uint32(hdr[0:4]))
+	cols := int64(binary.LittleEndian.Uint32(hdr[4:8]))
+	if (cols != 0 && rows > (1<<31)/cols) || max(rows, cols, rows*cols) > math.MaxInt {
 		return nil, fmt.Errorf("data: implausible shape %d×%d", rows, cols)
 	}
 	// Grow the backing slice as data actually arrives instead of trusting
 	// the header: a 12-byte file claiming a 2^31-element matrix must fail
 	// with a truncation error, not a multi-gigabyte allocation. (Found by
 	// FuzzReadMatrixBinary; testdata/fuzz keeps the regression seed.)
-	total := rows * cols
+	total := int(rows * cols)
 	const chunkElems = 64 << 10
 	capHint := total
 	if capHint > chunkElems {
@@ -87,7 +89,7 @@ func ReadMatrixBinary(r io.Reader) (*vec.Matrix, error) {
 			data = append(data, math.Float64frombits(binary.LittleEndian.Uint64(buf[8*k:])))
 		}
 	}
-	return &vec.Matrix{Rows: rows, Cols: cols, Data: data}, nil
+	return &vec.Matrix{Rows: int(rows), Cols: int(cols), Data: data}, nil
 }
 
 // SaveMatrix writes m to path in FXP1 format.

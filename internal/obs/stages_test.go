@@ -2,6 +2,7 @@ package obs
 
 import (
 	"encoding/json"
+	"math"
 	"reflect"
 	"testing"
 
@@ -84,7 +85,7 @@ func TestStageCountersAppendJSON(t *testing.T) {
 		v.Field(i).SetInt(int64(1000 + i))
 	}
 	noNodes := all
-	noNodes.Scanned, noNodes.Pruned, noNodes.NodesVisited = -3, 1<<40, 0
+	noNodes.Scanned, noNodes.Pruned, noNodes.NodesVisited = -3, math.MaxInt, 0
 	for _, sc := range []StageCounters{{}, all, noNodes} {
 		want, err := json.Marshal(sc)
 		if err != nil {

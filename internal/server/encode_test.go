@@ -76,7 +76,7 @@ func TestSearchReplyBytes(t *testing.T) {
 		"nil results":        {tookMicros: 3, stats: stats, exact: true},
 		"no trace ID":        {results: all[:2], tookMicros: 1 << 40, stats: stats, exact: true},
 		"inexact":            {results: all[12:15], tookMicros: 250000, traceID: "t", stats: withNodes, exact: false},
-		"negative IDs":       {results: []topk.Result{{ID: -1, Score: 2.5}, {ID: math.MaxInt64, Score: -2.5}}, exact: true},
+		"negative IDs":       {results: []topk.Result{{ID: -1, Score: 2.5}, {ID: math.MaxInt, Score: -2.5}}, exact: true},
 		"infinite score":     {results: []topk.Result{{ID: 1, Score: 2}, {ID: 2, Score: math.Inf(1)}}, traceID: "t", exact: true},
 		"NaN score":          {results: []topk.Result{{ID: 1, Score: math.NaN()}}, exact: true},
 	}
@@ -103,7 +103,7 @@ func TestSearchReplyBytes(t *testing.T) {
 // TestAddedReplyBytes: the answer to an add is what encoding/json's
 // Encoder wrote for map[string]int{"id": n}, byte for byte.
 func TestAddedReplyBytes(t *testing.T) {
-	for _, id := range []int{0, 1, 9, 10, 99999, 100000, -1, math.MaxInt64, math.MinInt64} {
+	for _, id := range []int{0, 1, 9, 10, 99999, 100000, -1, math.MaxInt, math.MinInt} {
 		var want bytes.Buffer
 		if err := json.NewEncoder(&want).Encode(map[string]int{"id": id}); err != nil {
 			t.Fatal(err)

@@ -177,26 +177,3 @@ func checkNullDirections(items, u *vec.Matrix, zeroed []int) error {
 	}
 	return nil
 }
-
-// Reconstruct rebuilds the n×d item matrix V₁·Σ·Uᵀ; used by tests to
-// validate the factorization.
-func (t *Thin) Reconstruct() *vec.Matrix {
-	n := t.V1.Rows
-	d := t.U.Rows
-	out := vec.NewMatrix(n, d)
-	for i := 0; i < n; i++ {
-		vrow := t.V1.Row(i)
-		dst := out.Row(i)
-		for j := 0; j < d; j++ {
-			sv := vrow[j] * t.Sigma[j]
-			if sv == 0 {
-				continue
-			}
-			// add sv * U[:,j]ᵀ, i.e. dst[k] += sv·U[k][j]
-			for k := 0; k < d; k++ {
-				dst[k] += sv * t.U.At(k, j)
-			}
-		}
-	}
-	return out
-}

@@ -82,19 +82,6 @@ func (m *Matrix) T() *Matrix {
 	return out
 }
 
-// MulVec returns m · x (treating rows as the output dimension).
-// It panics if len(x) != m.Cols.
-func (m *Matrix) MulVec(x []float64) []float64 {
-	if len(x) != m.Cols {
-		panic(fmt.Sprintf("vec: MulVec dim mismatch: %d cols vs %d", m.Cols, len(x)))
-	}
-	out := make([]float64, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		out[i] = Dot(m.Row(i), x)
-	}
-	return out
-}
-
 // Mul returns m · other. It panics if m.Cols != other.Rows.
 func (m *Matrix) Mul(other *Matrix) *Matrix {
 	return m.MulScaled(other, nil)

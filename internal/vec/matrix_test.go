@@ -58,17 +58,13 @@ func TestTranspose(t *testing.T) {
 	}
 }
 
-func TestMulAndMulVec(t *testing.T) {
+func TestMul(t *testing.T) {
 	a := FromRows([][]float64{{1, 2}, {3, 4}})
 	b := FromRows([][]float64{{5, 6}, {7, 8}})
 	got := a.Mul(b)
 	want := FromRows([][]float64{{19, 22}, {43, 50}})
 	if !got.Equal(want, 0) {
 		t.Fatalf("Mul = %+v, want %+v", got.Data, want.Data)
-	}
-	v := a.MulVec([]float64{1, 1})
-	if v[0] != 3 || v[1] != 7 {
-		t.Fatalf("MulVec = %v", v)
 	}
 }
 

@@ -231,16 +231,6 @@ func Sub(a, b []float64) {
 	}
 }
 
-// AxpyInto sets dst = a + s*b. All three slices must share a length.
-func AxpyInto(dst, a, b []float64, s float64) {
-	if len(dst) != len(a) || len(a) != len(b) {
-		panic("vec: AxpyInto length mismatch")
-	}
-	for i := range dst {
-		dst[i] = a[i] + s*b[i]
-	}
-}
-
 // Clone returns a copy of a.
 func Clone(a []float64) []float64 {
 	out := make([]float64, len(a))

@@ -119,11 +119,6 @@ func TestScaleAddSubClone(t *testing.T) {
 	if a[0] == 99 {
 		t.Error("Clone aliases source")
 	}
-	dst := make([]float64, 2)
-	AxpyInto(dst, a, b, 2)
-	if dst[0] != 4 || dst[1] != 8 {
-		t.Errorf("AxpyInto got %v", dst)
-	}
 }
 
 func TestDist(t *testing.T) {
