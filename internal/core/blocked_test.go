@@ -984,8 +984,11 @@ func TestEBoundary(t *testing.T) {
 // idx.ints and idx.red sections today's Save no longer writes. The reader
 // skips them, so the file must load into the index a fresh build gives —
 // field for field, with the same answers, score bits and counters — and
-// re-save as that build saves. A skipped section is still checksummed: one
-// byte flipped inside the old idx.ints payload is ErrChecksum.
+// re-save as that build saves. The file predates the rounded checking
+// dimension, so it carries the rule of its time (Options.rhoW): the fresh
+// build takes the loaded index's options and with them that rule. A
+// skipped section is still checksummed: one byte flipped inside the old
+// idx.ints payload is ErrChecksum.
 func TestInt32TailFixture(t *testing.T) {
 	raw, err := os.ReadFile(filepath.Join("testdata", "fexidx_int32_tail.snap"))
 	if err != nil {
@@ -997,7 +1000,10 @@ func TestInt32TailFixture(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(31))
 	const n, d = 60, 8
-	fresh, err := NewIndex(normalMatrix(rng, n, d), Options{SVD: true, Int: true, Reduction: true})
+	if want := (Options{SVD: true, Int: true, Reduction: true, rhoW: true}).withDefaults(); loaded.Options() != want {
+		t.Fatalf("loaded options %+v, want %+v", loaded.Options(), want)
+	}
+	fresh, err := NewIndex(normalMatrix(rng, n, d), loaded.Options())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -162,6 +162,19 @@ func newDynState(initial *vec.Matrix, opts Options, rebuildFraction float64, sha
 	return di, nil
 }
 
+// W returns the checking dimension of each shard's main index, in shard
+// order, 0 for a shard without one: each build derives its own from the
+// shard's rows.
+func (di *DynamicIndex) W() []int {
+	ws := make([]int, len(di.shards))
+	for s, sh := range di.shards {
+		if sh.main != nil {
+			ws[s] = sh.main.W()
+		}
+	}
+	return ws
+}
+
 // Len returns the number of live items.
 func (di *DynamicIndex) Len() int { return di.items.rows - di.deadCount }
 

@@ -366,47 +366,49 @@ func checkItem(item []float64, what string) error {
 	return nil
 }
 
-// chooseW picks the checking dimension: the explicit override, else the
-// smallest w whose singular-value mass reaches ρ (Section 3), else d/5.
+// chooseW picks the checking dimension: the explicit override (at most
+// d), else RhoW rounded up to a multiple of vec.HeadStep, at most d−1 —
+// or RhoW itself under the rule of files written before the rounding
+// (Options.rhoW, DESIGN.md §3). The rule reads neither the CPU nor the
+// kernel in use, so every host builds the same index.
 func (idx *Index) chooseW() int {
 	d := idx.d
 	if idx.opts.W > 0 {
-		if idx.opts.W > d {
-			return d
-		}
-		return idx.opts.W
+		return min(idx.opts.W, d)
 	}
+	w := idx.RhoW()
+	if idx.opts.rhoW || w >= d-1 {
+		return w
+	}
+	return min((w+vec.HeadStep-1)/vec.HeadStep*vec.HeadStep, d-1)
+}
+
+// RhoW returns the checking dimension Section 3 derives for this index:
+// the smallest w whose singular-value mass reaches Options.Rho, without
+// SVD d/5, in [1, d−1] (1 at d = 1). W may be larger: chooseW rounds it
+// up to the head kernel's step unless Options.W is set.
+func (idx *Index) RhoW() int {
+	d := idx.d
 	if d == 1 {
 		return 1
 	}
-	if idx.sigma != nil {
-		var total float64
-		for _, s := range idx.sigma {
-			total += s
-		}
-		if total > 0 {
-			var acc float64
-			for i, s := range idx.sigma {
-				acc += s
-				if acc >= idx.opts.Rho*total {
-					w := i + 1
-					if w >= d {
-						w = d - 1
-					}
-					return w
-				}
+	if idx.sigma == nil {
+		return min(max(d/5, 1), d-1)
+	}
+	var total float64
+	for _, s := range idx.sigma {
+		total += s
+	}
+	if total > 0 {
+		var acc float64
+		for i, s := range idx.sigma {
+			acc += s
+			if acc >= idx.opts.Rho*total {
+				return min(i+1, d-1)
 			}
 		}
-		return d - 1
 	}
-	w := d / 5
-	if w < 1 {
-		w = 1
-	}
-	if w >= d {
-		w = d - 1
-	}
-	return w
+	return d - 1
 }
 
 // newIntData validates e for the integer bound at this shape, picks the

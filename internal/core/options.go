@@ -22,14 +22,17 @@ type Options struct {
 	Reduction bool
 
 	// Rho is the singular-value mass ratio that selects the checking
-	// dimension w (Section 3). Default 0.7 — the paper's best setting.
+	// dimension w (Section 3): the smallest w whose mass reaches it
+	// (Index.RhoW), rounded up to a multiple of vec.HeadStep and at most
+	// d−1. Default 0.7 — the paper's best setting.
 	Rho float64
 	// E is the integer scaling parameter e of Section 4.2: 1 … 127
 	// (MaxE), default 100 (≤ 0 selects it). NewIndex refuses a larger E
 	// with an ErrIntDomain-wrapping error: every floor is an int8.
 	E float64
-	// W overrides the checking dimension; ≤ 0 derives it from Rho (with
-	// SVD) or uses d/5 (without).
+	// W overrides the checking dimension, used as given (capped at d);
+	// ≤ 0 derives it from Rho with SVD, from d/5 without, and rounds that
+	// up as under Rho.
 	W int
 	// PruneSlack is the relative safety margin added to every pruning
 	// comparison so float64 rounding can never discard a true top-k item
@@ -40,6 +43,12 @@ type Options struct {
 	// RankTol is the relative threshold under which singular values are
 	// treated as zero. Default 1e-12.
 	RankTol float64
+
+	// rhoW keeps a derived w unrounded, as every index was built before
+	// the rounding: files written then read it back from their option
+	// slot (encodeOptions), so a checkpoint rebuilds the index it was
+	// taken from. Nothing else sets it.
+	rhoW bool
 }
 
 func (o Options) withDefaults() Options {

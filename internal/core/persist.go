@@ -59,11 +59,14 @@ func (idx *Index) Save(w io.Writer) error {
 
 // encodeOptions and decodeOptions fix the on-disk field order of
 // Options, shared by the static index and DynamicIndex snapshots. The
-// four trailing bools are the slots of options that no longer exist —
-// GlobalIntScaling, ReductionFirst, Unsorted, CompactInts — written false
-// so files of either age read under either code. One of the first three
-// set means an index this code cannot scan, and is refused; CompactInts
-// only chose between two encodings of the same floors and is ignored.
+// four trailing bools are slots of options that no longer exist —
+// GlobalIntScaling, ReductionFirst, Unsorted, CompactInts. One of the
+// first three set means an index this code cannot scan, and is refused.
+// The fourth, once CompactInts (which chose between two encodings of the
+// same floors), now says that a derived w is rounded up to the head
+// kernel's step: every file written before the rounding holds false
+// there and rebuilds with ρ's w unrounded (Options.rhoW), and a reader
+// before it ignores the slot.
 func encodeOptions(e *snap.Encoder, o Options) {
 	e.Bool(o.SVD)
 	e.Bool(o.Int)
@@ -73,9 +76,10 @@ func encodeOptions(e *snap.Encoder, o Options) {
 	e.I64(int64(o.W))
 	e.F64(o.PruneSlack)
 	e.F64(o.RankTol)
-	for slot := 0; slot < 4; slot++ {
+	for slot := 0; slot < 3; slot++ {
 		e.Bool(false)
 	}
+	e.Bool(!o.rhoW)
 }
 
 func decodeOptions(d *snap.Decoder) (Options, error) {
@@ -92,7 +96,7 @@ func decodeOptions(d *snap.Decoder) (Options, error) {
 	for slot := 0; slot < 3; slot++ {
 		ablated = d.Bool() || ablated
 	}
-	_ = d.Bool()
+	o.rhoW = !d.Bool()
 	if ablated && d.Err() == nil {
 		return o, fmt.Errorf("%w: snapshot of an index built with an ablation switch set", snap.ErrChecksum)
 	}

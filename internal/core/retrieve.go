@@ -464,13 +464,15 @@ func (idx *Index) coordinateScan(i int, qs *queryState, t, margin, ub1 float64, 
 	}
 
 	// Lines 14–17: monotonicity-reduction pruning in the reduced space.
+	// Every product is explicitly rounded, so no architecture may fuse
+	// one into the add that follows: the test's bits are the same on all.
 	if qs.redOK {
 		rd := idx.red
-		hhPartial := 2*v*qs.invBarNorm + rd.headConstP[i] + qs.headConstQ
-		ub2 := qs.hhTailQ * rd.hhTail[i] //fex:bound
+		hhPartial := float64(2*v*qs.invBarNorm) + rd.headConstP[i] + qs.headConstQ
+		ub2 := float64(qs.hhTailQ * rd.hhTail[i]) //fex:bound
 		if !math.IsInf(t, -1) {
-			tPrime := 2*t*qs.invBarNorm + qs.kq
-			hhMargin := idx.opts.PruneSlack * (math.Abs(tPrime) + 1)
+			tPrime := float64(2*t*qs.invBarNorm) + qs.kq
+			hhMargin := float64(idx.opts.PruneSlack * (math.Abs(tPrime) + 1))
 			if hhPartial+ub2 < tPrime-hhMargin {
 				stats.PrunedByMonotone++
 				return 0, false
@@ -506,13 +508,12 @@ func (idx *Index) tailBound(qs *queryState, i int, dot int32) float64 {
 	return float64(float64(iu) * qs.tailFactor)
 }
 
-// rowTailBound is tailBound of row i alone: vec.DotTails over one row.
+// rowTailBound is tailBound of row i alone, through vec.DotTail.
 //
 //fex:bound
 func (idx *Index) rowTailBound(qs *queryState, i int) float64 {
-	rows, dots := [1]int32{int32(i)}, [1]int32{}
-	vec.DotTails(qs.qTail, idx.ints.tail, rows[:], dots[:])
-	return idx.tailBound(qs, i, dots[0])
+	dt := idx.d - idx.w
+	return idx.tailBound(qs, i, vec.DotTail(qs.qTail, idx.ints.tail[i*dt:][:dt]))
 }
 
 var _ search.Searcher = (*Retriever)(nil)

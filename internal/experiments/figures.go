@@ -11,6 +11,7 @@ import (
 	"fexipro/internal/engine"
 	"fexipro/internal/pcatree"
 	"fexipro/internal/scan"
+	"fexipro/internal/search"
 	"fexipro/internal/svd"
 	"fexipro/internal/vec"
 )
@@ -115,45 +116,108 @@ func Figure12(cfg Config) (string, error) {
 	return out, nil
 }
 
-// Figure10 sweeps ρ (and reports the induced w) for F-S and F-SIR
-// against the SS-L constant.
+// fig10Rounds is how many times Figure10 times each cell. A round times
+// every w of one (k, body) pair back to back, so drift on the host
+// spreads over all of them rather than landing on one.
+const fig10Rounds = 5
+
+// Figure10 sweeps the checking dimension w of F-SIR from the one ρ = 0.7
+// derives (Index.RhoW, the paper's Section 3 rule) to 8 more, at
+// k ∈ {1, 10, 50}, once per head-kernel body the processor runs of
+// AVX-512 VNNI and AVX2 (the plain-Go one when it has neither). Each row
+// is one w: the median and range over fig10Rounds of µs per query per
+// body, then the stage counters per query, which do not depend on the
+// body. "ρ" marks ρ's w and "rule" the one the index builds by default
+// (Index.W) — ρ's rounded up to a multiple of vec.HeadStep.
 func Figure10(cfg Config) (string, error) {
-	rhos := []float64{0.5, 0.6, 0.7, 0.8, 0.9}
+	bodies := fig10Bodies()
 	out := ""
 	for _, p := range cfg.profiles() {
 		ds := cfg.Load(p)
-		sslRes, err := RunMethod("SS-L", ds, 1, false)
+		def, err := core.NewIndex(ds.Items, core.Options{SVD: true, Int: true, Reduction: true})
 		if err != nil {
 			return "", err
 		}
-		t := NewTable(fmt.Sprintf("Figure 10 [%s]: retrieval time vs rho (k=1); SS-L = %s s",
-			p.Name, Seconds(sslRes.Retrieve)),
-			"rho", "w", "F-S (s)", "F-SIR (s)")
-		for _, rho := range rhos {
-			var wUsed int
-			var row []string
-			row = append(row, fmt.Sprintf("%.1f", rho))
-			times := map[string]time.Duration{}
-			for _, variant := range []string{"F-S", "F-SIR"} {
-				opts, err := core.OptionsForVariant(variant)
-				if err != nil {
-					return "", err
-				}
-				opts.Rho = rho
-				idx, err := core.NewIndex(ds.Items, opts)
-				if err != nil {
-					return "", err
-				}
-				wUsed = idx.W()
-				b := Built{Name: variant, Searcher: engine.New(core.NewSharded(idx, 1), 1)}
-				times[variant] = Run(b, ds, 1, false).Retrieve
+		w0, d := def.RhoW(), def.Dim()
+		var ws []int
+		var built []Built
+		for w := w0; w <= max(w0, min(w0+8, d-1)); w++ {
+			idx, err := core.NewIndex(ds.Items, core.Options{SVD: true, Int: true, Reduction: true, W: w})
+			if err != nil {
+				return "", err
 			}
-			row = append(row, fmt.Sprintf("%d", wUsed), Seconds(times["F-S"]), Seconds(times["F-SIR"]))
-			t.AddRow(row...)
+			ws = append(ws, w)
+			built = append(built, Built{Name: "F-SIR", Searcher: engine.New(core.NewSharded(idx, 1), 1)})
 		}
-		out += t.String() + "\n"
+		for _, k := range []int{1, 10, 50} {
+			header := []string{"w", ""}
+			for _, b := range bodies {
+				header = append(header, b.String()+" µs/q")
+			}
+			header = append(header, "scanned", "int-head", "int-full", "incr", "mono", "full")
+			t := NewTable(fmt.Sprintf("Figure 10 [%s]: F-SIR µs per query (median [min–max] of %d rounds) and stage counters per query vs w (n=%d, d=%d, k=%d)",
+				p.Name, fig10Rounds, ds.Items.Rows, d, k), header...)
+			us := make([][][]float64, len(ws)) // [w][body][round]
+			stats := make([]search.Stats, len(ws))
+			for i := range us {
+				us[i] = make([][]float64, len(bodies))
+			}
+			for bi, body := range bodies {
+				was := vec.SetBody(body)
+				for r := 0; r < fig10Rounds; r++ {
+					for i, b := range built {
+						res := Run(b, ds, k, false)
+						us[i][bi] = append(us[i][bi], float64(res.Retrieve.Nanoseconds())/1e3/float64(res.QueriesCount))
+						stats[i] = res.Stats
+					}
+				}
+				vec.SetBody(was)
+			}
+			for i, w := range ws {
+				mark := ""
+				switch w {
+				case w0:
+					mark = "ρ"
+				case def.W():
+					mark = "rule"
+				}
+				row := []string{fmt.Sprintf("%d", w), mark}
+				for bi := range bodies {
+					row = append(row, medianRange(us[i][bi]))
+				}
+				q := float64(ds.Queries.Rows)
+				st := stats[i]
+				for _, c := range []int{st.Scanned, st.PrunedByIntHead, st.PrunedByIntFull, st.PrunedByIncremental, st.PrunedByMonotone, st.FullProducts} {
+					row = append(row, fmt.Sprintf("%.1f", float64(c)/q))
+				}
+				t.AddRow(row...)
+			}
+			out += t.String() + "\n"
+		}
 	}
 	return out, nil
+}
+
+// fig10Bodies returns the head-kernel bodies Figure10 times: AVX-512 VNNI
+// and AVX2 where the processor runs them, else the plain-Go one.
+func fig10Bodies() []vec.Body {
+	var run []vec.Body
+	for _, b := range []vec.Body{vec.AVX512VNNI, vec.AVX2} {
+		if vec.Supported(b) {
+			run = append(run, b)
+		}
+	}
+	if len(run) == 0 {
+		run = append(run, vec.Portable)
+	}
+	return run
+}
+
+// medianRange formats the median of xs and its range.
+func medianRange(xs []float64) string {
+	s := append([]float64(nil), xs...)
+	sort.Float64s(s)
+	return fmt.Sprintf("%.2f [%.2f–%.2f]", s[len(s)/2], s[0], s[len(s)-1])
 }
 
 // Figure11 sweeps the integer scaling parameter e for F-SIR.

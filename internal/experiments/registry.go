@@ -25,7 +25,7 @@ func Registry() map[string]Experiment {
 		{"fig7", "Retrieval time vs k for SS-L and F-SIR", Figure7},
 		{"fig8", "Average k-th inner product vs k", Figure8},
 		{"fig9", "Distribution of per-query costs (F-SIR, k=1)", Figure9},
-		{"fig10", "Retrieval time and w vs rho", Figure10},
+		{"fig10", "Retrieval time and stage counters vs the checking dimension w", Figure10},
 		{"fig11", "Retrieval time vs integer scaling e", Figure11},
 		{"fig12", "Distribution of entire-qTp counts (F-SIR, k=1)", Figure12},
 		{"fig13", "PCATree timing and RMSE@k", Figure13},

@@ -815,14 +815,15 @@ func (s *Server) handleDeleteItem(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleInfo answers GET /v1/info: the live item count, the dimension, the
-// shard count and the head kernel's body (vec.Selected: "avx512vnni",
-// "avx2" or "portable"), so a latency can be put down to the hardware it
-// ran on.
+// shard count, the head kernel's body (vec.Selected: "avx512vnni", "avx2"
+// or "portable") and each shard's checking dimension w (0 for a shard
+// with no main index), so a latency can be put down to the hardware it
+// ran on and the head width it ran at.
 func (s *Server) handleInfo(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
-	n := s.idx.Len()
+	n, ws := s.idx.Len(), s.idx.W()
 	s.mu.Unlock()
-	writeJSON(w, map[string]any{"items": n, "dim": s.dim, "shards": s.idx.Shards(), "kernel": vec.Selected().String()})
+	writeJSON(w, map[string]any{"items": n, "dim": s.dim, "shards": s.idx.Shards(), "kernel": vec.Selected().String(), "w": ws})
 }
 
 func writeJSON(w http.ResponseWriter, v any) {

@@ -248,7 +248,9 @@ func TestInfoAndHealth(t *testing.T) {
 		t.Fatal(err)
 	}
 	info := decode[map[string]any](t, resp)
-	if info["items"].(float64) != 42 || info["dim"].(float64) != 4 || info["kernel"] != vec.Selected().String() {
+	// At d = 4 every derived w rounds up to d−1: one shard, w = 3.
+	if info["items"].(float64) != 42 || info["dim"].(float64) != 4 || info["kernel"] != vec.Selected().String() ||
+		fmt.Sprint(info["w"]) != "[3]" {
 		t.Fatalf("info = %v", info)
 	}
 	hresp, err := http.Get(ts.URL + "/v1/healthz")

@@ -29,6 +29,13 @@ import "math"
 // Collect's body decides.
 const HeadBlockRows = 16
 
+// HeadStep is the number of head floors one step of the VNNI body
+// reads per row: two pairs, one VPDPBUSD. A w that is not a multiple of
+// it leaves lanes of the last step zero, decided for nothing, so core
+// rounds its derived checking dimension up to one (DESIGN.md §3). It is
+// a constant, not a property of the CPU: every host builds one index.
+const HeadStep = 4
+
 // HeadLayout is the block layout of w floors in [−o, o−1]. The zero value
 // is not usable; call NewHeadLayout.
 type HeadLayout struct {

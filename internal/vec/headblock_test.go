@@ -449,8 +449,10 @@ func FuzzHeadBlock(f *testing.F) {
 // BenchmarkHeadMask is the sizing of the blocked scan's kernel: ns per row
 // and bytes streamed per row of whole scans by Collect as scanBlocked
 // drives it — runs of at most 64 blocks, each call going on from the row
-// where the last one stopped — per body, at the pair counts w = 13…22
-// give, at the paper's e = 100 (o = 101), over a catalog resident in L2
+// where the last one stopped — per body, at P = 7 (ρ's w = 13 on the
+// MovieLens shape), 8 (its rounded w = 16), 10 (w = 20, the Netflix
+// shape's rounded 18) and 11 (w = 22), at the paper's e = 100 (o = 101),
+// over a catalog resident in L2
 // (n = 10⁴: the compute-bound figure, lib-skewed's 12k-row scans) and one
 // that streams from memory (n = 10⁵: the bandwidth-bound one, lib-flat).
 // The cut is a percentile of the bound: no row survives, 0.6 % and 2 % do as
@@ -460,7 +462,7 @@ func FuzzHeadBlock(f *testing.F) {
 //	go test ./internal/vec -run '^$' -bench HeadMask -count 6
 func BenchmarkHeadMask(b *testing.B) {
 	for _, n := range []int{10000, 100000} {
-		for _, pairs := range []int{7, 11} {
+		for _, pairs := range []int{7, 8, 10, 11} {
 			benchmarkHeadMask(b, n, pairs)
 		}
 	}

@@ -96,6 +96,18 @@ func dotTails(q []int16, tab []int8, rows []int32, out []int32) {
 //go:noescape
 func dotTailsAVX2(q []int16, tab []int8, rows []int32, out []int32)
 
+func dotTail(q []int16, p []int8) int32 {
+	if active == Portable || len(q) < 16 {
+		return dotTailGo(q, p)
+	}
+	return dotTailAVX2(q, p)
+}
+
+// dotTailAVX2 is dotTailGo for len(q) = len(p) ≥ 16.
+//
+//go:noescape
+func dotTailAVX2(q []int16, p []int8) int32
+
 func dot(a, b []float64) float64 {
 	if active == Portable {
 		return dotGo(a, b)

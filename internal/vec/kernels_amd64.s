@@ -457,6 +457,50 @@ tailsDone:
 	VZEROUPPER
 	RET
 
+// func dotTailAVX2(q []int16, p []int8) int32
+//
+// dotTailsAVX2 for the one row p: no row number to scale, no output
+// slice, and the last step's query mask built only when dt mod 16 ≠ 0.
+TEXT ·dotTailAVX2(SB), NOSPLIT, $0-52
+	MOVQ    q_base+0(FP), SI
+	MOVQ    q_len+8(FP), CX            // dt ≥ 16
+	MOVQ    p_base+24(FP), DI
+	MOVQ    SI, BX
+	MOVQ    CX, DX
+	SHRQ    $4, DX                     // whole steps, at least one
+	MOVQ    CX, R13
+	ANDQ    $15, R13                   // r
+	VPXOR   Y0, Y0, Y0                 // eight int32 sums
+
+tailStep:
+	VPMOVSXBW (DI), Y1
+	VPMADDWD  (BX), Y1, Y1
+	VPADDD    Y1, Y0, Y0
+	ADDQ      $16, DI
+	ADDQ      $32, BX
+	DECQ      DX
+	JNZ       tailStep
+	TESTQ     R13, R13
+	JZ        tailSum
+	LEAQ      tailmask<>(SB), AX
+	VMOVDQU   (AX)(R13*2), Y2
+	VPAND     -32(SI)(CX*2), Y2, Y2    // the query's last 16 words, 16−r zeroed
+	VPMOVSXBW -16(DI)(R13*1), Y1       // the row's last 16 floors
+	VPMADDWD  Y2, Y1, Y1
+	VPADDD    Y1, Y0, Y0
+
+tailSum:
+	VEXTRACTI128 $1, Y0, X1
+	VPADDD       X1, X0, X0
+	VPSHUFD      $0x4E, X0, X1
+	VPADDD       X1, X0, X0
+	VPSHUFD      $0xB1, X0, X1
+	VPADDD       X1, X0, X0
+	VMOVD        X0, AX
+	MOVL         AX, ret+48(FP)
+	VZEROUPPER
+	RET
+
 // func dotAVX2(a, b []float64) float64
 //
 // dotGo's sum: Y0 holds (s₀, s₁, s₂, s₃) and takes four products a step,

@@ -15,6 +15,8 @@ func dotInt16(a, b []int16) int64 { return dotInt16Go(a, b) }
 
 func dotTails(q []int16, tab []int8, rows []int32, out []int32) { dotTailsGo(q, tab, rows, out) }
 
+func dotTail(q []int16, p []int8) int32 { return dotTailGo(q, p) }
+
 func dot(a, b []float64) float64 { return dotGo(a, b) }
 
 func gramBand(g, m *Matrix, alo, ahi int) { gramRows(g, m, 0, alo, ahi) }

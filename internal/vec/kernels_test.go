@@ -141,8 +141,9 @@ func dotTailReference(q []int16, p []int8) int64 {
 }
 
 // checkDotTails runs DotTails over rows of tab into an out one longer
-// than rows, and fails unless each out[k] is the int64 sum of row
-// rows[k] mod 2³² and the slot past the batch is untouched.
+// than rows, and fails unless each out[k] — and DotTail of the row — is
+// the int64 sum of row rows[k] mod 2³² and the slot past the batch is
+// untouched.
 func checkDotTails(tb testing.TB, what string, q []int16, tab []int8, rows []int32) {
 	tb.Helper()
 	const sentinel = -0x5A5A5A5B
@@ -153,8 +154,11 @@ func checkDotTails(tb testing.TB, what string, q []int16, tab []int8, rows []int
 	DotTails(q, tab, rows, out)
 	dt := len(q)
 	for k, r := range rows {
-		if want := int32(dotTailReference(q, tab[int(r)*dt:][:dt])); out[k] != want {
+		row := tab[int(r)*dt:][:dt]
+		if want := int32(dotTailReference(q, row)); out[k] != want {
 			tb.Fatalf("%s dt=%d, %d rows: row %d (slot %d) %d vs %d", what, dt, len(rows), r, k, out[k], want)
+		} else if got := DotTail(q, row); got != want {
+			tb.Fatalf("%s dt=%d: DotTail of row %d %d vs %d", what, dt, r, got, want)
 		}
 	}
 	if out[len(rows)] != sentinel {
@@ -233,13 +237,16 @@ func TestDotTailAllLengths(t *testing.T) {
 }
 
 // TestDotTailPanicsOnMismatch: DotTails refuses a row outside the table,
-// either side of it, and an out shorter than the batch.
+// either side of it, and an out shorter than the batch; DotTail a row
+// whose length is not the query's.
 func TestDotTailPanicsOnMismatch(t *testing.T) {
 	q, tab := []int16{1, 2}, []int8{1, 2, 3, 4, 5} // two whole rows
 	for name, call := range map[string]func(){
 		"row past the table": func() { DotTails(q, tab, []int32{0, 2}, make([]int32, 2)) },
 		"negative row":       func() { DotTails(q, tab, []int32{-1}, make([]int32, 1)) },
 		"short out":          func() { DotTails(q, tab, []int32{0, 1}, make([]int32, 1)) },
+		"short row":          func() { DotTail(q, tab[:1]) },
+		"long row":           func() { DotTail(q, tab[:3]) },
 	} {
 		func() {
 			defer func() {
@@ -253,7 +260,7 @@ func TestDotTailPanicsOnMismatch(t *testing.T) {
 	for _, body := range kernelBodies(t) {
 		forceBody(t, body)
 		out := []int32{7, 7}
-		if DotTails(nil, tab, []int32{5}, out); out[0] != 0 || out[1] != 7 {
+		if DotTails(nil, tab, []int32{5}, out); out[0] != 0 || out[1] != 7 || DotTail(nil, nil) != 0 {
 			t.Fatalf("%s: dt = 0 left %v", body, out)
 		}
 	}
@@ -262,7 +269,8 @@ func TestDotTailPanicsOnMismatch(t *testing.T) {
 // FuzzDotTail: for a fuzzer-chosen query of any int16 values (two bytes
 // each, dt = their count), table bytes cut into rows of dt floors, and
 // batch rows (one byte each, taken mod the rows there are), every body of
-// DotTails equals the int64 sum of products mod 2³².
+// DotTails, and of DotTail row by row, equals the int64 sum of products
+// mod 2³².
 func FuzzDotTail(f *testing.F) {
 	f.Add([]byte{0x80, 0xff, 0x7f, 0, 1, 0, 2, 0}, []byte{0x80, 0x80, 0xff, 3, 0x7f, 0x80, 1, 2}, []byte{1, 0, 1})
 	f.Add(make([]byte, 74), make([]byte, 37*3), []byte{2, 2, 0, 1})
@@ -546,13 +554,14 @@ func BenchmarkDotInt16(b *testing.B) {
 }
 
 // BenchmarkDotTails sizes the tail bounds of a survivor batch, per body,
-// at the benchmark's d − w = 32 (lib-flat) and 37 (lib-skewed), for
-// batches of 1, 16 and 32 rows spread over the 10⁵ rows of a table as a
-// scan's survivors are; ns/row is per row of the batch.
+// at d − w = 30, 34 (lib-flat and lib-skewed at the rounded w), 32 and 37
+// (at ρ's), for batches of 1, 16 and 32 rows spread over the 10⁵ rows of
+// a table as a scan's survivors are, and one row at a time through
+// DotTail ("row", what a per-row scan calls); ns/row is per row.
 func BenchmarkDotTails(b *testing.B) {
 	const tableRows, batches = 100000, 1024
 	rng := rand.New(rand.NewSource(1))
-	for _, dt := range []int{32, 37} {
+	for _, dt := range []int{30, 32, 34, 37} {
 		q := make([]int16, dt)
 		for i := range q {
 			q[i] = int16(rng.Intn(256) - 128)
@@ -561,12 +570,25 @@ func BenchmarkDotTails(b *testing.B) {
 		for i := range tab {
 			tab[i] = int8(rng.Intn(256) - 128)
 		}
-		for _, size := range []int{1, 16, 32} {
-			rows := make([]int32, batches*size)
+		for _, size := range []int{0, 1, 16, 32} {
+			rows := make([]int32, batches*max(size, 1))
 			for k := range rows {
 				rows[k] = int32(rng.Intn(tableRows))
 			}
 			for _, body := range kernelBodies(b) {
+				if size == 0 {
+					b.Run(fmt.Sprintf("dt=%d/row/%s", dt, body), func(b *testing.B) {
+						forceBody(b, body)
+						var sum int32
+						for i := 0; i < b.N; i++ {
+							r := int(rows[i%batches])
+							sum += DotTail(q, tab[r*dt:][:dt])
+						}
+						sinkMask = int(sum)
+						b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/row")
+					})
+					continue
+				}
 				b.Run(fmt.Sprintf("dt=%d/batch=%d/%s", dt, size, body), func(b *testing.B) {
 					forceBody(b, body)
 					out := make([]int32, size)

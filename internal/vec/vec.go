@@ -139,18 +139,35 @@ func DotTails(q []int16, tab []int8, rows []int32, out []int32) {
 func dotTailsGo(q []int16, tab []int8, rows []int32, out []int32) {
 	dt := len(q)
 	for k, r := range rows {
-		p := tab[int(r)*dt:][:dt]
-		var s0, s1 int32
-		i := 0
-		for ; i+2 <= dt; i += 2 {
-			s0 += int32(q[i]) * int32(p[i])
-			s1 += int32(q[i+1]) * int32(p[i+1])
-		}
-		if i < dt {
-			s0 += int32(q[i]) * int32(p[i])
-		}
-		out[k] = s0 + s1
+		out[k] = dotTailGo(q, tab[int(r)*dt:][:dt])
 	}
+}
+
+// DotTail is DotTails for the one row p of item tail floors, len(p) =
+// len(q): the same sum mod 2³² by the same bodies, without the row
+// numbers and the output slice a batch needs — what a scan that decides
+// one row at a time calls. It panics if the lengths differ.
+func DotTail(q []int16, p []int8) int32 {
+	if len(p) != len(q) {
+		panic(fmt.Sprintf("vec: DotTail length mismatch %d != %d", len(q), len(p)))
+	}
+	return dotTail(q, p)
+}
+
+// dotTailGo is DotTail's plain-Go body: two int32 chains, as dotTailsGo
+// sums every row.
+func dotTailGo(q []int16, p []int8) int32 {
+	p = p[:len(q)]
+	var s0, s1 int32
+	i := 0
+	for ; i+2 <= len(q); i += 2 {
+		s0 += int32(q[i]) * int32(p[i])
+		s1 += int32(q[i+1]) * int32(p[i+1])
+	}
+	if i < len(q) {
+		s0 += int32(q[i]) * int32(p[i])
+	}
+	return s0 + s1
 }
 
 // Norm returns the Euclidean norm (length) of a.

@@ -19,12 +19,15 @@ type Options struct {
 	// "F-I", "F-SI", "F-SR", or "F" for the bare sorted scan.
 	Variant string
 	// Rho sets the singular-value mass ratio that picks the checking
-	// dimension w (default 0.7).
+	// dimension w (default 0.7): the smallest w whose mass reaches it,
+	// rounded up to a multiple of 4, the head kernel's step, and at most
+	// d−1.
 	Rho float64
 	// E is the integer scaling parameter: 1 … 127, default 100 (≤ 0
 	// selects it). A larger E is refused: every floor is an int8.
 	E float64
-	// W overrides the checking dimension (0 = derive from Rho).
+	// W overrides the checking dimension, used as given (0 = derive from
+	// Rho).
 	W int
 	// Shards splits the index into that many contiguous partitions of
 	// the norm-sorted items, answered in parallel per query by the
