@@ -64,17 +64,17 @@ cross:
 	GOOS=darwin GOARCH=arm64 $(GO) build ./...
 	GOOS=darwin GOARCH=arm64 $(GO) vet ./internal/snap
 
-## lint: project-specific static analysis. fexlint's eight analyzers
+## lint: project-specific static analysis. fexlint's seven analyzers
 ## enforce FEXIPRO's exactness, concurrency, and reproducibility
 ## invariants (float comparisons, RNG seeding, discarded errors, the
 ## mutex contracts of `locks` — lock-hold discipline, lock-order deadlock
 ## candidates, //fex:guard field enforcement — //fex:hot allocation
-## freedom, Search⇄SearchContext and Config⇄flag parity, strict and
-## counted prunes of bound- and threshold-derived values, goroutine join
-## edges). Cancellable scans and stage counters are the test batteries'
-## (DESIGN.md §9). Exits 0 clean / 1 findings / 2 load error. A deliberate exception carries
-## `//lint:ignore <analyzer> <reason>` on or above its line; there is
-## no other way to silence a finding. See DESIGN.md §12.
+## freedom, Search⇄SearchContext and Config⇄flag parity, goroutine join
+## edges). Cancellable scans, stage counters and strict prunes are the
+## test batteries' (DESIGN.md §9). Exits 0 clean / 1 findings / 2 load
+## error. A deliberate exception carries `//lint:ignore <analyzer>
+## <reason>` on or above its line; there is no other way to silence a
+## finding. See DESIGN.md §12.
 lint:
 	$(GO) run ./cmd/fexlint ./...
 

@@ -15,7 +15,7 @@ type headBound struct {
 // either into the add that follows and the two agree bit for bit.
 func (idx *Index) headBound(qs *queryState, i int, iu int64) headBound {
 	return headBound{
-		bHead: float64(float64(iu) * qs.headFactor), //fex:bound
-		ub1:   float64(qs.barTail * idx.barTail[i]), //fex:bound
+		bHead: float64(float64(iu) * qs.headFactor),
+		ub1:   float64(qs.barTail * idx.barTail[i]),
 	}
 }

@@ -161,7 +161,7 @@ func (idx *Index) scanPerItem(ctx context.Context, qs *queryState, lo, hi int, c
 			}
 		}
 		t := shared.Floor(c.Threshold())
-		lenBound := qs.qNorm * idx.norms[i] //fex:bound
+		lenBound := qs.qNorm * idx.norms[i]
 		if lenBound < t {
 			// Sorted by length: nothing later in this range can qualify
 			// either.
@@ -277,7 +277,7 @@ func (idx *Index) scanBlocked(ctx context.Context, qs *queryState, lo, hi int, c
 		end := min(window, limit)
 		var lenBound float64 // the length bound of the run's last row
 		for rows := runRows; ; rows >>= 1 {
-			lenBound = qs.qNorm * idx.norms[end-1] //fex:bound
+			lenBound = qs.qNorm * idx.norms[end-1]
 			if !(lenBound < t) {
 				break
 			}
@@ -415,7 +415,7 @@ func (idx *Index) prepareQuery(q []float64, qs *queryState) {
 func (idx *Index) candidate(i int, qs *queryState, t, slack float64, stats *search.Stats) (float64, bool) {
 	margin := pruneMargin(slack, t)
 	if !qs.headFirst {
-		ub1 := qs.barTail * idx.barTail[i] //fex:bound
+		ub1 := qs.barTail * idx.barTail[i]
 		return idx.coordinateScan(i, qs, t, margin, ub1, stats)
 	}
 	hb := idx.headBound(qs, i, qs.head.RowIU(i))
@@ -469,7 +469,7 @@ func (idx *Index) coordinateScan(i int, qs *queryState, t, margin, ub1 float64, 
 	if qs.redOK {
 		rd := idx.red
 		hhPartial := float64(2*v*qs.invBarNorm) + rd.headConstP[i] + qs.headConstQ
-		ub2 := float64(qs.hhTailQ * rd.hhTail[i]) //fex:bound
+		ub2 := float64(qs.hhTailQ * rd.hhTail[i])
 		if !math.IsInf(t, -1) {
 			tPrime := float64(2*t*qs.invBarNorm) + qs.kq
 			hhMargin := float64(idx.opts.PruneSlack * (math.Abs(tPrime) + 1))
@@ -501,16 +501,12 @@ func (idx *Index) coordinateScan(i int, qs *queryState, t, margin, ub1 float64, 
 // explicitly rounded, as headBound's are, so no architecture may fuse it
 // into the add that follows, and the blocked and per-row scans, which both
 // come here, agree bit for bit.
-//
-//fex:bound
 func (idx *Index) tailBound(qs *queryState, i int, dot int32) float64 {
 	iu := int64(dot) + qs.qSumAbsTail + int64(idx.ints.sumAbsTail[i]) + int64(idx.d-idx.w)
 	return float64(float64(iu) * qs.tailFactor)
 }
 
 // rowTailBound is tailBound of row i alone, through vec.DotTail.
-//
-//fex:bound
 func (idx *Index) rowTailBound(qs *queryState, i int) float64 {
 	dt := idx.d - idx.w
 	return idx.tailBound(qs, i, vec.DotTail(qs.qTail, idx.ints.tail[i*dt:][:dt]))

@@ -117,16 +117,17 @@ func Figure12(cfg Config) (string, error) {
 }
 
 // fig10Rounds is how many times Figure10 times each cell. A round times
-// every w of one (k, body) pair back to back, so drift on the host
-// spreads over all of them rather than landing on one.
+// every w under every body back to back, so drift on the host spreads
+// over all the cells rather than landing on one.
 const fig10Rounds = 5
 
 // Figure10 sweeps the checking dimension w of F-SIR from the one ρ = 0.7
 // derives (Index.RhoW, the paper's Section 3 rule) to 8 more, at
 // k ∈ {1, 10, 50}, once per head-kernel body the processor runs of
 // AVX-512 VNNI and AVX2 (the plain-Go one when it has neither). Each row
-// is one w: the median and range over fig10Rounds of µs per query per
-// body, then the stage counters per query, which do not depend on the
+// is one w: the median and quartiles over fig10Rounds of µs per query
+// per body, timed over untraced Search calls, then the stage
+// counters per query from one counted pass, which do not depend on the
 // body. "ρ" marks ρ's w and "rule" the one the index builds by default
 // (Index.W) — ρ's rounded up to a multiple of vec.HeadStep.
 func Figure10(cfg Config) (string, error) {
@@ -155,23 +156,20 @@ func Figure10(cfg Config) (string, error) {
 				header = append(header, b.String()+" µs/q")
 			}
 			header = append(header, "scanned", "int-head", "int-full", "incr", "mono", "full")
-			t := NewTable(fmt.Sprintf("Figure 10 [%s]: F-SIR µs per query (median [min–max] of %d rounds) and stage counters per query vs w (n=%d, d=%d, k=%d)",
+			t := NewTable(fmt.Sprintf("Figure 10 [%s]: F-SIR µs per query (median [q1–q3] of %d rounds) and stage counters per query vs w (n=%d, d=%d, k=%d)",
 				p.Name, fig10Rounds, ds.Items.Rows, d, k), header...)
 			us := make([][][]float64, len(ws)) // [w][body][round]
-			stats := make([]search.Stats, len(ws))
 			for i := range us {
 				us[i] = make([][]float64, len(bodies))
 			}
-			for bi, body := range bodies {
-				was := vec.SetBody(body)
-				for r := 0; r < fig10Rounds; r++ {
-					for i, b := range built {
-						res := Run(b, ds, k, false)
-						us[i][bi] = append(us[i][bi], float64(res.Retrieve.Nanoseconds())/1e3/float64(res.QueriesCount))
-						stats[i] = res.Stats
+			for r := 0; r < fig10Rounds; r++ {
+				for i, b := range built {
+					for bi, body := range bodies {
+						was := vec.SetBody(body)
+						us[i][bi] = append(us[i][bi], usPerQuery(b.Searcher, ds, k))
+						vec.SetBody(was)
 					}
 				}
-				vec.SetBody(was)
 			}
 			for i, w := range ws {
 				mark := ""
@@ -183,10 +181,10 @@ func Figure10(cfg Config) (string, error) {
 				}
 				row := []string{fmt.Sprintf("%d", w), mark}
 				for bi := range bodies {
-					row = append(row, medianRange(us[i][bi]))
+					row = append(row, medianIQR(us[i][bi]))
 				}
 				q := float64(ds.Queries.Rows)
-				st := stats[i]
+				st := Run(built[i], ds, k, false).Stats
 				for _, c := range []int{st.Scanned, st.PrunedByIntHead, st.PrunedByIntFull, st.PrunedByIncremental, st.PrunedByMonotone, st.FullProducts} {
 					row = append(row, fmt.Sprintf("%.1f", float64(c)/q))
 				}
@@ -196,6 +194,16 @@ func Figure10(cfg Config) (string, error) {
 		}
 	}
 	return out, nil
+}
+
+// usPerQuery times one untraced pass of ds's queries through s at k, in
+// µs per query.
+func usPerQuery(s search.Searcher, ds *data.Dataset, k int) float64 {
+	start := time.Now()
+	for i := 0; i < ds.Queries.Rows; i++ {
+		s.Search(ds.Queries.Row(i), k)
+	}
+	return float64(time.Since(start).Nanoseconds()) / 1e3 / float64(ds.Queries.Rows)
 }
 
 // fig10Bodies returns the head-kernel bodies Figure10 times: AVX-512 VNNI
@@ -213,11 +221,14 @@ func fig10Bodies() []vec.Body {
 	return run
 }
 
-// medianRange formats the median of xs and its range.
-func medianRange(xs []float64) string {
+// medianIQR formats the median of xs and its quartiles, the order
+// statistics at ranks (n−1)/4 and 3(n−1)/4 rounded down: exact for the
+// inclusive method at fig10Rounds = 5.
+func medianIQR(xs []float64) string {
 	s := append([]float64(nil), xs...)
 	sort.Float64s(s)
-	return fmt.Sprintf("%.2f [%.2f–%.2f]", s[len(s)/2], s[0], s[len(s)-1])
+	n := len(s) - 1
+	return fmt.Sprintf("%.2f [%.2f–%.2f]", s[len(s)/2], s[n/4], s[3*n/4])
 }
 
 // Figure11 sweeps the integer scaling parameter e for F-SIR.

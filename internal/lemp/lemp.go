@@ -298,7 +298,7 @@ func (idx *Index) scanBuckets(ctx context.Context, qs *lempQuery, bLo, bHi int, 
 	for bi := bLo; bi < bHi; bi++ {
 		b := &idx.buckets[bi]
 		t := shared.Floor(c.Threshold())
-		bucketCap := qs.qNorm * b.maxNorm //fex:bound
+		bucketCap := qs.qNorm * b.maxNorm
 		if bucketCap < t {
 			for bj := bi; bj < bHi; bj++ {
 				stats.PrunedByLength += len(idx.buckets[bj].ids)
@@ -325,7 +325,7 @@ func (idx *Index) scanBucket(ctx context.Context, done <-chan struct{}, pos *int
 		}
 		*pos++
 		t := shared.Floor(c.Threshold())
-		lenBound := qs.qNorm * b.norms[i] //fex:bound
+		lenBound := qs.qNorm * b.norms[i]
 		if lenBound < t {
 			stats.PrunedByLength += b.unit.Rows - i
 			return nil

@@ -15,6 +15,25 @@ import (
 // into lexical held regions, once per body), and resolving a mutex
 // expression to its canonical whole-program name.
 
+// staticCallee resolves the static callee object of call, or nil for
+// dynamic calls (function values; interface methods resolve to the
+// interface method object, still useful for naming) and conversions.
+func staticCallee(info *types.Info, call *ast.CallExpr) types.Object {
+	var id *ast.Ident
+	switch fun := ast.Unparen(call.Fun).(type) {
+	case *ast.Ident:
+		id = fun
+	case *ast.SelectorExpr:
+		id = fun.Sel
+	default:
+		return nil
+	}
+	if obj, ok := info.Uses[id].(*types.Func); ok {
+		return obj
+	}
+	return nil // a variable of function type, or a type conversion
+}
+
 // factSep joins the fields of a locks or goroutinelife fact value.
 const factSep = "|"
 

@@ -10,9 +10,9 @@ import (
 
 // fixtureCases maps each analyzer to its golden fixture package(s)
 // under testdata/src. A case is named <analyzer>/<fixture> unless it
-// sets group, which the cases of retired analyzers do: boundflow checks
-// kernelcontract's fixture and locks checks lockhold's, lockorder's and
-// guardedby's, but each case keeps the retired analyzer's name.
+// sets group, which the cases of retired analyzers do: locks checks
+// lockhold's, lockorder's and guardedby's fixtures, but each case keeps
+// the retired analyzer's name.
 var fixtureCases = []struct {
 	analyzer *Analyzer
 	fixture  string
@@ -27,8 +27,6 @@ var fixtureCases = []struct {
 	{Locks, "guardedby", "guardedby"},
 	{HotAlloc, "hotalloc", ""},
 	{APIParity, "apiparity", ""},
-	{BoundFlow, "boundflow", ""},
-	{BoundFlow, "kernelcontract", "kernelcontract"},
 }
 
 // want is one expectation parsed from a `// want` comment.
@@ -220,7 +218,7 @@ func TestAnalyzerRegistry(t *testing.T) {
 		}
 		names[i] = a.Name
 	}
-	want := []string{"floatcmp", "rngseed", "errcheck", "locks", "hotalloc", "apiparity", "boundflow", "goroutinelife"}
+	want := []string{"floatcmp", "rngseed", "errcheck", "locks", "hotalloc", "apiparity", "goroutinelife"}
 	if !slices.Equal(names, want) {
 		t.Fatalf("All() = %v, want %v", names, want)
 	}

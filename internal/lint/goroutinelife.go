@@ -5,8 +5,6 @@ import (
 	"go/token"
 	"go/types"
 	"strings"
-
-	"fexipro/internal/lint/flow"
 )
 
 // GoroutineLife requires every `go` statement to carry a statically
@@ -143,7 +141,7 @@ func judgeGoStmt(pass *Pass, g *ast.GoStmt, closed map[string]bool) {
 		}
 		flagAddInsideBody(pass, fun.Body)
 	default:
-		callee := flow.Callee(pass.Info, g.Call)
+		callee := staticCallee(pass.Info, g.Call)
 		if callee == nil {
 			pass.Reportf(g.Pos(), "go statement calls through a function value — termination cannot be proven statically; wrap it in a closure with an explicit join edge")
 			return

@@ -27,11 +27,6 @@
 //   - apiparity:     exported Search ⇄ SearchContext (and SearchAbove ⇄
 //     SearchAboveContext) parity on every searcher, and every
 //     server/experiments Config field must be wired to a cmd flag.
-//   - boundflow:     the pruning contract, by dataflow over
-//     internal/lint/flow CFGs and call graphs — values derived from
-//     //fex:bound upper bounds or, under a kernel Scan, from the shared
-//     threshold meet only strictly-conservative comparisons, and every
-//     prune exit increments a PrunedBy* counter (DESIGN.md §12.9);
 //   - goroutinelife: every go statement needs a statically provable
 //     termination/join edge (WaitGroup Done, ctx.Done exit arm,
 //     closed-channel range, or bounded body), plus leak-on-error
@@ -69,8 +64,6 @@ import (
 	"strings"
 	"sync"
 	"time"
-
-	"fexipro/internal/lint/flow"
 )
 
 // Diagnostic is one analyzer finding at a resolved source position.
@@ -97,8 +90,7 @@ type Fact struct {
 	// Analyzer is the exporting analyzer's name; module passes only see
 	// their own facts.
 	Analyzer string
-	// Name classifies the fact (e.g. "bound-fn", "config-field",
-	// "config-field-set").
+	// Name classifies the fact (e.g. "config-field", "config-field-set").
 	Name string
 	// Value carries the payload (e.g. a type name or field key).
 	Value string
@@ -193,19 +185,6 @@ func nonTestFiles(fset *token.FileSet, files []*ast.File) []*ast.File {
 		}
 	}
 	return out
-}
-
-// callGraph returns the static call graph of files and its declared
-// functions in source order, the deterministic order that same-unit
-// fixpoints and facts iterate in.
-func callGraph(files []*ast.File, info *types.Info) (*flow.CallGraph, []types.Object) {
-	cg := flow.BuildCallGraph(files, info)
-	order := make([]types.Object, 0, len(cg.Decls))
-	for obj := range cg.Decls {
-		order = append(order, obj)
-	}
-	sort.Slice(order, func(i, j int) bool { return order[i].Pos() < order[j].Pos() })
-	return cg, order
 }
 
 // ModulePass is the whole-program phase of one analyzer: it sees the
@@ -416,7 +395,6 @@ func All() []*Analyzer {
 		Locks,
 		HotAlloc,
 		APIParity,
-		BoundFlow,
 		GoroutineLife,
 	}
 }

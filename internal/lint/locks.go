@@ -9,8 +9,6 @@ import (
 	"slices"
 	"sort"
 	"strings"
-
-	"fexipro/internal/lint/flow"
 )
 
 // Locks checks this tree's mutex contracts (DESIGN.md §12.3). Its unit
@@ -154,7 +152,7 @@ func blockingOp(pass *Pass, blockers map[types.Object]string, n ast.Node) (reaso
 		if msg := blockingCallMessage(pass, s); msg != "" {
 			return msg, ""
 		}
-		if callee := flow.Callee(pass.Info, s); callee != nil && blockers[callee] != "" {
+		if callee := staticCallee(pass.Info, s); callee != nil && blockers[callee] != "" {
 			return blockers[callee], callee.Name()
 		}
 	}
@@ -363,7 +361,7 @@ func exportOrderFacts(pass *Pass, b *lockBody) {
 		if !ok {
 			return true
 		}
-		callee := flow.Callee(pass.Info, call)
+		callee := staticCallee(pass.Info, call)
 		if callee == nil || callee.Pkg() == nil || callee.Pkg().Path() == "sync" {
 			return true
 		}
