@@ -39,9 +39,9 @@ test:
 	$(GO) test ./...
 
 ## check: verify + static analysis + formatting + race detector on the
-## concurrency-sensitive subset (fast enough for a local loop; CI also
-## runs the full `make race`).
-check: verify vet cross lint perf-gate fmt-check race-subset
+## concurrency-sensitive subset and on the lint driver (fast enough for
+## a local loop; CI also runs the full `make race`).
+check: verify vet cross lint lint-race perf-gate fmt-check race-subset
 
 ## vet: includes asmdecl, which checks internal/vec's assembly against its
 ## Go declarations, and copylocks, which keeps sync and sync/atomic values
@@ -79,9 +79,9 @@ lint:
 	$(GO) run ./cmd/fexlint ./...
 
 ## lint-race: the lint driver's own tests under the race detector — the
-## parallel loader (single-flight import cache, serialized stdlib
-## importer) and the parallel per-unit analysis phase are themselves
-## concurrency-sensitive code.
+## loader type-checks the units `go list -export` reports in parallel,
+## over one shared file set, and the per-unit analysis phase runs in
+## parallel too (about 7 s).
 lint-race:
 	$(GO) test -race ./internal/lint/...
 

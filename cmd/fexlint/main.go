@@ -1,7 +1,8 @@
 // Command fexlint runs the project-specific static analyzers of
 // internal/lint over the repository. It is stdlib-only (go/ast +
-// go/types with a `go list`-free loader) and is wired into `make lint`,
-// `make check`, `make precommit`, and CI.
+// go/types over the packages and export data of one `go list -export`
+// call) and is wired into `make lint`, `make check`, `make precommit`,
+// and CI.
 //
 // Usage:
 //
@@ -10,7 +11,8 @@
 //	fexlint -perf [-perf-facts FILE] [patterns...]
 //	fexlint -write-perf-facts [-perf-facts FILE] [patterns...]
 //
-// Patterns default to ./... relative to the enclosing module. Each
+// Patterns are go package patterns, resolved from the working
+// directory; they default to ./... there. Each
 // finding prints as one `file:line:col: analyzer: message` line on
 // stdout, the file relative to the working directory.
 //

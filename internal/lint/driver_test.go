@@ -105,30 +105,3 @@ func TestRunTimed(t *testing.T) {
 		t.Fatalf("Run and RunTimed disagree: %d vs %d diagnostics", len(plain), len(diags))
 	}
 }
-
-// TestLoaderParallelImports loads the whole lint package tree twice
-// through one loader from concurrent goroutines; under -race this
-// exercises the single-flight import cache and the serialized stdlib
-// importer.
-func TestLoaderParallelImports(t *testing.T) {
-	root, err := filepath.Abs(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	loader, err := NewLoader(root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	errs := make(chan error, 2)
-	for i := 0; i < 2; i++ {
-		go func() {
-			_, err := loader.Load(root + "/...")
-			errs <- err
-		}()
-	}
-	for i := 0; i < 2; i++ {
-		if err := <-errs; err != nil {
-			t.Fatal(err)
-		}
-	}
-}

@@ -39,7 +39,7 @@
 // counters by the registry test in internal/method, and metric names by
 // the obs registry.
 //
-// The driver type-checks package directories in parallel, runs each
+// The driver type-checks the units `go list` reports in parallel, runs each
 // analyzer's per-unit pass concurrently across units, then runs an
 // optional whole-program module phase over the facts the unit passes
 // exported (Pass.ExportFact → Analyzer.RunModule).

@@ -1,14 +1,18 @@
 package lint
 
 import (
+	"bytes"
+	"encoding/json"
+	"errors"
 	"fmt"
 	"go/ast"
-	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
+	"io"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"runtime"
 	"sort"
@@ -36,390 +40,178 @@ type Unit struct {
 	ignores map[string][]ignoreDirective
 }
 
-// Loader parses and type-checks packages beneath a Go module without
-// invoking `go list`: intra-module imports resolve by path arithmetic
-// against the module root, everything else (the standard library) loads
-// through the compiler-independent source importer.
+// Loader parses and type-checks the packages that `go list` finds for a
+// set of patterns, as `go vet` sees them: each package with its
+// in-package test files, plus its external _test package. The go
+// command resolves the patterns, applies build constraints and compiles
+// every dependency; the loader type-checks each unit from source against
+// the compiler's export data for its imports.
 //
-// The loader is safe for concurrent use: Load type-checks package
-// directories in parallel, and module-internal imports are built at
-// most once through a single-flight cache. A wait-for graph between
-// in-progress builds turns would-be deadlocks on cyclic import graphs
-// into "import cycle" errors.
+// The loader is safe for concurrent use, and Load type-checks its units
+// in parallel.
 type Loader struct {
 	Fset *token.FileSet
-	// IncludeTests controls whether _test.go files join the units.
-	IncludeTests bool
 
+	dir        string
 	moduleRoot string
-	modulePath string
-	buildCtx   build.Context
-
-	// stdMu serializes the stdlib source importer, which is not
-	// documented as safe for concurrent use. Completed *types.Package
-	// values ARE safe for concurrent reads, so only the Import call
-	// itself is guarded.
-	stdMu sync.Mutex
-	std   types.Importer
-
-	// mu guards imports: the single-flight cache of module-internal
-	// import variants (built from non-test files only).
-	mu      sync.Mutex
-	imports map[string]*importEntry
-	waits   waitGraph
 }
 
-// importEntry is one single-flight slot: the first goroutine to request
-// a path builds it and closes done; everyone else waits on done.
-type importEntry struct {
-	done chan struct{}
-	pkg  *types.Package
-	err  error
-}
-
-// waitGraph records which in-progress package build is blocked on which
-// import. A cycle in the "X waits for Y" relation is exactly an import
-// cycle among packages currently being built, so checking reachability
-// before blocking converts deadlocks into errors — on a healthy Go tree
-// (acyclic imports) no edge insertion ever fails.
-type waitGraph struct {
-	mu    sync.Mutex
-	edges map[string]map[string]bool
-}
-
-// add records that from is blocked on to, or reports an import cycle if
-// doing so would close a loop.
-func (g *waitGraph) add(from, to string) error {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if from == to || g.reaches(to, from) {
-		return fmt.Errorf("lint: import cycle through %q", to)
-	}
-	if g.edges == nil {
-		g.edges = make(map[string]map[string]bool)
-	}
-	if g.edges[from] == nil {
-		g.edges[from] = make(map[string]bool)
-	}
-	g.edges[from][to] = true
-	return nil
-}
-
-func (g *waitGraph) remove(from, to string) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	delete(g.edges[from], to)
-}
-
-// reaches reports whether dst is reachable from src. Callers hold g.mu.
-func (g *waitGraph) reaches(src, dst string) bool {
-	if src == dst {
-		return true
-	}
-	seen := map[string]bool{src: true}
-	stack := []string{src}
-	for len(stack) > 0 {
-		n := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for m := range g.edges[n] {
-			if m == dst {
-				return true
-			}
-			if !seen[m] {
-				seen[m] = true
-				stack = append(stack, m)
-			}
-		}
-	}
-	return false
-}
-
-// NewLoader locates the enclosing module of dir (via go.mod) and returns
-// a loader rooted there.
+// NewLoader returns a loader that resolves patterns from dir, inside the
+// module that `go env GOMOD` names there.
 func NewLoader(dir string) (*Loader, error) {
 	abs, err := filepath.Abs(dir)
 	if err != nil {
 		return nil, err
 	}
-	root, modPath, err := findModule(abs)
+	out, err := goCommand(abs, "env", "GOMOD")
 	if err != nil {
 		return nil, err
 	}
-	fset := token.NewFileSet()
-	ctx := build.Default
-	return &Loader{
-		Fset:         fset,
-		IncludeTests: true,
-		moduleRoot:   root,
-		modulePath:   modPath,
-		buildCtx:     ctx,
-		std:          importer.ForCompiler(fset, "source", nil),
-		imports:      make(map[string]*importEntry),
-	}, nil
+	gomod := strings.TrimSpace(string(out))
+	if gomod == "" || gomod == os.DevNull {
+		return nil, fmt.Errorf("lint: no go.mod found above %s", abs)
+	}
+	return &Loader{Fset: token.NewFileSet(), dir: abs, moduleRoot: filepath.Dir(gomod)}, nil
 }
 
 // ModuleRoot returns the absolute module root directory.
 func (l *Loader) ModuleRoot() string { return l.moduleRoot }
 
-// findModule walks upward from dir until it finds a go.mod and returns
-// the directory and declared module path.
-func findModule(dir string) (root, modPath string, err error) {
-	for d := dir; ; {
-		data, rerr := os.ReadFile(filepath.Join(d, "go.mod"))
-		if rerr == nil {
-			for _, line := range strings.Split(string(data), "\n") {
-				line = strings.TrimSpace(line)
-				if rest, ok := strings.CutPrefix(line, "module "); ok {
-					return d, strings.TrimSpace(rest), nil
-				}
-			}
-			return "", "", fmt.Errorf("lint: %s/go.mod has no module line", d)
-		}
-		parent := filepath.Dir(d)
-		if parent == d {
-			return "", "", fmt.Errorf("lint: no go.mod found above %s", dir)
-		}
-		d = parent
-	}
-}
-
-// Load expands the patterns ("./...", "dir/...", plain directories) into
-// package directories and returns one Unit per package variant found.
-// Directories are type-checked in parallel (bounded by GOMAXPROCS);
-// unit order is deterministic regardless of scheduling.
-func (l *Loader) Load(patterns ...string) ([]*Unit, error) {
-	dirs, err := l.expand(patterns)
+// goCommand runs the go command in dir and returns its standard output.
+func goCommand(dir string, args ...string) ([]byte, error) {
+	cmd := exec.Command("go", args...)
+	cmd.Dir = dir
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("lint: go %s: %v: %s", args[0], err, strings.TrimSpace(stderr.String()))
 	}
-	type result struct {
-		units []*Unit
-		err   error
-	}
-	results := make([]result, len(dirs))
-	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-	var wg sync.WaitGroup
-	for i, dir := range dirs {
-		wg.Add(1)
-		go func(i int, dir string) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			us, err := l.LoadDir(dir)
-			results[i] = result{units: us, err: err}
-		}(i, dir)
-	}
-	wg.Wait()
-	var units []*Unit
-	for _, r := range results {
-		if r.err != nil {
-			return nil, r.err
-		}
-		units = append(units, r.units...)
-	}
-	return units, nil
+	return out, nil
 }
 
-// expand resolves CLI patterns to a sorted, deduplicated directory list.
-func (l *Loader) expand(patterns []string) ([]string, error) {
+// listedPackage is the part of a `go list -json` record the loader reads.
+type listedPackage struct {
+	ImportPath string
+	Dir        string
+	GoFiles    []string
+	Export     string
+	ImportMap  map[string]string
+	DepOnly    bool
+	ForTest    string
+	Error      *struct{ Err string }
+}
+
+// unitPath strips the " [p.test]" suffix `go list -test` gives the
+// packages it compiles for p's test.
+func unitPath(importPath string) string {
+	path, _, _ := strings.Cut(importPath, " ")
+	return path
+}
+
+// Load lists the patterns ("./..." by default), relative to the loader's
+// directory, and returns one Unit per package variant: p with its
+// in-package tests in place of p, and p's external test package p_test.
+// A package that does not compile fails the load with the compiler's
+// message. Unit order is deterministic regardless of scheduling.
+func (l *Loader) Load(patterns ...string) ([]*Unit, error) {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	seen := make(map[string]bool)
-	var dirs []string
-	add := func(dir string) {
-		if !seen[dir] {
-			seen[dir] = true
-			dirs = append(dirs, dir)
-		}
-	}
-	for _, pat := range patterns {
-		recursive := false
-		if rest, ok := strings.CutSuffix(pat, "/..."); ok {
-			recursive, pat = true, rest
-		} else if pat == "..." {
-			recursive, pat = true, "."
-		}
-		if pat == "" || pat == "." {
-			pat = "."
-		}
-		base := pat
-		if !filepath.IsAbs(base) {
-			base = filepath.Join(l.moduleRoot, base)
-		}
-		info, err := os.Stat(base)
-		if err != nil {
-			return nil, fmt.Errorf("lint: %s: %w", pat, err)
-		}
-		if !info.IsDir() {
-			return nil, fmt.Errorf("lint: %s is not a directory", pat)
-		}
-		if !recursive {
-			add(base)
-			continue
-		}
-		err = filepath.WalkDir(base, func(path string, d os.DirEntry, err error) error {
-			if err != nil {
-				return err
-			}
-			if !d.IsDir() {
-				return nil
-			}
-			name := d.Name()
-			if path != base && (strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") ||
-				name == "testdata" || name == "vendor") {
-				return filepath.SkipDir
-			}
-			if hasGoFiles(path) {
-				add(path)
-			}
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-	}
-	sort.Strings(dirs)
-	return dirs, nil
-}
-
-func hasGoFiles(dir string) bool {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return false
-	}
-	for _, e := range entries {
-		if !e.IsDir() && strings.HasSuffix(e.Name(), ".go") {
-			return true
-		}
-	}
-	return false
-}
-
-// dirFiles are the build-constraint-matched files of one directory,
-// split the way `go test` splits them.
-type dirFiles struct {
-	pkgName  string // package name of the non-test (or in-package test) files
-	normal   []string
-	inTest   []string // _test.go files in the package itself
-	extTest  []string // _test.go files in package <name>_test
-	extName  string
-	fileErrs []error
-}
-
-// scanDir classifies the .go files of dir, honoring build constraints
-// for the loader's build context.
-func (l *Loader) scanDir(dir string) (*dirFiles, error) {
-	entries, err := os.ReadDir(dir)
+	args := append([]string{"list", "-e", "-deps", "-test", "-export",
+		"-json=ImportPath,Dir,GoFiles,Export,ImportMap,DepOnly,ForTest,Error"}, patterns...)
+	out, err := goCommand(l.dir, args...)
 	if err != nil {
 		return nil, err
 	}
-	df := &dirFiles{}
-	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") {
-			continue
+	var pkgs []*listedPackage
+	for dec := json.NewDecoder(bytes.NewReader(out)); ; {
+		p := new(listedPackage)
+		if err := dec.Decode(p); errors.Is(err, io.EOF) {
+			break
+		} else if err != nil {
+			return nil, fmt.Errorf("lint: go list: %w", err)
 		}
-		match, err := l.buildCtx.MatchFile(dir, name)
-		if err != nil || !match {
-			continue
+		pkgs = append(pkgs, p)
+	}
+
+	export := make(map[string]string, len(pkgs))
+	tested := make(map[string]bool) // p has a variant with in-package tests
+	for _, p := range pkgs {
+		if p.Error != nil {
+			// Dependencies come first, so this is the package at fault.
+			msg := strings.TrimSpace(p.Error.Err)
+			if header, rest, ok := strings.Cut(msg, "\n"); ok && strings.HasPrefix(header, "# ") {
+				msg = rest
+			}
+			return nil, fmt.Errorf("lint: %s: %s", p.ImportPath, msg)
 		}
-		full := filepath.Join(dir, name)
-		pkgName, err := packageName(full)
-		if err != nil {
-			df.fileErrs = append(df.fileErrs, err)
-			continue
+		export[p.ImportPath] = p.Export
+		if p.ForTest != "" && unitPath(p.ImportPath) == p.ForTest {
+			tested[p.ForTest] = true
 		}
+	}
+	var listed []*listedPackage
+	for _, p := range pkgs {
+		path := unitPath(p.ImportPath)
 		switch {
-		case !strings.HasSuffix(name, "_test.go"):
-			df.normal = append(df.normal, full)
-			df.pkgName = pkgName
-		case strings.HasSuffix(pkgName, "_test"):
-			df.extTest = append(df.extTest, full)
-			df.extName = pkgName
-		default:
-			df.inTest = append(df.inTest, full)
-			if df.pkgName == "" {
-				df.pkgName = pkgName
-			}
+		case p.DepOnly || len(p.GoFiles) == 0 || strings.HasSuffix(p.ImportPath, ".test"):
+			// A dependency, a directory of external tests only, or the
+			// generated main package of a test binary.
+		case p.ForTest == "" && !tested[path], // p, which has no in-package tests
+			path == p.ForTest,         // p [p.test]
+			path == p.ForTest+"_test": // p_test [p.test]
+			listed = append(listed, p)
 		}
 	}
-	return df, nil
-}
+	sort.Slice(listed, func(i, j int) bool {
+		a, b := listed[i], listed[j]
+		if a.Dir != b.Dir {
+			return a.Dir < b.Dir
+		}
+		return a.ImportPath < b.ImportPath
+	})
 
-// packageName reads just the package clause of a file.
-func packageName(path string) (string, error) {
-	f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.PackageClauseOnly)
-	if err != nil {
-		return "", err
+	units := make([]*Unit, len(listed))
+	errs := make([]error, len(listed))
+	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
+	var wg sync.WaitGroup
+	for i, p := range listed {
+		wg.Add(1)
+		go func(i int, p *listedPackage) {
+			defer wg.Done()
+			sem <- struct{}{}
+			defer func() { <-sem }()
+			units[i], errs[i] = l.check(p, export)
+		}(i, p)
 	}
-	return f.Name.Name, nil
-}
-
-// importPathFor maps a module-relative directory to its import path.
-func (l *Loader) importPathFor(dir string) string {
-	rel, err := filepath.Rel(l.moduleRoot, dir)
-	if err != nil || rel == "." {
-		return l.modulePath
-	}
-	return l.modulePath + "/" + filepath.ToSlash(rel)
-}
-
-// LoadDir type-checks the package in dir and returns its analysis
-// units: the package (with in-package test files when IncludeTests),
-// plus the external test package when one exists.
-func (l *Loader) LoadDir(dir string) ([]*Unit, error) {
-	abs, err := filepath.Abs(dir)
-	if err != nil {
+	wg.Wait()
+	if err := errors.Join(errs...); err != nil {
 		return nil, err
-	}
-	df, err := l.scanDir(abs)
-	if err != nil {
-		return nil, err
-	}
-	path := l.importPathFor(abs)
-	var units []*Unit
-
-	base := df.normal
-	if l.IncludeTests {
-		base = append(append([]string{}, df.normal...), df.inTest...)
-	}
-	var basePkg *types.Package
-	if len(base) > 0 {
-		u, err := l.check(abs, path, df.pkgName, base, pkgImporter{l: l, from: path})
-		if err != nil {
-			return nil, err
-		}
-		u.TypeErrors = append(u.TypeErrors, df.fileErrs...)
-		units = append(units, u)
-		basePkg = u.Pkg
-	}
-
-	if l.IncludeTests && len(df.extTest) > 0 {
-		imp := &testImporter{
-			inner:    pkgImporter{l: l, from: path + "_test"},
-			basePath: path,
-			base:     basePkg,
-		}
-		u, err := l.check(abs, path+"_test", df.extName, df.extTest, imp)
-		if err != nil {
-			return nil, err
-		}
-		units = append(units, u)
 	}
 	return units, nil
 }
 
-// check parses files and runs the type checker with the given importer.
-func (l *Loader) check(dir, path, pkgName string, files []string, imp types.Importer) (*Unit, error) {
-	var asts []*ast.File
-	var typeErrs []error
-	for _, f := range files {
-		a, err := parser.ParseFile(l.Fset, f, nil, parser.ParseComments|parser.SkipObjectResolution)
+// check parses one listed package and type-checks it, resolving each
+// import through the package's ImportMap to the export data `go list`
+// reported for it.
+func (l *Loader) check(p *listedPackage, export map[string]string) (*Unit, error) {
+	var files []*ast.File
+	for _, name := range p.GoFiles {
+		f, err := parser.ParseFile(l.Fset, filepath.Join(p.Dir, name), nil, parser.ParseComments|parser.SkipObjectResolution)
 		if err != nil {
 			return nil, err
 		}
-		asts = append(asts, a)
+		files = append(files, f)
+	}
+	lookup := func(path string) (io.ReadCloser, error) {
+		if mapped, ok := p.ImportMap[path]; ok {
+			path = mapped
+		}
+		if export[path] == "" {
+			return nil, fmt.Errorf("lint: no export data for %q", path)
+		}
+		return os.Open(export[path])
 	}
 	info := &types.Info{
 		Types:      make(map[ast.Expr]types.TypeAndValue),
@@ -428,144 +220,21 @@ func (l *Loader) check(dir, path, pkgName string, files []string, imp types.Impo
 		Selections: make(map[*ast.SelectorExpr]*types.Selection),
 		Scopes:     make(map[ast.Node]*types.Scope),
 	}
-	conf := types.Config{
-		Importer: imp,
-		Error:    func(err error) { typeErrs = append(typeErrs, err) },
-	}
-	pkg, _ := conf.Check(path, l.Fset, asts, info) // errors collected via conf.Error
-	_ = pkgName
 	u := &Unit{
-		Dir:        dir,
-		Path:       path,
-		Fset:       l.Fset,
-		Files:      asts,
-		Pkg:        pkg,
-		Info:       info,
-		TypeErrors: typeErrs,
-		ignores:    make(map[string][]ignoreDirective),
+		Dir:     p.Dir,
+		Path:    unitPath(p.ImportPath),
+		Fset:    l.Fset,
+		Files:   files,
+		Info:    info,
+		ignores: make(map[string][]ignoreDirective),
 	}
-	for _, f := range asts {
-		name := l.Fset.Position(f.Pos()).Filename
-		u.ignores[name] = parseIgnores(l.Fset, f)
+	conf := types.Config{
+		Importer: importer.ForCompiler(l.Fset, "gc", lookup),
+		Error:    func(err error) { u.TypeErrors = append(u.TypeErrors, err) },
+	}
+	u.Pkg, _ = conf.Check(u.Path, l.Fset, files, info) // errors collected via conf.Error
+	for _, f := range files {
+		u.ignores[l.Fset.Position(f.Pos()).Filename] = parseIgnores(l.Fset, f)
 	}
 	return u, nil
-}
-
-// pkgImporter resolves imports on behalf of the package named from,
-// threading the importer identity into the loader's wait-for graph so
-// concurrent single-flight builds can detect import cycles.
-type pkgImporter struct {
-	l    *Loader
-	from string
-}
-
-func (ci pkgImporter) Import(path string) (*types.Package, error) {
-	return ci.l.importFrom(ci.from, path)
-}
-
-// Import implements types.Importer for intra-module and stdlib paths.
-// Module-internal packages are built from their non-test files, so
-// imports never observe test-only declarations.
-func (l *Loader) Import(path string) (*types.Package, error) {
-	return l.importFrom("", path)
-}
-
-// importFrom resolves path on behalf of from. Stdlib packages go
-// through the (serialized) source importer; module-internal packages go
-// through the single-flight cache: the first requester builds, everyone
-// else blocks on the entry — after registering a wait-for edge, so a
-// cyclic import graph produces an error instead of a deadlock.
-func (l *Loader) importFrom(from, path string) (*types.Package, error) {
-	if path == "C" {
-		return nil, fmt.Errorf("lint: cgo is not supported")
-	}
-	if path != l.modulePath && !strings.HasPrefix(path, l.modulePath+"/") {
-		return l.importStd(path)
-	}
-
-	l.mu.Lock()
-	e, waiter := l.imports[path]
-	if e == nil {
-		e = &importEntry{done: make(chan struct{})}
-		l.imports[path] = e
-	}
-	l.mu.Unlock()
-
-	if waiter {
-		// Someone else owns (or finished) the build.
-		select {
-		case <-e.done:
-			return e.pkg, e.err
-		default:
-		}
-		if err := l.waits.add(from, path); err != nil {
-			return nil, err
-		}
-		defer l.waits.remove(from, path)
-		<-e.done
-		return e.pkg, e.err
-	}
-
-	// We own the build. Record the edge first so builds blocked on us
-	// transitively see the chain (and so a recursive self-import in the
-	// same goroutine errors out instead of waiting on itself).
-	if err := l.waits.add(from, path); err != nil {
-		e.err = err
-		close(e.done)
-		return nil, err
-	}
-	pkg, err := l.buildImport(path)
-	l.waits.remove(from, path)
-	e.pkg, e.err = pkg, err
-	close(e.done)
-	return pkg, err
-}
-
-// importStd resolves a non-module (stdlib or vendored-toolchain) path
-// through the shared source importer, which is not safe for concurrent
-// use and is therefore serialized. Its own package cache makes repeat
-// imports cheap; only the first import of each path pays for parsing.
-func (l *Loader) importStd(path string) (*types.Package, error) {
-	l.stdMu.Lock()
-	defer l.stdMu.Unlock()
-	return l.std.Import(path)
-}
-
-// buildImport type-checks the import variant (non-test files) of a
-// module-internal package. Called exactly once per path via the
-// single-flight cache.
-func (l *Loader) buildImport(path string) (*types.Package, error) {
-	rel := strings.TrimPrefix(strings.TrimPrefix(path, l.modulePath), "/")
-	dir := filepath.Join(l.moduleRoot, filepath.FromSlash(rel))
-	df, err := l.scanDir(dir)
-	if err != nil {
-		return nil, fmt.Errorf("lint: import %q: %w", path, err)
-	}
-	if len(df.normal) == 0 {
-		return nil, fmt.Errorf("lint: import %q: no Go files in %s", path, dir)
-	}
-	u, err := l.check(dir, path, df.pkgName, df.normal, pkgImporter{l: l, from: path})
-	if err != nil {
-		return nil, err
-	}
-	if len(u.TypeErrors) > 0 {
-		return nil, fmt.Errorf("lint: import %q: %v", path, u.TypeErrors[0])
-	}
-	return u.Pkg, nil
-}
-
-// testImporter resolves the package under test to its test-augmented
-// variant, mirroring how `go test` compiles external test packages
-// against the in-package test build (export_test.go et al.).
-type testImporter struct {
-	inner    types.Importer
-	basePath string
-	base     *types.Package
-}
-
-func (t *testImporter) Import(path string) (*types.Package, error) {
-	if path == t.basePath && t.base != nil {
-		return t.base, nil
-	}
-	return t.inner.Import(path)
 }

@@ -41,3 +41,25 @@ func TestRepoIsLintClean(t *testing.T) {
 		t.Errorf("repo not lint-clean: %s", d)
 	}
 }
+
+// TestPartialLintIsClean lints internal/snap alone. The module phase
+// then sees that package's units only, so its //fex:lockorder
+// declaration naming faults.Hook.mu, a lock of a package not loaded,
+// must not be reported as stale.
+func TestPartialLintIsClean(t *testing.T) {
+	root, err := filepath.Abs(filepath.Join("..", ".."))
+	if err != nil {
+		t.Fatal(err)
+	}
+	loader, err := NewLoader(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	units, err := loader.Load("./internal/snap")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range Run(units, All()) {
+		t.Errorf("partial lint not clean: %s", d)
+	}
+}
